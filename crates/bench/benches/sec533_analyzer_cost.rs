@@ -408,8 +408,12 @@ fn throughput_comparison(synopses: &[TaskSynopsis], mins: u64) {
     let legacy_tps = total as f64 / legacy_secs;
     println!("legacy pipeline (1 thread): {legacy_secs:.2}s = {legacy_tps:.0} synopses/s");
 
+    // Worker counts above the core count measure oversubscription, not
+    // scaling: run only the rows this machine has cores for.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("cores: {cores}");
     let mut pool_rows = Vec::new();
-    for &workers in &[1usize, 2, 4, 8] {
+    for &workers in [1usize, 2, 4, 8].iter().filter(|&&w| w <= cores) {
         let secs = run_pool(&model, stream.clone(), workers).min(run_pool(
             &model,
             stream.clone(),
@@ -428,7 +432,7 @@ fn throughput_comparison(synopses: &[TaskSynopsis], mins: u64) {
     let interner = Arc::new(SignatureInterner::new());
     let batches = build_batches(&stream, &interner);
     let mut batch_rows = Vec::new();
-    for &workers in &[1usize, 2, 4, 8, 16] {
+    for &workers in [1usize, 2, 4, 8, 16].iter().filter(|&&w| w <= cores) {
         // Best of three: at ~100ns/synopsis a run lasts well under a
         // second, so scheduler noise dominates a single sample.
         let (mut secs, mut allocs) = run_batch_pool(&model, &interner, batches.clone(), workers);
@@ -456,6 +460,7 @@ fn throughput_comparison(synopses: &[TaskSynopsis], mins: u64) {
     let json = render_throughput_json(
         total,
         mins,
+        cores,
         legacy_secs,
         legacy_tps,
         &pool_rows,
@@ -468,8 +473,6 @@ fn throughput_comparison(synopses: &[TaskSynopsis], mins: u64) {
     std::fs::write(path, json).expect("write BENCH_analyzer_throughput.json");
     println!("wrote {path}");
 
-    // Judged on the pool's best configuration: on a single-core runner
-    // the per-worker rows measure scheduling overhead, not scaling.
     let best_pool_tps = pool_rows.iter().map(|&(_, _, t)| t).fold(0.0, f64::max);
     assert!(
         best_pool_tps >= 3.0 * legacy_tps,
@@ -478,26 +481,23 @@ fn throughput_comparison(synopses: &[TaskSynopsis], mins: u64) {
         best_pool_tps / legacy_tps
     );
     // The ISSUE-7 target: >=8x legacy at 8 workers, or >10M synopses/s
-    // absolute. On a single-core runner extra workers only buy context
-    // switches, so the absolute criterion is judged on the pool's best
-    // configuration.
-    let &(_, _, batch_tps8) = batch_rows
-        .iter()
-        .find(|&&(w, _, _)| w == 8)
-        .expect("8-worker batch row");
+    // absolute — on a machine with fewer cores, judged on the widest row
+    // it could run.
+    let &(widest, _, widest_tps) = batch_rows.last().expect("the 1-worker batch row");
     let best_batch_tps = batch_rows.iter().map(|&(_, _, t)| t).fold(0.0, f64::max);
     assert!(
-        batch_tps8 >= 8.0 * legacy_tps || best_batch_tps > 10_000_000.0,
-        "batch pool must reach 8x the legacy analyzer at 8 workers or \
-         clear 10M synopses/s outright (got {:.2}x at 8 workers, best \
+        widest_tps >= 8.0 * legacy_tps || best_batch_tps > 10_000_000.0,
+        "batch pool must reach 8x the legacy analyzer at its widest row or \
+         clear 10M synopses/s outright (got {:.2}x at {widest} workers, best \
          {best_batch_tps:.0}/s)",
-        batch_tps8 / legacy_tps
+        widest_tps / legacy_tps
     );
 }
 
 fn render_throughput_json(
     total: u64,
     mins: u64,
+    cores: usize,
     legacy_secs: f64,
     legacy_tps: f64,
     pool_rows: &[(usize, f64, f64)],
@@ -507,10 +507,7 @@ fn render_throughput_json(
     out.push_str("  \"bench\": \"analyzer_throughput\",\n");
     out.push_str(&format!("  \"synopses\": {total},\n"));
     out.push_str(&format!("  \"virtual_minutes_per_replay\": {mins},\n"));
-    out.push_str(&format!(
-        "  \"cores\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
+    out.push_str(&format!("  \"cores\": {cores},\n"));
     out.push_str(
         "  \"baseline\": {\n    \"pipeline\": \"per-synopsis sends, boxed signatures, \
          map-based classify, deep snapshots\",\n",

@@ -24,6 +24,7 @@ use crate::{HostId, Signature, StageId};
 use bytes::{BufMut, Bytes, BytesMut};
 use saad_sim::{SimDuration, SimTime};
 use saad_stats::hypothesis::{one_sided_proportion_test, Alternative};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -180,6 +181,77 @@ struct WindowAccum {
     perf: FastMap<SigId, (u64, u64)>,
 }
 
+/// Identity of one detection window: `(host, stage, window index)`.
+type WindowKey = (HostId, StageId, u64);
+
+/// The open detection windows, indexed by window index first.
+///
+/// Windows close in index order — everything below the watermark's grace
+/// bound at once — so the store keeps one bucket per window index and
+/// closing pops whole buckets off the front: the work is proportional to
+/// the windows closed, never to the windows open. At most the watermark's
+/// own index, the one before it and (transiently) one late straggler's are
+/// present, so finding an element's bucket is a search over two or three
+/// keys.
+#[derive(Debug, Default, Clone)]
+struct OpenWindows {
+    by_index: BTreeMap<u64, FastMap<(HostId, StageId), WindowAccum>>,
+}
+
+impl OpenWindows {
+    fn len(&self) -> usize {
+        self.by_index.values().map(FastMap::len).sum()
+    }
+
+    /// The accumulator of one window, opened empty on first use.
+    #[inline]
+    fn accum(&mut self, host: HostId, stage: StageId, idx: u64) -> &mut WindowAccum {
+        self.by_index
+            .entry(idx)
+            .or_default()
+            .entry((host, stage))
+            .or_default()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (WindowKey, &WindowAccum)> {
+        self.by_index.iter().flat_map(|(&idx, bucket)| {
+            bucket
+                .iter()
+                .map(move |(&(host, stage), acc)| ((host, stage, idx), acc))
+        })
+    }
+
+    /// Remove the windows of every leading index `stale` accepts, sorted
+    /// by key: emission order must not depend on hash-map layout.
+    fn take_while(&mut self, stale: impl Fn(u64) -> bool) -> Vec<(WindowKey, WindowAccum)> {
+        let mut taken = Vec::new();
+        while let Some(entry) = self.by_index.first_entry() {
+            if !stale(*entry.key()) {
+                break;
+            }
+            let (idx, bucket) = entry.remove_entry();
+            taken.extend(
+                bucket
+                    .into_iter()
+                    .map(|((host, stage), acc)| ((host, stage, idx), acc)),
+            );
+        }
+        taken.sort_unstable_by_key(|&(key, _)| key);
+        taken
+    }
+
+    /// Remove every window whose index lies more than one window (the
+    /// grace period) below `closable_before`.
+    fn take_stale(&mut self, closable_before: u64) -> Vec<(WindowKey, WindowAccum)> {
+        self.take_while(|idx| idx + 1 < closable_before)
+    }
+
+    /// Remove every window.
+    fn take_all(&mut self) -> Vec<(WindowKey, WindowAccum)> {
+        self.take_while(|_| true)
+    }
+}
+
 /// The windowed statistical anomaly detector.
 ///
 /// Feed it feature vectors with [`AnomalyDetector::observe`] (or, on the
@@ -198,9 +270,11 @@ pub struct AnomalyDetector {
     compiled: Arc<CompiledModel>,
     interner: Arc<SignatureInterner>,
     config: DetectorConfig,
-    open: FastMap<(HostId, StageId, u64), WindowAccum>,
-    // (host, window idx) -> synopses the transport reported lost.
-    lost: FastMap<(HostId, u64), u64>,
+    open: OpenWindows,
+    // (window idx, host) -> synopses the transport reported lost; index
+    // first, like `open`, so closing pops the entries it outdates. Only
+    // windows that can still close are kept (see `record_loss`).
+    lost: BTreeMap<(u64, HostId), u64>,
     watermark: SimTime,
     tasks_seen: u64,
     tasks_lost: u64,
@@ -218,8 +292,8 @@ pub struct DetectorSnapshot {
     compiled: Arc<CompiledModel>,
     interner: Arc<SignatureInterner>,
     config: DetectorConfig,
-    open: FastMap<(HostId, StageId, u64), WindowAccum>,
-    lost: FastMap<(HostId, u64), u64>,
+    open: OpenWindows,
+    lost: BTreeMap<(u64, HostId), u64>,
     watermark: SimTime,
     tasks_seen: u64,
     tasks_lost: u64,
@@ -276,12 +350,10 @@ impl DetectorSnapshot {
         put_varint(buf, self.watermark.as_micros());
         put_varint(buf, self.tasks_seen);
         put_varint(buf, self.tasks_lost);
-        let mut windows: Vec<_> = self.open.keys().copied().collect();
-        windows.sort_unstable();
+        let mut windows: Vec<_> = self.open.iter().collect();
+        windows.sort_unstable_by_key(|&(key, _)| key);
         put_varint(buf, windows.len() as u64);
-        for key in windows {
-            let (host, stage, idx) = key;
-            let acc = &self.open[&key];
+        for ((host, stage, idx), acc) in windows {
             put_varint(buf, host.0 as u64);
             put_varint(buf, stage.0 as u64);
             put_varint(buf, idx);
@@ -301,7 +373,7 @@ impl DetectorSnapshot {
                 put_varint(buf, n);
             }
         }
-        let mut lost: Vec<_> = self.lost.iter().map(|(&(h, i), &c)| (h, i, c)).collect();
+        let mut lost: Vec<_> = self.lost.iter().map(|(&(i, h), &c)| (h, i, c)).collect();
         lost.sort_unstable_by_key(|&(h, i, _)| (h, i));
         put_varint(buf, lost.len() as u64);
         for (host, idx, count) in lost {
@@ -353,7 +425,7 @@ impl DetectorSnapshot {
         if window_count > MAX_SNAPSHOT_WINDOWS {
             return Err(DecodeError::LengthOutOfRange(window_count));
         }
-        let mut open = FastMap::with_capacity_and_hasher(window_count as usize, Default::default());
+        let mut open = OpenWindows::default();
         for _ in 0..window_count {
             let host = HostId(get_varint(buf)? as u16);
             let stage = StageId(get_varint(buf)? as u16);
@@ -381,18 +453,18 @@ impl DetectorSnapshot {
                 let n = get_varint(buf)?;
                 acc.perf.insert(sig, (outliers, n));
             }
-            open.insert((host, stage, idx), acc);
+            *open.accum(host, stage, idx) = acc;
         }
         let loss_count = get_varint(buf)?;
         if loss_count > MAX_SNAPSHOT_WINDOWS {
             return Err(DecodeError::LengthOutOfRange(loss_count));
         }
-        let mut lost = FastMap::with_capacity_and_hasher(loss_count as usize, Default::default());
+        let mut lost = BTreeMap::new();
         for _ in 0..loss_count {
             let host = HostId(get_varint(buf)? as u16);
             let idx = get_varint(buf)?;
             let count = get_varint(buf)?;
-            lost.insert((host, idx), count);
+            lost.insert((idx, host), count);
         }
         Ok(DetectorSnapshot {
             model,
@@ -422,30 +494,25 @@ impl DetectorSnapshot {
     pub fn merge(parts: Vec<DetectorSnapshot>) -> Option<DetectorSnapshot> {
         let mut iter = parts.into_iter();
         let mut merged = iter.next()?;
-        for part in iter {
-            for (key, acc) in part.open {
-                match merged.open.entry(key) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(acc);
+        for mut part in iter {
+            for ((host, stage, idx), acc) in part.open.take_all() {
+                // Adding into a freshly opened (empty) accumulator is the
+                // plain insert of the disjoint case.
+                let into = merged.open.accum(host, stage, idx);
+                into.n += acc.n;
+                into.rare_flow_outliers += acc.rare_flow_outliers;
+                into.new_signature_tasks += acc.new_signature_tasks;
+                for sig in acc.new_signatures {
+                    if !into.new_signatures.contains(&sig)
+                        && into.new_signatures.len() < merged.config.max_new_signatures
+                    {
+                        into.new_signatures.push(sig);
                     }
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let into = e.get_mut();
-                        into.n += acc.n;
-                        into.rare_flow_outliers += acc.rare_flow_outliers;
-                        into.new_signature_tasks += acc.new_signature_tasks;
-                        for sig in acc.new_signatures {
-                            if !into.new_signatures.contains(&sig)
-                                && into.new_signatures.len() < merged.config.max_new_signatures
-                            {
-                                into.new_signatures.push(sig);
-                            }
-                        }
-                        for (sig, (o, n)) in acc.perf {
-                            let g = into.perf.entry(sig).or_insert((0, 0));
-                            g.0 += o;
-                            g.1 += n;
-                        }
-                    }
+                }
+                for (sig, (o, n)) in acc.perf {
+                    let g = into.perf.entry(sig).or_insert((0, 0));
+                    g.0 += o;
+                    g.1 += n;
                 }
             }
             for (key, count) in part.lost {
@@ -470,7 +537,7 @@ impl DetectorSnapshot {
     ///
     /// Panics if `n` is zero.
     pub fn partition(
-        self,
+        mut self,
         n: usize,
         route: impl Fn(HostId, StageId) -> usize,
     ) -> Vec<DetectorSnapshot> {
@@ -481,7 +548,7 @@ impl DetectorSnapshot {
                 compiled: self.compiled.clone(),
                 interner: self.interner.clone(),
                 config: self.config,
-                open: FastMap::default(),
+                open: OpenWindows::default(),
                 lost: self.lost.clone(),
                 watermark: self.watermark,
                 tasks_seen: 0,
@@ -490,9 +557,8 @@ impl DetectorSnapshot {
             })
             .collect();
         parts[0].tasks_seen = self.tasks_seen;
-        for (key, acc) in self.open {
-            let dest = route(key.0, key.1) % n;
-            parts[dest].open.insert(key, acc);
+        for ((host, stage, idx), acc) in self.open.take_all() {
+            *parts[route(host, stage) % n].open.accum(host, stage, idx) = acc;
         }
         parts
     }
@@ -588,8 +654,8 @@ impl AnomalyDetector {
             compiled,
             interner,
             config,
-            open: FastMap::default(),
-            lost: FastMap::default(),
+            open: OpenWindows::default(),
+            lost: BTreeMap::new(),
             watermark: SimTime::ZERO,
             tasks_seen: 0,
             tasks_lost: 0,
@@ -699,6 +765,13 @@ impl AnomalyDetector {
         self.tasks_lost
     }
 
+    /// Detection windows currently open: what a [`snapshot`] copies.
+    ///
+    /// [`snapshot`]: AnomalyDetector::snapshot
+    pub fn open_windows(&self) -> usize {
+        self.open.len()
+    }
+
     /// Tell the detector that `count` synopses from `host` around virtual
     /// time `at` never arrived (detected via transport sequence gaps).
     ///
@@ -707,13 +780,36 @@ impl AnomalyDetector {
     /// (conservatively assuming missing tasks were normal, so degraded
     /// data cannot manufacture anomalies), and every event from an
     /// affected window carries `completeness < 1.0`.
+    ///
+    /// A report for a window the watermark has already closed is counted
+    /// in [`AnomalyDetector::tasks_lost`] and otherwise dropped: that
+    /// window's tests have run, and a straggler reopening it is tested on
+    /// its own.
     pub fn record_loss(&mut self, host: HostId, at: SimTime, count: u64) {
+        self.record_loss_at(host, at, count, self.watermark);
+    }
+
+    /// [`AnomalyDetector::record_loss`] for a detector that sees only a
+    /// slice of the stream: whether the report's window has already
+    /// closed is judged against `stream_watermark`, the watermark of the
+    /// whole stream at the report's position, so every shard of a pool
+    /// keeps or drops a report exactly as a single detector over the whole
+    /// stream would, however far its own watermark lags.
+    pub fn record_loss_at(
+        &mut self,
+        host: HostId,
+        at: SimTime,
+        count: u64,
+        stream_watermark: SimTime,
+    ) {
         if count == 0 {
             return;
         }
-        let idx = self.window_index(at);
-        *self.lost.entry((host, idx)).or_insert(0) += count;
         self.tasks_lost += count;
+        let idx = self.window_index(at);
+        if idx + 1 >= self.window_index(self.watermark.max(stream_watermark)) {
+            *self.lost.entry((idx, host)).or_insert(0) += count;
+        }
     }
 
     fn window_index(&self, t: SimTime) -> u64 {
@@ -721,7 +817,7 @@ impl AnomalyDetector {
     }
 
     fn lost_in(&self, host: HostId, idx: u64) -> u64 {
-        self.lost.get(&(host, idx)).copied().unwrap_or(0)
+        self.lost.get(&(idx, host)).copied().unwrap_or(0)
     }
 
     /// Observe one task; returns events from any windows that closed.
@@ -757,14 +853,14 @@ impl AnomalyDetector {
             // Bootstrap mode: no model to classify against. Count the
             // task so the window's ModelUnavailable event carries exact
             // unclassified-task accounting.
-            self.open.entry((f.host, f.stage, idx)).or_default().n += 1;
+            self.open.accum(f.host, f.stage, idx).n += 1;
             self.watermark = self.watermark.max(f.start);
             let mut events = Vec::new();
             self.close_stale(&mut events);
             return events;
         }
         let class = self.compiled.classify(f.stage, f.sig, f.duration_us);
-        let acc = self.open.entry((f.host, f.stage, idx)).or_default();
+        let acc = self.open.accum(f.host, f.stage, idx);
         acc.n += 1;
         match class {
             TaskClass::Normal | TaskClass::PerformanceOutlier => {
@@ -806,9 +902,9 @@ impl AnomalyDetector {
     /// accumulates — but the batch form classifies every element up
     /// front with [`CompiledModel::classify_batch`] into `verdicts`
     /// (caller-supplied so its buffer is reused across batches) and only
-    /// pays the window-close scan when an element's watermark actually
+    /// looks for closable windows when an element's watermark actually
     /// enters a new window or the element itself is already closable
-    /// (late data).
+    /// (late data, which closes its own window and nothing else).
     ///
     /// Every signature in the batch must have been interned through this
     /// detector's own interner.
@@ -829,8 +925,7 @@ impl AnomalyDetector {
         let mut cached_lo = u64::MAX;
         let mut cached_idx = 0u64;
         // Windows become closable only when the watermark's window index
-        // grows; track it so in-window elements skip `close_stale`
-        // (which walks every open window) entirely.
+        // grows; track it so in-window elements skip `close_stale`.
         let mut closable_before = self.window_index(self.watermark);
         if self.collect_only {
             for i in 0..len {
@@ -853,10 +948,7 @@ impl AnomalyDetector {
                     cached_idx = idx;
                     idx
                 };
-                self.open
-                    .entry((batch.hosts[i], batch.stages[i], idx))
-                    .or_default()
-                    .n += 1;
+                self.open.accum(batch.hosts[i], batch.stages[i], idx).n += 1;
                 if idx + 1 < closable_before {
                     // Late element: the single-threaded path closes its
                     // window right after accumulating it.
@@ -889,7 +981,7 @@ impl AnomalyDetector {
             };
             let sig = batch.sigs[i];
             let stage = batch.stages[i];
-            let acc = self.open.entry((batch.hosts[i], stage, idx)).or_default();
+            let acc = self.open.accum(batch.hosts[i], stage, idx);
             acc.n += 1;
             match verdicts.get(i) {
                 class @ (TaskClass::Normal | TaskClass::PerformanceOutlier) => {
@@ -940,30 +1032,23 @@ impl AnomalyDetector {
 
     fn close_stale(&mut self, events: &mut Vec<AnomalyEvent>) {
         let closable_before = self.window_index(self.watermark); // grace = 1 window
-        let mut stale: Vec<(HostId, StageId, u64)> = self
-            .open
-            .keys()
-            .filter(|&&(_, _, i)| i + 1 < closable_before)
-            .copied()
-            .collect();
-        // Deterministic emission order regardless of hash-map layout.
-        stale.sort_unstable();
-        for key in stale {
-            let acc = self.open.remove(&key).expect("key just listed");
+        for (key, acc) in self.open.take_stale(closable_before) {
             self.close_window(key, acc, events);
         }
         // Loss entries for windows that just closed can no longer affect
         // any test; drop them so the map stays bounded on long runs.
-        self.lost.retain(|&(_, i), _| i + 1 >= closable_before);
+        while let Some(entry) = self.lost.first_entry() {
+            if entry.key().0 + 1 >= closable_before {
+                break;
+            }
+            entry.remove();
+        }
     }
 
     /// Close every open window and return the resulting events.
     pub fn flush(&mut self) -> Vec<AnomalyEvent> {
         let mut events = Vec::new();
-        let mut keys: Vec<_> = self.open.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let acc = self.open.remove(&key).expect("key just listed");
+        for (key, acc) in self.open.take_all() {
             self.close_window(key, acc, &mut events);
         }
         self.lost.clear();
@@ -1772,7 +1857,7 @@ mod tests {
             .clone()
             .partition(3, |h, s| h.0 as usize + s.0 as usize);
         assert_eq!(parts.len(), 3);
-        assert!(parts.iter().any(|p| !p.open.is_empty()));
+        assert!(parts.iter().any(|p| p.open.len() > 0));
         let merged = DetectorSnapshot::merge(parts).expect("nonempty parts");
         let mut back = BytesMut::new();
         merged.encode_into(&mut back);

@@ -56,7 +56,7 @@ use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use saad_obs::{Histogram, Registry};
 use saad_sim::{SimDuration, SimTime};
 use saad_stats::{DecayedFrequency, PageHinkley, QuantileSketch};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -709,8 +709,13 @@ pub fn spawn_analyzer(
 /// Tuning for [`spawn_supervised_analyzer`].
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Snapshot the detector every this many successfully observed
-    /// synopses; bounds how much work a restart replays.
+    /// Floor on the synopses observed between two restart snapshots. The
+    /// supervisor snapshots once the replay tail holds
+    /// `max(snapshot_every, 64 × open windows)` synopses: a snapshot copies
+    /// every open window, so spacing snapshots in proportion to them keeps
+    /// the copying a fixed small share of detection, and a restart replays
+    /// at most that tail — a constant factor over the restore copy it pays
+    /// anyway.
     pub snapshot_every: u64,
     /// Restarts allowed before the supervisor gives up with
     /// [`AnalyzerError::RestartsExhausted`].
@@ -756,12 +761,28 @@ fn host_silent_event(host: HostId, last_seen: SimTime, windows: u64) -> AnomalyE
     }
 }
 
+/// One host's slot in the [`LivenessTracker`] table.
+#[derive(Debug, Clone, Copy, Default)]
+struct HostLiveness {
+    last_seen: SimTime,
+    known: bool,
+    flagged: bool,
+}
+
 /// Per-host liveness bookkeeping for the supervisor. Kept outside the
 /// panic boundary so a detector crash cannot corrupt it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct LivenessTracker {
-    last_seen: HashMap<HostId, SimTime>,
-    flagged: HashSet<HostId>,
+    /// Detection window width, in stream microseconds (at least 1).
+    window_us: u64,
+    /// Stream microseconds of silence past which a host is flagged.
+    threshold_us: u64,
+    /// Indexed by the `u16` host id, grown to the highest id seen: the
+    /// per-synopsis touch is one bounds check and two stores, no hashing.
+    hosts: Vec<HostLiveness>,
+    /// Ids with a live slot, in first-seen order — what the silence sweep
+    /// walks, so sparse ids cost it nothing.
+    known: Vec<HostId>,
     watermark: SimTime,
     /// Detection-window index of the last full silence scan. The
     /// all-hosts sweep is O(hosts), so it runs once per window boundary
@@ -772,41 +793,77 @@ struct LivenessTracker {
 }
 
 impl LivenessTracker {
-    /// Note a synopsis from `host` at stream time `at`; returns events for
-    /// hosts that crossed the silence threshold. Per synopsis this is two
-    /// O(1) map touches; the all-hosts silence sweep runs only when the
-    /// stream watermark crosses into a new detection window.
-    fn observe(
-        &mut self,
-        host: HostId,
-        at: SimTime,
-        window: saad_sim::SimDuration,
-        silent_after: u64,
-    ) -> Vec<AnomalyEvent> {
-        self.last_seen.insert(host, at);
-        self.flagged.remove(&host); // re-arm: the host is back
-        let mut events = Vec::new();
+    /// A tracker flagging hosts silent for more than `silent_after`
+    /// detection windows of width `window`.
+    fn new(window: SimDuration, silent_after: u64) -> LivenessTracker {
+        let window_us = window.as_micros().max(1);
+        LivenessTracker {
+            window_us,
+            threshold_us: window_us.saturating_mul(silent_after),
+            hosts: Vec::new(),
+            known: Vec::new(),
+            watermark: SimTime::ZERO,
+            scanned_window: 0,
+        }
+    }
+
+    /// Note a synopsis from `host` at stream time `at`, appending to
+    /// `events` one event per host that crossed the silence threshold. The
+    /// all-hosts silence sweep runs only when the stream watermark crosses
+    /// into a new detection window.
+    #[inline]
+    fn observe(&mut self, host: HostId, at: SimTime, events: &mut Vec<AnomalyEvent>) {
+        let slot = usize::from(host.0);
+        if slot >= self.hosts.len() {
+            self.hosts.resize(slot + 1, HostLiveness::default());
+        }
+        let entry = &mut self.hosts[slot];
+        if !entry.known {
+            entry.known = true;
+            self.known.push(host);
+        }
+        entry.last_seen = at;
+        entry.flagged = false; // re-arm: the host is back
         if at > self.watermark {
             self.watermark = at;
-            let window_us = window.as_micros().max(1);
-            let index = at.as_micros() / window_us;
+            let index = at.as_micros() / self.window_us;
             if index > self.scanned_window {
                 self.scanned_window = index;
-                let threshold = window_us.saturating_mul(silent_after);
-                for (&h, &seen) in &self.last_seen {
-                    if self.flagged.contains(&h) {
+                for &h in &self.known {
+                    let entry = &mut self.hosts[usize::from(h.0)];
+                    if entry.flagged {
                         continue;
                     }
-                    let silent_for = self.watermark.as_micros().saturating_sub(seen.as_micros());
-                    if silent_for > threshold {
-                        self.flagged.insert(h);
-                        events.push(host_silent_event(h, seen, silent_for / window_us));
+                    let seen = entry.last_seen;
+                    let silent_for = at.as_micros().saturating_sub(seen.as_micros());
+                    if silent_for > self.threshold_us {
+                        entry.flagged = true;
+                        events.push(host_silent_event(h, seen, silent_for / self.window_us));
                     }
                 }
             }
         }
-        events
     }
+}
+
+/// Synopses of replay tail a restart may cost per open window the
+/// restore copies. A snapshot deep-copies every open window (measured
+/// ~100 ns each on `analyze_churn`'s ~2000 windows: a hash map and a
+/// vector) while `observe_batch` spends ~25 ns per synopsis; at 64
+/// synopses per window the copying amortises to under 2 ns per synopsis,
+/// below a tenth of detection, and a restart's replay (64 × 25 ns per
+/// window) stays within ~16× of the restore copy it follows. The tail
+/// itself holds 40 bytes per synopsis, 2.5 KiB per open window.
+const REPLAY_PER_OPEN_WINDOW: u64 = 64;
+
+/// Supervision counters of one detector, written by its own thread with
+/// relaxed stores and read at scrape time.
+#[derive(Debug, Clone, Default)]
+struct SupervisionObs {
+    snapshots: Arc<AtomicU64>,
+    replay_tail: Arc<AtomicU64>,
+    /// Wall-clock microseconds per restart snapshot.
+    snapshot_us: Arc<Histogram>,
 }
 
 /// The supervised detector core shared by [`spawn_supervised_analyzer`]
@@ -822,14 +879,17 @@ struct SupervisedDetector {
     // with the global-stream watermark in force when it was observed —
     // for replay after a restart. Events from replay are suppressed
     // (they were already emitted before the crash). Kept in SoA form so
-    // the batch hot path records a whole batch as column memcpys.
+    // the batch hot path records a whole batch as column memcpys and a
+    // restart replays it as one batch.
     replay: SynopsisBatch,
-    replay_losses: Vec<LossReport>,
+    replay_losses: Vec<(LossReport, SimTime)>,
+    verdicts: VerdictMask,
     supervisor: SupervisorConfig,
     restarts_used: u32,
     received: u64,
     restarts: Arc<AtomicU64>,
     skipped: Arc<AtomicU64>,
+    obs: SupervisionObs,
 }
 
 impl SupervisedDetector {
@@ -838,6 +898,7 @@ impl SupervisedDetector {
         supervisor: SupervisorConfig,
         restarts: Arc<AtomicU64>,
         skipped: Arc<AtomicU64>,
+        obs: SupervisionObs,
     ) -> SupervisedDetector {
         let snapshot = detector.snapshot();
         SupervisedDetector {
@@ -845,11 +906,13 @@ impl SupervisedDetector {
             snapshot,
             replay: SynopsisBatch::new(),
             replay_losses: Vec::new(),
+            verdicts: VerdictMask::new(),
             supervisor,
             restarts_used: 0,
             received: 0,
             restarts,
             skipped,
+            obs,
         }
     }
 
@@ -857,10 +920,39 @@ impl SupervisedDetector {
         self.detector.interner()
     }
 
-    fn record_loss(&mut self, report: LossReport) {
+    /// Apply a transport gap report that took effect when the global
+    /// stream watermark stood at `watermark` (see
+    /// [`AnomalyDetector::record_loss_at`]).
+    fn record_loss(&mut self, report: LossReport, watermark: SimTime) {
         self.detector
-            .record_loss(report.host, report.at, report.count);
-        self.replay_losses.push(report);
+            .record_loss_at(report.host, report.at, report.count, watermark);
+        self.replay_losses.push((report, watermark));
+    }
+
+    /// Make the detector's present state the restart point and drop the
+    /// replay tail it supersedes.
+    fn take_snapshot(&mut self) {
+        let began = Instant::now();
+        self.snapshot = self.detector.snapshot();
+        self.replay.clear();
+        self.replay_losses.clear();
+        self.obs
+            .snapshot_us
+            .record(began.elapsed().as_micros() as u64);
+        self.obs.snapshots.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Bookkeeping after a successful observation: snapshot once the
+    /// replay tail has reached `max(snapshot_every, 64 × open windows)`.
+    fn after_observe(&mut self) {
+        let tail = self.replay.len() as u64;
+        let per_state = REPLAY_PER_OPEN_WINDOW.saturating_mul(self.detector.open_windows() as u64);
+        if tail >= self.supervisor.snapshot_every.max(per_state) {
+            self.take_snapshot();
+        }
+        self.obs
+            .replay_tail
+            .store(self.replay.len() as u64, Ordering::Relaxed);
     }
 
     /// Observe one interned feature inside the panic boundary, first
@@ -890,11 +982,7 @@ impl SupervisedDetector {
         match outcome {
             Ok(events) => {
                 self.replay.push_feature(&feature, watermark);
-                if self.replay.len() as u64 >= self.supervisor.snapshot_every {
-                    self.snapshot = self.detector.snapshot();
-                    self.replay.clear();
-                    self.replay_losses.clear();
-                }
+                self.after_observe();
                 Ok(events)
             }
             Err(payload) => {
@@ -917,18 +1005,17 @@ impl SupervisedDetector {
     }
 
     /// Rebuild the detector from the latest snapshot and replay the
-    /// since-snapshot tail. Replayed events are suppressed — they were
-    /// already emitted before the crash.
+    /// since-snapshot tail as one batch, losses first. Replayed events
+    /// are suppressed — they were already emitted before the crash.
     fn restore_from_snapshot(&mut self) {
         self.detector = AnomalyDetector::from_snapshot(self.snapshot.clone());
-        for report in &self.replay_losses {
+        for &(report, watermark) in &self.replay_losses {
             self.detector
-                .record_loss(report.host, report.at, report.count);
+                .record_loss_at(report.host, report.at, report.count, watermark);
         }
-        for i in 0..self.replay.len() {
-            let _ = self.detector.advance_watermark(self.replay.watermarks[i]);
-            let _ = self.detector.observe_interned(&self.replay.feature(i));
-        }
+        let _ = self
+            .detector
+            .observe_batch(&self.replay, &mut self.verdicts);
     }
 
     /// Observe a whole SoA batch inside one panic boundary — the pool
@@ -937,11 +1024,7 @@ impl SupervisedDetector {
     /// then per-element accumulation); fault handling degrades to the
     /// per-synopsis path so poison-pill skipping and restart accounting
     /// stay element-exact.
-    fn observe_batch(
-        &mut self,
-        batch: &SynopsisBatch,
-        verdicts: &mut VerdictMask,
-    ) -> Result<Vec<AnomalyEvent>, AnalyzerError> {
+    fn observe_batch(&mut self, batch: &SynopsisBatch) -> Result<Vec<AnomalyEvent>, AnalyzerError> {
         let len = batch.len() as u64;
         if len == 0 {
             return Ok(Vec::new());
@@ -956,16 +1039,12 @@ impl SupervisedDetector {
             }
         }
         self.received += len;
-        let detector = &mut self.detector;
+        let (detector, verdicts) = (&mut self.detector, &mut self.verdicts);
         let outcome = catch_unwind(AssertUnwindSafe(|| detector.observe_batch(batch, verdicts)));
         match outcome {
             Ok(events) => {
                 self.replay.extend_from(batch);
-                if self.replay.len() as u64 >= self.supervisor.snapshot_every {
-                    self.snapshot = self.detector.snapshot();
-                    self.replay.clear();
-                    self.replay_losses.clear();
-                }
+                self.after_observe();
                 Ok(events)
             }
             Err(_) => {
@@ -1004,9 +1083,7 @@ impl SupervisedDetector {
     /// panic would restore, and the replay tail never straddles a
     /// checkpoint.
     fn checkpoint_snapshot(&mut self) -> DetectorSnapshot {
-        self.snapshot = self.detector.snapshot();
-        self.replay.clear();
-        self.replay_losses.clear();
+        self.take_snapshot();
         self.snapshot.clone()
     }
 
@@ -1022,9 +1099,7 @@ impl SupervisedDetector {
     ) -> Vec<AnomalyEvent> {
         let mut events = self.detector.advance_watermark(watermark);
         events.extend(self.detector.install_model(model, compiled));
-        self.snapshot = self.detector.snapshot();
-        self.replay.clear();
-        self.replay_losses.clear();
+        self.take_snapshot();
         events
     }
 
@@ -1062,17 +1137,26 @@ pub fn spawn_supervised_analyzer(
         .name("saad-supervised-analyzer".into())
         .spawn(move || {
             let detector = AnomalyDetector::new(model, config);
-            let mut supervised =
-                SupervisedDetector::new(detector, supervisor, restarts_inner, skipped_inner);
-            let mut liveness = LivenessTracker::default();
+            let mut supervised = SupervisedDetector::new(
+                detector,
+                supervisor,
+                restarts_inner,
+                skipped_inner,
+                SupervisionObs::default(),
+            );
+            let mut liveness = LivenessTracker::new(window, silent_after);
+            let mut silent = Vec::new();
             for synopsis in rx.iter() {
                 processed_inner.fetch_add(1, Ordering::Relaxed);
-                for event in liveness.observe(synopsis.host, synopsis.start, window, silent_after) {
+                liveness.observe(synopsis.host, synopsis.start, &mut silent);
+                for event in silent.drain(..) {
                     let _ = event_tx.send(event);
                 }
                 if let Some(loss_rx) = &loss_rx {
                     for report in loss_rx.try_iter() {
-                        supervised.record_loss(report);
+                        // The detector sees the whole stream: its own
+                        // watermark is the stream's.
+                        supervised.record_loss(report, SimTime::ZERO);
                     }
                 }
                 // Interning happens outside the panic boundary: the
@@ -1113,8 +1197,10 @@ enum ShardMsg {
     Batch(SynopsisBatch),
     /// A transport gap report, broadcast to every shard: loss is keyed by
     /// host and window, and any shard may own windows for that host. The
-    /// router counts each report once for the pool-level total.
-    Loss(LossReport),
+    /// router counts each report once for the pool-level total, and
+    /// stamps it with the global-stream watermark at its position (see
+    /// [`AnomalyDetector::record_loss_at`]).
+    Loss(LossReport, SimTime),
     /// Hot model swap, delivered in-band and broadcast to every shard:
     /// channel FIFO ordering guarantees the shard installs the new model
     /// only after every synopsis the router saw before the swap decision,
@@ -1236,6 +1322,7 @@ struct ShardObs {
     processed: AtomicU64,
     events: AtomicU64,
     watermark_micros: AtomicU64,
+    supervision: SupervisionObs,
 }
 
 /// Live router- and shard-level counters for an analyzer pool, shared
@@ -1246,14 +1333,26 @@ struct PoolObs {
     shards: Vec<ShardObs>,
     batches_routed: AtomicU64,
     watermark_micros: AtomicU64,
+    /// Restart-snapshot latency, fed by every shard's supervisor.
+    snapshot_us: Arc<Histogram>,
 }
 
 impl PoolObs {
     fn new(workers: usize) -> PoolObs {
+        let snapshot_us = Arc::new(Histogram::new());
         PoolObs {
-            shards: (0..workers).map(|_| ShardObs::default()).collect(),
+            shards: (0..workers)
+                .map(|_| ShardObs {
+                    supervision: SupervisionObs {
+                        snapshot_us: Arc::clone(&snapshot_us),
+                        ..SupervisionObs::default()
+                    },
+                    ..ShardObs::default()
+                })
+                .collect(),
             batches_routed: AtomicU64::new(0),
             watermark_micros: AtomicU64::new(0),
+            snapshot_us,
         }
     }
 }
@@ -1327,14 +1426,30 @@ impl PoolHandle {
     }
 
     /// Expose the pool's live counters in `registry`: per-shard
-    /// processed/event counts and watermark lag, plus pool-level
-    /// restart/skip/loss totals and the router watermark. All series
-    /// are scrape-time callbacks over counters the pool already
-    /// maintains — registering them costs the hot path nothing.
+    /// processed/event counts, watermark lag, restart snapshots taken and
+    /// the replay tail a restart would re-apply, plus pool-level
+    /// restart/skip/loss totals, the router watermark and the snapshot
+    /// latency histogram. All series but the histogram are scrape-time
+    /// callbacks over counters the pool already maintains — registering
+    /// them costs the hot path nothing.
     pub fn register_metrics(&self, registry: &Registry) {
-        for (shard, _) in self.obs.shards.iter().enumerate() {
+        for (shard, shard_obs) in self.obs.shards.iter().enumerate() {
             let label = shard.to_string();
             let labels = [("shard", label.as_str())];
+            let snapshots = Arc::clone(&shard_obs.supervision.snapshots);
+            registry.register_counter_fn(
+                "saad_pool_shard_snapshots_total",
+                "Restart snapshots this shard's supervisor has taken",
+                &labels,
+                move || snapshots.load(Ordering::Relaxed),
+            );
+            let replay_tail = Arc::clone(&shard_obs.supervision.replay_tail);
+            registry.register_gauge_fn(
+                "saad_pool_shard_replay_tail",
+                "Synopses a restart of this shard would replay on top of its snapshot",
+                &labels,
+                move || replay_tail.load(Ordering::Relaxed) as i64,
+            );
             let obs = Arc::clone(&self.obs);
             registry.register_counter_fn(
                 "saad_pool_shard_processed_total",
@@ -1361,6 +1476,12 @@ impl PoolHandle {
                 },
             );
         }
+        registry.attach_histogram(
+            "saad_pool_snapshot_us",
+            "Wall-clock time to take one restart snapshot of a shard's detector, in microseconds",
+            &[],
+            Arc::clone(&self.obs.snapshot_us),
+        );
         let obs = Arc::clone(&self.obs);
         registry.register_counter_fn(
             "saad_pool_batches_routed_total",
@@ -1577,6 +1698,76 @@ fn checkpoint_retry_delay(base: Duration, attempt: u32, generation: u64) -> Dura
     capped.mul_f64(jitter)
 }
 
+/// The router thread's state: everything one routed element touches.
+struct Router {
+    liveness: LivenessTracker,
+    /// Reused buffer for the (rare) events of one liveness observation.
+    silent: Vec<AnomalyEvent>,
+    /// Global stream watermark: the running maximum of task start times.
+    watermark: SimTime,
+    fanout: ShardFanout,
+    lifecycle: Option<RouterLifecycle>,
+    event_tx: Sender<AnomalyEvent>,
+    shard_txs: Vec<Sender<ShardMsg>>,
+    tasks_lost: Arc<AtomicU64>,
+    obs: Arc<PoolObs>,
+}
+
+impl Router {
+    /// Account one element of the ordered stream — host liveness, then
+    /// the global watermark — and return the watermark to stamp it with.
+    #[inline]
+    fn stamp(&mut self, host: HostId, start: SimTime) -> SimTime {
+        self.liveness.observe(host, start, &mut self.silent);
+        for event in self.silent.drain(..) {
+            let _ = self.event_tx.send(event);
+        }
+        self.watermark = self.watermark.max(start);
+        self.watermark
+    }
+
+    /// Route one element, whatever shape the input delivered it in, into
+    /// its shard's arena.
+    #[inline]
+    fn route(&mut self, feature: &InternedFeature) {
+        let watermark = self.stamp(feature.host, feature.start);
+        if let Some(lc) = self.lifecycle.as_mut() {
+            lc.absorb(feature);
+        }
+        self.fanout.push(feature, watermark);
+    }
+
+    /// Count a gap report once and broadcast it, stamped with the global
+    /// watermark at its stream position, to every shard.
+    fn broadcast_loss(&mut self, report: LossReport) {
+        self.tasks_lost.fetch_add(report.count, Ordering::Relaxed);
+        for tx in &self.shard_txs {
+            let _ = tx.send(ShardMsg::Loss(report, self.watermark));
+        }
+    }
+
+    /// Broadcast whatever the side channel of gap reports holds right now.
+    fn drain_losses(&mut self, loss_rx: Option<&Receiver<LossReport>>) {
+        for report in loss_rx.into_iter().flat_map(Receiver::try_iter) {
+            self.broadcast_loss(report);
+        }
+    }
+
+    /// The work at the end of every input batch: one flush per shard,
+    /// then lifecycle pumping — arenas are empty whenever a control
+    /// message goes out.
+    fn batch_boundary(&mut self) {
+        self.fanout.flush(&self.shard_txs);
+        if let Some(lc) = self.lifecycle.as_mut() {
+            lc.pump(self.watermark, &self.shard_txs);
+        }
+        self.obs.batches_routed.fetch_add(1, Ordering::Relaxed);
+        self.obs
+            .watermark_micros
+            .store(self.watermark.as_micros(), Ordering::Relaxed);
+    }
+}
+
 /// The pool core shared by [`spawn_analyzer_pool`] and
 /// [`spawn_analyzer_pool_with_lifecycle`]: one shard worker per initial
 /// detector, plus the router thread that stamps watermarks, routes
@@ -1589,7 +1780,7 @@ fn spawn_pool_inner(
     window: SimDuration,
     input: PoolInput,
     loss_rx: Option<Receiver<LossReport>>,
-    mut lifecycle: Option<RouterLifecycle>,
+    lifecycle: Option<RouterLifecycle>,
     meta: Option<Arc<MetaMonitor>>,
 ) -> PoolHandle {
     let workers = detectors.len();
@@ -1633,19 +1824,25 @@ fn spawn_pool_inner(
                     shard_obs.events.fetch_add(1, Ordering::Relaxed);
                     let _ = event_tx.send(event);
                 };
-                let mut supervised =
-                    SupervisedDetector::new(detector, supervisor, restarts, skipped);
-                let mut verdicts = VerdictMask::new();
+                let mut supervised = SupervisedDetector::new(
+                    detector,
+                    supervisor,
+                    restarts,
+                    skipped,
+                    shard_obs.supervision.clone(),
+                );
                 for msg in shard_rx.iter() {
                     match msg {
-                        ShardMsg::Loss(report) => supervised.record_loss(report),
+                        ShardMsg::Loss(report, watermark) => {
+                            supervised.record_loss(report, watermark)
+                        }
                         ShardMsg::Batch(mut batch) => {
                             processed.fetch_add(batch.len() as u64, Ordering::Relaxed);
                             shard_obs
                                 .processed
                                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
                             meta_tick(&meta, MetaStage::Shard, || {
-                                for event in supervised.observe_batch(&batch, &mut verdicts)? {
+                                for event in supervised.observe_batch(&batch)? {
                                     emit(event);
                                 }
                                 if let Some(&watermark) = batch.watermarks.last() {
@@ -1690,98 +1887,47 @@ fn spawn_pool_inner(
         worker_joins.push(join);
     }
 
-    let silent_after = supervisor.silent_after;
-    let tasks_lost_inner = tasks_lost.clone();
-    let obs_router = Arc::clone(&obs);
-    let meta_router = meta.clone();
+    let mut router = Router {
+        liveness: LivenessTracker::new(window, supervisor.silent_after),
+        silent: Vec::new(),
+        watermark: SimTime::ZERO,
+        fanout: ShardFanout::new(workers, recycle_rx),
+        lifecycle,
+        event_tx,
+        shard_txs,
+        tasks_lost: tasks_lost.clone(),
+        obs: Arc::clone(&obs),
+    };
     let router = std::thread::Builder::new()
         .name("saad-analyzer-router".into())
         .spawn(move || {
-            let mut liveness = LivenessTracker::default();
-            let mut watermark = SimTime::ZERO;
-            let mut fanout = ShardFanout::new(workers, recycle_rx);
-            let broadcast_losses = |losses: &Receiver<LossReport>| {
-                for report in losses.try_iter() {
-                    tasks_lost_inner.fetch_add(report.count, Ordering::Relaxed);
-                    for tx in &shard_txs {
-                        let _ = tx.send(ShardMsg::Loss(report));
-                    }
-                }
-            };
-            // The per-input-batch boundary work shared by both input
-            // shapes: one flush per shard, then lifecycle pumping —
-            // arenas are empty whenever a control message goes out.
-            macro_rules! batch_boundary {
-                () => {
-                    fanout.flush(&shard_txs);
-                    if let Some(lc) = lifecycle.as_mut() {
-                        lc.pump(watermark, &shard_txs);
-                    }
-                    obs_router.batches_routed.fetch_add(1, Ordering::Relaxed);
-                    obs_router
-                        .watermark_micros
-                        .store(watermark.as_micros(), Ordering::Relaxed);
-                };
-            }
             match input {
                 PoolInput::Raw(rx) => {
                     for batch in rx.iter() {
-                        meta_tick(&meta_router, MetaStage::Router, || {
-                            if let Some(loss_rx) = &loss_rx {
-                                broadcast_losses(loss_rx);
-                            }
+                        meta_tick(&meta, MetaStage::Router, || {
+                            router.drain_losses(loss_rx.as_ref());
                             for synopsis in batch {
-                                for event in liveness.observe(
-                                    synopsis.host,
-                                    synopsis.start,
-                                    window,
-                                    silent_after,
-                                ) {
-                                    let _ = event_tx.send(event);
-                                }
-                                watermark = watermark.max(synopsis.start);
-                                let feature = InternedFeature::from_synopsis(&synopsis, &interner);
-                                if let Some(lc) = lifecycle.as_mut() {
-                                    lc.absorb(&feature);
-                                }
-                                fanout.push(&feature, watermark);
+                                router.route(&InternedFeature::from_synopsis(&synopsis, &interner));
                             }
-                            batch_boundary!();
+                            router.batch_boundary();
                         });
                     }
                 }
                 PoolInput::Sequenced(rx) => {
                     for step in rx.iter() {
-                        meta_tick(&meta_router, MetaStage::Router, || match step {
-                            SequencedInput::Loss(report) => {
-                                // In-band: the report takes effect exactly
-                                // here. Arenas are empty between batch
-                                // boundaries, so shards see it at the same
-                                // stream position the producer pinned.
-                                tasks_lost_inner.fetch_add(report.count, Ordering::Relaxed);
-                                for tx in &shard_txs {
-                                    let _ = tx.send(ShardMsg::Loss(report));
-                                }
-                            }
+                        meta_tick(&meta, MetaStage::Router, || match step {
+                            // In-band: the report takes effect exactly
+                            // here. Arenas are empty between batch
+                            // boundaries, so shards see it at the same
+                            // stream position the producer pinned.
+                            SequencedInput::Loss(report) => router.broadcast_loss(report),
                             SequencedInput::Batch(batch) => {
                                 for synopsis in batch {
-                                    for event in liveness.observe(
-                                        synopsis.host,
-                                        synopsis.start,
-                                        window,
-                                        silent_after,
-                                    ) {
-                                        let _ = event_tx.send(event);
-                                    }
-                                    watermark = watermark.max(synopsis.start);
-                                    let feature =
-                                        InternedFeature::from_synopsis(&synopsis, &interner);
-                                    if let Some(lc) = lifecycle.as_mut() {
-                                        lc.absorb(&feature);
-                                    }
-                                    fanout.push(&feature, watermark);
+                                    router.route(&InternedFeature::from_synopsis(
+                                        &synopsis, &interner,
+                                    ));
                                 }
-                                batch_boundary!();
+                                router.batch_boundary();
                             }
                         });
                     }
@@ -1792,56 +1938,27 @@ fn spawn_pool_inner(
                     // watermark column in place with the global running
                     // max and hand the whole batch through untouched —
                     // no per-element repartition copy at all.
-                    let forward_only = workers == 1 && lifecycle.is_none();
+                    let forward_only = workers == 1 && router.lifecycle.is_none();
                     for mut batch in rx.iter() {
-                        if forward_only {
-                            meta_tick(&meta_router, MetaStage::Router, || {
-                                if let Some(loss_rx) = &loss_rx {
-                                    broadcast_losses(loss_rx);
-                                }
+                        meta_tick(&meta, MetaStage::Router, || {
+                            router.drain_losses(loss_rx.as_ref());
+                            if forward_only {
                                 for i in 0..batch.len() {
-                                    for event in liveness.observe(
-                                        batch.hosts[i],
-                                        batch.starts[i],
-                                        window,
-                                        silent_after,
-                                    ) {
-                                        let _ = event_tx.send(event);
-                                    }
-                                    watermark = watermark.max(batch.starts[i]);
-                                    batch.watermarks[i] = watermark;
+                                    batch.watermarks[i] =
+                                        router.stamp(batch.hosts[i], batch.starts[i]);
                                 }
                                 if !batch.is_empty() {
-                                    let _ = shard_txs[0].send(ShardMsg::Batch(batch));
+                                    let _ = router.shard_txs[0].send(ShardMsg::Batch(batch));
                                 }
-                                batch_boundary!();
-                            });
-                            continue;
-                        }
-                        meta_tick(&meta_router, MetaStage::Router, || {
-                            if let Some(loss_rx) = &loss_rx {
-                                broadcast_losses(loss_rx);
-                            }
-                            for i in 0..batch.len() {
-                                for event in liveness.observe(
-                                    batch.hosts[i],
-                                    batch.starts[i],
-                                    window,
-                                    silent_after,
-                                ) {
-                                    let _ = event_tx.send(event);
-                                }
-                                watermark = watermark.max(batch.starts[i]);
-                                let feature = batch.feature(i);
-                                if let Some(lc) = lifecycle.as_mut() {
-                                    lc.absorb(&feature);
-                                }
-                                // Re-stamp with the GLOBAL watermark: the
+                            } else {
+                                // Re-stamped with the GLOBAL watermark: the
                                 // producer's per-batch watermark only saw
                                 // its own stream.
-                                fanout.push(&feature, watermark);
+                                for i in 0..batch.len() {
+                                    router.route(&batch.feature(i));
+                                }
                             }
-                            batch_boundary!();
+                            router.batch_boundary();
                         });
                     }
                 }
@@ -1852,19 +1969,17 @@ fn spawn_pool_inner(
             // would close them), persist a last checkpoint of that state,
             // then drop the shard senders so every worker flushes and
             // exits.
-            if let Some(loss_rx) = &loss_rx {
-                broadcast_losses(loss_rx);
+            router.drain_losses(loss_rx.as_ref());
+            router.fanout.flush(&router.shard_txs);
+            if let Some(lc) = router.lifecycle.as_mut() {
+                lc.pump(router.watermark, &router.shard_txs);
             }
-            fanout.flush(&shard_txs);
-            if let Some(lc) = lifecycle.as_mut() {
-                lc.pump(watermark, &shard_txs);
+            for tx in &router.shard_txs {
+                let _ = tx.send(ShardMsg::FinalWatermark(router.watermark));
             }
-            for tx in &shard_txs {
-                let _ = tx.send(ShardMsg::FinalWatermark(watermark));
-            }
-            if let Some(lc) = lifecycle.as_mut() {
+            if let Some(lc) = router.lifecycle.as_mut() {
                 if lc.detecting {
-                    lc.take_checkpoint(&shard_txs, None);
+                    lc.take_checkpoint(&router.shard_txs, None);
                 }
             }
         })
@@ -3094,6 +3209,7 @@ mod tests {
     use super::*;
     use crate::model::{ModelBuilder, ModelConfig};
     use crate::TaskUid;
+    use bytes::BytesMut;
     use saad_logging::LogPointId;
     use saad_sim::{SimDuration, SimTime};
 
@@ -3377,6 +3493,15 @@ mod tests {
             text.contains(r#"saad_pool_shard_processed_total{shard="0"}"#),
             "{text}"
         );
+        // Ten synopses stay below the snapshot floor: none taken, and
+        // every one sits in some shard's replay tail.
+        for series in [
+            r#"saad_pool_shard_snapshots_total{shard="1"} 0"#,
+            r#"saad_pool_shard_replay_tail{shard="0"}"#,
+            "saad_pool_snapshot_us_count 0",
+        ] {
+            assert!(text.contains(series), "{series} missing from {text}");
+        }
     }
 
     #[test]
@@ -4404,5 +4529,347 @@ mod tests {
         let detectors = pool.join().unwrap();
         let total: u64 = detectors.iter().map(|d| d.tasks_seen()).sum();
         assert_eq!(total, stream.len() as u64, "swap lost or duplicated tasks");
+    }
+
+    fn shared_multi_stage_model() -> Arc<OutlierModel> {
+        static MODEL: std::sync::OnceLock<Arc<OutlierModel>> = std::sync::OnceLock::new();
+        MODEL.get_or_init(multi_stage_model).clone()
+    }
+
+    /// A stream over `hosts × 2` `(host, stage)` pairs, 40 000 synopses
+    /// to the one-minute window, so two windows' worth of pairs are open
+    /// at any time; stamped with its own running-max watermark as the
+    /// router would. A rare-signature surge on host 1 and the odd
+    /// never-trained signature make window closes emit events.
+    fn wide_stream(hosts: u64, n: u64, interner: &SignatureInterner) -> SynopsisBatch {
+        let mut batch = SynopsisBatch::with_capacity(n as usize);
+        for i in 0..n {
+            let host = (i % hosts) as u16;
+            let points: &[u16] = if host == 1 && i % 3 == 0 {
+                &[1, 2, 3]
+            } else if i % 4_999 == 0 {
+                &[9]
+            } else {
+                &[1, 2]
+            };
+            let mut s = synopsis_on(host, points, 1_000, SimTime::from_micros(i * 1_500), i);
+            s.stage = StageId(((i / hosts) % 2) as u16);
+            batch.push_synopsis(&s, interner);
+        }
+        batch
+    }
+
+    /// Rows `range` of `batch`, as a batch.
+    fn rows(batch: &SynopsisBatch, range: std::ops::Range<usize>) -> SynopsisBatch {
+        let mut out = SynopsisBatch::with_capacity(range.len());
+        for i in range {
+            out.push_from(batch, i);
+        }
+        out
+    }
+
+    /// Feed `stream` to a supervised detector in batches of 512; returns
+    /// the events, the detector, the ordinal after which the first
+    /// restart snapshot was taken, and the open windows it copied.
+    fn run_supervised(
+        stream: &SynopsisBatch,
+        detector: AnomalyDetector,
+        panic_after: Option<u64>,
+        restarts: &Arc<AtomicU64>,
+        skipped: &Arc<AtomicU64>,
+    ) -> (Vec<AnomalyEvent>, AnomalyDetector, Option<(u64, usize)>) {
+        let obs = SupervisionObs::default();
+        let mut supervised = SupervisedDetector::new(
+            detector,
+            SupervisorConfig {
+                panic_after,
+                ..SupervisorConfig::default()
+            },
+            restarts.clone(),
+            skipped.clone(),
+            obs.clone(),
+        );
+        let mut events = Vec::new();
+        let mut first_snapshot = None;
+        for from in (0..stream.len()).step_by(512) {
+            let to = (from + 512).min(stream.len());
+            events.extend(supervised.observe_batch(&rows(stream, from..to)).unwrap());
+            if first_snapshot.is_none() && obs.snapshots.load(Ordering::Relaxed) > 0 {
+                first_snapshot = Some((to as u64, supervised.detector.open_windows()));
+            }
+        }
+        let (tail, detector) = supervised.finish();
+        events.extend(tail);
+        (events, detector, first_snapshot)
+    }
+
+    #[test]
+    fn restart_before_and_after_a_stretched_snapshot_loses_only_the_poison() {
+        let model = shared_multi_stage_model();
+        let interner = Arc::new(SignatureInterner::new());
+        let compiled = Arc::new(model.compile(&interner));
+        let fresh = || {
+            AnomalyDetector::with_shared(
+                model.clone(),
+                compiled.clone(),
+                interner.clone(),
+                DetectorConfig::default(),
+            )
+        };
+        let stream = wide_stream(600, 200_000, &interner);
+        let counters = || (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+
+        // A run without a fault tells where the first snapshot falls.
+        let (restarts, skipped) = counters();
+        let (_, _, first) = run_supervised(&stream, fresh(), None, &restarts, &skipped);
+        let (first_at, copied) = first.expect("200 000 synopses outlast the first snapshot");
+        assert!(copied >= 1_000, "{copied} open windows");
+        assert!(
+            first_at >= REPLAY_PER_OPEN_WINDOW * 500,
+            "first snapshot at {first_at}: not stretched over the open windows"
+        );
+        assert_eq!(restarts.load(Ordering::Relaxed), 0);
+
+        for poison in [first_at / 2, first_at + 700] {
+            let (restarts, skipped) = counters();
+            let (events, detector, _) =
+                run_supervised(&stream, fresh(), Some(poison), &restarts, &skipped);
+            assert_eq!(restarts.load(Ordering::Relaxed), 1, "poison at {poison}");
+            assert_eq!(skipped.load(Ordering::Relaxed), 1, "poison at {poison}");
+            // Never crashed, never saw the poison synopsis (ordinals are
+            // 1-based); every other row keeps its watermark stamp.
+            let mut reference = fresh();
+            let at = poison as usize - 1;
+            let mut verdicts = VerdictMask::new();
+            let mut expected = reference.observe_batch(&rows(&stream, 0..at), &mut verdicts);
+            expected.extend(
+                reference.observe_batch(&rows(&stream, at + 1..stream.len()), &mut verdicts),
+            );
+            expected.extend(reference.flush());
+            assert!(expected.len() >= 20, "{} events", expected.len());
+            assert_eq!(events, expected, "poison at {poison}");
+            assert_eq!(detector.tasks_seen(), stream.len() as u64 - 1);
+        }
+    }
+
+    #[test]
+    fn restart_replays_the_tail_as_one_batch_whatever_is_open() {
+        // Over 1 000 open windows and a tail the snapshot schedule has
+        // stretched to tens of thousands of synopses: a restart must cost
+        // what one `observe_batch` over the tail costs, not one
+        // open-window visit per replayed synopsis.
+        let model = shared_multi_stage_model();
+        let interner = Arc::new(SignatureInterner::new());
+        let compiled = Arc::new(model.compile(&interner));
+        let detector = AnomalyDetector::with_shared(
+            model,
+            compiled,
+            interner.clone(),
+            DetectorConfig::default(),
+        );
+        let stream = wide_stream(600, 110_000, &interner);
+        let mut supervised = SupervisedDetector::new(
+            detector,
+            SupervisorConfig::default(),
+            Arc::default(),
+            Arc::default(),
+            SupervisionObs::default(),
+        );
+        for from in (0..stream.len()).step_by(512) {
+            let to = (from + 512).min(stream.len());
+            supervised.observe_batch(&rows(&stream, from..to)).unwrap();
+        }
+        assert!(supervised.detector.open_windows() >= 1_000);
+        assert!(
+            supervised.replay.len() >= 20_000,
+            "tail {}",
+            supervised.replay.len()
+        );
+        let before = supervised.detector.snapshot();
+        let fastest = |work: &mut dyn FnMut()| {
+            (0..5)
+                .map(|_| {
+                    let began = Instant::now();
+                    work();
+                    began.elapsed()
+                })
+                .min()
+                .expect("five runs")
+        };
+        let restart = fastest(&mut || supervised.restore_from_snapshot());
+        let mut verdicts = VerdictMask::new();
+        let batch = fastest(&mut || {
+            let mut d = AnomalyDetector::from_snapshot(supervised.snapshot.clone());
+            let _ = d.observe_batch(&supervised.replay, &mut verdicts);
+        });
+        assert!(
+            restart < batch * 4 + Duration::from_millis(2),
+            "restart {restart:?} against one batch replay {batch:?}"
+        );
+        // And it lands exactly where the detector stood.
+        let mut restored = BytesMut::new();
+        supervised.detector.snapshot().encode_into(&mut restored);
+        let mut original = BytesMut::new();
+        before.encode_into(&mut original);
+        assert_eq!(&restored[..], &original[..]);
+    }
+
+    /// One step of a generated stream: a task, or (one step in five) a
+    /// transport gap report, either of them up to three windows behind
+    /// the stream's clock.
+    type Step = (u8, u16, u16, u8, u64, u8);
+
+    /// `(clock, step)` → the synopsis or loss report the step stands for.
+    /// The clock advances up to 5 s a step against 10 s windows.
+    fn materialize(steps: &[Step]) -> Vec<SequencedInput> {
+        const WINDOW_US: u64 = 10_000_000;
+        let mut clock = 0u64;
+        steps
+            .iter()
+            .enumerate()
+            .map(|(uid, &(kind, host, stage, sig, delta_us, lag))| {
+                clock += delta_us;
+                // Most steps are on time; the rest trail by 1–3 windows.
+                let lag = if lag < 5 { 0 } else { u64::from(lag - 4) };
+                let at = SimTime::from_micros(clock.saturating_sub(lag * WINDOW_US));
+                if kind < 8 {
+                    let (points, dur): (&[u16], u64) = match sig {
+                        0 => (&[1, 2, 3], 1_000),
+                        1 => (&[9], 700),
+                        2 => (&[1, 2], 90_000),
+                        _ => (&[1, 2], 1_050),
+                    };
+                    let mut s = synopsis_on(host, points, dur, at, uid as u64);
+                    s.stage = StageId(stage);
+                    SequencedInput::Batch(vec![s])
+                } else {
+                    SequencedInput::Loss(LossReport {
+                        host: HostId(host),
+                        at,
+                        count: 1 + u64::from(sig) * 7,
+                    })
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Late elements (two and more windows behind the watermark) and
+        /// gap reports for windows already closed, interleaved at random:
+        /// the batch path, the per-synopsis path and pools of one and four
+        /// workers report the same events, completeness included.
+        #[test]
+        fn late_data_and_stale_losses_agree_on_every_path(
+            steps in proptest::collection::vec(
+                (0u8..10, 0u16..5, 0u16..2, 0u8..6, 0u64..5_000_000, 0u8..8),
+                1..160,
+            ),
+            chunk in 1usize..24,
+        ) {
+            let model = shared_multi_stage_model();
+            let config = DetectorConfig {
+                window: SimDuration::from_secs(10),
+                min_window_tasks: 3,
+                min_group_tasks: 2,
+                ..DetectorConfig::default()
+            };
+            let interner = Arc::new(SignatureInterner::new());
+            let compiled = Arc::new(model.compile(&interner));
+            let fresh = || AnomalyDetector::with_shared(
+                model.clone(), compiled.clone(), interner.clone(), config,
+            );
+            let stream = materialize(&steps);
+
+            // Per-synopsis: advance to the stream watermark, then observe.
+            let mut scalar = fresh();
+            let mut scalar_events = Vec::new();
+            let mut watermark = SimTime::ZERO;
+            for step in &stream {
+                match step {
+                    SequencedInput::Batch(batch) => for s in batch {
+                        watermark = watermark.max(s.start);
+                        scalar_events.extend(scalar.advance_watermark(watermark));
+                        let f = InternedFeature::from_synopsis(s, &interner);
+                        scalar_events.extend(scalar.observe_interned(&f));
+                    },
+                    SequencedInput::Loss(r) => scalar.record_loss(r.host, r.at, r.count),
+                }
+            }
+            scalar_events.extend(scalar.flush());
+
+            // Batch: runs of up to `chunk` synopses, cut at every report.
+            let mut batched = fresh();
+            let mut batch_events = Vec::new();
+            let mut verdicts = VerdictMask::new();
+            let mut pending = SynopsisBatch::new();
+            let mut watermark = SimTime::ZERO;
+            for step in &stream {
+                match step {
+                    SequencedInput::Batch(batch) => for s in batch {
+                        watermark = watermark.max(s.start);
+                        let f = InternedFeature::from_synopsis(s, &interner);
+                        pending.push_feature(&f, watermark);
+                        if pending.len() == chunk {
+                            batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
+                            pending.clear();
+                        }
+                    },
+                    SequencedInput::Loss(r) => {
+                        batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
+                        pending.clear();
+                        batched.record_loss(r.host, r.at, r.count);
+                    }
+                }
+            }
+            batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
+            batch_events.extend(batched.flush());
+            proptest::prop_assert_eq!(&batch_events, &scalar_events);
+            proptest::prop_assert_eq!(batched.tasks_lost(), scalar.tasks_lost());
+
+            // Pools: the same sequence on one ordered channel, synopses
+            // regrouped into input batches of `chunk`.
+            for workers in [1usize, 4] {
+                let (tx, rx) = unbounded();
+                let pool = spawn_pool_inner(
+                    (0..workers).map(|_| fresh()).collect(),
+                    SupervisorConfig { silent_after: u64::MAX, ..SupervisorConfig::default() },
+                    config.window,
+                    PoolInput::Sequenced(rx),
+                    None,
+                    None,
+                    None,
+                );
+                let mut group = Vec::new();
+                for step in &stream {
+                    match step {
+                        SequencedInput::Batch(batch) => {
+                            group.extend(batch.iter().cloned());
+                            if group.len() == chunk {
+                                tx.send(SequencedInput::Batch(std::mem::take(&mut group))).unwrap();
+                            }
+                        }
+                        SequencedInput::Loss(_) => {
+                            tx.send(SequencedInput::Batch(std::mem::take(&mut group))).unwrap();
+                            tx.send(step.clone()).unwrap();
+                        }
+                    }
+                }
+                tx.send(SequencedInput::Batch(group)).unwrap();
+                drop(tx);
+                let mut pool_events = Vec::new();
+                while let Ok(e) = pool.events().recv() {
+                    pool_events.push(e);
+                }
+                proptest::prop_assert_eq!(pool.tasks_lost(), scalar.tasks_lost());
+                pool.join().unwrap();
+                proptest::prop_assert!(
+                    event_keys(&pool_events) == event_keys(&scalar_events),
+                    "pool with {} workers reported {:?}, one detector {:?}",
+                    workers,
+                    event_keys(&pool_events),
+                    event_keys(&scalar_events)
+                );
+            }
+        }
     }
 }
