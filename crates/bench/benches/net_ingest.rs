@@ -24,6 +24,17 @@
 //! spins: a `yield_now` loop here steals the CPU from reader threads on
 //! a single-core box and deflates mid-size rows by ~40%.
 //!
+//! The whole process confines itself to CPU 0 before it spawns a thread.
+//! The question the curves answer is what one core's worth of collector
+//! can ingest when thousands of connections share it — readiness
+//! scheduling against thread scheduling — and every floor below was
+//! sized for that. Left to float over more cores the rows measure
+//! something else: the thread-per-connection collector reads in parallel
+//! (and leaves interning, which the reactor does in place, to the
+//! analyzer), so on two cores it out-runs the reactor up to 1024
+//! connections (EXPERIMENTS.md, "Wire path", has that curve too). The
+//! JSON records `cores` as the process saw them: 1 when the pin held.
+//!
 //! What the curves must show (asserted below):
 //!
 //! * the reactor holds a flat per-synopsis cost from 16 to 1024
@@ -377,9 +388,14 @@ fn measure(kind: Kind, conns: usize) -> Row {
     }
 }
 
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
 fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"net_ingest\",\n");
+    out.push_str(&format!("  \"cores\": {},\n", cores()));
     out.push_str(&format!("  \"batch\": {BATCH},\n"));
     out.push_str("  \"warmup_batches_per_conn\": 1,\n");
     out.push_str("  \"sender\": \"pre-encoded byte streams (collector-side cost only)\",\n");
@@ -410,9 +426,17 @@ fn find(rows: &[Row], kind: Kind, conns: usize) -> &Row {
 }
 
 fn main() {
+    // One CPU for the whole process (threads spawned below inherit the
+    // mask; see the module docs).
+    let pinned = saad_core::affinity::pin_current_thread(0);
     println!(
         "wire-path ingest: up to {MAX_PER_CONN} synopses/connection in frames of {BATCH}, \
-         pre-encoded, over localhost TCP\n"
+         pre-encoded, over localhost TCP, {}\n",
+        if pinned {
+            "confined to CPU 0"
+        } else {
+            "NOT confined to one CPU (pinning refused)"
+        }
     );
     println!(" collector  conns   synopses      secs   synopses/s  ns/synopsis");
 

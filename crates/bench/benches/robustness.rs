@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use saad_core::pipeline::{ChannelSink, OverloadPolicy};
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::tracker::SynopsisSink;
-use saad_core::transport::{FrameReceiver, FrameSender, FRAME_HEADER_LEN};
+use saad_core::transport::{crc32, FrameReceiver, FrameSender, FRAME_HEADER_LEN};
 use saad_core::{HostId, StageId, TaskUid};
 use saad_logging::LogPointId;
 use saad_sim::{SimDuration, SimTime};
@@ -42,6 +42,23 @@ fn bench_framing(c: &mut Criterion) {
         let mut sender = FrameSender::new(HostId(0));
         b.iter(|| sender.encode_frame(&synopses))
     });
+    // The agent's shape: a 48-synopsis batch assembled in place in a
+    // reused buffer — no allocation, one pass.
+    let agent_batch = batch(48);
+    let mut wire = bytes::BytesMut::new();
+    let mut sender = FrameSender::new(HostId(0));
+    sender.encode_frame_into(&mut wire, &agent_batch);
+    g.throughput(Throughput::Bytes(wire.len() as u64));
+    g.bench_function("encode_frame_into_48", |b| {
+        b.iter(|| {
+            wire.clear();
+            sender.encode_frame_into(&mut wire, &agent_batch)
+        })
+    });
+    let kib = vec![0xA5u8; 1024];
+    g.throughput(Throughput::Bytes(kib.len() as u64));
+    g.bench_function("crc32_1k", |b| b.iter(|| crc32(&[&kib])));
+    g.throughput(Throughput::Bytes(frame.len() as u64));
     g.bench_function("accept_frame_5", |b| {
         // A fresh receiver per batch keeps every frame a fresh sequence.
         b.iter_batched(

@@ -33,7 +33,7 @@ const SHARD_BITS: u32 = SHARDS.trailing_zeros();
 
 /// Signatures held on the stack while normalizing a synopsis's points;
 /// longer signatures fall back to one heap allocation.
-const INLINE_POINTS: usize = 16;
+pub(crate) const INLINE_POINTS: usize = 16;
 
 /// Dense identifier of an interned [`Signature`].
 ///

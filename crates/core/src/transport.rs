@@ -60,18 +60,63 @@ pub const MAX_FRAME_PAYLOAD: usize = 16 * 1024 * 1024;
 /// pruned to this horizon to bound memory).
 const REORDER_HORIZON: u64 = 1024;
 
+/// Reflected IEEE CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables, built at compile time (8 KiB). `[0]` is the
+/// classic byte-at-a-time table; `[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, which is what lets eight input bytes be
+/// folded with eight independent loads.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
 /// CRC-32 (IEEE polynomial) over the concatenation of `chunks`. Public so
 /// higher layers (e.g. the wire-protocol handshake in `saad-net`) checksum
 /// their messages with the same algorithm the frame format uses.
 pub fn crc32(chunks: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
     for chunk in chunks {
-        for &b in *chunk {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
+        // The running CRC is the only state carried between chunks, so a
+        // chunk boundary may fall anywhere, not only on a multiple of 8.
+        let mut words = chunk.chunks_exact(8);
+        for w in &mut words {
+            let word = u64::from_le_bytes(w.try_into().expect("chunks of 8")) ^ crc as u64;
+            let (lo, hi) = (word as u32, (word >> 32) as u32);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
         }
     }
     !crc
@@ -170,20 +215,63 @@ impl FrameSender {
     }
 
     /// Encode `batch` into one wire frame, advancing the sequence number
-    /// and cumulative count.
+    /// and cumulative count. The allocating form of
+    /// [`FrameSender::encode_frame_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` encodes to more than [`MAX_FRAME_PAYLOAD`] bytes —
+    /// no receiver would accept that frame. A sender that may hold such a
+    /// batch calls `encode_frame_into`, which splits it.
     pub fn encode_frame(&mut self, batch: &[TaskSynopsis]) -> Bytes {
-        let payload = codec::encode_batch(batch);
-        let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + payload.len());
+        let mut buf =
+            BytesMut::with_capacity(FRAME_HEADER_LEN + codec::TYPICAL_SYNOPSIS_LEN * batch.len());
+        let framed = self.encode_frame_into(&mut buf, batch);
+        assert_eq!(
+            framed,
+            batch.len(),
+            "batch encodes past MAX_FRAME_PAYLOAD; frame it in pieces with encode_frame_into"
+        );
+        buf.freeze()
+    }
+
+    /// Append one wire frame to `buf` in a single pass: header, then the
+    /// synopses encoded in place behind it, then the payload length and
+    /// CRC patched into the header — no intermediate payload buffer, and
+    /// no allocation once a reused `buf` has grown to its working size.
+    /// Bytes already in `buf` are left alone, so a caller can lay frames
+    /// (and its own length prefixes) back to back.
+    ///
+    /// Returns how many synopses the frame carries: all of `batch`
+    /// unless its encoding would exceed [`MAX_FRAME_PAYLOAD`], in which
+    /// case the frame ends on the last synopsis boundary inside the bound
+    /// and the caller frames `batch[n..]` next. The sequence number
+    /// advances by one and the cumulative count by the returned number.
+    pub fn encode_frame_into(&mut self, buf: &mut BytesMut, batch: &[TaskSynopsis]) -> usize {
+        let frame = buf.len();
         buf.put_u16(self.host.0);
         buf.put_u64(self.next_seq);
         buf.put_u64(self.synopses_sent);
-        buf.put_u32(payload.len() as u32);
-        let crc = crc32(&[&buf[..], &payload]);
-        buf.put_u32(crc);
-        buf.extend_from_slice(&payload);
+        buf.put_u64(0); // payload length and CRC, patched below
+        let payload = frame + FRAME_HEADER_LEN;
+        let mut framed = 0;
+        for s in batch {
+            let before = buf.len();
+            codec::encode_into(buf, s);
+            // Always take the first synopsis: a frame must make progress.
+            if buf.len() - payload > MAX_FRAME_PAYLOAD && framed > 0 {
+                buf.truncate(before);
+                break;
+            }
+            framed += 1;
+        }
+        let len = u32::try_from(buf.len() - payload).expect("payload bounded by MAX_FRAME_PAYLOAD");
+        buf[frame + 18..frame + 22].copy_from_slice(&len.to_be_bytes());
+        let crc = crc32(&[&buf[frame..frame + 22], &buf[payload..]]);
+        buf[frame + 22..payload].copy_from_slice(&crc.to_be_bytes());
         self.next_seq += 1;
-        self.synopses_sent += batch.len() as u64;
-        buf.freeze()
+        self.synopses_sent += framed as u64;
+        framed
     }
 }
 
@@ -225,7 +313,7 @@ pub fn parse_frame(frame: &[u8]) -> Result<ParsedFrame, FrameError> {
         return Err(FrameError::Truncated);
     }
     verify_frame_crc(&frame[..FRAME_HEADER_LEN], payload)?;
-    let synopses = codec::decode_batch(&mut Bytes::from(payload.to_vec()))?;
+    let synopses = codec::decode_batch_slice(payload)?;
     Ok(ParsedFrame {
         host: header.host,
         seq: header.seq,

@@ -7,7 +7,9 @@
 //! cumulative counts survive reconnects. The queue honors the same
 //! [`OverloadPolicy`] semantics as the in-process
 //! `ChannelSink` — `DropNewest`, `DropOldest`, and `Block` — with every
-//! refused synopsis counted, never silently discarded.
+//! refused synopsis counted, never silently discarded. Each time the
+//! worker wakes it frames every batch already queued into one reused
+//! buffer and hands the lot to the socket in a single write.
 //!
 //! When the connection dies the worker reconnects with jittered
 //! exponential backoff and replays the handshake, declaring its resume
@@ -16,6 +18,8 @@
 //! as wire-lost, and the gap surfaces on the collector as exact
 //! `newly_lost` accounting (via cumulative-count arithmetic on the next
 //! fresh frame, or via the resume handshake if the collector restarted).
+//! Frames queued behind the failed one in the same write never reached
+//! the socket; they go out on the next connection as framed.
 //! Retransmission would trade bounded memory for at-least-once delivery
 //! the detector does not need — it is loss-aware by design.
 
@@ -24,6 +28,7 @@ use crate::protocol::{
     HELLO_ACK_V1_LEN, PROTOCOL_VERSION,
 };
 use crate::ring::{LeafResolver, PinnedResolver};
+use bytes::{BufMut, BytesMut};
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -122,6 +127,8 @@ struct StatsInner {
     frames_written: AtomicU64,
     synopses_written: AtomicU64,
     synopses_wire_lost: AtomicU64,
+    writes: AtomicU64,
+    frames_per_write: Arc<saad_obs::Histogram>,
     dropped_newest: AtomicU64,
     dropped_oldest: AtomicU64,
     dropped_timed_out: AtomicU64,
@@ -162,6 +169,10 @@ pub struct AgentStats {
     /// Synopses in frames whose write failed — lost on the wire, reported
     /// to the collector via sequence arithmetic, never retransmitted.
     pub synopses_wire_lost: u64,
+    /// Socket writes that carried frames: one per worker wake-up, each
+    /// taking every batch already queued at that moment, so
+    /// `frames_written / writes` is the coalescing factor.
+    pub writes: u64,
     /// Synopses refused at the queue, by reason (same semantics as the
     /// in-process sink's [`DropCounts`]).
     pub drops: DropCounts,
@@ -180,6 +191,7 @@ impl StatsInner {
             frames_written: self.frames_written.load(Ordering::Relaxed),
             synopses_written: self.synopses_written.load(Ordering::Relaxed),
             synopses_wire_lost: self.synopses_wire_lost.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
             drops: DropCounts {
                 newest: self.dropped_newest.load(Ordering::Relaxed),
                 oldest: self.dropped_oldest.load(Ordering::Relaxed),
@@ -408,6 +420,18 @@ impl Agent {
             &labels,
             counter(|s| &s.synopses_wire_lost),
         );
+        registry.register_counter_fn(
+            "saad_agent_writes_total",
+            "Socket writes that carried frames (one per worker wake-up)",
+            &labels,
+            counter(|s| &s.writes),
+        );
+        registry.attach_histogram(
+            "saad_agent_frames_per_write",
+            "Frames coalesced into one socket write",
+            &labels,
+            Arc::clone(&self.front.stats.frames_per_write),
+        );
         for (reason, f) in [
             (
                 "newest",
@@ -496,7 +520,7 @@ fn try_connect(
     epoch: u64,
     host: HostId,
     config: &AgentConfig,
-    sender: &FrameSender,
+    (next_seq, sent_cum): (u64, u64),
     written_cum: u64,
 ) -> ConnectOutcome {
     let stream = match TcpStream::connect(addr) {
@@ -510,8 +534,8 @@ fn try_connect(
     let hello = Hello {
         version: config.version,
         host,
-        next_seq: sender.frames_sent(),
-        sent_cum: sender.synopses_sent(),
+        next_seq,
+        sent_cum,
         written_cum,
         epoch,
         role: PeerRole::Agent,
@@ -538,10 +562,131 @@ fn try_connect(
     }
 }
 
-fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> io::Result<()> {
-    stream.write_all(&(frame.len() as u32).to_be_bytes())?;
-    stream.write_all(frame)?;
-    stream.flush()
+/// Most wire bytes the worker coalesces into one write (~75 typical
+/// 48-synopsis frames); past this a larger write saves nothing.
+const COALESCE_BYTES: usize = 64 * 1024;
+
+/// The agent's outbound wire image: back-to-back `[u32 length][frame]`
+/// messages assembled in one reused buffer and handed to the socket in a
+/// single write, with each frame's end offset kept so that a cut write is
+/// accounted frame by frame.
+#[derive(Debug)]
+struct Outbox {
+    sender: FrameSender,
+    wire: BytesMut,
+    /// `(end offset in wire, synopses carried)` of each pending frame.
+    frames: Vec<(usize, u64)>,
+}
+
+/// What one [`Outbox::flush`] did with the pending frames: each is
+/// written, wire-lost, or still pending in the outbox.
+#[derive(Debug, PartialEq, Eq)]
+struct Flushed {
+    /// Frames the writer accepted whole.
+    frames_written: u64,
+    /// Synopses carried by those frames.
+    synopses_written: u64,
+    /// `Some` iff an error cut the write short: the synopses in the frame
+    /// it cut.
+    wire_lost: Option<u64>,
+}
+
+impl Outbox {
+    /// An empty outbox framing for `host`; sequence numbers start at 0.
+    fn new(host: HostId) -> Outbox {
+        Outbox {
+            sender: FrameSender::new(host),
+            wire: BytesMut::new(),
+            frames: Vec::new(),
+        }
+    }
+
+    /// The pending messages, exactly as the next flush will write them
+    /// (empty when no frame is pending).
+    fn wire(&self) -> &[u8] {
+        &self.wire
+    }
+
+    /// `(next_seq, sent_cum)` to announce in a handshake: the sequence
+    /// number and cumulative count of the first frame no socket has been
+    /// offered yet (the next frame to be framed, when nothing is pending).
+    fn resume_point(&self) -> (u64, u64) {
+        let pending: u64 = self.frames.iter().map(|&(_, n)| n).sum();
+        (
+            self.sender.frames_sent() - self.frames.len() as u64,
+            self.sender.synopses_sent() - pending,
+        )
+    }
+
+    /// Append `batch` as one length-prefixed frame — or as several, split
+    /// on synopsis boundaries, when it encodes past the frame payload
+    /// bound. The frame gets its sequence number and cumulative count
+    /// here, once; nothing that happens to a write renumbers it.
+    fn frame(&mut self, batch: &[TaskSynopsis]) {
+        let mut rest = batch;
+        loop {
+            let prefix = self.wire.len();
+            self.wire.put_u32(0);
+            let framed = self.sender.encode_frame_into(&mut self.wire, rest);
+            let len = u32::try_from(self.wire.len() - prefix - 4)
+                .expect("a frame is bounded by MAX_MESSAGE_LEN");
+            self.wire[prefix..prefix + 4].copy_from_slice(&len.to_be_bytes());
+            self.frames.push((self.wire.len(), framed as u64));
+            rest = &rest[framed..];
+            if rest.is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// Write the pending messages to `w` in one pass. A frame counts as
+    /// written only if the writer accepted it to its last byte. When an
+    /// error cuts the write, the first frame not accepted whole is
+    /// wire-lost — it may be partly on the wire, and the receiver sees
+    /// the gap through the sequence arithmetic; nothing is retransmitted.
+    /// The frames behind it never touched the writer: they stay pending,
+    /// bytes and sequence numbers as framed, for the next connection —
+    /// so a failed write costs one frame however many it carried.
+    fn flush<W: Write>(&mut self, w: &mut W) -> Flushed {
+        let mut accepted = 0usize;
+        while accepted < self.wire.len() {
+            match w.write(&self.wire[accepted..]) {
+                Ok(0) => break,
+                Ok(n) => accepted += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        let whole = self.frames.partition_point(|&(end, _)| end <= accepted);
+        let mut flushed = Flushed {
+            frames_written: whole as u64,
+            synopses_written: self.frames[..whole].iter().map(|&(_, n)| n).sum(),
+            wire_lost: None,
+        };
+        // With no error every frame was accepted whole and this drains
+        // the outbox; otherwise frame `whole` is the one the error cut.
+        let mut gone = whole;
+        if let Some(&(cut_end, synopses)) = self.frames.get(whole) {
+            flushed.wire_lost = Some(synopses);
+            gone += 1;
+            self.wire.copy_within(cut_end.., 0);
+            self.wire.truncate(self.wire.len() - cut_end);
+            for (end, _) in &mut self.frames[gone..] {
+                *end -= cut_end;
+            }
+        } else {
+            self.wire.clear();
+        }
+        self.frames.drain(..gone);
+        flushed
+    }
+
+    /// Give up on the pending frames (the agent is stopping): empty the
+    /// outbox and return how many synopses they carried.
+    fn abandon(&mut self) -> u64 {
+        self.wire.clear();
+        self.frames.drain(..).map(|(_, n)| n).sum()
+    }
 }
 
 /// Sleep `total` in short slices so a closing agent stops promptly.
@@ -562,27 +707,34 @@ fn worker_loop(
     closing: Arc<AtomicBool>,
 ) {
     let mut rng = StdRng::seed_from_u64(config.backoff.seed);
-    let mut sender = FrameSender::new(host);
+    let mut outbox = Outbox::new(host);
     let mut written_cum = 0u64;
     let mut conn: Option<TcpStream> = None;
     // Address of the last successful connect, for re-homing detection.
     let mut home: Option<SocketAddr> = None;
 
     'batches: loop {
-        // Poll with a timeout so close() works even while sink clones
-        // keep the channel's sender side alive.
-        let batch = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(b) => b,
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                // recv_timeout drains queued batches before timing out,
-                // so a timeout while closing means the queue is empty.
-                if closing.load(Ordering::SeqCst) {
-                    break 'batches;
+        // Frames a failed write left pending go out before anything new
+        // is taken off the queue.
+        if outbox.wire().is_empty() {
+            // Poll with a timeout so close() works even while sink clones
+            // keep the channel's sender side alive.
+            match rx.recv_timeout(Duration::from_millis(50)) {
+                // Frame exactly once — the sequence number is spent
+                // whether or not the write succeeds, so a failed write
+                // becomes a visible gap instead of a silent renumbering.
+                Ok(batch) => outbox.frame(&batch),
+                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
+                    // recv_timeout drains queued batches before timing out,
+                    // so a timeout while closing means the queue is empty.
+                    if closing.load(Ordering::SeqCst) {
+                        break 'batches;
+                    }
+                    continue;
                 }
-                continue;
+                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break 'batches,
             }
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break 'batches,
-        };
+        }
         // Ensure a handshaken connection, backing off between failures.
         // The resolver is consulted before every attempt, so a ring
         // republish between attempts re-homes this agent automatically.
@@ -596,13 +748,20 @@ fn worker_loop(
                 // Nowhere to go (empty ring): wait for the control plane
                 // to publish a member.
                 if closing.load(Ordering::SeqCst) {
-                    drop_remaining(batch, &rx, &stats);
+                    drop_remaining(outbox.abandon(), &rx, &stats);
                     return;
                 }
                 back_off(&mut attempt, &mut rng);
                 continue;
             };
-            match try_connect(addr, epoch, host, &config, &sender, written_cum) {
+            match try_connect(
+                addr,
+                epoch,
+                host,
+                &config,
+                outbox.resume_point(),
+                written_cum,
+            ) {
                 ConnectOutcome::Connected(stream) => {
                     if stats.connects.fetch_add(1, Ordering::Relaxed) > 0 {
                         stats.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -623,7 +782,7 @@ fn worker_loop(
                         .reject_reason
                         .store(RejectReason::StaleEpoch as u64, Ordering::Relaxed);
                     if closing.load(Ordering::SeqCst) {
-                        drop_remaining(batch, &rx, &stats);
+                        drop_remaining(outbox.abandon(), &rx, &stats);
                         return;
                     }
                     back_off(&mut attempt, &mut rng);
@@ -634,45 +793,43 @@ fn worker_loop(
                     // still queued and stop.
                     stats.handshake_rejects.fetch_add(1, Ordering::Relaxed);
                     stats.reject_reason.store(reason as u64, Ordering::Relaxed);
-                    drop_remaining(batch, &rx, &stats);
+                    drop_remaining(outbox.abandon(), &rx, &stats);
                     return;
                 }
                 ConnectOutcome::Failed => {
                     if closing.load(Ordering::SeqCst) {
-                        drop_remaining(batch, &rx, &stats);
+                        drop_remaining(outbox.abandon(), &rx, &stats);
                         return;
                     }
                     back_off(&mut attempt, &mut rng);
                 }
             }
         }
-        // Encode exactly once — the sequence number must advance whether
-        // or not the write succeeds, so a failed write becomes a visible
-        // gap instead of a silent renumbering.
-        let n = batch.len() as u64;
-        let frame = sender.encode_frame(&batch);
-        match write_frame(conn.as_mut().expect("connected"), &frame) {
-            Ok(()) => {
-                written_cum += n;
-                stats.frames_written.fetch_add(1, Ordering::Relaxed);
-                stats.synopses_written.fetch_add(n, Ordering::Relaxed);
+        // Batches already queued ride in the same write; the worker never
+        // waits for more.
+        while outbox.wire().len() < COALESCE_BYTES {
+            match rx.try_recv() {
+                Ok(queued) => outbox.frame(&queued),
+                Err(_) => break,
             }
-            Err(_) => {
-                // The frame may be partially on the wire; the stream is
-                // desynchronized either way. Count the loss and rebuild
-                // the connection for the next batch.
-                stats.synopses_wire_lost.fetch_add(n, Ordering::Relaxed);
-                conn = None;
-                if closing.load(Ordering::SeqCst) {
-                    // Finish draining as drops; no reconnect while closing.
-                    while let Ok(left) = rx.try_recv() {
-                        stats
-                            .dropped_disconnected
-                            .fetch_add(left.len() as u64, Ordering::Relaxed);
-                    }
-                    break 'batches;
-                }
-            }
+        }
+        stats.writes.fetch_add(1, Ordering::Relaxed);
+        stats.frames_per_write.record(outbox.frames.len() as u64);
+        let flushed = outbox.flush(conn.as_mut().expect("connected"));
+        written_cum += flushed.synopses_written;
+        stats
+            .frames_written
+            .fetch_add(flushed.frames_written, Ordering::Relaxed);
+        stats
+            .synopses_written
+            .fetch_add(flushed.synopses_written, Ordering::Relaxed);
+        if let Some(lost) = flushed.wire_lost {
+            // The cut frame may be partially on the wire; the stream is
+            // desynchronized either way. Count the loss and rebuild the
+            // connection for what is still pending — while closing, the
+            // connect loop above gives that one attempt and no back-off.
+            stats.synopses_wire_lost.fetch_add(lost, Ordering::Relaxed);
+            conn = None;
         }
     }
     // Queue closed and drained: a half-close tells the collector this was
@@ -682,13 +839,241 @@ fn worker_loop(
     }
 }
 
-/// Account `first` and everything still queued as disconnected drops.
-fn drop_remaining(first: Vec<TaskSynopsis>, rx: &Receiver<Vec<TaskSynopsis>>, stats: &StatsInner) {
-    let mut dropped = first.len() as u64;
+/// Account `pending` synopses and everything still queued as
+/// disconnected drops.
+fn drop_remaining(pending: u64, rx: &Receiver<Vec<TaskSynopsis>>, stats: &StatsInner) {
+    let mut dropped = pending;
     while let Ok(batch) = rx.try_recv() {
         dropped += batch.len() as u64;
     }
     stats
         .dropped_disconnected
         .fetch_add(dropped, Ordering::Relaxed);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{write_message, MAX_MESSAGE_LEN};
+    use saad_core::transport::{
+        parse_frame, FrameOutcome, FrameReceiver, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
+    };
+    use saad_core::{StageId, TaskUid};
+    use saad_logging::LogPointId;
+    use saad_sim::{SimDuration, SimTime};
+
+    fn task(host: u16, uid: u64, points: usize) -> TaskSynopsis {
+        TaskSynopsis {
+            host: HostId(host),
+            stage: StageId(3),
+            uid: TaskUid(uid),
+            start: SimTime::from_millis(uid),
+            duration: SimDuration::from_micros(900 + uid),
+            log_points: (0..points)
+                .map(|p| (LogPointId(1 + p as u16), 1 + p as u32))
+                .collect(),
+        }
+    }
+
+    fn batch(host: u16, uids: std::ops::Range<u64>) -> Vec<TaskSynopsis> {
+        uids.map(|u| task(host, u, (u % 5) as usize)).collect()
+    }
+
+    /// Split `[u32 length][frame]…` wire bytes into the frames.
+    fn messages(mut wire: &[u8]) -> Vec<&[u8]> {
+        let mut out = Vec::new();
+        while !wire.is_empty() {
+            let len = u32::from_be_bytes(wire[..4].try_into().unwrap()) as usize;
+            out.push(&wire[4..4 + len]);
+            wire = &wire[4 + len..];
+        }
+        out
+    }
+
+    /// Accepts `accept` bytes in all, at most `per_call` per write, then
+    /// fails like a dead socket.
+    struct FailingWriter {
+        accept: usize,
+        per_call: usize,
+        taken: Vec<u8>,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let room = self.accept - self.taken.len();
+            if room == 0 {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            let n = buf.len().min(room).min(self.per_call);
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn outbox_loses_the_cut_frame_and_keeps_the_ones_behind_it() {
+        let batches = [batch(9, 0..48), batch(9, 48..53), batch(9, 53..101)];
+        let framed: u64 = batches.iter().map(|b| b.len() as u64).sum();
+        let mut probe = Outbox::new(HostId(9));
+        batches.iter().for_each(|b| probe.frame(b));
+        let wire = probe.wire().to_vec();
+        let ends: Vec<usize> = messages(&wire)
+            .iter()
+            .scan(0usize, |end, m| {
+                *end += 4 + m.len();
+                Some(*end)
+            })
+            .collect();
+        assert_eq!(ends.len(), 3);
+
+        // (bytes the writer accepts, frames that must count as written)
+        let cases = [
+            (0, 0),                // dead before the first byte
+            (2, 0),                // inside the first length prefix
+            (ends[0] - 1, 0),      // one byte short of a whole frame
+            (ends[0], 1),          // exactly on a frame boundary
+            (ends[0] + 4 + 10, 1), // inside the second frame's header
+            (ends[1], 2),          // on the second boundary
+            (ends[2] - 1, 2),      // all but the last byte
+            (ends[2], 3),          // everything
+            (ends[2] + 100, 3),    // more room than bytes
+        ];
+        let count = |bs: &[Vec<TaskSynopsis>]| bs.iter().map(|b| b.len() as u64).sum::<u64>();
+        for (accept, whole) in cases {
+            for per_call in [usize::MAX, 7] {
+                let mut outbox = Outbox::new(HostId(9));
+                batches.iter().for_each(|b| outbox.frame(b));
+                let mut w = FailingWriter {
+                    accept,
+                    per_call,
+                    taken: Vec::new(),
+                };
+                let flushed = outbox.flush(&mut w);
+                let case = format!("accept {accept}, {per_call} per call");
+                // Whole accepted frames are written; the frame the error cut
+                // is lost; the frames behind it are still pending, untouched.
+                let cut = usize::from(whole < 3);
+                let kept = &batches[whole + cut..];
+                assert_eq!(flushed.frames_written, whole as u64, "{case}");
+                assert_eq!(flushed.synopses_written, count(&batches[..whole]), "{case}");
+                assert_eq!(
+                    flushed.wire_lost,
+                    (cut == 1).then(|| count(&batches[whole..whole + cut])),
+                    "{case}"
+                );
+                assert_eq!(w.taken[..], wire[..accept.min(wire.len())], "{case}");
+                let kept_from = if cut == 1 { ends[whole] } else { wire.len() };
+                assert_eq!(outbox.wire(), &wire[kept_from..], "{case}");
+                assert_eq!(outbox.wire().is_empty(), kept.is_empty(), "{case}");
+                assert_eq!(
+                    outbox.resume_point(),
+                    ((whole + cut) as u64, count(&batches[..whole + cut])),
+                    "{case}: a handshake now resumes at the first kept frame"
+                );
+
+                // Whatever happened to that write, nothing is renumbered: the
+                // kept frames go out next as framed, and a new frame carries
+                // on from everything framed so far.
+                outbox.frame(&batch(9, 101..110));
+                let mut next = Vec::new();
+                let flushed = outbox.flush(&mut next);
+                assert!(
+                    flushed.wire_lost.is_none() && outbox.wire().is_empty(),
+                    "{case}"
+                );
+                assert_eq!(flushed.frames_written, kept.len() as u64 + 1, "{case}");
+                assert_eq!(flushed.synopses_written, count(kept) + 9, "{case}");
+                assert_eq!(next[..wire.len() - kept_from], wire[kept_from..], "{case}");
+                let last = parse_frame(messages(&next).pop().unwrap()).expect("valid frame");
+                assert_eq!(last.seq, 3, "{case}");
+                assert_eq!(last.cumulative, framed, "{case}");
+                assert_eq!(last.synopses, batch(9, 101..110), "{case}");
+                assert_eq!(outbox.resume_point(), (4, framed + 9), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn abandoned_outbox_reports_what_it_held() {
+        let mut outbox = Outbox::new(HostId(9));
+        outbox.frame(&batch(9, 0..48));
+        outbox.frame(&batch(9, 48..53));
+        assert_eq!(outbox.abandon(), 53);
+        assert!(outbox.wire().is_empty());
+        // The sequence numbers are spent all the same.
+        assert_eq!(outbox.resume_point(), (2, 53));
+    }
+
+    #[test]
+    fn outbox_frames_are_the_frames_a_plain_sender_makes() {
+        let batches = [batch(4, 0..48), batch(4, 48..49), batch(4, 49..97)];
+        let mut outbox = Outbox::new(HostId(4));
+        let mut plain = FrameSender::new(HostId(4));
+        let mut want = Vec::new();
+        for b in &batches {
+            outbox.frame(b);
+            write_message(&mut want, &plain.encode_frame(b)).unwrap();
+        }
+        assert_eq!(outbox.wire(), &want[..]);
+        // All three are pending: a handshake would still resume at frame 0.
+        assert_eq!(outbox.resume_point(), (0, 0));
+        assert_eq!(outbox.flush(&mut io::sink()).frames_written, 3);
+        assert_eq!(outbox.resume_point(), (3, 97));
+    }
+
+    #[test]
+    fn batch_over_the_payload_bound_splits_on_a_synopsis_boundary() {
+        // ~60 KB per synopsis: a few hundred of them straddle the 16 MiB bound.
+        let heavy = |uid: u64| TaskSynopsis {
+            uid: TaskUid(uid),
+            log_points: (0..10_000u16)
+                .map(|p| (LogPointId(p), u32::MAX - p as u32))
+                .collect(),
+            ..task(2, uid, 0)
+        };
+        let one = FrameSender::new(HostId(2)).encode_frame(&[heavy(0)]).len() - FRAME_HEADER_LEN;
+        // `heavy(0)` is the shortest of them, so this many is over the bound
+        // by less than one synopsis.
+        let count = MAX_FRAME_PAYLOAD / one + 1;
+        let big: Vec<TaskSynopsis> = (0..count as u64).map(heavy).collect();
+
+        let mut outbox = Outbox::new(HostId(2));
+        outbox.frame(&batch(2, 0..3));
+        outbox.frame(&big);
+        let mut rx = FrameReceiver::new();
+        let mut delivered = Vec::new();
+        let mut expected_cumulative = 0u64;
+        let frames = messages(outbox.wire());
+        assert_eq!(frames.len(), 3, "one small frame, the big batch in two");
+        for (seq, frame) in frames.into_iter().enumerate() {
+            assert!(frame.len() <= MAX_MESSAGE_LEN);
+            let parsed = parse_frame(frame).expect("every split frame is admissible");
+            assert_eq!(parsed.seq, seq as u64);
+            assert_eq!(parsed.cumulative, expected_cumulative, "contiguous");
+            expected_cumulative += parsed.synopses.len() as u64;
+            match rx.admit(parsed) {
+                FrameOutcome::Fresh {
+                    synopses,
+                    newly_lost,
+                    ..
+                } => {
+                    assert_eq!(newly_lost, 0);
+                    delivered.extend(synopses);
+                }
+                other => panic!("unexpected: {other:?}"),
+            }
+        }
+        assert_eq!(delivered.len(), 3 + big.len());
+        assert!(delivered[3..] == big[..]);
+        assert_eq!(outbox.abandon(), delivered.len() as u64);
+
+        // The allocating wrapper cannot split; it refuses rather than emit a
+        // frame whose length field every receiver rejects.
+        let refused = std::panic::catch_unwind(|| FrameSender::new(HostId(2)).encode_frame(&big));
+        assert!(refused.is_err());
+    }
 }

@@ -25,10 +25,11 @@ use crate::agent::BackoffConfig;
 use crate::collector::{AdmittedSink, Collector, CollectorConfig};
 use crate::control::ControlPlane;
 use crate::protocol::{
-    decode_hello_ack, encode_hello, read_full, Hello, PeerRole, HELLO_ACK_LEN, PINNED_EPOCH,
-    PROTOCOL_VERSION,
+    decode_hello_ack, encode_hello, read_full, write_message, Hello, PeerRole, HELLO_ACK_LEN,
+    PINNED_EPOCH, PROTOCOL_VERSION,
 };
 use crate::ring::LeafId;
+use bytes::BytesMut;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -134,6 +135,8 @@ struct HostBuf {
 /// the uplink socket and its connect schedule.
 struct UplinkIo {
     hosts: HashMap<HostId, HostBuf>,
+    /// The digest frame being sent, assembled in place and reused.
+    frame: BytesMut,
     conn: Option<TcpStream>,
     next_attempt: Instant,
     attempt: u32,
@@ -156,6 +159,7 @@ impl Uplink {
         Uplink {
             io: Mutex::new(UplinkIo {
                 hosts: HashMap::new(),
+                frame: BytesMut::new(),
                 conn: None,
                 next_attempt: Instant::now(),
                 attempt: 0,
@@ -205,12 +209,29 @@ impl Uplink {
             return;
         }
         let batch = std::mem::take(&mut buf.pending);
-        let frame = buf.sender.encode_frame(&batch);
         self.ensure_conn(io);
-        self.write_digest(io, &frame, batch.len() as u64);
+        self.send_digest(io, host, &batch);
     }
 
-    fn write_digest(&self, io: &mut UplinkIo, frame: &[u8], n: u64) {
+    /// Frame `batch` at the host's stream position and write it upstream
+    /// — in more than one frame only if it encodes past the frame payload
+    /// bound. An empty `batch` is the host's goodbye frame.
+    fn send_digest(&self, io: &mut UplinkIo, host: HostId, batch: &[TaskSynopsis]) {
+        let mut rest = batch;
+        loop {
+            let sender = &mut io.hosts.get_mut(&host).expect("host present").sender;
+            io.frame.clear();
+            let framed = sender.encode_frame_into(&mut io.frame, rest);
+            self.write_digest(io, framed as u64);
+            rest = &rest[framed..];
+            if rest.is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// Write the frame in `io.frame`, carrying `n` synopses, upstream.
+    fn write_digest(&self, io: &mut UplinkIo, n: u64) {
         if self.killed.load(Ordering::SeqCst) {
             self.counters
                 .uplink_wire_lost
@@ -218,7 +239,7 @@ impl Uplink {
             return;
         }
         let ok = match io.conn.as_mut() {
-            Some(stream) => write_frame(stream, frame).is_ok(),
+            Some(stream) => write_message(stream, &io.frame).is_ok(),
             None => false,
         };
         if ok {
@@ -261,10 +282,7 @@ impl Uplink {
         let hosts: Vec<HostId> = io.hosts.keys().copied().collect();
         for host in hosts {
             self.flush_host(&mut io, host);
-            if let Some(buf) = io.hosts.get_mut(&host) {
-                let goodbye = buf.sender.encode_frame(&[]);
-                self.write_digest(&mut io, &goodbye, 0);
-            }
+            self.send_digest(&mut io, host, &[]);
         }
         if let Some(stream) = io.conn.take() {
             let _ = stream.shutdown(std::net::Shutdown::Write);
@@ -321,12 +339,7 @@ impl AdmittedSink for Uplink {
             // this host was homed elsewhere): flush what we have at its
             // own position, then jump forward so the next frame's
             // cumulative count tells the root exactly what is missing.
-            if !buf.pending.is_empty() {
-                let batch = std::mem::take(&mut buf.pending);
-                let frame = buf.sender.encode_frame(&batch);
-                self.ensure_conn(io);
-                self.write_digest(io, &frame, batch.len() as u64);
-            }
+            self.flush_host(io, host);
             let buf = io.hosts.get_mut(&host).expect("just inserted");
             let jump = start - buf.sender.synopses_sent();
             buf.sender.skip(jump);
@@ -360,12 +373,6 @@ impl AdmittedSink for Uplink {
             }
         }
     }
-}
-
-fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> io::Result<()> {
-    stream.write_all(&(frame.len() as u32).to_be_bytes())?;
-    stream.write_all(frame)?;
-    stream.flush()
 }
 
 /// One uplink connect + v2 handshake. The hello's host field carries the

@@ -31,7 +31,7 @@
 use saad_core::transport::{crc32, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
 use saad_core::HostId;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Current wire protocol version. A collector rejects peers announcing a
 /// different version rather than guessing at frame semantics.
@@ -379,17 +379,40 @@ pub fn decode_hello_ack(buf: &[u8]) -> Result<HelloAck, HandshakeError> {
 }
 
 /// Write one length-prefixed message: `u32` big-endian body length, then
-/// the body.
+/// the body. Prefix and body go out in one vectored write, so on a
+/// `TCP_NODELAY` socket the prefix is not a 4-byte segment of its own; a
+/// short write resumes where it stopped.
 ///
 /// # Errors
 ///
-/// Propagates the underlying I/O error; a partial write leaves the stream
-/// desynchronized, so callers must treat any error as fatal for the
-/// connection.
+/// [`io::ErrorKind::InvalidInput`] (nothing written) when `body` is longer
+/// than [`MAX_MESSAGE_LEN`] — every reader would drop the connection on
+/// that prefix. Otherwise propagates the underlying I/O error; a partial
+/// write leaves the stream desynchronized, so callers must treat any
+/// error as fatal for the connection.
 pub fn write_message<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
-    debug_assert!(body.len() <= MAX_MESSAGE_LEN);
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body)
+    if body.len() > MAX_MESSAGE_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "message body exceeds MAX_MESSAGE_LEN",
+        ));
+    }
+    let prefix = (body.len() as u32).to_be_bytes();
+    let mut done = 0usize;
+    while done < prefix.len() + body.len() {
+        let wrote = if done < prefix.len() {
+            w.write_vectored(&[IoSlice::new(&prefix[done..]), IoSlice::new(body)])
+        } else {
+            w.write(&body[done - prefix.len()..])
+        };
+        match wrote {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => done += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Read exactly `buf.len()` bytes, retrying reads that hit a socket
