@@ -1,19 +1,23 @@
 //! Criterion microbenchmarks for SAAD's hot paths:
 //!
 //! * per-log-point tracker cost (the paper's "practically zero overhead"
-//!   claim reduced to its inner loop),
+//!   claim reduced to its inner loop), and per-task cost into a discarding
+//!   sink and into an `AgentSink` streaming to a collector,
 //! * synopsis encode/decode,
 //! * model construction throughput,
 //! * analyzer observe throughput (the paper sustains 1500 synopses/s).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use saad_bench::DrainingCollector;
 use saad_core::detector::{AnomalyDetector, DetectorConfig};
 use saad_core::feature::FeatureVector;
 use saad_core::model::{ModelBuilder, ModelConfig};
+use saad_core::pipeline::OverloadPolicy;
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::tracker::{NullSink, SynopsisSink, TaskExecutionTracker};
 use saad_core::{codec, HostId, StageId, TaskUid};
 use saad_logging::{LogPointId, Logger};
+use saad_net::{Agent, AgentConfig};
 use saad_sim::{Clock, ManualClock, SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -52,7 +56,39 @@ fn bench_tracker(c: &mut Criterion) {
             tracker.end_task();
         })
     });
+    // The same task handed to an `AgentSink`: encoded into the frame
+    // payload on this thread, one queue hand-over per 48 tasks, the agent's
+    // worker and a reactor collector running alongside. This loop outruns
+    // the wire, so a full queue drops (and counts) the payload rather
+    // than block: the figure is what the server thread pays, not what
+    // the pipeline sustains.
+    let collector = DrainingCollector::spawn();
+    let config = AgentConfig {
+        policy: OverloadPolicy::DropNewest,
+        ..AgentConfig::default()
+    };
+    let agent = Agent::connect(collector.addr(), HostId(0), config);
+    let streaming = Arc::new(TaskExecutionTracker::new(
+        HostId(0),
+        Arc::new(ManualClock::new()) as Arc<dyn Clock>,
+        Arc::new(agent.sink(48)) as Arc<dyn SynopsisSink>,
+    ));
+    let logger = Logger::builder("S").interceptor(streaming.clone()).build();
+    g.bench_function("task_to_payload", |b| {
+        b.iter(|| {
+            streaming.set_context(StageId(1));
+            for p in 0..5u16 {
+                logger.debug(LogPointId(p), format_args!("point"));
+            }
+            streaming.end_task();
+        })
+    });
     g.finish();
+    let tasks = streaming.completed();
+    drop((logger, streaming)); // the sink goes with them, flushing its tail
+    let stats = agent.close();
+    assert_eq!(stats.synopses_written + stats.drops.total(), tasks);
+    assert_eq!(collector.finish(), stats.synopses_written);
 }
 
 fn bench_codec(c: &mut Criterion) {

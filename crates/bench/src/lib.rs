@@ -104,6 +104,54 @@ impl SynopsisSink for ByteCountingSink {
     }
 }
 
+/// A reactor collector on a loopback port whose decoded batches are
+/// counted and thrown away: the far end of the wire for benches that
+/// measure the producer side (tracker → `AgentSink` → `Agent` → TCP) and
+/// need the bytes to go somewhere real.
+pub struct DrainingCollector {
+    collector: saad_net::ReactorCollector,
+    drain: std::thread::JoinHandle<u64>,
+}
+
+impl DrainingCollector {
+    /// Bind on `127.0.0.1:0` with one reactor loop and start draining.
+    pub fn spawn() -> DrainingCollector {
+        let (batch_tx, batch_rx) = crossbeam_channel::unbounded();
+        let (loss_tx, loss_rx) = crossbeam_channel::unbounded();
+        let collector = saad_net::ReactorCollector::bind_soa(
+            "127.0.0.1:0",
+            batch_tx,
+            Arc::new(saad_core::intern::SignatureInterner::new()),
+            loss_tx,
+            saad_net::ReactorCollectorConfig {
+                loops: 1,
+                ..saad_net::ReactorCollectorConfig::default()
+            },
+        )
+        .expect("bind draining collector");
+        let drain = std::thread::spawn(move || {
+            let mut synopses = 0u64;
+            while let Ok(batch) = batch_rx.recv() {
+                synopses += batch.len() as u64;
+            }
+            assert_eq!(loss_rx.try_iter().count(), 0, "loopback lost synopses");
+            synopses
+        });
+        DrainingCollector { collector, drain }
+    }
+
+    /// Where agents connect.
+    pub fn addr(&self) -> std::net::SocketAddr {
+        self.collector.local_addr()
+    }
+
+    /// Stop the collector; returns how many synopses it decoded.
+    pub fn finish(self) -> u64 {
+        self.collector.shutdown();
+        self.drain.join().expect("drain thread")
+    }
+}
+
 /// An appender that captures rendered lines into one big string (the
 /// baseline's input corpus) while counting bytes.
 #[derive(Debug, Default)]

@@ -6,7 +6,7 @@
 //! synopsis (5 log points) encodes in well under 48 bytes.
 
 use crate::intern::INLINE_POINTS;
-use crate::synopsis::TaskSynopsis;
+use crate::synopsis::{SynopsisHead, TaskSynopsis};
 use crate::{HostId, StageId, TaskUid};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use saad_logging::LogPointId;
@@ -169,29 +169,37 @@ pub fn encode(s: &TaskSynopsis) -> Bytes {
     buf.freeze()
 }
 
-/// Append the wire form of `s` to `buf` — the one encoder; [`encode`],
-/// [`encode_batch`] and the transport's frame assembly all go through
-/// it. The synopsis is sized for its worst case once and written by
-/// index, so a reused `buf` at capacity makes this allocation-free. The
-/// zero-fill of the slack is cheaper than it looks: on the benchmark's
-/// synopsis mix this form measures ~18 ns per synopsis, against ~38 ns
-/// for a stack scratch with one `extend_from_slice` per field group and
-/// ~75 ns for one per varint (`put_varint`'s form, fine off the hot
-/// path).
+/// Append the wire form of `s` to `buf`: [`encode_parts_into`] on the
+/// synopsis' own head and point list.
 pub fn encode_into(buf: &mut BytesMut, s: &TaskSynopsis) {
+    encode_parts_into(buf, &s.head(), &s.log_points);
+}
+
+/// Append the wire form of the synopsis made of `head` and `points` to
+/// `buf` — the one encoder; [`encode`], [`encode_into`], [`encode_batch`]
+/// and the transport's frame and payload assembly all go through it, and
+/// the tracker's borrowed hand-over reaches it without ever building a
+/// [`TaskSynopsis`]. The synopsis is sized for its worst case once and
+/// written by index, so a reused `buf` at capacity makes this
+/// allocation-free. The zero-fill of the slack is cheaper than it looks:
+/// on the benchmark's synopsis mix this form measures ~18 ns per
+/// synopsis, against ~38 ns for a stack scratch with one
+/// `extend_from_slice` per field group and ~75 ns for one per varint
+/// (`put_varint`'s form, fine off the hot path).
+pub fn encode_parts_into(buf: &mut BytesMut, head: &SynopsisHead, points: &[(LogPointId, u32)]) {
     let start = buf.len();
-    buf.resize(start + (6 + 2 * s.log_points.len()) * MAX_VARINT_LEN, 0);
+    buf.resize(start + (6 + 2 * points.len()) * MAX_VARINT_LEN, 0);
     let out = &mut buf[start..];
-    let mut pos = put_varint_at(out, 0, s.host.0 as u64);
-    pos = put_varint_at(out, pos, s.stage.0 as u64);
-    pos = put_varint_at(out, pos, s.uid.0);
-    pos = put_varint_at(out, pos, s.start.as_micros());
-    pos = put_varint_at(out, pos, s.duration.as_micros());
-    pos = put_varint_at(out, pos, s.log_points.len() as u64);
+    let mut pos = put_varint_at(out, 0, head.host.0 as u64);
+    pos = put_varint_at(out, pos, head.stage.0 as u64);
+    pos = put_varint_at(out, pos, head.uid.0);
+    pos = put_varint_at(out, pos, head.start.as_micros());
+    pos = put_varint_at(out, pos, head.duration.as_micros());
+    pos = put_varint_at(out, pos, points.len() as u64);
     // Delta-encode point ids (they are sorted ascending in a well-formed
     // synopsis) to keep most entries at 2 bytes.
     let mut prev = 0u64;
-    for &(p, c) in &s.log_points {
+    for &(p, c) in points {
         let id = p.0 as u64;
         pos = put_varint_at(out, pos, id.wrapping_sub(prev));
         pos = put_varint_at(out, pos, c as u64);

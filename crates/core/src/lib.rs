@@ -106,6 +106,10 @@ pub mod tracker;
 pub mod transport;
 
 pub use ids::{HostId, StageId, TaskUid, TenantId};
+/// The log point id of `saad-logging`, re-exported because it is part of
+/// this crate's interface (synopsis point lists, [`tracker::SynopsisSink`]):
+/// a crate that implements a sink needs no dependency of its own for it.
+pub use saad_logging::LogPointId;
 pub use signature::Signature;
 pub use stage_registry::StageRegistry;
 

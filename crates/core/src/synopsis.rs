@@ -36,7 +36,54 @@ pub struct TaskSynopsis {
     pub log_points: Vec<(LogPointId, u32)>,
 }
 
+/// The fixed-size fields of a synopsis — everything but the point list.
+///
+/// The tracker hands a completed task to its sink as a head plus a
+/// borrowed `(point, count)` slice
+/// ([`SynopsisSink::submit_parts`](crate::tracker::SynopsisSink::submit_parts)),
+/// so a sink that encodes on the spot never needs the owned
+/// [`TaskSynopsis`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SynopsisHead {
+    /// Host the task ran on.
+    pub host: HostId,
+    /// Stage the task is an instance of.
+    pub stage: StageId,
+    /// Unique id of this task execution.
+    pub uid: TaskUid,
+    /// Task start time.
+    pub start: SimTime,
+    /// Start to the last log point the task encountered.
+    pub duration: SimDuration,
+}
+
+impl SynopsisHead {
+    /// The owned synopsis of this head and `points`, its `log_points`
+    /// allocated at exactly `points.len()`.
+    pub fn with_points(self, points: &[(LogPointId, u32)]) -> TaskSynopsis {
+        TaskSynopsis {
+            host: self.host,
+            stage: self.stage,
+            uid: self.uid,
+            start: self.start,
+            duration: self.duration,
+            log_points: points.to_vec(),
+        }
+    }
+}
+
 impl TaskSynopsis {
+    /// This synopsis without its point list.
+    pub fn head(&self) -> SynopsisHead {
+        SynopsisHead {
+            host: self.host,
+            stage: self.stage,
+            uid: self.uid,
+            start: self.start,
+            duration: self.duration,
+        }
+    }
+
     /// The task's flow signature: its distinct visited points.
     pub fn signature(&self) -> Signature {
         Signature::from_points(self.log_points.iter().map(|&(p, _)| p))
@@ -78,6 +125,14 @@ mod tests {
             duration: SimDuration::from_micros(1500),
             log_points: points.iter().map(|&(p, c)| (LogPointId(p), c)).collect(),
         }
+    }
+
+    #[test]
+    fn head_and_points_rebuild_the_synopsis_at_exact_size() {
+        let s = synopsis(&[(1, 5), (4, 1), (9, 2)]);
+        let rebuilt = s.head().with_points(&s.log_points);
+        assert_eq!(rebuilt, s);
+        assert_eq!(rebuilt.log_points.capacity(), 3);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! instance, so multiple simulated hosts can share one driver thread and
 //! real servers can run many threads per tracker.
 
-use crate::synopsis::TaskSynopsis;
+use crate::intern::INLINE_POINTS;
+use crate::synopsis::{SynopsisHead, TaskSynopsis};
 use crate::{HostId, StageId, TaskUid};
 use parking_lot::Mutex;
 use saad_logging::{Interceptor, Level, LogPointId};
@@ -36,6 +37,16 @@ use std::sync::Arc;
 pub trait SynopsisSink: Send + Sync {
     /// Accept one completed synopsis.
     fn submit(&self, synopsis: TaskSynopsis);
+
+    /// Accept one completed synopsis as its head and a borrowed point
+    /// list (ascending by point id) — what the tracker calls. The default
+    /// builds the owned [`TaskSynopsis`], `log_points` at exact size, and
+    /// passes it to [`SynopsisSink::submit`]; a sink that consumes the
+    /// fields on the spot (encoding, counting) overrides this and is
+    /// handed a task without a heap allocation anywhere on the way.
+    fn submit_parts(&self, head: SynopsisHead, points: &[(LogPointId, u32)]) {
+        self.submit(head.with_points(points));
+    }
 }
 
 /// A sink that buffers synopses in memory (training traces, tests).
@@ -99,70 +110,174 @@ impl SynopsisSink for NullSink {
     fn submit(&self, _synopsis: TaskSynopsis) {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
+
+    // Overridden so that a tracker measured against this sink is charged
+    // for tracking, not for building a synopsis nobody reads.
+    fn submit_parts(&self, _head: SynopsisHead, _points: &[(LogPointId, u32)]) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A task's `log point id -> frequency` map: ascending by point id, the
+/// first [`INLINE_POINTS`] distinct points in place, the whole list moved
+/// to one heap vector only by a task that visits more (the shape
+/// `intern_synopsis` and `decode_batch_into` use for point ids). A task
+/// within the inline size never touches the allocator.
+#[derive(Debug)]
+struct PointCounts {
+    /// Entries in `inline`; unused once `spill` holds the list.
+    len: usize,
+    inline: [(LogPointId, u32); INLINE_POINTS],
+    /// Empty (and unallocated) until the inline array overflows.
+    spill: Vec<(LogPointId, u32)>,
+}
+
+impl PointCounts {
+    fn new() -> PointCounts {
+        PointCounts {
+            len: 0,
+            inline: [(LogPointId(0), 0); INLINE_POINTS],
+            spill: Vec::new(),
+        }
+    }
+
+    /// Empty the map, keeping a spill buffer for a later long task.
+    fn clear(&mut self) {
+        self.len = 0;
+        self.spill.clear();
+    }
+
+    fn as_slice(&self) -> &[(LogPointId, u32)] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+
+    fn visit(&mut self, point: LogPointId) {
+        // Tasks visit few distinct points, so a search of the short sorted
+        // list beats a HashMap here.
+        let spilled = !self.spill.is_empty();
+        let list = if spilled {
+            &mut self.spill[..]
+        } else {
+            &mut self.inline[..self.len]
+        };
+        match list.binary_search_by_key(&point, |&(p, _)| p) {
+            Ok(i) => list[i].1 += 1,
+            Err(i) if !spilled && self.len < INLINE_POINTS => {
+                self.inline.copy_within(i..self.len, i + 1);
+                self.inline[i] = (point, 1);
+                self.len += 1;
+            }
+            Err(i) => {
+                if !spilled {
+                    self.spill.reserve(2 * INLINE_POINTS);
+                    self.spill.extend_from_slice(&self.inline);
+                }
+                self.spill.insert(i, (point, 1));
+            }
+        }
+    }
 }
 
 /// Per-task in-memory record, kept in thread-local storage while the task
 /// runs. Mirrors the paper's map of `log point id -> frequency` plus the
 /// stage id, unique id, and start timestamp.
+///
+/// Always boxed: with its points in place a record is ~200 bytes, and a
+/// task changes hands — thread slot, [`SuspendedTask`], emit — by pointer.
+/// The box outlives the task: a finished task's record waits in the
+/// thread's [`ThreadTasks::idle`] list for the next task begun there.
 #[derive(Debug)]
 struct ActiveTask {
     stage: StageId,
     uid: TaskUid,
     start: SimTime,
     last_visit: SimTime,
-    // Sorted by point id; tasks visit few distinct points, so a small
-    // sorted vec beats a HashMap here.
-    points: Vec<(LogPointId, u32)>,
+    points: PointCounts,
 }
 
-impl ActiveTask {
-    fn visit(&mut self, point: LogPointId, at: SimTime) {
-        self.last_visit = at;
-        match self.points.binary_search_by_key(&point, |&(p, _)| p) {
-            Ok(i) => self.points[i].1 += 1,
-            Err(i) => self.points.insert(i, (point, 1)),
-        }
-    }
-
-    fn into_synopsis(self, host: HostId) -> TaskSynopsis {
-        TaskSynopsis {
-            host,
-            stage: self.stage,
-            uid: self.uid,
-            start: self.start,
-            duration: self.last_visit.saturating_since(self.start),
-            log_points: self.points,
-        }
-    }
+/// What one thread keeps for the trackers it serves.
+struct ThreadTasks {
+    /// Active tasks per tracker instance on this thread, keyed by tracker
+    /// id so multiple simulated hosts can share one driver thread. A tiny
+    /// linear-scanned vec: a thread rarely serves more than a handful of
+    /// trackers, and the scan beats hashing on the per-log-point hot path.
+    active: Vec<(u64, Box<ActiveTask>)>,
+    /// Records of tasks that ended on this thread, at most
+    /// [`IDLE_RECORDS`], reused by whichever task begins here next.
+    // Boxed although in a `Vec`: a record moves between here, `active` and
+    // a `SuspendedTask` as a pointer, never as its ~200 bytes.
+    #[allow(clippy::vec_box)]
+    idle: Vec<Box<ActiveTask>>,
 }
+
+/// Most finished-task records a thread keeps. A thread needs as many as
+/// it has tasks in progress at once (active and suspended); past this
+/// bound a record is freed and the next task allocates one.
+const IDLE_RECORDS: usize = 16;
 
 thread_local! {
-    // Active tasks per tracker instance on this thread, keyed by tracker
-    // id so multiple simulated hosts can share one driver thread. A tiny
-    // linear-scanned vec: a thread rarely serves more than a handful of
-    // trackers, and the scan beats hashing on the per-log-point hot path.
-    static ACTIVE: RefCell<Vec<(u64, ActiveTask)>> = const { RefCell::new(Vec::new()) };
+    static TASKS: RefCell<ThreadTasks> = const {
+        RefCell::new(ThreadTasks {
+            active: Vec::new(),
+            idle: Vec::new(),
+        })
+    };
 }
 
-fn active_insert(
-    slots: &mut Vec<(u64, ActiveTask)>,
-    id: u64,
-    task: ActiveTask,
-) -> Option<ActiveTask> {
-    match slots.iter_mut().find(|(k, _)| *k == id) {
-        Some(slot) => Some(std::mem::replace(&mut slot.1, task)),
-        None => {
-            slots.push((id, task));
-            None
+impl ThreadTasks {
+    /// A record for a task of `stage` beginning at `now`: a reused one
+    /// if any is idle.
+    fn begin(&mut self, stage: StageId, uid: TaskUid, now: SimTime) -> Box<ActiveTask> {
+        match self.idle.pop() {
+            Some(mut task) => {
+                task.stage = stage;
+                task.uid = uid;
+                task.start = now;
+                task.last_visit = now;
+                task.points.clear();
+                task
+            }
+            None => Box::new(ActiveTask {
+                stage,
+                uid,
+                start: now,
+                last_visit: now,
+                points: PointCounts::new(),
+            }),
         }
     }
-}
 
-fn active_remove(slots: &mut Vec<(u64, ActiveTask)>, id: u64) -> Option<ActiveTask> {
-    slots
-        .iter()
-        .position(|(k, _)| *k == id)
-        .map(|i| slots.swap_remove(i).1)
+    /// Make `task` the active task of tracker `id`; returns the one it
+    /// replaces.
+    fn insert(&mut self, id: u64, task: Box<ActiveTask>) -> Option<Box<ActiveTask>> {
+        match self.active.iter_mut().find(|(k, _)| *k == id) {
+            Some(slot) => Some(std::mem::replace(&mut slot.1, task)),
+            None => {
+                self.active.push((id, task));
+                None
+            }
+        }
+    }
+
+    /// Take out the active task of tracker `id` — only if it is `uid`,
+    /// when one is given.
+    fn remove(&mut self, id: u64, uid: Option<TaskUid>) -> Option<Box<ActiveTask>> {
+        self.active
+            .iter()
+            .position(|(k, t)| *k == id && uid.is_none_or(|uid| t.uid == uid))
+            .map(|i| self.active.swap_remove(i).1)
+    }
+
+    /// Keep the record of a task that is over.
+    fn retire(&mut self, task: Box<ActiveTask>) {
+        if self.idle.len() < IDLE_RECORDS {
+            self.idle.push(task);
+        }
+    }
 }
 
 static NEXT_TRACKER_ID: AtomicU64 = AtomicU64::new(0);
@@ -302,16 +417,13 @@ impl TaskExecutionTracker {
     pub fn set_context(&self, stage: StageId) -> TaskUid {
         let now = self.clock.now();
         let uid = TaskUid(self.next_uid.fetch_add(1, Ordering::Relaxed));
-        let task = ActiveTask {
-            stage,
-            uid,
-            start: now,
-            last_visit: now,
-            points: Vec::with_capacity(8),
-        };
-        let previous = ACTIVE.with(|a| active_insert(&mut a.borrow_mut(), self.id, task));
+        let previous = TASKS.with(|t| {
+            let mut tasks = t.borrow_mut();
+            let task = tasks.begin(stage, uid, now);
+            tasks.insert(self.id, task)
+        });
         if let Some(prev) = previous {
-            self.emit(prev);
+            self.finish(prev);
         }
         uid
     }
@@ -319,8 +431,17 @@ impl TaskExecutionTracker {
     /// Explicitly terminate the current task on this thread, emitting its
     /// synopsis. No-op when no task is active.
     pub fn end_task(&self) {
-        if let Some(task) = ACTIVE.with(|a| active_remove(&mut a.borrow_mut(), self.id)) {
-            self.emit(task);
+        if let Some(task) = TASKS.with(|t| t.borrow_mut().remove(self.id, None)) {
+            self.finish(task);
+        }
+    }
+
+    /// [`TaskExecutionTracker::end_task`] if the task active on this
+    /// thread is `uid`, in one scan of the thread's slots; otherwise
+    /// nothing.
+    fn end_task_if(&self, uid: TaskUid) {
+        if let Some(task) = TASKS.with(|t| t.borrow_mut().remove(self.id, Some(uid))) {
+            self.finish(task);
         }
     }
 
@@ -328,7 +449,12 @@ impl TaskExecutionTracker {
     /// stage decides an execution should not be observed, e.g. an idle
     /// poll loop iteration).
     pub fn abandon_task(&self) {
-        ACTIVE.with(|a| active_remove(&mut a.borrow_mut(), self.id));
+        TASKS.with(|t| {
+            let mut tasks = t.borrow_mut();
+            if let Some(task) = tasks.remove(self.id, None) {
+                tasks.retire(task);
+            }
+        });
     }
 
     /// RAII stage delimiter for dispatcher-worker stages: the returned
@@ -342,8 +468,9 @@ impl TaskExecutionTracker {
 
     /// Uid of the task currently active on this thread, if any.
     pub fn current_task(&self) -> Option<TaskUid> {
-        ACTIVE.with(|a| {
-            a.borrow()
+        TASKS.with(|t| {
+            t.borrow()
+                .active
                 .iter()
                 .find(|(k, _)| *k == self.id)
                 .map(|(_, t)| t.uid)
@@ -358,8 +485,8 @@ impl TaskExecutionTracker {
     /// [`TaskExecutionTracker::resume_task`] to keep accumulating visits.
     /// Returns `None` when no task is active.
     pub fn suspend_task(&self) -> Option<SuspendedTask> {
-        ACTIVE
-            .with(|a| active_remove(&mut a.borrow_mut(), self.id))
+        TASKS
+            .with(|t| t.borrow_mut().remove(self.id, None))
             .map(|task| SuspendedTask {
                 tracker_id: self.id,
                 task,
@@ -380,9 +507,9 @@ impl TaskExecutionTracker {
             suspended.tracker_id, self.id,
             "task resumed on a different tracker than it was suspended from"
         );
-        let previous = ACTIVE.with(|a| active_insert(&mut a.borrow_mut(), self.id, suspended.task));
+        let previous = TASKS.with(|t| t.borrow_mut().insert(self.id, suspended.task));
         if let Some(prev) = previous {
-            self.emit(prev);
+            self.finish(prev);
         }
     }
 
@@ -397,26 +524,39 @@ impl TaskExecutionTracker {
         self.untracked_visits.load(Ordering::Relaxed)
     }
 
-    fn emit(&self, task: ActiveTask) {
+    /// Emit the synopsis of a task that is over and keep its record. The
+    /// sink runs with the thread's task table released, so it may log.
+    fn finish(&self, task: Box<ActiveTask>) {
+        self.emit(&task);
+        TASKS.with(|t| t.borrow_mut().retire(task));
+    }
+
+    fn emit(&self, task: &ActiveTask) {
         self.completed.fetch_add(1, Ordering::Relaxed);
-        let synopsis = task.into_synopsis(self.host);
+        let head = SynopsisHead {
+            host: self.host,
+            stage: task.stage,
+            uid: task.uid,
+            start: task.start,
+            duration: task.last_visit.saturating_since(task.start),
+        };
         if let Some(metrics) = &self.metrics {
             metrics.emitted.inc();
-            metrics
-                .task_duration_us
-                .record(synopsis.duration.as_micros());
+            metrics.task_duration_us.record(head.duration.as_micros());
         }
-        self.sink.submit(synopsis);
+        self.sink.submit_parts(head, task.points.as_slice());
     }
 }
 
 impl Interceptor for TaskExecutionTracker {
     fn on_log_point(&self, point: LogPointId, _level: Level) {
-        let now = self.clock.now();
-        let tracked = ACTIVE.with(|a| {
-            let mut slots = a.borrow_mut();
-            if let Some((_, task)) = slots.iter_mut().find(|(k, _)| *k == self.id) {
-                task.visit(point, now);
+        let tracked = TASKS.with(|t| {
+            let mut tasks = t.borrow_mut();
+            if let Some((_, task)) = tasks.active.iter_mut().find(|(k, _)| *k == self.id) {
+                // The clock is read only for a visit that has a task to
+                // stamp; an untracked one costs the scan and a counter.
+                task.last_visit = self.clock.now();
+                task.points.visit(point);
                 true
             } else {
                 false
@@ -436,7 +576,7 @@ impl Interceptor for TaskExecutionTracker {
 #[derive(Debug)]
 pub struct SuspendedTask {
     tracker_id: u64,
-    task: ActiveTask,
+    task: Box<ActiveTask>,
 }
 
 impl SuspendedTask {
@@ -466,9 +606,7 @@ impl TaskGuard<'_> {
 
 impl Drop for TaskGuard<'_> {
     fn drop(&mut self) {
-        if self.tracker.current_task() == Some(self.uid) {
-            self.tracker.end_task();
-        }
+        self.tracker.end_task_if(self.uid);
     }
 }
 
@@ -753,6 +891,85 @@ mod tests {
     }
 
     #[test]
+    fn points_past_the_inline_size_spill_and_stay_sorted() {
+        let f = fixture();
+        // 40 distinct points in a scattered order, every third visited
+        // twice: crosses the inline bound mid-task, inserts on both sides
+        // of it, and bumps counts before and after the move to the heap.
+        let order: Vec<u16> = (0..40u16).map(|i| (i * 17) % 40).collect();
+        f.tracker.set_context(StageId(2));
+        for &p in &order {
+            f.tracker.on_log_point(LogPointId(p), Level::Info);
+            if p % 3 == 0 {
+                f.tracker.on_log_point(LogPointId(p), Level::Info);
+            }
+        }
+        f.tracker.end_task();
+        // Exactly at the inline bound: no spill, same answer.
+        f.tracker.set_context(StageId(2));
+        for p in (0..INLINE_POINTS as u16).rev() {
+            f.tracker.on_log_point(LogPointId(p), Level::Info);
+        }
+        f.tracker.end_task();
+
+        let s = f.sink.drain();
+        let want: Vec<(LogPointId, u32)> = (0..40u16)
+            .map(|p| (LogPointId(p), if p % 3 == 0 { 2 } else { 1 }))
+            .collect();
+        assert_eq!(s[0].log_points, want);
+        assert_eq!(s[0].log_points.capacity(), 40, "exact-size heap form");
+        let want: Vec<(LogPointId, u32)> = (0..INLINE_POINTS as u16)
+            .map(|p| (LogPointId(p), 1))
+            .collect();
+        assert_eq!(s[1].log_points, want);
+    }
+
+    /// A clock that counts how often it is read.
+    #[derive(Debug, Default)]
+    struct CountingClock(AtomicU64);
+
+    impl Clock for CountingClock {
+        fn now(&self) -> SimTime {
+            SimTime::from_micros(self.0.fetch_add(1, Ordering::Relaxed))
+        }
+    }
+
+    #[test]
+    fn untracked_visit_does_not_read_the_clock() {
+        let clock = Arc::new(CountingClock::default());
+        let tracker = TaskExecutionTracker::new(
+            HostId(1),
+            clock.clone() as Arc<dyn Clock>,
+            Arc::new(NullSink::new()),
+        );
+        tracker.on_log_point(LogPointId(1), Level::Info);
+        assert_eq!(tracker.untracked_visits(), 1);
+        assert_eq!(clock.0.load(Ordering::Relaxed), 0);
+        tracker.set_context(StageId(0));
+        tracker.on_log_point(LogPointId(1), Level::Info);
+        tracker.end_task();
+        assert_eq!(clock.0.load(Ordering::Relaxed), 2, "task start + one visit");
+    }
+
+    #[test]
+    fn stale_guard_leaves_another_trackers_task_alone() {
+        // The guard's single scan matches tracker *and* uid: uids restart
+        // at 0 per tracker, so a second tracker on the thread holds a task
+        // with the same uid as the stale guard's.
+        let f1 = fixture();
+        let f2 = fixture();
+        let guard = f1.tracker.task_guard(StageId(1));
+        assert_eq!(f2.tracker.set_context(StageId(1)), guard.uid());
+        f1.tracker.set_context(StageId(2)); // supersedes the guarded task
+        drop(guard);
+        assert_eq!(f1.sink.len(), 1, "only the superseded task was emitted");
+        assert!(f2.sink.is_empty());
+        assert!(f2.tracker.current_task().is_some());
+        f1.tracker.end_task();
+        f2.tracker.end_task();
+    }
+
+    #[test]
     fn null_sink_counts() {
         let sink = NullSink::new();
         sink.submit(TaskSynopsis {
@@ -764,5 +981,14 @@ mod tests {
             log_points: vec![],
         });
         assert_eq!(sink.count(), 1);
+        let head = SynopsisHead {
+            host: HostId(0),
+            stage: StageId(0),
+            uid: TaskUid(1),
+            start: SimTime::ZERO,
+            duration: SimDuration::ZERO,
+        };
+        sink.submit_parts(head, &[(LogPointId(3), 1)]);
+        assert_eq!(sink.count(), 2);
     }
 }

@@ -41,9 +41,10 @@
 //! upper bound and the final [`LinkStats`] as ground truth.
 
 use crate::codec::{self, DecodeError};
-use crate::synopsis::TaskSynopsis;
+use crate::synopsis::{SynopsisHead, TaskSynopsis};
 use crate::HostId;
 use bytes::{BufMut, Bytes, BytesMut};
+use saad_logging::LogPointId;
 use saad_sim::SimTime;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -248,11 +249,7 @@ impl FrameSender {
     /// and the caller frames `batch[n..]` next. The sequence number
     /// advances by one and the cumulative count by the returned number.
     pub fn encode_frame_into(&mut self, buf: &mut BytesMut, batch: &[TaskSynopsis]) -> usize {
-        let frame = buf.len();
-        buf.put_u16(self.host.0);
-        buf.put_u64(self.next_seq);
-        buf.put_u64(self.synopses_sent);
-        buf.put_u64(0); // payload length and CRC, patched below
+        let frame = self.begin_frame(buf);
         let payload = frame + FRAME_HEADER_LEN;
         let mut framed = 0;
         for s in batch {
@@ -265,13 +262,104 @@ impl FrameSender {
             }
             framed += 1;
         }
+        self.finish_frame(buf, frame, framed as u64);
+        framed
+    }
+
+    /// Append the wire frame of an already encoded `payload` to `buf`:
+    /// header, the payload bytes copied behind it, length and CRC patched
+    /// in. Byte for byte the frame [`FrameSender::encode_frame_into`]
+    /// makes of the same synopses; the sequence number advances by one
+    /// and the cumulative count by `payload.synopses()`.
+    pub fn frame_payload_into(&mut self, buf: &mut BytesMut, payload: &FramePayload) {
+        let frame = self.begin_frame(buf);
+        buf.extend_from_slice(&payload.bytes);
+        self.finish_frame(buf, frame, payload.synopses);
+    }
+
+    /// Append this frame's header to `buf`, payload length and CRC left
+    /// zero for [`FrameSender::finish_frame`]. Returns the frame's offset.
+    fn begin_frame(&self, buf: &mut BytesMut) -> usize {
+        let frame = buf.len();
+        buf.put_u16(self.host.0);
+        buf.put_u64(self.next_seq);
+        buf.put_u64(self.synopses_sent);
+        buf.put_u64(0);
+        frame
+    }
+
+    /// Close the frame begun at `frame`, whose payload of `synopses`
+    /// synopses runs to the end of `buf`: patch the length and CRC into
+    /// the header and advance the sequence number and cumulative count.
+    fn finish_frame(&mut self, buf: &mut BytesMut, frame: usize, synopses: u64) {
+        let payload = frame + FRAME_HEADER_LEN;
         let len = u32::try_from(buf.len() - payload).expect("payload bounded by MAX_FRAME_PAYLOAD");
         buf[frame + 18..frame + 22].copy_from_slice(&len.to_be_bytes());
         let crc = crc32(&[&buf[frame..frame + 22], &buf[payload..]]);
         buf[frame + 22..payload].copy_from_slice(&crc.to_be_bytes());
         self.next_seq += 1;
-        self.synopses_sent += framed as u64;
-        framed
+        self.synopses_sent += synopses;
+    }
+}
+
+/// One frame's payload assembled ahead of its header: synopses encoded
+/// back to back, and how many. A producer fills one where the synopses
+/// are made and hands it over whole; the owner of the [`FrameSender`]
+/// turns it into a frame with [`FrameSender::frame_payload_into`], a
+/// copy of bytes, without seeing a [`TaskSynopsis`].
+///
+/// The fields are private because the frame format rests on them: the
+/// count is the number of synopses in the bytes, and the bytes stay
+/// within [`MAX_FRAME_PAYLOAD`] (a single synopsis always does).
+#[derive(Debug, Default)]
+pub struct FramePayload {
+    bytes: BytesMut,
+    synopses: u64,
+}
+
+impl FramePayload {
+    /// An empty payload; its buffer grows on first use.
+    pub fn new() -> FramePayload {
+        FramePayload::default()
+    }
+
+    /// The encoded synopses, as [`codec::encode_batch`] would lay them.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Synopses encoded in [`FramePayload::bytes`].
+    pub fn synopses(&self) -> u64 {
+        self.synopses
+    }
+
+    /// Whether no synopsis has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.synopses == 0
+    }
+
+    /// Forget the contents, keeping the buffer for the next frame.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.synopses = 0;
+    }
+
+    /// Append the synopsis made of `head` and `points`. Returns `false`,
+    /// leaving the payload as it was, when that would take a payload
+    /// already holding a synopsis past [`MAX_FRAME_PAYLOAD`] — the rule
+    /// [`FrameSender::encode_frame_into`] cuts a batch by: the caller
+    /// hands this payload over and pushes the synopsis onto the next,
+    /// which, being empty, takes it.
+    #[must_use = "a refused synopsis belongs in the next payload"]
+    pub fn push_parts(&mut self, head: &SynopsisHead, points: &[(LogPointId, u32)]) -> bool {
+        let before = self.bytes.len();
+        codec::encode_parts_into(&mut self.bytes, head, points);
+        if self.bytes.len() > MAX_FRAME_PAYLOAD && self.synopses > 0 {
+            self.bytes.truncate(before);
+            return false;
+        }
+        self.synopses += 1;
+        true
     }
 }
 
@@ -787,6 +875,62 @@ mod tests {
         assert_eq!(stats.expected_synopses, 9);
         assert_eq!(stats.lost_synopses, 0);
         assert_eq!(rx.corrupted_frames(), 0);
+    }
+
+    #[test]
+    fn payload_frames_are_the_frames_of_the_same_batches() {
+        // Same sender state, same synopses: framing a payload and encoding
+        // the batch in place give the same bytes, an empty one included.
+        let mut in_place = FrameSender::new(HostId(3));
+        let mut via_payload = FrameSender::new(HostId(3));
+        let mut payload = FramePayload::new();
+        let (mut a, mut b) = (BytesMut::new(), BytesMut::new());
+        for uids in [0..4u64, 4..4, 4..52, 52..53] {
+            let batch = batch(3, uids);
+            payload.clear();
+            for s in &batch {
+                assert!(payload.push_parts(&s.head(), &s.log_points));
+            }
+            assert_eq!(payload.synopses(), batch.len() as u64);
+            assert_eq!(payload.is_empty(), batch.is_empty());
+            assert_eq!(payload.bytes(), &codec::encode_batch(&batch)[..]);
+            in_place.encode_frame_into(&mut a, &batch);
+            via_payload.frame_payload_into(&mut b, &payload);
+        }
+        assert_eq!(a, b);
+        assert_eq!(via_payload.frames_sent(), 4);
+        assert_eq!(via_payload.synopses_sent(), 53);
+    }
+
+    #[test]
+    fn payload_refuses_the_synopsis_that_would_cross_the_bound() {
+        // ~60 KB a synopsis; the cut falls where encode_frame_into puts it.
+        let heavy: Vec<TaskSynopsis> = (0..MAX_FRAME_PAYLOAD as u64 / 60_000 + 2)
+            .map(|uid| TaskSynopsis {
+                log_points: (0..10_000u16)
+                    .map(|p| (LogPointId(p), u32::MAX - p as u32))
+                    .collect(),
+                ..synopsis(2, uid)
+            })
+            .collect();
+        let mut wire = BytesMut::new();
+        let framed = FrameSender::new(HostId(2)).encode_frame_into(&mut wire, &heavy);
+        assert!(0 < framed && framed < heavy.len());
+
+        let push = |payload: &mut FramePayload, s: &TaskSynopsis| {
+            payload.push_parts(&s.head(), &s.log_points)
+        };
+        let mut payload = FramePayload::new();
+        let taken = heavy.iter().take_while(|s| push(&mut payload, s)).count();
+        assert_eq!(taken, framed);
+        assert_eq!(payload.synopses(), framed as u64);
+        assert!(payload.bytes().len() <= MAX_FRAME_PAYLOAD);
+        assert_eq!(payload.bytes(), &wire[FRAME_HEADER_LEN..]);
+        // Refused means untouched; and an empty payload takes anything.
+        assert!(!push(&mut payload, &heavy[framed]));
+        assert_eq!(payload.bytes(), &wire[FRAME_HEADER_LEN..]);
+        payload.clear();
+        assert!(push(&mut payload, &heavy[framed]));
     }
 
     #[test]

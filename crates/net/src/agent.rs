@@ -2,14 +2,18 @@
 //! framed TCP connection to the collector.
 //!
 //! Producers hand synopsis batches to [`Agent::send`] (or stream single
-//! synopses through an [`AgentSink`]); a worker thread owns the socket
-//! and a persistent [`FrameSender`], so frame sequence numbers and
-//! cumulative counts survive reconnects. The queue honors the same
-//! [`OverloadPolicy`] semantics as the in-process
+//! synopses through an [`AgentSink`]); either way the synopses are
+//! encoded on the producer's thread, and what crosses the queue is a
+//! [`FramePayload`] — one frame's encoded bytes and its synopsis count.
+//! A worker thread owns the socket and a persistent [`FrameSender`], so
+//! frame sequence numbers and cumulative counts survive reconnects. The
+//! queue honors the same [`OverloadPolicy`] semantics as the in-process
 //! `ChannelSink` — `DropNewest`, `DropOldest`, and `Block` — with every
 //! refused synopsis counted, never silently discarded. Each time the
-//! worker wakes it frames every batch already queued into one reused
-//! buffer and hands the lot to the socket in a single write.
+//! worker wakes it frames every payload already queued into one reused
+//! buffer — header, the bytes, length and CRC — hands the lot to the
+//! socket in a single write, and passes the emptied payload buffers back
+//! to the producers, so a streaming agent allocates nothing.
 //!
 //! When the connection dies the worker reconnects with jittered
 //! exponential backoff and replays the handshake, declaring its resume
@@ -33,10 +37,10 @@ use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saad_core::pipeline::{DropCounts, OverloadPolicy};
-use saad_core::synopsis::TaskSynopsis;
+use saad_core::synopsis::{SynopsisHead, TaskSynopsis};
 use saad_core::tracker::SynopsisSink;
-use saad_core::transport::FrameSender;
-use saad_core::HostId;
+use saad_core::transport::{FramePayload, FrameSender};
+use saad_core::{HostId, LogPointId};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -84,9 +88,10 @@ impl BackoffConfig {
 /// Tuning for an [`Agent`].
 #[derive(Debug, Clone)]
 pub struct AgentConfig {
-    /// Most batches the send queue holds before `policy` applies.
+    /// Most frame payloads (batches) the send queue holds before `policy`
+    /// applies.
     pub capacity: usize,
-    /// What to do when the queue is full. Policies act on whole batches;
+    /// What to do when the queue is full. Policies act on whole payloads;
     /// drop counters record the affected synopses individually.
     pub policy: OverloadPolicy,
     /// Reconnect backoff.
@@ -211,12 +216,45 @@ impl StatsInner {
     }
 }
 
+/// Emptied payload buffers on their way back from the worker to the
+/// producers. The list bounds itself: a buffer is made only when none is
+/// waiting here, so there are never more than were once in use together
+/// (the queue's capacity, one per sink, one per thread inside `enqueue`,
+/// one at the worker), and a buffer that carried more than
+/// [`SPARE_MAX_BYTES`] is freed rather than kept. Once the queue has been
+/// full once, a streaming agent allocates nothing.
+#[derive(Debug, Default)]
+struct SparePayloads {
+    free: parking_lot::Mutex<Vec<FramePayload>>,
+}
+
+/// Largest payload whose buffer is kept for reuse — some 75 typical
+/// 48-synopsis frames' worth; an outsize payload's buffer (they run to
+/// 16 MiB) is not held on to.
+const SPARE_MAX_BYTES: usize = 64 * 1024;
+
+impl SparePayloads {
+    /// An empty payload: a recycled buffer if one is waiting.
+    fn take(&self) -> FramePayload {
+        self.free.lock().pop().unwrap_or_default()
+    }
+
+    /// Return `payload`'s buffer for reuse.
+    fn give(&self, mut payload: FramePayload) {
+        if payload.bytes().len() <= SPARE_MAX_BYTES {
+            payload.clear();
+            self.free.lock().push(payload);
+        }
+    }
+}
+
 /// Queue front shared by [`Agent`] and every [`AgentSink`] clone.
 #[derive(Clone)]
 struct QueueFront {
-    tx: Sender<Vec<TaskSynopsis>>,
+    tx: Sender<FramePayload>,
     /// Receiver clone used to evict under [`OverloadPolicy::DropOldest`].
-    evict: Option<Receiver<Vec<TaskSynopsis>>>,
+    evict: Option<Receiver<FramePayload>>,
+    spare: Arc<SparePayloads>,
     policy: OverloadPolicy,
     stats: Arc<StatsInner>,
 }
@@ -227,62 +265,100 @@ struct QueueFront {
 const DROP_OLDEST_RETRIES: usize = 64;
 
 impl QueueFront {
-    fn enqueue(&self, batch: Vec<TaskSynopsis>) {
-        if batch.is_empty() {
-            return;
+    /// The queue's two ends for an agent configured with `capacity` and
+    /// `policy`, counting into `stats`.
+    fn new(
+        capacity: usize,
+        policy: OverloadPolicy,
+        stats: Arc<StatsInner>,
+    ) -> (QueueFront, Receiver<FramePayload>) {
+        assert!(capacity > 0, "agent queue capacity must be positive");
+        let (tx, rx) = bounded(capacity);
+        let front = QueueFront {
+            tx,
+            evict: matches!(policy, OverloadPolicy::DropOldest).then(|| rx.clone()),
+            spare: Arc::default(),
+            policy,
+            stats,
+        };
+        (front, rx)
+    }
+
+    /// Encode `batch` and queue it: as one payload, or as several cut on
+    /// synopsis boundaries when it encodes past the frame payload bound.
+    fn send(&self, batch: &[TaskSynopsis]) {
+        let mut payload = self.spare.take();
+        for s in batch {
+            if let Some(cut) = self.push(&mut payload, &s.head(), &s.log_points) {
+                self.enqueue(cut);
+            }
         }
+        self.enqueue(payload);
+    }
+
+    /// Append one synopsis to `payload`. When the payload refuses it —
+    /// it would cross the frame payload bound — a spare takes its place
+    /// and the synopsis, and the payload cut short is returned for the
+    /// queue.
+    fn push(
+        &self,
+        payload: &mut FramePayload,
+        head: &SynopsisHead,
+        points: &[(LogPointId, u32)],
+    ) -> Option<FramePayload> {
+        if payload.push_parts(head, points) {
+            return None;
+        }
+        let cut = std::mem::replace(payload, self.spare.take());
+        let pushed = payload.push_parts(head, points);
+        debug_assert!(pushed, "an empty payload takes any synopsis");
+        Some(cut)
+    }
+
+    /// Queue one payload under the overload policy. A payload the queue
+    /// refuses is counted by its synopses, and its buffer, like that of
+    /// an empty payload, goes back to the spares.
+    fn enqueue(&self, payload: FramePayload) {
+        if payload.is_empty() {
+            return self.spare.give(payload);
+        }
+        let refuse = |counter: &AtomicU64, payload: FramePayload| {
+            counter.fetch_add(payload.synopses(), Ordering::Relaxed);
+            self.spare.give(payload);
+        };
         let stats = &self.stats;
         match self.policy {
-            OverloadPolicy::DropNewest => match self.tx.try_send(batch) {
+            OverloadPolicy::DropNewest => match self.tx.try_send(payload) {
                 Ok(()) => {}
-                Err(TrySendError::Full(b)) => {
-                    stats
-                        .dropped_newest
-                        .fetch_add(b.len() as u64, Ordering::Relaxed);
-                }
-                Err(TrySendError::Disconnected(b)) => {
-                    stats
-                        .dropped_disconnected
-                        .fetch_add(b.len() as u64, Ordering::Relaxed);
-                }
+                Err(TrySendError::Full(p)) => refuse(&stats.dropped_newest, p),
+                Err(TrySendError::Disconnected(p)) => refuse(&stats.dropped_disconnected, p),
             },
             OverloadPolicy::DropOldest => {
                 let evict = self.evict.as_ref().expect("DropOldest has receiver");
-                let mut batch = batch;
+                let mut payload = payload;
                 for _ in 0..DROP_OLDEST_RETRIES {
-                    match self.tx.try_send(batch) {
+                    match self.tx.try_send(payload) {
                         Ok(()) => return,
-                        Err(TrySendError::Full(b)) => {
-                            batch = b;
+                        Err(TrySendError::Full(p)) => {
+                            payload = p;
                             if let Ok(old) = evict.try_recv() {
-                                stats
-                                    .dropped_oldest
-                                    .fetch_add(old.len() as u64, Ordering::Relaxed);
+                                refuse(&stats.dropped_oldest, old);
                             }
                         }
-                        Err(TrySendError::Disconnected(b)) => {
-                            stats
-                                .dropped_disconnected
-                                .fetch_add(b.len() as u64, Ordering::Relaxed);
-                            return;
+                        Err(TrySendError::Disconnected(p)) => {
+                            return refuse(&stats.dropped_disconnected, p);
                         }
                     }
                 }
-                stats
-                    .dropped_newest
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                refuse(&stats.dropped_newest, payload);
             }
-            OverloadPolicy::Block { timeout } => match self.tx.send_timeout(batch, timeout) {
+            OverloadPolicy::Block { timeout } => match self.tx.send_timeout(payload, timeout) {
                 Ok(()) => {}
-                Err(crossbeam_channel::SendTimeoutError::Timeout(b)) => {
-                    stats
-                        .dropped_timed_out
-                        .fetch_add(b.len() as u64, Ordering::Relaxed);
+                Err(crossbeam_channel::SendTimeoutError::Timeout(p)) => {
+                    refuse(&stats.dropped_timed_out, p);
                 }
-                Err(crossbeam_channel::SendTimeoutError::Disconnected(b)) => {
-                    stats
-                        .dropped_disconnected
-                        .fetch_add(b.len() as u64, Ordering::Relaxed);
+                Err(crossbeam_channel::SendTimeoutError::Disconnected(p)) => {
+                    refuse(&stats.dropped_disconnected, p);
                 }
             },
         }
@@ -316,21 +392,14 @@ impl Agent {
         host: HostId,
         config: AgentConfig,
     ) -> Agent {
-        assert!(config.capacity > 0, "agent queue capacity must be positive");
-        let (tx, rx) = bounded(config.capacity);
-        let evict = matches!(config.policy, OverloadPolicy::DropOldest).then(|| rx.clone());
         let stats = Arc::new(StatsInner::new());
         let closing = Arc::new(AtomicBool::new(false));
-        let front = QueueFront {
-            tx,
-            evict,
-            policy: config.policy,
-            stats: stats.clone(),
-        };
+        let (front, rx) = QueueFront::new(config.capacity, config.policy, stats.clone());
+        let spare = front.spare.clone();
         let worker_closing = closing.clone();
         let worker = std::thread::Builder::new()
             .name(format!("saad-net-agent-{}", host.0))
-            .spawn(move || worker_loop(resolver, host, config, rx, stats, worker_closing))
+            .spawn(move || worker_loop(resolver, host, config, rx, spare, stats, worker_closing))
             .expect("spawn agent worker");
         Agent {
             front,
@@ -339,21 +408,23 @@ impl Agent {
         }
     }
 
-    /// Queue one batch for transmission, applying the configured overload
-    /// policy if the queue is full. Empty batches are ignored.
+    /// Queue one batch for transmission — encoded here, on the caller's
+    /// thread — applying the configured overload policy if the queue is
+    /// full. Empty batches are ignored.
     pub fn send(&self, batch: Vec<TaskSynopsis>) {
-        self.front.enqueue(batch);
+        self.front.send(&batch);
     }
 
-    /// A [`SynopsisSink`] front that buffers single synopses into batches
-    /// of `batch_size` before queueing them. Call [`AgentSink::flush`]
-    /// (or drop the sink) to push out a partial batch.
+    /// A [`SynopsisSink`] front that encodes single synopses into frame
+    /// payloads of `batch_size` before queueing them. Call
+    /// [`AgentSink::flush`] (or drop the sink) to push out a partial
+    /// payload.
     pub fn sink(&self, batch_size: usize) -> AgentSink {
         assert!(batch_size > 0, "batch size must be positive");
         AgentSink {
             front: self.front.clone(),
-            buf: parking_lot::Mutex::new(Vec::with_capacity(batch_size)),
-            batch_size,
+            buf: parking_lot::Mutex::new(FramePayload::new()),
+            batch_size: batch_size as u64,
         }
     }
 
@@ -474,29 +545,49 @@ impl Drop for Agent {
 }
 
 /// Batching [`SynopsisSink`] front for an [`Agent`] (see [`Agent::sink`]).
+///
+/// Every synopsis is encoded as it arrives, under the sink's lock, into
+/// the payload of the frame it will travel in. The one shared payload —
+/// rather than one per producer thread — is what lets [`AgentSink::flush`]
+/// and `Drop` push out everything submitted so far from any thread.
 pub struct AgentSink {
     front: QueueFront,
-    buf: parking_lot::Mutex<Vec<TaskSynopsis>>,
-    batch_size: usize,
+    buf: parking_lot::Mutex<FramePayload>,
+    batch_size: u64,
 }
 
 impl AgentSink {
-    /// Queue any buffered partial batch now.
+    /// Queue any buffered partial payload now.
     pub fn flush(&self) {
-        let batch = std::mem::take(&mut *self.buf.lock());
-        self.front.enqueue(batch);
+        let partial = {
+            let mut buf = self.buf.lock();
+            if buf.is_empty() {
+                return;
+            }
+            std::mem::replace(&mut *buf, self.front.spare.take())
+        };
+        self.front.enqueue(partial);
     }
 }
 
 impl SynopsisSink for AgentSink {
     fn submit(&self, synopsis: TaskSynopsis) {
-        let full = {
+        self.submit_parts(synopsis.head(), &synopsis.log_points);
+    }
+
+    fn submit_parts(&self, head: SynopsisHead, points: &[(LogPointId, u32)]) {
+        // Hand-overs happen outside the lock: `enqueue` may block.
+        let (cut, full) = {
             let mut buf = self.buf.lock();
-            buf.push(synopsis);
-            (buf.len() >= self.batch_size).then(|| std::mem::take(&mut *buf))
+            // A cut payload goes out short of `batch_size`, ending on the
+            // last synopsis inside the frame payload bound.
+            let cut = self.front.push(&mut buf, &head, points);
+            let full = (buf.synopses() >= self.batch_size)
+                .then(|| std::mem::replace(&mut *buf, self.front.spare.take()));
+            (cut, full)
         };
-        if let Some(batch) = full {
-            self.front.enqueue(batch);
+        for payload in [cut, full].into_iter().flatten() {
+            self.front.enqueue(payload);
         }
     }
 }
@@ -618,25 +709,17 @@ impl Outbox {
         )
     }
 
-    /// Append `batch` as one length-prefixed frame — or as several, split
-    /// on synopsis boundaries, when it encodes past the frame payload
-    /// bound. The frame gets its sequence number and cumulative count
-    /// here, once; nothing that happens to a write renumbers it.
-    fn frame(&mut self, batch: &[TaskSynopsis]) {
-        let mut rest = batch;
-        loop {
-            let prefix = self.wire.len();
-            self.wire.put_u32(0);
-            let framed = self.sender.encode_frame_into(&mut self.wire, rest);
-            let len = u32::try_from(self.wire.len() - prefix - 4)
-                .expect("a frame is bounded by MAX_MESSAGE_LEN");
-            self.wire[prefix..prefix + 4].copy_from_slice(&len.to_be_bytes());
-            self.frames.push((self.wire.len(), framed as u64));
-            rest = &rest[framed..];
-            if rest.is_empty() {
-                return;
-            }
-        }
+    /// Append `payload` as one length-prefixed frame. The frame gets its
+    /// sequence number and cumulative count here, once; nothing that
+    /// happens to a write renumbers it.
+    fn frame(&mut self, payload: &FramePayload) {
+        let prefix = self.wire.len();
+        self.wire.put_u32(0);
+        self.sender.frame_payload_into(&mut self.wire, payload);
+        let len = u32::try_from(self.wire.len() - prefix - 4)
+            .expect("a frame is bounded by MAX_MESSAGE_LEN");
+        self.wire[prefix..prefix + 4].copy_from_slice(&len.to_be_bytes());
+        self.frames.push((self.wire.len(), payload.synopses()));
     }
 
     /// Write the pending messages to `w` in one pass. A frame counts as
@@ -702,10 +785,18 @@ fn worker_loop(
     resolver: Arc<dyn LeafResolver>,
     host: HostId,
     config: AgentConfig,
-    rx: Receiver<Vec<TaskSynopsis>>,
+    rx: Receiver<FramePayload>,
+    spare: Arc<SparePayloads>,
     stats: Arc<StatsInner>,
     closing: Arc<AtomicBool>,
 ) {
+    // A queued payload becomes a frame exactly once — the sequence number
+    // is spent whether or not the write succeeds, so a failed write is a
+    // visible gap, not a silent renumbering — and its buffer goes back.
+    let frame = |outbox: &mut Outbox, payload: FramePayload| {
+        outbox.frame(&payload);
+        spare.give(payload);
+    };
     let mut rng = StdRng::seed_from_u64(config.backoff.seed);
     let mut outbox = Outbox::new(host);
     let mut written_cum = 0u64;
@@ -720,12 +811,9 @@ fn worker_loop(
             // Poll with a timeout so close() works even while sink clones
             // keep the channel's sender side alive.
             match rx.recv_timeout(Duration::from_millis(50)) {
-                // Frame exactly once — the sequence number is spent
-                // whether or not the write succeeds, so a failed write
-                // becomes a visible gap instead of a silent renumbering.
-                Ok(batch) => outbox.frame(&batch),
+                Ok(payload) => frame(&mut outbox, payload),
                 Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                    // recv_timeout drains queued batches before timing out,
+                    // recv_timeout drains queued payloads before timing out,
                     // so a timeout while closing means the queue is empty.
                     if closing.load(Ordering::SeqCst) {
                         break 'batches;
@@ -805,11 +893,11 @@ fn worker_loop(
                 }
             }
         }
-        // Batches already queued ride in the same write; the worker never
+        // Payloads already queued ride in the same write; the worker never
         // waits for more.
         while outbox.wire().len() < COALESCE_BYTES {
             match rx.try_recv() {
-                Ok(queued) => outbox.frame(&queued),
+                Ok(queued) => frame(&mut outbox, queued),
                 Err(_) => break,
             }
         }
@@ -841,10 +929,10 @@ fn worker_loop(
 
 /// Account `pending` synopses and everything still queued as
 /// disconnected drops.
-fn drop_remaining(pending: u64, rx: &Receiver<Vec<TaskSynopsis>>, stats: &StatsInner) {
+fn drop_remaining(pending: u64, rx: &Receiver<FramePayload>, stats: &StatsInner) {
     let mut dropped = pending;
-    while let Ok(batch) = rx.try_recv() {
-        dropped += batch.len() as u64;
+    while let Ok(payload) = rx.try_recv() {
+        dropped += payload.synopses();
     }
     stats
         .dropped_disconnected
@@ -859,7 +947,6 @@ mod tests {
         parse_frame, FrameOutcome, FrameReceiver, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
     };
     use saad_core::{StageId, TaskUid};
-    use saad_logging::LogPointId;
     use saad_sim::{SimDuration, SimTime};
 
     fn task(host: u16, uid: u64, points: usize) -> TaskSynopsis {
@@ -877,6 +964,34 @@ mod tests {
 
     fn batch(host: u16, uids: std::ops::Range<u64>) -> Vec<TaskSynopsis> {
         uids.map(|u| task(host, u, (u % 5) as usize)).collect()
+    }
+
+    /// `batch` as the one payload a producer makes of it.
+    fn payload(batch: &[TaskSynopsis]) -> FramePayload {
+        let mut payload = FramePayload::new();
+        for s in batch {
+            assert!(payload.push_parts(&s.head(), &s.log_points));
+        }
+        payload
+    }
+
+    /// A queue with no worker behind it: the front, the counters it
+    /// counts into, and the end the worker would read.
+    fn queue(
+        capacity: usize,
+        policy: OverloadPolicy,
+    ) -> (QueueFront, Arc<StatsInner>, Receiver<FramePayload>) {
+        let stats = Arc::new(StatsInner::new());
+        let (front, rx) = QueueFront::new(capacity, policy, stats.clone());
+        (front, stats, rx)
+    }
+
+    fn sink(front: &QueueFront, batch_size: u64) -> AgentSink {
+        AgentSink {
+            front: front.clone(),
+            buf: parking_lot::Mutex::new(FramePayload::new()),
+            batch_size,
+        }
     }
 
     /// Split `[u32 length][frame]…` wire bytes into the frames.
@@ -919,7 +1034,7 @@ mod tests {
         let batches = [batch(9, 0..48), batch(9, 48..53), batch(9, 53..101)];
         let framed: u64 = batches.iter().map(|b| b.len() as u64).sum();
         let mut probe = Outbox::new(HostId(9));
-        batches.iter().for_each(|b| probe.frame(b));
+        batches.iter().for_each(|b| probe.frame(&payload(b)));
         let wire = probe.wire().to_vec();
         let ends: Vec<usize> = messages(&wire)
             .iter()
@@ -946,7 +1061,7 @@ mod tests {
         for (accept, whole) in cases {
             for per_call in [usize::MAX, 7] {
                 let mut outbox = Outbox::new(HostId(9));
-                batches.iter().for_each(|b| outbox.frame(b));
+                batches.iter().for_each(|b| outbox.frame(&payload(b)));
                 let mut w = FailingWriter {
                     accept,
                     per_call,
@@ -978,7 +1093,7 @@ mod tests {
                 // Whatever happened to that write, nothing is renumbered: the
                 // kept frames go out next as framed, and a new frame carries
                 // on from everything framed so far.
-                outbox.frame(&batch(9, 101..110));
+                outbox.frame(&payload(&batch(9, 101..110)));
                 let mut next = Vec::new();
                 let flushed = outbox.flush(&mut next);
                 assert!(
@@ -1000,8 +1115,8 @@ mod tests {
     #[test]
     fn abandoned_outbox_reports_what_it_held() {
         let mut outbox = Outbox::new(HostId(9));
-        outbox.frame(&batch(9, 0..48));
-        outbox.frame(&batch(9, 48..53));
+        outbox.frame(&payload(&batch(9, 0..48)));
+        outbox.frame(&payload(&batch(9, 48..53)));
         assert_eq!(outbox.abandon(), 53);
         assert!(outbox.wire().is_empty());
         // The sequence numbers are spent all the same.
@@ -1015,7 +1130,7 @@ mod tests {
         let mut plain = FrameSender::new(HostId(4));
         let mut want = Vec::new();
         for b in &batches {
-            outbox.frame(b);
+            outbox.frame(&payload(b));
             write_message(&mut want, &plain.encode_frame(b)).unwrap();
         }
         assert_eq!(outbox.wire(), &want[..]);
@@ -1040,40 +1155,140 @@ mod tests {
         // by less than one synopsis.
         let count = MAX_FRAME_PAYLOAD / one + 1;
         let big: Vec<TaskSynopsis> = (0..count as u64).map(heavy).collect();
+        let small = batch(2, 0..3);
 
-        let mut outbox = Outbox::new(HostId(2));
-        outbox.frame(&batch(2, 0..3));
-        outbox.frame(&big);
-        let mut rx = FrameReceiver::new();
-        let mut delivered = Vec::new();
-        let mut expected_cumulative = 0u64;
-        let frames = messages(outbox.wire());
-        assert_eq!(frames.len(), 3, "one small frame, the big batch in two");
-        for (seq, frame) in frames.into_iter().enumerate() {
-            assert!(frame.len() <= MAX_MESSAGE_LEN);
-            let parsed = parse_frame(frame).expect("every split frame is admissible");
-            assert_eq!(parsed.seq, seq as u64);
-            assert_eq!(parsed.cumulative, expected_cumulative, "contiguous");
-            expected_cumulative += parsed.synopses.len() as u64;
-            match rx.admit(parsed) {
-                FrameOutcome::Fresh {
-                    synopses,
-                    newly_lost,
-                    ..
-                } => {
-                    assert_eq!(newly_lost, 0);
-                    delivered.extend(synopses);
-                }
-                other => panic!("unexpected: {other:?}"),
-            }
+        // Both producers: `Agent::send`'s path, and a sink fed one synopsis
+        // at a time whose batch size alone would never cut.
+        let (front, stats, rx) = queue(8, OverloadPolicy::DropNewest);
+        front.send(&small);
+        front.send(&big);
+        let via_send: Vec<FramePayload> = rx.try_iter().collect();
+        let streaming = sink(&front, u64::MAX);
+        for s in small.iter().chain(&big) {
+            streaming.submit_parts(s.head(), &s.log_points);
         }
-        assert_eq!(delivered.len(), 3 + big.len());
-        assert!(delivered[3..] == big[..]);
-        assert_eq!(outbox.abandon(), delivered.len() as u64);
+        drop(streaming);
+        let via_sink: Vec<FramePayload> = rx.try_iter().collect();
+        assert_eq!(stats.snapshot().drops.total(), 0);
+
+        // (payloads queued, synopses in the first)
+        for (payloads, shape) in [(via_send, (3, 3)), (via_sink, (2, big.len() as u64 + 2))] {
+            assert_eq!((payloads.len(), payloads[0].synopses()), shape);
+            let mut outbox = Outbox::new(HostId(2));
+            payloads.iter().for_each(|p| outbox.frame(p));
+            let mut rx = FrameReceiver::new();
+            let mut delivered = Vec::new();
+            let mut expected_cumulative = 0u64;
+            for (seq, frame) in messages(outbox.wire()).into_iter().enumerate() {
+                assert!(frame.len() <= MAX_MESSAGE_LEN);
+                assert!(frame.len() - FRAME_HEADER_LEN <= MAX_FRAME_PAYLOAD);
+                let parsed = parse_frame(frame).expect("every cut frame is admissible");
+                assert_eq!(parsed.seq, seq as u64);
+                assert_eq!(parsed.cumulative, expected_cumulative, "contiguous");
+                expected_cumulative += parsed.synopses.len() as u64;
+                match rx.admit(parsed) {
+                    FrameOutcome::Fresh {
+                        synopses,
+                        newly_lost,
+                        ..
+                    } => {
+                        assert_eq!(newly_lost, 0);
+                        delivered.extend(synopses);
+                    }
+                    other => panic!("unexpected: {other:?}"),
+                }
+            }
+            assert_eq!(delivered.len(), 3 + big.len());
+            assert!(delivered[..3] == small[..] && delivered[3..] == big[..]);
+            // written + wire_lost + pending == framed, whatever a write does.
+            let framed = delivered.len() as u64;
+            let mut w = FailingWriter {
+                accept: outbox.wire().len() / 2,
+                per_call: usize::MAX,
+                taken: Vec::new(),
+            };
+            let flushed = outbox.flush(&mut w);
+            let lost = flushed.wire_lost.expect("the write was cut");
+            assert_eq!(flushed.synopses_written + lost + outbox.abandon(), framed);
+        }
 
         // The allocating wrapper cannot split; it refuses rather than emit a
         // frame whose length field every receiver rejects.
         let refused = std::panic::catch_unwind(|| FrameSender::new(HostId(2)).encode_frame(&big));
         assert!(refused.is_err());
+    }
+
+    #[test]
+    fn refused_payloads_are_counted_in_synopses() {
+        let counts = |stats: &StatsInner| {
+            let d = stats.snapshot().drops;
+            (d.newest, d.oldest, d.timed_out, d.disconnected)
+        };
+        // One slot: the first payload (5 synopses) fills it.
+        let (front, stats, rx) = queue(1, OverloadPolicy::DropNewest);
+        front.send(&batch(1, 0..5));
+        front.send(&batch(1, 5..12));
+        assert_eq!(counts(&stats), (7, 0, 0, 0));
+        assert_eq!(rx.try_recv().expect("the first is queued").synopses(), 5);
+
+        let (front, stats, rx) = queue(1, OverloadPolicy::DropOldest);
+        front.send(&batch(1, 0..5));
+        front.send(&batch(1, 5..12));
+        assert_eq!(counts(&stats), (0, 5, 0, 0));
+        assert_eq!(rx.try_recv().expect("the second is queued").synopses(), 7);
+
+        let policy = OverloadPolicy::Block {
+            timeout: Duration::from_millis(1),
+        };
+        let (front, stats, rx) = queue(1, policy);
+        let streaming = sink(&front, 4);
+        for s in batch(1, 0..11) {
+            streaming.submit(s); // 4 queued, 4 timed out, 3 buffered
+        }
+        assert_eq!(counts(&stats), (0, 0, 4, 0));
+        drop(rx);
+        drop(streaming); // flushes the 3 into a queue nobody reads
+        front.send(&batch(1, 11..13));
+        assert_eq!(counts(&stats), (0, 0, 4, 5));
+
+        // What the worker gives up on is counted the same way.
+        let (front, stats, rx) = queue(4, OverloadPolicy::DropNewest);
+        front.send(&batch(1, 0..5));
+        front.send(&batch(1, 5..12));
+        drop_remaining(20, &rx, &stats);
+        assert_eq!(counts(&stats), (0, 0, 0, 32));
+    }
+
+    #[test]
+    fn payload_buffers_circulate_instead_of_being_freed() {
+        let (front, _stats, rx) = queue(2, OverloadPolicy::DropNewest);
+        let streaming = sink(&front, 48);
+        for s in batch(1, 0..48) {
+            streaming.submit(s);
+        }
+        let mut sent = rx.try_recv().expect("a full payload");
+        let buffer = sent.bytes().as_ptr();
+        // The worker's side: frame it, give the buffer back.
+        Outbox::new(HostId(1)).frame(&sent);
+        sent.clear();
+        front.spare.give(sent);
+        for s in batch(1, 48..96) {
+            streaming.submit(s); // takes the spare at hand-over
+        }
+        streaming.flush(); // nothing buffered: nothing queued
+        assert_eq!(rx.try_iter().count(), 1);
+        for s in batch(1, 96..97) {
+            streaming.submit(s);
+        }
+        assert_eq!(streaming.buf.lock().bytes().as_ptr(), buffer);
+        // An outsize payload's buffer is not held on to.
+        let mut outsize = FramePayload::new();
+        let long = task(1, 0, 4_000);
+        while outsize.bytes().len() <= SPARE_MAX_BYTES {
+            assert!(outsize.push_parts(&long.head(), &long.log_points));
+        }
+        let kept = front.spare.free.lock().len();
+        front.spare.give(outsize);
+        assert_eq!(front.spare.free.lock().len(), kept);
     }
 }
