@@ -6,13 +6,15 @@
 //!   the backpressure fast path a producer pays when the analyzer lags.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use saad_core::pipeline::{ChannelSink, OverloadPolicy};
+use saad_core::intern::SignatureInterner;
+use saad_core::pipeline::{BatchSink, OverloadPolicy};
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::tracker::SynopsisSink;
 use saad_core::transport::{crc32, FrameReceiver, FrameSender, FRAME_HEADER_LEN};
 use saad_core::{HostId, StageId, TaskUid};
 use saad_logging::LogPointId;
 use saad_sim::{SimDuration, SimTime};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn synopsis(uid: u64) -> TaskSynopsis {
@@ -91,7 +93,9 @@ fn bench_sink_policies(c: &mut Criterion) {
         ),
     ] {
         g.bench_function(name, |b| {
-            let (sink, _rx) = ChannelSink::bounded(64, policy);
+            // One synopsis per batch: the per-submit cost of a full queue.
+            let interner = Arc::new(SignatureInterner::new());
+            let (sink, _rx) = BatchSink::bounded(64, 1, policy, interner);
             for s in batch(64) {
                 sink.submit(s);
             }

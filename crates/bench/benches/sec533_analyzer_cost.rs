@@ -19,21 +19,20 @@ use saad_core::batch::SynopsisBatch;
 use saad_core::detector::{AnomalyDetector, DetectorConfig};
 use saad_core::feature::FeatureVector;
 use saad_core::intern::SignatureInterner;
-use saad_core::model::{ModelBuilder, ModelConfig, OutlierModel, TaskClass};
-use saad_core::pipeline::{spawn_analyzer_pool, spawn_batch_analyzer_pool, SupervisorConfig};
+use saad_core::model::{ModelBuilder, ModelConfig, OutlierModel};
+use saad_core::pipeline::{spawn_batch_analyzer_pool, SupervisorConfig};
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::tracker::VecSink;
-use saad_core::{HostId, Signature, StageId, TaskUid};
+use saad_core::TaskUid;
 use saad_logging::Level;
 use saad_sim::{SimDuration, SimTime};
 use saad_textmine::{parse_corpus_parallel, FrequencyDetector, TemplateMatcher};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Debug-only hot-path allocation audit: a counting global allocator so
 /// a `cargo bench --profile dev` run reports allocations per synopsis
-/// for each pipeline flavor. Release benches keep the system allocator
+/// for the batch pool. Release benches keep the system allocator
 /// untouched (counting in the timed region would distort the numbers).
 #[cfg(debug_assertions)]
 mod alloc_audit {
@@ -160,109 +159,8 @@ fn main() {
 }
 
 // ---------------------------------------------------------------------------
-// Analyzer scale-out: old-style single-threaded pipeline vs the sharded pool.
+// Analyzer scale-out: the sharded batch pool by worker count.
 // ---------------------------------------------------------------------------
-
-/// Per-window accumulator of the pre-interning analyzer: signatures are
-/// boxed and every perf-group key is a cloned `Signature`.
-#[derive(Default, Clone)]
-struct LegacyAccum {
-    n: u64,
-    rare: u64,
-    new_signatures: Vec<Signature>,
-    perf: HashMap<Signature, (u64, u64)>,
-}
-
-/// A faithful reimplementation of the analyzer hot path as it stood before
-/// signature interning, compiled models, and batched transport:
-///
-/// * one channel send/recv per synopsis;
-/// * an allocating [`FeatureVector`] per task (boxed signature);
-/// * map-based [`OutlierModel::classify`] (hashes the full signature) plus
-///   a second signature-keyed probe for perf eligibility;
-/// * window accumulators keyed by cloned `Signature`s;
-/// * supervision bookkeeping: every feature cloned into a replay buffer
-///   and a deep state snapshot every `snapshot_every` tasks.
-///
-/// Window-closing statistics are elided (cold path, ~one event per window)
-/// which only flatters the baseline.
-struct LegacyAnalyzer {
-    model: Arc<OutlierModel>,
-    window_us: u64,
-    open: HashMap<(HostId, StageId, u64), LegacyAccum>,
-    watermark: SimTime,
-    // Supervision costs of the pre-pool pipeline.
-    snapshot_every: u64,
-    snapshot: HashMap<(HostId, StageId, u64), LegacyAccum>,
-    replay: Vec<FeatureVector>,
-    seen: u64,
-    closed_tasks: u64,
-}
-
-impl LegacyAnalyzer {
-    fn new(model: Arc<OutlierModel>, config: DetectorConfig) -> LegacyAnalyzer {
-        LegacyAnalyzer {
-            model,
-            window_us: config.window.as_micros(),
-            open: HashMap::new(),
-            watermark: SimTime::from_micros(0),
-            snapshot_every: SupervisorConfig::default().snapshot_every,
-            snapshot: HashMap::new(),
-            replay: Vec::new(),
-            seen: 0,
-            closed_tasks: 0,
-        }
-    }
-
-    fn observe(&mut self, synopsis: &TaskSynopsis) {
-        let feature = FeatureVector::from(synopsis);
-        self.replay.push(feature.clone());
-        self.seen += 1;
-        if self.seen.is_multiple_of(self.snapshot_every) {
-            self.snapshot = self.open.clone();
-            self.replay.clear();
-        }
-        let class = self.model.classify(&feature);
-        let idx = feature.start.as_micros() / self.window_us;
-        let acc = self
-            .open
-            .entry((feature.host, feature.stage, idx))
-            .or_default();
-        acc.n += 1;
-        match class {
-            TaskClass::FlowOutlier => acc.rare += 1,
-            TaskClass::NewSignature => acc.new_signatures.push(feature.signature.clone()),
-            TaskClass::PerformanceOutlier => {
-                let g = acc.perf.entry(feature.signature.clone()).or_insert((0, 0));
-                g.0 += 1;
-                g.1 += 1;
-            }
-            TaskClass::Normal => {
-                if self
-                    .model
-                    .perf_outlier_rate(feature.stage, &feature.signature)
-                    .is_some()
-                {
-                    let g = acc.perf.entry(feature.signature.clone()).or_insert((0, 0));
-                    g.0 += 1;
-                }
-            }
-        }
-        self.watermark = self.watermark.max(feature.start);
-        let closable_before = self.watermark.as_micros() / self.window_us;
-        if self.open.keys().any(|&(_, _, i)| i + 1 < closable_before) {
-            let mut closed = 0;
-            self.open.retain(|&(_, _, i), acc| {
-                let keep = i + 1 >= closable_before;
-                if !keep {
-                    closed += acc.n;
-                }
-                keep
-            });
-            self.closed_tasks += closed;
-        }
-    }
-}
 
 fn replicated_stream(
     synopses: &[TaskSynopsis],
@@ -280,55 +178,6 @@ fn replicated_stream(
         }
     }
     stream
-}
-
-fn run_legacy(model: &Arc<OutlierModel>, stream: Vec<TaskSynopsis>) -> f64 {
-    let (tx, rx) = crossbeam_channel::unbounded::<TaskSynopsis>();
-    let model = model.clone();
-    let t0 = Instant::now();
-    let join = std::thread::spawn(move || {
-        let mut analyzer = LegacyAnalyzer::new(model, DetectorConfig::default());
-        for synopsis in rx.iter() {
-            analyzer.observe(&synopsis);
-        }
-        std::hint::black_box(analyzer.closed_tasks)
-    });
-    for s in stream {
-        tx.send(s).expect("legacy analyzer alive");
-    }
-    drop(tx);
-    join.join().expect("legacy analyzer thread");
-    t0.elapsed().as_secs_f64()
-}
-
-fn run_pool(model: &Arc<OutlierModel>, stream: Vec<TaskSynopsis>, workers: usize) -> f64 {
-    const BATCH: usize = 256;
-    let (tx, rx) = crossbeam_channel::unbounded::<Vec<TaskSynopsis>>();
-    let mut batches: Vec<Vec<TaskSynopsis>> = Vec::with_capacity(stream.len() / BATCH + 1);
-    let mut it = stream.into_iter().peekable();
-    while it.peek().is_some() {
-        batches.push(it.by_ref().take(BATCH).collect());
-    }
-    let t0 = Instant::now();
-    let pool = spawn_analyzer_pool(
-        model.clone(),
-        DetectorConfig::default(),
-        SupervisorConfig::default(),
-        workers,
-        rx,
-        None,
-    );
-    for batch in batches {
-        tx.send(batch).expect("pool alive");
-    }
-    drop(tx);
-    let mut events = 0u64;
-    while pool.events().recv().is_ok() {
-        events += 1;
-    }
-    pool.join().expect("pool ran to completion");
-    std::hint::black_box(events);
-    t0.elapsed().as_secs_f64()
 }
 
 /// Pre-build the SoA batch stream exactly as the ingest edge would:
@@ -386,7 +235,7 @@ fn run_batch_pool(
 }
 
 fn throughput_comparison(synopses: &[TaskSynopsis], mins: u64) {
-    println!("\n-- analyzer scale-out: legacy single thread vs sharded pool --");
+    println!("\n-- analyzer scale-out: the sharded batch pool --");
 
     // Train on the captured run so the stream exercises the trained paths,
     // then replicate it until timings are stable.
@@ -401,36 +250,17 @@ fn throughput_comparison(synopses: &[TaskSynopsis], mins: u64) {
     let total = stream.len() as u64;
     println!("stream: {total} synopses ({repeats} replays of the captured run)");
 
-    // Warm up allocator and caches on a copy of the workload.
-    run_legacy(&model, stream.clone());
-
-    let legacy_secs = run_legacy(&model, stream.clone());
-    let legacy_tps = total as f64 / legacy_secs;
-    println!("legacy pipeline (1 thread): {legacy_secs:.2}s = {legacy_tps:.0} synopses/s");
-
     // Worker counts above the core count measure oversubscription, not
     // scaling: run only the rows this machine has cores for.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("cores: {cores}");
-    let mut pool_rows = Vec::new();
-    for &workers in [1usize, 2, 4, 8].iter().filter(|&&w| w <= cores) {
-        let secs = run_pool(&model, stream.clone(), workers).min(run_pool(
-            &model,
-            stream.clone(),
-            workers,
-        ));
-        let tps = total as f64 / secs;
-        println!(
-            "sharded pool  ({workers} workers): {secs:.2}s = {tps:.0} synopses/s ({:.2}x legacy)",
-            tps / legacy_tps
-        );
-        pool_rows.push((workers, secs, tps));
-    }
 
-    // Batch-first pool: SoA batches built once at the (simulated) ingest
-    // edge, branch-free classify, shard-local arenas.
+    // SoA batches built once at the (simulated) ingest edge, branch-free
+    // classify, shard-local arenas.
     let interner = Arc::new(SignatureInterner::new());
     let batches = build_batches(&stream, &interner);
+    // Warm up allocator and caches on a copy of the workload.
+    run_batch_pool(&model, &interner, batches.clone(), 1);
     let mut batch_rows = Vec::new();
     for &workers in [1usize, 2, 4, 8, 16].iter().filter(|&&w| w <= cores) {
         // Best of three: at ~100ns/synopsis a run lasts well under a
@@ -446,8 +276,7 @@ fn throughput_comparison(synopses: &[TaskSynopsis], mins: u64) {
         let ns = secs * 1e9 / total as f64;
         print!(
             "batch pool    ({workers:>2} workers): {secs:.2}s = {tps:.0} synopses/s \
-             ({:.2}x legacy, {ns:.0} ns/synopsis)",
-            tps / legacy_tps
+             ({ns:.0} ns/synopsis)"
         );
         if cfg!(debug_assertions) {
             println!("  [{:.2} allocs/synopsis]", allocs as f64 / total as f64);
@@ -457,15 +286,7 @@ fn throughput_comparison(synopses: &[TaskSynopsis], mins: u64) {
         batch_rows.push((workers, secs, tps));
     }
 
-    let json = render_throughput_json(
-        total,
-        mins,
-        cores,
-        legacy_secs,
-        legacy_tps,
-        &pool_rows,
-        &batch_rows,
-    );
+    let json = render_throughput_json(total, mins, cores, &batch_rows);
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_analyzer_throughput.json"
@@ -473,24 +294,14 @@ fn throughput_comparison(synopses: &[TaskSynopsis], mins: u64) {
     std::fs::write(path, json).expect("write BENCH_analyzer_throughput.json");
     println!("wrote {path}");
 
-    let best_pool_tps = pool_rows.iter().map(|&(_, _, t)| t).fold(0.0, f64::max);
-    assert!(
-        best_pool_tps >= 3.0 * legacy_tps,
-        "sharded pool must be >= 3x the legacy analyzer at its best \
-         worker count (got {:.2}x)",
-        best_pool_tps / legacy_tps
-    );
-    // The ISSUE-7 target: >=8x legacy at 8 workers, or >10M synopses/s
-    // absolute — on a machine with fewer cores, judged on the widest row
-    // it could run.
-    let &(widest, _, widest_tps) = batch_rows.last().expect("the 1-worker batch row");
+    // The ISSUE-7 target that did not lean on the retired legacy analyzer:
+    // the pool clears 10M synopses/s outright at its best worker count.
+    // (A debug build is there to count allocations, not to be timed.)
     let best_batch_tps = batch_rows.iter().map(|&(_, _, t)| t).fold(0.0, f64::max);
     assert!(
-        widest_tps >= 8.0 * legacy_tps || best_batch_tps > 10_000_000.0,
-        "batch pool must reach 8x the legacy analyzer at its widest row or \
-         clear 10M synopses/s outright (got {:.2}x at {widest} workers, best \
-         {best_batch_tps:.0}/s)",
-        widest_tps / legacy_tps
+        cfg!(debug_assertions) || best_batch_tps > 10_000_000.0,
+        "batch pool must clear 10M synopses/s at its best worker count \
+         (best {best_batch_tps:.0}/s)"
     );
 }
 
@@ -498,9 +309,6 @@ fn render_throughput_json(
     total: u64,
     mins: u64,
     cores: usize,
-    legacy_secs: f64,
-    legacy_tps: f64,
-    pool_rows: &[(usize, f64, f64)],
     batch_rows: &[(usize, f64, f64)],
 ) -> String {
     let mut out = String::from("{\n");
@@ -509,23 +317,6 @@ fn render_throughput_json(
     out.push_str(&format!("  \"virtual_minutes_per_replay\": {mins},\n"));
     out.push_str(&format!("  \"cores\": {cores},\n"));
     out.push_str(
-        "  \"baseline\": {\n    \"pipeline\": \"per-synopsis sends, boxed signatures, \
-         map-based classify, deep snapshots\",\n",
-    );
-    out.push_str(&format!(
-        "    \"secs\": {legacy_secs:.3},\n    \"synopses_per_sec\": {legacy_tps:.0}\n  }},\n"
-    ));
-    out.push_str("  \"pool\": [\n");
-    for (i, &(workers, secs, tps)) in pool_rows.iter().enumerate() {
-        let sep = if i + 1 == pool_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{ \"workers\": {workers}, \"secs\": {secs:.3}, \
-             \"synopses_per_sec\": {tps:.0}, \"speedup_vs_baseline\": {:.2} }}{sep}\n",
-            tps / legacy_tps
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(
         "  \"batch_pool\": {\n    \"pipeline\": \"SoA batches from ingest, branch-free \
          compiled classify, shard-local arenas, core-affine shards\",\n    \"rows\": [\n",
     );
@@ -533,9 +324,7 @@ fn render_throughput_json(
         let sep = if i + 1 == batch_rows.len() { "" } else { "," };
         out.push_str(&format!(
             "      {{ \"workers\": {workers}, \"secs\": {secs:.3}, \
-             \"synopses_per_sec\": {tps:.0}, \"speedup_vs_baseline\": {:.2}, \
-             \"ns_per_synopsis\": {:.1} }}{sep}\n",
-            tps / legacy_tps,
+             \"synopses_per_sec\": {tps:.0}, \"ns_per_synopsis\": {:.1} }}{sep}\n",
             secs * 1e9 / total as f64
         ));
     }

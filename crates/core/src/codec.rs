@@ -287,11 +287,13 @@ pub(crate) fn decode_batch_slice(payload: &[u8]) -> Result<Vec<TaskSynopsis>, De
 /// counterpart of [`decode_batch`] used by the reactor collector. No
 /// intermediate [`TaskSynopsis`] or per-synopsis `log_points` vector is
 /// materialized: point ids land in a stack buffer and go
-/// through [`SignatureInterner::intern_points`], which produces the same
+/// through [`SignatureInterner::intern_points`](crate::intern::SignatureInterner::intern_points),
+/// which produces the same
 /// `SigId` as `intern_synopsis` on the equivalent synopsis.
 ///
 /// Watermark stamps continue from the batch's current last element,
-/// exactly as [`SynopsisBatch::push_synopsis`] would.
+/// exactly as [`SynopsisBatch::push_synopsis`](crate::batch::SynopsisBatch::push_synopsis)
+/// would.
 ///
 /// Returns the number of synopses appended.
 ///

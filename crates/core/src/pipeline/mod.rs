@@ -1,0 +1,176 @@
+//! Real-time streaming pipeline: tracker → batch sink → analyzer pool.
+//!
+//! In the paper, synopses are streamed from every node to a centralized
+//! statistical analyzer that handles "streams of task synopses as fast as
+//! they are generated, up to ... 1500 task synopses per second" on one
+//! core. This module is that wiring for the live (threaded) runtime: one
+//! threaded analyzer — the sharded pool — and one file per job.
+//!
+//! * `sink` — the producer edge: [`BatchSink`] behind trackers,
+//!   [`feed_frame`]/[`feed_frame_soa`] behind a frame receiver, and the
+//!   inline [`ModelSink`]/[`DetectorSink`] of the deterministic simulators.
+//!   [`BatchSink::bounded`] caps the queue to the analyzer; an
+//!   [`OverloadPolicy`] decides what happens when it fills, and every
+//!   dropped synopsis is counted per host in [`SinkStats`] — monitoring
+//!   never stalls the server and never discards silently.
+//! * `supervise` — the panic boundary each shard's detector runs behind
+//!   (restore from the latest snapshot, replay, skip the poison synopsis,
+//!   up to [`SupervisorConfig::max_restarts`]) and the liveness table that
+//!   turns a host silent for [`SupervisorConfig::silent_after`] windows
+//!   into an explicit `HostSilent` event instead of a quiet gap.
+//! * `pool` — [`spawn_batch_analyzer_pool`]: a router partitions batches
+//!   by `hash(host, stage)` over supervised shard workers. All windowed
+//!   detector state is keyed per `(host, stage)`, so sharding preserves
+//!   the single-threaded event stream exactly (as a multiset).
+//! * `lifecycle` — the same pool with durable checkpoints, crash recovery,
+//!   bootstrap promotion and hot model swap, fed by two channels
+//!   ([`spawn_analyzer_pool_with_lifecycle`]) or one ordered
+//!   [`SequencedInput`] channel
+//!   ([`spawn_sequenced_analyzer_pool_with_lifecycle`]).
+//! * `adapt` — the drift detector ([`AdaptPolicy`]) that triggers a
+//!   lifecycle pool's swap by itself.
+
+mod adapt;
+mod lifecycle;
+mod pool;
+mod sink;
+mod supervise;
+
+pub use adapt::AdaptPolicy;
+pub use lifecycle::{
+    spawn_analyzer_pool_with_lifecycle, spawn_sequenced_analyzer_pool_with_lifecycle,
+    LifecycleConfig, LifecycleError, LifecyclePool, SwapReport,
+};
+pub use pool::{spawn_batch_analyzer_pool, PoolHandle, SequencedInput};
+pub use sink::{
+    feed_frame, feed_frame_soa, BatchSink, DetectorSink, DropCounts, ModelSink, OverloadPolicy,
+    SinkStats,
+};
+pub use supervise::{AnalyzerError, SupervisorConfig};
+
+#[cfg(test)]
+/// Fixtures shared by the test modules of this directory's files.
+mod testkit {
+    use super::SequencedInput;
+    use crate::detector::{AnomalyDetector, AnomalyEvent};
+    use crate::feature::InternedFeature;
+    use crate::model::{ModelBuilder, ModelConfig, OutlierModel};
+    use crate::synopsis::TaskSynopsis;
+    use crate::{HostId, StageId, TaskUid};
+    use saad_logging::LogPointId;
+    use saad_sim::{SimDuration, SimTime};
+    use std::sync::{Arc, OnceLock};
+
+    pub fn synopsis(points: &[u16], dur_us: u64, start: SimTime, uid: u64) -> TaskSynopsis {
+        synopsis_on(0, points, dur_us, start, uid)
+    }
+
+    pub fn synopsis_on(
+        host: u16,
+        points: &[u16],
+        dur_us: u64,
+        start: SimTime,
+        uid: u64,
+    ) -> TaskSynopsis {
+        TaskSynopsis {
+            host: HostId(host),
+            stage: StageId(0),
+            uid: TaskUid(uid),
+            start,
+            duration: SimDuration::from_micros(dur_us),
+            log_points: points.iter().map(|&p| (LogPointId(p), 1)).collect(),
+        }
+    }
+
+    /// Stage 0 with signature [1, 2] at ~1 ms.
+    pub fn model() -> Arc<OutlierModel> {
+        let mut b = ModelBuilder::new();
+        for i in 0..5000u64 {
+            b.observe(&synopsis(&[1, 2], 1_000 + (i % 53) * 5, SimTime::ZERO, i));
+        }
+        Arc::new(b.build(ModelConfig::default()))
+    }
+
+    /// A model covering stages 0 and 1 with [1,2] common and [1,2,3]
+    /// rare, so [`mixed_stream`]'s anomalies are detectable. Built once.
+    pub fn multi_stage_model() -> Arc<OutlierModel> {
+        static MODEL: OnceLock<Arc<OutlierModel>> = OnceLock::new();
+        let build = || {
+            let mut b = ModelBuilder::new();
+            for i in 0..20_000u64 {
+                let mut s = if i.is_multiple_of(1000) {
+                    synopsis(&[1, 2, 3], 1_000, SimTime::ZERO, i)
+                } else {
+                    synopsis(&[1, 2], 1_000 + (i % 53) * 5, SimTime::ZERO, i)
+                };
+                s.stage = StageId((i % 2) as u16);
+                b.observe(&s);
+            }
+            Arc::new(b.build(ModelConfig::default()))
+        };
+        MODEL.get_or_init(build).clone()
+    }
+
+    /// A mixed stream over several hosts and stages: mostly healthy, plus
+    /// a rare-signature surge on (host 1, stage 0) in minute 1 and a
+    /// brand-new signature on (host 2, stage 1) in minute 2.
+    pub fn mixed_stream() -> Vec<TaskSynopsis> {
+        let mut out = Vec::new();
+        let mut uid = 0u64;
+        for minute in 0..4u64 {
+            for i in 0..120u64 {
+                let host = (i % 3) as u16;
+                let stage = (i % 2) as u16;
+                let points: &[u16] = if minute == 1 && host == 1 && stage == 0 && i % 4 == 0 {
+                    &[1, 2, 3] // trained-rare surge
+                } else if minute == 2 && host == 2 && stage == 1 && i == 7 {
+                    &[9] // never trained
+                } else {
+                    &[1, 2]
+                };
+                let mut s = synopsis_on(host, points, 1_000, SimTime::ZERO, uid);
+                s.stage = StageId(stage);
+                s.start = SimTime::from_mins(minute) + SimDuration::from_millis(i * 450);
+                out.push(s);
+                uid += 1;
+            }
+        }
+        out
+    }
+
+    /// Sorted Debug strings — order-insensitive event comparison.
+    pub fn event_keys(events: &[AnomalyEvent]) -> Vec<String> {
+        let mut keys: Vec<String> = events.iter().map(|e| format!("{e:?}")).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// THE reference every threaded path is compared with: one plain
+    /// detector driven element by element in stream order — advance to the
+    /// stream's running-maximum watermark, observe; a loss report applied
+    /// where it stands. Returns the events (final flush included) and the
+    /// detector.
+    pub fn reference_run(
+        mut detector: AnomalyDetector,
+        steps: &[SequencedInput],
+    ) -> (Vec<AnomalyEvent>, AnomalyDetector) {
+        let interner = detector.interner().clone();
+        let mut events = Vec::new();
+        let mut watermark = SimTime::ZERO;
+        for step in steps {
+            match step {
+                SequencedInput::Batch(batch) => {
+                    for s in batch {
+                        watermark = watermark.max(s.start);
+                        events.extend(detector.advance_watermark(watermark));
+                        let feature = InternedFeature::from_synopsis(s, &interner);
+                        events.extend(detector.observe_interned(&feature));
+                    }
+                }
+                SequencedInput::Loss(r) => detector.record_loss(r.host, r.at, r.count),
+            }
+        }
+        events.extend(detector.flush());
+        (events, detector)
+    }
+}

@@ -1,0 +1,1273 @@
+//! The sharded analyzer pool: a router thread that stamps the global
+//! watermark, tracks host liveness and partitions each input batch by
+//! `hash(host, stage)`, and one supervised shard worker per partition.
+
+use super::lifecycle::RouterLifecycle;
+use super::sink::{DropCounts, SinkStats};
+use super::supervise::{
+    panic_message, AnalyzerError, LivenessTracker, SupervisedDetector, SupervisionObs,
+    SupervisorConfig,
+};
+use crate::batch::SynopsisBatch;
+use crate::detector::{AnomalyDetector, AnomalyEvent, DetectorConfig, DetectorSnapshot};
+use crate::feature::InternedFeature;
+use crate::intern::SignatureInterner;
+use crate::model::{CompiledModel, OutlierModel};
+use crate::selfmon::{MetaMonitor, MetaStage};
+use crate::synopsis::TaskSynopsis;
+use crate::transport::LossReport;
+use crate::{HostId, StageId};
+use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
+use saad_obs::{Histogram, Registry};
+use saad_sim::{SimDuration, SimTime};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+
+/// Message routed from the pool's router thread to one shard worker.
+pub(super) enum ShardMsg {
+    /// A run of synopses that all hash to this shard, in SoA layout — one
+    /// channel send per shard per input batch, however many synopses it
+    /// carries. Each element is stamped (`watermarks[i]`) with the
+    /// global-stream watermark in force when the router saw it, so the
+    /// shard closes windows at exactly the moments a single-threaded
+    /// analyzer would. The shard returns the drained buffer on the
+    /// recycle channel, so steady-state routing allocates nothing.
+    Batch(SynopsisBatch),
+    /// A transport gap report, broadcast to every shard: loss is keyed by
+    /// host and window, and any shard may own windows for that host. The
+    /// router counts each report once for the pool-level total, and
+    /// stamps it with the global-stream watermark at its position (see
+    /// [`AnomalyDetector::record_loss_at`]).
+    Loss(LossReport, SimTime),
+    /// Hot model swap, delivered in-band and broadcast to every shard:
+    /// channel FIFO ordering guarantees the shard installs the new model
+    /// only after every synopsis the router saw before the swap decision,
+    /// so no task is dropped or classified twice. The carried watermark is
+    /// the global-stream watermark at the decision — stale windows close
+    /// under the old model before the new one takes over.
+    Swap {
+        model: Arc<OutlierModel>,
+        compiled: Arc<CompiledModel>,
+        watermark: SimTime,
+    },
+    /// Checkpoint request: the worker replies with a snapshot of its
+    /// detector as of everything routed before this message.
+    Snapshot(Sender<DetectorSnapshot>),
+    /// The router's final global watermark, broadcast at end of stream so
+    /// every shard — including ones whose own slice went quiet early —
+    /// closes its stale windows exactly where a single-threaded analyzer
+    /// would, before the drain flush.
+    FinalWatermark(SimTime),
+}
+
+/// Pin a `(host, stage)` pair to one shard. The detector's windowed state
+/// is keyed per `(host, stage)`, so pinning the pair keeps each window's
+/// accumulation — and therefore its test results — on a single thread,
+/// bit-identical to a single-threaded analyzer.
+pub(super) fn shard_for(host: HostId, stage: StageId, workers: usize) -> usize {
+    let key = ((host.0 as u64) << 16) | stage.0 as u64;
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % workers
+}
+
+/// One element of a *sequenced* analyzer-pool input stream: synopsis
+/// batches and transport loss reports interleaved on a single ordered
+/// channel.
+///
+/// The two-channel pool inputs deliver [`LossReport`]s on a side channel
+/// the router drains opportunistically at batch boundaries. That is
+/// *correct* — a gap always takes effect no later than its revealing
+/// batch — but not *reproducible*: under backpressure a queued report can
+/// take effect several batches early, so two runs over identical content
+/// may attribute a gap's degradation to different window closes. A
+/// sequenced stream pins every report at the exact stream position its
+/// producer emitted it, which makes the pool's event multiset a pure
+/// function of stream content. The federation end-to-end proof (wire run
+/// vs. replayed oracle) relies on exactly this property.
+#[derive(Debug, Clone)]
+pub enum SequencedInput {
+    /// A batch of task synopses.
+    Batch(Vec<TaskSynopsis>),
+    /// A loss report taking effect exactly here in the stream.
+    Loss(LossReport),
+}
+
+/// Input stream driving an analyzer pool's router. The two-channel
+/// variants carry their side channel of gap reports, which the router
+/// drains at batch boundaries; a sequenced stream has none.
+pub(super) enum PoolInput {
+    /// Batches of raw synopses: the router interns each one into the
+    /// pool's shared interner while routing.
+    Raw(Receiver<Vec<TaskSynopsis>>, Option<Receiver<LossReport>>),
+    /// Pre-interned SoA batches (see [`SynopsisBatch`]) built against the
+    /// SAME interner the pool's detectors share. The router re-stamps
+    /// each element's watermark with the global running maximum and
+    /// repartitions columns directly — the hot path never materializes a
+    /// per-synopsis struct or performs a per-synopsis channel send.
+    Batches(Receiver<SynopsisBatch>, Option<Receiver<LossReport>>),
+    /// Raw batches and loss reports on one ordered channel (see
+    /// [`SequencedInput`]): loss placement is part of the stream content
+    /// instead of a race against the router's drain timing.
+    Sequenced(Receiver<SequencedInput>),
+}
+
+/// The router's per-shard SoA arenas. Elements accumulate into a reusable
+/// [`SynopsisBatch`] per shard and flush as ONE channel send per
+/// (shard, input batch); shards hand drained buffers back on the recycle
+/// channel, so steady-state routing performs no allocation.
+///
+/// Control-plane rule: every control send (loss, swap, snapshot, final
+/// watermark) must be preceded by [`ShardFanout::flush`] — control
+/// messages are ordered in-band at batch boundaries, never between a
+/// batch's elements. The router flushes at the end of every input batch,
+/// before lifecycle pumping, so the rule holds by construction.
+struct ShardFanout {
+    arenas: Vec<SynopsisBatch>,
+    recycle_rx: Receiver<SynopsisBatch>,
+}
+
+impl ShardFanout {
+    fn new(workers: usize, recycle_rx: Receiver<SynopsisBatch>) -> ShardFanout {
+        ShardFanout {
+            arenas: (0..workers).map(|_| SynopsisBatch::new()).collect(),
+            recycle_rx,
+        }
+    }
+
+    /// Append one element to its shard's arena, stamped with the global
+    /// watermark the router just computed.
+    #[inline]
+    fn push(&mut self, feature: &InternedFeature, watermark: SimTime) {
+        let shard = shard_for(feature.host, feature.stage, self.arenas.len());
+        self.arenas[shard].push_feature(feature, watermark);
+    }
+
+    /// Send every non-empty arena to its shard, swapping in a recycled
+    /// (or, before steady state, fresh) buffer.
+    fn flush(&mut self, shard_txs: &[Sender<ShardMsg>]) {
+        for (shard, arena) in self.arenas.iter_mut().enumerate() {
+            if arena.is_empty() {
+                continue;
+            }
+            let replacement = self.recycle_rx.try_recv().unwrap_or_default();
+            let full = std::mem::replace(arena, replacement);
+            let _ = shard_txs[shard].send(ShardMsg::Batch(full));
+        }
+    }
+}
+
+/// Live counters for one shard worker, updated with relaxed stores on
+/// the shard thread and read only at scrape time.
+#[derive(Debug, Default)]
+struct ShardObs {
+    processed: AtomicU64,
+    events: AtomicU64,
+    watermark_micros: AtomicU64,
+    supervision: SupervisionObs,
+}
+
+/// Live router- and shard-level counters for an analyzer pool, shared
+/// between the pool threads (writers) and [`PoolHandle::register_metrics`]
+/// callbacks (scrape-time readers).
+#[derive(Debug)]
+struct PoolObs {
+    shards: Vec<ShardObs>,
+    batches_routed: AtomicU64,
+    watermark_micros: AtomicU64,
+    /// Synopses the transport reported lost, counted once per report by
+    /// the router (every shard's detector hears of every report).
+    tasks_lost: AtomicU64,
+    /// Restart-snapshot latency, fed by every shard's supervisor.
+    snapshot_us: Arc<Histogram>,
+}
+
+impl PoolObs {
+    fn new(workers: usize) -> PoolObs {
+        let snapshot_us = Arc::new(Histogram::new());
+        PoolObs {
+            shards: (0..workers)
+                .map(|_| ShardObs {
+                    supervision: SupervisionObs {
+                        snapshot_us: Arc::clone(&snapshot_us),
+                        ..SupervisionObs::default()
+                    },
+                    ..ShardObs::default()
+                })
+                .collect(),
+            batches_routed: AtomicU64::new(0),
+            watermark_micros: AtomicU64::new(0),
+            tasks_lost: AtomicU64::new(0),
+            snapshot_us,
+        }
+    }
+
+    /// A pool-level total: one per-shard counter summed over the shards.
+    fn total(&self, counter: impl Fn(&ShardObs) -> &AtomicU64) -> u64 {
+        let shards = self.shards.iter();
+        shards.map(|s| counter(s).load(Ordering::Relaxed)).sum()
+    }
+}
+
+/// Handle to a running analyzer pool: a router thread plus `workers`
+/// supervised shard workers (see [`spawn_batch_analyzer_pool`]).
+#[derive(Debug)]
+pub struct PoolHandle {
+    events: Receiver<AnomalyEvent>,
+    sink_stats: Option<Arc<SinkStats>>,
+    obs: Arc<PoolObs>,
+    router: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<Result<AnomalyDetector, AnalyzerError>>>,
+}
+
+impl PoolHandle {
+    /// Attach the sink's drop statistics so producers' losses are visible
+    /// from the consumer side.
+    pub fn with_sink_stats(mut self, stats: Arc<SinkStats>) -> PoolHandle {
+        self.sink_stats = Some(stats);
+        self
+    }
+
+    /// Receiver of detected anomaly events, merged across all shards.
+    pub fn events(&self) -> &Receiver<AnomalyEvent> {
+        &self.events
+    }
+
+    /// Synopses delivered to shard workers so far (including any skipped
+    /// after a supervised restart).
+    pub fn processed(&self) -> u64 {
+        self.obs.total(|shard| &shard.processed)
+    }
+
+    /// Total shard-worker restarts after panics.
+    pub fn restarts(&self) -> u64 {
+        self.obs.total(|shard| &shard.supervision.restarts)
+    }
+
+    /// Poison synopses skipped across all shards.
+    pub fn skipped(&self) -> u64 {
+        self.obs.total(|shard| &shard.supervision.skipped)
+    }
+
+    /// Synopses the transport reported lost, counted once per report.
+    /// (Loss reports are broadcast to every shard for window accounting,
+    /// so summing the shard detectors' own counters would overcount.)
+    pub fn tasks_lost(&self) -> u64 {
+        self.obs.tasks_lost.load(Ordering::Relaxed)
+    }
+
+    /// Number of shard workers.
+    pub fn workers(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Synopses dropped by the attached sink (0 unless
+    /// [`PoolHandle::with_sink_stats`] was used).
+    pub fn dropped(&self) -> u64 {
+        self.sink_stats.as_ref().map_or(0, |s| s.dropped())
+    }
+
+    /// Per-host drop counts from the attached sink (empty unless
+    /// [`PoolHandle::with_sink_stats`] was used).
+    pub fn drops_by_host(&self) -> HashMap<HostId, DropCounts> {
+        self.sink_stats
+            .as_ref()
+            .map(|s| s.drops_by_host())
+            .unwrap_or_default()
+    }
+
+    /// Expose the pool's live counters in `registry`: per-shard
+    /// processed/event counts, watermark lag, restart snapshots taken and
+    /// the replay tail a restart would re-apply, plus pool-level
+    /// restart/skip/loss totals, the router watermark and the snapshot
+    /// latency histogram. All series but the histogram are scrape-time
+    /// callbacks over counters the pool already maintains — registering
+    /// them costs the hot path nothing.
+    pub fn register_metrics(&self, registry: &Registry) {
+        for (shard, shard_obs) in self.obs.shards.iter().enumerate() {
+            let label = shard.to_string();
+            let labels = [("shard", label.as_str())];
+            let snapshots = Arc::clone(&shard_obs.supervision.snapshots);
+            registry.register_counter_fn(
+                "saad_pool_shard_snapshots_total",
+                "Restart snapshots this shard's supervisor has taken",
+                &labels,
+                move || snapshots.load(Ordering::Relaxed),
+            );
+            let replay_tail = Arc::clone(&shard_obs.supervision.replay_tail);
+            registry.register_gauge_fn(
+                "saad_pool_shard_replay_tail",
+                "Synopses a restart of this shard would replay on top of its snapshot",
+                &labels,
+                move || replay_tail.load(Ordering::Relaxed) as i64,
+            );
+            let obs = Arc::clone(&self.obs);
+            registry.register_counter_fn(
+                "saad_pool_shard_processed_total",
+                "Synopses applied by this shard worker",
+                &labels,
+                move || obs.shards[shard].processed.load(Ordering::Relaxed),
+            );
+            let obs = Arc::clone(&self.obs);
+            registry.register_counter_fn(
+                "saad_pool_shard_events_total",
+                "Anomaly events emitted by this shard worker",
+                &labels,
+                move || obs.shards[shard].events.load(Ordering::Relaxed),
+            );
+            let obs = Arc::clone(&self.obs);
+            registry.register_gauge_fn(
+                "saad_pool_shard_watermark_lag_us",
+                "Stream time between the router watermark and this shard's last applied watermark",
+                &labels,
+                move || {
+                    let router = obs.watermark_micros.load(Ordering::Relaxed);
+                    let shard_wm = obs.shards[shard].watermark_micros.load(Ordering::Relaxed);
+                    router.saturating_sub(shard_wm) as i64
+                },
+            );
+        }
+        registry.attach_histogram(
+            "saad_pool_snapshot_us",
+            "Wall-clock time to take one restart snapshot of a shard's detector, in microseconds",
+            &[],
+            Arc::clone(&self.obs.snapshot_us),
+        );
+        let obs = Arc::clone(&self.obs);
+        registry.register_gauge_fn(
+            "saad_pool_watermark_us",
+            "Global stream watermark at the router, in stream microseconds",
+            &[],
+            move || obs.watermark_micros.load(Ordering::Relaxed) as i64,
+        );
+        let counter = |name, help, read: fn(&PoolObs) -> u64| {
+            let obs = Arc::clone(&self.obs);
+            registry.register_counter_fn(name, help, &[], move || read(&obs));
+        };
+        counter(
+            "saad_pool_batches_routed_total",
+            "Input batches routed to shard workers",
+            |obs| obs.batches_routed.load(Ordering::Relaxed),
+        );
+        counter(
+            "saad_pool_processed_total",
+            "Synopses delivered to shard workers",
+            |obs| obs.total(|shard| &shard.processed),
+        );
+        counter(
+            "saad_pool_restarts_total",
+            "Shard worker restarts after panics",
+            |obs| obs.total(|shard| &shard.supervision.restarts),
+        );
+        counter(
+            "saad_pool_skipped_total",
+            "Poison synopses skipped across all shards",
+            |obs| obs.total(|shard| &shard.supervision.skipped),
+        );
+        counter(
+            "saad_pool_tasks_lost_total",
+            "Synopses the transport reported lost, counted once per report",
+            |obs| obs.tasks_lost.load(Ordering::Relaxed),
+        );
+        if let Some(stats) = &self.sink_stats {
+            stats.register_metrics(registry, "pool");
+        }
+    }
+
+    /// Drain any events currently queued without blocking.
+    pub fn drain_events(&self) -> Vec<AnomalyEvent> {
+        self.events.try_iter().collect()
+    }
+
+    /// Wait for the pool to finish (input channel closed), returning each
+    /// shard's detector for inspection. Remaining windows are flushed
+    /// before workers exit.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`AnalyzerError`] if the router panicked or any
+    /// shard exhausted its restart budget; the remaining shards are still
+    /// joined first so no thread is leaked.
+    pub fn join(mut self) -> Result<Vec<AnomalyDetector>, AnalyzerError> {
+        let mut first_err = None;
+        if let Some(router) = self.router.take() {
+            if let Err(payload) = router.join() {
+                first_err = Some(AnalyzerError::Panicked(panic_message(payload.as_ref())));
+            }
+        }
+        let mut detectors = Vec::with_capacity(self.workers.len());
+        for worker in self.workers.drain(..) {
+            match worker.join() {
+                Ok(Ok(detector)) => detectors.push(detector),
+                Ok(Err(e)) => {
+                    first_err.get_or_insert(e);
+                }
+                Err(payload) => {
+                    first_err
+                        .get_or_insert(AnalyzerError::Panicked(panic_message(payload.as_ref())));
+                }
+            }
+        }
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(detectors),
+        }
+    }
+}
+
+/// Spawn the sharded analyzer pool over a stream of SoA batches — the one
+/// threaded analyzer.
+///
+/// Producers build [`SynopsisBatch`]es against `interner`: a
+/// [`BatchSink`](super::BatchSink) behind trackers,
+/// [`feed_frame_soa`](super::feed_frame_soa) behind a frame receiver, or a
+/// decoder filling columns straight from the wire. The router thread tracks
+/// per-host liveness over the full ordered stream, re-stamps every element
+/// with the global running-maximum watermark, and repartitions columns by
+/// `hash(host, stage)` — one channel send per (shard, batch), nothing per
+/// synopsis; with one worker it only re-stamps and forwards. Each of the
+/// `workers` shard threads runs its own [`AnomalyDetector`] behind a panic
+/// boundary against the shared interner and one compiled model, built once
+/// here. Windowed state is keyed per `(host, stage)` and each pair is
+/// pinned to one shard, so the pool's event stream is — as a multiset — a
+/// single detector's over the same input, whatever the worker count.
+///
+/// `loss_rx`, when provided, delivers the transport's [`LossReport`]s; the
+/// router counts each once and broadcasts it to every shard, so windowed
+/// tests account for missing data and events carry honest completeness
+/// ratios. `supervisor.panic_after` counts per shard, which keeps fault
+/// injection deterministic per route.
+///
+/// # Example
+///
+/// ```
+/// use saad_core::pipeline::{spawn_batch_analyzer_pool, BatchSink, SupervisorConfig};
+/// use saad_core::prelude::*;
+/// use std::sync::Arc;
+///
+/// let model = Arc::new(ModelBuilder::new().build(ModelConfig::default()));
+/// let interner = Arc::new(SignatureInterner::new());
+/// let (sink, rx) = BatchSink::new(64, interner.clone());
+/// let pool = spawn_batch_analyzer_pool(
+///     model,
+///     DetectorConfig::default(),
+///     SupervisorConfig::default(),
+///     1,
+///     interner,
+///     rx,
+///     None,
+/// );
+/// drop(sink); // close the stream
+/// let detectors = pool.join().expect("pool ran to completion");
+/// assert_eq!(detectors[0].tasks_seen(), 0);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `workers` is zero.
+pub fn spawn_batch_analyzer_pool(
+    model: Arc<OutlierModel>,
+    config: DetectorConfig,
+    supervisor: SupervisorConfig,
+    workers: usize,
+    interner: Arc<SignatureInterner>,
+    rx: Receiver<SynopsisBatch>,
+    loss_rx: Option<Receiver<LossReport>>,
+) -> PoolHandle {
+    assert!(workers > 0, "analyzer pool needs at least one worker");
+    let compiled = Arc::new(model.compile(&interner));
+    let detectors = (0..workers)
+        .map(|_| {
+            AnomalyDetector::with_shared(model.clone(), compiled.clone(), interner.clone(), config)
+        })
+        .collect();
+    spawn_pool_inner(
+        detectors,
+        supervisor,
+        config.window,
+        PoolInput::Batches(rx, loss_rx),
+        None,
+        None,
+    )
+}
+
+/// Run `work` as a tracked meta task when a monitor is attached, or
+/// plainly when self-observation is off. Keeping the untracked path a
+/// bare call means a `None` monitor costs one branch.
+pub(super) fn meta_tick<R>(
+    meta: &Option<Arc<MetaMonitor>>,
+    stage: MetaStage,
+    work: impl FnOnce() -> R,
+) -> R {
+    match meta {
+        Some(m) => m.tick(stage, work),
+        None => work(),
+    }
+}
+
+/// The router thread's state: everything one routed element touches.
+struct Router {
+    liveness: LivenessTracker,
+    /// Reused buffer for the (rare) events of one liveness observation.
+    silent: Vec<AnomalyEvent>,
+    /// Global stream watermark: the running maximum of task start times.
+    watermark: SimTime,
+    fanout: ShardFanout,
+    lifecycle: Option<RouterLifecycle>,
+    event_tx: Sender<AnomalyEvent>,
+    shard_txs: Vec<Sender<ShardMsg>>,
+    obs: Arc<PoolObs>,
+}
+
+impl Router {
+    /// Account one element of the ordered stream — host liveness, then
+    /// the global watermark — and return the watermark to stamp it with.
+    #[inline]
+    fn stamp(&mut self, host: HostId, start: SimTime) -> SimTime {
+        self.liveness.observe(host, start, &mut self.silent);
+        for event in self.silent.drain(..) {
+            let _ = self.event_tx.send(event);
+        }
+        self.watermark = self.watermark.max(start);
+        self.watermark
+    }
+
+    /// Route one element, whatever shape the input delivered it in, into
+    /// its shard's arena.
+    #[inline]
+    fn route(&mut self, feature: &InternedFeature) {
+        let watermark = self.stamp(feature.host, feature.start);
+        if let Some(lc) = self.lifecycle.as_mut() {
+            lc.absorb(feature);
+        }
+        self.fanout.push(feature, watermark);
+    }
+
+    /// Count a gap report once and broadcast it, stamped with the global
+    /// watermark at its stream position, to every shard.
+    fn broadcast_loss(&mut self, report: LossReport) {
+        self.obs
+            .tasks_lost
+            .fetch_add(report.count, Ordering::Relaxed);
+        for tx in &self.shard_txs {
+            let _ = tx.send(ShardMsg::Loss(report, self.watermark));
+        }
+    }
+
+    /// Broadcast whatever the side channel of gap reports holds right now.
+    fn drain_losses(&mut self, loss_rx: &Option<Receiver<LossReport>>) {
+        for report in loss_rx.iter().flat_map(Receiver::try_iter) {
+            self.broadcast_loss(report);
+        }
+    }
+
+    /// The work at the end of every input batch: one flush per shard,
+    /// then lifecycle pumping — arenas are empty whenever a control
+    /// message goes out.
+    fn batch_boundary(&mut self) {
+        self.fanout.flush(&self.shard_txs);
+        if let Some(lc) = self.lifecycle.as_mut() {
+            lc.pump(self.watermark, &self.shard_txs);
+        }
+        self.obs.batches_routed.fetch_add(1, Ordering::Relaxed);
+        self.obs
+            .watermark_micros
+            .store(self.watermark.as_micros(), Ordering::Relaxed);
+    }
+}
+
+/// The pool core shared by [`spawn_batch_analyzer_pool`] and the
+/// lifecycle pools: one shard worker per initial
+/// detector, plus the router thread that stamps watermarks, routes
+/// batches, tracks liveness, and — when a [`RouterLifecycle`] is given —
+/// drives checkpoints, hot swaps, and bootstrap promotion at batch
+/// boundaries.
+pub(super) fn spawn_pool_inner(
+    detectors: Vec<AnomalyDetector>,
+    supervisor: SupervisorConfig,
+    window: SimDuration,
+    input: PoolInput,
+    lifecycle: Option<RouterLifecycle>,
+    meta: Option<Arc<MetaMonitor>>,
+) -> PoolHandle {
+    let workers = detectors.len();
+    assert!(workers > 0, "analyzer pool needs at least one worker");
+    // The router interns raw synopses into the same interner every shard
+    // detector already shares.
+    let interner = detectors[0].interner().clone();
+    let (event_tx, event_rx) = unbounded();
+    let obs = Arc::new(PoolObs::new(workers));
+    // Drained batch buffers flow back to the router on this channel for
+    // reuse — after warm-up the router never allocates a batch. Bounded:
+    // when the router routes faster than it recycles (e.g. the
+    // single-shard forwarding path, which consumes no arenas), surplus
+    // buffers are dropped instead of piling up.
+    let (recycle_tx, recycle_rx) = bounded::<SynopsisBatch>(2 * workers);
+
+    let mut shard_txs = Vec::with_capacity(workers);
+    let mut worker_joins = Vec::with_capacity(workers);
+    for (shard, detector) in detectors.into_iter().enumerate() {
+        let (shard_tx, shard_rx) = unbounded::<ShardMsg>();
+        shard_txs.push(shard_tx);
+        let supervisor = supervisor.clone();
+        let event_tx = event_tx.clone();
+        let obs = Arc::clone(&obs);
+        let meta = meta.clone();
+        let recycle_tx = recycle_tx.clone();
+        let join = std::thread::Builder::new()
+            .name(format!("saad-analyzer-shard-{shard}"))
+            .spawn(move || {
+                if supervisor.pin_shards {
+                    // Best-effort: a refused pin just runs unpinned.
+                    let _ = crate::affinity::pin_current_thread(shard);
+                }
+                let shard_obs = &obs.shards[shard];
+                let emit = |event: AnomalyEvent| {
+                    shard_obs.events.fetch_add(1, Ordering::Relaxed);
+                    let _ = event_tx.send(event);
+                };
+                let mut supervised =
+                    SupervisedDetector::new(detector, supervisor, shard_obs.supervision.clone());
+                for msg in shard_rx.iter() {
+                    match msg {
+                        ShardMsg::Loss(report, watermark) => {
+                            supervised.record_loss(report, watermark)
+                        }
+                        ShardMsg::Batch(mut batch) => {
+                            shard_obs
+                                .processed
+                                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                            meta_tick(&meta, MetaStage::Shard, || {
+                                for event in supervised.observe_batch(&batch)? {
+                                    emit(event);
+                                }
+                                if let Some(&watermark) = batch.watermarks.last() {
+                                    shard_obs
+                                        .watermark_micros
+                                        .store(watermark.as_micros(), Ordering::Relaxed);
+                                }
+                                Ok(())
+                            })?;
+                            batch.clear();
+                            let _ = recycle_tx.try_send(batch);
+                        }
+                        ShardMsg::Swap {
+                            model,
+                            compiled,
+                            watermark,
+                        } => {
+                            for event in supervised.install(model, compiled, watermark) {
+                                emit(event);
+                            }
+                        }
+                        ShardMsg::Snapshot(reply) => {
+                            let _ = reply.send(supervised.checkpoint_snapshot());
+                        }
+                        ShardMsg::FinalWatermark(watermark) => {
+                            for event in supervised.advance(watermark) {
+                                emit(event);
+                            }
+                            shard_obs
+                                .watermark_micros
+                                .store(watermark.as_micros(), Ordering::Relaxed);
+                        }
+                    }
+                }
+                let (events, detector) = supervised.finish();
+                for event in events {
+                    emit(event);
+                }
+                Ok(detector)
+            })
+            .expect("spawn analyzer pool worker");
+        worker_joins.push(join);
+    }
+
+    let mut router = Router {
+        liveness: LivenessTracker::new(window, supervisor.silent_after),
+        silent: Vec::new(),
+        watermark: SimTime::ZERO,
+        fanout: ShardFanout::new(workers, recycle_rx),
+        lifecycle,
+        event_tx,
+        shard_txs,
+        obs: Arc::clone(&obs),
+    };
+    let router = std::thread::Builder::new()
+        .name("saad-analyzer-router".into())
+        .spawn(move || {
+            match input {
+                PoolInput::Raw(rx, loss_rx) => {
+                    for batch in rx.iter() {
+                        meta_tick(&meta, MetaStage::Router, || {
+                            router.drain_losses(&loss_rx);
+                            for synopsis in batch {
+                                router.route(&InternedFeature::from_synopsis(&synopsis, &interner));
+                            }
+                            router.batch_boundary();
+                        });
+                    }
+                    router.drain_losses(&loss_rx);
+                }
+                PoolInput::Sequenced(rx) => {
+                    for step in rx.iter() {
+                        meta_tick(&meta, MetaStage::Router, || match step {
+                            // In-band: the report takes effect exactly
+                            // here. Arenas are empty between batch
+                            // boundaries, so shards see it at the same
+                            // stream position the producer pinned.
+                            SequencedInput::Loss(report) => router.broadcast_loss(report),
+                            SequencedInput::Batch(batch) => {
+                                for synopsis in batch {
+                                    router.route(&InternedFeature::from_synopsis(
+                                        &synopsis, &interner,
+                                    ));
+                                }
+                                router.batch_boundary();
+                            }
+                        });
+                    }
+                }
+                PoolInput::Batches(rx, loss_rx) => {
+                    // With a single shard and no lifecycle duties the
+                    // router degenerates to a forwarder: re-stamp the
+                    // watermark column in place with the global running
+                    // max and hand the whole batch through untouched —
+                    // no per-element repartition copy at all.
+                    let forward_only = workers == 1 && router.lifecycle.is_none();
+                    for mut batch in rx.iter() {
+                        meta_tick(&meta, MetaStage::Router, || {
+                            router.drain_losses(&loss_rx);
+                            if forward_only {
+                                for i in 0..batch.len() {
+                                    batch.watermarks[i] =
+                                        router.stamp(batch.hosts[i], batch.starts[i]);
+                                }
+                                if !batch.is_empty() {
+                                    let _ = router.shard_txs[0].send(ShardMsg::Batch(batch));
+                                }
+                            } else {
+                                // Re-stamped with the GLOBAL watermark: the
+                                // producer's per-batch watermark only saw
+                                // its own stream.
+                                for i in 0..batch.len() {
+                                    router.route(&batch.feature(i));
+                                }
+                            }
+                            router.batch_boundary();
+                        });
+                    }
+                    router.drain_losses(&loss_rx);
+                }
+            }
+            // Stream closed (any last gap reports delivered above): apply
+            // pending control commands, advance every shard to the final
+            // global watermark (so stale windows close exactly where one
+            // thread would close them), persist a last checkpoint of that
+            // state, then drop the shard senders so every worker flushes
+            // and exits.
+            router.fanout.flush(&router.shard_txs);
+            if let Some(lc) = router.lifecycle.as_mut() {
+                lc.pump(router.watermark, &router.shard_txs);
+            }
+            for tx in &router.shard_txs {
+                let _ = tx.send(ShardMsg::FinalWatermark(router.watermark));
+            }
+            if let Some(lc) = router.lifecycle.as_mut() {
+                if lc.detecting {
+                    lc.take_checkpoint(&router.shard_txs, None);
+                }
+            }
+        })
+        .expect("spawn analyzer pool router");
+
+    PoolHandle {
+        events: event_rx,
+        sink_stats: None,
+        obs,
+        router: Some(router),
+        workers: worker_joins,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::sink::{BatchSink, OverloadPolicy};
+    use super::super::testkit::{
+        event_keys, mixed_stream, model, multi_stage_model, reference_run, synopsis, synopsis_on,
+    };
+    use super::*;
+    use crate::detector::AnomalyKind;
+    use crate::model::VerdictMask;
+    use crate::tracker::SynopsisSink;
+
+    /// A batch pool over `model()` with its producer-side sink: `batch_len`
+    /// synopses per input batch, every synopsis interned at the edge.
+    fn pool_with_sink(
+        supervisor: SupervisorConfig,
+        workers: usize,
+        batch_len: usize,
+        loss_rx: Option<Receiver<LossReport>>,
+    ) -> (BatchSink, PoolHandle) {
+        let interner = Arc::new(SignatureInterner::new());
+        let (sink, rx) = BatchSink::new(batch_len, interner.clone());
+        let pool = spawn_batch_analyzer_pool(
+            model(),
+            DetectorConfig::default(),
+            supervisor,
+            workers,
+            interner,
+            rx,
+            loss_rx,
+        );
+        (sink, pool)
+    }
+
+    /// Every event until the pool closes its channel.
+    fn drain(pool: &PoolHandle) -> Vec<AnomalyEvent> {
+        pool.events().iter().collect()
+    }
+
+    fn tasks_seen(detectors: &[AnomalyDetector]) -> u64 {
+        detectors.iter().map(|d| d.tasks_seen()).sum()
+    }
+
+    #[test]
+    fn pipeline_detects_anomalies_end_to_end() {
+        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 1, 16, None);
+        // A minute of traffic with a burst of a brand-new signature.
+        for i in 0..100u64 {
+            let points: &[u16] = if i.is_multiple_of(4) {
+                &[1, 9]
+            } else {
+                &[1, 2]
+            };
+            sink.submit(synopsis(points, 1_000, SimTime::from_millis(i * 100), i));
+        }
+        drop(sink);
+        let events = drain(&pool);
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e.kind, AnomalyKind::FlowNew(_))),
+            "events: {events:?}"
+        );
+        assert_eq!(pool.processed(), 100);
+        assert_eq!(tasks_seen(&pool.join().unwrap()), 100);
+    }
+
+    #[test]
+    fn many_producers_can_feed_one_pool() {
+        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 2, 16, None);
+        std::thread::scope(|scope| {
+            for producer in 0..2u64 {
+                let sink = &sink;
+                scope.spawn(move || {
+                    for i in 0..500u64 {
+                        let uid = producer * 1_000 + i;
+                        sink.submit(synopsis(&[1, 2], 1_000, SimTime::from_millis(i), uid));
+                    }
+                });
+            }
+        });
+        drop(sink);
+        assert_eq!(tasks_seen(&pool.join().unwrap()), 1000);
+    }
+
+    #[test]
+    fn drain_events_is_nonblocking() {
+        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 1, 16, None);
+        assert!(pool.drain_events().is_empty());
+        drop(sink);
+        pool.join().unwrap();
+    }
+
+    #[test]
+    fn handle_exposes_sink_stats() {
+        let interner = Arc::new(SignatureInterner::new());
+        let (sink, rx) = BatchSink::bounded(2, 1, OverloadPolicy::DropNewest, interner.clone());
+        let stats = sink.stats();
+        for i in 0..5u64 {
+            sink.submit(synopsis(&[1, 2], 1_000, SimTime::ZERO, i));
+        }
+        drop(sink);
+        let supervisor = SupervisorConfig::default();
+        let config = DetectorConfig::default();
+        let pool = spawn_batch_analyzer_pool(model(), config, supervisor, 1, interner, rx, None)
+            .with_sink_stats(stats);
+        assert_eq!(pool.dropped(), 3);
+        assert_eq!(pool.drops_by_host()[&HostId(0)].newest, 3);
+        assert_eq!(tasks_seen(&pool.join().unwrap()), 2);
+    }
+
+    #[test]
+    fn pool_register_metrics_exposes_live_counters() {
+        let registry = saad_obs::Registry::new();
+        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 2, 10, None);
+        pool.register_metrics(&registry);
+        for i in 0..10 {
+            sink.submit(synopsis(&[1, 2], 1_000, SimTime::from_millis(i * 10), i));
+        }
+        drop(sink);
+        let text = registry.render();
+        saad_obs::validate_text(&text).unwrap();
+        pool.join().unwrap();
+        let text = registry.render();
+        assert!(text.contains("saad_pool_processed_total 10"), "{text}");
+        assert!(text.contains("saad_pool_batches_routed_total 1"), "{text}");
+        assert!(
+            text.contains(r#"saad_pool_shard_processed_total{shard="0"}"#),
+            "{text}"
+        );
+        // Ten synopses stay below the snapshot floor: none taken, and
+        // every one sits in some shard's replay tail.
+        for series in [
+            r#"saad_pool_shard_snapshots_total{shard="1"} 0"#,
+            r#"saad_pool_shard_replay_tail{shard="0"}"#,
+            "saad_pool_snapshot_us_count 0",
+        ] {
+            assert!(text.contains(series), "{series} missing from {text}");
+        }
+    }
+
+    #[test]
+    fn pool_surfaces_exhausted_restarts() {
+        for workers in [1usize, 2] {
+            let supervisor = SupervisorConfig {
+                max_restarts: 0,
+                panic_after: Some(1),
+                ..SupervisorConfig::default()
+            };
+            let (sink, pool) = pool_with_sink(supervisor, workers, 1, None);
+            sink.submit(synopsis(&[1, 2], 1_000, SimTime::ZERO, 0));
+            drop(sink);
+            match pool.join() {
+                Err(AnalyzerError::RestartsExhausted { restarts: 0, panic }) => {
+                    assert!(panic.contains("injected"), "{panic}");
+                }
+                other => panic!("unexpected: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn pool_restarts_from_snapshot_and_skips_poison() {
+        // One worker so panic_after hits a deterministic synopsis; the
+        // poison falls mid-batch, three snapshots in.
+        let supervisor = SupervisorConfig {
+            snapshot_every: 10,
+            panic_after: Some(30),
+            ..SupervisorConfig::default()
+        };
+        for batch_len in [1usize, 60] {
+            let (sink, pool) = pool_with_sink(supervisor.clone(), 1, batch_len, None);
+            for i in 0..60u64 {
+                sink.submit(synopsis(&[7], 1_000, SimTime::from_millis(i * 10), i));
+            }
+            drop(sink);
+            let events = drain(&pool);
+            assert_eq!(pool.restarts(), 1);
+            assert_eq!(pool.skipped(), 1);
+            assert_eq!(pool.processed(), 60);
+            // Everything except the poison synopsis was analyzed…
+            assert_eq!(tasks_seen(&pool.join().unwrap()), 59);
+            // …and detection survived the crash.
+            assert!(
+                events
+                    .iter()
+                    .any(|e| matches!(e.kind, AnomalyKind::FlowNew(_))),
+                "events: {events:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn silent_host_raises_liveness_event_and_rearms() {
+        for workers in [1usize, 4] {
+            let supervisor = SupervisorConfig {
+                silent_after: 2,
+                ..SupervisorConfig::default()
+            };
+            let (sink, pool) = pool_with_sink(supervisor, workers, 16, None);
+            let mut uid = 0u64;
+            let at = |min: u64, sec: u64| SimTime::from_secs(min * 60 + sec);
+            // Both hosts active in minute 0.
+            for s in 0..10u64 {
+                for host in [0u16, 1] {
+                    sink.submit(synopsis_on(host, &[1, 2], 1_000, at(0, s * 6), uid));
+                    uid += 1;
+                }
+            }
+            // Host 1 goes silent; host 0 keeps the clock moving for 4 minutes.
+            for min in 1..=4u64 {
+                for s in 0..10u64 {
+                    sink.submit(synopsis_on(0, &[1, 2], 1_000, at(min, s * 6), uid));
+                    uid += 1;
+                }
+            }
+            // Host 1 comes back.
+            sink.submit(synopsis_on(1, &[1, 2], 1_000, at(5, 0), uid));
+            drop(sink);
+            let events = drain(&pool);
+            pool.join().unwrap();
+            let silent: Vec<_> = events.iter().filter(|e| e.kind.is_liveness()).collect();
+            assert_eq!(silent.len(), 1, "{workers} workers: {events:?}");
+            assert_eq!(silent[0].host, HostId(1));
+            assert_eq!(silent[0].stage, StageId::NONE);
+            assert_eq!(silent[0].completeness, 0.0);
+            assert!(matches!(
+                silent[0].kind,
+                AnomalyKind::HostSilent { windows } if windows >= 2
+            ));
+        }
+    }
+
+    #[test]
+    fn loss_reports_reach_every_shard_and_count_once() {
+        for workers in [1usize, 4] {
+            let (loss_tx, loss_rx) = unbounded();
+            let (sink, pool) =
+                pool_with_sink(SupervisorConfig::default(), workers, 20, Some(loss_rx));
+            loss_tx
+                .send(LossReport {
+                    host: HostId(0),
+                    at: SimTime::from_secs(5),
+                    count: 40,
+                })
+                .unwrap();
+            for i in 0..20u64 {
+                sink.submit(synopsis(&[1, 2], 1_000, SimTime::from_secs(i), i));
+            }
+            drop(sink);
+            drop(loss_tx);
+            drain(&pool);
+            // Counted once at the pool level…
+            assert_eq!(pool.tasks_lost(), 40);
+            let detectors = pool.join().unwrap();
+            // …while every shard detector knows the loss for its own windows.
+            assert!(detectors.iter().all(|d| d.tasks_lost() == 40));
+            assert_eq!(tasks_seen(&detectors), 20);
+        }
+    }
+
+    #[test]
+    fn batch_pool_matches_the_reference_detector() {
+        let model = multi_stage_model();
+        let stream = mixed_stream();
+        let (expected, reference) = reference_run(
+            AnomalyDetector::new(model.clone(), DetectorConfig::default()),
+            &[SequencedInput::Batch(stream.clone())],
+        );
+        assert!(!expected.is_empty(), "stream should produce events");
+
+        for workers in [1usize, 3] {
+            // Producer side: a BatchSink interning into the pool's own
+            // interner, 16 synopses per SoA batch.
+            let interner = Arc::new(SignatureInterner::new());
+            let (sink, rx) = BatchSink::new(16, interner.clone());
+            let pool = spawn_batch_analyzer_pool(
+                model.clone(),
+                DetectorConfig::default(),
+                SupervisorConfig {
+                    pin_shards: true, // benign wherever pinning is refused
+                    ..SupervisorConfig::default()
+                },
+                workers,
+                interner,
+                rx,
+                None,
+            );
+            for s in &stream {
+                sink.submit(s.clone());
+            }
+            drop(sink); // flushes the partial tail batch
+            let events = drain(&pool);
+            assert_eq!(pool.processed(), stream.len() as u64);
+            let detectors = pool.join().unwrap();
+            assert_eq!(detectors.len(), workers);
+            assert_eq!(tasks_seen(&detectors), reference.tasks_seen());
+            assert_eq!(
+                event_keys(&events),
+                event_keys(&expected),
+                "batch pool with {workers} workers diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn shutdown_advances_every_shard_to_the_final_watermark() {
+        // Hosts 1..=5 stop after minute 0; host 0 keeps the clock moving
+        // to minute 9. Without the FinalWatermark broadcast, shards owning
+        // only the early hosts would shut down with a stale watermark.
+        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 4, 16, None);
+        for host in 0..6u16 {
+            let uid = u64::from(host);
+            sink.submit(synopsis_on(
+                host,
+                &[1, 2],
+                1_000,
+                SimTime::from_secs(1),
+                uid,
+            ));
+        }
+        let last = SimTime::from_mins(9);
+        sink.submit(synopsis_on(0, &[1, 2], 1_000, last, 6));
+        drop(sink);
+        drain(&pool);
+        let mut detectors = pool.join().unwrap();
+        for detector in &mut detectors {
+            assert_eq!(
+                detector.snapshot().watermark(),
+                last,
+                "shard shut down with a stale watermark"
+            );
+            assert!(
+                detector.flush().is_empty(),
+                "shard left windows open through shutdown"
+            );
+        }
+    }
+
+    /// One step of a generated stream: a task, or (one step in five) a
+    /// transport gap report, either of them up to three windows behind
+    /// the stream's clock.
+    type Step = (u8, u16, u16, u8, u64, u8);
+
+    /// `(clock, step)` → the synopsis or loss report the step stands for.
+    /// The clock advances up to 5 s a step against 10 s windows.
+    fn materialize(steps: &[Step]) -> Vec<SequencedInput> {
+        const WINDOW_US: u64 = 10_000_000;
+        let mut clock = 0u64;
+        steps
+            .iter()
+            .enumerate()
+            .map(|(uid, &(kind, host, stage, sig, delta_us, lag))| {
+                clock += delta_us;
+                // Most steps are on time; the rest trail by 1–3 windows.
+                let lag = if lag < 5 { 0 } else { u64::from(lag - 4) };
+                let at = SimTime::from_micros(clock.saturating_sub(lag * WINDOW_US));
+                if kind < 8 {
+                    let (points, dur): (&[u16], u64) = match sig {
+                        0 => (&[1, 2, 3], 1_000),
+                        1 => (&[9], 700),
+                        2 => (&[1, 2], 90_000),
+                        _ => (&[1, 2], 1_050),
+                    };
+                    let mut s = synopsis_on(host, points, dur, at, uid as u64);
+                    s.stage = StageId(stage);
+                    SequencedInput::Batch(vec![s])
+                } else {
+                    SequencedInput::Loss(LossReport {
+                        host: HostId(host),
+                        at,
+                        count: 1 + u64::from(sig) * 7,
+                    })
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Late elements (two and more windows behind the watermark) and
+        /// gap reports for windows already closed, interleaved at random:
+        /// the batch path and pools of one and four workers report what the
+        /// reference detector reports, completeness included.
+        #[test]
+        fn late_data_and_stale_losses_agree_on_every_path(
+            steps in proptest::collection::vec(
+                (0u8..10, 0u16..5, 0u16..2, 0u8..6, 0u64..5_000_000, 0u8..8),
+                1..160,
+            ),
+            chunk in 1usize..24,
+        ) {
+            let model = multi_stage_model();
+            let config = DetectorConfig {
+                window: SimDuration::from_secs(10),
+                min_window_tasks: 3,
+                min_group_tasks: 2,
+                ..DetectorConfig::default()
+            };
+            let interner = Arc::new(SignatureInterner::new());
+            let compiled = Arc::new(model.compile(&interner));
+            let fresh = || AnomalyDetector::with_shared(
+                model.clone(), compiled.clone(), interner.clone(), config,
+            );
+            let stream = materialize(&steps);
+
+            let (scalar_events, scalar) = reference_run(fresh(), &stream);
+
+            // Batch: runs of up to `chunk` synopses, cut at every report.
+            let mut batched = fresh();
+            let mut batch_events = Vec::new();
+            let mut verdicts = VerdictMask::new();
+            let mut pending = SynopsisBatch::new();
+            let mut watermark = SimTime::ZERO;
+            for step in &stream {
+                match step {
+                    SequencedInput::Batch(batch) => for s in batch {
+                        watermark = watermark.max(s.start);
+                        let f = InternedFeature::from_synopsis(s, &interner);
+                        pending.push_feature(&f, watermark);
+                        if pending.len() == chunk {
+                            batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
+                            pending.clear();
+                        }
+                    },
+                    SequencedInput::Loss(r) => {
+                        batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
+                        pending.clear();
+                        batched.record_loss(r.host, r.at, r.count);
+                    }
+                }
+            }
+            batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
+            batch_events.extend(batched.flush());
+            proptest::prop_assert_eq!(&batch_events, &scalar_events);
+            proptest::prop_assert_eq!(batched.tasks_lost(), scalar.tasks_lost());
+
+            // Pools: the same sequence on one ordered channel, synopses
+            // regrouped into input batches of `chunk`.
+            for workers in [1usize, 4] {
+                let (tx, rx) = unbounded();
+                let pool = spawn_pool_inner(
+                    (0..workers).map(|_| fresh()).collect(),
+                    SupervisorConfig { silent_after: u64::MAX, ..SupervisorConfig::default() },
+                    config.window,
+                    PoolInput::Sequenced(rx),
+                    None,
+                    None,
+                );
+                let mut group = Vec::new();
+                for step in &stream {
+                    match step {
+                        SequencedInput::Batch(batch) => {
+                            group.extend(batch.iter().cloned());
+                            if group.len() == chunk {
+                                tx.send(SequencedInput::Batch(std::mem::take(&mut group))).unwrap();
+                            }
+                        }
+                        SequencedInput::Loss(_) => {
+                            tx.send(SequencedInput::Batch(std::mem::take(&mut group))).unwrap();
+                            tx.send(step.clone()).unwrap();
+                        }
+                    }
+                }
+                tx.send(SequencedInput::Batch(group)).unwrap();
+                drop(tx);
+                let mut pool_events = Vec::new();
+                while let Ok(e) = pool.events().recv() {
+                    pool_events.push(e);
+                }
+                proptest::prop_assert_eq!(pool.tasks_lost(), scalar.tasks_lost());
+                pool.join().unwrap();
+                proptest::prop_assert!(
+                    event_keys(&pool_events) == event_keys(&scalar_events),
+                    "pool with {} workers reported {:?}, the reference {:?}",
+                    workers,
+                    event_keys(&pool_events),
+                    event_keys(&scalar_events)
+                );
+            }
+        }
+    }
+}

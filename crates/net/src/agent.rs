@@ -8,7 +8,7 @@
 //! A worker thread owns the socket and a persistent [`FrameSender`], so
 //! frame sequence numbers and cumulative counts survive reconnects. The
 //! queue honors the same [`OverloadPolicy`] semantics as the in-process
-//! `ChannelSink` — `DropNewest`, `DropOldest`, and `Block` — with every
+//! `BatchSink` — `DropNewest`, `DropOldest`, and `Block` — with every
 //! refused synopsis counted, never silently discarded. Each time the
 //! worker wakes it frames every payload already queued into one reused
 //! buffer — header, the bytes, length and CRC — hands the lot to the

@@ -410,7 +410,7 @@ fn uplink_connect(root_addr: SocketAddr, config: &LeafConfig) -> Option<TcpStrea
 }
 
 /// A running leaf: an agent-facing [`Collector`] whose admitted frames
-/// feed an upstream digest [`Uplink`], plus a timer thread driving
+/// feed an upstream digest uplink, plus a timer thread driving
 /// latency-bound flushes and control-plane heartbeats.
 pub struct LeafCollector {
     id: LeafId,

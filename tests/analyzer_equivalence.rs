@@ -9,19 +9,25 @@
 //! * `observe_synopsis` (interned hot path) ≡ `observe(&FeatureVector)`;
 //! * `classify_batch` (branch-free SoA loop) ≡ per-element
 //!   `CompiledModel::classify`, including NaN / zero / infinite durations;
-//! * pool-sharded detection ≡ a single-threaded detector, as an event
-//!   multiset, for any worker count — for both the raw-synopsis pool and
-//!   the SoA batch pool.
+//! * pool-sharded detection ≡ the one reference (a plain detector driven
+//!   element by element, `common::reference_run`), as an event multiset,
+//!   for any worker count — behind both producer edges, `BatchSink` and
+//!   `feed_frame_soa`.
 
+mod common;
+
+use common::{event_keys, reference_run};
 use proptest::prelude::*;
 use saad::core::detector::{AnomalyDetector, AnomalyEvent, DetectorConfig};
 use saad::core::model::{ModelBuilder, ModelConfig, OutlierModel};
 use saad::core::pipeline::{
-    spawn_analyzer_pool, spawn_batch_analyzer_pool, BatchSink, SupervisorConfig,
+    feed_frame_soa, spawn_batch_analyzer_pool, BatchSink, PoolHandle, SequencedInput,
+    SupervisorConfig,
 };
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
 use saad::core::tracker::SynopsisSink;
+use saad::core::transport::FrameOutcome;
 use saad::logging::LogPointId;
 use saad::sim::{SimDuration, SimTime};
 use std::sync::{Arc, OnceLock};
@@ -75,11 +81,60 @@ fn raw_task_strategy() -> impl Strategy<Value = RawTask> {
     )
 }
 
-/// Order-insensitive event comparison key (events are `Debug`-stable).
-fn event_keys(events: &[AnomalyEvent]) -> Vec<String> {
-    let mut keys: Vec<String> = events.iter().map(|e| format!("{e:?}")).collect();
-    keys.sort_unstable();
-    keys
+fn small_config() -> DetectorConfig {
+    DetectorConfig {
+        // Small thresholds so short generated streams can trip tests.
+        min_window_tasks: 4,
+        min_group_tasks: 2,
+        ..DetectorConfig::default()
+    }
+}
+
+fn stream_of(tasks: &[RawTask]) -> Vec<TaskSynopsis> {
+    tasks
+        .iter()
+        .enumerate()
+        .map(|(uid, t)| synopsis_of(t, uid as u64))
+        .collect()
+}
+
+/// The pool under test. Liveness is disabled (saturating threshold): the
+/// reference detector has no liveness tracker to mirror.
+fn spawn_pool(
+    workers: usize,
+    interner: Arc<SignatureInterner>,
+    batch_rx: crossbeam_channel::Receiver<SynopsisBatch>,
+) -> PoolHandle {
+    let supervisor = SupervisorConfig {
+        silent_after: u64::MAX,
+        ..SupervisorConfig::default()
+    };
+    let config = small_config();
+    spawn_batch_analyzer_pool(
+        trained_model(),
+        config,
+        supervisor,
+        workers,
+        interner,
+        batch_rx,
+        None,
+    )
+}
+
+/// Drain `pool` (its input is closed) and hold it against the one
+/// reference: a plain detector over the whole stream, in order.
+fn check_against_reference(
+    pool: PoolHandle,
+    stream: Vec<TaskSynopsis>,
+) -> Result<(), TestCaseError> {
+    let reference = AnomalyDetector::new(trained_model(), small_config());
+    let (expected, reference) = reference_run(reference, &[SequencedInput::Batch(stream)]);
+    let pool_events: Vec<AnomalyEvent> = pool.events().iter().collect();
+    let detectors = pool.join().expect("no faults injected");
+    let seen: u64 = detectors.iter().map(|d| d.tasks_seen()).sum();
+    prop_assert_eq!(seen, reference.tasks_seen());
+    prop_assert_eq!(event_keys(&pool_events), event_keys(&expected));
+    Ok(())
 }
 
 /// Durations for the batch-classify property: ordinary in-range values
@@ -130,12 +185,7 @@ proptest! {
         tasks in collection::vec(raw_task_strategy(), 1..60)
     ) {
         let model = trained_model();
-        let config = DetectorConfig {
-            // Small thresholds so short generated streams can trip tests.
-            min_window_tasks: 4,
-            min_group_tasks: 2,
-            ..DetectorConfig::default()
-        };
+        let config = small_config();
         let mut by_feature = AnomalyDetector::new(model.clone(), config);
         let mut by_synopsis = AnomalyDetector::new(model, config);
         let mut events_a = Vec::new();
@@ -192,49 +242,17 @@ proptest! {
         workers in 1usize..5,
         batch_size in 1usize..17
     ) {
-        let model = trained_model();
-        let config = DetectorConfig {
-            min_window_tasks: 4,
-            min_group_tasks: 2,
-            ..DetectorConfig::default()
-        };
-        let mut reference = AnomalyDetector::new(model.clone(), config);
-        let mut expected = Vec::new();
-        let stream: Vec<TaskSynopsis> = tasks
-            .iter()
-            .enumerate()
-            .map(|(uid, t)| synopsis_of(t, uid as u64))
-            .collect();
-        for s in &stream {
-            expected.extend(reference.observe_synopsis(s));
-        }
-        expected.extend(reference.flush());
-
-        // SoA batch pool: synopses interned into batches at the ingest
-        // edge, one channel send per batch, branch-free classification.
+        let stream = stream_of(&tasks);
+        // Producer edge: a `BatchSink` behind trackers — synopses interned
+        // into batches as they are submitted, one channel send per batch.
         let interner = Arc::new(SignatureInterner::new());
         let (sink, batch_rx) = BatchSink::new(batch_size, interner.clone());
-        let pool = spawn_batch_analyzer_pool(
-            model,
-            config,
-            SupervisorConfig { silent_after: u64::MAX, ..SupervisorConfig::default() },
-            workers,
-            interner,
-            batch_rx,
-            None,
-        );
+        let pool = spawn_pool(workers, interner, batch_rx);
         for s in &stream {
             sink.submit(s.clone());
         }
         drop(sink); // flushes the partial tail batch
-        let mut pool_events = Vec::new();
-        while let Ok(e) = pool.events().recv() {
-            pool_events.push(e);
-        }
-        let detectors = pool.join().expect("no faults injected");
-        let seen: u64 = detectors.iter().map(|d| d.tasks_seen()).sum();
-        prop_assert_eq!(seen, reference.tasks_seen());
-        prop_assert_eq!(event_keys(&pool_events), event_keys(&expected));
+        check_against_reference(pool, stream)?;
     }
 
     #[test]
@@ -243,48 +261,22 @@ proptest! {
         workers in 1usize..5,
         batch_size in 1usize..17
     ) {
-        let model = trained_model();
-        let config = DetectorConfig {
-            min_window_tasks: 4,
-            min_group_tasks: 2,
-            ..DetectorConfig::default()
-        };
-        // Reference: one detector over the whole stream, in order.
-        let mut reference = AnomalyDetector::new(model.clone(), config);
-        let mut expected = Vec::new();
-        let stream: Vec<TaskSynopsis> = tasks
-            .iter()
-            .enumerate()
-            .map(|(uid, t)| synopsis_of(t, uid as u64))
-            .collect();
-        for s in &stream {
-            expected.extend(reference.observe_synopsis(s));
-        }
-        expected.extend(reference.flush());
-
-        // Pool: same stream, batched, sharded over `workers` threads.
-        // Liveness is disabled (saturating threshold) since the plain
-        // detector has no liveness tracker to mirror.
+        let stream = stream_of(&tasks);
+        // Producer edge: `feed_frame_soa` behind a frame receiver — one
+        // decoded frame in, one interned batch out.
+        let interner = Arc::new(SignatureInterner::new());
         let (batch_tx, batch_rx) = crossbeam_channel::unbounded();
-        let pool = spawn_analyzer_pool(
-            model,
-            config,
-            SupervisorConfig { silent_after: u64::MAX, ..SupervisorConfig::default() },
-            workers,
-            batch_rx,
-            None,
-        );
+        let (loss_tx, _loss_rx) = crossbeam_channel::unbounded();
+        let pool = spawn_pool(workers, interner.clone(), batch_rx);
         for chunk in stream.chunks(batch_size) {
-            batch_tx.send(chunk.to_vec()).expect("pool alive");
+            let frame = FrameOutcome::Fresh {
+                host: chunk[0].host,
+                synopses: chunk.to_vec(),
+                newly_lost: 0,
+            };
+            prop_assert_eq!(feed_frame_soa(frame, &batch_tx, &interner, &loss_tx), chunk.len());
         }
         drop(batch_tx);
-        let mut pool_events = Vec::new();
-        while let Ok(e) = pool.events().recv() {
-            pool_events.push(e);
-        }
-        let detectors = pool.join().expect("no faults injected");
-        let seen: u64 = detectors.iter().map(|d| d.tasks_seen()).sum();
-        prop_assert_eq!(seen, reference.tasks_seen());
-        prop_assert_eq!(event_keys(&pool_events), event_keys(&expected));
+        check_against_reference(pool, stream)?;
     }
 }

@@ -1,15 +1,60 @@
-//! Helpers shared by integration tests (`mod common;` in each).
+//! Helpers shared by integration tests (`mod common;` in each). A test
+//! file uses some of them, hence the `dead_code` allowances.
 
+use saad::core::detector::{AnomalyDetector, AnomalyEvent};
+use saad::core::feature::InternedFeature;
+use saad::core::pipeline::SequencedInput;
 use saad::net::protocol::{
     decode_hello, encode_hello_ack, HelloAck, RejectReason, HELLO_LEN, NO_SEQ, PROTOCOL_VERSION,
 };
+use saad::sim::SimTime;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+
+/// THE reference every threaded analyzer path is compared with: one plain
+/// detector driven element by element in stream order — advance to the
+/// stream's running-maximum watermark, observe; a loss report applied
+/// where it stands. Returns the events (final flush included) and the
+/// detector.
+#[allow(dead_code)]
+pub fn reference_run(
+    mut detector: AnomalyDetector,
+    steps: &[SequencedInput],
+) -> (Vec<AnomalyEvent>, AnomalyDetector) {
+    let interner = detector.interner().clone();
+    let mut events = Vec::new();
+    let mut watermark = SimTime::ZERO;
+    for step in steps {
+        match step {
+            SequencedInput::Batch(batch) => {
+                for s in batch {
+                    watermark = watermark.max(s.start);
+                    events.extend(detector.advance_watermark(watermark));
+                    let feature = InternedFeature::from_synopsis(s, &interner);
+                    events.extend(detector.observe_interned(&feature));
+                }
+            }
+            SequencedInput::Loss(r) => detector.record_loss(r.host, r.at, r.count),
+        }
+    }
+    events.extend(detector.flush());
+    (events, detector)
+}
+
+/// Sorted `Debug` strings: the order-insensitive form two event streams
+/// are compared in (shards interleave on the pool's event channel).
+#[allow(dead_code)]
+pub fn event_keys(events: &[AnomalyEvent]) -> Vec<String> {
+    let mut keys: Vec<String> = events.iter().map(|e| format!("{e:?}")).collect();
+    keys.sort_unstable();
+    keys
+}
 
 /// The collector's side of one agent connection, up to the first frame:
 /// accept, read the hello, acknowledge it as a collector with no history
 /// of the host would. What follows on the stream is `[u32 length][frame]`
 /// messages until the agent's goodbye.
+#[allow(dead_code)]
 pub fn accept_agent(listener: &TcpListener) -> TcpStream {
     let (mut stream, _) = listener.accept().expect("accept");
     let mut hello = [0u8; HELLO_LEN];

@@ -1,7 +1,7 @@
 //! End-to-end robustness: the full monitoring pipeline under combined
 //! transport and analyzer faults.
 //!
-//! Two hosts stream framed synopses to a supervised analyzer. Host 0's
+//! Two hosts stream framed synopses to a one-worker analyzer pool. Host 0's
 //! link suffers the combined fault scenario (≥10% frame loss, a
 //! duplication burst, delay-induced reordering, and a disconnect/reconnect
 //! window); host 1's link is clean. Mid-stream the analyzer is crashed by
@@ -20,7 +20,7 @@
 use saad::core::detector::AnomalyDetector;
 use saad::core::model::{ModelBuilder, ModelConfig, OutlierModel};
 use saad::core::pipeline::{
-    spawn_supervised_analyzer, ChannelSink, OverloadPolicy, SupervisorConfig,
+    spawn_batch_analyzer_pool, BatchSink, OverloadPolicy, SupervisorConfig,
 };
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
@@ -91,7 +91,7 @@ impl Producer {
 fn deliver(
     receiver: &mut FrameReceiver,
     frames: Vec<bytes::Bytes>,
-    sink: &ChannelSink,
+    sink: &BatchSink,
     loss_tx: &crossbeam_channel::Sender<LossReport>,
 ) {
     for frame in frames {
@@ -136,16 +136,19 @@ fn pipeline_survives_combined_transport_and_analyzer_faults() {
     let mut receiver = FrameReceiver::new();
 
     // Bounded sink: the policy guarantees a producer is never stalled for
-    // more than the timeout per synopsis, and anything discarded is
-    // counted — never silent.
-    let (sink, rx) = ChannelSink::bounded(
-        16_384,
+    // more than the timeout per batch, and anything discarded is counted —
+    // never silent.
+    let interner = Arc::new(SignatureInterner::new());
+    let (sink, rx) = BatchSink::bounded(
+        16_384 / BATCH,
+        BATCH,
         OverloadPolicy::Block {
             timeout: Duration::from_millis(100),
         },
+        interner.clone(),
     );
     let (loss_tx, loss_rx) = crossbeam_channel::unbounded();
-    let handle = spawn_supervised_analyzer(
+    let handle = spawn_batch_analyzer_pool(
         model,
         DetectorConfig::default(),
         SupervisorConfig {
@@ -155,6 +158,8 @@ fn pipeline_survives_combined_transport_and_analyzer_faults() {
             panic_after: Some(POISON_AT),
             ..SupervisorConfig::default()
         },
+        1,
+        interner,
         rx,
         Some(loss_rx),
     )
@@ -226,7 +231,8 @@ fn pipeline_survives_combined_transport_and_analyzer_faults() {
     // ── The supervisor restarted from snapshot and kept analyzing. ─────
     assert_eq!(handle.restarts(), 1);
     assert_eq!(handle.skipped(), 1);
-    let detector: AnomalyDetector = handle.join().expect("supervisor absorbed the panic");
+    let detectors = handle.join().expect("supervisor absorbed the panic");
+    let detector: &AnomalyDetector = &detectors[0];
     let delivered = stats0.delivered_synopses + stats1.delivered_synopses;
     assert_eq!(
         detector.tasks_seen(),
@@ -277,18 +283,20 @@ fn pipeline_survives_combined_transport_and_analyzer_faults() {
 
 #[test]
 fn backpressure_drops_are_exact_when_the_analyzer_stalls() {
-    // A stalled consumer: nothing reads `rx` while producers burst.
-    let (sink, rx) = ChannelSink::bounded(8, OverloadPolicy::DropOldest);
+    // A stalled consumer: nothing reads `rx` while producers burst. One
+    // synopsis per batch, so the bound and the counts read in synopses.
+    let interner = Arc::new(SignatureInterner::new());
+    let (sink, rx) = BatchSink::bounded(8, 1, OverloadPolicy::DropOldest, interner);
     for i in 0..100u64 {
         let host = (i % 2) as u16;
         sink.submit(synopsis(host, &[1, 2], SimTime::ZERO, i));
     }
     // Exactly 92 evictions, attributed to the evicted synopses' hosts
     // (alternating, so 46 each), and the queue holds the newest 8.
-    assert_eq!(sink.dropped(), 92);
-    let by_host = sink.drops_by_host();
+    assert_eq!(sink.stats().dropped(), 92);
+    let by_host = sink.stats().drops_by_host();
     assert_eq!(by_host[&HostId(0)].oldest, 46);
     assert_eq!(by_host[&HostId(1)].oldest, 46);
-    let queued: Vec<u64> = rx.try_iter().map(|s| s.uid.0).collect();
+    let queued: Vec<u64> = rx.try_iter().map(|batch| batch.uids[0].0).collect();
     assert_eq!(queued, (92..100).collect::<Vec<_>>());
 }

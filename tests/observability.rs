@@ -15,7 +15,7 @@
 use crossbeam_channel::unbounded;
 use saad::core::detector::AnomalyKind;
 use saad::core::pipeline::{
-    spawn_analyzer, spawn_analyzer_pool_with_lifecycle, ChannelSink, LifecycleConfig,
+    spawn_analyzer_pool_with_lifecycle, spawn_batch_analyzer_pool, BatchSink, LifecycleConfig,
     LifecyclePool, SupervisorConfig,
 };
 use saad::core::prelude::*;
@@ -314,8 +314,9 @@ fn meta_monitoring_flags_injected_checkpoint_stall() {
     // SAAD watches itself: the healthy-trained detector reads phase B's
     // meta stream. Meta ticks are wall-clock stamped, so one wide window
     // covers the whole run.
-    let (sink, rx) = ChannelSink::new();
-    let handle = spawn_analyzer(
+    let interner = Arc::new(SignatureInterner::new());
+    let (sink, rx) = BatchSink::new(64, interner.clone());
+    let handle = spawn_batch_analyzer_pool(
         meta_model,
         DetectorConfig {
             window: SimDuration::from_mins(60),
@@ -323,16 +324,21 @@ fn meta_monitoring_flags_injected_checkpoint_stall() {
             min_group_tasks: 5,
             ..DetectorConfig::default()
         },
+        // Liveness off: the verdict is about the meta stages' windows.
+        SupervisorConfig {
+            silent_after: u64::MAX,
+            ..SupervisorConfig::default()
+        },
+        1,
+        interner,
         rx,
+        None,
     );
     for s in stalled {
         sink.submit(s);
     }
     drop(sink);
-    let mut events = Vec::new();
-    while let Ok(e) = handle.events().recv() {
-        events.push(e);
-    }
+    let events: Vec<AnomalyEvent> = handle.events().iter().collect();
     handle.join().unwrap();
 
     let flagged = events.iter().any(|e| {

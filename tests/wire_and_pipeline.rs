@@ -7,11 +7,16 @@
 //! originals — and (b) the threaded pipeline detects the same anomalies
 //! the offline path does.
 
+mod common;
+
+use common::{event_keys, reference_run};
 use saad::cassandra::{Cluster, ClusterConfig};
 use saad::core::codec;
 use saad::core::detector::AnomalyDetector;
 use saad::core::model::ModelConfig;
-use saad::core::pipeline::{spawn_analyzer, ChannelSink};
+use saad::core::pipeline::{
+    spawn_batch_analyzer_pool, BatchSink, SequencedInput, SupervisorConfig,
+};
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
 use saad::fault::{catalog, FaultSchedule, FaultSpec, FaultType, Intensity};
@@ -59,17 +64,13 @@ fn faulted_run(mins: u64) -> (Vec<TaskSynopsis>, Arc<saad::core::model::OutlierM
     (sink.drain(), model)
 }
 
+/// Offline detection: the reference detector over the whole stream.
 fn detect(
     model: Arc<saad::core::model::OutlierModel>,
     synopses: &[TaskSynopsis],
 ) -> Vec<AnomalyEvent> {
-    let mut d = AnomalyDetector::new(model, DetectorConfig::default());
-    let mut events = Vec::new();
-    for s in synopses {
-        events.extend(d.observe(&FeatureVector::from(s)));
-    }
-    events.extend(d.flush());
-    events
+    let detector = AnomalyDetector::new(model, DetectorConfig::default());
+    reference_run(detector, &[SequencedInput::Batch(synopses.to_vec())]).0
 }
 
 #[test]
@@ -97,24 +98,27 @@ fn threaded_pipeline_matches_offline_detection() {
     let (synopses, model) = faulted_run(6);
     let offline = detect(model.clone(), &synopses);
 
-    let (sink, rx) = ChannelSink::new();
-    let handle = spawn_analyzer(model, DetectorConfig::default(), rx);
+    // Liveness off: the offline replay has no liveness tracker to mirror.
+    let supervisor = SupervisorConfig {
+        silent_after: u64::MAX,
+        ..SupervisorConfig::default()
+    };
+    let interner = Arc::new(SignatureInterner::new());
+    let (sink, rx) = BatchSink::new(64, interner.clone());
+    let config = DetectorConfig::default();
+    let pool = spawn_batch_analyzer_pool(model, config, supervisor, 1, interner, rx, None);
     for s in &synopses {
         sink.submit(s.clone());
     }
     drop(sink);
-    let mut online = Vec::new();
-    while let Ok(e) = handle.events().recv() {
-        online.push(e);
-    }
-    let detector = handle.join().expect("analyzer ran to completion");
-    assert_eq!(detector.tasks_seen(), synopses.len() as u64);
+    let online: Vec<AnomalyEvent> = pool.events().iter().collect();
+    let detectors = pool.join().expect("analyzer ran to completion");
+    assert_eq!(detectors[0].tasks_seen(), synopses.len() as u64);
     // Events may interleave differently across window-close boundaries;
     // compare as multisets keyed by the full event value.
-    let key = |e: &AnomalyEvent| format!("{:?}", e);
-    let mut a: Vec<String> = offline.iter().map(key).collect();
-    let mut b: Vec<String> = online.iter().map(key).collect();
-    a.sort();
-    b.sort();
-    assert_eq!(a, b, "threaded analyzer must match offline replay");
+    assert_eq!(
+        event_keys(&offline),
+        event_keys(&online),
+        "threaded analyzer must match offline replay"
+    );
 }
