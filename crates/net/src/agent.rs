@@ -27,10 +27,7 @@
 //! Retransmission would trade bounded memory for at-least-once delivery
 //! the detector does not need — it is loss-aware by design.
 
-use crate::protocol::{
-    decode_hello_ack, encode_hello, read_full, Hello, PeerRole, RejectReason, HELLO_ACK_LEN,
-    HELLO_ACK_V1_LEN, PROTOCOL_VERSION,
-};
+use crate::protocol::{exchange_hello, Hello, PeerRole, RejectReason, PROTOCOL_VERSION};
 use crate::ring::{LeafResolver, PinnedResolver};
 use bytes::{BufMut, BytesMut};
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
@@ -631,22 +628,7 @@ fn try_connect(
         epoch,
         role: PeerRole::Agent,
     };
-    if stream.write_all(&encode_hello(&hello)).is_err() || stream.flush().is_err() {
-        return ConnectOutcome::Failed;
-    }
-    // The ack arrives in the wire form of the version *we* announced —
-    // that is the whole point of the version-negotiated reject path.
-    let ack_len = if config.version >= 2 {
-        HELLO_ACK_LEN
-    } else {
-        HELLO_ACK_V1_LEN
-    };
-    let mut ack_buf = vec![0u8; ack_len];
-    match read_full(&mut stream, &mut ack_buf, || true) {
-        Ok(true) => {}
-        Ok(false) | Err(_) => return ConnectOutcome::Failed,
-    }
-    match decode_hello_ack(&ack_buf) {
+    match exchange_hello(&mut stream, &hello) {
         Ok(ack) if ack.accept => ConnectOutcome::Connected(stream),
         Ok(ack) => ConnectOutcome::Rejected(ack.reason),
         Err(_) => ConnectOutcome::Failed,

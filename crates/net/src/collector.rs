@@ -1,17 +1,18 @@
 //! The collector server: many concurrent agent connections feeding one
 //! shared, exactly-accounted synopsis stream.
 //!
-//! Each accepted connection runs on its own thread: it performs the
-//! [`protocol`](crate::protocol) handshake, then reads length-prefixed
-//! transport frames, validating and decoding them **outside** any shared
-//! lock ([`parse_frame`]) and sequencing them **under** the shared
-//! [`FrameReceiver`] lock ([`FrameReceiver::admit`], O(1) per frame). The
-//! expensive per-byte work therefore parallelizes across connections;
-//! only the cheap per-host accounting serializes.
+//! This is the thread-per-connection driver of the one receive path: the
+//! `server` module gives every accepted connection a thread that moves
+//! bytes into a [`Session`](crate::Session), which drives the shared
+//! `Ingest` core — frame validation and decode **outside** any shared
+//! lock, sequencing **under** the shared [`FrameReceiver`] lock (O(1) per
+//! frame), so per-byte work parallelizes across connections. The
+//! [`ReactorCollector`](crate::ReactorCollector) drives the same sessions
+//! and core from readiness events instead.
 //!
-//! Admitted frames flow into the analyzer input via
-//! [`feed_frame`]: synopses as one batch send, newly revealed gaps as
-//! [`LossReport`]s — exactly the contract the in-process pipeline already
+//! Admitted frames flow into the analyzer input as one batch send per
+//! frame, newly revealed gaps as [`LossReport`]s before the batch that
+//! revealed them — exactly the contract the in-process pipeline already
 //! uses, so `spawn_analyzer_pool_with_lifecycle` works unchanged behind a
 //! socket.
 //!
@@ -21,26 +22,20 @@
 //! collector restarts. A collector restarted *without* that state relies
 //! on the agents' resume handshakes ([`FrameReceiver::resume`]) instead.
 
-use crate::protocol::{
-    apply_hello_ext, decode_hello_prefix, encode_hello_ack, hello_ext_len, read_full, Hello,
-    HelloAck, RejectReason, HELLO_EXT_LEN, HELLO_V1_LEN, MAX_MESSAGE_LEN, NO_SEQ, PINNED_EPOCH,
-    PROTOCOL_VERSION,
-};
+use crate::ingest::{Ingest, SynopsisOut};
+use crate::protocol::PROTOCOL_VERSION;
+use crate::server::Server;
 use crossbeam_channel::Sender;
-use parking_lot::Mutex;
 use saad_core::batch::SynopsisBatch;
 use saad_core::intern::SignatureInterner;
-use saad_core::pipeline::{feed_frame, feed_frame_soa};
 use saad_core::synopsis::TaskSynopsis;
-use saad_core::transport::{parse_frame, FrameOutcome, FrameReceiver, LinkStats, LossReport};
+use saad_core::transport::{FrameReceiver, LinkStats, LossReport};
 use saad_core::HostId;
 use saad_sim::SimTime;
-use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Tuning for a [`Collector`].
@@ -55,8 +50,8 @@ pub struct CollectorConfig {
     /// Live control-plane epoch to enforce, typically
     /// [`ControlPlane::epoch_handle`](crate::control::ControlPlane::epoch_handle).
     /// A hello routed by an older ring epoch is rejected with
-    /// [`RejectReason::StaleEpoch`] so the peer refetches the ring;
-    /// [`PINNED_EPOCH`] hellos (including everything v1) are exempt.
+    /// [`RejectReason::StaleEpoch`](crate::RejectReason::StaleEpoch) so the peer refetches the ring;
+    /// [`PINNED_EPOCH`](crate::protocol::PINNED_EPOCH) hellos (including everything v1) are exempt.
     /// `None` disables the check entirely.
     pub epoch: Option<Arc<AtomicU64>>,
     /// Kernel receive-buffer clamp applied to every accepted connection
@@ -83,25 +78,13 @@ impl Default for CollectorConfig {
 /// accounting.
 #[derive(Debug, Default)]
 pub struct CollectorState {
-    receiver: FrameReceiver,
+    pub(crate) receiver: FrameReceiver,
 }
 
 impl CollectorState {
     /// The carried-over receiver (read-only view).
     pub fn receiver(&self) -> &FrameReceiver {
         &self.receiver
-    }
-
-    /// Wrap a receiver (used by collector implementations handing state
-    /// to a successor).
-    pub(crate) fn from_receiver(receiver: FrameReceiver) -> CollectorState {
-        CollectorState { receiver }
-    }
-
-    /// Unwrap into the receiver (used by collector implementations
-    /// adopting carried-over state).
-    pub(crate) fn into_receiver(self) -> FrameReceiver {
-        self.receiver
     }
 }
 
@@ -131,25 +114,6 @@ pub struct CollectorStats {
     pub watermark: SimTime,
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub(crate) connections_accepted: AtomicU64,
-    pub(crate) connections_active: AtomicU64,
-    pub(crate) handshakes_rejected: AtomicU64,
-    pub(crate) stale_epoch_rejects: AtomicU64,
-    pub(crate) frames: AtomicU64,
-    pub(crate) synopses: AtomicU64,
-    pub(crate) watermark_micros: AtomicU64,
-}
-
-impl Counters {
-    /// Monotone max-update of the ingest watermark.
-    pub(crate) fn stamp_watermark(&self, at: SimTime) {
-        self.watermark_micros
-            .fetch_max(at.as_micros(), Ordering::Relaxed);
-    }
-}
-
 /// Consumer of admitted frames that needs the agent's **global stream
 /// coordinates**, not just the payload — what a leaf collector's uplink
 /// implements so it can re-frame digests upstream at the exact positions
@@ -168,70 +132,13 @@ pub trait AdmittedSink: Send + Sync {
     );
 }
 
-/// Where admitted frames' synopses go: raw batches for the classic
-/// analyzer input, SoA batches for [`spawn_batch_analyzer_pool`]
-/// (`saad_core::pipeline`) — interned at the collector edge so the whole
-/// downstream path works in dense column arrays — or an [`AdmittedSink`]
-/// forwarding digests upstream (the leaf-collector role).
-pub(crate) enum SynopsisOut {
-    Raw(Sender<Vec<TaskSynopsis>>),
-    Soa {
-        tx: Sender<SynopsisBatch>,
-        interner: Arc<SignatureInterner>,
-    },
-    Forward(Arc<dyn AdmittedSink>),
-}
-
-impl SynopsisOut {
-    /// Forward one admitted frame outcome; returns synopses forwarded.
-    /// `pos_end` is the frame's end position in the sender's global
-    /// stream coordinates (only the `Forward` sink needs it).
-    pub(crate) fn feed(
-        &self,
-        outcome: FrameOutcome,
-        loss_tx: &Sender<LossReport>,
-        pos_end: u64,
-    ) -> usize {
-        match self {
-            SynopsisOut::Raw(tx) => feed_frame(outcome, tx, loss_tx),
-            SynopsisOut::Soa { tx, interner } => feed_frame_soa(outcome, tx, interner, loss_tx),
-            SynopsisOut::Forward(sink) => match outcome {
-                FrameOutcome::Fresh {
-                    host,
-                    synopses,
-                    newly_lost,
-                } => {
-                    let n = synopses.len();
-                    sink.on_fresh(host, synopses, newly_lost, pos_end);
-                    n
-                }
-                FrameOutcome::Duplicate { .. } => 0,
-            },
-        }
-    }
-}
-
-struct Shared {
-    receiver: Mutex<FrameReceiver>,
-    out: SynopsisOut,
-    loss_tx: Sender<LossReport>,
-    shutdown: AtomicBool,
-    counters: Counters,
-    config: CollectorConfig,
-    /// Live connection sockets, keyed by connection id, so shutdown can
-    /// unblock handlers stuck in a read.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    handler_joins: Mutex<Vec<JoinHandle<()>>>,
-}
-
 /// A running collector server. Dropping without calling
 /// [`Collector::shutdown`] leaves the accept thread running for the
 /// process lifetime; call `shutdown` for a clean stop and to recover the
 /// link state.
 pub struct Collector {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept_join: Option<JoinHandle<()>>,
+    ingest: Arc<Ingest>,
+    server: Server,
 }
 
 impl Collector {
@@ -265,13 +172,12 @@ impl Collector {
         loss_tx: Sender<LossReport>,
         config: CollectorConfig,
     ) -> io::Result<Collector> {
-        Collector::serve_inner(
+        let state = CollectorState::default();
+        Collector::serve_soa(
             TcpListener::bind(addr)?,
-            CollectorState::default(),
-            SynopsisOut::Soa {
-                tx: batch_tx,
-                interner,
-            },
+            state,
+            batch_tx,
+            interner,
             loss_tx,
             config,
         )
@@ -372,425 +278,40 @@ impl Collector {
         loss_tx: Sender<LossReport>,
         config: CollectorConfig,
     ) -> io::Result<Collector> {
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            receiver: Mutex::new(state.receiver),
-            out,
-            loss_tx,
-            shutdown: AtomicBool::new(false),
-            counters: Counters::default(),
-            config,
-            conns: Mutex::new(HashMap::new()),
-            handler_joins: Mutex::new(Vec::new()),
-        });
-        let accept_shared = shared.clone();
-        let accept_join = std::thread::Builder::new()
-            .name("saad-net-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))
-            .expect("spawn accept thread");
-        Ok(Collector {
-            local_addr,
-            shared,
-            accept_join: Some(accept_join),
-        })
+        let ingest = Ingest::new(state.receiver, out, loss_tx, config.version, config.epoch);
+        let (opener, poll, clamp) = (ingest.clone(), config.read_poll, config.recv_buffer);
+        let server = Server::start(listener, "saad-net", poll, clamp, move || opener.link())?;
+        Ok(Collector { ingest, server })
     }
 
     /// The bound address — the actual port when bound with port 0.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.server.local_addr()
     }
 
     /// Snapshot of collector-wide counters (takes the receiver lock
     /// briefly for link totals).
     pub fn stats(&self) -> CollectorStats {
-        let c = &self.shared.counters;
-        let (corrupted, duplicates, lost) = {
-            let rx = self.shared.receiver.lock();
-            let (mut dup, mut lost) = (0u64, 0u64);
-            for (_, s) in rx.all_stats() {
-                dup += s.duplicate_frames;
-                lost += s.lost_synopses;
-            }
-            (rx.corrupted_frames(), dup, lost)
-        };
-        CollectorStats {
-            connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
-            connections_active: c.connections_active.load(Ordering::Relaxed),
-            handshakes_rejected: c.handshakes_rejected.load(Ordering::Relaxed),
-            stale_epoch_rejects: c.stale_epoch_rejects.load(Ordering::Relaxed),
-            frames: c.frames.load(Ordering::Relaxed),
-            synopses: c.synopses.load(Ordering::Relaxed),
-            corrupted_frames: corrupted,
-            duplicate_frames: duplicates,
-            lost_synopses: lost,
-            watermark: SimTime::from_micros(c.watermark_micros.load(Ordering::Relaxed)),
-        }
+        self.ingest.stats()
     }
 
     /// Link statistics for one host (zeroes if never heard from).
     pub fn link_stats(&self, host: HostId) -> LinkStats {
-        self.shared.receiver.lock().stats(host)
+        self.ingest.link_stats(host)
     }
 
-    /// Expose the collector's live counters in `registry`. Every series
-    /// is a scrape-time callback over counters the collector already
-    /// maintains; the ones aggregating link totals take the receiver
-    /// lock briefly at scrape time, exactly like [`Collector::stats`].
+    /// Expose the collector's live counters in `registry` as
+    /// `saad_collector_*{backend="threaded"}`. Every series is a
+    /// scrape-time callback over [`Collector::stats`] holding only a weak
+    /// reference, so a collector that was shut down scrapes as zero.
     pub fn register_metrics(&self, registry: &saad_obs::Registry) {
-        // The registry typically outlives the collector, and `Shared`
-        // owns the analyzer-side senders: a strong capture here would
-        // keep the batch channel open after shutdown and deadlock
-        // downstream joins. Scrapes after shutdown read zero.
-        let counter = |f: fn(&Counters) -> &AtomicU64| {
-            let shared = Arc::downgrade(&self.shared);
-            move || {
-                shared
-                    .upgrade()
-                    .map_or(0, |s| f(&s.counters).load(Ordering::Relaxed))
-            }
-        };
-        registry.register_counter_fn(
-            "saad_collector_connections_accepted_total",
-            "Agent connections accepted since collector start",
-            &[],
-            counter(|c| &c.connections_accepted),
-        );
-        registry.register_counter_fn(
-            "saad_collector_handshakes_rejected_total",
-            "Handshakes refused (bad magic/checksum or version skew)",
-            &[],
-            counter(|c| &c.handshakes_rejected),
-        );
-        registry.register_counter_fn(
-            "saad_collector_stale_epoch_rejects_total",
-            "Handshakes refused because the peer routed by a stale ring epoch",
-            &[],
-            counter(|c| &c.stale_epoch_rejects),
-        );
-        registry.register_counter_fn(
-            "saad_collector_frames_total",
-            "Fresh (non-duplicate) frames admitted",
-            &[],
-            counter(|c| &c.frames),
-        );
-        registry.register_counter_fn(
-            "saad_collector_synopses_total",
-            "Synopses forwarded to the analyzer input",
-            &[],
-            counter(|c| &c.synopses),
-        );
-        let shared = Arc::downgrade(&self.shared);
-        registry.register_gauge_fn(
-            "saad_collector_connections_active",
-            "Agent connections currently streaming",
-            &[],
-            move || {
-                shared.upgrade().map_or(0, |s| {
-                    s.counters.connections_active.load(Ordering::Relaxed) as i64
-                })
-            },
-        );
-        let shared = Arc::downgrade(&self.shared);
-        registry.register_gauge_fn(
-            "saad_collector_watermark_us",
-            "Highest synopsis start time admitted on any connection, in stream microseconds",
-            &[],
-            move || {
-                shared.upgrade().map_or(0, |s| {
-                    s.counters.watermark_micros.load(Ordering::Relaxed) as i64
-                })
-            },
-        );
-        let shared = Arc::downgrade(&self.shared);
-        registry.register_counter_fn(
-            "saad_collector_corrupted_frames_total",
-            "Frames rejected as corrupt (checksum, truncation, oversize, codec)",
-            &[],
-            move || {
-                shared
-                    .upgrade()
-                    .map_or(0, |s| s.receiver.lock().corrupted_frames())
-            },
-        );
-        let shared = Arc::downgrade(&self.shared);
-        registry.register_counter_fn(
-            "saad_collector_duplicate_frames_total",
-            "Duplicate frames discarded across all hosts",
-            &[],
-            move || {
-                shared.upgrade().map_or(0, |s| {
-                    let rx = s.receiver.lock();
-                    rx.all_stats().map(|(_, st)| st.duplicate_frames).sum()
-                })
-            },
-        );
-        let shared = Arc::downgrade(&self.shared);
-        registry.register_counter_fn(
-            "saad_collector_lost_synopses_total",
-            "Synopses known lost across all hosts (exact at quiescence)",
-            &[],
-            move || {
-                shared.upgrade().map_or(0, |s| {
-                    let rx = s.receiver.lock();
-                    rx.all_stats().map(|(_, st)| st.lost_synopses).sum()
-                })
-            },
-        );
+        self.ingest.register_metrics(registry, "threaded");
     }
 
     /// Stop accepting, close every live connection, join all handler
     /// threads, and return the final link state for a successor collector.
-    pub fn shutdown(mut self) -> CollectorState {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Unblock handlers stuck mid-read (their poll timeout would catch
-        // the flag anyway; this just makes shutdown prompt).
-        for stream in self.shared.conns.lock().values() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        // Unblock the accept call with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(join) = self.accept_join.take() {
-            let _ = join.join();
-        }
-        let joins = std::mem::take(&mut *self.shared.handler_joins.lock());
-        for join in joins {
-            let _ = join.join();
-        }
-        CollectorState {
-            receiver: std::mem::take(&mut *self.shared.receiver.lock()),
-        }
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut next_conn_id = 0u64;
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let conn_id = next_conn_id;
-        next_conn_id += 1;
-        let _ = stream.set_read_timeout(Some(shared.config.read_poll));
-        let _ = stream.set_nodelay(true);
-        if let Some(bytes) = shared.config.recv_buffer {
-            let _ = saad_reactor::set_recv_buffer(&stream, bytes);
-        }
-        if let Ok(registered) = stream.try_clone() {
-            shared.conns.lock().insert(conn_id, registered);
-        }
-        shared
-            .counters
-            .connections_accepted
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .counters
-            .connections_active
-            .fetch_add(1, Ordering::Relaxed);
-        let handler_shared = shared.clone();
-        let join = std::thread::Builder::new()
-            .name(format!("saad-net-conn-{conn_id}"))
-            .spawn(move || {
-                handle_connection(stream, &handler_shared);
-                handler_shared.conns.lock().remove(&conn_id);
-                handler_shared
-                    .counters
-                    .connections_active
-                    .fetch_sub(1, Ordering::Relaxed);
-            })
-            .expect("spawn connection handler");
-        shared.handler_joins.lock().push(join);
-    }
-}
-
-/// Handshake then stream frames until EOF, error, or shutdown.
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    let keep_going = || !shared.shutdown.load(Ordering::SeqCst);
-
-    // --- Handshake ---------------------------------------------------
-    // Two-phase read: the 36-byte v1 prefix is byte-identical across
-    // versions and announces which version — and therefore how many
-    // extension bytes — follow. A decode failure is answered in the v1
-    // wire form, the only one an unidentified peer is guaranteed to read.
-    let mut prefix = [0u8; HELLO_V1_LEN];
-    match read_full(&mut stream, &mut prefix, keep_going) {
-        Ok(true) => {}
-        Ok(false) | Err(_) => return,
-    }
-    let mut hello = match decode_hello_prefix(&prefix) {
-        Ok(h) => h,
-        Err(_) => {
-            reject(&mut stream, shared, RejectReason::Malformed, 1);
-            return;
-        }
-    };
-    if hello_ext_len(hello.version) > 0 {
-        let mut ext = [0u8; HELLO_EXT_LEN];
-        match read_full(&mut stream, &mut ext, keep_going) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
-        }
-        if apply_hello_ext(&mut hello, &prefix, &ext).is_err() {
-            reject(&mut stream, shared, RejectReason::Malformed, hello.version);
-            return;
-        }
-    }
-    // From here every reply is formatted by the *peer's* announced
-    // version, so even a rejected old-protocol agent reads a complete,
-    // decodable ack and terminates cleanly instead of hanging.
-    if hello.version != shared.config.version {
-        reject(
-            &mut stream,
-            shared,
-            RejectReason::VersionMismatch,
-            hello.version,
-        );
-        return;
-    }
-    if stale_epoch(shared, &hello) {
-        shared
-            .counters
-            .stale_epoch_rejects
-            .fetch_add(1, Ordering::Relaxed);
-        reject(&mut stream, shared, RejectReason::StaleEpoch, hello.version);
-        return;
-    }
-    let (last_seq, delivered_cum) = {
-        let mut rx = shared.receiver.lock();
-        rx.resume(
-            hello.host,
-            hello.written_cum,
-            hello.sent_cum,
-            hello.next_seq,
-        );
-        (
-            rx.highest_seq(hello.host).unwrap_or(NO_SEQ),
-            rx.stats(hello.host).delivered_synopses,
-        )
-    };
-    let ack = HelloAck {
-        version: shared.config.version,
-        accept: true,
-        reason: RejectReason::None,
-        last_seq,
-        delivered_cum,
-        epoch: current_epoch(shared),
-    };
-    if stream
-        .write_ack(&encode_hello_ack(&ack, hello.version))
-        .is_err()
-    {
-        return;
-    }
-
-    // --- Frame stream ------------------------------------------------
-    let mut len_buf = [0u8; 4];
-    let mut body = Vec::new();
-    loop {
-        match read_full(&mut stream, &mut len_buf, keep_going) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
-        }
-        let len = u32::from_be_bytes(len_buf) as usize;
-        if len > MAX_MESSAGE_LEN {
-            // A nonsense prefix means we can no longer find message
-            // boundaries; the stream is unrecoverable.
-            shared.receiver.lock().record_corrupted();
-            return;
-        }
-        body.resize(len, 0);
-        match read_full(&mut stream, &mut body, keep_going) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
-        }
-        // Expensive validation/decoding outside the shared lock.
-        let parsed = match parse_frame(&body) {
-            Ok(p) => p,
-            Err(_) => {
-                // Body corrupt but the length prefix framed it correctly;
-                // later messages remain readable.
-                shared.receiver.lock().record_corrupted();
-                continue;
-            }
-        };
-        let max_start = parsed
-            .synopses
-            .iter()
-            .map(|s| s.start)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        // End of this frame in the sender's global stream coordinates —
-        // what a forwarding sink re-frames at so gaps stay visible
-        // upstream.
-        let pos_end = parsed.cumulative + parsed.synopses.len() as u64;
-        let outcome = shared.receiver.lock().admit(parsed);
-        let is_fresh = matches!(outcome, FrameOutcome::Fresh { .. });
-        let forwarded = shared.out.feed(outcome, &shared.loss_tx, pos_end);
-        if is_fresh {
-            shared.counters.frames.fetch_add(1, Ordering::Relaxed);
-            shared
-                .counters
-                .synopses
-                .fetch_add(forwarded as u64, Ordering::Relaxed);
-            shared.counters.stamp_watermark(max_start);
-        }
-    }
-}
-
-/// Current enforced epoch, or 0 when the collector enforces none.
-fn current_epoch(shared: &Shared) -> u64 {
-    shared
-        .config
-        .epoch
-        .as_ref()
-        .map_or(0, |e| e.load(Ordering::SeqCst))
-}
-
-/// Did this hello route by a ring epoch older than the enforced one?
-/// [`PINNED_EPOCH`] peers (and all v1 peers, which decode to it) are
-/// never stale: they did not route through a ring at all.
-fn stale_epoch(shared: &Shared, hello: &Hello) -> bool {
-    match &shared.config.epoch {
-        Some(e) => hello.epoch != PINNED_EPOCH && hello.epoch < e.load(Ordering::SeqCst),
-        None => false,
-    }
-}
-
-/// Refuse the handshake, formatting the ack in `wire_version` — the
-/// **peer's** announced version — so the rejected peer can decode it.
-fn reject(stream: &mut TcpStream, shared: &Shared, reason: RejectReason, wire_version: u16) {
-    shared
-        .counters
-        .handshakes_rejected
-        .fetch_add(1, Ordering::Relaxed);
-    let ack = HelloAck {
-        version: shared.config.version,
-        accept: false,
-        reason,
-        last_seq: NO_SEQ,
-        delivered_cum: 0,
-        epoch: current_epoch(shared),
-    };
-    let _ = stream.write_ack(&encode_hello_ack(&ack, wire_version));
-}
-
-/// Small extension so ack writes read naturally above.
-trait WriteAck {
-    fn write_ack(&mut self, bytes: &[u8]) -> io::Result<()>;
-}
-
-impl WriteAck for TcpStream {
-    fn write_ack(&mut self, bytes: &[u8]) -> io::Result<()> {
-        use io::Write;
-        self.write_all(bytes)?;
-        self.flush()
+    pub fn shutdown(self) -> CollectorState {
+        self.server.shutdown();
+        self.ingest.into_state()
     }
 }

@@ -1,12 +1,12 @@
 //! Incremental assembly of `u32` length-prefixed messages from an
 //! arbitrarily fragmented byte stream.
 //!
-//! This is the framing layer the reactor collector runs over its
-//! per-connection [`RingBuf`]: bytes arrive in whatever fragments the
-//! kernel delivers, and [`FrameAssembler::next_message`] yields each
-//! complete message body exactly once, borrowing it zero-copy from the
-//! ring. The same type drives the fragmentation property tests, so the
-//! code under test is the code in production.
+//! This is the framing layer every [`Session`](crate::session::Session)
+//! runs over its per-connection [`RingBuf`]: bytes arrive in whatever
+//! fragments the driver lands, and [`FrameAssembler::next_message`]
+//! yields each complete message body exactly once, borrowing it zero-copy
+//! from the ring. The same type drives the fragmentation property tests,
+//! so the code under test is the code in production.
 
 use crate::protocol::MAX_MESSAGE_LEN;
 use saad_reactor::RingBuf;
@@ -44,6 +44,9 @@ pub struct FrameAssembler {
     /// call (prefix + body), consumed lazily on the next call — this is
     /// what lets `next_message` hand out a borrow of the ring.
     pending: usize,
+    /// Bytes (prefix included) the message at the front of the ring needs
+    /// before `next_message` can return it: 4 until its prefix is read.
+    want: usize,
     stalls: u64,
 }
 
@@ -55,6 +58,7 @@ impl FrameAssembler {
         FrameAssembler {
             ring: RingBuf::with_capacity(capacity),
             pending: 0,
+            want: 4,
             stalls: 0,
         }
     }
@@ -77,6 +81,23 @@ impl FrameAssembler {
         self.ring.len() - self.pending
     }
 
+    /// Bytes still missing before [`FrameAssembler::next_message`] can
+    /// make progress: the rest of the length prefix, or — once the prefix
+    /// is in — the rest of the message it announces. A blocking driver
+    /// reads exactly this many.
+    #[must_use]
+    pub fn missing(&self) -> usize {
+        self.want.saturating_sub(self.buffered())
+    }
+
+    /// Drop everything buffered (a peer that was refused is not parsed).
+    pub fn clear(&mut self) {
+        let len = self.ring.len();
+        self.ring.consume(len);
+        self.pending = 0;
+        self.want = 4;
+    }
+
     /// Drain calls that ended on a partial message — the "decode stall"
     /// count: how often the stream paused mid-message.
     #[must_use]
@@ -97,6 +118,7 @@ impl FrameAssembler {
             self.ring.consume(self.pending);
             self.pending = 0;
         }
+        self.want = 4;
         if self.ring.len() < 4 {
             if !self.ring.is_empty() {
                 self.stalls += 1;
@@ -113,6 +135,7 @@ impl FrameAssembler {
             // Pre-size the ring so the rest of the message lands without
             // mid-read growth.
             self.ring.grow(whole);
+            self.want = whole;
             self.stalls += 1;
             return Ok(None);
         }

@@ -1,0 +1,619 @@
+//! What an agent-facing collector does with a hello and a frame — once.
+//!
+//! [`Ingest`] is the core the threaded [`Collector`](crate::Collector) and
+//! the [`ReactorCollector`](crate::ReactorCollector) both hold in an
+//! `Arc`: the shared [`FrameReceiver`], the analyzer-side channels, the
+//! collector-wide counters, the accepted version and epoch. Each
+//! connection gets an [`IngestLink`], the [`Handler`] its
+//! [`Session`](crate::session::Session) drives.
+//!
+//! Per frame, the per-byte work (CRC, decode, interning) runs outside the
+//! receiver lock, which is taken once for the O(1) sequencing verdict.
+//! For the SoA output the payload is decoded **in place** from the
+//! session's ring into a staging [`SynopsisBatch`]: one batch allocation
+//! per fresh frame, none per synopsis.
+
+use crate::collector::{AdmittedSink, CollectorState, CollectorStats};
+use crate::protocol::{Hello, HelloAck, RejectReason, NO_SEQ, PINNED_EPOCH};
+use crate::session::Handler;
+use crossbeam_channel::Sender;
+use parking_lot::Mutex;
+use saad_core::batch::SynopsisBatch;
+use saad_core::codec::decode_batch_into;
+use saad_core::intern::SignatureInterner;
+use saad_core::pipeline::{feed_frame, feed_frame_soa};
+use saad_core::synopsis::TaskSynopsis;
+use saad_core::transport::{
+    parse_frame, parse_frame_header, verify_frame_crc, AdmitDecision, FrameOutcome, FrameReceiver,
+    LinkStats, LossReport, FRAME_HEADER_LEN,
+};
+use saad_core::HostId;
+use saad_sim::SimTime;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+#[derive(Debug, Default)]
+struct Counters {
+    connections_accepted: AtomicU64,
+    connections_active: AtomicU64,
+    handshakes_rejected: AtomicU64,
+    stale_epoch_rejects: AtomicU64,
+    frames: AtomicU64,
+    synopses: AtomicU64,
+    watermark_micros: AtomicU64,
+}
+
+/// Where admitted frames' synopses go: raw batches, SoA batches interned
+/// at the collector edge for
+/// [`spawn_batch_analyzer_pool`](saad_core::pipeline::spawn_batch_analyzer_pool),
+/// or an [`AdmittedSink`] forwarding digests upstream (the leaf role).
+pub(crate) enum SynopsisOut {
+    Raw(Sender<Vec<TaskSynopsis>>),
+    Soa {
+        tx: Sender<SynopsisBatch>,
+        interner: Arc<SignatureInterner>,
+    },
+    Forward(Arc<dyn AdmittedSink>),
+}
+
+/// The shared receive core of one collector. See the [module docs](self).
+pub(crate) struct Ingest {
+    receiver: Mutex<FrameReceiver>,
+    out: SynopsisOut,
+    loss_tx: Sender<LossReport>,
+    counters: Counters,
+    version: u16,
+    epoch: Option<Arc<AtomicU64>>,
+}
+
+/// Register a scrape-time series under the naming rule every table in this
+/// crate relies on: a name ending in `_total` is a counter, any other a gauge.
+pub(crate) fn register_series(
+    registry: &saad_obs::Registry,
+    name: &str,
+    help: &str,
+    labels: &[(&str, &str)],
+    value: impl Fn() -> u64 + Send + Sync + 'static,
+) {
+    if name.ends_with("_total") {
+        registry.register_counter_fn(name, help, labels, value);
+    } else {
+        registry.register_gauge_fn(name, help, labels, move || value() as i64);
+    }
+}
+
+/// One collector-wide series: name suffix, help, and its value in a
+/// [`CollectorStats`] snapshot.
+type Series = (&'static str, &'static str, fn(&CollectorStats) -> u64);
+
+const SERIES: [Series; 10] = [
+    (
+        "connections_accepted_total",
+        "Agent connections accepted since collector start",
+        |s| s.connections_accepted,
+    ),
+    (
+        "connections_active",
+        "Agent connections currently streaming",
+        |s| s.connections_active,
+    ),
+    (
+        "handshakes_rejected_total",
+        "Handshakes refused (bad magic/checksum, version skew or stale epoch)",
+        |s| s.handshakes_rejected,
+    ),
+    (
+        "stale_epoch_rejects_total",
+        "Handshakes refused because the peer routed by a stale ring epoch",
+        |s| s.stale_epoch_rejects,
+    ),
+    (
+        "frames_total",
+        "Fresh (non-duplicate) frames admitted",
+        |s| s.frames,
+    ),
+    (
+        "synopses_total",
+        "Synopses forwarded to the analyzer input",
+        |s| s.synopses,
+    ),
+    (
+        "corrupted_frames_total",
+        "Frames rejected as corrupt (checksum, truncation, oversize, codec)",
+        |s| s.corrupted_frames,
+    ),
+    (
+        "duplicate_frames_total",
+        "Duplicate frames discarded across all hosts",
+        |s| s.duplicate_frames,
+    ),
+    (
+        "lost_synopses_total",
+        "Synopses known lost across all hosts (exact at quiescence)",
+        |s| s.lost_synopses,
+    ),
+    (
+        "watermark_us",
+        "Highest synopsis start time admitted on any connection, in stream microseconds",
+        |s| s.watermark.as_micros(),
+    ),
+];
+
+impl Ingest {
+    /// A core adopting `receiver`, accepting protocol `version` and — when
+    /// `epoch` is given — refusing hellos routed by an older ring epoch.
+    pub(crate) fn new(
+        receiver: FrameReceiver,
+        out: SynopsisOut,
+        loss_tx: Sender<LossReport>,
+        version: u16,
+        epoch: Option<Arc<AtomicU64>>,
+    ) -> Arc<Ingest> {
+        Arc::new(Ingest {
+            receiver: Mutex::new(receiver),
+            out,
+            loss_tx,
+            counters: Counters::default(),
+            version,
+            epoch,
+        })
+    }
+
+    /// Count one accepted connection and hand back the handler its
+    /// session drives; dropping the link counts the connection closed.
+    pub(crate) fn link(self: &Arc<Ingest>) -> IngestLink {
+        let c = &self.counters;
+        c.connections_accepted.fetch_add(1, Ordering::Relaxed);
+        c.connections_active.fetch_add(1, Ordering::Relaxed);
+        IngestLink {
+            ingest: self.clone(),
+            staging: SynopsisBatch::new(),
+        }
+    }
+
+    /// Snapshot of collector-wide counters (takes the receiver lock
+    /// briefly for link totals).
+    pub(crate) fn stats(&self) -> CollectorStats {
+        let c = &self.counters;
+        let rx = self.receiver.lock();
+        CollectorStats {
+            connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
+            connections_active: c.connections_active.load(Ordering::Relaxed),
+            handshakes_rejected: c.handshakes_rejected.load(Ordering::Relaxed),
+            stale_epoch_rejects: c.stale_epoch_rejects.load(Ordering::Relaxed),
+            frames: c.frames.load(Ordering::Relaxed),
+            synopses: c.synopses.load(Ordering::Relaxed),
+            corrupted_frames: rx.corrupted_frames(),
+            duplicate_frames: rx.all_stats().map(|(_, s)| s.duplicate_frames).sum(),
+            lost_synopses: rx.total_lost(),
+            watermark: SimTime::from_micros(c.watermark_micros.load(Ordering::Relaxed)),
+        }
+    }
+
+    /// Link statistics for one host (zeroes if never heard from).
+    pub(crate) fn link_stats(&self, host: HostId) -> LinkStats {
+        self.receiver.lock().stats(host)
+    }
+
+    /// Expose [`Ingest::stats`] in `registry` as the one
+    /// `saad_collector_*{backend="…"}` family, evaluated at scrape time.
+    /// The registry typically outlives the collector and the core owns
+    /// the analyzer-side senders: a strong capture would keep the batch
+    /// channel open after shutdown and deadlock downstream joins, so the
+    /// callbacks hold a `Weak` and scrape as zero afterwards.
+    pub(crate) fn register_metrics(
+        self: &Arc<Ingest>,
+        registry: &saad_obs::Registry,
+        backend: &str,
+    ) {
+        for (suffix, help, read) in SERIES {
+            let weak = Arc::downgrade(self);
+            let value = move || weak.upgrade().map_or(0, |ingest| read(&ingest.stats()));
+            let name = format!("saad_collector_{suffix}");
+            register_series(registry, &name, help, &[("backend", backend)], value);
+        }
+    }
+
+    /// Take the link state out for a successor collector.
+    pub(crate) fn into_state(self: Arc<Ingest>) -> CollectorState {
+        let receiver = std::mem::take(&mut *self.receiver.lock());
+        CollectorState { receiver }
+    }
+
+    /// Current enforced epoch, or 0 when the collector enforces none.
+    fn current_epoch(&self) -> u64 {
+        self.epoch.as_ref().map_or(0, |e| e.load(Ordering::SeqCst))
+    }
+
+    /// Did this hello route by a ring epoch older than the enforced one?
+    /// [`PINNED_EPOCH`] peers (and all v1 peers, which decode to it) are
+    /// never stale: they did not route through a ring at all.
+    fn stale_epoch(&self, hello: &Hello) -> bool {
+        hello.epoch != PINNED_EPOCH && hello.epoch < self.current_epoch()
+    }
+
+    /// The `Raw`/`Forward` frame path: those sinks need owned
+    /// `TaskSynopsis` values anyway, so the whole frame is parsed.
+    fn admit_owned(&self, body: &[u8]) {
+        let Ok(parsed) = parse_frame(body) else {
+            return self.receiver.lock().record_corrupted();
+        };
+        let starts = parsed.synopses.iter().map(|s| s.start);
+        let max_start = starts.max().unwrap_or(SimTime::ZERO);
+        // End of this frame in the sender's global stream coordinates —
+        // what a forwarding sink re-frames at so gaps stay visible
+        // upstream.
+        let pos_end = parsed.cumulative + parsed.synopses.len() as u64;
+        let outcome = self.receiver.lock().admit(parsed);
+        let forwarded = match (&self.out, outcome) {
+            (_, FrameOutcome::Duplicate { .. }) => return,
+            (SynopsisOut::Raw(tx), fresh) => feed_frame(fresh, tx, &self.loss_tx),
+            (SynopsisOut::Soa { tx, interner }, fresh) => {
+                feed_frame_soa(fresh, tx, interner, &self.loss_tx)
+            }
+            (
+                SynopsisOut::Forward(sink),
+                FrameOutcome::Fresh {
+                    host,
+                    synopses,
+                    newly_lost,
+                },
+            ) => {
+                let n = synopses.len();
+                sink.on_fresh(host, synopses, newly_lost, pos_end);
+                n
+            }
+        };
+        self.count_fresh(forwarded, max_start);
+    }
+
+    fn count_fresh(&self, synopses: usize, max_start: SimTime) {
+        let c = &self.counters;
+        c.frames.fetch_add(1, Ordering::Relaxed);
+        c.synopses.fetch_add(synopses as u64, Ordering::Relaxed);
+        c.watermark_micros
+            .fetch_max(max_start.as_micros(), Ordering::Relaxed);
+    }
+}
+
+/// One connection's [`Handler`] over the shared [`Ingest`].
+pub(crate) struct IngestLink {
+    ingest: Arc<Ingest>,
+    /// Staging batch the in-place decoder fills; swapped out whole on a
+    /// fresh frame, cleared on a duplicate.
+    staging: SynopsisBatch,
+}
+
+impl Drop for IngestLink {
+    fn drop(&mut self) {
+        let active = &self.ingest.counters.connections_active;
+        active.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+impl Handler for IngestLink {
+    fn on_hello(&mut self, hello: &Hello) -> Result<HelloAck, RejectReason> {
+        let ingest = &*self.ingest;
+        if hello.version != ingest.version {
+            return Err(RejectReason::VersionMismatch);
+        }
+        if ingest.stale_epoch(hello) {
+            let stale = &ingest.counters.stale_epoch_rejects;
+            stale.fetch_add(1, Ordering::Relaxed);
+            return Err(RejectReason::StaleEpoch);
+        }
+        let mut rx = ingest.receiver.lock();
+        rx.resume(
+            hello.host,
+            hello.written_cum,
+            hello.sent_cum,
+            hello.next_seq,
+        );
+        Ok(HelloAck {
+            version: ingest.version,
+            accept: true,
+            reason: RejectReason::None,
+            last_seq: rx.highest_seq(hello.host).unwrap_or(NO_SEQ),
+            delivered_cum: rx.stats(hello.host).delivered_synopses,
+            epoch: ingest.current_epoch(),
+        })
+    }
+
+    fn on_reject(&mut self, reason: RejectReason) -> HelloAck {
+        let rejected = &self.ingest.counters.handshakes_rejected;
+        rejected.fetch_add(1, Ordering::Relaxed);
+        HelloAck {
+            version: self.ingest.version,
+            accept: false,
+            reason,
+            last_seq: NO_SEQ,
+            delivered_cum: 0,
+            epoch: self.ingest.current_epoch(),
+        }
+    }
+
+    /// Validate, decode, sequence and forward one frame. A body that is
+    /// corrupt was still framed correctly by its length prefix: it is
+    /// counted and later messages remain readable.
+    fn on_message(&mut self, body: &[u8]) {
+        let ingest = &*self.ingest;
+        let SynopsisOut::Soa { tx, interner } = &ingest.out else {
+            return ingest.admit_owned(body);
+        };
+        // In place: header checks and payload decode straight from the
+        // ring into the staging batch's columns.
+        let staging = &mut self.staging;
+        debug_assert!(staging.is_empty(), "staging must drain between frames");
+        let decoded =
+            body.split_at_checked(FRAME_HEADER_LEN)
+                .and_then(|(header_bytes, payload)| {
+                    let header = parse_frame_header(header_bytes).ok()?;
+                    if payload.len() != header.payload_len as usize {
+                        return None;
+                    }
+                    verify_frame_crc(header_bytes, payload).ok()?;
+                    // A failed decode rolls the batch back itself.
+                    let n = decode_batch_into(payload, staging, interner).ok()?;
+                    Some((header, n))
+                });
+        let Some((header, n)) = decoded else {
+            return ingest.receiver.lock().record_corrupted();
+        };
+        // The guard is a temporary: no lock is held across the sends below.
+        let decision = (ingest.receiver.lock()).admit_meta(
+            header.host,
+            header.seq,
+            header.cumulative,
+            n as u64,
+        );
+        match decision {
+            AdmitDecision::Fresh { newly_lost } => {
+                // Watermarks are a running max, so the last one is the
+                // frame's max start.
+                let max_start = staging.watermarks.last().copied().unwrap_or(SimTime::ZERO);
+                if newly_lost > 0 {
+                    // Loss first, stamped at the frame's first synopsis —
+                    // same order and stamp as `feed_frame_soa`.
+                    let at = staging.starts.first().copied().unwrap_or(SimTime::ZERO);
+                    let _ = ingest.loss_tx.send(LossReport {
+                        host: header.host,
+                        at,
+                        count: newly_lost,
+                    });
+                }
+                if n > 0 {
+                    let batch = std::mem::replace(staging, SynopsisBatch::with_capacity(n));
+                    let _ = tx.send(batch);
+                }
+                ingest.count_fresh(n, max_start);
+            }
+            AdmitDecision::Duplicate => staging.clear(),
+        }
+    }
+
+    /// A nonsense length prefix: the stream is unrecoverable.
+    fn on_unframeable(&mut self) {
+        self.ingest.receiver.lock().record_corrupted();
+    }
+}
+
+#[cfg(test)]
+/// Socket-free fixtures shared by this crate's receive-path tests.
+pub(crate) mod testkit {
+    use super::*;
+    use crate::protocol::{encode_hello, write_message, PeerRole};
+    use crossbeam_channel::{unbounded, Receiver};
+    use saad_core::transport::FrameSender;
+    use saad_core::{LogPointId, StageId, TaskUid};
+    use saad_sim::SimDuration;
+
+    /// A collector core with every output observable.
+    pub(crate) struct Rig {
+        pub(crate) ingest: Arc<Ingest>,
+        pub(crate) soa: Receiver<SynopsisBatch>,
+        pub(crate) raw: Receiver<Vec<TaskSynopsis>>,
+        pub(crate) losses: Receiver<LossReport>,
+    }
+
+    /// A fresh core accepting `version`, enforcing `epoch`, feeding the
+    /// SoA output when `soa` and the raw one otherwise.
+    pub(crate) fn rig(version: u16, epoch: Option<u64>, soa: bool) -> Rig {
+        let (soa_tx, soa_rx) = unbounded();
+        let (raw_tx, raw_rx) = unbounded();
+        let (loss_tx, losses) = unbounded();
+        let out = if soa {
+            SynopsisOut::Soa {
+                tx: soa_tx,
+                interner: Arc::new(SignatureInterner::new()),
+            }
+        } else {
+            SynopsisOut::Raw(raw_tx)
+        };
+        let epoch = epoch.map(|e| Arc::new(AtomicU64::new(e)));
+        Rig {
+            ingest: Ingest::new(FrameReceiver::new(), out, loss_tx, version, epoch),
+            soa: soa_rx,
+            raw: raw_rx,
+            losses,
+        }
+    }
+
+    pub(crate) fn synopsis(host: u16, uid: u64, start_ms: u64, points: &[u16]) -> TaskSynopsis {
+        TaskSynopsis {
+            host: HostId(host),
+            stage: StageId((uid % 3) as u16),
+            uid: TaskUid(uid),
+            start: SimTime::from_millis(start_ms),
+            duration: SimDuration::from_micros(500 + uid % 97),
+            log_points: points.iter().map(|&p| (LogPointId(p), 1)).collect(),
+        }
+    }
+
+    pub(crate) fn hello_bytes(version: u16, host: u16, epoch: u64) -> Vec<u8> {
+        encode_hello(&Hello {
+            version,
+            host: HostId(host),
+            next_seq: 0,
+            sent_cum: 0,
+            written_cum: 0,
+            epoch,
+            role: PeerRole::Agent,
+        })
+    }
+
+    /// Batches of the given sizes for `hosts` in rotation: uids count up
+    /// from 1, start times are drawn from `starts`, signatures vary.
+    pub(crate) fn batches(
+        hosts: &[u16],
+        sizes: &[usize],
+        starts: &[u64],
+    ) -> Vec<Vec<TaskSynopsis>> {
+        let mut uid = 0u64;
+        let mut batch = |i: usize, n: usize| -> Vec<TaskSynopsis> {
+            (0..n)
+                .map(|_| {
+                    uid += 1;
+                    let points = [1 + (uid % 5) as u16, 7, 2 + (uid % 3) as u16];
+                    let start = starts[uid as usize % starts.len()];
+                    let host = hosts[i % hosts.len()];
+                    synopsis(host, uid, start, &points[..(uid % 4) as usize])
+                })
+                .collect()
+        };
+        sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| batch(i, n))
+            .collect()
+    }
+
+    /// One frame stream: bodies in delivery order from senders that
+    /// rotate over `hosts`. Bit `i` of `skip` drops frame `i` after it
+    /// was sequenced (a gap a later frame reveals), bit `i` of `dup`
+    /// delivers it twice.
+    pub(crate) fn frame_bodies(
+        hosts: &[u16],
+        batches: &[Vec<TaskSynopsis>],
+        skip: u32,
+        dup: u32,
+    ) -> Vec<Vec<u8>> {
+        let mut senders: Vec<FrameSender> =
+            hosts.iter().map(|&h| FrameSender::new(HostId(h))).collect();
+        let mut bodies = Vec::new();
+        for (i, batch) in batches.iter().enumerate() {
+            let body = senders[i % hosts.len()].encode_frame(batch).to_vec();
+            if skip & (1 << (i % 32)) != 0 {
+                continue;
+            }
+            if dup & (1 << (i % 32)) != 0 {
+                bodies.push(body.clone());
+            }
+            bodies.push(body);
+        }
+        bodies
+    }
+
+    /// `bodies` as the length-prefixed byte stream a peer writes.
+    pub(crate) fn wire_of(bodies: &[Vec<u8>]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for body in bodies {
+            write_message(&mut wire, body).expect("test bodies are in bounds");
+        }
+        wire
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::{batches, frame_bodies, rig};
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The in-place SoA path (`parse_frame_header` → `verify_frame_crc`
+        /// → `decode_batch_into` → `admit_meta`) against the whole-frame
+        /// reference (`parse_frame` → `admit` → `feed_frame_soa`): same
+        /// batch columns, same loss reports in the same order with the
+        /// same stamps, same counters, same link accounts.
+        #[test]
+        fn in_place_soa_path_equals_whole_frame_reference(
+            sizes in collection::vec(0usize..7, 1..14),
+            starts in collection::vec(0u64..90_000, 100..101),
+            skip in 0u32..4096,
+            dup in 0u32..4096,
+            corrupt in 0usize..20,
+        ) {
+            let hosts = [10u16, 11, 12];
+            let batches = batches(&hosts, &sizes, &starts);
+            let mut bodies = frame_bodies(&hosts, &batches, skip, dup);
+            if let Some(body) = bodies.get_mut(corrupt) {
+                let last = body.len() - 1;
+                body[last] ^= 0x20;
+            }
+
+            let under_test = rig(2, None, true);
+            let mut link = under_test.ingest.link();
+            for body in &bodies {
+                link.on_message(body);
+            }
+
+            let reference = rig(2, None, true);
+            let SynopsisOut::Soa { tx, interner } = &reference.ingest.out else {
+                unreachable!("rig(.., true) is the SoA output");
+            };
+            let mut receiver = FrameReceiver::new();
+            let (mut frames, mut synopses, mut watermark) = (0u64, 0u64, SimTime::ZERO);
+            for body in &bodies {
+                let Ok(parsed) = parse_frame(body) else {
+                    receiver.record_corrupted();
+                    continue;
+                };
+                let max_start = parsed.synopses.iter().map(|s| s.start).max();
+                let outcome = receiver.admit(parsed);
+                if matches!(outcome, FrameOutcome::Fresh { .. }) {
+                    frames += 1;
+                    synopses += feed_frame_soa(outcome, tx, interner, &reference.ingest.loss_tx) as u64;
+                    watermark = watermark.max(max_start.unwrap_or(SimTime::ZERO));
+                }
+            }
+
+            let columns = |rig: &testkit::Rig| -> Vec<String> {
+                rig.soa.try_iter().map(|b| format!("{b:?}")).collect()
+            };
+            prop_assert_eq!(columns(&under_test), columns(&reference));
+            let losses = |rig: &testkit::Rig| -> Vec<LossReport> { rig.losses.try_iter().collect() };
+            prop_assert_eq!(losses(&under_test), losses(&reference));
+            let stats = under_test.ingest.stats();
+            prop_assert_eq!(
+                (stats.frames, stats.synopses, stats.watermark),
+                (frames, synopses, watermark)
+            );
+            prop_assert_eq!(stats.corrupted_frames, receiver.corrupted_frames());
+            prop_assert_eq!(stats.lost_synopses, receiver.total_lost());
+            for host in hosts {
+                prop_assert_eq!(under_test.ingest.link_stats(HostId(host)), receiver.stats(HostId(host)));
+            }
+        }
+    }
+
+    #[test]
+    fn one_family_labelled_by_backend_with_every_total() {
+        let registry = saad_obs::Registry::new();
+        let rig = rig(2, None, true);
+        rig.ingest.register_metrics(&registry, "reactor");
+        let link = rig.ingest.link();
+        let text = registry.render();
+        saad_obs::validate_text(&text).expect("well-formed exposition");
+        for (suffix, ..) in SERIES {
+            let series = format!("saad_collector_{suffix}{{backend=\"reactor\"}}");
+            assert!(text.contains(&series), "missing {series} in\n{text}");
+        }
+        assert!(text.contains("saad_collector_connections_active{backend=\"reactor\"} 1"));
+        drop((link, rig));
+        // The callbacks hold no strong reference: a collector that is gone
+        // scrapes as zero instead of keeping its channels open.
+        assert!(registry
+            .render()
+            .contains("saad_collector_connections_accepted_total{backend=\"reactor\"} 0"));
+    }
+}

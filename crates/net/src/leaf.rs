@@ -25,8 +25,7 @@ use crate::agent::BackoffConfig;
 use crate::collector::{AdmittedSink, Collector, CollectorConfig};
 use crate::control::ControlPlane;
 use crate::protocol::{
-    decode_hello_ack, encode_hello, read_full, write_message, Hello, PeerRole, HELLO_ACK_LEN,
-    PINNED_EPOCH, PROTOCOL_VERSION,
+    exchange_hello, write_message, Hello, PeerRole, PINNED_EPOCH, PROTOCOL_VERSION,
 };
 use crate::ring::LeafId;
 use bytes::BytesMut;
@@ -37,7 +36,7 @@ use saad_core::synopsis::TaskSynopsis;
 use saad_core::transport::FrameSender;
 use saad_core::HostId;
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -396,17 +395,8 @@ fn uplink_connect(root_addr: SocketAddr, config: &LeafConfig) -> Option<TcpStrea
         epoch: PINNED_EPOCH,
         role: PeerRole::Leaf,
     };
-    stream.write_all(&encode_hello(&hello)).ok()?;
-    stream.flush().ok()?;
-    let mut ack_buf = [0u8; HELLO_ACK_LEN];
-    match read_full(&mut stream, &mut ack_buf, || true) {
-        Ok(true) => {}
-        _ => return None,
-    }
-    match decode_hello_ack(&ack_buf) {
-        Ok(ack) if ack.accept => Some(stream),
-        _ => None,
-    }
+    let ack = exchange_hello(&mut stream, &hello).ok()?;
+    ack.accept.then_some(stream)
 }
 
 /// A running leaf: an agent-facing [`Collector`] whose admitted frames

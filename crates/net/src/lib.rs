@@ -7,15 +7,21 @@
 //! * [`protocol`] — a versioned fixed-size handshake (`Hello` /
 //!   `HelloAck`) followed by `u32` length-prefixed transport frames,
 //!   everything CRC-32 checked.
-//! * [`Collector`] — the server side: many concurrent connections, frame
-//!   validation parallel per connection, sequencing under one shared
+//! * [`session`] — the receiving end of one connection as a sans-IO state
+//!   machine: a [`Session`] turns bytes into protocol steps (hello
+//!   phases, length-prefix reassembly over [`framing`], the pending ack)
+//!   and drives a [`Handler`]. There is one receive path; the collectors
+//!   below are its drivers and share one handler core: handshake
+//!   verdict, frame validation and in-place decode outside any lock,
+//!   sequencing under one shared
 //!   [`FrameReceiver`](saad_core::transport::FrameReceiver), batches and
 //!   [`LossReport`](saad_core::transport::LossReport)s flowing into the
-//!   same channels `spawn_analyzer_pool_with_lifecycle` already consumes.
-//! * [`ReactorCollector`] — the same collector contract on a
-//!   readiness-driven core: a few [`saad_reactor`] event-loop threads
-//!   multiplex thousands of connections, with vectored reads into
-//!   per-connection rings and in-place frame decode ([`framing`]).
+//!   channels `spawn_analyzer_pool_with_lifecycle` already consumes.
+//! * [`Collector`] — the thread-per-connection driver: a blocking thread
+//!   per connection reads exactly the bytes its session needs next.
+//! * [`ReactorCollector`] — the readiness driver: a few [`saad_reactor`]
+//!   event-loop threads multiplex thousands of connections, landing
+//!   vectored reads in the sessions' rings.
 //! * [`Agent`] — the tracker side: a bounded queue with the in-process
 //!   `DropNewest` / `DropOldest` / `Block` overload policies, a worker
 //!   owning the socket and a persistent frame sequence, reconnect with
@@ -44,7 +50,8 @@
 //! * [`root`] — [`RootCollector`]: merges leaf uplinks with a
 //!   sum/max law ([`DigestMerge`](saad_core::transport::DigestMerge))
 //!   that reports each lost synopsis exactly once across failover, with
-//!   zero double-counting.
+//!   zero double-counting — the thread-per-connection driver again, with
+//!   a handler of its own.
 
 #![warn(missing_docs)]
 
@@ -52,11 +59,14 @@ pub mod agent;
 pub mod collector;
 pub mod control;
 pub mod framing;
+mod ingest;
 pub mod leaf;
 pub mod protocol;
 pub mod reactor_collector;
 pub mod ring;
 pub mod root;
+mod server;
+pub mod session;
 
 pub use agent::{Agent, AgentConfig, AgentSink, AgentStats, BackoffConfig};
 pub use collector::{AdmittedSink, Collector, CollectorConfig, CollectorState, CollectorStats};
@@ -68,3 +78,4 @@ pub use reactor_collector::{ReactorCollector, ReactorCollectorConfig};
 pub use ring::{LeafId, LeafResolver, PinnedResolver, RingSnapshot};
 pub use root::{RootCollector, RootConfig, RootStats};
 pub use saad_reactor::{set_recv_buffer, set_send_buffer};
+pub use session::{Handler, Session};

@@ -378,6 +378,31 @@ pub fn decode_hello_ack(buf: &[u8]) -> Result<HelloAck, HandshakeError> {
     })
 }
 
+/// The client half of the handshake: write `hello`, then read and decode
+/// the ack — sized by the version `hello` announces, because the collector
+/// answers in the wire form of the peer it is talking to (28 bytes to a v1
+/// peer, 40 from v2 on), accepting or not.
+///
+/// # Errors
+///
+/// Propagates the I/O error; EOF before a complete ack is
+/// [`io::ErrorKind::UnexpectedEof`], an ack that fails its magic or
+/// checksum [`io::ErrorKind::InvalidData`].
+pub fn exchange_hello<S: Read + Write>(stream: &mut S, hello: &Hello) -> io::Result<HelloAck> {
+    stream.write_all(&encode_hello(hello))?;
+    stream.flush()?;
+    let mut buf = [0u8; HELLO_ACK_LEN];
+    let ack = if hello.version >= 2 {
+        &mut buf[..]
+    } else {
+        &mut buf[..HELLO_ACK_V1_LEN]
+    };
+    if !read_full(stream, ack, || true)? {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    decode_hello_ack(ack).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
 /// Write one length-prefixed message: `u32` big-endian body length, then
 /// the body. Prefix and body go out in one vectored write, so on a
 /// `TCP_NODELAY` socket the prefix is not a 4-byte segment of its own; a
@@ -601,5 +626,74 @@ mod tests {
         let mut short = io::Cursor::new(&data[..2]);
         let err = read_full(&mut short, &mut buf, || true).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A peer's view of a socket: scripted bytes to read, written bytes kept.
+    struct Duplex {
+        incoming: io::Cursor<Vec<u8>>,
+        written: Vec<u8>,
+    }
+
+    impl Read for Duplex {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.incoming.read(buf)
+        }
+    }
+
+    impl Write for Duplex {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn exchange_hello_reads_the_ack_in_the_form_it_announced() {
+        let ack = HelloAck {
+            version: PROTOCOL_VERSION,
+            accept: false,
+            reason: RejectReason::VersionMismatch,
+            last_seq: NO_SEQ,
+            delivered_cum: 0,
+            epoch: 6,
+        };
+        for version in [1u16, 2] {
+            let hello = Hello {
+                version,
+                ..v2_hello()
+            };
+            // The ack, then bytes that are not the handshake's to read.
+            let mut incoming = encode_hello_ack(&ack, version);
+            let ack_len = incoming.len();
+            incoming.extend_from_slice(b"next");
+            let mut stream = Duplex {
+                incoming: io::Cursor::new(incoming.clone()),
+                written: Vec::new(),
+            };
+            let got = exchange_hello(&mut stream, &hello).unwrap();
+            let epoch = if version >= 2 { 6 } else { 0 };
+            assert_eq!(got, HelloAck { epoch, ..ack });
+            assert_eq!(stream.written, encode_hello(&hello));
+            assert_eq!(stream.incoming.position() as usize, ack_len);
+
+            // Cut short, or damaged: an error, never a guess.
+            let mut short = Duplex {
+                incoming: io::Cursor::new(incoming[..ack_len - 1].to_vec()),
+                written: Vec::new(),
+            };
+            let err = exchange_hello(&mut short, &hello).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            incoming[9] ^= 0x04;
+            let mut damaged = Duplex {
+                incoming: io::Cursor::new(incoming),
+                written: Vec::new(),
+            };
+            let err = exchange_hello(&mut damaged, &hello).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 }

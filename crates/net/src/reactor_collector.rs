@@ -1,24 +1,18 @@
 //! The readiness-driven collector: thousands of agent connections
 //! multiplexed over a few [`saad_reactor`] event-loop threads.
 //!
-//! The thread-per-connection [`Collector`](crate::Collector) is the
-//! conformance oracle: same handshake, same framing, same
-//! [`FrameReceiver`] sequencing, same batch/loss-report feed contract.
-//! What changes is the execution model. Each accepted connection is
-//! assigned round-robin to one of `loops` event-loop threads and never
-//! migrates; its entire life — handshake state machine, vectored reads
-//! into a per-connection [`RingBuf`](saad_reactor::RingBuf), incremental
-//! frame decode — runs on that loop thread, touched only when the kernel
-//! reports the socket ready.
-//!
-//! The hot path is allocation-minimal: socket bytes land directly in the
-//! connection's ring via `read_vectored`, frames are decoded **in
-//! place** from the ring ([`decode_batch_into`]) straight into the
-//! columns of a staging [`SynopsisBatch`], and sequencing uses
-//! [`FrameReceiver::admit_meta`] — the payload never materializes as a
-//! `Vec<TaskSynopsis>` or per-synopsis `log_points` vectors. One
-//! `SynopsisBatch` allocation per fresh frame (the batch handed
-//! downstream), zero per synopsis.
+//! This is the readiness driver of the one receive path. What the bytes
+//! mean is not decided here: every connection is a
+//! [`Session`] driving the shared
+//! `Ingest` core, exactly as under the thread-per-connection
+//! [`Collector`](crate::Collector) — same handshake, same framing, same
+//! [`FrameReceiver`](saad_core::transport::FrameReceiver) sequencing, same
+//! batch/loss-report feed. This file owns only the execution model: each
+//! accepted connection is assigned round-robin to one of `loops`
+//! event-loop threads and never migrates; vectored reads land directly in
+//! the session's ring when the kernel reports the socket ready, the
+//! session is drained, pending ack bytes are flushed, and per-loop
+//! readiness health is exported.
 //!
 //! Backpressure is unchanged from the threaded collector: the batch
 //! channel send blocks the loop thread when the analyzer falls behind,
@@ -27,25 +21,18 @@
 //!
 //! See DESIGN.md §16 for the architecture and buffer-ownership rules.
 
-use crate::collector::{CollectorState, CollectorStats, Counters, SynopsisOut};
-use crate::framing::FrameAssembler;
-use crate::protocol::{
-    apply_hello_ext, decode_hello_prefix, encode_hello_ack, hello_ext_len, Hello, HelloAck,
-    RejectReason, HELLO_EXT_LEN, HELLO_V1_LEN, NO_SEQ, PINNED_EPOCH, PROTOCOL_VERSION,
-};
+use crate::collector::{CollectorState, CollectorStats};
+use crate::ingest::{register_series, Ingest, IngestLink, SynopsisOut};
+use crate::protocol::PROTOCOL_VERSION;
+use crate::session::Session;
 use crossbeam_channel::Sender;
 use parking_lot::Mutex;
 use saad_core::batch::SynopsisBatch;
-use saad_core::codec::decode_batch_into;
 use saad_core::intern::SignatureInterner;
 use saad_core::synopsis::TaskSynopsis;
-use saad_core::transport::{
-    parse_frame, parse_frame_header, verify_frame_crc, AdmitDecision, FrameOutcome, FrameReceiver,
-    LinkStats, LossReport, FRAME_HEADER_LEN,
-};
+use saad_core::transport::{LinkStats, LossReport};
 use saad_core::HostId;
 use saad_reactor::{Backend, EventLoop, Interest, Token, Waker, WAKE_TOKEN};
-use saad_sim::SimTime;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -78,8 +65,9 @@ pub struct ReactorCollectorConfig {
     /// the shutdown flag (wakes normally make shutdown prompt; this is
     /// the safety net).
     pub tick: Duration,
-    /// Initial per-connection ring-buffer capacity in bytes; rings grow
-    /// on demand up to the largest legal message.
+    /// Initial per-connection ring-buffer capacity in bytes. A full ring
+    /// is drained, not grown; it grows only for a single message larger
+    /// than itself, up to the largest legal message.
     pub initial_ring: usize,
     /// Readiness backend override (`None` = best available). Forcing
     /// [`Backend::Poll`] exercises the fallback path on Linux.
@@ -117,16 +105,13 @@ pub(crate) struct LoopMetrics {
 }
 
 struct RShared {
-    receiver: Mutex<FrameReceiver>,
-    out: SynopsisOut,
-    loss_tx: Sender<LossReport>,
+    ingest: Arc<Ingest>,
     shutdown: AtomicBool,
-    counters: Counters,
     config: ReactorCollectorConfig,
-    loop_metrics: Vec<Arc<LoopMetrics>>,
+    loop_metrics: Vec<LoopMetrics>,
     /// Connections accepted on loop 0 awaiting adoption by their target
     /// loop, which is nudged via its waker.
-    inject: Vec<Mutex<Vec<TcpStream>>>,
+    inject: Vec<Mutex<Vec<Conn>>>,
     wakers: Vec<Waker>,
     conn_seq: AtomicU64,
 }
@@ -170,13 +155,12 @@ impl ReactorCollector {
         loss_tx: Sender<LossReport>,
         config: ReactorCollectorConfig,
     ) -> io::Result<ReactorCollector> {
-        ReactorCollector::serve_inner(
+        let state = CollectorState::default();
+        ReactorCollector::serve_soa(
             TcpListener::bind(addr)?,
-            CollectorState::default(),
-            SynopsisOut::Soa {
-                tx: batch_tx,
-                interner,
-            },
+            state,
+            batch_tx,
+            interner,
             loss_tx,
             config,
         )
@@ -262,15 +246,16 @@ impl ReactorCollector {
             els.push(el);
         }
         let shared = Arc::new(RShared {
-            receiver: Mutex::new(state.into_receiver()),
-            out,
-            loss_tx,
+            ingest: Ingest::new(
+                state.receiver,
+                out,
+                loss_tx,
+                config.version,
+                config.epoch.clone(),
+            ),
             shutdown: AtomicBool::new(false),
-            counters: Counters::default(),
             config,
-            loop_metrics: (0..nloops)
-                .map(|_| Arc::new(LoopMetrics::default()))
-                .collect(),
+            loop_metrics: (0..nloops).map(|_| LoopMetrics::default()).collect(),
             inject: (0..nloops).map(|_| Mutex::new(Vec::new())).collect(),
             wakers,
             conn_seq: AtomicU64::new(0),
@@ -300,176 +285,75 @@ impl ReactorCollector {
         self.local_addr
     }
 
-    /// Snapshot of collector-wide counters (same shape as the threaded
-    /// collector's, so harnesses compare them directly).
+    /// Snapshot of collector-wide counters (the threaded collector's
+    /// type, so harnesses compare them directly).
     pub fn stats(&self) -> CollectorStats {
-        let c = &self.shared.counters;
-        let (corrupted, duplicates, lost) = {
-            let rx = self.shared.receiver.lock();
-            let (mut dup, mut lost) = (0u64, 0u64);
-            for (_, s) in rx.all_stats() {
-                dup += s.duplicate_frames;
-                lost += s.lost_synopses;
-            }
-            (rx.corrupted_frames(), dup, lost)
-        };
-        CollectorStats {
-            connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
-            connections_active: c.connections_active.load(Ordering::Relaxed),
-            handshakes_rejected: c.handshakes_rejected.load(Ordering::Relaxed),
-            stale_epoch_rejects: c.stale_epoch_rejects.load(Ordering::Relaxed),
-            frames: c.frames.load(Ordering::Relaxed),
-            synopses: c.synopses.load(Ordering::Relaxed),
-            corrupted_frames: corrupted,
-            duplicate_frames: duplicates,
-            lost_synopses: lost,
-            watermark: SimTime::from_micros(c.watermark_micros.load(Ordering::Relaxed)),
-        }
+        self.shared.ingest.stats()
     }
 
     /// Link statistics for one host (zeroes if never heard from).
     pub fn link_stats(&self, host: HostId) -> LinkStats {
-        self.shared.receiver.lock().stats(host)
+        self.shared.ingest.link_stats(host)
     }
 
-    /// Expose the reactor collector's counters in `registry` as
-    /// `saad_reactor_*` series: collector-wide totals plus per-loop
+    /// Expose the collector's counters in `registry`: the collector-wide
+    /// totals as `saad_collector_*{backend="reactor"}`, plus per-loop
     /// readiness health (registered fds, wakeups, spurious polls, read
-    /// bytes, decode stalls), each labeled `loop="<idx>"`. All are
+    /// bytes, decode stalls) as `saad_reactor_*{loop="<idx>"}`. All are
     /// scrape-time callbacks over weak references, so a dropped
     /// collector scrapes as zero instead of pinning its channels open.
     pub fn register_metrics(&self, registry: &saad_obs::Registry) {
-        let counter = |f: fn(&Counters) -> &AtomicU64| {
-            let shared = Arc::downgrade(&self.shared);
-            move || {
-                shared
-                    .upgrade()
-                    .map_or(0, |s| f(&s.counters).load(Ordering::Relaxed))
-            }
-        };
-        registry.register_counter_fn(
-            "saad_reactor_connections_accepted_total",
-            "Agent connections accepted since reactor collector start",
-            &[],
-            counter(|c| &c.connections_accepted),
-        );
-        registry.register_counter_fn(
-            "saad_reactor_handshakes_rejected_total",
-            "Handshakes refused by the reactor collector",
-            &[],
-            counter(|c| &c.handshakes_rejected),
-        );
-        registry.register_counter_fn(
-            "saad_reactor_frames_total",
-            "Fresh (non-duplicate) frames admitted by the reactor collector",
-            &[],
-            counter(|c| &c.frames),
-        );
-        registry.register_counter_fn(
-            "saad_reactor_synopses_total",
-            "Synopses forwarded to the analyzer input by the reactor collector",
-            &[],
-            counter(|c| &c.synopses),
-        );
-        let shared = Arc::downgrade(&self.shared);
-        registry.register_gauge_fn(
-            "saad_reactor_connections_active",
-            "Agent connections currently owned by reactor loops",
-            &[],
-            move || {
-                shared.upgrade().map_or(0, |s| {
-                    s.counters.connections_active.load(Ordering::Relaxed) as i64
-                })
-            },
-        );
-        let shared = Arc::downgrade(&self.shared);
-        registry.register_gauge_fn(
-            "saad_reactor_watermark_us",
-            "Highest synopsis start time admitted by the reactor collector, in stream microseconds",
-            &[],
-            move || {
-                shared.upgrade().map_or(0, |s| {
-                    s.counters.watermark_micros.load(Ordering::Relaxed) as i64
-                })
-            },
-        );
-        let shared = Arc::downgrade(&self.shared);
-        registry.register_counter_fn(
-            "saad_reactor_corrupted_frames_total",
-            "Frames rejected as corrupt by the reactor collector",
-            &[],
-            move || {
-                shared
-                    .upgrade()
-                    .map_or(0, |s| s.receiver.lock().corrupted_frames())
-            },
-        );
-        let shared = Arc::downgrade(&self.shared);
-        registry.register_counter_fn(
-            "saad_reactor_lost_synopses_total",
-            "Synopses known lost across all hosts (exact at quiescence)",
-            &[],
-            move || {
-                shared.upgrade().map_or(0, |s| {
-                    let rx = s.receiver.lock();
-                    rx.all_stats().map(|(_, st)| st.lost_synopses).sum()
-                })
-            },
-        );
-        for idx in 0..self.shared.loop_metrics.len() {
-            let label = idx.to_string();
-            let per_loop = |f: fn(&LoopMetrics) -> &AtomicU64| {
-                let shared = Arc::downgrade(&self.shared);
-                move || {
-                    shared
-                        .upgrade()
-                        .map_or(0, |s| f(&s.loop_metrics[idx]).load(Ordering::Relaxed))
-                }
-            };
-            registry.register_counter_fn(
+        self.shared.ingest.register_metrics(registry, "reactor");
+        // (name, help, the loop's cell)
+        type Series = (&'static str, &'static str, fn(&LoopMetrics) -> &AtomicU64);
+        const PER_LOOP: [Series; 7] = [
+            (
                 "saad_reactor_wakeups_total",
                 "Cross-thread wake-token deliveries per event loop",
-                &[("loop", &label)],
-                per_loop(|m| &m.wakeups),
-            );
-            registry.register_counter_fn(
+                |m| &m.wakeups,
+            ),
+            (
                 "saad_reactor_polls_total",
                 "Completed readiness polls per event loop",
-                &[("loop", &label)],
-                per_loop(|m| &m.polls),
-            );
-            registry.register_counter_fn(
+                |m| &m.polls,
+            ),
+            (
                 "saad_reactor_spurious_polls_total",
                 "Polls that delivered no events, per event loop",
-                &[("loop", &label)],
-                per_loop(|m| &m.spurious_polls),
-            );
-            registry.register_counter_fn(
+                |m| &m.spurious_polls,
+            ),
+            (
                 "saad_reactor_read_bytes_total",
                 "Socket bytes landed in connection rings, per event loop",
-                &[("loop", &label)],
-                per_loop(|m| &m.read_bytes),
-            );
-            registry.register_counter_fn(
+                |m| &m.read_bytes,
+            ),
+            (
                 "saad_reactor_decode_stalls_total",
                 "Drains that ended on a partial message, per event loop",
-                &[("loop", &label)],
-                per_loop(|m| &m.decode_stalls),
-            );
-            let fds = per_loop(|m| &m.registered_fds);
-            registry.register_gauge_fn(
+                |m| &m.decode_stalls,
+            ),
+            (
                 "saad_reactor_registered_fds",
                 "Sources currently registered with the loop's poller",
-                &[("loop", &label)],
-                move || fds() as i64,
-            );
-            let conns = per_loop(|m| &m.connections);
-            registry.register_gauge_fn(
+                |m| &m.registered_fds,
+            ),
+            (
                 "saad_reactor_loop_connections",
                 "Agent connections currently owned by this event loop",
-                &[("loop", &label)],
-                move || conns() as i64,
-            );
+                |m| &m.connections,
+            ),
+        ];
+        for idx in 0..self.shared.loop_metrics.len() {
+            let label = idx.to_string();
+            for (name, help, cell) in PER_LOOP {
+                let shared = Arc::downgrade(&self.shared);
+                let value = move || {
+                    shared
+                        .upgrade()
+                        .map_or(0, |s| cell(&s.loop_metrics[idx]).load(Ordering::Relaxed))
+                };
+                register_series(registry, name, help, &[("loop", &label)], value);
+            }
         }
     }
 
@@ -483,230 +367,75 @@ impl ReactorCollector {
         for join in self.joins.drain(..) {
             let _ = join.join();
         }
-        CollectorState::from_receiver(std::mem::take(&mut *self.shared.receiver.lock()))
+        self.shared.ingest.clone().into_state()
     }
 }
 
-/// Handshake progress of one connection.
-enum Phase {
-    /// Awaiting the version-independent 36-byte hello prefix.
-    Prefix,
-    /// Awaiting the v2 extension block.
-    Ext,
-    /// Handshake done; length-prefixed frame stream.
-    Streaming,
-}
-
+/// One connection as its loop owns it: the socket, the protocol state
+/// and the handler that state drives.
 struct Conn {
     stream: TcpStream,
-    assembler: FrameAssembler,
-    phase: Phase,
-    /// The hello prefix bytes, kept because the v2 extension CRC covers
-    /// them.
-    prefix: [u8; HELLO_V1_LEN],
-    pending_hello: Option<Hello>,
-    /// Outbound ack bytes not yet written (acks are the only thing the
-    /// collector sends).
-    out_buf: Vec<u8>,
-    out_off: usize,
-    /// Close once `out_buf` drains (set on handshake rejection).
-    closing: bool,
-    /// Per-connection staging batch the incremental decoder fills;
-    /// swapped out whole on a fresh frame, cleared on a duplicate.
-    staging: SynopsisBatch,
+    session: Session,
+    link: IngestLink,
     interest: Interest,
 }
 
+/// Most bytes one connection lands per readiness event before its loop
+/// turns to the others; readiness is level-triggered, so a connection with
+/// more to read is reported again.
+const READ_BUDGET: usize = 256 * 1024;
+
+/// Read from `source` into the session's ring until it would block or
+/// [`READ_BUDGET`] is spent, taking every step the bytes complete. A full
+/// ring is drained before it is read into again — never grown — so a peer
+/// that out-writes the loop can neither inflate its ring nor starve the
+/// loop's other connections. Returns `false` when the connection must
+/// close.
+fn ingest(
+    mut source: impl Read,
+    session: &mut Session,
+    link: &mut IngestLink,
+    metrics: &LoopMetrics,
+) -> bool {
+    let (mut eof, mut landed) = (false, 0);
+    while landed < READ_BUDGET {
+        if session.ring_mut().free() == 0 && !session.drain(link) {
+            return false;
+        }
+        let read = source.read_vectored(&mut session.ring_mut().io_slices());
+        let n = match read {
+            Ok(n) if n > 0 => n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            // EOF, or a socket error that amounts to one.
+            _ => {
+                eof = true;
+                break;
+            }
+        };
+        session.ring_mut().commit(n);
+        landed += n;
+    }
+    metrics
+        .read_bytes
+        .fetch_add(landed as u64, Ordering::Relaxed);
+    // Drain even on EOF: complete messages that arrived with the FIN are
+    // still valid.
+    let framed = session.drain(link);
+    if session.mid_message() {
+        metrics.decode_stalls.fetch_add(1, Ordering::Relaxed);
+    }
+    framed && !eof
+}
+
 impl Conn {
-    fn new(stream: TcpStream, initial_ring: usize) -> Conn {
-        Conn {
-            stream,
-            assembler: FrameAssembler::new(initial_ring),
-            phase: Phase::Prefix,
-            prefix: [0u8; HELLO_V1_LEN],
-            pending_hello: None,
-            out_buf: Vec::new(),
-            out_off: 0,
-            closing: false,
-            staging: SynopsisBatch::new(),
-            interest: Interest::READABLE,
-        }
-    }
-
-    fn out_done(&self) -> bool {
-        self.out_off >= self.out_buf.len()
-    }
-
-    /// Read until `WouldBlock`, then process everything buffered.
-    /// Returns `false` when the connection must close.
-    fn ingest(&mut self, shared: &RShared, metrics: &LoopMetrics) -> bool {
-        let mut eof = false;
-        loop {
-            let ring = self.assembler.ring_mut();
-            if ring.free() == 0 {
-                let cap = ring.capacity();
-                ring.grow(cap * 2);
-            }
-            let n = {
-                let mut slices = ring.io_slices();
-                match (&self.stream).read_vectored(&mut slices) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        eof = true;
-                        break;
-                    }
-                }
-            };
-            ring.commit(n);
-            metrics.read_bytes.fetch_add(n as u64, Ordering::Relaxed);
-        }
-        // Process buffered bytes even on EOF: complete messages that
-        // arrived with the FIN are still valid.
-        let keep = self.process(shared, metrics);
-        keep && !eof
-    }
-
-    /// Run the connection state machine over buffered bytes until more
-    /// input is needed. Returns `false` on unrecoverable framing.
-    fn process(&mut self, shared: &RShared, metrics: &LoopMetrics) -> bool {
-        loop {
-            if self.closing {
-                // A rejected peer gets its ack flushed; nothing further
-                // is parsed from it.
-                return true;
-            }
-            match self.phase {
-                Phase::Prefix => {
-                    let ring = self.assembler.ring_mut();
-                    let Some(bytes) = ring.contiguous(HELLO_V1_LEN) else {
-                        return true;
-                    };
-                    self.prefix.copy_from_slice(bytes);
-                    self.assembler.ring_mut().consume(HELLO_V1_LEN);
-                    match decode_hello_prefix(&self.prefix) {
-                        Ok(hello) => {
-                            if hello_ext_len(hello.version) > 0 {
-                                self.pending_hello = Some(hello);
-                                self.phase = Phase::Ext;
-                            } else {
-                                self.finish_handshake(hello, shared);
-                            }
-                        }
-                        // An unidentified peer gets the v1 wire form —
-                        // the only one it is guaranteed to decode.
-                        Err(_) => self.reject(shared, RejectReason::Malformed, 1),
-                    }
-                }
-                Phase::Ext => {
-                    let ext: [u8; HELLO_EXT_LEN] = {
-                        let ring = self.assembler.ring_mut();
-                        let Some(bytes) = ring.contiguous(HELLO_EXT_LEN) else {
-                            return true;
-                        };
-                        bytes.try_into().expect("exact length")
-                    };
-                    self.assembler.ring_mut().consume(HELLO_EXT_LEN);
-                    let mut hello = self.pending_hello.take().expect("ext follows prefix");
-                    if apply_hello_ext(&mut hello, &self.prefix, &ext).is_err() {
-                        let wire = hello.version;
-                        self.reject(shared, RejectReason::Malformed, wire);
-                    } else {
-                        self.finish_handshake(hello, shared);
-                    }
-                }
-                Phase::Streaming => match self.assembler.next_message() {
-                    Ok(Some(msg)) => handle_message(msg, &mut self.staging, shared),
-                    Ok(None) => {
-                        if self.assembler.buffered() > 0 {
-                            metrics.decode_stalls.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return true;
-                    }
-                    Err(_) => {
-                        // A nonsense length prefix: boundaries are lost,
-                        // the stream is unrecoverable.
-                        shared.receiver.lock().record_corrupted();
-                        return false;
-                    }
-                },
-            }
-        }
-    }
-
-    /// Version/epoch checks, resume, and ack — byte-identical to the
-    /// threaded collector's handshake tail.
-    fn finish_handshake(&mut self, hello: Hello, shared: &RShared) {
-        if hello.version != shared.config.version {
-            self.reject(shared, RejectReason::VersionMismatch, hello.version);
-            return;
-        }
-        if stale_epoch(shared, &hello) {
-            shared
-                .counters
-                .stale_epoch_rejects
-                .fetch_add(1, Ordering::Relaxed);
-            self.reject(shared, RejectReason::StaleEpoch, hello.version);
-            return;
-        }
-        let (last_seq, delivered_cum) = {
-            let mut rx = shared.receiver.lock();
-            rx.resume(
-                hello.host,
-                hello.written_cum,
-                hello.sent_cum,
-                hello.next_seq,
-            );
-            (
-                rx.highest_seq(hello.host).unwrap_or(NO_SEQ),
-                rx.stats(hello.host).delivered_synopses,
-            )
-        };
-        let ack = HelloAck {
-            version: shared.config.version,
-            accept: true,
-            reason: RejectReason::None,
-            last_seq,
-            delivered_cum,
-            epoch: current_epoch(shared),
-        };
-        self.out_buf = encode_hello_ack(&ack, hello.version);
-        self.out_off = 0;
-        self.phase = Phase::Streaming;
-    }
-
-    /// Queue a rejection ack formatted in the **peer's** wire version
-    /// and close once it flushes.
-    fn reject(&mut self, shared: &RShared, reason: RejectReason, wire_version: u16) {
-        shared
-            .counters
-            .handshakes_rejected
-            .fetch_add(1, Ordering::Relaxed);
-        let ack = HelloAck {
-            version: shared.config.version,
-            accept: false,
-            reason,
-            last_seq: NO_SEQ,
-            delivered_cum: 0,
-            epoch: current_epoch(shared),
-        };
-        self.out_buf = encode_hello_ack(&ack, wire_version);
-        self.out_off = 0;
-        self.closing = true;
-    }
-
     /// Write pending ack bytes until done or `WouldBlock`. Returns
     /// `false` on write error.
     fn flush(&mut self) -> bool {
-        while self.out_off < self.out_buf.len() {
-            match (&self.stream).write(&self.out_buf[self.out_off..]) {
+        while !self.session.ack().is_empty() {
+            match (&self.stream).write(self.session.ack()) {
                 Ok(0) => return false,
-                Ok(n) => self.out_off += n,
+                Ok(n) => self.session.ack_written(n),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
@@ -716,125 +445,8 @@ impl Conn {
     }
 }
 
-/// Validate, decode, sequence, and forward one complete message —
-/// the per-frame contract shared with the threaded collector.
-fn handle_message(msg: &[u8], staging: &mut SynopsisBatch, shared: &RShared) {
-    match &shared.out {
-        SynopsisOut::Soa { tx, interner } => {
-            // Zero-copy path: header checks and payload decode straight
-            // from the ring into the staging batch's columns.
-            if msg.len() < FRAME_HEADER_LEN {
-                shared.receiver.lock().record_corrupted();
-                return;
-            }
-            let (header_bytes, payload) = msg.split_at(FRAME_HEADER_LEN);
-            let header = match parse_frame_header(header_bytes) {
-                Ok(h) => h,
-                Err(_) => {
-                    shared.receiver.lock().record_corrupted();
-                    return;
-                }
-            };
-            if payload.len() != header.payload_len as usize
-                || verify_frame_crc(header_bytes, payload).is_err()
-            {
-                shared.receiver.lock().record_corrupted();
-                return;
-            }
-            debug_assert!(staging.is_empty(), "staging must drain between frames");
-            let n = match decode_batch_into(payload, staging, interner) {
-                Ok(n) => n,
-                Err(_) => {
-                    // decode_batch_into already rolled the batch back.
-                    shared.receiver.lock().record_corrupted();
-                    return;
-                }
-            };
-            let decision = shared.receiver.lock().admit_meta(
-                header.host,
-                header.seq,
-                header.cumulative,
-                n as u64,
-            );
-            match decision {
-                AdmitDecision::Fresh { newly_lost } => {
-                    // Watermarks are a running max, so the last one is
-                    // the frame's max start.
-                    let max_start = staging.watermarks.last().copied().unwrap_or(SimTime::ZERO);
-                    if newly_lost > 0 {
-                        // Loss first, stamped at the frame's first
-                        // synopsis — same order and stamp as
-                        // `feed_frame_soa`.
-                        let at = staging.starts.first().copied().unwrap_or(SimTime::ZERO);
-                        let _ = shared.loss_tx.send(LossReport {
-                            host: header.host,
-                            at,
-                            count: newly_lost,
-                        });
-                    }
-                    if n > 0 {
-                        let batch = std::mem::replace(staging, SynopsisBatch::with_capacity(n));
-                        let _ = tx.send(batch);
-                    }
-                    shared.counters.frames.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .counters
-                        .synopses
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    shared.counters.stamp_watermark(max_start);
-                }
-                AdmitDecision::Duplicate => staging.clear(),
-            }
-        }
-        other => {
-            // Raw/Forward sinks need owned `TaskSynopsis` values anyway;
-            // use the whole-frame parse like the threaded collector.
-            let parsed = match parse_frame(msg) {
-                Ok(p) => p,
-                Err(_) => {
-                    shared.receiver.lock().record_corrupted();
-                    return;
-                }
-            };
-            let max_start = parsed
-                .synopses
-                .iter()
-                .map(|s| s.start)
-                .max()
-                .unwrap_or(SimTime::ZERO);
-            let pos_end = parsed.cumulative + parsed.synopses.len() as u64;
-            let outcome = shared.receiver.lock().admit(parsed);
-            let is_fresh = matches!(outcome, FrameOutcome::Fresh { .. });
-            let forwarded = other.feed(outcome, &shared.loss_tx, pos_end);
-            if is_fresh {
-                shared.counters.frames.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .synopses
-                    .fetch_add(forwarded as u64, Ordering::Relaxed);
-                shared.counters.stamp_watermark(max_start);
-            }
-        }
-    }
-}
-
-fn current_epoch(shared: &RShared) -> u64 {
-    shared
-        .config
-        .epoch
-        .as_ref()
-        .map_or(0, |e| e.load(Ordering::SeqCst))
-}
-
-fn stale_epoch(shared: &RShared, hello: &Hello) -> bool {
-    match &shared.config.epoch {
-        Some(e) => hello.epoch != PINNED_EPOCH && hello.epoch < e.load(Ordering::SeqCst),
-        None => false,
-    }
-}
-
-fn run_loop(idx: usize, mut el: EventLoop, listener: Option<TcpListener>, shared: &Arc<RShared>) {
-    let metrics = shared.loop_metrics[idx].clone();
+fn run_loop(idx: usize, mut el: EventLoop, listener: Option<TcpListener>, shared: &RShared) {
+    let metrics = &shared.loop_metrics[idx];
     if let Some(l) = &listener {
         el.register(l.as_raw_fd(), LISTENER, Interest::READABLE)
             .expect("register listener");
@@ -845,19 +457,16 @@ fn run_loop(idx: usize, mut el: EventLoop, listener: Option<TcpListener>, shared
     let mut events = Vec::new();
     loop {
         events.clear();
-        if el.poll(&mut events, None).is_err() {
-            // A failing wait would spin; treat it like shutdown.
-            break;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        // A failing wait would spin; treat it like shutdown.
+        if el.poll(&mut events, None).is_err() || shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         for ev in &events {
             match ev.token {
                 WAKE_TOKEN => {
-                    let injected: Vec<TcpStream> = std::mem::take(&mut *shared.inject[idx].lock());
-                    for stream in injected {
-                        add_conn(&mut el, &mut conns, &mut next_token, stream, shared);
+                    let injected = std::mem::take(&mut *shared.inject[idx].lock());
+                    for conn in injected {
+                        add_conn(&mut el, &mut conns, &mut next_token, conn);
                     }
                 }
                 TICK => {
@@ -868,14 +477,8 @@ fn run_loop(idx: usize, mut el: EventLoop, listener: Option<TcpListener>, shared
                     accept_ready(&mut el, l, &mut conns, &mut next_token, idx, shared);
                 }
                 token => {
-                    service_conn(
-                        &mut el,
-                        &mut conns,
-                        token,
-                        ev.readable || ev.hangup || ev.error,
-                        shared,
-                        &metrics,
-                    );
+                    let readable = ev.readable || ev.hangup || ev.error;
+                    service_conn(&mut el, &mut conns, token, readable, metrics);
                 }
             }
         }
@@ -892,35 +495,26 @@ fn run_loop(idx: usize, mut el: EventLoop, listener: Option<TcpListener>, shared
             .connections
             .store(conns.len() as u64, Ordering::Relaxed);
     }
-    // Loop exit: drop every owned connection (closing the sockets) and
-    // the listener, and zero the gauges.
-    for (_, conn) in conns.drain() {
-        let _ = el.deregister(conn.stream.as_raw_fd());
-        shared
-            .counters
-            .connections_active
-            .fetch_sub(1, Ordering::Relaxed);
-    }
+    // Loop exit: dropping the poller and the connections closes their
+    // sockets and counts them inactive; zero the gauges.
     metrics.registered_fds.store(0, Ordering::Relaxed);
     metrics.connections.store(0, Ordering::Relaxed);
 }
 
 /// Accept every pending connection and dispatch round-robin across
-/// loops; remote loops are handed the socket via their inject queue and
-/// nudged with a wake.
+/// loops; remote loops are handed the connection via their inject queue
+/// and nudged with a wake.
 fn accept_ready(
     el: &mut EventLoop,
     listener: &TcpListener,
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
     idx: usize,
-    shared: &Arc<RShared>,
+    shared: &RShared,
 ) {
     loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(_) => return,
+        let Ok((stream, _)) = listener.accept() else {
+            return; // `WouldBlock`: the backlog is drained
         };
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -932,45 +526,33 @@ fn accept_ready(
         if let Some(bytes) = shared.config.recv_buffer {
             let _ = saad_reactor::set_recv_buffer(&stream, bytes);
         }
-        shared
-            .counters
-            .connections_accepted
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .counters
-            .connections_active
-            .fetch_add(1, Ordering::Relaxed);
+        let conn = Conn {
+            stream,
+            session: Session::new(shared.config.initial_ring),
+            link: shared.ingest.link(),
+            interest: Interest::READABLE,
+        };
         let id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
         let target = (id as usize) % shared.wakers.len();
         if target == idx {
-            add_conn(el, conns, next_token, stream, shared);
+            add_conn(el, conns, next_token, conn);
         } else {
-            shared.inject[target].lock().push(stream);
+            shared.inject[target].lock().push(conn);
             shared.wakers[target].wake();
         }
     }
 }
 
-fn add_conn(
-    el: &mut EventLoop,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-    stream: TcpStream,
-    shared: &Arc<RShared>,
-) {
+fn add_conn(el: &mut EventLoop, conns: &mut HashMap<u64, Conn>, next_token: &mut u64, conn: Conn) {
     let token = Token(*next_token);
     *next_token += 1;
+    // A connection the poller refuses is dropped, which closes it.
     if el
-        .register(stream.as_raw_fd(), token, Interest::READABLE)
-        .is_err()
+        .register(conn.stream.as_raw_fd(), token, Interest::READABLE)
+        .is_ok()
     {
-        shared
-            .counters
-            .connections_active
-            .fetch_sub(1, Ordering::Relaxed);
-        return;
+        conns.insert(token.0, conn);
     }
-    conns.insert(token.0, Conn::new(stream, shared.config.initial_ring));
 }
 
 /// Drive one connection for one readiness event: ingest if readable,
@@ -980,25 +562,18 @@ fn service_conn(
     conns: &mut HashMap<u64, Conn>,
     token: Token,
     readable: bool,
-    shared: &Arc<RShared>,
     metrics: &LoopMetrics,
 ) {
     let Some(conn) = conns.get_mut(&token.0) else {
         // Already closed earlier in this drain; stale event.
         return;
     };
-    let mut alive = true;
-    if readable {
-        alive = conn.ingest(shared, metrics);
-    }
-    if alive {
-        alive = conn.flush();
-    }
-    if alive && conn.closing && conn.out_done() {
-        alive = false;
-    }
-    if alive {
-        let want = if conn.out_done() {
+    let alive = (!readable || ingest(&conn.stream, &mut conn.session, &mut conn.link, metrics))
+        && conn.flush();
+    let flushed = conn.session.ack().is_empty();
+    // A refused peer is closed once its ack is out.
+    if alive && !(flushed && conn.session.is_rejected()) {
+        let want = if flushed {
             Interest::READABLE
         } else {
             Interest::BOTH
@@ -1012,9 +587,99 @@ fn service_conn(
     } else {
         let conn = conns.remove(&token.0).expect("present above");
         let _ = el.deregister(conn.stream.as_raw_fd());
-        shared
-            .counters
-            .connections_active
-            .fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ingest::testkit::{hello_bytes, rig, synopsis};
+    use crate::protocol::{write_message, PINNED_EPOCH};
+    use saad_core::transport::FrameSender;
+
+    /// A peer that out-writes the loop: every readiness event finds a
+    /// whole slab waiting, then the socket would block.
+    struct Slabs<'a> {
+        wire: &'a [u8],
+        slab_left: usize,
+    }
+
+    impl Read for Slabs<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.slab_left == 0 && !self.wire.is_empty() {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.slab_left).min(self.wire.len());
+            let (now, later) = self.wire.split_at(n);
+            buf[..n].copy_from_slice(now);
+            self.wire = later;
+            self.slab_left -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_full_ring_is_drained_not_grown() {
+        const INITIAL_RING: usize = 16 * 1024;
+        const SLAB: usize = 256 * 1024;
+        let mut sender = FrameSender::new(HostId(7));
+        let mut wire = hello_bytes(2, 7, PINNED_EPOCH);
+        let (mut sent, mut largest) = (0u64, 0usize);
+        while wire.len() < 8 * 1024 * 1024 {
+            let batch: Vec<TaskSynopsis> = (0..32)
+                .map(|i| synopsis(7, sent + i, (sent + i) / 100, &[1, 2, 3 + (i % 4) as u16]))
+                .collect();
+            let body = sender.encode_frame(&batch);
+            write_message(&mut wire, &body).unwrap();
+            sent += 32;
+            largest = largest.max(body.len());
+        }
+
+        let rig = rig(2, None, true);
+        let (mut session, mut link) = (Session::new(INITIAL_RING), rig.ingest.link());
+        let metrics = LoopMetrics::default();
+        let bound = INITIAL_RING.max((4 + largest).next_power_of_two());
+        let mut source = Slabs {
+            wire: &wire,
+            slab_left: 0,
+        };
+        let mut delivered = 0u64;
+        while !source.wire.is_empty() {
+            source.slab_left = SLAB;
+            let more = ingest(&mut source, &mut session, &mut link, &metrics);
+            assert_eq!(more, !source.wire.is_empty(), "only EOF closes it");
+            let capacity = session.ring_mut().capacity();
+            assert!(capacity <= bound, "ring grew to {capacity} (bound {bound})");
+            delivered += rig.soa.try_iter().map(|b| b.len() as u64).sum::<u64>();
+        }
+        assert_eq!(delivered, sent);
+        let stats = rig.ingest.stats();
+        assert_eq!((stats.synopses, stats.lost_synopses), (sent, 0));
+        assert_eq!(
+            metrics.read_bytes.load(Ordering::Relaxed),
+            wire.len() as u64
+        );
+    }
+
+    #[test]
+    fn one_readiness_event_lands_a_bounded_share_of_an_endless_stream() {
+        let mut sender = FrameSender::new(HostId(7));
+        let mut wire = hello_bytes(2, 7, PINNED_EPOCH);
+        while wire.len() < 4 * READ_BUDGET {
+            let batch: Vec<TaskSynopsis> = (0..32).map(|i| synopsis(7, i, i, &[1, 2])).collect();
+            write_message(&mut wire, &sender.encode_frame(&batch)).unwrap();
+        }
+        let rig = rig(2, None, true);
+        let (mut session, mut link) = (Session::new(16 * 1024), rig.ingest.link());
+        let metrics = LoopMetrics::default();
+        // The socket never runs dry, yet the loop gets its turn back.
+        let mut source = Slabs {
+            wire: &wire,
+            slab_left: usize::MAX,
+        };
+        assert!(ingest(&mut source, &mut session, &mut link, &metrics));
+        let landed = wire.len() - source.wire.len();
+        assert!((READ_BUDGET..READ_BUDGET + 16 * 1024).contains(&landed));
+        assert!(rig.ingest.stats().synopses > 0);
     }
 }

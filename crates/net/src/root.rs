@@ -22,11 +22,16 @@
 //! [`feed_frame`] contract the single-collector path uses — batches plus
 //! [`LossReport`]s — so the whole detection stack runs unchanged behind
 //! a federation.
+//!
+//! Handshake and framing are the threaded collector's — the same
+//! thread-per-connection server driving a [`Session`](crate::Session)
+//! per uplink; only the [`Handler`] (no resume, a per-connection
+//! receiver, the merge) is the root's own.
 
-use crate::protocol::{
-    apply_hello_ext, decode_hello_prefix, encode_hello_ack, hello_ext_len, read_full, HelloAck,
-    RejectReason, HELLO_EXT_LEN, HELLO_V1_LEN, MAX_MESSAGE_LEN, NO_SEQ, PROTOCOL_VERSION,
-};
+use crate::ingest::register_series;
+use crate::protocol::{Hello, HelloAck, RejectReason, NO_SEQ, PROTOCOL_VERSION};
+use crate::server::Server;
+use crate::session::Handler;
 use crossbeam_channel::Sender;
 use parking_lot::Mutex;
 use saad_core::pipeline::feed_frame;
@@ -36,12 +41,9 @@ use saad_core::transport::{
 };
 use saad_core::HostId;
 use saad_sim::SimTime;
-use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Tuning for a [`RootCollector`].
@@ -87,35 +89,34 @@ pub struct RootStats {
     pub watermark: SimTime,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    uplinks_accepted: AtomicU64,
-    uplinks_active: AtomicU64,
-    handshakes_rejected: AtomicU64,
-    digests: AtomicU64,
-    synopses: AtomicU64,
-    corrupted_digests: AtomicU64,
-    duplicate_digests: AtomicU64,
-    watermark_micros: AtomicU64,
-}
-
 struct Shared {
-    merge: Mutex<DigestMerge>,
+    /// The cross-uplink merge and the counters that move with it
+    /// (`lost_synopses` is read off the merge, not kept).
+    state: Mutex<(DigestMerge, RootStats)>,
     batch_tx: Sender<Vec<TaskSynopsis>>,
     loss_tx: Sender<LossReport>,
-    shutdown: AtomicBool,
-    counters: Counters,
-    config: RootConfig,
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    handler_joins: Mutex<Vec<JoinHandle<()>>>,
+    version: u16,
+}
+
+impl Shared {
+    fn stats(&self) -> RootStats {
+        let state = self.state.lock();
+        RootStats {
+            lost_synopses: state.0.total_lost(),
+            ..state.1
+        }
+    }
+
+    fn count(&self, update: impl FnOnce(&mut RootStats)) {
+        update(&mut self.state.lock().1);
+    }
 }
 
 /// A running root collector. Call [`RootCollector::shutdown`] for a
 /// clean stop.
 pub struct RootCollector {
-    local_addr: SocketAddr,
     shared: Arc<Shared>,
-    accept_join: Option<JoinHandle<()>>,
+    server: Server,
 }
 
 impl RootCollector {
@@ -130,340 +131,185 @@ impl RootCollector {
         loss_tx: Sender<LossReport>,
         config: RootConfig,
     ) -> io::Result<RootCollector> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            merge: Mutex::new(DigestMerge::new()),
+            state: Mutex::default(),
             batch_tx,
             loss_tx,
-            shutdown: AtomicBool::new(false),
-            counters: Counters::default(),
-            config,
-            conns: Mutex::new(HashMap::new()),
-            handler_joins: Mutex::new(Vec::new()),
+            version: config.version,
         });
-        let accept_shared = shared.clone();
-        let accept_join = std::thread::Builder::new()
-            .name("saad-root-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))
-            .expect("spawn root accept thread");
-        Ok(RootCollector {
-            local_addr,
-            shared,
-            accept_join: Some(accept_join),
-        })
+        let opener = shared.clone();
+        let open = move || {
+            opener.count(|s| {
+                s.uplinks_accepted += 1;
+                s.uplinks_active += 1;
+            });
+            Uplink {
+                shared: opener.clone(),
+                local_rx: FrameReceiver::new(),
+            }
+        };
+        let listener = TcpListener::bind(addr)?;
+        let server = Server::start(listener, "saad-root", config.read_poll, None, open)?;
+        Ok(RootCollector { shared, server })
     }
 
     /// The bound address — the actual port when bound with port 0.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.server.local_addr()
     }
 
     /// Snapshot of root-wide counters.
     pub fn stats(&self) -> RootStats {
-        let c = &self.shared.counters;
-        RootStats {
-            uplinks_accepted: c.uplinks_accepted.load(Ordering::Relaxed),
-            uplinks_active: c.uplinks_active.load(Ordering::Relaxed),
-            handshakes_rejected: c.handshakes_rejected.load(Ordering::Relaxed),
-            digests: c.digests.load(Ordering::Relaxed),
-            synopses: c.synopses.load(Ordering::Relaxed),
-            corrupted_digests: c.corrupted_digests.load(Ordering::Relaxed),
-            duplicate_digests: c.duplicate_digests.load(Ordering::Relaxed),
-            lost_synopses: self.shared.merge.lock().total_lost(),
-            watermark: SimTime::from_micros(c.watermark_micros.load(Ordering::Relaxed)),
-        }
+        self.shared.stats()
     }
 
     /// Merged cross-uplink accounting for one host: delivered summed over
     /// every connection that carried it, expectation the max global
     /// position seen anywhere.
     pub fn merged_stats(&self, host: HostId) -> LinkStats {
-        self.shared.merge.lock().stats(host)
+        self.shared.state.lock().0.stats(host)
     }
 
     /// Expose root counters in `registry` (scrape-time callbacks, weak
     /// captures — same discipline as the single collector).
     pub fn register_metrics(&self, registry: &saad_obs::Registry) {
-        let counter = |f: fn(&Counters) -> &AtomicU64| {
+        // (name, help, value in a `RootStats` snapshot)
+        type Series = (&'static str, &'static str, fn(&RootStats) -> u64);
+        let series: [Series; 7] = [
+            (
+                "saad_root_uplinks_accepted_total",
+                "Leaf uplink connections accepted since root start",
+                |s| s.uplinks_accepted,
+            ),
+            (
+                "saad_root_digests_total",
+                "Fresh digest frames admitted across all uplinks",
+                |s| s.digests,
+            ),
+            (
+                "saad_root_synopses_total",
+                "Synopses forwarded to the analyzer input",
+                |s| s.synopses,
+            ),
+            (
+                "saad_root_duplicate_digests_total",
+                "Duplicate digest frames discarded",
+                |s| s.duplicate_digests,
+            ),
+            (
+                "saad_root_lost_synopses_total",
+                "Synopses known lost across the whole federation (exact at quiescence)",
+                |s| s.lost_synopses,
+            ),
+            (
+                "saad_root_uplinks_active",
+                "Leaf uplink connections currently streaming",
+                |s| s.uplinks_active,
+            ),
+            (
+                "saad_root_watermark_us",
+                "Highest synopsis start time admitted on any uplink, in stream microseconds",
+                |s| s.watermark.as_micros(),
+            ),
+        ];
+        for (name, help, read) in series {
             let shared = Arc::downgrade(&self.shared);
-            move || {
-                shared
-                    .upgrade()
-                    .map_or(0, |s| f(&s.counters).load(Ordering::Relaxed))
-            }
-        };
-        registry.register_counter_fn(
-            "saad_root_uplinks_accepted_total",
-            "Leaf uplink connections accepted since root start",
-            &[],
-            counter(|c| &c.uplinks_accepted),
-        );
-        registry.register_counter_fn(
-            "saad_root_digests_total",
-            "Fresh digest frames admitted across all uplinks",
-            &[],
-            counter(|c| &c.digests),
-        );
-        registry.register_counter_fn(
-            "saad_root_synopses_total",
-            "Synopses forwarded to the analyzer input",
-            &[],
-            counter(|c| &c.synopses),
-        );
-        registry.register_counter_fn(
-            "saad_root_duplicate_digests_total",
-            "Duplicate digest frames discarded",
-            &[],
-            counter(|c| &c.duplicate_digests),
-        );
-        let shared = Arc::downgrade(&self.shared);
-        registry.register_counter_fn(
-            "saad_root_lost_synopses_total",
-            "Synopses known lost across the whole federation (exact at quiescence)",
-            &[],
-            move || shared.upgrade().map_or(0, |s| s.merge.lock().total_lost()),
-        );
-        let shared = Arc::downgrade(&self.shared);
-        registry.register_gauge_fn(
-            "saad_root_uplinks_active",
-            "Leaf uplink connections currently streaming",
-            &[],
-            move || {
-                shared.upgrade().map_or(0, |s| {
-                    s.counters.uplinks_active.load(Ordering::Relaxed) as i64
-                })
-            },
-        );
-        let shared = Arc::downgrade(&self.shared);
-        registry.register_gauge_fn(
-            "saad_root_watermark_us",
-            "Highest synopsis start time admitted on any uplink, in stream microseconds",
-            &[],
-            move || {
-                shared.upgrade().map_or(0, |s| {
-                    s.counters.watermark_micros.load(Ordering::Relaxed) as i64
-                })
-            },
-        );
+            let value = move || shared.upgrade().map_or(0, |s| read(&s.stats()));
+            register_series(registry, name, help, &[], value);
+        }
     }
 
     /// Stop accepting, close every uplink, and join all handler threads.
     /// Returns the final counters.
-    pub fn shutdown(mut self) -> RootStats {
-        let stats = {
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-            for stream in self.shared.conns.lock().values() {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-            let _ = TcpStream::connect(self.local_addr);
-            if let Some(join) = self.accept_join.take() {
-                let _ = join.join();
-            }
-            let joins = std::mem::take(&mut *self.shared.handler_joins.lock());
-            for join in joins {
-                let _ = join.join();
-            }
-            self.stats()
-        };
-        stats
+    pub fn shutdown(self) -> RootStats {
+        self.server.shutdown();
+        self.shared.stats()
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut next_conn_id = 0u64;
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let conn_id = next_conn_id;
-        next_conn_id += 1;
-        let _ = stream.set_read_timeout(Some(shared.config.read_poll));
-        let _ = stream.set_nodelay(true);
-        if let Ok(registered) = stream.try_clone() {
-            shared.conns.lock().insert(conn_id, registered);
-        }
-        shared
-            .counters
-            .uplinks_accepted
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .counters
-            .uplinks_active
-            .fetch_add(1, Ordering::Relaxed);
-        let handler_shared = shared.clone();
-        let join = std::thread::Builder::new()
-            .name(format!("saad-root-conn-{conn_id}"))
-            .spawn(move || {
-                handle_uplink(stream, &handler_shared);
-                handler_shared.conns.lock().remove(&conn_id);
-                handler_shared
-                    .counters
-                    .uplinks_active
-                    .fetch_sub(1, Ordering::Relaxed);
-            })
-            .expect("spawn root uplink handler");
-        shared.handler_joins.lock().push(join);
+/// One leaf uplink's [`Handler`].
+struct Uplink {
+    shared: Arc<Shared>,
+    /// Per-connection receiver: duplicate suppression within this
+    /// uplink's own frame numbering. Its loss arithmetic is ignored — the
+    /// merge is authoritative across connections.
+    local_rx: FrameReceiver,
+}
+
+impl Drop for Uplink {
+    fn drop(&mut self) {
+        self.shared.count(|s| s.uplinks_active -= 1);
     }
 }
 
-/// Handshake then merge digest frames until EOF, error, or shutdown.
-fn handle_uplink(mut stream: TcpStream, shared: &Shared) {
-    let keep_going = || !shared.shutdown.load(Ordering::SeqCst);
+impl Uplink {
+    /// Each uplink connection is a fresh framing context: the leaf's
+    /// digest sequence numbers are connection-local, and the exact
+    /// cross-connection state lives in the global-coordinate merge — so
+    /// an ack never carries a resume position or an epoch.
+    fn ack(&self, reason: RejectReason) -> HelloAck {
+        HelloAck {
+            version: self.shared.version,
+            accept: reason == RejectReason::None,
+            reason,
+            last_seq: NO_SEQ,
+            delivered_cum: 0,
+            epoch: 0,
+        }
+    }
+}
 
-    // --- Handshake (same two-phase read as the collector) -------------
-    let mut prefix = [0u8; HELLO_V1_LEN];
-    match read_full(&mut stream, &mut prefix, keep_going) {
-        Ok(true) => {}
-        Ok(false) | Err(_) => return,
-    }
-    let mut hello = match decode_hello_prefix(&prefix) {
-        Ok(h) => h,
-        Err(_) => {
-            reject(&mut stream, shared, RejectReason::Malformed, 1);
-            return;
+impl Handler for Uplink {
+    fn on_hello(&mut self, hello: &Hello) -> Result<HelloAck, RejectReason> {
+        if hello.version != self.shared.version {
+            return Err(RejectReason::VersionMismatch);
         }
-    };
-    if hello_ext_len(hello.version) > 0 {
-        let mut ext = [0u8; HELLO_EXT_LEN];
-        match read_full(&mut stream, &mut ext, keep_going) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
-        }
-        if apply_hello_ext(&mut hello, &prefix, &ext).is_err() {
-            reject(&mut stream, shared, RejectReason::Malformed, hello.version);
-            return;
-        }
-    }
-    if hello.version != shared.config.version {
-        reject(
-            &mut stream,
-            shared,
-            RejectReason::VersionMismatch,
-            hello.version,
-        );
-        return;
-    }
-    let ack = HelloAck {
-        version: shared.config.version,
-        accept: true,
-        reason: RejectReason::None,
-        // Each uplink connection is a fresh framing context: the leaf's
-        // digest sequence numbers are connection-local, and the exact
-        // cross-connection state lives in the global-coordinate merge.
-        last_seq: NO_SEQ,
-        delivered_cum: 0,
-        epoch: 0,
-    };
-    if write_ack(&mut stream, &encode_hello_ack(&ack, hello.version)).is_err() {
-        return;
+        Ok(self.ack(RejectReason::None))
     }
 
-    // --- Digest stream -------------------------------------------------
-    // Per-connection receiver: duplicate suppression within this uplink's
-    // own frame numbering. Its loss arithmetic is ignored — the merge is
-    // authoritative across connections.
-    let mut local_rx = FrameReceiver::new();
-    let mut len_buf = [0u8; 4];
-    let mut body = Vec::new();
-    loop {
-        match read_full(&mut stream, &mut len_buf, keep_going) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
-        }
-        let len = u32::from_be_bytes(len_buf) as usize;
-        if len > MAX_MESSAGE_LEN {
-            shared
-                .counters
-                .corrupted_digests
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        body.resize(len, 0);
-        match read_full(&mut stream, &mut body, keep_going) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
-        }
-        let parsed = match parse_frame(&body) {
-            Ok(p) => p,
-            Err(_) => {
-                shared
-                    .counters
-                    .corrupted_digests
-                    .fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
+    fn on_reject(&mut self, reason: RejectReason) -> HelloAck {
+        self.shared.count(|s| s.handshakes_rejected += 1);
+        self.ack(reason)
+    }
+
+    fn on_message(&mut self, body: &[u8]) {
+        let shared = &*self.shared;
+        let Ok(parsed) = parse_frame(body) else {
+            return shared.count(|s| s.corrupted_digests += 1);
         };
-        let max_start = parsed
-            .synopses
-            .iter()
-            .map(|s| s.start)
-            .max()
-            .unwrap_or(SimTime::ZERO);
+        let starts = parsed.synopses.iter().map(|s| s.start);
+        let max_start = starts.max().unwrap_or(SimTime::ZERO);
         let pos_end = parsed.cumulative + parsed.synopses.len() as u64;
-        match local_rx.admit(parsed) {
+        match self.local_rx.admit(parsed) {
             FrameOutcome::Fresh { host, synopses, .. } => {
-                let n = synopses.len();
                 // The merge computes loss in global coordinates and
                 // reports each lost synopsis exactly once across every
                 // uplink that ever carried this host.
-                let merged_newly_lost = shared.merge.lock().on_fresh(host, n as u64, pos_end);
-                let forwarded = feed_frame(
-                    FrameOutcome::Fresh {
-                        host,
-                        synopses,
-                        newly_lost: merged_newly_lost,
-                    },
-                    &shared.batch_tx,
-                    &shared.loss_tx,
-                );
-                shared.counters.digests.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .synopses
-                    .fetch_add(forwarded as u64, Ordering::Relaxed);
-                shared
-                    .counters
-                    .watermark_micros
-                    .fetch_max(max_start.as_micros(), Ordering::Relaxed);
+                let n = synopses.len() as u64;
+                let newly_lost = shared.state.lock().0.on_fresh(host, n, pos_end);
+                let fresh = FrameOutcome::Fresh {
+                    host,
+                    synopses,
+                    newly_lost,
+                };
+                feed_frame(fresh, &shared.batch_tx, &shared.loss_tx);
+                // Counted once forwarded, so a reader that sees the count
+                // finds the batch in the channel.
+                shared.count(|s| {
+                    s.digests += 1;
+                    s.synopses += n;
+                    s.watermark = s.watermark.max(max_start);
+                });
             }
             FrameOutcome::Duplicate { host, .. } => {
-                shared.merge.lock().on_duplicate(host);
-                shared
-                    .counters
-                    .duplicate_digests
-                    .fetch_add(1, Ordering::Relaxed);
+                let mut state = shared.state.lock();
+                state.0.on_duplicate(host);
+                state.1.duplicate_digests += 1;
             }
         }
     }
-}
 
-fn reject(stream: &mut TcpStream, shared: &Shared, reason: RejectReason, wire_version: u16) {
-    shared
-        .counters
-        .handshakes_rejected
-        .fetch_add(1, Ordering::Relaxed);
-    let ack = HelloAck {
-        version: shared.config.version,
-        accept: false,
-        reason,
-        last_seq: NO_SEQ,
-        delivered_cum: 0,
-        epoch: 0,
-    };
-    let _ = write_ack(stream, &encode_hello_ack(&ack, wire_version));
-}
-
-fn write_ack(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<()> {
-    stream.write_all(bytes)?;
-    stream.flush()
+    fn on_unframeable(&mut self) {
+        self.shared.count(|s| s.corrupted_digests += 1);
+    }
 }

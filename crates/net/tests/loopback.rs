@@ -1,18 +1,25 @@
-//! Crate-level smoke tests: one agent, one collector, localhost TCP.
+//! Crate-level smoke tests over localhost TCP: one round trip and one
+//! rejection per driver of the receive path (thread-per-connection,
+//! readiness). What the protocol does with the bytes is pinned without
+//! sockets by the `session` and `ingest` unit tests.
 
-use crossbeam_channel::unbounded;
+use crossbeam_channel::{unbounded, Receiver};
+use saad_core::batch::SynopsisBatch;
 use saad_core::intern::SignatureInterner;
 use saad_core::pipeline::OverloadPolicy;
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::{HostId, StageId, TaskUid};
 use saad_logging::LogPointId;
 use saad_net::{
-    Agent, AgentConfig, Collector, CollectorConfig, ReactorCollector, ReactorCollectorConfig,
-    RejectReason,
+    Agent, AgentConfig, Collector, CollectorConfig, CollectorStats, ReactorCollector,
+    ReactorCollectorConfig, RejectReason,
 };
 use saad_sim::{SimDuration, SimTime};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+const PER_AGENT: u64 = 200;
 
 fn synopsis(host: u16, uid: u64) -> TaskSynopsis {
     TaskSynopsis {
@@ -25,263 +32,141 @@ fn synopsis(host: u16, uid: u64) -> TaskSynopsis {
     }
 }
 
-#[test]
-fn batches_round_trip_over_tcp() {
-    let (batch_tx, batch_rx) = unbounded();
-    let (loss_tx, loss_rx) = unbounded();
-    let collector =
-        Collector::bind("127.0.0.1:0", batch_tx, loss_tx, CollectorConfig::default()).unwrap();
-
-    let agent = Agent::connect(collector.local_addr(), HostId(7), AgentConfig::default());
-    let total = 500u64;
-    for chunk in 0..(total / 50) {
-        let batch: Vec<TaskSynopsis> = (0..50).map(|i| synopsis(7, chunk * 50 + i)).collect();
-        agent.send(batch);
-    }
-    let agent_stats = agent.close();
-    assert_eq!(agent_stats.synopses_written, total);
-    assert_eq!(agent_stats.connects, 1);
-    assert_eq!(agent_stats.drops.total(), 0);
-
-    let mut received = 0u64;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while received < total {
-        assert!(Instant::now() < deadline, "collector stalled");
-        if let Ok(batch) = batch_rx.recv_timeout(Duration::from_millis(100)) {
-            received += batch.len() as u64;
+/// `agents` agents each stream [`PER_AGENT`] synopses in batches of 20
+/// and close; every frame must have been written whole.
+fn stream_from(addr: SocketAddr, agents: u16) {
+    let fleet: Vec<Agent> = (0..agents)
+        .map(|h| Agent::connect(addr, HostId(h), AgentConfig::default()))
+        .collect();
+    for (h, agent) in fleet.iter().enumerate() {
+        for chunk in 0..(PER_AGENT / 20) {
+            agent.send(
+                (0..20)
+                    .map(|i| synopsis(h as u16, chunk * 20 + i))
+                    .collect(),
+            );
         }
     }
-    assert!(loss_rx.try_recv().is_err(), "no loss expected");
-
-    let stats = collector.stats();
-    assert_eq!(stats.synopses, total);
-    assert_eq!(stats.lost_synopses, 0);
-    assert_eq!(stats.corrupted_frames, 0);
-    assert_eq!(stats.watermark, SimTime::from_millis(total - 1));
-
-    let state = collector.shutdown();
-    assert_eq!(state.receiver().stats(HostId(7)).delivered_synopses, total);
+    for agent in fleet {
+        let stats = agent.close();
+        assert_eq!(stats.synopses_written, PER_AGENT);
+        assert_eq!((stats.connects, stats.drops.total()), (1, 0));
+    }
 }
 
-#[test]
-fn version_skew_is_rejected_with_reason() {
-    let (batch_tx, _batch_rx) = unbounded();
-    let (loss_tx, _loss_rx) = unbounded();
-    let collector =
-        Collector::bind("127.0.0.1:0", batch_tx, loss_tx, CollectorConfig::default()).unwrap();
+/// Count what arrives on `rx` until `total` synopses did.
+fn receive<B>(rx: &Receiver<B>, total: u64, len: impl Fn(&B) -> usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut received = 0u64;
+    while received < total {
+        assert!(Instant::now() < deadline, "collector stalled");
+        if let Ok(batch) = rx.recv_timeout(Duration::from_millis(100)) {
+            received += len(&batch) as u64;
+        }
+    }
+}
 
+fn assert_clean(stats: CollectorStats, agents: u16) {
+    assert_eq!(stats.synopses, PER_AGENT * u64::from(agents));
+    assert_eq!(stats.connections_accepted, u64::from(agents));
+    assert_eq!((stats.lost_synopses, stats.corrupted_frames), (0, 0));
+    assert_eq!(stats.watermark, SimTime::from_millis(PER_AGENT - 1));
+}
+
+/// An agent speaking protocol 99 is refused with a reason it can read,
+/// and gives up for good.
+fn assert_version_skew_is_refused(addr: SocketAddr) {
     let config = AgentConfig {
         version: 99,
         policy: OverloadPolicy::DropNewest,
         ..AgentConfig::default()
     };
-    let agent = Agent::connect(collector.local_addr(), HostId(1), config);
+    let agent = Agent::connect(addr, HostId(1), config);
     agent.send(vec![synopsis(1, 0)]);
     let deadline = Instant::now() + Duration::from_secs(5);
     while agent.stats().handshake_rejects == 0 {
         assert!(Instant::now() < deadline, "reject never observed");
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::yield_now();
     }
     let stats = agent.close();
     assert_eq!(stats.handshake_rejects, 1);
     assert_eq!(stats.reject_reason, Some(RejectReason::VersionMismatch));
-    assert_eq!(stats.connects, 0);
-    assert_eq!(stats.drops.disconnected, 1);
+    assert_eq!((stats.connects, stats.drops.disconnected), (0, 1));
+}
 
+#[test]
+fn threaded_round_trip() {
+    let (batch_tx, batch_rx) = unbounded();
+    let (loss_tx, loss_rx) = unbounded();
+    let collector =
+        Collector::bind("127.0.0.1:0", batch_tx, loss_tx, CollectorConfig::default()).unwrap();
+    stream_from(collector.local_addr(), 4);
+    receive(&batch_rx, 4 * PER_AGENT, Vec::len);
+    assert!(loss_rx.try_recv().is_err(), "no loss expected");
+    assert_clean(collector.stats(), 4);
+    let state = collector.shutdown();
+    for h in 0..4 {
+        let link = state.receiver().stats(HostId(h));
+        assert_eq!(link.delivered_synopses, PER_AGENT);
+    }
+}
+
+#[test]
+fn threaded_version_skew_is_rejected_with_reason() {
+    let (batch_tx, _batch_rx) = unbounded();
+    let (loss_tx, _loss_rx) = unbounded();
+    let collector =
+        Collector::bind("127.0.0.1:0", batch_tx, loss_tx, CollectorConfig::default()).unwrap();
+    assert_version_skew_is_refused(collector.local_addr());
     assert_eq!(collector.stats().handshakes_rejected, 1);
     collector.shutdown();
 }
 
+/// Twelve agents over three loops (so connections are handed across
+/// loops): raw batches on the best backend, then SoA batches on the
+/// forced `poll(2)` fallback.
 #[test]
-fn many_agents_share_one_collector() {
-    let (batch_tx, batch_rx) = unbounded();
-    let (loss_tx, _loss_rx) = unbounded();
-    let collector =
-        Collector::bind("127.0.0.1:0", batch_tx, loss_tx, CollectorConfig::default()).unwrap();
-
-    let per_agent = 200u64;
-    let agents: Vec<Agent> = (0..4)
-        .map(|h| Agent::connect(collector.local_addr(), HostId(h), AgentConfig::default()))
-        .collect();
-    for (h, agent) in agents.iter().enumerate() {
-        for chunk in 0..(per_agent / 20) {
-            let batch: Vec<TaskSynopsis> = (0..20)
-                .map(|i| synopsis(h as u16, chunk * 20 + i))
-                .collect();
-            agent.send(batch);
-        }
-    }
-    for agent in agents {
-        let stats = agent.close();
-        assert_eq!(stats.synopses_written, per_agent);
-    }
-
-    let total = per_agent * 4;
-    let mut received = 0u64;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while received < total {
-        assert!(Instant::now() < deadline, "collector stalled");
-        if let Ok(batch) = batch_rx.recv_timeout(Duration::from_millis(100)) {
-            received += batch.len() as u64;
-        }
-    }
-    let stats = collector.stats();
-    assert_eq!(stats.synopses, total);
-    assert_eq!(stats.connections_accepted, 4);
-    assert_eq!(stats.lost_synopses, 0);
-    collector.shutdown();
-}
-
-// --- Reactor collector: same contract, readiness-driven core ---------
-
-#[test]
-fn reactor_batches_round_trip_over_tcp() {
-    let (batch_tx, batch_rx) = unbounded();
-    let (loss_tx, loss_rx) = unbounded();
-    let collector = ReactorCollector::bind(
-        "127.0.0.1:0",
-        batch_tx,
-        loss_tx,
-        ReactorCollectorConfig::default(),
-    )
-    .unwrap();
-
-    let agent = Agent::connect(collector.local_addr(), HostId(7), AgentConfig::default());
-    let total = 500u64;
-    for chunk in 0..(total / 50) {
-        let batch: Vec<TaskSynopsis> = (0..50).map(|i| synopsis(7, chunk * 50 + i)).collect();
-        agent.send(batch);
-    }
-    let agent_stats = agent.close();
-    assert_eq!(agent_stats.synopses_written, total);
-    assert_eq!(agent_stats.connects, 1);
-
-    let mut received = 0u64;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while received < total {
-        assert!(Instant::now() < deadline, "reactor collector stalled");
-        if let Ok(batch) = batch_rx.recv_timeout(Duration::from_millis(100)) {
-            received += batch.len() as u64;
-        }
-    }
-    assert!(loss_rx.try_recv().is_err(), "no loss expected");
-
-    let stats = collector.stats();
-    assert_eq!(stats.synopses, total);
-    assert_eq!(stats.lost_synopses, 0);
-    assert_eq!(stats.corrupted_frames, 0);
-    assert_eq!(stats.watermark, SimTime::from_millis(total - 1));
-
-    let state = collector.shutdown();
-    assert_eq!(state.receiver().stats(HostId(7)).delivered_synopses, total);
-}
-
-#[test]
-fn reactor_soa_round_trip_on_poll_backend() {
-    // Forcing the poll(2) fallback exercises the portable readiness path
-    // end to end; the SoA sink exercises the zero-copy decode.
-    let (batch_tx, batch_rx) = unbounded();
-    let (loss_tx, _loss_rx) = unbounded();
-    let interner = Arc::new(SignatureInterner::new());
-    let config = ReactorCollectorConfig {
-        backend: Some(saad_reactor::Backend::Poll),
+fn reactor_round_trip() {
+    let config = |backend| ReactorCollectorConfig {
+        loops: 3,
+        backend,
         ..ReactorCollectorConfig::default()
     };
-    let collector =
-        ReactorCollector::bind_soa("127.0.0.1:0", batch_tx, interner.clone(), loss_tx, config)
-            .unwrap();
+    let (loss_tx, loss_rx) = unbounded();
 
-    let agent = Agent::connect(collector.local_addr(), HostId(3), AgentConfig::default());
-    let total = 300u64;
-    for chunk in 0..(total / 30) {
-        let batch: Vec<TaskSynopsis> = (0..30).map(|i| synopsis(3, chunk * 30 + i)).collect();
-        agent.send(batch);
-    }
-    agent.close();
+    let (batch_tx, batch_rx) = unbounded();
+    let raw =
+        ReactorCollector::bind("127.0.0.1:0", batch_tx, loss_tx.clone(), config(None)).unwrap();
+    stream_from(raw.local_addr(), 12);
+    receive(&batch_rx, 12 * PER_AGENT, Vec::len);
+    assert_clean(raw.stats(), 12);
+    let state = raw.shutdown();
+    assert_eq!(
+        state.receiver().stats(HostId(7)).delivered_synopses,
+        PER_AGENT
+    );
 
-    let mut received = 0u64;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while received < total {
-        assert!(Instant::now() < deadline, "reactor collector stalled");
-        if let Ok(batch) = batch_rx.recv_timeout(Duration::from_millis(100)) {
-            assert!(batch.watermarks.windows(2).all(|w| w[0] <= w[1]));
-            received += batch.len() as u64;
-        }
-    }
-    assert_eq!(collector.stats().synopses, total);
-    collector.shutdown();
+    let (batch_tx, batch_rx) = unbounded();
+    let interner = Arc::new(SignatureInterner::new());
+    let poll = config(Some(saad_reactor::Backend::Poll));
+    let soa = ReactorCollector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, poll).unwrap();
+    stream_from(soa.local_addr(), 12);
+    receive(&batch_rx, 12 * PER_AGENT, |batch: &SynopsisBatch| {
+        assert!(batch.watermarks.windows(2).all(|w| w[0] <= w[1]));
+        batch.len()
+    });
+    assert_clean(soa.stats(), 12);
+    soa.shutdown();
+    assert!(loss_rx.try_recv().is_err(), "no loss expected");
 }
 
 #[test]
 fn reactor_version_skew_is_rejected_with_reason() {
     let (batch_tx, _batch_rx) = unbounded();
     let (loss_tx, _loss_rx) = unbounded();
-    let collector = ReactorCollector::bind(
-        "127.0.0.1:0",
-        batch_tx,
-        loss_tx,
-        ReactorCollectorConfig::default(),
-    )
-    .unwrap();
-
-    let config = AgentConfig {
-        version: 99,
-        policy: OverloadPolicy::DropNewest,
-        ..AgentConfig::default()
-    };
-    let agent = Agent::connect(collector.local_addr(), HostId(1), config);
-    agent.send(vec![synopsis(1, 0)]);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while agent.stats().handshake_rejects == 0 {
-        assert!(Instant::now() < deadline, "reject never observed");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let stats = agent.close();
-    assert_eq!(stats.reject_reason, Some(RejectReason::VersionMismatch));
-    assert_eq!(stats.connects, 0);
-    assert!(collector.stats().handshakes_rejected >= 1);
-    collector.shutdown();
-}
-
-#[test]
-fn reactor_many_agents_across_loops() {
-    let (batch_tx, batch_rx) = unbounded();
-    let (loss_tx, _loss_rx) = unbounded();
-    let config = ReactorCollectorConfig {
-        loops: 3,
-        ..ReactorCollectorConfig::default()
-    };
+    let config = ReactorCollectorConfig::default();
     let collector = ReactorCollector::bind("127.0.0.1:0", batch_tx, loss_tx, config).unwrap();
-
-    let per_agent = 200u64;
-    let agents: Vec<Agent> = (0..12)
-        .map(|h| Agent::connect(collector.local_addr(), HostId(h), AgentConfig::default()))
-        .collect();
-    for (h, agent) in agents.iter().enumerate() {
-        for chunk in 0..(per_agent / 20) {
-            let batch: Vec<TaskSynopsis> = (0..20)
-                .map(|i| synopsis(h as u16, chunk * 20 + i))
-                .collect();
-            agent.send(batch);
-        }
-    }
-    for agent in agents {
-        let stats = agent.close();
-        assert_eq!(stats.synopses_written, per_agent);
-    }
-
-    let total = per_agent * 12;
-    let mut received = 0u64;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while received < total {
-        assert!(Instant::now() < deadline, "reactor collector stalled");
-        if let Ok(batch) = batch_rx.recv_timeout(Duration::from_millis(100)) {
-            received += batch.len() as u64;
-        }
-    }
-    let stats = collector.stats();
-    assert_eq!(stats.synopses, total);
-    assert_eq!(stats.connections_accepted, 12);
-    assert_eq!(stats.lost_synopses, 0);
+    assert_version_skew_is_refused(collector.local_addr());
+    assert_eq!(collector.stats().handshakes_rejected, 1);
     collector.shutdown();
 }

@@ -1,28 +1,35 @@
-//! Fragmentation properties for the reactor's incremental frame decode.
+//! Fragmentation properties for the receive path's incremental decode.
 //!
-//! The readiness-driven collector receives frames as whatever byte runs
-//! the kernel hands it — a frame may arrive in one read, split across
-//! twenty, or glued to the tail of its predecessor. The contract is that
-//! framing is a pure function of the byte *stream*, not of its read
-//! boundaries: any byte-level fragmentation of a valid frame stream must
-//! decode to the identical synopsis sequence and identical per-host link
-//! statistics as feeding each frame whole.
+//! A collector receives frames as whatever byte runs its driver lands —
+//! a frame may arrive in one read, split across twenty, or glued to the
+//! tail of its predecessor. The contract is that the protocol is a pure
+//! function of the byte *stream*, not of its read boundaries: any
+//! byte-level fragmentation of a stream must decode to the identical
+//! synopsis sequence and identical per-host link statistics as feeding
+//! each frame whole.
 //!
-//! The properties drive [`FrameAssembler`] — the exact type the reactor
-//! collector's per-connection decode loop uses — against a whole-frame
-//! baseline that hands each encoded frame directly to the shared
-//! [`FrameReceiver`]. Streams interleave several sending hosts, include
-//! deliberately skipped frames (loss revealed by cumulative counts) and
-//! re-sent duplicates, so the sequence/loss accounting is exercised, not
-//! just payload reassembly.
+//! The first two properties drive [`FrameAssembler`] — the framing layer
+//! under every [`Session`] — against a whole-frame baseline that hands
+//! each encoded frame directly to the shared [`FrameReceiver`]. Streams
+//! interleave several sending hosts, include deliberately skipped frames
+//! (loss revealed by cumulative counts) and re-sent duplicates, so the
+//! sequence/loss accounting is exercised, not just payload reassembly.
+//! The third drives a whole [`Session`] — handshake included — through
+//! the public sans-IO surface with a recording [`Handler`]. (What the
+//! collectors' own handler makes of the steps is pinned the same way, at
+//! every cut offset, by `saad-net`'s `session` unit tests.)
 
 use proptest::prelude::*;
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
 use saad::core::transport::{parse_frame, FrameOutcome, FrameReceiver, FrameSender};
 use saad::logging::LogPointId;
-use saad::net::protocol::write_message;
-use saad::net::FrameAssembler;
+use saad::net::protocol::{
+    decode_hello_ack, encode_hello, write_message, MAX_MESSAGE_LEN, NO_SEQ, PINNED_EPOCH,
+};
+use saad::net::{
+    FrameAssembler, Handler, Hello, HelloAck, PeerRole, RejectReason, Session, PROTOCOL_VERSION,
+};
 use saad::sim::{SimDuration, SimTime};
 
 /// One generated task, pre-synopsis: host, stage, points, duration, start.
@@ -194,4 +201,119 @@ proptest! {
         let byte_wise = digests.remove(0);
         prop_assert_eq!(one_read, byte_wise);
     }
+
+    /// A whole connection — hello, arbitrary message bodies (empty ones
+    /// and ones far larger than the ring among them), sometimes an
+    /// oversize prefix with bytes behind it — takes the same steps and
+    /// emits the same ack bytes however the stream is cut.
+    #[test]
+    fn any_fragmentation_takes_the_same_session_steps(
+        hello_kind in 0u8..4,
+        bodies in collection::vec(collection::vec(0u8..255, 0..300), 0..12),
+        oversize_tail in 0u8..3,
+        chunk_sizes in collection::vec(1usize..97, 1..40),
+    ) {
+        let mut wire = encode_hello(&Hello {
+            version: if hello_kind == 0 { 1 } else { PROTOCOL_VERSION },
+            host: HostId(5),
+            next_seq: 3,
+            sent_cum: 70,
+            written_cum: 60,
+            epoch: PINNED_EPOCH,
+            role: PeerRole::Leaf,
+        });
+        if hello_kind == 3 {
+            let last = wire.len() - 1;
+            wire[last] ^= 0x80; // extension CRC
+        }
+        for body in &bodies {
+            write_message(&mut wire, body).unwrap();
+        }
+        if oversize_tail == 0 {
+            wire.extend_from_slice(&(MAX_MESSAGE_LEN as u32 + 7).to_be_bytes());
+            wire.extend_from_slice(b"unframeable");
+        }
+
+        let whole = record(&wire, &[wire.len()]);
+        prop_assert_eq!(&record(&wire, &chunk_sizes), &whole);
+        prop_assert_eq!(&record(&wire, &[1]), &whole);
+
+        // And the steps are the ones the stream spells out.
+        let (steps, acks, alive) = whole;
+        let ack = decode_hello_ack(&acks).expect("one decodable ack");
+        match hello_kind {
+            0 => prop_assert_eq!(ack.reason, RejectReason::VersionMismatch),
+            3 => prop_assert_eq!(ack.reason, RejectReason::Malformed),
+            _ => prop_assert!(ack.accept),
+        }
+        if ack.accept {
+            prop_assert_eq!(&steps.messages, &bodies);
+            prop_assert_eq!(steps.unframeable, u32::from(oversize_tail == 0));
+            prop_assert_eq!(alive, oversize_tail != 0);
+        } else {
+            prop_assert!(steps.messages.is_empty() && steps.unframeable == 0 && alive);
+        }
+    }
+}
+
+/// Every call a [`Session`] made on its handler.
+#[derive(Debug, Default, PartialEq)]
+struct Steps {
+    hellos: Vec<Hello>,
+    rejects: Vec<RejectReason>,
+    messages: Vec<Vec<u8>>,
+    unframeable: u32,
+}
+
+impl Steps {
+    fn ack(&self, reason: RejectReason) -> HelloAck {
+        HelloAck {
+            version: PROTOCOL_VERSION,
+            accept: reason == RejectReason::None,
+            reason,
+            last_seq: NO_SEQ,
+            delivered_cum: 0,
+            epoch: 4,
+        }
+    }
+}
+
+impl Handler for Steps {
+    fn on_hello(&mut self, hello: &Hello) -> Result<HelloAck, RejectReason> {
+        self.hellos.push(*hello);
+        if hello.version != PROTOCOL_VERSION {
+            return Err(RejectReason::VersionMismatch);
+        }
+        Ok(self.ack(RejectReason::None))
+    }
+
+    fn on_reject(&mut self, reason: RejectReason) -> HelloAck {
+        self.rejects.push(reason);
+        self.ack(reason)
+    }
+
+    fn on_message(&mut self, body: &[u8]) {
+        self.messages.push(body.to_vec());
+    }
+
+    fn on_unframeable(&mut self) {
+        self.unframeable += 1;
+    }
+}
+
+/// Feed `wire` in chunks of the given sizes (cycled); returns the steps
+/// taken, the ack bytes emitted, and whether the connection stays open.
+fn record(wire: &[u8], chunk_sizes: &[usize]) -> (Steps, Vec<u8>, bool) {
+    let (mut steps, mut acks, mut alive) = (Steps::default(), Vec::new(), true);
+    let mut session = Session::new(64);
+    let mut sizes = chunk_sizes.iter().cycle();
+    let mut rest = wire;
+    while alive && !rest.is_empty() {
+        let (chunk, tail) = rest.split_at(rest.len().min(*sizes.next().unwrap()));
+        rest = tail;
+        alive = session.feed(chunk, &mut steps);
+        acks.extend_from_slice(session.ack());
+        session.ack_written(session.ack().len());
+    }
+    (steps, acks, alive)
 }

@@ -173,14 +173,15 @@ fn scrape_endpoint_serves_live_metrics_from_pool_and_wire() {
         TASKS
     );
     assert_eq!(
-        sample_value(&body, "saad_collector_synopses_total") as u64,
+        sample_value(&body, "saad_collector_synopses_total{backend=\"threaded\"}") as u64,
         TASKS
     );
     assert_eq!(
         sample_value(&body, "saad_pool_processed_total") as u64,
         TASKS
     );
-    assert!(sample_value(&body, "saad_collector_connections_active") >= 1.0);
+    let active = "saad_collector_connections_active{backend=\"threaded\"}";
+    assert!(sample_value(&body, active) >= 1.0);
     assert!(sample_value(&body, "saad_pool_watermark_us") > 0.0);
     // The pool promoted (promote_after = 300 < TASKS) and checkpointed;
     // the latency histogram must carry those writes.
