@@ -13,6 +13,7 @@
 //!    the wall time until *every* host the dead leaf owned is delivering
 //!    fresh synopses at the root through its new leaf.
 
+use saad_core::batch::SynopsisBatch;
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::transport::LossReport;
 use saad_core::{HostId, StageId, TaskUid};
@@ -76,10 +77,12 @@ fn poll_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
 /// while one leaf is killed for the re-homing measurement.
 pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> FederationResult {
     let control = ControlPlane::new(seed, Duration::from_secs(3600));
-    let (batch_tx, batch_rx) = crossbeam_channel::unbounded::<Vec<TaskSynopsis>>();
+    let (batch_tx, batch_rx) = crossbeam_channel::unbounded::<SynopsisBatch>();
     let (loss_tx, loss_rx) = crossbeam_channel::unbounded::<LossReport>();
-    let root = RootCollector::bind("127.0.0.1:0", batch_tx, loss_tx, RootConfig::default())
-        .expect("bind root");
+    // The root interns at the edge, as it would for a pool behind it.
+    let (interner, config) = (Arc::default(), RootConfig::default());
+    let root =
+        RootCollector::bind("127.0.0.1:0", batch_tx, interner, loss_tx, config).expect("bind root");
     // Drain the analyzer input so the channel never backs up.
     let drain = std::thread::spawn(move || batch_rx.iter().map(|b| b.len() as u64).sum::<u64>());
 

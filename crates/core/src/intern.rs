@@ -232,6 +232,12 @@ impl SignatureInterner {
             .map(|&local| SigId((local << SHARD_BITS) | shard_idx as u32))
     }
 
+    /// Whether this interner has issued `id` (a lock and a compare — the
+    /// allocation-free half of [`SignatureInterner::resolve`]).
+    pub(crate) fn issued(&self, id: SigId) -> bool {
+        id.index() < self.shards[id.shard()].read().sigs.len()
+    }
+
     /// The signature behind an id (cloned; ids resolve only against the
     /// interner that issued them).
     pub fn resolve(&self, id: SigId) -> Option<Signature> {

@@ -6,13 +6,13 @@ use super::pool::{
     meta_tick, shard_for, spawn_pool_inner, PoolHandle, PoolInput, SequencedInput, ShardMsg,
 };
 use super::supervise::{AnalyzerError, SupervisorConfig};
+use crate::batch::SynopsisBatch;
 use crate::detector::{AnomalyDetector, DetectorConfig, DetectorSnapshot};
 use crate::feature::InternedFeature;
 use crate::intern::{SigId, SignatureInterner};
 use crate::model::{CompiledModel, ConfigError, ModelBuilder, ModelConfig, OutlierModel};
 use crate::selfmon::{MetaMonitor, MetaStage};
 use crate::store::{Checkpoint, CheckpointError, CheckpointStore};
-use crate::synopsis::TaskSynopsis;
 use crate::transport::LossReport;
 use crate::{Signature, StageId};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
@@ -443,6 +443,7 @@ impl RouterLifecycle {
 #[derive(Debug)]
 pub struct LifecyclePool {
     pool: PoolHandle,
+    interner: Arc<SignatureInterner>,
     control: Sender<PoolCommand>,
     writer: Option<JoinHandle<()>>,
     obs: Arc<LifecycleObs>,
@@ -465,6 +466,13 @@ impl std::ops::Deref for LifecyclePool {
 }
 
 impl LifecyclePool {
+    /// The interner this pool's detectors share — the recovered
+    /// checkpoint's, or a fresh one in bootstrap. Every producer feeding
+    /// the pool must be built on it: a batch's ids mean nothing elsewhere.
+    pub fn interner(&self) -> Arc<SignatureInterner> {
+        self.interner.clone()
+    }
+
     /// Whether the pool has a model and is classifying (true), or is in
     /// bootstrap collect-only mode (false).
     pub fn is_detecting(&self) -> bool {
@@ -677,6 +685,12 @@ impl LifecyclePool {
 ///   installs it at the swap watermark: no synopsis is dropped, double
 ///   counted, or classified by a half-installed model.
 ///
+/// `rx` and `loss_rx` are what
+/// [`spawn_batch_analyzer_pool`](super::spawn_batch_analyzer_pool) takes,
+/// but the interner is the pool's to give (a recovered checkpoint carries
+/// its own): spawn first, then build producers on
+/// [`LifecyclePool::interner`].
+///
 /// # Errors
 ///
 /// Fails with [`LifecycleError::Checkpoint`] if the store directory is
@@ -693,7 +707,7 @@ pub fn spawn_analyzer_pool_with_lifecycle(
     lifecycle: LifecycleConfig,
     workers: usize,
     dir: impl Into<PathBuf>,
-    rx: Receiver<Vec<TaskSynopsis>>,
+    rx: Receiver<SynopsisBatch>,
     loss_rx: Option<Receiver<LossReport>>,
 ) -> Result<LifecyclePool, LifecycleError> {
     spawn_lifecycle_pool_inner(
@@ -702,21 +716,16 @@ pub fn spawn_analyzer_pool_with_lifecycle(
         lifecycle,
         workers,
         dir,
-        PoolInput::Raw(rx, loss_rx),
+        PoolInput::Batches(rx, loss_rx),
     )
 }
 
 /// [`spawn_analyzer_pool_with_lifecycle`] over a single ordered channel
 /// of [`SequencedInput`] steps instead of separate batch and loss
-/// channels.
-///
-/// Loss reports take effect at exactly their stream position, so the
-/// pool's event multiset is a pure function of the sequence it is fed:
-/// two pools consuming identical sequences emit identical event
-/// multisets. Use this when detection output must be reproducible or
-/// auditable against a recorded stream — e.g. replaying a root
-/// collector's linearized output through an oracle pool to prove a
-/// failover degraded detection by exactly its accounted gap.
+/// channels: loss reports take effect at exactly their stream position,
+/// so two pools fed identical sequences emit identical event multisets.
+/// Use this when detection output must be reproducible or auditable
+/// against a recorded stream (see [`SequencedInput`]).
 ///
 /// # Errors
 ///
@@ -898,7 +907,7 @@ fn spawn_lifecycle_pool_inner(
         cfg: lifecycle,
         control_rx,
         writer_tx,
-        interner,
+        interner: interner.clone(),
         model,
         compiled,
         detecting,
@@ -920,6 +929,7 @@ fn spawn_lifecycle_pool_inner(
     );
     Ok(LifecyclePool {
         pool,
+        interner,
         control: control_tx,
         writer: Some(writer),
         obs,
@@ -930,9 +940,10 @@ fn spawn_lifecycle_pool_inner(
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::synopsis_on;
+    use super::super::testkit::{soa, synopsis_on};
     use super::*;
     use crate::detector::AnomalyKind;
+    use crate::synopsis::TaskSynopsis;
     use saad_sim::SimDuration;
 
     /// Self-cleaning unique temp directory (no tempfile crate).
@@ -993,9 +1004,11 @@ mod tests {
         out
     }
 
-    fn feed(batch_tx: &Sender<Vec<TaskSynopsis>>, stream: &[TaskSynopsis]) {
+    /// `stream` in batches of 60, interned where the pool says to.
+    fn feed(pool: &LifecyclePool, batch_tx: &Sender<SynopsisBatch>, stream: &[TaskSynopsis]) {
+        let interner = pool.interner();
         for chunk in stream.chunks(60) {
-            batch_tx.send(chunk.to_vec()).unwrap();
+            batch_tx.send(soa(chunk, &interner)).unwrap();
         }
     }
 
@@ -1068,7 +1081,7 @@ mod tests {
         assert_eq!(pool.recovered_generation(), None);
 
         // Healthy traffic through promotion (promote_after = 300)…
-        feed(&batch_tx, &healthy_stream(3, 240));
+        feed(&pool, &batch_tx, &healthy_stream(3, 240));
         // …then a burst of a never-seen signature that only a promoted,
         // detecting pool can flag.
         let mut tail = Vec::new();
@@ -1082,7 +1095,7 @@ mod tests {
             s.start = SimTime::from_mins(4) + SimDuration::from_millis(i * 400);
             tail.push(s);
         }
-        feed(&batch_tx, &tail);
+        feed(&pool, &batch_tx, &tail);
         drop(batch_tx);
         let mut events = Vec::new();
         while let Ok(e) = pool.events().recv() {
@@ -1160,8 +1173,8 @@ mod tests {
         // Healthy run-in (promotes around minute 1.25, then quiet
         // windows establish the Page-Hinkley null), then a rollout that
         // quintuples every duration.
-        feed(&batch_tx, &scaled_stream(0, 6, 240, 1.0));
-        feed(&batch_tx, &scaled_stream(6, 6, 240, 5.0));
+        feed(&pool, &batch_tx, &scaled_stream(0, 6, 240, 1.0));
+        feed(&pool, &batch_tx, &scaled_stream(6, 6, 240, 5.0));
         drop(batch_tx);
         while pool.events().recv().is_ok() {}
         assert!(pool.is_detecting());
@@ -1192,7 +1205,7 @@ mod tests {
             None,
         )
         .unwrap();
-        feed(&batch_tx, &scaled_stream(0, 12, 240, 1.0));
+        feed(&pool, &batch_tx, &scaled_stream(0, 12, 240, 1.0));
         drop(batch_tx);
         while pool.events().recv().is_ok() {}
         assert!(pool.is_detecting());
@@ -1223,10 +1236,10 @@ mod tests {
         )
         .unwrap();
         let reply = pool.request_checkpoint();
-        batch_tx.send(Vec::new()).unwrap(); // nudge the batch boundary
+        batch_tx.send(SynopsisBatch::new()).unwrap(); // nudge the batch boundary
         assert_eq!(reply.recv().unwrap(), Err(LifecycleError::Bootstrapping));
         let retrain = pool.request_retrain();
-        batch_tx.send(Vec::new()).unwrap();
+        batch_tx.send(SynopsisBatch::new()).unwrap();
         assert_eq!(
             retrain.recv().unwrap(),
             Err(LifecycleError::InsufficientData { have: 0, need: 200 })
@@ -1255,7 +1268,7 @@ mod tests {
                 None,
             )
             .unwrap();
-            feed(&batch_tx, &stream);
+            feed(&pool, &batch_tx, &stream);
             drop(batch_tx);
             while pool.events().recv().is_ok() {}
             assert!(pool.is_detecting());
@@ -1320,10 +1333,10 @@ mod tests {
             None,
         )
         .unwrap();
-        feed(&batch_tx, &healthy_stream(2, 240));
+        feed(&pool, &batch_tx, &healthy_stream(2, 240));
         wait_processed(&pool, 480);
         let reply = pool.request_checkpoint();
-        batch_tx.send(Vec::new()).unwrap();
+        batch_tx.send(SynopsisBatch::new()).unwrap();
         let generation = reply.recv().unwrap().expect("checkpoint failed");
         // Durable right now — not merely queued.
         let store = CheckpointStore::create(dir.path(), 3).unwrap();
@@ -1354,10 +1367,10 @@ mod tests {
             None,
         )
         .unwrap();
-        feed(&batch_tx, &healthy_stream(2, 240));
+        feed(&pool, &batch_tx, &healthy_stream(2, 240));
         wait_processed(&pool, 480);
         let reply = pool.request_checkpoint();
-        batch_tx.send(Vec::new()).unwrap();
+        batch_tx.send(SynopsisBatch::new()).unwrap();
         let generation = reply
             .recv()
             .unwrap()
@@ -1392,10 +1405,10 @@ mod tests {
             None,
         )
         .unwrap();
-        feed(&batch_tx, &healthy_stream(2, 240));
+        feed(&pool, &batch_tx, &healthy_stream(2, 240));
         wait_processed(&pool, 480);
         let reply = pool.request_checkpoint();
-        batch_tx.send(Vec::new()).unwrap();
+        batch_tx.send(SynopsisBatch::new()).unwrap();
         let err = reply
             .recv()
             .unwrap()
@@ -1426,14 +1439,14 @@ mod tests {
         )
         .unwrap();
         let stream = healthy_stream(4, 240);
-        feed(&batch_tx, &stream[..720]);
+        feed(&pool, &batch_tx, &stream[..720]);
         wait_processed(&pool, 720);
         // Mid-stream explicit retrain → hot swap broadcast to all shards.
         let reply = pool.request_retrain();
-        batch_tx.send(Vec::new()).unwrap();
+        batch_tx.send(SynopsisBatch::new()).unwrap();
         let report = reply.recv().unwrap().expect("retrain refused");
         assert!(report.trained_from >= 200);
-        feed(&batch_tx, &stream[720..]);
+        feed(&pool, &batch_tx, &stream[720..]);
         drop(batch_tx);
         while pool.events().recv().is_ok() {}
         assert_eq!(pool.processed(), stream.len() as u64);

@@ -7,8 +7,9 @@
 //! threaded analyzer — the sharded pool — and one file per job.
 //!
 //! * `sink` — the producer edge: [`BatchSink`] behind trackers,
-//!   [`feed_frame`]/[`feed_frame_soa`] behind a frame receiver, and the
-//!   inline [`ModelSink`]/[`DetectorSink`] of the deterministic simulators.
+//!   [`feed_frame_soa`] behind a frame receiver, and the inline
+//!   [`ModelSink`]/[`DetectorSink`] of the deterministic simulators. Both
+//!   producers intern at the edge, against the consuming pool's interner.
 //!   [`BatchSink::bounded`] caps the queue to the analyzer; an
 //!   [`OverloadPolicy`] decides what happens when it fills, and every
 //!   dropped synopsis is counted per host in [`SinkStats`] — monitoring
@@ -23,10 +24,12 @@
 //!   detector state is keyed per `(host, stage)`, so sharding preserves
 //!   the single-threaded event stream exactly (as a multiset).
 //! * `lifecycle` — the same pool with durable checkpoints, crash recovery,
-//!   bootstrap promotion and hot model swap, fed by two channels
-//!   ([`spawn_analyzer_pool_with_lifecycle`]) or one ordered
+//!   bootstrap promotion and hot model swap, fed the same batches on two
+//!   channels ([`spawn_analyzer_pool_with_lifecycle`]) or one ordered
 //!   [`SequencedInput`] channel
-//!   ([`spawn_sequenced_analyzer_pool_with_lifecycle`]).
+//!   ([`spawn_sequenced_analyzer_pool_with_lifecycle`]). Spawn the pool
+//!   first, then build its producers on [`LifecyclePool::interner`] — a
+//!   restored pool's interner is the checkpoint's, not a fresh one.
 //! * `adapt` — the drift detector ([`AdaptPolicy`]) that triggers a
 //!   lifecycle pool's swap by itself.
 
@@ -43,8 +46,7 @@ pub use lifecycle::{
 };
 pub use pool::{spawn_batch_analyzer_pool, PoolHandle, SequencedInput};
 pub use sink::{
-    feed_frame, feed_frame_soa, BatchSink, DetectorSink, DropCounts, ModelSink, OverloadPolicy,
-    SinkStats,
+    feed_frame_soa, BatchSink, DetectorSink, DropCounts, ModelSink, OverloadPolicy, SinkStats,
 };
 pub use supervise::{AnalyzerError, SupervisorConfig};
 
@@ -52,8 +54,9 @@ pub use supervise::{AnalyzerError, SupervisorConfig};
 /// Fixtures shared by the test modules of this directory's files.
 mod testkit {
     use super::SequencedInput;
+    use crate::batch::SynopsisBatch;
     use crate::detector::{AnomalyDetector, AnomalyEvent};
-    use crate::feature::InternedFeature;
+    use crate::intern::SignatureInterner;
     use crate::model::{ModelBuilder, ModelConfig, OutlierModel};
     use crate::synopsis::TaskSynopsis;
     use crate::{HostId, StageId, TaskUid};
@@ -80,6 +83,15 @@ mod testkit {
             duration: SimDuration::from_micros(dur_us),
             log_points: points.iter().map(|&p| (LogPointId(p), 1)).collect(),
         }
+    }
+
+    /// `synopses` as one SoA batch interned against `interner`.
+    pub fn soa(synopses: &[TaskSynopsis], interner: &SignatureInterner) -> SynopsisBatch {
+        let mut batch = SynopsisBatch::with_capacity(synopses.len());
+        for s in synopses {
+            batch.push_synopsis(s, interner);
+        }
+        batch
     }
 
     /// Stage 0 with signature [1, 2] at ~1 ms.
@@ -148,22 +160,22 @@ mod testkit {
     /// THE reference every threaded path is compared with: one plain
     /// detector driven element by element in stream order — advance to the
     /// stream's running-maximum watermark, observe; a loss report applied
-    /// where it stands. Returns the events (final flush included) and the
+    /// where it stands. Batches are interned against the detector's own
+    /// interner. Returns the events (final flush included) and the
     /// detector.
     pub fn reference_run(
         mut detector: AnomalyDetector,
         steps: &[SequencedInput],
     ) -> (Vec<AnomalyEvent>, AnomalyDetector) {
-        let interner = detector.interner().clone();
         let mut events = Vec::new();
         let mut watermark = SimTime::ZERO;
         for step in steps {
             match step {
                 SequencedInput::Batch(batch) => {
-                    for s in batch {
-                        watermark = watermark.max(s.start);
+                    for i in 0..batch.len() {
+                        let feature = batch.feature(i);
+                        watermark = watermark.max(feature.start);
                         events.extend(detector.advance_watermark(watermark));
-                        let feature = InternedFeature::from_synopsis(s, &interner);
                         events.extend(detector.observe_interned(&feature));
                     }
                 }

@@ -14,7 +14,6 @@ use crate::feature::InternedFeature;
 use crate::intern::SignatureInterner;
 use crate::model::{CompiledModel, OutlierModel};
 use crate::selfmon::{MetaMonitor, MetaStage};
-use crate::synopsis::TaskSynopsis;
 use crate::transport::LossReport;
 use crate::{HostId, StageId};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
@@ -75,7 +74,7 @@ pub(super) fn shard_for(host: HostId, stage: StageId, workers: usize) -> usize {
 /// batches and transport loss reports interleaved on a single ordered
 /// channel.
 ///
-/// The two-channel pool inputs deliver [`LossReport`]s on a side channel
+/// The two-channel pool input delivers [`LossReport`]s on a side channel
 /// the router drains opportunistically at batch boundaries. That is
 /// *correct* — a gap always takes effect no later than its revealing
 /// batch — but not *reproducible*: under backpressure a queued report can
@@ -87,26 +86,22 @@ pub(super) fn shard_for(host: HostId, stage: StageId, workers: usize) -> usize {
 /// vs. replayed oracle) relies on exactly this property.
 #[derive(Debug, Clone)]
 pub enum SequencedInput {
-    /// A batch of task synopses.
-    Batch(Vec<TaskSynopsis>),
+    /// A batch of task synopses, interned against the pool's interner.
+    Batch(SynopsisBatch),
     /// A loss report taking effect exactly here in the stream.
     Loss(LossReport),
 }
 
-/// Input stream driving an analyzer pool's router. The two-channel
-/// variants carry their side channel of gap reports, which the router
-/// drains at batch boundaries; a sequenced stream has none.
+/// Input stream driving an analyzer pool's router: SoA batches built
+/// against the SAME interner the pool's detectors share. The router
+/// re-stamps each element's watermark with the global running maximum and
+/// repartitions columns directly — the hot path never materializes a
+/// per-synopsis struct or performs a per-synopsis channel send.
 pub(super) enum PoolInput {
-    /// Batches of raw synopses: the router interns each one into the
-    /// pool's shared interner while routing.
-    Raw(Receiver<Vec<TaskSynopsis>>, Option<Receiver<LossReport>>),
-    /// Pre-interned SoA batches (see [`SynopsisBatch`]) built against the
-    /// SAME interner the pool's detectors share. The router re-stamps
-    /// each element's watermark with the global running maximum and
-    /// repartitions columns directly — the hot path never materializes a
-    /// per-synopsis struct or performs a per-synopsis channel send.
+    /// Batches on one channel, gap reports on a side channel the router
+    /// drains at batch boundaries.
     Batches(Receiver<SynopsisBatch>, Option<Receiver<LossReport>>),
-    /// Raw batches and loss reports on one ordered channel (see
+    /// Batches and loss reports on one ordered channel (see
     /// [`SequencedInput`]): loss placement is part of the stream content
     /// instead of a race against the router's drain timing.
     Sequenced(Receiver<SequencedInput>),
@@ -514,6 +509,8 @@ struct Router {
     watermark: SimTime,
     fanout: ShardFanout,
     lifecycle: Option<RouterLifecycle>,
+    /// The interner every shard detector shares — and every producer must.
+    interner: Arc<SignatureInterner>,
     event_tx: Sender<AnomalyEvent>,
     shard_txs: Vec<Sender<ShardMsg>>,
     obs: Arc<PoolObs>,
@@ -532,8 +529,7 @@ impl Router {
         self.watermark
     }
 
-    /// Route one element, whatever shape the input delivered it in, into
-    /// its shard's arena.
+    /// Route one element into its shard's arena.
     #[inline]
     fn route(&mut self, feature: &InternedFeature) {
         let watermark = self.stamp(feature.host, feature.start);
@@ -541,6 +537,37 @@ impl Router {
             lc.absorb(feature);
         }
         self.fanout.push(feature, watermark);
+    }
+
+    /// Route one input batch, then do the batch-boundary work. With a
+    /// single shard and no lifecycle duties (`forward_only`) the router
+    /// degenerates to a forwarder: re-stamp the watermark column in place
+    /// with the global running max and hand the whole batch through
+    /// untouched — no per-element repartition copy at all.
+    #[inline]
+    fn route_batch(&mut self, mut batch: SynopsisBatch, forward_only: bool) {
+        // Ids some other interner issued mean nothing (or something else)
+        // to this pool's model tables and windows; one it never issued
+        // proves a producer was built on the wrong one.
+        debug_assert!(
+            batch.sigs.iter().all(|&sig| self.interner.issued(sig)),
+            "batch interned against a foreign interner: build producers on the pool's own"
+        );
+        if forward_only {
+            for i in 0..batch.len() {
+                batch.watermarks[i] = self.stamp(batch.hosts[i], batch.starts[i]);
+            }
+            if !batch.is_empty() {
+                let _ = self.shard_txs[0].send(ShardMsg::Batch(batch));
+            }
+        } else {
+            // Re-stamped with the GLOBAL watermark: the producer's
+            // per-batch watermark only saw its own stream.
+            for i in 0..batch.len() {
+                self.route(&batch.feature(i));
+            }
+        }
+        self.batch_boundary();
     }
 
     /// Count a gap report once and broadcast it, stamped with the global
@@ -577,11 +604,10 @@ impl Router {
 }
 
 /// The pool core shared by [`spawn_batch_analyzer_pool`] and the
-/// lifecycle pools: one shard worker per initial
-/// detector, plus the router thread that stamps watermarks, routes
-/// batches, tracks liveness, and — when a [`RouterLifecycle`] is given —
-/// drives checkpoints, hot swaps, and bootstrap promotion at batch
-/// boundaries.
+/// lifecycle pools: one shard worker per initial detector, plus the router
+/// thread that stamps watermarks, routes batches, tracks liveness, and —
+/// when a [`RouterLifecycle`] is given — drives checkpoints, hot swaps,
+/// and bootstrap promotion at batch boundaries.
 pub(super) fn spawn_pool_inner(
     detectors: Vec<AnomalyDetector>,
     supervisor: SupervisorConfig,
@@ -592,8 +618,6 @@ pub(super) fn spawn_pool_inner(
 ) -> PoolHandle {
     let workers = detectors.len();
     assert!(workers > 0, "analyzer pool needs at least one worker");
-    // The router interns raw synopses into the same interner every shard
-    // detector already shares.
     let interner = detectors[0].interner().clone();
     let (event_tx, event_rx) = unbounded();
     let obs = Arc::new(PoolObs::new(workers));
@@ -689,6 +713,7 @@ pub(super) fn spawn_pool_inner(
         watermark: SimTime::ZERO,
         fanout: ShardFanout::new(workers, recycle_rx),
         lifecycle,
+        interner,
         event_tx,
         shard_txs,
         obs: Arc::clone(&obs),
@@ -696,19 +721,8 @@ pub(super) fn spawn_pool_inner(
     let router = std::thread::Builder::new()
         .name("saad-analyzer-router".into())
         .spawn(move || {
+            let forward_only = workers == 1 && router.lifecycle.is_none();
             match input {
-                PoolInput::Raw(rx, loss_rx) => {
-                    for batch in rx.iter() {
-                        meta_tick(&meta, MetaStage::Router, || {
-                            router.drain_losses(&loss_rx);
-                            for synopsis in batch {
-                                router.route(&InternedFeature::from_synopsis(&synopsis, &interner));
-                            }
-                            router.batch_boundary();
-                        });
-                    }
-                    router.drain_losses(&loss_rx);
-                }
                 PoolInput::Sequenced(rx) => {
                     for step in rx.iter() {
                         meta_tick(&meta, MetaStage::Router, || match step {
@@ -717,44 +731,15 @@ pub(super) fn spawn_pool_inner(
                             // boundaries, so shards see it at the same
                             // stream position the producer pinned.
                             SequencedInput::Loss(report) => router.broadcast_loss(report),
-                            SequencedInput::Batch(batch) => {
-                                for synopsis in batch {
-                                    router.route(&InternedFeature::from_synopsis(
-                                        &synopsis, &interner,
-                                    ));
-                                }
-                                router.batch_boundary();
-                            }
+                            SequencedInput::Batch(batch) => router.route_batch(batch, forward_only),
                         });
                     }
                 }
                 PoolInput::Batches(rx, loss_rx) => {
-                    // With a single shard and no lifecycle duties the
-                    // router degenerates to a forwarder: re-stamp the
-                    // watermark column in place with the global running
-                    // max and hand the whole batch through untouched —
-                    // no per-element repartition copy at all.
-                    let forward_only = workers == 1 && router.lifecycle.is_none();
-                    for mut batch in rx.iter() {
+                    for batch in rx.iter() {
                         meta_tick(&meta, MetaStage::Router, || {
                             router.drain_losses(&loss_rx);
-                            if forward_only {
-                                for i in 0..batch.len() {
-                                    batch.watermarks[i] =
-                                        router.stamp(batch.hosts[i], batch.starts[i]);
-                                }
-                                if !batch.is_empty() {
-                                    let _ = router.shard_txs[0].send(ShardMsg::Batch(batch));
-                                }
-                            } else {
-                                // Re-stamped with the GLOBAL watermark: the
-                                // producer's per-batch watermark only saw
-                                // its own stream.
-                                for i in 0..batch.len() {
-                                    router.route(&batch.feature(i));
-                                }
-                            }
-                            router.batch_boundary();
+                            router.route_batch(batch, forward_only);
                         });
                     }
                     router.drain_losses(&loss_rx);
@@ -794,7 +779,8 @@ pub(super) fn spawn_pool_inner(
 mod tests {
     use super::super::sink::{BatchSink, OverloadPolicy};
     use super::super::testkit::{
-        event_keys, mixed_stream, model, multi_stage_model, reference_run, synopsis, synopsis_on,
+        event_keys, mixed_stream, model, multi_stage_model, reference_run, soa, synopsis,
+        synopsis_on,
     };
     use super::*;
     use crate::detector::AnomalyKind;
@@ -1054,10 +1040,9 @@ mod tests {
     fn batch_pool_matches_the_reference_detector() {
         let model = multi_stage_model();
         let stream = mixed_stream();
-        let (expected, reference) = reference_run(
-            AnomalyDetector::new(model.clone(), DetectorConfig::default()),
-            &[SequencedInput::Batch(stream.clone())],
-        );
+        let reference = AnomalyDetector::new(model.clone(), DetectorConfig::default());
+        let whole = soa(&stream, reference.interner());
+        let (expected, reference) = reference_run(reference, &[SequencedInput::Batch(whole)]);
         assert!(!expected.is_empty(), "stream should produce events");
 
         for workers in [1usize, 3] {
@@ -1135,7 +1120,7 @@ mod tests {
 
     /// `(clock, step)` → the synopsis or loss report the step stands for.
     /// The clock advances up to 5 s a step against 10 s windows.
-    fn materialize(steps: &[Step]) -> Vec<SequencedInput> {
+    fn materialize(steps: &[Step], interner: &SignatureInterner) -> Vec<SequencedInput> {
         const WINDOW_US: u64 = 10_000_000;
         let mut clock = 0u64;
         steps
@@ -1155,7 +1140,7 @@ mod tests {
                     };
                     let mut s = synopsis_on(host, points, dur, at, uid as u64);
                     s.stage = StageId(stage);
-                    SequencedInput::Batch(vec![s])
+                    SequencedInput::Batch(soa(&[s], interner))
                 } else {
                     SequencedInput::Loss(LossReport {
                         host: HostId(host),
@@ -1192,7 +1177,7 @@ mod tests {
             let fresh = || AnomalyDetector::with_shared(
                 model.clone(), compiled.clone(), interner.clone(), config,
             );
-            let stream = materialize(&steps);
+            let stream = materialize(&steps, &interner);
 
             let (scalar_events, scalar) = reference_run(fresh(), &stream);
 
@@ -1204,9 +1189,9 @@ mod tests {
             let mut watermark = SimTime::ZERO;
             for step in &stream {
                 match step {
-                    SequencedInput::Batch(batch) => for s in batch {
-                        watermark = watermark.max(s.start);
-                        let f = InternedFeature::from_synopsis(s, &interner);
+                    SequencedInput::Batch(batch) => for i in 0..batch.len() {
+                        let f = batch.feature(i);
+                        watermark = watermark.max(f.start);
                         pending.push_feature(&f, watermark);
                         if pending.len() == chunk {
                             batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
@@ -1237,11 +1222,11 @@ mod tests {
                     None,
                     None,
                 );
-                let mut group = Vec::new();
+                let mut group = SynopsisBatch::new();
                 for step in &stream {
                     match step {
                         SequencedInput::Batch(batch) => {
-                            group.extend(batch.iter().cloned());
+                            group.extend_from(batch);
                             if group.len() == chunk {
                                 tx.send(SequencedInput::Batch(std::mem::take(&mut group))).unwrap();
                             }

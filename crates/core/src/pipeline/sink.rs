@@ -1,6 +1,7 @@
 //! The producer edge of the pipeline: the sinks trackers submit to, the
 //! drop accounting of a bounded sink, and the glue that turns a decoded
-//! transport frame into pool input.
+//! transport frame into pool input. Everything bound for a pool is interned
+//! here, into [`SynopsisBatch`]es, against that pool's interner.
 
 use crate::batch::SynopsisBatch;
 use crate::detector::{AnomalyDetector, AnomalyEvent, DetectorConfig};
@@ -427,61 +428,37 @@ impl SynopsisSink for DetectorSink {
     }
 }
 
-/// The half of feeding a frame that [`feed_frame`] and [`feed_frame_soa`]
-/// share: a newly discovered gap becomes a [`LossReport`] on `loss_tx`
-/// (stamped, by convention, with the first synopsis's start time) *before*
-/// the caller forwards the returned synopses, so a report never trails
-/// the batch that revealed it. Duplicate frames yield nothing — the
-/// transport already counted them.
-fn report_gap(outcome: FrameOutcome, loss_tx: &Sender<LossReport>) -> Vec<TaskSynopsis> {
+/// Feed one decoded transport frame into a pool's input: a gap the frame
+/// reveals goes to `loss_tx` *before* the frame's synopses — interned into
+/// one [`SynopsisBatch`] against the pool's interner — go to `batch_tx` as
+/// a **single** send, so a report never trails the batch that revealed it.
+/// The report is stamped with the first synopsis's start; an empty frame
+/// (a leaf's goodbye revealing a trailing gap) has none and is stamped at
+/// `watermark`, the highest start its collector has admitted. Returns the
+/// synopses forwarded; a duplicate frame, already counted, yields nothing.
+pub fn feed_frame_soa(
+    outcome: FrameOutcome,
+    batch_tx: &Sender<SynopsisBatch>,
+    interner: &SignatureInterner,
+    loss_tx: &Sender<LossReport>,
+    watermark: SimTime,
+) -> usize {
     let FrameOutcome::Fresh {
         host,
         synopses,
         newly_lost,
     } = outcome
     else {
-        return Vec::new();
+        return 0;
     };
     if newly_lost > 0 {
-        let at = synopses.first().map_or(SimTime::ZERO, |s| s.start);
+        let at = synopses.first().map_or(watermark, |s| s.start);
         let _ = loss_tx.send(LossReport {
             host,
             at,
             count: newly_lost,
         });
     }
-    synopses
-}
-
-/// Feed one decoded transport frame into a lifecycle pool's input: a gap
-/// the frame reveals goes to `loss_tx` first, then the frame's synopses go
-/// to `batch_tx` as a **single** batch send. Returns the number of
-/// synopses forwarded (0 for a duplicate frame).
-pub fn feed_frame(
-    outcome: FrameOutcome,
-    batch_tx: &Sender<Vec<TaskSynopsis>>,
-    loss_tx: &Sender<LossReport>,
-) -> usize {
-    let synopses = report_gap(outcome, loss_tx);
-    let n = synopses.len();
-    if n > 0 {
-        let _ = batch_tx.send(synopses);
-    }
-    n
-}
-
-/// SoA counterpart of [`feed_frame`]: the frame's synopses are interned
-/// into one [`SynopsisBatch`] (against the interner shared with the
-/// consuming [`spawn_batch_analyzer_pool`](super::spawn_batch_analyzer_pool))
-/// and forwarded as a **single** batch send. Returns the number of
-/// synopses forwarded.
-pub fn feed_frame_soa(
-    outcome: FrameOutcome,
-    batch_tx: &Sender<SynopsisBatch>,
-    interner: &SignatureInterner,
-    loss_tx: &Sender<LossReport>,
-) -> usize {
-    let synopses = report_gap(outcome, loss_tx);
     let n = synopses.len();
     if n > 0 {
         let mut batch = SynopsisBatch::with_capacity(n);
@@ -708,7 +685,7 @@ mod tests {
     }
 
     #[test]
-    fn feed_frame_reports_the_gap_then_forwards_and_ignores_duplicates() {
+    fn feed_frame_soa_reports_the_gap_then_forwards_and_ignores_duplicates() {
         let fresh = || FrameOutcome::Fresh {
             host: HostId(3),
             synopses: vec![
@@ -726,34 +703,42 @@ mod tests {
             at: SimTime::from_secs(9),
             count: 5,
         };
+        let watermark = SimTime::from_secs(8);
         let (loss_tx, loss_rx) = unbounded();
-
-        let (batch_tx, batch_rx) = unbounded();
-        assert_eq!(feed_frame(fresh(), &batch_tx, &loss_tx), 2);
-        assert_eq!(batch_rx.try_recv().unwrap().len(), 2);
-        assert_eq!(loss_rx.try_recv().unwrap(), expected);
-        assert_eq!(feed_frame(dup(), &batch_tx, &loss_tx), 0);
-        assert!(batch_rx.try_recv().is_err());
-        assert!(loss_rx.try_recv().is_err());
-
         let interner = SignatureInterner::new();
+        let feed = |outcome, batch_tx: &Sender<SynopsisBatch>| {
+            feed_frame_soa(outcome, batch_tx, &interner, &loss_tx, watermark)
+        };
+
         let (batch_tx, batch_rx) = unbounded();
-        assert_eq!(feed_frame_soa(fresh(), &batch_tx, &interner, &loss_tx), 2);
+        assert_eq!(feed(fresh(), &batch_tx), 2);
         assert_eq!(batch_rx.try_recv().unwrap().uids.len(), 2);
         assert_eq!(loss_rx.try_recv().unwrap(), expected);
-        assert_eq!(feed_frame_soa(dup(), &batch_tx, &interner, &loss_tx), 0);
+        assert_eq!(feed(dup(), &batch_tx), 0);
         assert!(batch_rx.try_recv().is_err());
         assert!(loss_rx.try_recv().is_err());
+
+        // A frame with no synopses (a goodbye) still reports its gap —
+        // at the collector's watermark, having no start of its own.
+        let goodbye = FrameOutcome::Fresh {
+            host: HostId(3),
+            synopses: Vec::new(),
+            newly_lost: 4,
+        };
+        assert_eq!(feed(goodbye, &batch_tx), 0);
+        assert!(batch_rx.try_recv().is_err(), "nothing to forward");
+        let report = loss_rx.try_recv().unwrap();
+        assert_eq!((report.at, report.count), (watermark, 4));
 
         // The report is on its channel before the batch is on the other:
         // a consumer that sees the batch can already see the report.
         let (batch_tx, batch_rx) = bounded(1);
         let seen = std::thread::scope(|scope| {
             let waiter = scope.spawn(|| {
-                let batch: Vec<TaskSynopsis> = batch_rx.recv().unwrap();
+                let batch: SynopsisBatch = batch_rx.recv().unwrap();
                 (batch.len(), loss_rx.try_recv())
             });
-            feed_frame(fresh(), &batch_tx, &loss_tx);
+            feed(fresh(), &batch_tx);
             waiter.join().unwrap()
         });
         assert_eq!(seen, (2, Ok(expected)));

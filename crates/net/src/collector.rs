@@ -10,15 +10,16 @@
 //! [`ReactorCollector`](crate::ReactorCollector) drives the same sessions
 //! and core from readiness events instead.
 //!
-//! Admitted frames flow into the analyzer input as one batch send per
-//! frame, newly revealed gaps as [`LossReport`]s before the batch that
-//! revealed them — exactly the contract the in-process pipeline already
-//! uses, so `spawn_analyzer_pool_with_lifecycle` works unchanged behind a
-//! socket.
+//! Admitted frames flow into the analyzer input as one [`SynopsisBatch`]
+//! send per frame — decoded in place and interned against the consuming
+//! pool's interner — newly revealed gaps as [`LossReport`]s before the
+//! batch that revealed them: exactly what an in-process
+//! [`BatchSink`](saad_core::pipeline::BatchSink) feeds a pool, so either
+//! pool spawn works unchanged behind a socket.
 //!
 //! [`Collector::shutdown`] returns the final [`CollectorState`] — the
 //! carried-over `FrameReceiver` — which a restarted collector can adopt
-//! via [`Collector::with_state`] so loss accounting stays exact across
+//! via [`Collector::serve_soa`] so loss accounting stays exact across
 //! collector restarts. A collector restarted *without* that state relies
 //! on the agents' resume handshakes ([`FrameReceiver::resume`]) instead.
 
@@ -142,25 +143,10 @@ pub struct Collector {
 }
 
 impl Collector {
-    /// Bind a fresh collector (empty link state) on `addr` and start
-    /// accepting. `addr` may use port 0; see [`Collector::local_addr`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn bind<A: ToSocketAddrs>(
-        addr: A,
-        batch_tx: Sender<Vec<TaskSynopsis>>,
-        loss_tx: Sender<LossReport>,
-        config: CollectorConfig,
-    ) -> io::Result<Collector> {
-        Collector::with_state(addr, CollectorState::default(), batch_tx, loss_tx, config)
-    }
-
-    /// Like [`Collector::bind`], but admitted synopses are interned (into
-    /// `interner`, shared with the consuming batch pool) and forwarded as
-    /// SoA [`SynopsisBatch`]es — one batch send per admitted frame, no
-    /// per-synopsis sends anywhere past the decoder.
+    /// Bind a fresh collector (empty link state) on `addr` (port 0
+    /// allowed; see [`Collector::local_addr`]) and start accepting.
+    /// Admitted synopses are interned into `interner` — the consuming
+    /// pool's — and forwarded as one [`SynopsisBatch`] per admitted frame.
     ///
     /// # Errors
     ///
@@ -172,23 +158,15 @@ impl Collector {
         loss_tx: Sender<LossReport>,
         config: CollectorConfig,
     ) -> io::Result<Collector> {
-        let state = CollectorState::default();
-        Collector::serve_soa(
-            TcpListener::bind(addr)?,
-            state,
-            batch_tx,
-            interner,
-            loss_tx,
-            config,
-        )
+        let (listener, state) = (TcpListener::bind(addr)?, CollectorState::default());
+        Collector::serve_soa(listener, state, batch_tx, interner, loss_tx, config)
     }
 
     /// Bind a collector whose admitted frames feed an [`AdmittedSink`]
     /// instead of an analyzer channel — the leaf-collector role: the sink
     /// re-frames synopses upstream in the agents' global stream
-    /// coordinates. Agent-link loss is *not* reported locally (no
-    /// [`LossReport`] channel); it is passed to the sink, which makes it
-    /// visible to the root as a stream-position gap.
+    /// coordinates. Agent-link loss is not reported locally; it is passed
+    /// to the sink, which shows it to the root as a stream-position gap.
     ///
     /// # Errors
     ///
@@ -198,55 +176,15 @@ impl Collector {
         sink: Arc<dyn AdmittedSink>,
         config: CollectorConfig,
     ) -> io::Result<Collector> {
-        // The Forward sink never reports loss locally; satisfy the shared
-        // struct with a disconnected channel.
-        let (loss_tx, _) = crossbeam_channel::unbounded();
-        Collector::serve_inner(
-            TcpListener::bind(addr)?,
-            CollectorState::default(),
-            SynopsisOut::Forward(sink),
-            loss_tx,
-            config,
-        )
+        let (listener, out) = (TcpListener::bind(addr)?, SynopsisOut::Forward(sink));
+        Collector::start(listener, CollectorState::default(), out, config)
     }
 
-    /// Bind a collector that adopts `state` — the receiver returned by a
-    /// previous incarnation's [`Collector::shutdown`] — so per-host
-    /// delivery and loss accounting continue exactly where they left off.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn with_state<A: ToSocketAddrs>(
-        addr: A,
-        state: CollectorState,
-        batch_tx: Sender<Vec<TaskSynopsis>>,
-        loss_tx: Sender<LossReport>,
-        config: CollectorConfig,
-    ) -> io::Result<Collector> {
-        Collector::serve(TcpListener::bind(addr)?, state, batch_tx, loss_tx, config)
-    }
-
-    /// Serve on an already-bound listener (lets callers own the bind —
-    /// e.g. retry a fixed port across a restart — without risking the
-    /// carried-over `state` on a bind failure).
-    ///
-    /// # Errors
-    ///
-    /// Propagates a `local_addr` query failure.
-    pub fn serve(
-        listener: TcpListener,
-        state: CollectorState,
-        batch_tx: Sender<Vec<TaskSynopsis>>,
-        loss_tx: Sender<LossReport>,
-        config: CollectorConfig,
-    ) -> io::Result<Collector> {
-        Collector::serve_inner(listener, state, SynopsisOut::Raw(batch_tx), loss_tx, config)
-    }
-
-    /// SoA counterpart of [`Collector::serve`]: serve on an already-bound
-    /// listener with carried-over `state`, forwarding admitted synopses as
-    /// [`SynopsisBatch`]es interned into `interner`.
+    /// [`Collector::bind_soa`] on an already-bound listener, adopting
+    /// `state` — a previous incarnation's [`Collector::shutdown`] — so
+    /// per-host delivery and loss accounting continue where they left off.
+    /// The caller owns the bind (e.g. retries a fixed port across a
+    /// restart), so a bind failure never costs the carried-over `state`.
     ///
     /// # Errors
     ///
@@ -259,26 +197,21 @@ impl Collector {
         loss_tx: Sender<LossReport>,
         config: CollectorConfig,
     ) -> io::Result<Collector> {
-        Collector::serve_inner(
-            listener,
-            state,
-            SynopsisOut::Soa {
-                tx: batch_tx,
-                interner,
-            },
+        let out = SynopsisOut::Soa {
+            tx: batch_tx,
+            interner,
             loss_tx,
-            config,
-        )
+        };
+        Collector::start(listener, state, out, config)
     }
 
-    fn serve_inner(
+    fn start(
         listener: TcpListener,
         state: CollectorState,
         out: SynopsisOut,
-        loss_tx: Sender<LossReport>,
         config: CollectorConfig,
     ) -> io::Result<Collector> {
-        let ingest = Ingest::new(state.receiver, out, loss_tx, config.version, config.epoch);
+        let ingest = Ingest::new(state.receiver, out, config.version, config.epoch);
         let (opener, poll, clamp) = (ingest.clone(), config.read_poll, config.recv_buffer);
         let server = Server::start(listener, "saad-net", poll, clamp, move || opener.link())?;
         Ok(Collector { ingest, server })

@@ -9,9 +9,10 @@
 //!
 //! Per frame, the per-byte work (CRC, decode, interning) runs outside the
 //! receiver lock, which is taken once for the O(1) sequencing verdict.
-//! For the SoA output the payload is decoded **in place** from the
-//! session's ring into a staging [`SynopsisBatch`]: one batch allocation
-//! per fresh frame, none per synopsis.
+//! The payload is decoded **in place** from the session's ring into a
+//! staging [`SynopsisBatch`]: one batch allocation per fresh frame, none
+//! per synopsis. Only a leaf's forwarding sink, which re-frames owned
+//! synopses upstream, has the whole frame parsed.
 
 use crate::collector::{AdmittedSink, CollectorState, CollectorStats};
 use crate::protocol::{Hello, HelloAck, RejectReason, NO_SEQ, PINNED_EPOCH};
@@ -21,8 +22,6 @@ use parking_lot::Mutex;
 use saad_core::batch::SynopsisBatch;
 use saad_core::codec::decode_batch_into;
 use saad_core::intern::SignatureInterner;
-use saad_core::pipeline::{feed_frame, feed_frame_soa};
-use saad_core::synopsis::TaskSynopsis;
 use saad_core::transport::{
     parse_frame, parse_frame_header, verify_frame_crc, AdmitDecision, FrameOutcome, FrameReceiver,
     LinkStats, LossReport, FRAME_HEADER_LEN,
@@ -43,15 +42,15 @@ struct Counters {
     watermark_micros: AtomicU64,
 }
 
-/// Where admitted frames' synopses go: raw batches, SoA batches interned
-/// at the collector edge for
-/// [`spawn_batch_analyzer_pool`](saad_core::pipeline::spawn_batch_analyzer_pool),
-/// or an [`AdmittedSink`] forwarding digests upstream (the leaf role).
+/// Where admitted frames' synopses go: SoA batches interned at the
+/// collector edge against the consuming pool's interner, gaps to its loss
+/// channel — or an [`AdmittedSink`] forwarding digests upstream (the leaf
+/// role), which is told of gaps in stream coordinates instead.
 pub(crate) enum SynopsisOut {
-    Raw(Sender<Vec<TaskSynopsis>>),
     Soa {
         tx: Sender<SynopsisBatch>,
         interner: Arc<SignatureInterner>,
+        loss_tx: Sender<LossReport>,
     },
     Forward(Arc<dyn AdmittedSink>),
 }
@@ -60,7 +59,6 @@ pub(crate) enum SynopsisOut {
 pub(crate) struct Ingest {
     receiver: Mutex<FrameReceiver>,
     out: SynopsisOut,
-    loss_tx: Sender<LossReport>,
     counters: Counters,
     version: u16,
     epoch: Option<Arc<AtomicU64>>,
@@ -145,14 +143,12 @@ impl Ingest {
     pub(crate) fn new(
         receiver: FrameReceiver,
         out: SynopsisOut,
-        loss_tx: Sender<LossReport>,
         version: u16,
         epoch: Option<Arc<AtomicU64>>,
     ) -> Arc<Ingest> {
         Arc::new(Ingest {
             receiver: Mutex::new(receiver),
             out,
-            loss_tx,
             counters: Counters::default(),
             version,
             epoch,
@@ -232,39 +228,28 @@ impl Ingest {
         hello.epoch != PINNED_EPOCH && hello.epoch < self.current_epoch()
     }
 
-    /// The `Raw`/`Forward` frame path: those sinks need owned
-    /// `TaskSynopsis` values anyway, so the whole frame is parsed.
-    fn admit_owned(&self, body: &[u8]) {
+    /// The leaf's frame path: a forwarding sink re-frames owned
+    /// `TaskSynopsis` values, so the whole frame is parsed.
+    fn admit_owned(&self, sink: &dyn AdmittedSink, body: &[u8]) {
         let Ok(parsed) = parse_frame(body) else {
             return self.receiver.lock().record_corrupted();
         };
         let starts = parsed.synopses.iter().map(|s| s.start);
         let max_start = starts.max().unwrap_or(SimTime::ZERO);
         // End of this frame in the sender's global stream coordinates —
-        // what a forwarding sink re-frames at so gaps stay visible
-        // upstream.
+        // what the sink re-frames at so gaps stay visible upstream.
         let pos_end = parsed.cumulative + parsed.synopses.len() as u64;
         let outcome = self.receiver.lock().admit(parsed);
-        let forwarded = match (&self.out, outcome) {
-            (_, FrameOutcome::Duplicate { .. }) => return,
-            (SynopsisOut::Raw(tx), fresh) => feed_frame(fresh, tx, &self.loss_tx),
-            (SynopsisOut::Soa { tx, interner }, fresh) => {
-                feed_frame_soa(fresh, tx, interner, &self.loss_tx)
-            }
-            (
-                SynopsisOut::Forward(sink),
-                FrameOutcome::Fresh {
-                    host,
-                    synopses,
-                    newly_lost,
-                },
-            ) => {
-                let n = synopses.len();
-                sink.on_fresh(host, synopses, newly_lost, pos_end);
-                n
-            }
-        };
-        self.count_fresh(forwarded, max_start);
+        if let FrameOutcome::Fresh {
+            host,
+            synopses,
+            newly_lost,
+        } = outcome
+        {
+            let n = synopses.len();
+            sink.on_fresh(host, synopses, newly_lost, pos_end);
+            self.count_fresh(n, max_start);
+        }
     }
 
     fn count_fresh(&self, synopses: usize, max_start: SimTime) {
@@ -337,8 +322,13 @@ impl Handler for IngestLink {
     /// counted and later messages remain readable.
     fn on_message(&mut self, body: &[u8]) {
         let ingest = &*self.ingest;
-        let SynopsisOut::Soa { tx, interner } = &ingest.out else {
-            return ingest.admit_owned(body);
+        let (tx, interner, loss_tx) = match &ingest.out {
+            SynopsisOut::Soa {
+                tx,
+                interner,
+                loss_tx,
+            } => (tx, interner, loss_tx),
+            SynopsisOut::Forward(sink) => return ingest.admit_owned(&**sink, body),
         };
         // In place: header checks and payload decode straight from the
         // ring into the staging batch's columns.
@@ -372,10 +362,13 @@ impl Handler for IngestLink {
                 // frame's max start.
                 let max_start = staging.watermarks.last().copied().unwrap_or(SimTime::ZERO);
                 if newly_lost > 0 {
-                    // Loss first, stamped at the frame's first synopsis —
-                    // same order and stamp as `feed_frame_soa`.
-                    let at = staging.starts.first().copied().unwrap_or(SimTime::ZERO);
-                    let _ = ingest.loss_tx.send(LossReport {
+                    // Loss first, stamped at the frame's first synopsis or,
+                    // for an empty frame, at the admitted watermark — same
+                    // order and stamp as `feed_frame_soa`.
+                    let watermark = ingest.counters.watermark_micros.load(Ordering::Relaxed);
+                    let at = (staging.starts.first().copied())
+                        .unwrap_or(SimTime::from_micros(watermark));
+                    let _ = loss_tx.send(LossReport {
                         host: header.host,
                         at,
                         count: newly_lost,
@@ -403,38 +396,104 @@ pub(crate) mod testkit {
     use super::*;
     use crate::protocol::{encode_hello, write_message, PeerRole};
     use crossbeam_channel::{unbounded, Receiver};
+    use saad_core::detector::{AnomalyDetector, DetectorConfig};
+    use saad_core::synopsis::TaskSynopsis;
     use saad_core::transport::FrameSender;
     use saad_core::{LogPointId, StageId, TaskUid};
     use saad_sim::SimDuration;
+
+    /// One [`AdmittedSink::on_fresh`] call: host, synopses, newly lost,
+    /// stream position past the frame.
+    pub(crate) type Forwarded = (HostId, Vec<TaskSynopsis>, u64, u64);
+
+    impl AdmittedSink for Sender<Forwarded> {
+        fn on_fresh(&self, host: HostId, synopses: Vec<TaskSynopsis>, lost: u64, pos_end: u64) {
+            let _ = self.send((host, synopses, lost, pos_end));
+        }
+    }
 
     /// A collector core with every output observable.
     pub(crate) struct Rig {
         pub(crate) ingest: Arc<Ingest>,
         pub(crate) soa: Receiver<SynopsisBatch>,
-        pub(crate) raw: Receiver<Vec<TaskSynopsis>>,
+        pub(crate) forwarded: Receiver<Forwarded>,
         pub(crate) losses: Receiver<LossReport>,
     }
 
     /// A fresh core accepting `version`, enforcing `epoch`, feeding the
-    /// SoA output when `soa` and the raw one otherwise.
+    /// SoA output when `soa` and a leaf's forwarding sink otherwise.
     pub(crate) fn rig(version: u16, epoch: Option<u64>, soa: bool) -> Rig {
-        let (soa_tx, soa_rx) = unbounded();
-        let (raw_tx, raw_rx) = unbounded();
+        let (tx, soa_rx) = unbounded();
+        let (forward_tx, forwarded) = unbounded();
         let (loss_tx, losses) = unbounded();
         let out = if soa {
             SynopsisOut::Soa {
-                tx: soa_tx,
+                tx,
                 interner: Arc::new(SignatureInterner::new()),
+                loss_tx,
             }
         } else {
-            SynopsisOut::Raw(raw_tx)
+            SynopsisOut::Forward(Arc::new(forward_tx))
         };
         let epoch = epoch.map(|e| Arc::new(AtomicU64::new(e)));
         Rig {
-            ingest: Ingest::new(FrameReceiver::new(), out, loss_tx, version, epoch),
+            ingest: Ingest::new(FrameReceiver::new(), out, version, epoch),
             soa: soa_rx,
-            raw: raw_rx,
+            forwarded,
             losses,
+        }
+    }
+
+    /// A host's stream ending badly: a data frame (three tasks in minute
+    /// 5, one per stage), a frame of two that never arrives, and the
+    /// goodbye — no synopses, only the final stream position — that
+    /// reveals it. Returns the bodies that do arrive and the one report
+    /// their collector owes: the gap, in the host's last live window.
+    pub(crate) fn goodbye_after_a_lost_frame() -> (Vec<Vec<u8>>, LossReport) {
+        let at = |ms: u64| 5 * 60_000 + ms; // windows 0..4 are long closed
+        let data: Vec<_> = [(1, 100), (2, 900), (3, 400)]
+            .map(|(uid, ms)| synopsis(10, uid, at(ms), &[1, 2]))
+            .into();
+        let lost = vec![synopsis(10, 4, at(1_000), &[1, 2]); 2];
+        let bodies = frame_bodies(&[10], &[data, lost, Vec::new()], 0b010, 0);
+        let owed = LossReport {
+            host: HostId(10),
+            at: SimTime::from_millis(at(900)), // the highest start admitted
+            count: 2,
+        };
+        (bodies, owed)
+    }
+
+    /// What an analyzer makes of a collector's output for
+    /// [`goodbye_after_a_lost_frame`]: a model-less detector (one event
+    /// per window and stage) fed `batches`, then `losses`, must report the
+    /// window `owed` falls in — one task seen per stage, the host's two
+    /// lost — at completeness 1/3. Stamped at time zero the report was
+    /// judged stale and every event read 1.
+    pub(crate) fn assert_gap_is_charged(
+        interner: &Arc<SignatureInterner>,
+        batches: &[SynopsisBatch],
+        losses: &[LossReport],
+        owed: LossReport,
+    ) {
+        assert_eq!(losses, [owed]);
+        let config = DetectorConfig::default();
+        let mut detector = AnomalyDetector::collecting(interner.clone(), config).unwrap();
+        let mut events = Vec::new();
+        for batch in batches {
+            for i in 0..batch.len() {
+                events.extend(detector.observe_interned(&batch.feature(i)));
+            }
+        }
+        for r in losses {
+            detector.record_loss(r.host, r.at, r.count);
+        }
+        events.extend(detector.flush());
+        let window = config.window.as_micros();
+        events.retain(|e| e.window_start.as_micros() / window == owed.at.as_micros() / window);
+        assert_eq!(events.len(), 3, "the host's last window: {events:?}");
+        for e in events {
+            assert!((e.completeness - 1.0 / 3.0).abs() < 1e-9, "{e:?}");
         }
     }
 
@@ -525,9 +584,12 @@ pub(crate) mod testkit {
 
 #[cfg(test)]
 mod tests {
-    use super::testkit::{batches, frame_bodies, rig};
+    use super::testkit::{
+        assert_gap_is_charged, batches, frame_bodies, goodbye_after_a_lost_frame, rig,
+    };
     use super::*;
     use proptest::prelude::*;
+    use saad_core::pipeline::feed_frame_soa;
 
     proptest! {
         /// The in-place SoA path (`parse_frame_header` → `verify_frame_crc`
@@ -558,7 +620,7 @@ mod tests {
             }
 
             let reference = rig(2, None, true);
-            let SynopsisOut::Soa { tx, interner } = &reference.ingest.out else {
+            let SynopsisOut::Soa { tx, interner, loss_tx } = &reference.ingest.out else {
                 unreachable!("rig(.., true) is the SoA output");
             };
             let mut receiver = FrameReceiver::new();
@@ -572,7 +634,7 @@ mod tests {
                 let outcome = receiver.admit(parsed);
                 if matches!(outcome, FrameOutcome::Fresh { .. }) {
                     frames += 1;
-                    synopses += feed_frame_soa(outcome, tx, interner, &reference.ingest.loss_tx) as u64;
+                    synopses += feed_frame_soa(outcome, tx, interner, loss_tx, watermark) as u64;
                     watermark = watermark.max(max_start.unwrap_or(SimTime::ZERO));
                 }
             }
@@ -594,6 +656,25 @@ mod tests {
                 prop_assert_eq!(under_test.ingest.link_stats(HostId(host)), receiver.stats(HostId(host)));
             }
         }
+    }
+
+    /// A goodbye frame revealing a trailing gap has no first start to
+    /// stamp the report with; it lands in the host's last live window.
+    #[test]
+    fn a_gap_revealed_by_an_empty_frame_is_charged_to_the_last_window() {
+        let (bodies, owed) = goodbye_after_a_lost_frame();
+        let rig = rig(2, None, true);
+        let mut link = rig.ingest.link();
+        for body in &bodies {
+            link.on_message(body);
+        }
+        assert_eq!(rig.ingest.stats().watermark, owed.at);
+        let SynopsisOut::Soa { interner, .. } = &rig.ingest.out else {
+            unreachable!("rig(.., true) is the SoA output");
+        };
+        let batches: Vec<SynopsisBatch> = rig.soa.try_iter().collect();
+        let losses: Vec<LossReport> = rig.losses.try_iter().collect();
+        assert_gap_is_charged(interner, &batches, &losses, owed);
     }
 
     #[test]

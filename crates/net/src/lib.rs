@@ -14,9 +14,11 @@
 //!   below are its drivers and share one handler core: handshake
 //!   verdict, frame validation and in-place decode outside any lock,
 //!   sequencing under one shared
-//!   [`FrameReceiver`](saad_core::transport::FrameReceiver), batches and
+//!   [`FrameReceiver`](saad_core::transport::FrameReceiver),
+//!   [`SynopsisBatch`](saad_core::batch::SynopsisBatch)es — interned at the
+//!   collector, against the consuming pool's interner — and
 //!   [`LossReport`](saad_core::transport::LossReport)s flowing into the
-//!   channels `spawn_analyzer_pool_with_lifecycle` already consumes.
+//!   two channels either pool spawn consumes.
 //! * [`Collector`] — the thread-per-connection driver: a blocking thread
 //!   per connection reads exactly the bytes its session needs next.
 //! * [`ReactorCollector`] — the readiness driver: a few [`saad_reactor`]

@@ -29,7 +29,6 @@ use crossbeam_channel::Sender;
 use parking_lot::Mutex;
 use saad_core::batch::SynopsisBatch;
 use saad_core::intern::SignatureInterner;
-use saad_core::synopsis::TaskSynopsis;
 use saad_core::transport::{LinkStats, LossReport};
 use saad_core::HostId;
 use saad_reactor::{Backend, EventLoop, Interest, Token, Waker, WAKE_TOKEN};
@@ -127,23 +126,8 @@ pub struct ReactorCollector {
 
 impl ReactorCollector {
     /// Bind a fresh reactor collector (empty link state) on `addr`,
-    /// feeding raw synopsis batches.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind, event-loop, or waker creation failure.
-    pub fn bind<A: ToSocketAddrs>(
-        addr: A,
-        batch_tx: Sender<Vec<TaskSynopsis>>,
-        loss_tx: Sender<LossReport>,
-        config: ReactorCollectorConfig,
-    ) -> io::Result<ReactorCollector> {
-        ReactorCollector::with_state(addr, CollectorState::default(), batch_tx, loss_tx, config)
-    }
-
-    /// Like [`ReactorCollector::bind`] but feeding SoA
-    /// [`SynopsisBatch`]es interned into `interner` — the zero-copy hot
-    /// path: ring → batch columns, no intermediate `Vec<TaskSynopsis>`.
+    /// feeding [`SynopsisBatch`]es interned into `interner` — the consuming
+    /// pool's — straight from the ring: no intermediate `Vec<TaskSynopsis>`.
     ///
     /// # Errors
     ///
@@ -155,49 +139,13 @@ impl ReactorCollector {
         loss_tx: Sender<LossReport>,
         config: ReactorCollectorConfig,
     ) -> io::Result<ReactorCollector> {
-        let state = CollectorState::default();
-        ReactorCollector::serve_soa(
-            TcpListener::bind(addr)?,
-            state,
-            batch_tx,
-            interner,
-            loss_tx,
-            config,
-        )
+        let (listener, state) = (TcpListener::bind(addr)?, CollectorState::default());
+        ReactorCollector::serve_soa(listener, state, batch_tx, interner, loss_tx, config)
     }
 
-    /// Bind adopting carried-over `state` (see
-    /// [`Collector::with_state`](crate::Collector::with_state)).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind, event-loop, or waker creation failure.
-    pub fn with_state<A: ToSocketAddrs>(
-        addr: A,
-        state: CollectorState,
-        batch_tx: Sender<Vec<TaskSynopsis>>,
-        loss_tx: Sender<LossReport>,
-        config: ReactorCollectorConfig,
-    ) -> io::Result<ReactorCollector> {
-        ReactorCollector::serve(TcpListener::bind(addr)?, state, batch_tx, loss_tx, config)
-    }
-
-    /// Serve on an already-bound listener with carried-over `state`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates event-loop or waker creation failure.
-    pub fn serve(
-        listener: TcpListener,
-        state: CollectorState,
-        batch_tx: Sender<Vec<TaskSynopsis>>,
-        loss_tx: Sender<LossReport>,
-        config: ReactorCollectorConfig,
-    ) -> io::Result<ReactorCollector> {
-        ReactorCollector::serve_inner(listener, state, SynopsisOut::Raw(batch_tx), loss_tx, config)
-    }
-
-    /// SoA counterpart of [`ReactorCollector::serve`].
+    /// [`ReactorCollector::bind_soa`] on an already-bound listener,
+    /// adopting carried-over `state` (see
+    /// [`Collector::serve_soa`](crate::Collector::serve_soa)).
     ///
     /// # Errors
     ///
@@ -210,25 +158,11 @@ impl ReactorCollector {
         loss_tx: Sender<LossReport>,
         config: ReactorCollectorConfig,
     ) -> io::Result<ReactorCollector> {
-        ReactorCollector::serve_inner(
-            listener,
-            state,
-            SynopsisOut::Soa {
-                tx: batch_tx,
-                interner,
-            },
+        let out = SynopsisOut::Soa {
+            tx: batch_tx,
+            interner,
             loss_tx,
-            config,
-        )
-    }
-
-    fn serve_inner(
-        listener: TcpListener,
-        state: CollectorState,
-        out: SynopsisOut,
-        loss_tx: Sender<LossReport>,
-        config: ReactorCollectorConfig,
-    ) -> io::Result<ReactorCollector> {
+        };
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let nloops = config.loops.max(1);
@@ -246,13 +180,7 @@ impl ReactorCollector {
             els.push(el);
         }
         let shared = Arc::new(RShared {
-            ingest: Ingest::new(
-                state.receiver,
-                out,
-                loss_tx,
-                config.version,
-                config.epoch.clone(),
-            ),
+            ingest: Ingest::new(state.receiver, out, config.version, config.epoch.clone()),
             shutdown: AtomicBool::new(false),
             config,
             loop_metrics: (0..nloops).map(|_| LoopMetrics::default()).collect(),
@@ -595,6 +523,7 @@ mod tests {
     use super::*;
     use crate::ingest::testkit::{hello_bytes, rig, synopsis};
     use crate::protocol::{write_message, PINNED_EPOCH};
+    use saad_core::synopsis::TaskSynopsis;
     use saad_core::transport::FrameSender;
 
     /// A peer that out-writes the loop: every readiness event finds a

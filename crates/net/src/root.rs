@@ -19,9 +19,10 @@
 //! cross-connection invariants live entirely in the global coordinates.
 //!
 //! Admitted synopses flow to the analyzer input through the same
-//! [`feed_frame`] contract the single-collector path uses — batches plus
-//! [`LossReport`]s — so the whole detection stack runs unchanged behind
-//! a federation.
+//! [`feed_frame_soa`] contract the single-collector path uses —
+//! [`SynopsisBatch`]es interned against the consuming pool's interner,
+//! plus [`LossReport`]s — so the whole detection stack runs unchanged
+//! behind a federation.
 //!
 //! Handshake and framing are the threaded collector's — the same
 //! thread-per-connection server driving a [`Session`](crate::Session)
@@ -34,8 +35,9 @@ use crate::server::Server;
 use crate::session::Handler;
 use crossbeam_channel::Sender;
 use parking_lot::Mutex;
-use saad_core::pipeline::feed_frame;
-use saad_core::synopsis::TaskSynopsis;
+use saad_core::batch::SynopsisBatch;
+use saad_core::intern::SignatureInterner;
+use saad_core::pipeline::feed_frame_soa;
 use saad_core::transport::{
     parse_frame, DigestMerge, FrameOutcome, FrameReceiver, LinkStats, LossReport,
 };
@@ -93,7 +95,8 @@ struct Shared {
     /// The cross-uplink merge and the counters that move with it
     /// (`lost_synopses` is read off the merge, not kept).
     state: Mutex<(DigestMerge, RootStats)>,
-    batch_tx: Sender<Vec<TaskSynopsis>>,
+    batch_tx: Sender<SynopsisBatch>,
+    interner: Arc<SignatureInterner>,
     loss_tx: Sender<LossReport>,
     version: u16,
 }
@@ -120,20 +123,23 @@ pub struct RootCollector {
 }
 
 impl RootCollector {
-    /// Bind on `addr` (port 0 allowed) and start accepting leaf uplinks.
+    /// Bind on `addr` (port 0 allowed) and start accepting leaf uplinks;
+    /// admitted synopses are interned into the consuming pool's `interner`.
     ///
     /// # Errors
     ///
     /// Propagates the bind failure.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
-        batch_tx: Sender<Vec<TaskSynopsis>>,
+        batch_tx: Sender<SynopsisBatch>,
+        interner: Arc<SignatureInterner>,
         loss_tx: Sender<LossReport>,
         config: RootConfig,
     ) -> io::Result<RootCollector> {
         let shared = Arc::new(Shared {
             state: Mutex::default(),
             batch_tx,
+            interner,
             loss_tx,
             version: config.version,
         });
@@ -286,13 +292,17 @@ impl Handler for Uplink {
                 // reports each lost synopsis exactly once across every
                 // uplink that ever carried this host.
                 let n = synopses.len() as u64;
-                let newly_lost = shared.state.lock().0.on_fresh(host, n, pos_end);
+                let (newly_lost, watermark) = {
+                    let mut state = shared.state.lock();
+                    (state.0.on_fresh(host, n, pos_end), state.1.watermark)
+                };
                 let fresh = FrameOutcome::Fresh {
                     host,
                     synopses,
                     newly_lost,
                 };
-                feed_frame(fresh, &shared.batch_tx, &shared.loss_tx);
+                let (batch_tx, loss_tx) = (&shared.batch_tx, &shared.loss_tx);
+                feed_frame_soa(fresh, batch_tx, &shared.interner, loss_tx, watermark);
                 // Counted once forwarded, so a reader that sees the count
                 // finds the batch in the channel.
                 shared.count(|s| {
@@ -311,5 +321,48 @@ impl Handler for Uplink {
 
     fn on_unframeable(&mut self) {
         self.shared.count(|s| s.corrupted_digests += 1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ingest::testkit::{assert_gap_is_charged, goodbye_after_a_lost_frame};
+    use crossbeam_channel::unbounded;
+
+    /// What a leaf's graceful shutdown does after losing a digest on the
+    /// way up: the goodbye reveals the trailing gap. Its report is stamped
+    /// at the root's watermark, so the host's last window owns up to it.
+    #[test]
+    fn a_goodbye_frame_charges_its_trailing_gap_to_the_last_window() {
+        let (bodies, owed) = goodbye_after_a_lost_frame();
+        let (batch_tx, batch_rx) = unbounded();
+        let (loss_tx, loss_rx) = unbounded();
+        let interner = Arc::new(SignatureInterner::new());
+        let shared = Arc::new(Shared {
+            state: Mutex::default(),
+            batch_tx,
+            interner: interner.clone(),
+            loss_tx,
+            version: PROTOCOL_VERSION,
+        });
+        shared.count(|s| s.uplinks_active += 1); // what dropping the handler takes back
+        let mut uplink = Uplink {
+            shared: shared.clone(),
+            local_rx: FrameReceiver::new(),
+        };
+        for body in &bodies {
+            uplink.on_message(body);
+        }
+
+        let stats = shared.stats();
+        assert_eq!(
+            (stats.digests, stats.synopses, stats.lost_synopses),
+            (2, 3, 2)
+        );
+        assert_eq!(stats.watermark, owed.at);
+        let batches: Vec<SynopsisBatch> = batch_rx.try_iter().collect();
+        let losses: Vec<LossReport> = loss_rx.try_iter().collect();
+        assert_gap_is_charged(&interner, &batches, &losses, owed);
     }
 }

@@ -210,12 +210,13 @@ impl Session {
 mod tests {
     use super::*;
     use crate::collector::CollectorStats;
-    use crate::ingest::testkit::{batches, frame_bodies, hello_bytes, rig, synopsis, wire_of};
+    use crate::ingest::testkit::{
+        batches, frame_bodies, hello_bytes, rig, synopsis, wire_of, Forwarded,
+    };
     use crate::protocol::{
         decode_hello_ack, HELLO_ACK_LEN, HELLO_ACK_V1_LEN, MAX_MESSAGE_LEN, NO_SEQ, PINNED_EPOCH,
     };
     use proptest::prelude::*;
-    use saad_core::synopsis::TaskSynopsis;
     use saad_core::transport::{LinkStats, LossReport};
     use saad_core::HostId;
 
@@ -237,7 +238,7 @@ mod tests {
         rejected: bool,
         acks: Vec<u8>,
         soa: Vec<String>,
-        raw: Vec<Vec<TaskSynopsis>>,
+        forwarded: Vec<Forwarded>,
         losses: Vec<LossReport>,
         stats: CollectorStats,
         links: Vec<LinkStats>,
@@ -270,7 +271,7 @@ mod tests {
             rejected: session.is_rejected(),
             acks,
             soa: rig.soa.try_iter().map(|b| format!("{b:?}")).collect(),
-            raw: rig.raw.try_iter().collect(),
+            forwarded: rig.forwarded.try_iter().collect(),
             losses: rig.losses.try_iter().collect(),
             stats: rig.ingest.stats(),
             links: HOSTS

@@ -54,16 +54,22 @@ fn stream_from(addr: SocketAddr, agents: u16) {
     }
 }
 
-/// Count what arrives on `rx` until `total` synopses did.
-fn receive<B>(rx: &Receiver<B>, total: u64, len: impl Fn(&B) -> usize) {
+/// Count what arrives on `rx` until `total` synopses did; every batch's
+/// watermark column is a running maximum.
+fn receive(rx: &Receiver<SynopsisBatch>, total: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut received = 0u64;
     while received < total {
         assert!(Instant::now() < deadline, "collector stalled");
         if let Ok(batch) = rx.recv_timeout(Duration::from_millis(100)) {
-            received += len(&batch) as u64;
+            assert!(batch.watermarks.windows(2).all(|w| w[0] <= w[1]));
+            received += batch.len() as u64;
         }
     }
+}
+
+fn interner() -> Arc<SignatureInterner> {
+    Arc::new(SignatureInterner::new())
 }
 
 fn assert_clean(stats: CollectorStats, agents: u16) {
@@ -98,10 +104,11 @@ fn assert_version_skew_is_refused(addr: SocketAddr) {
 fn threaded_round_trip() {
     let (batch_tx, batch_rx) = unbounded();
     let (loss_tx, loss_rx) = unbounded();
+    let config = CollectorConfig::default();
     let collector =
-        Collector::bind("127.0.0.1:0", batch_tx, loss_tx, CollectorConfig::default()).unwrap();
+        Collector::bind_soa("127.0.0.1:0", batch_tx, interner(), loss_tx, config).unwrap();
     stream_from(collector.local_addr(), 4);
-    receive(&batch_rx, 4 * PER_AGENT, Vec::len);
+    receive(&batch_rx, 4 * PER_AGENT);
     assert!(loss_rx.try_recv().is_err(), "no loss expected");
     assert_clean(collector.stats(), 4);
     let state = collector.shutdown();
@@ -115,48 +122,38 @@ fn threaded_round_trip() {
 fn threaded_version_skew_is_rejected_with_reason() {
     let (batch_tx, _batch_rx) = unbounded();
     let (loss_tx, _loss_rx) = unbounded();
+    let config = CollectorConfig::default();
     let collector =
-        Collector::bind("127.0.0.1:0", batch_tx, loss_tx, CollectorConfig::default()).unwrap();
+        Collector::bind_soa("127.0.0.1:0", batch_tx, interner(), loss_tx, config).unwrap();
     assert_version_skew_is_refused(collector.local_addr());
     assert_eq!(collector.stats().handshakes_rejected, 1);
     collector.shutdown();
 }
 
 /// Twelve agents over three loops (so connections are handed across
-/// loops): raw batches on the best backend, then SoA batches on the
-/// forced `poll(2)` fallback.
+/// loops), on the best backend and on the forced `poll(2)` fallback.
 #[test]
 fn reactor_round_trip() {
-    let config = |backend| ReactorCollectorConfig {
-        loops: 3,
-        backend,
-        ..ReactorCollectorConfig::default()
-    };
     let (loss_tx, loss_rx) = unbounded();
-
-    let (batch_tx, batch_rx) = unbounded();
-    let raw =
-        ReactorCollector::bind("127.0.0.1:0", batch_tx, loss_tx.clone(), config(None)).unwrap();
-    stream_from(raw.local_addr(), 12);
-    receive(&batch_rx, 12 * PER_AGENT, Vec::len);
-    assert_clean(raw.stats(), 12);
-    let state = raw.shutdown();
-    assert_eq!(
-        state.receiver().stats(HostId(7)).delivered_synopses,
-        PER_AGENT
-    );
-
-    let (batch_tx, batch_rx) = unbounded();
-    let interner = Arc::new(SignatureInterner::new());
-    let poll = config(Some(saad_reactor::Backend::Poll));
-    let soa = ReactorCollector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, poll).unwrap();
-    stream_from(soa.local_addr(), 12);
-    receive(&batch_rx, 12 * PER_AGENT, |batch: &SynopsisBatch| {
-        assert!(batch.watermarks.windows(2).all(|w| w[0] <= w[1]));
-        batch.len()
-    });
-    assert_clean(soa.stats(), 12);
-    soa.shutdown();
+    for backend in [None, Some(saad_reactor::Backend::Poll)] {
+        let config = ReactorCollectorConfig {
+            loops: 3,
+            backend,
+            ..ReactorCollectorConfig::default()
+        };
+        let (batch_tx, batch_rx) = unbounded();
+        let (interner, loss_tx) = (interner(), loss_tx.clone());
+        let collector =
+            ReactorCollector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
+        stream_from(collector.local_addr(), 12);
+        receive(&batch_rx, 12 * PER_AGENT);
+        assert_clean(collector.stats(), 12);
+        let state = collector.shutdown();
+        assert_eq!(
+            state.receiver().stats(HostId(7)).delivered_synopses,
+            PER_AGENT
+        );
+    }
     assert!(loss_rx.try_recv().is_err(), "no loss expected");
 }
 
@@ -165,7 +162,8 @@ fn reactor_version_skew_is_rejected_with_reason() {
     let (batch_tx, _batch_rx) = unbounded();
     let (loss_tx, _loss_rx) = unbounded();
     let config = ReactorCollectorConfig::default();
-    let collector = ReactorCollector::bind("127.0.0.1:0", batch_tx, loss_tx, config).unwrap();
+    let collector =
+        ReactorCollector::bind_soa("127.0.0.1:0", batch_tx, interner(), loss_tx, config).unwrap();
     assert_version_skew_is_refused(collector.local_addr());
     assert_eq!(collector.stats().handshakes_rejected, 1);
     collector.shutdown();

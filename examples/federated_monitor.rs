@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Analyzer pool behind the root: bootstraps its own model from the
     // first stretch of traffic, exactly like the single-collector demos.
-    let (batch_tx, batch_rx) = unbounded::<Vec<TaskSynopsis>>();
+    let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
     let (loss_tx, loss_rx) = unbounded::<LossReport>();
     let pool = spawn_analyzer_pool_with_lifecycle(
         DetectorConfig::default(),
@@ -97,9 +97,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         Some(loss_rx),
     )?;
 
-    // Control plane, root, and the leaf fleet.
+    // Control plane, root, and the leaf fleet. The root interns what it
+    // admits against the pool's interner.
     let control = ControlPlane::new(0x5AAD_DE30, Duration::from_secs(3600));
-    let root = RootCollector::bind("127.0.0.1:0", batch_tx, loss_tx, RootConfig::default())?;
+    let (interner, config) = (pool.interner(), RootConfig::default());
+    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, loss_tx, config)?;
     let mut fleet = Vec::new();
     for i in 0..LEAVES {
         let mut cfg = LeafConfig {

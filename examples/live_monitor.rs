@@ -29,53 +29,20 @@
 //! link counters — scrapeable with `curl http://<addr>/metrics` while
 //! the phases execute.
 
-use crossbeam_channel::{unbounded, Sender};
-use saad::core::pipeline::{spawn_analyzer_pool_with_lifecycle, LifecycleConfig, SupervisorConfig};
+use crossbeam_channel::unbounded;
+use saad::core::pipeline::{
+    spawn_analyzer_pool_with_lifecycle, BatchSink, LifecycleConfig, SupervisorConfig,
+};
 use saad::core::prelude::*;
 use saad::net::{Agent, AgentConfig, Collector, CollectorConfig};
 use saad::sim::{Clock, WallClock};
 use saad::stage::StagedServer;
 use std::error::Error;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Batch size for shipping synopses to the analyzer pool.
 const BATCH: usize = 256;
-
-/// Groups single synopses into batches for the pool's batch channel —
-/// the in-process stand-in for the agent's framing.
-struct BatchSink {
-    buf: Mutex<Vec<TaskSynopsis>>,
-    tx: Sender<Vec<TaskSynopsis>>,
-}
-
-impl BatchSink {
-    fn new(tx: Sender<Vec<TaskSynopsis>>) -> BatchSink {
-        BatchSink {
-            buf: Mutex::new(Vec::with_capacity(BATCH)),
-            tx,
-        }
-    }
-
-    fn flush(&self) {
-        let batch = std::mem::take(&mut *self.buf.lock().unwrap());
-        if !batch.is_empty() {
-            let _ = self.tx.send(batch);
-        }
-    }
-}
-
-impl SynopsisSink for BatchSink {
-    fn submit(&self, synopsis: TaskSynopsis) {
-        let mut buf = self.buf.lock().unwrap();
-        buf.push(synopsis);
-        if buf.len() >= BATCH {
-            let batch = std::mem::replace(&mut *buf, Vec::with_capacity(BATCH));
-            drop(buf);
-            let _ = self.tx.send(batch);
-        }
-    }
-}
 
 fn build_server(
     tracker: Arc<TaskExecutionTracker>,
@@ -182,11 +149,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     pool.register_metrics(&metrics);
 
     // ── The wire: in-process batching, or agent → TCP → collector ──────
-    let mut wire = None;
+    // Either way synopses are interned at the edge, into SoA batches,
+    // against the interner the pool hands out.
+    let (mut wire, mut forwarder) = (None, None);
     let (sink, flush): (Arc<dyn SynopsisSink>, Box<dyn Fn()>) = if tcp {
-        let collector = Collector::bind(
+        let collector = Collector::bind_soa(
             "127.0.0.1:0",
             batch_tx.clone(),
+            pool.interner(),
             loss_tx.clone(),
             CollectorConfig::default(),
         )?;
@@ -200,7 +170,14 @@ fn main() -> Result<(), Box<dyn Error>> {
         (agent_sink, Box::new(move || flush_handle.flush()))
     } else {
         println!("wire: in-process channel (pass --tcp for the socket path)");
-        let batch_sink = Arc::new(BatchSink::new(batch_tx.clone()));
+        // The library sink comes with a queue of its own; the pool, spawned
+        // first so it could say which interner to use, already reads one.
+        let (batch_sink, queued) = BatchSink::new(BATCH, pool.interner());
+        let batch_tx = batch_tx.clone();
+        forwarder = Some(std::thread::spawn(move || {
+            queued.iter().all(|batch| batch_tx.send(batch).is_ok())
+        }));
+        let batch_sink = Arc::new(batch_sink);
         let flush_handle = batch_sink.clone();
         (batch_sink, Box::new(move || flush_handle.flush()))
     };
@@ -236,7 +213,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             return Err("pool never promoted to detecting mode".into());
         }
         // Promotion is applied at batch boundaries; nudge an idle pool.
-        let _ = batch_tx.send(Vec::new());
+        let _ = batch_tx.send(SynopsisBatch::new());
         std::thread::sleep(Duration::from_millis(20));
     }
     println!(
@@ -281,7 +258,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
         collector.shutdown();
     }
-    drop(flush);
+    drop(flush); // the last handle on the sink: its queue closes
+    if let Some(forwarder) = forwarder {
+        forwarder.join().expect("forwarder thread");
+    }
     drop(batch_tx);
     drop(loss_tx);
 

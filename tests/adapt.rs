@@ -5,7 +5,9 @@
 //! model only, while tenant B's generation and event output stay
 //! byte-for-byte identical to a run where A never drifted.
 
-use crossbeam_channel::{unbounded, Sender};
+mod common;
+
+use crossbeam_channel::unbounded;
 use saad::adapt::{AdaptiveMonitor, TenantRouter};
 use saad::core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
 use saad::core::model::ModelConfig;
@@ -67,12 +69,6 @@ fn scaled_stream(start_min: u64, mins: u64, factor: f64) -> Vec<TaskSynopsis> {
     out
 }
 
-fn feed(tx: &Sender<Vec<TaskSynopsis>>, synopses: &[TaskSynopsis]) {
-    for chunk in synopses.chunks(60) {
-        tx.send(chunk.to_vec()).unwrap();
-    }
-}
-
 #[test]
 fn mid_stream_drift_is_absorbed_and_post_swap_anomaly_localized() {
     let dir = TempDir::new("drift-swap");
@@ -101,10 +97,16 @@ fn mid_stream_drift_is_absorbed_and_post_swap_anomaly_localized() {
         None,
     )
     .unwrap();
+    let interner = pool.interner();
+    let feed = |synopses: &[TaskSynopsis]| {
+        for chunk in synopses.chunks(60) {
+            batch_tx.send(common::soa(chunk, &interner)).unwrap();
+        }
+    };
 
     // Healthy run-in, then every duration quintuples: the new normal.
-    feed(&batch_tx, &scaled_stream(0, 6, 1.0));
-    feed(&batch_tx, &scaled_stream(6, 6, 5.0));
+    feed(&scaled_stream(0, 6, 1.0));
+    feed(&scaled_stream(6, 6, 5.0));
     // After the drift has been absorbed, a genuine anomaly: host 0
     // bursts a never-trained signature amid continued drifted traffic.
     let mut tail = scaled_stream(12, 2, 5.0);
@@ -113,7 +115,7 @@ fn mid_stream_drift_is_absorbed_and_post_swap_anomaly_localized() {
         tail.push(synopsis(0, &[1, 9], 5_000, start, 1_000_000 + i));
     }
     tail.sort_by_key(|s| s.start);
-    feed(&batch_tx, &tail);
+    feed(&tail);
     drop(batch_tx);
 
     let mut events: Vec<AnomalyEvent> = Vec::new();

@@ -12,17 +12,22 @@
 //! * pool-sharded detection ≡ the one reference (a plain detector driven
 //!   element by element, `common::reference_run`), as an event multiset,
 //!   for any worker count — behind both producer edges, `BatchSink` and
-//!   `feed_frame_soa`.
+//!   `feed_frame_soa`, and behind both spawns: the plain pool on an
+//!   interner the caller made, and the lifecycle pool on the one it
+//!   restored from a checkpoint another worker count wrote;
+//! * the one hazard of interning at the edge — a producer built on some
+//!   other interner — is refused in debug builds.
 
 mod common;
 
-use common::{event_keys, reference_run};
+use common::{event_keys, reference_run, soa};
+use crossbeam_channel::{unbounded, Sender};
 use proptest::prelude::*;
 use saad::core::detector::{AnomalyDetector, AnomalyEvent, DetectorConfig};
 use saad::core::model::{ModelBuilder, ModelConfig, OutlierModel};
 use saad::core::pipeline::{
-    feed_frame_soa, spawn_batch_analyzer_pool, BatchSink, PoolHandle, SequencedInput,
-    SupervisorConfig,
+    feed_frame_soa, spawn_analyzer_pool_with_lifecycle, spawn_batch_analyzer_pool, BatchSink,
+    LifecycleConfig, LifecyclePool, PoolHandle, SequencedInput, SupervisorConfig,
 };
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
@@ -30,6 +35,7 @@ use saad::core::tracker::SynopsisSink;
 use saad::core::transport::FrameOutcome;
 use saad::logging::LogPointId;
 use saad::sim::{SimDuration, SimTime};
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 /// One generated task, pre-signature: everything a synopsis needs.
@@ -98,22 +104,26 @@ fn stream_of(tasks: &[RawTask]) -> Vec<TaskSynopsis> {
         .collect()
 }
 
-/// The pool under test. Liveness is disabled (saturating threshold): the
-/// reference detector has no liveness tracker to mirror.
+/// Liveness is disabled (saturating threshold): the reference detector
+/// has no liveness tracker to mirror.
+fn supervisor() -> SupervisorConfig {
+    SupervisorConfig {
+        silent_after: u64::MAX,
+        ..SupervisorConfig::default()
+    }
+}
+
+/// The plain pool under test, on an interner the caller made.
 fn spawn_pool(
     workers: usize,
     interner: Arc<SignatureInterner>,
     batch_rx: crossbeam_channel::Receiver<SynopsisBatch>,
 ) -> PoolHandle {
-    let supervisor = SupervisorConfig {
-        silent_after: u64::MAX,
-        ..SupervisorConfig::default()
-    };
-    let config = small_config();
+    let (model, config) = (trained_model(), small_config());
     spawn_batch_analyzer_pool(
-        trained_model(),
+        model,
         config,
-        supervisor,
+        supervisor(),
         workers,
         interner,
         batch_rx,
@@ -121,20 +131,186 @@ fn spawn_pool(
     )
 }
 
-/// Drain `pool` (its input is closed) and hold it against the one
+/// Hold what a pool (or two incarnations of one) reported — every event,
+/// and the tasks its detectors count at the end — against the one
 /// reference: a plain detector over the whole stream, in order.
 fn check_against_reference(
-    pool: PoolHandle,
-    stream: Vec<TaskSynopsis>,
+    events: &[AnomalyEvent],
+    seen: u64,
+    stream: &[TaskSynopsis],
 ) -> Result<(), TestCaseError> {
     let reference = AnomalyDetector::new(trained_model(), small_config());
-    let (expected, reference) = reference_run(reference, &[SequencedInput::Batch(stream)]);
-    let pool_events: Vec<AnomalyEvent> = pool.events().iter().collect();
-    let detectors = pool.join().expect("no faults injected");
-    let seen: u64 = detectors.iter().map(|d| d.tasks_seen()).sum();
+    let whole = soa(stream, reference.interner());
+    let (expected, reference) = reference_run(reference, &[SequencedInput::Batch(whole)]);
     prop_assert_eq!(seen, reference.tasks_seen());
-    prop_assert_eq!(event_keys(&pool_events), event_keys(&expected));
+    prop_assert_eq!(event_keys(events), event_keys(&expected));
     Ok(())
+}
+
+/// Drain a plain pool whose input is closed; see [`check_against_reference`].
+fn check_pool(pool: PoolHandle, stream: &[TaskSynopsis]) -> Result<(), TestCaseError> {
+    let events: Vec<AnomalyEvent> = pool.events().iter().collect();
+    let detectors = pool.join().expect("no faults injected");
+    let seen = detectors.iter().map(|d| d.tasks_seen()).sum();
+    check_against_reference(&events, seen, stream)
+}
+
+/// The two producer edges of a pool.
+#[derive(Debug, Clone, Copy)]
+enum Edge {
+    /// A `BatchSink` behind trackers.
+    Sink,
+    /// `feed_frame_soa` behind a frame receiver.
+    Frame,
+}
+
+/// Put `synopses` on a pool's input through `edge`, `batch_size` at a
+/// time, interned where the pool says to.
+fn produce(
+    edge: Edge,
+    synopses: &[TaskSynopsis],
+    batch_size: usize,
+    interner: &Arc<SignatureInterner>,
+    batch_tx: &Sender<SynopsisBatch>,
+) {
+    match edge {
+        Edge::Sink => {
+            // The sink makes its own (unbounded) queue; a pool that was
+            // spawned first already has one, so move the batches over.
+            let (sink, queued) = BatchSink::new(batch_size, interner.clone());
+            for s in synopses {
+                sink.submit(s.clone());
+            }
+            drop(sink); // flushes the partial tail batch
+            for batch in queued.iter() {
+                batch_tx.send(batch).unwrap();
+            }
+        }
+        Edge::Frame => {
+            let (loss_tx, _loss_rx) = unbounded();
+            for chunk in synopses.chunks(batch_size) {
+                let frame = FrameOutcome::Fresh {
+                    host: chunk[0].host,
+                    synopses: chunk.to_vec(),
+                    newly_lost: 0,
+                };
+                let fed = feed_frame_soa(frame, batch_tx, interner, &loss_tx, SimTime::ZERO);
+                assert_eq!(fed, chunk.len());
+            }
+        }
+    }
+}
+
+/// Self-cleaning unique temp directory (no tempfile crate).
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("saad-equiv-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A lifecycle pool over the checkpoint store in `dir`.
+fn spawn_lifecycle_pool(dir: &Path, workers: usize) -> (Sender<SynopsisBatch>, LifecyclePool) {
+    let (batch_tx, batch_rx) = unbounded();
+    let lifecycle = LifecycleConfig {
+        checkpoint_every: 0, // explicit + shutdown checkpoints only
+        ..LifecycleConfig::default()
+    };
+    let config = small_config();
+    let pool = spawn_analyzer_pool_with_lifecycle(
+        config,
+        supervisor(),
+        lifecycle,
+        workers,
+        dir,
+        batch_rx,
+        None,
+    )
+    .expect("spawn lifecycle pool");
+    (batch_tx, pool)
+}
+
+/// `stream` through a lifecycle pool that changes worker count half way:
+/// `written_by` workers take `stream[..cut]` and checkpoint, `workers`
+/// restore that checkpoint — resharded, its interner holding the first
+/// incarnation's signatures — and take the rest. Every producer is built
+/// on the interner its pool hands out. Returns all events and the tasks
+/// the second incarnation's detectors count.
+fn run_lifecycle_pools(
+    edge: Edge,
+    (written_by, workers): (usize, usize),
+    stream: &[TaskSynopsis],
+    cut: usize,
+    batch_size: usize,
+) -> (Vec<AnomalyEvent>, u64) {
+    // Generation 0: the trained model over an interner that already holds
+    // the stream's signatures — in reverse of the order the stream would
+    // intern them, so no id is what a fresh interner would issue.
+    let (first_dir, second_dir) = (TempDir::new("first"), TempDir::new("second"));
+    let (model, seeded) = (trained_model(), Arc::new(SignatureInterner::new()));
+    for s in stream.iter().rev() {
+        seeded.intern_synopsis(s);
+    }
+    let compiled = Arc::new(model.compile(&seeded));
+    let blank = AnomalyDetector::with_shared(
+        model.clone(),
+        compiled.clone(),
+        seeded.clone(),
+        small_config(),
+    );
+    let generation_0 = Checkpoint::new(0, model, compiled, seeded, vec![blank.snapshot()]);
+    let store = CheckpointStore::create(&first_dir.0, 3).unwrap();
+    store.save(&generation_0).unwrap();
+
+    // First incarnation: the head of the stream, then a checkpoint of the
+    // windows it left open — set aside before shutdown flushes them into
+    // a newer generation.
+    let (batch_tx, first) = spawn_lifecycle_pool(&first_dir.0, written_by);
+    assert_eq!(first.recovered_generation(), Some(0));
+    produce(
+        edge,
+        &stream[..cut],
+        batch_size,
+        &first.interner(),
+        &batch_tx,
+    );
+    while first.processed() < cut as u64 {
+        std::thread::yield_now();
+    }
+    let reply = first.request_checkpoint();
+    batch_tx.send(SynopsisBatch::new()).unwrap(); // nudge the batch boundary
+    let generation = reply.recv().unwrap().expect("checkpoint failed");
+    let mut events = first.drain_events();
+    let written = store.generations().unwrap();
+    let (_, path) = written.iter().find(|(g, _)| *g == generation).unwrap();
+    std::fs::copy(path, second_dir.0.join(path.file_name().unwrap())).unwrap();
+    drop(batch_tx);
+    first.join().expect("no faults injected");
+
+    // Second incarnation: another worker count, the checkpoint's interner.
+    let (batch_tx, second) = spawn_lifecycle_pool(&second_dir.0, workers);
+    assert_eq!(second.recovered_generation(), Some(generation));
+    produce(
+        edge,
+        &stream[cut..],
+        batch_size,
+        &second.interner(),
+        &batch_tx,
+    );
+    drop(batch_tx);
+    events.extend(second.events().iter());
+    let detectors = second.join().expect("no faults injected");
+    (events, detectors.iter().map(|d| d.tasks_seen()).sum())
 }
 
 /// Durations for the batch-classify property: ordinary in-range values
@@ -252,7 +428,7 @@ proptest! {
             sink.submit(s.clone());
         }
         drop(sink); // flushes the partial tail batch
-        check_against_reference(pool, stream)?;
+        check_pool(pool, &stream)?;
     }
 
     #[test]
@@ -265,18 +441,52 @@ proptest! {
         // Producer edge: `feed_frame_soa` behind a frame receiver — one
         // decoded frame in, one interned batch out.
         let interner = Arc::new(SignatureInterner::new());
-        let (batch_tx, batch_rx) = crossbeam_channel::unbounded();
-        let (loss_tx, _loss_rx) = crossbeam_channel::unbounded();
+        let (batch_tx, batch_rx) = unbounded();
         let pool = spawn_pool(workers, interner.clone(), batch_rx);
-        for chunk in stream.chunks(batch_size) {
-            let frame = FrameOutcome::Fresh {
-                host: chunk[0].host,
-                synopses: chunk.to_vec(),
-                newly_lost: 0,
-            };
-            prop_assert_eq!(feed_frame_soa(frame, &batch_tx, &interner, &loss_tx), chunk.len());
-        }
+        produce(Edge::Frame, &stream, batch_size, &interner, &batch_tx);
         drop(batch_tx);
-        check_against_reference(pool, stream)?;
+        check_pool(pool, &stream)?;
     }
+}
+
+/// The same matrix behind the lifecycle spawn, where the interner is the
+/// pool's to give: both edges, 1..=4 workers, each restoring what a
+/// different worker count checkpointed mid-stream over an interner whose
+/// ids are in no producer's order. (Two pools and three checkpoint writes
+/// a case: a few dozen seeded cases, not proptest's 256.)
+#[test]
+fn lifecycle_pool_matches_single_threaded_detector() {
+    for seed in 0..24u64 {
+        let mut runner = TestRunner::from_seed(seed);
+        let tasks = collection::vec(raw_task_strategy(), 1..50).generate(&mut runner);
+        let stream = stream_of(&tasks);
+        let cut = (0..stream.len() + 1).generate(&mut runner);
+        let batch_size = (1usize..17).generate(&mut runner);
+        let workers = 1 + (seed % 4) as usize;
+        let written_by = 1 + (workers + (seed / 4) as usize % 3) % 4; // never `workers`
+        for edge in [Edge::Sink, Edge::Frame] {
+            let (events, seen) =
+                run_lifecycle_pools(edge, (written_by, workers), &stream, cut, batch_size);
+            check_against_reference(&events, seen, &stream).unwrap_or_else(|e| {
+                panic!("seed {seed}, {edge:?}, {written_by} → {workers} workers, cut {cut}: {e:?}")
+            });
+        }
+    }
+}
+
+/// A producer built on any interner but the pool's own hands it ids that
+/// mean nothing there. The router checks every batch in debug builds (the
+/// check compiles out of release ones) and refuses the first such batch.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "foreign interner")]
+fn a_batch_built_on_a_foreign_interner_is_refused() {
+    let (batch_tx, batch_rx) = unbounded();
+    let pool = spawn_pool(2, Arc::new(SignatureInterner::new()), batch_rx);
+    // More distinct signatures than the model ever gave the pool's interner.
+    let foreign = SignatureInterner::new();
+    let tasks: Vec<RawTask> = (0..64).map(|p| (0, 0, vec![100 + p], 1_000, 0)).collect();
+    batch_tx.send(soa(&stream_of(&tasks), &foreign)).unwrap();
+    drop(batch_tx);
+    pool.join().unwrap(); // the router's panic, as the handle reports it
 }

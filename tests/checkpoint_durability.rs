@@ -11,6 +11,9 @@
 //!   newest intact generation and report a typed rejection per damaged
 //!   file.
 
+mod common;
+
+use common::{event_keys, soa};
 use crossbeam_channel::{unbounded, Sender};
 use saad::core::detector::AnomalyKind;
 use saad::core::pipeline::{
@@ -107,7 +110,7 @@ fn supervisor() -> SupervisorConfig {
     }
 }
 
-fn spawn(dir: &Path, workers: usize) -> (Sender<Vec<TaskSynopsis>>, LifecyclePool) {
+fn spawn(dir: &Path, workers: usize) -> (Sender<SynopsisBatch>, LifecyclePool) {
     let (batch_tx, batch_rx) = unbounded();
     let pool = spawn_analyzer_pool_with_lifecycle(
         DetectorConfig::default(),
@@ -122,9 +125,12 @@ fn spawn(dir: &Path, workers: usize) -> (Sender<Vec<TaskSynopsis>>, LifecyclePoo
     (batch_tx, pool)
 }
 
-fn feed(batch_tx: &Sender<Vec<TaskSynopsis>>, stream: &[TaskSynopsis]) {
+/// `stream` in batches of [`BATCH`], interned where the pool says to: a
+/// recovered pool's interner is its checkpoint's.
+fn feed(pool: &LifecyclePool, batch_tx: &Sender<SynopsisBatch>, stream: &[TaskSynopsis]) {
+    let interner = pool.interner();
     for chunk in stream.chunks(BATCH) {
-        batch_tx.send(chunk.to_vec()).unwrap();
+        batch_tx.send(soa(chunk, &interner)).unwrap();
     }
 }
 
@@ -136,13 +142,6 @@ fn wait_processed(pool: &LifecyclePool, target: u64) {
     }
 }
 
-/// Sorted Debug strings — order-insensitive event multiset comparison.
-fn event_keys(events: &[saad::core::detector::AnomalyEvent]) -> Vec<String> {
-    let mut keys: Vec<String> = events.iter().map(|e| format!("{e:?}")).collect();
-    keys.sort_unstable();
-    keys
-}
-
 #[test]
 fn recovered_pool_matches_uninterrupted_oracle() {
     let stream = mixed_stream();
@@ -152,7 +151,7 @@ fn recovered_pool_matches_uninterrupted_oracle() {
     // Oracle: same pool shape, never crashed.
     let oracle_dir = TempDir::new("oracle");
     let (oracle_tx, oracle) = spawn(oracle_dir.path(), 3);
-    feed(&oracle_tx, &stream);
+    feed(&oracle, &oracle_tx, &stream);
     drop(oracle_tx);
     let mut oracle_events = Vec::new();
     while let Ok(e) = oracle.events().recv() {
@@ -176,11 +175,11 @@ fn recovered_pool_matches_uninterrupted_oracle() {
     // — handles are forgotten, no drain, no shutdown checkpoint.
     let crash_dir = TempDir::new("crash");
     let (crash_tx, crash_pool) = spawn(crash_dir.path(), 3);
-    feed(&crash_tx, &stream[..half]);
+    feed(&crash_pool, &crash_tx, &stream[..half]);
     wait_processed(&crash_pool, half as u64);
     assert!(crash_pool.is_detecting(), "pool should have promoted");
     let reply = crash_pool.request_checkpoint();
-    crash_tx.send(Vec::new()).unwrap(); // nudge the batch boundary
+    crash_tx.send(SynopsisBatch::new()).unwrap(); // nudge the batch boundary
     let generation = reply.recv().unwrap().expect("checkpoint failed");
     // Everything emitted before the crash; the snapshot replies ordered
     // these after all pre-checkpoint batches.
@@ -194,7 +193,7 @@ fn recovered_pool_matches_uninterrupted_oracle() {
     assert_eq!(recovered.recovered_generation(), Some(generation));
     assert!(recovered.is_detecting(), "recovery must skip bootstrap");
     assert!(recovered.rejected_checkpoints().is_empty());
-    feed(&recovered_tx, &stream[half..]);
+    feed(&recovered, &recovered_tx, &stream[half..]);
     drop(recovered_tx);
     let mut post_crash_events = Vec::new();
     while let Ok(e) = recovered.events().recv() {
@@ -228,14 +227,14 @@ fn recovery_falls_back_past_damaged_checkpoints() {
     let third = stream.len() / 3;
     let mut fed = 0usize;
     for part in [&stream[..third], &stream[third..2 * third]] {
-        feed(&batch_tx, part);
+        feed(&pool, &batch_tx, part);
         fed += part.len();
         wait_processed(&pool, fed as u64);
         let reply = pool.request_checkpoint();
-        batch_tx.send(Vec::new()).unwrap();
+        batch_tx.send(SynopsisBatch::new()).unwrap();
         reply.recv().unwrap().expect("checkpoint failed");
     }
-    feed(&batch_tx, &stream[2 * third..]);
+    feed(&pool, &batch_tx, &stream[2 * third..]);
     drop(batch_tx);
     while pool.events().recv().is_ok() {}
     pool.join().unwrap();

@@ -1,9 +1,11 @@
 //! Helpers shared by integration tests (`mod common;` in each). A test
 //! file uses some of them, hence the `dead_code` allowances.
 
+use saad::core::batch::SynopsisBatch;
 use saad::core::detector::{AnomalyDetector, AnomalyEvent};
-use saad::core::feature::InternedFeature;
+use saad::core::intern::SignatureInterner;
 use saad::core::pipeline::SequencedInput;
+use saad::core::synopsis::TaskSynopsis;
 use saad::net::protocol::{
     decode_hello, encode_hello_ack, HelloAck, RejectReason, HELLO_LEN, NO_SEQ, PROTOCOL_VERSION,
 };
@@ -11,26 +13,37 @@ use saad::sim::SimTime;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
+/// `synopses` as one pool input batch, interned against `interner` — the
+/// consuming pool's own (`LifecyclePool::interner`, or the one handed to
+/// `spawn_batch_analyzer_pool`).
+#[allow(dead_code)]
+pub fn soa(synopses: &[TaskSynopsis], interner: &SignatureInterner) -> SynopsisBatch {
+    let mut batch = SynopsisBatch::with_capacity(synopses.len());
+    for s in synopses {
+        batch.push_synopsis(s, interner);
+    }
+    batch
+}
+
 /// THE reference every threaded analyzer path is compared with: one plain
 /// detector driven element by element in stream order — advance to the
 /// stream's running-maximum watermark, observe; a loss report applied
-/// where it stands. Returns the events (final flush included) and the
-/// detector.
+/// where it stands. Batches are interned against the detector's own
+/// interner. Returns the events (final flush included) and the detector.
 #[allow(dead_code)]
 pub fn reference_run(
     mut detector: AnomalyDetector,
     steps: &[SequencedInput],
 ) -> (Vec<AnomalyEvent>, AnomalyDetector) {
-    let interner = detector.interner().clone();
     let mut events = Vec::new();
     let mut watermark = SimTime::ZERO;
     for step in steps {
         match step {
             SequencedInput::Batch(batch) => {
-                for s in batch {
-                    watermark = watermark.max(s.start);
+                for i in 0..batch.len() {
+                    let feature = batch.feature(i);
+                    watermark = watermark.max(feature.start);
                     events.extend(detector.advance_watermark(watermark));
-                    let feature = InternedFeature::from_synopsis(s, &interner);
                     events.extend(detector.observe_interned(&feature));
                 }
             }

@@ -21,6 +21,9 @@
 //!   decodable reject and terminates cleanly with every queued synopsis
 //!   accounted as disconnected.
 
+mod common;
+
+use common::event_keys;
 use crossbeam_channel::{unbounded, Sender};
 use saad::core::detector::AnomalyEvent;
 use saad::core::pipeline::{
@@ -104,12 +107,6 @@ fn drain_events(pool: LifecyclePool) -> Vec<AnomalyEvent> {
     events
 }
 
-fn event_keys(events: &[AnomalyEvent]) -> Vec<String> {
-    let mut keys: Vec<String> = events.iter().map(|e| format!("{e:?}")).collect();
-    keys.sort_unstable();
-    keys
-}
-
 fn wait_for(what: &str, deadline: Duration, mut done: impl FnMut() -> bool) {
     let start = Instant::now();
     while !done() {
@@ -171,12 +168,13 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
     // Federation: control plane, root → recorder → lifecycle pool, three
     // leaves. The recorder linearizes the root's two output channels into
     // one log — loss reports drain before the batch that followed them,
-    // the same order `feed_frame` produced them in — so the oracle can
+    // the same order `feed_frame_soa` produced them in — so the oracle can
     // later replay *exactly* what the pool consumed.
     let control = ControlPlane::new(0x05AA_DFED, Duration::from_secs(3600));
     let tcp_dir = TempDir::new("kill-tcp");
     let (pool_tx, pool) = spawn_pool(tcp_dir.path(), 3);
-    let (root_batch_tx, rec_batch_rx) = unbounded::<Vec<TaskSynopsis>>();
+    let wire_interner = pool.interner();
+    let (root_batch_tx, rec_batch_rx) = unbounded::<SynopsisBatch>();
     let (root_loss_tx, rec_loss_rx) = unbounded::<LossReport>();
     let recorder = std::thread::spawn(move || {
         let mut log: Vec<SequencedInput> = Vec::new();
@@ -185,7 +183,7 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
             let _ = pool_tx.send(step);
         };
         while let Ok(b) = rec_batch_rx.recv() {
-            // `feed_frame` emits a gap's report before its revealing
+            // `feed_frame_soa` emits a gap's report before its revealing
             // batch on the same handler thread, so draining losses first
             // puts each report at its exact stream position.
             for r in rec_loss_rx.try_iter() {
@@ -201,6 +199,7 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
     let root = RootCollector::bind(
         "127.0.0.1:0",
         root_batch_tx,
+        wire_interner.clone(),
         root_loss_tx,
         RootConfig::default(),
     )
@@ -364,9 +363,9 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
     for item in &log {
         if let SequencedInput::Batch(b) = item {
             arrived
-                .entry(b[0].host)
+                .entry(b.hosts[0])
                 .or_default()
-                .extend(b.iter().map(|s| s.uid.0));
+                .extend(b.uids.iter().map(|uid| uid.0));
         }
     }
     for (&h, ss) in &per_host {
@@ -387,11 +386,23 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
     // Oracle: replay the recorded linearization — identical batches,
     // identical loss reports, identical order — through an identical
     // in-process pool. Detection must degrade by exactly the accounted
-    // gap and nothing else.
+    // gap and nothing else. The oracle pool has an interner of its own
+    // (uplink handlers interned in a race the log does not record), so a
+    // replayed batch's signatures are re-interned against it.
     let oracle_dir = TempDir::new("kill-oracle");
     let (oracle_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
+    let oracle_interner = oracle_pool.interner();
     for item in &log {
-        oracle_tx.send(item.clone()).unwrap();
+        let mut item = item.clone();
+        if let SequencedInput::Batch(batch) = &mut item {
+            for sig in &mut batch.sigs {
+                let signature = wire_interner
+                    .resolve(*sig)
+                    .expect("interned on the wire run");
+                *sig = oracle_interner.intern(&signature);
+            }
+        }
+        oracle_tx.send(item).unwrap();
     }
     drop(oracle_tx);
     let oracle_events = drain_events(oracle_pool);
@@ -421,10 +432,10 @@ fn leaf_flap_through_proxy_reconciles_exactly() {
         })
         .collect();
 
-    let (batch_tx, batch_rx) = unbounded::<Vec<TaskSynopsis>>();
+    let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
     let (loss_tx, loss_rx) = unbounded::<LossReport>();
-    let root =
-        RootCollector::bind("127.0.0.1:0", batch_tx, loss_tx, RootConfig::default()).unwrap();
+    let (interner, config) = (Arc::default(), RootConfig::default());
+    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
     let drain = std::thread::spawn(move || batch_rx.iter().map(|b| b.len() as u64).sum::<u64>());
     let leaf = LeafCollector::spawn(
         "127.0.0.1:0",
@@ -535,11 +546,12 @@ impl LeafResolver for StaleThenLive {
 #[test]
 fn stale_epoch_reject_triggers_refetch_and_clean_connect() {
     let epoch = Arc::new(AtomicU64::new(5));
-    let (batch_tx, batch_rx) = unbounded::<Vec<TaskSynopsis>>();
+    let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
     let (loss_tx, _loss_rx) = unbounded::<LossReport>();
-    let collector = Collector::bind(
+    let collector = Collector::bind_soa(
         "127.0.0.1:0",
         batch_tx,
+        Arc::default(),
         loss_tx,
         CollectorConfig {
             epoch: Some(epoch.clone()),
@@ -608,10 +620,10 @@ fn stale_epoch_reject_triggers_refetch_and_clean_connect() {
 
 #[test]
 fn v1_agent_against_v2_leaf_terminates_cleanly() {
-    let (batch_tx, _batch_rx) = unbounded::<Vec<TaskSynopsis>>();
+    let (batch_tx, _batch_rx) = unbounded::<SynopsisBatch>();
     let (loss_tx, _loss_rx) = unbounded::<LossReport>();
-    let root =
-        RootCollector::bind("127.0.0.1:0", batch_tx, loss_tx, RootConfig::default()).unwrap();
+    let (interner, config) = (Arc::default(), RootConfig::default());
+    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
     let leaf = LeafCollector::spawn(
         "127.0.0.1:0",
         root.local_addr(),

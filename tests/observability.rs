@@ -12,6 +12,8 @@
 //!   200 ms checkpoint stall must then surface as a performance anomaly
 //!   on the checkpoint stage — the detector catching its own subsystem.
 
+mod common;
+
 use crossbeam_channel::unbounded;
 use saad::core::detector::AnomalyKind;
 use saad::core::pipeline::{
@@ -120,9 +122,10 @@ fn scrape_endpoint_serves_live_metrics_from_pool_and_wire() {
     .unwrap();
     pool.register_metrics(&registry);
 
-    let collector = Collector::bind(
+    let collector = Collector::bind_soa(
         "127.0.0.1:0",
         batch_tx.clone(),
+        pool.interner(),
         loss_tx.clone(),
         CollectorConfig::default(),
     )
@@ -195,7 +198,7 @@ fn scrape_endpoint_serves_live_metrics_from_pool_and_wire() {
         }
         assert!(Instant::now() < deadline, "no checkpoint became visible");
         // Checkpoints land at batch boundaries; nudge the idle router.
-        let _ = batch_tx.send(Vec::new());
+        let _ = batch_tx.send(SynopsisBatch::new());
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(server.scrapes_served() >= 2);
@@ -245,6 +248,7 @@ fn run_meta_monitored_pool(
 
     // Healthy two-host traffic, enough to promote and then take a steady
     // stream of checkpoints (about one per 64 synopses once detecting).
+    let interner = pool.interner();
     let mut uid = 0u64;
     for minute in 0..12u64 {
         let mut batch = Vec::new();
@@ -259,11 +263,12 @@ fn run_meta_monitored_pool(
             });
             uid += 1;
             if batch.len() == 60 {
-                batch_tx.send(std::mem::take(&mut batch)).unwrap();
+                batch_tx.send(common::soa(&batch, &interner)).unwrap();
+                batch.clear();
             }
         }
         if !batch.is_empty() {
-            batch_tx.send(batch).unwrap();
+            batch_tx.send(common::soa(&batch, &interner)).unwrap();
         }
     }
     drop(batch_tx);

@@ -14,6 +14,9 @@
 //!   whole-batch gap with exactly one loss report, and the event multiset
 //!   must equal an oracle fed the surviving batches plus that report.
 
+mod common;
+
+use common::{event_keys, soa};
 use crossbeam_channel::{unbounded, Sender};
 use saad::core::detector::{AnomalyEvent, AnomalyKind};
 use saad::core::pipeline::{
@@ -80,7 +83,7 @@ fn supervisor() -> SupervisorConfig {
 fn spawn_pool(
     dir: &Path,
     workers: usize,
-) -> (Sender<Vec<TaskSynopsis>>, Sender<LossReport>, LifecyclePool) {
+) -> (Sender<SynopsisBatch>, Sender<LossReport>, LifecyclePool) {
     let (batch_tx, batch_rx) = unbounded();
     let (loss_tx, loss_rx) = unbounded();
     let pool = spawn_analyzer_pool_with_lifecycle(
@@ -115,13 +118,6 @@ fn drain_events(pool: LifecyclePool) -> Vec<AnomalyEvent> {
     }
     pool.join().unwrap();
     events
-}
-
-/// Sorted Debug strings — order-insensitive event multiset comparison.
-fn event_keys(events: &[AnomalyEvent]) -> Vec<String> {
-    let mut keys: Vec<String> = events.iter().map(|e| format!("{e:?}")).collect();
-    keys.sort_unstable();
-    keys
 }
 
 // ---------------------------------------------------------------------------
@@ -194,8 +190,9 @@ fn hbase_fault_scenario_over_reactor_matches_threaded_and_in_process() {
     // Oracle: the same lifecycle pool shape fed in-process.
     let oracle_dir = TempDir::new("hbase-oracle");
     let (oracle_tx, oracle_loss_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
+    let interner = oracle_pool.interner();
     for chunk in stream.chunks(BATCH) {
-        oracle_tx.send(chunk.to_vec()).unwrap();
+        oracle_tx.send(soa(chunk, &interner)).unwrap();
     }
     drop(oracle_tx);
     drop(oracle_loss_tx);
@@ -211,8 +208,9 @@ fn hbase_fault_scenario_over_reactor_matches_threaded_and_in_process() {
     let threaded_dir = TempDir::new("hbase-threaded");
     let threaded_events = {
         let (batch_tx, loss_tx, pool) = spawn_pool(threaded_dir.path(), 3);
+        let (interner, config) = (pool.interner(), CollectorConfig::default());
         let collector =
-            Collector::bind("127.0.0.1:0", batch_tx, loss_tx, CollectorConfig::default()).unwrap();
+            Collector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
         let addr = collector.local_addr();
         run_wire_path(&stream, pool, addr, move || {
             let s = collector.stats();
@@ -225,9 +223,10 @@ fn hbase_fault_scenario_over_reactor_matches_threaded_and_in_process() {
     let reactor_dir = TempDir::new("hbase-reactor");
     let reactor_events = {
         let (batch_tx, loss_tx, pool) = spawn_pool(reactor_dir.path(), 3);
-        let collector = ReactorCollector::bind(
+        let collector = ReactorCollector::bind_soa(
             "127.0.0.1:0",
             batch_tx,
+            pool.interner(),
             loss_tx,
             ReactorCollectorConfig::default(),
         )
@@ -319,9 +318,10 @@ fn reactor_restart_resume_accounts_exactly_one_gap() {
         }
     });
 
-    let collector_a = ReactorCollector::bind(
+    let collector_a = ReactorCollector::bind_soa(
         "127.0.0.1:0",
         batch_tx.clone(),
+        pool.interner(),
         collector_loss_tx.clone(),
         ReactorCollectorConfig::default(),
     )
@@ -381,10 +381,11 @@ fn reactor_restart_resume_accounts_exactly_one_gap() {
             }
         }
     };
-    let collector_b = ReactorCollector::serve(
+    let collector_b = ReactorCollector::serve_soa(
         listener,
         state,
         batch_tx.clone(),
+        pool.interner(),
         collector_loss_tx.clone(),
         ReactorCollectorConfig::default(),
     )
@@ -455,8 +456,9 @@ fn reactor_restart_resume_accounts_exactly_one_gap() {
     // first synopsis start — exactly what the wire decode does.
     let oracle_dir = TempDir::new("restart-reactor-oracle");
     let (oracle_tx, oracle_loss_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
+    let interner = oracle_pool.interner();
     for batch in &batches[..half] {
-        oracle_tx.send(batch.clone()).unwrap();
+        oracle_tx.send(soa(batch, &interner)).unwrap();
     }
     oracle_loss_tx
         .send(LossReport {
@@ -466,7 +468,7 @@ fn reactor_restart_resume_accounts_exactly_one_gap() {
         })
         .unwrap();
     for batch in &batches[half + k_lost..] {
-        oracle_tx.send(batch.clone()).unwrap();
+        oracle_tx.send(soa(batch, &interner)).unwrap();
     }
     drop(oracle_tx);
     drop(oracle_loss_tx);

@@ -16,6 +16,9 @@
 //!   drops, and a mid-stream disconnect; proxy counters and transport
 //!   accounting must reconcile exactly.
 
+mod common;
+
+use common::{event_keys, soa};
 use crossbeam_channel::{unbounded, Sender};
 use saad::core::detector::{AnomalyEvent, AnomalyKind};
 use saad::core::model::ModelConfig;
@@ -81,7 +84,7 @@ fn supervisor() -> SupervisorConfig {
 fn spawn_pool(
     dir: &Path,
     workers: usize,
-) -> (Sender<Vec<TaskSynopsis>>, Sender<LossReport>, LifecyclePool) {
+) -> (Sender<SynopsisBatch>, Sender<LossReport>, LifecyclePool) {
     let (batch_tx, batch_rx) = unbounded();
     let (loss_tx, loss_rx) = unbounded();
     let pool = spawn_analyzer_pool_with_lifecycle(
@@ -116,13 +119,6 @@ fn drain_events(pool: LifecyclePool) -> Vec<AnomalyEvent> {
     }
     pool.join().unwrap();
     events
-}
-
-/// Sorted Debug strings — order-insensitive event multiset comparison.
-fn event_keys(events: &[AnomalyEvent]) -> Vec<String> {
-    let mut keys: Vec<String> = events.iter().map(|e| format!("{e:?}")).collect();
-    keys.sort_unstable();
-    keys
 }
 
 // ---------------------------------------------------------------------------
@@ -165,8 +161,9 @@ fn hbase_fault_scenario_over_tcp_matches_in_process_path() {
     // Oracle: the same lifecycle pool shape fed in-process.
     let oracle_dir = TempDir::new("hbase-oracle");
     let (oracle_tx, oracle_loss_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
+    let interner = oracle_pool.interner();
     for chunk in stream.chunks(BATCH) {
-        oracle_tx.send(chunk.to_vec()).unwrap();
+        oracle_tx.send(soa(chunk, &interner)).unwrap();
     }
     drop(oracle_tx);
     drop(oracle_loss_tx);
@@ -180,20 +177,10 @@ fn hbase_fault_scenario_over_tcp_matches_in_process_path() {
 
     // Wire path: one agent (order-preserving) → collector → same pool.
     let tcp_dir = TempDir::new("hbase-tcp");
-    let (batch_tx, batch_rx) = unbounded();
-    let (loss_tx, loss_rx) = unbounded();
-    let pool = spawn_analyzer_pool_with_lifecycle(
-        DetectorConfig::default(),
-        supervisor(),
-        lifecycle_config(),
-        3,
-        tcp_dir.path(),
-        batch_rx,
-        Some(loss_rx),
-    )
-    .expect("spawn lifecycle pool");
+    let (batch_tx, loss_tx, pool) = spawn_pool(tcp_dir.path(), 3);
+    let (interner, config) = (pool.interner(), CollectorConfig::default());
     let collector =
-        Collector::bind("127.0.0.1:0", batch_tx, loss_tx, CollectorConfig::default()).unwrap();
+        Collector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
     let agent = Agent::connect(collector.local_addr(), HostId(900), AgentConfig::default());
     for chunk in stream.chunks(BATCH) {
         agent.send(chunk.to_vec());
@@ -277,21 +264,7 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
 
     // --- Wire run with a mid-stream collector kill + restart ----------
     let tcp_dir = TempDir::new("restart-tcp");
-    let (batch_tx, loss_tx, pool) = {
-        let (batch_tx, batch_rx) = unbounded();
-        let (loss_tx, loss_rx) = unbounded();
-        let pool = spawn_analyzer_pool_with_lifecycle(
-            DetectorConfig::default(),
-            supervisor(),
-            lifecycle_config(),
-            3,
-            tcp_dir.path(),
-            batch_rx,
-            Some(loss_rx),
-        )
-        .expect("spawn lifecycle pool");
-        (batch_tx, loss_tx, pool)
-    };
+    let (batch_tx, loss_tx, pool) = spawn_pool(tcp_dir.path(), 3);
     // The test keeps its own loss-channel tap to count gap reports: wrap
     // the pool's loss sender so every report is also recorded.
     let (tap_tx, tap_rx) = unbounded::<LossReport>();
@@ -304,9 +277,10 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
         }
     });
 
-    let collector_a = Collector::bind(
+    let collector_a = Collector::bind_soa(
         "127.0.0.1:0",
         batch_tx.clone(),
+        pool.interner(),
         collector_loss_tx.clone(),
         CollectorConfig::default(),
     )
@@ -366,10 +340,11 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
             }
         }
     };
-    let collector_b = Collector::serve(
+    let collector_b = Collector::serve_soa(
         listener,
         state,
         batch_tx.clone(),
+        pool.interner(),
         collector_loss_tx.clone(),
         CollectorConfig::default(),
     )
@@ -437,11 +412,12 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
     // --- Oracle: same surviving batches, same loss report, in-process --
     // The gap is the contiguous run batches[half .. half + k_lost]; the
     // first surviving batch after it reveals the loss, stamped with its
-    // first synopsis start — exactly what `feed_frame` does on the wire.
+    // first synopsis start — exactly what the collector does on the wire.
     let oracle_dir = TempDir::new("restart-oracle");
     let (oracle_tx, oracle_loss_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
+    let interner = oracle_pool.interner();
     for batch in &batches[..half] {
-        oracle_tx.send(batch.clone()).unwrap();
+        oracle_tx.send(soa(batch, &interner)).unwrap();
     }
     oracle_loss_tx
         .send(LossReport {
@@ -451,7 +427,7 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
         })
         .unwrap();
     for batch in &batches[half + k_lost..] {
-        oracle_tx.send(batch.clone()).unwrap();
+        oracle_tx.send(soa(batch, &interner)).unwrap();
     }
     drop(oracle_tx);
     drop(oracle_loss_tx);
@@ -502,10 +478,11 @@ fn run_through_proxy(
     u64,
 ) {
     let frame_host = HostId(1);
-    let (batch_tx, batch_rx) = unbounded::<Vec<TaskSynopsis>>();
+    let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
     let (loss_tx, loss_rx) = unbounded::<LossReport>();
+    let (interner, config) = (Arc::default(), CollectorConfig::default());
     let collector =
-        Collector::bind("127.0.0.1:0", batch_tx, loss_tx, CollectorConfig::default()).unwrap();
+        Collector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
     let proxy = FaultyProxy::start(collector.local_addr(), spec).unwrap();
     let agent = Agent::connect(proxy.local_addr(), frame_host, AgentConfig::default());
     for batch in batches {

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{event_keys, reference_run};
+use common::{event_keys, reference_run, soa};
 use saad::cassandra::{Cluster, ClusterConfig};
 use saad::core::codec;
 use saad::core::detector::AnomalyDetector;
@@ -70,7 +70,8 @@ fn detect(
     synopses: &[TaskSynopsis],
 ) -> Vec<AnomalyEvent> {
     let detector = AnomalyDetector::new(model, DetectorConfig::default());
-    reference_run(detector, &[SequencedInput::Batch(synopses.to_vec())]).0
+    let whole = soa(synopses, detector.interner());
+    reference_run(detector, &[SequencedInput::Batch(whole)]).0
 }
 
 #[test]
