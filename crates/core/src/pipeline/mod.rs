@@ -11,9 +11,10 @@
 //!   [`ModelSink`]/[`DetectorSink`] of the deterministic simulators. Both
 //!   producers intern at the edge, against the consuming pool's interner.
 //!   [`BatchSink::bounded`] caps the queue to the analyzer; an
-//!   [`OverloadPolicy`] decides what happens when it fills, and every
-//!   dropped synopsis is counted per host in [`SinkStats`] — monitoring
-//!   never stalls the server and never discards silently.
+//!   [`OverloadPolicy`] decides what happens when it fills — in [`offer`],
+//!   which the network agent's queue calls too — and every dropped
+//!   synopsis is counted per host in [`SinkStats`]: monitoring never
+//!   stalls the server and never discards silently.
 //! * `supervise` — the panic boundary each shard's detector runs behind
 //!   (restore from the latest snapshot, replay, skip the poison synopsis,
 //!   up to [`SupervisorConfig::max_restarts`]) and the liveness table that
@@ -46,7 +47,8 @@ pub use lifecycle::{
 };
 pub use pool::{spawn_batch_analyzer_pool, PoolHandle, SequencedInput};
 pub use sink::{
-    feed_frame_soa, BatchSink, DetectorSink, DropCounts, ModelSink, OverloadPolicy, SinkStats,
+    feed_frame_soa, offer, BatchSink, DetectorSink, DropCounters, DropCounts, ModelSink,
+    OverloadPolicy, SinkStats,
 };
 pub use supervise::{AnalyzerError, SupervisorConfig};
 

@@ -59,19 +59,23 @@ impl DropCounts {
     }
 }
 
-/// Per-host drop counters, updated lock-free once allocated. Producers on
-/// different hosts never contend on a shared mutex; each reason is a plain
-/// relaxed atomic increment.
+/// One [`DropCounts`] being counted, a relaxed atomic per reason: producers
+/// never contend on a mutex. [`offer`] names a reason by its field here.
 #[derive(Debug, Default)]
-struct HostDropCounters {
-    newest: AtomicU64,
-    oldest: AtomicU64,
-    timed_out: AtomicU64,
-    disconnected: AtomicU64,
+pub struct DropCounters {
+    /// See [`DropCounts::newest`].
+    pub newest: AtomicU64,
+    /// See [`DropCounts::oldest`].
+    pub oldest: AtomicU64,
+    /// See [`DropCounts::timed_out`].
+    pub timed_out: AtomicU64,
+    /// See [`DropCounts::disconnected`].
+    pub disconnected: AtomicU64,
 }
 
-impl HostDropCounters {
-    fn snapshot(&self) -> DropCounts {
+impl DropCounters {
+    /// The counts so far.
+    pub fn snapshot(&self) -> DropCounts {
         DropCounts {
             newest: self.newest.load(Ordering::Relaxed),
             oldest: self.oldest.load(Ordering::Relaxed),
@@ -89,11 +93,11 @@ impl HostDropCounters {
 #[derive(Debug, Default)]
 pub struct SinkStats {
     total: AtomicU64,
-    by_host: parking_lot::RwLock<HashMap<HostId, Arc<HostDropCounters>>>,
+    by_host: parking_lot::RwLock<HashMap<HostId, Arc<DropCounters>>>,
 }
 
 impl SinkStats {
-    fn counters(&self, host: HostId) -> Arc<HostDropCounters> {
+    fn counters(&self, host: HostId) -> Arc<DropCounters> {
         if let Some(c) = self.by_host.read().get(&host) {
             return c.clone();
         }
@@ -102,7 +106,7 @@ impl SinkStats {
 
     /// Count every element of a batch that never reached the analyzer
     /// against its own host, on the counter `reason` picks.
-    fn record(&self, batch: &SynopsisBatch, reason: impl Fn(&HostDropCounters) -> &AtomicU64) {
+    fn record(&self, batch: &SynopsisBatch, reason: impl Fn(&DropCounters) -> &AtomicU64) {
         for &host in &batch.hosts {
             self.total.fetch_add(1, Ordering::Relaxed);
             reason(&self.counters(host)).fetch_add(1, Ordering::Relaxed);
@@ -166,9 +170,59 @@ impl SinkStats {
     }
 }
 
-/// Bound on eviction retries under [`OverloadPolicy::DropOldest`] before a
-/// send gives up and counts its batch as a newest-drop.
+/// Bound on eviction retries under [`OverloadPolicy::DropOldest`]: give up
+/// rather than livelock when other producers keep refilling the evicted
+/// slot.
 const DROP_OLDEST_RETRIES: usize = 64;
+
+/// Offer `item` to the queue behind `tx` under `policy` — the overload
+/// policy of every bounded queue in the tree. `None` is an unbounded
+/// queue, which only a vanished receiver refuses; `evict`, a clone of the
+/// queue's receiver, is what [`OverloadPolicy::DropOldest`] makes room
+/// through (and panics without). Every item that does not stay queued —
+/// the one offered or one evicted for it — goes to `refused` with the
+/// counter of its reason: the caller counts it in its own unit and
+/// reclaims what it can.
+pub fn offer<T>(
+    tx: &Sender<T>,
+    evict: Option<&Receiver<T>>,
+    policy: Option<OverloadPolicy>,
+    mut item: T,
+    mut refused: impl FnMut(T, fn(&DropCounters) -> &AtomicU64),
+) {
+    // `DropNewest` is `DropOldest` that tries once and evicts nothing.
+    let (tries, evict) = match policy {
+        None => {
+            return match tx.send(item) {
+                Ok(()) => {}
+                Err(e) => refused(e.0, |c| &c.disconnected),
+            }
+        }
+        Some(OverloadPolicy::Block { timeout }) => {
+            return match tx.send_timeout(item, timeout) {
+                Ok(()) => {}
+                Err(SendTimeoutError::Timeout(item)) => refused(item, |c| &c.timed_out),
+                Err(SendTimeoutError::Disconnected(item)) => refused(item, |c| &c.disconnected),
+            }
+        }
+        Some(OverloadPolicy::DropNewest) => (1, None),
+        Some(OverloadPolicy::DropOldest) => {
+            let evict = evict.expect("DropOldest evicts through a receiver clone");
+            (DROP_OLDEST_RETRIES, Some(evict))
+        }
+    };
+    for _ in 0..tries {
+        match tx.try_send(item) {
+            Ok(()) => return,
+            Err(TrySendError::Disconnected(item)) => return refused(item, |c| &c.disconnected),
+            Err(TrySendError::Full(back)) => item = back,
+        }
+        if let Some(old) = evict.and_then(|queue| queue.try_recv().ok()) {
+            refused(old, |c| &c.oldest);
+        }
+    }
+    refused(item, |c| &c.newest);
+}
 
 /// A [`SynopsisSink`] that accumulates synopses into SoA
 /// [`SynopsisBatch`]es and emits ONE channel send per full batch — the
@@ -283,53 +337,14 @@ impl BatchSink {
     }
 
     /// Hand one batch to the queue under the sink's policy, counting it
-    /// element by element if the queue refuses it. Called with the buffer
-    /// lock released: a producer waiting out [`OverloadPolicy::Block`]
-    /// stalls nobody who is still filling.
+    /// element by element if the queue refuses or evicts it. Called with
+    /// the buffer lock released: a producer waiting out
+    /// [`OverloadPolicy::Block`] stalls nobody who is still filling.
     fn send(&self, batch: SynopsisBatch) {
-        let stats = &self.stats;
-        match self.policy {
-            None => {
-                // Unbounded: only a dead analyzer can refuse the batch.
-                if let Err(e) = self.tx.send(batch) {
-                    stats.record(&e.0, |c| &c.disconnected);
-                }
-            }
-            Some(OverloadPolicy::DropNewest) => match self.tx.try_send(batch) {
-                Ok(()) => {}
-                Err(TrySendError::Full(b)) => stats.record(&b, |c| &c.newest),
-                Err(TrySendError::Disconnected(b)) => stats.record(&b, |c| &c.disconnected),
-            },
-            Some(OverloadPolicy::DropOldest) => self.send_evicting(batch),
-            Some(OverloadPolicy::Block { timeout }) => match self.tx.send_timeout(batch, timeout) {
-                Ok(()) => {}
-                Err(SendTimeoutError::Timeout(b)) => stats.record(&b, |c| &c.timed_out),
-                Err(SendTimeoutError::Disconnected(b)) => stats.record(&b, |c| &c.disconnected),
-            },
-        }
-    }
-
-    /// [`OverloadPolicy::DropOldest`]: evict queued batches until this one
-    /// fits.
-    fn send_evicting(&self, mut batch: SynopsisBatch) {
-        let evict = self.evict.as_ref().expect("DropOldest sink has receiver");
-        for _ in 0..DROP_OLDEST_RETRIES {
-            match self.tx.try_send(batch) {
-                Ok(()) => return,
-                Err(TrySendError::Disconnected(b)) => {
-                    return self.stats.record(&b, |c| &c.disconnected);
-                }
-                Err(TrySendError::Full(b)) => {
-                    batch = b;
-                    if let Ok(old) = evict.try_recv() {
-                        self.stats.record(&old, |c| &c.oldest);
-                    }
-                }
-            }
-        }
-        // Pathological contention: other producers refilled the slot we
-        // evicted, every time. Give up on this batch.
-        self.stats.record(&batch, |c| &c.newest);
+        let (evict, stats) = (self.evict.as_ref(), &self.stats);
+        offer(&self.tx, evict, self.policy, batch, |batch, reason| {
+            stats.record(&batch, reason)
+        });
     }
 }
 

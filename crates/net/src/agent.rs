@@ -5,42 +5,36 @@
 //! synopses through an [`AgentSink`]); either way the synopses are
 //! encoded on the producer's thread, and what crosses the queue is a
 //! [`FramePayload`] — one frame's encoded bytes and its synopsis count.
-//! A worker thread owns the socket and a persistent [`FrameSender`], so
-//! frame sequence numbers and cumulative counts survive reconnects. The
-//! queue honors the same [`OverloadPolicy`] semantics as the in-process
-//! `BatchSink` — `DropNewest`, `DropOldest`, and `Block` — with every
-//! refused synopsis counted, never silently discarded. Each time the
-//! worker wakes it frames every payload already queued into one reused
-//! buffer — header, the bytes, length and CRC — hands the lot to the
-//! socket in a single write, and passes the emptied payload buffers back
-//! to the producers, so a streaming agent allocates nothing.
+//! The queue honors the same [`OverloadPolicy`] semantics as the
+//! in-process `BatchSink` — `DropNewest`, `DropOldest`, and `Block` —
+//! with every refused synopsis counted, never silently discarded. Each
+//! time the worker wakes it frames every payload already queued into one
+//! reused buffer — header, the bytes, length and CRC — hands the lot to
+//! the socket in a single write, and passes the emptied payload buffers
+//! back to the producers, so a streaming agent allocates nothing.
 //!
-//! When the connection dies the worker reconnects with jittered
-//! exponential backoff and replays the handshake, declaring its resume
-//! position (`next_seq`, `sent_cum`, `written_cum`). Frames that failed
-//! mid-write are **not retransmitted**: the sender counts their synopses
-//! as wire-lost, and the gap surfaces on the collector as exact
-//! `newly_lost` accounting (via cumulative-count arithmetic on the next
-//! fresh frame, or via the resume handshake if the collector restarted).
-//! Frames queued behind the failed one in the same write never reached
-//! the socket; they go out on the next connection as framed.
-//! Retransmission would trade bounded memory for at-least-once delivery
-//! the detector does not need — it is loss-aware by design.
+//! The worker thread is a driver of the shared sender state machine,
+//! `net::outbound`, over a real socket and clock. Frame numbering that
+//! survives reconnects, back-off, the resume handshake, the verdict on a
+//! refused hello and the accounting of a write cut half-way — counted
+//! wire-lost, never retransmitted: the detector is loss-aware by design —
+//! are decided there. The worker's own: it waits out the due time of the
+//! next connect (watching for `close`) and keeps frames queued behind a
+//! failed write for the next connection.
 
-use crate::protocol::{exchange_hello, Hello, PeerRole, RejectReason, PROTOCOL_VERSION};
+use crate::outbound::{LinkCounts, Outbound};
+use crate::protocol::{dial, PeerRole, RejectReason, PROTOCOL_VERSION};
 use crate::ring::{LeafResolver, PinnedResolver};
-use bytes::{BufMut, BytesMut};
-use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam_channel::{bounded, Receiver, Sender};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use saad_core::pipeline::{DropCounts, OverloadPolicy};
+use rand::Rng;
+use saad_core::pipeline::{offer, DropCounters, DropCounts, OverloadPolicy};
 use saad_core::synopsis::{SynopsisHead, TaskSynopsis};
 use saad_core::tracker::SynopsisSink;
-use saad_core::transport::{FramePayload, FrameSender};
+use saad_core::transport::FramePayload;
 use saad_core::{HostId, LogPointId};
-use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -97,7 +91,7 @@ pub struct AgentConfig {
     /// frame is accounted wire-lost rather than blocking the worker
     /// forever.
     pub write_timeout: Duration,
-    /// Socket read timeout while waiting for the handshake ack.
+    /// Longest a connect, and then the wait for the handshake ack, may take.
     pub read_timeout: Duration,
     /// Protocol version announced in the handshake (normally
     /// [`PROTOCOL_VERSION`]; overridable to exercise rejection paths).
@@ -121,31 +115,10 @@ impl Default for AgentConfig {
 
 #[derive(Debug, Default)]
 struct StatsInner {
-    connects: AtomicU64,
-    reconnects: AtomicU64,
-    handshake_rejects: AtomicU64,
-    stale_epoch_rejects: AtomicU64,
-    rehomes: AtomicU64,
-    frames_written: AtomicU64,
-    synopses_written: AtomicU64,
-    synopses_wire_lost: AtomicU64,
-    writes: AtomicU64,
+    /// What the worker's sender state machine has counted so far.
+    link: parking_lot::Mutex<LinkCounts>,
     frames_per_write: Arc<saad_obs::Histogram>,
-    dropped_newest: AtomicU64,
-    dropped_oldest: AtomicU64,
-    dropped_timed_out: AtomicU64,
-    dropped_disconnected: AtomicU64,
-    /// `u64::MAX` = never rejected; otherwise the `RejectReason` as u8.
-    reject_reason: AtomicU64,
-}
-
-impl StatsInner {
-    fn new() -> StatsInner {
-        StatsInner {
-            reject_reason: AtomicU64::new(u64::MAX),
-            ..StatsInner::default()
-        }
-    }
+    dropped: DropCounters,
 }
 
 /// Snapshot of one agent's lifetime counters.
@@ -184,31 +157,19 @@ pub struct AgentStats {
 
 impl StatsInner {
     fn snapshot(&self) -> AgentStats {
+        let link = *self.link.lock();
         AgentStats {
-            connects: self.connects.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            handshake_rejects: self.handshake_rejects.load(Ordering::Relaxed),
-            stale_epoch_rejects: self.stale_epoch_rejects.load(Ordering::Relaxed),
-            rehomes: self.rehomes.load(Ordering::Relaxed),
-            frames_written: self.frames_written.load(Ordering::Relaxed),
-            synopses_written: self.synopses_written.load(Ordering::Relaxed),
-            synopses_wire_lost: self.synopses_wire_lost.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            drops: DropCounts {
-                newest: self.dropped_newest.load(Ordering::Relaxed),
-                oldest: self.dropped_oldest.load(Ordering::Relaxed),
-                timed_out: self.dropped_timed_out.load(Ordering::Relaxed),
-                disconnected: self.dropped_disconnected.load(Ordering::Relaxed),
-            },
-            reject_reason: match self.reject_reason.load(Ordering::Relaxed) {
-                u64::MAX => None,
-                v => Some(match v {
-                    1 => RejectReason::VersionMismatch,
-                    2 => RejectReason::Malformed,
-                    3 => RejectReason::StaleEpoch,
-                    _ => RejectReason::None,
-                }),
-            },
+            connects: link.connects,
+            reconnects: link.reconnects,
+            handshake_rejects: link.handshake_rejects,
+            stale_epoch_rejects: link.stale_epoch_rejects,
+            rehomes: link.rehomes,
+            frames_written: link.frames_written,
+            synopses_written: link.synopses_written,
+            synopses_wire_lost: link.synopses_wire_lost,
+            writes: link.writes,
+            drops: self.dropped.snapshot(),
+            reject_reason: link.reject_reason,
         }
     }
 }
@@ -255,11 +216,6 @@ struct QueueFront {
     policy: OverloadPolicy,
     stats: Arc<StatsInner>,
 }
-
-/// Bound on eviction retries under [`OverloadPolicy::DropOldest`], same
-/// rationale as the in-process sink: give up rather than livelock when
-/// other producers keep refilling the evicted slot.
-const DROP_OLDEST_RETRIES: usize = 64;
 
 impl QueueFront {
     /// The queue's two ends for an agent configured with `capacity` and
@@ -313,52 +269,17 @@ impl QueueFront {
     }
 
     /// Queue one payload under the overload policy. A payload the queue
-    /// refuses is counted by its synopses, and its buffer, like that of
-    /// an empty payload, goes back to the spares.
+    /// refuses or evicts is counted by its synopses, and its buffer, like
+    /// that of an empty payload, goes back to the spares.
     fn enqueue(&self, payload: FramePayload) {
         if payload.is_empty() {
             return self.spare.give(payload);
         }
-        let refuse = |counter: &AtomicU64, payload: FramePayload| {
-            counter.fetch_add(payload.synopses(), Ordering::Relaxed);
-            self.spare.give(payload);
-        };
-        let stats = &self.stats;
-        match self.policy {
-            OverloadPolicy::DropNewest => match self.tx.try_send(payload) {
-                Ok(()) => {}
-                Err(TrySendError::Full(p)) => refuse(&stats.dropped_newest, p),
-                Err(TrySendError::Disconnected(p)) => refuse(&stats.dropped_disconnected, p),
-            },
-            OverloadPolicy::DropOldest => {
-                let evict = self.evict.as_ref().expect("DropOldest has receiver");
-                let mut payload = payload;
-                for _ in 0..DROP_OLDEST_RETRIES {
-                    match self.tx.try_send(payload) {
-                        Ok(()) => return,
-                        Err(TrySendError::Full(p)) => {
-                            payload = p;
-                            if let Ok(old) = evict.try_recv() {
-                                refuse(&stats.dropped_oldest, old);
-                            }
-                        }
-                        Err(TrySendError::Disconnected(p)) => {
-                            return refuse(&stats.dropped_disconnected, p);
-                        }
-                    }
-                }
-                refuse(&stats.dropped_newest, payload);
-            }
-            OverloadPolicy::Block { timeout } => match self.tx.send_timeout(payload, timeout) {
-                Ok(()) => {}
-                Err(crossbeam_channel::SendTimeoutError::Timeout(p)) => {
-                    refuse(&stats.dropped_timed_out, p);
-                }
-                Err(crossbeam_channel::SendTimeoutError::Disconnected(p)) => {
-                    refuse(&stats.dropped_disconnected, p);
-                }
-            },
-        }
+        let (evict, policy) = (self.evict.as_ref(), Some(self.policy));
+        offer(&self.tx, evict, policy, payload, |refused, reason| {
+            reason(&self.stats.dropped).fetch_add(refused.synopses(), Ordering::Relaxed);
+            self.spare.give(refused);
+        });
     }
 }
 
@@ -389,7 +310,7 @@ impl Agent {
         host: HostId,
         config: AgentConfig,
     ) -> Agent {
-        let stats = Arc::new(StatsInner::new());
+        let stats = Arc::new(StatsInner::default());
         let closing = Arc::new(AtomicBool::new(false));
         let (front, rx) = QueueFront::new(config.capacity, config.policy, stats.clone());
         let spare = front.spare.clone();
@@ -436,63 +357,63 @@ impl Agent {
     pub fn register_metrics(&self, registry: &saad_obs::Registry, host: HostId) {
         let host_label = host.0.to_string();
         let labels = [("host", host_label.as_str())];
-        let counter = |f: fn(&StatsInner) -> &AtomicU64| {
+        let counter = |f: fn(&AgentStats) -> u64| {
             let stats = Arc::clone(&self.front.stats);
-            move || f(&stats).load(Ordering::Relaxed)
+            move || f(&stats.snapshot())
         };
         registry.register_counter_fn(
             "saad_agent_connects_total",
             "Successful connection + handshake completions",
             &labels,
-            counter(|s| &s.connects),
+            counter(|s| s.connects),
         );
         registry.register_counter_fn(
             "saad_agent_reconnects_total",
             "Connects after the first — recoveries from a dead link",
             &labels,
-            counter(|s| &s.reconnects),
+            counter(|s| s.reconnects),
         );
         registry.register_counter_fn(
             "saad_agent_handshake_rejects_total",
             "Handshakes the collector refused",
             &labels,
-            counter(|s| &s.handshake_rejects),
+            counter(|s| s.handshake_rejects),
         );
         registry.register_counter_fn(
             "saad_agent_stale_epoch_rejects_total",
             "Handshakes refused for a stale ring epoch (retried after refetch)",
             &labels,
-            counter(|s| &s.stale_epoch_rejects),
+            counter(|s| s.stale_epoch_rejects),
         );
         registry.register_counter_fn(
             "saad_agent_rehomes_total",
             "Successful connects that landed on a different leaf than before",
             &labels,
-            counter(|s| &s.rehomes),
+            counter(|s| s.rehomes),
         );
         registry.register_counter_fn(
             "saad_agent_frames_written_total",
             "Frames fully written to a live socket",
             &labels,
-            counter(|s| &s.frames_written),
+            counter(|s| s.frames_written),
         );
         registry.register_counter_fn(
             "saad_agent_synopses_written_total",
             "Synopses carried by fully written frames",
             &labels,
-            counter(|s| &s.synopses_written),
+            counter(|s| s.synopses_written),
         );
         registry.register_counter_fn(
             "saad_agent_synopses_wire_lost_total",
             "Synopses in frames whose write failed — lost on the wire, never retransmitted",
             &labels,
-            counter(|s| &s.synopses_wire_lost),
+            counter(|s| s.synopses_wire_lost),
         );
         registry.register_counter_fn(
             "saad_agent_writes_total",
             "Socket writes that carried frames (one per worker wake-up)",
             &labels,
-            counter(|s| &s.writes),
+            counter(|s| s.writes),
         );
         registry.attach_histogram(
             "saad_agent_frames_per_write",
@@ -501,20 +422,16 @@ impl Agent {
             Arc::clone(&self.front.stats.frames_per_write),
         );
         for (reason, f) in [
-            (
-                "newest",
-                (|s| &s.dropped_newest) as fn(&StatsInner) -> &AtomicU64,
-            ),
-            ("oldest", |s| &s.dropped_oldest),
-            ("timed_out", |s| &s.dropped_timed_out),
-            ("disconnected", |s| &s.dropped_disconnected),
+            ("newest", (|s| s.drops.newest) as fn(&AgentStats) -> u64),
+            ("oldest", |s| s.drops.oldest),
+            ("timed_out", |s| s.drops.timed_out),
+            ("disconnected", |s| s.drops.disconnected),
         ] {
-            let stats = Arc::clone(&self.front.stats);
             registry.register_counter_fn(
                 "saad_agent_dropped_total",
                 "Synopses refused at the agent send queue, by reason",
                 &[("host", host_label.as_str()), ("reason", reason)],
-                move || f(&stats).load(Ordering::Relaxed),
+                counter(f),
             );
         }
     }
@@ -595,170 +512,18 @@ impl Drop for AgentSink {
     }
 }
 
-enum ConnectOutcome {
-    Connected(TcpStream),
-    Rejected(RejectReason),
-    Failed,
-}
-
-/// One connect + handshake attempt at the agent's current resume point,
-/// announcing the ring epoch the address was resolved under.
-fn try_connect(
-    addr: SocketAddr,
-    epoch: u64,
-    host: HostId,
-    config: &AgentConfig,
-    (next_seq, sent_cum): (u64, u64),
-    written_cum: u64,
-) -> ConnectOutcome {
-    let stream = match TcpStream::connect(addr) {
-        Ok(s) => s,
-        Err(_) => return ConnectOutcome::Failed,
-    };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let mut stream = stream;
-    let hello = Hello {
-        version: config.version,
-        host,
-        next_seq,
-        sent_cum,
-        written_cum,
-        epoch,
-        role: PeerRole::Agent,
-    };
-    match exchange_hello(&mut stream, &hello) {
-        Ok(ack) if ack.accept => ConnectOutcome::Connected(stream),
-        Ok(ack) => ConnectOutcome::Rejected(ack.reason),
-        Err(_) => ConnectOutcome::Failed,
-    }
-}
-
 /// Most wire bytes the worker coalesces into one write (~75 typical
 /// 48-synopsis frames); past this a larger write saves nothing.
 const COALESCE_BYTES: usize = 64 * 1024;
 
-/// The agent's outbound wire image: back-to-back `[u32 length][frame]`
-/// messages assembled in one reused buffer and handed to the socket in a
-/// single write, with each frame's end offset kept so that a cut write is
-/// accounted frame by frame.
-#[derive(Debug)]
-struct Outbox {
-    sender: FrameSender,
-    wire: BytesMut,
-    /// `(end offset in wire, synopses carried)` of each pending frame.
-    frames: Vec<(usize, u64)>,
-}
-
-/// What one [`Outbox::flush`] did with the pending frames: each is
-/// written, wire-lost, or still pending in the outbox.
-#[derive(Debug, PartialEq, Eq)]
-struct Flushed {
-    /// Frames the writer accepted whole.
-    frames_written: u64,
-    /// Synopses carried by those frames.
-    synopses_written: u64,
-    /// `Some` iff an error cut the write short: the synopses in the frame
-    /// it cut.
-    wire_lost: Option<u64>,
-}
-
-impl Outbox {
-    /// An empty outbox framing for `host`; sequence numbers start at 0.
-    fn new(host: HostId) -> Outbox {
-        Outbox {
-            sender: FrameSender::new(host),
-            wire: BytesMut::new(),
-            frames: Vec::new(),
+/// Wait until `clock` reads `due`, in slices short enough that a closing
+/// agent stops promptly.
+fn wait_until(due: Duration, clock: Instant, closing: &AtomicBool) {
+    while !closing.load(Ordering::SeqCst) {
+        let left = due.saturating_sub(clock.elapsed());
+        if left.is_zero() {
+            return;
         }
-    }
-
-    /// The pending messages, exactly as the next flush will write them
-    /// (empty when no frame is pending).
-    fn wire(&self) -> &[u8] {
-        &self.wire
-    }
-
-    /// `(next_seq, sent_cum)` to announce in a handshake: the sequence
-    /// number and cumulative count of the first frame no socket has been
-    /// offered yet (the next frame to be framed, when nothing is pending).
-    fn resume_point(&self) -> (u64, u64) {
-        let pending: u64 = self.frames.iter().map(|&(_, n)| n).sum();
-        (
-            self.sender.frames_sent() - self.frames.len() as u64,
-            self.sender.synopses_sent() - pending,
-        )
-    }
-
-    /// Append `payload` as one length-prefixed frame. The frame gets its
-    /// sequence number and cumulative count here, once; nothing that
-    /// happens to a write renumbers it.
-    fn frame(&mut self, payload: &FramePayload) {
-        let prefix = self.wire.len();
-        self.wire.put_u32(0);
-        self.sender.frame_payload_into(&mut self.wire, payload);
-        let len = u32::try_from(self.wire.len() - prefix - 4)
-            .expect("a frame is bounded by MAX_MESSAGE_LEN");
-        self.wire[prefix..prefix + 4].copy_from_slice(&len.to_be_bytes());
-        self.frames.push((self.wire.len(), payload.synopses()));
-    }
-
-    /// Write the pending messages to `w` in one pass. A frame counts as
-    /// written only if the writer accepted it to its last byte. When an
-    /// error cuts the write, the first frame not accepted whole is
-    /// wire-lost — it may be partly on the wire, and the receiver sees
-    /// the gap through the sequence arithmetic; nothing is retransmitted.
-    /// The frames behind it never touched the writer: they stay pending,
-    /// bytes and sequence numbers as framed, for the next connection —
-    /// so a failed write costs one frame however many it carried.
-    fn flush<W: Write>(&mut self, w: &mut W) -> Flushed {
-        let mut accepted = 0usize;
-        while accepted < self.wire.len() {
-            match w.write(&self.wire[accepted..]) {
-                Ok(0) => break,
-                Ok(n) => accepted += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-        let whole = self.frames.partition_point(|&(end, _)| end <= accepted);
-        let mut flushed = Flushed {
-            frames_written: whole as u64,
-            synopses_written: self.frames[..whole].iter().map(|&(_, n)| n).sum(),
-            wire_lost: None,
-        };
-        // With no error every frame was accepted whole and this drains
-        // the outbox; otherwise frame `whole` is the one the error cut.
-        let mut gone = whole;
-        if let Some(&(cut_end, synopses)) = self.frames.get(whole) {
-            flushed.wire_lost = Some(synopses);
-            gone += 1;
-            self.wire.copy_within(cut_end.., 0);
-            self.wire.truncate(self.wire.len() - cut_end);
-            for (end, _) in &mut self.frames[gone..] {
-                *end -= cut_end;
-            }
-        } else {
-            self.wire.clear();
-        }
-        self.frames.drain(..gone);
-        flushed
-    }
-
-    /// Give up on the pending frames (the agent is stopping): empty the
-    /// outbox and return how many synopses they carried.
-    fn abandon(&mut self) -> u64 {
-        self.wire.clear();
-        self.frames.drain(..).map(|(_, n)| n).sum()
-    }
-}
-
-/// Sleep `total` in short slices so a closing agent stops promptly.
-fn backoff_sleep(total: Duration, closing: &AtomicBool) {
-    let deadline = Instant::now() + total;
-    while Instant::now() < deadline && !closing.load(Ordering::SeqCst) {
-        let left = deadline.saturating_duration_since(Instant::now());
         std::thread::sleep(left.min(Duration::from_millis(20)));
     }
 }
@@ -775,25 +540,23 @@ fn worker_loop(
     // A queued payload becomes a frame exactly once — the sequence number
     // is spent whether or not the write succeeds, so a failed write is a
     // visible gap, not a silent renumbering — and its buffer goes back.
-    let frame = |outbox: &mut Outbox, payload: FramePayload| {
-        outbox.frame(&payload);
+    let frame = |out: &mut Outbound, payload: FramePayload| {
+        out.outbox.frame(&payload);
         spare.give(payload);
     };
-    let mut rng = StdRng::seed_from_u64(config.backoff.seed);
-    let mut outbox = Outbox::new(host);
-    let mut written_cum = 0u64;
+    let mut out = Outbound::new(host, config.backoff.clone());
+    // What the due times of `out` are read against.
+    let clock = Instant::now();
     let mut conn: Option<TcpStream> = None;
-    // Address of the last successful connect, for re-homing detection.
-    let mut home: Option<SocketAddr> = None;
 
     'batches: loop {
         // Frames a failed write left pending go out before anything new
         // is taken off the queue.
-        if outbox.wire().is_empty() {
+        if out.outbox.wire().is_empty() {
             // Poll with a timeout so close() works even while sink clones
             // keep the channel's sender side alive.
             match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(payload) => frame(&mut outbox, payload),
+                Ok(payload) => frame(&mut out, payload),
                 Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
                     // recv_timeout drains queued payloads before timing out,
                     // so a timeout while closing means the queue is empty.
@@ -805,100 +568,51 @@ fn worker_loop(
                 Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break 'batches,
             }
         }
-        // Ensure a handshaken connection, backing off between failures.
+        // Ensure a handshaken connection, one connect at each due time.
         // The resolver is consulted before every attempt, so a ring
         // republish between attempts re-homes this agent automatically.
-        let mut attempt = 0u32;
         while conn.is_none() {
-            let back_off = |attempt: &mut u32, rng: &mut StdRng| {
-                backoff_sleep(config.backoff.delay(*attempt, rng), &closing);
-                *attempt = attempt.saturating_add(1);
+            let Some(due) = out.connect_due() else {
+                // Refused for good (version skew or a confused collector:
+                // the same hello cannot succeed), or a closing agent's one
+                // attempt failed: account everything still queued and stop.
+                drop_remaining(out.outbox.abandon(), &rx, &stats);
+                return;
             };
-            let Some((addr, epoch)) = resolver.resolve(host) else {
-                // Nowhere to go (empty ring): wait for the control plane
-                // to publish a member.
-                if closing.load(Ordering::SeqCst) {
-                    drop_remaining(outbox.abandon(), &rx, &stats);
-                    return;
-                }
-                back_off(&mut attempt, &mut rng);
-                continue;
-            };
-            match try_connect(
-                addr,
-                epoch,
-                host,
-                &config,
-                outbox.resume_point(),
-                written_cum,
-            ) {
-                ConnectOutcome::Connected(stream) => {
-                    if stats.connects.fetch_add(1, Ordering::Relaxed) > 0 {
-                        stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if home.is_some_and(|h| h != addr) {
-                        stats.rehomes.fetch_add(1, Ordering::Relaxed);
-                    }
-                    home = Some(addr);
-                    conn = Some(stream);
-                }
-                ConnectOutcome::Rejected(RejectReason::StaleEpoch) => {
-                    // Our ring view is behind the collector's. Not
-                    // terminal: back off and resolve again — the next
-                    // attempt routes by the refreshed ring.
-                    stats.handshake_rejects.fetch_add(1, Ordering::Relaxed);
-                    stats.stale_epoch_rejects.fetch_add(1, Ordering::Relaxed);
-                    stats
-                        .reject_reason
-                        .store(RejectReason::StaleEpoch as u64, Ordering::Relaxed);
-                    if closing.load(Ordering::SeqCst) {
-                        drop_remaining(outbox.abandon(), &rx, &stats);
-                        return;
-                    }
-                    back_off(&mut attempt, &mut rng);
-                }
-                ConnectOutcome::Rejected(reason) => {
-                    // Version skew or a confused collector: retrying with
-                    // the same hello cannot succeed. Account everything
-                    // still queued and stop.
-                    stats.handshake_rejects.fetch_add(1, Ordering::Relaxed);
-                    stats.reject_reason.store(reason as u64, Ordering::Relaxed);
-                    drop_remaining(outbox.abandon(), &rx, &stats);
-                    return;
-                }
-                ConnectOutcome::Failed => {
-                    if closing.load(Ordering::SeqCst) {
-                        drop_remaining(outbox.abandon(), &rx, &stats);
-                        return;
-                    }
-                    back_off(&mut attempt, &mut rng);
-                }
+            wait_until(due, clock, &closing);
+            if closing.load(Ordering::SeqCst) {
+                out.close();
             }
+            conn = match resolver.resolve(host) {
+                Some((addr, epoch)) => {
+                    let hello = out.hello(config.version, epoch, PeerRole::Agent);
+                    let answer = dial(addr, &hello, config.write_timeout, config.read_timeout);
+                    out.dialed(addr, answer, clock.elapsed())
+                }
+                None => {
+                    // Empty ring: wait for the control plane to publish.
+                    out.failed(clock.elapsed());
+                    None
+                }
+            };
+            *stats.link.lock() = out.counts();
         }
         // Payloads already queued ride in the same write; the worker never
         // waits for more.
-        while outbox.wire().len() < COALESCE_BYTES {
+        while out.outbox.wire().len() < COALESCE_BYTES {
             match rx.try_recv() {
-                Ok(queued) => frame(&mut outbox, queued),
+                Ok(queued) => frame(&mut out, queued),
                 Err(_) => break,
             }
         }
-        stats.writes.fetch_add(1, Ordering::Relaxed);
-        stats.frames_per_write.record(outbox.frames.len() as u64);
-        let flushed = outbox.flush(conn.as_mut().expect("connected"));
-        written_cum += flushed.synopses_written;
         stats
-            .frames_written
-            .fetch_add(flushed.frames_written, Ordering::Relaxed);
-        stats
-            .synopses_written
-            .fetch_add(flushed.synopses_written, Ordering::Relaxed);
-        if let Some(lost) = flushed.wire_lost {
-            // The cut frame may be partially on the wire; the stream is
-            // desynchronized either way. Count the loss and rebuild the
-            // connection for what is still pending — while closing, the
-            // connect loop above gives that one attempt and no back-off.
-            stats.synopses_wire_lost.fetch_add(lost, Ordering::Relaxed);
+            .frames_per_write
+            .record(out.outbox.pending_frames() as u64);
+        let intact = out.flush(conn.as_mut().expect("connected"));
+        *stats.link.lock() = out.counts();
+        if !intact {
+            // The cut frame may be partly on the wire and is counted
+            // lost; rebuild the connection for what is still pending.
             conn = None;
         }
     }
@@ -916,46 +630,19 @@ fn drop_remaining(pending: u64, rx: &Receiver<FramePayload>, stats: &StatsInner)
     while let Ok(payload) = rx.try_recv() {
         dropped += payload.synopses();
     }
-    stats
-        .dropped_disconnected
-        .fetch_add(dropped, Ordering::Relaxed);
+    let disconnected = &stats.dropped.disconnected;
+    disconnected.fetch_add(dropped, Ordering::Relaxed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{write_message, MAX_MESSAGE_LEN};
+    use crate::outbound::testkit::{batch, messages, task};
+    use crate::protocol::MAX_MESSAGE_LEN;
     use saad_core::transport::{
-        parse_frame, FrameOutcome, FrameReceiver, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
+        parse_frame, FrameOutcome, FrameReceiver, FrameSender, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
     };
-    use saad_core::{StageId, TaskUid};
-    use saad_sim::{SimDuration, SimTime};
-
-    fn task(host: u16, uid: u64, points: usize) -> TaskSynopsis {
-        TaskSynopsis {
-            host: HostId(host),
-            stage: StageId(3),
-            uid: TaskUid(uid),
-            start: SimTime::from_millis(uid),
-            duration: SimDuration::from_micros(900 + uid),
-            log_points: (0..points)
-                .map(|p| (LogPointId(1 + p as u16), 1 + p as u32))
-                .collect(),
-        }
-    }
-
-    fn batch(host: u16, uids: std::ops::Range<u64>) -> Vec<TaskSynopsis> {
-        uids.map(|u| task(host, u, (u % 5) as usize)).collect()
-    }
-
-    /// `batch` as the one payload a producer makes of it.
-    fn payload(batch: &[TaskSynopsis]) -> FramePayload {
-        let mut payload = FramePayload::new();
-        for s in batch {
-            assert!(payload.push_parts(&s.head(), &s.log_points));
-        }
-        payload
-    }
+    use saad_core::TaskUid;
 
     /// A queue with no worker behind it: the front, the counters it
     /// counts into, and the end the worker would read.
@@ -963,7 +650,7 @@ mod tests {
         capacity: usize,
         policy: OverloadPolicy,
     ) -> (QueueFront, Arc<StatsInner>, Receiver<FramePayload>) {
-        let stats = Arc::new(StatsInner::new());
+        let stats = Arc::new(StatsInner::default());
         let (front, rx) = QueueFront::new(capacity, policy, stats.clone());
         (front, stats, rx)
     }
@@ -974,152 +661,6 @@ mod tests {
             buf: parking_lot::Mutex::new(FramePayload::new()),
             batch_size,
         }
-    }
-
-    /// Split `[u32 length][frame]…` wire bytes into the frames.
-    fn messages(mut wire: &[u8]) -> Vec<&[u8]> {
-        let mut out = Vec::new();
-        while !wire.is_empty() {
-            let len = u32::from_be_bytes(wire[..4].try_into().unwrap()) as usize;
-            out.push(&wire[4..4 + len]);
-            wire = &wire[4 + len..];
-        }
-        out
-    }
-
-    /// Accepts `accept` bytes in all, at most `per_call` per write, then
-    /// fails like a dead socket.
-    struct FailingWriter {
-        accept: usize,
-        per_call: usize,
-        taken: Vec<u8>,
-    }
-
-    impl Write for FailingWriter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            let room = self.accept - self.taken.len();
-            if room == 0 {
-                return Err(io::ErrorKind::BrokenPipe.into());
-            }
-            let n = buf.len().min(room).min(self.per_call);
-            self.taken.extend_from_slice(&buf[..n]);
-            Ok(n)
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn outbox_loses_the_cut_frame_and_keeps_the_ones_behind_it() {
-        let batches = [batch(9, 0..48), batch(9, 48..53), batch(9, 53..101)];
-        let framed: u64 = batches.iter().map(|b| b.len() as u64).sum();
-        let mut probe = Outbox::new(HostId(9));
-        batches.iter().for_each(|b| probe.frame(&payload(b)));
-        let wire = probe.wire().to_vec();
-        let ends: Vec<usize> = messages(&wire)
-            .iter()
-            .scan(0usize, |end, m| {
-                *end += 4 + m.len();
-                Some(*end)
-            })
-            .collect();
-        assert_eq!(ends.len(), 3);
-
-        // (bytes the writer accepts, frames that must count as written)
-        let cases = [
-            (0, 0),                // dead before the first byte
-            (2, 0),                // inside the first length prefix
-            (ends[0] - 1, 0),      // one byte short of a whole frame
-            (ends[0], 1),          // exactly on a frame boundary
-            (ends[0] + 4 + 10, 1), // inside the second frame's header
-            (ends[1], 2),          // on the second boundary
-            (ends[2] - 1, 2),      // all but the last byte
-            (ends[2], 3),          // everything
-            (ends[2] + 100, 3),    // more room than bytes
-        ];
-        let count = |bs: &[Vec<TaskSynopsis>]| bs.iter().map(|b| b.len() as u64).sum::<u64>();
-        for (accept, whole) in cases {
-            for per_call in [usize::MAX, 7] {
-                let mut outbox = Outbox::new(HostId(9));
-                batches.iter().for_each(|b| outbox.frame(&payload(b)));
-                let mut w = FailingWriter {
-                    accept,
-                    per_call,
-                    taken: Vec::new(),
-                };
-                let flushed = outbox.flush(&mut w);
-                let case = format!("accept {accept}, {per_call} per call");
-                // Whole accepted frames are written; the frame the error cut
-                // is lost; the frames behind it are still pending, untouched.
-                let cut = usize::from(whole < 3);
-                let kept = &batches[whole + cut..];
-                assert_eq!(flushed.frames_written, whole as u64, "{case}");
-                assert_eq!(flushed.synopses_written, count(&batches[..whole]), "{case}");
-                assert_eq!(
-                    flushed.wire_lost,
-                    (cut == 1).then(|| count(&batches[whole..whole + cut])),
-                    "{case}"
-                );
-                assert_eq!(w.taken[..], wire[..accept.min(wire.len())], "{case}");
-                let kept_from = if cut == 1 { ends[whole] } else { wire.len() };
-                assert_eq!(outbox.wire(), &wire[kept_from..], "{case}");
-                assert_eq!(outbox.wire().is_empty(), kept.is_empty(), "{case}");
-                assert_eq!(
-                    outbox.resume_point(),
-                    ((whole + cut) as u64, count(&batches[..whole + cut])),
-                    "{case}: a handshake now resumes at the first kept frame"
-                );
-
-                // Whatever happened to that write, nothing is renumbered: the
-                // kept frames go out next as framed, and a new frame carries
-                // on from everything framed so far.
-                outbox.frame(&payload(&batch(9, 101..110)));
-                let mut next = Vec::new();
-                let flushed = outbox.flush(&mut next);
-                assert!(
-                    flushed.wire_lost.is_none() && outbox.wire().is_empty(),
-                    "{case}"
-                );
-                assert_eq!(flushed.frames_written, kept.len() as u64 + 1, "{case}");
-                assert_eq!(flushed.synopses_written, count(kept) + 9, "{case}");
-                assert_eq!(next[..wire.len() - kept_from], wire[kept_from..], "{case}");
-                let last = parse_frame(messages(&next).pop().unwrap()).expect("valid frame");
-                assert_eq!(last.seq, 3, "{case}");
-                assert_eq!(last.cumulative, framed, "{case}");
-                assert_eq!(last.synopses, batch(9, 101..110), "{case}");
-                assert_eq!(outbox.resume_point(), (4, framed + 9), "{case}");
-            }
-        }
-    }
-
-    #[test]
-    fn abandoned_outbox_reports_what_it_held() {
-        let mut outbox = Outbox::new(HostId(9));
-        outbox.frame(&payload(&batch(9, 0..48)));
-        outbox.frame(&payload(&batch(9, 48..53)));
-        assert_eq!(outbox.abandon(), 53);
-        assert!(outbox.wire().is_empty());
-        // The sequence numbers are spent all the same.
-        assert_eq!(outbox.resume_point(), (2, 53));
-    }
-
-    #[test]
-    fn outbox_frames_are_the_frames_a_plain_sender_makes() {
-        let batches = [batch(4, 0..48), batch(4, 48..49), batch(4, 49..97)];
-        let mut outbox = Outbox::new(HostId(4));
-        let mut plain = FrameSender::new(HostId(4));
-        let mut want = Vec::new();
-        for b in &batches {
-            outbox.frame(&payload(b));
-            write_message(&mut want, &plain.encode_frame(b)).unwrap();
-        }
-        assert_eq!(outbox.wire(), &want[..]);
-        // All three are pending: a handshake would still resume at frame 0.
-        assert_eq!(outbox.resume_point(), (0, 0));
-        assert_eq!(outbox.flush(&mut io::sink()).frames_written, 3);
-        assert_eq!(outbox.resume_point(), (3, 97));
     }
 
     #[test]
@@ -1156,12 +697,12 @@ mod tests {
         // (payloads queued, synopses in the first)
         for (payloads, shape) in [(via_send, (3, 3)), (via_sink, (2, big.len() as u64 + 2))] {
             assert_eq!((payloads.len(), payloads[0].synopses()), shape);
-            let mut outbox = Outbox::new(HostId(2));
-            payloads.iter().for_each(|p| outbox.frame(p));
+            let mut out = Outbound::new(HostId(2), BackoffConfig::default());
+            payloads.iter().for_each(|p| out.outbox.frame(p));
             let mut rx = FrameReceiver::new();
             let mut delivered = Vec::new();
             let mut expected_cumulative = 0u64;
-            for (seq, frame) in messages(outbox.wire()).into_iter().enumerate() {
+            for (seq, frame) in messages(out.outbox.wire()).into_iter().enumerate() {
                 assert!(frame.len() <= MAX_MESSAGE_LEN);
                 assert!(frame.len() - FRAME_HEADER_LEN <= MAX_FRAME_PAYLOAD);
                 let parsed = parse_frame(frame).expect("every cut frame is admissible");
@@ -1182,16 +723,6 @@ mod tests {
             }
             assert_eq!(delivered.len(), 3 + big.len());
             assert!(delivered[..3] == small[..] && delivered[3..] == big[..]);
-            // written + wire_lost + pending == framed, whatever a write does.
-            let framed = delivered.len() as u64;
-            let mut w = FailingWriter {
-                accept: outbox.wire().len() / 2,
-                per_call: usize::MAX,
-                taken: Vec::new(),
-            };
-            let flushed = outbox.flush(&mut w);
-            let lost = flushed.wire_lost.expect("the write was cut");
-            assert_eq!(flushed.synopses_written + lost + outbox.abandon(), framed);
         }
 
         // The allocating wrapper cannot split; it refuses rather than emit a
@@ -1251,7 +782,9 @@ mod tests {
         let mut sent = rx.try_recv().expect("a full payload");
         let buffer = sent.bytes().as_ptr();
         // The worker's side: frame it, give the buffer back.
-        Outbox::new(HostId(1)).frame(&sent);
+        Outbound::new(HostId(1), BackoffConfig::default())
+            .outbox
+            .frame(&sent);
         sent.clear();
         front.spare.give(sent);
         for s in batch(1, 48..96) {

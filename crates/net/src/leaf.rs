@@ -20,25 +20,28 @@
 //! size cap, and a wall-clock timer that bounds forwarding latency —
 //! plus a final flush with per-host empty *goodbye* frames on graceful
 //! shutdown, which reveals any trailing gap to the root immediately.
+//!
+//! The uplink is a driver of the shared sender state machine,
+//! `net::outbound`: when a connect is due, what a failed write costs and
+//! what closing means are decided there. The leaf's own rule is that it
+//! never waits — flushes run on agent-connection handler threads — so a
+//! digest that finds the link down and no connect due is framed,
+//! abandoned and counted `uplink_wire_lost`: a visible gap at the root.
 
 use crate::agent::BackoffConfig;
 use crate::collector::{AdmittedSink, Collector, CollectorConfig};
 use crate::control::ControlPlane;
-use crate::protocol::{
-    exchange_hello, write_message, Hello, PeerRole, PINNED_EPOCH, PROTOCOL_VERSION,
-};
+use crate::outbound::Outbound;
+use crate::protocol::{dial, Hello, HelloAck, PeerRole, PINNED_EPOCH, PROTOCOL_VERSION};
 use crate::ring::LeafId;
-use bytes::BytesMut;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::transport::FrameSender;
 use saad_core::HostId;
 use std::collections::HashMap;
-use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::{self, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -66,11 +69,10 @@ pub struct LeafConfig {
     /// the digest is accounted wire-lost, never blocks agent handlers
     /// for long).
     pub write_timeout: Duration,
-    /// Uplink socket read timeout for the handshake ack.
+    /// Longest an uplink connect, and then the wait for its ack, may take.
     pub read_timeout: Duration,
-    /// Uplink reconnect pacing. Connects are attempted at most once per
-    /// flush, spaced by this schedule — never a blocking retry loop,
-    /// because flushes run on agent-connection handler threads.
+    /// Uplink reconnect pacing: at most one connect per flush, spaced by
+    /// this schedule — never a blocking retry loop.
     pub backoff: BackoffConfig,
 }
 
@@ -109,16 +111,6 @@ pub struct LeafStats {
     pub uplink_connects: u64,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    digests_sent: AtomicU64,
-    digest_synopses: AtomicU64,
-    uplink_wire_lost: AtomicU64,
-    skipped_synopses: AtomicU64,
-    late_dropped: AtomicU64,
-    uplink_connects: AtomicU64,
-}
-
 /// Per-host digest assembly state. The [`FrameSender`] runs in the
 /// host's **global** stream coordinates: `synopses_sent` equals the
 /// position just past the last synopsis this leaf flushed (or skipped)
@@ -130,130 +122,114 @@ struct HostBuf {
     window_idx: u64,
 }
 
-/// Everything the flush path mutates, under one lock: host buffers plus
-/// the uplink socket and its connect schedule.
-struct UplinkIo {
-    hosts: HashMap<HostId, HostBuf>,
-    /// The digest frame being sent, assembled in place and reused.
-    frame: BytesMut,
-    conn: Option<TcpStream>,
-    next_attempt: Instant,
-    attempt: u32,
-    rng: StdRng,
+/// The uplink's connection as the flush path sees it: somewhere to write
+/// (a `TcpStream`; a byte vector in the tests).
+type Conn = Box<dyn Write + Send>;
+
+/// One uplink connect + handshake.
+type Dial = dyn Fn(&Hello) -> io::Result<(Conn, HelloAck)> + Send + Sync;
+
+/// The sender state of the uplink, and its connection while it is up.
+struct Link {
+    out: Outbound,
+    conn: Option<Conn>,
 }
 
 struct Uplink {
-    io: Mutex<UplinkIo>,
-    /// Clone of the live uplink socket so [`LeafCollector::kill`] can
-    /// sever it without waiting on the io lock.
-    kill_handle: Mutex<Option<TcpStream>>,
+    /// Everything the flush path mutates, under one lock.
+    io: Mutex<(HashMap<HostId, HostBuf>, Link)>,
+    dial: Box<Dial>,
+    /// Time since the uplink was made; connect due times are read off it.
+    clock: Box<dyn Fn() -> Duration + Send + Sync>,
+    /// The socket under the connection: [`LeafCollector::kill`] severs it
+    /// without waiting on the io lock, a graceful finish half-closes it.
+    socket: Arc<Mutex<Option<TcpStream>>>,
     root_addr: SocketAddr,
     config: LeafConfig,
     killed: AtomicBool,
-    counters: Counters,
+    stats: Mutex<LeafStats>,
 }
 
 impl Uplink {
+    /// An uplink to the root at `root_addr`, not yet connected.
     fn new(root_addr: SocketAddr, config: LeafConfig) -> Uplink {
+        let socket = Arc::new(Mutex::new(None));
+        let (handle, write_timeout, read_timeout) =
+            (socket.clone(), config.write_timeout, config.read_timeout);
+        let dial = move |hello: &Hello| {
+            let (stream, ack) = dial(root_addr, hello, write_timeout, read_timeout)?;
+            *handle.lock() = stream.try_clone().ok();
+            Ok((Box::new(stream) as Conn, ack))
+        };
+        let made = Instant::now();
+        let backoff = BackoffConfig {
+            seed: config.backoff.seed ^ config.id.0 as u64,
+            ..config.backoff.clone()
+        };
+        let out = Outbound::new(HostId(config.id.0), backoff);
         Uplink {
-            io: Mutex::new(UplinkIo {
-                hosts: HashMap::new(),
-                frame: BytesMut::new(),
-                conn: None,
-                next_attempt: Instant::now(),
-                attempt: 0,
-                rng: StdRng::seed_from_u64(config.backoff.seed ^ config.id.0 as u64),
-            }),
-            kill_handle: Mutex::new(None),
+            io: Mutex::new((HashMap::new(), Link { out, conn: None })),
+            dial: Box::new(dial),
+            clock: Box::new(move || made.elapsed()),
+            socket,
             root_addr,
             config,
             killed: AtomicBool::new(false),
-            counters: Counters::default(),
+            stats: Mutex::default(),
         }
     }
 
-    /// At most one uplink connect attempt, and only when the backoff
-    /// schedule says it is due — flushes run on agent handler threads
-    /// and must never spin on a dead root.
-    fn ensure_conn(&self, io: &mut UplinkIo) {
-        if io.conn.is_some() || Instant::now() < io.next_attempt {
-            return;
-        }
-        match uplink_connect(self.root_addr, &self.config) {
-            Some(stream) => {
-                *self.kill_handle.lock() = stream.try_clone().ok();
-                io.conn = Some(stream);
-                io.attempt = 0;
-                self.counters
-                    .uplink_connects
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            None => {
-                let delay = self.config.backoff.delay(io.attempt, &mut io.rng);
-                io.next_attempt = Instant::now() + delay;
-                io.attempt = io.attempt.saturating_add(1);
-            }
+    /// Frame the host's pending digest, if any, and send it. The frame is
+    /// encoded — and the global position advanced — **whether or not**
+    /// the write succeeds: an undeliverable digest must become a visible
+    /// gap at the root, not a silent renumbering.
+    fn flush_host(&self, buf: &mut HostBuf, link: &mut Link) {
+        if !buf.pending.is_empty() {
+            let batch = std::mem::take(&mut buf.pending);
+            link.out.outbox.frame_digest(&mut buf.sender, &batch);
+            self.deliver(link);
         }
     }
 
-    /// Encode and write the host's pending digest. The frame is encoded
-    /// — and the global position advanced — **whether or not** the write
-    /// succeeds: an undeliverable digest must become a visible gap at
-    /// the root, not a silent renumbering.
-    fn flush_host(&self, io: &mut UplinkIo, host: HostId) {
-        let Some(buf) = io.hosts.get_mut(&host) else {
-            return;
-        };
-        if buf.pending.is_empty() {
-            return;
+    /// Offer the frames in the outbox to the root, now: at most one
+    /// connect, and only when one is due. Frames that find no connection,
+    /// or are queued behind one a failed write cut, are abandoned.
+    fn deliver(&self, Link { out, conn }: &mut Link) {
+        let lost_before = out.counts().synopses_wire_lost;
+        let killed = || self.killed.load(Ordering::SeqCst);
+        let now = &self.clock;
+        if !killed() && conn.is_none() && out.connect_due().is_some_and(|due| due <= now()) {
+            // The leaf's own identity and no resume point: each uplink
+            // connection is a fresh framing context at the root, loss
+            // accounting rides in the digests' global coordinates. Uplinks
+            // are addressed by deployment, not by ring lookup.
+            let hello = Hello {
+                version: PROTOCOL_VERSION,
+                host: HostId(self.config.id.0),
+                next_seq: 0,
+                sent_cum: 0,
+                written_cum: 0,
+                epoch: PINNED_EPOCH,
+                role: PeerRole::Leaf,
+            };
+            *conn = out.dialed(self.root_addr, (self.dial)(&hello), now());
         }
-        let batch = std::mem::take(&mut buf.pending);
-        self.ensure_conn(io);
-        self.send_digest(io, host, &batch);
-    }
-
-    /// Frame `batch` at the host's stream position and write it upstream
-    /// — in more than one frame only if it encodes past the frame payload
-    /// bound. An empty `batch` is the host's goodbye frame.
-    fn send_digest(&self, io: &mut UplinkIo, host: HostId, batch: &[TaskSynopsis]) {
-        let mut rest = batch;
-        loop {
-            let sender = &mut io.hosts.get_mut(&host).expect("host present").sender;
-            io.frame.clear();
-            let framed = sender.encode_frame_into(&mut io.frame, rest);
-            self.write_digest(io, framed as u64);
-            rest = &rest[framed..];
-            if rest.is_empty() {
-                return;
+        if let (false, Some(root)) = (killed(), conn.as_mut()) {
+            if !out.flush(root) {
+                *conn = None;
             }
         }
-    }
-
-    /// Write the frame in `io.frame`, carrying `n` synopses, upstream.
-    fn write_digest(&self, io: &mut UplinkIo, n: u64) {
-        if self.killed.load(Ordering::SeqCst) {
-            self.counters
-                .uplink_wire_lost
-                .fetch_add(n, Ordering::Relaxed);
-            return;
+        if conn.is_none() {
+            *self.socket.lock() = None;
         }
-        let ok = match io.conn.as_mut() {
-            Some(stream) => write_message(stream, &io.frame).is_ok(),
-            None => false,
-        };
-        if ok {
-            self.counters.digests_sent.fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .digest_synopses
-                .fetch_add(n, Ordering::Relaxed);
-        } else {
-            self.counters
-                .uplink_wire_lost
-                .fetch_add(n, Ordering::Relaxed);
-            if io.conn.take().is_some() {
-                *self.kill_handle.lock() = None;
-            }
-        }
+        let (counts, mut stats) = (out.counts(), self.stats.lock());
+        stats.uplink_connects = counts.connects;
+        stats.digests_sent = counts.frames_written;
+        stats.digest_synopses = counts.synopses_written;
+        // Lost: the frame a failed write cut, and the frames given up on
+        // without a write.
+        let cut = counts.synopses_wire_lost - lost_before;
+        stats.uplink_wire_lost += cut + out.outbox.abandon();
     }
 
     /// Timer flush: push out every pending digest.
@@ -261,32 +237,28 @@ impl Uplink {
         if self.killed.load(Ordering::SeqCst) {
             return;
         }
-        let mut io = self.io.lock();
-        let hosts: Vec<HostId> = io
-            .hosts
-            .iter()
-            .filter(|(_, b)| !b.pending.is_empty())
-            .map(|(&h, _)| h)
-            .collect();
-        for host in hosts {
-            self.flush_host(&mut io, host);
+        let (hosts, link) = &mut *self.io.lock();
+        for buf in hosts.values_mut() {
+            self.flush_host(buf, link);
         }
     }
 
     /// Graceful finish: flush everything, then send a per-host empty
     /// goodbye frame so the root learns each host's final stream
-    /// position — revealing any trailing gap — and half-close.
+    /// position — revealing any trailing gap — and half-close. A link
+    /// that is down gets one connect for it, due or not.
     fn finish(&self) {
-        let mut io = self.io.lock();
-        let hosts: Vec<HostId> = io.hosts.keys().copied().collect();
-        for host in hosts {
-            self.flush_host(&mut io, host);
-            self.send_digest(&mut io, host, &[]);
+        let (hosts, link) = &mut *self.io.lock();
+        link.out.close();
+        for buf in hosts.values_mut() {
+            self.flush_host(buf, link);
+            link.out.outbox.frame_digest(&mut buf.sender, &[]);
+            self.deliver(link);
         }
-        if let Some(stream) = io.conn.take() {
-            let _ = stream.shutdown(std::net::Shutdown::Write);
+        link.conn = None;
+        if let Some(socket) = self.socket.lock().take() {
+            let _ = socket.shutdown(Shutdown::Write);
         }
-        *self.kill_handle.lock() = None;
     }
 
     /// Crash-stop: discard pending digests and sever the uplink. The
@@ -294,21 +266,13 @@ impl Uplink {
     /// the root as an exactly-accounted gap, with no goodbye.
     fn kill(&self) {
         self.killed.store(true, Ordering::SeqCst);
-        if let Some(stream) = self.kill_handle.lock().take() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
+        if let Some(socket) = self.socket.lock().take() {
+            let _ = socket.shutdown(Shutdown::Both);
         }
     }
 
     fn stats(&self) -> LeafStats {
-        let c = &self.counters;
-        LeafStats {
-            digests_sent: c.digests_sent.load(Ordering::Relaxed),
-            digest_synopses: c.digest_synopses.load(Ordering::Relaxed),
-            uplink_wire_lost: c.uplink_wire_lost.load(Ordering::Relaxed),
-            skipped_synopses: c.skipped_synopses.load(Ordering::Relaxed),
-            late_dropped: c.late_dropped.load(Ordering::Relaxed),
-            uplink_connects: c.uplink_connects.load(Ordering::Relaxed),
-        }
+        *self.stats.lock()
     }
 }
 
@@ -325,9 +289,8 @@ impl AdmittedSink for Uplink {
         }
         let start = stream_pos_end - synopses.len() as u64;
         let window_us = self.config.window.as_micros().max(1) as u64;
-        let mut io = self.io.lock();
-        let io = &mut *io;
-        let buf = io.hosts.entry(host).or_insert_with(|| HostBuf {
+        let (hosts, link) = &mut *self.io.lock();
+        let buf = hosts.entry(host).or_insert_with(|| HostBuf {
             sender: FrameSender::new(host),
             pending: Vec::new(),
             window_idx: 0,
@@ -338,65 +301,30 @@ impl AdmittedSink for Uplink {
             // this host was homed elsewhere): flush what we have at its
             // own position, then jump forward so the next frame's
             // cumulative count tells the root exactly what is missing.
-            self.flush_host(io, host);
-            let buf = io.hosts.get_mut(&host).expect("just inserted");
+            self.flush_host(buf, link);
             let jump = start - buf.sender.synopses_sent();
             buf.sender.skip(jump);
-            self.counters
-                .skipped_synopses
-                .fetch_add(jump, Ordering::Relaxed);
+            self.stats.lock().skipped_synopses += jump;
         } else if start < pos {
             // Behind our forwarded position: an agent restarted from
             // zero. Forwarding would double-count at the root; drop and
             // account.
-            self.counters
-                .late_dropped
-                .fetch_add(synopses.len() as u64, Ordering::Relaxed);
+            self.stats.lock().late_dropped += synopses.len() as u64;
             return;
         }
         for s in synopses {
             let w = s.start.as_micros() / window_us;
-            let buf = io.hosts.get_mut(&host).expect("present");
-            if buf.pending.is_empty() {
-                buf.window_idx = w;
-            } else if w != buf.window_idx {
+            if w != buf.window_idx {
                 // Stage-window edge: digests never mix windows.
-                self.flush_host(io, host);
-                let buf = io.hosts.get_mut(&host).expect("present");
+                self.flush_host(buf, link);
                 buf.window_idx = w;
             }
-            let buf = io.hosts.get_mut(&host).expect("present");
             buf.pending.push(s);
             if buf.pending.len() >= self.config.max_digest {
-                self.flush_host(io, host);
+                self.flush_host(buf, link);
             }
         }
     }
-}
-
-/// One uplink connect + v2 handshake. The hello's host field carries the
-/// leaf's own identity and zero resume state: each uplink connection is a
-/// fresh framing context at the root (per-connection receivers there),
-/// while loss accounting rides in the digests' global coordinates.
-fn uplink_connect(root_addr: SocketAddr, config: &LeafConfig) -> Option<TcpStream> {
-    let stream = TcpStream::connect(root_addr).ok()?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let mut stream = stream;
-    let hello = Hello {
-        version: PROTOCOL_VERSION,
-        host: HostId(config.id.0),
-        next_seq: 0,
-        sent_cum: 0,
-        written_cum: 0,
-        // Leaf uplinks are addressed by deployment, not by ring lookup;
-        // epoch staleness governs agent→leaf routing.
-        epoch: PINNED_EPOCH,
-        role: PeerRole::Leaf,
-    };
-    let ack = exchange_hello(&mut stream, &hello).ok()?;
-    ack.accept.then_some(stream)
 }
 
 /// A running leaf: an agent-facing [`Collector`] whose admitted frames
@@ -496,49 +424,45 @@ impl LeafCollector {
     pub fn register_metrics(&self, registry: &saad_obs::Registry) {
         let leaf_label = self.id.0.to_string();
         let labels = [("leaf", leaf_label.as_str())];
-        let counter = |f: fn(&Counters) -> &AtomicU64| {
+        let counter = |f: fn(&LeafStats) -> u64| {
             let uplink = Arc::downgrade(&self.uplink);
-            move || {
-                uplink
-                    .upgrade()
-                    .map_or(0, |u| f(&u.counters).load(Ordering::Relaxed))
-            }
+            move || uplink.upgrade().map_or(0, |u| f(&u.stats()))
         };
         registry.register_counter_fn(
             "saad_leaf_digests_sent_total",
             "Digest frames written upstream (goodbye frames included)",
             &labels,
-            counter(|c| &c.digests_sent),
+            counter(|s| s.digests_sent),
         );
         registry.register_counter_fn(
             "saad_leaf_digest_synopses_total",
             "Synopses carried by upstream digests",
             &labels,
-            counter(|c| &c.digest_synopses),
+            counter(|s| s.digest_synopses),
         );
         registry.register_counter_fn(
             "saad_leaf_uplink_wire_lost_total",
             "Synopses in digests that could not be written upstream",
             &labels,
-            counter(|c| &c.uplink_wire_lost),
+            counter(|s| s.uplink_wire_lost),
         );
         registry.register_counter_fn(
             "saad_leaf_skipped_synopses_total",
             "Synopses skipped to forward agent-link gaps upstream",
             &labels,
-            counter(|c| &c.skipped_synopses),
+            counter(|s| s.skipped_synopses),
         );
         registry.register_counter_fn(
             "saad_leaf_late_dropped_total",
             "Synopses dropped for arriving behind the forwarded position",
             &labels,
-            counter(|c| &c.late_dropped),
+            counter(|s| s.late_dropped),
         );
         registry.register_counter_fn(
             "saad_leaf_uplink_connects_total",
             "Successful uplink connection + handshake completions",
             &labels,
-            counter(|c| &c.uplink_connects),
+            counter(|s| s.uplink_connects),
         );
     }
 
@@ -581,5 +505,287 @@ impl LeafCollector {
             let _ = c.shutdown();
         }
         self.uplink.stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::outbound::testkit::{ack, messages, task};
+    use crate::protocol::RejectReason;
+    use saad_core::transport::{parse_frame, FrameOutcome, FrameReceiver, ParsedFrame};
+    use std::collections::VecDeque;
+    use std::sync::atomic::AtomicU64;
+
+    /// A root that is a byte vector: what every dial is answered with
+    /// (an accepting ack once `answers` runs out), whether writes
+    /// currently fail, every byte accepted, the hellos received and the
+    /// time the uplink reads.
+    #[derive(Default)]
+    struct Root {
+        answers: Mutex<VecDeque<io::Result<HelloAck>>>,
+        writes_fail: AtomicBool,
+        wire: Mutex<Vec<u8>>,
+        hellos: Mutex<Vec<Hello>>,
+        now_us: AtomicU64,
+    }
+
+    struct RootConn(Arc<Root>);
+
+    impl Write for RootConn {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.0.writes_fail.load(Ordering::SeqCst) {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            self.0.wire.lock().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Root {
+        /// The digest frames that arrived whole, in order.
+        fn digests(&self) -> Vec<ParsedFrame> {
+            let wire = self.wire.lock();
+            let frames = messages(&wire).into_iter().map(parse_frame);
+            frames.map(|f| f.expect("a valid frame")).collect()
+        }
+
+        fn dials(&self) -> usize {
+            self.hellos.lock().len()
+        }
+    }
+
+    fn rig(config: LeafConfig) -> (Uplink, Arc<Root>) {
+        let root = Arc::new(Root::default());
+        let (dialed, clock) = (root.clone(), root.clone());
+        let dial = move |hello: &Hello| {
+            dialed.hellos.lock().push(*hello);
+            let answer = dialed.answers.lock().pop_front();
+            let ack = answer.unwrap_or(Ok(ack(RejectReason::None)))?;
+            Ok((Box::new(RootConn(dialed.clone())) as Conn, ack))
+        };
+        let out = Outbound::new(HostId(config.id.0), config.backoff.clone());
+        let uplink = Uplink {
+            io: Mutex::new((HashMap::new(), Link { out, conn: None })),
+            dial: Box::new(dial),
+            clock: Box::new(move || Duration::from_micros(clock.now_us.load(Ordering::SeqCst))),
+            socket: Arc::default(),
+            root_addr: SocketAddr::from(([127, 0, 0, 1], 9)),
+            config,
+            killed: AtomicBool::new(false),
+            stats: Mutex::default(),
+        };
+        (uplink, root)
+    }
+
+    /// `n` synopses of `host` from uid `first`, starting in stream-time
+    /// minute `minute`.
+    fn tasks(host: u16, first: u64, n: u64, minute: u64) -> Vec<TaskSynopsis> {
+        let at = |uid| saad_sim::SimTime::from_millis(minute * 60_000 + uid);
+        (first..first + n)
+            .map(|uid| TaskSynopsis {
+                start: at(uid),
+                ..task(host, uid, (uid % 4) as usize)
+            })
+            .collect()
+    }
+
+    /// Admit one agent frame whose last synopsis sits at stream position
+    /// `end`.
+    fn admit(uplink: &Uplink, synopses: Vec<TaskSynopsis>, end: u64) {
+        uplink.on_fresh(synopses[0].host, synopses, 0, end);
+    }
+
+    /// (sequence number, stream position, uids) of each digest.
+    fn shapes(digests: &[ParsedFrame]) -> Vec<(u64, u64, Vec<u64>)> {
+        let uids = |f: &ParsedFrame| f.synopses.iter().map(|s| s.uid.0).collect();
+        digests
+            .iter()
+            .map(|f| (f.seq, f.cumulative, uids(f)))
+            .collect()
+    }
+
+    #[test]
+    fn digests_are_cut_on_the_size_cap_a_window_edge_and_the_timer() {
+        let config = LeafConfig {
+            id: LeafId(3),
+            max_digest: 3,
+            ..LeafConfig::default()
+        };
+        let (uplink, root) = rig(config);
+        admit(&uplink, tasks(7, 0, 2, 0), 2);
+        assert!(root.digests().is_empty(), "two pending, nothing to cut on");
+        // The third fills the digest; the fourth opens minute 1.
+        admit(&uplink, [tasks(7, 2, 1, 0), tasks(7, 3, 1, 1)].concat(), 4);
+        assert_eq!(shapes(&root.digests()), [(0, 0, vec![0, 1, 2])]);
+        // Minute 2 arrives: minute 1's two go out short of the cap.
+        admit(&uplink, [tasks(7, 4, 1, 1), tasks(7, 5, 1, 2)].concat(), 6);
+        assert_eq!(shapes(&root.digests())[1..], [(1, 3, vec![3, 4])]);
+        // The timer takes the straggler, once.
+        uplink.tick();
+        uplink.tick();
+        assert_eq!(shapes(&root.digests())[2..], [(2, 5, vec![5])]);
+
+        let hellos = root.hellos.lock().clone();
+        assert_eq!(hellos.len(), 1, "one connect carried them all");
+        let hello = hellos[0];
+        assert_eq!((hello.host, hello.role), (HostId(3), PeerRole::Leaf));
+        assert_eq!(
+            (hello.next_seq, hello.sent_cum, hello.written_cum),
+            (0, 0, 0)
+        );
+        assert_eq!(
+            (hello.version, hello.epoch),
+            (PROTOCOL_VERSION, PINNED_EPOCH)
+        );
+        let stats = uplink.stats();
+        let sent = LeafStats {
+            digests_sent: 3,
+            digest_synopses: 6,
+            uplink_connects: 1,
+            ..LeafStats::default()
+        };
+        assert_eq!(stats, sent);
+    }
+
+    #[test]
+    fn an_agent_link_gap_is_skipped_and_a_restart_from_zero_is_dropped() {
+        let (uplink, root) = rig(LeafConfig::default());
+        admit(&uplink, tasks(7, 0, 2, 0), 2);
+        // Positions 2..5 never reached this leaf.
+        admit(&uplink, tasks(7, 5, 2, 0), 7);
+        uplink.tick();
+        assert_eq!(
+            shapes(&root.digests()),
+            [(0, 0, vec![0, 1]), (1, 5, vec![5, 6])],
+            "what was pending goes out at its own position before the jump"
+        );
+        // An agent that starts over is behind what was forwarded.
+        admit(&uplink, tasks(7, 0, 3, 0), 3);
+        uplink.tick();
+        assert_eq!(root.digests().len(), 2);
+        let stats = uplink.stats();
+        assert_eq!((stats.skipped_synopses, stats.late_dropped), (3, 3));
+        assert_eq!((stats.digest_synopses, stats.uplink_wire_lost), (4, 0));
+        // The root's own arithmetic finds the gap.
+        let mut rx = FrameReceiver::new();
+        let lost: u64 = root
+            .digests()
+            .into_iter()
+            .map(|f| newly_lost(&mut rx, f))
+            .sum();
+        assert_eq!(lost, 3);
+    }
+
+    fn newly_lost(rx: &mut FrameReceiver, frame: ParsedFrame) -> u64 {
+        match rx.admit(frame) {
+            FrameOutcome::Fresh { newly_lost, .. } => newly_lost,
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn finish_says_one_goodbye_per_host_and_kill_says_nothing_further() {
+        let (uplink, root) = rig(LeafConfig::default());
+        admit(&uplink, tasks(7, 0, 2, 0), 2);
+        admit(&uplink, tasks(8, 0, 3, 0), 3);
+        uplink.tick();
+        admit(&uplink, tasks(7, 2, 1, 0), 3);
+        uplink.finish();
+        // Per host: what was pending, then an empty frame at the final
+        // position.
+        let mut by_host: HashMap<u16, Vec<(u64, usize)>> = HashMap::new();
+        for f in root.digests() {
+            let digest = (f.cumulative, f.synopses.len());
+            by_host.entry(f.host.0).or_default().push(digest);
+        }
+        assert_eq!(by_host[&7], [(0, 2), (2, 1), (3, 0)]);
+        assert_eq!(by_host[&8], [(0, 3), (3, 0)]);
+        assert_eq!(uplink.stats().digests_sent, 5);
+        assert_eq!(root.dials(), 1);
+
+        let (uplink, root) = rig(LeafConfig::default());
+        admit(&uplink, tasks(7, 0, 2, 0), 2);
+        uplink.tick();
+        admit(&uplink, tasks(7, 2, 2, 0), 4);
+        uplink.kill();
+        admit(&uplink, tasks(7, 4, 2, 0), 6);
+        uplink.tick();
+        assert_eq!(shapes(&root.digests()), [(0, 0, vec![0, 1])]);
+        assert_eq!(root.dials(), 1);
+        let stats = uplink.stats();
+        assert_eq!((stats.digests_sent, stats.uplink_wire_lost), (1, 0));
+        // A flush that raced the kill is counted, not written.
+        let (hosts, link) = &mut *uplink.io.lock();
+        uplink.flush_host(hosts.get_mut(&HostId(7)).unwrap(), link);
+        assert_eq!(root.digests().len(), 1);
+        assert_eq!(uplink.stats().uplink_wire_lost, 2);
+    }
+
+    /// A leaf that shuts down inside its back-off window still gets one
+    /// connect: the pending digest and the goodbyes go out, and the
+    /// goodbye's position reveals exactly what the uplink lost.
+    #[test]
+    fn a_leaf_closing_inside_its_back_off_window_still_says_goodbye() {
+        let (uplink, root) = rig(LeafConfig::default());
+        // A digest is written…
+        admit(&uplink, tasks(7, 0, 2, 0), 2);
+        uplink.tick();
+        // …the next one's write fails…
+        root.writes_fail.store(true, Ordering::SeqCst);
+        admit(&uplink, tasks(7, 2, 3, 0), 5);
+        uplink.tick();
+        root.writes_fail.store(false, Ordering::SeqCst);
+        // …and the reconnect that is due at once fails too: the digest
+        // that wanted it is abandoned, the next connect is a back-off
+        // delay away, and until then nothing dials.
+        root.answers
+            .lock()
+            .push_back(Err(io::ErrorKind::ConnectionRefused.into()));
+        admit(&uplink, tasks(7, 5, 1, 0), 6);
+        uplink.tick();
+        assert_eq!(root.dials(), 2);
+        admit(&uplink, tasks(7, 6, 1, 0), 7);
+        uplink.tick();
+        assert_eq!(root.dials(), 2, "backed off");
+        assert_eq!(uplink.stats().uplink_wire_lost, 3 + 1 + 1);
+        let due = uplink.io.lock().1.out.connect_due().expect("down");
+
+        // Shutdown, a microsecond later — well inside the delay.
+        root.now_us.store(1, Ordering::SeqCst);
+        assert!(Duration::from_micros(1) < due);
+        admit(&uplink, tasks(7, 7, 4, 0), 11);
+        uplink.finish();
+        assert_eq!(
+            root.dials(),
+            3,
+            "closing: one connect, whatever the schedule"
+        );
+        assert_eq!(
+            shapes(&root.digests()),
+            [
+                (0, 0, vec![0, 1]),
+                (4, 7, vec![7, 8, 9, 10]),
+                (5, 11, vec![]),
+            ]
+        );
+        let stats = uplink.stats();
+        assert_eq!((stats.digest_synopses, stats.uplink_wire_lost), (6, 5));
+        assert_eq!(stats.uplink_connects, 2);
+        // At the root: delivered + lost = sent, the loss exactly the
+        // digests the uplink could not write.
+        let mut rx = FrameReceiver::new();
+        let lost: u64 = root
+            .digests()
+            .into_iter()
+            .map(|f| newly_lost(&mut rx, f))
+            .sum();
+        assert_eq!(lost, stats.uplink_wire_lost);
+        let link = rx.stats(HostId(7));
+        assert_eq!(link.delivered_synopses + link.lost_synopses, 11);
     }
 }

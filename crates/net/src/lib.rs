@@ -24,11 +24,15 @@
 //! * [`ReactorCollector`] — the readiness driver: a few [`saad_reactor`]
 //!   event-loop threads multiplex thousands of connections, landing
 //!   vectored reads in the sessions' rings.
+//! * `outbound` — the sending end of one link as a sans-IO state machine,
+//!   the session's mirror: frames numbered once, one coalesced wire
+//!   image, a cut write accounted frame by frame, reconnect with jittered
+//!   exponential backoff, and a resume handshake that turns every outage
+//!   into exact loss accounting instead of silent gaps. There is one send
+//!   path; the agent's worker and the leaf's uplink are its drivers.
 //! * [`Agent`] — the tracker side: a bounded queue with the in-process
-//!   `DropNewest` / `DropOldest` / `Block` overload policies, a worker
-//!   owning the socket and a persistent frame sequence, reconnect with
-//!   jittered exponential backoff, and a resume handshake that turns
-//!   every outage into exact loss accounting instead of silent gaps.
+//!   `DropNewest` / `DropOldest` / `Block` overload policies, and a worker
+//!   that waits out each due connect and owns the socket.
 //!
 //! Nothing is retransmitted: the detector is loss-aware by design
 //! (`record_loss` + completeness), so the transport's job is to make
@@ -63,6 +67,7 @@ pub mod control;
 pub mod framing;
 mod ingest;
 pub mod leaf;
+mod outbound;
 pub mod protocol;
 pub mod reactor_collector;
 pub mod ring;

@@ -32,6 +32,8 @@ use saad_core::transport::{crc32, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
 use saad_core::HostId;
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 /// Current wire protocol version. A collector rejects peers announcing a
 /// different version rather than guessing at frame semantics.
@@ -401,6 +403,30 @@ pub fn exchange_hello<S: Read + Write>(stream: &mut S, hello: &Hello) -> io::Res
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
     decode_hello_ack(ack).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// Connect to `addr` and shake hands — the one place a sender (an agent's
+/// worker, a leaf's uplink) dials. Whether the ack accepts is the caller's
+/// to judge. The call is bounded: `read_timeout`, the time the peer is
+/// allowed to answer a hello, is also the most the connect may take, so a
+/// black-holed address costs at most twice that and never the OS's SYN
+/// timeout; writes on the returned stream fail after `write_timeout`.
+///
+/// # Errors
+///
+/// The connect's or [`exchange_hello`]'s I/O error.
+pub(crate) fn dial(
+    addr: SocketAddr,
+    hello: &Hello,
+    write_timeout: Duration,
+    read_timeout: Duration,
+) -> io::Result<(TcpStream, HelloAck)> {
+    let mut stream = TcpStream::connect_timeout(&addr, read_timeout)?;
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_write_timeout(Some(write_timeout));
+    let _ = stream.set_read_timeout(Some(read_timeout));
+    let ack = exchange_hello(&mut stream, hello)?;
+    Ok((stream, ack))
 }
 
 /// Write one length-prefixed message: `u32` big-endian body length, then
