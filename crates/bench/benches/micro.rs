@@ -4,13 +4,19 @@
 //!   claim reduced to its inner loop), and per-task cost into a discarding
 //!   sink and into an `AgentSink` streaming to a collector,
 //! * synopsis encode/decode,
+//! * the collector's edge one layer at a time — interning a known and a
+//!   new signature, decoding a 32-synopsis frame straight into a batch,
+//!   one channel hand-over with nobody parked (EXPERIMENTS.md "Collector
+//!   edge" quotes these),
 //! * model construction throughput,
 //! * analyzer observe throughput (the paper sustains 1500 synopses/s).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use saad_bench::DrainingCollector;
+use saad_core::batch::SynopsisBatch;
 use saad_core::detector::{AnomalyDetector, DetectorConfig};
 use saad_core::feature::FeatureVector;
+use saad_core::intern::SignatureInterner;
 use saad_core::model::{ModelBuilder, ModelConfig};
 use saad_core::pipeline::OverloadPolicy;
 use saad_core::synopsis::TaskSynopsis;
@@ -107,6 +113,72 @@ fn bench_codec(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_collector_edge(c: &mut Criterion) {
+    // As many flows as `saad-e2e`'s capture holds, one to six points each.
+    let flows: Vec<Vec<u16>> = (0..23u16)
+        .map(|k| (0..1 + k % 6).map(|j| 3 * k + 7 * j).collect())
+        .collect();
+    let slices: Vec<Vec<LogPointId>> = flows
+        .iter()
+        .map(|f| f.iter().map(|&p| LogPointId(p)).collect())
+        .collect();
+    let intern_all = |interner: &SignatureInterner| {
+        for points in &slices {
+            black_box(interner.intern_points(points));
+        }
+    };
+
+    let mut g = c.benchmark_group("intern");
+    g.throughput(Throughput::Elements(slices.len() as u64));
+    let warm = SignatureInterner::new();
+    intern_all(&warm);
+    g.bench_function("hit", |b| b.iter(|| intern_all(&warm)));
+    g.bench_function("miss", |b| {
+        b.iter_batched(
+            SignatureInterner::new,
+            |fresh| {
+                intern_all(&fresh);
+                fresh
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+
+    let frame: Vec<TaskSynopsis> = (0..32u64)
+        .map(|i| {
+            synopsis(
+                (i % 5) as u16,
+                &flows[i as usize % flows.len()],
+                9_000 + i,
+                i,
+            )
+        })
+        .collect();
+    let payload = codec::encode_batch(&frame);
+    let mut batch = SynopsisBatch::with_capacity(frame.len());
+    let mut g = c.benchmark_group("decode_batch_into");
+    g.throughput(Throughput::Elements(frame.len() as u64));
+    g.bench_function("32", |b| {
+        b.iter(|| {
+            batch.clear();
+            codec::decode_batch_into(&payload, &mut batch, &warm).expect("decodes")
+        })
+    });
+    g.finish();
+
+    let (tx, rx) = crossbeam_channel::bounded::<u64>(64);
+    let mut g = c.benchmark_group("channel");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("send_recv_nobody_parked", |b| {
+        b.iter(|| {
+            tx.send(7).expect("receiver alive");
+            rx.recv().expect("just sent")
+        })
+    });
+    g.finish();
+}
+
 fn trained_model() -> Arc<saad_core::model::OutlierModel> {
     let mut b = ModelBuilder::new();
     for i in 0..50_000u64 {
@@ -164,6 +236,7 @@ criterion_group!(
     benches,
     bench_tracker,
     bench_codec,
+    bench_collector_edge,
     bench_model_build,
     bench_detector
 );

@@ -20,7 +20,8 @@ pub enum DecodeError {
     UnexpectedEof,
     /// A varint ran past 10 bytes.
     VarintOverflow,
-    /// A length prefix exceeded the sanity bound.
+    /// A length prefix exceeded the sanity bound, or an identifier the
+    /// range of its type.
     LengthOutOfRange(u64),
 }
 
@@ -30,7 +31,7 @@ impl fmt::Display for DecodeError {
             DecodeError::UnexpectedEof => f.write_str("unexpected end of synopsis bytes"),
             DecodeError::VarintOverflow => f.write_str("varint longer than 10 bytes"),
             DecodeError::LengthOutOfRange(n) => {
-                write!(f, "log point count {n} exceeds sanity bound")
+                write!(f, "length or identifier {n} exceeds its bound")
             }
         }
     }
@@ -84,6 +85,14 @@ fn get_varint_at(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
     Err(DecodeError::VarintOverflow)
 }
 
+/// Narrow a decoded host, stage or point id to its 16-bit type. The
+/// encoder never writes a wider one, and truncating it would alias a
+/// legitimate id — a malformed frame that passes its CRC would be counted
+/// under a real flow.
+fn id16(v: u64) -> Result<u16, DecodeError> {
+    u16::try_from(v).map_err(|_| DecodeError::LengthOutOfRange(v))
+}
+
 pub(crate) fn get_varint(buf: &mut Bytes) -> Result<u64, DecodeError> {
     let mut pos = 0usize;
     let v = get_varint_at(buf, &mut pos)?;
@@ -133,9 +142,8 @@ pub(crate) fn get_points(buf: &mut Bytes) -> Result<Vec<LogPointId>, DecodeError
     let mut points = Vec::with_capacity(n as usize);
     let mut prev = 0u64;
     for _ in 0..n {
-        let id = prev.wrapping_add(get_varint(buf)?);
-        points.push(LogPointId(id as u16));
-        prev = id;
+        prev = prev.wrapping_add(get_varint(buf)?);
+        points.push(LogPointId(id16(prev)?));
     }
     Ok(points)
 }
@@ -222,8 +230,8 @@ pub fn decode(buf: &mut Bytes) -> Result<TaskSynopsis, DecodeError> {
 
 /// Decode the synopsis at `buf[*pos..]`, advancing `pos` past it.
 fn decode_at(buf: &[u8], pos: &mut usize) -> Result<TaskSynopsis, DecodeError> {
-    let host = HostId(get_varint_at(buf, pos)? as u16);
-    let stage = StageId(get_varint_at(buf, pos)? as u16);
+    let host = HostId(id16(get_varint_at(buf, pos)?)?);
+    let stage = StageId(id16(get_varint_at(buf, pos)?)?);
     let uid = TaskUid(get_varint_at(buf, pos)?);
     let start = SimTime::from_micros(get_varint_at(buf, pos)?);
     let duration = SimDuration::from_micros(get_varint_at(buf, pos)?);
@@ -236,9 +244,10 @@ fn decode_at(buf: &[u8], pos: &mut usize) -> Result<TaskSynopsis, DecodeError> {
     for _ in 0..n {
         let delta = get_varint_at(buf, pos)?;
         let count = get_varint_at(buf, pos)? as u32;
-        let id = prev.wrapping_add(delta);
-        log_points.push((LogPointId(id as u16), count));
-        prev = id;
+        // Deltas wrap, so an in-range id is reconstructed exactly even
+        // from an unsorted list.
+        prev = prev.wrapping_add(delta);
+        log_points.push((LogPointId(id16(prev)?), count));
     }
     Ok(TaskSynopsis {
         host,
@@ -315,8 +324,8 @@ pub fn decode_batch_into(
     let mut spill: Vec<LogPointId> = Vec::new();
     while pos < payload.len() {
         let step = (|| {
-            let host = HostId(get_varint_at(payload, &mut pos)? as u16);
-            let stage = StageId(get_varint_at(payload, &mut pos)? as u16);
+            let host = HostId(id16(get_varint_at(payload, &mut pos)?)?);
+            let stage = StageId(id16(get_varint_at(payload, &mut pos)?)?);
             let uid = TaskUid(get_varint_at(payload, &mut pos)?);
             let start = SimTime::from_micros(get_varint_at(payload, &mut pos)?);
             let duration_us = get_varint_at(payload, &mut pos)? as f64;
@@ -338,7 +347,7 @@ pub fn decode_batch_into(
                 // signature (same as `intern_synopsis`).
                 let _count = get_varint_at(payload, &mut pos)?;
                 prev = prev.wrapping_add(delta);
-                *slot = LogPointId(prev as u16);
+                *slot = LogPointId(id16(prev)?);
             }
             Ok((host, stage, uid, start, duration_us, n))
         })();
@@ -621,6 +630,79 @@ mod tests {
         assert_eq!(batch.watermarks, watermark);
     }
 
+    /// A synopsis whose ids are given as raw `u64`s, written the way the
+    /// encoder writes them — what a peer with a wider id type, or a
+    /// corruption that happens to pass the CRC, would put on the wire.
+    fn encode_raw(host: u64, stage: u64, ids: &[u64]) -> Bytes {
+        let mut buf = BytesMut::new();
+        for field in [host, stage, 77, 1_000, 25, ids.len() as u64] {
+            put_varint(&mut buf, field);
+        }
+        let mut prev = 0u64;
+        for &id in ids {
+            put_varint(&mut buf, id.wrapping_sub(prev));
+            put_varint(&mut buf, 1);
+            prev = id;
+        }
+        buf.freeze()
+    }
+
+    /// Both decoders on one payload: the error, or the decoded synopses
+    /// with the batch's signature column. A rejected payload must leave
+    /// the batch as it was.
+    fn decode_both_ways(wire: &[u8]) -> Result<Vec<TaskSynopsis>, DecodeError> {
+        use crate::batch::SynopsisBatch;
+        use crate::intern::SignatureInterner;
+        let interner = SignatureInterner::new();
+        let mut batch = SynopsisBatch::new();
+        let owned = decode_batch_slice(wire);
+        let in_place = decode_batch_into(wire, &mut batch, &interner);
+        match &owned {
+            Ok(synopses) => {
+                assert_eq!(in_place, Ok(synopses.len()));
+                let sigs: Vec<_> = synopses
+                    .iter()
+                    .map(|s| interner.intern_synopsis(s))
+                    .collect();
+                assert_eq!(batch.sigs, sigs);
+            }
+            Err(e) => {
+                assert_eq!(in_place.as_ref(), Err(e));
+                assert!(batch.is_empty(), "a rejected payload appended something");
+            }
+        }
+        owned
+    }
+
+    #[test]
+    fn an_id_past_16_bits_is_rejected_not_truncated() {
+        // Truncated, each of these would read as host 3 / stage 17 /
+        // point 5 — a legitimate flow on a legitimate host.
+        let wide = 65_536;
+        for (host, stage, ids) in [
+            (wide + 3, 17, vec![1, 5]),
+            (3, wide + 17, vec![1, 5]),
+            (3, 17, vec![1, wide + 5]),
+            (3, 17, vec![wide + 5, 1]),
+        ] {
+            let good = encode(&sample(&[(1, 1), (5, 1)]));
+            let bad = encode_raw(host, stage, &ids);
+            let rejected = host.max(stage).max(ids[0]).max(ids[1]);
+            for wire in [bad.to_vec(), [&good[..], &bad[..]].concat()] {
+                assert_eq!(
+                    decode_both_ways(&wire),
+                    Err(DecodeError::LengthOutOfRange(rejected)),
+                    "{host} {stage} {ids:?}"
+                );
+            }
+        }
+        // The widest ids that do fit still pass.
+        let edge = decode_both_ways(&encode_raw(65_535, 65_535, &[65_535])).unwrap();
+        assert_eq!(edge[0].host, HostId(u16::MAX));
+        assert_eq!(edge[0].stage, StageId(u16::MAX));
+        assert_eq!(edge[0].log_points, vec![(LogPointId(u16::MAX), 1)]);
+    }
+
     #[test]
     fn decode_error_display() {
         assert!(DecodeError::UnexpectedEof.to_string().contains("end"));
@@ -685,6 +767,43 @@ mod tests {
             // fail with any DecodeError — the only forbidden outcome is a
             // panic or an infinite loop.
             let _ = decode_batch(&mut Bytes::from(bytes));
+        }
+
+        /// Deltas wrap, so any list of in-range ids — unsorted, repeated —
+        /// is reconstructed exactly by both decoders; the range check
+        /// rejects nothing the encoder can write.
+        #[test]
+        fn in_range_ids_reconstruct_exactly_in_any_order(
+            host in 0u32..65_536,
+            stage in 0u32..65_536,
+            raw_points in proptest::collection::vec((0u32..65_536, 1u32..10_000), 0..40),
+        ) {
+            let points: Vec<(u16, u32)> = raw_points.iter().map(|&(p, c)| (p as u16, c)).collect();
+            let s = TaskSynopsis {
+                host: HostId(host as u16),
+                stage: StageId(stage as u16),
+                ..sample(&points)
+            };
+            prop_assert_eq!(decode_both_ways(&encode(&s)), Ok(vec![s]));
+        }
+
+        /// One field of a well-formed synopsis pushed past 16 bits, at any
+        /// position, by any excess: both decoders name the value.
+        #[test]
+        fn a_wide_id_anywhere_is_rejected(
+            ids in proptest::collection::vec(0u64..65_536, 1..24),
+            victim in 0usize..26,
+            excess in 0u64..(1 << 40),
+        ) {
+            let mut fields = vec![3u64, 17];
+            fields.extend(&ids);
+            let victim = victim % fields.len();
+            fields[victim] += 65_536 + excess;
+            let wire = encode_raw(fields[0], fields[1], &fields[2..]);
+            prop_assert_eq!(
+                decode_both_ways(&wire),
+                Err(DecodeError::LengthOutOfRange(fields[victim]))
+            );
         }
 
         #[test]

@@ -8,12 +8,20 @@
 //! structure — compiled model tables, detection-window accumulators —
 //! keys on the dense `u32` [`SigId`] instead.
 //!
-//! The table is sharded 16 ways; each shard is an append-only
-//! `RwLock<{HashMap, Vec}>` pair, so concurrent analyzer shards interning
-//! already-seen signatures (the overwhelmingly common case — a stage has
-//! a handful of live flows) take only a read lock on one shard. A write
-//! lock is needed only the first time a signature is ever seen,
-//! cluster-wide.
+//! Two levels. The source of truth is a table sharded 16 ways, each
+//! shard an append-only `RwLock<{HashMap, Vec}>` pair: it issues every
+//! id, answers [`SignatureInterner::resolve`] and is what a checkpoint
+//! stores. In front of it sits a small insert-only table of
+//! `FRONT_SLOTS` (256) publish-once slots that takes no lock at all: a
+//! handful of signatures cover 95 % of tasks (the paper's Fig 6: 29–72
+//! per system), so interning a known flow is one hash of the point
+//! slice, one acquire load and one slice compare. A signature enters the
+//! front the first time the sharded table resolves it; a slot, once
+//! published, is never replaced, and a signature whose `FRONT_PROBES` (8)
+//! candidate slots are all taken simply keeps going through its shard
+//! (a read lock on a hit, a write lock the first time it is ever seen,
+//! cluster-wide). The front changes no id: it only remembers what the
+//! shards answered.
 //!
 //! Ids are stable for the lifetime of the interner and encode their
 //! shard in the low bits, so [`SignatureInterner::resolve`] is two array
@@ -25,6 +33,7 @@ use parking_lot::RwLock;
 use saad_logging::LogPointId;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Number of independent shards (must be a power of two).
 const SHARDS: usize = 16;
@@ -44,6 +53,10 @@ pub(crate) const INLINE_POINTS: usize = 16;
 pub struct SigId(pub u32);
 
 impl SigId {
+    fn new(shard: usize, local: u32) -> SigId {
+        SigId((local << SHARD_BITS) | shard as u32)
+    }
+
     fn shard(self) -> usize {
         (self.0 & SHARD_MASK) as usize
     }
@@ -81,6 +94,85 @@ fn shard_of(points: &[LogPointId]) -> usize {
     ((h ^ (h >> 16)) as usize) & (SHARDS - 1)
 }
 
+/// Slots in the lock-free front table (a power of two). Fig 6 puts the
+/// signatures that cover 95 % of tasks at 29–72 per system, so the hot
+/// set loads the table to under a third.
+const FRONT_SLOTS: usize = 256;
+/// Consecutive slots a signature may occupy, counted from its hash. Past
+/// them the signature is not cached and resolves through its shard.
+const FRONT_PROBES: usize = 8;
+
+/// One published front slot: a canonical point slice and the id its
+/// shard issued for it.
+struct FrontEntry {
+    hash: u64,
+    id: SigId,
+    points: Box<[LogPointId]>,
+}
+
+/// Hash of a point slice for the front table only (the shard — and so
+/// the id — is still chosen by [`shard_of`]): one multiply per point,
+/// finished so that the low bits, which pick the slot, depend on every
+/// point.
+fn front_hash(points: &[LogPointId]) -> u64 {
+    let mut h = points.len() as u64;
+    for p in points {
+        h = (h.rotate_left(5) ^ u64::from(p.0)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    h ^ (h >> 32)
+}
+
+/// The insert-only front table. `OnceLock` gives each slot exactly one
+/// publication (release) that every later reader sees whole (acquire).
+struct Front {
+    slots: [OnceLock<FrontEntry>; FRONT_SLOTS],
+}
+
+impl Default for Front {
+    fn default() -> Front {
+        Front {
+            slots: [const { OnceLock::new() }; FRONT_SLOTS],
+        }
+    }
+}
+
+impl Front {
+    fn probes(hash: u64) -> impl Iterator<Item = usize> {
+        (0..FRONT_PROBES).map(move |i| (hash as usize).wrapping_add(i) & (FRONT_SLOTS - 1))
+    }
+
+    /// The cached id of exactly this slice. Slots fill in probe order and
+    /// are never vacated, so the first empty one ends the search. Only
+    /// canonical slices are ever published, so an unsorted or duplicated
+    /// slice matches nothing.
+    fn get(&self, hash: u64, points: &[LogPointId]) -> Option<SigId> {
+        for slot in Front::probes(hash) {
+            let entry = self.slots[slot].get()?;
+            if entry.hash == hash && *entry.points == *points {
+                return Some(entry.id);
+            }
+        }
+        None
+    }
+
+    /// Publish `points → id` in the first free candidate slot, unless a
+    /// racing thread already published the same signature or every
+    /// candidate is taken.
+    fn publish(&self, hash: u64, points: &[LogPointId], id: SigId) {
+        for slot in Front::probes(hash) {
+            let slot = &self.slots[slot];
+            let entry = slot.get_or_init(|| FrontEntry {
+                hash,
+                id,
+                points: points.into(),
+            });
+            if entry.hash == hash && *entry.points == *points {
+                return;
+            }
+        }
+    }
+}
+
 /// A concurrent, append-only map `Signature → SigId`.
 ///
 /// # Example
@@ -98,6 +190,7 @@ fn shard_of(points: &[LogPointId]) -> usize {
 /// ```
 #[derive(Default)]
 pub struct SignatureInterner {
+    front: Front,
     shards: [RwLock<Shard>; SHARDS],
 }
 
@@ -162,34 +255,54 @@ impl SignatureInterner {
             points.windows(2).all(|w| w[0] < w[1]),
             "intern_sorted requires strictly ascending points"
         );
+        let hash = front_hash(points);
+        match self.front.get(hash, points) {
+            Some(id) => id,
+            None => self.intern_through_shard(hash, points),
+        }
+    }
+
+    /// The front missed: resolve the canonical `points` through their
+    /// shard, which issues the id if nobody has yet, then remember the
+    /// answer in the front.
+    fn intern_through_shard(&self, hash: u64, points: &[LogPointId]) -> SigId {
         let shard_idx = shard_of(points);
         let shard = &self.shards[shard_idx];
-        if let Some(&local) = shard.read().ids.get(points) {
-            return SigId((local << SHARD_BITS) | shard_idx as u32);
-        }
-        let mut inner = shard.write();
-        // Double-check: another thread may have interned it between the
-        // read unlock and the write lock.
-        if let Some(&local) = inner.ids.get(points) {
-            return SigId((local << SHARD_BITS) | shard_idx as u32);
-        }
-        let local = inner.sigs.len() as u32;
-        assert!(
-            local < (u32::MAX >> SHARD_BITS),
-            "signature interner shard overflow"
-        );
-        let sig = Signature::from_sorted_points(points.to_vec());
-        inner.sigs.push(sig.clone());
-        inner.ids.insert(sig, local);
-        SigId((local << SHARD_BITS) | shard_idx as u32)
+        let known = shard.read().ids.get(points).copied();
+        let local = known.unwrap_or_else(|| {
+            let mut inner = shard.write();
+            // Double-check: another thread may have interned it between
+            // the read unlock and the write lock.
+            if let Some(&local) = inner.ids.get(points) {
+                return local;
+            }
+            let local = inner.sigs.len() as u32;
+            assert!(
+                local < (u32::MAX >> SHARD_BITS),
+                "signature interner shard overflow"
+            );
+            let sig = Signature::from_sorted_points(points.to_vec());
+            inner.sigs.push(sig.clone());
+            inner.ids.insert(sig, local);
+            local
+        });
+        let id = SigId::new(shard_idx, local);
+        self.front.publish(hash, points, id);
+        id
     }
 
     /// Intern an arbitrary (possibly unsorted, possibly duplicated)
     /// slice of visited points. Normalizes into a small inline buffer —
     /// no heap allocation for signatures of up to 16 distinct points.
     pub fn intern_points(&self, points: &[LogPointId]) -> SigId {
+        // A front hit proves the slice canonical (nothing else is ever
+        // published), so a known flow skips the sortedness pass too.
+        let hash = front_hash(points);
+        if let Some(id) = self.front.get(hash, points) {
+            return id;
+        }
         if points.windows(2).all(|w| w[0] < w[1]) {
-            return self.intern_sorted(points);
+            return self.intern_through_shard(hash, points);
         }
         let mut inline = [LogPointId(0); INLINE_POINTS];
         if points.len() <= INLINE_POINTS {
@@ -208,7 +321,8 @@ impl SignatureInterner {
 
     /// Intern a synopsis's signature. The tracker keeps `log_points`
     /// sorted and distinct, so the common case is a copy into a stack
-    /// buffer plus one hash — no allocation, no re-sort.
+    /// buffer, one hash and a front-table hit — no allocation, no
+    /// re-sort, no lock.
     pub fn intern_synopsis(&self, s: &TaskSynopsis) -> SigId {
         let mut inline = [LogPointId(0); INLINE_POINTS];
         if s.log_points.len() <= INLINE_POINTS {
@@ -229,7 +343,7 @@ impl SignatureInterner {
             .read()
             .ids
             .get(sig.points())
-            .map(|&local| SigId((local << SHARD_BITS) | shard_idx as u32))
+            .map(|&local| SigId::new(shard_idx, local))
     }
 
     /// Whether this interner has issued `id` (a lock and a compare — the
@@ -274,6 +388,18 @@ impl SignatureInterner {
             "shard_contents must have exactly {SHARDS} shards"
         );
         let interner = SignatureInterner::new();
+        // Warm the front in local-index order across the shards — the
+        // nearest thing to first-seen order a checkpoint keeps — so the
+        // flows the writer met first are the ones cached again.
+        let deepest = contents.iter().map(Vec::len).max().unwrap_or(0);
+        for local in 0..deepest {
+            for (shard_idx, sigs) in contents.iter().enumerate() {
+                if let Some(sig) = sigs.get(local) {
+                    let (points, id) = (sig.points(), SigId::new(shard_idx, local as u32));
+                    interner.front.publish(front_hash(points), points, id);
+                }
+            }
+        }
         for (shard_idx, sigs) in contents.into_iter().enumerate() {
             let mut inner = interner.shards[shard_idx].write();
             for (local, sig) in sigs.into_iter().enumerate() {
@@ -428,10 +554,20 @@ mod tests {
         let restored = SignatureInterner::from_shard_contents(interner.shard_contents());
         assert_eq!(restored.len(), interner.len());
         assert_eq!(restored.capacity(), interner.capacity());
+        let mut warm = 0;
         for (s, &id) in sigs.iter().zip(&ids) {
             assert_eq!(restored.get(s), Some(id), "{s}");
             assert_eq!(restored.resolve(id), Some(s.clone()));
+            // The front was warmed from the shards and agrees with them.
+            let cached = restored.front.get(front_hash(s.points()), s.points());
+            assert!(cached.is_none() || cached == Some(id), "{s}");
+            warm += usize::from(cached.is_some());
+            assert_eq!(restored.intern(s), id, "{s}");
         }
+        assert!(
+            warm >= sigs.len() / 2,
+            "only {warm} restored into the front"
+        );
         // The restored interner keeps appending without id collisions.
         let fresh = restored.intern(&sig(&[250, 251]));
         assert!(ids.iter().all(|&id| id != fresh));
@@ -454,6 +590,114 @@ mod tests {
         // Move every signature one shard over.
         contents.rotate_right(1);
         SignatureInterner::from_shard_contents(contents);
+    }
+
+    /// An interner whose front can cache nothing — every slot is already
+    /// published, to an entry no slice matches — so every call resolves
+    /// through the shards alone: the behaviour before the front existed,
+    /// and the behaviour of a full table.
+    fn shards_only() -> SignatureInterner {
+        let interner = SignatureInterner::new();
+        for slot in &interner.front.slots {
+            let taken = slot.set(FrontEntry {
+                hash: 0,
+                id: SigId(u32::MAX),
+                points: [LogPointId(0), LogPointId(0)].into(),
+            });
+            assert!(taken.is_ok());
+        }
+        interner
+    }
+
+    /// Slice `i` of a reproducible stream: canonical, reversed, or with
+    /// its first point repeated at the end, over ~700 distinct signatures
+    /// (more than the front holds).
+    fn stream_slice(i: u32) -> Vec<LogPointId> {
+        let k = (i.wrapping_mul(2_654_435_761) >> 7) % 700;
+        let len = 1 + (k % 5) as u16;
+        let mut points: Vec<LogPointId> = (0..len).map(|j| LogPointId(k as u16 + 97 * j)).collect();
+        match i % 3 {
+            0 => {}
+            1 => points.reverse(),
+            _ => points.push(points[0]),
+        }
+        points
+    }
+
+    #[test]
+    fn front_issues_exactly_the_ids_the_shards_issue() {
+        let fronted = SignatureInterner::new();
+        let plain = shards_only();
+        for i in 0..6_000u32 {
+            let points = stream_slice(i);
+            let id = fronted.intern_points(&points);
+            assert_eq!(id, plain.intern_points(&points), "slice {i}: {points:?}");
+            let canonical = Signature::from_points(points.iter().copied());
+            assert_eq!(fronted.resolve(id), Some(canonical.clone()));
+            assert_eq!(fronted.intern_sorted(canonical.points()), id);
+            assert_eq!(fronted.get(&canonical), Some(id));
+        }
+        assert_eq!(fronted.shard_contents(), plain.shard_contents());
+        // The stream outgrew the front: some signatures are cached, the
+        // rest found every candidate slot taken and still interned.
+        let cached = fronted.front.slots.iter().filter(|s| s.get().is_some());
+        let cached = cached.count();
+        assert!(
+            cached > FRONT_SLOTS / 2 && fronted.len() > cached,
+            "{cached} cached"
+        );
+    }
+
+    #[test]
+    fn only_canonical_slices_are_cached() {
+        let interner = SignatureInterner::new();
+        let raw = [5, 1, 5, 3].map(LogPointId);
+        let canonical = [1, 3, 5].map(LogPointId);
+        let id = interner.intern_points(&raw);
+        assert_eq!(interner.front.get(front_hash(&raw), &raw), None);
+        assert_eq!(
+            interner.front.get(front_hash(&canonical), &canonical),
+            Some(id)
+        );
+        let published = interner.front.slots.iter().filter(|s| s.get().is_some());
+        assert_eq!(published.count(), 1);
+    }
+
+    #[test]
+    fn threads_racing_new_signatures_get_one_id_each() {
+        const THREADS: usize = 4;
+        const SIGNATURES: u16 = 400;
+        let interner = SignatureInterner::new();
+        let start = std::sync::Barrier::new(THREADS);
+        let per_thread: Vec<Vec<SigId>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        // Everyone meets each signature for the first time
+                        // at once: front miss, shard insert and front
+                        // publication all race.
+                        start.wait();
+                        (0..SIGNATURES)
+                            .map(|k| interner.intern_points(&[k, k + 1, 2 * k + 7].map(LogPointId)))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for ids in &per_thread[1..] {
+            assert_eq!(ids, &per_thread[0], "threads disagree on an id");
+        }
+        let distinct: std::collections::HashSet<SigId> = per_thread[0].iter().copied().collect();
+        assert_eq!(distinct.len(), SIGNATURES as usize);
+        assert_eq!(interner.len(), SIGNATURES as usize);
+        // No signature was published twice, and what is cached is right.
+        let mut cached = std::collections::HashSet::new();
+        for entry in interner.front.slots.iter().filter_map(OnceLock::get) {
+            assert!(cached.insert(entry.id), "{} cached twice", entry.id);
+            let sig = Signature::from_sorted_points(entry.points.to_vec());
+            assert_eq!(interner.resolve(entry.id), Some(sig));
+        }
     }
 
     proptest! {

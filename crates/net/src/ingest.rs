@@ -677,6 +677,39 @@ mod tests {
         assert_gap_is_charged(interner, &batches, &losses, owed);
     }
 
+    /// A frame whose checksum is right and whose synopsis names host
+    /// 85 536: truncated to 16 bits that is host 20 000, and the frame
+    /// would pass for a real one. It is counted corrupted on both outputs,
+    /// nothing of it is forwarded, and the stream stays readable.
+    #[test]
+    fn a_crc_valid_frame_with_a_wide_id_is_counted_corrupted() {
+        use saad_core::transport::crc32;
+        let host = 20_000; // three varint bytes, the last one `1`
+        let good = vec![testkit::synopsis(host, 1, 100, &[1, 2])];
+        let mut bodies = frame_bodies(&[host], &[good.clone(), good], 0, 0);
+        let bad = &mut bodies[0];
+        assert_eq!(bad[FRAME_HEADER_LEN + 2], 1);
+        bad[FRAME_HEADER_LEN + 2] = 5; // host 20 000 + (4 << 14) = 85 536
+        let crc = crc32(&[&bad[..FRAME_HEADER_LEN - 4], &bad[FRAME_HEADER_LEN..]]);
+        bad[FRAME_HEADER_LEN - 4..FRAME_HEADER_LEN].copy_from_slice(&crc.to_be_bytes());
+        for soa in [true, false] {
+            let rig = rig(2, None, soa);
+            let mut link = rig.ingest.link();
+            for body in &bodies {
+                link.on_message(body);
+            }
+            let stats = rig.ingest.stats();
+            assert_eq!(
+                (stats.corrupted_frames, stats.frames, stats.synopses),
+                (1, 1, 1)
+            );
+            assert_eq!(
+                rig.soa.try_iter().count() + rig.forwarded.try_iter().count(),
+                1
+            );
+        }
+    }
+
     #[test]
     fn one_family_labelled_by_backend_with_every_total() {
         let registry = saad_obs::Registry::new();

@@ -1,13 +1,16 @@
 //! Hot-path allocation audit: at steady state — warm window accumulators,
 //! trained signatures, reused batch and verdict buffers — a full
 //! build-batch → classify-batch → observe-batch round performs **zero**
-//! heap allocations.
+//! heap allocations, and so does decoding a frame of known flows
+//! straight into a batch (`decode_batch_into`: every signature a hit in
+//! the interner's front table).
 //!
 //! The test installs its own counting global allocator (integration tests
 //! are separate binaries, so this does not leak into other suites), warms
 //! every map and buffer the batch path touches, then drives many more
 //! rounds and asserts the allocation counter did not move.
 
+use saad::core::codec::{decode_batch_into, encode_batch};
 use saad::core::detector::{AnomalyDetector, DetectorConfig};
 use saad::core::model::{ModelBuilder, ModelConfig, OutlierModel, TaskClass};
 use saad::core::prelude::*;
@@ -90,7 +93,7 @@ fn steady_state_batch_round_allocates_nothing() {
     // inside one detection window, trained signatures only. Durations mix
     // in-band values with gross outliers so the perf arm fires.
     let window_ms = DetectorConfig::default().window.as_micros() / 1_000;
-    let features: Vec<(InternedFeature, SimTime)> = (0..256u64)
+    let synopses: Vec<TaskSynopsis> = (0..256u64)
         .map(|i| {
             let host = (i % 4) as u16;
             let stage = (i % 3) as u16;
@@ -104,9 +107,12 @@ fn steady_state_batch_round_allocates_nothing() {
                 (&[4, 5, 6], 2_000 + (i % 31) * 11)
             };
             let start_ms = (i * window_ms / 512).max(1); // first half-window
-            let s = synopsis(host, stage, points, dur, start_ms);
-            (InternedFeature::from_synopsis(&s, &interner), s.start)
+            synopsis(host, stage, points, dur, start_ms)
         })
+        .collect();
+    let features: Vec<(InternedFeature, SimTime)> = synopses
+        .iter()
+        .map(|s| (InternedFeature::from_synopsis(s, &interner), s.start))
         .collect();
     let watermark = features.iter().map(|&(_, at)| at).max().unwrap();
 
@@ -158,4 +164,27 @@ fn steady_state_batch_round_allocates_nothing() {
     assert!(normal > 0, "steady stream must contain normal tasks");
     assert!(perf > 0, "gross outliers must classify as perf outliers");
     assert!(flow + perf + normal == features.len() as u64);
+
+    // The collector's edge: the same synopses as a frame payload, decoded
+    // in place. Every signature is known, so each is one front-table hit:
+    // no lock, no normalizing copy to the heap, no allocation.
+    let wire = encode_batch(&synopses);
+    let expected: Vec<SigId> = features.iter().map(|(f, _)| f.sig).collect();
+    batch.clear();
+    decode_batch_into(&wire, &mut batch, &interner).expect("own encoding decodes");
+    let before = allocations();
+    for _ in 0..ROUNDS {
+        batch.clear();
+        let n = decode_batch_into(&wire, &mut batch, &interner).expect("own encoding decodes");
+        assert_eq!(n, synopses.len());
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "decoding known flows must be allocation-free ({delta} allocations over {ROUNDS} rounds)"
+    );
+    assert_eq!(
+        batch.sigs, expected,
+        "decode interns to the ids the model was compiled on"
+    );
 }
