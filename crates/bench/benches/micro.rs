@@ -9,15 +9,18 @@
 //!   one channel hand-over with nobody parked (EXPERIMENTS.md "Collector
 //!   edge" quotes these),
 //! * model construction throughput,
-//! * analyzer observe throughput (the paper sustains 1500 synopses/s).
+//! * analyzer observe throughput (the paper sustains 1500 synopses/s), the
+//!   batch path over one stream in order and with every sixth element three
+//!   windows old, and the cost of closing a silent window (EXPERIMENTS.md
+//!   "Late data" quotes these three).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use saad_bench::DrainingCollector;
 use saad_core::batch::SynopsisBatch;
 use saad_core::detector::{AnomalyDetector, DetectorConfig};
-use saad_core::feature::FeatureVector;
+use saad_core::feature::{FeatureVector, InternedFeature};
 use saad_core::intern::SignatureInterner;
-use saad_core::model::{ModelBuilder, ModelConfig};
+use saad_core::model::{ModelBuilder, ModelConfig, VerdictMask};
 use saad_core::pipeline::OverloadPolicy;
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::tracker::{NullSink, SynopsisSink, TaskExecutionTracker};
@@ -225,6 +228,88 @@ fn bench_detector(c: &mut Criterion) {
                     d.observe(f);
                 }
                 d.flush()
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    // The batch path over six one-minute windows of four hosts, in batches
+    // of 256 stamped with the running-maximum watermark: once in order,
+    // once with every sixth element three windows old — a straggler, which
+    // is a silent window of its own.
+    let interner = Arc::new(SignatureInterner::new());
+    let compiled = Arc::new(model.compile(&interner));
+    let fresh = || {
+        let config = DetectorConfig::default();
+        AnomalyDetector::with_shared(model.clone(), compiled.clone(), interner.clone(), config)
+    };
+    const STREAM: u64 = 12_288;
+    let window_us = DetectorConfig::default().window.as_micros();
+    let batches = |late_every: u64| -> (Vec<SynopsisBatch>, u64) {
+        let (mut watermark, mut late) = (SimTime::ZERO, 0);
+        let mut out = Vec::new();
+        let mut batch = SynopsisBatch::with_capacity(256);
+        for i in 0..STREAM {
+            let mut s = synopsis(0, &[1, 2, 4, 5], 9_000 + (i % 97) * 20, i);
+            s.host = HostId((i % 4) as u16);
+            let behind = if late_every != 0 && i % late_every == 0 {
+                3
+            } else {
+                0
+            };
+            s.start = SimTime::from_micros((3 - behind) * window_us + i * 30_000);
+            watermark = watermark.max(s.start);
+            late +=
+                u64::from(s.start.as_micros() / window_us + 1 < watermark.as_micros() / window_us);
+            batch.push_feature(&InternedFeature::from_synopsis(&s, &interner), watermark);
+            if batch.len() == 256 {
+                out.push(std::mem::replace(
+                    &mut batch,
+                    SynopsisBatch::with_capacity(256),
+                ));
+            }
+        }
+        (out, late)
+    };
+    g.throughput(Throughput::Elements(STREAM));
+    for (name, late_every) in [("observe_batch/in_order", 0), ("observe_batch/late_16", 6)] {
+        let (batches, late) = batches(late_every);
+        // Every `late_every`-th element but the first, which nothing precedes.
+        let stragglers = STREAM.checked_div(late_every).map_or(0, |n| n - 1);
+        assert_eq!(late, stragglers);
+        let mut verdicts = VerdictMask::new();
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                fresh,
+                |mut d| {
+                    for batch in &batches {
+                        black_box(d.observe_batch(batch, &mut verdicts));
+                    }
+                    assert_eq!(d.late_seen(), late);
+                    d
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+
+    // 1000 open windows of 16 healthy tasks each — both proportion tests
+    // run in every one, neither rejects — closed by one watermark advance.
+    let mut filled = fresh();
+    for i in 0..16_000u64 {
+        let mut s = synopsis(0, &[1, 2, 4, 5], 9_000 + (i % 97) * 20, i);
+        s.host = HostId((i % 1000) as u16);
+        filled.observe_synopsis(&s);
+    }
+    let filled = filled.snapshot();
+    g.throughput(Throughput::Elements(1000));
+    g.bench_function("close_silent_windows/1000", |b| {
+        b.iter_batched(
+            || AnomalyDetector::from_snapshot(filled.clone()),
+            |mut d| {
+                let events = d.advance_watermark(SimTime::from_micros(3 * window_us));
+                assert!(events.is_empty() && d.open_windows() == 0);
+                d
             },
             BatchSize::SmallInput,
         )

@@ -181,6 +181,51 @@ struct WindowAccum {
     perf: FastMap<SigId, (u64, u64)>,
 }
 
+impl WindowAccum {
+    /// Count one classified task of `stage`.
+    #[inline]
+    fn count(
+        &mut self,
+        class: TaskClass,
+        stage: StageId,
+        sig: SigId,
+        compiled: &CompiledModel,
+        max_new_signatures: usize,
+    ) {
+        self.n += 1;
+        match class {
+            TaskClass::Normal | TaskClass::PerformanceOutlier => {
+                // Track the per-signature performance group when eligible.
+                if compiled.is_perf_eligible(stage, sig) {
+                    let g = self.perf.entry(sig).or_insert((0, 0));
+                    g.1 += 1;
+                    if class == TaskClass::PerformanceOutlier {
+                        g.0 += 1;
+                    }
+                }
+            }
+            TaskClass::FlowOutlier => self.rare_flow_outliers += 1,
+            TaskClass::NewSignature => {
+                self.new_signature_tasks += 1;
+                if !self.new_signatures.contains(&sig)
+                    && self.new_signatures.len() < max_new_signatures
+                {
+                    self.new_signatures.push(sig);
+                }
+            }
+        }
+    }
+
+    /// Empty the accumulator, keeping what its vector and map allocated.
+    fn clear(&mut self) {
+        self.n = 0;
+        self.rare_flow_outliers = 0;
+        self.new_signature_tasks = 0;
+        self.new_signatures.clear();
+        self.perf.clear();
+    }
+}
+
 /// Identity of one detection window: `(host, stage, window index)`.
 type WindowKey = (HostId, StageId, u64);
 
@@ -189,10 +234,10 @@ type WindowKey = (HostId, StageId, u64);
 /// Windows close in index order — everything below the watermark's grace
 /// bound at once — so the store keeps one bucket per window index and
 /// closing pops whole buckets off the front: the work is proportional to
-/// the windows closed, never to the windows open. At most the watermark's
-/// own index, the one before it and (transiently) one late straggler's are
-/// present, so finding an element's bucket is a search over two or three
-/// keys.
+/// the windows closed, never to the windows open. Only the watermark's own
+/// index and the one before it are present (a straggler never enters the
+/// store, see `AnomalyDetector::account`), so finding an element's bucket
+/// is a search over two keys.
 #[derive(Debug, Default, Clone)]
 struct OpenWindows {
     by_index: BTreeMap<u64, FastMap<(HostId, StageId), WindowAccum>>,
@@ -240,6 +285,15 @@ impl OpenWindows {
         taken
     }
 
+    /// Whether a window below the grace bound is open. Closing leaves none
+    /// behind, so only a snapshot merged from shards whose watermarks stood
+    /// in different windows brings one in.
+    #[inline]
+    fn has_stale(&self, closable_before: u64) -> bool {
+        let first = self.by_index.first_key_value();
+        first.is_some_and(|(&idx, _)| idx + 1 < closable_before)
+    }
+
     /// Remove every window whose index lies more than one window (the
     /// grace period) below `closable_before`.
     fn take_stale(&mut self, closable_before: u64) -> Vec<(WindowKey, WindowAccum)> {
@@ -278,9 +332,14 @@ pub struct AnomalyDetector {
     watermark: SimTime,
     tasks_seen: u64,
     tasks_lost: u64,
+    late_seen: u64,
     // Bootstrap/degraded mode: no trained model yet; count windows and
     // emit ModelUnavailable instead of classifying.
     collect_only: bool,
+    // The one-task window of a straggler (see `account`), reused so that
+    // closing it touches neither the store nor the heap. Not state:
+    // cleared before every use, never snapshotted.
+    scratch: WindowAccum,
 }
 
 /// A restartable copy of a detector's mutable state, taken with
@@ -297,6 +356,8 @@ pub struct DetectorSnapshot {
     watermark: SimTime,
     tasks_seen: u64,
     tasks_lost: u64,
+    // Not in the wire form: a restored checkpoint counts from zero.
+    late_seen: u64,
     collect_only: bool,
 }
 
@@ -476,6 +537,7 @@ impl DetectorSnapshot {
             watermark,
             tasks_seen,
             tasks_lost,
+            late_seen: 0,
             collect_only,
         })
     }
@@ -489,8 +551,8 @@ impl DetectorSnapshot {
     /// `(host, stage)` lives on exactly one shard), but colliding keys
     /// are combined additively for robustness. Loss maps are broadcast
     /// to every shard by the router, so they merge per-key by `max`, as
-    /// do `tasks_lost` and the watermark; `tasks_seen` sums. Returns
-    /// `None` for an empty input.
+    /// do `tasks_lost` and the watermark; `tasks_seen` and `late_seen` sum.
+    /// Returns `None` for an empty input.
     pub fn merge(parts: Vec<DetectorSnapshot>) -> Option<DetectorSnapshot> {
         let mut iter = parts.into_iter();
         let mut merged = iter.next()?;
@@ -521,6 +583,7 @@ impl DetectorSnapshot {
             }
             merged.watermark = merged.watermark.max(part.watermark);
             merged.tasks_seen += part.tasks_seen;
+            merged.late_seen += part.late_seen;
             merged.tasks_lost = merged.tasks_lost.max(part.tasks_lost);
         }
         Some(merged)
@@ -530,8 +593,8 @@ impl DetectorSnapshot {
     /// each open window to `route(host, stage) % n`. The inverse of
     /// [`DetectorSnapshot::merge`]: loss maps, the watermark, and
     /// `tasks_lost` are broadcast to every part (matching the router's
-    /// broadcast of loss reports), while `tasks_seen` is carried by part
-    /// 0 so pool-level totals stay exact.
+    /// broadcast of loss reports), while `tasks_seen` and `late_seen` are
+    /// carried by part 0 so pool-level totals stay exact.
     ///
     /// # Panics
     ///
@@ -553,10 +616,12 @@ impl DetectorSnapshot {
                 watermark: self.watermark,
                 tasks_seen: 0,
                 tasks_lost: self.tasks_lost,
+                late_seen: 0,
                 collect_only: self.collect_only,
             })
             .collect();
         parts[0].tasks_seen = self.tasks_seen;
+        parts[0].late_seen = self.late_seen;
         for ((host, stage, idx), acc) in self.open.take_all() {
             *parts[route(host, stage) % n].open.accum(host, stage, idx) = acc;
         }
@@ -659,7 +724,9 @@ impl AnomalyDetector {
             watermark: SimTime::ZERO,
             tasks_seen: 0,
             tasks_lost: 0,
+            late_seen: 0,
             collect_only: false,
+            scratch: WindowAccum::default(),
         })
     }
 
@@ -678,6 +745,7 @@ impl AnomalyDetector {
             watermark: self.watermark,
             tasks_seen: self.tasks_seen,
             tasks_lost: self.tasks_lost,
+            late_seen: self.late_seen,
             collect_only: self.collect_only,
         }
     }
@@ -695,7 +763,9 @@ impl AnomalyDetector {
             watermark: snapshot.watermark,
             tasks_seen: snapshot.tasks_seen,
             tasks_lost: snapshot.tasks_lost,
+            late_seen: snapshot.late_seen,
             collect_only: snapshot.collect_only,
+            scratch: WindowAccum::default(),
         }
     }
 
@@ -763,6 +833,18 @@ impl AnomalyDetector {
     /// [`AnomalyDetector::record_loss`]).
     pub fn tasks_lost(&self) -> u64 {
         self.tasks_lost
+    }
+
+    /// Tasks that arrived after the watermark had moved more than the
+    /// grace window past theirs. Each was tested as a window of its own,
+    /// so it counted towards no window that could reach
+    /// [`DetectorConfig::min_window_tasks`] with its peers. Carried by
+    /// [`snapshot`] but not by the checkpoint encoding: a detector
+    /// restored from disk counts from zero.
+    ///
+    /// [`snapshot`]: AnomalyDetector::snapshot
+    pub fn late_seen(&self) -> u64 {
+        self.late_seen
     }
 
     /// Detection windows currently open: what a [`snapshot`] copies.
@@ -848,46 +930,63 @@ impl AnomalyDetector {
     /// interner (see [`AnomalyDetector::interner`]).
     pub fn observe_interned(&mut self, f: &InternedFeature) -> Vec<AnomalyEvent> {
         self.tasks_seen += 1;
-        let idx = self.window_index(f.start);
-        if self.collect_only {
+        let mut events = Vec::new();
+        let key = (f.host, f.stage, self.window_index(f.start));
+        let closable_before = self.window_index(self.watermark);
+        let late = if self.collect_only {
             // Bootstrap mode: no model to classify against. Count the
             // task so the window's ModelUnavailable event carries exact
             // unclassified-task accounting.
-            self.open.accum(f.host, f.stage, idx).n += 1;
+            self.account(key, closable_before, &mut events, |acc, _| acc.n += 1)
+        } else {
+            let class = self.compiled.classify(f.stage, f.sig, f.duration_us);
+            let max_new = self.config.max_new_signatures;
+            self.account(key, closable_before, &mut events, |acc, compiled| {
+                acc.count(class, f.stage, f.sig, compiled, max_new)
+            })
+        };
+        if !late {
+            // Advance the watermark and close stale windows.
             self.watermark = self.watermark.max(f.start);
-            let mut events = Vec::new();
             self.close_stale(&mut events);
-            return events;
         }
-        let class = self.compiled.classify(f.stage, f.sig, f.duration_us);
-        let acc = self.open.accum(f.host, f.stage, idx);
-        acc.n += 1;
-        match class {
-            TaskClass::Normal | TaskClass::PerformanceOutlier => {
-                // Track the per-signature performance group when eligible.
-                if self.compiled.perf_p0(f.stage, f.sig).is_some() {
-                    let g = acc.perf.entry(f.sig).or_insert((0, 0));
-                    g.1 += 1;
-                    if class == TaskClass::PerformanceOutlier {
-                        g.0 += 1;
-                    }
-                }
-            }
-            TaskClass::FlowOutlier => acc.rare_flow_outliers += 1,
-            TaskClass::NewSignature => {
-                acc.new_signature_tasks += 1;
-                if !acc.new_signatures.contains(&f.sig)
-                    && acc.new_signatures.len() < self.config.max_new_signatures
-                {
-                    acc.new_signatures.push(f.sig);
-                }
-            }
-        }
-        // Advance the watermark and close stale windows.
-        self.watermark = self.watermark.max(f.start);
-        let mut events = Vec::new();
-        self.close_stale(&mut events);
         events
+    }
+
+    /// Count one task into its window, through `count`; returns whether it
+    /// was late. This is the one place the late rule lives: **a straggler
+    /// is a window of its own, closed at once.** An element whose window
+    /// lies below the grace bound `closable_before` (the watermark's window
+    /// index) is counted into the scratch accumulator, tested and
+    /// forgotten — what inserting it into the store and closing every
+    /// stale window would do, since the store holds no other stale window:
+    /// closing never leaves one behind. A snapshot merged from shards
+    /// whose watermarks stood in different windows can bring one in, and
+    /// then the insert-and-close path runs, so the straggler joins or
+    /// closes together with what was restored.
+    #[inline]
+    fn account(
+        &mut self,
+        (host, stage, idx): WindowKey,
+        closable_before: u64,
+        events: &mut Vec<AnomalyEvent>,
+        count: impl FnOnce(&mut WindowAccum, &CompiledModel),
+    ) -> bool {
+        if idx + 1 >= closable_before {
+            count(self.open.accum(host, stage, idx), &self.compiled);
+            return false;
+        }
+        self.late_seen += 1;
+        if self.open.has_stale(closable_before) {
+            count(self.open.accum(host, stage, idx), &self.compiled);
+            self.close_stale(events);
+        } else {
+            self.scratch.clear();
+            count(&mut self.scratch, &self.compiled);
+            self.close_window((host, stage, idx), &self.scratch, events);
+            self.drop_outdated_losses(closable_before);
+        }
+        true
     }
 
     /// Observe a whole structure-of-arrays batch; returns events from any
@@ -948,17 +1047,14 @@ impl AnomalyDetector {
                     cached_idx = idx;
                     idx
                 };
-                self.open.accum(batch.hosts[i], batch.stages[i], idx).n += 1;
-                if idx + 1 < closable_before {
-                    // Late element: the single-threaded path closes its
-                    // window right after accumulating it.
-                    self.close_stale(&mut events);
-                }
+                let key = (batch.hosts[i], batch.stages[i], idx);
+                self.account(key, closable_before, &mut events, |acc, _| acc.n += 1);
             }
             return events;
         }
         self.compiled
             .classify_batch(&batch.stages, &batch.sigs, &batch.durations_us, verdicts);
+        let max_new = self.config.max_new_signatures;
         for i in 0..len {
             self.tasks_seen += 1;
             let wm = batch.watermarks[i];
@@ -979,35 +1075,11 @@ impl AnomalyDetector {
                 cached_idx = idx;
                 idx
             };
-            let sig = batch.sigs[i];
-            let stage = batch.stages[i];
-            let acc = self.open.accum(batch.hosts[i], stage, idx);
-            acc.n += 1;
-            match verdicts.get(i) {
-                class @ (TaskClass::Normal | TaskClass::PerformanceOutlier) => {
-                    if self.compiled.is_perf_eligible(stage, sig) {
-                        let g = acc.perf.entry(sig).or_insert((0, 0));
-                        g.1 += 1;
-                        if class == TaskClass::PerformanceOutlier {
-                            g.0 += 1;
-                        }
-                    }
-                }
-                TaskClass::FlowOutlier => acc.rare_flow_outliers += 1,
-                TaskClass::NewSignature => {
-                    acc.new_signature_tasks += 1;
-                    if !acc.new_signatures.contains(&sig)
-                        && acc.new_signatures.len() < self.config.max_new_signatures
-                    {
-                        acc.new_signatures.push(sig);
-                    }
-                }
-            }
-            if idx + 1 < closable_before {
-                // Late element: close its already-stale window now, as the
-                // per-synopsis path does.
-                self.close_stale(&mut events);
-            }
+            let (stage, sig, class) = (batch.stages[i], batch.sigs[i], verdicts.get(i));
+            let key = (batch.hosts[i], stage, idx);
+            self.account(key, closable_before, &mut events, |acc, compiled| {
+                acc.count(class, stage, sig, compiled, max_new)
+            });
         }
         events
     }
@@ -1033,10 +1105,14 @@ impl AnomalyDetector {
     fn close_stale(&mut self, events: &mut Vec<AnomalyEvent>) {
         let closable_before = self.window_index(self.watermark); // grace = 1 window
         for (key, acc) in self.open.take_stale(closable_before) {
-            self.close_window(key, acc, events);
+            self.close_window(key, &acc, events);
         }
-        // Loss entries for windows that just closed can no longer affect
-        // any test; drop them so the map stays bounded on long runs.
+        self.drop_outdated_losses(closable_before);
+    }
+
+    /// Loss entries for windows below the grace bound can no longer affect
+    /// any test; drop them so the map stays bounded on long runs.
+    fn drop_outdated_losses(&mut self, closable_before: u64) {
         while let Some(entry) = self.lost.first_entry() {
             if entry.key().0 + 1 >= closable_before {
                 break;
@@ -1049,7 +1125,7 @@ impl AnomalyDetector {
     pub fn flush(&mut self) -> Vec<AnomalyEvent> {
         let mut events = Vec::new();
         for (key, acc) in self.open.take_all() {
-            self.close_window(key, acc, &mut events);
+            self.close_window(key, &acc, &mut events);
         }
         self.lost.clear();
         events
@@ -1057,8 +1133,8 @@ impl AnomalyDetector {
 
     fn close_window(
         &self,
-        (host, stage, idx): (HostId, StageId, u64),
-        acc: WindowAccum,
+        (host, stage, idx): WindowKey,
+        acc: &WindowAccum,
         events: &mut Vec<AnomalyEvent>,
     ) {
         let window_start = SimTime::from_micros(idx * self.config.window.as_micros());
@@ -1121,20 +1197,10 @@ impl AnomalyDetector {
                 });
             }
         }
-        // Performance tests per signature group. Emission order must stay
-        // deterministic and independent of interning order, so groups are
-        // resolved to their signatures and sorted by signature — not by
-        // the (arrival-order-dependent) SigId.
-        let mut groups: Vec<(Signature, SigId, u64, u64)> = acc
-            .perf
-            .iter()
-            .map(|(&sig, &(outliers, n))| {
-                let signature = self.interner.resolve(sig).expect("sig interned by observe");
-                (signature, sig, outliers, n)
-            })
-            .collect();
-        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (signature, sig, outliers, n) in groups {
+        // Performance tests per signature group, on ids: a signature is
+        // resolved (a lock and a clone) only for a group that rejects.
+        let first = events.len();
+        for (&sig, &(outliers, n)) in &acc.perf {
             if n < self.config.min_group_tasks {
                 continue;
             }
@@ -1147,6 +1213,7 @@ impl AnomalyDetector {
             };
             let r = one_sided_proportion_test(outliers, n, p0, Alternative::Greater);
             if r.rejects(self.config.alpha) {
+                let signature = self.interner.resolve(sig).expect("sig interned by observe");
                 events.push(AnomalyEvent {
                     host,
                     stage,
@@ -1159,6 +1226,14 @@ impl AnomalyDetector {
                 });
             }
         }
+        // Emission order must be deterministic and independent of both map
+        // layout and interning order: by signature, not by the
+        // (arrival-order-dependent) SigId. Interning is a bijection, so
+        // ordering the emitted events is ordering the groups.
+        events[first..].sort_unstable_by(|a, b| match (&a.kind, &b.kind) {
+            (AnomalyKind::Performance(a), AnomalyKind::Performance(b)) => a.cmp(b),
+            _ => unreachable!("only performance events past `first`"),
+        });
     }
 }
 
@@ -1863,6 +1938,166 @@ mod tests {
         merged.encode_into(&mut back);
         assert_eq!(&orig[..], &back[..]);
         assert!(DetectorSnapshot::merge(Vec::new()).is_none());
+    }
+
+    /// One never-trained task of `host` in `minute`, interned.
+    fn untrained(d: &AnomalyDetector, host: u16, minute: u64) -> InternedFeature {
+        let mut s = synopsis(0, &[1], 500, SimTime::from_mins(minute), minute);
+        s.host = HostId(host);
+        InternedFeature::from_synopsis(&s, d.interner())
+    }
+
+    /// Two shards' snapshots whose watermarks stand in minutes 10 and 7,
+    /// merged: the second part's loss entry for (host 2, minute 7) is
+    /// stale under the merged watermark, and so is its open window on
+    /// host 0 when `stale_bucket` keeps it.
+    fn merged_across_watermarks(stale_bucket: bool) -> AnomalyDetector {
+        let model = trained_model();
+        let interner = Arc::new(SignatureInterner::new());
+        let compiled = Arc::new(model.compile(&interner));
+        let part = || {
+            let config = DetectorConfig::default();
+            AnomalyDetector::with_shared(model.clone(), compiled.clone(), interner.clone(), config)
+        };
+        let mut ahead = part();
+        assert!(ahead.observe_interned(&untrained(&ahead, 0, 10)).is_empty());
+        let mut behind = part();
+        assert!(behind
+            .observe_interned(&untrained(&behind, 0, 7))
+            .is_empty());
+        if !stale_bucket {
+            behind.flush();
+        }
+        behind.record_loss(HostId(2), SimTime::from_mins(7), 9);
+        let merged = DetectorSnapshot::merge(vec![ahead.snapshot(), behind.snapshot()]);
+        AnomalyDetector::from_snapshot(merged.expect("two parts"))
+    }
+
+    /// `(host, window minute, window_tasks, completeness)` of each event,
+    /// all of which must be new-signature reports.
+    fn new_signature_reports(events: &[AnomalyEvent]) -> Vec<(u16, u64, u64, f64)> {
+        let report = |e: &AnomalyEvent| {
+            assert!(matches!(e.kind, AnomalyKind::FlowNew(_)), "{e:?}");
+            assert_eq!(e.outliers, e.window_tasks);
+            let minute = e.window_start.as_micros() / 60_000_000;
+            (e.host.0, minute, e.window_tasks, e.completeness)
+        };
+        events.iter().map(report).collect()
+    }
+
+    #[test]
+    fn straggler_meeting_a_stale_bucket_takes_the_insert_and_close_path() {
+        // The straggler closes together with the restored stale window,
+        // in key order, on the scalar and on the batch path.
+        let mut scalar = merged_across_watermarks(true);
+        let late = untrained(&scalar, 1, 5);
+        let events = scalar.observe_interned(&late);
+        let expected = [(0, 7, 1, 1.0), (1, 5, 1, 1.0)];
+        assert_eq!(new_signature_reports(&events), expected);
+        assert_eq!((scalar.late_seen(), scalar.open_windows()), (1, 1));
+
+        let mut batched = merged_across_watermarks(true);
+        let mut batch = SynopsisBatch::new();
+        batch.push_feature(&untrained(&batched, 1, 5), SimTime::ZERO);
+        let events = batched.observe_batch(&batch, &mut VerdictMask::new());
+        assert_eq!(new_signature_reports(&events), expected);
+        assert_eq!((batched.late_seen(), batched.open_windows()), (1, 1));
+
+        // A straggler of the stale window itself joins it.
+        let mut joined = merged_across_watermarks(true);
+        let late = untrained(&joined, 0, 7);
+        let events = joined.observe_interned(&late);
+        assert_eq!(new_signature_reports(&events), [(0, 7, 2, 1.0)]);
+    }
+
+    #[test]
+    fn straggler_alone_drops_the_loss_entries_it_outdates() {
+        // The merged loss entry is live for the window it names…
+        let mut d = merged_across_watermarks(false);
+        let late = untrained(&d, 2, 7);
+        let events = d.observe_interned(&late);
+        assert_eq!(new_signature_reports(&events), [(2, 7, 1, 0.1)]);
+        // …and gone once any straggler has closed, as after any close.
+        let mut d = merged_across_watermarks(false);
+        for (minute, path) in [(6, "scalar"), (7, "batch")] {
+            let late = untrained(&d, 2, minute);
+            let events = if path == "scalar" {
+                d.observe_interned(&late)
+            } else {
+                let mut batch = SynopsisBatch::new();
+                batch.push_feature(&late, SimTime::ZERO);
+                d.observe_batch(&batch, &mut VerdictMask::new())
+            };
+            assert_eq!(new_signature_reports(&events), [(2, minute, 1, 1.0)]);
+        }
+        assert_eq!((d.late_seen(), d.open_windows()), (2, 1));
+        assert_eq!(d.tasks_lost(), 9);
+    }
+
+    #[test]
+    fn performance_events_sort_by_signature_and_resolve_only_what_they_emit() {
+        use crate::intern::RESOLVES;
+        // Five equally common flows; the model swapped in before the
+        // window closes never saw the last.
+        let flows = [[1u16, 2], [3, 4], [5, 6], [7, 8], [9, 10]];
+        let train = |flows: &[[u16; 2]]| {
+            let mut b = ModelBuilder::new();
+            for i in 0..2_000u64 {
+                for points in flows {
+                    b.observe(&synopsis(0, points, 1_000 + (i % 53) * 5, SimTime::ZERO, i));
+                }
+            }
+            Arc::new(b.build(ModelConfig::default()))
+        };
+        // Interned in reverse, so id order is not signature order.
+        let interner = Arc::new(SignatureInterner::new());
+        let ids: Vec<SigId> = flows
+            .iter()
+            .rev()
+            .map(|points| interner.intern_points(&points.map(LogPointId)))
+            .rev()
+            .collect();
+        assert!(
+            !ids[..3].is_sorted(),
+            "pick flows whose ids are out of order: {ids:?}"
+        );
+        let (model, swapped) = (train(&flows), train(&flows[..4]));
+        let compiled = Arc::new(model.compile(&interner));
+        let config = DetectorConfig::default();
+        let mut d = AnomalyDetector::with_shared(model, compiled, interner.clone(), config);
+        // Half of each of the first three groups is grossly slow; the
+        // fourth stays under `min_group_tasks`, the fifth loses its p0.
+        let mut uid = 0;
+        for (points, tasks) in flows.iter().zip([20, 20, 20, 3, 20u64]) {
+            for i in 0..tasks {
+                let dur = if i % 2 == 0 { 500_000 } else { 1_100 };
+                uid += 1;
+                let s = synopsis(0, points, dur, SimTime::from_millis(uid), uid);
+                assert!(d.observe_synopsis(&s).is_empty());
+            }
+        }
+        let compiled = Arc::new(swapped.compile(&interner));
+        assert!(d.install_model(swapped, compiled).is_empty());
+        assert_eq!(d.compiled().perf_p0(StageId(0), ids[4]), None);
+
+        let before = RESOLVES.with(|n| n.get());
+        let events = d.flush();
+        assert_eq!(RESOLVES.with(|n| n.get()) - before, 3, "{events:?}");
+        let emitted: Vec<Signature> = events
+            .iter()
+            .map(|e| match &e.kind {
+                AnomalyKind::Performance(sig) => sig.clone(),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let expected: Vec<Signature> = flows[..3]
+            .iter()
+            .map(|points| Signature::from_points(points.map(LogPointId)))
+            .collect();
+        assert_eq!(emitted, expected);
+        assert!(events
+            .iter()
+            .all(|e| (e.outliers, e.window_tasks) == (10, 20)));
     }
 
     proptest! {

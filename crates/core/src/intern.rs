@@ -202,6 +202,13 @@ impl fmt::Debug for SignatureInterner {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`SignatureInterner::resolve`] calls made by this thread: lets a
+    /// test assert that a path resolved nothing.
+    pub(crate) static RESOLVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl SignatureInterner {
     /// Create an empty interner.
     pub fn new() -> SignatureInterner {
@@ -355,6 +362,8 @@ impl SignatureInterner {
     /// The signature behind an id (cloned; ids resolve only against the
     /// interner that issued them).
     pub fn resolve(&self, id: SigId) -> Option<Signature> {
+        #[cfg(test)]
+        RESOLVES.with(|n| n.set(n.get() + 1));
         self.shards[id.shard()].read().sigs.get(id.index()).cloned()
     }
 

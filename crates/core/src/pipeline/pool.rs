@@ -272,8 +272,8 @@ impl PoolHandle {
     }
 
     /// Expose the pool's live counters in `registry`: per-shard
-    /// processed/event counts, watermark lag, restart snapshots taken and
-    /// the replay tail a restart would re-apply, plus pool-level
+    /// processed/late/event counts, watermark lag, restart snapshots taken
+    /// and the replay tail a restart would re-apply, plus pool-level
     /// restart/skip/loss totals, the router watermark and the snapshot
     /// latency histogram. All series but the histogram are scrape-time
     /// callbacks over counters the pool already maintains — registering
@@ -295,6 +295,13 @@ impl PoolHandle {
                 "Synopses a restart of this shard would replay on top of its snapshot",
                 &labels,
                 move || replay_tail.load(Ordering::Relaxed) as i64,
+            );
+            let late = Arc::clone(&shard_obs.supervision.late);
+            registry.register_counter_fn(
+                "saad_pool_shard_late_total",
+                "Synopses this shard saw more than the grace window late, each tested as a window of its own",
+                &labels,
+                move || late.load(Ordering::Relaxed),
             );
             let obs = Arc::clone(&self.obs);
             registry.register_counter_fn(
@@ -783,7 +790,7 @@ mod tests {
         synopsis_on,
     };
     use super::*;
-    use crate::detector::AnomalyKind;
+    use crate::detector::{AnomalyKind, DetectorSnapshot};
     use crate::model::VerdictMask;
     use crate::tracker::SynopsisSink;
 
@@ -891,15 +898,21 @@ mod tests {
         let registry = saad_obs::Registry::new();
         let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 2, 10, None);
         pool.register_metrics(&registry);
-        for i in 0..10 {
-            sink.submit(synopsis(&[1, 2], 1_000, SimTime::from_millis(i * 10), i));
+        for i in 0..9 {
+            sink.submit(synopsis(&[1, 2], 1_000, SimTime::from_mins(5 + i), i));
         }
+        // One straggler, eight windows behind the watermark.
+        sink.submit(synopsis(&[1, 2], 1_000, SimTime::from_mins(5), 9));
         drop(sink);
         let text = registry.render();
         saad_obs::validate_text(&text).unwrap();
         pool.join().unwrap();
         let text = registry.render();
         assert!(text.contains("saad_pool_processed_total 10"), "{text}");
+        let late = |shard: usize| format!(r#"saad_pool_shard_late_total{{shard="{shard}"}} 1"#);
+        let owner = shard_for(HostId(0), StageId(0), 2);
+        assert!(text.contains(&late(owner)), "{text}");
+        assert!(!text.contains(&late(1 - owner)), "{text}");
         assert!(text.contains("saad_pool_batches_routed_total 1"), "{text}");
         assert!(
             text.contains(r#"saad_pool_shard_processed_total{shard="0"}"#),
@@ -1118,6 +1131,17 @@ mod tests {
     /// the stream's clock.
     type Step = (u8, u16, u16, u8, u64, u8);
 
+    /// The flows the generated streams draw from, as points and duration:
+    /// trained-rare, never trained, trained but grossly slow, healthy.
+    fn flow(sig: u8) -> (&'static [u16], u64) {
+        match sig {
+            0 => (&[1, 2, 3], 1_000),
+            1 => (&[9], 700),
+            2 => (&[1, 2], 90_000),
+            _ => (&[1, 2], 1_050),
+        }
+    }
+
     /// `(clock, step)` → the synopsis or loss report the step stands for.
     /// The clock advances up to 5 s a step against 10 s windows.
     fn materialize(steps: &[Step], interner: &SignatureInterner) -> Vec<SequencedInput> {
@@ -1132,12 +1156,7 @@ mod tests {
                 let lag = if lag < 5 { 0 } else { u64::from(lag - 4) };
                 let at = SimTime::from_micros(clock.saturating_sub(lag * WINDOW_US));
                 if kind < 8 {
-                    let (points, dur): (&[u16], u64) = match sig {
-                        0 => (&[1, 2, 3], 1_000),
-                        1 => (&[9], 700),
-                        2 => (&[1, 2], 90_000),
-                        _ => (&[1, 2], 1_050),
-                    };
+                    let (points, dur) = flow(sig);
                     let mut s = synopsis_on(host, points, dur, at, uid as u64);
                     s.stage = StageId(stage);
                     SequencedInput::Batch(soa(&[s], interner))
@@ -1150,6 +1169,148 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// Drive `stream` through the batch path (runs of up to `chunk`
+    /// synopses, cut at every report) and through pools of one and four
+    /// workers fed input batches of `chunk`, every path starting from
+    /// `start(workers)`, and require what [`reference_run`] reports from
+    /// `start(1)`: the events in order wherever one detector sees the whole
+    /// stream, as a multiset across four shards, and the loss and late
+    /// totals everywhere. Returns the reference's events and detector.
+    fn agree_on_every_path(
+        start: impl Fn(usize) -> Vec<AnomalyDetector>,
+        window: SimDuration,
+        stream: &[SequencedInput],
+        chunk: usize,
+    ) -> Result<(Vec<AnomalyEvent>, AnomalyDetector), proptest::TestCaseError> {
+        let one = || start(1).pop().expect("one detector");
+        let (expected, reference) = reference_run(one(), stream);
+
+        let mut batched = one();
+        let mut batch_events = Vec::new();
+        let mut verdicts = VerdictMask::new();
+        let mut pending = SynopsisBatch::new();
+        let mut watermark = SimTime::ZERO;
+        for step in stream {
+            match step {
+                SequencedInput::Batch(batch) => {
+                    for i in 0..batch.len() {
+                        let f = batch.feature(i);
+                        watermark = watermark.max(f.start);
+                        pending.push_feature(&f, watermark);
+                        if pending.len() == chunk {
+                            batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
+                            pending.clear();
+                        }
+                    }
+                }
+                SequencedInput::Loss(r) => {
+                    batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
+                    pending.clear();
+                    batched.record_loss(r.host, r.at, r.count);
+                }
+            }
+        }
+        batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
+        batch_events.extend(batched.flush());
+        proptest::prop_assert_eq!(&batch_events, &expected);
+        proptest::prop_assert_eq!(batched.tasks_lost(), reference.tasks_lost());
+        proptest::prop_assert_eq!(batched.late_seen(), reference.late_seen());
+
+        for workers in [1usize, 4] {
+            let (tx, rx) = unbounded();
+            let supervisor = SupervisorConfig {
+                silent_after: u64::MAX,
+                ..SupervisorConfig::default()
+            };
+            let input = PoolInput::Sequenced(rx);
+            let pool = spawn_pool_inner(start(workers), supervisor, window, input, None, None);
+            let mut group = SynopsisBatch::new();
+            for step in stream {
+                match step {
+                    SequencedInput::Batch(batch) => {
+                        group.extend_from(batch);
+                        if group.len() >= chunk {
+                            tx.send(SequencedInput::Batch(std::mem::take(&mut group)))
+                                .unwrap();
+                        }
+                    }
+                    SequencedInput::Loss(_) => {
+                        tx.send(SequencedInput::Batch(std::mem::take(&mut group)))
+                            .unwrap();
+                        tx.send(step.clone()).unwrap();
+                    }
+                }
+            }
+            tx.send(SequencedInput::Batch(group)).unwrap();
+            drop(tx);
+            let pool_events = drain(&pool);
+            // The pool counts the reports it routed, not those restored.
+            let routed_lost = reference.tasks_lost() - one().tasks_lost();
+            proptest::prop_assert_eq!(pool.tasks_lost(), routed_lost);
+            let late: u64 = pool.join().unwrap().iter().map(|d| d.late_seen()).sum();
+            proptest::prop_assert_eq!(late, reference.late_seen());
+            if workers == 1 {
+                proptest::prop_assert_eq!(&pool_events, &expected);
+            } else {
+                proptest::prop_assert!(
+                    event_keys(&pool_events) == event_keys(&expected),
+                    "pool with {} workers reported {:?}, the reference {:?}",
+                    workers,
+                    event_keys(&pool_events),
+                    event_keys(&expected)
+                );
+            }
+        }
+        Ok((expected, reference))
+    }
+
+    /// The stream of [`stragglers_close_alone_on_every_path`]: host 0 is
+    /// the stream's clock (up to 5 s a task against 10 s windows, from
+    /// window 10 on) and host 1 — every `period`-th task — runs `skew`
+    /// windows behind it, so each of its tasks is a straggler; one step in
+    /// ten is a gap report addressed to the window host 1 is then sending
+    /// from. Ahead of them go three never-trained stragglers: two of host
+    /// 2, in windows 6 and 7, and one of host 1 in window 5.
+    fn skewed_stream(
+        steps: &[(u8, u16, u8, u64)],
+        period: usize,
+        skew: u64,
+        interner: &SignatureInterner,
+    ) -> Vec<SequencedInput> {
+        const WINDOW_US: u64 = 10_000_000;
+        let task = |host: u16, stage: u16, sig: u8, at_us: u64| {
+            let (points, dur) = flow(sig);
+            let mut s = synopsis_on(host, points, dur, SimTime::from_micros(at_us), at_us);
+            s.stage = StageId(stage);
+            SequencedInput::Batch(soa(&[s], interner))
+        };
+        let mut stream = vec![
+            task(2, 0, 1, 6 * WINDOW_US),
+            task(2, 0, 1, 7 * WINDOW_US),
+            task(1, 0, 1, 5 * WINDOW_US),
+        ];
+        let mut clock = 10 * WINDOW_US;
+        let mut tasks = 0;
+        for &(kind, stage, sig, delta_us) in steps {
+            let lagging = clock - skew * WINDOW_US;
+            if kind == 9 {
+                stream.push(SequencedInput::Loss(LossReport {
+                    host: HostId(1),
+                    at: SimTime::from_micros(lagging),
+                    count: 1 + u64::from(sig) * 7,
+                }));
+            } else if tasks % period == 0 {
+                stream.push(task(1, stage, sig, lagging));
+                tasks += 1;
+            } else {
+                clock += delta_us;
+                stream.push(task(0, stage, sig, clock));
+                tasks += 1;
+            }
+        }
+        stream
     }
 
     proptest::proptest! {
@@ -1178,81 +1339,89 @@ mod tests {
                 model.clone(), compiled.clone(), interner.clone(), config,
             );
             let stream = materialize(&steps, &interner);
+            agree_on_every_path(|workers| (0..workers).map(|_| fresh()).collect(), config.window, &stream, chunk)?;
+        }
 
-            let (scalar_events, scalar) = reference_run(fresh(), &stream);
-
-            // Batch: runs of up to `chunk` synopses, cut at every report.
-            let mut batched = fresh();
-            let mut batch_events = Vec::new();
-            let mut verdicts = VerdictMask::new();
-            let mut pending = SynopsisBatch::new();
-            let mut watermark = SimTime::ZERO;
-            for step in &stream {
-                match step {
-                    SequencedInput::Batch(batch) => for i in 0..batch.len() {
-                        let f = batch.feature(i);
-                        watermark = watermark.max(f.start);
-                        pending.push_feature(&f, watermark);
-                        if pending.len() == chunk {
-                            batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
-                            pending.clear();
-                        }
-                    },
-                    SequencedInput::Loss(r) => {
-                        batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
-                        pending.clear();
-                        batched.record_loss(r.host, r.at, r.count);
-                    }
-                }
+        /// Two hosts skewed by two to four windows, so a sixth and more of
+        /// the stream is stragglers, each a window of its own that runs
+        /// both tests (`min_window_tasks = min_group_tasks = 1`). Every
+        /// path starts from a snapshot merged from two shards whose
+        /// watermarks stood in windows 10 and 7: the merged loss entry for
+        /// (host 2, window 7) is stale, and with `stale_bucket` so is an
+        /// open window of host 0 — which the first straggler must close
+        /// ahead of its own, and whose absence lets that straggler close
+        /// alone and still drop the entry before host 2's window 7 reads
+        /// it. The same stream then runs without a model.
+        #[test]
+        fn stragglers_close_alone_on_every_path(
+            steps in proptest::collection::vec(
+                (0u8..10, 0u16..2, 0u8..6, 0u64..5_000_000),
+                12..120,
+            ),
+            period in 2usize..7,
+            skew in 2u64..5,
+            stale_bucket in 0u8..2,
+            chunk in 1usize..24,
+        ) {
+            let model = multi_stage_model();
+            let config = DetectorConfig {
+                window: SimDuration::from_secs(10),
+                min_window_tasks: 1,
+                min_group_tasks: 1,
+                ..DetectorConfig::default()
+            };
+            let interner = Arc::new(SignatureInterner::new());
+            let compiled = Arc::new(model.compile(&interner));
+            let fresh = || AnomalyDetector::with_shared(
+                model.clone(), compiled.clone(), interner.clone(), config,
+            );
+            let stream = skewed_stream(&steps, period, skew, &interner);
+            let feed = |d: &mut AnomalyDetector, host, stage, window: u64| {
+                let mut s = synopsis_on(host, &[9], 700, SimTime::from_secs(window * 10), window);
+                s.stage = StageId(stage);
+                d.observe_synopsis(&s)
+            };
+            let (mut ahead, mut behind) = (fresh(), fresh());
+            feed(&mut ahead, 0, 0, 10);
+            feed(&mut behind, 0, 1, 7);
+            if stale_bucket == 0 {
+                behind.flush();
             }
-            batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
-            batch_events.extend(batched.flush());
-            proptest::prop_assert_eq!(&batch_events, &scalar_events);
-            proptest::prop_assert_eq!(batched.tasks_lost(), scalar.tasks_lost());
+            behind.record_loss(HostId(2), SimTime::from_secs(70), 9);
+            let merged = DetectorSnapshot::merge(vec![ahead.snapshot(), behind.snapshot()])
+                .expect("two parts");
+            let restored = |workers: usize| {
+                let parts = merged.clone().partition(workers, |h, s| shard_for(h, s, workers));
+                parts.into_iter().map(AnomalyDetector::from_snapshot).collect()
+            };
+            let (events, reference) = agree_on_every_path(restored, config.window, &stream, chunk)?;
 
-            // Pools: the same sequence on one ordered channel, synopses
-            // regrouped into input batches of `chunk`.
-            for workers in [1usize, 4] {
-                let (tx, rx) = unbounded();
-                let pool = spawn_pool_inner(
-                    (0..workers).map(|_| fresh()).collect(),
-                    SupervisorConfig { silent_after: u64::MAX, ..SupervisorConfig::default() },
-                    config.window,
-                    PoolInput::Sequenced(rx),
-                    None,
-                    None,
-                );
-                let mut group = SynopsisBatch::new();
-                for step in &stream {
-                    match step {
-                        SequencedInput::Batch(batch) => {
-                            group.extend_from(batch);
-                            if group.len() == chunk {
-                                tx.send(SequencedInput::Batch(std::mem::take(&mut group))).unwrap();
-                            }
-                        }
-                        SequencedInput::Loss(_) => {
-                            tx.send(SequencedInput::Batch(std::mem::take(&mut group))).unwrap();
-                            tx.send(step.clone()).unwrap();
-                        }
-                    }
-                }
-                tx.send(SequencedInput::Batch(group)).unwrap();
-                drop(tx);
-                let mut pool_events = Vec::new();
-                while let Ok(e) = pool.events().recv() {
-                    pool_events.push(e);
-                }
-                proptest::prop_assert_eq!(pool.tasks_lost(), scalar.tasks_lost());
-                pool.join().unwrap();
-                proptest::prop_assert!(
-                    event_keys(&pool_events) == event_keys(&scalar_events),
-                    "pool with {} workers reported {:?}, the reference {:?}",
-                    workers,
-                    event_keys(&pool_events),
-                    event_keys(&scalar_events)
-                );
+            let late = reference.late_seen();
+            let seen = reference.tasks_seen() - 2; // the two restored with the snapshot
+            proptest::prop_assert!(late * 100 >= seen * 15, "{} late of {}", late, seen);
+            // Host 2's stragglers: never-trained, one task each, and the
+            // second no longer sees the restored loss entry.
+            let of_host_2: Vec<_> = events.iter().filter(|e| e.host == HostId(2)).collect();
+            proptest::prop_assert_eq!(of_host_2.len(), 2);
+            for e in of_host_2 {
+                proptest::prop_assert!(matches!(e.kind, AnomalyKind::FlowNew(_)), "{:?}", e);
+                proptest::prop_assert_eq!((e.outliers, e.window_tasks, e.completeness), (1, 1, 1.0));
             }
+            // The restored stale window closes first, when there is one.
+            let first = (events[0].host, events[0].stage);
+            let stale_first = (HostId(0), StageId(1));
+            proptest::prop_assert_eq!(first == stale_first, stale_bucket == 1);
+
+            // Without a model every straggler is one ModelUnavailable
+            // event of one task.
+            let collecting = |workers: usize| (0..workers)
+                .map(|_| AnomalyDetector::collecting(interner.clone(), config).unwrap())
+                .collect();
+            let (events, reference) = agree_on_every_path(collecting, config.window, &stream, chunk)?;
+            proptest::prop_assert!(events.iter().all(|e| e.kind == AnomalyKind::ModelUnavailable));
+            let alone = events.iter().filter(|e| e.window_tasks == 1).count() as u64;
+            proptest::prop_assert!(alone >= reference.late_seen());
+            proptest::prop_assert_eq!(events.iter().map(|e| e.window_tasks).sum::<u64>(), reference.tasks_seen());
         }
     }
 }

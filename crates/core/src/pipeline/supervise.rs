@@ -215,6 +215,8 @@ pub(super) struct SupervisionObs {
     pub(super) skipped: Arc<AtomicU64>,
     pub(super) snapshots: Arc<AtomicU64>,
     pub(super) replay_tail: Arc<AtomicU64>,
+    /// The detector's [`AnomalyDetector::late_seen`].
+    pub(super) late: Arc<AtomicU64>,
     /// Wall-clock microseconds per restart snapshot.
     pub(super) snapshot_us: Arc<Histogram>,
 }
@@ -295,6 +297,9 @@ impl SupervisedDetector {
         self.obs
             .replay_tail
             .store(self.replay.len() as u64, Ordering::Relaxed);
+        self.obs
+            .late
+            .store(self.detector.late_seen(), Ordering::Relaxed);
     }
 
     /// Observe one interned feature inside the panic boundary, first

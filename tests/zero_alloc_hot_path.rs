@@ -5,10 +5,18 @@
 //! straight into a batch (`decode_batch_into`: every signature a hit in
 //! the interner's front table).
 //!
-//! The test installs its own counting global allocator (integration tests
-//! are separate binaries, so this does not leak into other suites), warms
-//! every map and buffer the batch path touches, then drives many more
-//! rounds and asserts the allocation counter did not move.
+//! Late data is held to the same bar: a straggler is tested in the
+//! detector's scratch accumulator, and a window that stays silent resolves
+//! no signature, so a batch of nothing but silent stragglers allocates
+//! nothing and closing a bucket of silent windows allocates once, for the
+//! vector that carries them out of the store.
+//!
+//! The tests install their own counting global allocator (integration
+//! tests are separate binaries, so this does not leak into other suites),
+//! warm every map and buffer the path touches, then drive many more
+//! rounds and assert the allocation counter did not move. The counter is
+//! per thread: the harness runs each test on its own, and prints from
+//! another.
 
 use saad::core::codec::{decode_batch_into, encode_batch};
 use saad::core::detector::{AnomalyDetector, DetectorConfig};
@@ -18,10 +26,14 @@ use saad::core::synopsis::TaskSynopsis;
 use saad::logging::LogPointId;
 use saad::sim::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it allocates
+    // nothing and is valid for the whole life of the thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 struct CountingAlloc;
 
@@ -29,7 +41,7 @@ struct CountingAlloc;
 // affect the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -38,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,8 +58,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static AUDIT: CountingAlloc = CountingAlloc;
 
+/// Allocations this thread has made.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
 fn synopsis(host: u16, stage: u16, points: &[u16], dur_us: u64, start_ms: u64) -> TaskSynopsis {
@@ -81,13 +94,19 @@ fn trained_model() -> Arc<OutlierModel> {
     Arc::new(b.build(ModelConfig::default()))
 }
 
-#[test]
-fn steady_state_batch_round_allocates_nothing() {
+/// A detector over [`trained_model`] and the interner its features use.
+fn trained_detector() -> (AnomalyDetector, Arc<SignatureInterner>) {
     let model = trained_model();
     let interner = Arc::new(SignatureInterner::new());
     let compiled = Arc::new(model.compile(&interner));
-    let mut detector =
-        AnomalyDetector::with_shared(model, compiled, interner.clone(), DetectorConfig::default());
+    let config = DetectorConfig::default();
+    let detector = AnomalyDetector::with_shared(model, compiled, interner.clone(), config);
+    (detector, interner)
+}
+
+#[test]
+fn steady_state_batch_round_allocates_nothing() {
+    let (mut detector, interner) = trained_detector();
 
     // The recurring workload: 256 tasks over 4 hosts and 3 stages, all
     // inside one detection window, trained signatures only. Durations mix
@@ -186,5 +205,85 @@ fn steady_state_batch_round_allocates_nothing() {
     assert_eq!(
         batch.sigs, expected,
         "decode interns to the ids the model was compiled on"
+    );
+}
+
+#[test]
+fn batch_of_silent_stragglers_allocates_nothing() {
+    let (mut detector, interner) = trained_detector();
+    let window_ms = DetectorConfig::default().window.as_micros() / 1_000;
+    // The watermark stands in window 100; every element of the batch is
+    // from windows 0..50, so each is a window of one task: under
+    // `min_window_tasks` and `min_group_tasks`, trained signatures only —
+    // it can emit nothing.
+    let head = synopsis(0, 0, &[1, 2], 1_000, 100 * window_ms);
+    let watermark = head.start;
+    assert!(detector.observe_synopsis(&head).is_empty());
+    let mut batch = SynopsisBatch::with_capacity(256);
+    for i in 0..256u64 {
+        let (points, dur): (&[u16], u64) = if i.is_multiple_of(31) {
+            (&[1, 2, 3], 5_000) // trained-rare flow
+        } else if i.is_multiple_of(7) {
+            (&[1, 2], 900_000) // gross performance outlier
+        } else {
+            (&[4, 5, 6], 2_000 + (i % 31) * 11)
+        };
+        let s = synopsis(
+            (i % 4) as u16,
+            (i % 3) as u16,
+            points,
+            dur,
+            (i % 50) * window_ms + i,
+        );
+        batch.push_feature(&InternedFeature::from_synopsis(&s, &interner), watermark);
+    }
+    let mut verdicts = VerdictMask::new();
+    // Warm-up: the scratch accumulator's one perf slot, the verdict words.
+    assert!(detector.observe_batch(&batch, &mut verdicts).is_empty());
+
+    let before = allocations();
+    const ROUNDS: u64 = 16;
+    for _ in 0..ROUNDS {
+        assert!(detector.observe_batch(&batch, &mut verdicts).is_empty());
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "a batch of silent stragglers must be allocation-free ({delta} over {ROUNDS} rounds)"
+    );
+    assert_eq!(detector.late_seen(), (1 + ROUNDS) * 256);
+    assert_eq!(
+        detector.open_windows(),
+        1,
+        "only the watermark's own window"
+    );
+}
+
+#[test]
+fn closing_silent_windows_allocates_once_per_call() {
+    let (mut detector, interner) = trained_detector();
+    let window_ms = DetectorConfig::default().window.as_micros() / 1_000;
+    // 48 windows of window index 0, 16 healthy tasks each: both
+    // proportion tests run in every one and neither rejects.
+    let mut batch = SynopsisBatch::with_capacity(48 * 16);
+    for i in 0..48 * 16u64 {
+        let (host, stage) = ((i % 16) as u16, (i / 16 % 3) as u16);
+        let s = synopsis(host, stage, &[1, 2], 1_000 + (i % 53) * 5, 1 + i);
+        batch.push_feature(&InternedFeature::from_synopsis(&s, &interner), s.start);
+    }
+    assert!(detector
+        .observe_batch(&batch, &mut VerdictMask::new())
+        .is_empty());
+    assert_eq!(detector.open_windows(), 48);
+
+    let before = allocations();
+    let events = detector.advance_watermark(SimTime::from_millis(3 * window_ms));
+    let delta = allocations() - before;
+    assert!(events.is_empty(), "healthy windows are silent: {events:?}");
+    assert_eq!(detector.open_windows(), 0);
+    assert!(
+        delta <= 1,
+        "closing 48 silent windows allocated {delta} times: the vector that \
+         takes them out of the store is the only allocation allowed"
     );
 }
