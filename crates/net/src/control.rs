@@ -194,7 +194,7 @@ impl ControlPlane {
     }
 
     /// Shared handle to the current epoch, for wiring into
-    /// `CollectorConfig::epoch` so collectors enforce staleness against
+    /// `ReactorCollectorConfig::epoch` so collectors enforce staleness against
     /// the live value without calling back into the control plane.
     pub fn epoch_handle(&self) -> Arc<AtomicU64> {
         self.inner.epoch.clone()

@@ -44,9 +44,6 @@ pub struct FrameAssembler {
     /// call (prefix + body), consumed lazily on the next call — this is
     /// what lets `next_message` hand out a borrow of the ring.
     pending: usize,
-    /// Bytes (prefix included) the message at the front of the ring needs
-    /// before `next_message` can return it: 4 until its prefix is read.
-    want: usize,
     stalls: u64,
 }
 
@@ -58,7 +55,6 @@ impl FrameAssembler {
         FrameAssembler {
             ring: RingBuf::with_capacity(capacity),
             pending: 0,
-            want: 4,
             stalls: 0,
         }
     }
@@ -81,21 +77,11 @@ impl FrameAssembler {
         self.ring.len() - self.pending
     }
 
-    /// Bytes still missing before [`FrameAssembler::next_message`] can
-    /// make progress: the rest of the length prefix, or — once the prefix
-    /// is in — the rest of the message it announces. A blocking driver
-    /// reads exactly this many.
-    #[must_use]
-    pub fn missing(&self) -> usize {
-        self.want.saturating_sub(self.buffered())
-    }
-
     /// Drop everything buffered (a peer that was refused is not parsed).
     pub fn clear(&mut self) {
         let len = self.ring.len();
         self.ring.consume(len);
         self.pending = 0;
-        self.want = 4;
     }
 
     /// Drain calls that ended on a partial message — the "decode stall"
@@ -118,7 +104,6 @@ impl FrameAssembler {
             self.ring.consume(self.pending);
             self.pending = 0;
         }
-        self.want = 4;
         if self.ring.len() < 4 {
             if !self.ring.is_empty() {
                 self.stalls += 1;
@@ -135,7 +120,6 @@ impl FrameAssembler {
             // Pre-size the ring so the rest of the message lands without
             // mid-read growth.
             self.ring.grow(whole);
-            self.want = whole;
             self.stalls += 1;
             return Ok(None);
         }

@@ -1,10 +1,9 @@
 //! What an agent-facing collector does with a hello and a frame — once.
 //!
-//! [`Ingest`] is the core the threaded [`Collector`](crate::Collector) and
-//! the [`ReactorCollector`](crate::ReactorCollector) both hold in an
-//! `Arc`: the shared [`FrameReceiver`], the analyzer-side channels, the
-//! collector-wide counters, the accepted version and epoch. Each
-//! connection gets an [`IngestLink`], the [`Handler`] its
+//! [`Ingest`] is the core a [`ReactorCollector`](crate::ReactorCollector)
+//! holds in an `Arc`: the shared [`FrameReceiver`], the analyzer-side
+//! channels, the collector-wide counters, the accepted version and epoch.
+//! Each connection gets an [`IngestLink`], the [`Handler`] its
 //! [`Session`](crate::session::Session) drives.
 //!
 //! Per frame, the per-byte work (CRC, decode, interning) runs outside the
@@ -13,8 +12,13 @@
 //! staging [`SynopsisBatch`]: one batch allocation per fresh frame, none
 //! per synopsis. Only a leaf's forwarding sink, which re-frames owned
 //! synopses upstream, has the whole frame parsed.
+//!
+//! Admitted frames flow into the analyzer input as one [`SynopsisBatch`]
+//! send per frame, newly revealed gaps as [`LossReport`]s before the
+//! batch that revealed them: exactly what an in-process
+//! [`BatchSink`](saad_core::pipeline::BatchSink) feeds a pool, so either
+//! pool spawn works unchanged behind a socket.
 
-use crate::collector::{AdmittedSink, CollectorState, CollectorStats};
 use crate::protocol::{Hello, HelloAck, RejectReason, NO_SEQ, PINNED_EPOCH};
 use crate::session::Handler;
 use crossbeam_channel::Sender;
@@ -22,6 +26,7 @@ use parking_lot::Mutex;
 use saad_core::batch::SynopsisBatch;
 use saad_core::codec::decode_batch_into;
 use saad_core::intern::SignatureInterner;
+use saad_core::synopsis::TaskSynopsis;
 use saad_core::transport::{
     parse_frame, parse_frame_header, verify_frame_crc, AdmitDecision, FrameOutcome, FrameReceiver,
     LinkStats, LossReport, FRAME_HEADER_LEN,
@@ -30,6 +35,69 @@ use saad_core::HostId;
 use saad_sim::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Link state carried across collector restarts: the shared
+/// [`FrameReceiver`] with its per-host delivery, duplicate, and loss
+/// accounting. [`ReactorCollector::shutdown`](crate::ReactorCollector::shutdown)
+/// returns it and
+/// [`ReactorCollector::serve_soa`](crate::ReactorCollector::serve_soa)
+/// adopts it; a collector restarted *without* it relies on the agents'
+/// resume handshakes ([`FrameReceiver::resume`]) instead.
+#[derive(Debug, Default)]
+pub struct CollectorState {
+    pub(crate) receiver: FrameReceiver,
+}
+
+impl CollectorState {
+    /// The carried-over receiver (read-only view).
+    pub fn receiver(&self) -> &FrameReceiver {
+        &self.receiver
+    }
+}
+
+/// Snapshot of collector-wide counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CollectorStats {
+    /// Connections accepted since start.
+    pub connections_accepted: u64,
+    /// Connections currently streaming.
+    pub connections_active: u64,
+    /// Handshakes refused (bad magic/checksum or version skew).
+    pub handshakes_rejected: u64,
+    /// Subset of rejections caused by a stale control-plane ring epoch.
+    pub stale_epoch_rejects: u64,
+    /// Fresh (non-duplicate) frames admitted.
+    pub frames: u64,
+    /// Synopses forwarded to the analyzer input.
+    pub synopses: u64,
+    /// Frames rejected as corrupt (checksum, truncation, oversize, codec).
+    pub corrupted_frames: u64,
+    /// Duplicate frames discarded across all hosts.
+    pub duplicate_frames: u64,
+    /// Synopses known lost across all hosts (exact at quiescence).
+    pub lost_synopses: u64,
+    /// Ingest watermark: the highest synopsis start time admitted on any
+    /// connection. Monotone; [`SimTime::ZERO`] until the first synopsis.
+    pub watermark: SimTime,
+}
+
+/// Consumer of admitted frames that needs the agent's **global stream
+/// coordinates**, not just the payload — what a leaf collector's uplink
+/// implements so it can re-frame digests upstream at the exact positions
+/// the originating agents encoded them at (see `crate::leaf`).
+pub trait AdmittedSink: Send + Sync {
+    /// One fresh admitted frame for `host`: its synopses, the loss this
+    /// frame newly revealed on the agent link, and the host's global
+    /// stream position just past the frame's last synopsis (i.e. the
+    /// frame's `cumulative` + `synopses.len()`).
+    fn on_fresh(
+        &self,
+        host: HostId,
+        synopses: Vec<TaskSynopsis>,
+        newly_lost: u64,
+        stream_pos_end: u64,
+    );
+}
 
 #[derive(Debug, Default)]
 struct Counters {
@@ -191,22 +259,18 @@ impl Ingest {
         self.receiver.lock().stats(host)
     }
 
-    /// Expose [`Ingest::stats`] in `registry` as the one
-    /// `saad_collector_*{backend="…"}` family, evaluated at scrape time.
-    /// The registry typically outlives the collector and the core owns
-    /// the analyzer-side senders: a strong capture would keep the batch
-    /// channel open after shutdown and deadlock downstream joins, so the
-    /// callbacks hold a `Weak` and scrape as zero afterwards.
-    pub(crate) fn register_metrics(
-        self: &Arc<Ingest>,
-        registry: &saad_obs::Registry,
-        backend: &str,
-    ) {
+    /// Expose [`Ingest::stats`] in `registry` as the `saad_collector_*`
+    /// family, evaluated at scrape time. The registry typically outlives
+    /// the collector and the core owns the analyzer-side senders: a strong
+    /// capture would keep the batch channel open after shutdown and
+    /// deadlock downstream joins, so the callbacks hold a `Weak` and
+    /// scrape as zero afterwards.
+    pub(crate) fn register_metrics(self: &Arc<Ingest>, registry: &saad_obs::Registry) {
         for (suffix, help, read) in SERIES {
             let weak = Arc::downgrade(self);
             let value = move || weak.upgrade().map_or(0, |ingest| read(&ingest.stats()));
             let name = format!("saad_collector_{suffix}");
-            register_series(registry, &name, help, &[("backend", backend)], value);
+            register_series(registry, &name, help, &[], value);
         }
     }
 
@@ -395,9 +459,9 @@ impl Handler for IngestLink {
 pub(crate) mod testkit {
     use super::*;
     use crate::protocol::{encode_hello, write_message, PeerRole};
+    use crate::session::Session;
     use crossbeam_channel::{unbounded, Receiver};
     use saad_core::detector::{AnomalyDetector, DetectorConfig};
-    use saad_core::synopsis::TaskSynopsis;
     use saad_core::transport::FrameSender;
     use saad_core::{LogPointId, StageId, TaskUid};
     use saad_sim::SimDuration;
@@ -572,6 +636,29 @@ pub(crate) mod testkit {
         bodies
     }
 
+    /// Feed `wire` to `session` in the chunks `cuts` yields (lengths; the
+    /// last chunk takes what is left), writing acks out as a driver would
+    /// and stopping where a driver would close. Returns whether the
+    /// connection is still open, and the ack bytes written.
+    pub(crate) fn feed_in_cuts<H: Handler>(
+        session: &mut Session,
+        handler: &mut H,
+        wire: &[u8],
+        cuts: impl IntoIterator<Item = usize>,
+    ) -> (bool, Vec<u8>) {
+        let (mut alive, mut acks, mut rest) = (true, Vec::new(), wire);
+        let mut cuts = cuts.into_iter();
+        while alive && !rest.is_empty() {
+            let len = cuts.next().map_or(rest.len(), |c| c.clamp(1, rest.len()));
+            let (chunk, tail) = rest.split_at(len);
+            rest = tail;
+            alive = session.feed(chunk, handler);
+            acks.extend_from_slice(session.ack());
+            session.ack_written(session.ack().len());
+        }
+        (alive, acks)
+    }
+
     /// `bodies` as the length-prefixed byte stream a peer writes.
     pub(crate) fn wire_of(bodies: &[Vec<u8>]) -> Vec<u8> {
         let mut wire = Vec::new();
@@ -711,23 +798,23 @@ mod tests {
     }
 
     #[test]
-    fn one_family_labelled_by_backend_with_every_total() {
+    fn one_family_with_every_total() {
         let registry = saad_obs::Registry::new();
         let rig = rig(2, None, true);
-        rig.ingest.register_metrics(&registry, "reactor");
+        rig.ingest.register_metrics(&registry);
         let link = rig.ingest.link();
         let text = registry.render();
         saad_obs::validate_text(&text).expect("well-formed exposition");
         for (suffix, ..) in SERIES {
-            let series = format!("saad_collector_{suffix}{{backend=\"reactor\"}}");
-            assert!(text.contains(&series), "missing {series} in\n{text}");
+            let series = format!("\nsaad_collector_{suffix} ");
+            assert!(text.contains(&series), "missing {series:?} in\n{text}");
         }
-        assert!(text.contains("saad_collector_connections_active{backend=\"reactor\"} 1"));
+        assert!(text.contains("\nsaad_collector_connections_active 1\n"));
         drop((link, rig));
         // The callbacks hold no strong reference: a collector that is gone
         // scrapes as zero instead of keeping its channels open.
         assert!(registry
             .render()
-            .contains("saad_collector_connections_accepted_total{backend=\"reactor\"} 0"));
+            .contains("\nsaad_collector_connections_accepted_total 0\n"));
     }
 }

@@ -24,15 +24,16 @@
 //! The uplink is a driver of the shared sender state machine,
 //! `net::outbound`: when a connect is due, what a failed write costs and
 //! what closing means are decided there. The leaf's own rule is that it
-//! never waits — flushes run on agent-connection handler threads — so a
+//! never waits — flushes run on the agent-facing loop threads — so a
 //! digest that finds the link down and no connect due is framed,
 //! abandoned and counted `uplink_wire_lost`: a visible gap at the root.
 
 use crate::agent::BackoffConfig;
-use crate::collector::{AdmittedSink, Collector, CollectorConfig};
 use crate::control::ControlPlane;
+use crate::ingest::{AdmittedSink, CollectorStats};
 use crate::outbound::Outbound;
 use crate::protocol::{dial, Hello, HelloAck, PeerRole, PINNED_EPOCH, PROTOCOL_VERSION};
+use crate::reactor_collector::{ReactorCollector, ReactorCollectorConfig};
 use crate::ring::LeafId;
 use parking_lot::Mutex;
 use saad_core::synopsis::TaskSynopsis;
@@ -64,10 +65,10 @@ pub struct LeafConfig {
     /// Agent-facing server tuning. Wire a control plane's
     /// [`epoch_handle`](ControlPlane::epoch_handle) into
     /// `collector.epoch` to enforce ring staleness at this leaf.
-    pub collector: CollectorConfig,
+    pub collector: ReactorCollectorConfig,
     /// Uplink socket write timeout (a stalled root fails the flush and
-    /// the digest is accounted wire-lost, never blocks agent handlers
-    /// for long).
+    /// the digest is accounted wire-lost, never blocks an agent-facing
+    /// loop for long).
     pub write_timeout: Duration,
     /// Longest an uplink connect, and then the wait for its ack, may take.
     pub read_timeout: Duration,
@@ -83,7 +84,7 @@ impl Default for LeafConfig {
             window: Duration::from_secs(60),
             max_digest: 512,
             flush_interval: Duration::from_millis(50),
-            collector: CollectorConfig::default(),
+            collector: ReactorCollectorConfig::default(),
             write_timeout: Duration::from_secs(5),
             read_timeout: Duration::from_secs(5),
             backoff: BackoffConfig::default(),
@@ -327,12 +328,12 @@ impl AdmittedSink for Uplink {
     }
 }
 
-/// A running leaf: an agent-facing [`Collector`] whose admitted frames
-/// feed an upstream digest uplink, plus a timer thread driving
+/// A running leaf: an agent-facing [`ReactorCollector`] whose admitted
+/// frames feed an upstream digest uplink, plus a timer thread driving
 /// latency-bound flushes and control-plane heartbeats.
 pub struct LeafCollector {
     id: LeafId,
-    collector: Option<Collector>,
+    collector: Option<ReactorCollector>,
     uplink: Arc<Uplink>,
     control: Option<ControlPlane>,
     stop: Arc<AtomicBool>,
@@ -359,7 +360,7 @@ impl LeafCollector {
         let flush_interval = config.flush_interval;
         let uplink = Arc::new(Uplink::new(root_addr, config.clone()));
         let sink: Arc<dyn AdmittedSink> = uplink.clone();
-        let collector = Collector::bind_forward(bind_addr, sink, config.collector)?;
+        let collector = ReactorCollector::bind_forward(bind_addr, sink, config.collector)?;
         let local_addr = collector.local_addr();
         if let Some(cp) = &control {
             cp.register_leaf(id, local_addr);
@@ -413,17 +414,22 @@ impl LeafCollector {
 
     /// Agent-facing collector counters (connections, admitted frames,
     /// link loss on the agent side).
-    pub fn collector_stats(&self) -> crate::collector::CollectorStats {
+    pub fn collector_stats(&self) -> CollectorStats {
         self.collector
             .as_ref()
             .map(|c| c.stats())
             .unwrap_or_default()
     }
 
-    /// Expose forwarding counters in `registry`, labelled by leaf id.
+    /// Expose forwarding counters in `registry`, labelled by leaf id, and
+    /// the agent-facing loops' readiness health as
+    /// `saad_reactor_*{leaf="<id>", loop="<idx>"}`.
     pub fn register_metrics(&self, registry: &saad_obs::Registry) {
         let leaf_label = self.id.0.to_string();
         let labels = [("leaf", leaf_label.as_str())];
+        if let Some(c) = &self.collector {
+            c.server.register_metrics(registry, &labels);
+        }
         let counter = |f: fn(&LeafStats) -> u64| {
             let uplink = Arc::downgrade(&self.uplink);
             move || uplink.upgrade().map_or(0, |u| f(&u.stats()))
@@ -479,7 +485,7 @@ impl LeafCollector {
             let _ = t.join();
         }
         if let Some(c) = self.collector.take() {
-            // Joins agent handlers; their in-flight on_fresh calls finish
+            // Joins the loops; their in-flight on_fresh calls finish
             // before this returns, so the final flush below sees a
             // settled buffer.
             let _ = c.shutdown();
@@ -495,7 +501,7 @@ impl LeafCollector {
     pub fn kill(mut self) -> LeafStats {
         self.stop.store(true, Ordering::SeqCst);
         self.control = None;
-        // Kill the uplink before unblocking handlers so any racing flush
+        // Kill the uplink before stopping the loops so any racing flush
         // fails fast instead of delivering a post-mortem digest.
         self.uplink.kill();
         if let Some(t) = self.timer.take() {

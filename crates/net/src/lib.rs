@@ -10,20 +10,17 @@
 //! * [`session`] — the receiving end of one connection as a sans-IO state
 //!   machine: a [`Session`] turns bytes into protocol steps (hello
 //!   phases, length-prefix reassembly over [`framing`], the pending ack)
-//!   and drives a [`Handler`]. There is one receive path; the collectors
-//!   below are its drivers and share one handler core: handshake
-//!   verdict, frame validation and in-place decode outside any lock,
-//!   sequencing under one shared
+//!   and drives a [`Handler`]. There is one receive path and one driver
+//!   of it: a few [`saad_reactor`] event-loop threads multiplex thousands
+//!   of connections, landing vectored reads in the sessions' rings.
+//! * [`ReactorCollector`] — that driver over the agent-facing handler
+//!   core: handshake verdict, frame validation and in-place decode outside
+//!   any lock, sequencing under one shared
 //!   [`FrameReceiver`](saad_core::transport::FrameReceiver),
 //!   [`SynopsisBatch`](saad_core::batch::SynopsisBatch)es — interned at the
 //!   collector, against the consuming pool's interner — and
 //!   [`LossReport`](saad_core::transport::LossReport)s flowing into the
 //!   two channels either pool spawn consumes.
-//! * [`Collector`] — the thread-per-connection driver: a blocking thread
-//!   per connection reads exactly the bytes its session needs next.
-//! * [`ReactorCollector`] — the readiness driver: a few [`saad_reactor`]
-//!   event-loop threads multiplex thousands of connections, landing
-//!   vectored reads in the sessions' rings.
 //! * `outbound` — the sending end of one link as a sans-IO state machine,
 //!   the session's mirror: frames numbered once, one coalesced wire
 //!   image, a cut write accounted frame by frame, reconnect with jittered
@@ -56,13 +53,12 @@
 //! * [`root`] — [`RootCollector`]: merges leaf uplinks with a
 //!   sum/max law ([`DigestMerge`](saad_core::transport::DigestMerge))
 //!   that reports each lost synopsis exactly once across failover, with
-//!   zero double-counting — the thread-per-connection driver again, with
-//!   a handler of its own.
+//!   zero double-counting — the same driver, one loop, with a handler of
+//!   its own.
 
 #![warn(missing_docs)]
 
 pub mod agent;
-pub mod collector;
 pub mod control;
 pub mod framing;
 mod ingest;
@@ -76,9 +72,9 @@ mod server;
 pub mod session;
 
 pub use agent::{Agent, AgentConfig, AgentSink, AgentStats, BackoffConfig};
-pub use collector::{AdmittedSink, Collector, CollectorConfig, CollectorState, CollectorStats};
 pub use control::{ControlPlane, MonitorHandle};
 pub use framing::{FrameAssembler, OversizedPrefix};
+pub use ingest::{AdmittedSink, CollectorState, CollectorStats};
 pub use leaf::{LeafCollector, LeafConfig, LeafStats};
 pub use protocol::{Hello, HelloAck, PeerRole, RejectReason, PROTOCOL_VERSION};
 pub use reactor_collector::{ReactorCollector, ReactorCollectorConfig};

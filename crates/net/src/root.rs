@@ -24,13 +24,14 @@
 //! plus [`LossReport`]s — so the whole detection stack runs unchanged
 //! behind a federation.
 //!
-//! Handshake and framing are the threaded collector's — the same
-//! thread-per-connection server driving a [`Session`](crate::Session)
-//! per uplink; only the [`Handler`] (no resume, a per-connection
-//! receiver, the merge) is the root's own.
+//! Handshake, framing and byte-moving are the agent-facing collector's —
+//! the same readiness-driven `server` driving a
+//! [`Session`](crate::Session) per uplink; only the [`Handler`] (no
+//! resume, a per-connection receiver, the merge) is the root's own.
 
 use crate::ingest::register_series;
 use crate::protocol::{Hello, HelloAck, RejectReason, NO_SEQ, PROTOCOL_VERSION};
+use crate::reactor_collector::ReactorCollectorConfig;
 use crate::server::Server;
 use crate::session::Handler;
 use crossbeam_channel::Sender;
@@ -46,13 +47,10 @@ use saad_sim::SimTime;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Tuning for a [`RootCollector`].
 #[derive(Debug, Clone)]
 pub struct RootConfig {
-    /// Socket read timeout used to poll the shutdown flag.
-    pub read_poll: Duration,
     /// Protocol version this root accepts (leaf uplinks are always
     /// current-version peers).
     pub version: u16,
@@ -61,7 +59,6 @@ pub struct RootConfig {
 impl Default for RootConfig {
     fn default() -> RootConfig {
         RootConfig {
-            read_poll: Duration::from_millis(50),
             version: PROTOCOL_VERSION,
         }
     }
@@ -91,7 +88,7 @@ pub struct RootStats {
     pub watermark: SimTime,
 }
 
-struct Shared {
+pub(crate) struct Shared {
     /// The cross-uplink merge and the counters that move with it
     /// (`lost_synopses` is read off the merge, not kept).
     state: Mutex<(DigestMerge, RootStats)>,
@@ -102,7 +99,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn stats(&self) -> RootStats {
+    pub(crate) fn stats(&self) -> RootStats {
         let state = self.state.lock();
         RootStats {
             lost_synopses: state.0.total_lost(),
@@ -143,19 +140,19 @@ impl RootCollector {
             loss_tx,
             version: config.version,
         });
-        let opener = shared.clone();
-        let open = move || {
-            opener.count(|s| {
-                s.uplinks_accepted += 1;
-                s.uplinks_active += 1;
-            });
-            Uplink {
-                shared: opener.clone(),
-                local_rx: FrameReceiver::new(),
-            }
+        // One loop, as a constant. Only `DigestMerge::on_fresh` runs under
+        // the one merge lock; the CRC, decode, interning and channel send
+        // around it ran one thread per uplink before and now share this
+        // thread. What that costs a root of many leaves is not measured:
+        // `--bench federation` did not resolve it (EXPERIMENTS.md, "One
+        // collector").
+        let driver = ReactorCollectorConfig {
+            loops: 1,
+            ..ReactorCollectorConfig::default()
         };
-        let listener = TcpListener::bind(addr)?;
-        let server = Server::start(listener, "saad-root", config.read_poll, None, open)?;
+        let (listener, opener) = (TcpListener::bind(addr)?, shared.clone());
+        let open = move || Uplink::open(&opener);
+        let server = Server::start(listener, "saad-root", &driver, open)?;
         Ok(RootCollector { shared, server })
     }
 
@@ -177,8 +174,10 @@ impl RootCollector {
     }
 
     /// Expose root counters in `registry` (scrape-time callbacks, weak
-    /// captures — same discipline as the single collector).
+    /// captures — same discipline as the single collector), and the loop's
+    /// readiness health as `saad_reactor_*{tier="root", loop="0"}`.
     pub fn register_metrics(&self, registry: &saad_obs::Registry) {
+        self.server.register_metrics(registry, &[("tier", "root")]);
         // (name, help, value in a `RootStats` snapshot)
         type Series = (&'static str, &'static str, fn(&RootStats) -> u64);
         let series: [Series; 7] = [
@@ -225,7 +224,7 @@ impl RootCollector {
         }
     }
 
-    /// Stop accepting, close every uplink, and join all handler threads.
+    /// Stop accepting, close every uplink, and join the loop thread.
     /// Returns the final counters.
     pub fn shutdown(self) -> RootStats {
         self.server.shutdown();
@@ -234,7 +233,7 @@ impl RootCollector {
 }
 
 /// One leaf uplink's [`Handler`].
-struct Uplink {
+pub(crate) struct Uplink {
     shared: Arc<Shared>,
     /// Per-connection receiver: duplicate suppression within this
     /// uplink's own frame numbering. Its loss arithmetic is ignored — the
@@ -249,6 +248,19 @@ impl Drop for Uplink {
 }
 
 impl Uplink {
+    /// Count one accepted uplink and hand back its handler; dropping the
+    /// handler counts the uplink closed.
+    pub(crate) fn open(shared: &Arc<Shared>) -> Uplink {
+        shared.count(|s| {
+            s.uplinks_accepted += 1;
+            s.uplinks_active += 1;
+        });
+        Uplink {
+            shared: shared.clone(),
+            local_rx: FrameReceiver::new(),
+        }
+    }
+
     /// Each uplink connection is a fresh framing context: the leaf's
     /// digest sequence numbers are connection-local, and the exact
     /// cross-connection state lives in the global-coordinate merge — so
@@ -325,10 +337,46 @@ impl Handler for Uplink {
 }
 
 #[cfg(test)]
-mod tests {
+/// A root's merge state with both outputs observable, for this crate's
+/// socket-free receive-path tests.
+pub(crate) mod testkit {
     use super::*;
-    use crate::ingest::testkit::{assert_gap_is_charged, goodbye_after_a_lost_frame};
-    use crossbeam_channel::unbounded;
+    use crossbeam_channel::{unbounded, Receiver};
+
+    pub(crate) struct Rig {
+        pub(crate) shared: Arc<Shared>,
+        pub(crate) batches: Receiver<SynopsisBatch>,
+        pub(crate) losses: Receiver<LossReport>,
+    }
+
+    pub(crate) fn rig() -> Rig {
+        let (batch_tx, batches) = unbounded();
+        let (loss_tx, losses) = unbounded();
+        let shared = Arc::new(Shared {
+            state: Mutex::default(),
+            batch_tx,
+            interner: Arc::new(SignatureInterner::new()),
+            loss_tx,
+            version: PROTOCOL_VERSION,
+        });
+        Rig {
+            shared,
+            batches,
+            losses,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::rig;
+    use super::*;
+    use crate::ingest::testkit::{
+        assert_gap_is_charged, batches, feed_in_cuts, frame_bodies, goodbye_after_a_lost_frame,
+        hello_bytes, wire_of,
+    };
+    use crate::protocol::PINNED_EPOCH;
+    use crate::session::Session;
 
     /// What a leaf's graceful shutdown does after losing a digest on the
     /// way up: the goodbye reveals the trailing gap. Its report is stamped
@@ -336,33 +384,89 @@ mod tests {
     #[test]
     fn a_goodbye_frame_charges_its_trailing_gap_to_the_last_window() {
         let (bodies, owed) = goodbye_after_a_lost_frame();
-        let (batch_tx, batch_rx) = unbounded();
-        let (loss_tx, loss_rx) = unbounded();
-        let interner = Arc::new(SignatureInterner::new());
-        let shared = Arc::new(Shared {
-            state: Mutex::default(),
-            batch_tx,
-            interner: interner.clone(),
-            loss_tx,
-            version: PROTOCOL_VERSION,
-        });
-        shared.count(|s| s.uplinks_active += 1); // what dropping the handler takes back
-        let mut uplink = Uplink {
-            shared: shared.clone(),
-            local_rx: FrameReceiver::new(),
-        };
+        let rig = rig();
+        let mut uplink = Uplink::open(&rig.shared);
         for body in &bodies {
             uplink.on_message(body);
         }
 
-        let stats = shared.stats();
+        let stats = rig.shared.stats();
         assert_eq!(
             (stats.digests, stats.synopses, stats.lost_synopses),
             (2, 3, 2)
         );
         assert_eq!(stats.watermark, owed.at);
-        let batches: Vec<SynopsisBatch> = batch_rx.try_iter().collect();
-        let losses: Vec<LossReport> = loss_rx.try_iter().collect();
-        assert_gap_is_charged(&interner, &batches, &losses, owed);
+        let batches: Vec<SynopsisBatch> = rig.batches.try_iter().collect();
+        let losses: Vec<LossReport> = rig.losses.try_iter().collect();
+        assert_gap_is_charged(&rig.shared.interner, &batches, &losses, owed);
+    }
+
+    const HOSTS: [u16; 2] = [10, 11];
+
+    /// Everything one uplink leaves behind at a root.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        alive: bool,
+        acks: Vec<u8>,
+        stats: RootStats,
+        merged: Vec<LinkStats>,
+        batches: Vec<String>,
+        losses: Vec<LossReport>,
+    }
+
+    /// Feed `wire` to a fresh root through one uplink session in the
+    /// chunks `cuts` yields.
+    fn run(wire: &[u8], cuts: impl IntoIterator<Item = usize>) -> Outcome {
+        let rig = rig();
+        let (mut session, mut uplink) = (Session::new(64), Uplink::open(&rig.shared));
+        let (alive, acks) = feed_in_cuts(&mut session, &mut uplink, wire, cuts);
+        drop(uplink); // the connection closes
+        let merged = |h: &u16| rig.shared.state.lock().0.stats(HostId(*h));
+        Outcome {
+            alive,
+            acks,
+            stats: rig.shared.stats(),
+            merged: HOSTS.iter().map(merged).collect(),
+            batches: rig.batches.try_iter().map(|b| format!("{b:?}")).collect(),
+            losses: rig.losses.try_iter().collect(),
+        }
+    }
+
+    /// The blocking reader only ever handed the root whole messages; a
+    /// readiness loop hands it whatever a read returned. A digest stream
+    /// with a gap, a duplicate and goodbyes must leave the same root
+    /// byte-at-a-time and cut at every offset as fed whole.
+    #[test]
+    fn any_cut_of_a_digest_stream_leaves_the_same_root() {
+        // Two hosts' digests interleaved on one uplink: host 10's second
+        // digest never arrives and its goodbye reveals the gap; host 11's
+        // second arrives twice.
+        let sizes = [3, 2, 2, 4, 0, 0];
+        let starts: Vec<u64> = (0..16).map(|i| 5 * 60_000 + i * 70).collect();
+        let digests = batches(&HOSTS, &sizes, &starts);
+        let bodies = frame_bodies(&HOSTS, &digests, 0b000100, 0b001000);
+        let wire = [hello_bytes(2, 3, PINNED_EPOCH), wire_of(&bodies)].concat();
+
+        let whole = run(&wire, []);
+        assert!(whole.alive);
+        let s = whole.stats;
+        assert_eq!((s.uplinks_accepted, s.uplinks_active), (1, 0));
+        assert_eq!(
+            (s.digests, s.duplicate_digests, s.corrupted_digests),
+            (5, 1, 0)
+        );
+        assert_eq!((s.synopses, s.lost_synopses), (9, 2));
+        assert_eq!(whole.losses.len(), 1, "{:?}", whole.losses);
+        assert_eq!(
+            (whole.losses[0].host, whole.losses[0].count),
+            (HostId(10), 2)
+        );
+        assert_eq!(whole.merged[0].lost_synopses, 2);
+        assert_eq!(whole.merged[1].duplicate_frames, 1);
+
+        assert_eq!(run(&wire, std::iter::repeat(1)), whole, "byte at a time");
+        for offset in 1..wire.len() {
+            assert_eq!(run(&wire, [offset]), whole, "cut at {offset}");
+        }
     }
 }

@@ -6,11 +6,9 @@
 //! phases of the two-part hello, the ack bytes not yet written and
 //! whether the peer was refused. What a hello or a frame *means* is the
 //! [`Handler`]'s business; who moves the bytes is the driver's: the
-//! reactor lands vectored reads in [`Session::ring_mut`] and calls
-//! [`Session::drain`] on readiness, the thread-per-connection server
-//! reads exactly [`Session::needs`] bytes at a time, tests call
-//! [`Session::feed`]. The steps taken depend on the byte stream alone,
-//! never on how it was cut.
+//! readiness loop lands vectored reads in [`Session::ring_mut`] and calls
+//! [`Session::drain`], tests call [`Session::feed`]. The steps taken
+//! depend on the byte stream alone, never on how it was cut.
 
 use crate::framing::FrameAssembler;
 use crate::protocol::{
@@ -78,20 +76,6 @@ impl Session {
     /// [`Session::drain`] before reading into a full ring.
     pub fn ring_mut(&mut self) -> &mut RingBuf {
         self.assembler.ring_mut()
-    }
-
-    /// Bytes short of the next step — the rest of the hello prefix, of its
-    /// extension, of a length prefix, or of the message it announces. The
-    /// ring has room for them. Zero once the peer was refused.
-    #[must_use]
-    pub fn needs(&self) -> usize {
-        let buffered = self.assembler.buffered();
-        match self.phase {
-            Phase::Prefix => HELLO_V1_LEN.saturating_sub(buffered),
-            Phase::Ext(..) => HELLO_EXT_LEN.saturating_sub(buffered),
-            Phase::Streaming => self.assembler.missing(),
-            Phase::Rejected => 0,
-        }
     }
 
     /// Whether the last [`Session::drain`] stopped inside a frame (a
@@ -209,10 +193,10 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::CollectorStats;
     use crate::ingest::testkit::{
-        batches, frame_bodies, hello_bytes, rig, synopsis, wire_of, Forwarded,
+        batches, feed_in_cuts, frame_bodies, hello_bytes, rig, synopsis, wire_of, Forwarded,
     };
+    use crate::ingest::CollectorStats;
     use crate::protocol::{
         decode_hello_ack, HELLO_ACK_LEN, HELLO_ACK_V1_LEN, MAX_MESSAGE_LEN, NO_SEQ, PINNED_EPOCH,
     };
@@ -244,9 +228,7 @@ mod tests {
         links: Vec<LinkStats>,
     }
 
-    /// Feed `scenario.wire` to a fresh core in the chunks `cuts` yields
-    /// (lengths; the last chunk takes what is left), writing acks out as a
-    /// driver would and stopping where a driver would close.
+    /// Feed `scenario.wire` to a fresh core in the chunks `cuts` yields.
     fn run(scenario: &Scenario, cuts: impl IntoIterator<Item = usize>) -> Outcome {
         let rig = rig(
             scenario.collector_version,
@@ -256,16 +238,7 @@ mod tests {
         let mut link = rig.ingest.link();
         // A tiny ring, so reassembly wraps and grows.
         let mut session = Session::new(64);
-        let (mut alive, mut acks, mut rest) = (true, Vec::new(), &scenario.wire[..]);
-        let mut cuts = cuts.into_iter();
-        while alive && !rest.is_empty() {
-            let len = cuts.next().map_or(rest.len(), |c| c.clamp(1, rest.len()));
-            let (chunk, tail) = rest.split_at(len);
-            rest = tail;
-            alive = session.feed(chunk, &mut link);
-            acks.extend_from_slice(session.ack());
-            session.ack_written(session.ack().len());
-        }
+        let (alive, acks) = feed_in_cuts(&mut session, &mut link, &scenario.wire, cuts);
         Outcome {
             alive,
             rejected: session.is_rejected(),
@@ -487,31 +460,5 @@ mod tests {
         assert_eq!(rig.ingest.link_stats(HostId(8)).lost_synopses, 10);
         assert_eq!(rig.ingest.stats().connections_accepted, 3);
         assert_eq!(rig.ingest.stats().connections_active, 0);
-    }
-
-    #[test]
-    fn needs_asks_for_exactly_the_next_step() {
-        let rig = rig(2, None, true);
-        let (mut session, mut link) = (Session::new(64), rig.ingest.link());
-        let body = frame_bodies(&[7], &[vec![synopsis(7, 1, 5, &[1, 2])]], 0, 0).remove(0);
-        let wire = [
-            hello_bytes(2, 7, PINNED_EPOCH),
-            wire_of(std::slice::from_ref(&body)),
-        ]
-        .concat();
-        let mut steps = Vec::new();
-        let mut rest = &wire[..];
-        while !rest.is_empty() {
-            let want = session.needs();
-            steps.push(want);
-            let (chunk, tail) = rest.split_at(want);
-            rest = tail;
-            assert!(session.feed(chunk, &mut link));
-        }
-        // Prefix, extension, length, body: two reads per frame.
-        assert_eq!(steps, [HELLO_V1_LEN, HELLO_EXT_LEN, 4, body.len()]);
-        assert_eq!(session.needs(), 4);
-        assert!(!session.mid_message());
-        assert_eq!(rig.ingest.stats().synopses, 1);
     }
 }

@@ -1,7 +1,7 @@
-//! Crate-level smoke tests over localhost TCP: one round trip and one
-//! rejection per driver of the receive path (thread-per-connection,
-//! readiness). What the protocol does with the bytes is pinned without
-//! sockets by the `session` and `ingest` unit tests.
+//! Crate-level smoke tests over localhost TCP: one round trip (on both
+//! readiness backends) and one rejection. What the protocol does with the
+//! bytes is pinned without sockets by the `session` and `ingest` unit
+//! tests.
 
 use crossbeam_channel::{unbounded, Receiver};
 use saad_core::batch::SynopsisBatch;
@@ -11,8 +11,7 @@ use saad_core::synopsis::TaskSynopsis;
 use saad_core::{HostId, StageId, TaskUid};
 use saad_logging::LogPointId;
 use saad_net::{
-    Agent, AgentConfig, Collector, CollectorConfig, CollectorStats, ReactorCollector,
-    ReactorCollectorConfig, RejectReason,
+    Agent, AgentConfig, CollectorStats, ReactorCollector, ReactorCollectorConfig, RejectReason,
 };
 use saad_sim::{SimDuration, SimTime};
 use std::net::SocketAddr;
@@ -98,36 +97,6 @@ fn assert_version_skew_is_refused(addr: SocketAddr) {
     assert_eq!(stats.handshake_rejects, 1);
     assert_eq!(stats.reject_reason, Some(RejectReason::VersionMismatch));
     assert_eq!((stats.connects, stats.drops.disconnected), (0, 1));
-}
-
-#[test]
-fn threaded_round_trip() {
-    let (batch_tx, batch_rx) = unbounded();
-    let (loss_tx, loss_rx) = unbounded();
-    let config = CollectorConfig::default();
-    let collector =
-        Collector::bind_soa("127.0.0.1:0", batch_tx, interner(), loss_tx, config).unwrap();
-    stream_from(collector.local_addr(), 4);
-    receive(&batch_rx, 4 * PER_AGENT);
-    assert!(loss_rx.try_recv().is_err(), "no loss expected");
-    assert_clean(collector.stats(), 4);
-    let state = collector.shutdown();
-    for h in 0..4 {
-        let link = state.receiver().stats(HostId(h));
-        assert_eq!(link.delivered_synopses, PER_AGENT);
-    }
-}
-
-#[test]
-fn threaded_version_skew_is_rejected_with_reason() {
-    let (batch_tx, _batch_rx) = unbounded();
-    let (loss_tx, _loss_rx) = unbounded();
-    let config = CollectorConfig::default();
-    let collector =
-        Collector::bind_soa("127.0.0.1:0", batch_tx, interner(), loss_tx, config).unwrap();
-    assert_version_skew_is_refused(collector.local_addr());
-    assert_eq!(collector.stats().handshakes_rejected, 1);
-    collector.shutdown();
 }
 
 /// Twelve agents over three loops (so connections are handed across

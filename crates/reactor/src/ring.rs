@@ -86,18 +86,12 @@ impl RingBuf {
         }
     }
 
-    /// The free region as `IoSliceMut`s for a vectored read. The second
-    /// slice is omitted when empty.
-    pub fn io_slices(&mut self) -> Vec<IoSliceMut<'_>> {
+    /// The free region as `IoSliceMut`s for a vectored read, without an
+    /// allocation: the second slice is empty when the free region does not
+    /// wrap, which `readv` accepts.
+    pub fn io_slices(&mut self) -> [IoSliceMut<'_>; 2] {
         let (a, b) = self.write_slices();
-        let mut v = Vec::with_capacity(2);
-        if !a.is_empty() {
-            v.push(IoSliceMut::new(a));
-        }
-        if !b.is_empty() {
-            v.push(IoSliceMut::new(b));
-        }
-        v
+        [IoSliceMut::new(a), IoSliceMut::new(b)]
     }
 
     /// Mark `n` bytes of the write region as filled.
@@ -226,6 +220,25 @@ mod tests {
         let free = r.free();
         let (a, b) = r.write_slices();
         assert_eq!(a.len() + b.len(), free);
+    }
+
+    #[test]
+    fn io_slices_are_the_write_slices_and_land_a_vectored_read() {
+        use std::io::Read;
+        let mut r = RingBuf::with_capacity(64);
+        r.extend_from_slice(&[7u8; 60]);
+        r.consume(50);
+        // Free space wraps: 4 bytes to the end, then 50 from the start.
+        let lens = |s: [IoSliceMut<'_>; 2]| s.map(|s| s.len());
+        assert_eq!(lens(r.io_slices()), [4, 50]);
+        let wire: Vec<u8> = (0..20).collect();
+        let n = (&wire[..]).read_vectored(&mut r.io_slices()).unwrap();
+        r.commit(n);
+        r.consume(10);
+        assert_eq!(r.contiguous(20).unwrap(), &wire[..]);
+        // An unwrapped free region leaves the second slice empty.
+        r.consume(20);
+        assert_eq!(lens(r.io_slices()), [64, 0]);
     }
 
     #[test]

@@ -88,6 +88,12 @@ mod raw {
         f: usize,
     ) -> isize {
         let ret: isize;
+        // SAFETY: the x86_64 Linux syscall ABI — number in rax, arguments
+        // in rdi, rsi, rdx, r10, r8, r9, result in rax, rcx and r11
+        // clobbered by the instruction — is exactly what the operands
+        // declare, and `syscall` does not touch the stack (`nostack`).
+        // What the kernel does with the arguments is the caller's
+        // obligation under `# Safety`.
         std::arch::asm!(
             "syscall",
             inlateout("rax") n as isize => ret,
@@ -118,6 +124,11 @@ mod raw {
         f: usize,
     ) -> isize {
         let ret: isize;
+        // SAFETY: the aarch64 Linux syscall ABI — number in x8, arguments
+        // in x0..x5, result in x0, no other register clobbered — is
+        // exactly what the operands declare, and `svc 0` does not touch
+        // the stack (`nostack`). What the kernel does with the arguments
+        // is the caller's obligation under `# Safety`.
         std::arch::asm!(
             "svc 0",
             in("x8") n,
@@ -151,6 +162,7 @@ mod epoll_impl {
     }
 
     pub(crate) fn epoll_create1() -> io::Result<i32> {
+        // SAFETY: `epoll_create1` takes one integer flag and no pointer.
         let ret = unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC as usize, 0, 0, 0, 0, 0) };
         check(ret).map(|fd| fd as i32)
     }
@@ -162,6 +174,10 @@ mod epoll_impl {
         } else {
             &ev as *const EpollEvent as usize
         };
+        // SAFETY: the one pointer argument is null for `EPOLL_CTL_DEL`
+        // (allowed since Linux 2.6.9) and otherwise points at `ev`, a
+        // live local laid out as the kernel's `struct epoll_event`, which
+        // the kernel only reads, before the call returns.
         let ret = unsafe {
             syscall6(
                 nr::EPOLL_CTL,
@@ -186,6 +202,10 @@ mod epoll_impl {
         loop {
             // epoll_pwait with a null sigmask == epoll_wait; aarch64 has
             // no epoll_wait syscall at all, so pwait is the portable one.
+            // SAFETY: the kernel writes at most `events.len()` records
+            // through `events.as_mut_ptr()`, a live exclusive borrow of
+            // exactly that many `EpollEvent`s in the kernel's layout; the
+            // sigmask pointer is null, which `epoll_pwait` accepts.
             let ret = unsafe {
                 syscall6(
                     nr::EPOLL_PWAIT,
@@ -206,6 +226,9 @@ mod epoll_impl {
     }
 
     pub(crate) fn close_fd(fd: i32) {
+        // SAFETY: `close` takes one integer and no pointer. The one caller,
+        // `Poller::drop`, passes the epoll fd it created and owns, once,
+        // so no fd another owner still uses is closed.
         let _ = unsafe { syscall6(nr::CLOSE, fd as usize, 0, 0, 0, 0, 0) };
     }
 }
@@ -295,6 +318,9 @@ extern "C" {
 #[cfg(unix)]
 pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     loop {
+        // SAFETY: `fds` is a live exclusive borrow of `fds.len()` entries
+        // laid out as POSIX `struct pollfd` (`repr(C)`, three fields);
+        // `poll` reads and writes only those entries, before it returns.
         let ret = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout_ms) };
         if ret >= 0 {
             return Ok(ret as usize);
@@ -352,6 +378,9 @@ extern "C" {
 #[cfg(unix)]
 fn set_buffer_fd(fd: i32, opt: std::ffi::c_int, bytes: usize) -> io::Result<()> {
     let val = bytes.min(i32::MAX as usize) as std::ffi::c_int;
+    // SAFETY: `optval` points at `val`, a live local `c_int`, and `optlen`
+    // is its size; `setsockopt` only reads that many bytes, before it
+    // returns. A bad `fd` is an `EBADF` error, not undefined behaviour.
     let ret = unsafe {
         setsockopt(
             fd,

@@ -34,7 +34,7 @@ use saad::core::pipeline::{
     spawn_analyzer_pool_with_lifecycle, BatchSink, LifecycleConfig, SupervisorConfig,
 };
 use saad::core::prelude::*;
-use saad::net::{Agent, AgentConfig, Collector, CollectorConfig};
+use saad::net::{Agent, AgentConfig, ReactorCollector, ReactorCollectorConfig};
 use saad::sim::{Clock, WallClock};
 use saad::stage::StagedServer;
 use std::error::Error;
@@ -153,12 +153,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     // against the interner the pool hands out.
     let (mut wire, mut forwarder) = (None, None);
     let (sink, flush): (Arc<dyn SynopsisSink>, Box<dyn Fn()>) = if tcp {
-        let collector = Collector::bind_soa(
+        let collector = ReactorCollector::bind_soa(
             "127.0.0.1:0",
             batch_tx.clone(),
             pool.interner(),
             loss_tx.clone(),
-            CollectorConfig::default(),
+            ReactorCollectorConfig::default(),
         )?;
         println!("wire: TCP via collector on {}", collector.local_addr());
         let agent = Agent::connect(collector.local_addr(), HostId(1), AgentConfig::default());

@@ -37,12 +37,12 @@ use saad::hbase::{HBaseCluster, HBaseConfig};
 use saad::logging::LogPointId;
 use saad::net::protocol::{RejectReason, HELLO_ACK_LEN, HELLO_LEN};
 use saad::net::{
-    Agent, AgentConfig, BackoffConfig, Collector, CollectorConfig, ControlPlane, LeafCollector,
-    LeafConfig, LeafId, LeafResolver, RootCollector, RootConfig,
+    Agent, AgentConfig, BackoffConfig, ControlPlane, LeafCollector, LeafConfig, LeafId,
+    LeafResolver, ReactorCollector, ReactorCollectorConfig, RootCollector, RootConfig,
 };
 use saad::sim::{SimDuration, SimTime};
 use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -219,6 +219,21 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
                 .unwrap(),
         );
     }
+    // Both tiers in one registry: the loops under the root and under each
+    // leaf export the same `saad_reactor_*` families, told apart by label.
+    let registry = saad::obs::Registry::new();
+    root.register_metrics(&registry);
+    fleet
+        .iter()
+        .for_each(|leaf| leaf.register_metrics(&registry));
+    let loop_connections = |tier: &str| -> u64 {
+        let prefix = format!("saad_reactor_loop_connections{{{tier}");
+        let text = registry.render();
+        let samples = text.lines().filter(|l| l.starts_with(&prefix));
+        samples
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum()
+    };
 
     let resolver: Arc<ControlPlane> = Arc::new(control.clone());
     let agents: BTreeMap<HostId, Agent> = per_host
@@ -246,6 +261,15 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
             root.merged_stats(h).delivered_synopses == sent
         });
     }
+    // Every live connection is in some loop's table: at the root one
+    // uplink per leaf that owns a host (an idle leaf never dials), across
+    // the leaves one agent per host.
+    let snap = control.snapshot();
+    let owners: BTreeSet<Option<LeafId>> = per_host.keys().map(|&h| snap.assign(h)).collect();
+    let live = (owners.len() as u64, per_host.len() as u64);
+    wait_for("the loops to publish", Duration::from_secs(10), || {
+        (loop_connections("tier=\"root\""), loop_connections("leaf=")) == live
+    });
 
     // Kill the leaf owning the most hosts, then declare it dead.
     let snap = control.snapshot();
@@ -548,14 +572,14 @@ fn stale_epoch_reject_triggers_refetch_and_clean_connect() {
     let epoch = Arc::new(AtomicU64::new(5));
     let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
     let (loss_tx, _loss_rx) = unbounded::<LossReport>();
-    let collector = Collector::bind_soa(
+    let collector = ReactorCollector::bind_soa(
         "127.0.0.1:0",
         batch_tx,
         Arc::default(),
         loss_tx,
-        CollectorConfig {
+        ReactorCollectorConfig {
             epoch: Some(epoch.clone()),
-            ..CollectorConfig::default()
+            ..ReactorCollectorConfig::default()
         },
     )
     .unwrap();

@@ -22,7 +22,7 @@ use saad::core::pipeline::{
 };
 use saad::core::prelude::*;
 use saad::logging::{Interceptor, Level, LogPointId};
-use saad::net::{Agent, AgentConfig, Collector, CollectorConfig};
+use saad::net::{Agent, AgentConfig, ReactorCollector, ReactorCollectorConfig};
 use saad::obs::{validate_text, MetricsServer, Registry};
 use saad::sim::{Clock, ManualClock, SimDuration, SimTime, WallClock};
 use std::io::{Read, Write};
@@ -122,12 +122,12 @@ fn scrape_endpoint_serves_live_metrics_from_pool_and_wire() {
     .unwrap();
     pool.register_metrics(&registry);
 
-    let collector = Collector::bind_soa(
+    let collector = ReactorCollector::bind_soa(
         "127.0.0.1:0",
         batch_tx.clone(),
         pool.interner(),
         loss_tx.clone(),
-        CollectorConfig::default(),
+        ReactorCollectorConfig::default(),
     )
     .unwrap();
     collector.register_metrics(&registry);
@@ -176,15 +176,14 @@ fn scrape_endpoint_serves_live_metrics_from_pool_and_wire() {
         TASKS
     );
     assert_eq!(
-        sample_value(&body, "saad_collector_synopses_total{backend=\"threaded\"}") as u64,
+        sample_value(&body, "saad_collector_synopses_total ") as u64,
         TASKS
     );
     assert_eq!(
         sample_value(&body, "saad_pool_processed_total") as u64,
         TASKS
     );
-    let active = "saad_collector_connections_active{backend=\"threaded\"}";
-    assert!(sample_value(&body, active) >= 1.0);
+    assert!(sample_value(&body, "saad_collector_connections_active ") >= 1.0);
     assert!(sample_value(&body, "saad_pool_watermark_us") > 0.0);
     // The pool promoted (promote_after = 300 < TASKS) and checkpointed;
     // the latency histogram must carry those writes.

@@ -1,7 +1,7 @@
-//! End-to-end over real localhost TCP: the wire path (agent → collector →
-//! lifecycle pool) must detect exactly what the in-process path detects,
-//! and every fault on the wire must be accounted, never silently
-//! swallowed.
+//! End-to-end over real localhost TCP: the wire path (agent → the
+//! readiness-driven collector → lifecycle pool) must detect exactly what
+//! the in-process path detects, and every fault on the wire must be
+//! accounted, never silently swallowed.
 //!
 //! * An HBase severe-disk-hog scenario is captured once, then replayed
 //!   through an uninterrupted in-process lifecycle pool (the oracle) and
@@ -13,8 +13,8 @@
 //!   event multiset must equal an oracle fed the same surviving batches
 //!   with the same loss report.
 //! * A `FaultyProxy` between agent and collector injects corruption,
-//!   drops, and a mid-stream disconnect; proxy counters and transport
-//!   accounting must reconcile exactly.
+//!   drops, a mid-stream disconnect, and a slow-loris trickle; proxy
+//!   counters and transport accounting must reconcile exactly.
 
 mod common;
 
@@ -31,7 +31,7 @@ use saad::fault::{FaultyProxy, HogSchedule, ProxySpec};
 use saad::hbase::{HBaseCluster, HBaseConfig};
 use saad::logging::LogPointId;
 use saad::net::protocol::{HELLO_ACK_LEN, HELLO_LEN};
-use saad::net::{Agent, AgentConfig, Collector, CollectorConfig};
+use saad::net::{Agent, AgentConfig, ReactorCollector, ReactorCollectorConfig};
 use saad::sim::{SimDuration, SimTime};
 use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};
 use std::net::TcpListener;
@@ -178,9 +178,9 @@ fn hbase_fault_scenario_over_tcp_matches_in_process_path() {
     // Wire path: one agent (order-preserving) → collector → same pool.
     let tcp_dir = TempDir::new("hbase-tcp");
     let (batch_tx, loss_tx, pool) = spawn_pool(tcp_dir.path(), 3);
-    let (interner, config) = (pool.interner(), CollectorConfig::default());
+    let (interner, config) = (pool.interner(), ReactorCollectorConfig::default());
     let collector =
-        Collector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
+        ReactorCollector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
     let agent = Agent::connect(collector.local_addr(), HostId(900), AgentConfig::default());
     for chunk in stream.chunks(BATCH) {
         agent.send(chunk.to_vec());
@@ -277,12 +277,12 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
         }
     });
 
-    let collector_a = Collector::bind_soa(
+    let collector_a = ReactorCollector::bind_soa(
         "127.0.0.1:0",
         batch_tx.clone(),
         pool.interner(),
         collector_loss_tx.clone(),
-        CollectorConfig::default(),
+        ReactorCollectorConfig::default(),
     )
     .unwrap();
     let port = collector_a.local_addr().port();
@@ -340,13 +340,13 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
             }
         }
     };
-    let collector_b = Collector::serve_soa(
+    let collector_b = ReactorCollector::serve_soa(
         listener,
         state,
         batch_tx.clone(),
         pool.interner(),
         collector_loss_tx.clone(),
-        CollectorConfig::default(),
+        ReactorCollectorConfig::default(),
     )
     .unwrap();
 
@@ -480,9 +480,13 @@ fn run_through_proxy(
     let frame_host = HostId(1);
     let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
     let (loss_tx, loss_rx) = unbounded::<LossReport>();
-    let (interner, config) = (Arc::default(), CollectorConfig::default());
+    let (interner, config) = (Arc::default(), ReactorCollectorConfig::default());
     let collector =
-        Collector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
+        ReactorCollector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
+    // A proxy that neither drops nor disconnects forwards every frame, and
+    // one that trickles takes its time over it: wait for the last one.
+    let forwards_all =
+        spec.drop_p == 0.0 && spec.disconnect_after.is_none() && spec.disconnect_schedule.is_none();
     let proxy = FaultyProxy::start(collector.local_addr(), spec).unwrap();
     let agent = Agent::connect(proxy.local_addr(), frame_host, AgentConfig::default());
     for batch in batches {
@@ -505,7 +509,8 @@ fn run_through_proxy(
                 == link.delivered_frames
                     + link.duplicate_frames
                     + collector.stats().corrupted_frames;
-            if done && settled {
+            let forwarded = !forwards_all || proxied.forwarded == batches.len() as u64;
+            if done && settled && forwarded {
                 break;
             }
             assert!(Instant::now() < deadline, "proxy pipeline never settled");
@@ -638,6 +643,35 @@ fn proxy_disconnect_reconnects_with_one_accounted_gap() {
         link.lost_synopses >= BATCH as u64,
         "the swallowed message is in the gap"
     );
+}
+
+/// Slow loris: every frame arrives one byte per write, so every length
+/// prefix is split across reads and every readiness event finds the
+/// session mid-message. Nothing may be lost, corrupted or duplicated.
+#[test]
+fn proxy_trickle_delivers_every_frame_byte_at_a_time() {
+    let batches = uniform_batches(8);
+    let spec = ProxySpec {
+        client_preamble: HELLO_LEN,
+        server_preamble: HELLO_ACK_LEN,
+        trickle_p: 1.0,
+        trickle_max_chunk: 1,
+        trickle_pause: Duration::from_micros(50),
+        seed: 0x10415,
+        ..ProxySpec::default()
+    };
+    let (counts, link, agent_stats, reports, corrupted) =
+        run_through_proxy(&batches, spec, Duration::ZERO);
+    let frames = batches.len() as u64;
+    assert!(counts.trickled > 0, "the trickle must fire");
+    assert_eq!((counts.trickled, counts.forwarded), (frames, frames));
+    assert!(counts.trickle_writes > frames * BATCH as u64);
+    assert_eq!(link.delivered_frames, frames, "every frame delivered");
+    assert_eq!(link.delivered_synopses, frames * BATCH as u64);
+    assert_eq!((corrupted, link.lost_synopses), (0, 0));
+    assert_eq!(link.duplicate_frames, 0);
+    assert!(reports.is_empty(), "no loss to report: {reports:?}");
+    assert_eq!(agent_stats.synopses_written, frames * BATCH as u64);
 }
 
 // ---------------------------------------------------------------------------
