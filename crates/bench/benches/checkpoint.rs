@@ -17,6 +17,7 @@
 //! * `recover`— scan the store and restore the newest valid generation.
 
 use saad_core::detector::{AnomalyDetector, DetectorConfig};
+use saad_core::feature::InternedFeature;
 use saad_core::intern::SignatureInterner;
 use saad_core::model::{ModelBuilder, ModelConfig};
 use saad_core::store::{Checkpoint, CheckpointStore};
@@ -107,7 +108,8 @@ fn build_checkpoint(synopses: &[TaskSynopsis], shards: usize) -> Checkpoint {
         .collect();
     for s in synopses {
         let shard = (s.host.0 as usize) % shards;
-        std::hint::black_box(detectors[shard].observe_synopsis(s));
+        let f = InternedFeature::from_synopsis(s, &interner);
+        std::hint::black_box(detectors[shard].observe_interned(&f));
     }
     let snapshots = detectors.iter().map(|d| d.snapshot()).collect();
     Checkpoint::new(1, model, compiled, interner, snapshots)

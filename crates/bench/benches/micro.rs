@@ -18,7 +18,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use saad_bench::DrainingCollector;
 use saad_core::batch::SynopsisBatch;
 use saad_core::detector::{AnomalyDetector, DetectorConfig};
-use saad_core::feature::{FeatureVector, InternedFeature};
+use saad_core::feature::InternedFeature;
 use saad_core::intern::SignatureInterner;
 use saad_core::model::{ModelBuilder, ModelConfig, VerdictMask};
 use saad_core::pipeline::OverloadPolicy;
@@ -215,17 +215,23 @@ fn bench_model_build(c: &mut Criterion) {
 
 fn bench_detector(c: &mut Criterion) {
     let model = trained_model();
-    let features: Vec<FeatureVector> = (0..10_000u64)
-        .map(|i| FeatureVector::from(&synopsis(0, &[1, 2, 4, 5], 9_500, i)))
+    let interner = Arc::new(SignatureInterner::new());
+    let compiled = Arc::new(model.compile(&interner));
+    let fresh = || {
+        let config = DetectorConfig::default();
+        AnomalyDetector::with_shared(model.clone(), compiled.clone(), interner.clone(), config)
+    };
+    let features: Vec<InternedFeature> = (0..10_000u64)
+        .map(|i| InternedFeature::from_synopsis(&synopsis(0, &[1, 2, 4, 5], 9_500, i), &interner))
         .collect();
     let mut g = c.benchmark_group("detector");
     g.throughput(Throughput::Elements(features.len() as u64));
     g.bench_function("observe_10k", |b| {
         b.iter_batched(
-            || AnomalyDetector::new(model.clone(), DetectorConfig::default()),
+            fresh,
             |mut d| {
                 for f in &features {
-                    d.observe(f);
+                    d.observe_interned(f);
                 }
                 d.flush()
             },
@@ -237,12 +243,6 @@ fn bench_detector(c: &mut Criterion) {
     // of 256 stamped with the running-maximum watermark: once in order,
     // once with every sixth element three windows old — a straggler, which
     // is a silent window of its own.
-    let interner = Arc::new(SignatureInterner::new());
-    let compiled = Arc::new(model.compile(&interner));
-    let fresh = || {
-        let config = DetectorConfig::default();
-        AnomalyDetector::with_shared(model.clone(), compiled.clone(), interner.clone(), config)
-    };
     const STREAM: u64 = 12_288;
     let window_us = DetectorConfig::default().window.as_micros();
     let batches = |late_every: u64| -> (Vec<SynopsisBatch>, u64) {
@@ -299,7 +299,7 @@ fn bench_detector(c: &mut Criterion) {
     for i in 0..16_000u64 {
         let mut s = synopsis(0, &[1, 2, 4, 5], 9_000 + (i % 97) * 20, i);
         s.host = HostId((i % 1000) as u16);
-        filled.observe_synopsis(&s);
+        filled.observe_interned(&InternedFeature::from_synopsis(&s, &interner));
     }
     let filled = filled.snapshot();
     g.throughput(Throughput::Elements(1000));

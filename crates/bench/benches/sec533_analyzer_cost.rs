@@ -17,7 +17,7 @@ use saad_bench::{scaled_mins, workload, StringAppender};
 use saad_cassandra::{Cluster, ClusterConfig};
 use saad_core::batch::SynopsisBatch;
 use saad_core::detector::{AnomalyDetector, DetectorConfig};
-use saad_core::feature::FeatureVector;
+use saad_core::feature::InternedFeature;
 use saad_core::intern::SignatureInterner;
 use saad_core::model::{ModelBuilder, ModelConfig, OutlierModel};
 use saad_core::pipeline::{spawn_batch_analyzer_pool, SupervisorConfig};
@@ -131,7 +131,8 @@ fn main() {
     let t1 = Instant::now();
     let mut detector = AnomalyDetector::new(model, DetectorConfig::default());
     for s in &synopses {
-        detector.observe(&FeatureVector::from(s));
+        let f = InternedFeature::from_synopsis(s, detector.interner());
+        detector.observe_interned(&f);
     }
     detector.flush();
     let detect_secs = t1.elapsed().as_secs_f64();

@@ -20,6 +20,7 @@ use parking_lot::Mutex;
 use saad_cassandra::{Cluster, ClusterConfig, RunOutput};
 use saad_core::codec;
 use saad_core::detector::{AnomalyDetector, AnomalyEvent, AnomalyKind, DetectorConfig};
+use saad_core::feature::InternedFeature;
 use saad_core::model::{ModelConfig, OutlierModel};
 use saad_core::pipeline::{DetectorSink, ModelSink};
 use saad_core::synopsis::TaskSynopsis;
@@ -247,7 +248,8 @@ pub fn detect_batch(
     let mut detector = AnomalyDetector::new(model, config);
     let mut events = Vec::new();
     for s in synopses {
-        events.extend(detector.observe(&s.into()));
+        let f = InternedFeature::from_synopsis(s, detector.interner());
+        events.extend(detector.observe_interned(&f));
     }
     events.extend(detector.flush());
     events

@@ -87,9 +87,9 @@ fn get_varint_at(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
 
 /// Narrow a decoded host, stage or point id to its 16-bit type. The
 /// encoder never writes a wider one, and truncating it would alias a
-/// legitimate id — a malformed frame that passes its CRC would be counted
-/// under a real flow.
-fn id16(v: u64) -> Result<u16, DecodeError> {
+/// legitimate id — a malformed frame or checkpoint that passes its CRC
+/// would be counted under a real flow.
+pub(crate) fn id16(v: u64) -> Result<u16, DecodeError> {
     u16::try_from(v).map_err(|_| DecodeError::LengthOutOfRange(v))
 }
 

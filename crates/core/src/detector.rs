@@ -12,14 +12,13 @@
 //!   training outlier rate.
 
 use crate::batch::SynopsisBatch;
-use crate::codec::{get_f64, get_u8, get_varint, put_f64, put_varint, DecodeError};
+use crate::codec::{get_f64, get_u8, get_varint, id16, put_f64, put_varint, DecodeError};
 use crate::fasthash::FastMap;
-use crate::feature::{FeatureVector, InternedFeature};
+use crate::feature::InternedFeature;
 use crate::intern::{SigId, SignatureInterner};
 use crate::model::{
     CompiledModel, ConfigError, ModelBuilder, ModelConfig, OutlierModel, TaskClass, VerdictMask,
 };
-use crate::synopsis::TaskSynopsis;
 use crate::{HostId, Signature, StageId};
 use bytes::{BufMut, Bytes, BytesMut};
 use saad_sim::{SimDuration, SimTime};
@@ -207,12 +206,15 @@ impl WindowAccum {
             TaskClass::FlowOutlier => self.rare_flow_outliers += 1,
             TaskClass::NewSignature => {
                 self.new_signature_tasks += 1;
-                if !self.new_signatures.contains(&sig)
-                    && self.new_signatures.len() < max_new_signatures
-                {
-                    self.new_signatures.push(sig);
-                }
+                self.enumerate_new(sig, max_new_signatures);
             }
+        }
+    }
+
+    /// List a new signature for the window's report, up to the cap.
+    fn enumerate_new(&mut self, sig: SigId, max_new_signatures: usize) {
+        if !self.new_signatures.contains(&sig) && self.new_signatures.len() < max_new_signatures {
+            self.new_signatures.push(sig);
         }
     }
 
@@ -308,17 +310,19 @@ impl OpenWindows {
 
 /// The windowed statistical anomaly detector.
 ///
-/// Feed it feature vectors with [`AnomalyDetector::observe`] (or, on the
-/// hot path, pre-interned features with
-/// [`AnomalyDetector::observe_interned`]); events are returned as windows
-/// close. Call [`AnomalyDetector::flush`] at the end of a run to close
-/// all remaining windows.
+/// Feed it [`SynopsisBatch`]es with [`AnomalyDetector::observe_batch`],
+/// or one interned task at a time with
+/// [`AnomalyDetector::observe_interned`] after
+/// [`AnomalyDetector::advance_watermark`] — the per-feature reference the
+/// batch path is tested against. Events are returned as windows close.
+/// Call [`AnomalyDetector::flush`] at the end of a run to close all
+/// remaining windows.
 ///
 /// Internally the detector runs entirely on interned [`SigId`]s against a
 /// [`CompiledModel`]: classification is two array indexes and a float
 /// compare, and window accumulators key on `u32` ids. Signatures are
 /// only materialized when an event is emitted at window close.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AnomalyDetector {
     model: Arc<OutlierModel>,
     compiled: Arc<CompiledModel>,
@@ -332,34 +336,23 @@ pub struct AnomalyDetector {
     watermark: SimTime,
     tasks_seen: u64,
     tasks_lost: u64,
+    // Not in the wire form: a restored checkpoint counts from zero.
     late_seen: u64,
     // Bootstrap/degraded mode: no trained model yet; count windows and
     // emit ModelUnavailable instead of classifying.
     collect_only: bool,
     // The one-task window of a straggler (see `account`), reused so that
     // closing it touches neither the store nor the heap. Not state:
-    // cleared before every use, never snapshotted.
+    // cleared before every use, so a snapshot's copy is empty.
     scratch: WindowAccum,
 }
 
-/// A restartable copy of a detector's mutable state, taken with
-/// [`AnomalyDetector::snapshot`]. The supervised analyzer restores from
-/// the latest snapshot after a panic and replays the tail of the stream.
+/// A restartable copy of a detector, taken with
+/// [`AnomalyDetector::snapshot`]; the model, compiled tables and interner
+/// are shared, not copied. The supervised analyzer restores from the
+/// latest snapshot after a panic and replays the tail of the stream.
 #[derive(Debug, Clone)]
-pub struct DetectorSnapshot {
-    model: Arc<OutlierModel>,
-    compiled: Arc<CompiledModel>,
-    interner: Arc<SignatureInterner>,
-    config: DetectorConfig,
-    open: OpenWindows,
-    lost: BTreeMap<(u64, HostId), u64>,
-    watermark: SimTime,
-    tasks_seen: u64,
-    tasks_lost: u64,
-    // Not in the wire form: a restored checkpoint counts from zero.
-    late_seen: u64,
-    collect_only: bool,
-}
+pub struct DetectorSnapshot(AnomalyDetector);
 
 /// Sanity bounds for snapshot decoding. The checkpoint store's CRC
 /// framing catches corruption first; these guard against format drift
@@ -370,28 +363,28 @@ const MAX_SNAPSHOT_SIGS: u64 = 1 << 22;
 impl DetectorSnapshot {
     /// Tasks the snapshotted detector had observed.
     pub fn tasks_seen(&self) -> u64 {
-        self.tasks_seen
+        self.0.tasks_seen
     }
 
     /// Synopses the snapshotted detector knew were lost in transit.
     pub fn tasks_lost(&self) -> u64 {
-        self.tasks_lost
+        self.0.tasks_lost
     }
 
     /// The snapshotted watermark (max task start time seen).
     pub fn watermark(&self) -> SimTime {
-        self.watermark
+        self.0.watermark
     }
 
     /// The snapshotted detection configuration.
     pub fn config(&self) -> DetectorConfig {
-        self.config
+        self.0.config
     }
 
     /// Whether the snapshotted detector was in bootstrap (collect-only)
     /// mode.
     pub fn is_collect_only(&self) -> bool {
-        self.collect_only
+        self.0.collect_only
     }
 
     /// Append the snapshot's wire form to `buf` (the per-shard section of
@@ -402,16 +395,17 @@ impl DetectorSnapshot {
     /// written here — the checkpoint stores each exactly once and
     /// [`DetectorSnapshot::decode_from`] re-links them.
     pub fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u8(self.collect_only as u8);
-        put_varint(buf, self.config.window.as_micros());
-        put_f64(buf, self.config.alpha);
-        put_varint(buf, self.config.min_window_tasks);
-        put_varint(buf, self.config.min_group_tasks);
-        put_varint(buf, self.config.max_new_signatures as u64);
-        put_varint(buf, self.watermark.as_micros());
-        put_varint(buf, self.tasks_seen);
-        put_varint(buf, self.tasks_lost);
-        let mut windows: Vec<_> = self.open.iter().collect();
+        let d = &self.0;
+        buf.put_u8(d.collect_only as u8);
+        put_varint(buf, d.config.window.as_micros());
+        put_f64(buf, d.config.alpha);
+        put_varint(buf, d.config.min_window_tasks);
+        put_varint(buf, d.config.min_group_tasks);
+        put_varint(buf, d.config.max_new_signatures as u64);
+        put_varint(buf, d.watermark.as_micros());
+        put_varint(buf, d.tasks_seen);
+        put_varint(buf, d.tasks_lost);
+        let mut windows: Vec<_> = d.open.iter().collect();
         windows.sort_unstable_by_key(|&(key, _)| key);
         put_varint(buf, windows.len() as u64);
         for ((host, stage, idx), acc) in windows {
@@ -434,7 +428,7 @@ impl DetectorSnapshot {
                 put_varint(buf, n);
             }
         }
-        let mut lost: Vec<_> = self.lost.iter().map(|(&(i, h), &c)| (h, i, c)).collect();
+        let mut lost: Vec<_> = d.lost.iter().map(|(&(i, h), &c)| (h, i, c)).collect();
         lost.sort_unstable_by_key(|&(h, i, _)| (h, i));
         put_varint(buf, lost.len() as u64);
         for (host, idx, count) in lost {
@@ -456,7 +450,9 @@ impl DetectorSnapshot {
     /// # Errors
     ///
     /// Returns a [`DecodeError`] on truncated input, out-of-range
-    /// lengths, or unresolvable signature ids.
+    /// lengths, host or stage ids wider than 16 bits, unresolvable
+    /// signature ids, or a configuration [`DetectorConfig::validate`]
+    /// refuses.
     pub fn decode_from(
         buf: &mut Bytes,
         model: Arc<OutlierModel>,
@@ -488,8 +484,8 @@ impl DetectorSnapshot {
         }
         let mut open = OpenWindows::default();
         for _ in 0..window_count {
-            let host = HostId(get_varint(buf)? as u16);
-            let stage = StageId(get_varint(buf)? as u16);
+            let host = HostId(id16(get_varint(buf)?)?);
+            let stage = StageId(id16(get_varint(buf)?)?);
             let idx = get_varint(buf)?;
             let mut acc = WindowAccum {
                 n: get_varint(buf)?,
@@ -522,24 +518,29 @@ impl DetectorSnapshot {
         }
         let mut lost = BTreeMap::new();
         for _ in 0..loss_count {
-            let host = HostId(get_varint(buf)? as u16);
+            let host = HostId(id16(get_varint(buf)?)?);
             let idx = get_varint(buf)?;
             let count = get_varint(buf)?;
             lost.insert((idx, host), count);
         }
-        Ok(DetectorSnapshot {
-            model,
-            compiled,
-            interner,
-            config,
+        // A config no detector could be built with (a zero window divides
+        // by zero at the first observation) is as undecodable as a bad id.
+        let d =
+            AnomalyDetector::try_with_shared(model, compiled, interner, config).map_err(|e| {
+                DecodeError::LengthOutOfRange(match e {
+                    ConfigError::AlphaOutOfRange(alpha) => alpha.to_bits(),
+                    _ => config.window.as_micros(),
+                })
+            })?;
+        Ok(DetectorSnapshot(AnomalyDetector {
             open,
             lost,
             watermark,
             tasks_seen,
             tasks_lost,
-            late_seen: 0,
             collect_only,
-        })
+            ..d
+        }))
     }
 
     /// Merge per-shard snapshots into one logical snapshot. Used when a
@@ -556,20 +557,17 @@ impl DetectorSnapshot {
     pub fn merge(parts: Vec<DetectorSnapshot>) -> Option<DetectorSnapshot> {
         let mut iter = parts.into_iter();
         let mut merged = iter.next()?;
-        for mut part in iter {
+        let m = &mut merged.0;
+        for DetectorSnapshot(mut part) in iter {
             for ((host, stage, idx), acc) in part.open.take_all() {
                 // Adding into a freshly opened (empty) accumulator is the
                 // plain insert of the disjoint case.
-                let into = merged.open.accum(host, stage, idx);
+                let into = m.open.accum(host, stage, idx);
                 into.n += acc.n;
                 into.rare_flow_outliers += acc.rare_flow_outliers;
                 into.new_signature_tasks += acc.new_signature_tasks;
                 for sig in acc.new_signatures {
-                    if !into.new_signatures.contains(&sig)
-                        && into.new_signatures.len() < merged.config.max_new_signatures
-                    {
-                        into.new_signatures.push(sig);
-                    }
+                    into.enumerate_new(sig, m.config.max_new_signatures);
                 }
                 for (sig, (o, n)) in acc.perf {
                     let g = into.perf.entry(sig).or_insert((0, 0));
@@ -578,13 +576,13 @@ impl DetectorSnapshot {
                 }
             }
             for (key, count) in part.lost {
-                let slot = merged.lost.entry(key).or_insert(0);
+                let slot = m.lost.entry(key).or_insert(0);
                 *slot = (*slot).max(count);
             }
-            merged.watermark = merged.watermark.max(part.watermark);
-            merged.tasks_seen += part.tasks_seen;
-            merged.late_seen += part.late_seen;
-            merged.tasks_lost = merged.tasks_lost.max(part.tasks_lost);
+            m.watermark = m.watermark.max(part.watermark);
+            m.tasks_seen += part.tasks_seen;
+            m.late_seen += part.late_seen;
+            m.tasks_lost = m.tasks_lost.max(part.tasks_lost);
         }
         Some(merged)
     }
@@ -605,25 +603,13 @@ impl DetectorSnapshot {
         route: impl Fn(HostId, StageId) -> usize,
     ) -> Vec<DetectorSnapshot> {
         assert!(n > 0, "cannot partition a snapshot into zero shards");
-        let mut parts: Vec<DetectorSnapshot> = (0..n)
-            .map(|_| DetectorSnapshot {
-                model: self.model.clone(),
-                compiled: self.compiled.clone(),
-                interner: self.interner.clone(),
-                config: self.config,
-                open: OpenWindows::default(),
-                lost: self.lost.clone(),
-                watermark: self.watermark,
-                tasks_seen: 0,
-                tasks_lost: self.tasks_lost,
-                late_seen: 0,
-                collect_only: self.collect_only,
-            })
-            .collect();
-        parts[0].tasks_seen = self.tasks_seen;
-        parts[0].late_seen = self.late_seen;
-        for ((host, stage, idx), acc) in self.open.take_all() {
-            *parts[route(host, stage) % n].open.accum(host, stage, idx) = acc;
+        let mut open = std::mem::take(&mut self.0.open);
+        let seen = std::mem::take(&mut self.0.tasks_seen);
+        let late = std::mem::take(&mut self.0.late_seen);
+        let mut parts = vec![self; n];
+        (parts[0].0.tasks_seen, parts[0].0.late_seen) = (seen, late);
+        for ((host, stage, idx), acc) in open.take_all() {
+            *parts[route(host, stage) % n].0.open.accum(host, stage, idx) = acc;
         }
         parts
     }
@@ -735,38 +721,13 @@ impl AnomalyDetector {
     ///
     /// [restore]: AnomalyDetector::from_snapshot
     pub fn snapshot(&self) -> DetectorSnapshot {
-        DetectorSnapshot {
-            model: self.model.clone(),
-            compiled: self.compiled.clone(),
-            interner: self.interner.clone(),
-            config: self.config,
-            open: self.open.clone(),
-            lost: self.lost.clone(),
-            watermark: self.watermark,
-            tasks_seen: self.tasks_seen,
-            tasks_lost: self.tasks_lost,
-            late_seen: self.late_seen,
-            collect_only: self.collect_only,
-        }
+        DetectorSnapshot(self.clone())
     }
 
     /// Rebuild a detector from a snapshot, exactly as it was when
     /// [`AnomalyDetector::snapshot`] ran.
     pub fn from_snapshot(snapshot: DetectorSnapshot) -> AnomalyDetector {
-        AnomalyDetector {
-            model: snapshot.model,
-            compiled: snapshot.compiled,
-            interner: snapshot.interner,
-            config: snapshot.config,
-            open: snapshot.open,
-            lost: snapshot.lost,
-            watermark: snapshot.watermark,
-            tasks_seen: snapshot.tasks_seen,
-            tasks_lost: snapshot.tasks_lost,
-            late_seen: snapshot.late_seen,
-            collect_only: snapshot.collect_only,
-            scratch: WindowAccum::default(),
-        }
+        snapshot.0
     }
 
     /// Whether the detector is in bootstrap (collect-only) mode.
@@ -902,32 +863,17 @@ impl AnomalyDetector {
         self.lost.get(&(idx, host)).copied().unwrap_or(0)
     }
 
-    /// Observe one task; returns events from any windows that closed.
+    /// Observe one pre-interned task; returns events from any windows
+    /// that closed. The per-feature reference [`observe_batch`] is held
+    /// to, and the entry for callers that hold one task at a time: build
+    /// the feature with [`InternedFeature::from_synopsis`] on this
+    /// detector's [`interner`](AnomalyDetector::interner).
     ///
     /// Windows close when the watermark (max task start time seen) moves a
     /// full window past their end, tolerating modest reordering in the
     /// synopsis stream.
-    pub fn observe(&mut self, f: &FeatureVector) -> Vec<AnomalyEvent> {
-        let interned = f.intern(&self.interner);
-        self.observe_interned(&interned)
-    }
-
-    /// Observe one task straight from its synopsis — interns the points
-    /// without materializing a boxed [`Signature`]. Equivalent to
-    /// `observe(&FeatureVector::from(s))` but allocation-free on the
-    /// already-interned path.
-    pub fn observe_synopsis(&mut self, s: &TaskSynopsis) -> Vec<AnomalyEvent> {
-        let interned = InternedFeature::from_synopsis(s, &self.interner);
-        self.observe_interned(&interned)
-    }
-
-    /// Observe one pre-interned task; returns events from any windows
-    /// that closed. This is the hot path: classification is two array
-    /// indexes and a float compare against the compiled model, and the
-    /// window accumulators key on the dense [`SigId`].
     ///
-    /// The feature must have been interned through this detector's own
-    /// interner (see [`AnomalyDetector::interner`]).
+    /// [`observe_batch`]: AnomalyDetector::observe_batch
     pub fn observe_interned(&mut self, f: &InternedFeature) -> Vec<AnomalyEvent> {
         self.tasks_seen += 1;
         let mut events = Vec::new();
@@ -990,7 +936,7 @@ impl AnomalyDetector {
     }
 
     /// Observe a whole structure-of-arrays batch; returns events from any
-    /// windows that closed, in exactly the order the per-synopsis path
+    /// windows that closed, in exactly the order the per-feature reference
     /// would have produced them.
     ///
     /// Semantically this is `for i in 0..batch.len() {
@@ -1012,11 +958,30 @@ impl AnomalyDetector {
         batch: &SynopsisBatch,
         verdicts: &mut VerdictMask,
     ) -> Vec<AnomalyEvent> {
-        let mut events = Vec::new();
-        let len = batch.len();
-        if len == 0 {
-            return events;
+        if self.collect_only {
+            // Bootstrap mode: count each task, classify none.
+            return self.observe_rows(batch, |acc, _, _| acc.n += 1);
         }
+        self.compiled
+            .classify_batch(&batch.stages, &batch.sigs, &batch.durations_us, verdicts);
+        let (verdicts, max_new) = (&*verdicts, self.config.max_new_signatures);
+        self.observe_rows(batch, |acc, compiled, i| {
+            let (stage, sig) = (batch.stages[i], batch.sigs[i]);
+            acc.count(verdicts.get(i), stage, sig, compiled, max_new)
+        })
+    }
+
+    /// The one batch loop under [`AnomalyDetector::observe_batch`]: each
+    /// row advances the watermark, then `count(accumulator, compiled, row)`
+    /// counts it into its window. Generic, so each mode compiles to a loop
+    /// of its own.
+    #[inline]
+    fn observe_rows(
+        &mut self,
+        batch: &SynopsisBatch,
+        count: impl Fn(&mut WindowAccum, &CompiledModel, usize),
+    ) -> Vec<AnomalyEvent> {
+        let mut events = Vec::new();
         let window_us = self.config.window.as_micros();
         // One-entry window-index cache for task starts: streams are
         // near-sorted, so consecutive elements usually share a window and
@@ -1026,36 +991,7 @@ impl AnomalyDetector {
         // Windows become closable only when the watermark's window index
         // grows; track it so in-window elements skip `close_stale`.
         let mut closable_before = self.window_index(self.watermark);
-        if self.collect_only {
-            for i in 0..len {
-                self.tasks_seen += 1;
-                let wm = batch.watermarks[i];
-                if wm > self.watermark {
-                    self.watermark = wm;
-                    let wm_idx = self.window_index(wm);
-                    if wm_idx > closable_before {
-                        closable_before = wm_idx;
-                        self.close_stale(&mut events);
-                    }
-                }
-                let start_us = batch.starts[i].as_micros();
-                let idx = if start_us >= cached_lo && start_us - cached_lo < window_us {
-                    cached_idx
-                } else {
-                    let idx = start_us / window_us;
-                    cached_lo = idx * window_us;
-                    cached_idx = idx;
-                    idx
-                };
-                let key = (batch.hosts[i], batch.stages[i], idx);
-                self.account(key, closable_before, &mut events, |acc, _| acc.n += 1);
-            }
-            return events;
-        }
-        self.compiled
-            .classify_batch(&batch.stages, &batch.sigs, &batch.durations_us, verdicts);
-        let max_new = self.config.max_new_signatures;
-        for i in 0..len {
+        for i in 0..batch.len() {
             self.tasks_seen += 1;
             let wm = batch.watermarks[i];
             if wm > self.watermark {
@@ -1075,10 +1011,9 @@ impl AnomalyDetector {
                 cached_idx = idx;
                 idx
             };
-            let (stage, sig, class) = (batch.stages[i], batch.sigs[i], verdicts.get(i));
-            let key = (batch.hosts[i], stage, idx);
+            let key = (batch.hosts[i], batch.stages[i], idx);
             self.account(key, closable_before, &mut events, |acc, compiled| {
-                acc.count(class, stage, sig, compiled, max_new)
+                count(acc, compiled, i)
             });
         }
         events
@@ -1282,6 +1217,12 @@ mod tests {
         AnomalyDetector::new(trained_model(), DetectorConfig::default())
     }
 
+    /// One synopsis through the per-feature reference.
+    fn observe_one(d: &mut AnomalyDetector, s: &TaskSynopsis) -> Vec<AnomalyEvent> {
+        let f = InternedFeature::from_synopsis(s, d.interner());
+        d.observe_interned(&f)
+    }
+
     fn feed(
         d: &mut AnomalyDetector,
         minute: u64,
@@ -1292,7 +1233,7 @@ mod tests {
         for i in 0..count {
             let mut s = mk(i);
             s.start = SimTime::from_mins(minute) + SimDuration::from_millis(i * 10);
-            events.extend(d.observe(&FeatureVector::from(&s)));
+            events.extend(observe_one(d, &s));
         }
         events
     }
@@ -1381,7 +1322,7 @@ mod tests {
                 let mut s = synopsis(1, &[1, 2], 1_000, SimTime::ZERO, minute * 100 + i);
                 s.start = SimTime::from_mins(minute) + SimDuration::from_millis(i);
                 batch.push_synopsis(&s, &interner);
-                scalar_events.extend(scalar.observe_synopsis(&s));
+                scalar_events.extend(observe_one(&mut scalar, &s));
             }
         }
         let mut mask = VerdictMask::new();
@@ -1536,7 +1477,7 @@ mod tests {
                 s
             };
             s.start = SimTime::from_millis(i * 20);
-            events.extend(d.observe(&FeatureVector::from(&s)));
+            events.extend(observe_one(&mut d, &s));
         }
         events.extend(d.flush());
         assert!(
@@ -1881,9 +1822,9 @@ mod tests {
             assert!(
                 DetectorSnapshot::decode_from(
                     &mut prefix,
-                    snap.model.clone(),
-                    snap.compiled.clone(),
-                    snap.interner.clone(),
+                    snap.0.model.clone(),
+                    snap.0.compiled.clone(),
+                    snap.0.interner.clone(),
                 )
                 .is_err(),
                 "prefix of {len} bytes decoded successfully"
@@ -1892,7 +1833,45 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_decode_rejects_unresolvable_sig_ids() {
+    fn snapshot_decode_rejects_ids_and_configs_out_of_range() {
+        // Hand-written snapshots of one window of one task and one loss
+        // entry. No encoder writes a wider id or an invalid config; decoded,
+        // one would alias a real host or stage, the other panic the first
+        // observation (a zero window divides by zero).
+        let snapshot = |window_us: u64, alpha: f64, host: u64, stage: u64, loss_host: u64| {
+            let mut buf = BytesMut::new();
+            buf.put_u8(0);
+            put_varint(&mut buf, window_us);
+            put_f64(&mut buf, alpha);
+            // Both minimums, the new-signature cap, watermark, seen, lost;
+            // one window; one loss entry.
+            let fields = [15, 6, 8, 0, 0, 0, 1, host, stage, 0, 1, 0, 0, 0, 0];
+            for v in fields.into_iter().chain([1, loss_host, 0, 3]) {
+                put_varint(&mut buf, v);
+            }
+            buf.freeze()
+        };
+        let d = detector();
+        let decode = |mut bytes: Bytes| {
+            let (model, compiled) = (d.model.clone(), d.compiled.clone());
+            DetectorSnapshot::decode_from(&mut bytes, model, compiled, d.interner.clone())
+        };
+        let window = DetectorConfig::default().window.as_micros();
+        assert!(decode(snapshot(window, 0.001, 7, 3, 7)).is_ok());
+        for (case, bytes) in [
+            ("wide host", snapshot(window, 0.001, 70_000, 3, 7)),
+            ("wide stage", snapshot(window, 0.001, 7, 70_000, 7)),
+            ("wide loss host", snapshot(window, 0.001, 7, 3, 70_000)),
+            ("zero window", snapshot(0, 0.001, 7, 3, 7)),
+            ("alpha out of range", snapshot(window, 1.5, 7, 3, 7)),
+        ] {
+            let err = decode(bytes).expect_err(case);
+            assert!(
+                matches!(err, DecodeError::LengthOutOfRange(_)),
+                "{case}: {err:?}"
+            );
+        }
+
         let mut d = detector();
         feed(&mut d, 0, 60, mixed_mk); // open windows reference interned sigs
         let snap = d.snapshot();
@@ -1923,7 +1902,7 @@ mod tests {
             s.host = HostId((i % 3) as u16);
             s.stage = StageId((i % 2) as u16);
             s.start = SimTime::from_millis(i * 15);
-            d.observe(&FeatureVector::from(&s));
+            observe_one(&mut d, &s);
         }
         let snap = d.snapshot();
         let mut orig = BytesMut::new();
@@ -1932,7 +1911,7 @@ mod tests {
             .clone()
             .partition(3, |h, s| h.0 as usize + s.0 as usize);
         assert_eq!(parts.len(), 3);
-        assert!(parts.iter().any(|p| p.open.len() > 0));
+        assert!(parts.iter().any(|p| p.0.open.len() > 0));
         let merged = DetectorSnapshot::merge(parts).expect("nonempty parts");
         let mut back = BytesMut::new();
         merged.encode_into(&mut back);
@@ -2073,7 +2052,7 @@ mod tests {
                 let dur = if i % 2 == 0 { 500_000 } else { 1_100 };
                 uid += 1;
                 let s = synopsis(0, points, dur, SimTime::from_millis(uid), uid);
-                assert!(d.observe_synopsis(&s).is_empty());
+                assert!(observe_one(&mut d, &s).is_empty());
             }
         }
         let compiled = Arc::new(swapped.compile(&interner));
@@ -2121,17 +2100,16 @@ mod tests {
             };
             let mut original = detector();
             for (uid, item) in stream[..split].iter().enumerate() {
-                original.observe(&FeatureVector::from(&to_synopsis(item, uid as u64)));
+                observe_one(&mut original, &to_synopsis(item, uid as u64));
             }
             let snap = original.snapshot();
             let mut restored = restore_via_codec(&original, &snap);
             for (uid, item) in stream[split..].iter().enumerate() {
                 let s = to_synopsis(item, uid as u64);
-                // observe() interns against each detector's own interner
-                // and then runs observe_interned.
+                // observe_one() interns against each detector's own interner.
                 prop_assert_eq!(
-                    restored.observe(&FeatureVector::from(&s)),
-                    original.observe(&FeatureVector::from(&s))
+                    observe_one(&mut restored, &s),
+                    observe_one(&mut original, &s)
                 );
             }
             prop_assert_eq!(restored.flush(), original.flush());

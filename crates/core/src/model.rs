@@ -12,8 +12,8 @@
 //!    not support a stable threshold (held-out outlier rate far above
 //!    nominal) are discarded from performance detection.
 
-use crate::codec::{get_f64, get_u8, get_varint, put_f64, put_varint, DecodeError};
-use crate::feature::{FeatureVector, InternedFeature};
+use crate::codec::{get_f64, get_u8, get_varint, id16, put_f64, put_varint, DecodeError};
+use crate::feature::FeatureVector;
 use crate::intern::{SigId, SignatureInterner};
 use crate::synopsis::TaskSynopsis;
 use crate::{Signature, StageId};
@@ -206,31 +206,18 @@ impl ModelBuilder {
 
     /// Add one training synopsis.
     pub fn observe(&mut self, synopsis: &TaskSynopsis) {
-        self.observe_feature(&FeatureVector::from(synopsis));
+        let duration_us = synopsis.duration.as_micros() as f64;
+        self.observe_parts(synopsis.stage, &synopsis.signature(), duration_us);
     }
 
-    /// Add one training feature vector.
-    pub fn observe_feature(&mut self, f: &FeatureVector) {
-        self.observed += 1;
-        let sigs = self.groups.entry(f.stage).or_default();
-        // `entry(sig.clone())` would clone the boxed signature on every
-        // observation; clone only when the group is first created.
-        match sigs.get_mut(&f.signature) {
-            Some(durations) => durations.push(f.duration_us),
-            None => {
-                sigs.insert(f.signature.clone(), vec![f.duration_us]);
-            }
-        }
-    }
-
-    /// Add one training observation from already-destructured parts —
-    /// the clone-free counterpart of [`ModelBuilder::observe_feature`]
-    /// for retrain paths that keep `(stage, signature, duration)`
-    /// triples instead of whole synopses. The signature is cloned only
-    /// when its group is first created, exactly like `observe_feature`.
+    /// Add one training observation from already-destructured parts, for
+    /// retrain paths that keep `(stage, signature, duration)` triples
+    /// instead of whole synopses.
     pub fn observe_parts(&mut self, stage: StageId, signature: &Signature, duration_us: f64) {
         self.observed += 1;
         let sigs = self.groups.entry(stage).or_default();
+        // `entry(sig.clone())` would clone the boxed signature on every
+        // observation; clone only when the group is first created.
         match sigs.get_mut(signature) {
             Some(durations) => durations.push(duration_us),
             None => {
@@ -593,7 +580,7 @@ impl OutlierModel {
         }
         let mut stages = HashMap::with_capacity(stage_count as usize);
         for _ in 0..stage_count {
-            let stage = StageId(get_varint(buf)? as u16);
+            let stage = StageId(id16(get_varint(buf)?)?);
             let task_count = get_varint(buf)?;
             let flow_outlier_rate = get_f64(buf)?;
             let sig_count = get_varint(buf)?;
@@ -832,11 +819,6 @@ impl CompiledModel {
                 }
             }
         }
-    }
-
-    /// Classify an interned feature.
-    pub fn classify_feature(&self, f: &InternedFeature) -> TaskClass {
-        self.classify(f.stage, f.sig, f.duration_us)
     }
 
     /// Classify a whole structure-of-arrays batch in one branch-free
@@ -1080,7 +1062,7 @@ mod tests {
             let f = FeatureVector::from(s);
             let interned = f.intern(&interner);
             assert_eq!(
-                compiled.classify_feature(&interned),
+                compiled.classify(interned.stage, interned.sig, interned.duration_us),
                 model.classify(&f),
                 "case {s:?}"
             );
@@ -1233,6 +1215,24 @@ mod tests {
                 "prefix of {len} bytes decoded successfully"
             );
         }
+        // A stage id no encoder writes is refused, not narrowed onto a
+        // real stage: an empty model's bytes with one signature-less stage.
+        let one_stage = |id: u64| {
+            let mut buf = BytesMut::new();
+            ModelBuilder::new()
+                .build(ModelConfig::default())
+                .encode_into(&mut buf);
+            buf.truncate(buf.len() - 1); // the stage count, 0
+            [1, id, 0].into_iter().for_each(|v| put_varint(&mut buf, v));
+            put_f64(&mut buf, 0.0);
+            put_varint(&mut buf, 0);
+            OutlierModel::decode_from(&mut buf.freeze())
+        };
+        assert!(one_stage(7).is_ok());
+        assert!(matches!(
+            one_stage(70_000),
+            Err(DecodeError::LengthOutOfRange(70_000))
+        ));
     }
 
     #[test]

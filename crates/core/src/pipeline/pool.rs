@@ -931,20 +931,25 @@ mod tests {
 
     #[test]
     fn pool_surfaces_exhausted_restarts() {
-        for workers in [1usize, 2] {
-            let supervisor = SupervisorConfig {
-                max_restarts: 0,
-                panic_after: Some(1),
-                ..SupervisorConfig::default()
-            };
-            let (sink, pool) = pool_with_sink(supervisor, workers, 1, None);
-            sink.submit(synopsis(&[1, 2], 1_000, SimTime::ZERO, 0));
-            drop(sink);
-            match pool.join() {
-                Err(AnalyzerError::RestartsExhausted { restarts: 0, panic }) => {
-                    assert!(panic.contains("injected"), "{panic}");
+        // A batch of one, and a batch of eight poisoned mid-batch.
+        for (batch_len, poison) in [(1usize, 1u64), (8, 4)] {
+            for workers in [1usize, 2] {
+                let supervisor = SupervisorConfig {
+                    max_restarts: 0,
+                    panic_after: Some(poison),
+                    ..SupervisorConfig::default()
+                };
+                let (sink, pool) = pool_with_sink(supervisor, workers, batch_len, None);
+                for i in 0..batch_len as u64 {
+                    sink.submit(synopsis(&[1, 2], 1_000, SimTime::ZERO, i));
                 }
-                other => panic!("unexpected: {other:?}"),
+                drop(sink);
+                match pool.join() {
+                    Err(AnalyzerError::RestartsExhausted { restarts: 0, panic }) => {
+                        assert!(panic.contains("injected"), "{panic}");
+                    }
+                    other => panic!("{batch_len} rows: unexpected {other:?}"),
+                }
             }
         }
     }
@@ -1379,7 +1384,8 @@ mod tests {
             let feed = |d: &mut AnomalyDetector, host, stage, window: u64| {
                 let mut s = synopsis_on(host, &[9], 700, SimTime::from_secs(window * 10), window);
                 s.stage = StageId(stage);
-                d.observe_synopsis(&s)
+                let f = InternedFeature::from_synopsis(&s, d.interner());
+                d.observe_interned(&f)
             };
             let (mut ahead, mut behind) = (fresh(), fresh());
             feed(&mut ahead, 0, 0, 10);

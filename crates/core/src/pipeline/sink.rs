@@ -5,7 +5,7 @@
 
 use crate::batch::SynopsisBatch;
 use crate::detector::{AnomalyDetector, AnomalyEvent, DetectorConfig};
-use crate::feature::FeatureVector;
+use crate::feature::InternedFeature;
 use crate::intern::SignatureInterner;
 use crate::model::{ModelBuilder, ModelConfig, OutlierModel};
 use crate::synopsis::TaskSynopsis;
@@ -435,8 +435,11 @@ impl DetectorSink {
 
 impl SynopsisSink for DetectorSink {
     fn submit(&self, synopsis: TaskSynopsis) {
-        let feature = FeatureVector::from(&synopsis);
-        let new_events = self.detector.lock().observe(&feature);
+        let new_events = {
+            let mut detector = self.detector.lock();
+            let feature = InternedFeature::from_synopsis(&synopsis, detector.interner());
+            detector.observe_interned(&feature)
+        };
         if !new_events.is_empty() {
             self.events.lock().extend(new_events);
         }

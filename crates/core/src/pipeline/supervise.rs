@@ -5,7 +5,6 @@
 
 use crate::batch::SynopsisBatch;
 use crate::detector::{AnomalyDetector, AnomalyEvent, AnomalyKind, DetectorSnapshot};
-use crate::feature::InternedFeature;
 use crate::model::{CompiledModel, OutlierModel, VerdictMask};
 use crate::transport::LossReport;
 use crate::{HostId, StageId};
@@ -302,53 +301,24 @@ impl SupervisedDetector {
             .store(self.detector.late_seen(), Ordering::Relaxed);
     }
 
-    /// Observe one interned feature inside the panic boundary, first
-    /// advancing the detector to `watermark` — the global-stream
-    /// watermark, which for a pool shard runs ahead of what the shard's
-    /// own slice implies (see [`AnomalyDetector::advance_watermark`]).
-    /// A panic restores the detector from its latest snapshot, replays
-    /// the since-snapshot tail, and skips the poison feature; only an
-    /// exhausted restart budget is a terminal error.
-    fn observe(
-        &mut self,
-        feature: InternedFeature,
-        watermark: SimTime,
-    ) -> Result<Vec<AnomalyEvent>, AnalyzerError> {
-        self.received += 1;
-        let received = self.received;
-        let inject = self.supervisor.panic_after == Some(received);
-        let detector = &mut self.detector;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if inject {
-                panic!("injected analyzer fault at synopsis {received}");
+    /// The one panic boundary: [`AnomalyDetector::observe_batch`] over
+    /// `batch`, whose rows follow the `received` already counted. An
+    /// injected fault (see [`SupervisorConfig::panic_after`]) whose ordinal
+    /// falls in the batch is raised inside it, so it takes the rollback
+    /// path a real one does.
+    fn try_batch(&mut self, batch: &SynopsisBatch) -> std::thread::Result<Vec<AnomalyEvent>> {
+        let (from, len) = (self.received, batch.len() as u64);
+        let inject = self
+            .supervisor
+            .panic_after
+            .filter(|&n| n > from && n <= from + len);
+        let (detector, verdicts) = (&mut self.detector, &mut self.verdicts);
+        catch_unwind(AssertUnwindSafe(|| {
+            if let Some(n) = inject {
+                panic!("injected analyzer fault at synopsis {n}");
             }
-            let mut events = detector.advance_watermark(watermark);
-            events.extend(detector.observe_interned(&feature));
-            events
-        }));
-        match outcome {
-            Ok(events) => {
-                self.replay.push_feature(&feature, watermark);
-                self.after_observe();
-                Ok(events)
-            }
-            Err(payload) => {
-                self.restarts_used += 1;
-                if self.restarts_used > self.supervisor.max_restarts {
-                    return Err(AnalyzerError::RestartsExhausted {
-                        restarts: self.restarts_used - 1,
-                        panic: panic_message(payload.as_ref()),
-                    });
-                }
-                self.obs.restarts.fetch_add(1, Ordering::Relaxed);
-                // The synopsis that triggered the panic is skipped, not
-                // retried: a deterministic poison pill would otherwise
-                // crash-loop the analyzer.
-                self.obs.skipped.fetch_add(1, Ordering::Relaxed);
-                self.restore_from_snapshot();
-                Ok(Vec::new())
-            }
-        }
+            detector.observe_batch(batch, verdicts)
+        }))
     }
 
     /// Rebuild the detector from the latest snapshot and replay the
@@ -365,59 +335,50 @@ impl SupervisedDetector {
             .observe_batch(&self.replay, &mut self.verdicts);
     }
 
-    /// Observe a whole SoA batch inside one panic boundary — the pool
-    /// shard hot path. The happy path is a single call into
-    /// [`AnomalyDetector::observe_batch`] (branch-free batch classify,
-    /// then per-element accumulation); fault handling degrades to the
-    /// per-synopsis path so poison-pill skipping and restart accounting
-    /// stay element-exact.
+    /// Observe a whole SoA batch — the pool shard hot path — behind the
+    /// panic boundary. A panic leaves the detector partly mutated: it is
+    /// rolled back to the latest snapshot, uncounted, and the batch runs
+    /// again through the same boundary one row at a time, so the restart
+    /// and the skip are charged to the poison row alone. That row is
+    /// skipped, not retried: a deterministic poison pill would otherwise
+    /// crash-loop the analyzer. Only an exhausted restart budget is a
+    /// terminal error.
     pub(super) fn observe_batch(
         &mut self,
         batch: &SynopsisBatch,
     ) -> Result<Vec<AnomalyEvent>, AnalyzerError> {
-        let len = batch.len() as u64;
-        if len == 0 {
-            return Ok(Vec::new());
+        if let Ok(events) = self.try_batch(batch) {
+            self.received += batch.len() as u64;
+            self.replay.extend_from(batch);
+            self.after_observe();
+            return Ok(events);
         }
-        // Injected faults land on an exact synopsis ordinal: when the
-        // target falls inside this batch, process it element by element so
-        // the panic hits precisely the Nth synopsis, as the scalar path
-        // would.
-        if let Some(n) = self.supervisor.panic_after {
-            if n > self.received && n <= self.received + len {
-                return self.observe_batch_per_element(batch);
-            }
-        }
-        self.received += len;
-        let (detector, verdicts) = (&mut self.detector, &mut self.verdicts);
-        let outcome = catch_unwind(AssertUnwindSafe(|| detector.observe_batch(batch, verdicts)));
-        match outcome {
-            Ok(events) => {
-                self.replay.extend_from(batch);
-                self.after_observe();
-                Ok(events)
-            }
-            Err(_) => {
-                // A genuine panic mid-batch leaves the detector partially
-                // mutated, so roll back to the snapshot — uncounted: the
-                // restart and skip are charged when the per-element pass
-                // re-hits the poison element behind its own boundary.
-                self.restore_from_snapshot();
-                self.received -= len;
-                self.observe_batch_per_element(batch)
-            }
-        }
-    }
-
-    /// The scalar fallback for [`SupervisedDetector::observe_batch`]:
-    /// exactly the per-synopsis supervised path, element by element.
-    fn observe_batch_per_element(
-        &mut self,
-        batch: &SynopsisBatch,
-    ) -> Result<Vec<AnomalyEvent>, AnalyzerError> {
-        let mut events = Vec::new();
+        self.restore_from_snapshot();
+        let (mut events, mut row) = (Vec::new(), SynopsisBatch::new());
         for i in 0..batch.len() {
-            events.extend(self.observe(batch.feature(i), batch.watermarks[i])?);
+            row.clear();
+            row.push_from(batch, i);
+            let outcome = self.try_batch(&row);
+            self.received += 1;
+            match outcome {
+                Ok(row_events) => {
+                    events.extend(row_events);
+                    self.replay.extend_from(&row);
+                    self.after_observe();
+                }
+                Err(payload) => {
+                    self.restarts_used += 1;
+                    if self.restarts_used > self.supervisor.max_restarts {
+                        return Err(AnalyzerError::RestartsExhausted {
+                            restarts: self.restarts_used - 1,
+                            panic: panic_message(payload.as_ref()),
+                        });
+                    }
+                    self.obs.restarts.fetch_add(1, Ordering::Relaxed);
+                    self.obs.skipped.fetch_add(1, Ordering::Relaxed);
+                    self.restore_from_snapshot();
+                }
+            }
         }
         Ok(events)
     }
@@ -557,7 +518,16 @@ mod tests {
         );
         assert_eq!(obs.restarts.load(Ordering::Relaxed), 0);
 
-        for poison in [first_at / 2, first_at + 700] {
+        // Mid-batch before and after the first snapshot; the first and the
+        // last row of a batch; a row of the batch that takes the first
+        // snapshot, which the row-by-row pass takes before the poison.
+        for poison in [
+            first_at / 2,
+            first_at + 700,
+            3 * 512 + 1,
+            4 * 512,
+            first_at - 1,
+        ] {
             let obs = SupervisionObs::default();
             let (events, detector, _) = run_supervised(&stream, fresh(), Some(poison), &obs);
             assert_eq!(

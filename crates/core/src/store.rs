@@ -459,7 +459,7 @@ impl CheckpointStore {
 mod tests {
     use super::*;
     use crate::detector::{AnomalyDetector, DetectorConfig};
-    use crate::feature::FeatureVector;
+    use crate::feature::InternedFeature;
     use crate::model::{ModelBuilder, ModelConfig};
     use crate::synopsis::TaskSynopsis;
     use crate::{HostId, StageId, TaskUid};
@@ -523,7 +523,8 @@ mod tests {
                 synopsis(0, &[1, 2], 9_500, SimTime::ZERO, i)
             };
             s.start = SimTime::from_millis(i * 30);
-            d.observe(&FeatureVector::from(&s));
+            let f = InternedFeature::from_synopsis(&s, d.interner());
+            d.observe_interned(&f);
         }
         let interner = d.interner().clone();
         let compiled = d.compiled().clone();

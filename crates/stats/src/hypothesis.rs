@@ -1,23 +1,18 @@
-//! Hypothesis tests used by the SAAD anomaly detector.
+//! The hypothesis test of the SAAD anomaly detector.
 //!
 //! The paper (§3.3.3) tests, per detection window, the null hypothesis
 //! *"the proportion of outlier tasks is less than or equal to the training
-//! proportion"* at significance level `0.001`. We provide:
-//!
-//! * [`one_sided_proportion_test`] — exact-parameter one-sample test of a
-//!   window proportion against a known training proportion `p0`, using the
-//!   normal approximation with a t-distributed statistic for small windows
-//!   (this is the "t-test" the paper describes applied to 0/1 outcomes).
-//!   When the approximation's validity rule fails (`n·p0 < 5` or
-//!   `n·(1−p0) < 5`) the p-value comes from the exact binomial tail
-//!   instead — the approximation is badly anticonservative there (for
-//!   `n = 12`, `p0 = 0.01`, two outliers score t ≈ 5.5, "p ≈ 1e-4",
-//!   while the exact tail is 0.006), which turns sparse stages into
-//!   false-positive fountains;
-//! * [`two_proportion_test`] — pooled two-sample z-test when the training
-//!   proportion is itself an estimate;
-//! * [`welch_t_test`] — unequal-variance t-test over raw durations, used by
-//!   the ablation benches.
+//! proportion"* at significance level `0.001`.
+//! [`one_sided_proportion_test`] is that test: an exact-parameter
+//! one-sample test of a window proportion against a known training
+//! proportion `p0`, using the normal approximation with a t-distributed
+//! statistic for small windows (this is the "t-test" the paper describes
+//! applied to 0/1 outcomes). When the approximation's validity rule fails
+//! (`n·p0 < 5` or `n·(1−p0) < 5`) the p-value comes from the exact
+//! binomial tail instead — the approximation is badly anticonservative
+//! there (for `n = 12`, `p0 = 0.01`, two outliers score t ≈ 5.5,
+//! "p ≈ 1e-4", while the exact tail is 0.006), which turns sparse stages
+//! into false-positive fountains.
 
 use crate::dist::{Normal, StudentT};
 use crate::special::betai;
@@ -161,73 +156,6 @@ fn binomial_sf(x: u64, n: u64, p: f64) -> f64 {
     betai(x as f64, (n - x + 1) as f64, p)
 }
 
-/// Pooled two-sample proportion z-test.
-///
-/// Compares `x1 / n1` against `x2 / n2`; used when the training proportion
-/// is treated as an estimate rather than a constant.
-///
-/// # Panics
-///
-/// Panics if either sample is empty or a success count exceeds its `n`.
-pub fn two_proportion_test(
-    x1: u64,
-    n1: u64,
-    x2: u64,
-    n2: u64,
-    alternative: Alternative,
-) -> TestResult {
-    assert!(
-        n1 > 0 && n2 > 0,
-        "two_proportion_test requires non-empty samples"
-    );
-    assert!(x1 <= n1 && x2 <= n2, "successes exceed sample size");
-    let p1 = x1 as f64 / n1 as f64;
-    let p2 = x2 as f64 / n2 as f64;
-    let pooled = (x1 + x2) as f64 / (n1 + n2) as f64;
-    let se = (pooled * (1.0 - pooled) * (1.0 / n1 as f64 + 1.0 / n2 as f64)).sqrt();
-    if se == 0.0 {
-        // Both samples all-success or all-failure: no evidence of difference.
-        return TestResult {
-            statistic: 0.0,
-            p_value: 1.0,
-            df: f64::INFINITY,
-        };
-    }
-    let stat = (p1 - p2) / se;
-    TestResult {
-        statistic: stat,
-        p_value: p_from_statistic(stat, f64::INFINITY, alternative),
-        df: f64::INFINITY,
-    }
-}
-
-/// Welch's unequal-variance t-test comparing the means of two samples.
-///
-/// Returns `None` when either sample has fewer than two observations or
-/// both sample variances are zero (the statistic is undefined).
-pub fn welch_t_test(a: &[f64], b: &[f64], alternative: Alternative) -> Option<TestResult> {
-    if a.len() < 2 || b.len() < 2 {
-        return None;
-    }
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let ma = a.iter().sum::<f64>() / na;
-    let mb = b.iter().sum::<f64>() / nb;
-    let va = a.iter().map(|x| (x - ma) * (x - ma)).sum::<f64>() / (na - 1.0);
-    let vb = b.iter().map(|x| (x - mb) * (x - mb)).sum::<f64>() / (nb - 1.0);
-    let se2 = va / na + vb / nb;
-    if se2 == 0.0 {
-        return None;
-    }
-    let stat = (ma - mb) / se2.sqrt();
-    // Welch–Satterthwaite degrees of freedom.
-    let df = se2 * se2 / ((va / na) * (va / na) / (na - 1.0) + (vb / nb) * (vb / nb) / (nb - 1.0));
-    Some(TestResult {
-        statistic: stat,
-        p_value: p_from_statistic(stat, df, alternative),
-        df,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,58 +249,6 @@ mod tests {
     #[should_panic]
     fn proportion_rejects_successes_over_n() {
         one_sided_proportion_test(5, 4, 0.5, Alternative::Greater);
-    }
-
-    #[test]
-    fn two_proportion_detects_difference() {
-        let r = two_proportion_test(200, 1000, 50, 1000, Alternative::Greater);
-        assert!(r.rejects(SAAD_ALPHA));
-    }
-
-    #[test]
-    fn two_proportion_identical_rates_insignificant() {
-        let r = two_proportion_test(10, 100, 100, 1000, Alternative::TwoSided);
-        assert!(r.p_value > 0.9);
-    }
-
-    #[test]
-    fn two_proportion_degenerate_pooled() {
-        let r = two_proportion_test(0, 10, 0, 10, Alternative::Greater);
-        assert_eq!(r.p_value, 1.0);
-        let r = two_proportion_test(10, 10, 10, 10, Alternative::Greater);
-        assert_eq!(r.p_value, 1.0);
-    }
-
-    #[test]
-    fn welch_detects_shift() {
-        let a: Vec<f64> = (0..50).map(|i| 10.0 + (i % 5) as f64 * 0.1).collect();
-        let b: Vec<f64> = (0..50).map(|i| 20.0 + (i % 5) as f64 * 0.1).collect();
-        let r = welch_t_test(&b, &a, Alternative::Greater).unwrap();
-        assert!(r.rejects(SAAD_ALPHA));
-    }
-
-    #[test]
-    fn welch_identical_samples_undefined() {
-        let a = [5.0, 5.0, 5.0];
-        assert!(welch_t_test(&a, &a, Alternative::TwoSided).is_none());
-    }
-
-    #[test]
-    fn welch_needs_two_samples_each() {
-        assert!(welch_t_test(&[1.0], &[1.0, 2.0], Alternative::TwoSided).is_none());
-    }
-
-    #[test]
-    fn welch_matches_scipy_reference() {
-        // scipy.stats.ttest_ind([1,2,3,4,5],[2,4,6,8,10], equal_var=False)
-        // -> statistic = -1.8973665961010275, pvalue = 0.10524
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let b = [2.0, 4.0, 6.0, 8.0, 10.0];
-        let r = welch_t_test(&a, &b, Alternative::TwoSided).unwrap();
-        assert!((r.statistic + 1.8973665961010275).abs() < 1e-9);
-        // Welch–Satterthwaite df = 5.882...
-        assert!((r.df - 5.882_352_941_176_47).abs() < 1e-9);
-        assert!((r.p_value - 0.1073).abs() < 2e-3);
     }
 
     proptest! {

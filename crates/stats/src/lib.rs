@@ -5,17 +5,14 @@
 //!
 //! * descriptive statistics and streaming (Welford) moments
 //!   ([`descriptive`]),
-//! * empirical quantiles and percentile ranks ([`quantile`]),
+//! * empirical quantiles and the cumulative share curve ([`quantile`]),
 //! * special functions — `erf`, `ln Γ`, the regularized incomplete beta —
 //!   that underpin the distributions ([`special`]),
 //! * the normal and Student-t distributions ([`dist`]),
-//! * one-sided hypothesis tests on proportions and means used for flow and
-//!   performance anomaly detection at significance level 0.001
-//!   ([`hypothesis`]),
+//! * the one-sided proportion test used for flow and performance anomaly
+//!   detection at significance level 0.001 ([`hypothesis`]),
 //! * k-fold cross-validation used to discard signatures whose duration
 //!   distribution cannot support a percentile threshold ([`kfold`]),
-//! * histograms, EWMA smoothing and reservoir sampling used by the
-//!   experiment harness ([`histogram`], [`ewma`], [`reservoir`]),
 //! * streaming primitives for the adaptive layer: a mergeable
 //!   relative-error quantile sketch ([`sketch`]), exponentially decayed
 //!   signature-frequency counting ([`decay`]), and Page-Hinkley change
@@ -39,12 +36,9 @@ pub mod decay;
 pub mod descriptive;
 pub mod dist;
 pub mod drift;
-pub mod ewma;
-pub mod histogram;
 pub mod hypothesis;
 pub mod kfold;
 pub mod quantile;
-pub mod reservoir;
 pub mod sketch;
 pub mod special;
 
@@ -52,8 +46,6 @@ pub use decay::DecayedFrequency;
 pub use descriptive::{OnlineStats, Summary};
 pub use dist::{Normal, StudentT};
 pub use drift::PageHinkley;
-pub use hypothesis::{
-    one_sided_proportion_test, two_proportion_test, welch_t_test, Alternative, TestResult,
-};
-pub use quantile::{percentile, percentile_nan_below, percentile_rank};
+pub use hypothesis::{one_sided_proportion_test, Alternative, TestResult};
+pub use quantile::{percentile, percentile_nan_below};
 pub use sketch::QuantileSketch;

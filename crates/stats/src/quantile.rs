@@ -1,4 +1,4 @@
-//! Empirical quantiles and percentile ranks.
+//! Empirical quantiles and cumulative shares.
 //!
 //! SAAD's outlier model is built almost entirely out of percentiles: the
 //! flow-outlier cutoff is a percentile *rank* over signature frequencies and
@@ -95,25 +95,6 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
         let w = rank - lo as f64;
         sorted[lo] * (1.0 - w) + sorted[hi] * w
     }
-}
-
-/// Percentile rank of a value within a data set: the percentage of samples
-/// that are `<= x`.
-///
-/// # Example
-///
-/// ```
-/// let xs = [1.0, 2.0, 3.0, 4.0];
-/// assert_eq!(saad_stats::percentile_rank(&xs, 2.0), 50.0);
-/// assert_eq!(saad_stats::percentile_rank(&xs, 0.5), 0.0);
-/// assert_eq!(saad_stats::percentile_rank(&xs, 9.0), 100.0);
-/// ```
-pub fn percentile_rank(xs: &[f64], x: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let count = xs.iter().filter(|&&v| v <= x).count();
-    100.0 * count as f64 / xs.len() as f64
 }
 
 /// Cumulative share curve over descending counts.
@@ -228,11 +209,6 @@ mod tests {
     #[test]
     fn nan_below_empty_is_none() {
         assert_eq!(percentile_nan_below(&[], 50.0), None);
-    }
-
-    #[test]
-    fn rank_of_empty_is_zero() {
-        assert_eq!(percentile_rank(&[], 3.0), 0.0);
     }
 
     #[test]

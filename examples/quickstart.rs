@@ -131,7 +131,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         run_task(200_000 + i * 90, 9, false, slow, cut);
     }
     for s in sink.drain() {
-        events.extend(detector.observe(&FeatureVector::from(&s)));
+        let feature = InternedFeature::from_synopsis(&s, detector.interner());
+        events.extend(detector.observe_interned(&feature));
     }
     events.extend(detector.flush());
 

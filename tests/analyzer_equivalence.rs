@@ -6,7 +6,6 @@
 //! feature streams, that every fast path agrees with it exactly:
 //!
 //! * compiled + interned classification ≡ `OutlierModel::classify`;
-//! * `observe_synopsis` (interned hot path) ≡ `observe(&FeatureVector)`;
 //! * `classify_batch` (branch-free SoA loop) ≡ per-element
 //!   `CompiledModel::classify`, including NaN / zero / infinite durations;
 //! * pool-sharded detection ≡ the one reference (a plain detector driven
@@ -352,30 +351,8 @@ proptest! {
             // …and via an interned feature vector.
             let interned = f.intern(&interner);
             prop_assert_eq!(interned.sig, direct.sig);
-            prop_assert_eq!(compiled.classify_feature(&interned), oracle);
+            prop_assert_eq!(compiled.classify(interned.stage, interned.sig, interned.duration_us), oracle);
         }
-    }
-
-    #[test]
-    fn interned_observe_matches_feature_observe(
-        tasks in collection::vec(raw_task_strategy(), 1..60)
-    ) {
-        let model = trained_model();
-        let config = small_config();
-        let mut by_feature = AnomalyDetector::new(model.clone(), config);
-        let mut by_synopsis = AnomalyDetector::new(model, config);
-        let mut events_a = Vec::new();
-        let mut events_b = Vec::new();
-        for (uid, task) in tasks.iter().enumerate() {
-            let s = synopsis_of(task, uid as u64);
-            events_a.extend(by_feature.observe(&FeatureVector::from(&s)));
-            events_b.extend(by_synopsis.observe_synopsis(&s));
-        }
-        events_a.extend(by_feature.flush());
-        events_b.extend(by_synopsis.flush());
-        // Same stream, same order → identical events, not just a multiset.
-        prop_assert_eq!(events_a, events_b);
-        prop_assert_eq!(by_feature.tasks_seen(), by_synopsis.tasks_seen());
     }
 
     #[test]

@@ -218,7 +218,8 @@ fn batch_of_silent_stragglers_allocates_nothing() {
     // it can emit nothing.
     let head = synopsis(0, 0, &[1, 2], 1_000, 100 * window_ms);
     let watermark = head.start;
-    assert!(detector.observe_synopsis(&head).is_empty());
+    let head = InternedFeature::from_synopsis(&head, &interner);
+    assert!(detector.observe_interned(&head).is_empty());
     let mut batch = SynopsisBatch::with_capacity(256);
     for i in 0..256u64 {
         let (points, dur): (&[u16], u64) = if i.is_multiple_of(31) {
