@@ -1,11 +1,12 @@
 //! Criterion benchmarks for the fault-tolerant transport layer:
 //!
 //! * frame encode/decode (CRC-32 framing on top of the synopsis codec),
+//! * the CRC-32 alone at the sizes the wire checksums,
 //! * receiver accept cost with the reorder-horizon duplicate filter,
 //! * bounded-sink submit under each overload policy, queue saturated —
 //!   the backpressure fast path a producer pays when the analyzer lags.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use saad_core::intern::SignatureInterner;
 use saad_core::pipeline::{BatchSink, OverloadPolicy};
 use saad_core::synopsis::TaskSynopsis;
@@ -79,6 +80,27 @@ fn bench_framing(c: &mut Criterion) {
     assert!(FRAME_HEADER_LEN < frame.len());
 }
 
+/// The CRC at the shapes the wire computes it, chunked as the callers
+/// chunk them: an empty frame's header, a hello, and a header beside an
+/// agent frame's payload of 32 synopses (~17.5 and ~25.5 bytes each).
+fn bench_crc32(c: &mut Criterion) {
+    let bytes: Vec<u8> = (0..22 + 816u32).map(|i| (i * 151 + 17) as u8).collect();
+    let rows: [(&str, &[&[u8]]); 4] = [
+        ("header_22", &[&bytes[..22], &[]]),
+        ("hello_32", &[&bytes[..32]]),
+        ("frame_22+560", &[&bytes[..22], &bytes[22..22 + 560]]),
+        ("frame_22+816", &[&bytes[..22], &bytes[22..22 + 816]]),
+    ];
+    let mut g = c.benchmark_group("crc32");
+    for (name, chunks) in rows {
+        g.throughput(Throughput::Bytes(
+            chunks.iter().map(|s| s.len() as u64).sum(),
+        ));
+        g.bench_function(name, |b| b.iter(|| crc32(black_box(chunks))));
+    }
+    g.finish();
+}
+
 fn bench_sink_policies(c: &mut Criterion) {
     let mut g = c.benchmark_group("sink_saturated");
     g.throughput(Throughput::Elements(1));
@@ -105,5 +127,5 @@ fn bench_sink_policies(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_framing, bench_sink_policies);
+criterion_group!(benches, bench_framing, bench_crc32, bench_sink_policies);
 criterion_main!(benches);

@@ -39,6 +39,10 @@ mod imp {
         mask[cpu / 64] = 1u64 << (cpu % 64);
         // sched_setaffinity(pid = 0 → calling thread, sizeof(mask), &mask)
         let ret: isize;
+        // SAFETY: sched_setaffinity only reads `size_of_val(&mask)` bytes
+        // from `mask`, a live local array, and writes nothing we own; the
+        // kernel returns in rax and clobbers rcx and r11, as declared.
+        // Failure is a negative errno, never undefined behaviour.
         #[cfg(target_arch = "x86_64")]
         unsafe {
             std::arch::asm!(
@@ -52,6 +56,8 @@ mod imp {
                 options(nostack),
             );
         }
+        // SAFETY: as above; on aarch64 the kernel returns in x0 and
+        // preserves every other register the `svc` reads.
         #[cfg(target_arch = "aarch64")]
         unsafe {
             let res: isize;

@@ -97,30 +97,206 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 /// CRC-32 (IEEE polynomial) over the concatenation of `chunks`. Public so
 /// higher layers (e.g. the wire-protocol handshake in `saad-net`) checksum
 /// their messages with the same algorithm the frame format uses.
+///
+/// On an x86_64 CPU with PCLMULQDQ a chunk of 64 bytes or more is folded
+/// 16 bytes at a time by carry-less multiplication, and the slice-by-8
+/// tables finish the tail of under 16 bytes it leaves. Shorter chunks
+/// (a frame header, a handshake) and every other CPU go through the tables
+/// alone. Both paths compute the same CRC and carry only the running CRC
+/// from one chunk to the next, so a chunk may end anywhere.
 pub fn crc32(chunks: &[&[u8]]) -> u32 {
-    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
     for chunk in chunks {
-        // The running CRC is the only state carried between chunks, so a
-        // chunk boundary may fall anywhere, not only on a multiple of 8.
-        let mut words = chunk.chunks_exact(8);
-        for w in &mut words {
-            let word = u64::from_le_bytes(w.try_into().expect("chunks of 8")) ^ crc as u64;
-            let (lo, hi) = (word as u32, (word >> 32) as u32);
-            crc = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][((hi >> 8) & 0xFF) as usize]
-                ^ t[1][((hi >> 16) & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
+        #[cfg(target_arch = "x86_64")]
+        if chunk.len() >= clmul::MIN_LEN {
+            crc = clmul::update(crc, chunk);
+            continue;
         }
-        for &b in words.remainder() {
-            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
-        }
+        crc = crc32_tables(crc, chunk);
     }
     !crc
+}
+
+/// Slice-by-8 over [`CRC_TABLES`]: eight bytes per step, then four if
+/// four remain, then the last few one at a time. Inlined, so that a short
+/// chunk (a header, a hello) costs no call. A chunk of whole words, such
+/// as a 32-byte hello, returns before the tail's tests.
+#[inline(always)]
+fn crc32_tables(mut crc: u32, chunk: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut words = chunk.chunks_exact(8);
+    for w in &mut words {
+        let word = u64::from_le_bytes(w.try_into().expect("chunks of 8")) ^ crc as u64;
+        let (lo, hi) = (word as u32, (word >> 32) as u32);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    let mut rest = words.remainder();
+    if rest.is_empty() {
+        return crc;
+    }
+    if let Some((quad, bytes)) = rest.split_first_chunk::<4>() {
+        let v = u32::from_le_bytes(*quad) ^ crc;
+        crc = t[3][(v & 0xFF) as usize]
+            ^ t[2][((v >> 8) & 0xFF) as usize]
+            ^ t[1][((v >> 16) & 0xFF) as usize]
+            ^ t[0][(v >> 24) as usize];
+        rest = bytes;
+    }
+    for &b in rest {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// CRC-32 by carry-less multiplication, after Intel's "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+/// (Gopal et al., 2009) in its bit-reflected form: four 128-bit lanes
+/// fold 64 bytes per step, the lanes fold into one, further 16-byte
+/// blocks fold into that, and a Barrett reduction brings the 128 bits
+/// down to the 32-bit CRC.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// Shortest chunk [`fold`] takes: one block for each of its lanes.
+    pub(super) const MIN_LEN: usize = 64;
+
+    /// `x^n mod P(x)` over GF(2), `P` the IEEE polynomial unreflected.
+    const fn x_pow_mod_p(n: u32) -> u32 {
+        let mut r = 1u32;
+        let mut i = 0;
+        while i < n {
+            r = (r << 1) ^ (0x04C1_1DB7 & (r >> 31).wrapping_neg());
+            i += 1;
+        }
+        r
+    }
+
+    /// The constant that moves a 64-bit half of a lane `n` bits further
+    /// along the message, in the reflected, shifted-by-one form the
+    /// multiplication wants.
+    const fn fold_by(n: u32) -> i64 {
+        ((x_pow_mod_p(n).reverse_bits() as u64) << 1) as i64
+    }
+
+    /// `floor(x^64 / P(x))`, the Barrett constant μ, reflected over its 33
+    /// bits.
+    const fn barrett_mu() -> i64 {
+        let (mut rem, mut quo) = (1u128 << 64, 0u64);
+        let mut bit = 64;
+        while bit >= 32 {
+            if rem >> bit & 1 == 1 {
+                rem ^= 0x1_04C1_1DB7 << (bit - 32);
+                quo |= 1 << (bit - 32);
+            }
+            bit -= 1;
+        }
+        (quo.reverse_bits() >> 31) as i64
+    }
+
+    /// Four lanes, 512 bits apart: (low half, high half).
+    const FOLD_4: (i64, i64) = (fold_by(4 * 128 + 32), fold_by(4 * 128 - 32));
+    /// One lane onto the next 128 bits.
+    const FOLD_1: (i64, i64) = (fold_by(128 + 32), fold_by(128 - 32));
+    /// 96 bits onto 64.
+    const FOLD_64: i64 = fold_by(64);
+    /// `P(x)` reflected over its 33 bits.
+    const P: i64 = ((super::CRC_POLY as u64) << 1 | 1) as i64;
+    /// μ, reflected.
+    const MU: i64 = barrett_mu();
+
+    /// The running CRC advanced over `chunk`, at least [`MIN_LEN`] bytes:
+    /// by the kernel where the CPU has PCLMULQDQ, by the tables elsewhere.
+    /// Out of line, so that a short chunk's path through [`super::crc32`]
+    /// pays no more for the kernel than a length compare.
+    #[inline(never)]
+    pub(super) fn update(crc: u32, chunk: &[u8]) -> u32 {
+        if !is_x86_feature_detected!("pclmulqdq") {
+            return super::crc32_tables(crc, chunk);
+        }
+        // SAFETY: `fold` needs PCLMULQDQ, which the check above found, and
+        // SSE2, which every x86_64 CPU has.
+        let (crc, tail) = unsafe { fold(crc, chunk) };
+        super::crc32_tables(crc, tail)
+    }
+
+    /// Fold `data`, at least [`MIN_LEN`] bytes, into the running CRC `crc`
+    /// 16 bytes at a time. Returns the new running CRC and the tail of
+    /// fewer than 16 bytes it did not take.
+    ///
+    /// Called from code without PCLMULQDQ enabled only after
+    /// `is_x86_feature_detected!("pclmulqdq")`.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn fold(crc: u32, data: &[u8]) -> (u32, &[u8]) {
+        let (first, rest) = data.split_at(MIN_LEN);
+        let mut lanes = load4(first);
+        // The running CRC enters as the first 32 bits of the message would.
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+        let by4 = _mm_set_epi64x(FOLD_4.1, FOLD_4.0);
+        let mut quads = rest.chunks_exact(64);
+        for quad in &mut quads {
+            let next = load4(quad);
+            for (lane, block) in lanes.iter_mut().zip(next) {
+                *lane = fold16(*lane, block, by4);
+            }
+        }
+        let by1 = _mm_set_epi64x(FOLD_1.1, FOLD_1.0);
+        let mut x = fold16(lanes[0], lanes[1], by1);
+        x = fold16(x, lanes[2], by1);
+        x = fold16(x, lanes[3], by1);
+        let mut blocks = quads.remainder().chunks_exact(16);
+        for block in &mut blocks {
+            x = fold16(x, load(block), by1);
+        }
+        (reduce(x, by1), blocks.remainder())
+    }
+
+    /// `a` moved forward by the distance `k` encodes, added to `b`.
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold16(a: __m128i, b: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, k, 0x00);
+        let hi = _mm_clmulepi64_si128(a, k, 0x11);
+        _mm_xor_si128(b, _mm_xor_si128(lo, hi))
+    }
+
+    /// 128 bits of folded message to the running CRC: to 96 bits, to 64,
+    /// then Barrett to 32. Only SSE2 extracts the result.
+    #[target_feature(enable = "pclmulqdq")]
+    fn reduce(x: __m128i, by1: __m128i) -> u32 {
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, by1, 0x10), _mm_srli_si128(x, 8));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, FOLD_64), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        let mu_p = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), mu_p, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), mu_p, 0x00);
+        _mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(x, t2), 4)) as u32
+    }
+
+    fn load4(bytes: &[u8]) -> [__m128i; 4] {
+        [
+            load(&bytes[..16]),
+            load(&bytes[16..32]),
+            load(&bytes[32..48]),
+            load(&bytes[48..64]),
+        ]
+    }
+
+    fn load(block: &[u8]) -> __m128i {
+        assert!(block.len() >= 16);
+        // SAFETY: the 16 bytes read lie inside `block` (asserted above),
+        // and `loadu` has no alignment requirement.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
 }
 
 /// Error from [`FrameReceiver::accept`].
@@ -1354,6 +1530,118 @@ mod tests {
         // IEEE CRC-32 of "123456789" is 0xCBF43926.
         assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926);
+    }
+
+    /// The running (pre-inverted) CRC advanced one bit at a time: the
+    /// definition both fast paths are held to.
+    fn bit_serial(mut crc: u32, data: &[u8]) -> u32 {
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        crc
+    }
+
+    /// The carry-less kernel over `data` with the tables finishing its
+    /// tail, or `None` where the kernel cannot run: too short, another
+    /// architecture, or a CPU without PCLMULQDQ.
+    fn via_kernel(crc: u32, data: &[u8]) -> Option<u32> {
+        #[cfg(target_arch = "x86_64")]
+        if data.len() >= clmul::MIN_LEN && std::arch::is_x86_feature_detected!("pclmulqdq") {
+            // SAFETY: the CPU has PCLMULQDQ, checked just above.
+            let (crc, tail) = unsafe { clmul::fold(crc, data) };
+            // The tail is the bytes past the last whole 16-byte block.
+            assert!(std::ptr::eq(tail, &data[data.len() / 16 * 16..]));
+            return Some(crc32_tables(crc, tail));
+        }
+        let _ = (crc, data);
+        None
+    }
+
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kernel_and_tables_equal_the_bit_serial_crc_at_every_length_and_offset() {
+        let data = noise(1100 + 16);
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            via_kernel(!0, &data[..64]).is_some(),
+            std::arch::is_x86_feature_detected!("pclmulqdq"),
+            "the kernel runs wherever the CPU has PCLMULQDQ"
+        );
+        for start in 0..16 {
+            // Extend the oracle a byte at a time instead of recomputing it.
+            let mut want = !0u32;
+            for len in 0..=1100 {
+                let slice = &data[start..start + len];
+                if len > 0 {
+                    want = bit_serial(want, &slice[len - 1..]);
+                }
+                assert_eq!(
+                    crc32_tables(!0, slice),
+                    want,
+                    "tables: start {start} len {len}"
+                );
+                if let Some(got) = via_kernel(!0, slice) {
+                    assert_eq!(got, want, "kernel: start {start} len {len}");
+                }
+                assert_eq!(crc32(&[slice]), !want, "crc32: start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn state_carries_across_every_hand_over_between_tables_and_kernel() {
+        // One cut anywhere in 0..=200 bytes, then a 64-byte chunk: every
+        // residue of tables → kernel → tables, and of the kernel's tail
+        // handing its state to a kernel run in the next chunk.
+        let data = noise(200 + 64);
+        for len in 0..=200 {
+            let want = !bit_serial(!0, &data[..len + 64]);
+            for cut in 0..=len {
+                let chunks = [&data[..cut], &data[cut..len], &data[len..len + 64]];
+                assert_eq!(crc32(&chunks), want, "len {len} cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn any_flipped_bit_of_a_frame_fails_its_crc() {
+        // Frame-shaped: a 22-byte header, the CRC, then an agent-sized
+        // payload (32 synopses of ~17.5 and ~25.5 bytes).
+        for payload_len in [560, 816] {
+            let bytes = noise(22 + payload_len);
+            let (header, payload) = bytes.split_at(22);
+            let mut frame = header.to_vec();
+            frame.extend_from_slice(&(!bit_serial(!0, &bytes)).to_be_bytes());
+            frame.extend_from_slice(payload);
+            let (head, body) = frame.split_at(FRAME_HEADER_LEN);
+            verify_frame_crc(head, body).unwrap();
+            for bit in 0..frame.len() * 8 {
+                let mut bad = frame.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                let (head, body) = bad.split_at(FRAME_HEADER_LEN);
+                assert!(
+                    matches!(
+                        verify_frame_crc(head, body),
+                        Err(FrameError::ChecksumMismatch { .. })
+                    ),
+                    "payload {payload_len}, bit {bit} flipped"
+                );
+            }
+        }
     }
 
     #[test]

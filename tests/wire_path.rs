@@ -2,8 +2,9 @@
 //!
 //! Between `AgentSink` and `decode_batch_into` three things touch every
 //! byte: the CRC, the frame encoder and the socket write. Each is now
-//! built for speed — slice-by-8 tables, one pass into a reused buffer, one
-//! write per message — and each is held here to the plain version: a
+//! built for speed — carry-less multiplication over chunks of 64 bytes or
+//! more and slice-by-8 tables for the rest, one pass into a reused buffer,
+//! one write per message — and each is held here to the plain version: a
 //! bit-serial CRC, `header ‖ crc ‖ payload` composed byte by byte with a
 //! one-byte-at-a-time varint writer, and a writer that counts its calls.
 //! A committed golden frame pins the format itself, so "byte-identical"
@@ -127,9 +128,10 @@ fn crc32_matches_the_check_value_and_the_oracle_at_every_split() {
     assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
     assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926);
     assert_eq!(crc32(&[]), 0);
-    // Every length up to a few words, split at every offset: all eight
-    // residues of both the chunk boundary and the tail.
-    let data: Vec<u8> = (0..40u32).map(|i| (i * 151 + 17) as u8).collect();
+    // Every length up to 200, split at every offset: all eight residues of
+    // both the chunk boundary and the tail on the tables, and every
+    // hand-over into and out of the 64-byte-and-up kernel.
+    let data: Vec<u8> = (0..200u32).map(|i| (i * 151 + 17) as u8).collect();
     for len in 0..=data.len() {
         let want = crc32_bit_serial(&data[..len]);
         for cut in 0..=len {
@@ -143,8 +145,8 @@ fn crc32_matches_the_check_value_and_the_oracle_at_every_split() {
 }
 
 proptest! {
-    /// The table-driven CRC equals the bit-serial one over any data and
-    /// any chunking of it.
+    /// The fast CRC equals the bit-serial one over any data and any
+    /// chunking of it.
     #[test]
     fn crc32_equals_bit_serial_oracle(
         data in collection::vec(0u16..256, 0..4097),
