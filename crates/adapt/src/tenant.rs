@@ -98,8 +98,8 @@ struct TenantNamespace {
 /// trained, watches each tenant's windows for drift, and hot-swaps only
 /// the drifted tenant's model.
 ///
-/// This is the single-threaded adaptive counterpart of the core
-/// `LifecyclePool`: same promote/retrain/swap lifecycle semantics, but
+/// This is the single-threaded adaptive counterpart of a core pool
+/// started from a store: same promote/retrain/swap lifecycle semantics, but
 /// model building is streaming (sketches, not replay) and every tenant
 /// adapts independently.
 ///

@@ -35,7 +35,7 @@ use crossbeam_channel::unbounded;
 use saad_core::batch::SynopsisBatch;
 use saad_core::prelude::SignatureInterner;
 use saad_core::synopsis::TaskSynopsis;
-use saad_core::transport::{FrameSender, LossReport};
+use saad_core::transport::FrameSender;
 use saad_core::{HostId, StageId, TaskUid};
 use saad_logging::LogPointId;
 use saad_net::protocol::{
@@ -146,10 +146,15 @@ struct Row {
 /// into it and time the steady state. The admitted output is drained on a
 /// side thread so the pool-facing channel never backs up.
 fn measure(conns: usize) -> Row {
-    let (loss_tx, loss_rx) = unbounded::<LossReport>();
     let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
     let interner = Arc::new(SignatureInterner::new());
-    let drain = std::thread::spawn(move || batch_rx.iter().map(|b| b.len() as u64).sum::<u64>());
+    let drain = std::thread::spawn(move || {
+        let rows = |b: SynopsisBatch| {
+            assert!(b.losses.is_empty(), "no loss on a clean wire");
+            b.len() as u64
+        };
+        batch_rx.iter().map(rows).sum::<u64>()
+    });
     // Size the loop pool to the machine: extra loop threads on a small
     // box only contend with each other.
     let config = ReactorCollectorConfig {
@@ -157,7 +162,7 @@ fn measure(conns: usize) -> Row {
         recv_buffer: Some(RECV_BUFFER),
         ..ReactorCollectorConfig::default()
     };
-    let collector = ReactorCollector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, config)
+    let collector = ReactorCollector::bind("127.0.0.1:0", batch_tx, interner, config)
         .expect("bind reactor collector");
     let addr = collector.local_addr();
 
@@ -262,7 +267,6 @@ fn measure(conns: usize) -> Row {
     assert_eq!(s.connections_accepted, conns as u64);
     collector.shutdown();
     assert_eq!(drain.join().expect("drain thread"), total);
-    assert!(loss_rx.try_recv().is_err(), "no loss on a clean wire");
 
     let timed = total - warmup;
     Row {

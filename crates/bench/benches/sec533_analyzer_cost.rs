@@ -20,7 +20,7 @@ use saad_core::detector::{AnomalyDetector, DetectorConfig};
 use saad_core::feature::InternedFeature;
 use saad_core::intern::SignatureInterner;
 use saad_core::model::{ModelBuilder, ModelConfig, OutlierModel};
-use saad_core::pipeline::{spawn_batch_analyzer_pool, SupervisorConfig};
+use saad_core::pipeline::{spawn_analyzer_pool, PoolStart, SupervisorConfig};
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::tracker::VecSink;
 use saad_core::TaskUid;
@@ -210,18 +210,16 @@ fn run_batch_pool(
     let (tx, rx) = crossbeam_channel::unbounded::<SynopsisBatch>();
     let allocs_before = allocations();
     let t0 = Instant::now();
-    let pool = spawn_batch_analyzer_pool(
-        model.clone(),
-        DetectorConfig::default(),
-        SupervisorConfig {
-            pin_shards: true,
-            ..SupervisorConfig::default()
-        },
-        workers,
-        interner.clone(),
-        rx,
-        None,
-    );
+    let start = PoolStart::Model {
+        model: model.clone(),
+        interner: interner.clone(),
+    };
+    let supervisor = SupervisorConfig {
+        pin_shards: true,
+        ..SupervisorConfig::default()
+    };
+    let pool = spawn_analyzer_pool(start, DetectorConfig::default(), supervisor, workers, rx)
+        .expect("no store to open");
     for batch in batches {
         tx.send(batch).expect("pool alive");
     }

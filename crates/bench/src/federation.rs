@@ -15,7 +15,6 @@
 
 use saad_core::batch::SynopsisBatch;
 use saad_core::synopsis::TaskSynopsis;
-use saad_core::transport::LossReport;
 use saad_core::{HostId, StageId, TaskUid};
 use saad_net::{
     Agent, AgentConfig, BackoffConfig, ControlPlane, LeafCollector, LeafConfig, LeafId,
@@ -78,11 +77,9 @@ fn poll_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
 pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> FederationResult {
     let control = ControlPlane::new(seed, Duration::from_secs(3600));
     let (batch_tx, batch_rx) = crossbeam_channel::unbounded::<SynopsisBatch>();
-    let (loss_tx, loss_rx) = crossbeam_channel::unbounded::<LossReport>();
     // The root interns at the edge, as it would for a pool behind it.
     let (interner, config) = (Arc::default(), RootConfig::default());
-    let root =
-        RootCollector::bind("127.0.0.1:0", batch_tx, interner, loss_tx, config).expect("bind root");
+    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, config).expect("bind root");
     // Drain the analyzer input so the channel never backs up.
     let drain = std::thread::spawn(move || batch_rx.iter().map(|b| b.len() as u64).sum::<u64>());
 
@@ -202,7 +199,6 @@ pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> 
         leaf.shutdown();
     }
     root.shutdown();
-    drop(loss_rx);
     drain.join().expect("drain thread");
 
     FederationResult {

@@ -118,12 +118,10 @@ impl DrainingCollector {
     /// Bind on `127.0.0.1:0` with one reactor loop and start draining.
     pub fn spawn() -> DrainingCollector {
         let (batch_tx, batch_rx) = crossbeam_channel::unbounded();
-        let (loss_tx, loss_rx) = crossbeam_channel::unbounded();
-        let collector = saad_net::ReactorCollector::bind_soa(
+        let collector = saad_net::ReactorCollector::bind(
             "127.0.0.1:0",
             batch_tx,
             Arc::new(saad_core::intern::SignatureInterner::new()),
-            loss_tx,
             saad_net::ReactorCollectorConfig {
                 loops: 1,
                 ..saad_net::ReactorCollectorConfig::default()
@@ -133,9 +131,9 @@ impl DrainingCollector {
         let drain = std::thread::spawn(move || {
             let mut synopses = 0u64;
             while let Ok(batch) = batch_rx.recv() {
+                assert!(batch.losses.is_empty(), "loopback lost synopses");
                 synopses += batch.len() as u64;
             }
-            assert_eq!(loss_rx.try_iter().count(), 0, "loopback lost synopses");
             synopses
         });
         DrainingCollector { collector, drain }

@@ -14,10 +14,15 @@
 //! Columns are append-only between [`SynopsisBatch::clear`] calls, and
 //! `clear` keeps the column capacity, so a recycled batch reaches an
 //! allocation-free steady state after the first few pushes.
+//!
+//! A batch is also the one ordered input of an analyzer pool: the transport
+//! gaps its producer found ride in [`SynopsisBatch::losses`], ahead of the
+//! rows, so where a gap is charged is part of the stream's content.
 
 use crate::feature::InternedFeature;
 use crate::intern::{SigId, SignatureInterner};
 use crate::synopsis::TaskSynopsis;
+use crate::transport::LossReport;
 use crate::{HostId, StageId, TaskUid};
 use saad_sim::SimTime;
 
@@ -44,6 +49,10 @@ pub struct SynopsisBatch {
     pub starts: Vec<SimTime>,
     /// Stream watermark after each element (running max of starts).
     pub watermarks: Vec<SimTime>,
+    /// Transport gaps that take effect before the first row: a consumer
+    /// charges them, then observes the rows. Row operations leave them
+    /// alone; [`SynopsisBatch::clear`] empties them.
+    pub losses: Vec<LossReport>,
 }
 
 impl SynopsisBatch {
@@ -64,6 +73,7 @@ impl SynopsisBatch {
             durations_us: Vec::with_capacity(capacity),
             starts: Vec::with_capacity(capacity),
             watermarks: Vec::with_capacity(capacity),
+            losses: Vec::new(),
         }
     }
 
@@ -92,7 +102,8 @@ impl SynopsisBatch {
         self.watermarks.truncate(len);
     }
 
-    /// Remove every element, keeping each column's capacity for reuse.
+    /// Remove every element and gap report, keeping each column's capacity
+    /// for reuse.
     pub fn clear(&mut self) {
         self.uids.clear();
         self.hosts.clear();
@@ -101,6 +112,20 @@ impl SynopsisBatch {
         self.durations_us.clear();
         self.starts.clear();
         self.watermarks.clear();
+        self.losses.clear();
+    }
+
+    /// Charge a gap of `count` synopses from `host` that the rows now in
+    /// this batch revealed — the one stamp rule of every producer edge.
+    /// The report takes effect before the first row and is stamped with
+    /// its start; a batch without rows (a goodbye frame's) is stamped at
+    /// `watermark`, the highest start its producer has admitted. A zero
+    /// count charges nothing.
+    pub fn reveal_gap(&mut self, host: HostId, count: u64, watermark: SimTime) {
+        if count > 0 {
+            let at = self.starts.first().copied().unwrap_or(watermark);
+            self.losses.push(LossReport { host, at, count });
+        }
     }
 
     /// Append one already-interned feature with its stream watermark.
@@ -238,5 +263,29 @@ mod tests {
         assert_eq!(f.start, SimTime::from_micros(120));
         assert!((f.duration_us - 40.0).abs() < f64::EPSILON);
         assert_eq!(f.sig, interner.intern_synopsis(&s));
+    }
+
+    #[test]
+    fn a_gap_is_stamped_at_the_first_row_or_the_watermark_and_only_clear_drops_it() {
+        let interner = SignatureInterner::new();
+        let at = SimTime::from_micros;
+        let mut batch = SynopsisBatch::new();
+        batch.reveal_gap(HostId(3), 0, at(5)); // nothing to charge
+        batch.reveal_gap(HostId(3), 2, at(5)); // no rows yet: the watermark
+        batch.push_synopsis(&synopsis(3, 1, 1, 70, 5), &interner);
+        batch.push_synopsis(&synopsis(3, 1, 2, 40, 5), &interner);
+        batch.reveal_gap(HostId(3), 4, at(90)); // the first row's start
+        let report = |at, count| LossReport {
+            host: HostId(3),
+            at,
+            count,
+        };
+        let charged = [report(at(5), 2), report(at(70), 4)];
+        assert_eq!(batch.losses, charged);
+        batch.truncate(0);
+        batch.extend_from(&SynopsisBatch::new());
+        assert_eq!(batch.losses, charged, "row operations leave reports alone");
+        batch.clear();
+        assert!(batch.losses.is_empty());
     }
 }

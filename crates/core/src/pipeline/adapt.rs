@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// refilled with `min_retrain_samples` of purely post-drift traffic, the
 /// router invokes the *existing* retrain path at the current watermark
 /// boundary — the same k-fold-gated, zero-drop in-band swap that
-/// [`LifecyclePool::retrain_now`](super::LifecyclePool::retrain_now) uses;
+/// [`PoolHandle::retrain_now`](super::PoolHandle::retrain_now) uses;
 /// there is no second swap mechanism. After a swap the baseline is re-captured from the retrain
 /// ring, both tests reset, and `cooldown_windows` windows must close
 /// before drift evidence accrues again.

@@ -2,18 +2,13 @@
 //! recovery, bootstrap promotion and the in-band hot model swap.
 
 use super::adapt::{AdaptPolicy, AdaptState};
-use super::pool::{
-    meta_tick, shard_for, spawn_pool_inner, PoolHandle, PoolInput, SequencedInput, ShardMsg,
-};
-use super::supervise::{AnalyzerError, SupervisorConfig};
-use crate::batch::SynopsisBatch;
+use super::pool::{meta_tick, shard_for, PoolHandle, ShardMsg};
 use crate::detector::{AnomalyDetector, DetectorConfig, DetectorSnapshot};
 use crate::feature::InternedFeature;
 use crate::intern::{SigId, SignatureInterner};
 use crate::model::{CompiledModel, ConfigError, ModelBuilder, ModelConfig, OutlierModel};
 use crate::selfmon::{MetaMonitor, MetaStage};
 use crate::store::{Checkpoint, CheckpointError, CheckpointStore};
-use crate::transport::LossReport;
 use crate::{Signature, StageId};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use saad_obs::{Histogram, Registry};
@@ -26,12 +21,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning for [`spawn_analyzer_pool_with_lifecycle`].
+/// Tuning for a pool started from a
+/// [`PoolStart::Store`](super::PoolStart::Store).
 #[derive(Debug, Clone)]
 pub struct LifecycleConfig {
     /// Automatically checkpoint after this many routed synopses
     /// (0 disables automatic checkpoints; explicit
-    /// [`LifecyclePool::checkpoint_now`] and the final shutdown
+    /// [`PoolHandle::checkpoint_now`] and the final shutdown
     /// checkpoint still run).
     pub checkpoint_every: u64,
     /// Checkpoint generations retained on disk (older ones are pruned).
@@ -54,7 +50,8 @@ pub struct LifecycleConfig {
     pub meta: Option<Arc<MetaMonitor>>,
     /// Fault injection: sleep this long inside every checkpoint write.
     /// Lets tests make the checkpoint stage observably slow, the same
-    /// way [`SupervisorConfig::panic_after`] injects worker crashes.
+    /// way [`SupervisorConfig::panic_after`](super::SupervisorConfig::panic_after)
+    /// injects worker crashes.
     pub checkpoint_stall: Option<Duration>,
     /// Transient checkpoint write failures ([`CheckpointError::Io`]) are
     /// retried up to this many times before the generation is abandoned
@@ -75,7 +72,7 @@ pub struct LifecycleConfig {
     /// drift detector over window-level traffic summaries and triggers
     /// the in-band retrain/hot-swap itself when drift is confirmed.
     /// `None` (the default) keeps the pool's episodic behaviour —
-    /// retrains happen only on explicit [`LifecyclePool::retrain_now`]
+    /// retrains happen only on explicit [`PoolHandle::retrain_now`]
     /// and at bootstrap promotion.
     pub adapt: Option<AdaptPolicy>,
 }
@@ -127,6 +124,8 @@ pub enum LifecycleError {
     },
     /// The pool's router (or a shard worker) is gone.
     PoolClosed,
+    /// The pool was started from a model and has no checkpoint store.
+    NoStore,
 }
 
 impl fmt::Display for LifecycleError {
@@ -149,6 +148,7 @@ impl fmt::Display for LifecycleError {
                  vs nominal {nominal_rate:.4}"
             ),
             LifecycleError::PoolClosed => write!(f, "analyzer pool is no longer running"),
+            LifecycleError::NoStore => write!(f, "pool was started from a model, without a store"),
         }
     }
 }
@@ -186,7 +186,7 @@ enum PoolCommand {
 }
 
 /// A checkpoint handed to the writer thread, with an optional reply
-/// channel for an explicit [`LifecyclePool::checkpoint_now`] request.
+/// channel for an explicit [`PoolHandle::checkpoint_now`] request.
 type WriterJob = (Checkpoint, Option<Sender<Result<u64, LifecycleError>>>);
 
 /// Backoff before checkpoint-write retry `attempt` (1-based): the base
@@ -207,8 +207,8 @@ fn checkpoint_retry_delay(base: Duration, attempt: u32, generation: u64) -> Dura
 }
 
 /// Live lifecycle counters, shared between the router and checkpoint-writer
-/// threads (writers) and the [`LifecyclePool`] handle with its scrape-time
-/// callbacks (readers).
+/// threads (writers) and the [`PoolHandle`] with its scrape-time callbacks
+/// (readers).
 #[derive(Debug, Default)]
 pub(super) struct LifecycleObs {
     /// False while in bootstrap (collect-only) mode.
@@ -224,8 +224,8 @@ pub(super) struct LifecycleObs {
     pub(super) adapt_windows: AtomicU64,
 }
 
-/// Lifecycle state owned by the router thread of a
-/// [`spawn_analyzer_pool_with_lifecycle`] pool.
+/// Lifecycle state owned by the router thread of a pool started from a
+/// store.
 pub(super) struct RouterLifecycle {
     cfg: LifecycleConfig,
     control_rx: Receiver<PoolCommand>,
@@ -253,6 +253,11 @@ pub(super) struct RouterLifecycle {
 }
 
 impl RouterLifecycle {
+    /// The meta-monitor the pool's own stages report to, if any.
+    pub(super) fn meta(&self) -> Option<Arc<MetaMonitor>> {
+        self.cfg.meta.clone()
+    }
+
     /// Record one routed element in the retrain ring buffer and counters.
     pub(super) fn absorb(&mut self, feature: &InternedFeature) {
         self.ring
@@ -437,15 +442,13 @@ impl RouterLifecycle {
     }
 }
 
-/// Handle to an analyzer pool with a durable model lifecycle: everything
-/// [`PoolHandle`] offers, plus checkpoint/retrain control and recovery
-/// introspection. See [`spawn_analyzer_pool_with_lifecycle`].
+/// The store's side of a pool started from a
+/// [`PoolStart::Store`](super::PoolStart::Store): the control channel into
+/// its router, the checkpoint writer, and what recovery found.
 #[derive(Debug)]
-pub struct LifecyclePool {
-    pool: PoolHandle,
-    interner: Arc<SignatureInterner>,
+pub(super) struct Store {
     control: Sender<PoolCommand>,
-    writer: Option<JoinHandle<()>>,
+    writer: JoinHandle<()>,
     obs: Arc<LifecycleObs>,
     recovered_generation: Option<u64>,
     rejected: Vec<(PathBuf, CheckpointError)>,
@@ -454,88 +457,17 @@ pub struct LifecyclePool {
 /// Sentinel for "no checkpoint written yet" in `last_generation`.
 const NO_GENERATION: u64 = u64::MAX;
 
-/// Everything a plain pool reports — `events()`, `processed()`,
-/// `restarts()`, `skipped()`, `tasks_lost()`, `workers()`, … — reads the
-/// same on a lifecycle pool.
-impl std::ops::Deref for LifecyclePool {
-    type Target = PoolHandle;
-
-    fn deref(&self) -> &PoolHandle {
-        &self.pool
-    }
-}
-
-impl LifecyclePool {
-    /// The interner this pool's detectors share — the recovered
-    /// checkpoint's, or a fresh one in bootstrap. Every producer feeding
-    /// the pool must be built on it: a batch's ids mean nothing elsewhere.
-    pub fn interner(&self) -> Arc<SignatureInterner> {
-        self.interner.clone()
+impl Store {
+    /// Wait for the writer. The router's exit closed its queue, so the
+    /// final checkpoint is durable once this returns.
+    pub(super) fn join(self) {
+        let _ = self.writer.join();
     }
 
-    /// Whether the pool has a model and is classifying (true), or is in
-    /// bootstrap collect-only mode (false).
-    pub fn is_detecting(&self) -> bool {
-        self.obs.detecting.load(Ordering::SeqCst)
-    }
-
-    /// Checkpoints durably written so far.
-    pub fn checkpoints_written(&self) -> u64 {
-        self.obs.checkpoints_written.load(Ordering::SeqCst)
-    }
-
-    /// Hot swaps triggered by the drift detector (0 without an
-    /// [`AdaptPolicy`]; manual retrains and bootstrap promotion are not
-    /// counted here).
-    pub fn drift_swaps(&self) -> u64 {
-        self.obs.drift_swaps.load(Ordering::SeqCst)
-    }
-
-    /// Adapt windows that closed with enough samples to contribute drift
-    /// evidence (0 without an [`AdaptPolicy`]).
-    pub fn adapt_windows(&self) -> u64 {
-        self.obs.adapt_windows.load(Ordering::SeqCst)
-    }
-
-    /// Transient checkpoint write failures retried with backoff so far
-    /// (each failed attempt that was retried counts once).
-    pub fn checkpoint_retries(&self) -> u64 {
-        self.obs.checkpoint_retries.load(Ordering::SeqCst)
-    }
-
-    /// Generation of the most recent durable checkpoint, if any.
-    pub fn last_checkpoint_generation(&self) -> Option<u64> {
-        match self.obs.last_generation.load(Ordering::SeqCst) {
-            NO_GENERATION => None,
-            generation => Some(generation),
-        }
-    }
-
-    /// The most recent background checkpoint-write failure, if any.
-    /// (Explicit [`LifecyclePool::checkpoint_now`] calls surface their
-    /// errors directly.)
-    pub fn last_checkpoint_error(&self) -> Option<LifecycleError> {
-        self.obs.last_error.lock().clone()
-    }
-
-    /// Generation this pool was restored from at startup (`None` if it
-    /// started in bootstrap mode).
-    pub fn recovered_generation(&self) -> Option<u64> {
-        self.recovered_generation
-    }
-
-    /// Checkpoint files rejected during startup recovery, newest first,
-    /// each with the typed reason (corruption, truncation, version skew).
-    pub fn rejected_checkpoints(&self) -> &[(PathBuf, CheckpointError)] {
-        &self.rejected
-    }
-
-    /// Expose the pool's live counters plus the lifecycle layer's own:
-    /// checkpoint write latency (wall-clock histogram recorded on the
-    /// writer thread), checkpoints written, last durable generation, and
-    /// the detecting/bootstrap flag.
-    pub fn register_metrics(&self, registry: &Registry) {
-        self.pool.register_metrics(registry);
+    /// The lifecycle layer's series: checkpoint write latency (wall-clock
+    /// histogram recorded on the writer thread), checkpoints written, last
+    /// durable generation, the detecting/bootstrap flag and drift swaps.
+    pub(super) fn register_metrics(&self, registry: &Registry) {
         registry.attach_histogram(
             "saad_checkpoint_write_latency_us",
             "Wall-clock time to durably write one checkpoint, in microseconds",
@@ -585,29 +517,114 @@ impl LifecyclePool {
             |obs| &obs.adapt_windows,
         );
     }
+}
+
+/// The lifecycle side of a pool. A pool started from a
+/// [`PoolStart::Model`](super::PoolStart::Model) has no store: it is always
+/// detecting, counts nothing here, and answers every request with
+/// [`LifecycleError::NoStore`].
+impl PoolHandle {
+    fn lifecycle_obs(&self) -> Option<&LifecycleObs> {
+        self.store.as_ref().map(|store| &*store.obs)
+    }
+
+    fn lifecycle_count(&self, counter: fn(&LifecycleObs) -> &AtomicU64) -> u64 {
+        self.lifecycle_obs()
+            .map_or(0, |obs| counter(obs).load(Ordering::SeqCst))
+    }
+
+    /// Whether the pool has a model and is classifying (true), or is in
+    /// bootstrap collect-only mode (false).
+    pub fn is_detecting(&self) -> bool {
+        self.lifecycle_obs()
+            .is_none_or(|obs| obs.detecting.load(Ordering::SeqCst))
+    }
+
+    /// Checkpoints durably written so far.
+    pub fn checkpoints_written(&self) -> u64 {
+        self.lifecycle_count(|obs| &obs.checkpoints_written)
+    }
+
+    /// Hot swaps triggered by the drift detector (0 without an
+    /// [`AdaptPolicy`]; manual retrains and bootstrap promotion are not
+    /// counted here).
+    pub fn drift_swaps(&self) -> u64 {
+        self.lifecycle_count(|obs| &obs.drift_swaps)
+    }
+
+    /// Adapt windows that closed with enough samples to contribute drift
+    /// evidence (0 without an [`AdaptPolicy`]).
+    pub fn adapt_windows(&self) -> u64 {
+        self.lifecycle_count(|obs| &obs.adapt_windows)
+    }
+
+    /// Transient checkpoint write failures retried with backoff so far
+    /// (each failed attempt that was retried counts once).
+    pub fn checkpoint_retries(&self) -> u64 {
+        self.lifecycle_count(|obs| &obs.checkpoint_retries)
+    }
+
+    /// Generation of the most recent durable checkpoint, if any.
+    pub fn last_checkpoint_generation(&self) -> Option<u64> {
+        match self.lifecycle_obs()?.last_generation.load(Ordering::SeqCst) {
+            NO_GENERATION => None,
+            generation => Some(generation),
+        }
+    }
+
+    /// The most recent background checkpoint-write failure, if any.
+    /// (Explicit [`PoolHandle::checkpoint_now`] calls surface their
+    /// errors directly.)
+    pub fn last_checkpoint_error(&self) -> Option<LifecycleError> {
+        self.lifecycle_obs()?.last_error.lock().clone()
+    }
+
+    /// Generation this pool was restored from at startup (`None` if it
+    /// started in bootstrap mode or from a model).
+    pub fn recovered_generation(&self) -> Option<u64> {
+        self.store.as_ref()?.recovered_generation
+    }
+
+    /// Checkpoint files rejected during startup recovery, newest first,
+    /// each with the typed reason (corruption, truncation, version skew).
+    pub fn rejected_checkpoints(&self) -> &[(PathBuf, CheckpointError)] {
+        self.store.as_ref().map_or(&[], |store| &store.rejected)
+    }
+
+    /// Hand `command` to the router with a fresh reply channel, or answer
+    /// it at once when there is no store or no router.
+    fn request<T>(
+        &self,
+        command: fn(Sender<Result<T, LifecycleError>>) -> PoolCommand,
+    ) -> Receiver<Result<T, LifecycleError>> {
+        let (tx, rx) = bounded(1);
+        let refused = match &self.store {
+            None => Some(LifecycleError::NoStore),
+            Some(store) => {
+                (store.control.send(command(tx.clone())).err()).map(|_| LifecycleError::PoolClosed)
+            }
+        };
+        if let Some(e) = refused {
+            let _ = tx.send(Err(e));
+        }
+        rx
+    }
 
     /// Request a checkpoint; the reply arrives once the checkpoint is
     /// durably on disk. Commands are applied at the next batch boundary
     /// (or at end of stream), so an idle pool replies only after the next
     /// batch — send an empty batch to nudge it if needed.
     pub fn request_checkpoint(&self) -> Receiver<Result<u64, LifecycleError>> {
-        let (tx, rx) = bounded(1);
-        if self
-            .control
-            .send(PoolCommand::Checkpoint(tx.clone()))
-            .is_err()
-        {
-            let _ = tx.send(Err(LifecycleError::PoolClosed));
-        }
-        rx
+        self.request(PoolCommand::Checkpoint)
     }
 
-    /// Blocking convenience for [`LifecyclePool::request_checkpoint`].
+    /// Blocking convenience for [`PoolHandle::request_checkpoint`].
     ///
     /// # Errors
     ///
     /// [`LifecycleError::Bootstrapping`] before promotion,
-    /// [`LifecycleError::Checkpoint`] if the write failed, or
+    /// [`LifecycleError::Checkpoint`] if the write failed,
+    /// [`LifecycleError::NoStore`] on a pool started from a model, or
     /// [`LifecycleError::PoolClosed`] if the pool is gone.
     pub fn checkpoint_now(&self) -> Result<u64, LifecycleError> {
         self.request_checkpoint()
@@ -617,139 +634,25 @@ impl LifecyclePool {
 
     /// Request a hot model swap retrained from the recent synopsis
     /// window. Applied at the next batch boundary, like
-    /// [`LifecyclePool::request_checkpoint`].
+    /// [`PoolHandle::request_checkpoint`].
     pub fn request_retrain(&self) -> Receiver<Result<SwapReport, LifecycleError>> {
-        let (tx, rx) = bounded(1);
-        if self.control.send(PoolCommand::Retrain(tx.clone())).is_err() {
-            let _ = tx.send(Err(LifecycleError::PoolClosed));
-        }
-        rx
+        self.request(PoolCommand::Retrain)
     }
 
-    /// Blocking convenience for [`LifecyclePool::request_retrain`].
+    /// Blocking convenience for [`PoolHandle::request_retrain`].
     ///
     /// # Errors
     ///
     /// [`LifecycleError::InsufficientData`] or
     /// [`LifecycleError::UnstableModel`] when the gate refuses the
     /// candidate, [`LifecycleError::Config`] for an invalid training
-    /// configuration, or [`LifecycleError::PoolClosed`].
+    /// configuration, [`LifecycleError::NoStore`], or
+    /// [`LifecycleError::PoolClosed`].
     pub fn retrain_now(&self) -> Result<SwapReport, LifecycleError> {
         self.request_retrain()
             .recv()
             .unwrap_or(Err(LifecycleError::PoolClosed))
     }
-
-    /// Wait for the pool to finish (input channel closed): the final
-    /// checkpoint is durable once this returns. Returns each shard's
-    /// detector for inspection, like [`PoolHandle::join`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`AnalyzerError`] from the router or any
-    /// shard, after joining every thread.
-    pub fn join(mut self) -> Result<Vec<AnomalyDetector>, AnalyzerError> {
-        drop(self.control);
-        let result = self.pool.join();
-        if let Some(writer) = self.writer.take() {
-            let _ = writer.join();
-        }
-        result
-    }
-}
-
-/// Spawn an analyzer pool with a durable model lifecycle rooted at `dir`:
-///
-/// * **Recovery** — on startup the newest checkpoint that decodes cleanly
-///   is restored (model, signature interner, and every shard's windowed
-///   state); corrupt, truncated, or version-skewed files are skipped with
-///   typed reasons (see [`LifecyclePool::rejected_checkpoints`]). A
-///   checkpoint taken with a different worker count is resharded by
-///   merging the snapshots and re-partitioning along the pool's own
-///   routing function.
-/// * **Bootstrap** — with no usable checkpoint the pool starts in
-///   collect-only mode: windows are observed and accounted (emitting
-///   [`AnomalyKind::ModelUnavailable`](crate::detector::AnomalyKind::ModelUnavailable)
-///   events with completeness ratios)
-///   but nothing is classified. After
-///   [`LifecycleConfig::promote_after`] observations the router trains a
-///   model from the recent synopsis window and — if the k-fold stability
-///   gate passes — promotes the pool to detecting mode.
-/// * **Checkpoints** — while detecting, the router snapshots every shard
-///   at batch boundaries (every [`LifecycleConfig::checkpoint_every`]
-///   synopses, on [`LifecyclePool::checkpoint_now`], and at shutdown) and
-///   a dedicated writer thread persists them atomically, pruning old
-///   generations.
-/// * **Hot swap** — [`LifecyclePool::retrain_now`] retrains from recent
-///   traffic and broadcasts the new model in-band to every shard, which
-///   installs it at the swap watermark: no synopsis is dropped, double
-///   counted, or classified by a half-installed model.
-///
-/// `rx` and `loss_rx` are what
-/// [`spawn_batch_analyzer_pool`](super::spawn_batch_analyzer_pool) takes,
-/// but the interner is the pool's to give (a recovered checkpoint carries
-/// its own): spawn first, then build producers on
-/// [`LifecyclePool::interner`].
-///
-/// # Errors
-///
-/// Fails with [`LifecycleError::Checkpoint`] if the store directory is
-/// unusable or recovery I/O fails (individual bad checkpoint files are
-/// recovered around, not errors), or [`LifecycleError::Config`] for an
-/// invalid detector configuration.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn spawn_analyzer_pool_with_lifecycle(
-    config: DetectorConfig,
-    supervisor: SupervisorConfig,
-    lifecycle: LifecycleConfig,
-    workers: usize,
-    dir: impl Into<PathBuf>,
-    rx: Receiver<SynopsisBatch>,
-    loss_rx: Option<Receiver<LossReport>>,
-) -> Result<LifecyclePool, LifecycleError> {
-    spawn_lifecycle_pool_inner(
-        config,
-        supervisor,
-        lifecycle,
-        workers,
-        dir,
-        PoolInput::Batches(rx, loss_rx),
-    )
-}
-
-/// [`spawn_analyzer_pool_with_lifecycle`] over a single ordered channel
-/// of [`SequencedInput`] steps instead of separate batch and loss
-/// channels: loss reports take effect at exactly their stream position,
-/// so two pools fed identical sequences emit identical event multisets.
-/// Use this when detection output must be reproducible or auditable
-/// against a recorded stream (see [`SequencedInput`]).
-///
-/// # Errors
-///
-/// Same conditions as [`spawn_analyzer_pool_with_lifecycle`].
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn spawn_sequenced_analyzer_pool_with_lifecycle(
-    config: DetectorConfig,
-    supervisor: SupervisorConfig,
-    lifecycle: LifecycleConfig,
-    workers: usize,
-    dir: impl Into<PathBuf>,
-    rx: Receiver<SequencedInput>,
-) -> Result<LifecyclePool, LifecycleError> {
-    spawn_lifecycle_pool_inner(
-        config,
-        supervisor,
-        lifecycle,
-        workers,
-        dir,
-        PoolInput::Sequenced(rx),
-    )
 }
 
 /// The checkpoint writer thread: persist each job durably — retrying
@@ -811,15 +714,17 @@ fn run_checkpoint_writer(
     }
 }
 
-fn spawn_lifecycle_pool_inner(
-    config: DetectorConfig,
-    supervisor: SupervisorConfig,
+/// Open the checkpoint store in `dir` for a pool of `workers` shards:
+/// restore its newest checkpoint that decodes — resharded when the worker
+/// count changed — or bootstrap collect-only detectors on a fresh
+/// interner, and start the checkpoint writer. Returns the shard detectors,
+/// the router's lifecycle state and the handle's side of the store.
+pub(super) fn open_store(
+    dir: PathBuf,
     lifecycle: LifecycleConfig,
+    config: DetectorConfig,
     workers: usize,
-    dir: impl Into<PathBuf>,
-    input: PoolInput,
-) -> Result<LifecyclePool, LifecycleError> {
-    assert!(workers > 0, "analyzer pool needs at least one worker");
+) -> Result<(Vec<AnomalyDetector>, RouterLifecycle, Store), LifecycleError> {
     let store = CheckpointStore::create(dir, lifecycle.keep)?;
     let recovery = store.recover()?;
     let next_generation = store.latest_generation()?.map_or(0, |g| g + 1);
@@ -888,7 +793,6 @@ fn spawn_lifecycle_pool_inner(
         last_generation: AtomicU64::new(NO_GENERATION),
         ..LifecycleObs::default()
     });
-    let meta = lifecycle.meta.clone();
     let (writer_tx, writer_rx) = unbounded::<WriterJob>();
     let (writer_cfg, writer_obs) = (lifecycle.clone(), obs.clone());
     let writer = std::thread::Builder::new()
@@ -907,7 +811,7 @@ fn spawn_lifecycle_pool_inner(
         cfg: lifecycle,
         control_rx,
         writer_tx,
-        interner: interner.clone(),
+        interner,
         model,
         compiled,
         detecting,
@@ -919,58 +823,25 @@ fn spawn_lifecycle_pool_inner(
         next_attempt,
         adapt,
     };
-    let pool = spawn_pool_inner(
-        detectors,
-        supervisor,
-        config.window,
-        input,
-        Some(router_lifecycle),
-        meta,
-    );
-    Ok(LifecyclePool {
-        pool,
-        interner,
+    let store = Store {
         control: control_tx,
-        writer: Some(writer),
+        writer,
         obs,
         recovered_generation,
         rejected,
-    })
+    };
+    Ok((detectors, router_lifecycle, store))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{soa, synopsis_on};
+    use super::super::testkit::{model, soa, synopsis_on, TempDir};
+    use super::super::{spawn_analyzer_pool, PoolStart, SupervisorConfig};
     use super::*;
+    use crate::batch::SynopsisBatch;
     use crate::detector::AnomalyKind;
     use crate::synopsis::TaskSynopsis;
     use saad_sim::SimDuration;
-
-    /// Self-cleaning unique temp directory (no tempfile crate).
-    struct TempDir(std::path::PathBuf);
-
-    impl TempDir {
-        fn new() -> TempDir {
-            static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-            let dir = std::env::temp_dir().join(format!(
-                "saad-pipeline-test-{}-{}",
-                std::process::id(),
-                SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            std::fs::create_dir_all(&dir).unwrap();
-            TempDir(dir)
-        }
-
-        fn path(&self) -> &std::path::Path {
-            &self.0
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
 
     fn quick_lifecycle() -> LifecycleConfig {
         LifecycleConfig {
@@ -1004,8 +875,25 @@ mod tests {
         out
     }
 
+    /// A pool over the store in `dir`, and the sender of its one input.
+    fn spawn(
+        dir: &TempDir,
+        lifecycle: LifecycleConfig,
+        workers: usize,
+    ) -> (Sender<SynopsisBatch>, PoolHandle) {
+        let (batch_tx, batch_rx) = unbounded();
+        let start = PoolStart::Store {
+            dir: dir.path().into(),
+            lifecycle,
+        };
+        let supervisor = SupervisorConfig::default();
+        let config = DetectorConfig::default();
+        let pool = spawn_analyzer_pool(start, config, supervisor, workers, batch_rx).unwrap();
+        (batch_tx, pool)
+    }
+
     /// `stream` in batches of 60, interned where the pool says to.
-    fn feed(pool: &LifecyclePool, batch_tx: &Sender<SynopsisBatch>, stream: &[TaskSynopsis]) {
+    fn feed(pool: &PoolHandle, batch_tx: &Sender<SynopsisBatch>, stream: &[TaskSynopsis]) {
         let interner = pool.interner();
         for chunk in stream.chunks(60) {
             batch_tx.send(soa(chunk, &interner)).unwrap();
@@ -1015,7 +903,7 @@ mod tests {
     /// Control commands apply at the router's next batch boundary, so a
     /// command sent while queued batches are still in flight could land
     /// before them. Wait until the pool has consumed what was fed.
-    fn wait_processed(pool: &LifecyclePool, target: u64) {
+    fn wait_processed(pool: &PoolHandle, target: u64) {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while pool.processed() < target {
             assert!(std::time::Instant::now() < deadline, "pool stalled");
@@ -1064,19 +952,29 @@ mod tests {
     }
 
     #[test]
+    fn a_pool_started_from_a_model_answers_lifecycle_requests_without_a_store() {
+        let (batch_tx, batch_rx) = unbounded();
+        let start = PoolStart::Model {
+            model: model(),
+            interner: Arc::default(),
+        };
+        let (config, supervisor) = (DetectorConfig::default(), SupervisorConfig::default());
+        let pool = spawn_analyzer_pool(start, config, supervisor, 2, batch_rx).unwrap();
+        assert!(pool.is_detecting());
+        assert_eq!(pool.checkpoint_now(), Err(LifecycleError::NoStore));
+        assert_eq!(pool.retrain_now(), Err(LifecycleError::NoStore));
+        assert_eq!(pool.checkpoints_written(), 0);
+        assert_eq!(pool.last_checkpoint_generation(), None);
+        assert_eq!(pool.recovered_generation(), None);
+        assert!(pool.rejected_checkpoints().is_empty());
+        drop(batch_tx);
+        pool.join().unwrap();
+    }
+
+    #[test]
     fn lifecycle_pool_bootstraps_promotes_and_checkpoints() {
         let dir = TempDir::new();
-        let (batch_tx, batch_rx) = unbounded();
-        let pool = spawn_analyzer_pool_with_lifecycle(
-            DetectorConfig::default(),
-            SupervisorConfig::default(),
-            quick_lifecycle(),
-            2,
-            dir.path(),
-            batch_rx,
-            None,
-        )
-        .unwrap();
+        let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 2);
         assert!(!pool.is_detecting(), "no checkpoint: must start bootstrap");
         assert_eq!(pool.recovered_generation(), None);
 
@@ -1159,17 +1057,7 @@ mod tests {
     #[test]
     fn drift_triggers_auto_swap_at_watermark_boundary() {
         let dir = TempDir::new();
-        let (batch_tx, batch_rx) = unbounded();
-        let pool = spawn_analyzer_pool_with_lifecycle(
-            DetectorConfig::default(),
-            SupervisorConfig::default(),
-            adaptive_lifecycle(),
-            2,
-            dir.path(),
-            batch_rx,
-            None,
-        )
-        .unwrap();
+        let (batch_tx, pool) = spawn(&dir, adaptive_lifecycle(), 2);
         // Healthy run-in (promotes around minute 1.25, then quiet
         // windows establish the Page-Hinkley null), then a rollout that
         // quintuples every duration.
@@ -1194,17 +1082,7 @@ mod tests {
     #[test]
     fn quiet_traffic_never_drift_swaps() {
         let dir = TempDir::new();
-        let (batch_tx, batch_rx) = unbounded();
-        let pool = spawn_analyzer_pool_with_lifecycle(
-            DetectorConfig::default(),
-            SupervisorConfig::default(),
-            adaptive_lifecycle(),
-            2,
-            dir.path(),
-            batch_rx,
-            None,
-        )
-        .unwrap();
+        let (batch_tx, pool) = spawn(&dir, adaptive_lifecycle(), 2);
         feed(&pool, &batch_tx, &scaled_stream(0, 12, 240, 1.0));
         drop(batch_tx);
         while pool.events().recv().is_ok() {}
@@ -1224,17 +1102,7 @@ mod tests {
     #[test]
     fn checkpoint_is_rejected_in_bootstrap_mode() {
         let dir = TempDir::new();
-        let (batch_tx, batch_rx) = unbounded();
-        let pool = spawn_analyzer_pool_with_lifecycle(
-            DetectorConfig::default(),
-            SupervisorConfig::default(),
-            quick_lifecycle(),
-            2,
-            dir.path(),
-            batch_rx,
-            None,
-        )
-        .unwrap();
+        let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 2);
         let reply = pool.request_checkpoint();
         batch_tx.send(SynopsisBatch::new()).unwrap(); // nudge the batch boundary
         assert_eq!(reply.recv().unwrap(), Err(LifecycleError::Bootstrapping));
@@ -1257,17 +1125,7 @@ mod tests {
         let stream = healthy_stream(3, 240);
         let seen = stream.len() as u64;
         {
-            let (batch_tx, batch_rx) = unbounded();
-            let pool = spawn_analyzer_pool_with_lifecycle(
-                DetectorConfig::default(),
-                SupervisorConfig::default(),
-                quick_lifecycle(),
-                2,
-                dir.path(),
-                batch_rx,
-                None,
-            )
-            .unwrap();
+            let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 2);
             feed(&pool, &batch_tx, &stream);
             drop(batch_tx);
             while pool.events().recv().is_ok() {}
@@ -1276,17 +1134,7 @@ mod tests {
         }
         // Same worker count: shard-for-shard restore.
         {
-            let (batch_tx, batch_rx) = unbounded();
-            let pool = spawn_analyzer_pool_with_lifecycle(
-                DetectorConfig::default(),
-                SupervisorConfig::default(),
-                quick_lifecycle(),
-                2,
-                dir.path(),
-                batch_rx,
-                None,
-            )
-            .unwrap();
+            let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 2);
             assert!(pool.is_detecting(), "recovered pool must skip bootstrap");
             assert!(pool.recovered_generation().is_some());
             drop(batch_tx);
@@ -1298,17 +1146,7 @@ mod tests {
         // Different worker count: merge + re-partition along the pool's
         // own routing.
         {
-            let (batch_tx, batch_rx) = unbounded();
-            let pool = spawn_analyzer_pool_with_lifecycle(
-                DetectorConfig::default(),
-                SupervisorConfig::default(),
-                quick_lifecycle(),
-                3,
-                dir.path(),
-                batch_rx,
-                None,
-            )
-            .unwrap();
+            let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 3);
             assert!(pool.is_detecting());
             drop(batch_tx);
             while pool.events().recv().is_ok() {}
@@ -1322,17 +1160,7 @@ mod tests {
     #[test]
     fn explicit_checkpoint_is_durable_when_the_call_returns() {
         let dir = TempDir::new();
-        let (batch_tx, batch_rx) = unbounded();
-        let pool = spawn_analyzer_pool_with_lifecycle(
-            DetectorConfig::default(),
-            SupervisorConfig::default(),
-            quick_lifecycle(),
-            2,
-            dir.path(),
-            batch_rx,
-            None,
-        )
-        .unwrap();
+        let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 2);
         feed(&pool, &batch_tx, &healthy_stream(2, 240));
         wait_processed(&pool, 480);
         let reply = pool.request_checkpoint();
@@ -1352,21 +1180,15 @@ mod tests {
     #[test]
     fn transient_checkpoint_write_failures_are_retried_and_counted() {
         let dir = TempDir::new();
-        let (batch_tx, batch_rx) = unbounded();
-        let pool = spawn_analyzer_pool_with_lifecycle(
-            DetectorConfig::default(),
-            SupervisorConfig::default(),
+        let (batch_tx, pool) = spawn(
+            &dir,
             LifecycleConfig {
                 checkpoint_fail_first: 2,
                 checkpoint_retry_backoff: Duration::from_millis(1),
                 ..quick_lifecycle()
             },
             2,
-            dir.path(),
-            batch_rx,
-            None,
-        )
-        .unwrap();
+        );
         feed(&pool, &batch_tx, &healthy_stream(2, 240));
         wait_processed(&pool, 480);
         let reply = pool.request_checkpoint();
@@ -1388,10 +1210,8 @@ mod tests {
     #[test]
     fn exhausted_checkpoint_retries_surface_the_io_error() {
         let dir = TempDir::new();
-        let (batch_tx, batch_rx) = unbounded();
-        let pool = spawn_analyzer_pool_with_lifecycle(
-            DetectorConfig::default(),
-            SupervisorConfig::default(),
+        let (batch_tx, pool) = spawn(
+            &dir,
             LifecycleConfig {
                 // More injected failures than 1 initial try + 2 retries.
                 checkpoint_fail_first: 10,
@@ -1400,11 +1220,7 @@ mod tests {
                 ..quick_lifecycle()
             },
             2,
-            dir.path(),
-            batch_rx,
-            None,
-        )
-        .unwrap();
+        );
         feed(&pool, &batch_tx, &healthy_stream(2, 240));
         wait_processed(&pool, 480);
         let reply = pool.request_checkpoint();
@@ -1427,17 +1243,7 @@ mod tests {
     #[test]
     fn hot_swap_loses_and_double_counts_nothing_under_load() {
         let dir = TempDir::new();
-        let (batch_tx, batch_rx) = unbounded();
-        let pool = spawn_analyzer_pool_with_lifecycle(
-            DetectorConfig::default(),
-            SupervisorConfig::default(),
-            quick_lifecycle(),
-            3,
-            dir.path(),
-            batch_rx,
-            None,
-        )
-        .unwrap();
+        let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 3);
         let stream = healthy_stream(4, 240);
         feed(&pool, &batch_tx, &stream[..720]);
         wait_processed(&pool, 720);

@@ -9,7 +9,8 @@
 //! * `sink` — the producer edge: [`BatchSink`] behind trackers,
 //!   [`feed_frame_soa`] behind a frame receiver, and the inline
 //!   [`ModelSink`]/[`DetectorSink`] of the deterministic simulators. Both
-//!   producers intern at the edge, against the consuming pool's interner.
+//!   producers intern at the edge, against the consuming pool's interner,
+//!   and put a transport gap on the batch that revealed it.
 //!   [`BatchSink::bounded`] caps the queue to the analyzer; an
 //!   [`OverloadPolicy`] decides what happens when it fills — in [`offer`],
 //!   which the network agent's queue calls too — and every dropped
@@ -20,16 +21,15 @@
 //!   up to [`SupervisorConfig::max_restarts`]) and the liveness table that
 //!   turns a host silent for [`SupervisorConfig::silent_after`] windows
 //!   into an explicit `HostSilent` event instead of a quiet gap.
-//! * `pool` — [`spawn_batch_analyzer_pool`]: a router partitions batches
-//!   by `hash(host, stage)` over supervised shard workers. All windowed
-//!   detector state is keyed per `(host, stage)`, so sharding preserves
-//!   the single-threaded event stream exactly (as a multiset).
-//! * `lifecycle` — the same pool with durable checkpoints, crash recovery,
-//!   bootstrap promotion and hot model swap, fed the same batches on two
-//!   channels ([`spawn_analyzer_pool_with_lifecycle`]) or one ordered
-//!   [`SequencedInput`] channel
-//!   ([`spawn_sequenced_analyzer_pool_with_lifecycle`]). Spawn the pool
-//!   first, then build its producers on [`LifecyclePool::interner`] — a
+//! * `pool` — [`spawn_analyzer_pool`], the one way to start a pool, over
+//!   one ordered channel of batches: a router charges each batch's gaps,
+//!   then partitions its rows by `hash(host, stage)` over supervised shard
+//!   workers. All windowed detector state is keyed per `(host, stage)`,
+//!   so sharding preserves the single-threaded event stream exactly (as a
+//!   multiset).
+//! * `lifecycle` — what a [`PoolStart::Store`] adds: durable checkpoints,
+//!   crash recovery, bootstrap promotion and hot model swap. Spawn the
+//!   pool first, then build its producers on [`PoolHandle::interner`] — a
 //!   restored pool's interner is the checkpoint's, not a fresh one.
 //! * `adapt` — the drift detector ([`AdaptPolicy`]) that triggers a
 //!   lifecycle pool's swap by itself.
@@ -41,11 +41,8 @@ mod sink;
 mod supervise;
 
 pub use adapt::AdaptPolicy;
-pub use lifecycle::{
-    spawn_analyzer_pool_with_lifecycle, spawn_sequenced_analyzer_pool_with_lifecycle,
-    LifecycleConfig, LifecycleError, LifecyclePool, SwapReport,
-};
-pub use pool::{spawn_batch_analyzer_pool, PoolHandle, SequencedInput};
+pub use lifecycle::{LifecycleConfig, LifecycleError, SwapReport};
+pub use pool::{spawn_analyzer_pool, spawn_batch_analyzer_pool, PoolHandle, PoolStart};
 pub use sink::{
     feed_frame_soa, offer, BatchSink, DetectorSink, DropCounters, DropCounts, ModelSink,
     OverloadPolicy, SinkStats,
@@ -55,16 +52,43 @@ pub use supervise::{AnalyzerError, SupervisorConfig};
 #[cfg(test)]
 /// Fixtures shared by the test modules of this directory's files.
 mod testkit {
-    use super::SequencedInput;
     use crate::batch::SynopsisBatch;
     use crate::detector::{AnomalyDetector, AnomalyEvent};
     use crate::intern::SignatureInterner;
     use crate::model::{ModelBuilder, ModelConfig, OutlierModel};
     use crate::synopsis::TaskSynopsis;
+    use crate::transport::LossReport;
     use crate::{HostId, StageId, TaskUid};
     use saad_logging::LogPointId;
     use saad_sim::{SimDuration, SimTime};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, OnceLock};
+
+    /// Self-cleaning unique temp directory (no tempfile crate).
+    pub struct TempDir(std::path::PathBuf);
+
+    impl TempDir {
+        pub fn new() -> TempDir {
+            static SEQ: AtomicUsize = AtomicUsize::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "saad-pipeline-test-{}-{}",
+                std::process::id(),
+                SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+
+        pub fn path(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 
     pub fn synopsis(points: &[u16], dur_us: u64, start: SimTime, uid: u64) -> TaskSynopsis {
         synopsis_on(0, points, dur_us, start, uid)
@@ -93,6 +117,14 @@ mod testkit {
         for s in synopses {
             batch.push_synopsis(s, interner);
         }
+        batch
+    }
+
+    /// A batch with no rows that charges one gap: what a goodbye frame
+    /// revealing a trailing gap puts on a pool's input.
+    pub fn gap(report: LossReport) -> SynopsisBatch {
+        let mut batch = SynopsisBatch::new();
+        batch.losses.push(report);
         batch
     }
 
@@ -160,28 +192,26 @@ mod testkit {
     }
 
     /// THE reference every threaded path is compared with: one plain
-    /// detector driven element by element in stream order — advance to the
-    /// stream's running-maximum watermark, observe; a loss report applied
-    /// where it stands. Batches are interned against the detector's own
-    /// interner. Returns the events (final flush included) and the
-    /// detector.
+    /// detector driven element by element in stream order — a batch's gap
+    /// reports applied where they stand, then each row: advance to the
+    /// stream's running-maximum watermark, observe. Batches are interned
+    /// against the detector's own interner. Returns the events (final
+    /// flush included) and the detector.
     pub fn reference_run(
         mut detector: AnomalyDetector,
-        steps: &[SequencedInput],
+        stream: &[SynopsisBatch],
     ) -> (Vec<AnomalyEvent>, AnomalyDetector) {
         let mut events = Vec::new();
         let mut watermark = SimTime::ZERO;
-        for step in steps {
-            match step {
-                SequencedInput::Batch(batch) => {
-                    for i in 0..batch.len() {
-                        let feature = batch.feature(i);
-                        watermark = watermark.max(feature.start);
-                        events.extend(detector.advance_watermark(watermark));
-                        events.extend(detector.observe_interned(&feature));
-                    }
-                }
-                SequencedInput::Loss(r) => detector.record_loss(r.host, r.at, r.count),
+        for batch in stream {
+            for r in &batch.losses {
+                detector.record_loss(r.host, r.at, r.count);
+            }
+            for i in 0..batch.len() {
+                let feature = batch.feature(i);
+                watermark = watermark.max(feature.start);
+                events.extend(detector.advance_watermark(watermark));
+                events.extend(detector.observe_interned(&feature));
             }
         }
         events.extend(detector.flush());

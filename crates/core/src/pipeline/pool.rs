@@ -1,9 +1,9 @@
-//! The sharded analyzer pool: a router thread that stamps the global
-//! watermark, tracks host liveness and partitions each input batch by
-//! `hash(host, stage)`, and one supervised shard worker per partition.
+//! The sharded analyzer pool: a router thread that charges each input
+//! batch's gap reports, stamps the global watermark, tracks host liveness
+//! and partitions the batch's rows by `hash(host, stage)`, and one
+//! supervised shard worker per partition.
 
-use super::lifecycle::RouterLifecycle;
-use super::sink::{DropCounts, SinkStats};
+use super::lifecycle::{open_store, LifecycleConfig, LifecycleError, RouterLifecycle, Store};
 use super::supervise::{
     panic_message, AnalyzerError, LivenessTracker, SupervisedDetector, SupervisionObs,
     SupervisorConfig,
@@ -19,7 +19,7 @@ use crate::{HostId, StageId};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use saad_obs::{Histogram, Registry};
 use saad_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -68,43 +68,6 @@ pub(super) enum ShardMsg {
 pub(super) fn shard_for(host: HostId, stage: StageId, workers: usize) -> usize {
     let key = ((host.0 as u64) << 16) | stage.0 as u64;
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % workers
-}
-
-/// One element of a *sequenced* analyzer-pool input stream: synopsis
-/// batches and transport loss reports interleaved on a single ordered
-/// channel.
-///
-/// The two-channel pool input delivers [`LossReport`]s on a side channel
-/// the router drains opportunistically at batch boundaries. That is
-/// *correct* — a gap always takes effect no later than its revealing
-/// batch — but not *reproducible*: under backpressure a queued report can
-/// take effect several batches early, so two runs over identical content
-/// may attribute a gap's degradation to different window closes. A
-/// sequenced stream pins every report at the exact stream position its
-/// producer emitted it, which makes the pool's event multiset a pure
-/// function of stream content. The federation end-to-end proof (wire run
-/// vs. replayed oracle) relies on exactly this property.
-#[derive(Debug, Clone)]
-pub enum SequencedInput {
-    /// A batch of task synopses, interned against the pool's interner.
-    Batch(SynopsisBatch),
-    /// A loss report taking effect exactly here in the stream.
-    Loss(LossReport),
-}
-
-/// Input stream driving an analyzer pool's router: SoA batches built
-/// against the SAME interner the pool's detectors share. The router
-/// re-stamps each element's watermark with the global running maximum and
-/// repartitions columns directly — the hot path never materializes a
-/// per-synopsis struct or performs a per-synopsis channel send.
-pub(super) enum PoolInput {
-    /// Batches on one channel, gap reports on a side channel the router
-    /// drains at batch boundaries.
-    Batches(Receiver<SynopsisBatch>, Option<Receiver<LossReport>>),
-    /// Batches and loss reports on one ordered channel (see
-    /// [`SequencedInput`]): loss placement is part of the stream content
-    /// instead of a race against the router's drain timing.
-    Sequenced(Receiver<SequencedInput>),
 }
 
 /// The router's per-shard SoA arenas. Elements accumulate into a reusable
@@ -205,22 +168,27 @@ impl PoolObs {
 }
 
 /// Handle to a running analyzer pool: a router thread plus `workers`
-/// supervised shard workers (see [`spawn_batch_analyzer_pool`]).
+/// supervised shard workers (see [`spawn_analyzer_pool`]), and — for a
+/// pool started from a store — its checkpoint writer and lifecycle
+/// controls.
 #[derive(Debug)]
 pub struct PoolHandle {
     events: Receiver<AnomalyEvent>,
-    sink_stats: Option<Arc<SinkStats>>,
     obs: Arc<PoolObs>,
-    router: Option<JoinHandle<()>>,
+    router: JoinHandle<()>,
     workers: Vec<JoinHandle<Result<AnomalyDetector, AnalyzerError>>>,
+    interner: Arc<SignatureInterner>,
+    /// The checkpoint store's side; `None` on a pool started from a model.
+    pub(super) store: Option<Store>,
 }
 
 impl PoolHandle {
-    /// Attach the sink's drop statistics so producers' losses are visible
-    /// from the consumer side.
-    pub fn with_sink_stats(mut self, stats: Arc<SinkStats>) -> PoolHandle {
-        self.sink_stats = Some(stats);
-        self
+    /// The interner this pool's detectors share — the one it was started
+    /// with, a recovered checkpoint's, or a fresh one in bootstrap. Every
+    /// producer feeding the pool must be built on it: a batch's ids mean
+    /// nothing elsewhere.
+    pub fn interner(&self) -> Arc<SignatureInterner> {
+        self.interner.clone()
     }
 
     /// Receiver of detected anomaly events, merged across all shards.
@@ -251,33 +219,14 @@ impl PoolHandle {
         self.obs.tasks_lost.load(Ordering::Relaxed)
     }
 
-    /// Number of shard workers.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Synopses dropped by the attached sink (0 unless
-    /// [`PoolHandle::with_sink_stats`] was used).
-    pub fn dropped(&self) -> u64 {
-        self.sink_stats.as_ref().map_or(0, |s| s.dropped())
-    }
-
-    /// Per-host drop counts from the attached sink (empty unless
-    /// [`PoolHandle::with_sink_stats`] was used).
-    pub fn drops_by_host(&self) -> HashMap<HostId, DropCounts> {
-        self.sink_stats
-            .as_ref()
-            .map(|s| s.drops_by_host())
-            .unwrap_or_default()
-    }
-
     /// Expose the pool's live counters in `registry`: per-shard
     /// processed/late/event counts, watermark lag, restart snapshots taken
     /// and the replay tail a restart would re-apply, plus pool-level
     /// restart/skip/loss totals, the router watermark and the snapshot
-    /// latency histogram. All series but the histogram are scrape-time
-    /// callbacks over counters the pool already maintains — registering
-    /// them costs the hot path nothing.
+    /// latency histogram, and — on a pool started from a store — the
+    /// lifecycle's checkpoint and drift series. All series but the
+    /// histograms are scrape-time callbacks over counters the pool already
+    /// maintains — registering them costs the hot path nothing.
     pub fn register_metrics(&self, registry: &Registry) {
         for (shard, shard_obs) in self.obs.shards.iter().enumerate() {
             let label = shard.to_string();
@@ -371,98 +320,138 @@ impl PoolHandle {
             "Synopses the transport reported lost, counted once per report",
             |obs| obs.tasks_lost.load(Ordering::Relaxed),
         );
-        if let Some(stats) = &self.sink_stats {
-            stats.register_metrics(registry, "pool");
+        if let Some(store) = &self.store {
+            store.register_metrics(registry);
         }
-    }
-
-    /// Drain any events currently queued without blocking.
-    pub fn drain_events(&self) -> Vec<AnomalyEvent> {
-        self.events.try_iter().collect()
     }
 
     /// Wait for the pool to finish (input channel closed), returning each
     /// shard's detector for inspection. Remaining windows are flushed
-    /// before workers exit.
+    /// before workers exit, and on a pool started from a store the final
+    /// checkpoint is durable once this returns.
     ///
     /// # Errors
     ///
     /// Returns the first [`AnalyzerError`] if the router panicked or any
-    /// shard exhausted its restart budget; the remaining shards are still
-    /// joined first so no thread is leaked.
-    pub fn join(mut self) -> Result<Vec<AnomalyDetector>, AnalyzerError> {
-        let mut first_err = None;
-        if let Some(router) = self.router.take() {
-            if let Err(payload) = router.join() {
-                first_err = Some(AnalyzerError::Panicked(panic_message(payload.as_ref())));
-            }
-        }
+    /// shard exhausted its restart budget; the remaining threads are still
+    /// joined first so none is leaked.
+    pub fn join(self) -> Result<Vec<AnomalyDetector>, AnalyzerError> {
+        let panicked = |payload: Box<dyn std::any::Any + Send>| {
+            AnalyzerError::Panicked(panic_message(payload.as_ref()))
+        };
+        let mut first_err = self.router.join().err().map(panicked);
         let mut detectors = Vec::with_capacity(self.workers.len());
-        for worker in self.workers.drain(..) {
+        for worker in self.workers {
             match worker.join() {
                 Ok(Ok(detector)) => detectors.push(detector),
                 Ok(Err(e)) => {
                     first_err.get_or_insert(e);
                 }
                 Err(payload) => {
-                    first_err
-                        .get_or_insert(AnalyzerError::Panicked(panic_message(payload.as_ref())));
+                    first_err.get_or_insert(panicked(payload));
                 }
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(detectors),
+        if let Some(store) = self.store {
+            store.join();
         }
+        first_err.map_or(Ok(detectors), Err)
     }
 }
 
-/// Spawn the sharded analyzer pool over a stream of SoA batches — the one
-/// threaded analyzer.
+/// Where a pool's detectors come from.
+#[derive(Debug)]
+pub enum PoolStart {
+    /// A trained model over the interner every producer shares. Nothing is
+    /// checkpointed: lifecycle requests answer [`LifecycleError::NoStore`].
+    Model {
+        /// The model every shard classifies with, compiled once.
+        model: Arc<OutlierModel>,
+        /// The interner the model is compiled against.
+        interner: Arc<SignatureInterner>,
+    },
+    /// A checkpoint store and a durable model lifecycle. The pool restores
+    /// the newest checkpoint that decodes — model, interner and every
+    /// shard's windows, resharded along the pool's own routing if the
+    /// worker count changed — and skips damaged files with typed reasons
+    /// ([`PoolHandle::rejected_checkpoints`]). Without one it bootstraps:
+    /// windows are counted without a model (`ModelUnavailable` events)
+    /// until [`LifecycleConfig::promote_after`] synopses train one the
+    /// k-fold gate accepts. While detecting, the router snapshots every
+    /// shard at batch boundaries for a writer thread to persist, and
+    /// [`PoolHandle::retrain_now`] swaps a retrained model in-band at a
+    /// watermark: no synopsis is dropped or classified twice.
+    Store {
+        /// The store's directory, created if missing.
+        dir: PathBuf,
+        /// Checkpointing, promotion, retraining and drift adaptation.
+        lifecycle: LifecycleConfig,
+    },
+}
+
+/// Spawn the sharded analyzer pool — the one threaded analyzer — over one
+/// ordered stream of [`SynopsisBatch`]es, built against
+/// [`PoolHandle::interner`] by a [`BatchSink`](super::BatchSink),
+/// [`feed_frame_soa`](super::feed_frame_soa) or a collector. A transport
+/// gap rides in [`SynopsisBatch::losses`] on the batch that revealed it,
+/// so the pool's output is a function of the stream's content alone.
 ///
-/// Producers build [`SynopsisBatch`]es against `interner`: a
-/// [`BatchSink`](super::BatchSink) behind trackers,
-/// [`feed_frame_soa`](super::feed_frame_soa) behind a frame receiver, or a
-/// decoder filling columns straight from the wire. The router thread tracks
-/// per-host liveness over the full ordered stream, re-stamps every element
-/// with the global running-maximum watermark, and repartitions columns by
-/// `hash(host, stage)` — one channel send per (shard, batch), nothing per
-/// synopsis; with one worker it only re-stamps and forwards. Each of the
-/// `workers` shard threads runs its own [`AnomalyDetector`] behind a panic
-/// boundary against the shared interner and one compiled model, built once
-/// here. Windowed state is keyed per `(host, stage)` and each pair is
-/// pinned to one shard, so the pool's event stream is — as a multiset — a
-/// single detector's over the same input, whatever the worker count.
-///
-/// `loss_rx`, when provided, delivers the transport's [`LossReport`]s; the
-/// router counts each once and broadcasts it to every shard, so windowed
-/// tests account for missing data and events carry honest completeness
-/// ratios. `supervisor.panic_after` counts per shard, which keeps fault
-/// injection deterministic per route.
+/// Per batch the router counts each gap report once and broadcasts it to
+/// every shard, stamped with the global watermark at its position; then
+/// it re-stamps each row with the global running-maximum watermark, tracks
+/// host liveness, and repartitions the columns by `hash(host, stage)` —
+/// one channel send per (shard, batch); with one worker and no store it
+/// only re-stamps and forwards. Each shard runs its own
+/// [`AnomalyDetector`] behind a panic boundary. Windowed state is keyed
+/// per `(host, stage)` and each pair is pinned to one shard, so the event
+/// stream is — as a multiset — a single detector's over the same input,
+/// whatever the worker count. `supervisor.panic_after` counts per shard.
 ///
 /// # Example
 ///
 /// ```
-/// use saad_core::pipeline::{spawn_batch_analyzer_pool, BatchSink, SupervisorConfig};
+/// use saad_core::pipeline::{spawn_analyzer_pool, BatchSink, PoolStart, SupervisorConfig};
 /// use saad_core::prelude::*;
 /// use std::sync::Arc;
 ///
 /// let model = Arc::new(ModelBuilder::new().build(ModelConfig::default()));
 /// let interner = Arc::new(SignatureInterner::new());
 /// let (sink, rx) = BatchSink::new(64, interner.clone());
-/// let pool = spawn_batch_analyzer_pool(
-///     model,
-///     DetectorConfig::default(),
-///     SupervisorConfig::default(),
-///     1,
-///     interner,
-///     rx,
-///     None,
-/// );
+/// let start = PoolStart::Model { model, interner };
+/// let config = DetectorConfig::default();
+/// let pool = spawn_analyzer_pool(start, config, SupervisorConfig::default(), 1, rx)
+///     .expect("a model start needs no store");
 /// drop(sink); // close the stream
 /// let detectors = pool.join().expect("pool ran to completion");
 /// assert_eq!(detectors[0].tasks_seen(), 0);
 /// ```
+///
+/// # Errors
+///
+/// A [`PoolStart::Store`] pool fails with [`LifecycleError::Checkpoint`] if
+/// the store directory is unusable or recovery I/O fails (individual bad
+/// checkpoint files are recovered around, not errors), or
+/// [`LifecycleError::Config`] for an invalid detector configuration.
+///
+/// # Panics
+///
+/// Panics if `workers` is zero.
+pub fn spawn_analyzer_pool(
+    start: PoolStart,
+    config: DetectorConfig,
+    supervisor: SupervisorConfig,
+    workers: usize,
+    rx: Receiver<SynopsisBatch>,
+) -> Result<PoolHandle, LifecycleError> {
+    spawn_pool(start, config, supervisor, workers, rx, None)
+}
+
+/// [`spawn_analyzer_pool`] from a [`PoolStart::Model`], fed the legacy
+/// two-channel way: gap reports arrive on `loss_rx`, which the router
+/// drains before each batch and at end of stream. A report queued behind
+/// a backlog of batches is charged that many batches early, so the output
+/// depends on timing; in-band [`SynopsisBatch::losses`] do not. Kept only
+/// for the pinned benchmark package, until it moves to the in-band form.
 ///
 /// # Panics
 ///
@@ -476,21 +465,46 @@ pub fn spawn_batch_analyzer_pool(
     rx: Receiver<SynopsisBatch>,
     loss_rx: Option<Receiver<LossReport>>,
 ) -> PoolHandle {
+    let start = PoolStart::Model { model, interner };
+    spawn_pool(start, config, supervisor, workers, rx, loss_rx).expect("a model start cannot fail")
+}
+
+/// Build the detectors `start` calls for and spawn the pool over them.
+fn spawn_pool(
+    start: PoolStart,
+    config: DetectorConfig,
+    supervisor: SupervisorConfig,
+    workers: usize,
+    rx: Receiver<SynopsisBatch>,
+    side_losses: Option<Receiver<LossReport>>,
+) -> Result<PoolHandle, LifecycleError> {
     assert!(workers > 0, "analyzer pool needs at least one worker");
-    let compiled = Arc::new(model.compile(&interner));
-    let detectors = (0..workers)
-        .map(|_| {
-            AnomalyDetector::with_shared(model.clone(), compiled.clone(), interner.clone(), config)
-        })
-        .collect();
-    spawn_pool_inner(
+    let (detectors, lifecycle, store) = match start {
+        PoolStart::Model { model, interner } => {
+            let compiled = Arc::new(model.compile(&interner));
+            let detectors = (0..workers)
+                .map(|_| {
+                    let (model, compiled) = (model.clone(), compiled.clone());
+                    AnomalyDetector::with_shared(model, compiled, interner.clone(), config)
+                })
+                .collect();
+            (detectors, None, None)
+        }
+        PoolStart::Store { dir, lifecycle } => {
+            let (detectors, lifecycle, store) = open_store(dir, lifecycle, config, workers)?;
+            (detectors, Some(lifecycle), Some(store))
+        }
+    };
+    let mut pool = spawn_pool_inner(
         detectors,
         supervisor,
         config.window,
-        PoolInput::Batches(rx, loss_rx),
-        None,
-        None,
-    )
+        rx,
+        side_losses,
+        lifecycle,
+    );
+    pool.store = store;
+    Ok(pool)
 }
 
 /// Run `work` as a tracked meta task when a monitor is attached, or
@@ -516,6 +530,8 @@ struct Router {
     watermark: SimTime,
     fanout: ShardFanout,
     lifecycle: Option<RouterLifecycle>,
+    /// The legacy side channel of gap reports ([`spawn_batch_analyzer_pool`]).
+    side_losses: Option<Receiver<LossReport>>,
     /// The interner every shard detector shares — and every producer must.
     interner: Arc<SignatureInterner>,
     event_tx: Sender<AnomalyEvent>,
@@ -546,11 +562,12 @@ impl Router {
         self.fanout.push(feature, watermark);
     }
 
-    /// Route one input batch, then do the batch-boundary work. With a
-    /// single shard and no lifecycle duties (`forward_only`) the router
-    /// degenerates to a forwarder: re-stamp the watermark column in place
-    /// with the global running max and hand the whole batch through
-    /// untouched — no per-element repartition copy at all.
+    /// Route one input batch — its gap reports first, then its rows — and
+    /// do the batch-boundary work. With a single shard and no lifecycle
+    /// duties (`forward_only`) the router degenerates to a forwarder:
+    /// re-stamp the watermark column in place with the global running max
+    /// and hand the whole batch through untouched — no per-element
+    /// repartition copy at all.
     #[inline]
     fn route_batch(&mut self, mut batch: SynopsisBatch, forward_only: bool) {
         // Ids some other interner issued mean nothing (or something else)
@@ -560,6 +577,11 @@ impl Router {
             batch.sigs.iter().all(|&sig| self.interner.issued(sig)),
             "batch interned against a foreign interner: build producers on the pool's own"
         );
+        // The arenas are empty between batches, so every shard sees a
+        // report exactly where its producer put it: before these rows.
+        for report in batch.losses.drain(..) {
+            self.broadcast_loss(report);
+        }
         if forward_only {
             for i in 0..batch.len() {
                 batch.watermarks[i] = self.stamp(batch.hosts[i], batch.starts[i]);
@@ -588,9 +610,9 @@ impl Router {
         }
     }
 
-    /// Broadcast whatever the side channel of gap reports holds right now.
-    fn drain_losses(&mut self, loss_rx: &Option<Receiver<LossReport>>) {
-        for report in loss_rx.iter().flat_map(Receiver::try_iter) {
+    /// Broadcast whatever the legacy side channel holds right now.
+    fn drain_losses(&mut self) {
+        while let Some(report) = self.side_losses.as_ref().and_then(|rx| rx.try_recv().ok()) {
             self.broadcast_loss(report);
         }
     }
@@ -610,22 +632,22 @@ impl Router {
     }
 }
 
-/// The pool core shared by [`spawn_batch_analyzer_pool`] and the
-/// lifecycle pools: one shard worker per initial detector, plus the router
-/// thread that stamps watermarks, routes batches, tracks liveness, and —
-/// when a [`RouterLifecycle`] is given — drives checkpoints, hot swaps,
-/// and bootstrap promotion at batch boundaries.
+/// The pool core: one shard worker per initial detector, plus the router
+/// thread that charges gaps, stamps watermarks, routes batches, tracks
+/// liveness, and — when a [`RouterLifecycle`] is given — drives
+/// checkpoints, hot swaps, and bootstrap promotion at batch boundaries.
 pub(super) fn spawn_pool_inner(
     detectors: Vec<AnomalyDetector>,
     supervisor: SupervisorConfig,
     window: SimDuration,
-    input: PoolInput,
+    rx: Receiver<SynopsisBatch>,
+    side_losses: Option<Receiver<LossReport>>,
     lifecycle: Option<RouterLifecycle>,
-    meta: Option<Arc<MetaMonitor>>,
 ) -> PoolHandle {
     let workers = detectors.len();
     assert!(workers > 0, "analyzer pool needs at least one worker");
     let interner = detectors[0].interner().clone();
+    let meta = lifecycle.as_ref().and_then(RouterLifecycle::meta);
     let (event_tx, event_rx) = unbounded();
     let obs = Arc::new(PoolObs::new(workers));
     // Drained batch buffers flow back to the router on this channel for
@@ -720,7 +742,8 @@ pub(super) fn spawn_pool_inner(
         watermark: SimTime::ZERO,
         fanout: ShardFanout::new(workers, recycle_rx),
         lifecycle,
-        interner,
+        side_losses,
+        interner: interner.clone(),
         event_tx,
         shard_txs,
         obs: Arc::clone(&obs),
@@ -729,29 +752,13 @@ pub(super) fn spawn_pool_inner(
         .name("saad-analyzer-router".into())
         .spawn(move || {
             let forward_only = workers == 1 && router.lifecycle.is_none();
-            match input {
-                PoolInput::Sequenced(rx) => {
-                    for step in rx.iter() {
-                        meta_tick(&meta, MetaStage::Router, || match step {
-                            // In-band: the report takes effect exactly
-                            // here. Arenas are empty between batch
-                            // boundaries, so shards see it at the same
-                            // stream position the producer pinned.
-                            SequencedInput::Loss(report) => router.broadcast_loss(report),
-                            SequencedInput::Batch(batch) => router.route_batch(batch, forward_only),
-                        });
-                    }
-                }
-                PoolInput::Batches(rx, loss_rx) => {
-                    for batch in rx.iter() {
-                        meta_tick(&meta, MetaStage::Router, || {
-                            router.drain_losses(&loss_rx);
-                            router.route_batch(batch, forward_only);
-                        });
-                    }
-                    router.drain_losses(&loss_rx);
-                }
+            for batch in rx.iter() {
+                meta_tick(&meta, MetaStage::Router, || {
+                    router.drain_losses();
+                    router.route_batch(batch, forward_only);
+                });
             }
+            router.drain_losses();
             // Stream closed (any last gap reports delivered above): apply
             // pending control commands, advance every shard to the final
             // global watermark (so stale windows close exactly where one
@@ -775,44 +782,52 @@ pub(super) fn spawn_pool_inner(
 
     PoolHandle {
         events: event_rx,
-        sink_stats: None,
         obs,
-        router: Some(router),
+        router,
         workers: worker_joins,
+        interner,
+        store: None,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::sink::{BatchSink, OverloadPolicy};
+    use super::super::sink::BatchSink;
     use super::super::testkit::{
-        event_keys, mixed_stream, model, multi_stage_model, reference_run, soa, synopsis,
-        synopsis_on,
+        event_keys, gap, mixed_stream, model, multi_stage_model, reference_run, soa, synopsis,
+        synopsis_on, TempDir,
     };
+    use super::super::LifecycleConfig;
     use super::*;
     use crate::detector::{AnomalyKind, DetectorSnapshot};
     use crate::model::VerdictMask;
+    use crate::store::{Checkpoint, CheckpointStore};
     use crate::tracker::SynopsisSink;
 
-    /// A batch pool over `model()` with its producer-side sink: `batch_len`
+    /// A pool started from `model` over `interner`.
+    fn model_pool(
+        model: Arc<OutlierModel>,
+        interner: Arc<SignatureInterner>,
+        config: DetectorConfig,
+        supervisor: SupervisorConfig,
+        workers: usize,
+        rx: Receiver<SynopsisBatch>,
+    ) -> PoolHandle {
+        let start = PoolStart::Model { model, interner };
+        spawn_analyzer_pool(start, config, supervisor, workers, rx).expect("no store to open")
+    }
+
+    /// A pool over `model()` with its producer-side sink: `batch_len`
     /// synopses per input batch, every synopsis interned at the edge.
     fn pool_with_sink(
         supervisor: SupervisorConfig,
         workers: usize,
         batch_len: usize,
-        loss_rx: Option<Receiver<LossReport>>,
     ) -> (BatchSink, PoolHandle) {
         let interner = Arc::new(SignatureInterner::new());
         let (sink, rx) = BatchSink::new(batch_len, interner.clone());
-        let pool = spawn_batch_analyzer_pool(
-            model(),
-            DetectorConfig::default(),
-            supervisor,
-            workers,
-            interner,
-            rx,
-            loss_rx,
-        );
+        let config = DetectorConfig::default();
+        let pool = model_pool(model(), interner, config, supervisor, workers, rx);
         (sink, pool)
     }
 
@@ -827,7 +842,7 @@ mod tests {
 
     #[test]
     fn pipeline_detects_anomalies_end_to_end() {
-        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 1, 16, None);
+        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 1, 16);
         // A minute of traffic with a burst of a brand-new signature.
         for i in 0..100u64 {
             let points: &[u16] = if i.is_multiple_of(4) {
@@ -851,7 +866,7 @@ mod tests {
 
     #[test]
     fn many_producers_can_feed_one_pool() {
-        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 2, 16, None);
+        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 2, 16);
         std::thread::scope(|scope| {
             for producer in 0..2u64 {
                 let sink = &sink;
@@ -868,35 +883,9 @@ mod tests {
     }
 
     #[test]
-    fn drain_events_is_nonblocking() {
-        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 1, 16, None);
-        assert!(pool.drain_events().is_empty());
-        drop(sink);
-        pool.join().unwrap();
-    }
-
-    #[test]
-    fn handle_exposes_sink_stats() {
-        let interner = Arc::new(SignatureInterner::new());
-        let (sink, rx) = BatchSink::bounded(2, 1, OverloadPolicy::DropNewest, interner.clone());
-        let stats = sink.stats();
-        for i in 0..5u64 {
-            sink.submit(synopsis(&[1, 2], 1_000, SimTime::ZERO, i));
-        }
-        drop(sink);
-        let supervisor = SupervisorConfig::default();
-        let config = DetectorConfig::default();
-        let pool = spawn_batch_analyzer_pool(model(), config, supervisor, 1, interner, rx, None)
-            .with_sink_stats(stats);
-        assert_eq!(pool.dropped(), 3);
-        assert_eq!(pool.drops_by_host()[&HostId(0)].newest, 3);
-        assert_eq!(tasks_seen(&pool.join().unwrap()), 2);
-    }
-
-    #[test]
     fn pool_register_metrics_exposes_live_counters() {
         let registry = saad_obs::Registry::new();
-        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 2, 10, None);
+        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 2, 10);
         pool.register_metrics(&registry);
         for i in 0..9 {
             sink.submit(synopsis(&[1, 2], 1_000, SimTime::from_mins(5 + i), i));
@@ -939,7 +928,7 @@ mod tests {
                     panic_after: Some(poison),
                     ..SupervisorConfig::default()
                 };
-                let (sink, pool) = pool_with_sink(supervisor, workers, batch_len, None);
+                let (sink, pool) = pool_with_sink(supervisor, workers, batch_len);
                 for i in 0..batch_len as u64 {
                     sink.submit(synopsis(&[1, 2], 1_000, SimTime::ZERO, i));
                 }
@@ -964,7 +953,7 @@ mod tests {
             ..SupervisorConfig::default()
         };
         for batch_len in [1usize, 60] {
-            let (sink, pool) = pool_with_sink(supervisor.clone(), 1, batch_len, None);
+            let (sink, pool) = pool_with_sink(supervisor.clone(), 1, batch_len);
             for i in 0..60u64 {
                 sink.submit(synopsis(&[7], 1_000, SimTime::from_millis(i * 10), i));
             }
@@ -992,7 +981,7 @@ mod tests {
                 silent_after: 2,
                 ..SupervisorConfig::default()
             };
-            let (sink, pool) = pool_with_sink(supervisor, workers, 16, None);
+            let (sink, pool) = pool_with_sink(supervisor, workers, 16);
             let mut uid = 0u64;
             let at = |min: u64, sec: u64| SimTime::from_secs(min * 60 + sec);
             // Both hosts active in minute 0.
@@ -1029,21 +1018,16 @@ mod tests {
     #[test]
     fn loss_reports_reach_every_shard_and_count_once() {
         for workers in [1usize, 4] {
-            let (loss_tx, loss_rx) = unbounded();
-            let (sink, pool) =
-                pool_with_sink(SupervisorConfig::default(), workers, 20, Some(loss_rx));
-            loss_tx
-                .send(LossReport {
-                    host: HostId(0),
-                    at: SimTime::from_secs(5),
-                    count: 40,
-                })
-                .unwrap();
+            let (sink, pool) = pool_with_sink(SupervisorConfig::default(), workers, 20);
+            sink.record_loss(LossReport {
+                host: HostId(0),
+                at: SimTime::from_secs(5),
+                count: 40,
+            });
             for i in 0..20u64 {
                 sink.submit(synopsis(&[1, 2], 1_000, SimTime::from_secs(i), i));
             }
             drop(sink);
-            drop(loss_tx);
             drain(&pool);
             // Counted once at the pool level…
             assert_eq!(pool.tasks_lost(), 40);
@@ -1060,7 +1044,7 @@ mod tests {
         let stream = mixed_stream();
         let reference = AnomalyDetector::new(model.clone(), DetectorConfig::default());
         let whole = soa(&stream, reference.interner());
-        let (expected, reference) = reference_run(reference, &[SequencedInput::Batch(whole)]);
+        let (expected, reference) = reference_run(reference, &[whole]);
         assert!(!expected.is_empty(), "stream should produce events");
 
         for workers in [1usize, 3] {
@@ -1068,18 +1052,12 @@ mod tests {
             // interner, 16 synopses per SoA batch.
             let interner = Arc::new(SignatureInterner::new());
             let (sink, rx) = BatchSink::new(16, interner.clone());
-            let pool = spawn_batch_analyzer_pool(
-                model.clone(),
-                DetectorConfig::default(),
-                SupervisorConfig {
-                    pin_shards: true, // benign wherever pinning is refused
-                    ..SupervisorConfig::default()
-                },
-                workers,
-                interner,
-                rx,
-                None,
-            );
+            let supervisor = SupervisorConfig {
+                pin_shards: true, // benign wherever pinning is refused
+                ..SupervisorConfig::default()
+            };
+            let config = DetectorConfig::default();
+            let pool = model_pool(model.clone(), interner, config, supervisor, workers, rx);
             for s in &stream {
                 sink.submit(s.clone());
             }
@@ -1102,7 +1080,7 @@ mod tests {
         // Hosts 1..=5 stop after minute 0; host 0 keeps the clock moving
         // to minute 9. Without the FinalWatermark broadcast, shards owning
         // only the early hosts would shut down with a stale watermark.
-        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 4, 16, None);
+        let (sink, pool) = pool_with_sink(SupervisorConfig::default(), 4, 16);
         for host in 0..6u16 {
             let uid = u64::from(host);
             sink.submit(synopsis_on(
@@ -1147,9 +1125,10 @@ mod tests {
         }
     }
 
-    /// `(clock, step)` → the synopsis or loss report the step stands for.
-    /// The clock advances up to 5 s a step against 10 s windows.
-    fn materialize(steps: &[Step], interner: &SignatureInterner) -> Vec<SequencedInput> {
+    /// `(clock, step)` → a batch of the one synopsis, or the row-less
+    /// batch of the one gap report, the step stands for. The clock
+    /// advances up to 5 s a step against 10 s windows.
+    fn materialize(steps: &[Step], interner: &SignatureInterner) -> Vec<SynopsisBatch> {
         const WINDOW_US: u64 = 10_000_000;
         let mut clock = 0u64;
         steps
@@ -1164,9 +1143,9 @@ mod tests {
                     let (points, dur) = flow(sig);
                     let mut s = synopsis_on(host, points, dur, at, uid as u64);
                     s.stage = StageId(stage);
-                    SequencedInput::Batch(soa(&[s], interner))
+                    soa(&[s], interner)
                 } else {
-                    SequencedInput::Loss(LossReport {
+                    gap(LossReport {
                         host: HostId(host),
                         at,
                         count: 1 + u64::from(sig) * 7,
@@ -1177,16 +1156,20 @@ mod tests {
     }
 
     /// Drive `stream` through the batch path (runs of up to `chunk`
-    /// synopses, cut at every report) and through pools of one and four
+    /// synopses, cut at every gap report) and through pools of one and four
     /// workers fed input batches of `chunk`, every path starting from
     /// `start(workers)`, and require what [`reference_run`] reports from
     /// `start(1)`: the events in order wherever one detector sees the whole
     /// stream, as a multiset across four shards, and the loss and late
-    /// totals everywhere. Returns the reference's events and detector.
+    /// totals everywhere. Each pool runs twice: on in-band reports, and on
+    /// the legacy side channel, whose producer puts a report there only
+    /// once the router has routed every batch ahead of it — the one
+    /// schedule on which the two forms must agree. Returns the reference's
+    /// events and detector.
     fn agree_on_every_path(
         start: impl Fn(usize) -> Vec<AnomalyDetector>,
         window: SimDuration,
-        stream: &[SequencedInput],
+        stream: &[SynopsisBatch],
         chunk: usize,
     ) -> Result<(Vec<AnomalyEvent>, AnomalyDetector), proptest::TestCaseError> {
         let one = || start(1).pop().expect("one detector");
@@ -1197,59 +1180,61 @@ mod tests {
         let mut verdicts = VerdictMask::new();
         let mut pending = SynopsisBatch::new();
         let mut watermark = SimTime::ZERO;
-        for step in stream {
-            match step {
-                SequencedInput::Batch(batch) => {
-                    for i in 0..batch.len() {
-                        let f = batch.feature(i);
-                        watermark = watermark.max(f.start);
-                        pending.push_feature(&f, watermark);
-                        if pending.len() == chunk {
-                            batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
-                            pending.clear();
-                        }
-                    }
-                }
-                SequencedInput::Loss(r) => {
-                    batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
-                    pending.clear();
+        // The pools' input: runs of `chunk` synopses, a gap opening a run.
+        let (mut input, mut group) = (Vec::new(), SynopsisBatch::new());
+        for batch in stream {
+            if !batch.losses.is_empty() {
+                batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
+                pending.clear();
+                for r in &batch.losses {
                     batched.record_loss(r.host, r.at, r.count);
                 }
+                input.push(std::mem::take(&mut group));
+                group.losses.clone_from(&batch.losses);
+            }
+            for i in 0..batch.len() {
+                let f = batch.feature(i);
+                watermark = watermark.max(f.start);
+                pending.push_feature(&f, watermark);
+                if pending.len() == chunk {
+                    batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
+                    pending.clear();
+                }
+            }
+            group.extend_from(batch);
+            if group.len() >= chunk {
+                input.push(std::mem::take(&mut group));
             }
         }
+        input.push(group);
         batch_events.extend(batched.observe_batch(&pending, &mut verdicts));
         batch_events.extend(batched.flush());
         proptest::prop_assert_eq!(&batch_events, &expected);
         proptest::prop_assert_eq!(batched.tasks_lost(), reference.tasks_lost());
         proptest::prop_assert_eq!(batched.late_seen(), reference.late_seen());
 
-        for workers in [1usize, 4] {
+        for (workers, legacy) in [(1usize, false), (1, true), (4, false), (4, true)] {
             let (tx, rx) = unbounded();
+            let (loss_tx, loss_rx) = unbounded();
             let supervisor = SupervisorConfig {
                 silent_after: u64::MAX,
                 ..SupervisorConfig::default()
             };
-            let input = PoolInput::Sequenced(rx);
-            let pool = spawn_pool_inner(start(workers), supervisor, window, input, None, None);
-            let mut group = SynopsisBatch::new();
-            for step in stream {
-                match step {
-                    SequencedInput::Batch(batch) => {
-                        group.extend_from(batch);
-                        if group.len() >= chunk {
-                            tx.send(SequencedInput::Batch(std::mem::take(&mut group)))
-                                .unwrap();
-                        }
+            let side_losses = legacy.then_some(loss_rx);
+            let pool = spawn_pool_inner(start(workers), supervisor, window, rx, side_losses, None);
+            for (sent, batch) in input.iter().enumerate() {
+                let mut batch = batch.clone();
+                if legacy && !batch.losses.is_empty() {
+                    while pool.obs.batches_routed.load(Ordering::Relaxed) < sent as u64 {
+                        std::thread::yield_now();
                     }
-                    SequencedInput::Loss(_) => {
-                        tx.send(SequencedInput::Batch(std::mem::take(&mut group)))
-                            .unwrap();
-                        tx.send(step.clone()).unwrap();
+                    for report in batch.losses.drain(..) {
+                        loss_tx.send(report).unwrap();
                     }
                 }
+                tx.send(batch).unwrap();
             }
-            tx.send(SequencedInput::Batch(group)).unwrap();
-            drop(tx);
+            drop((tx, loss_tx));
             let pool_events = drain(&pool);
             // The pool counts the reports it routed, not those restored.
             let routed_lost = reference.tasks_lost() - one().tasks_lost();
@@ -1261,8 +1246,9 @@ mod tests {
             } else {
                 proptest::prop_assert!(
                     event_keys(&pool_events) == event_keys(&expected),
-                    "pool with {} workers reported {:?}, the reference {:?}",
+                    "pool with {} workers (legacy: {}) reported {:?}, the reference {:?}",
                     workers,
+                    legacy,
                     event_keys(&pool_events),
                     event_keys(&expected)
                 );
@@ -1283,13 +1269,13 @@ mod tests {
         period: usize,
         skew: u64,
         interner: &SignatureInterner,
-    ) -> Vec<SequencedInput> {
+    ) -> Vec<SynopsisBatch> {
         const WINDOW_US: u64 = 10_000_000;
         let task = |host: u16, stage: u16, sig: u8, at_us: u64| {
             let (points, dur) = flow(sig);
             let mut s = synopsis_on(host, points, dur, SimTime::from_micros(at_us), at_us);
             s.stage = StageId(stage);
-            SequencedInput::Batch(soa(&[s], interner))
+            soa(&[s], interner)
         };
         let mut stream = vec![
             task(2, 0, 1, 6 * WINDOW_US),
@@ -1301,7 +1287,7 @@ mod tests {
         for &(kind, stage, sig, delta_us) in steps {
             let lagging = clock - skew * WINDOW_US;
             if kind == 9 {
-                stream.push(SequencedInput::Loss(LossReport {
+                stream.push(gap(LossReport {
                     host: HostId(1),
                     at: SimTime::from_micros(lagging),
                     count: 1 + u64::from(sig) * 7,
@@ -1428,6 +1414,200 @@ mod tests {
             let alone = events.iter().filter(|e| e.window_tasks == 1).count() as u64;
             proptest::prop_assert!(alone >= reference.late_seen());
             proptest::prop_assert_eq!(events.iter().map(|e| e.window_tasks).sum::<u64>(), reference.tasks_seen());
+        }
+    }
+
+    /// The early-application schedule, `k` batches deep: host 1 opens
+    /// window 0 with a never-trained task, then `k - 1` batches of host 0
+    /// carry the clock to window `k`. The batch after them reveals a gap of
+    /// three host-1 tasks — with a straggler of host 1 in window 0, stamped
+    /// at its start, or, for a `goodbye`, with no rows and the stamp of
+    /// host 1's last admitted start. At its position the report finds
+    /// window 0 closed once `k ≥ 2`; charged ahead of the queue, open.
+    fn gap_behind_a_queue(
+        k: u64,
+        goodbye: bool,
+        interner: &SignatureInterner,
+    ) -> Vec<SynopsisBatch> {
+        let task = |host, secs, uid| {
+            soa(
+                &[synopsis_on(host, &[9], 700, SimTime::from_secs(secs), uid)],
+                interner,
+            )
+        };
+        let mut stream = vec![task(1, 1, 0)];
+        stream.extend((1..k).map(|i| task(0, 10 * i + 10, i)));
+        let mut revealing = if goodbye {
+            SynopsisBatch::new()
+        } else {
+            task(1, 2, k)
+        };
+        revealing.reveal_gap(HostId(1), 3, SimTime::from_secs(1));
+        stream.push(revealing);
+        stream
+    }
+
+    /// `stream` through the pool `spawn` starts on a queue that the rest
+    /// of the stream already fills: the last batch waits for room.
+    fn behind_a_full_queue(
+        stream: &[SynopsisBatch],
+        spawn: impl FnOnce(Receiver<SynopsisBatch>) -> PoolHandle,
+    ) -> Vec<AnomalyEvent> {
+        let (revealing, queued) = stream.split_last().expect("a revealing batch");
+        let (tx, rx) = bounded(queued.len());
+        for batch in queued {
+            tx.send(batch.clone()).unwrap();
+        }
+        let pool = spawn(rx);
+        tx.send(revealing.clone()).unwrap();
+        drop(tx);
+        let events = drain(&pool);
+        pool.join().unwrap();
+        events
+    }
+
+    /// What the early-application tests share: `model()` over a fresh
+    /// interner, windows of 10 s that every task is tested in, and the
+    /// reference detector over them.
+    struct EarlyRig {
+        model: Arc<OutlierModel>,
+        compiled: Arc<CompiledModel>,
+        interner: Arc<SignatureInterner>,
+        config: DetectorConfig,
+        supervisor: SupervisorConfig,
+    }
+
+    impl EarlyRig {
+        fn new() -> EarlyRig {
+            let (model, interner) = (model(), Arc::new(SignatureInterner::new()));
+            EarlyRig {
+                compiled: Arc::new(model.compile(&interner)),
+                model,
+                interner,
+                config: DetectorConfig {
+                    window: SimDuration::from_secs(10),
+                    min_window_tasks: 1,
+                    min_group_tasks: 1,
+                    ..DetectorConfig::default()
+                },
+                supervisor: SupervisorConfig {
+                    silent_after: u64::MAX,
+                    ..SupervisorConfig::default()
+                },
+            }
+        }
+
+        fn reference(&self, stream: &[SynopsisBatch]) -> Vec<String> {
+            let (model, compiled) = (self.model.clone(), self.compiled.clone());
+            let detector =
+                AnomalyDetector::with_shared(model, compiled, self.interner.clone(), self.config);
+            event_keys(&reference_run(detector, stream).0)
+        }
+    }
+
+    /// However deep the queue a gap waits behind, the in-band pool charges
+    /// it where its producer put it: at every depth, for one and four
+    /// workers, from a model and from a store, whether a frame or a
+    /// goodbye reveals it, the pool reports what [`reference_run`] does.
+    #[test]
+    fn a_gap_behind_a_full_queue_is_charged_at_its_position() {
+        let rig = EarlyRig::new();
+        for (k, goodbye, workers) in
+            (1..=5).flat_map(|k| [(k, false, 1), (k, true, 1), (k, false, 4), (k, true, 4)])
+        {
+            let stream = gap_behind_a_queue(k, goodbye, &rig.interner);
+            let expected = rig.reference(&stream);
+            // A store whose one checkpoint holds the model over this
+            // interner, so the store-started pool takes the same ids.
+            let (model, compiled) = (rig.model.clone(), rig.compiled.clone());
+            let blank = AnomalyDetector::with_shared(
+                model.clone(),
+                compiled.clone(),
+                rig.interner.clone(),
+                rig.config,
+            );
+            let dir = TempDir::new();
+            let checkpoint = Checkpoint::new(
+                0,
+                model,
+                compiled,
+                rig.interner.clone(),
+                vec![blank.snapshot()],
+            );
+            CheckpointStore::create(dir.path(), 3)
+                .unwrap()
+                .save(&checkpoint)
+                .unwrap();
+            let lifecycle = LifecycleConfig {
+                checkpoint_every: 0,
+                ..LifecycleConfig::default()
+            };
+            let starts = [
+                (
+                    "model",
+                    PoolStart::Model {
+                        model: rig.model.clone(),
+                        interner: rig.interner.clone(),
+                    },
+                ),
+                (
+                    "store",
+                    PoolStart::Store {
+                        dir: dir.path().into(),
+                        lifecycle,
+                    },
+                ),
+            ];
+            for (from, start) in starts {
+                let events = behind_a_full_queue(&stream, |rx| {
+                    let supervisor = rig.supervisor.clone();
+                    spawn_analyzer_pool(start, rig.config, supervisor, workers, rx).unwrap()
+                });
+                assert_eq!(
+                    event_keys(&events),
+                    expected,
+                    "{k} deep, goodbye {goodbye}, {workers} workers, from a {from}"
+                );
+            }
+        }
+    }
+
+    /// The legacy side channel on the same schedule: the router drains
+    /// the report before the first queued batch, so it is charged `k - 1`
+    /// batches early — exactly what the reference reports with the report
+    /// moved to the head of the stream, and, once a batch is queued ahead
+    /// of it, not what the reference reports with it in place.
+    #[test]
+    fn the_legacy_side_channel_charges_a_gap_behind_a_full_queue_early() {
+        let rig = EarlyRig::new();
+        for (k, goodbye, workers) in
+            (1..=5).flat_map(|k| [(k, false, 1), (k, true, 1), (k, false, 4), (k, true, 4)])
+        {
+            let mut stream = gap_behind_a_queue(k, goodbye, &rig.interner);
+            let in_place = rig.reference(&stream);
+            let reports = std::mem::take(&mut stream.last_mut().unwrap().losses);
+            let mut early = stream.clone();
+            early[0].losses.clone_from(&reports);
+            let ahead = rig.reference(&early);
+            assert_eq!(in_place == ahead, k == 1, "{k} deep, goodbye {goodbye}");
+
+            let (loss_tx, loss_rx) = unbounded();
+            for report in reports {
+                loss_tx.send(report).unwrap();
+            }
+            let events = behind_a_full_queue(&stream, |rx| {
+                let (model, interner) = (rig.model.clone(), rig.interner.clone());
+                let supervisor = rig.supervisor.clone();
+                let loss_rx = Some(loss_rx);
+                spawn_batch_analyzer_pool(
+                    model, rig.config, supervisor, workers, interner, rx, loss_rx,
+                )
+            });
+            assert_eq!(
+                event_keys(&events),
+                ahead,
+                "{k} deep, goodbye {goodbye}, {workers} workers"
+            );
         }
     }
 }

@@ -227,8 +227,8 @@ pub fn offer<T>(
 /// A [`SynopsisSink`] that accumulates synopses into SoA
 /// [`SynopsisBatch`]es and emits ONE channel send per full batch — the
 /// producer half of the batch-first hot path (pair the receiver with
-/// [`spawn_batch_analyzer_pool`](super::spawn_batch_analyzer_pool),
-/// sharing the same interner).
+/// [`spawn_analyzer_pool`](super::spawn_analyzer_pool), sharing the same
+/// interner).
 ///
 /// Interning happens here, at the edge, so everything downstream works in
 /// dense column arrays. Dropping the sink flushes the partial batch;
@@ -238,7 +238,9 @@ pub fn offer<T>(
 /// [`BatchSink::bounded`] adds backpressure with a chosen
 /// [`OverloadPolicy`]. Either way every synopsis of a batch that does not
 /// reach the queue is counted against its host in [`SinkStats`] — dropping
-/// is a measured, observable act, never a silent one.
+/// is a measured, observable act, never a silent one. A transport gap
+/// ([`BatchSink::record_loss`]) is never dropped: a refused or evicted
+/// batch hands its reports to the next one.
 #[derive(Debug)]
 pub struct BatchSink {
     tx: Sender<SynopsisBatch>,
@@ -324,11 +326,11 @@ impl BatchSink {
     }
 
     /// Send whatever is buffered, even a partial batch. No send happens
-    /// when the buffer is empty.
+    /// when the buffer holds neither a synopsis nor a gap report.
     pub fn flush(&self) {
         let partial = {
             let mut buf = self.buf.lock();
-            if buf.is_empty() {
+            if buf.is_empty() && buf.losses.is_empty() {
                 return;
             }
             std::mem::replace(&mut *buf, SynopsisBatch::with_capacity(self.batch_len))
@@ -336,14 +338,24 @@ impl BatchSink {
         self.send(partial);
     }
 
+    /// Charge a transport gap ahead of whatever is submitted next: the
+    /// buffered synopses go out first, and `report` rides on the batch
+    /// after them.
+    pub fn record_loss(&self, report: LossReport) {
+        self.flush();
+        self.buf.lock().losses.push(report);
+    }
+
     /// Hand one batch to the queue under the sink's policy, counting it
-    /// element by element if the queue refuses or evicts it. Called with
-    /// the buffer lock released: a producer waiting out
-    /// [`OverloadPolicy::Block`] stalls nobody who is still filling.
+    /// element by element if the queue refuses or evicts it, and handing
+    /// its gap reports on to the buffer. Called with the buffer lock
+    /// released: a producer waiting out [`OverloadPolicy::Block`] stalls
+    /// nobody who is still filling.
     fn send(&self, batch: SynopsisBatch) {
         let (evict, stats) = (self.evict.as_ref(), &self.stats);
         offer(&self.tx, evict, self.policy, batch, |batch, reason| {
-            stats.record(&batch, reason)
+            stats.record(&batch, reason);
+            self.buf.lock().losses.extend(batch.losses);
         });
     }
 }
@@ -446,19 +458,18 @@ impl SynopsisSink for DetectorSink {
     }
 }
 
-/// Feed one decoded transport frame into a pool's input: a gap the frame
-/// reveals goes to `loss_tx` *before* the frame's synopses — interned into
-/// one [`SynopsisBatch`] against the pool's interner — go to `batch_tx` as
-/// a **single** send, so a report never trails the batch that revealed it.
-/// The report is stamped with the first synopsis's start; an empty frame
-/// (a leaf's goodbye revealing a trailing gap) has none and is stamped at
-/// `watermark`, the highest start its collector has admitted. Returns the
-/// synopses forwarded; a duplicate frame, already counted, yields nothing.
+/// Feed one decoded transport frame into a pool's input as a **single**
+/// send: the frame's synopses, interned into one [`SynopsisBatch`] against
+/// the pool's interner, with the gap the frame reveals riding ahead of
+/// them ([`SynopsisBatch::reveal_gap`]; `watermark`, the highest start its
+/// collector has admitted, stamps the gap of a frame without synopses — a
+/// leaf's goodbye). Returns the synopses forwarded; a duplicate frame,
+/// already counted, yields nothing, and a frame with neither synopses nor
+/// a gap sends nothing.
 pub fn feed_frame_soa(
     outcome: FrameOutcome,
     batch_tx: &Sender<SynopsisBatch>,
     interner: &SignatureInterner,
-    loss_tx: &Sender<LossReport>,
     watermark: SimTime,
 ) -> usize {
     let FrameOutcome::Fresh {
@@ -469,23 +480,15 @@ pub fn feed_frame_soa(
     else {
         return 0;
     };
-    if newly_lost > 0 {
-        let at = synopses.first().map_or(watermark, |s| s.start);
-        let _ = loss_tx.send(LossReport {
-            host,
-            at,
-            count: newly_lost,
-        });
+    let mut batch = SynopsisBatch::with_capacity(synopses.len());
+    for s in &synopses {
+        batch.push_synopsis(s, interner);
     }
-    let n = synopses.len();
-    if n > 0 {
-        let mut batch = SynopsisBatch::with_capacity(n);
-        for s in &synopses {
-            batch.push_synopsis(s, interner);
-        }
+    batch.reveal_gap(host, newly_lost, watermark);
+    if !batch.is_empty() || !batch.losses.is_empty() {
         let _ = batch_tx.send(batch);
     }
-    n
+    synopses.len()
 }
 
 #[cfg(test)]
@@ -493,6 +496,7 @@ mod tests {
     use super::super::testkit::{model, synopsis, synopsis_on};
     use super::*;
     use crate::detector::AnomalyKind;
+    use crate::TaskUid;
 
     /// A bounded sink of one-synopsis batches: the queue bound and every
     /// drop count read in synopses.
@@ -703,62 +707,78 @@ mod tests {
     }
 
     #[test]
-    fn feed_frame_soa_reports_the_gap_then_forwards_and_ignores_duplicates() {
-        let fresh = || FrameOutcome::Fresh {
+    fn a_gap_rides_ahead_of_the_next_synopsis_and_outlives_a_refused_batch() {
+        // Batches of two, a queue of one batch.
+        let (sink, rx) = BatchSink::bounded(1, 2, OverloadPolicy::DropNewest, Arc::default());
+        let report = LossReport {
+            host: HostId(0),
+            at: SimTime::from_secs(1),
+            count: 3,
+        };
+        let submit = |uid| sink.submit(synopsis(&[1, 2], 1_000, SimTime::from_secs(uid), uid));
+        submit(0);
+        sink.record_loss(report); // synopsis 0 goes out first and fills the queue
+        submit(1);
+        submit(2); // refused with the report, which stays behind
+        assert_eq!(sink.stats().drops_for(HostId(0)).newest, 2);
+        let first = rx.try_recv().unwrap();
+        assert_eq!((first.len(), first.losses.len()), (1, 0));
+        submit(3);
+        submit(4);
+        let second = rx.try_recv().unwrap();
+        assert_eq!(second.uids, [TaskUid(3), TaskUid(4)]);
+        assert_eq!(second.losses, [report]);
+        drop(sink);
+        assert!(rx.try_recv().is_err(), "the report is charged once");
+    }
+
+    #[test]
+    fn feed_frame_soa_puts_the_gap_on_its_batch_and_ignores_duplicates() {
+        let frame = |synopses, newly_lost| FrameOutcome::Fresh {
             host: HostId(3),
-            synopses: vec![
+            synopses,
+            newly_lost,
+        };
+        let two = || {
+            vec![
                 synopsis_on(3, &[1, 2], 1_000, SimTime::from_secs(9), 0),
                 synopsis_on(3, &[1, 2], 1_000, SimTime::from_secs(10), 1),
-            ],
-            newly_lost: 5,
+            ]
         };
-        let dup = || FrameOutcome::Duplicate {
+        let dup = FrameOutcome::Duplicate {
             host: HostId(3),
             seq: 7,
         };
-        let expected = LossReport {
-            host: HostId(3),
-            at: SimTime::from_secs(9),
-            count: 5,
-        };
         let watermark = SimTime::from_secs(8);
-        let (loss_tx, loss_rx) = unbounded();
         let interner = SignatureInterner::new();
-        let feed = |outcome, batch_tx: &Sender<SynopsisBatch>| {
-            feed_frame_soa(outcome, batch_tx, &interner, &loss_tx, watermark)
-        };
-
         let (batch_tx, batch_rx) = unbounded();
-        assert_eq!(feed(fresh(), &batch_tx), 2);
-        assert_eq!(batch_rx.try_recv().unwrap().uids.len(), 2);
-        assert_eq!(loss_rx.try_recv().unwrap(), expected);
-        assert_eq!(feed(dup(), &batch_tx), 0);
-        assert!(batch_rx.try_recv().is_err());
-        assert!(loss_rx.try_recv().is_err());
-
-        // A frame with no synopses (a goodbye) still reports its gap —
-        // at the collector's watermark, having no start of its own.
-        let goodbye = FrameOutcome::Fresh {
-            host: HostId(3),
-            synopses: Vec::new(),
-            newly_lost: 4,
+        let feed = |outcome| feed_frame_soa(outcome, &batch_tx, &interner, watermark);
+        let charged = |at, count| {
+            let batch: SynopsisBatch = batch_rx.try_recv().unwrap();
+            assert_eq!(
+                batch.losses,
+                [LossReport {
+                    host: HostId(3),
+                    at,
+                    count
+                }]
+            );
+            batch.len()
         };
-        assert_eq!(feed(goodbye, &batch_tx), 0);
-        assert!(batch_rx.try_recv().is_err(), "nothing to forward");
-        let report = loss_rx.try_recv().unwrap();
-        assert_eq!((report.at, report.count), (watermark, 4));
 
-        // The report is on its channel before the batch is on the other:
-        // a consumer that sees the batch can already see the report.
-        let (batch_tx, batch_rx) = bounded(1);
-        let seen = std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| {
-                let batch: SynopsisBatch = batch_rx.recv().unwrap();
-                (batch.len(), loss_rx.try_recv())
-            });
-            feed(fresh(), &batch_tx);
-            waiter.join().unwrap()
-        });
-        assert_eq!(seen, (2, Ok(expected)));
+        // The gap rides ahead of the synopses that revealed it, stamped
+        // with the first one's start.
+        assert_eq!(feed(frame(two(), 5)), 2);
+        assert_eq!(charged(SimTime::from_secs(9), 5), 2);
+        assert_eq!(feed(dup), 0);
+        assert!(batch_rx.try_recv().is_err());
+
+        // A frame with no synopses (a goodbye) still charges its gap — at
+        // the collector's watermark, having no start of its own — and one
+        // with no gap either sends nothing.
+        assert_eq!(feed(frame(Vec::new(), 4)), 0);
+        assert_eq!(charged(watermark, 4), 0, "a gap and no rows");
+        assert_eq!(feed(frame(Vec::new(), 0)), 0);
+        assert!(batch_rx.try_recv().is_err());
     }
 }

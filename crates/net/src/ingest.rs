@@ -14,10 +14,10 @@
 //! synopses upstream, has the whole frame parsed.
 //!
 //! Admitted frames flow into the analyzer input as one [`SynopsisBatch`]
-//! send per frame, newly revealed gaps as [`LossReport`]s before the
-//! batch that revealed them: exactly what an in-process
-//! [`BatchSink`](saad_core::pipeline::BatchSink) feeds a pool, so either
-//! pool spawn works unchanged behind a socket.
+//! send per frame, a newly revealed gap riding on the batch that revealed
+//! it (a goodbye's on a batch without rows): exactly what
+//! [`feed_frame_soa`](saad_core::pipeline::feed_frame_soa) feeds a pool,
+//! so a pool works unchanged behind a socket.
 
 use crate::protocol::{Hello, HelloAck, RejectReason, NO_SEQ, PINNED_EPOCH};
 use crate::session::Handler;
@@ -111,14 +111,19 @@ struct Counters {
 }
 
 /// Where admitted frames' synopses go: SoA batches interned at the
-/// collector edge against the consuming pool's interner, gaps to its loss
-/// channel — or an [`AdmittedSink`] forwarding digests upstream (the leaf
-/// role), which is told of gaps in stream coordinates instead.
+/// collector edge against the consuming pool's interner, each carrying the
+/// gap its frame revealed — or an [`AdmittedSink`] forwarding digests
+/// upstream (the leaf role), which is told of gaps in stream coordinates
+/// instead.
 pub(crate) enum SynopsisOut {
     Soa {
         tx: Sender<SynopsisBatch>,
         interner: Arc<SignatureInterner>,
-        loss_tx: Sender<LossReport>,
+        /// The legacy side channel of gap reports
+        /// ([`ReactorCollector::bind_soa`](crate::ReactorCollector::bind_soa)):
+        /// a report goes there, ahead of its batch, instead of riding on
+        /// it, and a frame without synopses sends no batch.
+        side_losses: Option<Sender<LossReport>>,
     },
     Forward(Arc<dyn AdmittedSink>),
 }
@@ -386,12 +391,12 @@ impl Handler for IngestLink {
     /// counted and later messages remain readable.
     fn on_message(&mut self, body: &[u8]) {
         let ingest = &*self.ingest;
-        let (tx, interner, loss_tx) = match &ingest.out {
+        let (tx, interner, side_losses) = match &ingest.out {
             SynopsisOut::Soa {
                 tx,
                 interner,
-                loss_tx,
-            } => (tx, interner, loss_tx),
+                side_losses,
+            } => (tx, interner, side_losses),
             SynopsisOut::Forward(sink) => return ingest.admit_owned(&**sink, body),
         };
         // In place: header checks and payload decode straight from the
@@ -425,20 +430,14 @@ impl Handler for IngestLink {
                 // Watermarks are a running max, so the last one is the
                 // frame's max start.
                 let max_start = staging.watermarks.last().copied().unwrap_or(SimTime::ZERO);
-                if newly_lost > 0 {
-                    // Loss first, stamped at the frame's first synopsis or,
-                    // for an empty frame, at the admitted watermark — same
-                    // order and stamp as `feed_frame_soa`.
-                    let watermark = ingest.counters.watermark_micros.load(Ordering::Relaxed);
-                    let at = (staging.starts.first().copied())
-                        .unwrap_or(SimTime::from_micros(watermark));
-                    let _ = loss_tx.send(LossReport {
-                        host: header.host,
-                        at,
-                        count: newly_lost,
-                    });
+                let watermark = ingest.counters.watermark_micros.load(Ordering::Relaxed);
+                staging.reveal_gap(header.host, newly_lost, SimTime::from_micros(watermark));
+                if let Some(loss_tx) = side_losses {
+                    for report in staging.losses.drain(..) {
+                        let _ = loss_tx.send(report);
+                    }
                 }
-                if n > 0 {
+                if n > 0 || !staging.losses.is_empty() {
                     let batch = std::mem::replace(staging, SynopsisBatch::with_capacity(n));
                     let _ = tx.send(batch);
                 }
@@ -476,12 +475,12 @@ pub(crate) mod testkit {
         }
     }
 
-    /// A collector core with every output observable.
+    /// A collector core with every output observable: the SoA batches,
+    /// with the gap reports riding on them, or what a leaf forwards.
     pub(crate) struct Rig {
         pub(crate) ingest: Arc<Ingest>,
         pub(crate) soa: Receiver<SynopsisBatch>,
         pub(crate) forwarded: Receiver<Forwarded>,
-        pub(crate) losses: Receiver<LossReport>,
     }
 
     /// A fresh core accepting `version`, enforcing `epoch`, feeding the
@@ -489,12 +488,11 @@ pub(crate) mod testkit {
     pub(crate) fn rig(version: u16, epoch: Option<u64>, soa: bool) -> Rig {
         let (tx, soa_rx) = unbounded();
         let (forward_tx, forwarded) = unbounded();
-        let (loss_tx, losses) = unbounded();
         let out = if soa {
             SynopsisOut::Soa {
                 tx,
                 interner: Arc::new(SignatureInterner::new()),
-                loss_tx,
+                side_losses: None,
             }
         } else {
             SynopsisOut::Forward(Arc::new(forward_tx))
@@ -504,8 +502,15 @@ pub(crate) mod testkit {
             ingest: Ingest::new(FrameReceiver::new(), out, version, epoch),
             soa: soa_rx,
             forwarded,
-            losses,
         }
+    }
+
+    /// The gap reports riding on `batches`, in stream order.
+    pub(crate) fn losses(batches: &[SynopsisBatch]) -> Vec<LossReport> {
+        batches
+            .iter()
+            .flat_map(|b| b.losses.iter().copied())
+            .collect()
     }
 
     /// A host's stream ending badly: a data frame (three tasks in minute
@@ -530,27 +535,26 @@ pub(crate) mod testkit {
 
     /// What an analyzer makes of a collector's output for
     /// [`goodbye_after_a_lost_frame`]: a model-less detector (one event
-    /// per window and stage) fed `batches`, then `losses`, must report the
-    /// window `owed` falls in — one task seen per stage, the host's two
-    /// lost — at completeness 1/3. Stamped at time zero the report was
-    /// judged stale and every event read 1.
+    /// per window and stage) fed `batches` — each one's gap reports, then
+    /// its rows — must report the window `owed` falls in — one task seen
+    /// per stage, the host's two lost — at completeness 1/3. Stamped at
+    /// time zero the report was judged stale and every event read 1.
     pub(crate) fn assert_gap_is_charged(
         interner: &Arc<SignatureInterner>,
         batches: &[SynopsisBatch],
-        losses: &[LossReport],
         owed: LossReport,
     ) {
-        assert_eq!(losses, [owed]);
+        assert_eq!(losses(batches), [owed]);
         let config = DetectorConfig::default();
         let mut detector = AnomalyDetector::collecting(interner.clone(), config).unwrap();
         let mut events = Vec::new();
         for batch in batches {
+            for r in &batch.losses {
+                detector.record_loss(r.host, r.at, r.count);
+            }
             for i in 0..batch.len() {
                 events.extend(detector.observe_interned(&batch.feature(i)));
             }
-        }
-        for r in losses {
-            detector.record_loss(r.host, r.at, r.count);
         }
         events.extend(detector.flush());
         let window = config.window.as_micros();
@@ -672,7 +676,7 @@ pub(crate) mod testkit {
 #[cfg(test)]
 mod tests {
     use super::testkit::{
-        assert_gap_is_charged, batches, frame_bodies, goodbye_after_a_lost_frame, rig,
+        assert_gap_is_charged, batches, frame_bodies, goodbye_after_a_lost_frame, losses, rig,
     };
     use super::*;
     use proptest::prelude::*;
@@ -682,8 +686,8 @@ mod tests {
         /// The in-place SoA path (`parse_frame_header` → `verify_frame_crc`
         /// → `decode_batch_into` → `admit_meta`) against the whole-frame
         /// reference (`parse_frame` → `admit` → `feed_frame_soa`): same
-        /// batch columns, same loss reports in the same order with the
-        /// same stamps, same counters, same link accounts.
+        /// batches, the same gap reports on them with the same stamps,
+        /// same counters, same link accounts.
         #[test]
         fn in_place_soa_path_equals_whole_frame_reference(
             sizes in collection::vec(0usize..7, 1..14),
@@ -707,7 +711,7 @@ mod tests {
             }
 
             let reference = rig(2, None, true);
-            let SynopsisOut::Soa { tx, interner, loss_tx } = &reference.ingest.out else {
+            let SynopsisOut::Soa { tx, interner, .. } = &reference.ingest.out else {
                 unreachable!("rig(.., true) is the SoA output");
             };
             let mut receiver = FrameReceiver::new();
@@ -721,17 +725,15 @@ mod tests {
                 let outcome = receiver.admit(parsed);
                 if matches!(outcome, FrameOutcome::Fresh { .. }) {
                     frames += 1;
-                    synopses += feed_frame_soa(outcome, tx, interner, loss_tx, watermark) as u64;
+                    synopses += feed_frame_soa(outcome, tx, interner, watermark) as u64;
                     watermark = watermark.max(max_start.unwrap_or(SimTime::ZERO));
                 }
             }
 
-            let columns = |rig: &testkit::Rig| -> Vec<String> {
-                rig.soa.try_iter().map(|b| format!("{b:?}")).collect()
-            };
-            prop_assert_eq!(columns(&under_test), columns(&reference));
-            let losses = |rig: &testkit::Rig| -> Vec<LossReport> { rig.losses.try_iter().collect() };
-            prop_assert_eq!(losses(&under_test), losses(&reference));
+            let batches = |rig: &testkit::Rig| -> Vec<SynopsisBatch> { rig.soa.try_iter().collect() };
+            let (got, want) = (batches(&under_test), batches(&reference));
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            prop_assert_eq!(losses(&got), losses(&want));
             let stats = under_test.ingest.stats();
             prop_assert_eq!(
                 (stats.frames, stats.synopses, stats.watermark),
@@ -742,6 +744,46 @@ mod tests {
             for host in hosts {
                 prop_assert_eq!(under_test.ingest.link_stats(HostId(host)), receiver.stats(HostId(host)));
             }
+        }
+    }
+
+    proptest! {
+        /// The legacy form of the same edge
+        /// ([`ReactorCollector::bind_soa`](crate::ReactorCollector::bind_soa))
+        /// puts the reports the batches carry, in the same order, on its
+        /// side channel instead, and sends the same rows — but no batch
+        /// for a frame without synopses.
+        #[test]
+        fn the_legacy_side_channel_carries_what_the_batches_do(
+            sizes in collection::vec(0usize..7, 1..14),
+            starts in collection::vec(0u64..90_000, 100..101),
+            skip in 0u32..4096,
+            dup in 0u32..4096,
+        ) {
+            let hosts = [10u16, 11, 12];
+            let bodies = frame_bodies(&hosts, &batches(&hosts, &sizes, &starts), skip, dup);
+            let (side_tx, side_rx) = crossbeam_channel::unbounded();
+            let (legacy_tx, legacy_rx) = crossbeam_channel::unbounded();
+            let out = SynopsisOut::Soa {
+                tx: legacy_tx,
+                interner: Arc::default(),
+                side_losses: Some(side_tx),
+            };
+            let legacy = Ingest::new(FrameReceiver::new(), out, 2, None);
+            let in_band = rig(2, None, true);
+            for ingest in [&legacy, &in_band.ingest] {
+                let mut link = ingest.link();
+                for body in &bodies {
+                    link.on_message(body);
+                }
+            }
+            let mut rows: Vec<SynopsisBatch> = in_band.soa.try_iter().collect();
+            let reports = losses(&rows);
+            rows.retain(|b| !b.is_empty());
+            rows.iter_mut().for_each(|b| b.losses.clear());
+            let legacy_rows: Vec<SynopsisBatch> = legacy_rx.try_iter().collect();
+            prop_assert_eq!(format!("{legacy_rows:?}"), format!("{rows:?}"));
+            prop_assert_eq!(side_rx.try_iter().collect::<Vec<_>>(), reports);
         }
     }
 
@@ -760,8 +802,7 @@ mod tests {
             unreachable!("rig(.., true) is the SoA output");
         };
         let batches: Vec<SynopsisBatch> = rig.soa.try_iter().collect();
-        let losses: Vec<LossReport> = rig.losses.try_iter().collect();
-        assert_gap_is_charged(interner, &batches, &losses, owed);
+        assert_gap_is_charged(interner, &batches, owed);
     }
 
     /// A frame whose checksum is right and whose synopsis names host

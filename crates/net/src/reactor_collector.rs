@@ -4,8 +4,9 @@
 //! A [`ReactorCollector`] is two parts and nothing else: the `Ingest`
 //! core — handshake verdict, frame validation and in-place decode outside
 //! any lock, sequencing under the shared
-//! [`FrameReceiver`](saad_core::transport::FrameReceiver), the
-//! batch/loss-report feed — and the readiness-driven `server` whose loops
+//! [`FrameReceiver`](saad_core::transport::FrameReceiver), the batch
+//! feed with each revealed gap on its batch — and the readiness-driven
+//! `server` whose loops
 //! move the bytes into each connection's [`Session`](crate::Session).
 //!
 //! Backpressure: the batch channel send blocks the loop thread when the
@@ -91,6 +92,27 @@ impl ReactorCollector {
     /// Bind a fresh reactor collector (empty link state) on `addr`,
     /// feeding [`SynopsisBatch`]es interned into `interner` — the consuming
     /// pool's — straight from the ring: no intermediate `Vec<TaskSynopsis>`.
+    /// A gap a frame reveals rides on that frame's batch
+    /// ([`SynopsisBatch::losses`]); a goodbye's on a batch without rows.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind, event-loop, or waker creation failure.
+    pub fn bind<A: ToSocketAddrs>(
+        addr: A,
+        batch_tx: Sender<SynopsisBatch>,
+        interner: Arc<SignatureInterner>,
+        config: ReactorCollectorConfig,
+    ) -> io::Result<ReactorCollector> {
+        let (listener, state) = (TcpListener::bind(addr)?, CollectorState::default());
+        ReactorCollector::serve_soa(listener, state, batch_tx, interner, config)
+    }
+
+    /// [`ReactorCollector::bind`] in the legacy two-channel form: a gap
+    /// report goes to `loss_tx` just before the batch that revealed it,
+    /// instead of riding on it, and a frame without synopses sends no
+    /// batch. Kept only for the pinned benchmark package, until it moves
+    /// to the in-band form.
     ///
     /// # Errors
     ///
@@ -102,8 +124,13 @@ impl ReactorCollector {
         loss_tx: Sender<LossReport>,
         config: ReactorCollectorConfig,
     ) -> io::Result<ReactorCollector> {
-        let (listener, state) = (TcpListener::bind(addr)?, CollectorState::default());
-        ReactorCollector::serve_soa(listener, state, batch_tx, interner, loss_tx, config)
+        let out = SynopsisOut::Soa {
+            tx: batch_tx,
+            interner,
+            side_losses: Some(loss_tx),
+        };
+        let state = CollectorState::default();
+        ReactorCollector::start(TcpListener::bind(addr)?, state, out, config)
     }
 
     /// Bind a collector whose admitted frames feed an [`AdmittedSink`]
@@ -126,7 +153,7 @@ impl ReactorCollector {
         ReactorCollector::start(listener, CollectorState::default(), out, config)
     }
 
-    /// [`ReactorCollector::bind_soa`] on an already-bound listener,
+    /// [`ReactorCollector::bind`] on an already-bound listener,
     /// adopting `state` — a previous incarnation's
     /// [`ReactorCollector::shutdown`] — so per-host delivery and loss
     /// accounting continue where they left off. The caller owns the bind
@@ -141,13 +168,12 @@ impl ReactorCollector {
         state: CollectorState,
         batch_tx: Sender<SynopsisBatch>,
         interner: Arc<SignatureInterner>,
-        loss_tx: Sender<LossReport>,
         config: ReactorCollectorConfig,
     ) -> io::Result<ReactorCollector> {
         let out = SynopsisOut::Soa {
             tx: batch_tx,
             interner,
-            loss_tx,
+            side_losses: None,
         };
         ReactorCollector::start(listener, state, out, config)
     }

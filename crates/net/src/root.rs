@@ -21,8 +21,8 @@
 //! Admitted synopses flow to the analyzer input through the same
 //! [`feed_frame_soa`] contract the single-collector path uses —
 //! [`SynopsisBatch`]es interned against the consuming pool's interner,
-//! plus [`LossReport`]s — so the whole detection stack runs unchanged
-//! behind a federation.
+//! each carrying the gap it revealed — so the whole detection stack runs
+//! unchanged behind a federation.
 //!
 //! Handshake, framing and byte-moving are the agent-facing collector's —
 //! the same readiness-driven `server` driving a
@@ -39,9 +39,7 @@ use parking_lot::Mutex;
 use saad_core::batch::SynopsisBatch;
 use saad_core::intern::SignatureInterner;
 use saad_core::pipeline::feed_frame_soa;
-use saad_core::transport::{
-    parse_frame, DigestMerge, FrameOutcome, FrameReceiver, LinkStats, LossReport,
-};
+use saad_core::transport::{parse_frame, DigestMerge, FrameOutcome, FrameReceiver, LinkStats};
 use saad_core::HostId;
 use saad_sim::SimTime;
 use std::io;
@@ -94,7 +92,6 @@ pub(crate) struct Shared {
     state: Mutex<(DigestMerge, RootStats)>,
     batch_tx: Sender<SynopsisBatch>,
     interner: Arc<SignatureInterner>,
-    loss_tx: Sender<LossReport>,
     version: u16,
 }
 
@@ -121,7 +118,8 @@ pub struct RootCollector {
 
 impl RootCollector {
     /// Bind on `addr` (port 0 allowed) and start accepting leaf uplinks;
-    /// admitted synopses are interned into the consuming pool's `interner`.
+    /// admitted synopses are interned into the consuming pool's `interner`
+    /// and sent on `batch_tx`, each batch with the gap it revealed.
     ///
     /// # Errors
     ///
@@ -130,14 +128,12 @@ impl RootCollector {
         addr: A,
         batch_tx: Sender<SynopsisBatch>,
         interner: Arc<SignatureInterner>,
-        loss_tx: Sender<LossReport>,
         config: RootConfig,
     ) -> io::Result<RootCollector> {
         let shared = Arc::new(Shared {
             state: Mutex::default(),
             batch_tx,
             interner,
-            loss_tx,
             version: config.version,
         });
         // One loop, as a constant. Only `DigestMerge::on_fresh` runs under
@@ -313,8 +309,7 @@ impl Handler for Uplink {
                     synopses,
                     newly_lost,
                 };
-                let (batch_tx, loss_tx) = (&shared.batch_tx, &shared.loss_tx);
-                feed_frame_soa(fresh, batch_tx, &shared.interner, loss_tx, watermark);
+                feed_frame_soa(fresh, &shared.batch_tx, &shared.interner, watermark);
                 // Counted once forwarded, so a reader that sees the count
                 // finds the batch in the channel.
                 shared.count(|s| {
@@ -343,27 +338,22 @@ pub(crate) mod testkit {
     use super::*;
     use crossbeam_channel::{unbounded, Receiver};
 
+    /// A root's shared state and its one output: the batches, with the
+    /// gap reports riding on them.
     pub(crate) struct Rig {
         pub(crate) shared: Arc<Shared>,
         pub(crate) batches: Receiver<SynopsisBatch>,
-        pub(crate) losses: Receiver<LossReport>,
     }
 
     pub(crate) fn rig() -> Rig {
         let (batch_tx, batches) = unbounded();
-        let (loss_tx, losses) = unbounded();
         let shared = Arc::new(Shared {
             state: Mutex::default(),
             batch_tx,
             interner: Arc::new(SignatureInterner::new()),
-            loss_tx,
             version: PROTOCOL_VERSION,
         });
-        Rig {
-            shared,
-            batches,
-            losses,
-        }
+        Rig { shared, batches }
     }
 }
 
@@ -373,10 +363,11 @@ mod tests {
     use super::*;
     use crate::ingest::testkit::{
         assert_gap_is_charged, batches, feed_in_cuts, frame_bodies, goodbye_after_a_lost_frame,
-        hello_bytes, wire_of,
+        hello_bytes, losses, wire_of,
     };
     use crate::protocol::PINNED_EPOCH;
     use crate::session::Session;
+    use saad_core::transport::LossReport;
 
     /// What a leaf's graceful shutdown does after losing a digest on the
     /// way up: the goodbye reveals the trailing gap. Its report is stamped
@@ -397,8 +388,7 @@ mod tests {
         );
         assert_eq!(stats.watermark, owed.at);
         let batches: Vec<SynopsisBatch> = rig.batches.try_iter().collect();
-        let losses: Vec<LossReport> = rig.losses.try_iter().collect();
-        assert_gap_is_charged(&rig.shared.interner, &batches, &losses, owed);
+        assert_gap_is_charged(&rig.shared.interner, &batches, owed);
     }
 
     const HOSTS: [u16; 2] = [10, 11];
@@ -422,13 +412,14 @@ mod tests {
         let (alive, acks) = feed_in_cuts(&mut session, &mut uplink, wire, cuts);
         drop(uplink); // the connection closes
         let merged = |h: &u16| rig.shared.state.lock().0.stats(HostId(*h));
+        let batches: Vec<SynopsisBatch> = rig.batches.try_iter().collect();
         Outcome {
             alive,
             acks,
             stats: rig.shared.stats(),
             merged: HOSTS.iter().map(merged).collect(),
-            batches: rig.batches.try_iter().map(|b| format!("{b:?}")).collect(),
-            losses: rig.losses.try_iter().collect(),
+            losses: losses(&batches),
+            batches: batches.iter().map(|b| format!("{b:?}")).collect(),
         }
     }
 

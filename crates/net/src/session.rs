@@ -194,13 +194,14 @@ impl Session {
 mod tests {
     use super::*;
     use crate::ingest::testkit::{
-        batches, feed_in_cuts, frame_bodies, hello_bytes, rig, synopsis, wire_of, Forwarded,
+        batches, feed_in_cuts, frame_bodies, hello_bytes, losses, rig, synopsis, wire_of, Forwarded,
     };
     use crate::ingest::CollectorStats;
     use crate::protocol::{
         decode_hello_ack, HELLO_ACK_LEN, HELLO_ACK_V1_LEN, MAX_MESSAGE_LEN, NO_SEQ, PINNED_EPOCH,
     };
     use proptest::prelude::*;
+    use saad_core::batch::SynopsisBatch;
     use saad_core::transport::{LinkStats, LossReport};
     use saad_core::HostId;
 
@@ -239,13 +240,14 @@ mod tests {
         // A tiny ring, so reassembly wraps and grows.
         let mut session = Session::new(64);
         let (alive, acks) = feed_in_cuts(&mut session, &mut link, &scenario.wire, cuts);
+        let batches: Vec<SynopsisBatch> = rig.soa.try_iter().collect();
         Outcome {
             alive,
             rejected: session.is_rejected(),
             acks,
-            soa: rig.soa.try_iter().map(|b| format!("{b:?}")).collect(),
+            losses: losses(&batches),
+            soa: batches.iter().map(|b| format!("{b:?}")).collect(),
             forwarded: rig.forwarded.try_iter().collect(),
-            losses: rig.losses.try_iter().collect(),
             stats: rig.ingest.stats(),
             links: HOSTS
                 .iter()

@@ -54,7 +54,7 @@ fn stream_from(addr: SocketAddr, agents: u16) {
 }
 
 /// Count what arrives on `rx` until `total` synopses did; every batch's
-/// watermark column is a running maximum.
+/// watermark column is a running maximum, and no batch charges a gap.
 fn receive(rx: &Receiver<SynopsisBatch>, total: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut received = 0u64;
@@ -62,6 +62,11 @@ fn receive(rx: &Receiver<SynopsisBatch>, total: u64) {
         assert!(Instant::now() < deadline, "collector stalled");
         if let Ok(batch) = rx.recv_timeout(Duration::from_millis(100)) {
             assert!(batch.watermarks.windows(2).all(|w| w[0] <= w[1]));
+            assert!(
+                batch.losses.is_empty(),
+                "no loss expected: {:?}",
+                batch.losses
+            );
             received += batch.len() as u64;
         }
     }
@@ -103,7 +108,6 @@ fn assert_version_skew_is_refused(addr: SocketAddr) {
 /// loops), on the best backend and on the forced `poll(2)` fallback.
 #[test]
 fn reactor_round_trip() {
-    let (loss_tx, loss_rx) = unbounded();
     for backend in [None, Some(saad_reactor::Backend::Poll)] {
         let config = ReactorCollectorConfig {
             loops: 3,
@@ -111,9 +115,8 @@ fn reactor_round_trip() {
             ..ReactorCollectorConfig::default()
         };
         let (batch_tx, batch_rx) = unbounded();
-        let (interner, loss_tx) = (interner(), loss_tx.clone());
         let collector =
-            ReactorCollector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
+            ReactorCollector::bind("127.0.0.1:0", batch_tx, interner(), config).unwrap();
         stream_from(collector.local_addr(), 12);
         receive(&batch_rx, 12 * PER_AGENT);
         assert_clean(collector.stats(), 12);
@@ -123,16 +126,13 @@ fn reactor_round_trip() {
             PER_AGENT
         );
     }
-    assert!(loss_rx.try_recv().is_err(), "no loss expected");
 }
 
 #[test]
 fn reactor_version_skew_is_rejected_with_reason() {
     let (batch_tx, _batch_rx) = unbounded();
-    let (loss_tx, _loss_rx) = unbounded();
     let config = ReactorCollectorConfig::default();
-    let collector =
-        ReactorCollector::bind_soa("127.0.0.1:0", batch_tx, interner(), loss_tx, config).unwrap();
+    let collector = ReactorCollector::bind("127.0.0.1:0", batch_tx, interner(), config).unwrap();
     assert_version_skew_is_refused(collector.local_addr());
     assert_eq!(collector.stats().handshakes_rejected, 1);
     collector.shutdown();

@@ -29,9 +29,8 @@
 //! ```
 
 use crossbeam_channel::unbounded;
-use saad::core::pipeline::{spawn_analyzer_pool_with_lifecycle, LifecycleConfig, SupervisorConfig};
+use saad::core::pipeline::{spawn_analyzer_pool, LifecycleConfig, PoolStart, SupervisorConfig};
 use saad::core::prelude::*;
-use saad::core::transport::LossReport;
 use saad::net::{
     Agent, AgentConfig, BackoffConfig, ControlPlane, LeafCollector, LeafConfig, LeafId,
     RootCollector, RootConfig,
@@ -78,30 +77,27 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Analyzer pool behind the root: bootstraps its own model from the
     // first stretch of traffic, exactly like the single-collector demos.
     let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
-    let (loss_tx, loss_rx) = unbounded::<LossReport>();
-    let pool = spawn_analyzer_pool_with_lifecycle(
-        DetectorConfig::default(),
-        SupervisorConfig {
-            silent_after: u64::MAX,
-            ..SupervisorConfig::default()
-        },
-        LifecycleConfig {
+    let start = PoolStart::Store {
+        dir: dir.clone(),
+        lifecycle: LifecycleConfig {
             checkpoint_every: 0,
             promote_after: 2_000,
             min_retrain_samples: 1_000,
             ..LifecycleConfig::default()
         },
-        2,
-        &dir,
-        batch_rx,
-        Some(loss_rx),
-    )?;
+    };
+    let supervisor = SupervisorConfig {
+        silent_after: u64::MAX,
+        ..SupervisorConfig::default()
+    };
+    let pool = spawn_analyzer_pool(start, DetectorConfig::default(), supervisor, 2, batch_rx)?;
 
     // Control plane, root, and the leaf fleet. The root interns what it
-    // admits against the pool's interner.
+    // admits against the pool's interner, and puts each gap it finds on
+    // the batch that revealed it.
     let control = ControlPlane::new(0x5AAD_DE30, Duration::from_secs(3600));
     let (interner, config) = (pool.interner(), RootConfig::default());
-    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, loss_tx, config)?;
+    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, config)?;
     let mut fleet = Vec::new();
     for i in 0..LEAVES {
         let mut cfg = LeafConfig {

@@ -31,7 +31,7 @@
 
 use crossbeam_channel::unbounded;
 use saad::core::pipeline::{
-    spawn_analyzer_pool_with_lifecycle, BatchSink, LifecycleConfig, SupervisorConfig,
+    spawn_analyzer_pool, BatchSink, LifecycleConfig, PoolStart, SupervisorConfig,
 };
 use saad::core::prelude::*;
 use saad::net::{Agent, AgentConfig, ReactorCollector, ReactorCollectorConfig};
@@ -121,15 +121,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     let dir = std::env::temp_dir().join(format!("saad-live-monitor-{}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
     let (batch_tx, batch_rx) = unbounded();
-    let (loss_tx, loss_rx) = unbounded();
-    let pool = spawn_analyzer_pool_with_lifecycle(
-        DetectorConfig {
-            window: saad::sim::SimDuration::from_millis(500),
-            min_window_tasks: 50,
-            ..DetectorConfig::default()
-        },
-        SupervisorConfig::default(),
-        LifecycleConfig {
+    let start = PoolStart::Store {
+        dir: dir.clone(),
+        lifecycle: LifecycleConfig {
             // Bootstrap aggressively: with healthy traffic flowing, try
             // promotion every 5k synopses so the pool is detecting well
             // before the anomalous burst arrives.
@@ -138,11 +132,13 @@ fn main() -> Result<(), Box<dyn Error>> {
             checkpoint_every: 0,
             ..LifecycleConfig::default()
         },
-        2,
-        &dir,
-        batch_rx,
-        Some(loss_rx),
-    )?;
+    };
+    let config = DetectorConfig {
+        window: saad::sim::SimDuration::from_millis(500),
+        min_window_tasks: 50,
+        ..DetectorConfig::default()
+    };
+    let pool = spawn_analyzer_pool(start, config, SupervisorConfig::default(), 2, batch_rx)?;
 
     // ── Observability: every layer registers its live counters ─────────
     let metrics = Arc::new(saad::obs::Registry::new());
@@ -150,14 +146,14 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // ── The wire: in-process batching, or agent → TCP → collector ──────
     // Either way synopses are interned at the edge, into SoA batches,
-    // against the interner the pool hands out.
+    // against the interner the pool hands out, and a gap the wire reveals
+    // rides on the batch that revealed it.
     let (mut wire, mut forwarder) = (None, None);
     let (sink, flush): (Arc<dyn SynopsisSink>, Box<dyn Fn()>) = if tcp {
-        let collector = ReactorCollector::bind_soa(
+        let collector = ReactorCollector::bind(
             "127.0.0.1:0",
             batch_tx.clone(),
             pool.interner(),
-            loss_tx.clone(),
             ReactorCollectorConfig::default(),
         )?;
         println!("wire: TCP via collector on {}", collector.local_addr());
@@ -263,7 +259,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         forwarder.join().expect("forwarder thread");
     }
     drop(batch_tx);
-    drop(loss_tx);
 
     let mut events = Vec::new();
     while let Ok(e) = pool.events().recv() {

@@ -12,7 +12,7 @@ use saad::adapt::{AdaptiveMonitor, TenantRouter};
 use saad::core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
 use saad::core::model::ModelConfig;
 use saad::core::pipeline::{
-    spawn_analyzer_pool_with_lifecycle, AdaptPolicy, LifecycleConfig, SupervisorConfig,
+    spawn_analyzer_pool, AdaptPolicy, LifecycleConfig, PoolStart, SupervisorConfig,
 };
 use saad::core::prelude::*;
 use saad::logging::LogPointId;
@@ -73,10 +73,9 @@ fn scaled_stream(start_min: u64, mins: u64, factor: f64) -> Vec<TaskSynopsis> {
 fn mid_stream_drift_is_absorbed_and_post_swap_anomaly_localized() {
     let dir = TempDir::new("drift-swap");
     let (batch_tx, batch_rx) = unbounded();
-    let pool = spawn_analyzer_pool_with_lifecycle(
-        DetectorConfig::default(),
-        SupervisorConfig::default(),
-        LifecycleConfig {
+    let start = PoolStart::Store {
+        dir: dir.path().into(),
+        lifecycle: LifecycleConfig {
             checkpoint_every: 0,
             promote_after: 300,
             min_retrain_samples: 200,
@@ -91,12 +90,9 @@ fn mid_stream_drift_is_absorbed_and_post_swap_anomaly_localized() {
             }),
             ..LifecycleConfig::default()
         },
-        2,
-        dir.path(),
-        batch_rx,
-        None,
-    )
-    .unwrap();
+    };
+    let (config, supervisor) = (DetectorConfig::default(), SupervisorConfig::default());
+    let pool = spawn_analyzer_pool(start, config, supervisor, 2, batch_rx).unwrap();
     let interner = pool.interner();
     let feed = |synopses: &[TaskSynopsis]| {
         for chunk in synopses.chunks(60) {

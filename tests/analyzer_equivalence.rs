@@ -11,9 +11,9 @@
 //! * pool-sharded detection ≡ the one reference (a plain detector driven
 //!   element by element, `common::reference_run`), as an event multiset,
 //!   for any worker count — behind both producer edges, `BatchSink` and
-//!   `feed_frame_soa`, and behind both spawns: the plain pool on an
-//!   interner the caller made, and the lifecycle pool on the one it
-//!   restored from a checkpoint another worker count wrote;
+//!   `feed_frame_soa`, and from both starts: a model on an interner the
+//!   caller made, and a store on the interner the pool restored from a
+//!   checkpoint another worker count wrote;
 //! * the one hazard of interning at the edge — a producer built on some
 //!   other interner — is refused in debug builds.
 
@@ -25,8 +25,8 @@ use proptest::prelude::*;
 use saad::core::detector::{AnomalyDetector, AnomalyEvent, DetectorConfig};
 use saad::core::model::{ModelBuilder, ModelConfig, OutlierModel};
 use saad::core::pipeline::{
-    feed_frame_soa, spawn_analyzer_pool_with_lifecycle, spawn_batch_analyzer_pool, BatchSink,
-    LifecycleConfig, LifecyclePool, PoolHandle, SequencedInput, SupervisorConfig,
+    feed_frame_soa, spawn_analyzer_pool, BatchSink, LifecycleConfig, PoolHandle, PoolStart,
+    SupervisorConfig,
 };
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
@@ -112,22 +112,19 @@ fn supervisor() -> SupervisorConfig {
     }
 }
 
-/// The plain pool under test, on an interner the caller made.
+/// The pool under test, started from the model on an interner the caller
+/// made.
 fn spawn_pool(
     workers: usize,
     interner: Arc<SignatureInterner>,
     batch_rx: crossbeam_channel::Receiver<SynopsisBatch>,
 ) -> PoolHandle {
-    let (model, config) = (trained_model(), small_config());
-    spawn_batch_analyzer_pool(
-        model,
-        config,
-        supervisor(),
-        workers,
+    let start = PoolStart::Model {
+        model: trained_model(),
         interner,
-        batch_rx,
-        None,
-    )
+    };
+    spawn_analyzer_pool(start, small_config(), supervisor(), workers, batch_rx)
+        .expect("no store to open")
 }
 
 /// Hold what a pool (or two incarnations of one) reported — every event,
@@ -140,7 +137,7 @@ fn check_against_reference(
 ) -> Result<(), TestCaseError> {
     let reference = AnomalyDetector::new(trained_model(), small_config());
     let whole = soa(stream, reference.interner());
-    let (expected, reference) = reference_run(reference, &[SequencedInput::Batch(whole)]);
+    let (expected, reference) = reference_run(reference, &[whole]);
     prop_assert_eq!(seen, reference.tasks_seen());
     prop_assert_eq!(event_keys(events), event_keys(&expected));
     Ok(())
@@ -186,14 +183,13 @@ fn produce(
             }
         }
         Edge::Frame => {
-            let (loss_tx, _loss_rx) = unbounded();
             for chunk in synopses.chunks(batch_size) {
                 let frame = FrameOutcome::Fresh {
                     host: chunk[0].host,
                     synopses: chunk.to_vec(),
                     newly_lost: 0,
                 };
-                let fed = feed_frame_soa(frame, batch_tx, interner, &loss_tx, SimTime::ZERO);
+                let fed = feed_frame_soa(frame, batch_tx, interner, SimTime::ZERO);
                 assert_eq!(fed, chunk.len());
             }
         }
@@ -218,24 +214,18 @@ impl Drop for TempDir {
     }
 }
 
-/// A lifecycle pool over the checkpoint store in `dir`.
-fn spawn_lifecycle_pool(dir: &Path, workers: usize) -> (Sender<SynopsisBatch>, LifecyclePool) {
+/// A pool over the checkpoint store in `dir`.
+fn spawn_lifecycle_pool(dir: &Path, workers: usize) -> (Sender<SynopsisBatch>, PoolHandle) {
     let (batch_tx, batch_rx) = unbounded();
-    let lifecycle = LifecycleConfig {
-        checkpoint_every: 0, // explicit + shutdown checkpoints only
-        ..LifecycleConfig::default()
+    let start = PoolStart::Store {
+        dir: dir.into(),
+        lifecycle: LifecycleConfig {
+            checkpoint_every: 0, // explicit + shutdown checkpoints only
+            ..LifecycleConfig::default()
+        },
     };
-    let config = small_config();
-    let pool = spawn_analyzer_pool_with_lifecycle(
-        config,
-        supervisor(),
-        lifecycle,
-        workers,
-        dir,
-        batch_rx,
-        None,
-    )
-    .expect("spawn lifecycle pool");
+    let pool = spawn_analyzer_pool(start, small_config(), supervisor(), workers, batch_rx)
+        .expect("spawn lifecycle pool");
     (batch_tx, pool)
 }
 
@@ -289,7 +279,7 @@ fn run_lifecycle_pools(
     let reply = first.request_checkpoint();
     batch_tx.send(SynopsisBatch::new()).unwrap(); // nudge the batch boundary
     let generation = reply.recv().unwrap().expect("checkpoint failed");
-    let mut events = first.drain_events();
+    let mut events: Vec<AnomalyEvent> = first.events().try_iter().collect();
     let written = store.generations().unwrap();
     let (_, path) = written.iter().find(|(g, _)| *g == generation).unwrap();
     std::fs::copy(path, second_dir.0.join(path.file_name().unwrap())).unwrap();

@@ -17,7 +17,7 @@ use common::{event_keys, soa};
 use crossbeam_channel::{unbounded, Sender};
 use saad::core::detector::AnomalyKind;
 use saad::core::pipeline::{
-    spawn_analyzer_pool_with_lifecycle, LifecycleConfig, LifecyclePool, SupervisorConfig,
+    spawn_analyzer_pool, LifecycleConfig, PoolHandle, PoolStart, SupervisorConfig,
 };
 use saad::core::prelude::*;
 use saad::fault::CheckpointTamperer;
@@ -110,31 +110,28 @@ fn supervisor() -> SupervisorConfig {
     }
 }
 
-fn spawn(dir: &Path, workers: usize) -> (Sender<SynopsisBatch>, LifecyclePool) {
+fn spawn(dir: &Path, workers: usize) -> (Sender<SynopsisBatch>, PoolHandle) {
     let (batch_tx, batch_rx) = unbounded();
-    let pool = spawn_analyzer_pool_with_lifecycle(
-        DetectorConfig::default(),
-        supervisor(),
-        lifecycle_config(),
-        workers,
-        dir,
-        batch_rx,
-        None,
-    )
-    .expect("spawn lifecycle pool");
+    let start = PoolStart::Store {
+        dir: dir.into(),
+        lifecycle: lifecycle_config(),
+    };
+    let config = DetectorConfig::default();
+    let pool = spawn_analyzer_pool(start, config, supervisor(), workers, batch_rx)
+        .expect("spawn lifecycle pool");
     (batch_tx, pool)
 }
 
 /// `stream` in batches of [`BATCH`], interned where the pool says to: a
 /// recovered pool's interner is its checkpoint's.
-fn feed(pool: &LifecyclePool, batch_tx: &Sender<SynopsisBatch>, stream: &[TaskSynopsis]) {
+fn feed(pool: &PoolHandle, batch_tx: &Sender<SynopsisBatch>, stream: &[TaskSynopsis]) {
     let interner = pool.interner();
     for chunk in stream.chunks(BATCH) {
         batch_tx.send(soa(chunk, &interner)).unwrap();
     }
 }
 
-fn wait_processed(pool: &LifecyclePool, target: u64) {
+fn wait_processed(pool: &PoolHandle, target: u64) {
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     while pool.processed() < target {
         assert!(std::time::Instant::now() < deadline, "pool stalled");
@@ -183,7 +180,7 @@ fn recovered_pool_matches_uninterrupted_oracle() {
     let generation = reply.recv().unwrap().expect("checkpoint failed");
     // Everything emitted before the crash; the snapshot replies ordered
     // these after all pre-checkpoint batches.
-    let pre_crash_events = crash_pool.drain_events();
+    let pre_crash_events = crash_pool.events().try_iter().collect::<Vec<_>>();
     std::mem::forget(crash_tx);
     std::mem::forget(crash_pool);
 

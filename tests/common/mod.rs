@@ -4,7 +4,6 @@
 use saad::core::batch::SynopsisBatch;
 use saad::core::detector::{AnomalyDetector, AnomalyEvent};
 use saad::core::intern::SignatureInterner;
-use saad::core::pipeline::SequencedInput;
 use saad::core::synopsis::TaskSynopsis;
 use saad::net::protocol::{
     decode_hello, encode_hello_ack, HelloAck, RejectReason, HELLO_LEN, NO_SEQ, PROTOCOL_VERSION,
@@ -14,8 +13,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 /// `synopses` as one pool input batch, interned against `interner` — the
-/// consuming pool's own (`LifecyclePool::interner`, or the one handed to
-/// `spawn_batch_analyzer_pool`).
+/// consuming pool's own (`PoolHandle::interner`).
 #[allow(dead_code)]
 pub fn soa(synopses: &[TaskSynopsis], interner: &SignatureInterner) -> SynopsisBatch {
     let mut batch = SynopsisBatch::with_capacity(synopses.len());
@@ -26,28 +24,27 @@ pub fn soa(synopses: &[TaskSynopsis], interner: &SignatureInterner) -> SynopsisB
 }
 
 /// THE reference every threaded analyzer path is compared with: one plain
-/// detector driven element by element in stream order — advance to the
-/// stream's running-maximum watermark, observe; a loss report applied
-/// where it stands. Batches are interned against the detector's own
-/// interner. Returns the events (final flush included) and the detector.
+/// detector driven element by element in stream order — a batch's gap
+/// reports applied where they stand, then each row: advance to the
+/// stream's running-maximum watermark, observe. Batches are interned
+/// against the detector's own interner. Returns the events (final flush
+/// included) and the detector.
 #[allow(dead_code)]
 pub fn reference_run(
     mut detector: AnomalyDetector,
-    steps: &[SequencedInput],
+    stream: &[SynopsisBatch],
 ) -> (Vec<AnomalyEvent>, AnomalyDetector) {
     let mut events = Vec::new();
     let mut watermark = SimTime::ZERO;
-    for step in steps {
-        match step {
-            SequencedInput::Batch(batch) => {
-                for i in 0..batch.len() {
-                    let feature = batch.feature(i);
-                    watermark = watermark.max(feature.start);
-                    events.extend(detector.advance_watermark(watermark));
-                    events.extend(detector.observe_interned(&feature));
-                }
-            }
-            SequencedInput::Loss(r) => detector.record_loss(r.host, r.at, r.count),
+    for batch in stream {
+        for r in &batch.losses {
+            detector.record_loss(r.host, r.at, r.count);
+        }
+        for i in 0..batch.len() {
+            let feature = batch.feature(i);
+            watermark = watermark.max(feature.start);
+            events.extend(detector.advance_watermark(watermark));
+            events.extend(detector.observe_interned(&feature));
         }
     }
     events.extend(detector.flush());

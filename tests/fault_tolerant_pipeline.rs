@@ -20,7 +20,7 @@
 use saad::core::detector::AnomalyDetector;
 use saad::core::model::{ModelBuilder, ModelConfig, OutlierModel};
 use saad::core::pipeline::{
-    spawn_batch_analyzer_pool, BatchSink, OverloadPolicy, SupervisorConfig,
+    spawn_analyzer_pool, BatchSink, OverloadPolicy, PoolStart, SupervisorConfig,
 };
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
@@ -86,14 +86,9 @@ impl Producer {
     }
 }
 
-/// Deliver frames into the receiver, forwarding fresh synopses to the sink
-/// and gap discoveries to the loss channel.
-fn deliver(
-    receiver: &mut FrameReceiver,
-    frames: Vec<bytes::Bytes>,
-    sink: &BatchSink,
-    loss_tx: &crossbeam_channel::Sender<LossReport>,
-) {
+/// Deliver frames into the receiver, forwarding fresh synopses to the
+/// sink, each gap a frame reveals charged ahead of its synopses.
+fn deliver(receiver: &mut FrameReceiver, frames: Vec<bytes::Bytes>, sink: &BatchSink) {
     for frame in frames {
         match receiver.accept(&frame) {
             Ok(FrameOutcome::Fresh {
@@ -103,13 +98,11 @@ fn deliver(
             }) => {
                 if newly_lost > 0 {
                     let at = synopses.first().map(|s| s.start).unwrap_or(SimTime::ZERO);
-                    loss_tx
-                        .send(LossReport {
-                            host,
-                            at,
-                            count: newly_lost,
-                        })
-                        .expect("analyzer alive");
+                    sink.record_loss(LossReport {
+                        host,
+                        at,
+                        count: newly_lost,
+                    });
                 }
                 for s in synopses {
                     sink.submit(s);
@@ -147,9 +140,9 @@ fn pipeline_survives_combined_transport_and_analyzer_faults() {
         },
         interner.clone(),
     );
-    let (loss_tx, loss_rx) = crossbeam_channel::unbounded();
-    let handle = spawn_batch_analyzer_pool(
-        model,
+    let start = PoolStart::Model { model, interner };
+    let handle = spawn_analyzer_pool(
+        start,
         DetectorConfig::default(),
         SupervisorConfig {
             snapshot_every: 256,
@@ -159,11 +152,10 @@ fn pipeline_survives_combined_transport_and_analyzer_faults() {
             ..SupervisorConfig::default()
         },
         1,
-        interner,
         rx,
-        Some(loss_rx),
     )
-    .with_sink_stats(sink.stats());
+    .expect("no store to open");
+    let drops = sink.stats();
 
     // ── Drive 12 minutes of traffic: 5 synopses per host-second. ───────
     // Host 0 emits an anomalous flow (an untrained signature) during
@@ -181,16 +173,15 @@ fn pipeline_survives_combined_transport_and_analyzer_faults() {
             };
             let frames = producer.produce(synopsis(host as u16, points, at, uid));
             uid += 1;
-            deliver(&mut receiver, frames, &sink, &loss_tx);
+            deliver(&mut receiver, frames, &sink);
         }
     }
     // End of stream: release anything still held by delay faults.
     for producer in producers.iter_mut() {
         let frames = producer.link.flush();
-        deliver(&mut receiver, frames, &sink, &loss_tx);
+        deliver(&mut receiver, frames, &sink);
     }
     drop(sink);
-    drop(loss_tx);
 
     let mut events = Vec::new();
     while let Ok(e) = handle.events().recv() {
@@ -226,7 +217,7 @@ fn pipeline_survives_combined_transport_and_analyzer_faults() {
     // ── Producers were never stalled beyond policy, nothing silent. ────
     // With this capacity the queue never fills, so zero drops — and the
     // stats prove every submit was accounted.
-    assert_eq!(handle.dropped(), 0);
+    assert_eq!(drops.dropped(), 0);
 
     // ── The supervisor restarted from snapshot and kept analyzing. ─────
     assert_eq!(handle.restarts(), 1);

@@ -27,8 +27,7 @@ use common::event_keys;
 use crossbeam_channel::{unbounded, Sender};
 use saad::core::detector::AnomalyEvent;
 use saad::core::pipeline::{
-    spawn_sequenced_analyzer_pool_with_lifecycle, LifecycleConfig, LifecyclePool, SequencedInput,
-    SupervisorConfig,
+    spawn_analyzer_pool, LifecycleConfig, PoolHandle, PoolStart, SupervisorConfig,
 };
 use saad::core::prelude::*;
 use saad::core::transport::LossReport;
@@ -72,33 +71,32 @@ impl Drop for TempDir {
     }
 }
 
-/// An analyzer pool fed one ordered [`SequencedInput`] channel: loss
-/// reports are pinned at exact stream positions, so two pools fed the
-/// same sequence emit the same event multiset — the property the
-/// centerpiece's wire-vs-oracle comparison rests on.
-fn spawn_pool(dir: &Path, workers: usize) -> (Sender<SequencedInput>, LifecyclePool) {
+/// An analyzer pool over the store in `dir`. Its one input channel pins
+/// every gap report at its exact stream position — on the batch that
+/// revealed it — so two pools fed the same batches emit the same event
+/// multiset: the property the centerpiece's wire-vs-oracle comparison
+/// rests on.
+fn spawn_pool(dir: &Path, workers: usize) -> (Sender<SynopsisBatch>, PoolHandle) {
     let (tx, rx) = unbounded();
-    let pool = spawn_sequenced_analyzer_pool_with_lifecycle(
-        DetectorConfig::default(),
-        SupervisorConfig {
-            silent_after: u64::MAX,
-            ..SupervisorConfig::default()
-        },
-        LifecycleConfig {
+    let start = PoolStart::Store {
+        dir: dir.into(),
+        lifecycle: LifecycleConfig {
             checkpoint_every: 0,
             promote_after: 400,
             min_retrain_samples: 200,
             ..LifecycleConfig::default()
         },
-        workers,
-        dir,
-        rx,
-    )
-    .expect("spawn lifecycle pool");
+    };
+    let supervisor = SupervisorConfig {
+        silent_after: u64::MAX,
+        ..SupervisorConfig::default()
+    };
+    let pool = spawn_analyzer_pool(start, DetectorConfig::default(), supervisor, workers, rx)
+        .expect("spawn lifecycle pool");
     (tx, pool)
 }
 
-fn drain_events(pool: LifecyclePool) -> Vec<AnomalyEvent> {
+fn drain_events(pool: PoolHandle) -> Vec<AnomalyEvent> {
     let mut events = Vec::new();
     while let Ok(e) = pool.events().recv() {
         events.push(e);
@@ -165,42 +163,27 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
         .map(|(&h, ss)| (h, ss.chunks(BATCH).map(<[_]>::to_vec).collect()))
         .collect();
 
-    // Federation: control plane, root → recorder → lifecycle pool, three
-    // leaves. The recorder linearizes the root's two output channels into
-    // one log — loss reports drain before the batch that followed them,
-    // the same order `feed_frame_soa` produced them in — so the oracle can
-    // later replay *exactly* what the pool consumed.
+    // Federation: control plane, root → lifecycle pool, three leaves. The
+    // root's one output channel is both the pool's input and the log the
+    // oracle replays: every gap report rides on the batch that revealed
+    // it, so the log needs no linearizing. What the root has emitted is
+    // moved to the pool, and recorded, at each quiescence point.
     let control = ControlPlane::new(0x05AA_DFED, Duration::from_secs(3600));
     let tcp_dir = TempDir::new("kill-tcp");
     let (pool_tx, pool) = spawn_pool(tcp_dir.path(), 3);
     let wire_interner = pool.interner();
-    let (root_batch_tx, rec_batch_rx) = unbounded::<SynopsisBatch>();
-    let (root_loss_tx, rec_loss_rx) = unbounded::<LossReport>();
-    let recorder = std::thread::spawn(move || {
-        let mut log: Vec<SequencedInput> = Vec::new();
-        let forward = |log: &mut Vec<SequencedInput>, step: SequencedInput| {
-            log.push(step.clone());
-            let _ = pool_tx.send(step);
-        };
-        while let Ok(b) = rec_batch_rx.recv() {
-            // `feed_frame_soa` emits a gap's report before its revealing
-            // batch on the same handler thread, so draining losses first
-            // puts each report at its exact stream position.
-            for r in rec_loss_rx.try_iter() {
-                forward(&mut log, SequencedInput::Loss(r));
-            }
-            forward(&mut log, SequencedInput::Batch(b));
+    let (root_tx, root_rx) = unbounded::<SynopsisBatch>();
+    let mut log: Vec<SynopsisBatch> = Vec::new();
+    let forward = |log: &mut Vec<SynopsisBatch>| {
+        for batch in root_rx.try_iter() {
+            log.push(batch.clone());
+            pool_tx.send(batch).unwrap();
         }
-        for r in rec_loss_rx.try_iter() {
-            forward(&mut log, SequencedInput::Loss(r));
-        }
-        log
-    });
+    };
     let root = RootCollector::bind(
         "127.0.0.1:0",
-        root_batch_tx,
+        root_tx,
         wire_interner.clone(),
-        root_loss_tx,
         RootConfig::default(),
     )
     .unwrap();
@@ -270,6 +253,7 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
     wait_for("the loops to publish", Duration::from_secs(10), || {
         (loop_connections("tier=\"root\""), loop_connections("leaf=")) == live
     });
+    forward(&mut log);
 
     // Kill the leaf owning the most hosts, then declare it dead.
     let snap = control.snapshot();
@@ -331,15 +315,10 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
         .map(|&h| (h, root.merged_stats(h)))
         .collect();
     root.shutdown();
-    let log = recorder.join().unwrap();
+    forward(&mut log);
+    drop(pool_tx);
     let tcp_events = drain_events(pool);
-    let reports: Vec<LossReport> = log
-        .iter()
-        .filter_map(|s| match s {
-            SequencedInput::Loss(r) => Some(*r),
-            SequencedInput::Batch(_) => None,
-        })
-        .collect();
+    let reports: Vec<LossReport> = log.iter().flat_map(|b| b.losses.clone()).collect();
 
     // Exactness: loss only on orphaned hosts, one contiguous whole-batch
     // gap each, revealed by exactly one report; zero duplicates anywhere.
@@ -384,13 +363,11 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
     // received are the full capture minus exactly the accounted gap —
     // in order, nothing reordered, nothing repeated.
     let mut arrived: BTreeMap<HostId, Vec<u64>> = BTreeMap::new();
-    for item in &log {
-        if let SequencedInput::Batch(b) = item {
-            arrived
-                .entry(b.hosts[0])
-                .or_default()
-                .extend(b.uids.iter().map(|uid| uid.0));
-        }
+    for b in log.iter().filter(|b| !b.is_empty()) {
+        arrived
+            .entry(b.hosts[0])
+            .or_default()
+            .extend(b.uids.iter().map(|uid| uid.0));
     }
     for (&h, ss) in &per_host {
         let (gap_start, lost) = gaps[&h];
@@ -407,26 +384,24 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
         );
     }
 
-    // Oracle: replay the recorded linearization — identical batches,
-    // identical loss reports, identical order — through an identical
-    // in-process pool. Detection must degrade by exactly the accounted
+    // Oracle: replay the recorded log — identical batches, identical loss
+    // reports on them, identical order — through an identical in-process
+    // pool. Detection must degrade by exactly the accounted
     // gap and nothing else. The oracle pool has an interner of its own
     // (uplink handlers interned in a race the log does not record), so a
     // replayed batch's signatures are re-interned against it.
     let oracle_dir = TempDir::new("kill-oracle");
     let (oracle_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
     let oracle_interner = oracle_pool.interner();
-    for item in &log {
-        let mut item = item.clone();
-        if let SequencedInput::Batch(batch) = &mut item {
-            for sig in &mut batch.sigs {
-                let signature = wire_interner
-                    .resolve(*sig)
-                    .expect("interned on the wire run");
-                *sig = oracle_interner.intern(&signature);
-            }
+    for batch in &log {
+        let mut batch = batch.clone();
+        for sig in &mut batch.sigs {
+            let signature = wire_interner
+                .resolve(*sig)
+                .expect("interned on the wire run");
+            *sig = oracle_interner.intern(&signature);
         }
-        oracle_tx.send(item).unwrap();
+        oracle_tx.send(batch).unwrap();
     }
     drop(oracle_tx);
     let oracle_events = drain_events(oracle_pool);
@@ -457,10 +432,16 @@ fn leaf_flap_through_proxy_reconciles_exactly() {
         .collect();
 
     let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
-    let (loss_tx, loss_rx) = unbounded::<LossReport>();
     let (interner, config) = (Arc::default(), RootConfig::default());
-    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
-    let drain = std::thread::spawn(move || batch_rx.iter().map(|b| b.len() as u64).sum::<u64>());
+    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, config).unwrap();
+    let drain = std::thread::spawn(move || {
+        let (mut delivered, mut reports) = (0u64, Vec::new());
+        for batch in batch_rx.iter() {
+            delivered += batch.len() as u64;
+            reports.extend_from_slice(&batch.losses);
+        }
+        (delivered, reports)
+    });
     let leaf = LeafCollector::spawn(
         "127.0.0.1:0",
         root.local_addr(),
@@ -523,14 +504,13 @@ fn leaf_flap_through_proxy_reconciles_exactly() {
     let link = root.merged_stats(host);
     assert_eq!(link.duplicate_frames, 0, "flapping must never duplicate");
     let stats = root.shutdown();
-    let delivered = drain.join().unwrap();
+    let (delivered, reports) = drain.join().unwrap();
     assert_eq!(
         delivered, link.delivered_synopses,
         "pool got every survivor"
     );
     assert_eq!(stats.synopses, link.delivered_synopses);
 
-    let reports: Vec<LossReport> = loss_rx.try_iter().collect();
     let revealed: u64 = reports.iter().map(|r| r.count).sum();
     assert_eq!(revealed, link.lost_synopses, "reports ≡ link accounting");
     assert!(
@@ -571,12 +551,10 @@ impl LeafResolver for StaleThenLive {
 fn stale_epoch_reject_triggers_refetch_and_clean_connect() {
     let epoch = Arc::new(AtomicU64::new(5));
     let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
-    let (loss_tx, _loss_rx) = unbounded::<LossReport>();
-    let collector = ReactorCollector::bind_soa(
+    let collector = ReactorCollector::bind(
         "127.0.0.1:0",
         batch_tx,
         Arc::default(),
-        loss_tx,
         ReactorCollectorConfig {
             epoch: Some(epoch.clone()),
             ..ReactorCollectorConfig::default()
@@ -645,9 +623,8 @@ fn stale_epoch_reject_triggers_refetch_and_clean_connect() {
 #[test]
 fn v1_agent_against_v2_leaf_terminates_cleanly() {
     let (batch_tx, _batch_rx) = unbounded::<SynopsisBatch>();
-    let (loss_tx, _loss_rx) = unbounded::<LossReport>();
     let (interner, config) = (Arc::default(), RootConfig::default());
-    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
+    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, config).unwrap();
     let leaf = LeafCollector::spawn(
         "127.0.0.1:0",
         root.local_addr(),

@@ -17,8 +17,7 @@ mod common;
 use crossbeam_channel::unbounded;
 use saad::core::detector::AnomalyKind;
 use saad::core::pipeline::{
-    spawn_analyzer_pool_with_lifecycle, spawn_batch_analyzer_pool, BatchSink, LifecycleConfig,
-    LifecyclePool, SupervisorConfig,
+    spawn_analyzer_pool, BatchSink, LifecycleConfig, PoolHandle, PoolStart, SupervisorConfig,
 };
 use saad::core::prelude::*;
 use saad::logging::{Interceptor, Level, LogPointId};
@@ -53,7 +52,7 @@ impl Drop for TempDir {
     }
 }
 
-fn wait_processed(pool: &LifecyclePool, target: u64) {
+fn wait_processed(pool: &PoolHandle, target: u64) {
     let deadline = Instant::now() + Duration::from_secs(60);
     while pool.processed() < target {
         assert!(
@@ -101,32 +100,27 @@ fn scrape_endpoint_serves_live_metrics_from_pool_and_wire() {
 
     // Lifecycle pool behind a TCP collector, all registered.
     let (batch_tx, batch_rx) = unbounded();
-    let (loss_tx, loss_rx) = unbounded();
-    let pool = spawn_analyzer_pool_with_lifecycle(
-        DetectorConfig::default(),
-        SupervisorConfig {
-            silent_after: u64::MAX,
-            ..SupervisorConfig::default()
-        },
-        LifecycleConfig {
+    let start = PoolStart::Store {
+        dir: dir.path().into(),
+        lifecycle: LifecycleConfig {
             checkpoint_every: 200,
             promote_after: 300,
             min_retrain_samples: 200,
             ..LifecycleConfig::default()
         },
-        2,
-        dir.path(),
-        batch_rx,
-        Some(loss_rx),
-    )
-    .unwrap();
+    };
+    let supervisor = SupervisorConfig {
+        silent_after: u64::MAX,
+        ..SupervisorConfig::default()
+    };
+    let pool =
+        spawn_analyzer_pool(start, DetectorConfig::default(), supervisor, 2, batch_rx).unwrap();
     pool.register_metrics(&registry);
 
-    let collector = ReactorCollector::bind_soa(
+    let collector = ReactorCollector::bind(
         "127.0.0.1:0",
         batch_tx.clone(),
         pool.interner(),
-        loss_tx.clone(),
         ReactorCollectorConfig::default(),
     )
     .unwrap();
@@ -207,7 +201,6 @@ fn scrape_endpoint_serves_live_metrics_from_pool_and_wire() {
     let _ = agent.close();
     collector.shutdown();
     drop(batch_tx);
-    drop(loss_tx);
     pool.join().unwrap();
 }
 
@@ -224,13 +217,9 @@ fn run_meta_monitored_pool(
         meta_sink.clone() as Arc<dyn SynopsisSink>,
     ));
     let (batch_tx, batch_rx) = unbounded();
-    let pool = spawn_analyzer_pool_with_lifecycle(
-        DetectorConfig::default(),
-        SupervisorConfig {
-            silent_after: u64::MAX,
-            ..SupervisorConfig::default()
-        },
-        LifecycleConfig {
+    let start = PoolStart::Store {
+        dir: dir.into(),
+        lifecycle: LifecycleConfig {
             checkpoint_every,
             promote_after: 300,
             min_retrain_samples: 200,
@@ -238,12 +227,13 @@ fn run_meta_monitored_pool(
             checkpoint_stall: stall,
             ..LifecycleConfig::default()
         },
-        2,
-        dir,
-        batch_rx,
-        None,
-    )
-    .unwrap();
+    };
+    let supervisor = SupervisorConfig {
+        silent_after: u64::MAX,
+        ..SupervisorConfig::default()
+    };
+    let pool =
+        spawn_analyzer_pool(start, DetectorConfig::default(), supervisor, 2, batch_rx).unwrap();
 
     // Healthy two-host traffic, enough to promote and then take a steady
     // stream of checkpoints (about one per 64 synopses once detecting).
@@ -321,8 +311,12 @@ fn meta_monitoring_flags_injected_checkpoint_stall() {
     // covers the whole run.
     let interner = Arc::new(SignatureInterner::new());
     let (sink, rx) = BatchSink::new(64, interner.clone());
-    let handle = spawn_batch_analyzer_pool(
-        meta_model,
+    let start = PoolStart::Model {
+        model: meta_model,
+        interner,
+    };
+    let handle = spawn_analyzer_pool(
+        start,
         DetectorConfig {
             window: SimDuration::from_mins(60),
             min_window_tasks: 5,
@@ -335,10 +329,9 @@ fn meta_monitoring_flags_injected_checkpoint_stall() {
             ..SupervisorConfig::default()
         },
         1,
-        interner,
         rx,
-        None,
-    );
+    )
+    .expect("no store to open");
     for s in stalled {
         sink.submit(s);
     }

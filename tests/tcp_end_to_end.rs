@@ -23,7 +23,7 @@ use crossbeam_channel::{unbounded, Sender};
 use saad::core::detector::{AnomalyEvent, AnomalyKind};
 use saad::core::model::ModelConfig;
 use saad::core::pipeline::{
-    spawn_analyzer_pool_with_lifecycle, LifecycleConfig, LifecyclePool, ModelSink, SupervisorConfig,
+    spawn_analyzer_pool, LifecycleConfig, ModelSink, PoolHandle, PoolStart, SupervisorConfig,
 };
 use saad::core::prelude::*;
 use saad::core::transport::LossReport;
@@ -81,26 +81,19 @@ fn supervisor() -> SupervisorConfig {
     }
 }
 
-fn spawn_pool(
-    dir: &Path,
-    workers: usize,
-) -> (Sender<SynopsisBatch>, Sender<LossReport>, LifecyclePool) {
+fn spawn_pool(dir: &Path, workers: usize) -> (Sender<SynopsisBatch>, PoolHandle) {
     let (batch_tx, batch_rx) = unbounded();
-    let (loss_tx, loss_rx) = unbounded();
-    let pool = spawn_analyzer_pool_with_lifecycle(
-        DetectorConfig::default(),
-        supervisor(),
-        lifecycle_config(),
-        workers,
-        dir,
-        batch_rx,
-        Some(loss_rx),
-    )
-    .expect("spawn lifecycle pool");
-    (batch_tx, loss_tx, pool)
+    let start = PoolStart::Store {
+        dir: dir.into(),
+        lifecycle: lifecycle_config(),
+    };
+    let config = DetectorConfig::default();
+    let pool = spawn_analyzer_pool(start, config, supervisor(), workers, batch_rx)
+        .expect("spawn lifecycle pool");
+    (batch_tx, pool)
 }
 
-fn wait_processed(pool: &LifecyclePool, target: u64) {
+fn wait_processed(pool: &PoolHandle, target: u64) {
     let deadline = Instant::now() + Duration::from_secs(60);
     while pool.processed() < target {
         assert!(
@@ -112,7 +105,7 @@ fn wait_processed(pool: &LifecyclePool, target: u64) {
     }
 }
 
-fn drain_events(pool: LifecyclePool) -> Vec<AnomalyEvent> {
+fn drain_events(pool: PoolHandle) -> Vec<AnomalyEvent> {
     let mut events = Vec::new();
     while let Ok(e) = pool.events().recv() {
         events.push(e);
@@ -160,13 +153,12 @@ fn hbase_fault_scenario_over_tcp_matches_in_process_path() {
 
     // Oracle: the same lifecycle pool shape fed in-process.
     let oracle_dir = TempDir::new("hbase-oracle");
-    let (oracle_tx, oracle_loss_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
+    let (oracle_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
     let interner = oracle_pool.interner();
     for chunk in stream.chunks(BATCH) {
         oracle_tx.send(soa(chunk, &interner)).unwrap();
     }
     drop(oracle_tx);
-    drop(oracle_loss_tx);
     let oracle_events = drain_events(oracle_pool);
     assert!(
         oracle_events
@@ -177,10 +169,9 @@ fn hbase_fault_scenario_over_tcp_matches_in_process_path() {
 
     // Wire path: one agent (order-preserving) → collector → same pool.
     let tcp_dir = TempDir::new("hbase-tcp");
-    let (batch_tx, loss_tx, pool) = spawn_pool(tcp_dir.path(), 3);
+    let (batch_tx, pool) = spawn_pool(tcp_dir.path(), 3);
     let (interner, config) = (pool.interner(), ReactorCollectorConfig::default());
-    let collector =
-        ReactorCollector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
+    let collector = ReactorCollector::bind("127.0.0.1:0", batch_tx, interner, config).unwrap();
     let agent = Agent::connect(collector.local_addr(), HostId(900), AgentConfig::default());
     for chunk in stream.chunks(BATCH) {
         agent.send(chunk.to_vec());
@@ -264,24 +255,23 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
 
     // --- Wire run with a mid-stream collector kill + restart ----------
     let tcp_dir = TempDir::new("restart-tcp");
-    let (batch_tx, loss_tx, pool) = spawn_pool(tcp_dir.path(), 3);
-    // The test keeps its own loss-channel tap to count gap reports: wrap
-    // the pool's loss sender so every report is also recorded.
-    let (tap_tx, tap_rx) = unbounded::<LossReport>();
-    let (collector_loss_tx, collector_loss_rx) = unbounded::<LossReport>();
-    let forward_loss_tx = loss_tx.clone();
-    let loss_forwarder = std::thread::spawn(move || {
-        while let Ok(report) = collector_loss_rx.recv() {
-            let _ = tap_tx.send(report);
-            let _ = forward_loss_tx.send(report);
+    let (batch_tx, pool) = spawn_pool(tcp_dir.path(), 3);
+    // The test keeps its own tap on the pool's input to count gap reports:
+    // both collectors feed it, and it forwards every batch unchanged.
+    let (collector_tx, collector_rx) = unbounded::<SynopsisBatch>();
+    let tap = std::thread::spawn(move || {
+        let mut reports = Vec::new();
+        for batch in collector_rx.iter() {
+            reports.extend_from_slice(&batch.losses);
+            let _ = batch_tx.send(batch);
         }
+        reports
     });
 
-    let collector_a = ReactorCollector::bind_soa(
+    let collector_a = ReactorCollector::bind(
         "127.0.0.1:0",
-        batch_tx.clone(),
+        collector_tx.clone(),
         pool.interner(),
-        collector_loss_tx.clone(),
         ReactorCollectorConfig::default(),
     )
     .unwrap();
@@ -343,9 +333,8 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
     let collector_b = ReactorCollector::serve_soa(
         listener,
         state,
-        batch_tx.clone(),
+        collector_tx.clone(),
         pool.interner(),
-        collector_loss_tx.clone(),
         ReactorCollectorConfig::default(),
     )
     .unwrap();
@@ -398,13 +387,10 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
     let delivered_target = total - lost;
     wait_processed(&pool, delivered_target);
     collector_b.shutdown();
-    drop(batch_tx);
-    drop(collector_loss_tx);
-    let _ = loss_forwarder.join();
-    drop(loss_tx);
+    drop(collector_tx);
+    let reports: Vec<LossReport> = tap.join().unwrap();
     let tcp_events = drain_events(pool);
 
-    let reports: Vec<LossReport> = tap_rx.try_iter().collect();
     assert_eq!(reports.len(), 1, "exactly one loss report: {reports:?}");
     assert_eq!(reports[0].count, lost);
     assert_eq!(reports[0].host, frame_host);
@@ -414,23 +400,22 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
     // first surviving batch after it reveals the loss, stamped with its
     // first synopsis start — exactly what the collector does on the wire.
     let oracle_dir = TempDir::new("restart-oracle");
-    let (oracle_tx, oracle_loss_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
+    let (oracle_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
     let interner = oracle_pool.interner();
     for batch in &batches[..half] {
         oracle_tx.send(soa(batch, &interner)).unwrap();
     }
-    oracle_loss_tx
-        .send(LossReport {
-            host: frame_host,
-            at: batches[half + k_lost][0].start,
-            count: lost,
-        })
-        .unwrap();
-    for batch in &batches[half + k_lost..] {
+    let mut revealing = soa(&batches[half + k_lost], &interner);
+    revealing.losses.push(LossReport {
+        host: frame_host,
+        at: batches[half + k_lost][0].start,
+        count: lost,
+    });
+    oracle_tx.send(revealing).unwrap();
+    for batch in &batches[half + k_lost + 1..] {
         oracle_tx.send(soa(batch, &interner)).unwrap();
     }
     drop(oracle_tx);
-    drop(oracle_loss_tx);
     let oracle_events = drain_events(oracle_pool);
 
     assert_eq!(
@@ -479,10 +464,8 @@ fn run_through_proxy(
 ) {
     let frame_host = HostId(1);
     let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
-    let (loss_tx, loss_rx) = unbounded::<LossReport>();
     let (interner, config) = (Arc::default(), ReactorCollectorConfig::default());
-    let collector =
-        ReactorCollector::bind_soa("127.0.0.1:0", batch_tx, interner, loss_tx, config).unwrap();
+    let collector = ReactorCollector::bind("127.0.0.1:0", batch_tx, interner, config).unwrap();
     // A proxy that neither drops nor disconnects forwards every frame, and
     // one that trickles takes its time over it: wait for the last one.
     let forwards_all =
@@ -535,8 +518,7 @@ fn run_through_proxy(
     let link = collector.link_stats(frame_host);
     let corrupted = collector.stats().corrupted_frames;
     collector.shutdown();
-    drop(batch_rx);
-    let reports: Vec<LossReport> = loss_rx.try_iter().collect();
+    let reports: Vec<LossReport> = batch_rx.try_iter().flat_map(|b| b.losses).collect();
     (counts, link, agent_stats, reports, corrupted)
 }
 

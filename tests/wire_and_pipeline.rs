@@ -14,9 +14,7 @@ use saad::cassandra::{Cluster, ClusterConfig};
 use saad::core::codec;
 use saad::core::detector::AnomalyDetector;
 use saad::core::model::ModelConfig;
-use saad::core::pipeline::{
-    spawn_batch_analyzer_pool, BatchSink, SequencedInput, SupervisorConfig,
-};
+use saad::core::pipeline::{spawn_analyzer_pool, BatchSink, PoolStart, SupervisorConfig};
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
 use saad::fault::{catalog, FaultSchedule, FaultSpec, FaultType, Intensity};
@@ -71,7 +69,7 @@ fn detect(
 ) -> Vec<AnomalyEvent> {
     let detector = AnomalyDetector::new(model, DetectorConfig::default());
     let whole = soa(synopses, detector.interner());
-    reference_run(detector, &[SequencedInput::Batch(whole)]).0
+    reference_run(detector, &[whole]).0
 }
 
 #[test]
@@ -106,8 +104,9 @@ fn threaded_pipeline_matches_offline_detection() {
     };
     let interner = Arc::new(SignatureInterner::new());
     let (sink, rx) = BatchSink::new(64, interner.clone());
+    let start = PoolStart::Model { model, interner };
     let config = DetectorConfig::default();
-    let pool = spawn_batch_analyzer_pool(model, config, supervisor, 1, interner, rx, None);
+    let pool = spawn_analyzer_pool(start, config, supervisor, 1, rx).expect("no store to open");
     for s in &synopses {
         sink.submit(s.clone());
     }
