@@ -1,34 +1,11 @@
-//! # saad-adapt — streaming adaptive models
+//! # saad-adapt — empty
 //!
-//! Makes SAAD's model maintenance *continuous*. The core pipeline trains
-//! episodically: buffer a retrain ring, replay it through `ModelBuilder`,
-//! hot-swap at a watermark boundary. This crate replaces the episodic
-//! parts with streaming ones and layers tenancy on top:
-//!
-//! * [`StreamingModelBuilder`] — per-(stage, signature) mergeable
-//!   quantile sketches plus decayed signature frequencies, so a fresh
-//!   model is O(live signatures) to assemble, with memory bounded by
-//!   signature cardinality and duration dynamic range instead of ring
-//!   length.
-//! * Drift detection — Page-Hinkley tests (from `saad-stats`) on
-//!   window-level summaries: signature-share L1 divergence for flow
-//!   drift, sketch-quantile relative delta for duration drift. A trip
-//!   schedules a retrain on *fresh* data and re-uses the existing
-//!   in-band hot-swap — no new swap mechanism. The in-pool variant
-//!   lives in `saad_core::pipeline` behind
-//!   [`AdaptPolicy`](saad_core::pipeline::AdaptPolicy).
-//! * [`AdaptiveMonitor`] / [`TenantRouter`] — per-tenant model
-//!   namespaces keyed by [`saad_core::TenantId`]: each tenant trains,
-//!   drifts, and swaps independently, with per-tenant metrics exported
-//!   through `saad-obs`.
-//!
-//! See DESIGN.md §15 for the sketch choice, error bound, drift test, and
-//! swap-trigger rule.
-
-#![warn(missing_docs)]
-
-mod stream;
-mod tenant;
-
-pub use stream::StreamingModelBuilder;
-pub use tenant::{AdaptiveMonitor, TenantRouter};
+//! Adaptive model maintenance lives in the lifecycle pool of
+//! `saad_core::pipeline`: one model per tenant
+//! ([`LifecycleConfig::tenants`](saad_core::pipeline::LifecycleConfig::tenants)),
+//! retrained from the router's ring through the k-fold gate, and
+//! Page-Hinkley drift detection ([`AdaptPolicy`](saad_core::pipeline::AdaptPolicy))
+//! that triggers the in-band swap. This crate holds no code. It stays in
+//! the workspace only because the stand-alone `benchmark/` package's lock
+//! file lists it, with its dependencies, under `saad-bench`; it goes when
+//! that package next changes.

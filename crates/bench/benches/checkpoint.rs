@@ -159,8 +159,12 @@ fn measure(synopses: &[TaskSynopsis], shards: usize) -> Row {
     // Round-trip sanity: the restart path sees the same state it saved.
     let restored = Checkpoint::decode(&bytes).expect("round trip");
     assert_eq!(restored.generation, checkpoint.generation);
-    assert_eq!(restored.shards.len(), shards);
-    assert_eq!(restored.model.stage_count(), checkpoint.model.stage_count());
+    let (restored_tenant, saved_tenant) = (&restored.tenants[0], &checkpoint.tenants[0]);
+    assert_eq!(restored_tenant.shards.len(), shards);
+    assert_eq!(
+        restored_tenant.model.stage_count(),
+        saved_tenant.model.stage_count()
+    );
     assert_eq!(restored.interner.len(), checkpoint.interner.len());
 
     Row {

@@ -1,20 +1,24 @@
 //! Drift ablation: adaptive vs frozen model maintenance.
 //!
-//! Replays the three-drift catalog (load-shift, rollout,
-//! new-signature-burst) through an adaptive monitor and a frozen
-//! ablation, prints the per-minute false-positive curves side by side,
-//! and writes `BENCH_drift.json`. The final assertions are the
-//! acceptance criteria: the adaptive monitor re-converges (quiet tail,
-//! bounded time-to-readapt) while the frozen one keeps flagging the
-//! drifted regime, and the post-swap anomaly probe is still caught.
+//! Replays the drift catalog (rollout, new-signature-burst) through an
+//! adaptive lifecycle pool and a frozen ablation, prints the per-minute
+//! false-positive curves side by side, and writes `BENCH_drift.json`. The
+//! final assertions are the acceptance criteria: the adaptive pool
+//! re-converges (quiet tail, bounded time-to-readapt) while the frozen one
+//! keeps flagging the drifted regime, and the post-swap anomaly probe is
+//! still caught.
 
-use saad_bench::drift::{render_drift_json, run_drift_catalog, DRIFT_MIN, PROBE_MIN};
+use saad_bench::drift::{render_drift_json, run_drift_catalog, DriftKind, DRIFT_MIN, PROBE_MIN};
 
 fn main() {
     println!("drift ablation: drift at minute {DRIFT_MIN}, anomaly probe at minute {PROBE_MIN}\n");
 
     let results = run_drift_catalog();
-    assert_eq!(results.len(), 3, "all three drift scenarios must run");
+    assert_eq!(
+        results.len(),
+        DriftKind::catalog().len(),
+        "every drift scenario must run"
+    );
 
     println!(
         " {:<22} {:<9} {:>6} {:>12} {:>8} {:>8} {:>10} {:>8}",
@@ -52,7 +56,7 @@ fn main() {
     for r in &results {
         assert!(
             r.adaptive.drift_swaps >= 1,
-            "{}: adaptive monitor never re-adapted",
+            "{}: adaptive pool never re-adapted",
             r.name
         );
         assert_eq!(

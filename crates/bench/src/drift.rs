@@ -1,28 +1,41 @@
-//! Drift ablation harness: adaptive vs frozen model maintenance.
+//! Drift ablation harness: adaptive vs frozen model maintenance, on the
+//! lifecycle pool.
 //!
-//! Replays three drift scenarios through two otherwise-identical
-//! [`AdaptiveMonitor`]s — one with a live Page-Hinkley trigger
-//! (*adaptive*), one whose trigger threshold is set unreachably high
-//! (*frozen*, the ablation) — and reconciles their anomaly output
-//! minute by minute:
+//! Replays drift scenarios through two pools that start from an empty
+//! store and differ in one setting only — one runs an [`AdaptPolicy`]
+//! (*adaptive*), the other none (*frozen*, the ablation: it promotes once
+//! at bootstrap and never swaps again) — and reconciles their anomaly
+//! output minute by minute:
 //!
-//! * **load-shift** — every duration inflates 5× (cluster-wide slowdown
-//!   the operator declares the new normal);
 //! * **rollout** — a deployment replaces the dominant signature and
 //!   doubles durations (new code path, new timing);
 //! * **new-signature-burst** — 30 % of traffic starts emitting a
 //!   never-trained signature (partial rollout, flow-share drift).
+//!
+//! A pure load shift (every duration 5×, signatures unchanged) is not in
+//! the catalog. A step that large trips the duration test at the first
+//! batch boundary after it, exactly as a rollout's does, and the retrain
+//! then waits for the same refill of the ring, so its adaptive row was
+//! the rollout's to the digit. The rollout stays because its frozen run
+//! also misses the probe.
 //!
 //! After the drift settles, a genuine anomaly burst is injected on one
 //! host and must still be caught by the re-adapted model — adaptation
 //! must not cost detection. The numbers written to `BENCH_drift.json`
 //! are the per-minute false-positive curves (the time-to-readapt curve),
 //! the re-adapt latency, and the post-swap probe precision/recall.
+//!
+//! The stream goes in as batches of a quarter minute. After each one the
+//! harness waits — yielding, never sleeping — until the router has
+//! finished it, lifecycle work included, so the time to re-adapt is read
+//! in stream time, at batch resolution, and is the same on every run.
 
-use saad_adapt::{AdaptiveMonitor, TenantRouter};
+use crossbeam_channel::unbounded;
+use saad_core::batch::SynopsisBatch;
 use saad_core::detector::{AnomalyEvent, DetectorConfig};
-use saad_core::model::ModelConfig;
-use saad_core::pipeline::AdaptPolicy;
+use saad_core::pipeline::{
+    spawn_analyzer_pool, AdaptPolicy, LifecycleConfig, PoolStart, SupervisorConfig,
+};
 use saad_core::prelude::TaskSynopsis;
 use saad_core::{HostId, StageId, TaskUid, TenantId};
 use saad_logging::LogPointId;
@@ -41,12 +54,12 @@ pub const TOTAL_MINS: u64 = PROBE_MIN + 1;
 pub const TAIL_MINS: u64 = 4;
 /// Healthy tasks per minute (split over two hosts).
 pub const PER_MIN: u64 = 240;
+/// Tasks per input batch: a quarter minute.
+const BATCH: usize = (PER_MIN / 4) as usize;
 
 /// One drift shape of the ablation catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriftKind {
-    /// Durations inflate 5×; signatures unchanged.
-    LoadShift,
     /// The dominant signature is replaced and durations double.
     Rollout,
     /// 30 % of traffic adds a never-trained signature.
@@ -57,26 +70,20 @@ impl DriftKind {
     /// Catalog name.
     pub fn name(&self) -> &'static str {
         match self {
-            DriftKind::LoadShift => "load-shift",
             DriftKind::Rollout => "rollout",
             DriftKind::NewSignatureBurst => "new-signature-burst",
         }
     }
 
     /// The full catalog, in a fixed order.
-    pub fn catalog() -> [DriftKind; 3] {
-        [
-            DriftKind::LoadShift,
-            DriftKind::Rollout,
-            DriftKind::NewSignatureBurst,
-        ]
+    pub fn catalog() -> [DriftKind; 2] {
+        [DriftKind::Rollout, DriftKind::NewSignatureBurst]
     }
 
     /// Duration multiplier and log points for task `i` of a drifted
     /// minute (healthy traffic is always `(1.0, [1, 2])`).
     fn drifted_shape(&self, i: u64) -> (f64, &'static [u16]) {
         match self {
-            DriftKind::LoadShift => (5.0, &[1, 2]),
             DriftKind::Rollout => (2.0, &[1, 4]),
             DriftKind::NewSignatureBurst => {
                 if i % 10 < 3 {
@@ -89,14 +96,15 @@ impl DriftKind {
     }
 }
 
-/// Outcome of one monitor run (adaptive or frozen) over a scenario.
+/// Outcome of one pool run (adaptive or frozen) over a scenario.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Anomaly events per replay minute (index = minute).
     pub events_per_min: Vec<usize>,
     /// Drift-triggered swaps at the end of the run.
     pub drift_swaps: u64,
-    /// Drift start → first drift swap, in seconds.
+    /// Drift start → the batch boundary of the first drift swap, in
+    /// stream seconds.
     pub time_to_readapt_s: Option<f64>,
     /// Probe-minute performance events on the probe host (true
     /// positives).
@@ -138,18 +146,8 @@ pub struct DriftResult {
     pub name: &'static str,
     /// The run with a live drift trigger.
     pub adaptive: RunOutcome,
-    /// The ablation: identical monitor, trigger unreachable.
+    /// The ablation: the same pool without an [`AdaptPolicy`].
     pub frozen: RunOutcome,
-}
-
-fn policy(lambda: f64) -> AdaptPolicy {
-    AdaptPolicy {
-        window: SimDuration::from_mins(1),
-        min_window_samples: 50,
-        lambda,
-        cooldown_windows: 1,
-        ..AdaptPolicy::default()
-    }
 }
 
 fn synopsis(host: u16, minute: u64, i: u64, dur_us: u64, points: &[u16]) -> TaskSynopsis {
@@ -163,20 +161,10 @@ fn synopsis(host: u16, minute: u64, i: u64, dur_us: u64, points: &[u16]) -> Task
     }
 }
 
-/// Replay one scenario through one monitor. `lambda` is the Page-Hinkley
-/// trip threshold — pass [`f64::MAX`]-adjacent to freeze the model.
-pub fn run_drift_once(kind: DriftKind, lambda: f64) -> RunOutcome {
-    let mut monitor = AdaptiveMonitor::new(
-        TenantRouter::new(),
-        DetectorConfig::default(),
-        ModelConfig::default(),
-        policy(lambda),
-        300,
-    );
-    let tenant = TenantId::DEFAULT;
-    let mut events: Vec<AnomalyEvent> = Vec::new();
-    let mut readapt_at: Option<SimTime> = None;
-
+/// The scenario's stream: two hosts at [`PER_MIN`], drifted from
+/// [`DRIFT_MIN`] on, and the probe after minute [`PROBE_MIN`].
+fn stream(kind: DriftKind) -> Vec<TaskSynopsis> {
+    let mut out = Vec::new();
     for minute in 0..TOTAL_MINS {
         for i in 0..PER_MIN {
             let (factor, points) = if minute >= DRIFT_MIN {
@@ -185,11 +173,7 @@ pub fn run_drift_once(kind: DriftKind, lambda: f64) -> RunOutcome {
                 (1.0, &[1u16, 2] as &[u16])
             };
             let dur = ((1_000 + (i % 53) * 5) as f64 * factor) as u64;
-            let s = synopsis((i % 2) as u16, minute, i, dur, points);
-            events.extend(monitor.observe(&s));
-            if readapt_at.is_none() && monitor.drift_swaps(tenant) > 0 {
-                readapt_at = Some(s.start);
-            }
+            out.push(synopsis((i % 2) as u16, minute, i, dur, points));
         }
         if minute == PROBE_MIN {
             // The genuine anomaly: a burst of probe-host tasks 5× slower
@@ -198,12 +182,67 @@ pub fn run_drift_once(kind: DriftKind, lambda: f64) -> RunOutcome {
             let (factor, points) = kind.drifted_shape(5);
             for i in 0..60u64 {
                 let dur = ((1_000 + (i % 53) * 5) as f64 * factor * 5.0) as u64;
-                let s = synopsis(0, minute, PER_MIN + i, dur, points);
-                events.extend(monitor.observe(&s));
+                out.push(synopsis(0, minute, PER_MIN + i, dur, points));
             }
         }
     }
-    events.extend(monitor.finish().into_iter().map(|(_, e)| e));
+    out
+}
+
+/// Replay one scenario through a one-worker pool started from an empty
+/// store, with the drift policy (`adaptive`) or without one.
+pub fn run_drift_once(kind: DriftKind, adaptive: bool) -> RunOutcome {
+    let mode = if adaptive { "adaptive" } else { "frozen" };
+    let dir = std::env::temp_dir().join(format!(
+        "saad-drift-{}-{}-{mode}",
+        std::process::id(),
+        kind.name()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let policy = AdaptPolicy {
+        window: SimDuration::from_mins(1),
+        min_window_samples: 50,
+        cooldown_windows: 1,
+        ..AdaptPolicy::default()
+    };
+    let lifecycle = LifecycleConfig {
+        checkpoint_every: 0,
+        promote_after: 300,
+        min_retrain_samples: 200,
+        // One to two adapt windows of traffic, so a post-drift retrain
+        // trains on the new regime, not a stale mixture.
+        retrain_window: 500,
+        adapt: adaptive.then_some(policy),
+        ..LifecycleConfig::default()
+    };
+    let start = PoolStart::Store {
+        dir: dir.clone(),
+        lifecycle,
+    };
+    let (batch_tx, batch_rx) = unbounded();
+    let (config, supervisor) = (DetectorConfig::default(), SupervisorConfig::default());
+    let pool = spawn_analyzer_pool(start, config, supervisor, 1, batch_rx).expect("empty store");
+    let interner = pool.interner();
+    let tenant = TenantId::DEFAULT;
+    let mut readapt_at: Option<SimTime> = None;
+    for (sent, chunk) in stream(kind).chunks(BATCH).enumerate() {
+        let mut batch = SynopsisBatch::with_capacity(chunk.len());
+        for s in chunk {
+            batch.push_synopsis(s, &interner);
+        }
+        batch_tx.send(batch).expect("pool running");
+        while pool.batches_routed() <= sent as u64 {
+            std::thread::yield_now();
+        }
+        if readapt_at.is_none() && pool.drift_swaps(tenant) > 0 {
+            readapt_at = chunk.iter().map(|s| s.start).max();
+        }
+    }
+    drop(batch_tx);
+    let events: Vec<AnomalyEvent> = pool.events().iter().collect();
+    let drift_swaps = pool.drift_swaps(tenant);
+    pool.join().expect("pool ran to completion");
+    let _ = std::fs::remove_dir_all(&dir);
 
     let mut events_per_min = vec![0usize; TOTAL_MINS as usize];
     let mut probe_hits = 0usize;
@@ -224,7 +263,7 @@ pub fn run_drift_once(kind: DriftKind, lambda: f64) -> RunOutcome {
 
     RunOutcome {
         events_per_min,
-        drift_swaps: monitor.drift_swaps(tenant),
+        drift_swaps,
         time_to_readapt_s: readapt_at
             .map(|t| t.as_secs_f64() - SimTime::from_mins(DRIFT_MIN).as_secs_f64()),
         probe_hits,
@@ -236,8 +275,8 @@ pub fn run_drift_once(kind: DriftKind, lambda: f64) -> RunOutcome {
 pub fn run_drift_pair(kind: DriftKind) -> DriftResult {
     DriftResult {
         name: kind.name(),
-        adaptive: run_drift_once(kind, AdaptPolicy::default().lambda),
-        frozen: run_drift_once(kind, 1e18),
+        adaptive: run_drift_once(kind, true),
+        frozen: run_drift_once(kind, false),
     }
 }
 
@@ -294,8 +333,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn load_shift_adaptive_reconverges_frozen_stays_noisy() {
-        let r = run_drift_pair(DriftKind::LoadShift);
+    fn rollout_adaptive_reconverges_frozen_stays_noisy() {
+        let r = run_drift_pair(DriftKind::Rollout);
         assert!(r.adaptive.drift_swaps >= 1, "adaptive never re-adapted");
         assert_eq!(r.frozen.drift_swaps, 0, "frozen must never swap");
         let t = r.adaptive.time_to_readapt_s.expect("re-adapt time");
@@ -306,5 +345,6 @@ mod tests {
             "frozen should keep flagging the drifted regime"
         );
         assert!(r.adaptive.probe_detected(), "post-swap anomaly missed");
+        assert!(!r.frozen.probe_detected(), "stale signatures cannot see it");
     }
 }

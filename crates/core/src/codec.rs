@@ -375,91 +375,6 @@ pub fn decode_batch_into(
     Ok(batch.len() - rollback)
 }
 
-/// Upper bound on sketch buckets accepted by the decoder. A sketch at
-/// `alpha = 0.01` spans ~115 buckets per decade of dynamic range, so even
-/// nanosecond-to-day durations stay well below this.
-const MAX_SKETCH_BUCKETS: u64 = 1 << 20;
-
-/// ZigZag encoding for the sketch's signed bucket indexes (small negative
-/// keys would otherwise cost ten varint bytes).
-fn zigzag(v: i32) -> u64 {
-    ((v << 1) ^ (v >> 31)) as u32 as u64
-}
-
-fn unzigzag(v: u64) -> i32 {
-    let v = v as u32;
-    ((v >> 1) as i32) ^ -((v & 1) as i32)
-}
-
-/// Encode a [`saad_stats::QuantileSketch`] to its compact wire form:
-/// the per-(stage, signature) duration state the adaptive layer ships
-/// and checkpoints instead of raw duration buffers. Bucket keys are
-/// delta + ZigZag varint coded, so a typical duration sketch costs a
-/// couple of bytes per occupied bucket.
-///
-/// # Example
-///
-/// ```
-/// use saad_core::codec::{decode_sketch, encode_sketch};
-/// use saad_stats::QuantileSketch;
-///
-/// let mut sk = QuantileSketch::new(0.01);
-/// for v in 1..=1000u64 {
-///     sk.record(v as f64);
-/// }
-/// let wire = encode_sketch(&sk);
-/// assert_eq!(decode_sketch(&mut wire.clone()).unwrap(), sk);
-/// ```
-pub fn encode_sketch(sketch: &saad_stats::QuantileSketch) -> Bytes {
-    let (alpha, zero_count, count, min, max, buckets) = sketch.to_parts();
-    let mut buf = BytesMut::with_capacity(40 + 4 * buckets.len());
-    put_f64(&mut buf, alpha);
-    put_varint(&mut buf, zero_count);
-    put_varint(&mut buf, count);
-    put_f64(&mut buf, min);
-    put_f64(&mut buf, max);
-    put_varint(&mut buf, buckets.len() as u64);
-    let mut prev = 0i64;
-    for (key, n) in buckets {
-        // Keys are strictly ascending; delta them before ZigZag.
-        let delta = i64::from(key) - prev;
-        put_varint(&mut buf, zigzag(delta as i32));
-        put_varint(&mut buf, n);
-        prev = i64::from(key);
-    }
-    buf.freeze()
-}
-
-/// Decode a sketch produced by [`encode_sketch`].
-///
-/// # Errors
-///
-/// [`DecodeError::UnexpectedEof`] on truncation,
-/// [`DecodeError::LengthOutOfRange`] when the bucket count exceeds the
-/// sanity bound.
-pub fn decode_sketch(buf: &mut Bytes) -> Result<saad_stats::QuantileSketch, DecodeError> {
-    let alpha = get_f64(buf)?;
-    let zero_count = get_varint(buf)?;
-    let count = get_varint(buf)?;
-    let min = get_f64(buf)?;
-    let max = get_f64(buf)?;
-    let n = get_varint(buf)?;
-    if n > MAX_SKETCH_BUCKETS {
-        return Err(DecodeError::LengthOutOfRange(n));
-    }
-    let mut buckets = Vec::with_capacity(n as usize);
-    let mut prev = 0i64;
-    for _ in 0..n {
-        let key = prev + i64::from(unzigzag(get_varint(buf)?));
-        let bucket_count = get_varint(buf)?;
-        buckets.push((key as i32, bucket_count));
-        prev = key;
-    }
-    Ok(saad_stats::QuantileSketch::from_parts(
-        alpha, zero_count, count, min, max, buckets,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -804,37 +719,6 @@ mod tests {
                 decode_both_ways(&wire),
                 Err(DecodeError::LengthOutOfRange(fields[victim]))
             );
-        }
-
-        #[test]
-        fn sketch_round_trips_exactly(
-            values in proptest::collection::vec(1e-3f64..1e9, 0..200),
-        ) {
-            let mut sk = saad_stats::QuantileSketch::new(0.01);
-            for &v in &values {
-                sk.record(v);
-            }
-            let mut wire = encode_sketch(&sk);
-            prop_assert_eq!(decode_sketch(&mut wire).unwrap(), sk);
-            prop_assert!(!wire.has_remaining());
-        }
-
-        #[test]
-        fn sketch_truncation_never_panics(
-            values in proptest::collection::vec(1e-3f64..1e9, 1..100),
-            cut_frac in 0.0f64..1.0,
-        ) {
-            let mut sk = saad_stats::QuantileSketch::new(0.01);
-            for &v in &values {
-                sk.record(v);
-            }
-            let wire = encode_sketch(&sk);
-            let cut = ((wire.len() as f64) * cut_frac) as usize;
-            let mut truncated = wire.slice(0..cut);
-            match decode_sketch(&mut truncated) {
-                Ok(decoded) => prop_assert_eq!(decoded, sk),
-                Err(e) => prop_assert_eq!(e, DecodeError::UnexpectedEof),
-            }
         }
     }
 }

@@ -50,10 +50,11 @@ impl fmt::Display for HostId {
 ///
 /// Tenancy is deliberately *not* a column on the interned feature or the
 /// synopsis batch — the batch hot path stays seven columns wide and the
-/// zero-alloc/equivalence guarantees untouched. Instead, the adaptive
-/// layer (`saad-adapt`) derives a tenant from the host at namespace
-/// boundaries (host→tenant routing), so per-tenant state lives beside the
-/// pipeline rather than inside every feature.
+/// zero-alloc/equivalence guarantees untouched. Instead, a lifecycle
+/// pool's router derives a tenant from the host (`TenantRouter` in
+/// `pipeline`) and sends the row to that tenant's shard slots, so
+/// per-tenant state lives beside the pipeline rather than inside every
+/// feature.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u16);
 

@@ -330,25 +330,6 @@ pub struct OutlierModel {
 }
 
 impl OutlierModel {
-    /// Assemble a model directly from per-stage tables, bypassing
-    /// [`ModelBuilder`]. This is the constructor the streaming path
-    /// (`saad-adapt`) uses: its per-(stage, signature) sketches already
-    /// hold counts, shares, and percentile thresholds, so a raw-duration
-    /// replay would be wasted work. The caller owns the statistical
-    /// guarantees of its inputs; `config` must still validate.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] when `config` is outside its valid
-    /// domain, exactly like [`ModelBuilder::try_build`].
-    pub fn from_stages(
-        stages: HashMap<StageId, StageModel>,
-        config: ModelConfig,
-    ) -> Result<Self, ConfigError> {
-        config.validate()?;
-        Ok(Self { stages, config })
-    }
-
     /// Classify one runtime task.
     pub fn classify(&self, f: &FeatureVector) -> TaskClass {
         let Some(stage) = self.stages.get(&f.stage) else {

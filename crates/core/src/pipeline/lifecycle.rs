@@ -1,22 +1,23 @@
-//! Durable model lifecycle on top of the pool: checkpointed state, crash
-//! recovery, bootstrap promotion and the in-band hot model swap.
+//! Durable model lifecycle on top of the pool: tenants, checkpointed
+//! state, crash recovery, bootstrap promotion and the in-band hot model
+//! swap.
 
-use super::adapt::{AdaptPolicy, AdaptState};
+use super::adapt::{AdaptPolicy, AdaptState, TenantRouter};
 use super::pool::{meta_tick, shard_for, PoolHandle, ShardMsg};
 use crate::detector::{AnomalyDetector, DetectorConfig, DetectorSnapshot};
 use crate::feature::InternedFeature;
 use crate::intern::{SigId, SignatureInterner};
 use crate::model::{CompiledModel, ConfigError, ModelBuilder, ModelConfig, OutlierModel};
 use crate::selfmon::{MetaMonitor, MetaStage};
-use crate::store::{Checkpoint, CheckpointError, CheckpointStore};
-use crate::{Signature, StageId};
+use crate::store::{Checkpoint, CheckpointError, CheckpointStore, TenantCheckpoint};
+use crate::{HostId, Signature, StageId, TenantId};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use saad_obs::{Histogram, Registry};
 use saad_sim::SimTime;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -69,12 +70,17 @@ pub struct LifecycleConfig {
     /// the transient-failure counterpart of `checkpoint_stall`.
     pub checkpoint_fail_first: u32,
     /// Continuous adaptation: when set, the router runs a Page-Hinkley
-    /// drift detector over window-level traffic summaries and triggers
-    /// the in-band retrain/hot-swap itself when drift is confirmed.
-    /// `None` (the default) keeps the pool's episodic behaviour —
-    /// retrains happen only on explicit [`PoolHandle::retrain_now`]
-    /// and at bootstrap promotion.
+    /// drift detector over each tenant's window-level traffic summaries
+    /// and triggers that tenant's in-band retrain/hot-swap itself when
+    /// drift is confirmed. `None` (the default) keeps the pool's episodic
+    /// behaviour — retrains happen only on explicit
+    /// [`PoolHandle::retrain_now`] and at bootstrap promotion.
     pub adapt: Option<AdaptPolicy>,
+    /// Which tenant each host belongs to. Every tenant gets `workers`
+    /// shard slots and a model of its own: bootstrapped, promoted,
+    /// retrained, drift-swapped and checkpointed apart from the others.
+    /// By default every host is in [`TenantId::DEFAULT`].
+    pub tenants: TenantRouter,
 }
 
 impl Default for LifecycleConfig {
@@ -92,6 +98,7 @@ impl Default for LifecycleConfig {
             checkpoint_retry_backoff: Duration::from_millis(10),
             checkpoint_fail_first: 0,
             adapt: None,
+            tenants: TenantRouter::new(),
         }
     }
 }
@@ -103,8 +110,8 @@ pub enum LifecycleError {
     Checkpoint(CheckpointError),
     /// The retrained model's configuration was rejected.
     Config(ConfigError),
-    /// The pool is still in bootstrap (collect-only) mode, which is never
-    /// checkpointed — there is no model to persist.
+    /// Every tenant is still in bootstrap (collect-only) mode, which is
+    /// never checkpointed — there is no model to persist.
     Bootstrapping,
     /// Not enough recent synopses to train a model.
     InsufficientData {
@@ -126,6 +133,8 @@ pub enum LifecycleError {
     PoolClosed,
     /// The pool was started from a model and has no checkpoint store.
     NoStore,
+    /// The pool's [`TenantRouter`] has no such tenant.
+    UnknownTenant(TenantId),
 }
 
 impl fmt::Display for LifecycleError {
@@ -149,6 +158,7 @@ impl fmt::Display for LifecycleError {
             ),
             LifecycleError::PoolClosed => write!(f, "analyzer pool is no longer running"),
             LifecycleError::NoStore => write!(f, "pool was started from a model, without a store"),
+            LifecycleError::UnknownTenant(tenant) => write!(f, "pool has no tenant {tenant}"),
         }
     }
 }
@@ -172,7 +182,7 @@ impl From<ConfigError> for LifecycleError {
 pub struct SwapReport {
     /// Synopses the new model was trained from.
     pub trained_from: u64,
-    /// Whether this swap promoted the pool out of bootstrap mode.
+    /// Whether this swap promoted the tenant out of bootstrap mode.
     pub promoted: bool,
     /// Stages covered by the new model.
     pub stages: usize,
@@ -182,7 +192,7 @@ pub struct SwapReport {
 /// next batch boundary (or at end of stream).
 enum PoolCommand {
     Checkpoint(Sender<Result<u64, LifecycleError>>),
-    Retrain(Sender<Result<SwapReport, LifecycleError>>),
+    Retrain(TenantId, Sender<Result<SwapReport, LifecycleError>>),
 }
 
 /// A checkpoint handed to the writer thread, with an optional reply
@@ -206,13 +216,11 @@ fn checkpoint_retry_delay(base: Duration, attempt: u32, generation: u64) -> Dura
     capped.mul_f64(jitter)
 }
 
-/// Live lifecycle counters, shared between the router and checkpoint-writer
-/// threads (writers) and the [`PoolHandle`] with its scrape-time callbacks
-/// (readers).
+/// Live checkpoint counters, shared between the router and
+/// checkpoint-writer threads (writers) and the [`PoolHandle`] with its
+/// scrape-time callbacks (readers).
 #[derive(Debug, Default)]
-pub(super) struct LifecycleObs {
-    /// False while in bootstrap (collect-only) mode.
-    detecting: AtomicBool,
+struct LifecycleObs {
     checkpoints_written: AtomicU64,
     checkpoint_retries: AtomicU64,
     /// [`NO_GENERATION`] until the first durable checkpoint.
@@ -220,166 +228,112 @@ pub(super) struct LifecycleObs {
     last_error: parking_lot::Mutex<Option<LifecycleError>>,
     /// Wall-clock microseconds per durable checkpoint write.
     checkpoint_latency: Arc<Histogram>,
-    pub(super) drift_swaps: AtomicU64,
-    pub(super) adapt_windows: AtomicU64,
 }
 
-/// Lifecycle state owned by the router thread of a pool started from a
-/// store.
-pub(super) struct RouterLifecycle {
-    cfg: LifecycleConfig,
-    control_rx: Receiver<PoolCommand>,
-    writer_tx: Sender<WriterJob>,
-    interner: Arc<SignatureInterner>,
+/// One tenant's live counters, written by the router thread and read by
+/// the [`PoolHandle`] and its scrape-time callbacks.
+#[derive(Debug, Default)]
+pub(super) struct TenantObs {
+    /// Model generation: 0 in bootstrap, one more per swap.
+    generation: AtomicU64,
+    pub(super) drift_swaps: AtomicU64,
+    pub(super) adapt_windows: AtomicU64,
+    /// Synopses routed to the tenant, published at batch boundaries.
+    observed: AtomicU64,
+}
+
+/// One tenant's side of the router's lifecycle: its model, the ring of
+/// recent traffic its next model trains on, its promotion schedule and its
+/// drift state. Its shard slots are the `workers` from `index × workers`.
+struct TenantLifecycle {
+    id: TenantId,
     model: Arc<OutlierModel>,
     compiled: Arc<CompiledModel>,
-    /// False while in bootstrap (collect-only) mode.
-    pub(super) detecting: bool,
-    obs: Arc<LifecycleObs>,
-    /// Next checkpoint generation to assemble.
+    /// Swaps so far, promotion included; 0 while in bootstrap
+    /// (collect-only) mode.
     generation: u64,
     /// Recent traffic for retraining, newest at the back — compacted to
     /// the three fields training needs (stage, interned signature,
-    /// duration) instead of whole cloned synopses: 24 bytes per element
-    /// and no per-element heap allocation. Signatures are resolved back
-    /// through the shared interner only on the (cold) retrain path.
+    /// duration) instead of whole cloned synopses: no per-element heap
+    /// allocation. Signatures are resolved back through the shared
+    /// interner only on the (cold) retrain path.
     ring: VecDeque<(StageId, SigId, f64)>,
     seen: u64,
-    since_checkpoint: u64,
     next_attempt: u64,
     /// Drift detection state, present when the configuration carries an
     /// [`AdaptPolicy`].
     adapt: Option<AdaptState>,
+    obs: Arc<TenantObs>,
 }
 
-impl RouterLifecycle {
-    /// The meta-monitor the pool's own stages report to, if any.
-    pub(super) fn meta(&self) -> Option<Arc<MetaMonitor>> {
-        self.cfg.meta.clone()
+impl TenantLifecycle {
+    fn detecting(&self) -> bool {
+        self.generation > 0
     }
 
-    /// Record one routed element in the retrain ring buffer and counters.
-    pub(super) fn absorb(&mut self, feature: &InternedFeature) {
+    /// Record one routed element in the retrain ring and drift window.
+    fn absorb(&mut self, feature: &InternedFeature, window: usize) {
         self.ring
             .push_back((feature.stage, feature.sig, feature.duration_us));
-        if self.ring.len() > self.cfg.retrain_window {
+        if self.ring.len() > window {
             self.ring.pop_front();
         }
         self.seen += 1;
-        self.since_checkpoint += 1;
         if let Some(adapt) = self.adapt.as_mut() {
             adapt.absorb(feature);
         }
     }
 
-    /// Batch-boundary lifecycle work: drain control commands, attempt
-    /// bootstrap promotion, and take an automatic checkpoint when due.
-    pub(super) fn pump(&mut self, watermark: SimTime, shard_txs: &[Sender<ShardMsg>]) {
-        let commands: Vec<PoolCommand> = self.control_rx.try_iter().collect();
-        for command in commands {
-            match command {
-                PoolCommand::Checkpoint(reply) => self.take_checkpoint(shard_txs, Some(reply)),
-                PoolCommand::Retrain(reply) => {
-                    let _ = reply.send(self.try_retrain(watermark, shard_txs));
-                }
-            }
-        }
-        if !self.detecting
+    /// Batch-boundary work for this tenant: bootstrap promotion, then
+    /// drift. A confirmed trip does NOT retrain on the spot — the ring
+    /// still holds the regime the drift just invalidated. It drops the
+    /// ring instead, and the swap happens at a later boundary, once
+    /// enough purely post-drift traffic has refilled it (reusing the
+    /// existing retrain/hot-swap path).
+    fn pump(
+        &mut self,
+        cfg: &LifecycleConfig,
+        interner: &SignatureInterner,
+        watermark: SimTime,
+        slots: &[Sender<ShardMsg>],
+    ) {
+        if !self.detecting()
             && self.seen >= self.next_attempt
-            && self.try_retrain(watermark, shard_txs).is_err()
+            && self.try_retrain(cfg, interner, watermark, slots).is_err()
         {
             // The gate refused; observe more traffic before retrying.
-            self.next_attempt = self.seen + self.cfg.promote_after.max(1);
+            self.next_attempt = self.seen + cfg.promote_after.max(1);
         }
-        // Drift-triggered adaptation: close any adapt windows the
-        // watermark has passed. A confirmed trip does NOT retrain on the
-        // spot — the ring still holds the regime the drift just
-        // invalidated. Instead the trip drops the ring and marks the
-        // retrain pending; the swap happens at a later watermark
-        // boundary, once enough purely post-drift traffic has refilled
-        // the ring (reusing the existing retrain/hot-swap path).
-        if let Some(adapt) = self.adapt.as_mut() {
-            if adapt.evaluate(watermark) && self.detecting && adapt.mark_pending() {
-                self.ring.clear();
-            }
+        if self.adapt.as_mut().is_some_and(|a| a.evaluate(watermark)) {
+            self.ring.clear();
         }
-        let retrain_ready = self.detecting
-            && self.adapt.as_ref().is_some_and(AdaptState::is_pending)
-            && self.ring.len() as u64 >= self.cfg.min_retrain_samples;
-        if retrain_ready {
-            let swapped = self.try_retrain(watermark, shard_txs).is_ok();
+        if self.adapt.as_ref().is_some_and(AdaptState::retrain_due)
+            && self.ring.len() as u64 >= cfg.min_retrain_samples
+        {
+            let swapped = self.try_retrain(cfg, interner, watermark, slots).is_ok();
             if let Some(adapt) = self.adapt.as_mut() {
                 adapt.drift_retrain_done(swapped);
             }
         }
-        if self.detecting
-            && self.cfg.checkpoint_every > 0
-            && self.since_checkpoint >= self.cfg.checkpoint_every
-        {
-            self.take_checkpoint(shard_txs, None);
-        }
+        self.obs.observed.store(self.seen, Ordering::Relaxed);
     }
 
-    /// Collect a snapshot from every shard (in shard order, in-band) and
-    /// hand the assembled checkpoint to the writer thread. Bootstrap mode
-    /// is never checkpointed: there is no model worth persisting, and
-    /// recovery falls back to bootstrap anyway.
-    pub(super) fn take_checkpoint(
-        &mut self,
-        shard_txs: &[Sender<ShardMsg>],
-        reply: Option<Sender<Result<u64, LifecycleError>>>,
-    ) {
-        let fail = |reply: Option<Sender<Result<u64, LifecycleError>>>, e: LifecycleError| {
-            if let Some(reply) = reply {
-                let _ = reply.send(Err(e));
-            }
-        };
-        if !self.detecting {
-            return fail(reply, LifecycleError::Bootstrapping);
-        }
-        let mut pending = Vec::with_capacity(shard_txs.len());
-        for tx in shard_txs {
-            let (snap_tx, snap_rx) = bounded(1);
-            if tx.send(ShardMsg::Snapshot(snap_tx)).is_err() {
-                return fail(reply, LifecycleError::PoolClosed);
-            }
-            pending.push(snap_rx);
-        }
-        let mut shards = Vec::with_capacity(pending.len());
-        for snap_rx in pending {
-            match snap_rx.recv() {
-                Ok(snapshot) => shards.push(snapshot),
-                Err(_) => return fail(reply, LifecycleError::PoolClosed),
-            }
-        }
-        let checkpoint = Checkpoint::new(
-            self.generation,
-            self.model.clone(),
-            self.compiled.clone(),
-            self.interner.clone(),
-            shards,
-        );
-        self.generation += 1;
-        self.since_checkpoint = 0;
-        if self.writer_tx.send((checkpoint, reply)).is_err() {
-            // Writer gone; the reply (if any) went with the job.
-        }
-    }
-
-    /// Train a candidate model from the retrain ring buffer, gate it with
-    /// k-fold cross-validation over the pooled durations, and — if it
-    /// passes — broadcast an in-band swap to every shard.
+    /// Train a candidate model from the retrain ring, gate it with k-fold
+    /// cross-validation over the pooled durations, and — if it passes —
+    /// send an in-band swap to each of the tenant's shard slots.
     fn try_retrain(
         &mut self,
+        cfg: &LifecycleConfig,
+        interner: &SignatureInterner,
         watermark: SimTime,
-        shard_txs: &[Sender<ShardMsg>],
+        slots: &[Sender<ShardMsg>],
     ) -> Result<SwapReport, LifecycleError> {
         let have = self.ring.len() as u64;
-        let need = self.cfg.min_retrain_samples;
+        let need = cfg.min_retrain_samples;
         if have < need {
             return Err(LifecycleError::InsufficientData { have, need });
         }
-        let mc = self.cfg.model_config;
+        let mc = cfg.model_config;
         // Whole-window stability gate: if even the pooled duration
         // distribution cannot support a stable percentile threshold, the
         // traffic window is too heterogeneous to train from.
@@ -402,7 +356,7 @@ impl RouterLifecycle {
         let mut resolved: HashMap<SigId, Signature> = HashMap::new();
         for &(stage, sig, duration_us) in &self.ring {
             let signature = resolved.entry(sig).or_insert_with(|| {
-                self.interner
+                interner
                     .resolve(sig)
                     .expect("retrain ring SigId interned by this pool")
             });
@@ -411,24 +365,23 @@ impl RouterLifecycle {
         let model = Arc::new(builder.try_build(mc)?);
         // Compiled against the SAME shared interner every shard already
         // uses, so interned features stay valid across the swap.
-        let compiled = Arc::new(model.compile(&self.interner));
-        for tx in shard_txs {
-            if tx
-                .send(ShardMsg::Swap {
-                    model: model.clone(),
-                    compiled: compiled.clone(),
-                    watermark,
-                })
-                .is_err()
-            {
+        let compiled = Arc::new(model.compile(interner));
+        for tx in slots {
+            let (model, compiled) = (model.clone(), compiled.clone());
+            let swap = ShardMsg::Swap {
+                model,
+                compiled,
+                watermark,
+            };
+            if tx.send(swap).is_err() {
                 return Err(LifecycleError::PoolClosed);
             }
         }
-        let promoted = !self.detecting;
+        let promoted = !self.detecting();
         self.model = model;
         self.compiled = compiled;
-        self.detecting = true;
-        self.obs.detecting.store(true, Ordering::SeqCst);
+        self.generation += 1;
+        self.obs.generation.store(self.generation, Ordering::SeqCst);
         if let Some(adapt) = self.adapt.as_mut() {
             // Every swap re-anchors the drift baseline: the no-drift
             // reference is always the live model's training window.
@@ -442,14 +395,156 @@ impl RouterLifecycle {
     }
 }
 
+/// Lifecycle state owned by the router thread of a pool started from a
+/// store: what is pool-wide (commands, checkpoints, the interner), and
+/// one [`TenantLifecycle`] per tenant.
+pub(super) struct RouterLifecycle {
+    cfg: LifecycleConfig,
+    control_rx: Receiver<PoolCommand>,
+    writer_tx: Sender<WriterJob>,
+    interner: Arc<SignatureInterner>,
+    /// Next checkpoint generation to assemble.
+    generation: u64,
+    since_checkpoint: u64,
+    /// Shard slots per tenant.
+    workers: usize,
+    /// [`TenantRouter::host_table`], and the default tenant's index.
+    hosts: Vec<u16>,
+    default_tenant: usize,
+    tenants: Vec<TenantLifecycle>,
+}
+
+impl RouterLifecycle {
+    /// The meta-monitor the pool's own stages report to, if any.
+    pub(super) fn meta(&self) -> Option<Arc<MetaMonitor>> {
+        self.cfg.meta.clone()
+    }
+
+    /// Tenants, each with `workers` consecutive shard slots.
+    pub(super) fn tenant_count(&self) -> usize {
+        self.tenants.len()
+    }
+
+    /// The index of `host`'s tenant.
+    #[inline]
+    pub(super) fn tenant_of(&self, host: HostId) -> usize {
+        let entry = self.hosts.get(usize::from(host.0));
+        entry.map_or(self.default_tenant, |&tenant| usize::from(tenant))
+    }
+
+    /// Record one routed element with its tenant; returns the tenant's
+    /// index.
+    #[inline]
+    pub(super) fn absorb(&mut self, feature: &InternedFeature) -> usize {
+        let tenant = self.tenant_of(feature.host);
+        self.tenants[tenant].absorb(feature, self.cfg.retrain_window);
+        self.since_checkpoint += 1;
+        tenant
+    }
+
+    /// Whether any tenant has a model (and so a section to checkpoint).
+    pub(super) fn detecting(&self) -> bool {
+        self.tenants.iter().any(TenantLifecycle::detecting)
+    }
+
+    /// Batch-boundary lifecycle work: drain control commands, pump every
+    /// tenant over its own slots, and take an automatic checkpoint when
+    /// due.
+    pub(super) fn pump(&mut self, watermark: SimTime, shard_txs: &[Sender<ShardMsg>]) {
+        let commands: Vec<PoolCommand> = self.control_rx.try_iter().collect();
+        for command in commands {
+            match command {
+                PoolCommand::Checkpoint(reply) => self.take_checkpoint(shard_txs, Some(reply)),
+                PoolCommand::Retrain(id, reply) => {
+                    let found = self.tenants.iter().position(|t| t.id == id);
+                    let result = found.map_or(Err(LifecycleError::UnknownTenant(id)), |i| {
+                        let slots = &shard_txs[i * self.workers..(i + 1) * self.workers];
+                        let interner = &self.interner;
+                        self.tenants[i].try_retrain(&self.cfg, interner, watermark, slots)
+                    });
+                    let _ = reply.send(result);
+                }
+            }
+        }
+        let slots = shard_txs.chunks(self.workers);
+        for (tenant, slots) in self.tenants.iter_mut().zip(slots) {
+            tenant.pump(&self.cfg, &self.interner, watermark, slots);
+        }
+        if self.detecting()
+            && self.cfg.checkpoint_every > 0
+            && self.since_checkpoint >= self.cfg.checkpoint_every
+        {
+            self.take_checkpoint(shard_txs, None);
+        }
+    }
+
+    /// Collect a snapshot from every shard slot of every tenant with a
+    /// model (in slot order, in-band) and hand the assembled checkpoint to
+    /// the writer thread. A tenant in bootstrap writes no section: it has
+    /// no model worth persisting, and recovery bootstraps it anyway.
+    pub(super) fn take_checkpoint(
+        &mut self,
+        shard_txs: &[Sender<ShardMsg>],
+        reply: Option<Sender<Result<u64, LifecycleError>>>,
+    ) {
+        let fail = |reply: Option<Sender<Result<u64, LifecycleError>>>, e: LifecycleError| {
+            if let Some(reply) = reply {
+                let _ = reply.send(Err(e));
+            }
+        };
+        if !self.detecting() {
+            return fail(reply, LifecycleError::Bootstrapping);
+        }
+        let slots = shard_txs.chunks(self.workers);
+        let detecting: Vec<_> = (self.tenants.iter().zip(slots))
+            .filter(|(tenant, _)| tenant.detecting())
+            .collect();
+        let mut replies = Vec::new();
+        for tx in detecting.iter().flat_map(|(_, slots)| slots.iter()) {
+            let (snap_tx, snap_rx) = bounded(1);
+            if tx.send(ShardMsg::Snapshot(snap_tx)).is_err() {
+                return fail(reply, LifecycleError::PoolClosed);
+            }
+            replies.push(snap_rx);
+        }
+        let mut replies = replies.into_iter();
+        let mut sections = Vec::with_capacity(detecting.len());
+        for (tenant, _) in detecting {
+            let shards = replies.by_ref().take(self.workers).map(|rx| rx.recv().ok());
+            let Some(shards) = shards.collect() else {
+                return fail(reply, LifecycleError::PoolClosed);
+            };
+            sections.push(TenantCheckpoint {
+                tenant: tenant.id,
+                generation: tenant.generation,
+                model: tenant.model.clone(),
+                compiled: tenant.compiled.clone(),
+                shards,
+            });
+        }
+        let checkpoint = Checkpoint {
+            generation: self.generation,
+            interner: self.interner.clone(),
+            tenants: sections,
+        };
+        self.generation += 1;
+        self.since_checkpoint = 0;
+        if self.writer_tx.send((checkpoint, reply)).is_err() {
+            // Writer gone; the reply (if any) went with the job.
+        }
+    }
+}
+
 /// The store's side of a pool started from a
 /// [`PoolStart::Store`](super::PoolStart::Store): the control channel into
-/// its router, the checkpoint writer, and what recovery found.
+/// its router, the checkpoint writer, each tenant's counters, and what
+/// recovery found.
 #[derive(Debug)]
 pub(super) struct Store {
     control: Sender<PoolCommand>,
     writer: JoinHandle<()>,
     obs: Arc<LifecycleObs>,
+    tenants: Vec<(TenantId, Arc<TenantObs>)>,
     recovered_generation: Option<u64>,
     rejected: Vec<(PathBuf, CheckpointError)>,
 }
@@ -466,7 +561,8 @@ impl Store {
 
     /// The lifecycle layer's series: checkpoint write latency (wall-clock
     /// histogram recorded on the writer thread), checkpoints written, last
-    /// durable generation, the detecting/bootstrap flag and drift swaps.
+    /// durable generation, the detecting/bootstrap flag, and per tenant
+    /// its model generation, drift swaps, adapt windows and tasks.
     pub(super) fn register_metrics(&self, registry: &Registry) {
         registry.attach_histogram(
             "saad_checkpoint_write_latency_us",
@@ -484,12 +580,12 @@ impl Store {
                 generation => generation as i64,
             },
         );
-        let obs = Arc::clone(&self.obs);
+        let tenants: Vec<Arc<TenantObs>> = self.tenants.iter().map(|(_, t)| t.clone()).collect();
         registry.register_gauge_fn(
             "saad_pool_detecting",
-            "1 while the pool classifies with a model, 0 in bootstrap collect-only mode",
+            "1 while a tenant classifies with a model, 0 while every tenant is in bootstrap collect-only mode",
             &[],
-            move || i64::from(obs.detecting.load(Ordering::SeqCst)),
+            move || i64::from(tenants.iter().any(|t| t.generation.load(Ordering::SeqCst) > 0)),
         );
         let counter = |name, help, read: fn(&LifecycleObs) -> &AtomicU64| {
             let obs = Arc::clone(&self.obs);
@@ -506,16 +602,37 @@ impl Store {
             "Transient checkpoint write failures retried with backoff",
             |obs| &obs.checkpoint_retries,
         );
-        counter(
-            "saad_drift_swaps_total",
-            "Hot model swaps triggered by the drift detector",
-            |obs| &obs.drift_swaps,
-        );
-        counter(
-            "saad_adapt_windows_total",
-            "Adapt windows that closed with enough samples for drift evidence",
-            |obs| &obs.adapt_windows,
-        );
+        for (tenant, obs) in &self.tenants {
+            let label = tenant.to_string();
+            let labels = [("tenant", label.as_str())];
+            let generation = Arc::clone(obs);
+            registry.register_gauge_fn(
+                "saad_tenant_model_generation",
+                "Model generation installed for this tenant",
+                &labels,
+                move || generation.generation.load(Ordering::SeqCst) as i64,
+            );
+            let counter = |name, help, read: fn(&TenantObs) -> &AtomicU64| {
+                let obs = Arc::clone(obs);
+                let read_now = move || read(&obs).load(Ordering::SeqCst);
+                registry.register_counter_fn(name, help, &labels, read_now);
+            };
+            counter(
+                "saad_tenant_drift_swaps_total",
+                "Drift-triggered model swaps for this tenant",
+                |obs| &obs.drift_swaps,
+            );
+            counter(
+                "saad_tenant_adapt_windows_total",
+                "Adapt windows of this tenant that closed with enough samples for drift evidence",
+                |obs| &obs.adapt_windows,
+            );
+            counter(
+                "saad_tenant_tasks_observed_total",
+                "Tasks routed to this tenant",
+                |obs| &obs.observed,
+            );
+        }
     }
 }
 
@@ -524,38 +641,50 @@ impl Store {
 /// detecting, counts nothing here, and answers every request with
 /// [`LifecycleError::NoStore`].
 impl PoolHandle {
-    fn lifecycle_obs(&self) -> Option<&LifecycleObs> {
-        self.store.as_ref().map(|store| &*store.obs)
-    }
-
     fn lifecycle_count(&self, counter: fn(&LifecycleObs) -> &AtomicU64) -> u64 {
-        self.lifecycle_obs()
-            .map_or(0, |obs| counter(obs).load(Ordering::SeqCst))
+        let store = self.store.as_ref();
+        store.map_or(0, |store| counter(&store.obs).load(Ordering::SeqCst))
     }
 
-    /// Whether the pool has a model and is classifying (true), or is in
-    /// bootstrap collect-only mode (false).
-    pub fn is_detecting(&self) -> bool {
-        self.lifecycle_obs()
-            .is_none_or(|obs| obs.detecting.load(Ordering::SeqCst))
+    fn tenant_count(&self, tenant: TenantId, counter: fn(&TenantObs) -> &AtomicU64) -> u64 {
+        let tenants = self
+            .store
+            .as_ref()
+            .map_or(&[][..], |store| store.tenants.as_slice());
+        let obs = tenants.iter().find(|(id, _)| *id == tenant);
+        obs.map_or(0, |(_, obs)| counter(obs).load(Ordering::SeqCst))
+    }
+
+    /// Whether `tenant` has a model and is classifying (true), or is in
+    /// bootstrap collect-only mode (false). False for a tenant the pool
+    /// does not have; true on a pool started from a model.
+    pub fn is_detecting(&self, tenant: TenantId) -> bool {
+        self.store.is_none() || self.generation(tenant) > 0
+    }
+
+    /// `tenant`'s model generation: 0 in bootstrap, 1 after promotion,
+    /// one more for every swap since (restored from the checkpoint).
+    /// 0 on a pool started from a model.
+    pub fn generation(&self, tenant: TenantId) -> u64 {
+        self.tenant_count(tenant, |obs| &obs.generation)
+    }
+
+    /// Hot swaps of `tenant`'s model triggered by the drift detector (0
+    /// without an [`AdaptPolicy`]; manual retrains and bootstrap
+    /// promotion are not counted here).
+    pub fn drift_swaps(&self, tenant: TenantId) -> u64 {
+        self.tenant_count(tenant, |obs| &obs.drift_swaps)
+    }
+
+    /// Adapt windows of `tenant` that closed with enough samples to
+    /// contribute drift evidence (0 without an [`AdaptPolicy`]).
+    pub fn adapt_windows(&self, tenant: TenantId) -> u64 {
+        self.tenant_count(tenant, |obs| &obs.adapt_windows)
     }
 
     /// Checkpoints durably written so far.
     pub fn checkpoints_written(&self) -> u64 {
         self.lifecycle_count(|obs| &obs.checkpoints_written)
-    }
-
-    /// Hot swaps triggered by the drift detector (0 without an
-    /// [`AdaptPolicy`]; manual retrains and bootstrap promotion are not
-    /// counted here).
-    pub fn drift_swaps(&self) -> u64 {
-        self.lifecycle_count(|obs| &obs.drift_swaps)
-    }
-
-    /// Adapt windows that closed with enough samples to contribute drift
-    /// evidence (0 without an [`AdaptPolicy`]).
-    pub fn adapt_windows(&self) -> u64 {
-        self.lifecycle_count(|obs| &obs.adapt_windows)
     }
 
     /// Transient checkpoint write failures retried with backoff so far
@@ -566,7 +695,13 @@ impl PoolHandle {
 
     /// Generation of the most recent durable checkpoint, if any.
     pub fn last_checkpoint_generation(&self) -> Option<u64> {
-        match self.lifecycle_obs()?.last_generation.load(Ordering::SeqCst) {
+        match self
+            .store
+            .as_ref()?
+            .obs
+            .last_generation
+            .load(Ordering::SeqCst)
+        {
             NO_GENERATION => None,
             generation => Some(generation),
         }
@@ -576,7 +711,7 @@ impl PoolHandle {
     /// (Explicit [`PoolHandle::checkpoint_now`] calls surface their
     /// errors directly.)
     pub fn last_checkpoint_error(&self) -> Option<LifecycleError> {
-        self.lifecycle_obs()?.last_error.lock().clone()
+        self.store.as_ref()?.obs.last_error.lock().clone()
     }
 
     /// Generation this pool was restored from at startup (`None` if it
@@ -595,7 +730,7 @@ impl PoolHandle {
     /// it at once when there is no store or no router.
     fn request<T>(
         &self,
-        command: fn(Sender<Result<T, LifecycleError>>) -> PoolCommand,
+        command: impl FnOnce(Sender<Result<T, LifecycleError>>) -> PoolCommand,
     ) -> Receiver<Result<T, LifecycleError>> {
         let (tx, rx) = bounded(1);
         let refused = match &self.store {
@@ -622,7 +757,7 @@ impl PoolHandle {
     ///
     /// # Errors
     ///
-    /// [`LifecycleError::Bootstrapping`] before promotion,
+    /// [`LifecycleError::Bootstrapping`] while no tenant has a model,
     /// [`LifecycleError::Checkpoint`] if the write failed,
     /// [`LifecycleError::NoStore`] on a pool started from a model, or
     /// [`LifecycleError::PoolClosed`] if the pool is gone.
@@ -632,11 +767,14 @@ impl PoolHandle {
             .unwrap_or(Err(LifecycleError::PoolClosed))
     }
 
-    /// Request a hot model swap retrained from the recent synopsis
-    /// window. Applied at the next batch boundary, like
+    /// Request a hot swap of `tenant`'s model, retrained from its recent
+    /// synopsis window. Applied at the next batch boundary, like
     /// [`PoolHandle::request_checkpoint`].
-    pub fn request_retrain(&self) -> Receiver<Result<SwapReport, LifecycleError>> {
-        self.request(PoolCommand::Retrain)
+    pub fn request_retrain(
+        &self,
+        tenant: TenantId,
+    ) -> Receiver<Result<SwapReport, LifecycleError>> {
+        self.request(|reply| PoolCommand::Retrain(tenant, reply))
     }
 
     /// Blocking convenience for [`PoolHandle::request_retrain`].
@@ -646,10 +784,10 @@ impl PoolHandle {
     /// [`LifecycleError::InsufficientData`] or
     /// [`LifecycleError::UnstableModel`] when the gate refuses the
     /// candidate, [`LifecycleError::Config`] for an invalid training
-    /// configuration, [`LifecycleError::NoStore`], or
-    /// [`LifecycleError::PoolClosed`].
-    pub fn retrain_now(&self) -> Result<SwapReport, LifecycleError> {
-        self.request_retrain()
+    /// configuration, [`LifecycleError::UnknownTenant`],
+    /// [`LifecycleError::NoStore`], or [`LifecycleError::PoolClosed`].
+    pub fn retrain_now(&self, tenant: TenantId) -> Result<SwapReport, LifecycleError> {
+        self.request_retrain(tenant)
             .recv()
             .unwrap_or(Err(LifecycleError::PoolClosed))
     }
@@ -714,11 +852,46 @@ fn run_checkpoint_writer(
     }
 }
 
-/// Open the checkpoint store in `dir` for a pool of `workers` shards:
-/// restore its newest checkpoint that decodes — resharded when the worker
-/// count changed — or bootstrap collect-only detectors on a fresh
-/// interner, and start the checkpoint writer. Returns the shard detectors,
-/// the router's lifecycle state and the handle's side of the store.
+/// A tenant's checkpointed shards as `workers` detectors: one to one, or
+/// — when the worker count changed since — merged and re-partitioned
+/// along this pool's own routing, so every (host, stage) window lands on
+/// the shard that will keep feeding it.
+fn restore_shards(
+    section: TenantCheckpoint,
+    interner: &Arc<SignatureInterner>,
+    config: DetectorConfig,
+    workers: usize,
+) -> Vec<AnomalyDetector> {
+    let shards = if section.shards.len() == workers {
+        section.shards
+    } else {
+        DetectorSnapshot::merge(section.shards).map_or(Vec::new(), |merged| {
+            merged.partition(workers, |host, stage| shard_for(host, stage, workers))
+        })
+    };
+    if shards.is_empty() {
+        let (model, compiled) = (&section.model, &section.compiled);
+        let fresh = || {
+            let (model, compiled) = (model.clone(), compiled.clone());
+            AnomalyDetector::with_shared(model, compiled, interner.clone(), config)
+        };
+        return (0..workers).map(|_| fresh()).collect();
+    }
+    shards
+        .into_iter()
+        .map(AnomalyDetector::from_snapshot)
+        .collect()
+}
+
+/// Open the checkpoint store in `dir` for a pool of `workers` shard slots
+/// per tenant and start its checkpoint writer. The newest checkpoint that
+/// decodes gives the pool its interner, and every configured tenant with
+/// a section there its model, generation and windows; a tenant without
+/// one bootstraps collect-only detectors, and a section for a tenant no
+/// longer configured is ignored. Without a checkpoint every tenant
+/// bootstraps on a fresh interner. Returns the detectors in slot order
+/// (tenant by tenant), the router's lifecycle state and the handle's
+/// side of the store.
 pub(super) fn open_store(
     dir: PathBuf,
     lifecycle: LifecycleConfig,
@@ -729,67 +902,62 @@ pub(super) fn open_store(
     let recovery = store.recover()?;
     let next_generation = store.latest_generation()?.map_or(0, |g| g + 1);
     let rejected = recovery.rejected;
+    let (recovered_generation, interner, mut sections) = match recovery.checkpoint {
+        Some(checkpoint) => (
+            Some(checkpoint.generation),
+            checkpoint.interner,
+            checkpoint.tenants,
+        ),
+        None => (None, Arc::new(SignatureInterner::new()), Vec::new()),
+    };
 
-    let (recovered_generation, detecting, model, compiled, interner, detectors) =
-        match recovery.checkpoint {
-            Some(checkpoint) => {
-                let Checkpoint {
-                    generation,
-                    model,
-                    compiled,
-                    interner,
-                    shards,
-                } = checkpoint;
-                let shards = if shards.len() == workers {
-                    shards
-                } else {
-                    // Worker count changed since the checkpoint: merge the
-                    // old shards and re-partition along this pool's own
-                    // routing, so every (host, stage) window lands on the
-                    // shard that will keep feeding it.
-                    match DetectorSnapshot::merge(shards) {
-                        Some(merged) => {
-                            merged.partition(workers, |host, stage| shard_for(host, stage, workers))
-                        }
-                        None => Vec::new(),
-                    }
-                };
-                let detectors: Vec<AnomalyDetector> = if shards.is_empty() {
-                    (0..workers)
-                        .map(|_| {
-                            AnomalyDetector::with_shared(
-                                model.clone(),
-                                compiled.clone(),
-                                interner.clone(),
-                                config,
-                            )
-                        })
-                        .collect()
-                } else {
-                    shards
-                        .into_iter()
-                        .map(AnomalyDetector::from_snapshot)
-                        .collect()
-                };
-                (Some(generation), true, model, compiled, interner, detectors)
+    let ids = lifecycle.tenants.tenants();
+    let mut detectors = Vec::with_capacity(ids.len() * workers);
+    let mut tenants = Vec::with_capacity(ids.len());
+    for &id in &ids {
+        let found = sections.iter().position(|s| s.tenant == id);
+        let (generation, model, compiled) = match found.map(|i| sections.swap_remove(i)) {
+            Some(section) => {
+                let (model, compiled) = (section.model.clone(), section.compiled.clone());
+                let generation = section.generation.max(1);
+                detectors.extend(restore_shards(section, &interner, config, workers));
+                (generation, model, compiled)
             }
             None => {
-                // Bootstrap: no usable checkpoint. Collect-only detectors
-                // share a fresh interner; the placeholder model never
-                // classifies anything and is replaced at promotion.
-                let interner = Arc::new(SignatureInterner::new());
-                let model = Arc::new(ModelBuilder::new().build(ModelConfig::default()));
-                let compiled = Arc::new(model.compile(&interner));
-                let mut detectors = Vec::with_capacity(workers);
+                // Bootstrap: collect-only detectors; the placeholder
+                // model never classifies anything and is replaced at
+                // promotion.
                 for _ in 0..workers {
                     detectors.push(AnomalyDetector::collecting(interner.clone(), config)?);
                 }
-                (None, false, model, compiled, interner, detectors)
+                let model = Arc::new(ModelBuilder::new().build(ModelConfig::default()));
+                let compiled = Arc::new(model.compile(&interner));
+                (0, model, compiled)
             }
         };
+        let obs = Arc::new(TenantObs {
+            generation: AtomicU64::new(generation),
+            ..TenantObs::default()
+        });
+        let quantile = lifecycle.model_config.duration_percentile;
+        let adapt = lifecycle
+            .adapt
+            .clone()
+            .map(|p| AdaptState::new(p, quantile, obs.clone()));
+        tenants.push(TenantLifecycle {
+            id,
+            model,
+            compiled,
+            generation,
+            ring: VecDeque::new(),
+            seen: 0,
+            next_attempt: lifecycle.promote_after,
+            adapt,
+            obs,
+        });
+    }
 
     let obs = Arc::new(LifecycleObs {
-        detecting: AtomicBool::new(detecting),
         last_generation: AtomicU64::new(NO_GENERATION),
         ..LifecycleObs::default()
     });
@@ -801,41 +969,32 @@ pub(super) fn open_store(
         .expect("spawn checkpoint writer thread");
 
     let (control_tx, control_rx) = unbounded();
-    let next_attempt = lifecycle.promote_after;
-    let quantile = lifecycle.model_config.duration_percentile;
-    let adapt = lifecycle
-        .adapt
-        .clone()
-        .map(|policy| AdaptState::new(policy, quantile, obs.clone()));
+    let store = Store {
+        control: control_tx,
+        writer,
+        obs: obs.clone(),
+        tenants: tenants.iter().map(|t| (t.id, t.obs.clone())).collect(),
+        recovered_generation,
+        rejected,
+    };
     let router_lifecycle = RouterLifecycle {
+        hosts: lifecycle.tenants.host_table(&ids),
+        default_tenant: ids.binary_search(&TenantId::DEFAULT).unwrap_or(0),
         cfg: lifecycle,
         control_rx,
         writer_tx,
         interner,
-        model,
-        compiled,
-        detecting,
-        obs: obs.clone(),
         generation: next_generation,
-        ring: VecDeque::new(),
-        seen: 0,
         since_checkpoint: 0,
-        next_attempt,
-        adapt,
-    };
-    let store = Store {
-        control: control_tx,
-        writer,
-        obs,
-        recovered_generation,
-        rejected,
+        workers,
+        tenants,
     };
     Ok((detectors, router_lifecycle, store))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{model, soa, synopsis_on, TempDir};
+    use super::super::testkit::{event_keys, model, soa, synopsis_on, TempDir};
     use super::super::{spawn_analyzer_pool, PoolStart, SupervisorConfig};
     use super::*;
     use crate::batch::SynopsisBatch;
@@ -911,26 +1070,33 @@ mod tests {
         }
     }
 
-    /// A router lifecycle as a bootstrapping pool would start with, its
-    /// channels leading nowhere.
+    /// A router lifecycle as a bootstrapping one-tenant pool would start
+    /// with, its channels leading nowhere.
     fn router_lifecycle(cfg: LifecycleConfig) -> RouterLifecycle {
         let interner = Arc::new(SignatureInterner::new());
         let model = Arc::new(ModelBuilder::new().build(ModelConfig::default()));
+        let tenant = TenantLifecycle {
+            id: TenantId::DEFAULT,
+            compiled: Arc::new(model.compile(&interner)),
+            model,
+            generation: 0,
+            ring: VecDeque::new(),
+            seen: 0,
+            next_attempt: u64::MAX,
+            adapt: None,
+            obs: Arc::default(),
+        };
         RouterLifecycle {
             cfg,
             control_rx: unbounded().1,
             writer_tx: unbounded().0,
-            compiled: Arc::new(model.compile(&interner)),
             interner,
-            model,
-            detecting: false,
-            obs: Arc::default(),
             generation: 0,
-            ring: VecDeque::new(),
-            seen: 0,
             since_checkpoint: 0,
-            next_attempt: u64::MAX,
-            adapt: None,
+            workers: 1,
+            hosts: Vec::new(),
+            default_tenant: 0,
+            tenants: vec![tenant],
         }
     }
 
@@ -944,10 +1110,10 @@ mod tests {
             let interner = lifecycle.interner.clone();
             for s in healthy_stream(1, 10_000) {
                 lifecycle.absorb(&InternedFeature::from_synopsis(&s, &interner));
-                assert!(lifecycle.ring.len() <= retrain_window);
+                assert!(lifecycle.tenants[0].ring.len() <= retrain_window);
             }
-            assert_eq!(lifecycle.seen, 10_000);
-            assert_eq!(lifecycle.ring.len(), retrain_window);
+            assert_eq!(lifecycle.tenants[0].seen, 10_000);
+            assert_eq!(lifecycle.tenants[0].ring.len(), retrain_window);
         }
     }
 
@@ -960,9 +1126,12 @@ mod tests {
         };
         let (config, supervisor) = (DetectorConfig::default(), SupervisorConfig::default());
         let pool = spawn_analyzer_pool(start, config, supervisor, 2, batch_rx).unwrap();
-        assert!(pool.is_detecting());
+        assert!(pool.is_detecting(TenantId::DEFAULT));
         assert_eq!(pool.checkpoint_now(), Err(LifecycleError::NoStore));
-        assert_eq!(pool.retrain_now(), Err(LifecycleError::NoStore));
+        assert_eq!(
+            pool.retrain_now(TenantId::DEFAULT),
+            Err(LifecycleError::NoStore)
+        );
         assert_eq!(pool.checkpoints_written(), 0);
         assert_eq!(pool.last_checkpoint_generation(), None);
         assert_eq!(pool.recovered_generation(), None);
@@ -975,7 +1144,10 @@ mod tests {
     fn lifecycle_pool_bootstraps_promotes_and_checkpoints() {
         let dir = TempDir::new();
         let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 2);
-        assert!(!pool.is_detecting(), "no checkpoint: must start bootstrap");
+        assert!(
+            !pool.is_detecting(TenantId::DEFAULT),
+            "no checkpoint: must start bootstrap"
+        );
         assert_eq!(pool.recovered_generation(), None);
 
         // Healthy traffic through promotion (promote_after = 300)…
@@ -999,7 +1171,7 @@ mod tests {
         while let Ok(e) = pool.events().recv() {
             events.push(e);
         }
-        assert!(pool.is_detecting(), "pool never promoted");
+        assert!(pool.is_detecting(TenantId::DEFAULT), "pool never promoted");
         assert!(
             events.iter().any(|e| e.kind.is_model_unavailable()),
             "bootstrap windows must be accounted as ModelUnavailable: {events:?}"
@@ -1065,16 +1237,16 @@ mod tests {
         feed(&pool, &batch_tx, &scaled_stream(6, 6, 240, 5.0));
         drop(batch_tx);
         while pool.events().recv().is_ok() {}
-        assert!(pool.is_detecting());
+        assert!(pool.is_detecting(TenantId::DEFAULT));
         assert!(
-            pool.adapt_windows() > 0,
+            pool.adapt_windows(TenantId::DEFAULT) > 0,
             "adapt windows never closed with evidence"
         );
         assert!(
-            pool.drift_swaps() >= 1,
+            pool.drift_swaps(TenantId::DEFAULT) >= 1,
             "sustained rollout drift must trigger an auto-swap \
              (windows evaluated: {})",
-            pool.adapt_windows()
+            pool.adapt_windows(TenantId::DEFAULT)
         );
         pool.join().unwrap();
     }
@@ -1086,13 +1258,13 @@ mod tests {
         feed(&pool, &batch_tx, &scaled_stream(0, 12, 240, 1.0));
         drop(batch_tx);
         while pool.events().recv().is_ok() {}
-        assert!(pool.is_detecting());
+        assert!(pool.is_detecting(TenantId::DEFAULT));
         assert!(
-            pool.adapt_windows() > 0,
+            pool.adapt_windows(TenantId::DEFAULT) > 0,
             "quiet windows must still be evaluated"
         );
         assert_eq!(
-            pool.drift_swaps(),
+            pool.drift_swaps(TenantId::DEFAULT),
             0,
             "stationary traffic must not trigger drift swaps"
         );
@@ -1106,7 +1278,7 @@ mod tests {
         let reply = pool.request_checkpoint();
         batch_tx.send(SynopsisBatch::new()).unwrap(); // nudge the batch boundary
         assert_eq!(reply.recv().unwrap(), Err(LifecycleError::Bootstrapping));
-        let retrain = pool.request_retrain();
+        let retrain = pool.request_retrain(TenantId::DEFAULT);
         batch_tx.send(SynopsisBatch::new()).unwrap();
         assert_eq!(
             retrain.recv().unwrap(),
@@ -1129,13 +1301,16 @@ mod tests {
             feed(&pool, &batch_tx, &stream);
             drop(batch_tx);
             while pool.events().recv().is_ok() {}
-            assert!(pool.is_detecting());
+            assert!(pool.is_detecting(TenantId::DEFAULT));
             pool.join().unwrap();
         }
         // Same worker count: shard-for-shard restore.
         {
             let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 2);
-            assert!(pool.is_detecting(), "recovered pool must skip bootstrap");
+            assert!(
+                pool.is_detecting(TenantId::DEFAULT),
+                "recovered pool must skip bootstrap"
+            );
             assert!(pool.recovered_generation().is_some());
             drop(batch_tx);
             while pool.events().recv().is_ok() {}
@@ -1147,7 +1322,7 @@ mod tests {
         // own routing.
         {
             let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 3);
-            assert!(pool.is_detecting());
+            assert!(pool.is_detecting(TenantId::DEFAULT));
             drop(batch_tx);
             while pool.events().recv().is_ok() {}
             let detectors = pool.join().unwrap();
@@ -1248,7 +1423,7 @@ mod tests {
         feed(&pool, &batch_tx, &stream[..720]);
         wait_processed(&pool, 720);
         // Mid-stream explicit retrain → hot swap broadcast to all shards.
-        let reply = pool.request_retrain();
+        let reply = pool.request_retrain(TenantId::DEFAULT);
         batch_tx.send(SynopsisBatch::new()).unwrap();
         let report = reply.recv().unwrap().expect("retrain refused");
         assert!(report.trained_from >= 200);
@@ -1259,5 +1434,283 @@ mod tests {
         let detectors = pool.join().unwrap();
         let total: u64 = detectors.iter().map(|d| d.tasks_seen()).sum();
         assert_eq!(total, stream.len() as u64, "swap lost or duplicated tasks");
+    }
+
+    /// Hosts 0 and 1 in tenants 1 and 2; everyone else in the default.
+    fn two_tenants() -> TenantRouter {
+        let mut router = TenantRouter::new();
+        router.assign(HostId(0), TenantId(1));
+        router.assign(HostId(1), TenantId(2));
+        router
+    }
+
+    /// 240 tasks a minute of signature [1, 2] on `host` alone, from minute
+    /// `from` for `mins` minutes.
+    fn host_stream(host: u16, from: u64, mins: u64) -> Vec<TaskSynopsis> {
+        let mut out = Vec::new();
+        for minute in from..from + mins {
+            for i in 0..240u64 {
+                let uid = minute * 240 + i;
+                let at = SimTime::from_mins(minute) + SimDuration::from_millis(i * 250);
+                let uid_on_host = (u64::from(host) << 32) | uid;
+                out.push(synopsis_on(
+                    host,
+                    &[1, 2],
+                    1_000 + (uid % 53) * 5,
+                    at,
+                    uid_on_host,
+                ));
+            }
+        }
+        out
+    }
+
+    /// Tasks seen by each tenant's slots of a joined pool.
+    fn seen_per_tenant(detectors: &[AnomalyDetector], workers: usize) -> Vec<u64> {
+        let chunks = detectors.chunks(workers);
+        chunks
+            .map(|slots| slots.iter().map(AnomalyDetector::tasks_seen).sum())
+            .collect()
+    }
+
+    #[test]
+    fn a_gap_reaches_the_slots_of_its_hosts_tenant_only() {
+        let dir = TempDir::new();
+        let lifecycle = LifecycleConfig {
+            tenants: two_tenants(),
+            ..quick_lifecycle()
+        };
+        let (batch_tx, pool) = spawn(&dir, lifecycle, 2);
+        let mut batch = soa(&host_stream(1, 0, 1)[..10], &pool.interner());
+        batch.reveal_gap(HostId(1), 7, SimTime::from_secs(1));
+        batch_tx.send(batch).unwrap();
+        drop(batch_tx);
+        while pool.events().recv().is_ok() {}
+        assert_eq!(pool.tasks_lost(), 7);
+        let detectors = pool.join().unwrap();
+        let lost: Vec<u64> = detectors.iter().map(|d| d.tasks_lost()).collect();
+        assert_eq!(lost, [0, 0, 0, 0, 7, 7], "host 1 is tenant 2's");
+    }
+
+    #[test]
+    fn tenants_promote_independently() {
+        let dir = TempDir::new();
+        let lifecycle = LifecycleConfig {
+            tenants: two_tenants(),
+            ..quick_lifecycle()
+        };
+        let (batch_tx, pool) = spawn(&dir, lifecycle, 2);
+        assert!(!pool.is_detecting(TenantId(1)));
+        feed(&pool, &batch_tx, &host_stream(0, 0, 3));
+        let unknown = pool.request_retrain(TenantId(9));
+        batch_tx.send(SynopsisBatch::new()).unwrap();
+        let refused = unknown.recv().unwrap();
+        assert_eq!(refused, Err(LifecycleError::UnknownTenant(TenantId(9))));
+        drop(batch_tx);
+        while pool.events().recv().is_ok() {}
+        assert!(pool.is_detecting(TenantId(1)), "tenant 1 promoted");
+        assert!(!pool.is_detecting(TenantId(2)), "tenant 2 saw no traffic");
+        assert_eq!(pool.generation(TenantId(1)), 1);
+        assert_eq!(pool.generation(TenantId(2)), 0);
+        assert!(!pool.is_detecting(TenantId(9)));
+        // Tenants × workers slots, tenant by tenant; only tenant 1's
+        // left bootstrap.
+        let detectors = pool.join().unwrap();
+        assert_eq!(seen_per_tenant(&detectors, 2), [0, 720, 0]);
+        let collecting: Vec<bool> = detectors.iter().map(|d| d.is_collect_only()).collect();
+        assert_eq!(collecting, [true, true, false, false, true, true]);
+        // The shutdown checkpoint holds the one tenant with a model.
+        let store = CheckpointStore::create(dir.path(), 3).unwrap();
+        let checkpoint = store.recover().unwrap().checkpoint.unwrap();
+        let sections: Vec<_> = checkpoint.tenants.iter().map(|t| t.tenant).collect();
+        assert_eq!(sections, [TenantId(1)]);
+    }
+
+    /// Metric families in a rendering, from its `# TYPE` lines.
+    fn families(text: &str) -> Vec<&str> {
+        let names = text.lines().filter_map(|l| l.strip_prefix("# TYPE "));
+        let mut names: Vec<&str> = names.filter_map(|l| l.split(' ').next()).collect();
+        names.sort_unstable();
+        names
+    }
+
+    #[test]
+    fn metrics_render_with_tenant_labels() {
+        for (tenants, labelled) in [(TenantRouter::new(), 1), (two_tenants(), 3)] {
+            let dir = TempDir::new();
+            let lifecycle = LifecycleConfig {
+                tenants,
+                ..quick_lifecycle()
+            };
+            let (batch_tx, pool) = spawn(&dir, lifecycle, 1);
+            let registry = Registry::new();
+            pool.register_metrics(&registry);
+            feed(&pool, &batch_tx, &host_stream(0, 0, 3));
+            drop(batch_tx);
+            while pool.events().recv().is_ok() {}
+            let text = registry.render();
+            saad_obs::validate_text(&text).unwrap();
+            // The pool's and the store's series, and the tenant family;
+            // no unlabelled drift counter.
+            let mut expected = vec![
+                "saad_checkpoint_last_generation",
+                "saad_checkpoint_retries",
+                "saad_checkpoint_write_latency_us",
+                "saad_checkpoints_written_total",
+                "saad_pool_batches_routed_total",
+                "saad_pool_detecting",
+                "saad_pool_processed_total",
+                "saad_pool_restarts_total",
+                "saad_pool_shard_events_total",
+                "saad_pool_shard_late_total",
+                "saad_pool_shard_processed_total",
+                "saad_pool_shard_replay_tail",
+                "saad_pool_shard_snapshots_total",
+                "saad_pool_shard_watermark_lag_us",
+                "saad_pool_skipped_total",
+                "saad_pool_snapshot_us",
+                "saad_pool_tasks_lost_total",
+                "saad_pool_watermark_us",
+                "saad_tenant_adapt_windows_total",
+                "saad_tenant_drift_swaps_total",
+                "saad_tenant_model_generation",
+                "saad_tenant_tasks_observed_total",
+            ];
+            expected.sort_unstable();
+            assert_eq!(families(&text), expected);
+            let rows = |name: &str| text.lines().filter(|l| l.starts_with(name)).count();
+            assert_eq!(rows("saad_tenant_model_generation{"), labelled, "{text}");
+            assert_eq!(rows("saad_pool_shard_processed_total{"), labelled, "{text}");
+            let busy = if labelled == 1 { "tenant0" } else { "tenant1" };
+            for series in [
+                format!("saad_tenant_model_generation{{tenant=\"{busy}\"}} 1"),
+                format!("saad_tenant_tasks_observed_total{{tenant=\"{busy}\"}} 720"),
+                format!("saad_tenant_drift_swaps_total{{tenant=\"{busy}\"}} 0"),
+            ] {
+                assert!(text.contains(&series), "{series} missing from {text}");
+            }
+            if labelled == 3 {
+                let idle = "saad_tenant_model_generation{tenant=\"tenant2\"} 0";
+                assert!(text.contains(idle), "{text}");
+                assert!(text.contains("saad_pool_detecting 1"), "{text}");
+            }
+            pool.join().unwrap();
+        }
+    }
+
+    /// What a restored checkpoint is fed in the version 1 test: two more
+    /// minutes of healthy traffic, a burst of a never-trained signature on
+    /// host 0 and slow tasks on host 1.
+    fn fixture_tail() -> Vec<TaskSynopsis> {
+        let mut tail = scaled_stream(3, 2, 240, 1.0);
+        for i in 0..60u64 {
+            let mut s = synopsis_on(0, &[1, 9], 1_000, SimTime::ZERO, 50_000 + i);
+            s.start = SimTime::from_mins(4) + SimDuration::from_millis(i * 500);
+            tail.push(s);
+            let mut s = synopsis_on(1, &[1, 2], 20_000, SimTime::ZERO, 60_000 + i);
+            s.start = SimTime::from_mins(3) + SimDuration::from_millis(i * 700);
+            tail.push(s);
+        }
+        tail.sort_by_key(|s| s.start);
+        tail
+    }
+
+    /// A checkpoint written by a pool of two workers before pools had
+    /// tenants (format version 1: three minutes of [`healthy_stream`]),
+    /// and what restoring it and feeding it [`fixture_tail`] reported
+    /// then: the tasks seen, then each event, sorted.
+    const V1: &[u8] = include_bytes!("../../tests/fixtures/checkpoint-v1.ckpt");
+    const V1_RESTORED: &str = include_str!("../../tests/fixtures/checkpoint-v1.restored.txt");
+
+    #[test]
+    fn a_version_1_checkpoint_restores_as_the_default_tenant() {
+        let (seen, expected) = V1_RESTORED.split_once('\n').unwrap();
+        let expected: Vec<&str> = expected.lines().collect();
+        assert_eq!(expected.len(), 2);
+        for workers in [1usize, 2, 3] {
+            let dir = TempDir::new();
+            std::fs::write(dir.path().join("ckpt-0000000000000000.ckpt"), V1).unwrap();
+            let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), workers);
+            assert_eq!(pool.recovered_generation(), Some(0));
+            assert_eq!(pool.generation(TenantId::DEFAULT), 1);
+            feed(&pool, &batch_tx, &fixture_tail());
+            drop(batch_tx);
+            let events: Vec<_> = pool.events().iter().collect();
+            let detectors = pool.join().unwrap();
+            let total: u64 = detectors.iter().map(|d| d.tasks_seen()).sum();
+            assert_eq!(total.to_string(), seen, "{workers} workers");
+            assert_eq!(event_keys(&events), expected, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_tenant_gained_between_runs_bootstraps_beside_the_restored_one() {
+        let dir = TempDir::new();
+        {
+            let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 2);
+            feed(&pool, &batch_tx, &healthy_stream(3, 240));
+            drop(batch_tx);
+            while pool.events().recv().is_ok() {}
+            pool.join().unwrap();
+        }
+        let mut tenants = TenantRouter::new();
+        tenants.assign(HostId(2), TenantId(1));
+        let lifecycle = LifecycleConfig {
+            tenants,
+            ..quick_lifecycle()
+        };
+        let (batch_tx, pool) = spawn(&dir, lifecycle, 2);
+        assert_eq!(pool.generation(TenantId::DEFAULT), 1, "restored");
+        assert!(!pool.is_detecting(TenantId(1)), "no section: bootstraps");
+        feed(&pool, &batch_tx, &host_stream(2, 3, 3));
+        drop(batch_tx);
+        while pool.events().recv().is_ok() {}
+        assert_eq!(
+            pool.generation(TenantId(1)),
+            1,
+            "promoted on its own traffic"
+        );
+        assert_eq!(pool.generation(TenantId::DEFAULT), 1, "untouched");
+        let detectors = pool.join().unwrap();
+        assert_eq!(seen_per_tenant(&detectors, 2), [720, 720]);
+    }
+
+    #[test]
+    fn a_tenant_lost_between_runs_is_ignored_on_recovery() {
+        let dir = TempDir::new();
+        {
+            let lifecycle = LifecycleConfig {
+                tenants: two_tenants(),
+                ..quick_lifecycle()
+            };
+            let (batch_tx, pool) = spawn(&dir, lifecycle, 2);
+            let mut stream = host_stream(0, 0, 3);
+            stream.extend(host_stream(1, 0, 3));
+            stream.sort_by_key(|s| s.start);
+            feed(&pool, &batch_tx, &stream);
+            drop(batch_tx);
+            while pool.events().recv().is_ok() {}
+            pool.join().unwrap();
+        }
+        let store = CheckpointStore::create(dir.path(), 3).unwrap();
+        let checkpoint = store.recover().unwrap().checkpoint.unwrap();
+        let sections: Vec<_> = checkpoint.tenants.iter().map(|t| t.tenant).collect();
+        assert_eq!(sections, [TenantId(1), TenantId(2)]);
+        // Tenant 2 is gone: its host falls to the default tenant, which
+        // has no section and bootstraps.
+        let mut tenants = TenantRouter::new();
+        tenants.assign(HostId(0), TenantId(1));
+        let lifecycle = LifecycleConfig {
+            tenants,
+            ..quick_lifecycle()
+        };
+        let (batch_tx, pool) = spawn(&dir, lifecycle, 3);
+        assert_eq!(pool.generation(TenantId(1)), 1, "restored, resharded");
+        assert_eq!(pool.generation(TenantId(2)), 0, "ignored");
+        assert!(!pool.is_detecting(TenantId::DEFAULT));
+        drop(batch_tx);
+        while pool.events().recv().is_ok() {}
+        let detectors = pool.join().unwrap();
+        assert_eq!(seen_per_tenant(&detectors, 3), [0, 720]);
     }
 }

@@ -27,12 +27,13 @@
 //!   workers. All windowed detector state is keyed per `(host, stage)`,
 //!   so sharding preserves the single-threaded event stream exactly (as a
 //!   multiset).
-//! * `lifecycle` — what a [`PoolStart::Store`] adds: durable checkpoints,
-//!   crash recovery, bootstrap promotion and hot model swap. Spawn the
-//!   pool first, then build its producers on [`PoolHandle::interner`] — a
-//!   restored pool's interner is the checkpoint's, not a fresh one.
-//! * `adapt` — the drift detector ([`AdaptPolicy`]) that triggers a
-//!   lifecycle pool's swap by itself.
+//! * `lifecycle` — what a [`PoolStart::Store`] adds: tenants, each with
+//!   its own shard slots and model, durable checkpoints, crash recovery,
+//!   bootstrap promotion and hot model swap. Spawn the pool first, then
+//!   build its producers on [`PoolHandle::interner`] — a restored pool's
+//!   interner is the checkpoint's, not a fresh one.
+//! * `adapt` — which tenant a host is in ([`TenantRouter`]), and the drift
+//!   detector ([`AdaptPolicy`]) that triggers a tenant's swap by itself.
 
 mod adapt;
 mod lifecycle;
@@ -40,7 +41,7 @@ mod pool;
 mod sink;
 mod supervise;
 
-pub use adapt::AdaptPolicy;
+pub use adapt::{AdaptPolicy, TenantRouter};
 pub use lifecycle::{LifecycleConfig, LifecycleError, SwapReport};
 pub use pool::{spawn_analyzer_pool, spawn_batch_analyzer_pool, PoolHandle, PoolStart};
 pub use sink::{

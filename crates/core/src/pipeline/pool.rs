@@ -1,7 +1,7 @@
 //! The sharded analyzer pool: a router thread that charges each input
 //! batch's gap reports, stamps the global watermark, tracks host liveness
-//! and partitions the batch's rows by `hash(host, stage)`, and one
-//! supervised shard worker per partition.
+//! and partitions the batch's rows by tenant and `hash(host, stage)`, and
+//! one supervised shard worker per partition (slot).
 
 use super::lifecycle::{open_store, LifecycleConfig, LifecycleError, RouterLifecycle, Store};
 use super::supervise::{
@@ -34,13 +34,13 @@ pub(super) enum ShardMsg {
     /// analyzer would. The shard returns the drained buffer on the
     /// recycle channel, so steady-state routing allocates nothing.
     Batch(SynopsisBatch),
-    /// A transport gap report, broadcast to every shard: loss is keyed by
-    /// host and window, and any shard may own windows for that host. The
-    /// router counts each report once for the pool-level total, and
-    /// stamps it with the global-stream watermark at its position (see
-    /// [`AnomalyDetector::record_loss_at`]).
+    /// A transport gap report, broadcast to every shard of the host's
+    /// tenant: loss is keyed by host and window, and any of them may own
+    /// windows for that host. The router counts each report once for the
+    /// pool-level total, and stamps it with the global-stream watermark
+    /// at its position (see [`AnomalyDetector::record_loss_at`]).
     Loss(LossReport, SimTime),
-    /// Hot model swap, delivered in-band and broadcast to every shard:
+    /// Hot model swap, delivered in-band to every shard of one tenant:
     /// channel FIFO ordering guarantees the shard installs the new model
     /// only after every synopsis the router saw before the swap decision,
     /// so no task is dropped or classified twice. The carried watermark is
@@ -70,10 +70,11 @@ pub(super) fn shard_for(host: HostId, stage: StageId, workers: usize) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % workers
 }
 
-/// The router's per-shard SoA arenas. Elements accumulate into a reusable
-/// [`SynopsisBatch`] per shard and flush as ONE channel send per
-/// (shard, input batch); shards hand drained buffers back on the recycle
-/// channel, so steady-state routing performs no allocation.
+/// The router's per-slot SoA arenas. Elements accumulate into a reusable
+/// [`SynopsisBatch`] per shard slot and flush as ONE channel send per
+/// (slot, input batch); shards hand drained buffers back on the recycle
+/// channel, so steady-state routing performs no allocation. A tenant's
+/// slots are the `workers` from `tenant × workers`.
 ///
 /// Control-plane rule: every control send (loss, swap, snapshot, final
 /// watermark) must be preceded by [`ShardFanout::flush`] — control
@@ -82,23 +83,26 @@ pub(super) fn shard_for(host: HostId, stage: StageId, workers: usize) -> usize {
 /// before lifecycle pumping, so the rule holds by construction.
 struct ShardFanout {
     arenas: Vec<SynopsisBatch>,
+    /// Slots per tenant.
+    workers: usize,
     recycle_rx: Receiver<SynopsisBatch>,
 }
 
 impl ShardFanout {
-    fn new(workers: usize, recycle_rx: Receiver<SynopsisBatch>) -> ShardFanout {
+    fn new(slots: usize, workers: usize, recycle_rx: Receiver<SynopsisBatch>) -> ShardFanout {
         ShardFanout {
-            arenas: (0..workers).map(|_| SynopsisBatch::new()).collect(),
+            arenas: (0..slots).map(|_| SynopsisBatch::new()).collect(),
+            workers,
             recycle_rx,
         }
     }
 
-    /// Append one element to its shard's arena, stamped with the global
-    /// watermark the router just computed.
+    /// Append one element to its slot's arena in `tenant`'s slots,
+    /// stamped with the global watermark the router just computed.
     #[inline]
-    fn push(&mut self, feature: &InternedFeature, watermark: SimTime) {
-        let shard = shard_for(feature.host, feature.stage, self.arenas.len());
-        self.arenas[shard].push_feature(feature, watermark);
+    fn push(&mut self, feature: &InternedFeature, watermark: SimTime, tenant: usize) {
+        let shard = shard_for(feature.host, feature.stage, self.workers);
+        self.arenas[tenant * self.workers + shard].push_feature(feature, watermark);
     }
 
     /// Send every non-empty arena to its shard, swapping in a recycled
@@ -168,9 +172,9 @@ impl PoolObs {
 }
 
 /// Handle to a running analyzer pool: a router thread plus `workers`
-/// supervised shard workers (see [`spawn_analyzer_pool`]), and — for a
-/// pool started from a store — its checkpoint writer and lifecycle
-/// controls.
+/// supervised shard workers per tenant (see [`spawn_analyzer_pool`]), and
+/// — for a pool started from a store — its checkpoint writer and
+/// lifecycle controls.
 #[derive(Debug)]
 pub struct PoolHandle {
     events: Receiver<AnomalyEvent>,
@@ -210,6 +214,13 @@ impl PoolHandle {
     /// Poison synopses skipped across all shards.
     pub fn skipped(&self) -> u64 {
         self.obs.total(|shard| &shard.supervision.skipped)
+    }
+
+    /// Input batches the router has finished, batch-boundary lifecycle
+    /// work included: once this reads `n`, every per-tenant counter
+    /// reflects the first `n` batches.
+    pub fn batches_routed(&self) -> u64 {
+        self.obs.batches_routed.load(Ordering::Acquire)
     }
 
     /// Synopses the transport reported lost, counted once per report.
@@ -326,9 +337,9 @@ impl PoolHandle {
     }
 
     /// Wait for the pool to finish (input channel closed), returning each
-    /// shard's detector for inspection. Remaining windows are flushed
-    /// before workers exit, and on a pool started from a store the final
-    /// checkpoint is durable once this returns.
+    /// shard slot's detector for inspection, tenant by tenant. Remaining
+    /// windows are flushed before workers exit, and on a pool started
+    /// from a store the final checkpoint is durable once this returns.
     ///
     /// # Errors
     ///
@@ -361,6 +372,7 @@ impl PoolHandle {
 
 /// Where a pool's detectors come from.
 #[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // built once per spawn and consumed there
 pub enum PoolStart {
     /// A trained model over the interner every producer shares. Nothing is
     /// checkpointed: lifecycle requests answer [`LifecycleError::NoStore`].
@@ -370,17 +382,21 @@ pub enum PoolStart {
         /// The interner the model is compiled against.
         interner: Arc<SignatureInterner>,
     },
-    /// A checkpoint store and a durable model lifecycle. The pool restores
-    /// the newest checkpoint that decodes — model, interner and every
-    /// shard's windows, resharded along the pool's own routing if the
-    /// worker count changed — and skips damaged files with typed reasons
-    /// ([`PoolHandle::rejected_checkpoints`]). Without one it bootstraps:
-    /// windows are counted without a model (`ModelUnavailable` events)
-    /// until [`LifecycleConfig::promote_after`] synopses train one the
-    /// k-fold gate accepts. While detecting, the router snapshots every
-    /// shard at batch boundaries for a writer thread to persist, and
-    /// [`PoolHandle::retrain_now`] swaps a retrained model in-band at a
-    /// watermark: no synopsis is dropped or classified twice.
+    /// A checkpoint store and a durable model lifecycle, per tenant of
+    /// [`LifecycleConfig::tenants`]: each tenant gets `workers` shard slots
+    /// of its own, so the pool runs tenants × workers shard threads. The
+    /// pool restores the newest checkpoint that decodes — interner, and
+    /// for each tenant its model and every shard's windows, resharded
+    /// along the pool's own routing if the worker count changed — and
+    /// skips damaged files with typed reasons
+    /// ([`PoolHandle::rejected_checkpoints`]). A tenant it has no model
+    /// for bootstraps: windows are counted without a model
+    /// (`ModelUnavailable` events) until [`LifecycleConfig::promote_after`]
+    /// of its synopses train one the k-fold gate accepts. The router
+    /// snapshots the shards of every tenant with a model at batch
+    /// boundaries for a writer thread to persist, and
+    /// [`PoolHandle::retrain_now`] swaps a tenant's retrained model
+    /// in-band at a watermark: no synopsis is dropped or classified twice.
     Store {
         /// The store's directory, created if missing.
         dir: PathBuf,
@@ -397,11 +413,12 @@ pub enum PoolStart {
 /// so the pool's output is a function of the stream's content alone.
 ///
 /// Per batch the router counts each gap report once and broadcasts it to
-/// every shard, stamped with the global watermark at its position; then
-/// it re-stamps each row with the global running-maximum watermark, tracks
-/// host liveness, and repartitions the columns by `hash(host, stage)` —
-/// one channel send per (shard, batch); with one worker and no store it
-/// only re-stamps and forwards. Each shard runs its own
+/// every shard of its host's tenant, stamped with the global watermark at
+/// its position; then it re-stamps each row with the global
+/// running-maximum watermark, tracks host liveness, and repartitions the
+/// columns by tenant and `hash(host, stage)` — one channel send per
+/// (shard, batch); with one worker and no store it only re-stamps and
+/// forwards. Each shard runs its own
 /// [`AnomalyDetector`] behind a panic boundary. Windowed state is keyed
 /// per `(host, stage)` and each pair is pinned to one shard, so the event
 /// stream is — as a multiset — a single detector's over the same input,
@@ -552,14 +569,12 @@ impl Router {
         self.watermark
     }
 
-    /// Route one element into its shard's arena.
+    /// Route one element into its slot's arena.
     #[inline]
     fn route(&mut self, feature: &InternedFeature) {
         let watermark = self.stamp(feature.host, feature.start);
-        if let Some(lc) = self.lifecycle.as_mut() {
-            lc.absorb(feature);
-        }
-        self.fanout.push(feature, watermark);
+        let tenant = self.lifecycle.as_mut().map_or(0, |lc| lc.absorb(feature));
+        self.fanout.push(feature, watermark, tenant);
     }
 
     /// Route one input batch — its gap reports first, then its rows — and
@@ -600,12 +615,18 @@ impl Router {
     }
 
     /// Count a gap report once and broadcast it, stamped with the global
-    /// watermark at its stream position, to every shard.
+    /// watermark at its stream position, to every shard of its host's
+    /// tenant.
     fn broadcast_loss(&mut self, report: LossReport) {
         self.obs
             .tasks_lost
             .fetch_add(report.count, Ordering::Relaxed);
-        for tx in &self.shard_txs {
+        let tenant = self
+            .lifecycle
+            .as_ref()
+            .map_or(0, |lc| lc.tenant_of(report.host));
+        let workers = self.fanout.workers;
+        for tx in &self.shard_txs[tenant * workers..(tenant + 1) * workers] {
             let _ = tx.send(ShardMsg::Loss(report, self.watermark));
         }
     }
@@ -625,17 +646,18 @@ impl Router {
         if let Some(lc) = self.lifecycle.as_mut() {
             lc.pump(self.watermark, &self.shard_txs);
         }
-        self.obs.batches_routed.fetch_add(1, Ordering::Relaxed);
+        self.obs.batches_routed.fetch_add(1, Ordering::Release);
         self.obs
             .watermark_micros
             .store(self.watermark.as_micros(), Ordering::Relaxed);
     }
 }
 
-/// The pool core: one shard worker per initial detector, plus the router
-/// thread that charges gaps, stamps watermarks, routes batches, tracks
-/// liveness, and — when a [`RouterLifecycle`] is given — drives
-/// checkpoints, hot swaps, and bootstrap promotion at batch boundaries.
+/// The pool core: one shard worker per initial detector (slot), plus the
+/// router thread that charges gaps, stamps watermarks, routes batches,
+/// tracks liveness, and — when a [`RouterLifecycle`] is given — drives
+/// each tenant's checkpoints, hot swaps, and bootstrap promotion at batch
+/// boundaries. The detectors come tenant by tenant, the same number each.
 pub(super) fn spawn_pool_inner(
     detectors: Vec<AnomalyDetector>,
     supervisor: SupervisorConfig,
@@ -644,21 +666,22 @@ pub(super) fn spawn_pool_inner(
     side_losses: Option<Receiver<LossReport>>,
     lifecycle: Option<RouterLifecycle>,
 ) -> PoolHandle {
-    let workers = detectors.len();
+    let slots = detectors.len();
+    let workers = slots / lifecycle.as_ref().map_or(1, RouterLifecycle::tenant_count);
     assert!(workers > 0, "analyzer pool needs at least one worker");
     let interner = detectors[0].interner().clone();
     let meta = lifecycle.as_ref().and_then(RouterLifecycle::meta);
     let (event_tx, event_rx) = unbounded();
-    let obs = Arc::new(PoolObs::new(workers));
+    let obs = Arc::new(PoolObs::new(slots));
     // Drained batch buffers flow back to the router on this channel for
     // reuse — after warm-up the router never allocates a batch. Bounded:
     // when the router routes faster than it recycles (e.g. the
     // single-shard forwarding path, which consumes no arenas), surplus
     // buffers are dropped instead of piling up.
-    let (recycle_tx, recycle_rx) = bounded::<SynopsisBatch>(2 * workers);
+    let (recycle_tx, recycle_rx) = bounded::<SynopsisBatch>(2 * slots);
 
-    let mut shard_txs = Vec::with_capacity(workers);
-    let mut worker_joins = Vec::with_capacity(workers);
+    let mut shard_txs = Vec::with_capacity(slots);
+    let mut worker_joins = Vec::with_capacity(slots);
     for (shard, detector) in detectors.into_iter().enumerate() {
         let (shard_tx, shard_rx) = unbounded::<ShardMsg>();
         shard_txs.push(shard_tx);
@@ -740,7 +763,7 @@ pub(super) fn spawn_pool_inner(
         liveness: LivenessTracker::new(window, supervisor.silent_after),
         silent: Vec::new(),
         watermark: SimTime::ZERO,
-        fanout: ShardFanout::new(workers, recycle_rx),
+        fanout: ShardFanout::new(slots, workers, recycle_rx),
         lifecycle,
         side_losses,
         interner: interner.clone(),
@@ -751,7 +774,7 @@ pub(super) fn spawn_pool_inner(
     let router = std::thread::Builder::new()
         .name("saad-analyzer-router".into())
         .spawn(move || {
-            let forward_only = workers == 1 && router.lifecycle.is_none();
+            let forward_only = slots == 1 && router.lifecycle.is_none();
             for batch in rx.iter() {
                 meta_tick(&meta, MetaStage::Router, || {
                     router.drain_losses();
@@ -773,7 +796,7 @@ pub(super) fn spawn_pool_inner(
                 let _ = tx.send(ShardMsg::FinalWatermark(router.watermark));
             }
             if let Some(lc) = router.lifecycle.as_mut() {
-                if lc.detecting {
+                if lc.detecting() {
                     lc.take_checkpoint(&router.shard_txs, None);
                 }
             }

@@ -2,10 +2,11 @@
 //!
 //! The analyzer is only useful if its trained model survives the
 //! failures it is supposed to detect. This module persists everything a
-//! restarted analyzer pool needs to resume detection —
-//! [`OutlierModel`], [`SignatureInterner`], and one
-//! [`DetectorSnapshot`] per shard — in a versioned, CRC-32-framed file
-//! written atomically (temp file + fsync + rename + directory fsync).
+//! restarted analyzer pool needs to resume detection — the
+//! [`SignatureInterner`] and, per tenant, its [`OutlierModel`], model
+//! generation and one [`DetectorSnapshot`] per shard — in a versioned,
+//! CRC-32-framed file written atomically (temp file + fsync + rename +
+//! directory fsync).
 //!
 //! ## File format
 //!
@@ -15,21 +16,25 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"SAADCKPT"
-//! 8       2     format version (u16, currently 1)
+//! 8       2     format version (u16, currently 2)
 //! 10      8     generation (u64, monotonically increasing)
 //! 18      4     payload length (u32)
 //! 22      n     payload
 //! 22+n    4     CRC-32 (IEEE) over bytes 8..22+n (version..payload)
 //! ```
 //!
-//! The payload is `model | interner | shard count | shard snapshots`:
-//! the model via [`OutlierModel::encode_into`], the interner as its
-//! per-shard signature lists (so restore reproduces **exactly** the same
-//! [`crate::intern::SigId`] assignment, keeping the ids inside detector
-//! snapshots valid), and each shard via
-//! [`DetectorSnapshot::encode_into`]. The compiled model is *not*
-//! stored; it is deterministically recompiled from the restored model
-//! and interner on load.
+//! The version 2 payload is `interner | tenant count | per tenant {id,
+//! model generation, model, shard count, shard snapshots}`: the interner
+//! as its per-shard signature lists (so restore reproduces **exactly**
+//! the same [`crate::intern::SigId`] assignment, keeping the ids inside
+//! models and snapshots valid), each model via
+//! [`OutlierModel::encode_into`] and each shard via
+//! [`DetectorSnapshot::encode_into`]. A tenant still in bootstrap has no
+//! model and writes no section. Compiled models are *not* stored; they
+//! are deterministically recompiled from the restored model and interner
+//! on load. Version 1 files — `model | interner | shard count | shard
+//! snapshots`, written before pools had tenants — still decode, as one
+//! [`TenantId::DEFAULT`] section at model generation 1.
 //!
 //! ## Recovery
 //!
@@ -39,12 +44,12 @@
 //! reject (corrupt, truncated, or version-skewed). A crash mid-write
 //! can therefore cost at most the newest generation, never the store.
 
-use crate::codec::{get_points, get_varint, put_points, put_varint, DecodeError};
+use crate::codec::{get_points, get_varint, id16, put_points, put_varint, DecodeError};
 use crate::detector::DetectorSnapshot;
 use crate::intern::SignatureInterner;
 use crate::model::{CompiledModel, OutlierModel};
 use crate::transport::crc32;
-use crate::Signature;
+use crate::{Signature, TenantId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::fs;
@@ -54,15 +59,16 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"SAADCKPT";
 
-/// Checkpoint format version written by this build and the only one it
-/// accepts; older/newer files are rejected with
+/// Checkpoint format version written by this build. It also reads
+/// version 1; any other version is rejected with
 /// [`CheckpointError::VersionSkew`].
-pub const CHECKPOINT_VERSION: u16 = 1;
+pub const CHECKPOINT_VERSION: u16 = 2;
 
 /// magic + version + generation + payload length.
 const HEADER_LEN: usize = 8 + 2 + 8 + 4;
 
-/// Sanity bound on interner shards and detector shards in a checkpoint.
+/// Sanity bound on interner shards, tenants and detector shards in a
+/// checkpoint.
 const MAX_CHECKPOINT_SHARDS: u64 = 1 << 16;
 /// Sanity bound on interned signatures per interner shard.
 const MAX_CHECKPOINT_SIGS: u64 = 1 << 26;
@@ -131,27 +137,40 @@ fn io_err(e: std::io::Error) -> CheckpointError {
     CheckpointError::Io(e.to_string())
 }
 
-/// One durable generation of analyzer state: the trained model, the
-/// signature interner that issued every id the model and snapshots
-/// reference, and one detector snapshot per shard.
+/// One tenant's trained state inside a [`Checkpoint`].
+#[derive(Debug, Clone)]
+pub struct TenantCheckpoint {
+    /// The tenant.
+    pub tenant: TenantId,
+    /// The tenant's model generation: 1 for its first model (the
+    /// bootstrap promotion), one more for every swap since.
+    pub generation: u64,
+    /// The tenant's model.
+    pub model: Arc<OutlierModel>,
+    /// Compiled form of `model` against the checkpoint's interner
+    /// (recomputed on load, never serialized).
+    pub compiled: Arc<CompiledModel>,
+    /// Per-shard detector state, in shard order.
+    pub shards: Vec<DetectorSnapshot>,
+}
+
+/// One durable generation of analyzer state: the signature interner that
+/// issued every id the models and snapshots reference, and one section
+/// per tenant that has a model.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Monotonically increasing generation number (embedded in the file
     /// name and header; recovery prefers the newest valid one).
     pub generation: u64,
-    /// The trained model.
-    pub model: Arc<OutlierModel>,
-    /// Compiled form of `model` against `interner` (recomputed on load,
-    /// never serialized).
-    pub compiled: Arc<CompiledModel>,
     /// The interner, restored with identical id assignment.
     pub interner: Arc<SignatureInterner>,
-    /// Per-shard detector state, in shard order.
-    pub shards: Vec<DetectorSnapshot>,
+    /// One section per tenant with a model, in tenant order.
+    pub tenants: Vec<TenantCheckpoint>,
 }
 
 impl Checkpoint {
-    /// Assemble a checkpoint from live pool state.
+    /// A one-tenant checkpoint: `model` and `shards` as the
+    /// [`TenantId::DEFAULT`] section, at model generation 1.
     pub fn new(
         generation: u64,
         model: Arc<OutlierModel>,
@@ -159,19 +178,23 @@ impl Checkpoint {
         interner: Arc<SignatureInterner>,
         shards: Vec<DetectorSnapshot>,
     ) -> Checkpoint {
-        Checkpoint {
-            generation,
+        let tenant = TenantCheckpoint {
+            tenant: TenantId::DEFAULT,
+            generation: 1,
             model,
             compiled,
-            interner,
             shards,
+        };
+        Checkpoint {
+            generation,
+            interner,
+            tenants: vec![tenant],
         }
     }
 
     /// Serialize to the framed file format (header + payload + CRC).
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = BytesMut::new();
-        self.model.encode_into(&mut payload);
         let contents = self.interner.shard_contents();
         put_varint(&mut payload, contents.len() as u64);
         for shard in &contents {
@@ -180,9 +203,15 @@ impl Checkpoint {
                 put_points(&mut payload, sig.points());
             }
         }
-        put_varint(&mut payload, self.shards.len() as u64);
-        for shard in &self.shards {
-            shard.encode_into(&mut payload);
+        put_varint(&mut payload, self.tenants.len() as u64);
+        for tenant in &self.tenants {
+            put_varint(&mut payload, u64::from(tenant.tenant.0));
+            put_varint(&mut payload, tenant.generation);
+            tenant.model.encode_into(&mut payload);
+            put_varint(&mut payload, tenant.shards.len() as u64);
+            for shard in &tenant.shards {
+                shard.encode_into(&mut payload);
+            }
         }
         let mut out = BytesMut::with_capacity(HEADER_LEN + payload.len() + 4);
         out.extend_from_slice(MAGIC);
@@ -195,15 +224,15 @@ impl Checkpoint {
         out.to_vec()
     }
 
-    /// Decode a checkpoint file, with typed rejection of truncated,
-    /// corrupt, and version-skewed inputs.
+    /// Decode a checkpoint file of either version, with typed rejection
+    /// of truncated, corrupt, and version-skewed inputs.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Truncated`] / [`CheckpointError::BadMagic`] on
     /// framing damage, [`CheckpointError::ChecksumMismatch`] on payload
     /// corruption (checked before anything else is parsed),
-    /// [`CheckpointError::VersionSkew`] for files written by a different
+    /// [`CheckpointError::VersionSkew`] for files written by another
     /// format version, and [`CheckpointError::Codec`] /
     /// [`CheckpointError::TrailingBytes`] for structurally malformed
     /// payloads.
@@ -230,56 +259,107 @@ impl Checkpoint {
         if stored != computed {
             return Err(CheckpointError::ChecksumMismatch { stored, computed });
         }
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::VersionSkew {
-                found: version,
-                supported: CHECKPOINT_VERSION,
-            });
-        }
         let mut payload = Bytes::copy_from_slice(&bytes[HEADER_LEN..body_end]);
-        let model = Arc::new(OutlierModel::decode_from(&mut payload)?);
-        let shard_count = get_varint(&mut payload)?;
-        if shard_count > MAX_CHECKPOINT_SHARDS {
-            return Err(DecodeError::LengthOutOfRange(shard_count).into());
-        }
-        let mut contents = Vec::with_capacity(shard_count as usize);
-        for _ in 0..shard_count {
-            let sig_count = get_varint(&mut payload)?;
-            if sig_count > MAX_CHECKPOINT_SIGS {
-                return Err(DecodeError::LengthOutOfRange(sig_count).into());
+        let (interner, tenants) = match version {
+            1 => {
+                let model = OutlierModel::decode_from(&mut payload)?;
+                let interner = decode_interner(&mut payload)?;
+                let default = decode_tenant(&mut payload, TenantId::DEFAULT, 1, model, &interner)?;
+                (interner, vec![default])
             }
-            let mut sigs = Vec::with_capacity(sig_count as usize);
-            for _ in 0..sig_count {
-                sigs.push(Signature::from_points(get_points(&mut payload)?));
+            CHECKPOINT_VERSION => {
+                let interner = decode_interner(&mut payload)?;
+                let count = bounded(get_varint(&mut payload)?)?;
+                let mut tenants = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let tenant = TenantId(id16(get_varint(&mut payload)?)?);
+                    let generation = get_varint(&mut payload)?;
+                    let model = OutlierModel::decode_from(&mut payload)?;
+                    tenants.push(decode_tenant(
+                        &mut payload,
+                        tenant,
+                        generation,
+                        model,
+                        &interner,
+                    )?);
+                }
+                (interner, tenants)
             }
-            contents.push(sigs);
-        }
-        let interner = Arc::new(SignatureInterner::from_shard_contents(contents));
-        let compiled = Arc::new(model.compile(&interner));
-        let detector_shards = get_varint(&mut payload)?;
-        if detector_shards > MAX_CHECKPOINT_SHARDS {
-            return Err(DecodeError::LengthOutOfRange(detector_shards).into());
-        }
-        let mut shards = Vec::with_capacity(detector_shards as usize);
-        for _ in 0..detector_shards {
-            shards.push(DetectorSnapshot::decode_from(
-                &mut payload,
-                model.clone(),
-                compiled.clone(),
-                interner.clone(),
-            )?);
-        }
+            found => {
+                return Err(CheckpointError::VersionSkew {
+                    found,
+                    supported: CHECKPOINT_VERSION,
+                })
+            }
+        };
         if !payload.is_empty() {
             return Err(CheckpointError::TrailingBytes(payload.remaining()));
         }
         Ok(Checkpoint {
             generation,
-            model,
-            compiled,
             interner,
-            shards,
+            tenants,
         })
     }
+}
+
+/// A count read from a payload, refused past [`MAX_CHECKPOINT_SHARDS`].
+fn bounded(count: u64) -> Result<usize, DecodeError> {
+    if count > MAX_CHECKPOINT_SHARDS {
+        return Err(DecodeError::LengthOutOfRange(count));
+    }
+    Ok(count as usize)
+}
+
+/// The interner as [`Checkpoint::encode`] wrote it: per-shard signature
+/// lists, restored with identical id assignment.
+fn decode_interner(payload: &mut Bytes) -> Result<Arc<SignatureInterner>, DecodeError> {
+    let shard_count = bounded(get_varint(payload)?)?;
+    let mut contents = Vec::with_capacity(shard_count);
+    for _ in 0..shard_count {
+        let sig_count = get_varint(payload)?;
+        if sig_count > MAX_CHECKPOINT_SIGS {
+            return Err(DecodeError::LengthOutOfRange(sig_count));
+        }
+        let mut sigs = Vec::with_capacity(sig_count as usize);
+        for _ in 0..sig_count {
+            sigs.push(Signature::from_points(get_points(payload)?));
+        }
+        contents.push(sigs);
+    }
+    Ok(Arc::new(SignatureInterner::from_shard_contents(contents)))
+}
+
+/// The rest of a tenant's section once its model is read: the shard
+/// count and every shard's snapshot, over the model compiled against
+/// `interner`.
+fn decode_tenant(
+    payload: &mut Bytes,
+    tenant: TenantId,
+    generation: u64,
+    model: OutlierModel,
+    interner: &Arc<SignatureInterner>,
+) -> Result<TenantCheckpoint, DecodeError> {
+    let model = Arc::new(model);
+    let compiled = Arc::new(model.compile(interner));
+    let count = bounded(get_varint(payload)?)?;
+    let mut shards = Vec::with_capacity(count);
+    for _ in 0..count {
+        let (model, compiled) = (model.clone(), compiled.clone());
+        shards.push(DetectorSnapshot::decode_from(
+            payload,
+            model,
+            compiled,
+            interner.clone(),
+        )?);
+    }
+    Ok(TenantCheckpoint {
+        tenant,
+        generation,
+        model,
+        compiled,
+        shards,
+    })
 }
 
 /// What [`CheckpointStore::recover`] found on disk.
@@ -537,13 +617,93 @@ mod tests {
         let bytes = ckpt.encode();
         let decoded = Checkpoint::decode(&bytes).unwrap();
         assert_eq!(decoded.generation, 42);
-        assert_eq!(decoded.shards.len(), 1);
+        assert_eq!(decoded.tenants.len(), 1);
+        let (restored, saved) = (&decoded.tenants[0], &ckpt.tenants[0]);
+        assert_eq!(
+            (restored.tenant, restored.generation),
+            (TenantId::DEFAULT, 1)
+        );
+        assert_eq!(restored.shards.len(), 1);
         assert_eq!(decoded.interner.len(), ckpt.interner.len());
         assert_eq!(decoded.interner.capacity(), ckpt.interner.capacity());
         // Byte-identical re-encode ⇒ identical restored state.
         assert_eq!(decoded.encode(), bytes);
-        assert_eq!(decoded.shards[0].tasks_seen(), ckpt.shards[0].tasks_seen());
-        assert_eq!(decoded.shards[0].tasks_lost(), ckpt.shards[0].tasks_lost());
+        assert_eq!(
+            restored.shards[0].tasks_seen(),
+            saved.shards[0].tasks_seen()
+        );
+        assert_eq!(
+            restored.shards[0].tasks_lost(),
+            saved.shards[0].tasks_lost()
+        );
+    }
+
+    #[test]
+    fn tenant_sections_round_trip_and_only_they_are_written() {
+        let one = sample_checkpoint(9);
+        let default = one.tenants[0].clone();
+        let other = TenantCheckpoint {
+            tenant: TenantId(3),
+            generation: 4,
+            shards: vec![default.shards[0].clone(), default.shards[0].clone()],
+            ..default.clone()
+        };
+        let two = Checkpoint {
+            tenants: vec![default, other],
+            ..one.clone()
+        };
+        let bytes = two.encode();
+        let decoded = Checkpoint::decode(&bytes).unwrap();
+        let sections: Vec<_> = decoded
+            .tenants
+            .iter()
+            .map(|t| {
+                (
+                    t.tenant,
+                    t.generation,
+                    t.shards.len(),
+                    t.model.stage_count(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            sections,
+            [(TenantId::DEFAULT, 1, 1, 1), (TenantId(3), 4, 2, 1)]
+        );
+        assert_eq!(decoded.encode(), bytes);
+        // No section at all is a valid (if useless) checkpoint.
+        let none = Checkpoint {
+            tenants: Vec::new(),
+            ..one
+        };
+        assert!(Checkpoint::decode(&none.encode())
+            .unwrap()
+            .tenants
+            .is_empty());
+    }
+
+    /// A checkpoint written by a build before tenants (format version 1):
+    /// one model, two shards of 720 tasks between them.
+    const V1: &[u8] = include_bytes!("../tests/fixtures/checkpoint-v1.ckpt");
+
+    #[test]
+    fn a_version_1_file_decodes_as_the_default_tenant() {
+        assert_eq!(u16::from_be_bytes([V1[8], V1[9]]), 1);
+        let decoded = Checkpoint::decode(V1).unwrap();
+        assert_eq!(decoded.tenants.len(), 1);
+        let default = &decoded.tenants[0];
+        assert_eq!((default.tenant, default.generation), (TenantId::DEFAULT, 1));
+        assert_eq!(default.shards.len(), 2);
+        let seen: u64 = default
+            .shards
+            .iter()
+            .map(DetectorSnapshot::tasks_seen)
+            .sum();
+        assert_eq!(seen, 720);
+        // Written back, it is a version 2 file with the same state.
+        let again = Checkpoint::decode(&decoded.encode()).unwrap();
+        assert_eq!(again.encode(), decoded.encode());
+        assert_eq!(again.tenants[0].model, default.model);
     }
 
     #[test]
@@ -600,14 +760,14 @@ mod tests {
     fn version_skew_is_typed_and_checked_after_crc() {
         let mut bytes = sample_checkpoint(1).encode();
         // Bump the version and re-seal the CRC so only the skew remains.
-        bytes[9] = 2;
+        bytes[9] = 3;
         let body_end = bytes.len() - 4;
         let crc = crc32(&[&bytes[8..body_end]]);
         bytes[body_end..].copy_from_slice(&crc.to_be_bytes());
         assert_eq!(
             Checkpoint::decode(&bytes).unwrap_err(),
             CheckpointError::VersionSkew {
-                found: 2,
+                found: 3,
                 supported: CHECKPOINT_VERSION
             }
         );

@@ -1,58 +1,38 @@
-//! Exponentially decayed frequency counting over interned keys.
+//! Per-key frequency counting over interned keys.
 //!
-//! The flow-outlier cutoff in the SAAD model is a share threshold over
-//! signature frequencies. For streaming adaptation those frequencies must
-//! *forget*: a signature that dominated an hour ago but vanished since
-//! should stop anchoring the cutoff. [`DecayedFrequency`] keeps one
-//! decayed count per `u64` key (an interned signature id, or any other
-//! small identifier); [`DecayedFrequency::advance`] multiplies every count
-//! by the decay factor at each window boundary and prunes entries that
-//! have decayed to dust, so memory tracks the *live* key set.
+//! The drift detector of a lifecycle pool compares the signature mix of
+//! each adapt window with the mix the live model was trained on.
+//! [`DecayedFrequency`] keeps one count per `u64` key (an interned
+//! signature id, or any other small identifier) and measures the L1
+//! distance between two such share distributions. Counts never decay:
+//! the detector measures one window at a time, and each window starts a
+//! fresh table.
 
 use std::collections::HashMap;
 
-/// Counts below this fraction of one observation are pruned on advance.
-const PRUNE_BELOW: f64 = 1e-6;
-
-/// Exponentially decayed per-key frequency counter.
+/// Per-key frequency counter.
 ///
 /// # Example
 ///
 /// ```
 /// use saad_stats::decay::DecayedFrequency;
 ///
-/// let mut f = DecayedFrequency::new(0.5);
+/// let mut f = DecayedFrequency::new();
 /// f.record(7, 8.0);
-/// f.record(9, 8.0);
-/// f.advance(); // halve everything
-/// f.record(7, 4.0);
+/// f.record(9, 4.0);
 /// assert!((f.share(7) - 2.0 / 3.0).abs() < 1e-12);
 /// assert!((f.share(9) - 1.0 / 3.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DecayedFrequency {
-    decay: f64,
     counts: HashMap<u64, f64>,
     total: f64,
 }
 
 impl DecayedFrequency {
-    /// Create a counter with per-advance decay factor in `(0, 1]`
-    /// (`1.0` = never forget).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `decay` is outside `(0, 1]`.
-    pub fn new(decay: f64) -> Self {
-        assert!(
-            decay > 0.0 && decay <= 1.0,
-            "decay must be in (0,1], got {decay}"
-        );
-        Self {
-            decay,
-            counts: HashMap::new(),
-            total: 0.0,
-        }
+    /// An empty counter.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Add `weight` observations of `key` (weight must be finite, ≥ 0).
@@ -64,30 +44,12 @@ impl DecayedFrequency {
         self.total += weight;
     }
 
-    /// Close a window: multiply every count by the decay factor and prune
-    /// entries that have decayed below a dust threshold.
-    pub fn advance(&mut self) {
-        if (self.decay - 1.0).abs() < f64::EPSILON {
-            return;
-        }
-        self.total = 0.0;
-        self.counts.retain(|_, c| {
-            *c *= self.decay;
-            if *c < PRUNE_BELOW {
-                false
-            } else {
-                self.total += *c;
-                true
-            }
-        });
-    }
-
-    /// Decayed count of `key` (`0.0` when unseen or pruned).
+    /// Count of `key` (`0.0` when unseen).
     pub fn count(&self, key: u64) -> f64 {
         self.counts.get(&key).copied().unwrap_or(0.0)
     }
 
-    /// Share of `key` in the decayed total (`0.0` when the total is 0).
+    /// Share of `key` in the total (`0.0` when the total is 0).
     pub fn share(&self, key: u64) -> f64 {
         if self.total <= 0.0 {
             0.0
@@ -96,22 +58,22 @@ impl DecayedFrequency {
         }
     }
 
-    /// Sum of all decayed counts.
+    /// Sum of all counts.
     pub fn total(&self) -> f64 {
         self.total
     }
 
-    /// Number of live (unpruned) keys.
+    /// Number of keys counted.
     pub fn len(&self) -> usize {
         self.counts.len()
     }
 
-    /// Whether no live keys remain.
+    /// Whether no key has been counted.
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
     }
 
-    /// Iterate `(key, share)` over live keys (order unspecified).
+    /// Iterate `(key, share)` over counted keys (order unspecified).
     pub fn shares(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         let total = self.total;
         self.counts.iter().map(move |(&k, &c)| {
@@ -144,7 +106,7 @@ mod tests {
 
     #[test]
     fn shares_sum_to_one() {
-        let mut f = DecayedFrequency::new(0.9);
+        let mut f = DecayedFrequency::new();
         for k in 0..10u64 {
             f.record(k, (k + 1) as f64);
         }
@@ -153,32 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn advance_decays_and_prunes() {
-        let mut f = DecayedFrequency::new(0.1);
-        f.record(1, 1.0);
-        // 1.0 → 0.1 → … → below dust in a handful of advances.
-        for _ in 0..8 {
-            f.advance();
-        }
-        assert!(f.is_empty(), "key should decay to dust and be pruned");
-        assert_eq!(f.share(1), 0.0);
-    }
-
-    #[test]
-    fn decay_one_never_forgets() {
-        let mut f = DecayedFrequency::new(1.0);
-        f.record(4, 2.0);
-        for _ in 0..100 {
-            f.advance();
-        }
-        assert_eq!(f.count(4), 2.0);
-        assert_eq!(f.total(), 2.0);
-    }
-
-    #[test]
     fn l1_distance_identical_is_zero() {
-        let mut a = DecayedFrequency::new(0.9);
-        let mut b = DecayedFrequency::new(0.9);
+        let mut a = DecayedFrequency::new();
+        let mut b = DecayedFrequency::new();
         for k in 0..5u64 {
             a.record(k, 3.0);
             b.record(k, 6.0); // same shape, different scale
@@ -188,8 +127,8 @@ mod tests {
 
     #[test]
     fn l1_distance_disjoint_is_two() {
-        let mut a = DecayedFrequency::new(0.9);
-        let mut b = DecayedFrequency::new(0.9);
+        let mut a = DecayedFrequency::new();
+        let mut b = DecayedFrequency::new();
         a.record(1, 5.0);
         b.record(2, 5.0);
         assert!((a.l1_distance(&b) - 2.0).abs() < 1e-12);
@@ -197,8 +136,8 @@ mod tests {
 
     #[test]
     fn l1_distance_is_symmetric() {
-        let mut a = DecayedFrequency::new(0.9);
-        let mut b = DecayedFrequency::new(0.9);
+        let mut a = DecayedFrequency::new();
+        let mut b = DecayedFrequency::new();
         a.record(1, 3.0);
         a.record(2, 1.0);
         b.record(2, 2.0);
@@ -208,7 +147,7 @@ mod tests {
 
     #[test]
     fn ignores_junk_weights() {
-        let mut f = DecayedFrequency::new(0.9);
+        let mut f = DecayedFrequency::new();
         f.record(1, f64::NAN);
         f.record(1, -2.0);
         f.record(1, 0.0);

@@ -13,10 +13,9 @@
 //!   detection at significance level 0.001 ([`hypothesis`]),
 //! * k-fold cross-validation used to discard signatures whose duration
 //!   distribution cannot support a percentile threshold ([`kfold`]),
-//! * streaming primitives for the adaptive layer: a mergeable
-//!   relative-error quantile sketch ([`sketch`]), exponentially decayed
-//!   signature-frequency counting ([`decay`]), and Page-Hinkley change
-//!   detection over window summaries ([`drift`]).
+//! * the window summaries a lifecycle pool's drift detector compares: a
+//!   relative-error quantile sketch ([`sketch`]), signature-frequency
+//!   counting ([`decay`]), and Page-Hinkley change detection ([`drift`]).
 //!
 //! # Example
 //!

@@ -1,11 +1,12 @@
-//! Mergeable streaming quantile sketch with a relative-error guarantee.
+//! Streaming quantile sketch with a relative-error guarantee.
 //!
-//! The adaptive layer (`saad-adapt`) needs per-(stage, signature) duration
-//! percentiles that update per window without replaying a ring buffer of
-//! raw durations. [`QuantileSketch`] is a log-linear bucketed sketch in the
-//! DDSketch family: values are mapped to geometrically spaced buckets, so
-//! memory is bounded by the *dynamic range* of the data (not its volume)
-//! and any quantile can be answered with a guaranteed relative error.
+//! A lifecycle pool's drift detector compares one duration percentile of
+//! each adapt window against the live model's training window, without
+//! keeping either window's raw durations. [`QuantileSketch`] is a
+//! log-linear bucketed sketch in the DDSketch family: values are mapped
+//! to geometrically spaced buckets, so memory is bounded by the *dynamic
+//! range* of the data (not its volume) and any quantile can be answered
+//! with a guaranteed relative error.
 //!
 //! # Error bound
 //!
@@ -20,13 +21,6 @@
 //! Values in `[0, MIN_VALUE)` (and NaN, which sorts *below* everything,
 //! matching the detector's `classify_batch` semantics) collapse into a
 //! dedicated zero bucket reported as `0.0`.
-//!
-//! # Merge
-//!
-//! The value→bucket mapping is deterministic and independent of insertion
-//! order, so merging two sketches (same `alpha`) is exact bucket-count
-//! addition: `merge(sketch(A), sketch(B))` is *structurally identical* to
-//! `sketch(A ++ B)`, not merely approximately equal.
 
 use std::collections::BTreeMap;
 
@@ -36,7 +30,7 @@ pub const MIN_VALUE: f64 = 1e-9;
 /// Default accuracy parameter: 1% relative error.
 pub const DEFAULT_ALPHA: f64 = 0.01;
 
-/// A mergeable log-linear quantile sketch (DDSketch-style).
+/// A log-linear quantile sketch (DDSketch-style).
 ///
 /// Records non-negative samples (durations in µs, sizes in bytes, …) and
 /// answers percentile queries with relative error at most `alpha`. Bounded
@@ -187,24 +181,6 @@ impl QuantileSketch {
         Some(self.max)
     }
 
-    /// Fraction of recorded samples whose bucket lies strictly above
-    /// `v`'s bucket (within the sketch's `alpha` resolution). `0.0` for
-    /// an empty sketch or a NaN `v` (nothing exceeds NaN, matching
-    /// `classify_batch`'s compare semantics).
-    pub fn fraction_above(&self, v: f64) -> f64 {
-        if self.count == 0 || v.is_nan() {
-            return 0.0;
-        }
-        let key = if v < MIN_VALUE { i32::MIN } else { self.key(v) };
-        let above: u64 = self
-            .buckets
-            .iter()
-            .filter(|&(&k, _)| k > key)
-            .map(|(_, &n)| n)
-            .sum();
-        above as f64 / self.count as f64
-    }
-
     /// Smallest recorded sample (`0.0` floor for sub-threshold values).
     /// `None` when empty.
     pub fn min(&self) -> Option<f64> {
@@ -214,75 +190,6 @@ impl QuantileSketch {
     /// Largest recorded sample. `None` when empty.
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Merge `other` into `self` by exact bucket-count addition.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two sketches were built with different `alpha`
-    /// (their bucket grids are incompatible).
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-12,
-            "cannot merge sketches with different alpha ({} vs {})",
-            self.alpha,
-            other.alpha
-        );
-        for (&key, &n) in &other.buckets {
-            *self.buckets.entry(key).or_insert(0) += n;
-        }
-        self.zero_count += other.zero_count;
-        self.count += other.count;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
-    /// Decompose the sketch into raw parts for serialization:
-    /// `(alpha, zero_count, count, min, max, buckets)`. Reassemble with
-    /// [`QuantileSketch::from_parts`]. `min`/`max` are meaningless when
-    /// `count == 0` (encoded as `0.0` by convention — see `from_parts`).
-    pub fn to_parts(&self) -> (f64, u64, u64, f64, f64, Vec<(i32, u64)>) {
-        let (min, max) = if self.count == 0 {
-            (0.0, 0.0)
-        } else {
-            (self.min, self.max)
-        };
-        (
-            self.alpha,
-            self.zero_count,
-            self.count,
-            min,
-            max,
-            self.buckets.iter().map(|(&k, &n)| (k, n)).collect(),
-        )
-    }
-
-    /// Rebuild a sketch from [`QuantileSketch::to_parts`] output.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `alpha` is outside `(0, 1)` — the same contract as
-    /// [`QuantileSketch::new`].
-    pub fn from_parts(
-        alpha: f64,
-        zero_count: u64,
-        count: u64,
-        min: f64,
-        max: f64,
-        buckets: Vec<(i32, u64)>,
-    ) -> Self {
-        let mut sk = Self::new(alpha);
-        sk.zero_count = zero_count;
-        sk.count = count;
-        if count > 0 {
-            sk.min = min;
-            sk.max = max;
-        }
-        sk.buckets = buckets.into_iter().collect();
-        sk
     }
 }
 
@@ -352,37 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_above_tracks_tail_mass() {
-        let mut sk = QuantileSketch::new(0.01);
-        for v in 1..=1000 {
-            sk.record(v as f64);
-        }
-        let above = sk.fraction_above(900.0);
-        assert!((above - 0.1).abs() < 0.02, "got {above}");
-        assert_eq!(sk.fraction_above(f64::NAN), 0.0);
-        assert!((sk.fraction_above(0.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_requires_matching_alpha() {
-        let mut a = QuantileSketch::new(0.01);
-        let b = QuantileSketch::new(0.02);
-        let r = std::panic::catch_unwind(move || a.merge(&b));
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn parts_round_trip_is_identity() {
-        let mut sk = QuantileSketch::new(0.02);
-        for v in [0.0, 1.0, 10.0, 10.0, 1e6, f64::NAN] {
-            sk.record(v);
-        }
-        let (alpha, zero, count, min, max, buckets) = sk.to_parts();
-        let back = QuantileSketch::from_parts(alpha, zero, count, min, max, buckets);
-        assert_eq!(sk, back);
-    }
-
-    #[test]
     fn memory_is_bounded_by_dynamic_range() {
         let mut sk = QuantileSketch::new(0.01);
         for i in 0..1_000_000u64 {
@@ -429,24 +305,6 @@ mod tests {
                 xs.extend(std::iter::repeat_n(v, n));
             }
             assert_within_bound(&xs, p, 0.01);
-        }
-
-        /// Merged sketches are structurally identical to the sketch of the
-        /// concatenated stream — exact, not approximate.
-        #[test]
-        fn merge_equals_concat(
-            a in proptest::collection::vec(1e-3f64..1e9, 0..200),
-            b in proptest::collection::vec(1e-3f64..1e9, 0..200),
-        ) {
-            let mut sa = QuantileSketch::new(0.01);
-            for &v in &a { sa.record(v); }
-            let mut sb = QuantileSketch::new(0.01);
-            for &v in &b { sb.record(v); }
-            sa.merge(&sb);
-
-            let mut sc = QuantileSketch::new(0.01);
-            for &v in a.iter().chain(b.iter()) { sc.record(v); }
-            prop_assert_eq!(sa, sc);
         }
 
         /// Percentile is monotone in p, like the exact implementation.

@@ -204,7 +204,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     drive(&server, &points, 20_000, 0);
     flush();
     let deadline = Instant::now() + Duration::from_secs(30);
-    while !pool.is_detecting() {
+    while !pool.is_detecting(TenantId::DEFAULT) {
         if Instant::now() >= deadline {
             return Err("pool never promoted to detecting mode".into());
         }

@@ -4,7 +4,9 @@
 //! Anomaly Detection through Tracking Log Points"* (Middleware 2014):
 //!
 //! * [`core`] — the paper's contribution: task execution tracker,
-//!   synopses, outlier model, windowed statistical anomaly detector;
+//!   synopses, outlier model, windowed statistical anomaly detector — and
+//!   the sharded analyzer pool with durable, drift-adaptive, per-tenant
+//!   models;
 //! * [`logging`] — the log4j-style facade with identified log points;
 //! * [`stats`] — the statistical machinery (percentiles, t-tests, k-fold);
 //! * [`sim`] — virtual time, clocks, queued resources;
@@ -14,8 +16,6 @@
 //!   tracker shims to the analyzer over real sockets;
 //! * [`obs`] — self-observability: lock-free metrics registry and
 //!   Prometheus exposition for SAAD's own pipeline;
-//! * [`adapt`] — streaming adaptive maintenance: sketch-backed model
-//!   building, Page-Hinkley drift detection, per-tenant namespaces;
 //! * [`hdfs`] / [`hbase`] / [`cassandra`] — the simulated storage systems
 //!   the paper evaluates on;
 //! * [`relay`] — the g3proxy-shaped staged relay simulator whose
@@ -28,7 +28,6 @@
 //! `crates/bench` for the harness that regenerates every table and figure
 //! in the paper.
 
-pub use saad_adapt as adapt;
 pub use saad_cassandra as cassandra;
 pub use saad_core as core;
 pub use saad_fault as fault;

@@ -1,18 +1,17 @@
-//! End-to-end adaptive maintenance: mid-stream drift is absorbed by an
-//! automatic in-band hot swap, and the re-adapted model still catches a
-//! genuine anomaly afterwards — with exact stage and host localization.
-//! Separately, tenancy is proven to isolate: drift in tenant A swaps A's
-//! model only, while tenant B's generation and event output stay
-//! byte-for-byte identical to a run where A never drifted.
+//! End-to-end adaptive maintenance in the lifecycle pool: mid-stream drift
+//! is absorbed by an automatic in-band hot swap, and the re-adapted model
+//! still catches a genuine anomaly afterwards — with exact stage and host
+//! localization. Separately, tenancy is proven to isolate: drift in tenant
+//! A swaps A's model only, while tenant B's generation and event output
+//! stay byte-for-byte identical to a run where A never drifted.
 
 mod common;
 
 use crossbeam_channel::unbounded;
-use saad::adapt::{AdaptiveMonitor, TenantRouter};
 use saad::core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
-use saad::core::model::ModelConfig;
 use saad::core::pipeline::{
-    spawn_analyzer_pool, AdaptPolicy, LifecycleConfig, PoolStart, SupervisorConfig,
+    spawn_analyzer_pool, AdaptPolicy, LifecycleConfig, PoolHandle, PoolStart, SupervisorConfig,
+    TenantRouter,
 };
 use saad::core::prelude::*;
 use saad::logging::LogPointId;
@@ -69,30 +68,46 @@ fn scaled_stream(start_min: u64, mins: u64, factor: f64) -> Vec<TaskSynopsis> {
     out
 }
 
-#[test]
-fn mid_stream_drift_is_absorbed_and_post_swap_anomaly_localized() {
-    let dir = TempDir::new("drift-swap");
+/// The adaptive lifecycle both tests run: one-minute adapt windows, and
+/// a ring of one to two windows of traffic, so the post-drift retrain
+/// trains on the new regime, not a stale mixture.
+fn adaptive(tenants: TenantRouter) -> LifecycleConfig {
+    LifecycleConfig {
+        checkpoint_every: 0,
+        promote_after: 300,
+        min_retrain_samples: 200,
+        retrain_window: 500,
+        adapt: Some(AdaptPolicy {
+            window: SimDuration::from_secs(60),
+            min_window_samples: 50,
+            cooldown_windows: 1,
+            ..AdaptPolicy::default()
+        }),
+        tenants,
+        ..LifecycleConfig::default()
+    }
+}
+
+/// A pool of `workers` shards per tenant over a fresh store in `dir`.
+fn spawn(
+    dir: &TempDir,
+    lifecycle: LifecycleConfig,
+    workers: usize,
+) -> (crossbeam_channel::Sender<SynopsisBatch>, PoolHandle) {
     let (batch_tx, batch_rx) = unbounded();
     let start = PoolStart::Store {
         dir: dir.path().into(),
-        lifecycle: LifecycleConfig {
-            checkpoint_every: 0,
-            promote_after: 300,
-            min_retrain_samples: 200,
-            // One-to-two adapt windows of traffic, so the post-drift
-            // retrain trains on the new regime, not a stale mixture.
-            retrain_window: 500,
-            adapt: Some(AdaptPolicy {
-                window: SimDuration::from_secs(60),
-                min_window_samples: 50,
-                cooldown_windows: 1,
-                ..AdaptPolicy::default()
-            }),
-            ..LifecycleConfig::default()
-        },
+        lifecycle,
     };
     let (config, supervisor) = (DetectorConfig::default(), SupervisorConfig::default());
-    let pool = spawn_analyzer_pool(start, config, supervisor, 2, batch_rx).unwrap();
+    let pool = spawn_analyzer_pool(start, config, supervisor, workers, batch_rx).unwrap();
+    (batch_tx, pool)
+}
+
+#[test]
+fn mid_stream_drift_is_absorbed_and_post_swap_anomaly_localized() {
+    let dir = TempDir::new("drift-swap");
+    let (batch_tx, pool) = spawn(&dir, adaptive(TenantRouter::new()), 2);
     let interner = pool.interner();
     let feed = |synopses: &[TaskSynopsis]| {
         for chunk in synopses.chunks(60) {
@@ -118,11 +133,12 @@ fn mid_stream_drift_is_absorbed_and_post_swap_anomaly_localized() {
     while let Ok(e) = pool.events().recv() {
         events.push(e);
     }
-    assert!(pool.is_detecting(), "pool never promoted");
+    let tenant = TenantId::DEFAULT;
+    assert!(pool.is_detecting(tenant), "pool never promoted");
     assert!(
-        pool.drift_swaps() >= 1,
+        pool.drift_swaps(tenant) >= 1,
         "sustained drift must auto-swap (adapt windows: {})",
-        pool.adapt_windows()
+        pool.adapt_windows(tenant)
     );
 
     // The re-adapted model still catches the injected anomaly…
@@ -155,74 +171,74 @@ fn mid_stream_drift_is_absorbed_and_post_swap_anomaly_localized() {
     pool.join().unwrap();
 }
 
-/// Run the two-tenant monitor; tenant A (hosts 0/1) optionally drifts at
-/// minute 6, tenant B (hosts 2/3) always stays healthy. Returns B's full
-/// event stream and the monitor for counter inspection.
-fn run_two_tenants(a_drifts: bool) -> (Vec<AnomalyEvent>, AdaptiveMonitor) {
-    let mut router = TenantRouter::new();
+/// Run a two-tenant pool of `workers` shards per tenant: tenant A (hosts
+/// 0/1) optionally drifts at minute 6 — a rollout, durations ×5 on a new
+/// signature, so a model A retrains would flag all of B's traffic had it
+/// reached B's slots — and tenant B (hosts 2/3) always stays healthy.
+/// Returns B's full event list, sorted, and A's drift swaps, B's drift
+/// swaps and B's model generation at the end.
+fn run_two_tenants(a_drifts: bool, workers: usize) -> (Vec<String>, [u64; 3]) {
+    let (a, b) = (TenantId(1), TenantId(2));
+    let mut tenants = TenantRouter::new();
     for h in [0u16, 1] {
-        router.assign(HostId(h), TenantId(1));
+        tenants.assign(HostId(h), a);
     }
     for h in [2u16, 3] {
-        router.assign(HostId(h), TenantId(2));
+        tenants.assign(HostId(h), b);
     }
-    let mut monitor = AdaptiveMonitor::new(
-        router,
-        DetectorConfig::default(),
-        ModelConfig::default(),
-        AdaptPolicy {
-            window: SimDuration::from_secs(60),
-            min_window_samples: 50,
-            cooldown_windows: 1,
-            ..AdaptPolicy::default()
-        },
-        300,
-    );
-    let mut b_events = Vec::new();
+    let dir = TempDir::new(&format!("tenants-{a_drifts}-{workers}"));
+    let (batch_tx, pool) = spawn(&dir, adaptive(tenants), workers);
+    let mut stream = Vec::new();
     for minute in 0..14u64 {
         for i in 0..240u64 {
             let uid = minute * 240 + i;
             let start = SimTime::from_mins(minute) + SimDuration::from_millis(i * 250);
-            let a_factor = if a_drifts && minute >= 6 { 5.0 } else { 1.0 };
+            let drifted = a_drifts && minute >= 6;
+            let (a_factor, a_points) = if drifted {
+                (5.0, [1, 4])
+            } else {
+                (1.0, [1, 2])
+            };
             let a_dur = ((1_000 + (uid % 53) * 5) as f64 * a_factor) as u64;
-            monitor.observe(&synopsis((i % 2) as u16, &[1, 2], a_dur, start, uid));
+            stream.push(synopsis((i % 2) as u16, &a_points, a_dur, start, uid));
             let b_dur = 1_000 + (uid % 53) * 5;
-            b_events.extend(monitor.observe(&synopsis(
-                2 + (i % 2) as u16,
-                &[1, 2],
-                b_dur,
-                start,
-                1_000_000 + uid,
-            )));
+            let b_host = 2 + (i % 2) as u16;
+            stream.push(synopsis(b_host, &[1, 2], b_dur, start, 1_000_000 + uid));
         }
     }
-    for (tenant, e) in monitor.finish() {
-        if tenant == TenantId(2) {
-            b_events.push(e);
-        }
+    let interner = pool.interner();
+    for chunk in stream.chunks(60) {
+        batch_tx.send(common::soa(chunk, &interner)).unwrap();
     }
-    (b_events, monitor)
+    drop(batch_tx);
+    let events: Vec<AnomalyEvent> = pool.events().iter().collect();
+    let counts = [pool.drift_swaps(a), pool.drift_swaps(b), pool.generation(b)];
+    pool.join().unwrap();
+    let of_b: Vec<AnomalyEvent> = events.into_iter().filter(|e| e.host.0 >= 2).collect();
+    (common::event_keys(&of_b), counts)
 }
 
 #[test]
 fn drift_in_tenant_a_leaves_tenant_b_byte_identical() {
-    let (b_quiet, m_quiet) = run_two_tenants(false);
-    let (b_drift, m_drift) = run_two_tenants(true);
+    for workers in [1usize, 2] {
+        let (b_quiet, [_, _, generation_quiet]) = run_two_tenants(false, workers);
+        let (b_drift, [a_swaps, b_swaps, generation_drift]) = run_two_tenants(true, workers);
 
-    // A re-adapted; B did not.
-    assert!(
-        m_drift.drift_swaps(TenantId(1)) >= 1,
-        "tenant A never re-adapted"
-    );
-    assert_eq!(m_drift.drift_swaps(TenantId(2)), 0);
-    assert_eq!(
-        m_drift.generation(TenantId(2)),
-        m_quiet.generation(TenantId(2)),
-        "tenant B's generation moved because A drifted"
-    );
-    // B's entire event stream is unchanged by A's drift.
-    assert_eq!(
-        b_drift, b_quiet,
-        "tenant B's output changed because tenant A drifted"
-    );
+        // A re-adapted; B did not.
+        assert!(
+            a_swaps >= 1,
+            "tenant A never re-adapted ({workers} workers)"
+        );
+        assert_eq!(b_swaps, 0, "{workers} workers");
+        assert_eq!(
+            generation_drift, generation_quiet,
+            "tenant B's generation moved because A drifted ({workers} workers)"
+        );
+        // B's entire event list is unchanged by A's drift.
+        assert!(!b_quiet.is_empty(), "B's bootstrap windows report");
+        assert_eq!(
+            b_drift, b_quiet,
+            "tenant B's output changed because tenant A drifted ({workers} workers)"
+        );
+    }
 }

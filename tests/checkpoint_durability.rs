@@ -174,7 +174,10 @@ fn recovered_pool_matches_uninterrupted_oracle() {
     let (crash_tx, crash_pool) = spawn(crash_dir.path(), 3);
     feed(&crash_pool, &crash_tx, &stream[..half]);
     wait_processed(&crash_pool, half as u64);
-    assert!(crash_pool.is_detecting(), "pool should have promoted");
+    assert!(
+        crash_pool.is_detecting(TenantId::DEFAULT),
+        "pool should have promoted"
+    );
     let reply = crash_pool.request_checkpoint();
     crash_tx.send(SynopsisBatch::new()).unwrap(); // nudge the batch boundary
     let generation = reply.recv().unwrap().expect("checkpoint failed");
@@ -188,7 +191,10 @@ fn recovered_pool_matches_uninterrupted_oracle() {
     // and finishes the stream.
     let (recovered_tx, recovered) = spawn(crash_dir.path(), 3);
     assert_eq!(recovered.recovered_generation(), Some(generation));
-    assert!(recovered.is_detecting(), "recovery must skip bootstrap");
+    assert!(
+        recovered.is_detecting(TenantId::DEFAULT),
+        "recovery must skip bootstrap"
+    );
     assert!(recovered.rejected_checkpoints().is_empty());
     feed(&recovered, &recovered_tx, &stream[half..]);
     drop(recovered_tx);

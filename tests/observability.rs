@@ -262,7 +262,7 @@ fn run_meta_monitored_pool(
     }
     drop(batch_tx);
     while pool.events().recv().is_ok() {}
-    assert!(pool.is_detecting(), "pool never promoted");
+    assert!(pool.is_detecting(TenantId::DEFAULT), "pool never promoted");
     // The router has exited, but the dedicated writer thread drains its
     // checkpoint queue asynchronously (each save is a real fsync, and
     // phase B stalls each one); wait for the durable count to land.
