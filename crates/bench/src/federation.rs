@@ -18,7 +18,7 @@ use saad_core::synopsis::TaskSynopsis;
 use saad_core::{HostId, StageId, TaskUid};
 use saad_net::{
     Agent, AgentConfig, BackoffConfig, ControlPlane, LeafCollector, LeafConfig, LeafId,
-    RootCollector, RootConfig,
+    RootCollector,
 };
 use saad_sim::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -78,8 +78,7 @@ pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> 
     let control = ControlPlane::new(seed, Duration::from_secs(3600));
     let (batch_tx, batch_rx) = crossbeam_channel::unbounded::<SynopsisBatch>();
     // The root interns at the edge, as it would for a pool behind it.
-    let (interner, config) = (Arc::default(), RootConfig::default());
-    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, config).expect("bind root");
+    let root = RootCollector::bind("127.0.0.1:0", batch_tx, Arc::default()).expect("bind root");
     // Drain the analyzer input so the channel never backs up.
     let drain = std::thread::spawn(move || batch_rx.iter().map(|b| b.len() as u64).sum::<u64>());
 
@@ -170,7 +169,7 @@ pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> 
         .collect();
     let baseline: Vec<u64> = orphans
         .iter()
-        .map(|&h| root.merged_stats(h).delivered_synopses)
+        .map(|&h| root.link_stats(h).delivered_synopses)
         .collect();
 
     victim.kill();
@@ -180,7 +179,7 @@ pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> 
         orphans
             .iter()
             .zip(&baseline)
-            .all(|(&h, &base)| root.merged_stats(h).delivered_synopses > base)
+            .all(|(&h, &base)| root.link_stats(h).delivered_synopses > base)
     });
     let rehome_ms = t1.elapsed().as_secs_f64() * 1e3;
     assert!(ok, "re-homing stalled: an orphan host never resumed");

@@ -598,7 +598,7 @@ impl Store {
             |obs| &obs.checkpoints_written,
         );
         counter(
-            "saad_checkpoint_retries",
+            "saad_checkpoint_retries_total",
             "Transient checkpoint write failures retried with backoff",
             |obs| &obs.checkpoint_retries,
         );
@@ -1554,7 +1554,7 @@ mod tests {
             // no unlabelled drift counter.
             let mut expected = vec![
                 "saad_checkpoint_last_generation",
-                "saad_checkpoint_retries",
+                "saad_checkpoint_retries_total",
                 "saad_checkpoint_write_latency_us",
                 "saad_checkpoints_written_total",
                 "saad_pool_batches_routed_total",

@@ -466,6 +466,11 @@ impl SynopsisSink for DetectorSink {
 /// leaf's goodbye). Returns the synopses forwarded; a duplicate frame,
 /// already counted, yields nothing, and a frame with neither synopses nor
 /// a gap sends nothing.
+///
+/// No collector calls this: the collector and the root decode each frame
+/// in place from their rings. It is the whole-frame reference those
+/// in-place paths are tested against (`parse_frame` → admit → this), and
+/// a way to feed a pool by hand.
 pub fn feed_frame_soa(
     outcome: FrameOutcome,
     batch_tx: &Sender<SynopsisBatch>,

@@ -38,7 +38,9 @@
 //! lost and later arrive, in which case the late frame delivers its
 //! synopses but the earlier report is not retracted. Downstream consumers
 //! (the degradation-aware detector) therefore treat incremental loss as an
-//! upper bound and the final [`LinkStats`] as ground truth.
+//! upper bound and the final [`LinkStats`] as ground truth. A
+//! [`LossLedger`] keeps the same accounts for frames whose duplicates are
+//! weeded out elsewhere: a root's, one window per uplink.
 
 use crate::codec::{self, DecodeError};
 use crate::synopsis::{SynopsisHead, TaskSynopsis};
@@ -558,8 +560,8 @@ pub struct ParsedFrame {
     pub synopses: Vec<TaskSynopsis>,
 }
 
-/// Validate one received frame without touching any receiver state: check
-/// the header bounds, verify the CRC-32, and decode the payload.
+/// Validate one received frame without touching any receiver state:
+/// [`check_frame`], then decode the payload into owned synopses.
 ///
 /// # Errors
 ///
@@ -568,22 +570,37 @@ pub struct ParsedFrame {
 /// count the rejection via [`FrameReceiver::record_corrupted`] (or use
 /// [`FrameReceiver::accept`], which does both).
 pub fn parse_frame(frame: &[u8]) -> Result<ParsedFrame, FrameError> {
-    if frame.len() < FRAME_HEADER_LEN {
-        return Err(FrameError::Truncated);
-    }
-    let header = parse_frame_header(&frame[..FRAME_HEADER_LEN])?;
-    let payload = &frame[FRAME_HEADER_LEN..];
-    if payload.len() != header.payload_len as usize {
-        return Err(FrameError::Truncated);
-    }
-    verify_frame_crc(&frame[..FRAME_HEADER_LEN], payload)?;
-    let synopses = codec::decode_batch_slice(payload)?;
+    let (header, payload) = check_frame(frame)?;
     Ok(ParsedFrame {
         host: header.host,
         seq: header.seq,
         cumulative: header.cumulative,
-        synopses,
+        synopses: codec::decode_batch_slice(payload)?,
     })
+}
+
+/// The one check every received frame passes before its payload is read,
+/// whoever decodes it: header bounds, payload length, CRC-32. Returns the
+/// header and the payload, borrowed from `frame`, so a collector decodes
+/// in place from its ring ([`codec::decode_batch_into`]) and a leaf into
+/// owned synopses ([`parse_frame`]).
+///
+/// # Errors
+///
+/// [`FrameError::Truncated`] when the frame is shorter than its header or
+/// its payload is not the length the header says;
+/// [`FrameError::Oversized`] past [`MAX_FRAME_PAYLOAD`];
+/// [`FrameError::ChecksumMismatch`] when the CRC disagrees.
+pub fn check_frame(frame: &[u8]) -> Result<(FrameHeader, &[u8]), FrameError> {
+    let (header_bytes, payload) = frame
+        .split_at_checked(FRAME_HEADER_LEN)
+        .ok_or(FrameError::Truncated)?;
+    let header = parse_frame_header(header_bytes)?;
+    if payload.len() != header.payload_len as usize {
+        return Err(FrameError::Truncated);
+    }
+    verify_frame_crc(header_bytes, payload)?;
+    Ok((header, payload))
 }
 
 /// The fixed fields of one frame header, decoded without touching the
@@ -703,21 +720,34 @@ pub struct LinkStats {
     pub lost_synopses: u64,
 }
 
-#[derive(Debug, Default)]
-struct HostLink {
+/// One host's delivery account: the transport's delivered / expected /
+/// newly-lost arithmetic, written once. A [`FrameReceiver`] keeps one per
+/// host beside that host's [`SeqWindow`]; a [`LossLedger`] keeps one per
+/// host for frames whose windows live elsewhere.
+#[derive(Debug, Default, Clone, Copy)]
+struct Account {
     delivered_frames: u64,
     delivered_synopses: u64,
     duplicate_frames: u64,
     expected_synopses: u64,
     /// Incremental loss already surfaced through `newly_lost`.
     reported_lost: u64,
-    /// Highest sequence number seen.
-    max_seq: u64,
-    /// Sequence numbers seen within the reorder horizon.
-    seen: HashSet<u64>,
 }
 
-impl HostLink {
+impl Account {
+    /// Charge one fresh frame of `count` synopses that starts at stream
+    /// position `cumulative`. Returns the synopses it newly reveals
+    /// missing: conservative under reordering (see the module docs).
+    fn fresh(&mut self, cumulative: u64, count: u64) -> u64 {
+        self.delivered_frames += 1;
+        self.delivered_synopses += count;
+        self.expected_synopses = self.expected_synopses.max(cumulative + count);
+        let lost_now = self.stats().lost_synopses;
+        let newly_lost = lost_now.saturating_sub(self.reported_lost);
+        self.reported_lost = self.reported_lost.max(lost_now);
+        newly_lost
+    }
+
     fn stats(&self) -> LinkStats {
         LinkStats {
             delivered_frames: self.delivered_frames,
@@ -731,8 +761,44 @@ impl HostLink {
     }
 }
 
+/// Which of one sender's frame sequence numbers have arrived.
+#[derive(Debug, Default)]
+struct SeqWindow {
+    /// Highest sequence number seen.
+    max_seq: u64,
+    /// Sequence numbers seen within the reorder horizon.
+    seen: HashSet<u64>,
+}
+
+impl SeqWindow {
+    /// Record `seq`; `false` if it was seen before or lies past the
+    /// reorder horizon, i.e. the frame is a duplicate.
+    fn admit(&mut self, seq: u64) -> bool {
+        if seq + REORDER_HORIZON < self.max_seq || !self.seen.insert(seq) {
+            return false;
+        }
+        if seq > self.max_seq {
+            self.max_seq = seq;
+            // Prune the seen-set below the horizon; anything older is
+            // classified duplicate by the watermark test above.
+            if self.seen.len() > 2 * REORDER_HORIZON as usize {
+                let floor = self.max_seq.saturating_sub(REORDER_HORIZON);
+                self.seen.retain(|&s| s >= floor);
+            }
+        }
+        true
+    }
+}
+
+#[derive(Debug, Default)]
+struct HostLink {
+    account: Account,
+    window: SeqWindow,
+}
+
 /// Receiver half of the framed link: validates, deduplicates, and accounts
-/// for every frame from every host.
+/// for every frame from every host — per host, one sequence window and
+/// one account, found with one map lookup per frame.
 #[derive(Debug, Default)]
 pub struct FrameReceiver {
     hosts: HashMap<HostId, HostLink>,
@@ -756,7 +822,7 @@ impl FrameReceiver {
     pub fn stats(&self, host: HostId) -> LinkStats {
         self.hosts
             .get(&host)
-            .map(HostLink::stats)
+            .map(|l| l.account.stats())
             .unwrap_or_default()
     }
 
@@ -764,18 +830,18 @@ impl FrameReceiver {
     /// iterator — no per-call `HashMap` is built; collect if ownership is
     /// needed.
     pub fn all_stats(&self) -> impl Iterator<Item = (HostId, LinkStats)> + '_ {
-        self.hosts.iter().map(|(&h, l)| (h, l.stats()))
+        self.hosts.iter().map(|(&h, l)| (h, l.account.stats()))
     }
 
     /// Highest frame sequence number seen from `host` (`None` if the host
     /// was never heard from).
     pub fn highest_seq(&self, host: HostId) -> Option<u64> {
-        self.hosts.get(&host).map(|l| l.max_seq)
+        self.hosts.get(&host).map(|l| l.window.max_seq)
     }
 
     /// Total synopses lost across all hosts (exact at quiescence).
     pub fn total_lost(&self) -> u64 {
-        self.hosts.values().map(|l| l.stats().lost_synopses).sum()
+        self.all_stats().map(|(_, s)| s.lost_synopses).sum()
     }
 
     /// Count one frame rejected by [`parse_frame`] outside this receiver.
@@ -807,12 +873,12 @@ impl FrameReceiver {
             return;
         }
         let link = self.hosts.entry(host).or_default();
-        link.delivered_synopses = written.min(sent);
-        link.expected_synopses = sent;
-        link.max_seq = next_seq - 1;
+        link.account.delivered_synopses = written.min(sent);
+        link.account.expected_synopses = sent;
+        link.window.max_seq = next_seq - 1;
         // Marking max_seq as seen makes any redelivery of it a duplicate;
         // older sequence numbers fall to the horizon test in `admit`.
-        link.seen.insert(link.max_seq);
+        link.window.seen.insert(next_seq - 1);
     }
 
     /// Validate and classify one received frame.
@@ -867,28 +933,11 @@ impl FrameReceiver {
         count: u64,
     ) -> AdmitDecision {
         let link = self.hosts.entry(host).or_default();
-        let is_dup = seq + REORDER_HORIZON < link.max_seq || !link.seen.insert(seq);
-        if is_dup {
-            link.duplicate_frames += 1;
+        if !link.window.admit(seq) {
+            link.account.duplicate_frames += 1;
             return AdmitDecision::Duplicate;
         }
-        if seq > link.max_seq {
-            link.max_seq = seq;
-            // Prune the seen-set below the horizon; anything older is
-            // classified duplicate by the watermark test above.
-            if link.seen.len() > 2 * REORDER_HORIZON as usize {
-                let floor = link.max_seq.saturating_sub(REORDER_HORIZON);
-                link.seen.retain(|&s| s >= floor);
-            }
-        }
-        link.delivered_frames += 1;
-        link.delivered_synopses += count;
-        link.expected_synopses = link.expected_synopses.max(cumulative + count);
-        let lost_now = link
-            .expected_synopses
-            .saturating_sub(link.delivered_synopses);
-        let newly_lost = lost_now.saturating_sub(link.reported_lost);
-        link.reported_lost = link.reported_lost.max(lost_now);
+        let newly_lost = link.account.fresh(cumulative, count);
         AdmitDecision::Fresh { newly_lost }
     }
 }
@@ -909,20 +958,20 @@ pub enum AdmitDecision {
     Duplicate,
 }
 
-/// Merged per-host accounting across several links that all frame the
-/// **same global stream coordinates** — the root analyzer's view of a
-/// federated collector tier.
+/// Per-host loss accounting for frames sequenced elsewhere: the
+/// [`FrameReceiver`]'s accounts without its windows, fed its verdicts.
 ///
-/// Each leaf collector forwards a host's synopses in frames whose
-/// `cumulative` count equals the synopsis's position in the *agent's*
-/// stream (leaves keep their upstream [`FrameSender`]s aligned with
-/// [`FrameSender::skip`]). Because every link speaks the same coordinate
-/// system, the root can merge them with two pieces of arithmetic:
+/// This is the root's view of a federated collector tier. Each leaf
+/// forwards a host's synopses in frames whose `cumulative` count is their
+/// position in the *agent's* stream (leaves keep their upstream
+/// [`FrameSender`]s aligned with [`FrameSender::skip`]), but numbers its
+/// frames per uplink — so each uplink keeps its own windows, and one
+/// ledger keeps the loss:
 ///
-/// * `delivered` = **sum** over links (each position arrives on at most
-///   one link — a leaf forwards a synopsis exactly once, and per-link
-///   [`FrameReceiver`]s have already discarded duplicates);
-/// * `expected` = **max** over links of the highest stream position seen.
+/// * `delivered` is the **sum** over uplinks (each position arrives on at
+///   most one uplink — a leaf forwards a synopsis once, and the uplink's
+///   window has discarded duplicates);
+/// * `expected` is the **max** over uplinks of the highest position seen.
 ///
 /// `expected − delivered` is then the exact cross-failover loss: synopses
 /// that died with a killed leaf (buffered but never flushed), died on a
@@ -932,74 +981,48 @@ pub enum AdmitDecision {
 /// loss, never double counting, regardless of which leaf owned the host
 /// when.
 #[derive(Debug, Default)]
-pub struct DigestMerge {
-    hosts: HashMap<HostId, MergedHost>,
+pub struct LossLedger {
+    hosts: HashMap<HostId, Account>,
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct MergedHost {
-    delivered_frames: u64,
-    delivered_synopses: u64,
-    duplicate_frames: u64,
-    expected_synopses: u64,
-    reported_lost: u64,
-}
-
-impl DigestMerge {
-    /// Create an empty merge.
-    pub fn new() -> DigestMerge {
-        DigestMerge::default()
+impl LossLedger {
+    /// Create an empty ledger.
+    pub fn new() -> LossLedger {
+        LossLedger::default()
     }
 
-    /// Account one fresh frame from any link: `delivered` synopses whose
-    /// stream position ends at `stream_pos_end` (the link-local receiver's
-    /// `expected_synopses` after admitting the frame). Returns the number
-    /// of synopses newly discovered missing across **all** links —
-    /// conservative under cross-link races for the same reason
-    /// single-link incremental reports are (see the module docs); the
-    /// final [`DigestMerge::stats`] are exact at quiescence.
-    pub fn on_fresh(&mut self, host: HostId, delivered: u64, stream_pos_end: u64) -> u64 {
-        let h = self.hosts.entry(host).or_default();
-        h.delivered_frames += 1;
-        h.delivered_synopses += delivered;
-        h.expected_synopses = h.expected_synopses.max(stream_pos_end);
-        let lost_now = h.expected_synopses.saturating_sub(h.delivered_synopses);
-        let newly_lost = lost_now.saturating_sub(h.reported_lost);
-        h.reported_lost = h.reported_lost.max(lost_now);
-        newly_lost
+    /// Charge one fresh frame for `host`, from any link: `count` synopses
+    /// from stream position `cumulative` on. Returns the synopses newly
+    /// discovered missing across **all** links — conservative under
+    /// cross-link races as single-link reports are under reordering (see
+    /// the module docs); [`LossLedger::stats`] is exact at quiescence.
+    pub fn fresh(&mut self, host: HostId, cumulative: u64, count: u64) -> u64 {
+        self.hosts.entry(host).or_default().fresh(cumulative, count)
     }
 
     /// Count one duplicate frame some link discarded for `host`.
-    pub fn on_duplicate(&mut self, host: HostId) {
+    pub fn duplicate(&mut self, host: HostId) {
         self.hosts.entry(host).or_default().duplicate_frames += 1;
     }
 
-    /// Merged link statistics for one host (zeroes if never heard from).
+    /// Statistics for one host over every link (zeroes if never heard
+    /// from).
     pub fn stats(&self, host: HostId) -> LinkStats {
         self.hosts
             .get(&host)
-            .map(|h| LinkStats {
-                delivered_frames: h.delivered_frames,
-                delivered_synopses: h.delivered_synopses,
-                duplicate_frames: h.duplicate_frames,
-                expected_synopses: h.expected_synopses,
-                lost_synopses: h.expected_synopses.saturating_sub(h.delivered_synopses),
-            })
+            .map(Account::stats)
             .unwrap_or_default()
     }
 
-    /// Merged statistics for every host heard from on any link.
+    /// Statistics for every host heard from on any link.
     pub fn all_stats(&self) -> impl Iterator<Item = (HostId, LinkStats)> + '_ {
-        self.hosts.keys().map(|&h| (h, self.stats(h)))
+        self.hosts.iter().map(|(&h, a)| (h, a.stats()))
     }
 
     /// Total synopses lost across all hosts and links (exact at
     /// quiescence).
     pub fn total_lost(&self) -> u64 {
-        self.hosts
-            .values()
-            .map(|h| h.expected_synopses.saturating_sub(h.delivered_synopses))
-            .sum()
+        self.all_stats().map(|(_, s)| s.lost_synopses).sum()
     }
 }
 
@@ -1671,57 +1694,111 @@ mod tests {
     }
 
     #[test]
-    fn digest_merge_sums_delivery_and_maxes_expectation() {
+    fn ledger_sums_delivery_and_maxes_expectation() {
         // Two links forwarding disjoint spans of one host's stream in
         // global coordinates: delivered adds up, expected is the furthest
         // position either link has seen, loss is their difference.
-        let mut merge = DigestMerge::new();
+        let mut ledger = LossLedger::new();
         let h = HostId(1);
-        assert_eq!(merge.on_fresh(h, 10, 10), 0); // link A: positions 0..10
-        assert_eq!(merge.on_fresh(h, 5, 25), 10); // link B: 20..25 → 10 missing
-        let s = merge.stats(h);
+        assert_eq!(ledger.fresh(h, 0, 10), 0); // link A: positions 0..10
+        assert_eq!(ledger.fresh(h, 20, 5), 10); // link B: 20..25 → 10 missing
+        let s = ledger.stats(h);
         assert_eq!(s.delivered_synopses, 15);
         assert_eq!(s.expected_synopses, 25);
         assert_eq!(s.lost_synopses, 10);
         assert_eq!(s.delivered_frames, 2);
-        assert_eq!(merge.total_lost(), 10);
+        assert_eq!(ledger.total_lost(), 10);
         // The gap filled in late on link A: delivery catches up, the
         // incremental report was conservative, final stats are exact.
-        assert_eq!(merge.on_fresh(h, 10, 20), 0);
-        assert_eq!(merge.stats(h).lost_synopses, 0);
-        assert_eq!(merge.total_lost(), 0);
+        assert_eq!(ledger.fresh(h, 10, 10), 0);
+        assert_eq!(ledger.stats(h).lost_synopses, 0);
+        assert_eq!(ledger.total_lost(), 0);
     }
 
     #[test]
-    fn digest_merge_accounts_failover_exactly() {
+    fn ledger_accounts_failover_exactly() {
         // Leaf A delivers positions 0..100 then dies holding 40 buffered
         // synopses; the host re-homes to leaf B, whose first digest starts
-        // at global position 140. The merge reports the 40 dead-leaf
+        // at global position 140. The ledger reports the 40 dead-leaf
         // synopses as one gap, exactly once, with no duplicates.
-        let mut merge = DigestMerge::new();
+        let mut ledger = LossLedger::new();
         let h = HostId(7);
-        assert_eq!(merge.on_fresh(h, 60, 60), 0);
-        assert_eq!(merge.on_fresh(h, 40, 100), 0);
-        assert_eq!(merge.on_fresh(h, 10, 150), 40); // leaf B: 140..150
-        assert_eq!(merge.on_fresh(h, 20, 170), 0); // leaf B keeps flowing
-        let s = merge.stats(h);
+        assert_eq!(ledger.fresh(h, 0, 60), 0);
+        assert_eq!(ledger.fresh(h, 60, 40), 0);
+        assert_eq!(ledger.fresh(h, 140, 10), 40); // leaf B: 140..150
+        assert_eq!(ledger.fresh(h, 150, 20), 0); // leaf B keeps flowing
+        let s = ledger.stats(h);
         assert_eq!(s.delivered_synopses, 130);
         assert_eq!(s.expected_synopses, 170);
         assert_eq!(s.lost_synopses, 40);
-        merge.on_duplicate(h);
-        assert_eq!(merge.stats(h).duplicate_frames, 1);
-        assert_eq!(merge.stats(h).lost_synopses, 40, "dup changes nothing");
-        assert_eq!(merge.all_stats().count(), 1);
+        ledger.duplicate(h);
+        assert_eq!(ledger.stats(h).duplicate_frames, 1);
+        assert_eq!(ledger.stats(h).lost_synopses, 40, "dup changes nothing");
+        assert_eq!(ledger.all_stats().count(), 1);
     }
 
     #[test]
-    fn digest_merge_keeps_hosts_independent() {
-        let mut merge = DigestMerge::new();
-        assert_eq!(merge.on_fresh(HostId(1), 5, 5), 0);
-        assert_eq!(merge.on_fresh(HostId(2), 3, 9), 6);
-        assert_eq!(merge.stats(HostId(1)).lost_synopses, 0);
-        assert_eq!(merge.stats(HostId(2)).lost_synopses, 6);
-        assert_eq!(merge.stats(HostId(3)), LinkStats::default());
-        assert_eq!(merge.total_lost(), 6);
+    fn ledger_keeps_hosts_independent() {
+        let mut ledger = LossLedger::new();
+        assert_eq!(ledger.fresh(HostId(1), 0, 5), 0);
+        assert_eq!(ledger.fresh(HostId(2), 6, 3), 6);
+        assert_eq!(ledger.stats(HostId(1)).lost_synopses, 0);
+        assert_eq!(ledger.stats(HostId(2)).lost_synopses, 6);
+        assert_eq!(ledger.stats(HostId(3)), LinkStats::default());
+        assert_eq!(ledger.total_lost(), 6);
+    }
+
+    proptest::proptest! {
+        /// A receiver is its windows plus a ledger: fed the verdicts the
+        /// receiver's windows reach, a `LossLedger` reveals the same gaps
+        /// and ends with the same accounts, under loss, duplicates,
+        /// reordering and frames held back past the reorder horizon.
+        #[test]
+        fn a_receiver_is_a_ledger_fed_its_verdicts(
+            frames in proptest::collection::vec((0u16..3, 0u64..5, 0u8..8), 1..200),
+        ) {
+            let mut receiver = FrameReceiver::new();
+            let mut ledger = LossLedger::new();
+            let mut deliver = |(host, seq, cum, count): (HostId, u64, u64, u64)| {
+                let verdict = receiver.admit_meta(host, seq, cum, count);
+                let fed = match verdict {
+                    AdmitDecision::Fresh { .. } => AdmitDecision::Fresh {
+                        newly_lost: ledger.fresh(host, cum, count),
+                    },
+                    AdmitDecision::Duplicate => {
+                        ledger.duplicate(host);
+                        AdmitDecision::Duplicate
+                    }
+                };
+                assert_eq!(verdict, fed);
+            };
+            // Per host, frames of `count` synopses at increasing positions.
+            // Fate 0 loses the frame, 1 delivers it twice, 2 holds it back
+            // until a later frame is delivered, 3 delivers it and then
+            // jumps the numbering past the horizon (what is held back
+            // becomes ancient), anything else delivers it.
+            let mut next: HashMap<u16, (u64, u64)> = HashMap::new();
+            let mut held = Vec::new();
+            for (host, count, fate) in frames {
+                let (seq, cum) = next.entry(host).or_default();
+                let frame = (HostId(host), *seq, *cum, count);
+                *seq += if fate == 3 { REORDER_HORIZON + 2 } else { 1 };
+                *cum += count;
+                match fate {
+                    0 => {}
+                    1 => (0..2).for_each(|_| deliver(frame)),
+                    2 => held.push(frame),
+                    _ => {
+                        deliver(frame);
+                        held.drain(..).for_each(&mut deliver);
+                    }
+                }
+            }
+            held.into_iter().for_each(deliver);
+            for host in 0..3 {
+                proptest::prop_assert_eq!(receiver.stats(HostId(host)), ledger.stats(HostId(host)));
+            }
+            proptest::prop_assert_eq!(receiver.total_lost(), ledger.total_lost());
+        }
     }
 }

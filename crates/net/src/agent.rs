@@ -39,15 +39,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Reconnect backoff tuning: exponential with multiplicative jitter.
+/// Growth factor of the reconnect delay per consecutive failure.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+
+/// Reconnect backoff tuning: exponential (doubling per consecutive
+/// failure) with multiplicative jitter.
 #[derive(Debug, Clone)]
 pub struct BackoffConfig {
     /// First retry delay.
     pub initial: Duration,
     /// Ceiling on any single delay.
     pub max: Duration,
-    /// Growth factor per consecutive failure.
-    pub multiplier: f64,
     /// Each delay is scaled by a uniform factor in `[1−jitter, 1+jitter]`
     /// so a fleet of agents does not reconnect in lockstep.
     pub jitter: f64,
@@ -60,7 +62,6 @@ impl Default for BackoffConfig {
         BackoffConfig {
             initial: Duration::from_millis(20),
             max: Duration::from_secs(2),
-            multiplier: 2.0,
             jitter: 0.2,
             seed: 0x5AAD_0001,
         }
@@ -69,7 +70,7 @@ impl Default for BackoffConfig {
 
 impl BackoffConfig {
     pub(crate) fn delay(&self, attempt: u32, rng: &mut StdRng) -> Duration {
-        let base = self.initial.as_secs_f64() * self.multiplier.powi(attempt as i32);
+        let base = self.initial.as_secs_f64() * BACKOFF_MULTIPLIER.powi(attempt as i32);
         let capped = base.min(self.max.as_secs_f64());
         let factor = 1.0 + rng.gen_range(-self.jitter..self.jitter.max(1e-9));
         Duration::from_secs_f64((capped * factor).max(0.0))

@@ -240,14 +240,14 @@ impl ControlPlane {
     /// Export control-plane health: epoch, live membership, failovers.
     pub fn register_metrics(&self, registry: &saad_obs::Registry) {
         let inner = Arc::downgrade(&self.inner);
-        registry.register_counter_fn(
+        registry.register_gauge_fn(
             "saad_control_epoch",
             "Current published ring epoch",
             &[],
             move || {
                 inner
                     .upgrade()
-                    .map_or(0, |i| i.epoch.load(Ordering::SeqCst))
+                    .map_or(0, |i| i.epoch.load(Ordering::SeqCst) as i64)
             },
         );
         let inner = Arc::downgrade(&self.inner);

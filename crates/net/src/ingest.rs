@@ -1,13 +1,14 @@
-//! What an agent-facing collector does with a hello and a frame — once.
+//! What a collector does with a hello and a frame — once, for every tier.
 //!
 //! [`Ingest`] is the core a [`ReactorCollector`](crate::ReactorCollector)
-//! holds in an `Arc`: the shared [`FrameReceiver`], the analyzer-side
-//! channels, the collector-wide counters, the accepted version and epoch.
-//! Each connection gets an [`IngestLink`], the [`Handler`] its
-//! [`Session`](crate::session::Session) drives.
+//! or a [`RootCollector`](crate::RootCollector) holds in an `Arc`: its
+//! [`Admission`], the analyzer-side channels, the collector-wide counters,
+//! the accepted version and epoch. Each connection gets an
+//! [`IngestLink`], the [`Handler`] its [`Session`](crate::session::Session)
+//! drives.
 //!
 //! Per frame, the per-byte work (CRC, decode, interning) runs outside the
-//! receiver lock, which is taken once for the O(1) sequencing verdict.
+//! admission lock, which is taken once for the O(1) sequencing verdict.
 //! The payload is decoded **in place** from the session's ring into a
 //! staging [`SynopsisBatch`]: one batch allocation per fresh frame, none
 //! per synopsis. Only a leaf's forwarding sink, which re-frames owned
@@ -28,8 +29,7 @@ use saad_core::codec::decode_batch_into;
 use saad_core::intern::SignatureInterner;
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::transport::{
-    parse_frame, parse_frame_header, verify_frame_crc, AdmitDecision, FrameOutcome, FrameReceiver,
-    LinkStats, LossReport, FRAME_HEADER_LEN,
+    check_frame, parse_frame, AdmitDecision, FrameReceiver, LinkStats, LossLedger, LossReport,
 };
 use saad_core::HostId;
 use saad_sim::SimTime;
@@ -128,9 +128,92 @@ pub(crate) enum SynopsisOut {
     Forward(Arc<dyn AdmittedSink>),
 }
 
+impl SynopsisOut {
+    /// The in-band batch feed: each gap on the batch that revealed it.
+    pub(crate) fn batches(tx: Sender<SynopsisBatch>, interner: Arc<SignatureInterner>) -> Self {
+        SynopsisOut::Soa {
+            tx,
+            interner,
+            side_losses: None,
+        }
+    }
+}
+
+/// Who numbers the frames a collector admits, and so where its sequence
+/// windows and its loss accounts live.
+pub(crate) enum Admission {
+    /// Agents: a host's frames are numbered across every connection its
+    /// agent makes, so one receiver shared by all connections holds each
+    /// host's window and account, primed by the resume handshake.
+    Shared(FrameReceiver),
+    /// The root: a leaf numbers its digests per uplink, so each connection
+    /// keeps its own windows ([`IngestLink`]'s `window`), and one ledger
+    /// sums delivery over every uplink in the agents' global stream
+    /// coordinates; beside it, the frames rejected as corrupt. No resume:
+    /// each uplink is a fresh framing context.
+    PerUplink(LossLedger, u64),
+}
+
+impl Admission {
+    /// Sequence one checked frame — `(host, seq, cumulative)` from its
+    /// header, `count` synopses — that arrived on the connection whose own
+    /// windows are `window`.
+    fn admit(
+        &mut self,
+        window: &mut FrameReceiver,
+        (host, seq, cumulative): (HostId, u64, u64),
+        count: u64,
+    ) -> AdmitDecision {
+        let ledger = match self {
+            Admission::Shared(rx) => return rx.admit_meta(host, seq, cumulative, count),
+            Admission::PerUplink(ledger, _) => ledger,
+        };
+        // The window's own loss arithmetic is per uplink and not read: the
+        // ledger's, over every uplink, is the one that counts.
+        match window.admit_meta(host, seq, cumulative, count) {
+            AdmitDecision::Fresh { .. } => AdmitDecision::Fresh {
+                newly_lost: ledger.fresh(host, cumulative, count),
+            },
+            AdmitDecision::Duplicate => {
+                ledger.duplicate(host);
+                AdmitDecision::Duplicate
+            }
+        }
+    }
+
+    fn record_corrupted(&mut self) {
+        match self {
+            Admission::Shared(rx) => rx.record_corrupted(),
+            Admission::PerUplink(_, corrupted) => *corrupted += 1,
+        }
+    }
+
+    fn link_stats(&self, host: HostId) -> LinkStats {
+        match self {
+            Admission::Shared(rx) => rx.stats(host),
+            Admission::PerUplink(ledger, _) => ledger.stats(host),
+        }
+    }
+
+    /// Corrupted frames, duplicate frames and lost synopses, all hosts.
+    fn totals(&self) -> (u64, u64, u64) {
+        let dups = |(_, s): (HostId, LinkStats)| s.duplicate_frames;
+        match self {
+            Admission::Shared(rx) => {
+                let duplicates = rx.all_stats().map(dups).sum();
+                (rx.corrupted_frames(), duplicates, rx.total_lost())
+            }
+            Admission::PerUplink(ledger, corrupted) => {
+                let duplicates = ledger.all_stats().map(dups).sum();
+                (*corrupted, duplicates, ledger.total_lost())
+            }
+        }
+    }
+}
+
 /// The shared receive core of one collector. See the [module docs](self).
 pub(crate) struct Ingest {
-    receiver: Mutex<FrameReceiver>,
+    admission: Mutex<Admission>,
     out: SynopsisOut,
     counters: Counters,
     version: u16,
@@ -211,16 +294,17 @@ const SERIES: [Series; 10] = [
 ];
 
 impl Ingest {
-    /// A core adopting `receiver`, accepting protocol `version` and — when
-    /// `epoch` is given — refusing hellos routed by an older ring epoch.
+    /// A core sequencing by `admission`, accepting protocol `version` and
+    /// — when `epoch` is given — refusing hellos routed by an older ring
+    /// epoch.
     pub(crate) fn new(
-        receiver: FrameReceiver,
+        admission: Admission,
         out: SynopsisOut,
         version: u16,
         epoch: Option<Arc<AtomicU64>>,
     ) -> Arc<Ingest> {
         Arc::new(Ingest {
-            receiver: Mutex::new(receiver),
+            admission: Mutex::new(admission),
             out,
             counters: Counters::default(),
             version,
@@ -237,14 +321,15 @@ impl Ingest {
         IngestLink {
             ingest: self.clone(),
             staging: SynopsisBatch::new(),
+            window: FrameReceiver::new(),
         }
     }
 
-    /// Snapshot of collector-wide counters (takes the receiver lock
+    /// Snapshot of collector-wide counters (takes the admission lock
     /// briefly for link totals).
     pub(crate) fn stats(&self) -> CollectorStats {
         let c = &self.counters;
-        let rx = self.receiver.lock();
+        let (corrupted_frames, duplicate_frames, lost_synopses) = self.admission.lock().totals();
         CollectorStats {
             connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
             connections_active: c.connections_active.load(Ordering::Relaxed),
@@ -252,37 +337,45 @@ impl Ingest {
             stale_epoch_rejects: c.stale_epoch_rejects.load(Ordering::Relaxed),
             frames: c.frames.load(Ordering::Relaxed),
             synopses: c.synopses.load(Ordering::Relaxed),
-            corrupted_frames: rx.corrupted_frames(),
-            duplicate_frames: rx.all_stats().map(|(_, s)| s.duplicate_frames).sum(),
-            lost_synopses: rx.total_lost(),
+            corrupted_frames,
+            duplicate_frames,
+            lost_synopses,
             watermark: SimTime::from_micros(c.watermark_micros.load(Ordering::Relaxed)),
         }
     }
 
-    /// Link statistics for one host (zeroes if never heard from).
+    /// Link statistics for one host (zeroes if never heard from): at the
+    /// root, over every uplink that carried it.
     pub(crate) fn link_stats(&self, host: HostId) -> LinkStats {
-        self.receiver.lock().stats(host)
+        self.admission.lock().link_stats(host)
     }
 
     /// Expose [`Ingest::stats`] in `registry` as the `saad_collector_*`
-    /// family, evaluated at scrape time. The registry typically outlives
-    /// the collector and the core owns the analyzer-side senders: a strong
-    /// capture would keep the batch channel open after shutdown and
-    /// deadlock downstream joins, so the callbacks hold a `Weak` and
-    /// scrape as zero afterwards.
-    pub(crate) fn register_metrics(self: &Arc<Ingest>, registry: &saad_obs::Registry) {
+    /// family under `labels`, evaluated at scrape time. The registry
+    /// typically outlives the collector and the core owns the
+    /// analyzer-side senders: a strong capture would keep the batch channel
+    /// open after shutdown and deadlock downstream joins, so the callbacks
+    /// hold a `Weak` and scrape as zero afterwards.
+    pub(crate) fn register_metrics(
+        self: &Arc<Ingest>,
+        registry: &saad_obs::Registry,
+        labels: &[(&str, &str)],
+    ) {
         for (suffix, help, read) in SERIES {
             let weak = Arc::downgrade(self);
             let value = move || weak.upgrade().map_or(0, |ingest| read(&ingest.stats()));
             let name = format!("saad_collector_{suffix}");
-            register_series(registry, &name, help, &[], value);
+            register_series(registry, &name, help, labels, value);
         }
     }
 
     /// Take the link state out for a successor collector.
     pub(crate) fn into_state(self: Arc<Ingest>) -> CollectorState {
-        let receiver = std::mem::take(&mut *self.receiver.lock());
-        CollectorState { receiver }
+        let empty = Admission::Shared(FrameReceiver::new());
+        match std::mem::replace(&mut *self.admission.lock(), empty) {
+            Admission::Shared(receiver) => CollectorState { receiver },
+            Admission::PerUplink(..) => CollectorState::default(),
+        }
     }
 
     /// Current enforced epoch, or 0 when the collector enforces none.
@@ -299,24 +392,20 @@ impl Ingest {
 
     /// The leaf's frame path: a forwarding sink re-frames owned
     /// `TaskSynopsis` values, so the whole frame is parsed.
-    fn admit_owned(&self, sink: &dyn AdmittedSink, body: &[u8]) {
+    fn admit_owned(&self, window: &mut FrameReceiver, sink: &dyn AdmittedSink, body: &[u8]) {
         let Ok(parsed) = parse_frame(body) else {
-            return self.receiver.lock().record_corrupted();
+            return self.admission.lock().record_corrupted();
         };
         let starts = parsed.synopses.iter().map(|s| s.start);
         let max_start = starts.max().unwrap_or(SimTime::ZERO);
-        // End of this frame in the sender's global stream coordinates —
-        // what the sink re-frames at so gaps stay visible upstream.
-        let pos_end = parsed.cumulative + parsed.synopses.len() as u64;
-        let outcome = self.receiver.lock().admit(parsed);
-        if let FrameOutcome::Fresh {
-            host,
-            synopses,
-            newly_lost,
-        } = outcome
-        {
-            let n = synopses.len();
-            sink.on_fresh(host, synopses, newly_lost, pos_end);
+        let n = parsed.synopses.len();
+        let header = (parsed.host, parsed.seq, parsed.cumulative);
+        let verdict = self.admission.lock().admit(window, header, n as u64);
+        if let AdmitDecision::Fresh { newly_lost } = verdict {
+            // End of this frame in the sender's global stream coordinates
+            // — what the sink re-frames at so gaps stay visible upstream.
+            let pos_end = parsed.cumulative + n as u64;
+            sink.on_fresh(parsed.host, parsed.synopses, newly_lost, pos_end);
             self.count_fresh(n, max_start);
         }
     }
@@ -336,6 +425,9 @@ pub(crate) struct IngestLink {
     /// Staging batch the in-place decoder fills; swapped out whole on a
     /// fresh frame, cleared on a duplicate.
     staging: SynopsisBatch,
+    /// This connection's own sequence windows, for an
+    /// [`Admission::PerUplink`] core; empty under a shared receiver.
+    window: FrameReceiver,
 }
 
 impl Drop for IngestLink {
@@ -356,19 +448,20 @@ impl Handler for IngestLink {
             stale.fetch_add(1, Ordering::Relaxed);
             return Err(RejectReason::StaleEpoch);
         }
-        let mut rx = ingest.receiver.lock();
-        rx.resume(
-            hello.host,
-            hello.written_cum,
-            hello.sent_cum,
-            hello.next_seq,
-        );
+        // An uplink resumes nothing: the ack carries no resume point.
+        let (mut last_seq, mut delivered_cum) = (NO_SEQ, 0);
+        if let Admission::Shared(rx) = &mut *ingest.admission.lock() {
+            let host = hello.host;
+            rx.resume(host, hello.written_cum, hello.sent_cum, hello.next_seq);
+            last_seq = rx.highest_seq(host).unwrap_or(NO_SEQ);
+            delivered_cum = rx.stats(host).delivered_synopses;
+        }
         Ok(HelloAck {
             version: ingest.version,
             accept: true,
             reason: RejectReason::None,
-            last_seq: rx.highest_seq(hello.host).unwrap_or(NO_SEQ),
-            delivered_cum: rx.stats(hello.host).delivered_synopses,
+            last_seq,
+            delivered_cum,
             epoch: ingest.current_epoch(),
         })
     }
@@ -386,7 +479,7 @@ impl Handler for IngestLink {
         }
     }
 
-    /// Validate, decode, sequence and forward one frame. A body that is
+    /// Check, decode, sequence and forward one frame. A body that is
     /// corrupt was still framed correctly by its length prefix: it is
     /// counted and later messages remain readable.
     fn on_message(&mut self, body: &[u8]) {
@@ -397,34 +490,25 @@ impl Handler for IngestLink {
                 interner,
                 side_losses,
             } => (tx, interner, side_losses),
-            SynopsisOut::Forward(sink) => return ingest.admit_owned(&**sink, body),
+            SynopsisOut::Forward(sink) => {
+                return ingest.admit_owned(&mut self.window, &**sink, body)
+            }
         };
-        // In place: header checks and payload decode straight from the
-        // ring into the staging batch's columns.
+        // In place: the frame check, then the payload decoded straight
+        // from the ring into the staging batch's columns.
         let staging = &mut self.staging;
         debug_assert!(staging.is_empty(), "staging must drain between frames");
-        let decoded =
-            body.split_at_checked(FRAME_HEADER_LEN)
-                .and_then(|(header_bytes, payload)| {
-                    let header = parse_frame_header(header_bytes).ok()?;
-                    if payload.len() != header.payload_len as usize {
-                        return None;
-                    }
-                    verify_frame_crc(header_bytes, payload).ok()?;
-                    // A failed decode rolls the batch back itself.
-                    let n = decode_batch_into(payload, staging, interner).ok()?;
-                    Some((header, n))
-                });
+        let decoded = check_frame(body).ok().and_then(|(header, payload)| {
+            // A failed decode rolls the batch back itself.
+            let n = decode_batch_into(payload, staging, interner).ok()?;
+            Some((header, n))
+        });
         let Some((header, n)) = decoded else {
-            return ingest.receiver.lock().record_corrupted();
+            return ingest.admission.lock().record_corrupted();
         };
         // The guard is a temporary: no lock is held across the sends below.
-        let decision = (ingest.receiver.lock()).admit_meta(
-            header.host,
-            header.seq,
-            header.cumulative,
-            n as u64,
-        );
+        let meta = (header.host, header.seq, header.cumulative);
+        let decision = (ingest.admission.lock()).admit(&mut self.window, meta, n as u64);
         match decision {
             AdmitDecision::Fresh { newly_lost } => {
                 // Watermarks are a running max, so the last one is the
@@ -441,6 +525,8 @@ impl Handler for IngestLink {
                     let batch = std::mem::replace(staging, SynopsisBatch::with_capacity(n));
                     let _ = tx.send(batch);
                 }
+                // Counted once sent, so a reader that sees the count finds
+                // the batch in the channel.
                 ingest.count_fresh(n, max_start);
             }
             AdmitDecision::Duplicate => staging.clear(),
@@ -449,7 +535,7 @@ impl Handler for IngestLink {
 
     /// A nonsense length prefix: the stream is unrecoverable.
     fn on_unframeable(&mut self) {
-        self.ingest.receiver.lock().record_corrupted();
+        self.ingest.admission.lock().record_corrupted();
     }
 }
 
@@ -499,7 +585,7 @@ pub(crate) mod testkit {
         };
         let epoch = epoch.map(|e| Arc::new(AtomicU64::new(e)));
         Rig {
-            ingest: Ingest::new(FrameReceiver::new(), out, version, epoch),
+            ingest: Ingest::new(Admission::Shared(FrameReceiver::new()), out, version, epoch),
             soa: soa_rx,
             forwarded,
         }
@@ -681,10 +767,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use saad_core::pipeline::feed_frame_soa;
+    use saad_core::transport::{FrameOutcome, FRAME_HEADER_LEN};
 
     proptest! {
-        /// The in-place SoA path (`parse_frame_header` → `verify_frame_crc`
-        /// → `decode_batch_into` → `admit_meta`) against the whole-frame
+        /// The in-place SoA path (`check_frame` → `decode_batch_into` →
+        /// `admit_meta`) against the whole-frame
         /// reference (`parse_frame` → `admit` → `feed_frame_soa`): same
         /// batches, the same gap reports on them with the same stamps,
         /// same counters, same link accounts.
@@ -769,7 +856,7 @@ mod tests {
                 interner: Arc::default(),
                 side_losses: Some(side_tx),
             };
-            let legacy = Ingest::new(FrameReceiver::new(), out, 2, None);
+            let legacy = Ingest::new(Admission::Shared(FrameReceiver::new()), out, 2, None);
             let in_band = rig(2, None, true);
             for ingest in [&legacy, &in_band.ingest] {
                 let mut link = ingest.link();
@@ -842,7 +929,7 @@ mod tests {
     fn one_family_with_every_total() {
         let registry = saad_obs::Registry::new();
         let rig = rig(2, None, true);
-        rig.ingest.register_metrics(&registry);
+        rig.ingest.register_metrics(&registry, &[]);
         let link = rig.ingest.link();
         let text = registry.render();
         saad_obs::validate_text(&text).expect("well-formed exposition");

@@ -13,14 +13,14 @@
 //!   and drives a [`Handler`]. There is one receive path and one driver
 //!   of it: a few [`saad_reactor`] event-loop threads multiplex thousands
 //!   of connections, landing vectored reads in the sessions' rings.
-//! * [`ReactorCollector`] — that driver over the agent-facing handler
-//!   core: handshake verdict, frame validation and in-place decode outside
-//!   any lock, sequencing under one shared
-//!   [`FrameReceiver`](saad_core::transport::FrameReceiver),
-//!   [`SynopsisBatch`](saad_core::batch::SynopsisBatch)es — interned at the
-//!   collector, against the consuming pool's interner — and
-//!   [`LossReport`](saad_core::transport::LossReport)s flowing into the
-//!   two channels either pool spawn consumes.
+//! * [`ReactorCollector`] — that driver over the one handler core:
+//!   handshake verdict, frame check and in-place decode outside any lock,
+//!   sequencing under one shared
+//!   [`FrameReceiver`](saad_core::transport::FrameReceiver), and one
+//!   [`SynopsisBatch`](saad_core::batch::SynopsisBatch) send per frame —
+//!   interned at the collector against the consuming pool's interner, the
+//!   [`LossReport`](saad_core::transport::LossReport) of a gap the frame
+//!   revealed riding on it — into the pool's one input.
 //! * `outbound` — the sending end of one link as a sans-IO state machine,
 //!   the session's mirror: frames numbered once, one coalesced wire
 //!   image, a cut write accounted frame by frame, reconnect with jittered
@@ -50,11 +50,12 @@
 //!   forwards windowed digests upstream **in the agents' global stream
 //!   coordinates**, so any loss anywhere surfaces at the root as a
 //!   cumulative-count gap.
-//! * [`root`] — [`RootCollector`]: merges leaf uplinks with a
-//!   sum/max law ([`DigestMerge`](saad_core::transport::DigestMerge))
-//!   that reports each lost synopsis exactly once across failover, with
-//!   zero double-counting — the same driver, one loop, with a handler of
-//!   its own.
+//! * [`root`] — [`RootCollector`]: the same driver (one loop) and the
+//!   same handler core, sequencing per uplink and keeping loss in one
+//!   [`LossLedger`](saad_core::transport::LossLedger) whose sum/max law
+//!   reports each lost synopsis exactly once across failover, with zero
+//!   double-counting; it counts and exports as a collector,
+//!   `saad_collector_*{tier="root"}`.
 
 #![warn(missing_docs)]
 
@@ -79,6 +80,6 @@ pub use leaf::{LeafCollector, LeafConfig, LeafStats};
 pub use protocol::{Hello, HelloAck, PeerRole, RejectReason, PROTOCOL_VERSION};
 pub use reactor_collector::{ReactorCollector, ReactorCollectorConfig};
 pub use ring::{LeafId, LeafResolver, PinnedResolver, RingSnapshot};
-pub use root::{RootCollector, RootConfig, RootStats};
+pub use root::RootCollector;
 pub use saad_reactor::{set_recv_buffer, set_send_buffer};
 pub use session::{Handler, Session};

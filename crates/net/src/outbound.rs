@@ -674,7 +674,7 @@ mod tests {
         let mut out = Outbound::new(HostId(9), config.clone());
         let got = delays(&mut out, 12);
         assert_eq!(got, expected(12));
-        // Grows from `initial` by `multiplier`, within the jitter, to `max`.
+        // Doubles from `initial`, within the jitter, up to `max`.
         let around = |d: Duration, nominal: Duration| {
             d >= nominal.mul_f64(1.0 - config.jitter) && d <= nominal.mul_f64(1.0 + config.jitter)
         };

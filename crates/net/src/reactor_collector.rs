@@ -2,12 +2,11 @@
 //! shared, exactly-accounted synopsis stream.
 //!
 //! A [`ReactorCollector`] is two parts and nothing else: the `Ingest`
-//! core — handshake verdict, frame validation and in-place decode outside
-//! any lock, sequencing under the shared
-//! [`FrameReceiver`](saad_core::transport::FrameReceiver), the batch
-//! feed with each revealed gap on its batch — and the readiness-driven
-//! `server` whose loops
-//! move the bytes into each connection's [`Session`](crate::Session).
+//! core — handshake verdict, frame check and in-place decode outside any
+//! lock, sequencing under the shared [`FrameReceiver`], the batch feed
+//! with each revealed gap on its batch — and the readiness-driven `server`
+//! whose loops move the bytes into each connection's
+//! [`Session`](crate::Session).
 //!
 //! Backpressure: the batch channel send blocks the loop thread when the
 //! analyzer falls behind, which stops reads on every connection of that
@@ -15,20 +14,19 @@
 //!
 //! See DESIGN.md §16 for the architecture and buffer-ownership rules.
 
-use crate::ingest::{AdmittedSink, CollectorState, CollectorStats, Ingest, SynopsisOut};
+use crate::ingest::{Admission, AdmittedSink, CollectorState, CollectorStats, Ingest, SynopsisOut};
 use crate::protocol::PROTOCOL_VERSION;
 use crate::server::Server;
 use crossbeam_channel::Sender;
 use saad_core::batch::SynopsisBatch;
 use saad_core::intern::SignatureInterner;
-use saad_core::transport::{LinkStats, LossReport};
+use saad_core::transport::{FrameReceiver, LinkStats, LossReport};
 use saad_core::HostId;
 use saad_reactor::Backend;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Tuning for a [`ReactorCollector`].
 #[derive(Debug, Clone)]
@@ -46,14 +44,6 @@ pub struct ReactorCollectorConfig {
     /// [`PINNED_EPOCH`](crate::protocol::PINNED_EPOCH) hellos (including everything v1) are exempt.
     /// `None` disables the check entirely.
     pub epoch: Option<Arc<AtomicU64>>,
-    /// Heartbeat timer bounding how long a loop sleeps without checking
-    /// the shutdown flag (wakes normally make shutdown prompt; this is
-    /// the safety net).
-    pub tick: Duration,
-    /// Initial per-connection ring-buffer capacity in bytes. A full ring
-    /// is drained, not grown; it grows only for a single message larger
-    /// than itself, up to the largest legal message.
-    pub initial_ring: usize,
     /// Readiness backend override (`None` = best available). Forcing
     /// [`Backend::Poll`] exercises the fallback path on Linux.
     pub backend: Option<Backend>,
@@ -71,8 +61,6 @@ impl Default for ReactorCollectorConfig {
             loops: 2,
             version: PROTOCOL_VERSION,
             epoch: None,
-            tick: Duration::from_millis(50),
-            initial_ring: 16 * 1024,
             backend: None,
             recv_buffer: None,
         }
@@ -129,8 +117,7 @@ impl ReactorCollector {
             interner,
             side_losses: Some(loss_tx),
         };
-        let state = CollectorState::default();
-        ReactorCollector::start(TcpListener::bind(addr)?, state, out, config)
+        ReactorCollector::start(TcpListener::bind(addr)?, FrameReceiver::new(), out, config)
     }
 
     /// Bind a collector whose admitted frames feed an [`AdmittedSink`]
@@ -150,7 +137,7 @@ impl ReactorCollector {
         config: ReactorCollectorConfig,
     ) -> io::Result<ReactorCollector> {
         let (listener, out) = (TcpListener::bind(addr)?, SynopsisOut::Forward(sink));
-        ReactorCollector::start(listener, CollectorState::default(), out, config)
+        ReactorCollector::start(listener, FrameReceiver::new(), out, config)
     }
 
     /// [`ReactorCollector::bind`] on an already-bound listener,
@@ -170,21 +157,18 @@ impl ReactorCollector {
         interner: Arc<SignatureInterner>,
         config: ReactorCollectorConfig,
     ) -> io::Result<ReactorCollector> {
-        let out = SynopsisOut::Soa {
-            tx: batch_tx,
-            interner,
-            side_losses: None,
-        };
-        ReactorCollector::start(listener, state, out, config)
+        let out = SynopsisOut::batches(batch_tx, interner);
+        ReactorCollector::start(listener, state.receiver, out, config)
     }
 
     fn start(
         listener: TcpListener,
-        state: CollectorState,
+        receiver: FrameReceiver,
         out: SynopsisOut,
         config: ReactorCollectorConfig,
     ) -> io::Result<ReactorCollector> {
-        let ingest = Ingest::new(state.receiver, out, config.version, config.epoch.clone());
+        let admission = Admission::Shared(receiver);
+        let ingest = Ingest::new(admission, out, config.version, config.epoch.clone());
         let opener = ingest.clone();
         let server = Server::start(listener, "saad-reactor", &config, move || opener.link())?;
         Ok(ReactorCollector { ingest, server })
@@ -213,7 +197,7 @@ impl ReactorCollector {
     /// callbacks over weak references, so a dropped collector scrapes as
     /// zero instead of pinning its channels open.
     pub fn register_metrics(&self, registry: &saad_obs::Registry) {
-        self.ingest.register_metrics(registry);
+        self.ingest.register_metrics(registry, &[]);
         self.server.register_metrics(registry, &[]);
     }
 

@@ -10,109 +10,44 @@
 //! - per host, **expected** synopses is the *max* frame-end position
 //!   seen on any connection,
 //! - loss is their difference — reported incrementally and exactly once
-//!   via [`DigestMerge`], no matter how the host's digests were split
+//!   by one [`LossLedger`], no matter how the host's digests were split
 //!   across a failing, re-homing topology.
 //!
 //! Frame sequence numbers, by contrast, are a per-uplink framing detail
-//! (each leaf numbers its own digests), so duplicate suppression uses a
-//! **per-connection** [`FrameReceiver`] rather than a shared one; the
-//! cross-connection invariants live entirely in the global coordinates.
+//! (each leaf numbers its own digests), so duplicates are weeded out by a
+//! **per-connection** sequence window; the cross-connection invariants
+//! live entirely in the global coordinates.
 //!
-//! Admitted synopses flow to the analyzer input through the same
-//! [`feed_frame_soa`] contract the single-collector path uses —
-//! [`SynopsisBatch`]es interned against the consuming pool's interner,
-//! each carrying the gap it revealed — so the whole detection stack runs
-//! unchanged behind a federation.
-//!
-//! Handshake, framing and byte-moving are the agent-facing collector's —
-//! the same readiness-driven `server` driving a
-//! [`Session`](crate::Session) per uplink; only the [`Handler`] (no
-//! resume, a per-connection receiver, the merge) is the root's own.
+//! Everything else is the agent-facing collector's, step for step: the
+//! readiness-driven `server`, a [`Session`](crate::Session) per uplink,
+//! and the `ingest` core's handler — one frame check, the payload decoded
+//! in place into a [`SynopsisBatch`] on the consuming pool's interner, the
+//! gap it revealed riding on it, one send, then the counters, exported as
+//! the collector's own `saad_collector_*` series under `tier="root"`. The
+//! root's own part is its admission: windows per uplink, loss in the
+//! ledger, and an ack that resumes nothing.
 
-use crate::ingest::register_series;
-use crate::protocol::{Hello, HelloAck, RejectReason, NO_SEQ, PROTOCOL_VERSION};
+use crate::ingest::{Admission, CollectorStats, Ingest, SynopsisOut};
+use crate::protocol::PROTOCOL_VERSION;
 use crate::reactor_collector::ReactorCollectorConfig;
 use crate::server::Server;
-use crate::session::Handler;
 use crossbeam_channel::Sender;
-use parking_lot::Mutex;
 use saad_core::batch::SynopsisBatch;
 use saad_core::intern::SignatureInterner;
-use saad_core::pipeline::feed_frame_soa;
-use saad_core::transport::{parse_frame, DigestMerge, FrameOutcome, FrameReceiver, LinkStats};
+use saad_core::transport::{LinkStats, LossLedger};
 use saad_core::HostId;
-use saad_sim::SimTime;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::Arc;
 
-/// Tuning for a [`RootCollector`].
-#[derive(Debug, Clone)]
-pub struct RootConfig {
-    /// Protocol version this root accepts (leaf uplinks are always
-    /// current-version peers).
-    pub version: u16,
-}
-
-impl Default for RootConfig {
-    fn default() -> RootConfig {
-        RootConfig {
-            version: PROTOCOL_VERSION,
-        }
-    }
-}
-
-/// Snapshot of root-wide counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RootStats {
-    /// Leaf uplink connections accepted since start.
-    pub uplinks_accepted: u64,
-    /// Uplink connections currently streaming.
-    pub uplinks_active: u64,
-    /// Handshakes refused.
-    pub handshakes_rejected: u64,
-    /// Fresh digest frames admitted across all uplinks.
-    pub digests: u64,
-    /// Synopses forwarded to the analyzer input.
-    pub synopses: u64,
-    /// Digest frames rejected as corrupt.
-    pub corrupted_digests: u64,
-    /// Duplicate digest frames discarded.
-    pub duplicate_digests: u64,
-    /// Synopses known lost across all hosts — agent links, leaf
-    /// crashes, and uplink failures combined (exact at quiescence).
-    pub lost_synopses: u64,
-    /// Ingest watermark across all uplinks.
-    pub watermark: SimTime,
-}
-
-pub(crate) struct Shared {
-    /// The cross-uplink merge and the counters that move with it
-    /// (`lost_synopses` is read off the merge, not kept).
-    state: Mutex<(DigestMerge, RootStats)>,
-    batch_tx: Sender<SynopsisBatch>,
-    interner: Arc<SignatureInterner>,
-    version: u16,
-}
-
-impl Shared {
-    pub(crate) fn stats(&self) -> RootStats {
-        let state = self.state.lock();
-        RootStats {
-            lost_synopses: state.0.total_lost(),
-            ..state.1
-        }
-    }
-
-    fn count(&self, update: impl FnOnce(&mut RootStats)) {
-        update(&mut self.state.lock().1);
-    }
-}
+/// The label on every series a root exports, which keeps them apart from
+/// a collector's in one registry.
+const TIER: [(&str, &str); 1] = [("tier", "root")];
 
 /// A running root collector. Call [`RootCollector::shutdown`] for a
 /// clean stop.
 pub struct RootCollector {
-    shared: Arc<Shared>,
+    ingest: Arc<Ingest>,
     server: Server,
 }
 
@@ -128,28 +63,26 @@ impl RootCollector {
         addr: A,
         batch_tx: Sender<SynopsisBatch>,
         interner: Arc<SignatureInterner>,
-        config: RootConfig,
     ) -> io::Result<RootCollector> {
-        let shared = Arc::new(Shared {
-            state: Mutex::default(),
-            batch_tx,
-            interner,
-            version: config.version,
-        });
-        // One loop, as a constant. Only `DigestMerge::on_fresh` runs under
-        // the one merge lock; the CRC, decode, interning and channel send
-        // around it ran one thread per uplink before and now share this
-        // thread. What that costs a root of many leaves is not measured:
-        // `--bench federation` did not resolve it (EXPERIMENTS.md, "One
-        // collector").
+        let out = SynopsisOut::batches(batch_tx, interner);
+        let ingest = Ingest::new(
+            Admission::PerUplink(LossLedger::new(), 0),
+            out,
+            PROTOCOL_VERSION,
+            None,
+        );
+        // One loop, as a constant. Only the ledger update runs under the
+        // admission lock; the CRC, decode, interning and channel send
+        // around it share this thread for every leaf. What that costs a
+        // root of many leaves is not measured: `--bench federation` did
+        // not resolve it (EXPERIMENTS.md, "One collector").
         let driver = ReactorCollectorConfig {
             loops: 1,
             ..ReactorCollectorConfig::default()
         };
-        let (listener, opener) = (TcpListener::bind(addr)?, shared.clone());
-        let open = move || Uplink::open(&opener);
-        let server = Server::start(listener, "saad-root", &driver, open)?;
-        Ok(RootCollector { shared, server })
+        let (listener, opener) = (TcpListener::bind(addr)?, ingest.clone());
+        let server = Server::start(listener, "saad-root", &driver, move || opener.link())?;
+        Ok(RootCollector { ingest, server })
     }
 
     /// The bound address — the actual port when bound with port 0.
@@ -157,217 +90,77 @@ impl RootCollector {
         self.server.local_addr()
     }
 
-    /// Snapshot of root-wide counters.
-    pub fn stats(&self) -> RootStats {
-        self.shared.stats()
+    /// Snapshot of root-wide counters: connections are leaf uplinks,
+    /// frames are digests, and the loss is the whole federation's — agent
+    /// links, leaf crashes and uplink failures combined (exact at
+    /// quiescence).
+    pub fn stats(&self) -> CollectorStats {
+        self.ingest.stats()
     }
 
-    /// Merged cross-uplink accounting for one host: delivered summed over
-    /// every connection that carried it, expectation the max global
-    /// position seen anywhere.
-    pub fn merged_stats(&self, host: HostId) -> LinkStats {
-        self.shared.state.lock().0.stats(host)
+    /// Accounting for one host across every uplink that carried it:
+    /// delivery summed over them, expectation the furthest global position
+    /// seen on any.
+    pub fn link_stats(&self, host: HostId) -> LinkStats {
+        self.ingest.link_stats(host)
     }
 
-    /// Expose root counters in `registry` (scrape-time callbacks, weak
-    /// captures — same discipline as the single collector), and the loop's
-    /// readiness health as `saad_reactor_*{tier="root", loop="0"}`.
+    /// Expose the root's counters in `registry` as the collector's
+    /// `saad_collector_*` family and its loop's readiness health as
+    /// `saad_reactor_*{loop="0"}`, every series labelled `tier="root"`:
+    /// scrape-time callbacks over weak references, as a collector's.
     pub fn register_metrics(&self, registry: &saad_obs::Registry) {
-        self.server.register_metrics(registry, &[("tier", "root")]);
-        // (name, help, value in a `RootStats` snapshot)
-        type Series = (&'static str, &'static str, fn(&RootStats) -> u64);
-        let series: [Series; 7] = [
-            (
-                "saad_root_uplinks_accepted_total",
-                "Leaf uplink connections accepted since root start",
-                |s| s.uplinks_accepted,
-            ),
-            (
-                "saad_root_digests_total",
-                "Fresh digest frames admitted across all uplinks",
-                |s| s.digests,
-            ),
-            (
-                "saad_root_synopses_total",
-                "Synopses forwarded to the analyzer input",
-                |s| s.synopses,
-            ),
-            (
-                "saad_root_duplicate_digests_total",
-                "Duplicate digest frames discarded",
-                |s| s.duplicate_digests,
-            ),
-            (
-                "saad_root_lost_synopses_total",
-                "Synopses known lost across the whole federation (exact at quiescence)",
-                |s| s.lost_synopses,
-            ),
-            (
-                "saad_root_uplinks_active",
-                "Leaf uplink connections currently streaming",
-                |s| s.uplinks_active,
-            ),
-            (
-                "saad_root_watermark_us",
-                "Highest synopsis start time admitted on any uplink, in stream microseconds",
-                |s| s.watermark.as_micros(),
-            ),
-        ];
-        for (name, help, read) in series {
-            let shared = Arc::downgrade(&self.shared);
-            let value = move || shared.upgrade().map_or(0, |s| read(&s.stats()));
-            register_series(registry, name, help, &[], value);
-        }
+        self.ingest.register_metrics(registry, &TIER);
+        self.server.register_metrics(registry, &TIER);
     }
 
     /// Stop accepting, close every uplink, and join the loop thread.
     /// Returns the final counters.
-    pub fn shutdown(self) -> RootStats {
+    pub fn shutdown(self) -> CollectorStats {
         self.server.shutdown();
-        self.shared.stats()
-    }
-}
-
-/// One leaf uplink's [`Handler`].
-pub(crate) struct Uplink {
-    shared: Arc<Shared>,
-    /// Per-connection receiver: duplicate suppression within this
-    /// uplink's own frame numbering. Its loss arithmetic is ignored — the
-    /// merge is authoritative across connections.
-    local_rx: FrameReceiver,
-}
-
-impl Drop for Uplink {
-    fn drop(&mut self) {
-        self.shared.count(|s| s.uplinks_active -= 1);
-    }
-}
-
-impl Uplink {
-    /// Count one accepted uplink and hand back its handler; dropping the
-    /// handler counts the uplink closed.
-    pub(crate) fn open(shared: &Arc<Shared>) -> Uplink {
-        shared.count(|s| {
-            s.uplinks_accepted += 1;
-            s.uplinks_active += 1;
-        });
-        Uplink {
-            shared: shared.clone(),
-            local_rx: FrameReceiver::new(),
-        }
-    }
-
-    /// Each uplink connection is a fresh framing context: the leaf's
-    /// digest sequence numbers are connection-local, and the exact
-    /// cross-connection state lives in the global-coordinate merge — so
-    /// an ack never carries a resume position or an epoch.
-    fn ack(&self, reason: RejectReason) -> HelloAck {
-        HelloAck {
-            version: self.shared.version,
-            accept: reason == RejectReason::None,
-            reason,
-            last_seq: NO_SEQ,
-            delivered_cum: 0,
-            epoch: 0,
-        }
-    }
-}
-
-impl Handler for Uplink {
-    fn on_hello(&mut self, hello: &Hello) -> Result<HelloAck, RejectReason> {
-        if hello.version != self.shared.version {
-            return Err(RejectReason::VersionMismatch);
-        }
-        Ok(self.ack(RejectReason::None))
-    }
-
-    fn on_reject(&mut self, reason: RejectReason) -> HelloAck {
-        self.shared.count(|s| s.handshakes_rejected += 1);
-        self.ack(reason)
-    }
-
-    fn on_message(&mut self, body: &[u8]) {
-        let shared = &*self.shared;
-        let Ok(parsed) = parse_frame(body) else {
-            return shared.count(|s| s.corrupted_digests += 1);
-        };
-        let starts = parsed.synopses.iter().map(|s| s.start);
-        let max_start = starts.max().unwrap_or(SimTime::ZERO);
-        let pos_end = parsed.cumulative + parsed.synopses.len() as u64;
-        match self.local_rx.admit(parsed) {
-            FrameOutcome::Fresh { host, synopses, .. } => {
-                // The merge computes loss in global coordinates and
-                // reports each lost synopsis exactly once across every
-                // uplink that ever carried this host.
-                let n = synopses.len() as u64;
-                let (newly_lost, watermark) = {
-                    let mut state = shared.state.lock();
-                    (state.0.on_fresh(host, n, pos_end), state.1.watermark)
-                };
-                let fresh = FrameOutcome::Fresh {
-                    host,
-                    synopses,
-                    newly_lost,
-                };
-                feed_frame_soa(fresh, &shared.batch_tx, &shared.interner, watermark);
-                // Counted once forwarded, so a reader that sees the count
-                // finds the batch in the channel.
-                shared.count(|s| {
-                    s.digests += 1;
-                    s.synopses += n;
-                    s.watermark = s.watermark.max(max_start);
-                });
-            }
-            FrameOutcome::Duplicate { host, .. } => {
-                let mut state = shared.state.lock();
-                state.0.on_duplicate(host);
-                state.1.duplicate_digests += 1;
-            }
-        }
-    }
-
-    fn on_unframeable(&mut self) {
-        self.shared.count(|s| s.corrupted_digests += 1);
-    }
-}
-
-#[cfg(test)]
-/// A root's merge state with both outputs observable, for this crate's
-/// socket-free receive-path tests.
-pub(crate) mod testkit {
-    use super::*;
-    use crossbeam_channel::{unbounded, Receiver};
-
-    /// A root's shared state and its one output: the batches, with the
-    /// gap reports riding on them.
-    pub(crate) struct Rig {
-        pub(crate) shared: Arc<Shared>,
-        pub(crate) batches: Receiver<SynopsisBatch>,
-    }
-
-    pub(crate) fn rig() -> Rig {
-        let (batch_tx, batches) = unbounded();
-        let shared = Arc::new(Shared {
-            state: Mutex::default(),
-            batch_tx,
-            interner: Arc::new(SignatureInterner::new()),
-            version: PROTOCOL_VERSION,
-        });
-        Rig { shared, batches }
+        self.ingest.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::testkit::rig;
     use super::*;
     use crate::ingest::testkit::{
         assert_gap_is_charged, batches, feed_in_cuts, frame_bodies, goodbye_after_a_lost_frame,
         hello_bytes, losses, wire_of,
     };
-    use crate::protocol::PINNED_EPOCH;
-    use crate::session::Session;
-    use saad_core::transport::LossReport;
+    use crate::protocol::{write_message, PINNED_EPOCH};
+    use crate::session::{Handler, Session};
+    use crossbeam_channel::{unbounded, Receiver};
+    use proptest::prelude::*;
+    use saad_core::pipeline::feed_frame_soa;
+    use saad_core::transport::{parse_frame, FrameOutcome, FrameReceiver, FrameSender, LossReport};
+    use saad_sim::SimTime;
+
+    /// A root's core with its one output observable: the batches, with
+    /// the gap reports riding on them, interned into `interner`.
+    struct Rig {
+        ingest: Arc<Ingest>,
+        batches: Receiver<SynopsisBatch>,
+        interner: Arc<SignatureInterner>,
+    }
+
+    fn rig() -> Rig {
+        let (tx, batches) = unbounded();
+        let interner = Arc::new(SignatureInterner::new());
+        let out = SynopsisOut::batches(tx, interner.clone());
+        let ingest = Ingest::new(
+            Admission::PerUplink(LossLedger::new(), 0),
+            out,
+            PROTOCOL_VERSION,
+            None,
+        );
+        Rig {
+            ingest,
+            batches,
+            interner,
+        }
+    }
 
     /// What a leaf's graceful shutdown does after losing a digest on the
     /// way up: the goodbye reveals the trailing gap. Its report is stamped
@@ -376,19 +169,19 @@ mod tests {
     fn a_goodbye_frame_charges_its_trailing_gap_to_the_last_window() {
         let (bodies, owed) = goodbye_after_a_lost_frame();
         let rig = rig();
-        let mut uplink = Uplink::open(&rig.shared);
+        let mut uplink = rig.ingest.link();
         for body in &bodies {
             uplink.on_message(body);
         }
 
-        let stats = rig.shared.stats();
+        let stats = rig.ingest.stats();
         assert_eq!(
-            (stats.digests, stats.synopses, stats.lost_synopses),
+            (stats.frames, stats.synopses, stats.lost_synopses),
             (2, 3, 2)
         );
         assert_eq!(stats.watermark, owed.at);
         let batches: Vec<SynopsisBatch> = rig.batches.try_iter().collect();
-        assert_gap_is_charged(&rig.shared.interner, &batches, owed);
+        assert_gap_is_charged(&rig.interner, &batches, owed);
     }
 
     const HOSTS: [u16; 2] = [10, 11];
@@ -398,8 +191,8 @@ mod tests {
     struct Outcome {
         alive: bool,
         acks: Vec<u8>,
-        stats: RootStats,
-        merged: Vec<LinkStats>,
+        stats: CollectorStats,
+        links: Vec<LinkStats>,
         batches: Vec<String>,
         losses: Vec<LossReport>,
     }
@@ -408,16 +201,16 @@ mod tests {
     /// chunks `cuts` yields.
     fn run(wire: &[u8], cuts: impl IntoIterator<Item = usize>) -> Outcome {
         let rig = rig();
-        let (mut session, mut uplink) = (Session::new(64), Uplink::open(&rig.shared));
+        let (mut session, mut uplink) = (Session::new(64), rig.ingest.link());
         let (alive, acks) = feed_in_cuts(&mut session, &mut uplink, wire, cuts);
         drop(uplink); // the connection closes
-        let merged = |h: &u16| rig.shared.state.lock().0.stats(HostId(*h));
+        let links = HOSTS.iter().map(|&h| rig.ingest.link_stats(HostId(h)));
         let batches: Vec<SynopsisBatch> = rig.batches.try_iter().collect();
         Outcome {
             alive,
             acks,
-            stats: rig.shared.stats(),
-            merged: HOSTS.iter().map(merged).collect(),
+            stats: rig.ingest.stats(),
+            links: links.collect(),
             losses: losses(&batches),
             batches: batches.iter().map(|b| format!("{b:?}")).collect(),
         }
@@ -441,9 +234,9 @@ mod tests {
         let whole = run(&wire, []);
         assert!(whole.alive);
         let s = whole.stats;
-        assert_eq!((s.uplinks_accepted, s.uplinks_active), (1, 0));
+        assert_eq!((s.connections_accepted, s.connections_active), (1, 0));
         assert_eq!(
-            (s.digests, s.duplicate_digests, s.corrupted_digests),
+            (s.frames, s.duplicate_frames, s.corrupted_frames),
             (5, 1, 0)
         );
         assert_eq!((s.synopses, s.lost_synopses), (9, 2));
@@ -452,12 +245,198 @@ mod tests {
             (whole.losses[0].host, whole.losses[0].count),
             (HostId(10), 2)
         );
-        assert_eq!(whole.merged[0].lost_synopses, 2);
-        assert_eq!(whole.merged[1].duplicate_frames, 1);
+        assert_eq!(whole.links[0].lost_synopses, 2);
+        assert_eq!(whole.links[1].duplicate_frames, 1);
 
         assert_eq!(run(&wire, std::iter::repeat(1)), whole, "byte at a time");
         for offset in 1..wire.len() {
             assert_eq!(run(&wire, [offset]), whole, "cut at {offset}");
         }
+    }
+
+    /// Two leaves' uplinks as a root sees them: per uplink, the bodies in
+    /// the order sent. Each span of a host's global stream goes up one of
+    /// them, from a sender of that uplink's own — so both number each
+    /// host's digests from zero. Fate 0 is an agent-side gap nobody
+    /// frames, 1 a digest lost on its way up, 2 one delivered twice;
+    /// every uplink ends with a goodbye per host at its sender's position.
+    fn two_uplinks(spans: &[(usize, usize, usize, u8)], starts: &[u64]) -> [Vec<Vec<u8>>; 2] {
+        let mut senders: [Vec<FrameSender>; 2] =
+            [0, 1].map(|_| HOSTS.map(|h| FrameSender::new(HostId(h))).into());
+        let mut bodies: [Vec<Vec<u8>>; 2] = Default::default();
+        let hosts: Vec<u16> = spans.iter().map(|&(host, ..)| HOSTS[host]).collect();
+        let sizes: Vec<usize> = spans.iter().map(|&(_, _, size, _)| size).collect();
+        let mut position = [0u64; 2];
+        for (&(host, uplink, size, fate), digest) in
+            spans.iter().zip(batches(&hosts, &sizes, starts))
+        {
+            let sender = &mut senders[uplink][host];
+            let at = position[host];
+            position[host] += size as u64;
+            if fate == 0 {
+                continue;
+            }
+            sender.skip(at - sender.synopses_sent());
+            let body = sender.encode_frame(&digest).to_vec();
+            let copies = match fate {
+                1 => 0,
+                2 => 2,
+                _ => 1,
+            };
+            bodies[uplink].extend(std::iter::repeat_n(body, copies));
+        }
+        for (uplink, senders) in senders.iter_mut().enumerate() {
+            for sender in senders.iter_mut() {
+                bodies[uplink].push(sender.encode_frame(&[]).to_vec());
+            }
+        }
+        bodies
+    }
+
+    proptest! {
+        /// The root's in-place path (frame check → `decode_batch_into` →
+        /// the uplink's window → the ledger → `reveal_gap` → one send)
+        /// against the whole-frame reference it replaced (`parse_frame` →
+        /// a `FrameReceiver` per uplink → the ledger → `feed_frame_soa`):
+        /// two uplinks reusing each other's sequence numbers for the same
+        /// hosts, with gaps, duplicates, goodbyes, a corrupt body, and the
+        /// two wires cut anywhere and interleaved. Same batches and gap
+        /// reports with the same stamps, same counters, same per-host
+        /// accounts.
+        #[test]
+        fn the_in_place_root_equals_its_whole_frame_reference(
+            spans in collection::vec((0usize..2, 0usize..2, 0usize..6, 0u8..8), 1..24),
+            starts in collection::vec(0u64..90_000, 100..101),
+            corrupt in 0usize..40,
+            cuts in collection::vec(1usize..200, 1..24),
+        ) {
+            let mut bodies = two_uplinks(&spans, &starts);
+            if let Some(body) = bodies.iter_mut().flatten().nth(corrupt) {
+                let last = body.len() - 1;
+                body[last] ^= 0x20;
+            }
+
+            // Under test: each uplink's wire fed to its own session in
+            // chunks, the two alternating. A message reaches the root in
+            // the turn its last byte arrives in, so `order` is (turn,
+            // uplink, index) — the order the reference takes them in.
+            let root = rig();
+            let mut order = Vec::new();
+            let mut feeds: Vec<_> = (0..2).map(|uplink| {
+                let mut wire = hello_bytes(2, 100 + uplink as u16, PINNED_EPOCH);
+                let mut ends = Vec::new();
+                for body in &bodies[uplink] {
+                    write_message(&mut wire, body).expect("bodies are in bounds");
+                    ends.push(wire.len());
+                }
+                (wire, ends, 0usize, Session::new(64), root.ingest.link())
+            }).collect();
+            let mut chunk = cuts.iter().cycle();
+            for turn in 0.. {
+                if feeds.iter().all(|(wire, _, fed, ..)| *fed == wire.len()) {
+                    break;
+                }
+                for (uplink, (wire, ends, fed, session, link)) in feeds.iter_mut().enumerate() {
+                    let to = (*fed + chunk.next().unwrap()).min(wire.len());
+                    prop_assert!(session.feed(&wire[*fed..to], link));
+                    for (index, &end) in ends.iter().enumerate() {
+                        if *fed < end && end <= to {
+                            order.push((turn, uplink, index));
+                        }
+                    }
+                    *fed = to;
+                }
+            }
+            drop(feeds); // both uplinks close
+
+            // The reference, in the same order.
+            let (tx, reference_batches) = unbounded();
+            let interner = SignatureInterner::new();
+            let mut windows = [FrameReceiver::new(), FrameReceiver::new()];
+            let mut ledger = LossLedger::new();
+            let mut want = CollectorStats { connections_accepted: 2, ..CollectorStats::default() };
+            for (_, uplink, index) in order {
+                let Ok(parsed) = parse_frame(&bodies[uplink][index]) else {
+                    want.corrupted_frames += 1;
+                    continue;
+                };
+                let max_start = parsed.synopses.iter().map(|s| s.start).max();
+                let (cumulative, n) = (parsed.cumulative, parsed.synopses.len() as u64);
+                match windows[uplink].admit(parsed) {
+                    FrameOutcome::Fresh { host, synopses, .. } => {
+                        let newly_lost = ledger.fresh(host, cumulative, n);
+                        let fresh = FrameOutcome::Fresh { host, synopses, newly_lost };
+                        want.synopses += feed_frame_soa(fresh, &tx, &interner, want.watermark) as u64;
+                        want.frames += 1;
+                        want.watermark = want.watermark.max(max_start.unwrap_or(SimTime::ZERO));
+                    }
+                    FrameOutcome::Duplicate { host, .. } => {
+                        ledger.duplicate(host);
+                        want.duplicate_frames += 1;
+                    }
+                }
+            }
+            want.lost_synopses = ledger.total_lost();
+
+            let got: Vec<SynopsisBatch> = root.batches.try_iter().collect();
+            let expected: Vec<SynopsisBatch> = reference_batches.try_iter().collect();
+            prop_assert_eq!(format!("{got:?}"), format!("{expected:?}"));
+            prop_assert_eq!(losses(&got), losses(&expected));
+            prop_assert_eq!(root.ingest.stats(), want);
+            for h in HOSTS {
+                prop_assert_eq!(root.ingest.link_stats(HostId(h)), ledger.stats(HostId(h)));
+            }
+        }
+    }
+
+    /// One registry holding a collector, a root, two leaves and a control
+    /// plane renders one `saad_collector_*` family — the collector's
+    /// series unlabelled, the root's under `tier="root"`, ten each — and
+    /// well-formed exposition, counters ending in `_total`.
+    #[test]
+    fn one_registry_renders_one_collector_family_for_every_tier() {
+        use crate::{ControlPlane, LeafCollector, LeafConfig, LeafId, ReactorCollector};
+        let (tx, _rx) = unbounded();
+        let config = ReactorCollectorConfig::default();
+        let collector = ReactorCollector::bind("127.0.0.1:0", tx.clone(), Arc::default(), config);
+        let collector = collector.unwrap();
+        let root = RootCollector::bind("127.0.0.1:0", tx, Arc::default()).unwrap();
+        let control = ControlPlane::new(7, std::time::Duration::from_secs(3600));
+        let leaves: Vec<LeafCollector> = (0..2)
+            .map(|id| {
+                let config = LeafConfig {
+                    id: LeafId(id),
+                    ..LeafConfig::default()
+                };
+                let control = Some(control.clone());
+                LeafCollector::spawn("127.0.0.1:0", root.local_addr(), control, config).unwrap()
+            })
+            .collect();
+        let registry = saad_obs::Registry::new();
+        collector.register_metrics(&registry);
+        root.register_metrics(&registry);
+        leaves.iter().for_each(|l| l.register_metrics(&registry));
+        control.register_metrics(&registry);
+
+        let text = registry.render();
+        saad_obs::validate_text(&text).expect("well-formed exposition");
+        let series = |labels: &str| {
+            let samples = text.lines().filter(|l| l.starts_with("saad_collector_"));
+            let names = samples.filter_map(|l| l.split_once(' ')?.0.strip_suffix(labels));
+            names.filter(|name| !name.contains('{')).count()
+        };
+        assert_eq!(series(""), 10, "{text}");
+        assert_eq!(series("{tier=\"root\"}"), 10, "{text}");
+        let families = text
+            .lines()
+            .filter(|l| l.starts_with("# TYPE saad_collector_"));
+        assert_eq!(families.count(), 10);
+        assert!(text.contains("\nsaad_reactor_polls_total{tier=\"root\",loop=\"0\"} "));
+
+        for leaf in leaves {
+            leaf.shutdown();
+        }
+        root.shutdown();
+        collector.shutdown();
     }
 }

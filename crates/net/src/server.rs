@@ -3,14 +3,14 @@
 //!
 //! This is the one receive driver. What the bytes mean is not decided
 //! here: every connection is a [`Session`] driving the [`Handler`] that
-//! `open` returns for it, so the [`ReactorCollector`](crate::ReactorCollector)
-//! (and through it the leaf) and the [`RootCollector`](crate::RootCollector)
-//! differ only in that handler. This file owns the execution model: loop 0
-//! accepts, each connection is assigned round-robin to one of `loops`
-//! threads and never migrates; vectored reads land directly in the
-//! session's ring when the kernel reports the socket ready, the session
-//! is drained, pending ack bytes are flushed, and per-loop readiness
-//! health is exported.
+//! `open` returns for it — the `ingest` core's, under the
+//! [`ReactorCollector`](crate::ReactorCollector), the leaf that binds one
+//! and the [`RootCollector`](crate::RootCollector) alike. This file owns
+//! the execution model: loop 0 accepts, each connection is assigned
+//! round-robin to one of `loops` threads and never migrates; vectored
+//! reads land directly in the session's ring when the kernel reports the
+//! socket ready, the session is drained, pending ack bytes are flushed,
+//! and per-loop readiness health is exported.
 //!
 //! Backpressure is the handler's: a handler that blocks (the batch
 //! channel send when the analyzer falls behind, the leaf's uplink write)
@@ -31,6 +31,7 @@ use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Token of the accept listener (event loop 0 only).
 const LISTENER: Token = Token(0);
@@ -38,6 +39,12 @@ const LISTENER: Token = Token(0);
 const TICK: Token = Token(1);
 /// First token handed to a connection.
 const FIRST_CONN: u64 = 2;
+/// Longest a loop sleeps without checking the shutdown flag (wakes make
+/// shutdown prompt; this is the safety net).
+const TICK_EVERY: Duration = Duration::from_millis(50);
+/// A connection ring's first capacity in bytes: it grows only for one
+/// message larger than itself (a full ring is drained, not grown).
+const INITIAL_RING: usize = 16 * 1024;
 
 /// Per-loop observability counters, exported as `saad_reactor_*` series.
 #[derive(Debug, Default)]
@@ -53,9 +60,8 @@ struct LoopMetrics {
 
 struct Shared {
     shutdown: AtomicBool,
-    /// The driver's share of the config: `tick`, `initial_ring`,
-    /// `recv_buffer`.
-    config: ReactorCollectorConfig,
+    /// The driver's share of the config.
+    recv_buffer: Option<usize>,
     loop_metrics: Vec<LoopMetrics>,
     /// Sockets accepted on loop 0 awaiting adoption by their target loop,
     /// which is nudged via its waker.
@@ -106,7 +112,7 @@ impl Server {
         }
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),
-            config: config.clone(),
+            recv_buffer: config.recv_buffer,
             loop_metrics: (0..nloops).map(|_| LoopMetrics::default()).collect(),
             inject: (0..nloops).map(|_| Mutex::new(Vec::new())).collect(),
             wakers,
@@ -314,7 +320,7 @@ impl<H: Handler, F: Fn() -> H> Loop<'_, H, F> {
                 .register(l.as_raw_fd(), LISTENER, Interest::READABLE)
                 .expect("register listener");
         }
-        self.el.set_timer_after(shared.config.tick, TICK);
+        self.el.set_timer_after(TICK_EVERY, TICK);
         let mut events = Vec::new();
         loop {
             let stats = self.el.stats();
@@ -343,7 +349,7 @@ impl<H: Handler, F: Fn() -> H> Loop<'_, H, F> {
                         }
                     }
                     TICK => {
-                        self.el.set_timer_after(shared.config.tick, TICK);
+                        self.el.set_timer_after(TICK_EVERY, TICK);
                     }
                     LISTENER => {
                         let l = listener.as_ref().expect("listener events only on loop 0");
@@ -378,7 +384,7 @@ impl<H: Handler, F: Fn() -> H> Loop<'_, H, F> {
                 continue;
             }
             let _ = stream.set_nodelay(true);
-            if let Some(bytes) = shared.config.recv_buffer {
+            if let Some(bytes) = shared.recv_buffer {
                 let _ = saad_reactor::set_recv_buffer(&stream, bytes);
             }
             let id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
@@ -402,7 +408,7 @@ impl<H: Handler, F: Fn() -> H> Loop<'_, H, F> {
         {
             let conn = Conn {
                 stream,
-                session: Session::new(self.shared.config.initial_ring),
+                session: Session::new(INITIAL_RING),
                 handler: (self.open)(),
                 interest: Interest::READABLE,
             };
@@ -447,11 +453,10 @@ mod tests {
     use super::*;
     use crate::ingest::testkit::{hello_bytes, rig, synopsis};
     use crate::protocol::{write_message, PINNED_EPOCH};
-    use crate::root;
     use saad_core::synopsis::TaskSynopsis;
     use saad_core::transport::FrameSender;
     use saad_core::HostId;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     /// A peer that out-writes the loop: every readiness event finds a
     /// whole slab waiting, then the socket would block.
@@ -476,7 +481,6 @@ mod tests {
 
     #[test]
     fn a_full_ring_is_drained_not_grown() {
-        const INITIAL_RING: usize = 16 * 1024;
         const SLAB: usize = 256 * 1024;
         let mut sender = FrameSender::new(HostId(7));
         let mut wire = hello_bytes(2, 7, PINNED_EPOCH);
@@ -526,7 +530,7 @@ mod tests {
             write_message(&mut wire, &sender.encode_frame(&batch)).unwrap();
         }
         let rig = rig(2, None, true);
-        let (mut session, mut link) = (Session::new(16 * 1024), rig.ingest.link());
+        let (mut session, mut link) = (Session::new(INITIAL_RING), rig.ingest.link());
         let metrics = LoopMetrics::default();
         // The socket never runs dry, yet the loop gets its turn back.
         let mut source = Slabs {
@@ -535,7 +539,7 @@ mod tests {
         };
         assert!(ingest(&mut source, &mut session, &mut link, &metrics));
         let landed = wire.len() - source.wire.len();
-        assert!((READ_BUDGET..READ_BUDGET + 16 * 1024).contains(&landed));
+        assert!((READ_BUDGET..READ_BUDGET + INITIAL_RING).contains(&landed));
         assert!(rig.ingest.stats().synopses > 0);
     }
 
@@ -595,15 +599,6 @@ mod tests {
             || {
                 let s = rig.ingest.stats();
                 (s.connections_accepted, s.connections_active)
-            },
-        );
-        let rig = root::testkit::rig();
-        let opener = rig.shared.clone();
-        churn(
-            move || root::Uplink::open(&opener),
-            || {
-                let s = rig.shared.stats();
-                (s.uplinks_accepted, s.uplinks_active)
             },
         );
     }

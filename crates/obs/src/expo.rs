@@ -240,7 +240,8 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
 ///
 /// Verifies, line by line: `# HELP` / `# TYPE` comment syntax with
 /// known types, each `TYPE` declared at most once and before its
-/// samples, sample names/labels/values parse, every sample belongs to
+/// samples, a counter's name ending in `_total` (DESIGN.md §11: a level
+/// is a gauge), sample names/labels/values parse, every sample belongs to
 /// a declared family (histogram samples may use the `_bucket` / `_sum`
 /// / `_count` suffixes), and for each histogram series the `le`
 /// buckets are cumulative and non-decreasing, end with `+Inf`, and the
@@ -276,6 +277,9 @@ pub fn validate_text(text: &str) -> Result<(), String> {
                     "counter" | "gauge" | "histogram" | "summary" | "untyped"
                 ) {
                     return Err(ctx(format!("unknown type {kind:?} for {name}")));
+                }
+                if kind == "counter" && !name.ends_with("_total") {
+                    return Err(ctx(format!("counter {name} does not end in _total")));
                 }
                 if types.insert(name.to_string(), kind.to_string()).is_some() {
                     return Err(ctx(format!("duplicate TYPE for {name}")));
@@ -434,6 +438,7 @@ mod tests {
                 "+Inf != count",
             ),
             ("# TYPE x_total counter\nx_total{host=} 1\n", "label value"),
+            ("# TYPE x counter\nx 1\n", "counter without _total"),
         ] {
             assert!(validate_text(bad).is_err(), "should reject: {why}");
         }

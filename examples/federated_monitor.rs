@@ -33,7 +33,7 @@ use saad::core::pipeline::{spawn_analyzer_pool, LifecycleConfig, PoolStart, Supe
 use saad::core::prelude::*;
 use saad::net::{
     Agent, AgentConfig, BackoffConfig, ControlPlane, LeafCollector, LeafConfig, LeafId,
-    RootCollector, RootConfig,
+    RootCollector,
 };
 use saad::sim::{SimDuration, SimTime};
 use std::error::Error;
@@ -96,8 +96,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // admits against the pool's interner, and puts each gap it finds on
     // the batch that revealed it.
     let control = ControlPlane::new(0x5AAD_DE30, Duration::from_secs(3600));
-    let (interner, config) = (pool.interner(), RootConfig::default());
-    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, config)?;
+    let root = RootCollector::bind("127.0.0.1:0", batch_tx, pool.interner())?;
     let mut fleet = Vec::new();
     for i in 0..LEAVES {
         let mut cfg = LeafConfig {
@@ -199,7 +198,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let t = Instant::now();
     while t.elapsed() < Duration::from_secs(30) {
         let done = (0..HOSTS).all(|h| {
-            let link = root.merged_stats(HostId(h));
+            let link = root.link_stats(HostId(h));
             link.expected_synopses == totals[h as usize]
                 && link.delivered_synopses + link.lost_synopses == totals[h as usize]
         });
@@ -220,7 +219,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "host", "sent", "delivered", "lost", "duplicates"
     );
     for h in 0..HOSTS {
-        let link = root.merged_stats(HostId(h));
+        let link = root.link_stats(HostId(h));
         println!(
             "  {:>4} {:>8} {:>9} {:>6} {:>10}{}",
             h,

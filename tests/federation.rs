@@ -37,7 +37,7 @@ use saad::logging::LogPointId;
 use saad::net::protocol::{RejectReason, HELLO_ACK_LEN, HELLO_LEN};
 use saad::net::{
     Agent, AgentConfig, BackoffConfig, ControlPlane, LeafCollector, LeafConfig, LeafId,
-    LeafResolver, ReactorCollector, ReactorCollectorConfig, RootCollector, RootConfig,
+    LeafResolver, ReactorCollector, ReactorCollectorConfig, RootCollector,
 };
 use saad::sim::{SimDuration, SimTime};
 use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};
@@ -180,13 +180,7 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
             pool_tx.send(batch).unwrap();
         }
     };
-    let root = RootCollector::bind(
-        "127.0.0.1:0",
-        root_tx,
-        wire_interner.clone(),
-        RootConfig::default(),
-    )
-    .unwrap();
+    let root = RootCollector::bind("127.0.0.1:0", root_tx, wire_interner.clone()).unwrap();
 
     let mut fleet = Vec::new();
     for i in 0..3u16 {
@@ -202,13 +196,16 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
                 .unwrap(),
         );
     }
-    // Both tiers in one registry: the loops under the root and under each
-    // leaf export the same `saad_reactor_*` families, told apart by label.
+    // Both tiers and the control plane in one registry: the loops under
+    // the root and under each leaf export the same `saad_reactor_*`
+    // families, told apart by label, and the whole text is well-formed.
     let registry = saad::obs::Registry::new();
     root.register_metrics(&registry);
     fleet
         .iter()
         .for_each(|leaf| leaf.register_metrics(&registry));
+    control.register_metrics(&registry);
+    saad::obs::validate_text(&registry.render()).expect("one well-formed exposition");
     let loop_connections = |tier: &str| -> u64 {
         let prefix = format!("saad_reactor_loop_connections{{{tier}");
         let text = registry.render();
@@ -241,7 +238,7 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
     for (&h, b) in &batches {
         let sent: u64 = b[..halves[&h]].iter().map(|x| x.len() as u64).sum();
         wait_for("phase-1 quiescence", Duration::from_secs(60), || {
-            root.merged_stats(h).delivered_synopses == sent
+            root.link_stats(h).delivered_synopses == sent
         });
     }
     // Every live connection is in some loop's table: at the root one
@@ -306,14 +303,12 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
     for (&h, ss) in &per_host {
         let total = ss.len() as u64;
         wait_for("root reconciliation", Duration::from_secs(60), || {
-            let link = root.merged_stats(h);
+            let link = root.link_stats(h);
             link.expected_synopses == total && link.delivered_synopses + link.lost_synopses == total
         });
     }
-    let links: BTreeMap<HostId, saad::core::transport::LinkStats> = per_host
-        .keys()
-        .map(|&h| (h, root.merged_stats(h)))
-        .collect();
+    let links: BTreeMap<HostId, saad::core::transport::LinkStats> =
+        per_host.keys().map(|&h| (h, root.link_stats(h))).collect();
     root.shutdown();
     forward(&mut log);
     drop(pool_tx);
@@ -432,8 +427,7 @@ fn leaf_flap_through_proxy_reconciles_exactly() {
         .collect();
 
     let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
-    let (interner, config) = (Arc::default(), RootConfig::default());
-    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, config).unwrap();
+    let root = RootCollector::bind("127.0.0.1:0", batch_tx, Arc::default()).unwrap();
     let drain = std::thread::spawn(move || {
         let (mut delivered, mut reports) = (0u64, Vec::new());
         for batch in batch_rx.iter() {
@@ -498,10 +492,10 @@ fn leaf_flap_through_proxy_reconciles_exactly() {
     assert_eq!(agent_stats.reconnects, 3, "one reconnect per flap");
 
     wait_for("root reconciliation", Duration::from_secs(30), || {
-        let link = root.merged_stats(host);
+        let link = root.link_stats(host);
         link.expected_synopses == total && link.delivered_synopses + link.lost_synopses == total
     });
-    let link = root.merged_stats(host);
+    let link = root.link_stats(host);
     assert_eq!(link.duplicate_frames, 0, "flapping must never duplicate");
     let stats = root.shutdown();
     let (delivered, reports) = drain.join().unwrap();
@@ -623,8 +617,7 @@ fn stale_epoch_reject_triggers_refetch_and_clean_connect() {
 #[test]
 fn v1_agent_against_v2_leaf_terminates_cleanly() {
     let (batch_tx, _batch_rx) = unbounded::<SynopsisBatch>();
-    let (interner, config) = (Arc::default(), RootConfig::default());
-    let root = RootCollector::bind("127.0.0.1:0", batch_tx, interner, config).unwrap();
+    let root = RootCollector::bind("127.0.0.1:0", batch_tx, Arc::default()).unwrap();
     let leaf = LeafCollector::spawn(
         "127.0.0.1:0",
         root.local_addr(),
