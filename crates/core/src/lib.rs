@@ -25,7 +25,7 @@
 //!                                                 │
 //!                                                 ▼
 //!                                  [`detector::AnomalyDetector`]
-//!                                                 │ windowed t-tests
+//!                                                 │ windowed exact binomial tests
 //!                                                 ▼
 //!                                  [`report::AnomalyReport`]
 //! ```

@@ -546,7 +546,9 @@ impl OutlierModel {
     ///
     /// Returns a [`DecodeError`] on truncated or malformed input (the
     /// checkpoint store's CRC framing catches corruption before this
-    /// runs; these errors guard against logic-level format drift).
+    /// runs; these errors guard against logic-level format drift): a
+    /// configuration [`ModelConfig::validate`] refuses, a proportion
+    /// outside `[0, 1]` or a stage id wider than 16 bits.
     pub fn decode_from(buf: &mut Bytes) -> Result<OutlierModel, DecodeError> {
         let config = ModelConfig {
             flow_rank_percentile: get_f64(buf)?,
@@ -554,6 +556,24 @@ impl OutlierModel {
             kfold: get_varint(buf)? as usize,
             kfold_tolerance: get_f64(buf)?,
             min_signature_samples: get_varint(buf)? as usize,
+        };
+        // Decoded, either would restore cleanly and then panic every shard
+        // at its first window close: a percentile of −100 makes every
+        // performance p0 2, a NaN rate is a NaN p0.
+        config.validate().map_err(|e| {
+            DecodeError::LengthOutOfRange(match e {
+                ConfigError::PercentileOutOfRange { value, .. } => value.to_bits(),
+                ConfigError::NonPositiveTolerance(t) => t.to_bits(),
+                _ => config.kfold as u64,
+            })
+        })?;
+        let get_proportion = |buf: &mut Bytes| {
+            let p = get_f64(buf)?;
+            if (0.0..=1.0).contains(&p) {
+                Ok(p)
+            } else {
+                Err(DecodeError::LengthOutOfRange(p.to_bits()))
+            }
         };
         let stage_count = get_varint(buf)?;
         if stage_count > u16::MAX as u64 + 1 {
@@ -563,7 +583,7 @@ impl OutlierModel {
         for _ in 0..stage_count {
             let stage = StageId(id16(get_varint(buf)?)?);
             let task_count = get_varint(buf)?;
-            let flow_outlier_rate = get_f64(buf)?;
+            let flow_outlier_rate = get_proportion(buf)?;
             let sig_count = get_varint(buf)?;
             if sig_count > MAX_MODEL_SIGNATURES {
                 return Err(DecodeError::LengthOutOfRange(sig_count));
@@ -573,14 +593,14 @@ impl OutlierModel {
                 let points = crate::codec::get_points(buf)?;
                 let sig = Signature::from_points(points);
                 let count = get_varint(buf)?;
-                let share = get_f64(buf)?;
+                let share = get_proportion(buf)?;
                 let is_flow_outlier = get_u8(buf)? != 0;
                 let duration_threshold_us = if get_u8(buf)? != 0 {
                     Some(get_f64(buf)?)
                 } else {
                     None
                 };
-                let training_perf_outlier_rate = get_f64(buf)?;
+                let training_perf_outlier_rate = get_proportion(buf)?;
                 signatures.insert(
                     sig,
                     SignatureModel {
@@ -1214,6 +1234,51 @@ mod tests {
             one_stage(70_000),
             Err(DecodeError::LengthOutOfRange(70_000))
         ));
+    }
+
+    #[test]
+    fn model_decode_rejects_proportions_and_configs_out_of_range() {
+        // Hand-written bytes of a model with one stage and one signature.
+        // No encoder writes these values; decoded, each would restore
+        // cleanly and then panic every shard at its first window close.
+        let model = |duration_percentile: f64, flow_rate: f64, share: f64, perf_rate: f64| {
+            let mut buf = BytesMut::new();
+            put_f64(&mut buf, 99.0);
+            put_f64(&mut buf, duration_percentile);
+            put_varint(&mut buf, 10);
+            put_f64(&mut buf, 3.0);
+            put_varint(&mut buf, 50);
+            [1, 0, 1_000]
+                .into_iter()
+                .for_each(|v| put_varint(&mut buf, v));
+            put_f64(&mut buf, flow_rate);
+            put_varint(&mut buf, 1);
+            crate::codec::put_points(&mut buf, &[LogPointId(1), LogPointId(2)]);
+            put_varint(&mut buf, 995);
+            put_f64(&mut buf, share);
+            buf.put_u8(0);
+            buf.put_u8(1);
+            put_f64(&mut buf, 250.0);
+            put_f64(&mut buf, perf_rate);
+            OutlierModel::decode_from(&mut buf.freeze())
+        };
+        let decoded = model(99.0, 0.005, 0.995, 0.01).expect("the valid original");
+        assert_eq!(decoded.flow_outlier_rate(StageId(0)), 0.005);
+        for (case, result) in [
+            ("NaN flow rate", model(99.0, f64::NAN, 0.995, 0.01)),
+            ("perf rate 1.5", model(99.0, 0.005, 0.995, 1.5)),
+            ("share -0.1", model(99.0, 0.005, -0.1, 0.01)),
+            (
+                "duration percentile -100",
+                model(-100.0, 0.005, 0.995, 0.01),
+            ),
+        ] {
+            let err = result.expect_err(case);
+            assert!(
+                matches!(err, DecodeError::LengthOutOfRange(_)),
+                "{case}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -422,13 +422,15 @@ impl LeafCollector {
     }
 
     /// Expose forwarding counters in `registry`, labelled by leaf id, and
-    /// the agent-facing loops' readiness health as
+    /// the agent-facing collector like any other: its totals (stale-epoch
+    /// rejects, corrupted and duplicate frames, agent-link loss) as
+    /// `saad_collector_*{leaf="<id>"}`, its loops' readiness health as
     /// `saad_reactor_*{leaf="<id>", loop="<idx>"}`.
     pub fn register_metrics(&self, registry: &saad_obs::Registry) {
         let leaf_label = self.id.0.to_string();
         let labels = [("leaf", leaf_label.as_str())];
         if let Some(c) = &self.collector {
-            c.server.register_metrics(registry, &labels);
+            c.register_labelled(registry, &labels);
         }
         let counter = |f: fn(&LeafStats) -> u64| {
             let uplink = Arc::downgrade(&self.uplink);

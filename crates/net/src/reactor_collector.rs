@@ -72,8 +72,7 @@ impl Default for ReactorCollectorConfig {
 /// link state for a successor.
 pub struct ReactorCollector {
     ingest: Arc<Ingest>,
-    /// A leaf registers these loops' metrics under its own label.
-    pub(crate) server: Server,
+    server: Server,
 }
 
 impl ReactorCollector {
@@ -197,8 +196,14 @@ impl ReactorCollector {
     /// callbacks over weak references, so a dropped collector scrapes as
     /// zero instead of pinning its channels open.
     pub fn register_metrics(&self, registry: &saad_obs::Registry) {
-        self.ingest.register_metrics(registry, &[]);
-        self.server.register_metrics(registry, &[]);
+        self.register_labelled(registry, &[]);
+    }
+
+    /// [`ReactorCollector::register_metrics`] with `labels` on every
+    /// series: a leaf's `leaf="<id>"`.
+    pub(crate) fn register_labelled(&self, registry: &saad_obs::Registry, labels: &[(&str, &str)]) {
+        self.ingest.register_metrics(registry, labels);
+        self.server.register_metrics(registry, labels);
     }
 
     /// Stop every loop, close every connection, join the loop threads,

@@ -391,8 +391,9 @@ mod tests {
 
     /// One registry holding a collector, a root, two leaves and a control
     /// plane renders one `saad_collector_*` family — the collector's
-    /// series unlabelled, the root's under `tier="root"`, ten each — and
-    /// well-formed exposition, counters ending in `_total`.
+    /// series unlabelled, the root's under `tier="root"`, each leaf's
+    /// under `leaf="<id>"`, ten each — and well-formed exposition,
+    /// counters ending in `_total`.
     #[test]
     fn one_registry_renders_one_collector_family_for_every_tier() {
         use crate::{ControlPlane, LeafCollector, LeafConfig, LeafId, ReactorCollector};
@@ -427,6 +428,9 @@ mod tests {
         };
         assert_eq!(series(""), 10, "{text}");
         assert_eq!(series("{tier=\"root\"}"), 10, "{text}");
+        for leaf in ["0", "1"] {
+            assert_eq!(series(&format!("{{leaf=\"{leaf}\"}}")), 10, "{text}");
+        }
         let families = text
             .lines()
             .filter(|l| l.starts_with("# TYPE saad_collector_"));

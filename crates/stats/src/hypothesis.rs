@@ -3,44 +3,33 @@
 //! The paper (§3.3.3) tests, per detection window, the null hypothesis
 //! *"the proportion of outlier tasks is less than or equal to the training
 //! proportion"* at significance level `0.001`.
-//! [`one_sided_proportion_test`] is that test: an exact-parameter
-//! one-sample test of a window proportion against a known training
-//! proportion `p0`, using the normal approximation with a t-distributed
-//! statistic for small windows (this is the "t-test" the paper describes
-//! applied to 0/1 outcomes). When the approximation's validity rule fails
-//! (`n·p0 < 5` or `n·(1−p0) < 5`) the p-value comes from the exact
-//! binomial tail instead — the approximation is badly anticonservative
-//! there (for `n = 12`, `p0 = 0.01`, two outliers score t ≈ 5.5,
-//! "p ≈ 1e-4", while the exact tail is 0.006), which turns sparse stages
-//! into false-positive fountains.
+//! [`one_sided_proportion_test`] is that test, computed exactly: the
+//! p-value is the binomial upper tail `P(X ≥ x)` for `X ~ Binomial(n, p0)`,
+//! so a healthy window is flagged with probability at most α at every `n`
+//! and `p0`. The paper calls it a t-test; referring
+//! `(p̂ − p0) / sqrt(p0 (1 − p0) / n)` to a Student-t instead flags healthy
+//! windows up to five times too often at the window sizes SAAD sees
+//! (5.2 α at `n = 500`, `p0 = 0.01`).
 
-use crate::dist::{Normal, StudentT};
 use crate::special::betai;
 
 /// The paper's significance level for both flow and performance anomaly
 /// tests.
 pub const SAAD_ALPHA: f64 = 0.001;
 
-/// Direction of the alternative hypothesis.
+/// Direction of the alternative hypothesis. SAAD asks only whether a
+/// window holds *more* outliers than training did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Alternative {
     /// H1: parameter is greater than the reference.
     Greater,
-    /// H1: parameter is less than the reference.
-    Less,
-    /// H1: parameter differs from the reference (two-sided).
-    TwoSided,
 }
 
 /// Outcome of a hypothesis test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TestResult {
-    /// The test statistic (z or t depending on the test).
-    pub statistic: f64,
     /// The p-value under the null hypothesis.
     pub p_value: f64,
-    /// Degrees of freedom used (`f64::INFINITY` for pure z-tests).
-    pub df: f64,
 }
 
 impl TestResult {
@@ -58,102 +47,37 @@ impl TestResult {
     }
 }
 
-fn p_from_statistic(stat: f64, df: f64, alternative: Alternative) -> f64 {
-    let upper = if df.is_finite() {
-        StudentT::new(df).sf(stat)
-    } else {
-        Normal::standard().sf(stat)
-    };
-    match alternative {
-        Alternative::Greater => upper,
-        Alternative::Less => 1.0 - upper,
-        Alternative::TwoSided => {
-            let lower = 1.0 - upper;
-            2.0 * upper.min(lower)
-        }
-    }
-}
-
 /// One-sample proportion test of `successes / n` against a reference
 /// proportion `p0`.
 ///
 /// This is the windowed anomaly test from the paper: `successes` is the
 /// number of outlier tasks in the window, `n` the window task count, and
-/// `p0` the outlier proportion observed during training. The statistic
-/// `(p̂ − p0) / sqrt(p0 (1 − p0) / n)` is referred to a t-distribution with
-/// `n − 1` degrees of freedom (matching the paper's description of a t-test;
-/// for the window sizes SAAD uses this is nearly identical to the z-test).
-///
-/// When the classic approximation validity rule fails — `n·p0 < 5` or
-/// `n·(1 − p0) < 5` — the p-value is the exact binomial tail instead
-/// (via the regularized incomplete beta, `P(X ≥ x) = I_p0(x, n−x+1)`).
-/// Low-rate groups such as a periodic health probe produce windows of a
-/// dozen tasks with `p0 ≈ 0.01`; there the t-approximation overstates
-/// significance by orders of magnitude and flags healthy hosts.
-///
-/// Degenerate guards: with `p0 == 0` any observed outlier is "infinitely"
-/// significant — we report p-value 0 when `successes > 0` and 1 otherwise;
-/// symmetrically for `p0 == 1`.
+/// `p0` the outlier proportion observed during training. The p-value is
+/// the exact binomial tail `P(X ≥ successes) = I_p0(successes, n −
+/// successes + 1)`, the regularized incomplete beta [`betai`]. No
+/// outliers give 1; the incomplete beta's own boundaries give 0 for any
+/// outlier under `p0 == 0` and 1 under `p0 == 1`. `Greater` is the only
+/// alternative.
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`, `successes > n`, or `p0` is outside `[0, 1]`.
+/// Panics if `n == 0`, `successes > n`, or `p0` is outside `[0, 1]`
+/// (NaN included).
 pub fn one_sided_proportion_test(
     successes: u64,
     n: u64,
     p0: f64,
-    alternative: Alternative,
+    _alternative: Alternative,
 ) -> TestResult {
     assert!(n > 0, "proportion test requires n > 0");
     assert!(successes <= n, "successes ({successes}) exceeds n ({n})");
     assert!((0.0..=1.0).contains(&p0), "p0 must be in [0,1], got {p0}");
-    let p_hat = successes as f64 / n as f64;
-    if p0 == 0.0 || p0 == 1.0 {
-        let exceeds = match alternative {
-            Alternative::Greater => p_hat > p0,
-            Alternative::Less => p_hat < p0,
-            Alternative::TwoSided => p_hat != p0,
-        };
-        return TestResult {
-            statistic: if exceeds { f64::INFINITY } else { 0.0 },
-            p_value: if exceeds { 0.0 } else { 1.0 },
-            df: (n - 1).max(1) as f64,
-        };
-    }
-    let se = (p0 * (1.0 - p0) / n as f64).sqrt();
-    let stat = (p_hat - p0) / se;
-    let df = (n - 1).max(1) as f64;
-    let nf = n as f64;
-    let p_value = if nf * p0 < 5.0 || nf * (1.0 - p0) < 5.0 {
-        let upper = binomial_sf(successes, n, p0);
-        match alternative {
-            Alternative::Greater => upper,
-            Alternative::Less => 1.0 - binomial_sf(successes + 1, n, p0),
-            Alternative::TwoSided => {
-                let lower = 1.0 - binomial_sf(successes + 1, n, p0);
-                (2.0 * upper.min(lower)).min(1.0)
-            }
-        }
+    let p_value = if successes == 0 {
+        1.0
     } else {
-        p_from_statistic(stat, df, alternative)
+        betai(successes as f64, (n - successes + 1) as f64, p0)
     };
-    TestResult {
-        statistic: stat,
-        p_value,
-        df,
-    }
-}
-
-/// Exact binomial upper tail `P(X ≥ x)` for `X ~ Binomial(n, p)`, via
-/// `I_p(x, n − x + 1)`.
-fn binomial_sf(x: u64, n: u64, p: f64) -> f64 {
-    if x == 0 {
-        return 1.0;
-    }
-    if x > n {
-        return 0.0;
-    }
-    betai(x as f64, (n - x + 1) as f64, p)
+    TestResult { p_value }
 }
 
 #[cfg(test)]
@@ -182,12 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn proportion_less_alternative() {
-        let r = one_sided_proportion_test(0, 5000, 0.05, Alternative::Less);
-        assert!(r.rejects(SAAD_ALPHA));
-    }
-
-    #[test]
     fn proportion_zero_null_any_outlier_rejects() {
         let r = one_sided_proportion_test(1, 10, 0.0, Alternative::Greater);
         assert_eq!(r.p_value, 0.0);
@@ -197,9 +115,8 @@ mod tests {
 
     #[test]
     fn sparse_window_uses_exact_binomial_tail() {
-        // n·p0 = 0.12 < 5: the t-approximation would report p ≈ 1e-4 for
-        // 2/12 outliers; the exact tail is scipy binom.sf(1, 12, 0.01)
-        // = 0.0061755. Two outliers must NOT reject at SAAD_ALPHA.
+        // The exact tail is scipy binom.sf(1, 12, 0.01) = 0.0061755. Two
+        // outliers in 12 must NOT reject at SAAD_ALPHA.
         let r = one_sided_proportion_test(2, 12, 0.01, Alternative::Greater);
         assert!((r.p_value - 0.0061755).abs() < 1e-5, "p={}", r.p_value);
         assert!(!r.rejects(SAAD_ALPHA));
@@ -218,25 +135,6 @@ mod tests {
         // All successes under a tiny p0: essentially impossible.
         let r = one_sided_proportion_test(12, 12, 0.01, Alternative::Greater);
         assert!(r.p_value < 1e-20);
-        // Less-alternative with nothing observed under sparse p0:
-        // P(X <= 0) = 0.99^12 = 0.8864.
-        let r = one_sided_proportion_test(0, 12, 0.01, Alternative::Less);
-        assert!((r.p_value - 0.8864).abs() < 1e-3, "p={}", r.p_value);
-    }
-
-    #[test]
-    fn large_windows_keep_the_t_approximation() {
-        // n·p0 = 10 ≥ 5: same p-value path as before the exact-tail guard.
-        let r = one_sided_proportion_test(25, 1000, 0.01, Alternative::Greater);
-        let expected = p_from_statistic(r.statistic, r.df, Alternative::Greater);
-        assert_eq!(r.p_value, expected);
-    }
-
-    #[test]
-    fn proportion_two_sided_doubles_tail() {
-        let g = one_sided_proportion_test(30, 100, 0.2, Alternative::Greater);
-        let t = one_sided_proportion_test(30, 100, 0.2, Alternative::TwoSided);
-        assert!((t.p_value - 2.0 * g.p_value).abs() < 1e-12);
     }
 
     #[test]
@@ -258,11 +156,8 @@ mod tests {
             extra in 1u64..500,
             p0 in 0.001f64..0.999,
         ) {
-            let n = x + extra;
-            for alt in [Alternative::Greater, Alternative::Less, Alternative::TwoSided] {
-                let r = one_sided_proportion_test(x, n, p0, alt);
-                prop_assert!((0.0..=1.0).contains(&r.p_value));
-            }
+            let r = one_sided_proportion_test(x, x + extra, p0, Alternative::Greater);
+            prop_assert!((0.0..=1.0).contains(&r.p_value));
         }
 
         #[test]

@@ -6,11 +6,11 @@
 //! * descriptive statistics and streaming (Welford) moments
 //!   ([`descriptive`]),
 //! * empirical quantiles and the cumulative share curve ([`quantile`]),
-//! * special functions — `erf`, `ln Γ`, the regularized incomplete beta —
-//!   that underpin the distributions ([`special`]),
-//! * the normal and Student-t distributions ([`dist`]),
+//! * special functions — `ln Γ` and the regularized incomplete beta
+//!   ([`special`]),
 //! * the one-sided proportion test used for flow and performance anomaly
-//!   detection at significance level 0.001 ([`hypothesis`]),
+//!   detection at significance level 0.001, an exact binomial tail
+//!   ([`hypothesis`]),
 //! * k-fold cross-validation used to discard signatures whose duration
 //!   distribution cannot support a percentile threshold ([`kfold`]),
 //! * the window summaries a lifecycle pool's drift detector compares: a
@@ -33,7 +33,6 @@
 
 pub mod decay;
 pub mod descriptive;
-pub mod dist;
 pub mod drift;
 pub mod hypothesis;
 pub mod kfold;
@@ -43,7 +42,6 @@ pub mod special;
 
 pub use decay::DecayedFrequency;
 pub use descriptive::{OnlineStats, Summary};
-pub use dist::{Normal, StudentT};
 pub use drift::PageHinkley;
 pub use hypothesis::{one_sided_proportion_test, Alternative, TestResult};
 pub use quantile::{percentile, percentile_nan_below};

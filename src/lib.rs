@@ -8,7 +8,8 @@
 //!   the sharded analyzer pool with durable, drift-adaptive, per-tenant
 //!   models;
 //! * [`logging`] — the log4j-style facade with identified log points;
-//! * [`stats`] — the statistical machinery (percentiles, t-tests, k-fold);
+//! * [`stats`] — the statistical machinery (percentiles, the exact
+//!   proportion test, k-fold);
 //! * [`sim`] — virtual time, clocks, queued resources;
 //! * [`stage`] — a real-threaded staged server runtime;
 //! * [`fault`] — error/delay fault injection and disk-hog schedules;
