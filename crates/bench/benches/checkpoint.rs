@@ -2,7 +2,7 @@
 //!
 //! The model lifecycle (see `saad_core::store`) periodically persists the
 //! trained [`OutlierModel`], the shared [`SignatureInterner`], and one
-//! `DetectorSnapshot` per shard, each write framed with a CRC-32 trailer
+//! shard detector per slot, each write framed with a CRC-32 trailer
 //! and made durable with fsync + atomic rename. Checkpoints are taken on
 //! the router thread's batch boundary, so their cost is a stall the
 //! analyzer actually pays; this bench measures it at several shard counts
@@ -16,16 +16,16 @@
 //! * `save`   — full durable write: temp file, fsync, rename, dir fsync;
 //! * `recover`— scan the store and restore the newest valid generation.
 
+use saad_core::batch::SynopsisBatch;
 use saad_core::detector::{AnomalyDetector, DetectorConfig};
-use saad_core::feature::InternedFeature;
 use saad_core::intern::SignatureInterner;
-use saad_core::model::{ModelBuilder, ModelConfig};
+use saad_core::model::{ModelBuilder, ModelConfig, VerdictMask};
 use saad_core::store::{Checkpoint, CheckpointStore};
 use saad_core::synopsis::TaskSynopsis;
+use saad_core::testkit::TempDir;
 use saad_core::{HostId, StageId, TaskUid};
 use saad_logging::LogPointId;
 use saad_sim::{SimDuration, SimTime};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,25 +33,6 @@ const TASKS: u64 = 40_000;
 const HOSTS: u16 = 8;
 const STAGES: u16 = 4;
 const ITERS: u32 = 25;
-
-/// Self-cleaning unique temp directory (no tempfile crate).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir =
-            std::env::temp_dir().join(format!("saad-bench-ckpt-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// A mixed workload: several flows per stage (one of them long) so the
 /// model, interner, and per-window accumulators all carry realistic state.
@@ -86,8 +67,8 @@ fn stream() -> Vec<TaskSynopsis> {
 }
 
 /// Assemble a live checkpoint: train on the stream, then run sharded
-/// detectors over it *without* flushing, so every shard snapshot carries
-/// open windows — exactly what a mid-stream checkpoint persists.
+/// detectors over it *without* flushing, so every shard carries open
+/// windows — exactly what a mid-stream checkpoint persists.
 fn build_checkpoint(synopses: &[TaskSynopsis], shards: usize) -> Checkpoint {
     let mut builder = ModelBuilder::new();
     for s in synopses {
@@ -96,23 +77,21 @@ fn build_checkpoint(synopses: &[TaskSynopsis], shards: usize) -> Checkpoint {
     let model = Arc::new(builder.build(ModelConfig::default()));
     let interner = Arc::new(SignatureInterner::new());
     let compiled = Arc::new(model.compile(&interner));
-    let mut detectors: Vec<AnomalyDetector> = (0..shards)
-        .map(|_| {
-            AnomalyDetector::with_shared(
-                model.clone(),
-                compiled.clone(),
-                interner.clone(),
-                DetectorConfig::default(),
-            )
+    let mut slices = vec![SynopsisBatch::new(); shards];
+    for s in synopses {
+        slices[(s.host.0 as usize) % shards].push_synopsis(s, &interner);
+    }
+    let detectors = slices
+        .iter()
+        .map(|slice| {
+            let (model, compiled) = (model.clone(), compiled.clone());
+            let config = DetectorConfig::default();
+            let mut d = AnomalyDetector::with_shared(model, compiled, interner.clone(), config);
+            std::hint::black_box(d.observe_batch(slice, &mut VerdictMask::new()));
+            d
         })
         .collect();
-    for s in synopses {
-        let shard = (s.host.0 as usize) % shards;
-        let f = InternedFeature::from_synopsis(s, &interner);
-        std::hint::black_box(detectors[shard].observe_interned(&f));
-    }
-    let snapshots = detectors.iter().map(|d| d.snapshot()).collect();
-    Checkpoint::new(1, model, compiled, interner, snapshots)
+    Checkpoint::new(1, model, compiled, interner, detectors)
 }
 
 /// Mean wall-clock milliseconds of `f` over [`ITERS`] runs.
@@ -147,7 +126,7 @@ fn measure(synopses: &[TaskSynopsis], shards: usize) -> Row {
     // Durable write into a fresh store; the fixed generation makes every
     // save rewrite (temp + fsync + rename) the same file.
     let dir = TempDir::new(&format!("save-{shards}"));
-    let store = CheckpointStore::create(&dir.0, 4).expect("create store");
+    let store = CheckpointStore::create(dir.path(), 4).expect("create store");
     let save_ms = time_ms(|| {
         store.save(&checkpoint).expect("save");
     });

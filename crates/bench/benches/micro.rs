@@ -9,7 +9,7 @@
 //!   one channel hand-over with nobody parked (EXPERIMENTS.md "Collector
 //!   edge" quotes these),
 //! * model construction throughput,
-//! * analyzer observe throughput (the paper sustains 1500 synopses/s), the
+//! * analyzer observe throughput (the paper sustains 1500 synopses/s): the
 //!   batch path over one stream in order and with every sixth element three
 //!   windows old, and the cost of closing a silent window (EXPERIMENTS.md
 //!   "Late data" quotes these three).
@@ -221,23 +221,7 @@ fn bench_detector(c: &mut Criterion) {
         let config = DetectorConfig::default();
         AnomalyDetector::with_shared(model.clone(), compiled.clone(), interner.clone(), config)
     };
-    let features: Vec<InternedFeature> = (0..10_000u64)
-        .map(|i| InternedFeature::from_synopsis(&synopsis(0, &[1, 2, 4, 5], 9_500, i), &interner))
-        .collect();
     let mut g = c.benchmark_group("detector");
-    g.throughput(Throughput::Elements(features.len() as u64));
-    g.bench_function("observe_10k", |b| {
-        b.iter_batched(
-            fresh,
-            |mut d| {
-                for f in &features {
-                    d.observe_interned(f);
-                }
-                d.flush()
-            },
-            BatchSize::SmallInput,
-        )
-    });
 
     // The batch path over six one-minute windows of four hosts, in batches
     // of 256 stamped with the running-maximum watermark: once in order,
@@ -296,16 +280,17 @@ fn bench_detector(c: &mut Criterion) {
     // 1000 open windows of 16 healthy tasks each — both proportion tests
     // run in every one, neither rejects — closed by one watermark advance.
     let mut filled = fresh();
+    let mut tasks = SynopsisBatch::with_capacity(16_000);
     for i in 0..16_000u64 {
         let mut s = synopsis(0, &[1, 2, 4, 5], 9_000 + (i % 97) * 20, i);
         s.host = HostId((i % 1000) as u16);
-        filled.observe_interned(&InternedFeature::from_synopsis(&s, &interner));
+        tasks.push_synopsis(&s, &interner);
     }
-    let filled = filled.snapshot();
+    filled.observe_batch(&tasks, &mut VerdictMask::new());
     g.throughput(Throughput::Elements(1000));
     g.bench_function("close_silent_windows/1000", |b| {
         b.iter_batched(
-            || AnomalyDetector::from_snapshot(filled.clone()),
+            || filled.clone(),
             |mut d| {
                 let events = d.advance_watermark(SimTime::from_micros(3 * window_us));
                 assert!(events.is_empty() && d.open_windows() == 0);

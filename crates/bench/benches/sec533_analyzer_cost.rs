@@ -17,9 +17,8 @@ use saad_bench::{scaled_mins, workload, StringAppender};
 use saad_cassandra::{Cluster, ClusterConfig};
 use saad_core::batch::SynopsisBatch;
 use saad_core::detector::{AnomalyDetector, DetectorConfig};
-use saad_core::feature::InternedFeature;
 use saad_core::intern::SignatureInterner;
-use saad_core::model::{ModelBuilder, ModelConfig, OutlierModel};
+use saad_core::model::{ModelBuilder, ModelConfig, OutlierModel, VerdictMask};
 use saad_core::pipeline::{spawn_analyzer_pool, PoolStart, SupervisorConfig};
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::tracker::VecSink;
@@ -128,11 +127,17 @@ fn main() {
     let model = Arc::new(builder.build(ModelConfig::default()));
     let build_secs = t0.elapsed().as_secs_f64();
 
+    // Streamed as the ingest edge would hand it over: batches of 256,
+    // interned as they are built.
     let t1 = Instant::now();
     let mut detector = AnomalyDetector::new(model, DetectorConfig::default());
-    for s in &synopses {
-        let f = InternedFeature::from_synopsis(s, detector.interner());
-        detector.observe_interned(&f);
+    let (mut batch, mut verdicts) = (SynopsisBatch::with_capacity(256), VerdictMask::new());
+    for chunk in synopses.chunks(256) {
+        batch.clear();
+        for s in chunk {
+            batch.push_synopsis(s, detector.interner());
+        }
+        detector.observe_batch(&batch, &mut verdicts);
     }
     detector.flush();
     let detect_secs = t1.elapsed().as_secs_f64();

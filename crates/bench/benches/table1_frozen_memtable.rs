@@ -40,14 +40,16 @@ fn main() {
     let table = inst.stages.table;
 
     // Collect Table-stage signatures and classify them.
+    let interner = SignatureInterner::new();
+    let compiled = model.compile(&interner);
     let mut by_signature: HashMap<Signature, (u64, TaskClass)> = HashMap::new();
     for s in sink.drain() {
         if s.stage != table {
             continue;
         }
-        let f = saad_core::feature::FeatureVector::from(&s);
-        let class = model.classify(&f);
-        let e = by_signature.entry(f.signature).or_insert((0, class));
+        let sig = interner.intern_synopsis(&s);
+        let class = compiled.classify(s.stage, sig, s.duration.as_micros() as f64);
+        let e = by_signature.entry(s.signature()).or_insert((0, class));
         e.0 += 1;
     }
 

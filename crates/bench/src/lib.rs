@@ -18,10 +18,10 @@ pub mod gray;
 
 use parking_lot::Mutex;
 use saad_cassandra::{Cluster, ClusterConfig, RunOutput};
+use saad_core::batch::SynopsisBatch;
 use saad_core::codec;
 use saad_core::detector::{AnomalyDetector, AnomalyEvent, AnomalyKind, DetectorConfig};
-use saad_core::feature::InternedFeature;
-use saad_core::model::{ModelConfig, OutlierModel};
+use saad_core::model::{ModelConfig, OutlierModel, VerdictMask};
 use saad_core::pipeline::{DetectorSink, ModelSink};
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::tracker::SynopsisSink;
@@ -237,18 +237,19 @@ pub fn run_cassandra_detected(
     }
 }
 
-/// Feed a synopsis batch through a fresh detector (offline replay).
+/// Feed a synopsis batch through a fresh detector (offline replay): one
+/// batch, one `observe_batch`, then `flush`.
 pub fn detect_batch(
     model: Arc<OutlierModel>,
     config: DetectorConfig,
     synopses: &[TaskSynopsis],
 ) -> Vec<AnomalyEvent> {
     let mut detector = AnomalyDetector::new(model, config);
-    let mut events = Vec::new();
+    let mut batch = SynopsisBatch::with_capacity(synopses.len());
     for s in synopses {
-        let f = InternedFeature::from_synopsis(s, detector.interner());
-        events.extend(detector.observe_interned(&f));
+        batch.push_synopsis(s, detector.interner());
     }
+    let mut events = detector.observe_batch(&batch, &mut VerdictMask::new());
     events.extend(detector.flush());
     events
 }

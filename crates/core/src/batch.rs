@@ -1,15 +1,12 @@
 //! Structure-of-arrays synopsis batches — the hot path's unit of work.
 //!
-//! The analyzer pool used to move one [`TaskSynopsis`] at a time: one
-//! channel hop, one routing decision, one heap-allocated `log_points`
-//! vector per task. At millions of synopses per second that per-element
-//! overhead dominates (BENCH_analyzer_throughput.json plateaued at ~46%
-//! parallel efficiency). A [`SynopsisBatch`] carries the same stream as
-//! parallel columns of plain-old-data — one `SigId`, `HostId`, `StageId`,
+//! A [`SynopsisBatch`] carries a stream of [`TaskSynopsis`]es as parallel
+//! columns of plain-old-data — one `SigId`, `HostId`, `StageId`,
 //! duration, start, and watermark per element — built **once** at ingest
-//! (frame decode in `saad-net`, or the in-process emit path) and reused
+//! (frame decode in `saad-net`, or a `BatchSink` in process) and reused
 //! through routing, classification, and windowed accumulation without
-//! any further per-synopsis allocation.
+//! any further per-synopsis allocation: one channel hop and one routing
+//! decision per batch, not per task.
 //!
 //! Columns are append-only between [`SynopsisBatch::clear`] calls, and
 //! `clear` keeps the column capacity, so a recycled batch reaches an
@@ -31,8 +28,10 @@ use saad_sim::SimTime;
 /// Every column has the same length; element `i` across all columns is
 /// one interned synopsis. `watermarks[i]` is the stream watermark *after*
 /// element `i` — the running maximum start time stamped by whoever built
-/// the batch — so a consumer replaying the batch element by element
-/// advances its clock exactly as the per-synopsis path did.
+/// the batch, re-stamped with the global one by a pool's router — which
+/// [`AnomalyDetector::observe_batch`] advances to before counting the row.
+///
+/// [`AnomalyDetector::observe_batch`]: crate::detector::AnomalyDetector::observe_batch
 #[derive(Debug, Clone, Default)]
 pub struct SynopsisBatch {
     /// Task execution uids.

@@ -14,7 +14,6 @@
 use crate::batch::SynopsisBatch;
 use crate::codec::{get_f64, get_u8, get_varint, id16, put_f64, put_varint, DecodeError};
 use crate::fasthash::FastMap;
-use crate::feature::InternedFeature;
 use crate::intern::{SigId, SignatureInterner};
 use crate::model::{
     CompiledModel, ConfigError, ModelBuilder, ModelConfig, OutlierModel, TaskClass, VerdictMask,
@@ -310,18 +309,20 @@ impl OpenWindows {
 
 /// The windowed statistical anomaly detector.
 ///
-/// Feed it [`SynopsisBatch`]es with [`AnomalyDetector::observe_batch`],
-/// or one interned task at a time with
-/// [`AnomalyDetector::observe_interned`] after
-/// [`AnomalyDetector::advance_watermark`] — the per-feature reference the
-/// batch path is tested against. Events are returned as windows close.
-/// Call [`AnomalyDetector::flush`] at the end of a run to close all
-/// remaining windows.
+/// Feed it [`SynopsisBatch`]es with [`AnomalyDetector::observe_batch`], the
+/// one way in; events are returned as windows close. Call
+/// [`AnomalyDetector::flush`] at the end of a run to close all remaining
+/// windows.
 ///
 /// Internally the detector runs entirely on interned [`SigId`]s against a
 /// [`CompiledModel`]: classification is two array indexes and a float
 /// compare, and window accumulators key on `u32` ids. Signatures are
 /// only materialized when an event is emitted at window close.
+///
+/// A clone is a restartable copy: the model, compiled tables and
+/// interner are shared, not copied. The supervised analyzer restores from
+/// its latest clone after a panic and replays the tail of the stream;
+/// [`AnomalyDetector::encode_into`] is a clone's durable form.
 #[derive(Debug, Clone)]
 pub struct AnomalyDetector {
     model: Arc<OutlierModel>,
@@ -343,59 +344,26 @@ pub struct AnomalyDetector {
     collect_only: bool,
     // The one-task window of a straggler (see `account`), reused so that
     // closing it touches neither the store nor the heap. Not state:
-    // cleared before every use, so a snapshot's copy is empty.
+    // cleared before every use, and not in the wire form.
     scratch: WindowAccum,
 }
 
-/// A restartable copy of a detector, taken with
-/// [`AnomalyDetector::snapshot`]; the model, compiled tables and interner
-/// are shared, not copied. The supervised analyzer restores from the
-/// latest snapshot after a panic and replays the tail of the stream.
-#[derive(Debug, Clone)]
-pub struct DetectorSnapshot(AnomalyDetector);
-
-/// Sanity bounds for snapshot decoding. The checkpoint store's CRC
-/// framing catches corruption first; these guard against format drift
-/// producing absurd allocations.
+/// Sanity bounds for decoding a detector's wire form. The checkpoint
+/// store's CRC framing catches corruption first; these guard against
+/// format drift producing absurd allocations.
 const MAX_SNAPSHOT_WINDOWS: u64 = 1 << 22;
 const MAX_SNAPSHOT_SIGS: u64 = 1 << 22;
 
-impl DetectorSnapshot {
-    /// Tasks the snapshotted detector had observed.
-    pub fn tasks_seen(&self) -> u64 {
-        self.0.tasks_seen
-    }
-
-    /// Synopses the snapshotted detector knew were lost in transit.
-    pub fn tasks_lost(&self) -> u64 {
-        self.0.tasks_lost
-    }
-
-    /// The snapshotted watermark (max task start time seen).
-    pub fn watermark(&self) -> SimTime {
-        self.0.watermark
-    }
-
-    /// The snapshotted detection configuration.
-    pub fn config(&self) -> DetectorConfig {
-        self.0.config
-    }
-
-    /// Whether the snapshotted detector was in bootstrap (collect-only)
-    /// mode.
-    pub fn is_collect_only(&self) -> bool {
-        self.0.collect_only
-    }
-
-    /// Append the snapshot's wire form to `buf` (the per-shard section of
+impl AnomalyDetector {
+    /// Append the detector's wire form to `buf` (the per-shard section of
     /// a checkpoint; see [`crate::store`]). Maps are written in sorted
     /// key order so the encoding is deterministic.
     ///
     /// The shared model, compiled tables, and interner are **not**
     /// written here — the checkpoint stores each exactly once and
-    /// [`DetectorSnapshot::decode_from`] re-links them.
+    /// [`AnomalyDetector::decode_from`] re-links them.
     pub fn encode_into(&self, buf: &mut BytesMut) {
-        let d = &self.0;
+        let d = self;
         buf.put_u8(d.collect_only as u8);
         put_varint(buf, d.config.window.as_micros());
         put_f64(buf, d.config.alpha);
@@ -438,14 +406,14 @@ impl DetectorSnapshot {
         }
     }
 
-    /// Decode a snapshot written with [`DetectorSnapshot::encode_into`],
+    /// Decode a detector written with [`AnomalyDetector::encode_into`],
     /// re-linking it to the checkpoint's shared `model`, `compiled`
     /// tables, and `interner`.
     ///
-    /// Interned signature ids inside the snapshot are validated against
-    /// `interner` — an id the interner cannot resolve means the snapshot
-    /// and interner sections are out of sync, and is rejected rather
-    /// than deferred to a panic at window close.
+    /// Interned signature ids inside the encoding are validated against
+    /// `interner` — an id the interner cannot resolve means the shard and
+    /// interner sections are out of sync, and is rejected rather than
+    /// deferred to a panic at window close.
     ///
     /// # Errors
     ///
@@ -458,7 +426,7 @@ impl DetectorSnapshot {
         model: Arc<OutlierModel>,
         compiled: Arc<CompiledModel>,
         interner: Arc<SignatureInterner>,
-    ) -> Result<DetectorSnapshot, DecodeError> {
+    ) -> Result<AnomalyDetector, DecodeError> {
         let collect_only = get_u8(buf)? != 0;
         let config = DetectorConfig {
             window: SimDuration::from_micros(get_varint(buf)?),
@@ -532,7 +500,7 @@ impl DetectorSnapshot {
                     _ => config.window.as_micros(),
                 })
             })?;
-        Ok(DetectorSnapshot(AnomalyDetector {
+        Ok(AnomalyDetector {
             open,
             lost,
             watermark,
@@ -540,13 +508,14 @@ impl DetectorSnapshot {
             tasks_lost,
             collect_only,
             ..d
-        }))
+        })
     }
 
-    /// Merge per-shard snapshots into one logical snapshot. Used when a
+    /// Merge per-shard detectors into one logical detector. Used when a
     /// checkpoint taken with one worker count is restored into a pool
-    /// with another: shards merge first, then [`DetectorSnapshot::partition`]
-    /// re-splits along the new routing function.
+    /// with another: shards merge first, then
+    /// [`AnomalyDetector::partition`] re-splits along the new routing
+    /// function.
     ///
     /// Open windows are a disjoint union by construction (each
     /// `(host, stage)` lives on exactly one shard), but colliding keys
@@ -554,11 +523,11 @@ impl DetectorSnapshot {
     /// to every shard by the router, so they merge per-key by `max`, as
     /// do `tasks_lost` and the watermark; `tasks_seen` and `late_seen` sum.
     /// Returns `None` for an empty input.
-    pub fn merge(parts: Vec<DetectorSnapshot>) -> Option<DetectorSnapshot> {
+    pub fn merge(parts: Vec<AnomalyDetector>) -> Option<AnomalyDetector> {
         let mut iter = parts.into_iter();
         let mut merged = iter.next()?;
-        let m = &mut merged.0;
-        for DetectorSnapshot(mut part) in iter {
+        let m = &mut merged;
+        for mut part in iter {
             for ((host, stage, idx), acc) in part.open.take_all() {
                 // Adding into a freshly opened (empty) accumulator is the
                 // plain insert of the disjoint case.
@@ -587,9 +556,9 @@ impl DetectorSnapshot {
         Some(merged)
     }
 
-    /// Split one logical snapshot into `n` per-shard snapshots, sending
+    /// Split one logical detector into `n` per-shard detectors, sending
     /// each open window to `route(host, stage) % n`. The inverse of
-    /// [`DetectorSnapshot::merge`]: loss maps, the watermark, and
+    /// [`AnomalyDetector::merge`]: loss maps, the watermark, and
     /// `tasks_lost` are broadcast to every part (matching the router's
     /// broadcast of loss reports), while `tasks_seen` and `late_seen` are
     /// carried by part 0 so pool-level totals stay exact.
@@ -601,21 +570,19 @@ impl DetectorSnapshot {
         mut self,
         n: usize,
         route: impl Fn(HostId, StageId) -> usize,
-    ) -> Vec<DetectorSnapshot> {
-        assert!(n > 0, "cannot partition a snapshot into zero shards");
-        let mut open = std::mem::take(&mut self.0.open);
-        let seen = std::mem::take(&mut self.0.tasks_seen);
-        let late = std::mem::take(&mut self.0.late_seen);
+    ) -> Vec<AnomalyDetector> {
+        assert!(n > 0, "cannot partition a detector into zero shards");
+        let mut open = std::mem::take(&mut self.open);
+        let seen = std::mem::take(&mut self.tasks_seen);
+        let late = std::mem::take(&mut self.late_seen);
         let mut parts = vec![self; n];
-        (parts[0].0.tasks_seen, parts[0].0.late_seen) = (seen, late);
+        (parts[0].tasks_seen, parts[0].late_seen) = (seen, late);
         for ((host, stage, idx), acc) in open.take_all() {
-            *parts[route(host, stage) % n].0.open.accum(host, stage, idx) = acc;
+            *parts[route(host, stage) % n].open.accum(host, stage, idx) = acc;
         }
         parts
     }
-}
 
-impl AnomalyDetector {
     /// Create a detector over a trained model.
     ///
     /// # Panics
@@ -716,20 +683,6 @@ impl AnomalyDetector {
         })
     }
 
-    /// Copy the detector's mutable state for later [restore]. The model is
-    /// shared, not cloned.
-    ///
-    /// [restore]: AnomalyDetector::from_snapshot
-    pub fn snapshot(&self) -> DetectorSnapshot {
-        DetectorSnapshot(self.clone())
-    }
-
-    /// Rebuild a detector from a snapshot, exactly as it was when
-    /// [`AnomalyDetector::snapshot`] ran.
-    pub fn from_snapshot(snapshot: DetectorSnapshot) -> AnomalyDetector {
-        snapshot.0
-    }
-
     /// Whether the detector is in bootstrap (collect-only) mode.
     pub fn is_collect_only(&self) -> bool {
         self.collect_only
@@ -785,6 +738,17 @@ impl AnomalyDetector {
         &self.compiled
     }
 
+    /// The detection configuration.
+    pub fn config(&self) -> DetectorConfig {
+        self.config
+    }
+
+    /// The watermark: the highest task start, or stamped stream
+    /// watermark, the detector has advanced to.
+    pub fn watermark(&self) -> SimTime {
+        self.watermark
+    }
+
     /// Total tasks observed.
     pub fn tasks_seen(&self) -> u64 {
         self.tasks_seen
@@ -799,18 +763,14 @@ impl AnomalyDetector {
     /// Tasks that arrived after the watermark had moved more than the
     /// grace window past theirs. Each was tested as a window of its own,
     /// so it counted towards no window that could reach
-    /// [`DetectorConfig::min_window_tasks`] with its peers. Carried by
-    /// [`snapshot`] but not by the checkpoint encoding: a detector
+    /// [`DetectorConfig::min_window_tasks`] with its peers. Carried by a
+    /// clone but not by [`AnomalyDetector::encode_into`]: a detector
     /// restored from disk counts from zero.
-    ///
-    /// [`snapshot`]: AnomalyDetector::snapshot
     pub fn late_seen(&self) -> u64 {
         self.late_seen
     }
 
-    /// Detection windows currently open: what a [`snapshot`] copies.
-    ///
-    /// [`snapshot`]: AnomalyDetector::snapshot
+    /// Detection windows currently open: what a clone copies.
     pub fn open_windows(&self) -> usize {
         self.open.len()
     }
@@ -864,17 +824,18 @@ impl AnomalyDetector {
     }
 
     /// Observe one pre-interned task; returns events from any windows
-    /// that closed. The per-feature reference [`observe_batch`] is held
-    /// to, and the entry for callers that hold one task at a time: build
-    /// the feature with [`InternedFeature::from_synopsis`] on this
-    /// detector's [`interner`](AnomalyDetector::interner).
+    /// that closed. The per-row reference [`observe_batch`] is held to
+    /// (`testkit` feature, through `testkit::reference_run`): build the
+    /// feature with `InternedFeature::from_synopsis` on this detector's
+    /// [`interner`](AnomalyDetector::interner).
     ///
     /// Windows close when the watermark (max task start time seen) moves a
     /// full window past their end, tolerating modest reordering in the
     /// synopsis stream.
     ///
     /// [`observe_batch`]: AnomalyDetector::observe_batch
-    pub fn observe_interned(&mut self, f: &InternedFeature) -> Vec<AnomalyEvent> {
+    #[cfg(any(test, feature = "testkit"))]
+    pub fn observe_interned(&mut self, f: &crate::feature::InternedFeature) -> Vec<AnomalyEvent> {
         self.tasks_seen += 1;
         let mut events = Vec::new();
         let key = (f.host, f.stage, self.window_index(f.start));
@@ -906,7 +867,7 @@ impl AnomalyDetector {
     /// index) is counted into the scratch accumulator, tested and
     /// forgotten — what inserting it into the store and closing every
     /// stale window would do, since the store holds no other stale window:
-    /// closing never leaves one behind. A snapshot merged from shards
+    /// closing never leaves one behind. A detector merged from shards
     /// whose watermarks stood in different windows can bring one in, and
     /// then the insert-and-close path runs, so the straggler joins or
     /// closes together with what was restored.
@@ -935,24 +896,26 @@ impl AnomalyDetector {
         true
     }
 
-    /// Observe a whole structure-of-arrays batch; returns events from any
-    /// windows that closed, in exactly the order the per-feature reference
-    /// would have produced them.
+    /// Observe a whole structure-of-arrays batch — the one way into a
+    /// detector; returns events from any windows that closed, in exactly
+    /// the order the per-row reference (`testkit::reference_run`)
+    /// produces them.
     ///
-    /// Semantically this is `for i in 0..batch.len() {
-    /// advance_watermark(batch.watermarks[i]); observe_interned(feature
-    /// i) }` — each element first advances the watermark to its stamped
-    /// stream watermark (the pool router's global running max, or the
-    /// element's own running-max start on the in-process path), then
-    /// accumulates — but the batch form classifies every element up
-    /// front with [`CompiledModel::classify_batch`] into `verdicts`
-    /// (caller-supplied so its buffer is reused across batches) and only
-    /// looks for closable windows when an element's watermark actually
-    /// enters a new window or the element itself is already closable
-    /// (late data, which closes its own window and nothing else).
+    /// Per row, the watermark moves to the row's stamp
+    /// (`batch.watermarks[i]`: the pool router's global running max, or
+    /// the running-max start [`SynopsisBatch::push_synopsis`] stamps) when
+    /// that stamp passes the detector's own, closing the windows it
+    /// outdates; then the row is counted into its window, a straggler
+    /// into a window of its own. Every row is classified up front with
+    /// [`CompiledModel::classify_batch`] into `verdicts` (caller-supplied
+    /// so its buffer is reused across batches), and closable windows are
+    /// looked for only when a stamp enters a new window or the row itself
+    /// is late.
     ///
-    /// Every signature in the batch must have been interned through this
-    /// detector's own interner.
+    /// A batch of one row is how a caller holding one task at a time
+    /// comes in ([`DetectorSink`](crate::pipeline::DetectorSink) reuses
+    /// one). Every signature in the batch must have been interned through
+    /// this detector's own interner.
     pub fn observe_batch(
         &mut self,
         batch: &SynopsisBatch,
@@ -1025,11 +988,12 @@ impl AnomalyDetector {
     /// A sharded analyzer needs this because each shard only sees a slice
     /// of the stream: its own watermark lags the global one, which would
     /// keep windows open that a single-threaded detector (whose watermark
-    /// the full stream advances) has already closed — and a late task
-    /// would then be merged into a window the single-threaded run had
-    /// split off. The pool's router stamps every synopsis with the global
-    /// stream watermark and the shard advances to it first, reproducing
-    /// single-threaded window-closure timing exactly.
+    /// the full stream advances) has already closed. The pool's router
+    /// stamps every row with the global stream watermark, which
+    /// [`AnomalyDetector::observe_batch`] follows; at end of stream and
+    /// at a model swap the shard advances to the router's watermark with
+    /// this, closing windows exactly where a single-threaded analyzer
+    /// would.
     pub fn advance_watermark(&mut self, to: SimTime) -> Vec<AnomalyEvent> {
         self.watermark = self.watermark.max(to);
         let mut events = Vec::new();
@@ -1175,6 +1139,7 @@ impl AnomalyDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feature::InternedFeature;
     use crate::synopsis::TaskSynopsis;
     use crate::TaskUid;
     use proptest::prelude::*;
@@ -1283,7 +1248,7 @@ mod tests {
         let mut mask = VerdictMask::new();
         for chunk in stream.chunks(37) {
             let mut batch = SynopsisBatch::new();
-            let mut wm = batched.snapshot().watermark();
+            let mut wm = batched.watermark();
             for s in chunk {
                 wm = wm.max(s.start);
                 batch.push_feature(&InternedFeature::from_synopsis(s, &interner), wm);
@@ -1294,8 +1259,7 @@ mod tests {
         let mut scalar_events = Vec::new();
         for s in &stream {
             let f = InternedFeature::from_synopsis(s, &interner);
-            scalar_events
-                .extend(scalar.advance_watermark(s.start.max(scalar.snapshot().watermark())));
+            scalar_events.extend(scalar.advance_watermark(s.start.max(scalar.watermark())));
             scalar_events.extend(scalar.observe_interned(&f));
         }
         batch_events.extend(batched.flush());
@@ -1303,10 +1267,7 @@ mod tests {
         assert!(!scalar_events.is_empty());
         assert_eq!(batch_events, scalar_events);
         assert_eq!(batched.tasks_seen(), scalar.tasks_seen());
-        assert_eq!(
-            batched.snapshot().watermark(),
-            scalar.snapshot().watermark()
-        );
+        assert_eq!(batched.watermark(), scalar.watermark());
     }
 
     #[test]
@@ -1644,10 +1605,10 @@ mod tests {
         let mut first = detector();
         let early = feed(&mut first, 0, 100, mk);
         assert!(early.is_empty(), "window 0 still open");
-        let snap = first.snapshot();
+        let snap = first.clone();
         assert_eq!(snap.tasks_seen(), 100);
         drop(first); // the "crash"
-        let mut restored = AnomalyDetector::from_snapshot(snap);
+        let mut restored = snap;
         let mut resumed = feed(&mut restored, 1, 100, mk);
         resumed.extend(restored.flush());
         assert_eq!(resumed, expected);
@@ -1658,8 +1619,8 @@ mod tests {
     fn snapshot_preserves_loss_accounting() {
         let mut d = detector();
         d.record_loss(HostId(0), SimTime::from_secs(5), 40);
-        let restored = AnomalyDetector::from_snapshot(d.snapshot());
-        assert_eq!(restored.tasks_lost(), 40);
+        assert_eq!(d.clone().tasks_lost(), 40);
+        assert_eq!(restore_via_codec(&d).tasks_lost(), 40);
     }
 
     #[test]
@@ -1770,12 +1731,12 @@ mod tests {
         }
     }
 
-    /// Restore a snapshot the way a checkpoint load does: the model and
+    /// Restore a copy of `d` the way a checkpoint load does: the model and
     /// interner round-trip through their own codecs first, then the
-    /// snapshot re-links against the restored copies.
-    fn restore_via_codec(d: &AnomalyDetector, snap: &DetectorSnapshot) -> AnomalyDetector {
+    /// detector's encoding re-links against the restored copies.
+    fn restore_via_codec(d: &AnomalyDetector) -> AnomalyDetector {
         let mut sbuf = BytesMut::new();
-        snap.encode_into(&mut sbuf);
+        d.encode_into(&mut sbuf);
         let mut sbytes = sbuf.freeze();
         let interner = Arc::new(SignatureInterner::from_shard_contents(
             d.interner().shard_contents(),
@@ -1784,10 +1745,9 @@ mod tests {
         d.model().encode_into(&mut mbuf);
         let model = Arc::new(OutlierModel::decode_from(&mut mbuf.freeze()).unwrap());
         let compiled = Arc::new(model.compile(&interner));
-        let decoded =
-            DetectorSnapshot::decode_from(&mut sbytes, model, compiled, interner).unwrap();
+        let decoded = AnomalyDetector::decode_from(&mut sbytes, model, compiled, interner).unwrap();
         assert!(sbytes.is_empty(), "decoder must consume the full encoding");
-        AnomalyDetector::from_snapshot(decoded)
+        decoded
     }
 
     #[test]
@@ -1796,8 +1756,7 @@ mod tests {
         original.record_loss(HostId(0), SimTime::from_secs(10), 25);
         let early = feed(&mut original, 0, 120, mixed_mk);
         assert!(early.is_empty(), "windows still open");
-        let snap = original.snapshot();
-        let mut restored = restore_via_codec(&original, &snap);
+        let mut restored = restore_via_codec(&original);
         let mut a = feed(&mut original, 1, 120, mixed_mk);
         a.extend(original.flush());
         let mut b = feed(&mut restored, 1, 120, mixed_mk);
@@ -1813,20 +1772,15 @@ mod tests {
         let mut d = detector();
         d.record_loss(HostId(0), SimTime::from_secs(10), 5);
         feed(&mut d, 0, 60, mixed_mk);
-        let snap = d.snapshot();
         let mut buf = BytesMut::new();
-        snap.encode_into(&mut buf);
+        d.encode_into(&mut buf);
         let full = buf.freeze();
         for len in 0..full.len() {
             let mut prefix = full.slice(0..len);
+            let (model, compiled) = (d.model.clone(), d.compiled.clone());
             assert!(
-                DetectorSnapshot::decode_from(
-                    &mut prefix,
-                    snap.0.model.clone(),
-                    snap.0.compiled.clone(),
-                    snap.0.interner.clone(),
-                )
-                .is_err(),
+                AnomalyDetector::decode_from(&mut prefix, model, compiled, d.interner.clone())
+                    .is_err(),
                 "prefix of {len} bytes decoded successfully"
             );
         }
@@ -1854,7 +1808,7 @@ mod tests {
         let d = detector();
         let decode = |mut bytes: Bytes| {
             let (model, compiled) = (d.model.clone(), d.compiled.clone());
-            DetectorSnapshot::decode_from(&mut bytes, model, compiled, d.interner.clone())
+            AnomalyDetector::decode_from(&mut bytes, model, compiled, d.interner.clone())
         };
         let window = DetectorConfig::default().window.as_micros();
         assert!(decode(snapshot(window, 0.001, 7, 3, 7)).is_ok());
@@ -1874,10 +1828,9 @@ mod tests {
 
         let mut d = detector();
         feed(&mut d, 0, 60, mixed_mk); // open windows reference interned sigs
-        let snap = d.snapshot();
         let mut buf = BytesMut::new();
-        snap.encode_into(&mut buf);
-        // An empty interner cannot resolve the snapshot's sig ids.
+        d.encode_into(&mut buf);
+        // An empty interner cannot resolve the encoding's sig ids.
         let empty = Arc::new(SignatureInterner::new());
         let compiled = Arc::new(d.model().compile(&empty));
         let model = Arc::new(
@@ -1888,7 +1841,7 @@ mod tests {
             })
             .unwrap(),
         );
-        let err = DetectorSnapshot::decode_from(&mut buf.freeze(), model, compiled, empty)
+        let err = AnomalyDetector::decode_from(&mut buf.freeze(), model, compiled, empty)
             .expect_err("out-of-sync interner must be rejected");
         assert!(matches!(err, DecodeError::LengthOutOfRange(_)), "{err:?}");
     }
@@ -1904,19 +1857,16 @@ mod tests {
             s.start = SimTime::from_millis(i * 15);
             observe_one(&mut d, &s);
         }
-        let snap = d.snapshot();
         let mut orig = BytesMut::new();
-        snap.encode_into(&mut orig);
-        let parts = snap
-            .clone()
-            .partition(3, |h, s| h.0 as usize + s.0 as usize);
+        d.encode_into(&mut orig);
+        let parts = d.partition(3, |h, s| h.0 as usize + s.0 as usize);
         assert_eq!(parts.len(), 3);
-        assert!(parts.iter().any(|p| p.0.open.len() > 0));
-        let merged = DetectorSnapshot::merge(parts).expect("nonempty parts");
+        assert!(parts.iter().any(|p| p.open.len() > 0));
+        let merged = AnomalyDetector::merge(parts).expect("nonempty parts");
         let mut back = BytesMut::new();
         merged.encode_into(&mut back);
         assert_eq!(&orig[..], &back[..]);
-        assert!(DetectorSnapshot::merge(Vec::new()).is_none());
+        assert!(AnomalyDetector::merge(Vec::new()).is_none());
     }
 
     /// One never-trained task of `host` in `minute`, interned.
@@ -1926,10 +1876,10 @@ mod tests {
         InternedFeature::from_synopsis(&s, d.interner())
     }
 
-    /// Two shards' snapshots whose watermarks stand in minutes 10 and 7,
-    /// merged: the second part's loss entry for (host 2, minute 7) is
-    /// stale under the merged watermark, and so is its open window on
-    /// host 0 when `stale_bucket` keeps it.
+    /// Two shards whose watermarks stand in minutes 10 and 7, merged: the
+    /// second part's loss entry for (host 2, minute 7) is stale under the
+    /// merged watermark, and so is its open window on host 0 when
+    /// `stale_bucket` keeps it.
     fn merged_across_watermarks(stale_bucket: bool) -> AnomalyDetector {
         let model = trained_model();
         let interner = Arc::new(SignatureInterner::new());
@@ -1948,8 +1898,7 @@ mod tests {
             behind.flush();
         }
         behind.record_loss(HostId(2), SimTime::from_mins(7), 9);
-        let merged = DetectorSnapshot::merge(vec![ahead.snapshot(), behind.snapshot()]);
-        AnomalyDetector::from_snapshot(merged.expect("two parts"))
+        AnomalyDetector::merge(vec![ahead, behind]).expect("two parts")
     }
 
     /// `(host, window minute, window_tasks, completeness)` of each event,
@@ -2080,9 +2029,9 @@ mod tests {
     }
 
     proptest! {
-        /// Satellite: snapshot → encode → decode → from_snapshot yields a
-        /// detector whose subsequent observations produce identical
-        /// events on random feature streams.
+        /// Encode → decode yields a detector whose subsequent
+        /// observations produce identical events on random feature
+        /// streams.
         #[test]
         fn snapshot_round_trip_preserves_observe_output(
             stream in proptest::collection::vec(
@@ -2102,8 +2051,7 @@ mod tests {
             for (uid, item) in stream[..split].iter().enumerate() {
                 observe_one(&mut original, &to_synopsis(item, uid as u64));
             }
-            let snap = original.snapshot();
-            let mut restored = restore_via_codec(&original, &snap);
+            let mut restored = restore_via_codec(&original);
             for (uid, item) in stream[split..].iter().enumerate() {
                 let s = to_synopsis(item, uid as u64);
                 // observe_one() interns against each detector's own interner.

@@ -1,53 +1,22 @@
 //! Feature creation (paper §3.3.1): from a task synopsis to the
-//! `<id, stage, signature, duration>` feature vector.
+//! `<id, stage, signature, duration>` feature vector, its signature
+//! interned.
 
 use crate::intern::{SigId, SignatureInterner};
 use crate::synopsis::TaskSynopsis;
-use crate::{HostId, Signature, StageId, TaskUid};
+use crate::{HostId, StageId, TaskUid};
 use saad_sim::SimTime;
 
-/// The analyzer's per-task feature vector.
+/// The analyzer's per-task feature vector, its signature replaced by the
+/// interned [`SigId`] — `Copy`, allocation-free, and the router's per-row
+/// currency. Built once per task (directly from the synopsis, no
+/// intermediate boxed signature); everything downstream keys on the
+/// dense id.
 ///
 /// * **signature** captures the task's logical behaviour (which code paths
 ///   ran);
 /// * **duration** (in microseconds, as a float for the statistics)
 ///   captures its performance behaviour.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeatureVector {
-    /// Unique id of the task execution.
-    pub uid: TaskUid,
-    /// Host the task ran on.
-    pub host: HostId,
-    /// Stage the task is an instance of.
-    pub stage: StageId,
-    /// Set of distinct log points visited.
-    pub signature: Signature,
-    /// Duration (start → last log point) in microseconds.
-    pub duration_us: f64,
-    /// Task start time, used for detection windowing.
-    pub start: SimTime,
-}
-
-impl FeatureVector {
-    /// The interned form of this feature: the signature is swapped for
-    /// its dense [`SigId`], interning it if never seen before.
-    pub fn intern(&self, interner: &SignatureInterner) -> InternedFeature {
-        InternedFeature {
-            uid: self.uid,
-            host: self.host,
-            stage: self.stage,
-            sig: interner.intern_sorted(self.signature.points()),
-            duration_us: self.duration_us,
-            start: self.start,
-        }
-    }
-}
-
-/// A [`FeatureVector`] with the signature replaced by its interned
-/// [`SigId`] — `Copy`, allocation-free, and the analyzer's per-task hot
-/// path currency. Built once per task (directly from the synopsis, no
-/// intermediate boxed signature); everything downstream keys on the
-/// dense id.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InternedFeature {
     /// Unique id of the task execution.
@@ -77,72 +46,5 @@ impl InternedFeature {
             duration_us: s.duration.as_micros() as f64,
             start: s.start,
         }
-    }
-}
-
-impl From<&TaskSynopsis> for FeatureVector {
-    fn from(s: &TaskSynopsis) -> FeatureVector {
-        FeatureVector {
-            uid: s.uid,
-            host: s.host,
-            stage: s.stage,
-            signature: s.signature(),
-            duration_us: s.duration.as_micros() as f64,
-            start: s.start,
-        }
-    }
-}
-
-impl From<TaskSynopsis> for FeatureVector {
-    fn from(s: TaskSynopsis) -> FeatureVector {
-        FeatureVector::from(&s)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use saad_logging::LogPointId;
-    use saad_sim::SimDuration;
-
-    #[test]
-    fn feature_vector_from_synopsis() {
-        let s = TaskSynopsis {
-            host: HostId(2),
-            stage: StageId(9),
-            uid: TaskUid(77),
-            start: SimTime::from_millis(100),
-            duration: SimDuration::from_micros(12_345),
-            log_points: vec![(LogPointId(1), 3), (LogPointId(5), 1)],
-        };
-        let f = FeatureVector::from(&s);
-        assert_eq!(f.uid, TaskUid(77));
-        assert_eq!(f.stage, StageId(9));
-        assert_eq!(f.duration_us, 12_345.0);
-        assert_eq!(
-            f.signature,
-            Signature::from_points([LogPointId(1), LogPointId(5)])
-        );
-        // Owned conversion agrees.
-        assert_eq!(FeatureVector::from(s), f);
-    }
-
-    #[test]
-    fn interned_feature_agrees_with_feature_vector() {
-        let s = TaskSynopsis {
-            host: HostId(2),
-            stage: StageId(9),
-            uid: TaskUid(77),
-            start: SimTime::from_millis(100),
-            duration: SimDuration::from_micros(12_345),
-            log_points: vec![(LogPointId(1), 3), (LogPointId(5), 1)],
-        };
-        let interner = SignatureInterner::new();
-        let direct = InternedFeature::from_synopsis(&s, &interner);
-        let via_vector = FeatureVector::from(&s).intern(&interner);
-        assert_eq!(direct, via_vector);
-        assert_eq!(interner.resolve(direct.sig), Some(s.signature()));
-        assert_eq!(direct.duration_us, 12_345.0);
-        assert_eq!(direct.start, SimTime::from_millis(100));
     }
 }

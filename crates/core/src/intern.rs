@@ -1,9 +1,9 @@
 //! Concurrent signature interning: `Signature` → dense [`SigId`].
 //!
-//! The analyzer's per-task hot path used to allocate a boxed
-//! [`Signature`] for every synopsis and re-hash the full variable-length
-//! point slice on every map lookup. The interner removes both costs:
-//! a signature is hashed **once** when it is interned (a borrowed-slice
+//! A boxed [`Signature`] per synopsis, re-hashed over its full
+//! variable-length point slice at every map lookup, would cost the
+//! analyzer's hot path an allocation and a long hash per task. The
+//! interner removes both: a signature is hashed **once** when it is interned (a borrowed-slice
 //! lookup that allocates nothing on a hit), and every downstream
 //! structure — compiled model tables, detection-window accumulators —
 //! keys on the dense `u32` [`SigId`] instead.

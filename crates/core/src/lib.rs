@@ -48,6 +48,28 @@
 //!   anomaly** is a significant excess of over-threshold durations for a
 //!   trained signature.
 //!
+//! ## Entry points
+//!
+//! * **Spawn** the analyzer: [`pipeline::spawn_analyzer_pool`], from a
+//!   trained model or from a checkpoint store ([`pipeline::PoolStart`]).
+//!   It is the one way to start a pool; read its events from
+//!   [`pipeline::PoolHandle::events`].
+//! * **Feed** it [`batch::SynopsisBatch`]es interned on
+//!   [`pipeline::PoolHandle::interner`]: a [`pipeline::BatchSink`] behind
+//!   trackers in process, or, behind agents on the network,
+//!   `saad_net::ReactorCollector::bind` (in the `saad-net` crate).
+//! * **Inline**, for deterministic simulations: a [`pipeline::DetectorSink`]
+//!   classifies and windows each synopsis as it is submitted, and a
+//!   [`pipeline::ModelSink`] trains a model from a run.
+//! * **By hand**: [`detector::AnomalyDetector::observe_batch`] is the one
+//!   way into a detector, and [`detector::AnomalyDetector::flush`] closes
+//!   what is still open at the end of a run.
+//!
+//! The `testkit` cargo feature adds `saad_core::testkit`: the per-row
+//! reference paths (`reference_run`, the map classifier, the whole-frame
+//! producer edge) and the fixtures the tests share. It selects no
+//! behaviour, and only `[dev-dependencies]` entries enable it.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -102,6 +124,8 @@ pub mod simtask;
 mod stage_registry;
 pub mod store;
 pub mod synopsis;
+#[cfg(any(test, feature = "testkit"))]
+pub mod testkit;
 pub mod tracker;
 pub mod transport;
 
@@ -117,7 +141,7 @@ pub use stage_registry::StageRegistry;
 pub mod prelude {
     pub use crate::batch::SynopsisBatch;
     pub use crate::detector::{AnomalyDetector, AnomalyEvent, AnomalyKind, DetectorConfig};
-    pub use crate::feature::{FeatureVector, InternedFeature};
+    pub use crate::feature::InternedFeature;
     pub use crate::intern::{SigId, SignatureInterner};
     pub use crate::model::{
         CompiledModel, ConfigError, ModelBuilder, ModelConfig, OutlierModel, TaskClass, VerdictMask,

@@ -13,7 +13,6 @@
 //!    nominal) are discarded from performance detection.
 
 use crate::codec::{get_f64, get_u8, get_varint, id16, put_f64, put_varint, DecodeError};
-use crate::feature::FeatureVector;
 use crate::intern::{SigId, SignatureInterner};
 use crate::synopsis::TaskSynopsis;
 use crate::{Signature, StageId};
@@ -330,8 +329,10 @@ pub struct OutlierModel {
 }
 
 impl OutlierModel {
-    /// Classify one runtime task.
-    pub fn classify(&self, f: &FeatureVector) -> TaskClass {
+    /// Classify one runtime task on the maps: the reference
+    /// [`CompiledModel::classify`] is held to (`testkit` feature).
+    #[cfg(any(test, feature = "testkit"))]
+    pub fn classify(&self, f: &crate::testkit::FeatureVector) -> TaskClass {
         let Some(stage) = self.stages.get(&f.stage) else {
             // A whole stage never seen in training: every signature is new.
             return TaskClass::NewSignature;
@@ -390,8 +391,8 @@ impl OutlierModel {
     /// a float compare — no hashing, no locks — and is immutable, so it
     /// can be shared across analyzer shards behind an `Arc`. Signatures
     /// interned *after* compilation get ids beyond the compiled tables
-    /// and classify as [`TaskClass::NewSignature`], exactly like the
-    /// map-based [`OutlierModel::classify`].
+    /// and classify as [`TaskClass::NewSignature`], exactly like a
+    /// signature the model's maps do not hold.
     pub fn compile(&self, interner: &SignatureInterner) -> CompiledModel {
         let p0_floor = 1.0 - self.config.duration_percentile / 100.0;
         // Intern everything first: table sizes depend on the final id
@@ -777,8 +778,8 @@ impl VerdictMask {
         (0..self.len).map(move |i| self.get(i))
     }
 
-    /// Set the verdict for element `i` (used by the per-synopsis oracle
-    /// in tests; `classify_batch` writes whole words directly).
+    /// Set the verdict for element `i` (`classify_batch` writes whole
+    /// words directly).
     ///
     /// # Panics
     ///
@@ -804,9 +805,10 @@ impl CompiledModel {
         }
     }
 
-    /// Classify one runtime task. Agrees exactly with
-    /// [`OutlierModel::classify`] on the model this was compiled from
-    /// (ids resolved through the same interner).
+    /// Classify one runtime task. Agrees exactly with the map classifier
+    /// (`OutlierModel::classify`, `testkit` feature) on the model this was
+    /// compiled from, ids resolved through the same interner — the oracle
+    /// of [`CompiledModel::classify_batch`].
     pub fn classify(&self, stage: StageId, sig: SigId, duration_us: f64) -> TaskClass {
         match self.entry(stage, sig) {
             CompiledSig::New => TaskClass::NewSignature,
@@ -901,6 +903,7 @@ impl CompiledModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::FeatureVector;
     use crate::{HostId, TaskUid};
     use saad_logging::LogPointId;
     use saad_sim::{SimDuration, SimTime};
@@ -1045,29 +1048,6 @@ mod tests {
         assert_eq!(model.classify(&f), TaskClass::NewSignature);
         assert_eq!(model.stage_count(), 0);
         assert_eq!(model.flow_outlier_rate(StageId(0)), 0.0);
-    }
-
-    #[test]
-    fn compiled_model_agrees_with_map_classify() {
-        let model = figure4_model();
-        let interner = SignatureInterner::new();
-        let compiled = model.compile(&interner);
-        let cases = [
-            synopsis(0, &[1, 2, 4, 5], 10_000, 1),    // normal
-            synopsis(0, &[1, 2, 4, 5], 80_000, 2),    // perf outlier
-            synopsis(0, &[1, 2, 3, 4, 5], 10_000, 3), // flow outlier
-            synopsis(0, &[1, 9], 10_000, 4),          // new signature
-            synopsis(42, &[1], 10, 5),                // unseen stage
-        ];
-        for s in &cases {
-            let f = FeatureVector::from(s);
-            let interned = f.intern(&interner);
-            assert_eq!(
-                compiled.classify(interned.stage, interned.sig, interned.duration_us),
-                model.classify(&f),
-                "case {s:?}"
-            );
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use super::adapt::{AdaptPolicy, AdaptState, TenantRouter};
 use super::pool::{meta_tick, shard_for, PoolHandle, ShardMsg};
-use crate::detector::{AnomalyDetector, DetectorConfig, DetectorSnapshot};
+use crate::detector::{AnomalyDetector, DetectorConfig};
 use crate::feature::InternedFeature;
 use crate::intern::{SigId, SignatureInterner};
 use crate::model::{CompiledModel, ConfigError, ModelBuilder, ModelConfig, OutlierModel};
@@ -862,25 +862,20 @@ fn restore_shards(
     config: DetectorConfig,
     workers: usize,
 ) -> Vec<AnomalyDetector> {
-    let shards = if section.shards.len() == workers {
-        section.shards
-    } else {
-        DetectorSnapshot::merge(section.shards).map_or(Vec::new(), |merged| {
-            merged.partition(workers, |host, stage| shard_for(host, stage, workers))
-        })
-    };
-    if shards.is_empty() {
-        let (model, compiled) = (&section.model, &section.compiled);
-        let fresh = || {
-            let (model, compiled) = (model.clone(), compiled.clone());
-            AnomalyDetector::with_shared(model, compiled, interner.clone(), config)
-        };
-        return (0..workers).map(|_| fresh()).collect();
+    if section.shards.len() == workers {
+        return section.shards;
     }
-    shards
-        .into_iter()
-        .map(AnomalyDetector::from_snapshot)
-        .collect()
+    match AnomalyDetector::merge(section.shards) {
+        Some(merged) => merged.partition(workers, |host, stage| shard_for(host, stage, workers)),
+        None => {
+            let (model, compiled) = (&section.model, &section.compiled);
+            let fresh = || {
+                let (model, compiled) = (model.clone(), compiled.clone());
+                AnomalyDetector::with_shared(model, compiled, interner.clone(), config)
+            };
+            (0..workers).map(|_| fresh()).collect()
+        }
+    }
 }
 
 /// Open the checkpoint store in `dir` for a pool of `workers` shard slots
@@ -994,12 +989,12 @@ pub(super) fn open_store(
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{event_keys, model, soa, synopsis_on, TempDir};
     use super::super::{spawn_analyzer_pool, PoolStart, SupervisorConfig};
     use super::*;
     use crate::batch::SynopsisBatch;
     use crate::detector::AnomalyKind;
     use crate::synopsis::TaskSynopsis;
+    use crate::testkit::{event_keys, model, soa, synopsis_on, TempDir};
     use saad_sim::SimDuration;
 
     fn quick_lifecycle() -> LifecycleConfig {
@@ -1142,7 +1137,7 @@ mod tests {
 
     #[test]
     fn lifecycle_pool_bootstraps_promotes_and_checkpoints() {
-        let dir = TempDir::new();
+        let dir = TempDir::new("lifecycle");
         let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 2);
         assert!(
             !pool.is_detecting(TenantId::DEFAULT),
@@ -1228,7 +1223,7 @@ mod tests {
 
     #[test]
     fn drift_triggers_auto_swap_at_watermark_boundary() {
-        let dir = TempDir::new();
+        let dir = TempDir::new("lifecycle");
         let (batch_tx, pool) = spawn(&dir, adaptive_lifecycle(), 2);
         // Healthy run-in (promotes around minute 1.25, then quiet
         // windows establish the Page-Hinkley null), then a rollout that
@@ -1253,7 +1248,7 @@ mod tests {
 
     #[test]
     fn quiet_traffic_never_drift_swaps() {
-        let dir = TempDir::new();
+        let dir = TempDir::new("lifecycle");
         let (batch_tx, pool) = spawn(&dir, adaptive_lifecycle(), 2);
         feed(&pool, &batch_tx, &scaled_stream(0, 12, 240, 1.0));
         drop(batch_tx);
@@ -1273,7 +1268,7 @@ mod tests {
 
     #[test]
     fn checkpoint_is_rejected_in_bootstrap_mode() {
-        let dir = TempDir::new();
+        let dir = TempDir::new("lifecycle");
         let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 2);
         let reply = pool.request_checkpoint();
         batch_tx.send(SynopsisBatch::new()).unwrap(); // nudge the batch boundary
@@ -1293,7 +1288,7 @@ mod tests {
 
     #[test]
     fn lifecycle_pool_recovers_and_reshards_checkpointed_state() {
-        let dir = TempDir::new();
+        let dir = TempDir::new("lifecycle");
         let stream = healthy_stream(3, 240);
         let seen = stream.len() as u64;
         {
@@ -1334,7 +1329,7 @@ mod tests {
 
     #[test]
     fn explicit_checkpoint_is_durable_when_the_call_returns() {
-        let dir = TempDir::new();
+        let dir = TempDir::new("lifecycle");
         let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 2);
         feed(&pool, &batch_tx, &healthy_stream(2, 240));
         wait_processed(&pool, 480);
@@ -1354,7 +1349,7 @@ mod tests {
 
     #[test]
     fn transient_checkpoint_write_failures_are_retried_and_counted() {
-        let dir = TempDir::new();
+        let dir = TempDir::new("lifecycle");
         let (batch_tx, pool) = spawn(
             &dir,
             LifecycleConfig {
@@ -1384,7 +1379,7 @@ mod tests {
 
     #[test]
     fn exhausted_checkpoint_retries_surface_the_io_error() {
-        let dir = TempDir::new();
+        let dir = TempDir::new("lifecycle");
         let (batch_tx, pool) = spawn(
             &dir,
             LifecycleConfig {
@@ -1417,7 +1412,7 @@ mod tests {
 
     #[test]
     fn hot_swap_loses_and_double_counts_nothing_under_load() {
-        let dir = TempDir::new();
+        let dir = TempDir::new("lifecycle");
         let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 3);
         let stream = healthy_stream(4, 240);
         feed(&pool, &batch_tx, &stream[..720]);
@@ -1475,7 +1470,7 @@ mod tests {
 
     #[test]
     fn a_gap_reaches_the_slots_of_its_hosts_tenant_only() {
-        let dir = TempDir::new();
+        let dir = TempDir::new("lifecycle");
         let lifecycle = LifecycleConfig {
             tenants: two_tenants(),
             ..quick_lifecycle()
@@ -1494,7 +1489,7 @@ mod tests {
 
     #[test]
     fn tenants_promote_independently() {
-        let dir = TempDir::new();
+        let dir = TempDir::new("lifecycle");
         let lifecycle = LifecycleConfig {
             tenants: two_tenants(),
             ..quick_lifecycle()
@@ -1537,7 +1532,7 @@ mod tests {
     #[test]
     fn metrics_render_with_tenant_labels() {
         for (tenants, labelled) in [(TenantRouter::new(), 1), (two_tenants(), 3)] {
-            let dir = TempDir::new();
+            let dir = TempDir::new("lifecycle");
             let lifecycle = LifecycleConfig {
                 tenants,
                 ..quick_lifecycle()
@@ -1628,7 +1623,7 @@ mod tests {
         let expected: Vec<&str> = expected.lines().collect();
         assert_eq!(expected.len(), 2);
         for workers in [1usize, 2, 3] {
-            let dir = TempDir::new();
+            let dir = TempDir::new("lifecycle");
             std::fs::write(dir.path().join("ckpt-0000000000000000.ckpt"), V1).unwrap();
             let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), workers);
             assert_eq!(pool.recovered_generation(), Some(0));
@@ -1645,7 +1640,7 @@ mod tests {
 
     #[test]
     fn a_tenant_gained_between_runs_bootstraps_beside_the_restored_one() {
-        let dir = TempDir::new();
+        let dir = TempDir::new("lifecycle");
         {
             let (batch_tx, pool) = spawn(&dir, quick_lifecycle(), 2);
             feed(&pool, &batch_tx, &healthy_stream(3, 240));
@@ -1677,7 +1672,7 @@ mod tests {
 
     #[test]
     fn a_tenant_lost_between_runs_is_ignored_on_recovery() {
-        let dir = TempDir::new();
+        let dir = TempDir::new("lifecycle");
         {
             let lifecycle = LifecycleConfig {
                 tenants: two_tenants(),

@@ -9,7 +9,7 @@ use super::supervise::{
     SupervisorConfig,
 };
 use crate::batch::SynopsisBatch;
-use crate::detector::{AnomalyDetector, AnomalyEvent, DetectorConfig, DetectorSnapshot};
+use crate::detector::{AnomalyDetector, AnomalyEvent, DetectorConfig};
 use crate::feature::InternedFeature;
 use crate::intern::SignatureInterner;
 use crate::model::{CompiledModel, OutlierModel};
@@ -51,9 +51,9 @@ pub(super) enum ShardMsg {
         compiled: Arc<CompiledModel>,
         watermark: SimTime,
     },
-    /// Checkpoint request: the worker replies with a snapshot of its
+    /// Checkpoint request: the worker replies with a clone of its
     /// detector as of everything routed before this message.
-    Snapshot(Sender<DetectorSnapshot>),
+    Snapshot(Sender<AnomalyDetector>),
     /// The router's final global watermark, broadcast at end of stream so
     /// every shard — including ones whose own slice went quiet early —
     /// closes its stale windows exactly where a single-threaded analyzer
@@ -407,8 +407,8 @@ pub enum PoolStart {
 
 /// Spawn the sharded analyzer pool — the one threaded analyzer — over one
 /// ordered stream of [`SynopsisBatch`]es, built against
-/// [`PoolHandle::interner`] by a [`BatchSink`](super::BatchSink),
-/// [`feed_frame_soa`](super::feed_frame_soa) or a collector. A transport
+/// [`PoolHandle::interner`] by a [`BatchSink`](super::BatchSink) or a
+/// collector (`saad_net::ReactorCollector::bind`). A transport
 /// gap rides in [`SynopsisBatch::losses`] on the batch that revealed it,
 /// so the pool's output is a function of the stream's content alone.
 ///
@@ -816,15 +816,15 @@ pub(super) fn spawn_pool_inner(
 #[cfg(test)]
 mod tests {
     use super::super::sink::BatchSink;
-    use super::super::testkit::{
+    use super::super::LifecycleConfig;
+    use super::*;
+    use crate::detector::AnomalyKind;
+    use crate::model::VerdictMask;
+    use crate::store::{Checkpoint, CheckpointStore};
+    use crate::testkit::{
         event_keys, gap, mixed_stream, model, multi_stage_model, reference_run, soa, synopsis,
         synopsis_on, TempDir,
     };
-    use super::super::LifecycleConfig;
-    use super::*;
-    use crate::detector::{AnomalyKind, DetectorSnapshot};
-    use crate::model::VerdictMask;
-    use crate::store::{Checkpoint, CheckpointStore};
     use crate::tracker::SynopsisSink;
 
     /// A pool started from `model` over `interner`.
@@ -1121,7 +1121,7 @@ mod tests {
         let mut detectors = pool.join().unwrap();
         for detector in &mut detectors {
             assert_eq!(
-                detector.snapshot().watermark(),
+                detector.watermark(),
                 last,
                 "shard shut down with a stale watermark"
             );
@@ -1359,7 +1359,7 @@ mod tests {
         /// Two hosts skewed by two to four windows, so a sixth and more of
         /// the stream is stragglers, each a window of its own that runs
         /// both tests (`min_window_tasks = min_group_tasks = 1`). Every
-        /// path starts from a snapshot merged from two shards whose
+        /// path starts from a detector merged from two shards whose
         /// watermarks stood in windows 10 and 7: the merged loss entry for
         /// (host 2, window 7) is stale, and with `stale_bucket` so is an
         /// open window of host 0 — which the first straggler must close
@@ -1403,16 +1403,13 @@ mod tests {
                 behind.flush();
             }
             behind.record_loss(HostId(2), SimTime::from_secs(70), 9);
-            let merged = DetectorSnapshot::merge(vec![ahead.snapshot(), behind.snapshot()])
-                .expect("two parts");
-            let restored = |workers: usize| {
-                let parts = merged.clone().partition(workers, |h, s| shard_for(h, s, workers));
-                parts.into_iter().map(AnomalyDetector::from_snapshot).collect()
-            };
+            let merged = AnomalyDetector::merge(vec![ahead, behind]).expect("two parts");
+            let restored =
+                |workers: usize| merged.clone().partition(workers, |h, s| shard_for(h, s, workers));
             let (events, reference) = agree_on_every_path(restored, config.window, &stream, chunk)?;
 
             let late = reference.late_seen();
-            let seen = reference.tasks_seen() - 2; // the two restored with the snapshot
+            let seen = reference.tasks_seen() - 2; // the two the merged shards had seen
             proptest::prop_assert!(late * 100 >= seen * 15, "{} late of {}", late, seen);
             // Host 2's stragglers: never-trained, one task each, and the
             // second no longer sees the restored loss entry.
@@ -1549,14 +1546,8 @@ mod tests {
                 rig.interner.clone(),
                 rig.config,
             );
-            let dir = TempDir::new();
-            let checkpoint = Checkpoint::new(
-                0,
-                model,
-                compiled,
-                rig.interner.clone(),
-                vec![blank.snapshot()],
-            );
+            let dir = TempDir::new("pool-gap");
+            let checkpoint = Checkpoint::new(0, model, compiled, rig.interner.clone(), vec![blank]);
             CheckpointStore::create(dir.path(), 3)
                 .unwrap()
                 .save(&checkpoint)

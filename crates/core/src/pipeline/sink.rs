@@ -1,20 +1,18 @@
-//! The producer edge of the pipeline: the sinks trackers submit to, the
-//! drop accounting of a bounded sink, and the glue that turns a decoded
-//! transport frame into pool input. Everything bound for a pool is interned
-//! here, into [`SynopsisBatch`]es, against that pool's interner.
+//! The producer edge of the pipeline: the sinks trackers submit to, and
+//! the drop accounting of a bounded sink. Everything a tracker sends a
+//! pool is interned here, into [`SynopsisBatch`]es, against that pool's
+//! interner.
 
 use crate::batch::SynopsisBatch;
 use crate::detector::{AnomalyDetector, AnomalyEvent, DetectorConfig};
-use crate::feature::InternedFeature;
 use crate::intern::SignatureInterner;
-use crate::model::{ModelBuilder, ModelConfig, OutlierModel};
+use crate::model::{ModelBuilder, ModelConfig, OutlierModel, VerdictMask};
 use crate::synopsis::TaskSynopsis;
 use crate::tracker::SynopsisSink;
-use crate::transport::{FrameOutcome, LossReport};
+use crate::transport::LossReport;
 use crate::HostId;
 use crossbeam_channel::{bounded, unbounded, Receiver, SendTimeoutError, Sender, TrySendError};
 use saad_obs::Registry;
-use saad_sim::SimTime;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -412,17 +410,33 @@ impl SynopsisSink for ModelSink {
 
 /// A sink that classifies and windows synopses inline — the single-threaded
 /// analogue of the analyzer thread, used by the deterministic simulators.
+/// Each submission is one row through
+/// [`AnomalyDetector::observe_batch`].
 #[derive(Debug)]
 pub struct DetectorSink {
-    detector: parking_lot::Mutex<AnomalyDetector>,
+    inline: parking_lot::Mutex<Inline>,
     events: parking_lot::Mutex<Vec<AnomalyEvent>>,
+}
+
+/// What a [`DetectorSink`] submission takes its lock for: the detector,
+/// and the one-row batch and verdict it reuses for every synopsis.
+#[derive(Debug)]
+struct Inline {
+    detector: AnomalyDetector,
+    row: SynopsisBatch,
+    verdicts: VerdictMask,
 }
 
 impl DetectorSink {
     /// Create a sink over a fresh detector.
     pub fn new(model: Arc<OutlierModel>, config: DetectorConfig) -> DetectorSink {
+        let inline = Inline {
+            detector: AnomalyDetector::new(model, config),
+            row: SynopsisBatch::with_capacity(1),
+            verdicts: VerdictMask::new(),
+        };
         DetectorSink {
-            detector: parking_lot::Mutex::new(AnomalyDetector::new(model, config)),
+            inline: parking_lot::Mutex::new(inline),
             events: parking_lot::Mutex::new(Vec::new()),
         }
     }
@@ -430,7 +444,7 @@ impl DetectorSink {
     /// Flush remaining windows and return every event detected.
     pub fn finish(self) -> Vec<AnomalyEvent> {
         let mut events = self.events.into_inner();
-        events.extend(self.detector.into_inner().flush());
+        events.extend(self.inline.into_inner().detector.flush());
         events
     }
 
@@ -441,16 +455,22 @@ impl DetectorSink {
 
     /// Synopses observed so far.
     pub fn tasks_seen(&self) -> u64 {
-        self.detector.lock().tasks_seen()
+        self.inline.lock().detector.tasks_seen()
     }
 }
 
 impl SynopsisSink for DetectorSink {
     fn submit(&self, synopsis: TaskSynopsis) {
         let new_events = {
-            let mut detector = self.detector.lock();
-            let feature = InternedFeature::from_synopsis(&synopsis, detector.interner());
-            detector.observe_interned(&feature)
+            let mut inline = self.inline.lock();
+            let Inline {
+                detector,
+                row,
+                verdicts,
+            } = &mut *inline;
+            row.clear();
+            row.push_synopsis(&synopsis, detector.interner());
+            detector.observe_batch(row, verdicts)
         };
         if !new_events.is_empty() {
             self.events.lock().extend(new_events);
@@ -458,50 +478,13 @@ impl SynopsisSink for DetectorSink {
     }
 }
 
-/// Feed one decoded transport frame into a pool's input as a **single**
-/// send: the frame's synopses, interned into one [`SynopsisBatch`] against
-/// the pool's interner, with the gap the frame reveals riding ahead of
-/// them ([`SynopsisBatch::reveal_gap`]; `watermark`, the highest start its
-/// collector has admitted, stamps the gap of a frame without synopses — a
-/// leaf's goodbye). Returns the synopses forwarded; a duplicate frame,
-/// already counted, yields nothing, and a frame with neither synopses nor
-/// a gap sends nothing.
-///
-/// No collector calls this: the collector and the root decode each frame
-/// in place from their rings. It is the whole-frame reference those
-/// in-place paths are tested against (`parse_frame` → admit → this), and
-/// a way to feed a pool by hand.
-pub fn feed_frame_soa(
-    outcome: FrameOutcome,
-    batch_tx: &Sender<SynopsisBatch>,
-    interner: &SignatureInterner,
-    watermark: SimTime,
-) -> usize {
-    let FrameOutcome::Fresh {
-        host,
-        synopses,
-        newly_lost,
-    } = outcome
-    else {
-        return 0;
-    };
-    let mut batch = SynopsisBatch::with_capacity(synopses.len());
-    for s in &synopses {
-        batch.push_synopsis(s, interner);
-    }
-    batch.reveal_gap(host, newly_lost, watermark);
-    if !batch.is_empty() || !batch.losses.is_empty() {
-        let _ = batch_tx.send(batch);
-    }
-    synopses.len()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{model, synopsis, synopsis_on};
     use super::*;
     use crate::detector::AnomalyKind;
+    use crate::testkit::{model, synopsis, synopsis_on};
     use crate::TaskUid;
+    use saad_sim::SimTime;
 
     /// A bounded sink of one-synopsis batches: the queue bound and every
     /// drop count read in synopses.
@@ -735,55 +718,5 @@ mod tests {
         assert_eq!(second.losses, [report]);
         drop(sink);
         assert!(rx.try_recv().is_err(), "the report is charged once");
-    }
-
-    #[test]
-    fn feed_frame_soa_puts_the_gap_on_its_batch_and_ignores_duplicates() {
-        let frame = |synopses, newly_lost| FrameOutcome::Fresh {
-            host: HostId(3),
-            synopses,
-            newly_lost,
-        };
-        let two = || {
-            vec![
-                synopsis_on(3, &[1, 2], 1_000, SimTime::from_secs(9), 0),
-                synopsis_on(3, &[1, 2], 1_000, SimTime::from_secs(10), 1),
-            ]
-        };
-        let dup = FrameOutcome::Duplicate {
-            host: HostId(3),
-            seq: 7,
-        };
-        let watermark = SimTime::from_secs(8);
-        let interner = SignatureInterner::new();
-        let (batch_tx, batch_rx) = unbounded();
-        let feed = |outcome| feed_frame_soa(outcome, &batch_tx, &interner, watermark);
-        let charged = |at, count| {
-            let batch: SynopsisBatch = batch_rx.try_recv().unwrap();
-            assert_eq!(
-                batch.losses,
-                [LossReport {
-                    host: HostId(3),
-                    at,
-                    count
-                }]
-            );
-            batch.len()
-        };
-
-        // The gap rides ahead of the synopses that revealed it, stamped
-        // with the first one's start.
-        assert_eq!(feed(frame(two(), 5)), 2);
-        assert_eq!(charged(SimTime::from_secs(9), 5), 2);
-        assert_eq!(feed(dup), 0);
-        assert!(batch_rx.try_recv().is_err());
-
-        // A frame with no synopses (a goodbye) still charges its gap — at
-        // the collector's watermark, having no start of its own — and one
-        // with no gap either sends nothing.
-        assert_eq!(feed(frame(Vec::new(), 4)), 0);
-        assert_eq!(charged(watermark, 4), 0, "a gap and no rows");
-        assert_eq!(feed(frame(Vec::new(), 0)), 0);
-        assert!(batch_rx.try_recv().is_err());
     }
 }

@@ -4,7 +4,7 @@
 //! stream.
 
 use crate::batch::SynopsisBatch;
-use crate::detector::{AnomalyDetector, AnomalyEvent, AnomalyKind, DetectorSnapshot};
+use crate::detector::{AnomalyDetector, AnomalyEvent, AnomalyKind};
 use crate::model::{CompiledModel, OutlierModel, VerdictMask};
 use crate::transport::LossReport;
 use crate::{HostId, StageId};
@@ -227,7 +227,8 @@ pub(super) struct SupervisionObs {
 /// (the pool's router does; a shard only sees its slice).
 pub(super) struct SupervisedDetector {
     detector: AnomalyDetector,
-    snapshot: DetectorSnapshot,
+    /// The restart point: a clone of the detector.
+    snapshot: AnomalyDetector,
     // Everything successfully applied since `snapshot` — each feature
     // with the global-stream watermark in force when it was observed —
     // for replay after a restart. Events from replay are suppressed
@@ -249,7 +250,7 @@ impl SupervisedDetector {
         supervisor: SupervisorConfig,
         obs: SupervisionObs,
     ) -> SupervisedDetector {
-        let snapshot = detector.snapshot();
+        let snapshot = detector.clone();
         SupervisedDetector {
             detector,
             snapshot,
@@ -276,7 +277,7 @@ impl SupervisedDetector {
     /// replay tail it supersedes.
     fn take_snapshot(&mut self) {
         let began = Instant::now();
-        self.snapshot = self.detector.snapshot();
+        self.snapshot = self.detector.clone();
         self.replay.clear();
         self.replay_losses.clear();
         self.obs
@@ -325,7 +326,7 @@ impl SupervisedDetector {
     /// since-snapshot tail as one batch, losses first. Replayed events
     /// are suppressed — they were already emitted before the crash.
     fn restore_from_snapshot(&mut self) {
-        self.detector = AnomalyDetector::from_snapshot(self.snapshot.clone());
+        self.detector = self.snapshot.clone();
         for &(report, watermark) in &self.replay_losses {
             self.detector
                 .record_loss_at(report.host, report.at, report.count, watermark);
@@ -393,7 +394,7 @@ impl SupervisedDetector {
     /// restart snapshot: state persisted to disk is exactly the state a
     /// panic would restore, and the replay tail never straddles a
     /// checkpoint.
-    pub(super) fn checkpoint_snapshot(&mut self) -> DetectorSnapshot {
+    pub(super) fn checkpoint_snapshot(&mut self) -> AnomalyDetector {
         self.take_snapshot();
         self.snapshot.clone()
     }
@@ -423,10 +424,10 @@ impl SupervisedDetector {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{multi_stage_model, synopsis_on};
     use super::*;
     use crate::detector::DetectorConfig;
     use crate::intern::SignatureInterner;
+    use crate::testkit::{multi_stage_model, synopsis_on};
     use bytes::BytesMut;
     use std::time::Duration;
 
@@ -583,7 +584,7 @@ mod tests {
             "tail {}",
             supervised.replay.len()
         );
-        let before = supervised.detector.snapshot();
+        let before = supervised.detector.clone();
         let fastest = |work: &mut dyn FnMut()| {
             (0..5)
                 .map(|_| {
@@ -597,7 +598,7 @@ mod tests {
         let restart = fastest(&mut || supervised.restore_from_snapshot());
         let mut verdicts = VerdictMask::new();
         let batch = fastest(&mut || {
-            let mut d = AnomalyDetector::from_snapshot(supervised.snapshot.clone());
+            let mut d = supervised.snapshot.clone();
             let _ = d.observe_batch(&supervised.replay, &mut verdicts);
         });
         assert!(
@@ -606,7 +607,7 @@ mod tests {
         );
         // And it lands exactly where the detector stood.
         let mut restored = BytesMut::new();
-        supervised.detector.snapshot().encode_into(&mut restored);
+        supervised.detector.encode_into(&mut restored);
         let mut original = BytesMut::new();
         before.encode_into(&mut original);
         assert_eq!(&restored[..], &original[..]);

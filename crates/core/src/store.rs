@@ -4,7 +4,7 @@
 //! failures it is supposed to detect. This module persists everything a
 //! restarted analyzer pool needs to resume detection — the
 //! [`SignatureInterner`] and, per tenant, its [`OutlierModel`], model
-//! generation and one [`DetectorSnapshot`] per shard — in a versioned,
+//! generation and one shard [`AnomalyDetector`] per slot — in a versioned,
 //! CRC-32-framed file written atomically (temp file + fsync + rename +
 //! directory fsync).
 //!
@@ -24,12 +24,12 @@
 //! ```
 //!
 //! The version 2 payload is `interner | tenant count | per tenant {id,
-//! model generation, model, shard count, shard snapshots}`: the interner
+//! model generation, model, shard count, shard detectors}`: the interner
 //! as its per-shard signature lists (so restore reproduces **exactly**
 //! the same [`crate::intern::SigId`] assignment, keeping the ids inside
-//! models and snapshots valid), each model via
+//! models and shard windows valid), each model via
 //! [`OutlierModel::encode_into`] and each shard via
-//! [`DetectorSnapshot::encode_into`]. A tenant still in bootstrap has no
+//! [`AnomalyDetector::encode_into`]. A tenant still in bootstrap has no
 //! model and writes no section. Compiled models are *not* stored; they
 //! are deterministically recompiled from the restored model and interner
 //! on load. Version 1 files — `model | interner | shard count | shard
@@ -45,7 +45,7 @@
 //! can therefore cost at most the newest generation, never the store.
 
 use crate::codec::{get_points, get_varint, id16, put_points, put_varint, DecodeError};
-use crate::detector::DetectorSnapshot;
+use crate::detector::AnomalyDetector;
 use crate::intern::SignatureInterner;
 use crate::model::{CompiledModel, OutlierModel};
 use crate::transport::crc32;
@@ -150,12 +150,12 @@ pub struct TenantCheckpoint {
     /// Compiled form of `model` against the checkpoint's interner
     /// (recomputed on load, never serialized).
     pub compiled: Arc<CompiledModel>,
-    /// Per-shard detector state, in shard order.
-    pub shards: Vec<DetectorSnapshot>,
+    /// The tenant's shard detectors, in shard order.
+    pub shards: Vec<AnomalyDetector>,
 }
 
 /// One durable generation of analyzer state: the signature interner that
-/// issued every id the models and snapshots reference, and one section
+/// issued every id the models and shard detectors reference, and one section
 /// per tenant that has a model.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
@@ -176,7 +176,7 @@ impl Checkpoint {
         model: Arc<OutlierModel>,
         compiled: Arc<CompiledModel>,
         interner: Arc<SignatureInterner>,
-        shards: Vec<DetectorSnapshot>,
+        shards: Vec<AnomalyDetector>,
     ) -> Checkpoint {
         let tenant = TenantCheckpoint {
             tenant: TenantId::DEFAULT,
@@ -331,7 +331,7 @@ fn decode_interner(payload: &mut Bytes) -> Result<Arc<SignatureInterner>, Decode
 }
 
 /// The rest of a tenant's section once its model is read: the shard
-/// count and every shard's snapshot, over the model compiled against
+/// count and every shard's detector, over the model compiled against
 /// `interner`.
 fn decode_tenant(
     payload: &mut Bytes,
@@ -346,7 +346,7 @@ fn decode_tenant(
     let mut shards = Vec::with_capacity(count);
     for _ in 0..count {
         let (model, compiled) = (model.clone(), compiled.clone());
-        shards.push(DetectorSnapshot::decode_from(
+        shards.push(AnomalyDetector::decode_from(
             payload,
             model,
             compiled,
@@ -538,38 +538,13 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::{AnomalyDetector, DetectorConfig};
-    use crate::feature::InternedFeature;
-    use crate::model::{ModelBuilder, ModelConfig};
+    use crate::detector::DetectorConfig;
+    use crate::model::{ModelBuilder, ModelConfig, VerdictMask};
     use crate::synopsis::TaskSynopsis;
+    use crate::testkit::{soa, TempDir};
     use crate::{HostId, StageId, TaskUid};
     use saad_logging::LogPointId;
     use saad_sim::{SimDuration, SimTime};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// Fresh scratch directory per test, removed on drop.
-    struct TempDir(PathBuf);
-
-    impl TempDir {
-        fn new() -> TempDir {
-            static COUNTER: AtomicUsize = AtomicUsize::new(0);
-            let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-            let dir =
-                std::env::temp_dir().join(format!("saad-store-test-{}-{n}", std::process::id()));
-            fs::create_dir_all(&dir).unwrap();
-            TempDir(dir)
-        }
-
-        fn path(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.0);
-        }
-    }
 
     fn synopsis(stage: u16, points: &[u16], dur_us: u64, start: SimTime, uid: u64) -> TaskSynopsis {
         TaskSynopsis {
@@ -596,19 +571,20 @@ mod tests {
         let model = Arc::new(b.build(ModelConfig::default()));
         let mut d = AnomalyDetector::new(model.clone(), DetectorConfig::default());
         d.record_loss(HostId(0), SimTime::from_secs(20), 7);
-        for i in 0..80u64 {
-            let mut s = if i % 9 == 0 {
-                synopsis(0, &[1, 2, 3], 10_000, SimTime::ZERO, i)
-            } else {
-                synopsis(0, &[1, 2], 9_500, SimTime::ZERO, i)
-            };
-            s.start = SimTime::from_millis(i * 30);
-            let f = InternedFeature::from_synopsis(&s, d.interner());
-            d.observe_interned(&f);
-        }
+        let stream: Vec<TaskSynopsis> = (0..80u64)
+            .map(|i| {
+                let start = SimTime::from_millis(i * 30);
+                if i % 9 == 0 {
+                    synopsis(0, &[1, 2, 3], 10_000, start, i)
+                } else {
+                    synopsis(0, &[1, 2], 9_500, start, i)
+                }
+            })
+            .collect();
+        d.observe_batch(&soa(&stream, d.interner()), &mut VerdictMask::new());
         let interner = d.interner().clone();
         let compiled = d.compiled().clone();
-        Checkpoint::new(generation, model, compiled, interner, vec![d.snapshot()])
+        Checkpoint::new(generation, model, compiled, interner, vec![d])
     }
 
     #[test]
@@ -694,11 +670,7 @@ mod tests {
         let default = &decoded.tenants[0];
         assert_eq!((default.tenant, default.generation), (TenantId::DEFAULT, 1));
         assert_eq!(default.shards.len(), 2);
-        let seen: u64 = default
-            .shards
-            .iter()
-            .map(DetectorSnapshot::tasks_seen)
-            .sum();
+        let seen: u64 = default.shards.iter().map(AnomalyDetector::tasks_seen).sum();
         assert_eq!(seen, 720);
         // Written back, it is a version 2 file with the same state.
         let again = Checkpoint::decode(&decoded.encode()).unwrap();
@@ -775,7 +747,7 @@ mod tests {
 
     #[test]
     fn save_load_and_latest_generation() {
-        let tmp = TempDir::new();
+        let tmp = TempDir::new("store");
         let store = CheckpointStore::create(tmp.path(), 4).unwrap();
         assert_eq!(store.latest_generation().unwrap(), None);
         let path = store.save(&sample_checkpoint(7)).unwrap();
@@ -800,7 +772,7 @@ mod tests {
 
     #[test]
     fn recover_prefers_newest_valid_and_reports_rejects() {
-        let tmp = TempDir::new();
+        let tmp = TempDir::new("store");
         let store = CheckpointStore::create(tmp.path(), 8).unwrap();
         store.save(&sample_checkpoint(1)).unwrap();
         store.save(&sample_checkpoint(2)).unwrap();
@@ -829,7 +801,7 @@ mod tests {
 
     #[test]
     fn recover_empty_store_is_bootstrap() {
-        let tmp = TempDir::new();
+        let tmp = TempDir::new("store");
         let store = CheckpointStore::create(tmp.path(), 2).unwrap();
         let recovery = store.recover().unwrap();
         assert!(recovery.checkpoint.is_none());
@@ -838,7 +810,7 @@ mod tests {
 
     #[test]
     fn prune_keeps_newest_generations() {
-        let tmp = TempDir::new();
+        let tmp = TempDir::new("store");
         let store = CheckpointStore::create(tmp.path(), 2).unwrap();
         for generation in 1..=5 {
             store.save(&sample_checkpoint(generation)).unwrap();

@@ -16,9 +16,9 @@
 //!
 //! Admitted frames flow into the analyzer input as one [`SynopsisBatch`]
 //! send per frame, a newly revealed gap riding on the batch that revealed
-//! it (a goodbye's on a batch without rows): exactly what
-//! [`feed_frame_soa`](saad_core::pipeline::feed_frame_soa) feeds a pool,
-//! so a pool works unchanged behind a socket.
+//! it (a goodbye's on a batch without rows): exactly what the whole-frame
+//! reference `saad_core::testkit::feed_frame_soa` feeds a pool, so a pool
+//! works unchanged behind a socket.
 
 use crate::protocol::{Hello, HelloAck, RejectReason, NO_SEQ, PINNED_EPOCH};
 use crate::session::Handler;
@@ -547,6 +547,7 @@ pub(crate) mod testkit {
     use crate::session::Session;
     use crossbeam_channel::{unbounded, Receiver};
     use saad_core::detector::{AnomalyDetector, DetectorConfig};
+    use saad_core::testkit::reference_run;
     use saad_core::transport::FrameSender;
     use saad_core::{LogPointId, StageId, TaskUid};
     use saad_sim::SimDuration;
@@ -621,10 +622,11 @@ pub(crate) mod testkit {
 
     /// What an analyzer makes of a collector's output for
     /// [`goodbye_after_a_lost_frame`]: a model-less detector (one event
-    /// per window and stage) fed `batches` — each one's gap reports, then
-    /// its rows — must report the window `owed` falls in — one task seen
-    /// per stage, the host's two lost — at completeness 1/3. Stamped at
-    /// time zero the report was judged stale and every event read 1.
+    /// per window and stage) fed `batches` through the one reference —
+    /// each one's gap reports, then its rows — must report the window
+    /// `owed` falls in — one task seen per stage, the host's two lost — at
+    /// completeness 1/3. Stamped at time zero the report was judged stale
+    /// and every event read 1.
     pub(crate) fn assert_gap_is_charged(
         interner: &Arc<SignatureInterner>,
         batches: &[SynopsisBatch],
@@ -632,17 +634,8 @@ pub(crate) mod testkit {
     ) {
         assert_eq!(losses(batches), [owed]);
         let config = DetectorConfig::default();
-        let mut detector = AnomalyDetector::collecting(interner.clone(), config).unwrap();
-        let mut events = Vec::new();
-        for batch in batches {
-            for r in &batch.losses {
-                detector.record_loss(r.host, r.at, r.count);
-            }
-            for i in 0..batch.len() {
-                events.extend(detector.observe_interned(&batch.feature(i)));
-            }
-        }
-        events.extend(detector.flush());
+        let detector = AnomalyDetector::collecting(interner.clone(), config).unwrap();
+        let (mut events, _) = reference_run(detector, batches);
         let window = config.window.as_micros();
         events.retain(|e| e.window_start.as_micros() / window == owed.at.as_micros() / window);
         assert_eq!(events.len(), 3, "the host's last window: {events:?}");
@@ -766,7 +759,7 @@ mod tests {
     };
     use super::*;
     use proptest::prelude::*;
-    use saad_core::pipeline::feed_frame_soa;
+    use saad_core::testkit::feed_frame_soa;
     use saad_core::transport::{FrameOutcome, FRAME_HEADER_LEN};
 
     proptest! {

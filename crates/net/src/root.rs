@@ -133,7 +133,7 @@ mod tests {
     use crate::session::{Handler, Session};
     use crossbeam_channel::{unbounded, Receiver};
     use proptest::prelude::*;
-    use saad_core::pipeline::feed_frame_soa;
+    use saad_core::testkit::feed_frame_soa;
     use saad_core::transport::{parse_frame, FrameOutcome, FrameReceiver, FrameSender, LossReport};
     use saad_sim::SimTime;
 

@@ -123,17 +123,18 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // ── 5. Runtime: a window of traffic with an injected fault ─────────
     let mut detector = AnomalyDetector::new(model, DetectorConfig::default());
-    let mut events = Vec::new();
     for i in 0..600u64 {
         // 10% of tasks terminate prematurely; 15% run 3x slow.
         let cut = i.is_multiple_of(10);
         let slow = i.is_multiple_of(7);
         run_task(200_000 + i * 90, 9, false, slow, cut);
     }
+    // The detector takes synopses as a batch interned on its own interner.
+    let mut batch = SynopsisBatch::new();
     for s in sink.drain() {
-        let feature = InternedFeature::from_synopsis(&s, detector.interner());
-        events.extend(detector.observe_interned(&feature));
+        batch.push_synopsis(&s, detector.interner());
     }
+    let mut events = detector.observe_batch(&batch, &mut VerdictMask::new());
     events.extend(detector.flush());
 
     // ── 6. Report like the paper's visualization tool ───────────────────

@@ -5,8 +5,6 @@
 //! A swaps A's model only, while tenant B's generation and event output
 //! stay byte-for-byte identical to a run where A never drifted.
 
-mod common;
-
 use crossbeam_channel::unbounded;
 use saad::core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
 use saad::core::pipeline::{
@@ -14,31 +12,9 @@ use saad::core::pipeline::{
     TenantRouter,
 };
 use saad::core::prelude::*;
+use saad::core::testkit::{event_keys, soa, TempDir};
 use saad::logging::LogPointId;
 use saad::sim::{SimDuration, SimTime};
-use std::path::{Path, PathBuf};
-
-/// Self-cleaning unique temp directory (no tempfile crate).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("saad-adapt-e2e-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn synopsis(host: u16, points: &[u16], dur_us: u64, start: SimTime, uid: u64) -> TaskSynopsis {
     TaskSynopsis {
@@ -111,7 +87,7 @@ fn mid_stream_drift_is_absorbed_and_post_swap_anomaly_localized() {
     let interner = pool.interner();
     let feed = |synopses: &[TaskSynopsis]| {
         for chunk in synopses.chunks(60) {
-            batch_tx.send(common::soa(chunk, &interner)).unwrap();
+            batch_tx.send(soa(chunk, &interner)).unwrap();
         }
     };
 
@@ -208,14 +184,14 @@ fn run_two_tenants(a_drifts: bool, workers: usize) -> (Vec<String>, [u64; 3]) {
     }
     let interner = pool.interner();
     for chunk in stream.chunks(60) {
-        batch_tx.send(common::soa(chunk, &interner)).unwrap();
+        batch_tx.send(soa(chunk, &interner)).unwrap();
     }
     drop(batch_tx);
     let events: Vec<AnomalyEvent> = pool.events().iter().collect();
     let counts = [pool.drift_swaps(a), pool.drift_swaps(b), pool.generation(b)];
     pool.join().unwrap();
     let of_b: Vec<AnomalyEvent> = events.into_iter().filter(|e| e.host.0 >= 2).collect();
-    (common::event_keys(&of_b), counts)
+    (event_keys(&of_b), counts)
 }
 
 #[test]

@@ -1,35 +1,33 @@
-//! Equivalence properties for the interned/compiled/sharded analyzer.
+//! Equivalence properties for the interned/compiled/sharded analyzer,
+//! each against the one reference of `saad::core::testkit`:
 //!
-//! The PR that introduced signature interning, compiled dense models, and
-//! the sharded analyzer pool keeps `OutlierModel::classify` (map-based)
-//! as the reference oracle. These properties check, over arbitrary
-//! feature streams, that every fast path agrees with it exactly:
-//!
-//! * compiled + interned classification ≡ `OutlierModel::classify`;
+//! * compiled + interned classification ≡ the map classifier
+//!   `OutlierModel::classify`, over arbitrary streams and over arbitrary
+//!   trained models;
 //! * `classify_batch` (branch-free SoA loop) ≡ per-element
 //!   `CompiledModel::classify`, including NaN / zero / infinite durations;
-//! * pool-sharded detection ≡ the one reference (a plain detector driven
-//!   element by element, `common::reference_run`), as an event multiset,
-//!   for any worker count — behind both producer edges, `BatchSink` and
-//!   `feed_frame_soa`, and from both starts: a model on an interner the
-//!   caller made, and a store on the interner the pool restored from a
-//!   checkpoint another worker count wrote;
+//! * pool-sharded detection ≡ `testkit::reference_run` (a plain detector
+//!   driven row by row), as an event multiset, for any worker count —
+//!   behind both producer edges, `BatchSink` and
+//!   `testkit::feed_frame_soa`, and from both starts: a model on an
+//!   interner the caller made, and a store on the interner the pool
+//!   restored from a checkpoint another worker count wrote;
+//! * a `DetectorSink` fed one synopsis at a time ≡ `reference_run`, event
+//!   for event and in order;
 //! * the one hazard of interning at the edge — a producer built on some
 //!   other interner — is refused in debug builds.
 
-mod common;
-
-use common::{event_keys, reference_run, soa};
 use crossbeam_channel::{unbounded, Sender};
 use proptest::prelude::*;
-use saad::core::detector::{AnomalyDetector, AnomalyEvent, DetectorConfig};
+use saad::core::detector::{AnomalyDetector, AnomalyEvent, AnomalyKind, DetectorConfig};
 use saad::core::model::{ModelBuilder, ModelConfig, OutlierModel};
 use saad::core::pipeline::{
-    feed_frame_soa, spawn_analyzer_pool, BatchSink, LifecycleConfig, PoolHandle, PoolStart,
+    spawn_analyzer_pool, BatchSink, DetectorSink, LifecycleConfig, PoolHandle, PoolStart,
     SupervisorConfig,
 };
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
+use saad::core::testkit::{event_keys, feed_frame_soa, reference_run, soa, FeatureVector, TempDir};
 use saad::core::tracker::SynopsisSink;
 use saad::core::transport::FrameOutcome;
 use saad::logging::LogPointId;
@@ -196,24 +194,6 @@ fn produce(
     }
 }
 
-/// Self-cleaning unique temp directory (no tempfile crate).
-struct TempDir(std::path::PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("saad-equiv-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// A pool over the checkpoint store in `dir`.
 fn spawn_lifecycle_pool(dir: &Path, workers: usize) -> (Sender<SynopsisBatch>, PoolHandle) {
     let (batch_tx, batch_rx) = unbounded();
@@ -257,14 +237,14 @@ fn run_lifecycle_pools(
         seeded.clone(),
         small_config(),
     );
-    let generation_0 = Checkpoint::new(0, model, compiled, seeded, vec![blank.snapshot()]);
-    let store = CheckpointStore::create(&first_dir.0, 3).unwrap();
+    let generation_0 = Checkpoint::new(0, model, compiled, seeded, vec![blank]);
+    let store = CheckpointStore::create(first_dir.path(), 3).unwrap();
     store.save(&generation_0).unwrap();
 
     // First incarnation: the head of the stream, then a checkpoint of the
     // windows it left open — set aside before shutdown flushes them into
     // a newer generation.
-    let (batch_tx, first) = spawn_lifecycle_pool(&first_dir.0, written_by);
+    let (batch_tx, first) = spawn_lifecycle_pool(first_dir.path(), written_by);
     assert_eq!(first.recovered_generation(), Some(0));
     produce(
         edge,
@@ -282,12 +262,12 @@ fn run_lifecycle_pools(
     let mut events: Vec<AnomalyEvent> = first.events().try_iter().collect();
     let written = store.generations().unwrap();
     let (_, path) = written.iter().find(|(g, _)| *g == generation).unwrap();
-    std::fs::copy(path, second_dir.0.join(path.file_name().unwrap())).unwrap();
+    std::fs::copy(path, second_dir.path().join(path.file_name().unwrap())).unwrap();
     drop(batch_tx);
     first.join().expect("no faults injected");
 
     // Second incarnation: another worker count, the checkpoint's interner.
-    let (batch_tx, second) = spawn_lifecycle_pool(&second_dir.0, workers);
+    let (batch_tx, second) = spawn_lifecycle_pool(second_dir.path(), workers);
     assert_eq!(second.recovered_generation(), Some(generation));
     produce(
         edge,
@@ -456,4 +436,231 @@ fn a_batch_built_on_a_foreign_interner_is_refused() {
     batch_tx.send(soa(&stream_of(&tasks), &foreign)).unwrap();
     drop(batch_tx);
     pool.join().unwrap(); // the router's panic, as the handle reports it
+}
+
+/// One stage of a generated training set: per signature, its points, a
+/// count exponent (counts from 1 to 1 024, so shares are skewed and some
+/// fall below the flow cutoff), how many distinct duration levels it
+/// spreads over (one to three, so the percentile lands on a tied value)
+/// and how often a task runs ten times slow (never, or one in 2..40).
+type TrainedStage = Vec<(Vec<u16>, u32, u64, u64)>;
+
+fn trained_stage_strategy() -> impl Strategy<Value = TrainedStage> {
+    collection::vec(
+        (collection::vec(1u16..10, 1..5), 0u32..11, 1u64..4, 0u64..40),
+        1..13,
+    )
+}
+
+/// The duration of training task `j` of a signature: one of `levels`
+/// values 40 µs apart, ten times longer every `tail_every`-th task.
+fn training_duration(j: u64, levels: u64, tail_every: u64) -> u64 {
+    let base = 2_000 + 40 * (j % levels);
+    if tail_every > 1 && j.is_multiple_of(tail_every) {
+        base * 10
+    } else {
+        base
+    }
+}
+
+/// The next representable duration above (`step` 1) or below (`step` −1)
+/// a positive `t`.
+fn ulp_step(t: f64, step: i64) -> f64 {
+    f64::from_bits(t.to_bits().wrapping_add_signed(step))
+}
+
+/// Map classify equals compiled classify on every trained model: seeded
+/// training sets of 1–4 stages and up to 12 signatures each (skewed
+/// counts, durations tied at the percentile, three percentiles, two
+/// sample floors), and, against each, runtime tasks of every trained,
+/// rare and never-trained signature — one interned before `compile`, one
+/// after — in every trained stage and one untrained stage, at each
+/// stage's thresholds, one ulp above and below them, at zero and far
+/// above. The compiled `perf_p0` is the training rate floored at
+/// `1 − percentile/100`, and both forms report the same flow rate.
+#[test]
+fn map_classify_equals_compiled_classify_on_every_trained_model() {
+    let mut seen = std::collections::BTreeMap::<String, u64>::new();
+    let mut count = |what: String| *seen.entry(what).or_default() += 1;
+    for seed in 0..256u64 {
+        let mut runner = TestRunner::from_seed(seed);
+        let stages = collection::vec(trained_stage_strategy(), 1..5).generate(&mut runner);
+        let percentile = [99.0, 95.0, 90.0][(0usize..3).generate(&mut runner)];
+        let min_samples = [50usize, 10][(0usize..2).generate(&mut runner)];
+        let config = ModelConfig {
+            duration_percentile: percentile,
+            min_signature_samples: min_samples,
+            ..ModelConfig::default()
+        };
+        let mut builder = ModelBuilder::new();
+        for (stage, sigs) in stages.iter().enumerate() {
+            for (points, exp, levels, tail_every) in sigs {
+                let signature = Signature::from_points(points.iter().map(|&p| LogPointId(p)));
+                for j in 0..1u64 << exp {
+                    let dur = training_duration(j, *levels, *tail_every) as f64;
+                    builder.observe_parts(StageId(stage as u16), &signature, dur);
+                }
+            }
+        }
+        let model = builder.build(config);
+
+        // Two never-trained signatures: one interned before `compile`, so
+        // its id is inside the tables, and one after, past them.
+        let interner = SignatureInterner::new();
+        let never = |p: u16| Signature::from_points([LogPointId(100 + p)]);
+        interner.intern(&never(0));
+        let compiled = model.compile(&interner);
+        interner.intern(&never(1));
+
+        let floor = 1.0 - percentile / 100.0;
+        let untrained = StageId(stages.len() as u16);
+        let mut signatures = vec![never(0), never(1)];
+        for (stage, sm) in model.stages() {
+            assert_eq!(
+                compiled.flow_outlier_rate(stage),
+                model.flow_outlier_rate(stage),
+                "seed {seed}"
+            );
+            for (sig, m) in &sm.signatures {
+                signatures.push(sig.clone());
+                let expected = m
+                    .duration_threshold_us
+                    .map(|_| m.training_perf_outlier_rate.max(floor));
+                assert_eq!(
+                    compiled.perf_p0(stage, interner.intern(sig)),
+                    expected,
+                    "seed {seed}: p0 of {sig} in {stage}"
+                );
+                if m.duration_threshold_us.is_some() {
+                    let above = m.training_perf_outlier_rate > floor;
+                    count(format!("p0 {}", if above { "rate" } else { "floor" }));
+                }
+            }
+        }
+        assert_eq!(compiled.flow_outlier_rate(untrained), 0.0);
+        assert_eq!(model.flow_outlier_rate(untrained), 0.0);
+
+        for stage in (0..=stages.len()).map(|s| StageId(s as u16)) {
+            let mut durations = vec![0.0, 1.0e12];
+            for m in model
+                .stage(stage)
+                .into_iter()
+                .flat_map(|sm| sm.signatures.values())
+            {
+                if let Some(t) = m.duration_threshold_us {
+                    durations.extend([t, ulp_step(t, 1), ulp_step(t, -1)]);
+                }
+            }
+            for signature in &signatures {
+                for &duration_us in &durations {
+                    let f = FeatureVector {
+                        uid: TaskUid(0),
+                        host: HostId(0),
+                        stage,
+                        signature: signature.clone(),
+                        duration_us,
+                        start: SimTime::ZERO,
+                    };
+                    let interned = f.intern(&interner);
+                    let map = model.classify(&f);
+                    let dense = compiled.classify(interned.stage, interned.sig, duration_us);
+                    assert_eq!(
+                        dense, map,
+                        "seed {seed}: {signature} in {stage} at {duration_us} µs"
+                    );
+                    count(format!("{map:?}"));
+                }
+            }
+        }
+    }
+    // Every class, and both sides of the p0 floor, came up.
+    for what in [
+        "Normal",
+        "FlowOutlier",
+        "NewSignature",
+        "PerformanceOutlier",
+        "p0 floor",
+        "p0 rate",
+    ] {
+        assert!(
+            seen.get(what).is_some_and(|&n| n > 0),
+            "no {what}: {seen:?}"
+        );
+    }
+}
+
+/// A seeded stream for [`detector_sink_equals_reference_run_event_for_event`]:
+/// a clock of up to 0.5 s a task over hosts 0–3 and stages 0–3 (3 untrained),
+/// one task in eight late by one to three windows, a surge of the
+/// trained-rare [1, 2, 3] on (host 1, stage 0) in minutes 4–6, of slow
+/// [1, 2] tasks on (host 2, stage 1) in minutes 8–10, never-trained flows
+/// now and then, and the odd task ten times slow.
+fn sink_stream(seed: u64, len: usize) -> Vec<TaskSynopsis> {
+    let mut runner = TestRunner::from_seed(seed);
+    let window_ms = small_config().window.as_micros() / 1_000;
+    let mut clock_ms = 0u64;
+    (0..len as u64)
+        .map(|uid| {
+            clock_ms += (0u64..500).generate(&mut runner);
+            let host = (0u16..4).generate(&mut runner);
+            let stage = (0u16..4).generate(&mut runner);
+            let late = if (0u8..8).generate(&mut runner) == 0 {
+                (1u64..4).generate(&mut runner) * window_ms
+            } else {
+                0
+            };
+            let minute = clock_ms / 60_000;
+            let roll = (0u8..100).generate(&mut runner);
+            let surge = |h, s, from| host == h && stage == s && (from..from + 3).contains(&minute);
+            let (points, dur): (Vec<u16>, u64) = if surge(1, 0, 4) && roll < 40 {
+                (vec![1, 2, 3], 5_000)
+            } else if surge(2, 1, 8) && roll < 40 {
+                (vec![1, 2], 30_000)
+            } else if roll < 3 {
+                (vec![7, 8 + (roll as u16)], 1_500)
+            } else if roll < 53 {
+                (vec![1, 2], 1_000 + (uid % 53) * 5)
+            } else {
+                (vec![4, 5, 6], 2_000 + (uid % 31) * 11)
+            };
+            let dur = if roll == 99 { dur * 10 } else { dur };
+            let start_ms = clock_ms.saturating_sub(late);
+            synopsis_of(&(host, stage, points, dur, start_ms), uid)
+        })
+        .collect()
+}
+
+/// `DetectorSink` — one synopsis at a time, each a one-row
+/// `observe_batch` — reports exactly what `reference_run` reports over the
+/// whole stream as one batch: the same events in the same order (Fig 10's
+/// timelines render that order), and the same `tasks_seen`.
+#[test]
+fn detector_sink_equals_reference_run_event_for_event() {
+    for seed in 0..8u64 {
+        let stream = sink_stream(seed, 4_000);
+        let sink = DetectorSink::new(trained_model(), small_config());
+        for s in &stream {
+            sink.submit(s.clone());
+        }
+        let seen = sink.tasks_seen();
+        let events = sink.finish();
+
+        let reference = AnomalyDetector::new(trained_model(), small_config());
+        let whole = soa(&stream, reference.interner());
+        let (expected, reference) = reference_run(reference, &[whole]);
+        assert!(reference.late_seen() > 0, "seed {seed}: no stragglers");
+        for kind in ["FlowRare", "FlowNew", "Performance"] {
+            assert!(
+                expected
+                    .iter()
+                    .any(|e| format!("{:?}", e.kind).starts_with(kind)),
+                "seed {seed}: no {kind} event in {expected:?}"
+            );
+        }
+        assert!(expected
+            .iter()
+            .all(|e| e.kind != AnomalyKind::ModelUnavailable));
+        assert_eq!(events, expected, "seed {seed}");
+        assert_eq!(seen, reference.tasks_seen(), "seed {seed}");
+    }
 }

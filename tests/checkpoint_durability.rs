@@ -11,46 +11,22 @@
 //!   newest intact generation and report a typed rejection per damaged
 //!   file.
 
-mod common;
-
-use common::{event_keys, soa};
 use crossbeam_channel::{unbounded, Sender};
 use saad::core::detector::AnomalyKind;
 use saad::core::pipeline::{
     spawn_analyzer_pool, LifecycleConfig, PoolHandle, PoolStart, SupervisorConfig,
 };
 use saad::core::prelude::*;
+use saad::core::testkit::{event_keys, soa, TempDir};
 use saad::fault::CheckpointTamperer;
 use saad::logging::LogPointId;
 use saad::sim::{SimDuration, SimTime};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 const BATCH: usize = 48;
 const PER_MIN: u64 = 240;
 const MINS: u64 = 6;
-
-/// Self-cleaning unique temp directory (no tempfile crate).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("saad-ckpt-e2e-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn synopsis(host: u16, stage: u16, points: &[u16], start: SimTime, uid: u64) -> TaskSynopsis {
     TaskSynopsis {

@@ -21,15 +21,13 @@
 //!   decodable reject and terminates cleanly with every queued synopsis
 //!   accounted as disconnected.
 
-mod common;
-
-use common::event_keys;
 use crossbeam_channel::{unbounded, Sender};
 use saad::core::detector::AnomalyEvent;
 use saad::core::pipeline::{
     spawn_analyzer_pool, LifecycleConfig, PoolHandle, PoolStart, SupervisorConfig,
 };
 use saad::core::prelude::*;
+use saad::core::testkit::{event_keys, TempDir};
 use saad::core::transport::LossReport;
 use saad::fault::{DisconnectSchedule, FaultyProxy, HogSchedule, ProxySpec};
 use saad::hbase::{HBaseCluster, HBaseConfig};
@@ -43,33 +41,12 @@ use saad::sim::{SimDuration, SimTime};
 use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const BATCH: usize = 48;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("saad-fed-e2e-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// An analyzer pool over the store in `dir`. Its one input channel pins
 /// every gap report at its exact stream position — on the batch that

@@ -12,45 +12,22 @@
 //!   200 ms checkpoint stall must then surface as a performance anomaly
 //!   on the checkpoint stage — the detector catching its own subsystem.
 
-mod common;
-
 use crossbeam_channel::unbounded;
 use saad::core::detector::AnomalyKind;
 use saad::core::pipeline::{
     spawn_analyzer_pool, BatchSink, LifecycleConfig, PoolHandle, PoolStart, SupervisorConfig,
 };
 use saad::core::prelude::*;
+use saad::core::testkit::{soa, TempDir};
 use saad::logging::{Interceptor, Level, LogPointId};
 use saad::net::{Agent, AgentConfig, ReactorCollector, ReactorCollectorConfig};
 use saad::obs::{validate_text, MetricsServer, Registry};
 use saad::sim::{Clock, ManualClock, SimDuration, SimTime, WallClock};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Self-cleaning unique temp directory (no tempfile crate).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("saad-obs-e2e-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn wait_processed(pool: &PoolHandle, target: u64) {
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -252,12 +229,12 @@ fn run_meta_monitored_pool(
             });
             uid += 1;
             if batch.len() == 60 {
-                batch_tx.send(common::soa(&batch, &interner)).unwrap();
+                batch_tx.send(soa(&batch, &interner)).unwrap();
                 batch.clear();
             }
         }
         if !batch.is_empty() {
-            batch_tx.send(common::soa(&batch, &interner)).unwrap();
+            batch_tx.send(soa(&batch, &interner)).unwrap();
         }
     }
     drop(batch_tx);

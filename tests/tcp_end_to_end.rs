@@ -16,9 +16,6 @@
 //!   drops, a mid-stream disconnect, and a slow-loris trickle; proxy
 //!   counters and transport accounting must reconcile exactly.
 
-mod common;
-
-use common::{event_keys, soa};
 use crossbeam_channel::{unbounded, Sender};
 use saad::core::detector::{AnomalyEvent, AnomalyKind};
 use saad::core::model::ModelConfig;
@@ -26,6 +23,7 @@ use saad::core::pipeline::{
     spawn_analyzer_pool, LifecycleConfig, ModelSink, PoolHandle, PoolStart, SupervisorConfig,
 };
 use saad::core::prelude::*;
+use saad::core::testkit::{event_keys, soa, TempDir};
 use saad::core::transport::LossReport;
 use saad::fault::{FaultyProxy, HogSchedule, ProxySpec};
 use saad::hbase::{HBaseCluster, HBaseConfig};
@@ -35,33 +33,11 @@ use saad::net::{Agent, AgentConfig, ReactorCollector, ReactorCollectorConfig};
 use saad::sim::{SimDuration, SimTime};
 use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};
 use std::net::TcpListener;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const BATCH: usize = 48;
-
-/// Self-cleaning unique temp directory (no tempfile crate).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("saad-tcp-e2e-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn lifecycle_config() -> LifecycleConfig {
     LifecycleConfig {

@@ -7,9 +7,6 @@
 //! originals — and (b) the threaded pipeline detects the same anomalies
 //! the offline path does.
 
-mod common;
-
-use common::{event_keys, reference_run, soa};
 use saad::cassandra::{Cluster, ClusterConfig};
 use saad::core::codec;
 use saad::core::detector::AnomalyDetector;
@@ -17,6 +14,7 @@ use saad::core::model::ModelConfig;
 use saad::core::pipeline::{spawn_analyzer_pool, BatchSink, PoolStart, SupervisorConfig};
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
+use saad::core::testkit::{event_keys, reference_run, soa};
 use saad::fault::{catalog, FaultSchedule, FaultSpec, FaultType, Intensity};
 use saad::sim::SimTime;
 use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};
