@@ -8,6 +8,8 @@
 //!   new signature, decoding a 32-synopsis frame straight into a batch,
 //!   one channel hand-over with nobody parked (EXPERIMENTS.md "Collector
 //!   edge" quotes these),
+//! * a frame-sized batch built, sent to another thread and dropped there,
+//!   and a copy of a 256-row batch (EXPERIMENTS.md "Batch buffers"),
 //! * model construction throughput,
 //! * analyzer observe throughput (the paper sustains 1500 synopses/s): the
 //!   batch path over one stream in order and with every sixth element three
@@ -182,6 +184,40 @@ fn bench_collector_edge(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_batch(c: &mut Criterion) {
+    let interner = SignatureInterner::new();
+    let features: Vec<InternedFeature> = (0..256u64)
+        .map(|i| {
+            let s = synopsis((i % 5) as u16, &[1, 2, 4, 5], 9_000 + i, i);
+            InternedFeature::from_synopsis(&s, &interner)
+        })
+        .collect();
+    let mut g = c.benchmark_group("batch");
+    g.throughput(Throughput::Elements(1));
+    // The collector's per-frame hand-over: a batch of 32 built here and
+    // dropped on the receiving thread, so its columns are freed, or
+    // recycled, by a thread other than the one that asked for them.
+    let (tx, rx) = crossbeam_channel::bounded::<SynopsisBatch>(64);
+    let consumer = std::thread::spawn(move || rx.iter().count());
+    g.bench_function("handover_32", |b| {
+        b.iter(|| {
+            let mut batch = SynopsisBatch::with_capacity(32);
+            for f in &features[..32] {
+                batch.push_feature(f, f.start);
+            }
+            tx.send(batch).expect("consumer alive");
+        })
+    });
+    let mut warm = SynopsisBatch::with_capacity(features.len());
+    for f in &features {
+        warm.push_feature(f, f.start);
+    }
+    g.bench_function("clone_256", |b| b.iter(|| warm.clone()));
+    g.finish();
+    drop(tx);
+    consumer.join().expect("consumer thread");
+}
+
 fn trained_model() -> Arc<saad_core::model::OutlierModel> {
     let mut b = ModelBuilder::new();
     for i in 0..50_000u64 {
@@ -307,6 +343,7 @@ criterion_group!(
     bench_tracker,
     bench_codec,
     bench_collector_edge,
+    bench_batch,
     bench_model_build,
     bench_detector
 );

@@ -9,8 +9,15 @@
 //! decision per batch, not per task.
 //!
 //! Columns are append-only between [`SynopsisBatch::clear`] calls, and
-//! `clear` keeps the column capacity, so a recycled batch reaches an
+//! `clear` keeps the column capacity, so a reused batch reaches an
 //! allocation-free steady state after the first few pushes.
+//!
+//! Batches recycle themselves. A dropped batch hands its emptied columns
+//! to one bounded, process-wide spare list, and
+//! [`SynopsisBatch::with_capacity`] and `clone` draw from it, so a batch
+//! built on one thread and dropped on another — a decoded frame, a router
+//! arena — costs no allocation once the list is warm, and no consumer
+//! sends buffers back.
 //!
 //! A batch is also the one ordered input of an analyzer pool: the transport
 //! gaps its producer found ride in [`SynopsisBatch::losses`], ahead of the
@@ -22,6 +29,8 @@ use crate::synopsis::TaskSynopsis;
 use crate::transport::LossReport;
 use crate::{HostId, StageId, TaskUid};
 use saad_sim::SimTime;
+use std::mem::size_of;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A batch of task synopses in structure-of-arrays layout.
 ///
@@ -31,8 +40,12 @@ use saad_sim::SimTime;
 /// the batch, re-stamped with the global one by a pool's router — which
 /// [`AnomalyDetector::observe_batch`] advances to before counting the row.
 ///
+/// Dropping a batch returns its columns to the spare list (see the module
+/// docs), so no field can be moved out of one: take it instead, as in
+/// `std::mem::take(&mut batch.losses)`.
+///
 /// [`AnomalyDetector::observe_batch`]: crate::detector::AnomalyDetector::observe_batch
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct SynopsisBatch {
     /// Task execution uids.
     pub uids: Vec<TaskUid>,
@@ -54,6 +67,37 @@ pub struct SynopsisBatch {
     pub losses: Vec<LossReport>,
 }
 
+/// Widest batch, in rows of column capacity, whose columns are kept when
+/// it drops. Every steady-state batch is far narrower — a frame's rows, a
+/// `BatchSink`'s `batch_len`, a router arena's share of one input batch —
+/// while a supervisor's replay tail or a whole capture runs to megabytes
+/// and would sit on the list where no `with_capacity` asks for it.
+const SPARE_MAX_ROWS: usize = 4_096;
+
+/// Most bytes the spare list holds, each spare's columns and its slot in
+/// the list counted: room for hundreds of frame-sized batches in flight
+/// between a producer and its consumer, and a bound on what a burst of
+/// drops leaves behind once it drains.
+const SPARE_MAX_BYTES: usize = 4 << 20;
+
+/// Emptied batches waiting for [`SynopsisBatch::with_capacity`], and the
+/// bytes they hold.
+struct Spares {
+    batches: Vec<SynopsisBatch>,
+    bytes: usize,
+}
+
+static SPARES: Mutex<Spares> = Mutex::new(Spares {
+    batches: Vec::new(),
+    bytes: 0,
+});
+
+/// The spare list, locked for one push or pop. A poisoned lock is taken
+/// over: the list is whole between statements, and `Drop` must not panic.
+fn spares() -> MutexGuard<'static, Spares> {
+    SPARES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl SynopsisBatch {
     /// An empty batch with no reserved capacity.
     #[must_use]
@@ -61,19 +105,30 @@ impl SynopsisBatch {
         SynopsisBatch::default()
     }
 
-    /// An empty batch with every column pre-sized for `capacity` elements.
+    /// An empty batch with every column sized for at least `capacity`
+    /// elements: a dropped batch's columns when one is waiting, fresh
+    /// ones otherwise. A batch too wide to be kept takes no spare.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> SynopsisBatch {
-        SynopsisBatch {
-            uids: Vec::with_capacity(capacity),
-            hosts: Vec::with_capacity(capacity),
-            stages: Vec::with_capacity(capacity),
-            sigs: Vec::with_capacity(capacity),
-            durations_us: Vec::with_capacity(capacity),
-            starts: Vec::with_capacity(capacity),
-            watermarks: Vec::with_capacity(capacity),
-            losses: Vec::new(),
-        }
+        let spare = if capacity <= SPARE_MAX_ROWS {
+            let mut spares = spares();
+            let spare = spares.batches.pop();
+            if let Some(batch) = &spare {
+                spares.bytes -= batch.spare_bytes();
+            }
+            spare
+        } else {
+            None
+        };
+        let mut batch = spare.unwrap_or_default();
+        batch.uids.reserve_exact(capacity);
+        batch.hosts.reserve_exact(capacity);
+        batch.stages.reserve_exact(capacity);
+        batch.sigs.reserve_exact(capacity);
+        batch.durations_us.reserve_exact(capacity);
+        batch.starts.reserve_exact(capacity);
+        batch.watermarks.reserve_exact(capacity);
+        batch
     }
 
     /// Number of synopses in the batch.
@@ -200,11 +255,76 @@ impl SynopsisBatch {
         self.starts.push(src.starts[i]);
         self.watermarks.push(src.watermarks[i]);
     }
+
+    /// Most rows any column has room for.
+    fn row_capacity(&self) -> usize {
+        [
+            self.uids.capacity(),
+            self.hosts.capacity(),
+            self.stages.capacity(),
+            self.sigs.capacity(),
+            self.durations_us.capacity(),
+            self.starts.capacity(),
+            self.watermarks.capacity(),
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(0)
+    }
+
+    /// What this batch counts against the spare list's byte budget: its
+    /// columns' capacity and its own slot in the list.
+    fn spare_bytes(&self) -> usize {
+        fn bytes<T>(column: &Vec<T>) -> usize {
+            column.capacity() * size_of::<T>()
+        }
+        size_of::<SynopsisBatch>()
+            + bytes(&self.uids)
+            + bytes(&self.hosts)
+            + bytes(&self.stages)
+            + bytes(&self.sigs)
+            + bytes(&self.durations_us)
+            + bytes(&self.starts)
+            + bytes(&self.watermarks)
+            + bytes(&self.losses)
+    }
+}
+
+/// A copy on a spare's columns when one is waiting: the same rows and the
+/// same gap reports.
+impl Clone for SynopsisBatch {
+    fn clone(&self) -> SynopsisBatch {
+        let mut copy = SynopsisBatch::with_capacity(self.len());
+        copy.extend_from(self);
+        copy.losses.extend_from_slice(&self.losses);
+        copy
+    }
+}
+
+/// A dropped batch, on whichever thread, goes onto the spare list cleared
+/// with its capacity kept — unless it has no row capacity, is too wide,
+/// or would take the list past its byte budget; then its columns are
+/// freed as usual.
+impl Drop for SynopsisBatch {
+    fn drop(&mut self) {
+        let rows = self.row_capacity();
+        if rows == 0 || rows > SPARE_MAX_ROWS {
+            return;
+        }
+        let bytes = self.spare_bytes();
+        self.clear();
+        let mut spares = spares();
+        if spares.bytes + bytes <= SPARE_MAX_BYTES {
+            spares.bytes += bytes;
+            spares.batches.push(std::mem::take(self));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use saad_sim::SimDuration;
 
     fn synopsis(host: u16, stage: u16, uid: u64, start_us: u64, dur_us: u64) -> TaskSynopsis {
@@ -286,5 +406,127 @@ mod tests {
         assert_eq!(batch.losses, charged, "row operations leave reports alone");
         batch.clear();
         assert!(batch.losses.is_empty());
+    }
+
+    fn feature(host: u16, uid: u64) -> InternedFeature {
+        InternedFeature {
+            uid: TaskUid(uid),
+            host: HostId(host),
+            stage: StageId((uid % 7) as u16),
+            sig: SigId(uid as u32),
+            duration_us: uid as f64 * 0.5,
+            start: SimTime::from_micros(uid),
+        }
+    }
+
+    /// A batch of `rows` rows and one gap report, as a producer leaves it.
+    fn filled(rows: u64) -> SynopsisBatch {
+        let mut batch = SynopsisBatch::with_capacity(rows as usize);
+        for uid in 0..rows {
+            batch.push_feature(&feature(1, uid), SimTime::from_micros(uid));
+        }
+        batch.reveal_gap(HostId(1), 2, SimTime::ZERO);
+        batch
+    }
+
+    fn assert_empty(batch: &SynopsisBatch) {
+        let lens = [
+            batch.uids.len(),
+            batch.hosts.len(),
+            batch.stages.len(),
+            batch.sigs.len(),
+            batch.durations_us.len(),
+            batch.starts.len(),
+            batch.watermarks.len(),
+            batch.losses.len(),
+        ];
+        assert_eq!(lens, [0; 8], "a drawn batch holds nothing");
+    }
+
+    /// The bytes on the spare list and the widest spare's row capacity.
+    fn spare_stats() -> (usize, usize) {
+        let spares = spares();
+        let widest = spares.batches.iter().map(SynopsisBatch::row_capacity);
+        (spares.bytes, widest.max().unwrap_or(0))
+    }
+
+    #[test]
+    fn a_dropped_batch_comes_back_empty_in_every_column() {
+        // The list is last in, first out, so the batch drawn is the one
+        // just dropped unless a test on another thread came between.
+        for rows in [1, 32, 256].repeat(100) {
+            drop(filled(rows));
+            assert_empty(&SynopsisBatch::with_capacity(rows as usize));
+        }
+    }
+
+    #[test]
+    fn the_spare_list_never_holds_more_than_its_budget() {
+        // 10 000 batches of 16 rows hold about twice the budget.
+        let batches: Vec<SynopsisBatch> = (0..10_000).map(|_| filled(16)).collect();
+        for batch in batches {
+            drop(batch);
+            let (bytes, _) = spare_stats();
+            assert!(bytes <= SPARE_MAX_BYTES, "{bytes} bytes on the list");
+        }
+    }
+
+    #[test]
+    fn a_batch_over_the_row_cap_is_freed_not_kept() {
+        let wide = filled(SPARE_MAX_ROWS as u64 + 1);
+        assert!(wide.row_capacity() > SPARE_MAX_ROWS);
+        drop(wide);
+        let (_, widest) = spare_stats();
+        assert!(widest <= SPARE_MAX_ROWS, "a {widest}-row batch was kept");
+    }
+
+    #[test]
+    fn four_threads_never_draw_a_batch_with_rows() {
+        std::thread::scope(|scope| {
+            for host in 0..4u16 {
+                scope.spawn(move || {
+                    for uid in 0..10_000u64 {
+                        let mut batch = SynopsisBatch::with_capacity(1 + uid as usize % 64);
+                        assert_empty(&batch);
+                        batch.push_feature(&feature(host, uid), SimTime::ZERO);
+                        batch.reveal_gap(HostId(host), 1, SimTime::ZERO);
+                    }
+                });
+            }
+        });
+    }
+
+    proptest! {
+        /// A clone equals its original column by column and in its gap
+        /// reports — with rows, with gap reports only, and empty.
+        #[test]
+        fn a_clone_equals_its_original(
+            rows in proptest::collection::vec((0u16..4, 0u64..10_000), 0..300),
+            gaps in proptest::collection::vec((0u16..4, 1u64..50), 0..4),
+        ) {
+            let mut batch = SynopsisBatch::new();
+            for &(host, uid) in &rows {
+                batch.push_feature(&feature(host, uid), SimTime::from_micros(uid / 2));
+            }
+            for &(host, count) in &gaps {
+                batch.reveal_gap(HostId(host), count, SimTime::from_micros(count));
+            }
+            for _ in 0..3 {
+                let copy = batch.clone();
+                assert_eq!(
+                    (&copy.uids, &copy.hosts, &copy.stages, &copy.sigs),
+                    (&batch.uids, &batch.hosts, &batch.stages, &batch.sigs)
+                );
+                assert_eq!(
+                    (&copy.durations_us, &copy.starts, &copy.watermarks, &copy.losses),
+                    (&batch.durations_us, &batch.starts, &batch.watermarks, &batch.losses)
+                );
+                // Then with gap reports only (when there are any), then empty.
+                if batch.is_empty() {
+                    batch.clear();
+                }
+                batch.truncate(0);
+            }
+        }
     }
 }

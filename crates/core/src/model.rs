@@ -706,6 +706,7 @@ const CLASS_PERF: u8 = 3;
 
 impl TaskClass {
     /// The 2-bit code used in [`VerdictMask`] words.
+    #[cfg(test)]
     const fn code(self) -> u8 {
         match self {
             TaskClass::Normal => CLASS_NORMAL,
@@ -784,6 +785,7 @@ impl VerdictMask {
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
+    #[cfg(test)]
     pub fn set(&mut self, i: usize, class: TaskClass) {
         assert!(i < self.len, "verdict index {i} out of range {}", self.len);
         let shift = (i % 32) * 2;

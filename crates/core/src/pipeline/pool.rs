@@ -16,7 +16,7 @@ use crate::model::{CompiledModel, OutlierModel};
 use crate::selfmon::{MetaMonitor, MetaStage};
 use crate::transport::LossReport;
 use crate::{HostId, StageId};
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use saad_obs::{Histogram, Registry};
 use saad_sim::{SimDuration, SimTime};
 use std::path::PathBuf;
@@ -31,8 +31,9 @@ pub(super) enum ShardMsg {
     /// carries. Each element is stamped (`watermarks[i]`) with the
     /// global-stream watermark in force when the router saw it, so the
     /// shard closes windows at exactly the moments a single-threaded
-    /// analyzer would. The shard returns the drained buffer on the
-    /// recycle channel, so steady-state routing allocates nothing.
+    /// analyzer would. The shard drops the batch once observed, which
+    /// returns its columns to the batch spare list the router's next
+    /// arena comes from, so steady-state routing allocates nothing.
     Batch(SynopsisBatch),
     /// A transport gap report, broadcast to every shard of the host's
     /// tenant: loss is keyed by host and window, and any of them may own
@@ -70,11 +71,11 @@ pub(super) fn shard_for(host: HostId, stage: StageId, workers: usize) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % workers
 }
 
-/// The router's per-slot SoA arenas. Elements accumulate into a reusable
+/// The router's per-slot SoA arenas. Elements accumulate into a
 /// [`SynopsisBatch`] per shard slot and flush as ONE channel send per
-/// (slot, input batch); shards hand drained buffers back on the recycle
-/// channel, so steady-state routing performs no allocation. A tenant's
-/// slots are the `workers` from `tenant × workers`.
+/// (slot, input batch); the arena swapped in is drawn from the batch spare
+/// list the shards' drops refill, so steady-state routing performs no
+/// allocation. A tenant's slots are the `workers` from `tenant × workers`.
 ///
 /// Control-plane rule: every control send (loss, swap, snapshot, final
 /// watermark) must be preceded by [`ShardFanout::flush`] — control
@@ -85,15 +86,13 @@ struct ShardFanout {
     arenas: Vec<SynopsisBatch>,
     /// Slots per tenant.
     workers: usize,
-    recycle_rx: Receiver<SynopsisBatch>,
 }
 
 impl ShardFanout {
-    fn new(slots: usize, workers: usize, recycle_rx: Receiver<SynopsisBatch>) -> ShardFanout {
+    fn new(slots: usize, workers: usize) -> ShardFanout {
         ShardFanout {
             arenas: (0..slots).map(|_| SynopsisBatch::new()).collect(),
             workers,
-            recycle_rx,
         }
     }
 
@@ -105,14 +104,14 @@ impl ShardFanout {
         self.arenas[tenant * self.workers + shard].push_feature(feature, watermark);
     }
 
-    /// Send every non-empty arena to its shard, swapping in a recycled
-    /// (or, before steady state, fresh) buffer.
+    /// Send every non-empty arena to its shard, swapping in a batch sized
+    /// like the one sent.
     fn flush(&mut self, shard_txs: &[Sender<ShardMsg>]) {
         for (shard, arena) in self.arenas.iter_mut().enumerate() {
             if arena.is_empty() {
                 continue;
             }
-            let replacement = self.recycle_rx.try_recv().unwrap_or_default();
+            let replacement = SynopsisBatch::with_capacity(arena.len());
             let full = std::mem::replace(arena, replacement);
             let _ = shard_txs[shard].send(ShardMsg::Batch(full));
         }
@@ -673,12 +672,6 @@ pub(super) fn spawn_pool_inner(
     let meta = lifecycle.as_ref().and_then(RouterLifecycle::meta);
     let (event_tx, event_rx) = unbounded();
     let obs = Arc::new(PoolObs::new(slots));
-    // Drained batch buffers flow back to the router on this channel for
-    // reuse — after warm-up the router never allocates a batch. Bounded:
-    // when the router routes faster than it recycles (e.g. the
-    // single-shard forwarding path, which consumes no arenas), surplus
-    // buffers are dropped instead of piling up.
-    let (recycle_tx, recycle_rx) = bounded::<SynopsisBatch>(2 * slots);
 
     let mut shard_txs = Vec::with_capacity(slots);
     let mut worker_joins = Vec::with_capacity(slots);
@@ -689,7 +682,6 @@ pub(super) fn spawn_pool_inner(
         let event_tx = event_tx.clone();
         let obs = Arc::clone(&obs);
         let meta = meta.clone();
-        let recycle_tx = recycle_tx.clone();
         let join = std::thread::Builder::new()
             .name(format!("saad-analyzer-shard-{shard}"))
             .spawn(move || {
@@ -709,7 +701,7 @@ pub(super) fn spawn_pool_inner(
                         ShardMsg::Loss(report, watermark) => {
                             supervised.record_loss(report, watermark)
                         }
-                        ShardMsg::Batch(mut batch) => {
+                        ShardMsg::Batch(batch) => {
                             shard_obs
                                 .processed
                                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -724,8 +716,6 @@ pub(super) fn spawn_pool_inner(
                                 }
                                 Ok(())
                             })?;
-                            batch.clear();
-                            let _ = recycle_tx.try_send(batch);
                         }
                         ShardMsg::Swap {
                             model,
@@ -763,7 +753,7 @@ pub(super) fn spawn_pool_inner(
         liveness: LivenessTracker::new(window, supervisor.silent_after),
         silent: Vec::new(),
         watermark: SimTime::ZERO,
-        fanout: ShardFanout::new(slots, workers, recycle_rx),
+        fanout: ShardFanout::new(slots, workers),
         lifecycle,
         side_losses,
         interner: interner.clone(),
@@ -826,6 +816,7 @@ mod tests {
         synopsis_on, TempDir,
     };
     use crate::tracker::SynopsisSink;
+    use crossbeam_channel::bounded;
 
     /// A pool started from `model` over `interner`.
     fn model_pool(

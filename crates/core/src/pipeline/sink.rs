@@ -351,9 +351,9 @@ impl BatchSink {
     /// nobody who is still filling.
     fn send(&self, batch: SynopsisBatch) {
         let (evict, stats) = (self.evict.as_ref(), &self.stats);
-        offer(&self.tx, evict, self.policy, batch, |batch, reason| {
+        offer(&self.tx, evict, self.policy, batch, |mut batch, reason| {
             stats.record(&batch, reason);
-            self.buf.lock().losses.extend(batch.losses);
+            self.buf.lock().losses.append(&mut batch.losses);
         });
     }
 }
@@ -497,7 +497,7 @@ mod tests {
 
     fn queued_uids(rx: &Receiver<SynopsisBatch>) -> Vec<u64> {
         rx.try_iter()
-            .flat_map(|batch| batch.uids)
+            .flat_map(|mut batch| std::mem::take(&mut batch.uids))
             .map(|uid| uid.0)
             .collect()
     }

@@ -494,7 +494,10 @@ fn run_through_proxy(
     let link = collector.link_stats(frame_host);
     let corrupted = collector.stats().corrupted_frames;
     collector.shutdown();
-    let reports: Vec<LossReport> = batch_rx.try_iter().flat_map(|b| b.losses).collect();
+    let reports: Vec<LossReport> = batch_rx
+        .try_iter()
+        .flat_map(|mut b| std::mem::take(&mut b.losses))
+        .collect();
     (counts, link, agent_stats, reports, corrupted)
 }
 

@@ -3,7 +3,9 @@
 //! framed back to back into one reused buffer with
 //! `FrameSender::encode_frame_into`) and the whole producer path, from
 //! `set_context` through the tracker, an `AgentSink`, the agent's queue
-//! and its worker thread to the socket `write`.
+//! and its worker thread to the socket `write`. So does the collector's
+//! hand-over: a frame decoded into a fresh batch, sent to another thread
+//! and dropped there.
 //!
 //! Sibling of `zero_alloc_hot_path.rs`, with its own counting global
 //! allocator (integration tests are separate binaries) so that neither
@@ -14,6 +16,7 @@
 mod common;
 
 use bytes::BytesMut;
+use saad::core::codec::{decode_batch_into, encode_batch};
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
 use saad::core::transport::FrameSender;
@@ -59,6 +62,7 @@ fn allocations() -> u64 {
 fn steady_state_wire_path_allocates_nothing() {
     frame_encoding_allocates_nothing();
     tracker_to_socket_allocates_nothing();
+    decoded_batches_cross_threads_without_allocating();
 }
 
 fn frame_encoding_allocates_nothing() {
@@ -218,4 +222,86 @@ fn tracker_to_socket_allocates_nothing() {
     assert_eq!(stats.drops.total() + stats.synopses_wire_lost, 0);
     let drained = drain.join().expect("listener thread");
     assert!(drained > stats.synopses_written * 10, "real bytes arrived");
+}
+
+/// The collector's hand-over, as its reactor loop makes it: each frame
+/// decoded into a fresh `SynopsisBatch::with_capacity(n)`, sent over a
+/// bounded channel, and dropped by the thread that receives it. A dropped
+/// batch's columns go back on the batch spare list, so once that list
+/// holds a set for every batch that can be in flight, no frame allocates;
+/// a clone of a warm 256-row batch draws from the same list.
+fn decoded_batches_cross_threads_without_allocating() {
+    const FRAME: usize = 32;
+    const QUEUE: usize = 4;
+    const FRAMES: u64 = 1_000;
+    let frame: Vec<TaskSynopsis> = (0..FRAME as u64)
+        .map(|i| TaskSynopsis {
+            host: HostId(3),
+            stage: StageId((i % 4) as u16),
+            uid: TaskUid(i),
+            start: SimTime::from_micros(1_000 + i),
+            duration: SimDuration::from_micros(500 + i * 13),
+            log_points: [1, 2, 3 + i as u16 % 5]
+                .map(|p| (LogPointId(p), 1))
+                .to_vec(),
+        })
+        .collect();
+    let payload = encode_batch(&frame);
+    let interner = SignatureInterner::new();
+    let (tx, rx) = crossbeam_channel::bounded::<SynopsisBatch>(QUEUE);
+    let dropped = Arc::new(AtomicU64::new(0));
+    let consumer = {
+        let dropped = Arc::clone(&dropped);
+        std::thread::spawn(move || {
+            for batch in rx.iter() {
+                assert_eq!(batch.len(), FRAME);
+                drop(batch);
+                dropped.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    let hand_over = |frames: u64| {
+        let sent = dropped.load(Ordering::SeqCst) + frames;
+        for _ in 0..frames {
+            let mut batch = SynopsisBatch::with_capacity(FRAME);
+            decode_batch_into(&payload, &mut batch, &interner).expect("own encoding decodes");
+            tx.send(batch).expect("consumer alive");
+        }
+        while dropped.load(Ordering::SeqCst) < sent {
+            std::thread::yield_now();
+        }
+    };
+
+    // Warm-up: the interner learns the flows, the channel reaches its
+    // capacity, and the spare list gets a column set for every batch that
+    // can be alive at once (the queue's, one being decoded, one being
+    // dropped, with room to spare).
+    hand_over(64);
+    let in_flight: Vec<SynopsisBatch> = (0..QUEUE + 4)
+        .map(|_| SynopsisBatch::with_capacity(FRAME))
+        .collect();
+    drop(in_flight);
+
+    let before = allocations();
+    hand_over(FRAMES);
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "a decoded frame handed to another thread and dropped there must not \
+         allocate at steady state ({delta} allocations over {FRAMES} frames)"
+    );
+    drop(tx);
+    consumer.join().expect("consumer thread");
+
+    let mut warm = SynopsisBatch::with_capacity(8 * FRAME);
+    for _ in 0..8 {
+        decode_batch_into(&payload, &mut warm, &interner).expect("own encoding decodes");
+    }
+    drop(warm.clone()); // the spare it leaves on top is 256 rows wide
+    let before = allocations();
+    let copy = warm.clone();
+    assert_eq!((copy.len(), &copy.sigs), (8 * FRAME, &warm.sigs));
+    drop(copy);
+    let delta = allocations() - before;
+    assert_eq!(delta, 0, "a warm 256-row clone allocated {delta} times");
 }
