@@ -203,7 +203,6 @@ pub fn run_drift_once(kind: DriftKind, adaptive: bool) -> RunOutcome {
         window: SimDuration::from_mins(1),
         min_window_samples: 50,
         cooldown_windows: 1,
-        ..AdaptPolicy::default()
     };
     let lifecycle = LifecycleConfig {
         checkpoint_every: 0,

@@ -105,7 +105,6 @@ pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> 
                     initial: Duration::from_millis(5),
                     max: Duration::from_millis(100),
                     seed: seed ^ ((h as u64) << 8),
-                    ..BackoffConfig::default()
                 },
                 ..AgentConfig::default()
             };

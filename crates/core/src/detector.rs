@@ -587,28 +587,12 @@ impl AnomalyDetector {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid; use
-    /// [`AnomalyDetector::try_new`] to handle the error instead.
+    /// Panics if the configuration is invalid
+    /// ([`DetectorConfig::validate`]).
     pub fn new(model: Arc<OutlierModel>, config: DetectorConfig) -> AnomalyDetector {
-        match AnomalyDetector::try_new(model, config) {
-            Ok(d) => d,
-            Err(e) => panic!("invalid detector config: {e}"),
-        }
-    }
-
-    /// Create a detector over a trained model, rejecting an invalid
-    /// configuration with a typed error.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ConfigError`] from [`DetectorConfig::validate`].
-    pub fn try_new(
-        model: Arc<OutlierModel>,
-        config: DetectorConfig,
-    ) -> Result<AnomalyDetector, ConfigError> {
         let interner = Arc::new(SignatureInterner::new());
         let compiled = Arc::new(model.compile(&interner));
-        AnomalyDetector::try_with_shared(model, compiled, interner, config)
+        AnomalyDetector::with_shared(model, compiled, interner, config)
     }
 
     /// Create a detector with **no model** (bootstrap/degraded mode): it
@@ -641,8 +625,8 @@ impl AnomalyDetector {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid; use
-    /// [`AnomalyDetector::try_with_shared`] to handle the error instead.
+    /// Panics if the configuration is invalid
+    /// ([`DetectorConfig::validate`]).
     pub fn with_shared(
         model: Arc<OutlierModel>,
         compiled: Arc<CompiledModel>,
@@ -655,12 +639,9 @@ impl AnomalyDetector {
         }
     }
 
-    /// Fallible form of [`AnomalyDetector::with_shared`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ConfigError`] from [`DetectorConfig::validate`].
-    pub fn try_with_shared(
+    /// Fallible form of [`AnomalyDetector::with_shared`]: the
+    /// [`ConfigError`] from [`DetectorConfig::validate`].
+    fn try_with_shared(
         model: Arc<OutlierModel>,
         compiled: Arc<CompiledModel>,
         interner: Arc<SignatureInterner>,
@@ -1484,7 +1465,7 @@ mod tests {
         };
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroWindow));
         assert_eq!(
-            AnomalyDetector::try_new(trained_model(), cfg).unwrap_err(),
+            AnomalyDetector::collecting(Arc::default(), cfg).unwrap_err(),
             ConfigError::ZeroWindow
         );
     }

@@ -44,6 +44,14 @@ pub enum ConfigError {
     ZeroKfold,
     /// The k-fold tolerance factor was not a positive finite number.
     NonPositiveTolerance(f64),
+    /// The retrain ring holds fewer synopses than a retrain needs, so no
+    /// tenant could ever train.
+    RetrainWindowTooSmall {
+        /// The ring's capacity.
+        window: usize,
+        /// Synopses a retrain needs.
+        need: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -60,6 +68,10 @@ impl fmt::Display for ConfigError {
             ConfigError::NonPositiveTolerance(t) => {
                 write!(f, "kfold_tolerance must be positive and finite, got {t}")
             }
+            ConfigError::RetrainWindowTooSmall { window, need } => write!(
+                f,
+                "retrain_window {window} is below min_retrain_samples {need}"
+            ),
         }
     }
 }

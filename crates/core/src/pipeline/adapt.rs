@@ -86,7 +86,7 @@ impl TenantRouter {
 /// refilled with `min_retrain_samples` of purely post-drift traffic, the
 /// router invokes the *existing* retrain path at the current watermark
 /// boundary — the same k-fold-gated, zero-drop in-band swap that
-/// [`PoolHandle::retrain_now`](super::PoolHandle::retrain_now) uses;
+/// [`PoolHandle::request_retrain`](super::PoolHandle::request_retrain) uses;
 /// there is no second swap mechanism. After a swap the baseline is
 /// re-captured from the retrain ring, both tests reset, and for
 /// `cooldown_windows` windows the tests are fed but a trip is discarded:
@@ -100,15 +100,8 @@ pub struct AdaptPolicy {
     /// Windows with fewer routed tasks than this contribute no drift
     /// evidence (a sparse window says nothing about the distribution).
     pub min_window_samples: u64,
-    /// Page-Hinkley tolerance: per-window deviations below this never
-    /// accumulate evidence.
-    pub delta: f64,
-    /// Page-Hinkley trip threshold on accumulated evidence.
-    pub lambda: f64,
     /// Windows to wait after any swap before drift can trigger again.
     pub cooldown_windows: u32,
-    /// Relative-error bound of the per-window duration sketch.
-    pub sketch_alpha: f64,
 }
 
 impl Default for AdaptPolicy {
@@ -116,13 +109,26 @@ impl Default for AdaptPolicy {
         AdaptPolicy {
             window: SimDuration::from_secs(60),
             min_window_samples: 200,
-            delta: 0.005,
-            lambda: 0.25,
             cooldown_windows: 2,
-            sketch_alpha: saad_stats::sketch::DEFAULT_ALPHA,
         }
     }
 }
+
+/// Page-Hinkley tolerance: a per-window deviation from the running mean
+/// below it never accumulates evidence. Both statistics are relative (a
+/// signature-share L1 distance in `[0, 2]`, a relative quantile delta),
+/// so a half-percent wobble between healthy windows is ignored by both.
+const PH_DELTA: f64 = 0.005;
+
+/// Page-Hinkley trip threshold on accumulated evidence, in the same
+/// relative units: deviations summing to a quarter — one large shift or
+/// several smaller sustained ones — trip; a one-window spike below it
+/// does not.
+const PH_LAMBDA: f64 = 0.25;
+
+/// Relative-error bound of the per-window duration sketches: the sketch
+/// crate's default, far finer than the shifts [`PH_LAMBDA`] trips on.
+const SKETCH_ALPHA: f64 = saad_stats::sketch::DEFAULT_ALPHA;
 
 /// Router-side drift detection state for an [`AdaptPolicy`].
 pub(super) struct AdaptState {
@@ -159,17 +165,14 @@ pub(super) struct AdaptState {
 
 impl AdaptState {
     pub(super) fn new(policy: AdaptPolicy, quantile: f64, obs: Arc<TenantObs>) -> AdaptState {
-        assert!(
-            policy.window > SimDuration::ZERO,
-            "adapt window must be positive"
-        );
+        assert!(policy.window > SimDuration::ZERO, "refused at spawn");
         AdaptState {
-            win_sketch: QuantileSketch::new(policy.sketch_alpha),
+            win_sketch: QuantileSketch::new(SKETCH_ALPHA),
             win_sigs: DecayedFrequency::new(),
-            base_sketch: QuantileSketch::new(policy.sketch_alpha),
+            base_sketch: QuantileSketch::new(SKETCH_ALPHA),
             base_sigs: DecayedFrequency::new(),
-            ph_duration: PageHinkley::new(policy.delta, policy.lambda),
-            ph_flow: PageHinkley::new(policy.delta, policy.lambda),
+            ph_duration: PageHinkley::new(PH_DELTA, PH_LAMBDA),
+            ph_flow: PageHinkley::new(PH_DELTA, PH_LAMBDA),
             cooldown: 0,
             pending: false,
             window_start: None,
@@ -194,7 +197,7 @@ impl AdaptState {
     /// or bootstrap promotion — so "no drift" always means "like the
     /// live model's training window".
     pub(super) fn on_swap(&mut self, ring: &VecDeque<(StageId, SigId, f64)>) {
-        self.base_sketch = QuantileSketch::new(self.policy.sketch_alpha);
+        self.base_sketch = QuantileSketch::new(SKETCH_ALPHA);
         self.base_sigs = DecayedFrequency::new();
         for &(_, sig, duration_us) in ring {
             self.base_sketch.record(duration_us);
@@ -264,7 +267,7 @@ impl AdaptState {
             tripped |= self.ph_duration.observe(dur_stat);
         }
         if self.win_sketch.count() > 0 {
-            self.win_sketch = QuantileSketch::new(self.policy.sketch_alpha);
+            self.win_sketch = QuantileSketch::new(SKETCH_ALPHA);
             self.win_sigs = DecayedFrequency::new();
         }
         if self.cooldown > 0 {
@@ -305,7 +308,6 @@ mod tests {
             window: SimDuration::from_mins(1),
             min_window_samples: 10,
             cooldown_windows: cooldown,
-            ..AdaptPolicy::default()
         };
         let obs = Arc::new(TenantObs::default());
         (AdaptState::new(policy, 99.0, obs.clone()), obs)
@@ -348,7 +350,7 @@ mod tests {
         // trip — five-fold durations after a quiet window — is discarded.
         assert!(!window(&mut adapt, 2, 20, 1_000.0));
         assert!(!window(&mut adapt, 3, 20, 5_000.0));
-        assert!(adapt.ph_duration.statistic() > adapt.policy.lambda);
+        assert!(adapt.ph_duration.statistic() > PH_LAMBDA);
         assert!(!adapt.retrain_due());
         // The first window past the cooldown trips on the evidence the
         // cooldown fed: the ring is to be dropped, a retrain is pending.
@@ -356,7 +358,7 @@ mod tests {
         assert!(adapt.retrain_due());
         // A trip while pending does not drop the ring a second time.
         assert!(!window(&mut adapt, 5, 20, 5_000.0));
-        assert!(adapt.ph_duration.statistic() > adapt.policy.lambda);
+        assert!(adapt.ph_duration.statistic() > PH_LAMBDA);
         assert!(adapt.retrain_due());
 
         // Refused: no retry until a window has closed.

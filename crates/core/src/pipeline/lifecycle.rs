@@ -13,7 +13,7 @@ use crate::store::{Checkpoint, CheckpointError, CheckpointStore, TenantCheckpoin
 use crate::{HostId, Signature, StageId, TenantId};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use saad_obs::{Histogram, Registry};
-use saad_sim::SimTime;
+use saad_sim::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
@@ -23,85 +23,84 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuning for a pool started from a
-/// [`PoolStart::Store`](super::PoolStart::Store).
+/// [`PoolStart::Store`](super::PoolStart::Store). Retrained models use
+/// [`ModelConfig::default`] (the paper's parameters); three checkpoint
+/// generations are kept on disk; a transient write failure is retried
+/// three times, 10 ms apart and doubling.
 #[derive(Debug, Clone)]
 pub struct LifecycleConfig {
     /// Automatically checkpoint after this many routed synopses
     /// (0 disables automatic checkpoints; explicit
-    /// [`PoolHandle::checkpoint_now`] and the final shutdown
+    /// [`PoolHandle::request_checkpoint`] and the final shutdown
     /// checkpoint still run).
     pub checkpoint_every: u64,
-    /// Checkpoint generations retained on disk (older ones are pruned).
-    pub keep: usize,
     /// In bootstrap mode, attempt promotion to detecting mode once this
     /// many synopses have been observed (and again after every further
     /// `promote_after` observations while the stability gate refuses).
     pub promote_after: u64,
     /// Capacity of the ring buffer of recent synopses kept by the router
-    /// for retraining.
+    /// for retraining. At least `min_retrain_samples`, or no tenant could
+    /// ever train.
     pub retrain_window: usize,
     /// Minimum synopses in the ring buffer before a retrain (or bootstrap
     /// promotion) is allowed.
     pub min_retrain_samples: u64,
-    /// Training configuration for retrained models.
-    pub model_config: ModelConfig,
     /// Meta-monitor delimiting the pool's own router/shard/checkpoint
     /// iterations as tracked tasks (see [`MetaMonitor`]). `None` disables
     /// self-observation.
     pub meta: Option<Arc<MetaMonitor>>,
-    /// Fault injection: sleep this long inside every checkpoint write.
-    /// Lets tests make the checkpoint stage observably slow, the same
-    /// way [`SupervisorConfig::panic_after`](super::SupervisorConfig::panic_after)
-    /// injects worker crashes.
-    pub checkpoint_stall: Option<Duration>,
-    /// Transient checkpoint write failures ([`CheckpointError::Io`]) are
-    /// retried up to this many times before the generation is abandoned
-    /// and the error surfaced. Corruption-class errors (bad magic,
-    /// checksum mismatch, version skew) are never retried — rewriting
-    /// won't fix those.
-    pub checkpoint_retries: u32,
-    /// Base backoff before the first checkpoint retry. Doubles per
-    /// retry, capped at 8x the base, with deterministic jitter in
-    /// [0.5, 1.5) derived from the checkpoint generation and attempt
-    /// number so concurrent pools don't retry in lockstep.
-    pub checkpoint_retry_backoff: Duration,
-    /// Fault injection: fail this many checkpoint write attempts with a
-    /// synthesized transient I/O error before letting writes through —
-    /// the transient-failure counterpart of `checkpoint_stall`.
-    pub checkpoint_fail_first: u32,
     /// Continuous adaptation: when set, the router runs a Page-Hinkley
     /// drift detector over each tenant's window-level traffic summaries
     /// and triggers that tenant's in-band retrain/hot-swap itself when
     /// drift is confirmed. `None` (the default) keeps the pool's episodic
     /// behaviour — retrains happen only on explicit
-    /// [`PoolHandle::retrain_now`] and at bootstrap promotion.
+    /// [`PoolHandle::request_retrain`] and at bootstrap promotion.
     pub adapt: Option<AdaptPolicy>,
     /// Which tenant each host belongs to. Every tenant gets `workers`
     /// shard slots and a model of its own: bootstrapped, promoted,
     /// retrained, drift-swapped and checkpointed apart from the others.
     /// By default every host is in [`TenantId::DEFAULT`].
     pub tenants: TenantRouter,
+    /// Fault injection: sleep this long inside every checkpoint write,
+    /// so the checkpoint stage is observably slow.
+    #[cfg(any(test, feature = "testkit"))]
+    pub checkpoint_stall: Option<Duration>,
+    /// Fault injection: fail this many checkpoint write attempts with a
+    /// synthesized transient I/O error before letting writes through.
+    #[cfg(any(test, feature = "testkit"))]
+    pub checkpoint_fail_first: u32,
 }
 
 impl Default for LifecycleConfig {
     fn default() -> LifecycleConfig {
         LifecycleConfig {
             checkpoint_every: 4096,
-            keep: 3,
             promote_after: 5_000,
             retrain_window: 16_384,
             min_retrain_samples: 1_000,
-            model_config: ModelConfig::default(),
             meta: None,
-            checkpoint_stall: None,
-            checkpoint_retries: 3,
-            checkpoint_retry_backoff: Duration::from_millis(10),
-            checkpoint_fail_first: 0,
             adapt: None,
             tenants: TenantRouter::new(),
+            #[cfg(any(test, feature = "testkit"))]
+            checkpoint_stall: None,
+            #[cfg(any(test, feature = "testkit"))]
+            checkpoint_fail_first: 0,
         }
     }
 }
+
+/// Checkpoint generations kept on disk; older ones are pruned. Recovery
+/// takes the newest that decodes, so three survive two bad writes in a row.
+const KEEP_CHECKPOINTS: usize = 3;
+
+/// Retries of a checkpoint write that failed with [`CheckpointError::Io`]
+/// (corruption-class errors are never retried: a rewrite will not fix
+/// them). A transient fault clears within a few tries or is not transient.
+pub(super) const CHECKPOINT_RETRIES: u32 = 3;
+
+/// Backoff before the first checkpoint retry, doubling per retry: three
+/// retries wait about 70 ms in all, brief next to a checkpoint interval.
+const CHECKPOINT_RETRY_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Why a lifecycle operation (checkpoint, retrain, swap, recovery) failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,16 +195,17 @@ enum PoolCommand {
 }
 
 /// A checkpoint handed to the writer thread, with an optional reply
-/// channel for an explicit [`PoolHandle::checkpoint_now`] request.
+/// channel for an explicit [`PoolHandle::request_checkpoint`].
 type WriterJob = (Checkpoint, Option<Sender<Result<u64, LifecycleError>>>);
 
-/// Backoff before checkpoint-write retry `attempt` (1-based): the base
-/// doubles per retry, capped at 8x, scaled by a jitter factor in
-/// [0.5, 1.5) mixed from the generation and attempt with a splitmix64
-/// finalizer. Deterministic — replays and tests see identical schedules —
-/// yet de-synchronized across generations and attempts.
-fn checkpoint_retry_delay(base: Duration, attempt: u32, generation: u64) -> Duration {
-    let capped = base.saturating_mul(1u32 << (attempt - 1).min(3));
+/// Backoff before checkpoint-write retry `attempt` (1-based):
+/// [`CHECKPOINT_RETRY_BACKOFF`] doubled per retry, capped at 8x, scaled by
+/// a jitter factor in [0.5, 1.5) mixed from the generation and attempt
+/// with a splitmix64 finalizer. Deterministic — replays and tests see
+/// identical schedules — yet de-synchronized across generations and
+/// attempts.
+fn checkpoint_retry_delay(attempt: u32, generation: u64) -> Duration {
+    let capped = CHECKPOINT_RETRY_BACKOFF.saturating_mul(1u32 << (attempt - 1).min(3));
     let mut x = generation ^ (u64::from(attempt) << 32) ^ 0x9E37_79B9_7F4A_7C15;
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -333,7 +333,7 @@ impl TenantLifecycle {
         if have < need {
             return Err(LifecycleError::InsufficientData { have, need });
         }
-        let mc = cfg.model_config;
+        let mc = ModelConfig::default();
         // Whole-window stability gate: if even the pooled duration
         // distribution cannot support a stable percentile threshold, the
         // traffic window is too heterogeneous to train from.
@@ -708,7 +708,7 @@ impl PoolHandle {
     }
 
     /// The most recent background checkpoint-write failure, if any.
-    /// (Explicit [`PoolHandle::checkpoint_now`] calls surface their
+    /// (Explicit [`PoolHandle::request_checkpoint`] calls surface their
     /// errors directly.)
     pub fn last_checkpoint_error(&self) -> Option<LifecycleError> {
         self.store.as_ref()?.obs.last_error.lock().clone()
@@ -745,51 +745,29 @@ impl PoolHandle {
         rx
     }
 
-    /// Request a checkpoint; the reply arrives once the checkpoint is
-    /// durably on disk. Commands are applied at the next batch boundary
-    /// (or at end of stream), so an idle pool replies only after the next
-    /// batch — send an empty batch to nudge it if needed.
+    /// Request a checkpoint; the reply carries its generation once it is
+    /// durably on disk, or [`LifecycleError::Bootstrapping`] while no
+    /// tenant has a model, [`LifecycleError::Checkpoint`] if the write
+    /// failed, [`LifecycleError::NoStore`] or [`LifecycleError::PoolClosed`].
+    /// Commands are applied at the next batch boundary (or at end of
+    /// stream), so an idle pool replies only after the next batch — send
+    /// an empty batch to nudge it if needed.
     pub fn request_checkpoint(&self) -> Receiver<Result<u64, LifecycleError>> {
         self.request(PoolCommand::Checkpoint)
     }
 
-    /// Blocking convenience for [`PoolHandle::request_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// [`LifecycleError::Bootstrapping`] while no tenant has a model,
-    /// [`LifecycleError::Checkpoint`] if the write failed,
-    /// [`LifecycleError::NoStore`] on a pool started from a model, or
-    /// [`LifecycleError::PoolClosed`] if the pool is gone.
-    pub fn checkpoint_now(&self) -> Result<u64, LifecycleError> {
-        self.request_checkpoint()
-            .recv()
-            .unwrap_or(Err(LifecycleError::PoolClosed))
-    }
-
     /// Request a hot swap of `tenant`'s model, retrained from its recent
-    /// synopsis window. Applied at the next batch boundary, like
-    /// [`PoolHandle::request_checkpoint`].
+    /// synopsis window, applied at the next batch boundary like
+    /// [`PoolHandle::request_checkpoint`]. The reply is refused with
+    /// [`LifecycleError::InsufficientData`] or
+    /// [`LifecycleError::UnstableModel`] by the gate,
+    /// [`LifecycleError::UnknownTenant`], [`LifecycleError::NoStore`] or
+    /// [`LifecycleError::PoolClosed`].
     pub fn request_retrain(
         &self,
         tenant: TenantId,
     ) -> Receiver<Result<SwapReport, LifecycleError>> {
         self.request(|reply| PoolCommand::Retrain(tenant, reply))
-    }
-
-    /// Blocking convenience for [`PoolHandle::request_retrain`].
-    ///
-    /// # Errors
-    ///
-    /// [`LifecycleError::InsufficientData`] or
-    /// [`LifecycleError::UnstableModel`] when the gate refuses the
-    /// candidate, [`LifecycleError::Config`] for an invalid training
-    /// configuration, [`LifecycleError::UnknownTenant`],
-    /// [`LifecycleError::NoStore`], or [`LifecycleError::PoolClosed`].
-    pub fn retrain_now(&self, tenant: TenantId) -> Result<SwapReport, LifecycleError> {
-        self.request_retrain(tenant)
-            .recv()
-            .unwrap_or(Err(LifecycleError::PoolClosed))
     }
 }
 
@@ -802,15 +780,18 @@ fn run_checkpoint_writer(
     cfg: &LifecycleConfig,
     obs: &LifecycleObs,
 ) {
+    #[cfg(any(test, feature = "testkit"))]
     let mut fail_first = cfg.checkpoint_fail_first;
     for (checkpoint, reply) in jobs.iter() {
         let started = Instant::now();
         let result = meta_tick(&cfg.meta, MetaStage::Checkpoint, || {
+            #[cfg(any(test, feature = "testkit"))]
             if let Some(stall) = cfg.checkpoint_stall {
                 std::thread::sleep(stall);
             }
             let mut attempt = 0u32;
             loop {
+                #[cfg(any(test, feature = "testkit"))]
                 let saved = if fail_first > 0 {
                     fail_first -= 1;
                     Err(CheckpointError::Io(
@@ -819,19 +800,17 @@ fn run_checkpoint_writer(
                 } else {
                     store.save(&checkpoint).map(|_| ())
                 };
+                #[cfg(not(any(test, feature = "testkit")))]
+                let saved = store.save(&checkpoint).map(|_| ());
                 match saved {
                     Ok(()) => break Ok(checkpoint.generation),
                     // Only transient I/O failures are worth a rewrite;
                     // corruption-class errors surface immediately.
-                    Err(CheckpointError::Io(_)) if attempt < cfg.checkpoint_retries => {
+                    Err(CheckpointError::Io(_)) if attempt < CHECKPOINT_RETRIES => {
                         attempt += 1;
                         obs.checkpoint_retries.fetch_add(1, Ordering::SeqCst);
-                        let base = cfg.checkpoint_retry_backoff;
-                        std::thread::sleep(checkpoint_retry_delay(
-                            base,
-                            attempt,
-                            checkpoint.generation,
-                        ));
+                        let delay = checkpoint_retry_delay(attempt, checkpoint.generation);
+                        std::thread::sleep(delay);
                     }
                     Err(e) => break Err(LifecycleError::from(e)),
                 }
@@ -893,7 +872,16 @@ pub(super) fn open_store(
     config: DetectorConfig,
     workers: usize,
 ) -> Result<(Vec<AnomalyDetector>, RouterLifecycle, Store), LifecycleError> {
-    let store = CheckpointStore::create(dir, lifecycle.keep)?;
+    // Refuse a lifecycle no tenant could live under: a ring smaller than
+    // a retrain needs never trains, an adapt window of zero never closes.
+    let (window, need) = (lifecycle.retrain_window, lifecycle.min_retrain_samples);
+    if (window as u64) < need {
+        return Err(ConfigError::RetrainWindowTooSmall { window, need }.into());
+    }
+    if matches!(&lifecycle.adapt, Some(p) if p.window == SimDuration::ZERO) {
+        return Err(ConfigError::ZeroWindow.into());
+    }
+    let store = CheckpointStore::create(dir, KEEP_CHECKPOINTS)?;
     let recovery = store.recover()?;
     let next_generation = store.latest_generation()?.map_or(0, |g| g + 1);
     let rejected = recovery.rejected;
@@ -934,7 +922,7 @@ pub(super) fn open_store(
             generation: AtomicU64::new(generation),
             ..TenantObs::default()
         });
-        let quantile = lifecycle.model_config.duration_percentile;
+        let quantile = ModelConfig::default().duration_percentile;
         let adapt = lifecycle
             .adapt
             .clone()
@@ -995,7 +983,6 @@ mod tests {
     use crate::detector::AnomalyKind;
     use crate::synopsis::TaskSynopsis;
     use crate::testkit::{event_keys, model, soa, synopsis_on, TempDir};
-    use saad_sim::SimDuration;
 
     fn quick_lifecycle() -> LifecycleConfig {
         LifecycleConfig {
@@ -1113,6 +1100,55 @@ mod tests {
     }
 
     #[test]
+    fn a_lifecycle_no_tenant_could_live_under_is_refused_at_spawn() {
+        let dir = TempDir::new("lifecycle");
+        let start = |lifecycle| {
+            let start = PoolStart::Store {
+                dir: dir.path().into(),
+                lifecycle,
+            };
+            let (config, supervisor) = (DetectorConfig::default(), SupervisorConfig::default());
+            spawn_analyzer_pool(start, config, supervisor, 1, unbounded().1).err()
+        };
+        // A ring that can never hold a retrain's worth: collect-only
+        // forever.
+        let (window, need) = (500, 1_000);
+        let never_trains = LifecycleConfig {
+            retrain_window: window,
+            min_retrain_samples: need,
+            ..LifecycleConfig::default()
+        };
+        let refused = ConfigError::RetrainWindowTooSmall { window, need };
+        assert_eq!(start(never_trains), Some(LifecycleError::Config(refused)));
+        // An adapt window that never closes.
+        let never_closes = LifecycleConfig {
+            adapt: Some(AdaptPolicy {
+                window: SimDuration::ZERO,
+                ..AdaptPolicy::default()
+            }),
+            ..LifecycleConfig::default()
+        };
+        let refused = ConfigError::ZeroWindow;
+        assert_eq!(start(never_closes), Some(LifecycleError::Config(refused)));
+
+        // A ring exactly as large as a retrain needs promotes.
+        let (batch_tx, pool) = spawn(
+            &dir,
+            LifecycleConfig {
+                retrain_window: 500,
+                min_retrain_samples: 500,
+                ..quick_lifecycle()
+            },
+            1,
+        );
+        feed(&pool, &batch_tx, &healthy_stream(3, 240));
+        drop(batch_tx);
+        while pool.events().recv().is_ok() {}
+        assert_eq!(pool.generation(TenantId::DEFAULT), 1);
+        pool.join().unwrap();
+    }
+
+    #[test]
     fn a_pool_started_from_a_model_answers_lifecycle_requests_without_a_store() {
         let (batch_tx, batch_rx) = unbounded();
         let start = PoolStart::Model {
@@ -1122,11 +1158,10 @@ mod tests {
         let (config, supervisor) = (DetectorConfig::default(), SupervisorConfig::default());
         let pool = spawn_analyzer_pool(start, config, supervisor, 2, batch_rx).unwrap();
         assert!(pool.is_detecting(TenantId::DEFAULT));
-        assert_eq!(pool.checkpoint_now(), Err(LifecycleError::NoStore));
-        assert_eq!(
-            pool.retrain_now(TenantId::DEFAULT),
-            Err(LifecycleError::NoStore)
-        );
+        let checkpoint = pool.request_checkpoint().recv().unwrap();
+        assert_eq!(checkpoint, Err(LifecycleError::NoStore));
+        let retrain = pool.request_retrain(TenantId::DEFAULT).recv().unwrap();
+        assert_eq!(retrain, Err(LifecycleError::NoStore));
         assert_eq!(pool.checkpoints_written(), 0);
         assert_eq!(pool.last_checkpoint_generation(), None);
         assert_eq!(pool.recovered_generation(), None);
@@ -1215,7 +1250,6 @@ mod tests {
                 window: SimDuration::from_secs(60),
                 min_window_samples: 50,
                 cooldown_windows: 1,
-                ..AdaptPolicy::default()
             }),
             ..LifecycleConfig::default()
         }
@@ -1353,8 +1387,8 @@ mod tests {
         let (batch_tx, pool) = spawn(
             &dir,
             LifecycleConfig {
-                checkpoint_fail_first: 2,
-                checkpoint_retry_backoff: Duration::from_millis(1),
+                // Every retry is needed; the last one writes.
+                checkpoint_fail_first: CHECKPOINT_RETRIES,
                 ..quick_lifecycle()
             },
             2,
@@ -1369,7 +1403,12 @@ mod tests {
             .expect("retries must absorb transient write failures");
         let store = CheckpointStore::create(dir.path(), 3).unwrap();
         assert!(store.load(generation).is_ok());
-        assert_eq!(pool.checkpoint_retries(), 2, "each failed attempt counts");
+        let retries = u64::from(CHECKPOINT_RETRIES);
+        assert_eq!(
+            pool.checkpoint_retries(),
+            retries,
+            "each failed attempt counts"
+        );
         assert_eq!(pool.checkpoints_written(), 1);
         assert_eq!(pool.last_checkpoint_error(), None);
         drop(batch_tx);
@@ -1383,10 +1422,9 @@ mod tests {
         let (batch_tx, pool) = spawn(
             &dir,
             LifecycleConfig {
-                // More injected failures than 1 initial try + 2 retries.
-                checkpoint_fail_first: 10,
-                checkpoint_retries: 2,
-                checkpoint_retry_backoff: Duration::from_millis(1),
+                // One injected failure more than 1 initial try + the
+                // retries: a further retry would have written.
+                checkpoint_fail_first: CHECKPOINT_RETRIES + 1,
                 ..quick_lifecycle()
             },
             2,
@@ -1403,8 +1441,19 @@ mod tests {
             matches!(err, LifecycleError::Checkpoint(CheckpointError::Io(_))),
             "unexpected error: {err:?}"
         );
-        assert_eq!(pool.checkpoint_retries(), 2, "retries stop at the cap");
+        let retries = u64::from(CHECKPOINT_RETRIES);
+        assert_eq!(
+            pool.checkpoint_retries(),
+            retries,
+            "retries stop at the cap"
+        );
         assert_eq!(pool.checkpoints_written(), 0);
+        let store = CheckpointStore::create(dir.path(), 3).unwrap();
+        assert_eq!(
+            store.latest_generation().unwrap(),
+            None,
+            "nothing reached the disk"
+        );
         drop(batch_tx);
         while pool.events().recv().is_ok() {}
         pool.join().unwrap();

@@ -18,7 +18,7 @@
 //!   stalls the server and never discards silently.
 //! * `supervise` — the panic boundary each shard's detector runs behind
 //!   (restore from the latest snapshot, replay, skip the poison synopsis,
-//!   up to [`SupervisorConfig::max_restarts`]) and the liveness table that
+//!   up to three restarts per shard) and the liveness table that
 //!   turns a host silent for [`SupervisorConfig::silent_after`] windows
 //!   into an explicit `HostSilent` event instead of a quiet gap.
 //! * `pool` — [`spawn_analyzer_pool`], the one way to start a pool, over

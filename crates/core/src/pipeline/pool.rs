@@ -394,7 +394,7 @@ pub enum PoolStart {
     /// of its synopses train one the k-fold gate accepts. The router
     /// snapshots the shards of every tenant with a model at batch
     /// boundaries for a writer thread to persist, and
-    /// [`PoolHandle::retrain_now`] swaps a tenant's retrained model
+    /// [`PoolHandle::request_retrain`] swaps a tenant's retrained model
     /// in-band at a watermark: no synopsis is dropped or classified twice.
     Store {
         /// The store's directory, created if missing.
@@ -421,7 +421,7 @@ pub enum PoolStart {
 /// [`AnomalyDetector`] behind a panic boundary. Windowed state is keyed
 /// per `(host, stage)` and each pair is pinned to one shard, so the event
 /// stream is — as a multiset — a single detector's over the same input,
-/// whatever the worker count. `supervisor.panic_after` counts per shard.
+/// whatever the worker count.
 ///
 /// # Example
 ///
@@ -447,7 +447,8 @@ pub enum PoolStart {
 /// A [`PoolStart::Store`] pool fails with [`LifecycleError::Checkpoint`] if
 /// the store directory is unusable or recovery I/O fails (individual bad
 /// checkpoint files are recovered around, not errors), or
-/// [`LifecycleError::Config`] for an invalid detector configuration.
+/// [`LifecycleError::Config`] for an invalid detector configuration, a
+/// `retrain_window` below `min_retrain_samples`, or a zero adapt window.
 ///
 /// # Panics
 ///
@@ -695,7 +696,9 @@ pub(super) fn spawn_pool_inner(
                     let _ = event_tx.send(event);
                 };
                 let mut supervised =
-                    SupervisedDetector::new(detector, supervisor, shard_obs.supervision.clone());
+                    SupervisedDetector::new(detector, shard_obs.supervision.clone());
+                #[cfg(any(test, feature = "testkit"))]
+                supervised.panic_at.clone_from(&supervisor.panic_at);
                 for msg in shard_rx.iter() {
                     match msg {
                         ShardMsg::Loss(report, watermark) => {
@@ -806,6 +809,7 @@ pub(super) fn spawn_pool_inner(
 #[cfg(test)]
 mod tests {
     use super::super::sink::BatchSink;
+    use super::super::supervise::{MAX_RESTARTS, SNAPSHOT_FLOOR};
     use super::super::LifecycleConfig;
     use super::*;
     use crate::detector::AnomalyKind;
@@ -934,21 +938,24 @@ mod tests {
 
     #[test]
     fn pool_surfaces_exhausted_restarts() {
-        // A batch of one, and a batch of eight poisoned mid-batch.
-        for (batch_len, poison) in [(1usize, 1u64), (8, 4)] {
+        // One fault more than the budget: in batches of one, and in a
+        // batch of eight poisoned mid-batch.
+        let faults = u64::from(MAX_RESTARTS) + 1;
+        for (batch_len, first) in [(1usize, 1u64), (8, 3)] {
             for workers in [1usize, 2] {
                 let supervisor = SupervisorConfig {
-                    max_restarts: 0,
-                    panic_after: Some(poison),
+                    panic_at: (first..first + faults).collect(),
                     ..SupervisorConfig::default()
                 };
                 let (sink, pool) = pool_with_sink(supervisor, workers, batch_len);
-                for i in 0..batch_len as u64 {
+                for i in 0..batch_len.max(faults as usize) as u64 {
                     sink.submit(synopsis(&[1, 2], 1_000, SimTime::ZERO, i));
                 }
                 drop(sink);
                 match pool.join() {
-                    Err(AnalyzerError::RestartsExhausted { restarts: 0, panic }) => {
+                    Err(AnalyzerError::RestartsExhausted { restarts, panic })
+                        if restarts == MAX_RESTARTS =>
+                    {
                         assert!(panic.contains("injected"), "{panic}");
                     }
                     other => panic!("{batch_len} rows: unexpected {other:?}"),
@@ -959,25 +966,36 @@ mod tests {
 
     #[test]
     fn pool_restarts_from_snapshot_and_skips_poison() {
-        // One worker so panic_after hits a deterministic synopsis; the
-        // poison falls mid-batch, three snapshots in.
+        // One worker so `panic_at` hits a deterministic synopsis; the
+        // poison falls three snapshot floors in, mid-batch in the batch
+        // that carries the whole stream.
+        let floor = SNAPSHOT_FLOOR;
         let supervisor = SupervisorConfig {
-            snapshot_every: 10,
-            panic_after: Some(30),
+            panic_at: vec![3 * floor],
             ..SupervisorConfig::default()
         };
-        for batch_len in [1usize, 60] {
+        let n = 6 * floor;
+        for batch_len in [1, n as usize] {
             let (sink, pool) = pool_with_sink(supervisor.clone(), 1, batch_len);
-            for i in 0..60u64 {
+            let registry = saad_obs::Registry::new();
+            pool.register_metrics(&registry);
+            for i in 0..n {
                 sink.submit(synopsis(&[7], 1_000, SimTime::from_millis(i * 10), i));
             }
             drop(sink);
             let events = drain(&pool);
             assert_eq!(pool.restarts(), 1);
             assert_eq!(pool.skipped(), 1);
-            assert_eq!(pool.processed(), 60);
+            assert_eq!(pool.processed(), n);
+            // Snapshots at every floor's worth of tail: two before the
+            // poison, which the restart restores from, and more after.
+            let text = registry.render();
+            let taken = r#"saad_pool_shard_snapshots_total{shard="0"} "#;
+            let line = text.lines().find(|l| l.starts_with(taken));
+            let snapshots: u64 = line.expect(taken)[taken.len()..].parse().unwrap();
+            assert!(snapshots >= 2, "{snapshots} snapshots before the poison");
             // Everything except the poison synopsis was analyzed…
-            assert_eq!(tasks_seen(&pool.join().unwrap()), 59);
+            assert_eq!(tasks_seen(&pool.join().unwrap()), n - 1);
             // …and detection survived the crash.
             assert!(
                 events

@@ -54,45 +54,35 @@ pub(super) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Tuning for an analyzer pool's supervision, liveness tracking and
-/// shard placement.
+/// Tuning for an analyzer pool's liveness tracking and shard placement.
+/// Supervision has no settings: its snapshot floor and restart budget are
+/// constants.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Floor on the synopses observed between two restart snapshots. The
-    /// supervisor snapshots once the replay tail holds
-    /// `max(snapshot_every, 64 × open windows)` synopses: a snapshot copies
-    /// every open window, so spacing snapshots in proportion to them keeps
-    /// the copying a fixed small share of detection, and a restart replays
-    /// at most that tail — a constant factor over the restore copy it pays
-    /// anyway.
-    pub snapshot_every: u64,
-    /// Restarts allowed before the supervisor gives up with
-    /// [`AnalyzerError::RestartsExhausted`].
-    pub max_restarts: u32,
     /// A host with no synopses for more than this many detection windows
     /// (while other hosts advance the stream clock) raises
     /// [`AnomalyKind::HostSilent`].
     pub silent_after: u64,
-    /// Deterministic fault-injection hook: panic inside the supervised
-    /// region while processing the Nth synopsis (1-based). `None` in
-    /// production.
-    pub panic_after: Option<u64>,
     /// Pin each pool shard thread to the logical CPU matching its shard
     /// index (see [`crate::affinity::pin_current_thread`]). Strictly an
     /// optimization — keeps per-shard window maps cache-resident — and a
     /// refused pin (unsupported platform, seccomp, too few CPUs) silently
     /// falls back to normal scheduling with identical semantics.
     pub pin_shards: bool,
+    /// Fault injection: panic inside the supervised region while
+    /// processing each of these synopses (1-based ordinals of what the
+    /// shard has received, skipped poison included).
+    #[cfg(any(test, feature = "testkit"))]
+    pub panic_at: Vec<u64>,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
         SupervisorConfig {
-            snapshot_every: 256,
-            max_restarts: 3,
             silent_after: 3,
-            panic_after: None,
             pin_shards: false,
+            #[cfg(any(test, feature = "testkit"))]
+            panic_at: Vec::new(),
         }
     }
 }
@@ -205,6 +195,19 @@ impl LivenessTracker {
 /// itself holds 40 bytes per synopsis, 2.5 KiB per open window.
 const REPLAY_PER_OPEN_WINDOW: u64 = 64;
 
+/// Floor on the synopses observed between two restart snapshots: the
+/// supervisor snapshots once the replay tail holds
+/// `max(SNAPSHOT_FLOOR, REPLAY_PER_OPEN_WINDOW × open windows)`. With
+/// few windows open a snapshot is cheap, and a 256-synopsis tail (10 KiB)
+/// keeps one from being taken every batch.
+pub(super) const SNAPSHOT_FLOOR: u64 = 256;
+
+/// Restarts a shard may take before it gives up with
+/// [`AnalyzerError::RestartsExhausted`]. Each restart skips one poison
+/// synopsis; a fourth fault in one shard's lifetime means something other
+/// than a stray bad input, and crash-looping would hide it.
+pub(super) const MAX_RESTARTS: u32 = 3;
+
 /// Supervision counters of one detector, written by its own thread with
 /// relaxed stores and read at scrape time.
 #[derive(Debug, Clone, Default)]
@@ -238,18 +241,16 @@ pub(super) struct SupervisedDetector {
     replay: SynopsisBatch,
     replay_losses: Vec<(LossReport, SimTime)>,
     verdicts: VerdictMask,
-    supervisor: SupervisorConfig,
     restarts_used: u32,
     received: u64,
     obs: SupervisionObs,
+    /// [`SupervisorConfig::panic_at`].
+    #[cfg(any(test, feature = "testkit"))]
+    pub(super) panic_at: Vec<u64>,
 }
 
 impl SupervisedDetector {
-    pub(super) fn new(
-        detector: AnomalyDetector,
-        supervisor: SupervisorConfig,
-        obs: SupervisionObs,
-    ) -> SupervisedDetector {
+    pub(super) fn new(detector: AnomalyDetector, obs: SupervisionObs) -> SupervisedDetector {
         let snapshot = detector.clone();
         SupervisedDetector {
             detector,
@@ -257,10 +258,11 @@ impl SupervisedDetector {
             replay: SynopsisBatch::new(),
             replay_losses: Vec::new(),
             verdicts: VerdictMask::new(),
-            supervisor,
             restarts_used: 0,
             received: 0,
             obs,
+            #[cfg(any(test, feature = "testkit"))]
+            panic_at: Vec::new(),
         }
     }
 
@@ -287,11 +289,11 @@ impl SupervisedDetector {
     }
 
     /// Bookkeeping after a successful observation: snapshot once the
-    /// replay tail has reached `max(snapshot_every, 64 × open windows)`.
+    /// replay tail has reached `max(SNAPSHOT_FLOOR, 64 × open windows)`.
     fn after_observe(&mut self) {
         let tail = self.replay.len() as u64;
         let per_state = REPLAY_PER_OPEN_WINDOW.saturating_mul(self.detector.open_windows() as u64);
-        if tail >= self.supervisor.snapshot_every.max(per_state) {
+        if tail >= SNAPSHOT_FLOOR.max(per_state) {
             self.take_snapshot();
         }
         self.obs
@@ -304,17 +306,18 @@ impl SupervisedDetector {
 
     /// The one panic boundary: [`AnomalyDetector::observe_batch`] over
     /// `batch`, whose rows follow the `received` already counted. An
-    /// injected fault (see [`SupervisorConfig::panic_after`]) whose ordinal
-    /// falls in the batch is raised inside it, so it takes the rollback
-    /// path a real one does.
+    /// injected fault whose ordinal falls in the batch is raised inside
+    /// it, so it takes the rollback path a real one does.
     fn try_batch(&mut self, batch: &SynopsisBatch) -> std::thread::Result<Vec<AnomalyEvent>> {
-        let (from, len) = (self.received, batch.len() as u64);
-        let inject = self
-            .supervisor
-            .panic_after
-            .filter(|&n| n > from && n <= from + len);
+        #[cfg(any(test, feature = "testkit"))]
+        let inject = {
+            let (from, len) = (self.received, batch.len() as u64);
+            let mut hits = self.panic_at.iter().copied();
+            hits.find(|&n| n > from && n <= from + len)
+        };
         let (detector, verdicts) = (&mut self.detector, &mut self.verdicts);
         catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(any(test, feature = "testkit"))]
             if let Some(n) = inject {
                 panic!("injected analyzer fault at synopsis {n}");
             }
@@ -369,7 +372,7 @@ impl SupervisedDetector {
                 }
                 Err(payload) => {
                     self.restarts_used += 1;
-                    if self.restarts_used > self.supervisor.max_restarts {
+                    if self.restarts_used > MAX_RESTARTS {
                         return Err(AnalyzerError::RestartsExhausted {
                             restarts: self.restarts_used - 1,
                             panic: panic_message(payload.as_ref()),
@@ -469,17 +472,11 @@ mod tests {
     fn run_supervised(
         stream: &SynopsisBatch,
         detector: AnomalyDetector,
-        panic_after: Option<u64>,
+        panic_at: Vec<u64>,
         obs: &SupervisionObs,
     ) -> (Vec<AnomalyEvent>, AnomalyDetector, Option<(u64, usize)>) {
-        let mut supervised = SupervisedDetector::new(
-            detector,
-            SupervisorConfig {
-                panic_after,
-                ..SupervisorConfig::default()
-            },
-            obs.clone(),
-        );
+        let mut supervised = SupervisedDetector::new(detector, obs.clone());
+        supervised.panic_at = panic_at;
         let mut events = Vec::new();
         let mut first_snapshot = None;
         for from in (0..stream.len()).step_by(512) {
@@ -510,7 +507,7 @@ mod tests {
         let stream = wide_stream(600, 200_000, &interner);
         // A run without a fault tells where the first snapshot falls.
         let obs = SupervisionObs::default();
-        let (_, _, first) = run_supervised(&stream, fresh(), None, &obs);
+        let (_, _, first) = run_supervised(&stream, fresh(), Vec::new(), &obs);
         let (first_at, copied) = first.expect("200 000 synopses outlast the first snapshot");
         assert!(copied >= 1_000, "{copied} open windows");
         assert!(
@@ -530,7 +527,7 @@ mod tests {
             first_at - 1,
         ] {
             let obs = SupervisionObs::default();
-            let (events, detector, _) = run_supervised(&stream, fresh(), Some(poison), &obs);
+            let (events, detector, _) = run_supervised(&stream, fresh(), vec![poison], &obs);
             assert_eq!(
                 obs.restarts.load(Ordering::Relaxed),
                 1,
@@ -569,11 +566,7 @@ mod tests {
             DetectorConfig::default(),
         );
         let stream = wide_stream(600, 110_000, &interner);
-        let mut supervised = SupervisedDetector::new(
-            detector,
-            SupervisorConfig::default(),
-            SupervisionObs::default(),
-        );
+        let mut supervised = SupervisedDetector::new(detector, SupervisionObs::default());
         for from in (0..stream.len()).step_by(512) {
             let to = (from + 512).min(stream.len());
             supervised.observe_batch(&rows(&stream, from..to)).unwrap();

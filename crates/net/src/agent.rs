@@ -42,17 +42,20 @@ use std::time::{Duration, Instant};
 /// Growth factor of the reconnect delay per consecutive failure.
 const BACKOFF_MULTIPLIER: f64 = 2.0;
 
+/// Each reconnect delay is scaled by a uniform factor in
+/// `[1 − BACKOFF_JITTER, 1 + BACKOFF_JITTER)`, so a fleet that lost its
+/// collector at one instant does not reconnect in lockstep; ±20 % spreads
+/// a retry over 40 % of its delay while keeping the doubling visible.
+pub(crate) const BACKOFF_JITTER: f64 = 0.2;
+
 /// Reconnect backoff tuning: exponential (doubling per consecutive
-/// failure) with multiplicative jitter.
+/// failure) with ±20 % multiplicative jitter.
 #[derive(Debug, Clone)]
 pub struct BackoffConfig {
     /// First retry delay.
     pub initial: Duration,
     /// Ceiling on any single delay.
     pub max: Duration,
-    /// Each delay is scaled by a uniform factor in `[1−jitter, 1+jitter]`
-    /// so a fleet of agents does not reconnect in lockstep.
-    pub jitter: f64,
     /// Seed for the jitter stream (deterministic per agent).
     pub seed: u64,
 }
@@ -62,7 +65,6 @@ impl Default for BackoffConfig {
         BackoffConfig {
             initial: Duration::from_millis(20),
             max: Duration::from_secs(2),
-            jitter: 0.2,
             seed: 0x5AAD_0001,
         }
     }
@@ -72,7 +74,7 @@ impl BackoffConfig {
     pub(crate) fn delay(&self, attempt: u32, rng: &mut StdRng) -> Duration {
         let base = self.initial.as_secs_f64() * BACKOFF_MULTIPLIER.powi(attempt as i32);
         let capped = base.min(self.max.as_secs_f64());
-        let factor = 1.0 + rng.gen_range(-self.jitter..self.jitter.max(1e-9));
+        let factor = 1.0 + rng.gen_range(-BACKOFF_JITTER..BACKOFF_JITTER);
         Duration::from_secs_f64((capped * factor).max(0.0))
     }
 }

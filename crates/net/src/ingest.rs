@@ -20,7 +20,7 @@
 //! reference `saad_core::testkit::feed_frame_soa` feeds a pool, so a pool
 //! works unchanged behind a socket.
 
-use crate::protocol::{Hello, HelloAck, RejectReason, NO_SEQ, PINNED_EPOCH};
+use crate::protocol::{Hello, HelloAck, RejectReason, NO_SEQ, PINNED_EPOCH, PROTOCOL_VERSION};
 use crate::session::Handler;
 use crossbeam_channel::Sender;
 use parking_lot::Mutex;
@@ -216,6 +216,8 @@ pub(crate) struct Ingest {
     admission: Mutex<Admission>,
     out: SynopsisOut,
     counters: Counters,
+    /// The one hello version accepted: [`PROTOCOL_VERSION`], or in tests
+    /// an older collector's.
     version: u16,
     epoch: Option<Arc<AtomicU64>>,
 }
@@ -294,20 +296,19 @@ const SERIES: [Series; 10] = [
 ];
 
 impl Ingest {
-    /// A core sequencing by `admission`, accepting protocol `version` and
-    /// — when `epoch` is given — refusing hellos routed by an older ring
-    /// epoch.
+    /// A core sequencing by `admission`, accepting [`PROTOCOL_VERSION`]
+    /// and — when `epoch` is given — refusing hellos routed by an older
+    /// ring epoch.
     pub(crate) fn new(
         admission: Admission,
         out: SynopsisOut,
-        version: u16,
         epoch: Option<Arc<AtomicU64>>,
     ) -> Arc<Ingest> {
         Arc::new(Ingest {
             admission: Mutex::new(admission),
             out,
             counters: Counters::default(),
-            version,
+            version: PROTOCOL_VERSION,
             epoch,
         })
     }
@@ -570,9 +571,9 @@ pub(crate) mod testkit {
         pub(crate) forwarded: Receiver<Forwarded>,
     }
 
-    /// A fresh core accepting `version`, enforcing `epoch`, feeding the
-    /// SoA output when `soa` and a leaf's forwarding sink otherwise.
-    pub(crate) fn rig(version: u16, epoch: Option<u64>, soa: bool) -> Rig {
+    /// A fresh core enforcing `epoch`, feeding the SoA output when `soa`
+    /// and a leaf's forwarding sink otherwise.
+    pub(crate) fn rig(epoch: Option<u64>, soa: bool) -> Rig {
         let (tx, soa_rx) = unbounded();
         let (forward_tx, forwarded) = unbounded();
         let out = if soa {
@@ -586,9 +587,18 @@ pub(crate) mod testkit {
         };
         let epoch = epoch.map(|e| Arc::new(AtomicU64::new(e)));
         Rig {
-            ingest: Ingest::new(Admission::Shared(FrameReceiver::new()), out, version, epoch),
+            ingest: Ingest::new(Admission::Shared(FrameReceiver::new()), out, epoch),
             soa: soa_rx,
             forwarded,
+        }
+    }
+
+    impl Ingest {
+        /// This core as a collector of protocol `version`: the older
+        /// collector the handshake tables hold a peer against.
+        pub(crate) fn speaking(mut self: Arc<Ingest>, version: u16) -> Arc<Ingest> {
+            Arc::get_mut(&mut self).expect("an unshared core").version = version;
+            self
         }
     }
 
@@ -784,13 +794,13 @@ mod tests {
                 body[last] ^= 0x20;
             }
 
-            let under_test = rig(2, None, true);
+            let under_test = rig(None, true);
             let mut link = under_test.ingest.link();
             for body in &bodies {
                 link.on_message(body);
             }
 
-            let reference = rig(2, None, true);
+            let reference = rig(None, true);
             let SynopsisOut::Soa { tx, interner, .. } = &reference.ingest.out else {
                 unreachable!("rig(.., true) is the SoA output");
             };
@@ -849,8 +859,8 @@ mod tests {
                 interner: Arc::default(),
                 side_losses: Some(side_tx),
             };
-            let legacy = Ingest::new(Admission::Shared(FrameReceiver::new()), out, 2, None);
-            let in_band = rig(2, None, true);
+            let legacy = Ingest::new(Admission::Shared(FrameReceiver::new()), out, None);
+            let in_band = rig(None, true);
             for ingest in [&legacy, &in_band.ingest] {
                 let mut link = ingest.link();
                 for body in &bodies {
@@ -872,7 +882,7 @@ mod tests {
     #[test]
     fn a_gap_revealed_by_an_empty_frame_is_charged_to_the_last_window() {
         let (bodies, owed) = goodbye_after_a_lost_frame();
-        let rig = rig(2, None, true);
+        let rig = rig(None, true);
         let mut link = rig.ingest.link();
         for body in &bodies {
             link.on_message(body);
@@ -901,7 +911,7 @@ mod tests {
         let crc = crc32(&[&bad[..FRAME_HEADER_LEN - 4], &bad[FRAME_HEADER_LEN..]]);
         bad[FRAME_HEADER_LEN - 4..FRAME_HEADER_LEN].copy_from_slice(&crc.to_be_bytes());
         for soa in [true, false] {
-            let rig = rig(2, None, soa);
+            let rig = rig(None, soa);
             let mut link = rig.ingest.link();
             for body in &bodies {
                 link.on_message(body);
@@ -921,7 +931,7 @@ mod tests {
     #[test]
     fn one_family_with_every_total() {
         let registry = saad_obs::Registry::new();
-        let rig = rig(2, None, true);
+        let rig = rig(None, true);
         rig.ingest.register_metrics(&registry, &[]);
         let link = rig.ingest.link();
         let text = registry.render();

@@ -429,6 +429,7 @@ pub(crate) mod testkit {
 mod tests {
     use super::testkit::{ack, batch, messages, payload, FailingWriter};
     use super::*;
+    use crate::agent::BACKOFF_JITTER;
     use crate::protocol::write_message;
     use proptest::prelude::*;
     use saad_core::transport::parse_frame;
@@ -676,7 +677,7 @@ mod tests {
         assert_eq!(got, expected(12));
         // Doubles from `initial`, within the jitter, up to `max`.
         let around = |d: Duration, nominal: Duration| {
-            d >= nominal.mul_f64(1.0 - config.jitter) && d <= nominal.mul_f64(1.0 + config.jitter)
+            d >= nominal.mul_f64(1.0 - BACKOFF_JITTER) && d <= nominal.mul_f64(1.0 + BACKOFF_JITTER)
         };
         assert!(around(got[0], config.initial));
         assert!(around(got[1], config.initial * 2));

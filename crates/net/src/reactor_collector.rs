@@ -15,7 +15,6 @@
 //! See DESIGN.md §16 for the architecture and buffer-ownership rules.
 
 use crate::ingest::{Admission, AdmittedSink, CollectorState, CollectorStats, Ingest, SynopsisOut};
-use crate::protocol::PROTOCOL_VERSION;
 use crate::server::Server;
 use crossbeam_channel::Sender;
 use saad_core::batch::SynopsisBatch;
@@ -28,15 +27,13 @@ use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-/// Tuning for a [`ReactorCollector`].
+/// Tuning for a [`ReactorCollector`], which accepts hellos of
+/// [`PROTOCOL_VERSION`](crate::protocol::PROTOCOL_VERSION) only.
 #[derive(Debug, Clone)]
 pub struct ReactorCollectorConfig {
     /// Event-loop threads. Connections are assigned round-robin at
     /// accept and never migrate.
     pub loops: usize,
-    /// Protocol version this collector accepts (normally
-    /// [`PROTOCOL_VERSION`]).
-    pub version: u16,
     /// Live control-plane epoch to enforce, typically
     /// [`ControlPlane::epoch_handle`](crate::control::ControlPlane::epoch_handle).
     /// A hello routed by an older ring epoch is rejected with
@@ -59,7 +56,6 @@ impl Default for ReactorCollectorConfig {
     fn default() -> ReactorCollectorConfig {
         ReactorCollectorConfig {
             loops: 2,
-            version: PROTOCOL_VERSION,
             epoch: None,
             backend: None,
             recv_buffer: None,
@@ -167,7 +163,7 @@ impl ReactorCollector {
         config: ReactorCollectorConfig,
     ) -> io::Result<ReactorCollector> {
         let admission = Admission::Shared(receiver);
-        let ingest = Ingest::new(admission, out, config.version, config.epoch.clone());
+        let ingest = Ingest::new(admission, out, config.epoch.clone());
         let opener = ingest.clone();
         let server = Server::start(listener, "saad-reactor", &config, move || opener.link())?;
         Ok(ReactorCollector { ingest, server })

@@ -28,7 +28,6 @@
 //! ledger, and an ack that resumes nothing.
 
 use crate::ingest::{Admission, CollectorStats, Ingest, SynopsisOut};
-use crate::protocol::PROTOCOL_VERSION;
 use crate::reactor_collector::ReactorCollectorConfig;
 use crate::server::Server;
 use crossbeam_channel::Sender;
@@ -65,12 +64,7 @@ impl RootCollector {
         interner: Arc<SignatureInterner>,
     ) -> io::Result<RootCollector> {
         let out = SynopsisOut::batches(batch_tx, interner);
-        let ingest = Ingest::new(
-            Admission::PerUplink(LossLedger::new(), 0),
-            out,
-            PROTOCOL_VERSION,
-            None,
-        );
+        let ingest = Ingest::new(Admission::PerUplink(LossLedger::new(), 0), out, None);
         // One loop, as a constant. Only the ledger update runs under the
         // admission lock; the CRC, decode, interning and channel send
         // around it share this thread for every leaf. What that costs a
@@ -149,12 +143,7 @@ mod tests {
         let (tx, batches) = unbounded();
         let interner = Arc::new(SignatureInterner::new());
         let out = SynopsisOut::batches(tx, interner.clone());
-        let ingest = Ingest::new(
-            Admission::PerUplink(LossLedger::new(), 0),
-            out,
-            PROTOCOL_VERSION,
-            None,
-        );
+        let ingest = Ingest::new(Admission::PerUplink(LossLedger::new(), 0), out, None);
         Rig {
             ingest,
             batches,

@@ -495,7 +495,7 @@ mod tests {
             largest = largest.max(body.len());
         }
 
-        let rig = rig(2, None, true);
+        let rig = rig(None, true);
         let (mut session, mut link) = (Session::new(INITIAL_RING), rig.ingest.link());
         let metrics = LoopMetrics::default();
         let bound = INITIAL_RING.max((4 + largest).next_power_of_two());
@@ -529,7 +529,7 @@ mod tests {
             let batch: Vec<TaskSynopsis> = (0..32).map(|i| synopsis(7, i, i, &[1, 2])).collect();
             write_message(&mut wire, &sender.encode_frame(&batch)).unwrap();
         }
-        let rig = rig(2, None, true);
+        let rig = rig(None, true);
         let (mut session, mut link) = (Session::new(INITIAL_RING), rig.ingest.link());
         let metrics = LoopMetrics::default();
         // The socket never runs dry, yet the loop gets its turn back.
@@ -592,7 +592,7 @@ mod tests {
 
     #[test]
     fn closed_connections_leave_nothing_behind_as_they_come_and_go() {
-        let rig = rig(2, None, false);
+        let rig = rig(None, false);
         let opener = rig.ingest.clone();
         churn(
             move || opener.link(),

@@ -231,11 +231,8 @@ mod tests {
 
     /// Feed `scenario.wire` to a fresh core in the chunks `cuts` yields.
     fn run(scenario: &Scenario, cuts: impl IntoIterator<Item = usize>) -> Outcome {
-        let rig = rig(
-            scenario.collector_version,
-            scenario.enforced_epoch,
-            scenario.soa,
-        );
+        let mut rig = rig(scenario.enforced_epoch, scenario.soa);
+        rig.ingest = rig.ingest.speaking(scenario.collector_version);
         let mut link = rig.ingest.link();
         // A tiny ring, so reassembly wraps and grows.
         let mut session = Session::new(64);
@@ -427,7 +424,7 @@ mod tests {
 
     #[test]
     fn accepting_ack_echoes_what_the_collector_holds_and_resume_primes_a_blank_one() {
-        let rig = rig(2, None, false);
+        let rig = rig(None, false);
         let frames = wire_of(&frame_bodies(
             &[7],
             &[

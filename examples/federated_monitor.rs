@@ -66,7 +66,6 @@ fn backoff(seed: u64) -> BackoffConfig {
         initial: Duration::from_millis(5),
         max: Duration::from_millis(100),
         seed,
-        ..BackoffConfig::default()
     }
 }
 

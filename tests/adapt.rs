@@ -57,7 +57,6 @@ fn adaptive(tenants: TenantRouter) -> LifecycleConfig {
             window: SimDuration::from_secs(60),
             min_window_samples: 50,
             cooldown_windows: 1,
-            ..AdaptPolicy::default()
         }),
         tenants,
         ..LifecycleConfig::default()

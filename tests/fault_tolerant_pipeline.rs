@@ -145,10 +145,8 @@ fn pipeline_survives_combined_transport_and_analyzer_faults() {
         start,
         DetectorConfig::default(),
         SupervisorConfig {
-            snapshot_every: 256,
-            max_restarts: 3,
             silent_after: 1,
-            panic_after: Some(POISON_AT),
+            panic_at: vec![POISON_AT],
             ..SupervisorConfig::default()
         },
         1,

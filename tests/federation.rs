@@ -119,7 +119,6 @@ fn fast_backoff(seed: u64) -> BackoffConfig {
         initial: Duration::from_millis(5),
         max: Duration::from_millis(80),
         seed,
-        ..BackoffConfig::default()
     }
 }
 
