@@ -111,7 +111,7 @@ fn bench_codec(c: &mut Criterion) {
     g.bench_function("decode", |b| {
         b.iter_batched(
             || wire.clone(),
-            |mut w| codec::decode(&mut w).expect("decodes"),
+            |mut w| saad_core::testkit::decode(&mut w).expect("decodes"),
             BatchSize::SmallInput,
         )
     });

@@ -2,16 +2,21 @@
 //!
 //! * frame encode/decode (CRC-32 framing on top of the synopsis codec),
 //! * the CRC-32 alone at the sizes the wire checksums,
-//! * receiver accept cost with the reorder-horizon duplicate filter,
+//! * a collector's admission of a frame — check, in-place decode,
+//!   sequencing — fresh and duplicate,
 //! * bounded-sink submit under each overload policy, queue saturated —
 //!   the backpressure fast path a producer pays when the analyzer lags.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use saad_core::batch::SynopsisBatch;
+use saad_core::codec::decode_batch_into;
 use saad_core::intern::SignatureInterner;
 use saad_core::pipeline::{BatchSink, OverloadPolicy};
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::tracker::SynopsisSink;
-use saad_core::transport::{crc32, FrameReceiver, FrameSender, FRAME_HEADER_LEN};
+use saad_core::transport::{
+    check_frame, crc32, AdmitDecision, FramePayload, FrameReceiver, FrameSender, FRAME_HEADER_LEN,
+};
 use saad_core::{HostId, StageId, TaskUid};
 use saad_logging::LogPointId;
 use saad_sim::{SimDuration, SimTime};
@@ -36,6 +41,20 @@ fn batch(n: u64) -> Vec<TaskSynopsis> {
     (0..n).map(synopsis).collect()
 }
 
+/// What a collector does with one frame body: the frame check, the
+/// payload decoded in place into `batch`, the sequencing verdict.
+fn admit(
+    rx: &mut FrameReceiver,
+    frame: &[u8],
+    batch: &mut SynopsisBatch,
+    interner: &SignatureInterner,
+) -> AdmitDecision {
+    batch.clear();
+    let (header, payload) = check_frame(frame).expect("a valid frame");
+    let n = decode_batch_into(payload, batch, interner).expect("a valid payload");
+    rx.admit_meta(header.host, header.seq, header.cumulative, n as u64)
+}
+
 fn bench_framing(c: &mut Criterion) {
     let synopses = batch(5);
     let frame = FrameSender::new(HostId(0)).encode_frame(&synopses);
@@ -45,35 +64,41 @@ fn bench_framing(c: &mut Criterion) {
         let mut sender = FrameSender::new(HostId(0));
         b.iter(|| sender.encode_frame(&synopses))
     });
-    // The agent's shape: a 48-synopsis batch assembled in place in a
-    // reused buffer — no allocation, one pass.
+    // The agent's shape: a 48-synopsis payload filled in place and framed
+    // into a reused buffer — no allocation.
     let agent_batch = batch(48);
     let mut wire = bytes::BytesMut::new();
+    let mut payload = FramePayload::new();
     let mut sender = FrameSender::new(HostId(0));
-    sender.encode_frame_into(&mut wire, &agent_batch);
+    let mut frame_48 = |wire: &mut bytes::BytesMut| {
+        payload.clear();
+        for s in &agent_batch {
+            assert!(payload.push_parts(&s.head(), &s.log_points));
+        }
+        wire.clear();
+        sender.frame_payload_into(wire, &payload);
+    };
+    frame_48(&mut wire);
     g.throughput(Throughput::Bytes(wire.len() as u64));
-    g.bench_function("encode_frame_into_48", |b| {
-        b.iter(|| {
-            wire.clear();
-            sender.encode_frame_into(&mut wire, &agent_batch)
-        })
-    });
+    g.bench_function("frame_payload_into_48", |b| b.iter(|| frame_48(&mut wire)));
     let kib = vec![0xA5u8; 1024];
     g.throughput(Throughput::Bytes(kib.len() as u64));
     g.bench_function("crc32_1k", |b| b.iter(|| crc32(&[&kib])));
     g.throughput(Throughput::Bytes(frame.len() as u64));
-    g.bench_function("accept_frame_5", |b| {
+    let interner = SignatureInterner::new();
+    let mut rows = SynopsisBatch::new();
+    g.bench_function("admit_frame_5", |b| {
         // A fresh receiver per batch keeps every frame a fresh sequence.
         b.iter_batched(
             || (FrameReceiver::new(), FrameSender::new(HostId(0))),
-            |(mut rx, mut tx)| rx.accept(&tx.encode_frame(&synopses)),
+            |(mut rx, mut tx)| admit(&mut rx, &tx.encode_frame(&synopses), &mut rows, &interner),
             BatchSize::SmallInput,
         )
     });
-    g.bench_function("accept_duplicate_frame", |b| {
+    g.bench_function("admit_duplicate_frame", |b| {
         let mut rx = FrameReceiver::new();
-        rx.accept(&frame).unwrap();
-        b.iter(|| rx.accept(&frame))
+        admit(&mut rx, &frame, &mut rows, &interner);
+        b.iter(|| admit(&mut rx, &frame, &mut rows, &interner))
     });
     g.finish();
     // Sanity: the header should stay a small fixed fraction of the frame.

@@ -4,8 +4,12 @@
 //! whole point (Figure 8) is that this stream is 15–900× smaller than
 //! DEBUG-level log text. The codec uses LEB128 varints so a typical
 //! synopsis (5 log points) encodes in well under 48 bytes.
+//! One encoder, [`encode_parts_into`], and one parser behind every
+//! reader: [`decode_batch_into`] into batch columns, and
+//! [`CheckedPayload::parse`] for a leaf forwarding the bytes as they came.
 
-use crate::intern::INLINE_POINTS;
+use crate::batch::SynopsisBatch;
+use crate::intern::{SignatureInterner, INLINE_POINTS};
 use crate::synopsis::{SynopsisHead, TaskSynopsis};
 use crate::{HostId, StageId, TaskUid};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -13,15 +17,15 @@ use saad_logging::LogPointId;
 use saad_sim::{SimDuration, SimTime};
 use std::fmt;
 
-/// Error from [`decode`].
+/// Error from the synopsis parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// Input ended in the middle of a field.
     UnexpectedEof,
-    /// A varint ran past 10 bytes.
+    /// A varint ran past 10 bytes, or its 10th byte past bit 63.
     VarintOverflow,
-    /// A length prefix exceeded the sanity bound, or an identifier the
-    /// range of its type.
+    /// A length prefix exceeded the sanity bound, or an identifier or a
+    /// visit count the range of its type.
     LengthOutOfRange(u64),
 }
 
@@ -29,7 +33,7 @@ impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DecodeError::UnexpectedEof => f.write_str("unexpected end of synopsis bytes"),
-            DecodeError::VarintOverflow => f.write_str("varint longer than 10 bytes"),
+            DecodeError::VarintOverflow => f.write_str("varint wider than 64 bits"),
             DecodeError::LengthOutOfRange(n) => {
                 write!(f, "length or identifier {n} exceeds its bound")
             }
@@ -69,7 +73,9 @@ pub(crate) fn put_varint(buf: &mut BytesMut, v: u64) {
 }
 
 /// Slice-based varint read for the zero-copy decode path: advances
-/// `pos` without consuming or copying the underlying buffer.
+/// `pos` without consuming or copying the underlying buffer. Nine bytes
+/// carry 63 bits and a tenth only bit 63: a tenth byte above 1 would have
+/// its high bits dropped, and the varint read as another value.
 fn get_varint_at(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
     let mut v = 0u64;
     for shift in (0..70).step_by(7) {
@@ -79,6 +85,9 @@ fn get_varint_at(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
         *pos += 1;
         v |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
+            if shift == 63 && byte > 1 {
+                return Err(DecodeError::VarintOverflow);
+            }
             return Ok(v);
         }
     }
@@ -153,7 +162,9 @@ pub(crate) fn get_points(buf: &mut Bytes) -> Result<Vec<LogPointId>, DecodeError
 /// # Example
 ///
 /// ```
-/// use saad_core::codec::{decode, encode};
+/// use saad_core::batch::SynopsisBatch;
+/// use saad_core::codec::{decode_batch_into, encode};
+/// use saad_core::intern::SignatureInterner;
 /// use saad_core::synopsis::TaskSynopsis;
 /// use saad_core::{HostId, StageId, TaskUid};
 /// use saad_logging::LogPointId;
@@ -169,24 +180,22 @@ pub(crate) fn get_points(buf: &mut Bytes) -> Result<Vec<LogPointId>, DecodeError
 /// };
 /// let wire = encode(&s);
 /// assert!(wire.len() < 48);
-/// assert_eq!(decode(&mut wire.clone()).unwrap(), s);
+/// let interner = SignatureInterner::new();
+/// let mut batch = SynopsisBatch::new();
+/// assert_eq!(decode_batch_into(&wire, &mut batch, &interner), Ok(1));
+/// assert_eq!((batch.uids[0], batch.starts[0]), (s.uid, s.start));
+/// assert_eq!(interner.resolve(batch.sigs[0]), Some(s.signature()));
 /// ```
 pub fn encode(s: &TaskSynopsis) -> Bytes {
     let mut buf = BytesMut::with_capacity(24 + 4 * s.log_points.len());
-    encode_into(&mut buf, s);
+    encode_parts_into(&mut buf, &s.head(), &s.log_points);
     buf.freeze()
 }
 
-/// Append the wire form of `s` to `buf`: [`encode_parts_into`] on the
-/// synopsis' own head and point list.
-pub fn encode_into(buf: &mut BytesMut, s: &TaskSynopsis) {
-    encode_parts_into(buf, &s.head(), &s.log_points);
-}
-
 /// Append the wire form of the synopsis made of `head` and `points` to
-/// `buf` — the one encoder; [`encode`], [`encode_into`], [`encode_batch`]
-/// and the transport's frame and payload assembly all go through it, and
-/// the tracker's borrowed hand-over reaches it without ever building a
+/// `buf` — the one encoder; [`encode`], [`encode_batch`] and the
+/// transport's frame and payload assembly all go through it, and the
+/// tracker's borrowed hand-over reaches it without ever building a
 /// [`TaskSynopsis`]. The synopsis is sized for its worst case once and
 /// written by index, so a reused `buf` at capacity makes this
 /// allocation-free. The zero-fill of the slack is cheaper than it looks:
@@ -216,93 +225,64 @@ pub fn encode_parts_into(buf: &mut BytesMut, head: &SynopsisHead, points: &[(Log
     buf.truncate(start + pos);
 }
 
-/// Decode one synopsis from the front of `buf`, consuming its bytes.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncated or malformed input.
-pub fn decode(buf: &mut Bytes) -> Result<TaskSynopsis, DecodeError> {
-    let mut pos = 0usize;
-    let s = decode_at(buf, &mut pos)?;
-    buf.advance(pos);
-    Ok(s)
-}
-
-/// Decode the synopsis at `buf[*pos..]`, advancing `pos` past it.
-fn decode_at(buf: &[u8], pos: &mut usize) -> Result<TaskSynopsis, DecodeError> {
-    let host = HostId(id16(get_varint_at(buf, pos)?)?);
-    let stage = StageId(id16(get_varint_at(buf, pos)?)?);
-    let uid = TaskUid(get_varint_at(buf, pos)?);
-    let start = SimTime::from_micros(get_varint_at(buf, pos)?);
-    let duration = SimDuration::from_micros(get_varint_at(buf, pos)?);
-    let n = get_varint_at(buf, pos)?;
-    if n > MAX_POINTS {
-        return Err(DecodeError::LengthOutOfRange(n));
-    }
-    let mut log_points = Vec::with_capacity(n as usize);
-    let mut prev = 0u64;
-    for _ in 0..n {
-        let delta = get_varint_at(buf, pos)?;
-        let count = get_varint_at(buf, pos)? as u32;
-        // Deltas wrap, so an in-range id is reconstructed exactly even
-        // from an unsorted list.
-        prev = prev.wrapping_add(delta);
-        log_points.push((LogPointId(id16(prev)?), count));
-    }
-    Ok(TaskSynopsis {
-        host,
-        stage,
-        uid,
-        start,
-        duration,
-        log_points,
-    })
-}
-
 /// Encode a batch of synopses back-to-back.
 pub fn encode_batch<'a, I: IntoIterator<Item = &'a TaskSynopsis>>(synopses: I) -> Bytes {
     let synopses = synopses.into_iter();
     let mut out = BytesMut::with_capacity(TYPICAL_SYNOPSIS_LEN * synopses.size_hint().0);
     for s in synopses {
-        encode_into(&mut out, s);
+        encode_parts_into(&mut out, &s.head(), &s.log_points);
     }
     out.freeze()
 }
 
-/// Decode all synopses from a batch buffer.
-///
-/// # Errors
-///
-/// Returns the first decode error encountered.
-pub fn decode_batch(buf: &mut Bytes) -> Result<Vec<TaskSynopsis>, DecodeError> {
-    let out = decode_batch_slice(buf)?;
-    buf.advance(buf.len());
-    Ok(out)
-}
-
-/// [`decode_batch`] over a borrowed payload (a frame still sitting in the
-/// receive buffer).
-pub(crate) fn decode_batch_slice(payload: &[u8]) -> Result<Vec<TaskSynopsis>, DecodeError> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < payload.len() {
-        out.push(decode_at(payload, &mut pos)?);
+/// THE synopsis parser: read the synopsis at `buf[*pos..]`, advancing
+/// `pos` past it, and return its head and its number of points `n`. Each
+/// point goes to `point(i, n, id, visits)` on the way. Every field is
+/// range-checked here, once for every reader: an id past 16 bits, a visit
+/// count past 32 or a point list past [`MAX_POINTS`] is refused, never
+/// truncated into a legitimate value.
+#[inline]
+pub(crate) fn parse_at(
+    buf: &[u8],
+    pos: &mut usize,
+    mut point: impl FnMut(usize, usize, LogPointId, u32),
+) -> Result<(SynopsisHead, usize), DecodeError> {
+    let head = SynopsisHead {
+        host: HostId(id16(get_varint_at(buf, pos)?)?),
+        stage: StageId(id16(get_varint_at(buf, pos)?)?),
+        uid: TaskUid(get_varint_at(buf, pos)?),
+        start: SimTime::from_micros(get_varint_at(buf, pos)?),
+        duration: SimDuration::from_micros(get_varint_at(buf, pos)?),
+    };
+    let n = get_varint_at(buf, pos)?;
+    if n > MAX_POINTS {
+        return Err(DecodeError::LengthOutOfRange(n));
     }
-    Ok(out)
+    let n = n as usize;
+    let mut prev = 0u64;
+    for i in 0..n {
+        let delta = get_varint_at(buf, pos)?;
+        let visits = get_varint_at(buf, pos)?;
+        // Deltas wrap, so an in-range id is reconstructed exactly even
+        // from an unsorted list.
+        prev = prev.wrapping_add(delta);
+        let id = LogPointId(id16(prev)?);
+        let visits = u32::try_from(visits).map_err(|_| DecodeError::LengthOutOfRange(visits))?;
+        point(i, n, id, visits);
+    }
+    Ok((head, n))
 }
 
 /// Decode every synopsis in `payload` straight into the columns of
-/// `batch`, interning signatures through `interner` — the zero-copy
-/// counterpart of [`decode_batch`] used by the reactor collector. No
-/// intermediate [`TaskSynopsis`] or per-synopsis `log_points` vector is
-/// materialized: point ids land in a stack buffer and go
-/// through [`SignatureInterner::intern_points`](crate::intern::SignatureInterner::intern_points),
-/// which produces the same
-/// `SigId` as `intern_synopsis` on the equivalent synopsis.
+/// `batch`, interning signatures through `interner` — what the reactor
+/// collector and the root do with each frame. No intermediate
+/// [`TaskSynopsis`] or per-synopsis `log_points` vector is materialized:
+/// point ids land in a stack buffer and go through
+/// [`SignatureInterner::intern_points`], which produces the same `SigId`
+/// as `intern_synopsis` on the equivalent synopsis.
 ///
 /// Watermark stamps continue from the batch's current last element,
-/// exactly as [`SynopsisBatch::push_synopsis`](crate::batch::SynopsisBatch::push_synopsis)
-/// would.
+/// exactly as [`SynopsisBatch::push_synopsis`] would.
 ///
 /// Returns the number of synopses appended.
 ///
@@ -312,72 +292,102 @@ pub(crate) fn decode_batch_slice(payload: &[u8]) -> Result<Vec<TaskSynopsis>, De
 /// entry — a malformed frame appends nothing.
 pub fn decode_batch_into(
     payload: &[u8],
-    batch: &mut crate::batch::SynopsisBatch,
-    interner: &crate::intern::SignatureInterner,
+    batch: &mut SynopsisBatch,
+    interner: &SignatureInterner,
 ) -> Result<usize, DecodeError> {
     let rollback = batch.len();
     let mut pos = 0usize;
     // Point ids of the synopsis being decoded: on the stack up to
     // `INLINE_POINTS` (as in `intern_synopsis`), spilling to one heap
-    // buffer, reused for the rest of the frame, only past that.
+    // buffer, reused for the rest of the frame, only past that. Visit
+    // counts ride the wire but do not enter the flow signature.
     let mut inline = [LogPointId(0); INLINE_POINTS];
     let mut spill: Vec<LogPointId> = Vec::new();
     while pos < payload.len() {
-        let step = (|| {
-            let host = HostId(id16(get_varint_at(payload, &mut pos)?)?);
-            let stage = StageId(id16(get_varint_at(payload, &mut pos)?)?);
-            let uid = TaskUid(get_varint_at(payload, &mut pos)?);
-            let start = SimTime::from_micros(get_varint_at(payload, &mut pos)?);
-            let duration_us = get_varint_at(payload, &mut pos)? as f64;
-            let n = get_varint_at(payload, &mut pos)?;
-            if n > MAX_POINTS {
-                return Err(DecodeError::LengthOutOfRange(n));
-            }
-            let n = n as usize;
-            let points: &mut [LogPointId] = if n <= INLINE_POINTS {
-                &mut inline[..n]
+        let parsed = parse_at(payload, &mut pos, |i, n, id, _| {
+            if n <= INLINE_POINTS {
+                inline[i] = id;
             } else {
-                spill.resize(n, LogPointId(0));
-                &mut spill
-            };
-            let mut prev = 0u64;
-            for slot in points {
-                let delta = get_varint_at(payload, &mut pos)?;
-                // Visit counts ride the wire but do not enter the flow
-                // signature (same as `intern_synopsis`).
-                let _count = get_varint_at(payload, &mut pos)?;
-                prev = prev.wrapping_add(delta);
-                *slot = LogPointId(id16(prev)?);
+                spill.truncate(i);
+                spill.push(id);
             }
-            Ok((host, stage, uid, start, duration_us, n))
-        })();
-        let (host, stage, uid, start, duration_us, n) = match step {
-            Ok(fields) => fields,
+        });
+        let (head, n) = match parsed {
+            Ok(parsed) => parsed,
             Err(e) => {
                 batch.truncate(rollback);
                 return Err(e);
             }
         };
-        let sig = interner.intern_points(if n <= INLINE_POINTS {
+        let ids = if n <= INLINE_POINTS {
             &inline[..n]
         } else {
-            &spill
-        });
+            &spill[..]
+        };
+        let sig = interner.intern_points(ids);
+        let start = head.start;
         let watermark = batch.watermarks.last().map_or(start, |&w| w.max(start));
-        batch.uids.push(uid);
-        batch.hosts.push(host);
-        batch.stages.push(stage);
+        batch.uids.push(head.uid);
+        batch.hosts.push(head.host);
+        batch.stages.push(head.stage);
         batch.sigs.push(sig);
-        batch.durations_us.push(duration_us);
+        batch.durations_us.push(head.duration.as_micros() as f64);
         batch.starts.push(start);
         batch.watermarks.push(watermark);
     }
     Ok(batch.len() - rollback)
 }
 
+/// A frame payload the synopsis parser has passed, borrowed where it
+/// lies: its bytes and, per synopsis, its start time and end offset. Only
+/// [`CheckedPayload::parse`] makes one, so what
+/// [`FramePayload::push_checked`](crate::transport::FramePayload::push_checked)
+/// copies from it are bytes the parser accepted.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckedPayload<'a> {
+    bytes: &'a [u8],
+    marks: &'a [(SimTime, usize)],
+}
+
+impl<'a> CheckedPayload<'a> {
+    /// Run every synopsis of `payload` through the parser without
+    /// decoding it, into `marks`, scratch the caller reuses.
+    ///
+    /// # Errors
+    ///
+    /// The first [`DecodeError`]: a payload failing anywhere has no view.
+    pub fn parse(
+        payload: &'a [u8],
+        marks: &'a mut Vec<(SimTime, usize)>,
+    ) -> Result<CheckedPayload<'a>, DecodeError> {
+        marks.clear();
+        let mut pos = 0usize;
+        while pos < payload.len() {
+            let (head, _) = parse_at(payload, &mut pos, |_, _, _, _| {})?;
+            marks.push((head.start, pos));
+        }
+        Ok(CheckedPayload {
+            bytes: payload,
+            marks,
+        })
+    }
+
+    /// The start time of each synopsis, in wire order: one per synopsis.
+    pub fn starts(&self) -> impl ExactSizeIterator<Item = SimTime> + 'a {
+        self.marks.iter().map(|&(start, _)| start)
+    }
+
+    /// The bytes of synopsis `i`.
+    pub(crate) fn synopsis(&self, i: usize) -> &'a [u8] {
+        let from = i.checked_sub(1).map_or(0, |prev| self.marks[prev].1);
+        &self.bytes[from..self.marks[i].1]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{decode, decode_batch};
     use proptest::prelude::*;
 
     fn sample(points: &[(u16, u32)]) -> TaskSynopsis {
@@ -474,8 +484,6 @@ mod tests {
 
     #[test]
     fn decode_batch_into_matches_push_synopsis_path() {
-        use crate::batch::SynopsisBatch;
-        use crate::intern::SignatureInterner;
         let a = sample(&[(1, 1), (3, 2)]);
         let mut b = sample(&[(2, 2), (9, 1), (40, 7)]);
         b.start = SimTime::from_millis(12); // out of order: watermark holds
@@ -505,8 +513,6 @@ mod tests {
 
     #[test]
     fn decode_batch_into_continues_watermark_across_calls() {
-        use crate::batch::SynopsisBatch;
-        use crate::intern::SignatureInterner;
         let interner = SignatureInterner::new();
         let mut batch = SynopsisBatch::new();
         let mut hi = sample(&[(1, 1)]);
@@ -523,8 +529,6 @@ mod tests {
 
     #[test]
     fn decode_batch_into_rolls_back_on_error() {
-        use crate::batch::SynopsisBatch;
-        use crate::intern::SignatureInterner;
         let interner = SignatureInterner::new();
         let mut batch = SynopsisBatch::new();
         let seed = sample(&[(5, 1)]);
@@ -562,16 +566,19 @@ mod tests {
         buf.freeze()
     }
 
-    /// Both decoders on one payload: the error, or the decoded synopses
-    /// with the batch's signature column. A rejected payload must leave
-    /// the batch as it was.
+    /// Every reader of the one parser on one payload — the owned
+    /// reference, the batch decoder and the checked view: the error, or
+    /// the decoded synopses, with the batch's signature column and the
+    /// view's start times agreeing. A rejected payload must leave the
+    /// batch as it was.
     fn decode_both_ways(wire: &[u8]) -> Result<Vec<TaskSynopsis>, DecodeError> {
-        use crate::batch::SynopsisBatch;
-        use crate::intern::SignatureInterner;
         let interner = SignatureInterner::new();
         let mut batch = SynopsisBatch::new();
-        let owned = decode_batch_slice(wire);
+        let owned = decode_batch(&mut Bytes::copy_from_slice(wire));
         let in_place = decode_batch_into(wire, &mut batch, &interner);
+        let mut marks = Vec::new();
+        let viewed =
+            CheckedPayload::parse(wire, &mut marks).map(|v| v.starts().collect::<Vec<_>>());
         match &owned {
             Ok(synopses) => {
                 assert_eq!(in_place, Ok(synopses.len()));
@@ -580,13 +587,63 @@ mod tests {
                     .map(|s| interner.intern_synopsis(s))
                     .collect();
                 assert_eq!(batch.sigs, sigs);
+                let starts: Vec<_> = synopses.iter().map(|s| s.start).collect();
+                assert_eq!(viewed, Ok(starts));
             }
             Err(e) => {
                 assert_eq!(in_place.as_ref(), Err(e));
+                assert_eq!(viewed.as_ref().map(|_| ()), Err(e));
                 assert!(batch.is_empty(), "a rejected payload appended something");
             }
         }
         owned
+    }
+
+    /// A synopsis whose uid and one visit count are raw bytes.
+    fn with_raw_fields(uid: &[u8], count: &[u8]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, 3);
+        put_varint(&mut buf, 17);
+        buf.extend_from_slice(uid);
+        for field in [1_000, 25, 1, 5] {
+            put_varint(&mut buf, field);
+        }
+        buf.extend_from_slice(count);
+        buf.to_vec()
+    }
+
+    #[test]
+    fn an_overlong_varint_or_a_wide_count_is_rejected_not_aliased() {
+        let max = [[0xffu8; 9].as_slice(), &[0x01]].concat();
+        let one = [0x01u8];
+        // The one ten-byte form the encoder writes still reads.
+        let s = decode_both_ways(&with_raw_fields(&max, &one)).unwrap();
+        assert_eq!(s[0].uid, TaskUid(u64::MAX));
+        assert_eq!(encode(&s[0]).as_ref(), &with_raw_fields(&max, &one)[..]);
+        // A tenth byte past bit 63 would alias u64::MAX: refused.
+        for last in [0x02u8, 0x7f] {
+            let wide = [[0xffu8; 9].as_slice(), &[last]].concat();
+            assert_eq!(
+                decode_both_ways(&with_raw_fields(&wide, &one)),
+                Err(DecodeError::VarintOverflow),
+                "tenth byte {last:#04x}"
+            );
+            assert_eq!(
+                get_varint(&mut Bytes::from(wide)),
+                Err(DecodeError::VarintOverflow)
+            );
+        }
+        // A visit count of 2^32 would truncate to 0: refused. u32::MAX fits.
+        let mut count = BytesMut::new();
+        put_varint(&mut count, 1 << 32);
+        assert_eq!(
+            decode_both_ways(&with_raw_fields(&one, &count)),
+            Err(DecodeError::LengthOutOfRange(1 << 32))
+        );
+        count.clear();
+        put_varint(&mut count, u32::MAX as u64);
+        let s = decode_both_ways(&with_raw_fields(&one, &count)).unwrap();
+        assert_eq!(s[0].log_points, [(LogPointId(5), u32::MAX)]);
     }
 
     #[test]

@@ -66,8 +66,8 @@
 //!   what is still open at the end of a run.
 //!
 //! The `testkit` cargo feature adds `saad_core::testkit`: the per-row
-//! reference paths (`reference_run`, the map classifier, the whole-frame
-//! producer edge) and the fixtures the tests share. It selects no
+//! reference paths (`reference_run`, the map classifier, the owned
+//! whole-frame receive path) and the fixtures the tests share. It selects no
 //! behaviour, and only `[dev-dependencies]` entries enable it.
 //!
 //! ## Quickstart

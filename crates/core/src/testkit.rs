@@ -12,19 +12,23 @@
 //! * [`FeatureVector`] is the paper's feature with its signature not
 //!   interned: the input of the map classifier [`OutlierModel::classify`]
 //!   that [`crate::model::CompiledModel::classify`] is held to.
-//! * [`feed_frame_soa`] is the whole-frame producer edge that the
-//!   in-place receive paths of `saad-net` are held to.
+//! * The owned whole-frame path, [`parse_frame`] → [`FrameReceiver::admit`]
+//!   → [`feed_frame_soa`], is the reference the in-place receive paths of
+//!   `saad-net` are held to. Built on [`check_frame`], the one synopsis
+//!   parser and [`FrameReceiver::admit_meta`], it cannot drift from them.
 //! * Fixtures: [`TempDir`], synopsis, model and stream builders, [`soa`],
 //!   [`gap`] and [`event_keys`].
 
 use crate::batch::SynopsisBatch;
+use crate::codec::{parse_at, CheckedPayload, DecodeError};
 use crate::detector::{AnomalyDetector, AnomalyEvent};
 use crate::feature::InternedFeature;
 use crate::intern::SignatureInterner;
 use crate::model::{ModelBuilder, ModelConfig, OutlierModel};
 use crate::synopsis::TaskSynopsis;
-use crate::transport::{FrameOutcome, LossReport};
+use crate::transport::{check_frame, AdmitDecision, FrameError, FrameReceiver, LossReport};
 use crate::{HostId, Signature, StageId, TaskUid};
+use bytes::{Buf, Bytes};
 use crossbeam_channel::Sender;
 use saad_logging::LogPointId;
 use saad_sim::{SimDuration, SimTime};
@@ -113,6 +117,127 @@ impl From<&TaskSynopsis> for FeatureVector {
 impl From<TaskSynopsis> for FeatureVector {
     fn from(s: TaskSynopsis) -> FeatureVector {
         FeatureVector::from(&s)
+    }
+}
+
+/// The synopsis at `buf[*pos..]`, owned.
+fn owned_at(buf: &[u8], pos: &mut usize) -> Result<TaskSynopsis, DecodeError> {
+    let mut points = Vec::new();
+    let (head, _) = parse_at(buf, pos, |_, _, id, visits| points.push((id, visits)))?;
+    Ok(head.with_points(&points))
+}
+
+/// Every synopsis of `payload`, owned.
+fn owned(payload: &[u8]) -> Result<Vec<TaskSynopsis>, DecodeError> {
+    let (mut out, mut pos) = (Vec::new(), 0);
+    while pos < payload.len() {
+        out.push(owned_at(payload, &mut pos)?);
+    }
+    Ok(out)
+}
+
+/// Decode one synopsis from the front of `buf`, consuming its bytes.
+///
+/// # Errors
+///
+/// The parser's [`DecodeError`] on truncated or malformed input.
+pub fn decode(buf: &mut Bytes) -> Result<TaskSynopsis, DecodeError> {
+    let mut pos = 0;
+    owned_at(buf, &mut pos).inspect(|_| buf.advance(pos))
+}
+
+/// Decode every synopsis of a batch buffer, consuming it.
+///
+/// # Errors
+///
+/// The first [`DecodeError`].
+pub fn decode_batch(buf: &mut Bytes) -> Result<Vec<TaskSynopsis>, DecodeError> {
+    owned(buf).inspect(|_| buf.advance(buf.len()))
+}
+
+/// The synopses a checked payload holds, owned.
+pub fn decode_checked(checked: &CheckedPayload<'_>) -> Vec<TaskSynopsis> {
+    let each = (0..checked.starts().len()).map(|i| owned_at(checked.synopsis(i), &mut 0));
+    let each = each.map(|s| s.expect("a checked synopsis parses"));
+    each.collect()
+}
+
+/// A frame that passed [`parse_frame`]: its header fields and its payload
+/// decoded into owned synopses.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParsedFrame {
+    /// Sending host.
+    pub host: HostId,
+    /// Frame sequence number.
+    pub seq: u64,
+    /// Cumulative synopses sent in frames before this one.
+    pub cumulative: u64,
+    /// Decoded payload.
+    pub synopses: Vec<TaskSynopsis>,
+}
+
+/// [`check_frame`], then the payload decoded into owned synopses.
+///
+/// # Errors
+///
+/// The frame check's [`FrameError`], or [`FrameError::Codec`] for a
+/// payload the parser refuses.
+pub fn parse_frame(frame: &[u8]) -> Result<ParsedFrame, FrameError> {
+    let (header, payload) = check_frame(frame)?;
+    Ok(ParsedFrame {
+        host: header.host,
+        seq: header.seq,
+        cumulative: header.cumulative,
+        synopses: owned(payload).map_err(FrameError::Codec)?,
+    })
+}
+
+/// What [`FrameReceiver::admit`] concluded about a parsed frame: an
+/// [`AdmitDecision`] with the payload of a fresh frame (to process, the
+/// gap it reveals beside it) or the number of a duplicate (to discard).
+#[derive(Debug, Clone, PartialEq)]
+pub enum FrameOutcome {
+    /// A frame not seen before.
+    Fresh {
+        /// Sending host.
+        host: HostId,
+        /// Decoded payload.
+        synopses: Vec<TaskSynopsis>,
+        /// As [`AdmitDecision::Fresh`] reports it.
+        newly_lost: u64,
+    },
+    /// A frame already delivered, or past the reorder horizon.
+    Duplicate {
+        /// Sending host.
+        host: HostId,
+        /// Its sequence number.
+        seq: u64,
+    },
+}
+
+impl FrameReceiver {
+    /// [`parse_frame`] then [`FrameReceiver::admit`], counting a frame
+    /// that fails as corrupted.
+    ///
+    /// # Errors
+    ///
+    /// The [`FrameError`] of a frame [`parse_frame`] refuses.
+    pub fn accept(&mut self, frame: &[u8]) -> Result<FrameOutcome, FrameError> {
+        let parsed = parse_frame(frame).inspect_err(|_| self.record_corrupted())?;
+        Ok(self.admit(parsed))
+    }
+
+    /// Sequence a parsed frame through [`FrameReceiver::admit_meta`].
+    pub fn admit(&mut self, parsed: ParsedFrame) -> FrameOutcome {
+        let (host, seq, count) = (parsed.host, parsed.seq, parsed.synopses.len());
+        match self.admit_meta(host, seq, parsed.cumulative, count as u64) {
+            AdmitDecision::Fresh { newly_lost } => FrameOutcome::Fresh {
+                host,
+                synopses: parsed.synopses,
+                newly_lost,
+            },
+            AdmitDecision::Duplicate => FrameOutcome::Duplicate { host, seq },
+        }
     }
 }
 

@@ -33,7 +33,7 @@
 //! [`FrameReceiver`] tracks, per host, the synopses actually delivered and
 //! the highest `cumulative + batch_len` seen. At quiescence (no frames in
 //! flight) `expected − delivered` is the exact loss count, which
-//! [`LinkStats`] reports. *Incremental* gap reports ([`FrameOutcome::Fresh`]
+//! [`LinkStats`] reports. *Incremental* gap reports ([`AdmitDecision::Fresh`]
 //! `newly_lost`) are conservative: under reordering a frame may be reported
 //! lost and later arrive, in which case the late frame delivers its
 //! synopses but the earlier report is not retracted. Downstream consumers
@@ -42,7 +42,7 @@
 //! [`LossLedger`] keeps the same accounts for frames whose duplicates are
 //! weeded out elsewhere: a root's, one window per uplink.
 
-use crate::codec::{self, DecodeError};
+use crate::codec::{self, CheckedPayload, DecodeError};
 use crate::synopsis::{SynopsisHead, TaskSynopsis};
 use crate::HostId;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -301,7 +301,7 @@ mod clmul {
     }
 }
 
-/// Error from [`FrameReceiver::accept`].
+/// Error from [`check_frame`], or from the payload parser behind it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
     /// Frame shorter than its header, or payload length disagrees with the
@@ -316,7 +316,7 @@ pub enum FrameError {
         /// Checksum computed over the received bytes.
         computed: u32,
     },
-    /// The checksum was valid but the payload failed synopsis decoding
+    /// The checksum was valid but the payload failed the synopsis parser
     /// (sender-side bug, not link corruption).
     Codec(DecodeError),
 }
@@ -338,12 +338,6 @@ impl fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
-
-impl From<DecodeError> for FrameError {
-    fn from(e: DecodeError) -> FrameError {
-        FrameError::Codec(e)
-    }
-}
 
 /// Sender half of the framed link: one per tracked host.
 #[derive(Debug)]
@@ -394,61 +388,37 @@ impl FrameSender {
     }
 
     /// Encode `batch` into one wire frame, advancing the sequence number
-    /// and cumulative count. The allocating form of
-    /// [`FrameSender::encode_frame_into`].
+    /// and cumulative count: the header, then the synopses encoded in
+    /// place behind it, then the payload length and CRC patched into the
+    /// header — one pass, no intermediate payload buffer.
     ///
     /// # Panics
     ///
     /// Panics if `batch` encodes to more than [`MAX_FRAME_PAYLOAD`] bytes —
     /// no receiver would accept that frame. A sender that may hold such a
-    /// batch calls `encode_frame_into`, which splits it.
+    /// batch fills [`FramePayload`]s, which cut it.
     pub fn encode_frame(&mut self, batch: &[TaskSynopsis]) -> Bytes {
         let mut buf =
             BytesMut::with_capacity(FRAME_HEADER_LEN + codec::TYPICAL_SYNOPSIS_LEN * batch.len());
-        let framed = self.encode_frame_into(&mut buf, batch);
-        assert_eq!(
-            framed,
-            batch.len(),
-            "batch encodes past MAX_FRAME_PAYLOAD; frame it in pieces with encode_frame_into"
-        );
-        buf.freeze()
-    }
-
-    /// Append one wire frame to `buf` in a single pass: header, then the
-    /// synopses encoded in place behind it, then the payload length and
-    /// CRC patched into the header — no intermediate payload buffer, and
-    /// no allocation once a reused `buf` has grown to its working size.
-    /// Bytes already in `buf` are left alone, so a caller can lay frames
-    /// (and its own length prefixes) back to back.
-    ///
-    /// Returns how many synopses the frame carries: all of `batch`
-    /// unless its encoding would exceed [`MAX_FRAME_PAYLOAD`], in which
-    /// case the frame ends on the last synopsis boundary inside the bound
-    /// and the caller frames `batch[n..]` next. The sequence number
-    /// advances by one and the cumulative count by the returned number.
-    pub fn encode_frame_into(&mut self, buf: &mut BytesMut, batch: &[TaskSynopsis]) -> usize {
-        let frame = self.begin_frame(buf);
-        let payload = frame + FRAME_HEADER_LEN;
-        let mut framed = 0;
+        let frame = self.begin_frame(&mut buf);
         for s in batch {
-            let before = buf.len();
-            codec::encode_into(buf, s);
-            // Always take the first synopsis: a frame must make progress.
-            if buf.len() - payload > MAX_FRAME_PAYLOAD && framed > 0 {
-                buf.truncate(before);
-                break;
-            }
-            framed += 1;
+            codec::encode_parts_into(&mut buf, &s.head(), &s.log_points);
         }
-        self.finish_frame(buf, frame, framed as u64);
-        framed
+        assert!(
+            buf.len() - FRAME_HEADER_LEN <= MAX_FRAME_PAYLOAD,
+            "batch encodes past MAX_FRAME_PAYLOAD; cut it into FramePayloads"
+        );
+        self.finish_frame(&mut buf, frame, batch.len() as u64);
+        buf.freeze()
     }
 
     /// Append the wire frame of an already encoded `payload` to `buf`:
     /// header, the payload bytes copied behind it, length and CRC patched
-    /// in. Byte for byte the frame [`FrameSender::encode_frame_into`]
-    /// makes of the same synopses; the sequence number advances by one
-    /// and the cumulative count by `payload.synopses()`.
+    /// in. Byte for byte the frame [`FrameSender::encode_frame`] makes of
+    /// the same synopses; the sequence number advances by one and the
+    /// cumulative count by `payload.synopses()`. Every frame a sender
+    /// builds outside `encode_frame` is built here, reusing `buf`: no
+    /// allocation once it has grown to its working size.
     pub fn frame_payload_into(&mut self, buf: &mut BytesMut, payload: &FramePayload) {
         let frame = self.begin_frame(buf);
         buf.extend_from_slice(&payload.bytes);
@@ -482,9 +452,11 @@ impl FrameSender {
 
 /// One frame's payload assembled ahead of its header: synopses encoded
 /// back to back, and how many. A producer fills one where the synopses
-/// are made and hands it over whole; the owner of the [`FrameSender`]
-/// turns it into a frame with [`FrameSender::frame_payload_into`], a
-/// copy of bytes, without seeing a [`TaskSynopsis`].
+/// are made ([`FramePayload::push_parts`]) or copies them from a payload
+/// the parser checked ([`FramePayload::push_checked`], a leaf forwarding
+/// its agents' bytes); the owner of the [`FrameSender`] turns it into a
+/// frame with [`FrameSender::frame_payload_into`], a copy of bytes,
+/// without seeing a [`TaskSynopsis`].
 ///
 /// The fields are private because the frame format rests on them: the
 /// count is the number of synopses in the bytes, and the bytes stay
@@ -524,14 +496,29 @@ impl FramePayload {
 
     /// Append the synopsis made of `head` and `points`. Returns `false`,
     /// leaving the payload as it was, when that would take a payload
-    /// already holding a synopsis past [`MAX_FRAME_PAYLOAD`] — the rule
-    /// [`FrameSender::encode_frame_into`] cuts a batch by: the caller
+    /// already holding a synopsis past [`MAX_FRAME_PAYLOAD`]: the caller
     /// hands this payload over and pushes the synopsis onto the next,
     /// which, being empty, takes it.
     #[must_use = "a refused synopsis belongs in the next payload"]
     pub fn push_parts(&mut self, head: &SynopsisHead, points: &[(LogPointId, u32)]) -> bool {
         let before = self.bytes.len();
         codec::encode_parts_into(&mut self.bytes, head, points);
+        self.keep_within_bound(before)
+    }
+
+    /// Append synopsis `i` of `checked` as its bytes stand, under the
+    /// rule of [`FramePayload::push_parts`]. A synopsis our encoder wrote
+    /// is copied to the bytes `push_parts` would write for it.
+    #[must_use = "a refused synopsis belongs in the next payload"]
+    pub fn push_checked(&mut self, checked: &CheckedPayload<'_>, i: usize) -> bool {
+        let before = self.bytes.len();
+        self.bytes.extend_from_slice(checked.synopsis(i));
+        self.keep_within_bound(before)
+    }
+
+    /// Count the synopsis just appended after `before` bytes, or take it
+    /// back if it carried a payload that held one past the bound.
+    fn keep_within_bound(&mut self, before: usize) -> bool {
         if self.bytes.len() > MAX_FRAME_PAYLOAD && self.synopses > 0 {
             self.bytes.truncate(before);
             return false;
@@ -541,49 +528,12 @@ impl FramePayload {
     }
 }
 
-/// A frame that passed validation (header bounds, checksum, payload
-/// decoding) but has not yet been sequenced against a [`FrameReceiver`].
-///
-/// Produced by [`parse_frame`], consumed by [`FrameReceiver::admit`].
-/// Splitting the expensive per-byte work (CRC-32 + synopsis decode) from
-/// the cheap per-host sequencing lets a multi-connection collector run
-/// validation concurrently outside the shared receiver lock.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedFrame {
-    /// Sending host (from the frame header).
-    pub host: HostId,
-    /// Frame sequence number.
-    pub seq: u64,
-    /// Cumulative synopses sent in frames before this one.
-    pub cumulative: u64,
-    /// Decoded payload.
-    pub synopses: Vec<TaskSynopsis>,
-}
-
-/// Validate one received frame without touching any receiver state:
-/// [`check_frame`], then decode the payload into owned synopses.
-///
-/// # Errors
-///
-/// Returns a [`FrameError`] when the frame is truncated, oversized, fails
-/// its checksum, or carries an undecodable payload. The caller should
-/// count the rejection via [`FrameReceiver::record_corrupted`] (or use
-/// [`FrameReceiver::accept`], which does both).
-pub fn parse_frame(frame: &[u8]) -> Result<ParsedFrame, FrameError> {
-    let (header, payload) = check_frame(frame)?;
-    Ok(ParsedFrame {
-        host: header.host,
-        seq: header.seq,
-        cumulative: header.cumulative,
-        synopses: codec::decode_batch_slice(payload)?,
-    })
-}
-
 /// The one check every received frame passes before its payload is read,
-/// whoever decodes it: header bounds, payload length, CRC-32. Returns the
-/// header and the payload, borrowed from `frame`, so a collector decodes
-/// in place from its ring ([`codec::decode_batch_into`]) and a leaf into
-/// owned synopses ([`parse_frame`]).
+/// whoever reads it: header bounds, payload length, CRC-32. Returns the
+/// header and the payload, borrowed from `frame`, for the one synopsis
+/// parser: a collector decodes in place from its ring
+/// ([`codec::decode_batch_into`]), a leaf checks what it forwards
+/// ([`CheckedPayload::parse`]).
 ///
 /// # Errors
 ///
@@ -646,15 +596,10 @@ pub fn parse_frame_header(header: &[u8]) -> Result<FrameHeader, FrameError> {
 }
 
 /// Verify a frame's CRC-32 given its header bytes and payload as
-/// separate slices — no concatenation needed, so a collector holding the
-/// frame in a ring buffer checks integrity in place.
-///
-/// # Errors
-///
-/// [`FrameError::Truncated`] when `header` is short;
-/// [`FrameError::ChecksumMismatch`] when the stored and computed CRCs
-/// disagree.
-pub fn verify_frame_crc(header: &[u8], payload: &[u8]) -> Result<(), FrameError> {
+/// separate slices — no concatenation needed, so a frame held in a ring
+/// buffer is checked in place. `Truncated` when `header` is short,
+/// `ChecksumMismatch` when the stored and computed CRCs disagree.
+fn verify_frame_crc(header: &[u8], payload: &[u8]) -> Result<(), FrameError> {
     if header.len() < FRAME_HEADER_LEN {
         return Err(FrameError::Truncated);
     }
@@ -664,30 +609,6 @@ pub fn verify_frame_crc(header: &[u8], payload: &[u8]) -> Result<(), FrameError>
         return Err(FrameError::ChecksumMismatch { stored, computed });
     }
     Ok(())
-}
-
-/// What [`FrameReceiver::accept`] concluded about a well-formed frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FrameOutcome {
-    /// A frame not seen before; its synopses should be processed.
-    Fresh {
-        /// Sending host.
-        host: HostId,
-        /// Decoded payload.
-        synopses: Vec<TaskSynopsis>,
-        /// Synopses newly discovered to be missing (gap revealed by this
-        /// frame's cumulative count). Conservative under reordering — see
-        /// the module docs.
-        newly_lost: u64,
-    },
-    /// A frame already delivered (or assumed delivered past the reorder
-    /// horizon); its payload must NOT be processed again.
-    Duplicate {
-        /// Sending host.
-        host: HostId,
-        /// Sequence number of the duplicate.
-        seq: u64,
-    },
 }
 
 /// A gap report suitable for feeding
@@ -812,7 +733,7 @@ impl FrameReceiver {
     }
 
     /// Frames rejected as truncated, oversized, checksum-invalid, or
-    /// undecodable. Corrupt frames carry no trustworthy header, so this
+    /// unparseable. Corrupt frames carry no trustworthy header, so this
     /// count is global rather than per host.
     pub fn corrupted_frames(&self) -> u64 {
         self.corrupted_frames
@@ -844,8 +765,8 @@ impl FrameReceiver {
         self.all_stats().map(|(_, s)| s.lost_synopses).sum()
     }
 
-    /// Count one frame rejected by [`parse_frame`] outside this receiver.
-    /// ([`FrameReceiver::accept`] counts its own rejections.)
+    /// Count one frame rejected by [`check_frame`] or the payload parser
+    /// before it reached [`FrameReceiver::admit_meta`].
     pub fn record_corrupted(&mut self) {
         self.corrupted_frames += 1;
     }
@@ -881,50 +802,11 @@ impl FrameReceiver {
         link.window.seen.insert(next_seq - 1);
     }
 
-    /// Validate and classify one received frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FrameError`] (and counts the frame as corrupted) when
-    /// the frame is truncated, oversized, fails its checksum, or carries an
-    /// undecodable payload.
-    pub fn accept(&mut self, frame: &[u8]) -> Result<FrameOutcome, FrameError> {
-        match parse_frame(frame) {
-            Ok(parsed) => Ok(self.admit(parsed)),
-            Err(e) => {
-                self.corrupted_frames += 1;
-                Err(e)
-            }
-        }
-    }
-
-    /// Sequence one already-validated frame: deduplicate, account, and
-    /// reveal gaps. This is the cheap half of [`FrameReceiver::accept`] —
-    /// O(1) per frame — safe to run under a lock shared by many
-    /// connections while [`parse_frame`] runs outside it.
-    pub fn admit(&mut self, parsed: ParsedFrame) -> FrameOutcome {
-        let ParsedFrame {
-            host,
-            seq,
-            cumulative,
-            synopses,
-        } = parsed;
-        match self.admit_meta(host, seq, cumulative, synopses.len() as u64) {
-            AdmitDecision::Fresh { newly_lost } => FrameOutcome::Fresh {
-                host,
-                synopses,
-                newly_lost,
-            },
-            AdmitDecision::Duplicate => FrameOutcome::Duplicate { host, seq },
-        }
-    }
-
-    /// Sequence a frame by its header metadata alone — the payload-free
-    /// core of [`FrameReceiver::admit`], for collectors that have already
-    /// decoded the payload elsewhere (e.g. straight into batch columns)
-    /// and only need the dedup/accounting verdict. `count` is the number
-    /// of synopses the frame carries. `admit` delegates here, so the two
-    /// paths cannot drift.
+    /// Sequence one checked frame by its header metadata: deduplicate,
+    /// account, and reveal gaps. `count` is the number of synopses the
+    /// frame carries, read by the payload parser. O(1) per frame, so a
+    /// collector runs the per-byte work (CRC, parsing) outside the lock
+    /// it shares across connections and takes it only for this.
     pub fn admit_meta(
         &mut self,
         host: HostId,
@@ -942,15 +824,14 @@ impl FrameReceiver {
     }
 }
 
-/// What [`FrameReceiver::admit_meta`] concluded — [`FrameOutcome`]
-/// without the payload, for callers that decoded it elsewhere.
+/// What [`FrameReceiver::admit_meta`] concluded about a checked frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitDecision {
-    /// A frame not seen before; its (already decoded) synopses should be
-    /// processed.
+    /// A frame not seen before; its synopses should be processed.
     Fresh {
-        /// Synopses newly discovered missing (see
-        /// [`FrameOutcome::Fresh`]).
+        /// Synopses newly discovered missing (gap revealed by this frame's
+        /// cumulative count). Conservative under reordering — see the
+        /// module docs.
         newly_lost: u64,
     },
     /// Already delivered (or past the reorder horizon); the decoded
@@ -1029,6 +910,7 @@ impl LossLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{parse_frame, FrameOutcome};
     use crate::{StageId, TaskUid};
     use saad_logging::LogPointId;
     use saad_sim::SimDuration;
@@ -1078,12 +960,16 @@ mod tests {
 
     #[test]
     fn payload_frames_are_the_frames_of_the_same_batches() {
-        // Same sender state, same synopses: framing a payload and encoding
-        // the batch in place give the same bytes, an empty one included.
+        // Same sender state, same synopses: framing a payload, filled from
+        // the synopses or copied from a checked view of their bytes, and
+        // encoding the batch in place give the same bytes, an empty one
+        // included.
         let mut in_place = FrameSender::new(HostId(3));
         let mut via_payload = FrameSender::new(HostId(3));
-        let mut payload = FramePayload::new();
-        let (mut a, mut b) = (BytesMut::new(), BytesMut::new());
+        let mut via_view = FrameSender::new(HostId(3));
+        let (mut payload, mut copied) = (FramePayload::new(), FramePayload::new());
+        let mut marks = Vec::new();
+        let (mut a, mut b, mut c) = (BytesMut::new(), BytesMut::new(), BytesMut::new());
         for uids in [0..4u64, 4..4, 4..52, 52..53] {
             let batch = batch(3, uids);
             payload.clear();
@@ -1092,18 +978,31 @@ mod tests {
             }
             assert_eq!(payload.synopses(), batch.len() as u64);
             assert_eq!(payload.is_empty(), batch.is_empty());
-            assert_eq!(payload.bytes(), &codec::encode_batch(&batch)[..]);
-            in_place.encode_frame_into(&mut a, &batch);
+            let encoded = codec::encode_batch(&batch);
+            assert_eq!(payload.bytes(), &encoded[..]);
+            let view = CheckedPayload::parse(&encoded, &mut marks).unwrap();
+            copied.clear();
+            for i in 0..view.starts().len() {
+                assert!(copied.push_checked(&view, i));
+            }
+            assert_eq!(
+                (copied.bytes(), copied.synopses()),
+                (payload.bytes(), payload.synopses())
+            );
+            a.extend_from_slice(&in_place.encode_frame(&batch));
             via_payload.frame_payload_into(&mut b, &payload);
+            via_view.frame_payload_into(&mut c, &copied);
         }
         assert_eq!(a, b);
+        assert_eq!(a, c);
         assert_eq!(via_payload.frames_sent(), 4);
         assert_eq!(via_payload.synopses_sent(), 53);
     }
 
     #[test]
     fn payload_refuses_the_synopsis_that_would_cross_the_bound() {
-        // ~60 KB a synopsis; the cut falls where encode_frame_into puts it.
+        // ~60 KB a synopsis; the cut falls after the longest run of
+        // whole synopses within the bound, from either kind of push.
         let heavy: Vec<TaskSynopsis> = (0..MAX_FRAME_PAYLOAD as u64 / 60_000 + 2)
             .map(|uid| TaskSynopsis {
                 log_points: (0..10_000u16)
@@ -1112,24 +1011,37 @@ mod tests {
                 ..synopsis(2, uid)
             })
             .collect();
-        let mut wire = BytesMut::new();
-        let framed = FrameSender::new(HostId(2)).encode_frame_into(&mut wire, &heavy);
+        let ends = heavy.iter().scan(0, |end, s| {
+            *end += codec::encode(s).len();
+            Some(*end)
+        });
+        let framed = ends.take_while(|&end| end <= MAX_FRAME_PAYLOAD).count();
         assert!(0 < framed && framed < heavy.len());
+        let wire = codec::encode_batch(&heavy[..framed]);
+        let all = codec::encode_batch(&heavy);
+        let mut marks = Vec::new();
+        let view = CheckedPayload::parse(&all, &mut marks).unwrap();
 
-        let push = |payload: &mut FramePayload, s: &TaskSynopsis| {
-            payload.push_parts(&s.head(), &s.log_points)
-        };
-        let mut payload = FramePayload::new();
-        let taken = heavy.iter().take_while(|s| push(&mut payload, s)).count();
-        assert_eq!(taken, framed);
-        assert_eq!(payload.synopses(), framed as u64);
-        assert!(payload.bytes().len() <= MAX_FRAME_PAYLOAD);
-        assert_eq!(payload.bytes(), &wire[FRAME_HEADER_LEN..]);
-        // Refused means untouched; and an empty payload takes anything.
-        assert!(!push(&mut payload, &heavy[framed]));
-        assert_eq!(payload.bytes(), &wire[FRAME_HEADER_LEN..]);
-        payload.clear();
-        assert!(push(&mut payload, &heavy[framed]));
+        type Push<'a> = &'a dyn Fn(&mut FramePayload, usize) -> bool;
+        let pushes: [Push; 2] = [
+            &|payload, i| payload.push_parts(&heavy[i].head(), &heavy[i].log_points),
+            &|payload, i| payload.push_checked(&view, i),
+        ];
+        for push in pushes {
+            let mut payload = FramePayload::new();
+            let taken = (0..heavy.len())
+                .take_while(|&i| push(&mut payload, i))
+                .count();
+            assert_eq!(taken, framed);
+            assert_eq!(payload.synopses(), framed as u64);
+            assert!(payload.bytes().len() <= MAX_FRAME_PAYLOAD);
+            assert_eq!(payload.bytes(), &wire[..]);
+            // Refused means untouched; and an empty payload takes anything.
+            assert!(!push(&mut payload, framed));
+            assert_eq!(payload.bytes(), &wire[..]);
+            payload.clear();
+            assert!(push(&mut payload, framed));
+        }
     }
 
     #[test]

@@ -544,7 +544,7 @@ fn worker_loop(
     // is spent whether or not the write succeeds, so a failed write is a
     // visible gap, not a silent renumbering — and its buffer goes back.
     let frame = |out: &mut Outbound, payload: FramePayload| {
-        out.outbox.frame(&payload);
+        out.outbox.frame(&mut out.sender, &payload);
         spare.give(payload);
     };
     let mut out = Outbound::new(host, config.backoff.clone());
@@ -642,9 +642,8 @@ mod tests {
     use super::*;
     use crate::outbound::testkit::{batch, messages, task};
     use crate::protocol::MAX_MESSAGE_LEN;
-    use saad_core::transport::{
-        parse_frame, FrameOutcome, FrameReceiver, FrameSender, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
-    };
+    use saad_core::testkit::{parse_frame, FrameOutcome};
+    use saad_core::transport::{FrameReceiver, FrameSender, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
     use saad_core::TaskUid;
 
     /// A queue with no worker behind it: the front, the counters it
@@ -701,7 +700,9 @@ mod tests {
         for (payloads, shape) in [(via_send, (3, 3)), (via_sink, (2, big.len() as u64 + 2))] {
             assert_eq!((payloads.len(), payloads[0].synopses()), shape);
             let mut out = Outbound::new(HostId(2), BackoffConfig::default());
-            payloads.iter().for_each(|p| out.outbox.frame(p));
+            payloads
+                .iter()
+                .for_each(|p| out.outbox.frame(&mut out.sender, p));
             let mut rx = FrameReceiver::new();
             let mut delivered = Vec::new();
             let mut expected_cumulative = 0u64;
@@ -785,9 +786,8 @@ mod tests {
         let mut sent = rx.try_recv().expect("a full payload");
         let buffer = sent.bytes().as_ptr();
         // The worker's side: frame it, give the buffer back.
-        Outbound::new(HostId(1), BackoffConfig::default())
-            .outbox
-            .frame(&sent);
+        let mut out = Outbound::new(HostId(1), BackoffConfig::default());
+        out.outbox.frame(&mut out.sender, &sent);
         sent.clear();
         front.spare.give(sent);
         for s in batch(1, 48..96) {

@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use saad_core::HostId;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,37 +65,11 @@ impl Inner {
 
 /// Authoritative federation membership + epoch publisher.
 ///
-/// Clone-cheap handle (`Arc` inside); the monitor thread, collectors, and
-/// agent resolvers all share one instance.
+/// Clone-cheap handle (`Arc` inside); collectors, agent resolvers and
+/// whatever timer calls [`ControlPlane::sweep`] all share one instance.
 #[derive(Clone)]
 pub struct ControlPlane {
     inner: Arc<Inner>,
-}
-
-/// Handle to the background heartbeat monitor; joins the thread on
-/// [`MonitorHandle::stop`].
-pub struct MonitorHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MonitorHandle {
-    /// Stop the monitor thread and wait for it to exit.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
-}
-
-impl Drop for MonitorHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
 }
 
 impl ControlPlane {
@@ -214,27 +188,6 @@ impl ControlPlane {
             .values()
             .filter(|e| e.alive)
             .count()
-    }
-
-    /// Spawn a background thread sweeping for missed heartbeats every
-    /// `interval`. Stops (and joins) when the returned handle is dropped.
-    pub fn spawn_monitor(&self, interval: Duration) -> MonitorHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let cp = self.clone();
-        let stop2 = stop.clone();
-        let join = std::thread::Builder::new()
-            .name("saad-ctrl-monitor".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::SeqCst) {
-                    cp.sweep();
-                    std::thread::sleep(interval);
-                }
-            })
-            .expect("spawn control monitor");
-        MonitorHandle {
-            stop,
-            join: Some(join),
-        }
     }
 
     /// Export control-plane health: epoch, live membership, failovers.

@@ -7,12 +7,13 @@
 //! [`IngestLink`], the [`Handler`] its [`Session`](crate::session::Session)
 //! drives.
 //!
-//! Per frame, the per-byte work (CRC, decode, interning) runs outside the
-//! admission lock, which is taken once for the O(1) sequencing verdict.
-//! The payload is decoded **in place** from the session's ring into a
-//! staging [`SynopsisBatch`]: one batch allocation per fresh frame, none
-//! per synopsis. Only a leaf's forwarding sink, which re-frames owned
-//! synopses upstream, has the whole frame parsed.
+//! Per frame, the per-byte work (CRC, parsing, interning) runs outside
+//! the admission lock, which is taken once for the O(1) sequencing
+//! verdict. Every frame passes the one frame check and the one synopsis
+//! parser, **in place** in the session's ring: decoded into a staging
+//! [`SynopsisBatch`] (one batch allocation per fresh frame, none per
+//! synopsis), or, for a leaf's forwarding sink, checked into a
+//! [`CheckedPayload`] whose bytes the leaf copies upstream as they came.
 //!
 //! Admitted frames flow into the analyzer input as one [`SynopsisBatch`]
 //! send per frame, a newly revealed gap riding on the batch that revealed
@@ -25,11 +26,10 @@ use crate::session::Handler;
 use crossbeam_channel::Sender;
 use parking_lot::Mutex;
 use saad_core::batch::SynopsisBatch;
-use saad_core::codec::decode_batch_into;
+use saad_core::codec::{decode_batch_into, CheckedPayload};
 use saad_core::intern::SignatureInterner;
-use saad_core::synopsis::TaskSynopsis;
 use saad_core::transport::{
-    check_frame, parse_frame, AdmitDecision, FrameReceiver, LinkStats, LossLedger, LossReport,
+    check_frame, AdmitDecision, FrameReceiver, LinkStats, LossLedger, LossReport,
 };
 use saad_core::HostId;
 use saad_sim::SimTime;
@@ -86,14 +86,14 @@ pub struct CollectorStats {
 /// implements so it can re-frame digests upstream at the exact positions
 /// the originating agents encoded them at (see `crate::leaf`).
 pub trait AdmittedSink: Send + Sync {
-    /// One fresh admitted frame for `host`: its synopses, the loss this
-    /// frame newly revealed on the agent link, and the host's global
-    /// stream position just past the frame's last synopsis (i.e. the
-    /// frame's `cumulative` + `synopses.len()`).
+    /// One fresh admitted frame for `host`: its payload as the parser
+    /// checked it, the loss this frame newly revealed on the agent link,
+    /// and the host's global stream position just past the frame's last
+    /// synopsis (i.e. the frame's `cumulative` + its synopsis count).
     fn on_fresh(
         &self,
         host: HostId,
-        synopses: Vec<TaskSynopsis>,
+        synopses: &CheckedPayload<'_>,
         newly_lost: u64,
         stream_pos_end: u64,
     );
@@ -322,6 +322,7 @@ impl Ingest {
         IngestLink {
             ingest: self.clone(),
             staging: SynopsisBatch::new(),
+            marks: Vec::new(),
             window: FrameReceiver::new(),
         }
     }
@@ -391,26 +392,6 @@ impl Ingest {
         hello.epoch != PINNED_EPOCH && hello.epoch < self.current_epoch()
     }
 
-    /// The leaf's frame path: a forwarding sink re-frames owned
-    /// `TaskSynopsis` values, so the whole frame is parsed.
-    fn admit_owned(&self, window: &mut FrameReceiver, sink: &dyn AdmittedSink, body: &[u8]) {
-        let Ok(parsed) = parse_frame(body) else {
-            return self.admission.lock().record_corrupted();
-        };
-        let starts = parsed.synopses.iter().map(|s| s.start);
-        let max_start = starts.max().unwrap_or(SimTime::ZERO);
-        let n = parsed.synopses.len();
-        let header = (parsed.host, parsed.seq, parsed.cumulative);
-        let verdict = self.admission.lock().admit(window, header, n as u64);
-        if let AdmitDecision::Fresh { newly_lost } = verdict {
-            // End of this frame in the sender's global stream coordinates
-            // — what the sink re-frames at so gaps stay visible upstream.
-            let pos_end = parsed.cumulative + n as u64;
-            sink.on_fresh(parsed.host, parsed.synopses, newly_lost, pos_end);
-            self.count_fresh(n, max_start);
-        }
-    }
-
     fn count_fresh(&self, synopses: usize, max_start: SimTime) {
         let c = &self.counters;
         c.frames.fetch_add(1, Ordering::Relaxed);
@@ -426,6 +407,9 @@ pub(crate) struct IngestLink {
     /// Staging batch the in-place decoder fills; swapped out whole on a
     /// fresh frame, cleared on a duplicate.
     staging: SynopsisBatch,
+    /// Where a forwarded frame's synopses start and end, reused from
+    /// frame to frame ([`CheckedPayload::parse`]).
+    marks: Vec<(SimTime, usize)>,
     /// This connection's own sequence windows, for an
     /// [`Admission::PerUplink`] core; empty under a shared receiver.
     window: FrameReceiver,
@@ -480,11 +464,15 @@ impl Handler for IngestLink {
         }
     }
 
-    /// Check, decode, sequence and forward one frame. A body that is
+    /// Check, parse, sequence and forward one frame. A body that is
     /// corrupt was still framed correctly by its length prefix: it is
     /// counted and later messages remain readable.
     fn on_message(&mut self, body: &[u8]) {
         let ingest = &*self.ingest;
+        let Ok((header, payload)) = check_frame(body) else {
+            return ingest.admission.lock().record_corrupted();
+        };
+        let meta = (header.host, header.seq, header.cumulative);
         let (tx, interner, side_losses) = match &ingest.out {
             SynopsisOut::Soa {
                 tx,
@@ -492,23 +480,29 @@ impl Handler for IngestLink {
                 side_losses,
             } => (tx, interner, side_losses),
             SynopsisOut::Forward(sink) => {
-                return ingest.admit_owned(&mut self.window, &**sink, body)
+                // A leaf forwards the bytes as they came: parsed, never
+                // decoded.
+                let Ok(checked) = CheckedPayload::parse(payload, &mut self.marks) else {
+                    return ingest.admission.lock().record_corrupted();
+                };
+                let n = checked.starts().len() as u64;
+                let decision = ingest.admission.lock().admit(&mut self.window, meta, n);
+                if let AdmitDecision::Fresh { newly_lost } = decision {
+                    sink.on_fresh(header.host, &checked, newly_lost, header.cumulative + n);
+                    let max_start = checked.starts().max().unwrap_or(SimTime::ZERO);
+                    ingest.count_fresh(n as usize, max_start);
+                }
+                return;
             }
         };
-        // In place: the frame check, then the payload decoded straight
-        // from the ring into the staging batch's columns.
+        // Decoded straight from the ring into the staging batch's columns;
+        // a failed decode rolls the batch back itself.
         let staging = &mut self.staging;
         debug_assert!(staging.is_empty(), "staging must drain between frames");
-        let decoded = check_frame(body).ok().and_then(|(header, payload)| {
-            // A failed decode rolls the batch back itself.
-            let n = decode_batch_into(payload, staging, interner).ok()?;
-            Some((header, n))
-        });
-        let Some((header, n)) = decoded else {
+        let Ok(n) = decode_batch_into(payload, staging, interner) else {
             return ingest.admission.lock().record_corrupted();
         };
         // The guard is a temporary: no lock is held across the sends below.
-        let meta = (header.host, header.seq, header.cumulative);
         let decision = (ingest.admission.lock()).admit(&mut self.window, meta, n as u64);
         match decision {
             AdmitDecision::Fresh { newly_lost } => {
@@ -548,18 +542,19 @@ pub(crate) mod testkit {
     use crate::session::Session;
     use crossbeam_channel::{unbounded, Receiver};
     use saad_core::detector::{AnomalyDetector, DetectorConfig};
-    use saad_core::testkit::reference_run;
+    use saad_core::synopsis::TaskSynopsis;
+    use saad_core::testkit::{decode_checked, reference_run};
     use saad_core::transport::FrameSender;
     use saad_core::{LogPointId, StageId, TaskUid};
     use saad_sim::SimDuration;
 
-    /// One [`AdmittedSink::on_fresh`] call: host, synopses, newly lost,
-    /// stream position past the frame.
+    /// One [`AdmittedSink::on_fresh`] call: host, synopses (decoded by the
+    /// owned reference), newly lost, stream position past the frame.
     pub(crate) type Forwarded = (HostId, Vec<TaskSynopsis>, u64, u64);
 
     impl AdmittedSink for Sender<Forwarded> {
-        fn on_fresh(&self, host: HostId, synopses: Vec<TaskSynopsis>, lost: u64, pos_end: u64) {
-            let _ = self.send((host, synopses, lost, pos_end));
+        fn on_fresh(&self, host: HostId, checked: &CheckedPayload<'_>, lost: u64, pos_end: u64) {
+            let _ = self.send((host, decode_checked(checked), lost, pos_end));
         }
     }
 
@@ -769,8 +764,8 @@ mod tests {
     };
     use super::*;
     use proptest::prelude::*;
-    use saad_core::testkit::feed_frame_soa;
-    use saad_core::transport::{FrameOutcome, FRAME_HEADER_LEN};
+    use saad_core::testkit::{feed_frame_soa, parse_frame, FrameOutcome};
+    use saad_core::transport::FRAME_HEADER_LEN;
 
     proptest! {
         /// The in-place SoA path (`check_frame` → `decode_batch_into` →
@@ -895,36 +890,63 @@ mod tests {
         assert_gap_is_charged(interner, &batches, owed);
     }
 
-    /// A frame whose checksum is right and whose synopsis names host
-    /// 85 536: truncated to 16 bits that is host 20 000, and the frame
-    /// would pass for a real one. It is counted corrupted on both outputs,
-    /// nothing of it is forwarded, and the stream stays readable.
+    /// Frames whose checksum is right and whose synopsis has a field
+    /// widened past its type: host 85 536 (truncated to 16 bits, host
+    /// 20 000), a uid whose tenth varint byte sets bits past 63 (read as
+    /// `u64::MAX`), a visit count of 2^32 (truncated to 32 bits, 0). Each
+    /// would pass for a real frame. It is counted corrupted on both
+    /// outputs, nothing of it is forwarded, and the stream stays readable.
     #[test]
     fn a_crc_valid_frame_with_a_wide_id_is_counted_corrupted() {
+        use saad_core::synopsis::TaskSynopsis;
         use saad_core::transport::crc32;
+        use saad_core::TaskUid;
         let host = 20_000; // three varint bytes, the last one `1`
-        let good = vec![testkit::synopsis(host, 1, 100, &[1, 2])];
-        let mut bodies = frame_bodies(&[host], &[good.clone(), good], 0, 0);
-        let bad = &mut bodies[0];
-        assert_eq!(bad[FRAME_HEADER_LEN + 2], 1);
-        bad[FRAME_HEADER_LEN + 2] = 5; // host 20 000 + (4 << 14) = 85 536
-        let crc = crc32(&[&bad[..FRAME_HEADER_LEN - 4], &bad[FRAME_HEADER_LEN..]]);
-        bad[FRAME_HEADER_LEN - 4..FRAME_HEADER_LEN].copy_from_slice(&crc.to_be_bytes());
-        for soa in [true, false] {
-            let rig = rig(None, soa);
-            let mut link = rig.ingest.link();
-            for body in &bodies {
-                link.on_message(body);
+        let good = testkit::synopsis(host, 1, 100, &[1, 2]);
+        let max_uid = TaskSynopsis {
+            uid: TaskUid(u64::MAX), // nine 0xff bytes, then 0x01
+            ..good.clone()
+        };
+        let mut max_count = good.clone();
+        max_count.log_points[1].1 = u32::MAX; // the payload's last five bytes
+        type Widen = fn(&mut [u8]);
+        let widened: [(TaskSynopsis, Widen); 3] = [
+            (good.clone(), |p| {
+                assert_eq!(p[2], 1);
+                p[2] = 5; // host 20 000 + (4 << 14) = 85 536
+            }),
+            (max_uid, |p| {
+                assert_eq!(p[4..14], [[0xff; 9].as_slice(), &[1]].concat());
+                p[13] = 0x7f;
+            }),
+            (max_count, |p| {
+                let last = p.len() - 5;
+                assert_eq!(p[last..], [0xff, 0xff, 0xff, 0xff, 0x0f]);
+                p[last..].copy_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]);
+            }),
+        ];
+        for (wide, widen) in widened {
+            let mut bodies = frame_bodies(&[host], &[vec![wide], vec![good.clone()]], 0, 0);
+            let bad = &mut bodies[0];
+            widen(&mut bad[FRAME_HEADER_LEN..]);
+            let crc = crc32(&[&bad[..FRAME_HEADER_LEN - 4], &bad[FRAME_HEADER_LEN..]]);
+            bad[FRAME_HEADER_LEN - 4..FRAME_HEADER_LEN].copy_from_slice(&crc.to_be_bytes());
+            for soa in [true, false] {
+                let rig = rig(None, soa);
+                let mut link = rig.ingest.link();
+                for body in &bodies {
+                    link.on_message(body);
+                }
+                let stats = rig.ingest.stats();
+                assert_eq!(
+                    (stats.corrupted_frames, stats.frames, stats.synopses),
+                    (1, 1, 1)
+                );
+                assert_eq!(
+                    rig.soa.try_iter().count() + rig.forwarded.try_iter().count(),
+                    1
+                );
             }
-            let stats = rig.ingest.stats();
-            assert_eq!(
-                (stats.corrupted_frames, stats.frames, stats.synopses),
-                (1, 1, 1)
-            );
-            assert_eq!(
-                rig.soa.try_iter().count() + rig.forwarded.try_iter().count(),
-                1
-            );
         }
     }
 

@@ -1,7 +1,9 @@
 //! The leaf-collector role: terminate a regional agent fleet, re-frame
 //! admitted synopses into windowed per-host digests, and forward them
 //! upstream to the root analyzer — **in the agents' own global stream
-//! coordinates**.
+//! coordinates**. A leaf never decodes a synopsis: it copies the bytes the
+//! parser checked ([`CheckedPayload`]) into each host's digest payload, so
+//! the root receives the bytes the agents wrote.
 //!
 //! The one invariant everything here serves: every digest frame a leaf
 //! sends upstream is positioned (via the transport's cumulative synopsis
@@ -36,8 +38,8 @@ use crate::protocol::{dial, Hello, HelloAck, PeerRole, PINNED_EPOCH, PROTOCOL_VE
 use crate::reactor_collector::{ReactorCollector, ReactorCollectorConfig};
 use crate::ring::LeafId;
 use parking_lot::Mutex;
-use saad_core::synopsis::TaskSynopsis;
-use saad_core::transport::FrameSender;
+use saad_core::codec::CheckedPayload;
+use saad_core::transport::{FramePayload, FrameSender};
 use saad_core::HostId;
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -118,9 +120,12 @@ pub struct LeafStats {
 /// for the host.
 struct HostBuf {
     sender: FrameSender,
-    pending: Vec<TaskSynopsis>,
+    pending: FramePayload,
     /// Stream-time window index of the pending synopses.
     window_idx: u64,
+    /// Synopses taken into the current digest: more than are pending once
+    /// the payload bound has cut it into a frame of its own.
+    taken: usize,
 }
 
 /// The uplink's connection as the flush path sees it: somewhere to write
@@ -185,11 +190,18 @@ impl Uplink {
     /// the write succeeds: an undeliverable digest must become a visible
     /// gap at the root, not a silent renumbering.
     fn flush_host(&self, buf: &mut HostBuf, link: &mut Link) {
+        buf.taken = 0;
         if !buf.pending.is_empty() {
-            let batch = std::mem::take(&mut buf.pending);
-            link.out.outbox.frame_digest(&mut buf.sender, &batch);
-            self.deliver(link);
+            self.send_pending(buf, link);
         }
+    }
+
+    /// Frame what is pending in the host's numbering, whatever it holds,
+    /// and offer it to the root.
+    fn send_pending(&self, buf: &mut HostBuf, link: &mut Link) {
+        link.out.outbox.frame(&mut buf.sender, &buf.pending);
+        buf.pending.clear();
+        self.deliver(link);
     }
 
     /// Offer the frames in the outbox to the root, now: at most one
@@ -253,8 +265,8 @@ impl Uplink {
         link.out.close();
         for buf in hosts.values_mut() {
             self.flush_host(buf, link);
-            link.out.outbox.frame_digest(&mut buf.sender, &[]);
-            self.deliver(link);
+            // Nothing is pending: an empty frame at the final position.
+            self.send_pending(buf, link);
         }
         link.conn = None;
         if let Some(socket) = self.socket.lock().take() {
@@ -281,22 +293,24 @@ impl AdmittedSink for Uplink {
     fn on_fresh(
         &self,
         host: HostId,
-        synopses: Vec<TaskSynopsis>,
+        synopses: &CheckedPayload<'_>,
         _newly_lost: u64,
         stream_pos_end: u64,
     ) {
         if self.killed.load(Ordering::SeqCst) {
             return;
         }
-        let start = stream_pos_end - synopses.len() as u64;
+        let n = synopses.starts().len();
+        let start = stream_pos_end - n as u64;
         let window_us = self.config.window.as_micros().max(1) as u64;
         let (hosts, link) = &mut *self.io.lock();
         let buf = hosts.entry(host).or_insert_with(|| HostBuf {
             sender: FrameSender::new(host),
-            pending: Vec::new(),
+            pending: FramePayload::new(),
             window_idx: 0,
+            taken: 0,
         });
-        let pos = buf.sender.synopses_sent() + buf.pending.len() as u64;
+        let pos = buf.sender.synopses_sent() + buf.pending.synopses();
         if start > pos {
             // Agent-link gap (or a stretch another leaf handled while
             // this host was homed elsewhere): flush what we have at its
@@ -310,18 +324,25 @@ impl AdmittedSink for Uplink {
             // Behind our forwarded position: an agent restarted from
             // zero. Forwarding would double-count at the root; drop and
             // account.
-            self.stats.lock().late_dropped += synopses.len() as u64;
+            self.stats.lock().late_dropped += n as u64;
             return;
         }
-        for s in synopses {
-            let w = s.start.as_micros() / window_us;
+        for (i, at) in synopses.starts().enumerate() {
+            let w = at.as_micros() / window_us;
             if w != buf.window_idx {
                 // Stage-window edge: digests never mix windows.
                 self.flush_host(buf, link);
                 buf.window_idx = w;
             }
-            buf.pending.push(s);
-            if buf.pending.len() >= self.config.max_digest {
+            if !buf.pending.push_checked(synopses, i) {
+                // Past the payload bound: what is pending goes out as a
+                // frame of its own, and the digest carries on in the next.
+                self.send_pending(buf, link);
+                let pushed = buf.pending.push_checked(synopses, i);
+                debug_assert!(pushed, "an empty payload takes any synopsis");
+            }
+            buf.taken += 1;
+            if buf.taken >= self.config.max_digest {
                 self.flush_host(buf, link);
             }
         }
@@ -521,7 +542,12 @@ mod tests {
     use super::*;
     use crate::outbound::testkit::{ack, messages, task};
     use crate::protocol::RejectReason;
-    use saad_core::transport::{parse_frame, FrameOutcome, FrameReceiver, ParsedFrame};
+    use proptest::prelude::*;
+    use saad_core::synopsis::TaskSynopsis;
+    use saad_core::testkit::{parse_frame, FrameOutcome, ParsedFrame};
+    use saad_core::transport::{check_frame, FrameReceiver, MAX_FRAME_PAYLOAD};
+    use saad_core::LogPointId;
+    use saad_sim::SimTime;
     use std::collections::VecDeque;
     use std::sync::atomic::AtomicU64;
 
@@ -593,7 +619,7 @@ mod tests {
     /// `n` synopses of `host` from uid `first`, starting in stream-time
     /// minute `minute`.
     fn tasks(host: u16, first: u64, n: u64, minute: u64) -> Vec<TaskSynopsis> {
-        let at = |uid| saad_sim::SimTime::from_millis(minute * 60_000 + uid);
+        let at = |uid| SimTime::from_millis(minute * 60_000 + uid);
         (first..first + n)
             .map(|uid| TaskSynopsis {
                 start: at(uid),
@@ -603,9 +629,14 @@ mod tests {
     }
 
     /// Admit one agent frame whose last synopsis sits at stream position
-    /// `end`.
+    /// `end`: encoded, then checked and parsed as a collector does.
     fn admit(uplink: &Uplink, synopses: Vec<TaskSynopsis>, end: u64) {
-        uplink.on_fresh(synopses[0].host, synopses, 0, end);
+        let host = synopses[0].host;
+        let frame = FrameSender::new(host).encode_frame(&synopses);
+        let (_, payload) = check_frame(&frame).expect("a valid frame");
+        let mut marks = Vec::new();
+        let checked = CheckedPayload::parse(payload, &mut marks).expect("a valid payload");
+        uplink.on_fresh(host, &checked, 0, end);
     }
 
     /// (sequence number, stream position, uids) of each digest.
@@ -795,5 +826,167 @@ mod tests {
         assert_eq!(lost, stats.uplink_wire_lost);
         let link = rx.stats(HostId(7));
         assert_eq!(link.delivered_synopses + link.lost_synopses, 11);
+    }
+
+    /// What a leaf should make of one host's stream, kept the plain way:
+    /// owned synopses cut on the same boundaries, framed by
+    /// `FrameSender::encode_frame`.
+    struct Digests {
+        sender: FrameSender,
+        pending: Vec<TaskSynopsis>,
+        window: u64,
+        frames: Vec<Vec<u8>>,
+    }
+
+    impl Digests {
+        fn new(host: HostId) -> Digests {
+            Digests {
+                sender: FrameSender::new(host),
+                pending: Vec::new(),
+                window: 0,
+                frames: Vec::new(),
+            }
+        }
+
+        fn flush(&mut self) {
+            if !self.pending.is_empty() {
+                let frame = self.sender.encode_frame(&self.pending);
+                self.frames.push(frame.to_vec());
+                self.pending.clear();
+            }
+        }
+
+        fn admit(&mut self, synopses: &[TaskSynopsis], end: u64, config: &LeafConfig) {
+            let start = end - synopses.len() as u64;
+            let pos = self.sender.synopses_sent() + self.pending.len() as u64;
+            if start < pos {
+                return;
+            }
+            if start > pos {
+                self.flush();
+                self.sender.skip(start - pos);
+            }
+            for s in synopses {
+                let window = s.start.as_micros() / config.window.as_micros() as u64;
+                if window != self.window {
+                    self.flush();
+                    self.window = window;
+                }
+                self.pending.push(s.clone());
+                if self.pending.len() >= config.max_digest {
+                    self.flush();
+                }
+            }
+        }
+    }
+
+    /// The uplink's frames, per host, in the order written.
+    fn frames_by_host(root: &Root) -> HashMap<HostId, Vec<Vec<u8>>> {
+        let mut by_host: HashMap<HostId, Vec<Vec<u8>>> = HashMap::new();
+        for frame in messages(&root.wire.lock()) {
+            let host = HostId(u16::from_be_bytes([frame[0], frame[1]]));
+            by_host.entry(host).or_default().push(frame.to_vec());
+        }
+        by_host
+    }
+
+    proptest! {
+        /// A leaf forwards the bytes it was sent: over 1–4 hosts, window
+        /// edges inside and between agent frames, the size cap, agent-link
+        /// gaps, agents restarting from zero, the timer and the goodbyes,
+        /// each host's uplink frames are the frames a plain sender makes
+        /// of the same synopses at the same cuts — same bytes, sequence
+        /// numbers and cumulative counts.
+        #[test]
+        fn a_leaf_forwards_the_bytes_it_was_sent(
+            hosts in 1u16..5,
+            max_digest in 1usize..7,
+            ops in proptest::collection::vec((0u8..10, 0u16..4, 1u64..7, 0u64..3), 1..60),
+        ) {
+            let config = LeafConfig {
+                max_digest,
+                ..LeafConfig::default()
+            };
+            let (uplink, root) = rig(config.clone());
+            let mut want: HashMap<HostId, Digests> = HashMap::new();
+            let (mut agent_pos, mut uid) = ([0u64; 4], 0u64);
+            for (op, h, n, minute) in ops {
+                let h = h % hosts;
+                let host = HostId(7 + h);
+                let pos = &mut agent_pos[h as usize];
+                match op {
+                    0 => {
+                        uplink.tick();
+                        want.values_mut().for_each(Digests::flush);
+                        continue;
+                    }
+                    1 => *pos += n, // positions that never reach the leaf
+                    2 => *pos = 0,  // the agent starts over
+                    _ => {}
+                }
+                let synopses: Vec<TaskSynopsis> = (0..n)
+                    .map(|_| {
+                        uid += 1;
+                        let minute = minute + u64::from(uid % 7 == 0);
+                        TaskSynopsis {
+                            start: SimTime::from_millis(minute * 60_000 + uid),
+                            ..task(host.0, uid, (uid % 5) as usize)
+                        }
+                    })
+                    .collect();
+                *pos += n;
+                admit(&uplink, synopses.clone(), *pos);
+                let digests = want.entry(host).or_insert_with(|| Digests::new(host));
+                digests.admit(&synopses, *pos, &config);
+            }
+            uplink.finish();
+            for digests in want.values_mut() {
+                digests.flush();
+                let goodbye = digests.sender.encode_frame(&[]);
+                digests.frames.push(goodbye.to_vec());
+            }
+            let want: HashMap<HostId, Vec<Vec<u8>>> =
+                want.into_iter().map(|(host, d)| (host, d.frames)).collect();
+            prop_assert_eq!(frames_by_host(&root), want);
+            prop_assert_eq!(uplink.stats().uplink_wire_lost, 0);
+        }
+    }
+
+    /// A digest whose synopses encode past the payload bound goes out in
+    /// frames cut as `FramePayload` cuts them, and the size cap still
+    /// counts every synopsis of the digest: the frames a plain sender
+    /// makes of the greedy pieces of each capped digest.
+    #[test]
+    fn a_digest_past_the_payload_bound_is_cut_into_frames_within_it() {
+        // ~60 KB a synopsis: about 280 fit under the bound.
+        let heavy: Vec<TaskSynopsis> = (0..300u64)
+            .map(|uid| TaskSynopsis {
+                log_points: (0..10_000u16)
+                    .map(|p| (LogPointId(p), u32::MAX - p as u32))
+                    .collect(),
+                ..task(7, uid, 0)
+            })
+            .collect();
+        let ends = heavy.iter().scan(0, |end, s| {
+            *end += saad_core::codec::encode(s).len();
+            Some(*end)
+        });
+        let fit = ends.take_while(|&end| end <= MAX_FRAME_PAYLOAD).count();
+        let cap = fit + 10;
+        assert!(cap < heavy.len());
+        let config = LeafConfig {
+            max_digest: cap,
+            ..LeafConfig::default()
+        };
+        let (uplink, root) = rig(config);
+        admit(&uplink, heavy[..150].to_vec(), 150);
+        admit(&uplink, heavy[150..].to_vec(), 300);
+        uplink.tick();
+        let mut plain = FrameSender::new(HostId(7));
+        let want: Vec<Vec<u8>> = [&heavy[..fit], &heavy[fit..cap], &heavy[cap..]]
+            .iter()
+            .map(|piece| plain.encode_frame(piece).to_vec())
+            .collect();
+        assert_eq!(frames_by_host(&root)[&HostId(7)], want);
     }
 }

@@ -73,7 +73,7 @@ mod server;
 pub mod session;
 
 pub use agent::{Agent, AgentConfig, AgentSink, AgentStats, BackoffConfig};
-pub use control::{ControlPlane, MonitorHandle};
+pub use control::ControlPlane;
 pub use framing::{FrameAssembler, OversizedPrefix};
 pub use ingest::{AdmittedSink, CollectorState, CollectorStats};
 pub use leaf::{LeafCollector, LeafConfig, LeafStats};

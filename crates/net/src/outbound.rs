@@ -2,9 +2,9 @@
 //! connect results in, bytes and due times out — no socket, no clock, no
 //! sleep, no queue. The mirror of [`Session`](crate::Session).
 //!
-//! An [`Outbound`] owns what the protocol says about a sender: the
-//! [`Outbox`] — the driver's to fill and to abandon, this machine's to
-//! flush — whether the link is up, the seeded back-off schedule that says
+//! An [`Outbound`] owns what the protocol says about a sender: its
+//! [`FrameSender`] and [`Outbox`] — the driver's to fill and to abandon,
+//! this machine's to flush — whether the link is up, the seeded back-off schedule that says
 //! when the next connect is due, the resume point a [`Hello`] announces,
 //! and the verdict on a handshake result ([`Outbound::dialed`]; the table
 //! is in DESIGN.md §10). Who dials, what clock the due times are read
@@ -19,7 +19,6 @@ use crate::protocol::{Hello, HelloAck, PeerRole, RejectReason};
 use bytes::{BufMut, BytesMut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saad_core::synopsis::TaskSynopsis;
 use saad_core::transport::{FramePayload, FrameSender};
 use saad_core::HostId;
 use std::io::{self, Write};
@@ -30,9 +29,8 @@ use std::time::Duration;
 /// assembled in one reused buffer and handed to the socket in a single
 /// write, with each frame's end offset kept so that a cut write is
 /// accounted frame by frame.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Outbox {
-    sender: FrameSender,
     wire: BytesMut,
     /// `(end offset in wire, synopses carried)` of each pending frame.
     frames: Vec<(usize, u64)>,
@@ -52,15 +50,6 @@ struct Flushed {
 }
 
 impl Outbox {
-    /// An empty outbox framing for `host`; sequence numbers start at 0.
-    fn new(host: HostId) -> Outbox {
-        Outbox {
-            sender: FrameSender::new(host),
-            wire: BytesMut::new(),
-            frames: Vec::new(),
-        }
-    }
-
     /// The pending messages, exactly as the next flush will write them
     /// (empty when no frame is pending).
     pub(crate) fn wire(&self) -> &[u8] {
@@ -72,55 +61,30 @@ impl Outbox {
         self.frames.len()
     }
 
-    /// `(next_seq, sent_cum)` to announce in a handshake: the sequence
-    /// number and cumulative count of the first frame no socket has been
-    /// offered yet (the next frame to be framed, when nothing is pending).
-    fn resume_point(&self) -> (u64, u64) {
+    /// `(next_seq, sent_cum)` to announce in a handshake for the stream
+    /// `sender` numbers: the sequence number and cumulative count of the
+    /// first frame no socket has been offered yet (the next frame to be
+    /// framed, when nothing is pending).
+    fn resume_point(&self, sender: &FrameSender) -> (u64, u64) {
         let pending: u64 = self.frames.iter().map(|&(_, n)| n).sum();
         (
-            self.sender.frames_sent() - self.frames.len() as u64,
-            self.sender.synopses_sent() - pending,
+            sender.frames_sent() - self.frames.len() as u64,
+            sender.synopses_sent() - pending,
         )
     }
 
-    /// Append `payload` as one length-prefixed frame. The frame gets its
-    /// sequence number and cumulative count here, once; nothing that
-    /// happens to a write renumbers it.
-    pub(crate) fn frame(&mut self, payload: &FramePayload) {
-        self.push(|sender, wire| {
-            sender.frame_payload_into(wire, payload);
-            payload.synopses()
-        });
-    }
-
-    /// Frame `batch` in the numbering of `sender`, whose stream this
-    /// link forwards — in more than one frame only if it encodes past the frame
-    /// payload bound. An empty `batch` makes one frame of no synopses.
-    pub(crate) fn frame_digest(&mut self, sender: &mut FrameSender, mut batch: &[TaskSynopsis]) {
-        loop {
-            let mut framed = 0;
-            self.push(|_, wire| {
-                framed = sender.encode_frame_into(wire, batch);
-                framed as u64
-            });
-            batch = &batch[framed..];
-            if batch.is_empty() {
-                return;
-            }
-        }
-    }
-
-    /// Append one length-prefixed frame: `encode` lays the frame behind
-    /// the prefix — numbered by this outbox's sender or by one of the
-    /// caller's — and returns the synopses it carries.
-    fn push(&mut self, encode: impl FnOnce(&mut FrameSender, &mut BytesMut) -> u64) {
+    /// Append `payload` as one length-prefixed frame in the numbering of
+    /// `sender`: an agent's own, or the host's whose stream a leaf
+    /// forwards. The frame gets its sequence number and cumulative count
+    /// here, once; nothing that happens to a write renumbers it.
+    pub(crate) fn frame(&mut self, sender: &mut FrameSender, payload: &FramePayload) {
         let prefix = self.wire.len();
         self.wire.put_u32(0);
-        let synopses = encode(&mut self.sender, &mut self.wire);
+        sender.frame_payload_into(&mut self.wire, payload);
         let len = u32::try_from(self.wire.len() - prefix - 4)
             .expect("a frame is bounded by MAX_MESSAGE_LEN");
         self.wire[prefix..prefix + 4].copy_from_slice(&len.to_be_bytes());
-        self.frames.push((self.wire.len(), synopses));
+        self.frames.push((self.wire.len(), payload.synopses()));
     }
 
     /// Write the pending messages to `w` in one pass. A frame counts as
@@ -212,6 +176,8 @@ pub(crate) struct LinkCounts {
 /// One sender's protocol state. See the [module docs](self).
 #[derive(Debug)]
 pub(crate) struct Outbound {
+    /// Numbers the frames this sender makes of its own stream.
+    pub(crate) sender: FrameSender,
     pub(crate) outbox: Outbox,
     link: Link,
     backoff: BackoffConfig,
@@ -227,7 +193,8 @@ impl Outbound {
     /// once; failures space the next ones by `backoff`, from its seed.
     pub(crate) fn new(host: HostId, backoff: BackoffConfig) -> Outbound {
         Outbound {
-            outbox: Outbox::new(host),
+            sender: FrameSender::new(host),
+            outbox: Outbox::default(),
             link: DUE_NOW,
             rng: StdRng::seed_from_u64(backoff.seed),
             backoff,
@@ -250,8 +217,8 @@ impl Outbound {
     /// resumes — the first frame no socket has been offered — and what
     /// was accepted whole so far.
     pub(crate) fn hello(&self, version: u16, epoch: u64, role: PeerRole) -> Hello {
-        let (next_seq, sent_cum) = self.outbox.resume_point();
-        let (host, written_cum) = (self.outbox.sender.host(), self.counts.synopses_written);
+        let (next_seq, sent_cum) = self.outbox.resume_point(&self.sender);
+        let (host, written_cum) = (self.sender.host(), self.counts.synopses_written);
         Hello {
             version,
             host,
@@ -348,6 +315,7 @@ impl Outbound {
 pub(crate) mod testkit {
     use super::*;
     use crate::protocol::{NO_SEQ, PROTOCOL_VERSION};
+    use saad_core::synopsis::TaskSynopsis;
     use saad_core::{LogPointId, StageId, TaskUid};
     use saad_sim::{SimDuration, SimTime};
 
@@ -432,14 +400,17 @@ mod tests {
     use crate::agent::BACKOFF_JITTER;
     use crate::protocol::write_message;
     use proptest::prelude::*;
-    use saad_core::transport::parse_frame;
+    use saad_core::synopsis::TaskSynopsis;
+    use saad_core::testkit::parse_frame;
 
     #[test]
     fn outbox_loses_the_cut_frame_and_keeps_the_ones_behind_it() {
         let batches = [batch(9, 0..48), batch(9, 48..53), batch(9, 53..101)];
         let framed: u64 = batches.iter().map(|b| b.len() as u64).sum();
-        let mut probe = Outbox::new(HostId(9));
-        batches.iter().for_each(|b| probe.frame(&payload(b)));
+        let (mut probe, mut sender) = (Outbox::default(), FrameSender::new(HostId(9)));
+        batches
+            .iter()
+            .for_each(|b| probe.frame(&mut sender, &payload(b)));
         let wire = probe.wire().to_vec();
         let ends: Vec<usize> = messages(&wire)
             .iter()
@@ -465,8 +436,10 @@ mod tests {
         let count = |bs: &[Vec<TaskSynopsis>]| bs.iter().map(|b| b.len() as u64).sum::<u64>();
         for (accept, whole) in cases {
             for per_call in [usize::MAX, 7] {
-                let mut outbox = Outbox::new(HostId(9));
-                batches.iter().for_each(|b| outbox.frame(&payload(b)));
+                let (mut outbox, mut sender) = (Outbox::default(), FrameSender::new(HostId(9)));
+                batches
+                    .iter()
+                    .for_each(|b| outbox.frame(&mut sender, &payload(b)));
                 let mut w = FailingWriter {
                     accept,
                     per_call,
@@ -490,7 +463,7 @@ mod tests {
                 assert_eq!(outbox.wire(), &wire[kept_from..], "{case}");
                 assert_eq!(outbox.wire().is_empty(), kept.is_empty(), "{case}");
                 assert_eq!(
-                    outbox.resume_point(),
+                    outbox.resume_point(&sender),
                     ((whole + cut) as u64, count(&batches[..whole + cut])),
                     "{case}: a handshake now resumes at the first kept frame"
                 );
@@ -498,7 +471,7 @@ mod tests {
                 // Whatever happened to that write, nothing is renumbered: the
                 // kept frames go out next as framed, and a new frame carries
                 // on from everything framed so far.
-                outbox.frame(&payload(&batch(9, 101..110)));
+                outbox.frame(&mut sender, &payload(&batch(9, 101..110)));
                 let mut next = Vec::new();
                 let flushed = outbox.flush(&mut next);
                 assert!(
@@ -512,37 +485,37 @@ mod tests {
                 assert_eq!(last.seq, 3, "{case}");
                 assert_eq!(last.cumulative, framed, "{case}");
                 assert_eq!(last.synopses, batch(9, 101..110), "{case}");
-                assert_eq!(outbox.resume_point(), (4, framed + 9), "{case}");
+                assert_eq!(outbox.resume_point(&sender), (4, framed + 9), "{case}");
             }
         }
     }
 
     #[test]
     fn abandoned_outbox_reports_what_it_held() {
-        let mut outbox = Outbox::new(HostId(9));
-        outbox.frame(&payload(&batch(9, 0..48)));
-        outbox.frame(&payload(&batch(9, 48..53)));
+        let (mut outbox, mut sender) = (Outbox::default(), FrameSender::new(HostId(9)));
+        outbox.frame(&mut sender, &payload(&batch(9, 0..48)));
+        outbox.frame(&mut sender, &payload(&batch(9, 48..53)));
         assert_eq!(outbox.abandon(), 53);
         assert!(outbox.wire().is_empty());
         // The sequence numbers are spent all the same.
-        assert_eq!(outbox.resume_point(), (2, 53));
+        assert_eq!(outbox.resume_point(&sender), (2, 53));
     }
 
     #[test]
     fn outbox_frames_are_the_frames_a_plain_sender_makes() {
         let batches = [batch(4, 0..48), batch(4, 48..49), batch(4, 49..97)];
-        let mut outbox = Outbox::new(HostId(4));
+        let (mut outbox, mut sender) = (Outbox::default(), FrameSender::new(HostId(4)));
         let mut plain = FrameSender::new(HostId(4));
         let mut want = Vec::new();
         for b in &batches {
-            outbox.frame(&payload(b));
+            outbox.frame(&mut sender, &payload(b));
             write_message(&mut want, &plain.encode_frame(b)).unwrap();
         }
         assert_eq!(outbox.wire(), &want[..]);
         // All three are pending: a handshake would still resume at frame 0.
-        assert_eq!(outbox.resume_point(), (0, 0));
+        assert_eq!(outbox.resume_point(&sender), (0, 0));
         assert_eq!(outbox.flush(&mut io::sink()).frames_written, 3);
-        assert_eq!(outbox.resume_point(), (3, 97));
+        assert_eq!(outbox.resume_point(&sender), (3, 97));
     }
 
     const MS: Duration = Duration::from_millis(1);
@@ -570,7 +543,7 @@ mod tests {
 
     /// Take the link of `out` down by a write nothing of which arrives.
     fn cut(out: &mut Outbound) {
-        out.outbox.frame(&payload(&batch(9, 0..1)));
+        out.outbox.frame(&mut out.sender, &payload(&batch(9, 0..1)));
         let mut dead = FailingWriter {
             accept: 0,
             per_call: usize::MAX,
@@ -712,7 +685,9 @@ mod tests {
             (hello.next_seq, hello.sent_cum, hello.written_cum)
         };
         assert_eq!(resume(&out), (0, 0, 0));
-        batches.iter().for_each(|b| out.outbox.frame(&payload(b)));
+        batches
+            .iter()
+            .for_each(|b| out.outbox.frame(&mut out.sender, &payload(b)));
         assert_eq!(resume(&out), (0, 0, 0), "framed is not offered");
         assert!(dial(&mut out, Ok(ack(RejectReason::None)), MS));
 
@@ -737,7 +712,8 @@ mod tests {
             (1, 48, 5)
         );
         // Framing more does not move the resume point.
-        out.outbox.frame(&payload(&batch(9, 101..110)));
+        out.outbox
+            .frame(&mut out.sender, &payload(&batch(9, 101..110)));
         assert_eq!(resume(&out), (2, 53, 48));
 
         // The next connection takes what was kept, as framed.
@@ -751,7 +727,8 @@ mod tests {
         assert_eq!(seqs, [2, 3]);
         assert_eq!(resume(&out), (4, 110, 48 + 48 + 9));
         // What the sender gives up on is spent, not written.
-        out.outbox.frame(&payload(&batch(9, 110..112)));
+        out.outbox
+            .frame(&mut out.sender, &payload(&batch(9, 110..112)));
         assert_eq!(out.outbox.abandon(), 2);
         assert_eq!(resume(&out), (5, 112, 105));
     }
@@ -828,7 +805,8 @@ mod tests {
                 0..=3 => {
                     let n = 1 + draw(5);
                     let uid = framed.iter().sum::<u64>();
-                    out.outbox.frame(&payload(&batch(9, uid..uid + n)));
+                    out.outbox
+                        .frame(&mut out.sender, &payload(&batch(9, uid..uid + n)));
                     framed.push(n);
                 }
                 4..=5 => {

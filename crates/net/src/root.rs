@@ -127,8 +127,8 @@ mod tests {
     use crate::session::{Handler, Session};
     use crossbeam_channel::{unbounded, Receiver};
     use proptest::prelude::*;
-    use saad_core::testkit::feed_frame_soa;
-    use saad_core::transport::{parse_frame, FrameOutcome, FrameReceiver, FrameSender, LossReport};
+    use saad_core::testkit::{feed_frame_soa, parse_frame, FrameOutcome};
+    use saad_core::transport::{FrameReceiver, FrameSender, LossReport};
     use saad_sim::SimTime;
 
     /// A root's core with its one output observable: the batches, with

@@ -83,11 +83,6 @@ impl QueuedResource {
         self.next_free
     }
 
-    /// Total service time delivered.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
     /// Number of requests served.
     pub fn served(&self) -> u64 {
         self.served

@@ -71,11 +71,6 @@ impl OperationMix {
         OperationMix::new(0.10, 0.45, 0.45)
     }
 
-    /// YCSB workload A (50% read / 50% update), for comparison runs.
-    pub fn ycsb_a() -> OperationMix {
-        OperationMix::new(0.50, 0.0, 0.50)
-    }
-
     /// Fraction of operations that are reads.
     pub fn read_fraction(&self) -> f64 {
         self.read

@@ -27,9 +27,10 @@ use saad::core::pipeline::{
 };
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
-use saad::core::testkit::{event_keys, feed_frame_soa, reference_run, soa, FeatureVector, TempDir};
+use saad::core::testkit::{
+    event_keys, feed_frame_soa, reference_run, soa, FeatureVector, FrameOutcome, TempDir,
+};
 use saad::core::tracker::SynopsisSink;
-use saad::core::transport::FrameOutcome;
 use saad::logging::LogPointId;
 use saad::sim::{SimDuration, SimTime};
 use std::path::Path;

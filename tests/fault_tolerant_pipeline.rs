@@ -24,8 +24,9 @@ use saad::core::pipeline::{
 };
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
+use saad::core::testkit::FrameOutcome;
 use saad::core::tracker::SynopsisSink;
-use saad::core::transport::{FrameOutcome, FrameReceiver, FrameSender, LossReport};
+use saad::core::transport::{FrameReceiver, FrameSender, LossReport};
 use saad::fault::{catalog, LossyLink};
 use saad::logging::LogPointId;
 use saad::sim::{SimDuration, SimTime};

@@ -23,9 +23,10 @@ mod common;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saad::core::codec::{decode_batch, encode_batch};
+use saad::core::codec::encode_batch;
 use saad::core::prelude::*;
 use saad::core::synopsis::SynopsisHead;
+use saad::core::testkit::decode_batch;
 use saad::core::tracker::{SuspendedTask, TaskGuard};
 use saad::core::transport::{FramePayload, FrameSender};
 use saad::logging::{Interceptor, Level, LogPointId};

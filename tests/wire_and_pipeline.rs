@@ -14,7 +14,7 @@ use saad::core::model::ModelConfig;
 use saad::core::pipeline::{spawn_analyzer_pool, BatchSink, PoolStart, SupervisorConfig};
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
-use saad::core::testkit::{event_keys, reference_run, soa};
+use saad::core::testkit::{self, event_keys, reference_run, soa};
 use saad::fault::{catalog, FaultSchedule, FaultSpec, FaultType, Intensity};
 use saad::sim::SimTime;
 use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};
@@ -81,7 +81,7 @@ fn codec_round_trip_preserves_detection_exactly() {
     let avg = wire.len() as f64 / synopses.len() as f64;
     assert!(avg < 48.0, "avg encoded size {avg:.1} B");
     let mut buf = wire.clone();
-    let decoded = codec::decode_batch(&mut buf).expect("stream decodes");
+    let decoded = testkit::decode_batch(&mut buf).expect("stream decodes");
     assert_eq!(decoded.len(), synopses.len());
 
     let direct = detect(model.clone(), &synopses);

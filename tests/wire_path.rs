@@ -16,7 +16,7 @@ use bytes::BytesMut;
 use proptest::prelude::*;
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
-use saad::core::transport::{crc32, FrameSender};
+use saad::core::transport::{crc32, FramePayload, FrameSender};
 use saad::logging::LogPointId;
 use saad::net::protocol::{write_message, MAX_MESSAGE_LEN};
 use saad::sim::{SimDuration, SimTime};
@@ -161,11 +161,12 @@ proptest! {
         prop_assert_eq!(crc32(&chunks), crc32_bit_serial(&data));
     }
 
-    /// `encode_frame_into`, appending to a reused buffer that still holds
-    /// other bytes, produces the specified frame byte for byte and leaves
-    /// what was there alone; `encode_frame` is the same bytes.
+    /// `frame_payload_into`, appending a payload filled in place to a
+    /// reused buffer that still holds other bytes, produces the specified
+    /// frame byte for byte and leaves what was there alone;
+    /// `encode_frame` is the same bytes.
     #[test]
-    fn encode_frame_into_equals_reference_composition(
+    fn frame_payload_into_equals_reference_composition(
         batches in collection::vec(collection::vec(raw_task(), 0..12), 1..6),
         junk in collection::vec(0u16..256, 0..40),
     ) {
@@ -174,6 +175,7 @@ proptest! {
         let mut into = FrameSender::new(host);
         let mut allocating = FrameSender::new(host);
         let mut buf = BytesMut::new();
+        let mut payload = FramePayload::new();
         let mut cumulative = 0u64;
         for (seq, raw) in batches.into_iter().enumerate() {
             let batch: Vec<TaskSynopsis> =
@@ -183,8 +185,12 @@ proptest! {
             // capacity, and `junk` sits in front of the new frame.
             buf.clear();
             buf.extend_from_slice(&junk);
-            let framed = into.encode_frame_into(&mut buf, &batch);
-            prop_assert_eq!(framed, batch.len());
+            payload.clear();
+            for s in &batch {
+                prop_assert!(payload.push_parts(&s.head(), &s.log_points));
+            }
+            into.frame_payload_into(&mut buf, &payload);
+            prop_assert_eq!(payload.synopses(), batch.len() as u64);
             prop_assert_eq!(&buf[..junk.len()], &junk[..]);
             prop_assert_eq!(&buf[junk.len()..], &want[..]);
             prop_assert_eq!(&allocating.encode_frame(&batch)[..], &want[..]);

@@ -1,7 +1,8 @@
 //! Wire-path allocation audit: at steady state the sender side performs
 //! **zero** heap allocations — both the framing round on its own (batches
-//! framed back to back into one reused buffer with
-//! `FrameSender::encode_frame_into`) and the whole producer path, from
+//! pushed into one reused `FramePayload` and framed back to back into one
+//! reused buffer with `FrameSender::frame_payload_into`) and the whole
+//! producer path, from
 //! `set_context` through the tracker, an `AgentSink`, the agent's queue
 //! and its worker thread to the socket `write`. So does the collector's
 //! hand-over: a frame decoded into a fresh batch, sent to another thread
@@ -19,7 +20,7 @@ use bytes::BytesMut;
 use saad::core::codec::{decode_batch_into, encode_batch};
 use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
-use saad::core::transport::FrameSender;
+use saad::core::transport::{FramePayload, FrameSender};
 use saad::logging::{Interceptor, Level, LogPointId};
 use saad::net::{Agent, AgentConfig};
 use saad::sim::{Clock, ManualClock, SimDuration, SimTime};
@@ -88,10 +89,16 @@ fn frame_encoding_allocates_nothing() {
         .collect();
     let mut sender = FrameSender::new(HostId(7));
     let mut wire = BytesMut::new();
+    let mut payload = FramePayload::new();
     let mut round = |wire: &mut BytesMut| {
         wire.clear();
         for batch in &batches {
-            assert_eq!(sender.encode_frame_into(wire, batch), batch.len());
+            payload.clear();
+            for s in batch {
+                assert!(payload.push_parts(&s.head(), &s.log_points));
+            }
+            sender.frame_payload_into(wire, &payload);
+            assert_eq!(payload.synopses(), batch.len() as u64);
         }
         wire.len()
     };
