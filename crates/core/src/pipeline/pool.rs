@@ -601,15 +601,21 @@ impl Router {
             for i in 0..batch.len() {
                 batch.watermarks[i] = self.stamp(batch.hosts[i], batch.starts[i]);
             }
-            if !batch.is_empty() {
-                let _ = self.shard_txs[0].send(ShardMsg::Batch(batch));
-            }
         } else {
             // Re-stamped with the GLOBAL watermark: the producer's
             // per-batch watermark only saw its own stream.
             for i in 0..batch.len() {
                 self.route(&batch.feature(i));
             }
+        }
+        // Published before any of these rows reaches a shard, so a reader
+        // that sees them counted in `processed` sees the watermark they
+        // moved, however few batches carried them.
+        self.obs
+            .watermark_micros
+            .store(self.watermark.as_micros(), Ordering::Relaxed);
+        if forward_only && !batch.is_empty() {
+            let _ = self.shard_txs[0].send(ShardMsg::Batch(batch));
         }
         self.batch_boundary();
     }
@@ -647,9 +653,6 @@ impl Router {
             lc.pump(self.watermark, &self.shard_txs);
         }
         self.obs.batches_routed.fetch_add(1, Ordering::Release);
-        self.obs
-            .watermark_micros
-            .store(self.watermark.as_micros(), Ordering::Relaxed);
     }
 }
 

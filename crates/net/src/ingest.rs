@@ -10,16 +10,23 @@
 //! Per frame, the per-byte work (CRC, parsing, interning) runs outside
 //! the admission lock, which is taken once for the O(1) sequencing
 //! verdict. Every frame passes the one frame check and the one synopsis
-//! parser, **in place** in the session's ring: decoded into a staging
-//! [`SynopsisBatch`] (one batch allocation per fresh frame, none per
-//! synopsis), or, for a leaf's forwarding sink, checked into a
-//! [`CheckedPayload`] whose bytes the leaf copies upstream as they came.
+//! parser, **in place** in the session's ring: decoded into the link's
+//! staging [`SynopsisBatch`] (no allocation per frame or per synopsis
+//! once the batch spare list is warm), or, for a leaf's forwarding sink,
+//! checked into a [`CheckedPayload`] whose bytes the leaf copies upstream
+//! as they came.
 //!
 //! Admitted frames flow into the analyzer input as one [`SynopsisBatch`]
-//! send per frame, a newly revealed gap riding on the batch that revealed
-//! it (a goodbye's on a batch without rows): exactly what the whole-frame
-//! reference `saad_core::testkit::feed_frame_soa` feeds a pool, so a pool
-//! works unchanged behind a socket.
+//! send per ring drain ([`Handler::on_drained`]): every fresh frame a
+//! drain completes is decoded into the same batch, which is sent when the
+//! drain ends, when it reaches a row cap, or when the link drops. A frame
+//! that reveals a gap first sends the rows staged before it, so the
+//! report rides ahead of exactly that frame's rows (a goodbye's on a
+//! batch without rows), stamped as the whole-frame reference
+//! `saad_core::testkit::feed_frame_soa` stamps it. The rows, and where
+//! each gap falls among them, are what that reference feeds a pool one
+//! frame at a time; only the batch boundaries differ, and a pool works
+//! unchanged behind a socket.
 
 use crate::protocol::{Hello, HelloAck, RejectReason, NO_SEQ, PINNED_EPOCH, PROTOCOL_VERSION};
 use crate::session::Handler;
@@ -70,6 +77,10 @@ pub struct CollectorStats {
     pub frames: u64,
     /// Synopses forwarded to the analyzer input.
     pub synopses: u64,
+    /// Batches sent to the analyzer input, one per ring drain that
+    /// admitted rows or revealed a gap; 0 on a leaf, which forwards
+    /// frames instead.
+    pub batches: u64,
     /// Frames rejected as corrupt (checksum, truncation, oversize, codec).
     pub corrupted_frames: u64,
     /// Duplicate frames discarded across all hosts.
@@ -107,6 +118,7 @@ struct Counters {
     stale_epoch_rejects: AtomicU64,
     frames: AtomicU64,
     synopses: AtomicU64,
+    batches: AtomicU64,
     watermark_micros: AtomicU64,
 }
 
@@ -121,8 +133,8 @@ pub(crate) enum SynopsisOut {
         interner: Arc<SignatureInterner>,
         /// The legacy side channel of gap reports
         /// ([`ReactorCollector::bind_soa`](crate::ReactorCollector::bind_soa)):
-        /// a report goes there, ahead of its batch, instead of riding on
-        /// it, and a frame without synopses sends no batch.
+        /// a report goes there, ahead of its frame's rows, instead of
+        /// riding on them, and a batch without rows is not sent.
         side_losses: Option<Sender<LossReport>>,
     },
     Forward(Arc<dyn AdmittedSink>),
@@ -242,7 +254,7 @@ pub(crate) fn register_series(
 /// [`CollectorStats`] snapshot.
 type Series = (&'static str, &'static str, fn(&CollectorStats) -> u64);
 
-const SERIES: [Series; 10] = [
+const SERIES: [Series; 11] = [
     (
         "connections_accepted_total",
         "Agent connections accepted since collector start",
@@ -273,6 +285,9 @@ const SERIES: [Series; 10] = [
         "Synopses forwarded to the analyzer input",
         |s| s.synopses,
     ),
+    ("batches_total", "Batches sent to the analyzer input", |s| {
+        s.batches
+    }),
     (
         "corrupted_frames_total",
         "Frames rejected as corrupt (checksum, truncation, oversize, codec)",
@@ -322,6 +337,7 @@ impl Ingest {
         IngestLink {
             ingest: self.clone(),
             staging: SynopsisBatch::new(),
+            staged_frames: 0,
             marks: Vec::new(),
             window: FrameReceiver::new(),
         }
@@ -339,6 +355,7 @@ impl Ingest {
             stale_epoch_rejects: c.stale_epoch_rejects.load(Ordering::Relaxed),
             frames: c.frames.load(Ordering::Relaxed),
             synopses: c.synopses.load(Ordering::Relaxed),
+            batches: c.batches.load(Ordering::Relaxed),
             corrupted_frames,
             duplicate_frames,
             lost_synopses,
@@ -392,21 +409,44 @@ impl Ingest {
         hello.epoch != PINNED_EPOCH && hello.epoch < self.current_epoch()
     }
 
-    fn count_fresh(&self, synopses: usize, max_start: SimTime) {
+    /// The highest start admitted on any connection: what a gap revealed
+    /// by a frame without rows is stamped with.
+    fn watermark(&self) -> SimTime {
+        SimTime::from_micros(self.counters.watermark_micros.load(Ordering::Relaxed))
+    }
+
+    /// A fresh frame whose highest start is `max_start` was admitted.
+    fn advance_watermark(&self, max_start: SimTime) {
+        let watermark = &self.counters.watermark_micros;
+        watermark.fetch_max(max_start.as_micros(), Ordering::Relaxed);
+    }
+
+    /// `frames` fresh frames of `synopses` rows were handed on in
+    /// `batches` batches.
+    fn count_sent(&self, frames: u64, synopses: usize, batches: u64) {
         let c = &self.counters;
-        c.frames.fetch_add(1, Ordering::Relaxed);
+        c.frames.fetch_add(frames, Ordering::Relaxed);
         c.synopses.fetch_add(synopses as u64, Ordering::Relaxed);
-        c.watermark_micros
-            .fetch_max(max_start.as_micros(), Ordering::Relaxed);
+        c.batches.fetch_add(batches, Ordering::Relaxed);
     }
 }
+
+/// Most rows a link stages before it sends them mid-drain. A 16 KiB ring
+/// drain holds about a thousand, so this bounds only the drains of a ring
+/// grown for one large message; it is also the widest batch whose columns
+/// the batch spare list keeps.
+const MAX_STAGED_ROWS: usize = 4_096;
 
 /// One connection's [`Handler`] over the shared [`Ingest`].
 pub(crate) struct IngestLink {
     ingest: Arc<Ingest>,
-    /// Staging batch the in-place decoder fills; swapped out whole on a
-    /// fresh frame, cleared on a duplicate.
+    /// Staging batch the in-place decoder fills with the rows of the
+    /// current drain's fresh frames, and the gap the first of them
+    /// revealed; sent whole, and rolled back to its length before a frame
+    /// that turns out corrupt or a duplicate.
     staging: SynopsisBatch,
+    /// Fresh frames staged since the last send, counted when it goes.
+    staged_frames: u64,
     /// Where a forwarded frame's synopses start and end, reused from
     /// frame to frame ([`CheckedPayload::parse`]).
     marks: Vec<(SimTime, usize)>,
@@ -415,8 +455,39 @@ pub(crate) struct IngestLink {
     window: FrameReceiver,
 }
 
+impl IngestLink {
+    /// Send `batch` — the rows of `frames` fresh frames, behind the gap
+    /// the first of them revealed — unless it holds neither rows nor a
+    /// gap, and count the frames either way.
+    fn send(&self, batch: SynopsisBatch, frames: u64) {
+        let SynopsisOut::Soa { tx, .. } = &self.ingest.out else {
+            unreachable!("only the batch output stages frames");
+        };
+        let rows = batch.len();
+        let sent = rows > 0 || !batch.losses.is_empty();
+        if sent {
+            let _ = tx.send(batch);
+        }
+        // Counted once sent, so a reader that sees the count finds the
+        // batch in the channel.
+        self.ingest.count_sent(frames, rows, u64::from(sent));
+    }
+
+    /// Send what is staged, if a fresh frame was, sizing the next staging
+    /// batch like this one.
+    fn send_staged(&mut self) {
+        if self.staged_frames > 0 {
+            let next = SynopsisBatch::with_capacity(self.staging.len());
+            let batch = std::mem::replace(&mut self.staging, next);
+            let frames = std::mem::take(&mut self.staged_frames);
+            self.send(batch, frames);
+        }
+    }
+}
+
 impl Drop for IngestLink {
     fn drop(&mut self) {
+        self.send_staged();
         let active = &self.ingest.counters.connections_active;
         active.fetch_sub(1, Ordering::Relaxed);
     }
@@ -464,21 +535,21 @@ impl Handler for IngestLink {
         }
     }
 
-    /// Check, parse, sequence and forward one frame. A body that is
-    /// corrupt was still framed correctly by its length prefix: it is
-    /// counted and later messages remain readable.
+    /// Check, parse, sequence and stage (or forward) one frame. A body
+    /// that is corrupt was still framed correctly by its length prefix: it
+    /// is counted and later messages remain readable.
     fn on_message(&mut self, body: &[u8]) {
         let ingest = &*self.ingest;
         let Ok((header, payload)) = check_frame(body) else {
             return ingest.admission.lock().record_corrupted();
         };
         let meta = (header.host, header.seq, header.cumulative);
-        let (tx, interner, side_losses) = match &ingest.out {
+        let (interner, side_losses) = match &ingest.out {
             SynopsisOut::Soa {
-                tx,
                 interner,
                 side_losses,
-            } => (tx, interner, side_losses),
+                ..
+            } => (interner, side_losses),
             SynopsisOut::Forward(sink) => {
                 // A leaf forwards the bytes as they came: parsed, never
                 // decoded.
@@ -490,42 +561,57 @@ impl Handler for IngestLink {
                 if let AdmitDecision::Fresh { newly_lost } = decision {
                     sink.on_fresh(header.host, &checked, newly_lost, header.cumulative + n);
                     let max_start = checked.starts().max().unwrap_or(SimTime::ZERO);
-                    ingest.count_fresh(n as usize, max_start);
+                    ingest.advance_watermark(max_start);
+                    ingest.count_sent(1, n as usize, 0);
                 }
                 return;
             }
         };
-        // Decoded straight from the ring into the staging batch's columns;
-        // a failed decode rolls the batch back itself.
-        let staging = &mut self.staging;
-        debug_assert!(staging.is_empty(), "staging must drain between frames");
-        let Ok(n) = decode_batch_into(payload, staging, interner) else {
+        // Decoded straight from the ring onto the staged rows; a failed
+        // decode rolls the batch back itself.
+        let before = self.staging.len();
+        let Ok(n) = decode_batch_into(payload, &mut self.staging, interner) else {
             return ingest.admission.lock().record_corrupted();
         };
         // The guard is a temporary: no lock is held across the sends below.
         let decision = (ingest.admission.lock()).admit(&mut self.window, meta, n as u64);
-        match decision {
-            AdmitDecision::Fresh { newly_lost } => {
-                // Watermarks are a running max, so the last one is the
-                // frame's max start.
-                let max_start = staging.watermarks.last().copied().unwrap_or(SimTime::ZERO);
-                let watermark = ingest.counters.watermark_micros.load(Ordering::Relaxed);
-                staging.reveal_gap(header.host, newly_lost, SimTime::from_micros(watermark));
-                if let Some(loss_tx) = side_losses {
-                    for report in staging.losses.drain(..) {
-                        let _ = loss_tx.send(report);
-                    }
-                }
-                if n > 0 || !staging.losses.is_empty() {
-                    let batch = std::mem::replace(staging, SynopsisBatch::with_capacity(n));
-                    let _ = tx.send(batch);
-                }
-                // Counted once sent, so a reader that sees the count finds
-                // the batch in the channel.
-                ingest.count_fresh(n, max_start);
+        let AdmitDecision::Fresh { newly_lost } = decision else {
+            return self.staging.truncate(before);
+        };
+        if before > 0 && (newly_lost > 0 || self.staging.len() > MAX_STAGED_ROWS) {
+            // The frames staged before this one go first: a gap is
+            // stamped with, and charged ahead of, this frame's rows alone,
+            // and a batch stays within the cap.
+            let mut rows = SynopsisBatch::with_capacity(n);
+            for i in before..self.staging.len() {
+                rows.push_from(&self.staging, i);
             }
-            AdmitDecision::Duplicate => staging.clear(),
+            self.staging.truncate(before);
+            let staged = std::mem::replace(&mut self.staging, rows);
+            let frames = std::mem::take(&mut self.staged_frames);
+            self.send(staged, frames);
         }
+        let staging = &mut self.staging;
+        staging.reveal_gap(header.host, newly_lost, ingest.watermark());
+        if let Some(loss_tx) = side_losses {
+            for report in staging.losses.drain(..) {
+                let _ = loss_tx.send(report);
+            }
+        }
+        // Watermarks are a running max, so the last one is the highest
+        // start staged; every earlier frame's already counts.
+        if n > 0 {
+            ingest.advance_watermark(staging.watermarks[staging.len() - 1]);
+        }
+        self.staged_frames += 1;
+        if self.staging.len() >= MAX_STAGED_ROWS {
+            self.send_staged();
+        }
+    }
+
+    /// The drain is over: hand the analyzer what it admitted.
+    fn on_drained(&mut self) {
+        self.send_staged();
     }
 
     /// A nonsense length prefix: the stream is unrecoverable.
@@ -542,6 +628,7 @@ pub(crate) mod testkit {
     use crate::session::Session;
     use crossbeam_channel::{unbounded, Receiver};
     use saad_core::detector::{AnomalyDetector, DetectorConfig};
+    use saad_core::feature::InternedFeature;
     use saad_core::synopsis::TaskSynopsis;
     use saad_core::testkit::{decode_checked, reference_run};
     use saad_core::transport::FrameSender;
@@ -603,6 +690,52 @@ pub(crate) mod testkit {
             .iter()
             .flat_map(|b| b.losses.iter().copied())
             .collect()
+    }
+
+    /// What a pool reads from a run of batches, wherever they were cut:
+    /// the rows in order, each with the running max of the watermark
+    /// column up to it (what a router restamps it with), and each gap
+    /// report with the number of rows charged ahead of it.
+    #[derive(Debug, PartialEq)]
+    pub(crate) struct RowStream {
+        pub(crate) rows: Vec<(InternedFeature, SimTime)>,
+        pub(crate) losses: Vec<(usize, LossReport)>,
+    }
+
+    pub(crate) fn row_stream(batches: &[SynopsisBatch]) -> RowStream {
+        let (mut rows, mut losses) = (Vec::new(), Vec::new());
+        let mut watermark = SimTime::ZERO;
+        for batch in batches {
+            losses.extend(batch.losses.iter().map(|&report| (rows.len(), report)));
+            for i in 0..batch.len() {
+                watermark = watermark.max(batch.watermarks[i]);
+                rows.push((batch.feature(i), watermark));
+            }
+        }
+        RowStream { rows, losses }
+    }
+
+    /// The shape of every batch a link sends: within the row cap, from
+    /// one connection (`link_of` names a row's), and with rows unless it
+    /// carries a gap report.
+    pub(crate) fn assert_batch_shape(
+        batches: &[SynopsisBatch],
+        link_of: impl Fn(&InternedFeature) -> usize,
+    ) {
+        for (i, batch) in batches.iter().enumerate() {
+            assert!(
+                batch.len() <= MAX_STAGED_ROWS,
+                "batch {i}: {} rows",
+                batch.len()
+            );
+            assert!(
+                !batch.is_empty() || !batch.losses.is_empty(),
+                "batch {i} is empty"
+            );
+            let mut links = (0..batch.len()).map(|row| link_of(&batch.feature(row)));
+            let first = links.next();
+            assert!(links.all(|l| Some(l) == first), "batch {i} mixes links");
+        }
     }
 
     /// A host's stream ending badly: a data frame (three tasks in minute
@@ -760,19 +893,23 @@ pub(crate) mod testkit {
 #[cfg(test)]
 mod tests {
     use super::testkit::{
-        assert_gap_is_charged, batches, frame_bodies, goodbye_after_a_lost_frame, losses, rig,
+        assert_batch_shape, assert_gap_is_charged, batches, frame_bodies,
+        goodbye_after_a_lost_frame, losses, rig, row_stream, synopsis,
     };
     use super::*;
     use proptest::prelude::*;
-    use saad_core::testkit::{feed_frame_soa, parse_frame, FrameOutcome};
+    use saad_core::synopsis::TaskSynopsis;
+    use saad_core::testkit::{feed_frame_soa, parse_frame, soa, FrameOutcome};
     use saad_core::transport::FRAME_HEADER_LEN;
 
     proptest! {
         /// The in-place SoA path (`check_frame` → `decode_batch_into` →
-        /// `admit_meta`) against the whole-frame
-        /// reference (`parse_frame` → `admit` → `feed_frame_soa`): same
-        /// batches, the same gap reports on them with the same stamps,
-        /// same counters, same link accounts.
+        /// `admit_meta` → a batch per drain) against the whole-frame
+        /// reference (`parse_frame` → `admit` → `feed_frame_soa`, a batch
+        /// per frame), with drains ending after any frame: the same rows
+        /// in the same order, the same gap reports at the same row
+        /// positions with the same stamps, same counters, same link
+        /// accounts, and a batch sent per drain that admitted something.
         #[test]
         fn in_place_soa_path_equals_whole_frame_reference(
             sizes in collection::vec(0usize..7, 1..14),
@@ -780,6 +917,7 @@ mod tests {
             skip in 0u32..4096,
             dup in 0u32..4096,
             corrupt in 0usize..20,
+            drains in 0u32..(1 << 20),
         ) {
             let hosts = [10u16, 11, 12];
             let batches = batches(&hosts, &sizes, &starts);
@@ -791,9 +929,13 @@ mod tests {
 
             let under_test = rig(None, true);
             let mut link = under_test.ingest.link();
-            for body in &bodies {
+            for (i, body) in bodies.iter().enumerate() {
                 link.on_message(body);
+                if drains & (1 << (i % 20)) != 0 {
+                    link.on_drained();
+                }
             }
+            drop(link); // sends what the last drain staged
 
             let reference = rig(None, true);
             let SynopsisOut::Soa { tx, interner, .. } = &reference.ingest.out else {
@@ -817,13 +959,15 @@ mod tests {
 
             let batches = |rig: &testkit::Rig| -> Vec<SynopsisBatch> { rig.soa.try_iter().collect() };
             let (got, want) = (batches(&under_test), batches(&reference));
-            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
-            prop_assert_eq!(losses(&got), losses(&want));
+            prop_assert_eq!(row_stream(&got), row_stream(&want));
+            prop_assert!(got.len() <= want.len());
+            assert_batch_shape(&got, |_| 0);
             let stats = under_test.ingest.stats();
             prop_assert_eq!(
                 (stats.frames, stats.synopses, stats.watermark),
                 (frames, synopses, watermark)
             );
+            prop_assert_eq!(stats.batches, got.len() as u64);
             prop_assert_eq!(stats.corrupted_frames, receiver.corrupted_frames());
             prop_assert_eq!(stats.lost_synopses, receiver.total_lost());
             for host in hosts {
@@ -844,6 +988,7 @@ mod tests {
             starts in collection::vec(0u64..90_000, 100..101),
             skip in 0u32..4096,
             dup in 0u32..4096,
+            drains in 0u32..(1 << 20),
         ) {
             let hosts = [10u16, 11, 12];
             let bodies = frame_bodies(&hosts, &batches(&hosts, &sizes, &starts), skip, dup);
@@ -858,8 +1003,11 @@ mod tests {
             let in_band = rig(None, true);
             for ingest in [&legacy, &in_band.ingest] {
                 let mut link = ingest.link();
-                for body in &bodies {
+                for (i, body) in bodies.iter().enumerate() {
                     link.on_message(body);
+                    if drains & (1 << (i % 20)) != 0 {
+                        link.on_drained();
+                    }
                 }
             }
             let mut rows: Vec<SynopsisBatch> = in_band.soa.try_iter().collect();
@@ -874,20 +1022,186 @@ mod tests {
 
     /// A goodbye frame revealing a trailing gap has no first start to
     /// stamp the report with; it lands in the host's last live window.
+    /// Ending the drain that staged the data frame before it, it sends
+    /// the data first and its report alone, on a batch without rows.
     #[test]
     fn a_gap_revealed_by_an_empty_frame_is_charged_to_the_last_window() {
         let (bodies, owed) = goodbye_after_a_lost_frame();
-        let rig = rig(None, true);
+        let (rig, interner) = soa_rig();
         let mut link = rig.ingest.link();
         for body in &bodies {
             link.on_message(body);
         }
+        link.on_drained();
         assert_eq!(rig.ingest.stats().watermark, owed.at);
+        let batches: Vec<SynopsisBatch> = rig.soa.try_iter().collect();
+        let shape: Vec<_> = batches
+            .iter()
+            .map(|b| (b.len(), b.losses.clone()))
+            .collect();
+        assert_eq!(shape, [(3, vec![]), (0, vec![owed])]);
+        assert_gap_is_charged(&interner, &batches, owed);
+    }
+
+    /// A rig's SoA output and its interner.
+    fn soa_rig() -> (testkit::Rig, Arc<SignatureInterner>) {
+        let rig = rig(None, true);
         let SynopsisOut::Soa { interner, .. } = &rig.ingest.out else {
             unreachable!("rig(.., true) is the SoA output");
         };
-        let batches: Vec<SynopsisBatch> = rig.soa.try_iter().collect();
-        assert_gap_is_charged(interner, &batches, owed);
+        let interner = interner.clone();
+        (rig, interner)
+    }
+
+    /// Host 10's frames of `sizes` synopses, starts counting up by 10 ms.
+    fn host_frames(sizes: &[usize]) -> Vec<Vec<TaskSynopsis>> {
+        let mut uid = 0;
+        let mut frame = |n: usize| {
+            (0..n)
+                .map(|_| {
+                    uid += 1;
+                    synopsis(10, uid, 10 * uid, &[1, 2])
+                })
+                .collect()
+        };
+        sizes.iter().map(|&n| frame(n)).collect()
+    }
+
+    /// One drain of four frames whose third never arrives: the fourth
+    /// reveals the gap, so the first two go out on their own, counted as
+    /// they go, before the fourth is staged; its report rides ahead of
+    /// its rows alone, stamped with its first start.
+    #[test]
+    fn a_gap_mid_drain_sends_the_frames_staged_before_it() {
+        let frames = host_frames(&[2, 3, 1, 4]);
+        let bodies = frame_bodies(&[10], &frames, 0b0100, 0);
+        let (rig, interner) = soa_rig();
+        let mut link = rig.ingest.link();
+        for body in &bodies {
+            link.on_message(body);
+        }
+        // Before the drain ends: the staged frames went at the gap.
+        let sent: Vec<SynopsisBatch> = rig.soa.try_iter().collect();
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].len(), 5);
+        assert!(sent[0].losses.is_empty());
+        let stats = rig.ingest.stats();
+        assert_eq!((stats.frames, stats.synopses, stats.batches), (2, 5, 1));
+
+        link.on_drained();
+        let last: Vec<SynopsisBatch> = rig.soa.try_iter().collect();
+        assert_eq!(last.len(), 1);
+        let owed = LossReport {
+            host: HostId(10),
+            at: frames[3][0].start,
+            count: 1,
+        };
+        let mut want = soa(&frames[3], &interner);
+        want.losses.push(owed);
+        assert_eq!(format!("{:?}", last[0]), format!("{want:?}"));
+        let stats = rig.ingest.stats();
+        assert_eq!((stats.frames, stats.synopses, stats.batches), (3, 9, 2));
+    }
+
+    /// Mid-drain, a duplicate, a frame whose checksum fails and a
+    /// checksum-valid frame whose second synopsis does not decode each
+    /// leave the rows staged before them as they were: the drain sends
+    /// the three good frames' rows, in one batch.
+    #[test]
+    fn a_duplicate_or_corrupt_frame_mid_drain_keeps_the_staged_rows() {
+        use saad_core::transport::crc32;
+        let frames = host_frames(&[2, 3, 2, 1]);
+        // Frame 1 arrives twice.
+        let mut bodies = frame_bodies(&[10], &frames, 0, 0b0010);
+        let mut crc_bad = bodies[1].clone();
+        let last = crc_bad.len() - 1;
+        crc_bad[last] ^= 0x20;
+        // A visit count of 2^32 in frame 2's last synopsis: the first
+        // decodes onto the staging, the second fails it.
+        let mut wide_frames = frames.clone();
+        wide_frames[2][1].log_points[1].1 = u32::MAX;
+        let mut wide_body = frame_bodies(&[10], &wide_frames, 0, 0)[2].clone();
+        let tail = wide_body.len() - 5;
+        assert_eq!(wide_body[tail..], [0xff, 0xff, 0xff, 0xff, 0x0f]);
+        wide_body[tail..].copy_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]);
+        let crc = crc32(&[
+            &wide_body[..FRAME_HEADER_LEN - 4],
+            &wide_body[FRAME_HEADER_LEN..],
+        ]);
+        wide_body[FRAME_HEADER_LEN - 4..FRAME_HEADER_LEN].copy_from_slice(&crc.to_be_bytes());
+        // 0, 1, 1 again, a corrupt copy of 1, frame 2 undecodable, then
+        // frame 2 and 3 as sent (the undecodable copy took no sequence).
+        bodies.insert(3, crc_bad);
+        bodies.insert(4, wide_body);
+
+        let (rig, interner) = soa_rig();
+        let mut link = rig.ingest.link();
+        for body in &bodies {
+            link.on_message(body);
+        }
+        link.on_drained();
+        let sent: Vec<SynopsisBatch> = rig.soa.try_iter().collect();
+        assert_eq!(sent.len(), 1);
+        let want = soa(&frames.concat(), &interner);
+        assert_eq!(format!("{:?}", sent[0]), format!("{want:?}"));
+        let stats = rig.ingest.stats();
+        assert_eq!((stats.frames, stats.synopses, stats.batches), (4, 8, 1));
+        assert_eq!((stats.duplicate_frames, stats.corrupted_frames), (1, 2));
+    }
+
+    /// A drain longer than the row cap is sent in batches within it, the
+    /// rows unchanged, without waiting for the drain to end.
+    #[test]
+    fn a_drain_past_the_row_cap_is_sent_within_it() {
+        let frames = host_frames(&[48; 200]);
+        let bodies = frame_bodies(&[10], &frames, 0, 0);
+        let (rig, interner) = soa_rig();
+        let mut link = rig.ingest.link();
+        for body in &bodies {
+            link.on_message(body);
+        }
+        let early = rig.soa.len();
+        link.on_drained();
+        let sent: Vec<SynopsisBatch> = rig.soa.try_iter().collect();
+        assert_eq!(early, 2);
+        assert_eq!(sent.len(), 3);
+        assert_batch_shape(&sent, |_| 0);
+        let whole = soa(&frames.concat(), &interner);
+        assert_eq!(row_stream(&sent), row_stream(&[whole]));
+    }
+
+    /// Two connections' drains, alternating on one core: one batch per
+    /// drain, each holding one connection's rows, and each connection's
+    /// rows in the order it sent them.
+    #[test]
+    fn a_batch_never_mixes_connections() {
+        let sizes = [3, 1, 4, 1, 5, 9, 2, 6];
+        let (rig, _) = soa_rig();
+        let mut links = [rig.ingest.link(), rig.ingest.link()];
+        let streams = [10u16, 11].map(|host| {
+            let frames = batches(&[host], &sizes, &[7, 3, 11]);
+            frame_bodies(&[host], &frames, 0, 0)
+        });
+        for round in streams[0].chunks(3).zip(streams[1].chunks(2)) {
+            for (link, bodies) in links.iter_mut().zip([round.0, round.1]) {
+                bodies.iter().for_each(|body| link.on_message(body));
+                link.on_drained();
+            }
+        }
+        let sent: Vec<SynopsisBatch> = rig.soa.try_iter().collect();
+        assert_eq!(sent.len(), 6, "three rounds of two drains");
+        assert_batch_shape(&sent, |row| usize::from(row.host.0));
+        drop(links);
+        assert!(rig.soa.is_empty(), "every drain sent what it staged");
+        let rows = row_stream(&sent).rows;
+        for host in [10, 11] {
+            let ours = rows.iter().filter(|(row, _)| row.host == HostId(host));
+            let uids: Vec<u64> = ours.map(|(row, _)| row.uid.0).collect();
+            assert!(
+                uids.windows(2).all(|w| w[0] < w[1]),
+                "host {host}: {uids:?}"
+            );
+        }
     }
 
     /// Frames whose checksum is right and whose synopsis has a field
@@ -898,7 +1212,6 @@ mod tests {
     /// outputs, nothing of it is forwarded, and the stream stays readable.
     #[test]
     fn a_crc_valid_frame_with_a_wide_id_is_counted_corrupted() {
-        use saad_core::synopsis::TaskSynopsis;
         use saad_core::transport::crc32;
         use saad_core::TaskUid;
         let host = 20_000; // three varint bytes, the last one `1`
@@ -937,6 +1250,7 @@ mod tests {
                 for body in &bodies {
                     link.on_message(body);
                 }
+                link.on_drained();
                 let stats = rig.ingest.stats();
                 assert_eq!(
                     (stats.corrupted_frames, stats.frames, stats.synopses),

@@ -17,10 +17,12 @@
 //!   handshake verdict, frame check and in-place decode outside any lock,
 //!   sequencing under one shared
 //!   [`FrameReceiver`](saad_core::transport::FrameReceiver), and one
-//!   [`SynopsisBatch`](saad_core::batch::SynopsisBatch) send per frame —
-//!   interned at the collector against the consuming pool's interner, the
-//!   [`LossReport`](saad_core::transport::LossReport) of a gap the frame
-//!   revealed riding on it — into the pool's one input.
+//!   [`SynopsisBatch`](saad_core::batch::SynopsisBatch) send per ring
+//!   drain — every frame the drain admitted, interned at the collector
+//!   against the consuming pool's interner, the
+//!   [`LossReport`](saad_core::transport::LossReport) of a gap riding
+//!   ahead of the rows of the frame that revealed it — into the pool's one
+//!   input.
 //! * `outbound` — the sending end of one link as a sans-IO state machine,
 //!   the session's mirror: frames numbered once, one coalesced wire
 //!   image, a cut write accounted frame by frame, reconnect with jittered

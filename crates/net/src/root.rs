@@ -21,9 +21,10 @@
 //! Everything else is the agent-facing collector's, step for step: the
 //! readiness-driven `server`, a [`Session`](crate::Session) per uplink,
 //! and the `ingest` core's handler — one frame check, the payload decoded
-//! in place into a [`SynopsisBatch`] on the consuming pool's interner, the
-//! gap it revealed riding on it, one send, then the counters, exported as
-//! the collector's own `saad_collector_*` series under `tier="root"`. The
+//! in place onto the uplink's staging [`SynopsisBatch`] on the consuming
+//! pool's interner, the gap it revealed riding ahead of its rows, one send
+//! per drain, then the counters, exported as the collector's own
+//! `saad_collector_*` series under `tier="root"`. The
 //! root's own part is its admission: windows per uplink, loss in the
 //! ledger, and an ack that resumes nothing.
 
@@ -53,7 +54,8 @@ pub struct RootCollector {
 impl RootCollector {
     /// Bind on `addr` (port 0 allowed) and start accepting leaf uplinks;
     /// admitted synopses are interned into the consuming pool's `interner`
-    /// and sent on `batch_tx`, each batch with the gap it revealed.
+    /// and sent on `batch_tx`, a batch per uplink drain, each gap ahead of
+    /// the rows of the digest that revealed it.
     ///
     /// # Errors
     ///
@@ -120,15 +122,15 @@ impl RootCollector {
 mod tests {
     use super::*;
     use crate::ingest::testkit::{
-        assert_gap_is_charged, batches, feed_in_cuts, frame_bodies, goodbye_after_a_lost_frame,
-        hello_bytes, losses, wire_of,
+        assert_batch_shape, assert_gap_is_charged, batches, feed_in_cuts, frame_bodies,
+        goodbye_after_a_lost_frame, hello_bytes, row_stream, wire_of, RowStream,
     };
     use crate::protocol::{write_message, PINNED_EPOCH};
     use crate::session::{Handler, Session};
     use crossbeam_channel::{unbounded, Receiver};
     use proptest::prelude::*;
     use saad_core::testkit::{feed_frame_soa, parse_frame, FrameOutcome};
-    use saad_core::transport::{FrameReceiver, FrameSender, LossReport};
+    use saad_core::transport::{FrameReceiver, FrameSender};
     use saad_sim::SimTime;
 
     /// A root's core with its one output observable: the batches, with
@@ -162,6 +164,7 @@ mod tests {
         for body in &bodies {
             uplink.on_message(body);
         }
+        uplink.on_drained();
 
         let stats = rig.ingest.stats();
         assert_eq!(
@@ -175,15 +178,16 @@ mod tests {
 
     const HOSTS: [u16; 2] = [10, 11];
 
-    /// Everything one uplink leaves behind at a root.
+    /// Everything one uplink leaves behind at a root, the batches read
+    /// as one row stream (their boundaries follow the cuts; their count
+    /// is checked, then zeroed in `stats`).
     #[derive(Debug, PartialEq)]
     struct Outcome {
         alive: bool,
         acks: Vec<u8>,
         stats: CollectorStats,
         links: Vec<LinkStats>,
-        batches: Vec<String>,
-        losses: Vec<LossReport>,
+        rows: RowStream,
     }
 
     /// Feed `wire` to a fresh root through one uplink session in the
@@ -195,13 +199,18 @@ mod tests {
         drop(uplink); // the connection closes
         let links = HOSTS.iter().map(|&h| rig.ingest.link_stats(HostId(h)));
         let batches: Vec<SynopsisBatch> = rig.batches.try_iter().collect();
+        assert_batch_shape(&batches, |_| 0);
+        let stats = rig.ingest.stats();
+        assert_eq!(stats.batches, batches.len() as u64);
         Outcome {
             alive,
             acks,
-            stats: rig.ingest.stats(),
+            stats: CollectorStats {
+                batches: 0,
+                ..stats
+            },
             links: links.collect(),
-            losses: losses(&batches),
-            batches: batches.iter().map(|b| format!("{b:?}")).collect(),
+            rows: row_stream(&batches),
         }
     }
 
@@ -229,11 +238,9 @@ mod tests {
             (5, 1, 0)
         );
         assert_eq!((s.synopses, s.lost_synopses), (9, 2));
-        assert_eq!(whole.losses.len(), 1, "{:?}", whole.losses);
-        assert_eq!(
-            (whole.losses[0].host, whole.losses[0].count),
-            (HostId(10), 2)
-        );
+        let losses = &whole.rows.losses;
+        assert_eq!(losses.len(), 1, "{losses:?}");
+        assert_eq!((losses[0].1.host, losses[0].1.count), (HostId(10), 2));
         assert_eq!(whole.links[0].lost_synopses, 2);
         assert_eq!(whole.links[1].duplicate_frames, 1);
 
@@ -284,14 +291,16 @@ mod tests {
 
     proptest! {
         /// The root's in-place path (frame check → `decode_batch_into` →
-        /// the uplink's window → the ledger → `reveal_gap` → one send)
-        /// against the whole-frame reference it replaced (`parse_frame` →
-        /// a `FrameReceiver` per uplink → the ledger → `feed_frame_soa`):
-        /// two uplinks reusing each other's sequence numbers for the same
-        /// hosts, with gaps, duplicates, goodbyes, a corrupt body, and the
-        /// two wires cut anywhere and interleaved. Same batches and gap
-        /// reports with the same stamps, same counters, same per-host
-        /// accounts.
+        /// the uplink's window → the ledger → `reveal_gap` → one send per
+        /// drain) against the whole-frame reference it replaced
+        /// (`parse_frame` → a `FrameReceiver` per uplink → the ledger →
+        /// `feed_frame_soa`, one send per frame): two uplinks reusing each
+        /// other's sequence numbers for the same hosts, with gaps,
+        /// duplicates, goodbyes, a corrupt body, and the two wires cut
+        /// anywhere and interleaved. Same rows in the same order, gap
+        /// reports at the same row positions with the same stamps, same
+        /// counters, same per-host accounts; no batch holds both uplinks'
+        /// rows.
         #[test]
         fn the_in_place_root_equals_its_whole_frame_reference(
             spans in collection::vec((0usize..2, 0usize..2, 0usize..6, 0u8..8), 1..24),
@@ -300,6 +309,11 @@ mod tests {
             cuts in collection::vec(1usize..200, 1..24),
         ) {
             let mut bodies = two_uplinks(&spans, &starts);
+            // Each uid is one span's, and so one uplink's.
+            let uplink_of: Vec<usize> = spans
+                .iter()
+                .flat_map(|&(_, uplink, size, _)| std::iter::repeat_n(uplink, size))
+                .collect();
             if let Some(body) = bodies.iter_mut().flatten().nth(corrupt) {
                 let last = body.len() - 1;
                 body[last] ^= 0x20;
@@ -369,8 +383,9 @@ mod tests {
 
             let got: Vec<SynopsisBatch> = root.batches.try_iter().collect();
             let expected: Vec<SynopsisBatch> = reference_batches.try_iter().collect();
-            prop_assert_eq!(format!("{got:?}"), format!("{expected:?}"));
-            prop_assert_eq!(losses(&got), losses(&expected));
+            prop_assert_eq!(row_stream(&got), row_stream(&expected));
+            assert_batch_shape(&got, |row| uplink_of[row.uid.0 as usize - 1]);
+            want.batches = got.len() as u64;
             prop_assert_eq!(root.ingest.stats(), want);
             for h in HOSTS {
                 prop_assert_eq!(root.ingest.link_stats(HostId(h)), ledger.stats(HostId(h)));
@@ -381,7 +396,7 @@ mod tests {
     /// One registry holding a collector, a root, two leaves and a control
     /// plane renders one `saad_collector_*` family — the collector's
     /// series unlabelled, the root's under `tier="root"`, each leaf's
-    /// under `leaf="<id>"`, ten each — and well-formed exposition,
+    /// under `leaf="<id>"`, eleven each — and well-formed exposition,
     /// counters ending in `_total`.
     #[test]
     fn one_registry_renders_one_collector_family_for_every_tier() {
@@ -415,15 +430,15 @@ mod tests {
             let names = samples.filter_map(|l| l.split_once(' ')?.0.strip_suffix(labels));
             names.filter(|name| !name.contains('{')).count()
         };
-        assert_eq!(series(""), 10, "{text}");
-        assert_eq!(series("{tier=\"root\"}"), 10, "{text}");
+        assert_eq!(series(""), 11, "{text}");
+        assert_eq!(series("{tier=\"root\"}"), 11, "{text}");
         for leaf in ["0", "1"] {
-            assert_eq!(series(&format!("{{leaf=\"{leaf}\"}}")), 10, "{text}");
+            assert_eq!(series(&format!("{{leaf=\"{leaf}\"}}")), 11, "{text}");
         }
         let families = text
             .lines()
             .filter(|l| l.starts_with("# TYPE saad_collector_"));
-        assert_eq!(families.count(), 10);
+        assert_eq!(families.count(), 11);
         assert!(text.contains("\nsaad_reactor_polls_total{tier=\"root\",loop=\"0\"} "));
 
         for leaf in leaves {

@@ -253,10 +253,11 @@ fn ingest<H: Handler>(
     handler: &mut H,
     metrics: &LoopMetrics,
 ) -> bool {
-    let (mut eof, mut landed) = (false, 0);
+    let (mut eof, mut landed, mut framed) = (false, 0, true);
     while landed < READ_BUDGET {
         if session.ring_mut().free() == 0 && !session.drain(handler) {
-            return false;
+            framed = false;
+            break;
         }
         let read = source.read_vectored(&mut session.ring_mut().io_slices());
         let n = match read {
@@ -272,9 +273,13 @@ fn ingest<H: Handler>(
         session.ring_mut().commit(n);
         landed += n;
     }
+    // Bytes that landed count even when they end the connection.
     metrics
         .read_bytes
         .fetch_add(landed as u64, Ordering::Relaxed);
+    if !framed {
+        return false;
+    }
     // Drain even on EOF: complete messages that arrived with the FIN are
     // still valid.
     let framed = session.drain(handler);
@@ -519,6 +524,43 @@ mod tests {
             metrics.read_bytes.load(Ordering::Relaxed),
             wire.len() as u64
         );
+    }
+
+    /// A full ring whose drain meets a length prefix past the bound ends
+    /// the connection, and the bytes that filled it still count as read;
+    /// the frames ahead of the prefix are admitted and sent.
+    #[test]
+    fn bytes_read_ahead_of_an_unframeable_prefix_are_counted() {
+        use crate::protocol::MAX_MESSAGE_LEN;
+        let mut sender = FrameSender::new(HostId(7));
+        let mut wire = hello_bytes(2, 7, PINNED_EPOCH);
+        let batch: Vec<TaskSynopsis> = (0..32).map(|i| synopsis(7, i, i, &[1, 2])).collect();
+        for _ in 0..4 {
+            write_message(&mut wire, &sender.encode_frame(&batch)).unwrap();
+        }
+        wire.extend_from_slice(&(MAX_MESSAGE_LEN as u32 + 1).to_be_bytes());
+        wire.resize(wire.len() + 2 * INITIAL_RING, 0xab);
+
+        let rig = rig(None, true);
+        let (mut session, mut link) = (Session::new(INITIAL_RING), rig.ingest.link());
+        let metrics = LoopMetrics::default();
+        let mut source = Slabs {
+            wire: &wire,
+            slab_left: usize::MAX,
+        };
+        assert!(!ingest(&mut source, &mut session, &mut link, &metrics));
+        let landed = wire.len() - source.wire.len();
+        assert_eq!(
+            landed, INITIAL_RING,
+            "one ring's worth, then the drain failed"
+        );
+        assert_eq!(metrics.read_bytes.load(Ordering::Relaxed), landed as u64);
+        let stats = rig.ingest.stats();
+        assert_eq!(
+            (stats.frames, stats.synopses, stats.corrupted_frames),
+            (4, 128, 1)
+        );
+        assert_eq!(rig.soa.try_iter().map(|b| b.len()).sum::<usize>(), 128);
     }
 
     #[test]

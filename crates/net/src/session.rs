@@ -8,7 +8,9 @@
 //! [`Handler`]'s business; who moves the bytes is the driver's: the
 //! readiness loop lands vectored reads in [`Session::ring_mut`] and calls
 //! [`Session::drain`], tests call [`Session::feed`]. The steps taken
-//! depend on the byte stream alone, never on how it was cut.
+//! depend on the byte stream alone, never on how it was cut — except
+//! where [`Handler::on_drained`] falls between them, which is at the end
+//! of each drain.
 
 use crate::framing::FrameAssembler;
 use crate::protocol::{
@@ -32,6 +34,12 @@ pub trait Handler {
     /// One complete length-prefixed message body, borrowed from the ring
     /// for the duration of the call.
     fn on_message(&mut self, body: &[u8]);
+
+    /// Every complete message buffered so far has been handed over: the
+    /// end of one [`Session::drain`] of a streaming connection, and the
+    /// step before [`Handler::on_unframeable`]. A handler that collects
+    /// messages hands them on here; the default does nothing.
+    fn on_drained(&mut self) {}
 
     /// A length prefix beyond [`MAX_MESSAGE_LEN`](crate::protocol::MAX_MESSAGE_LEN):
     /// message boundaries are lost and the connection is about to close.
@@ -118,9 +126,11 @@ impl Session {
         true
     }
 
-    /// Take every step the buffered bytes complete. Afterwards the ring
-    /// has free space. Returns `false` when message boundaries were lost
-    /// and the connection must close.
+    /// Take every step the buffered bytes complete, then, on a streaming
+    /// connection, tell the handler it has them all
+    /// ([`Handler::on_drained`]). Afterwards the ring has free space.
+    /// Returns `false` when message boundaries were lost and the
+    /// connection must close.
     pub fn drain<H: Handler>(&mut self, handler: &mut H) -> bool {
         loop {
             match self.phase {
@@ -149,8 +159,12 @@ impl Session {
                 }
                 Phase::Streaming => match self.assembler.next_message() {
                     Ok(Some(body)) => handler.on_message(body),
-                    Ok(None) => return true,
+                    Ok(None) => {
+                        handler.on_drained();
+                        return true;
+                    }
                     Err(_) => {
+                        handler.on_drained();
                         handler.on_unframeable();
                         return false;
                     }
@@ -194,7 +208,8 @@ impl Session {
 mod tests {
     use super::*;
     use crate::ingest::testkit::{
-        batches, feed_in_cuts, frame_bodies, hello_bytes, losses, rig, synopsis, wire_of, Forwarded,
+        assert_batch_shape, batches, feed_in_cuts, frame_bodies, hello_bytes, rig, row_stream,
+        synopsis, wire_of, Forwarded, RowStream,
     };
     use crate::ingest::CollectorStats;
     use crate::protocol::{
@@ -202,7 +217,7 @@ mod tests {
     };
     use proptest::prelude::*;
     use saad_core::batch::SynopsisBatch;
-    use saad_core::transport::{LinkStats, LossReport};
+    use saad_core::transport::LinkStats;
     use saad_core::HostId;
 
     const HOSTS: [u16; 3] = [10, 11, 12];
@@ -216,15 +231,17 @@ mod tests {
         wire: Vec<u8>,
     }
 
-    /// Everything a run leaves behind that anyone can observe.
+    /// Everything a run leaves behind that anyone can observe, but for
+    /// where the batch boundaries fall: that follows the drains, and so
+    /// the cuts. The batches are checked for their shape and count and
+    /// then read as one row stream; `stats.batches` is zeroed.
     #[derive(Debug, PartialEq)]
     struct Outcome {
         alive: bool,
         rejected: bool,
         acks: Vec<u8>,
-        soa: Vec<String>,
+        soa: RowStream,
         forwarded: Vec<Forwarded>,
-        losses: Vec<LossReport>,
         stats: CollectorStats,
         links: Vec<LinkStats>,
     }
@@ -237,15 +254,23 @@ mod tests {
         // A tiny ring, so reassembly wraps and grows.
         let mut session = Session::new(64);
         let (alive, acks) = feed_in_cuts(&mut session, &mut link, &scenario.wire, cuts);
+        // Every drain sent what it admitted: nothing is left for the drop.
         let batches: Vec<SynopsisBatch> = rig.soa.try_iter().collect();
+        drop(link);
+        assert!(rig.soa.is_empty(), "a drain left rows staged");
+        assert_batch_shape(&batches, |_| 0);
+        let stats = rig.ingest.stats();
+        assert_eq!(stats.batches, batches.len() as u64);
         Outcome {
             alive,
             rejected: session.is_rejected(),
             acks,
-            losses: losses(&batches),
-            soa: batches.iter().map(|b| format!("{b:?}")).collect(),
+            soa: row_stream(&batches),
             forwarded: rig.forwarded.try_iter().collect(),
-            stats: rig.ingest.stats(),
+            stats: CollectorStats {
+                batches: 0,
+                ..stats
+            },
             links: HOSTS
                 .iter()
                 .map(|&h| rig.ingest.link_stats(HostId(h)))
@@ -311,8 +336,9 @@ mod tests {
     proptest! {
         /// What a stream does to a collector is a function of its bytes,
         /// not of how reads cut them: whole, one byte at a time and any
-        /// chunking in between leave identical acks, batches, loss
-        /// reports, counters and link accounts.
+        /// chunking in between leave identical acks, rows, loss reports
+        /// at the same row positions, counters and link accounts — only
+        /// the batches those rows come in follow the cuts.
         #[test]
         fn any_chunking_leaves_the_same_collector(
             k in knobs(),
@@ -397,7 +423,7 @@ mod tests {
             let admitted = u64::from(accept);
             let parsed = (s.frames, s.synopses, s.corrupted_frames);
             assert_eq!(parsed, (admitted, admitted, 0), "{name}");
-            assert_eq!(got.soa.len() as u64, admitted, "{name}");
+            assert_eq!(got.soa.rows.len() as u64, admitted, "{name}");
         };
         let hello = hello_bytes;
         #[rustfmt::skip]

@@ -332,13 +332,13 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
 
     // Content exactness: per host, the synopses the pool actually
     // received are the full capture minus exactly the accounted gap —
-    // in order, nothing reordered, nothing repeated.
+    // in order, nothing reordered, nothing repeated. A batch is one
+    // uplink drain, so it may hold several hosts' digests.
     let mut arrived: BTreeMap<HostId, Vec<u64>> = BTreeMap::new();
-    for b in log.iter().filter(|b| !b.is_empty()) {
-        arrived
-            .entry(b.hosts[0])
-            .or_default()
-            .extend(b.uids.iter().map(|uid| uid.0));
+    for b in &log {
+        for (host, uid) in b.hosts.iter().zip(&b.uids) {
+            arrived.entry(*host).or_default().push(uid.0);
+        }
     }
     for (&h, ss) in &per_host {
         let (gap_start, lost) = gaps[&h];

@@ -19,8 +19,12 @@ use saad::core::pipeline::{
 };
 use saad::core::prelude::*;
 use saad::core::testkit::{soa, TempDir};
+use saad::core::transport::FrameSender;
 use saad::logging::{Interceptor, Level, LogPointId};
-use saad::net::{Agent, AgentConfig, ReactorCollector, ReactorCollectorConfig};
+use saad::net::protocol::{encode_hello, write_message, HELLO_ACK_LEN, PINNED_EPOCH};
+use saad::net::{
+    Agent, AgentConfig, Hello, PeerRole, ReactorCollector, ReactorCollectorConfig, PROTOCOL_VERSION,
+};
 use saad::obs::{validate_text, MetricsServer, Registry};
 use saad::sim::{Clock, ManualClock, SimDuration, SimTime, WallClock};
 use std::io::{Read, Write};
@@ -156,12 +160,17 @@ fn scrape_endpoint_serves_live_metrics_from_pool_and_wire() {
     );
     assert!(sample_value(&body, "saad_collector_connections_active ") >= 1.0);
     assert!(sample_value(&body, "saad_pool_watermark_us") > 0.0);
+
     // The pool promoted (promote_after = 300 < TASKS) and checkpointed;
-    // the latency histogram must carry those writes.
+    // the latency histogram must carry those writes. A scrape renders
+    // the latency family before the written count, so a write finishing
+    // mid-scrape shows in the count alone: read the histogram from the
+    // next scrape.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let (_, body) = scrape(server.local_addr());
         if sample_value(&body, "saad_checkpoints_written_total") >= 1.0 {
+            let (_, body) = scrape(server.local_addr());
             assert!(sample_value(&body, "saad_checkpoint_write_latency_us_count") >= 1.0);
             assert!(sample_value(&body, "saad_pool_detecting") == 1.0);
             break;
@@ -173,12 +182,60 @@ fn scrape_endpoint_serves_live_metrics_from_pool_and_wire() {
     }
     assert!(server.scrapes_served() >= 2);
 
+    // Frames that land together go to the pool together: a peer writing
+    // a run of frames in one write costs the collector fewer batches than
+    // frames, and the series says so.
+    const FRAMES: u64 = 20;
+    send_frames_in_one_write(collector.local_addr(), HostId(8), FRAMES, TASKS * 20);
+    wait_processed(&pool, TASKS + FRAMES * 16);
+    let (_, body) = scrape(server.local_addr());
+    let frames = sample_value(&body, "saad_collector_frames_total ");
+    let batches = sample_value(&body, "saad_collector_batches_total ");
+    assert!(frames >= FRAMES as f64, "{frames} frames");
+    assert!(
+        batches >= 1.0 && batches < frames,
+        "{batches} batches for {frames} frames"
+    );
+
     // Orderly teardown.
     server.shutdown();
     let _ = agent.close();
     collector.shutdown();
     drop(batch_tx);
     pool.join().unwrap();
+}
+
+/// Connect to `addr` as `host`, wait for the collector's ack, then write
+/// `frames` frames of 16 synopses, starting at `from_ms`, in one write.
+fn send_frames_in_one_write(addr: std::net::SocketAddr, host: HostId, frames: u64, from_ms: u64) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let hello = Hello {
+        version: PROTOCOL_VERSION,
+        host,
+        next_seq: 0,
+        sent_cum: 0,
+        written_cum: 0,
+        epoch: PINNED_EPOCH,
+        role: PeerRole::Agent,
+    };
+    stream.write_all(&encode_hello(&hello)).unwrap();
+    stream.read_exact(&mut [0; HELLO_ACK_LEN]).unwrap();
+    let mut sender = FrameSender::new(host);
+    let mut wire = Vec::new();
+    for f in 0..frames {
+        let batch: Vec<TaskSynopsis> = (0..16)
+            .map(|i| TaskSynopsis {
+                host,
+                stage: StageId(3),
+                uid: TaskUid(f * 16 + i),
+                start: SimTime::from_millis(from_ms + (f * 16 + i) * 20),
+                duration: SimDuration::from_micros(900 + i * 40),
+                log_points: vec![(LogPointId(1), 1), (LogPointId(2), 1)],
+            })
+            .collect();
+        write_message(&mut wire, &sender.encode_frame(&batch)).unwrap();
+    }
+    stream.write_all(&wire).unwrap();
 }
 
 /// Drive synthetic healthy traffic through a meta-monitored lifecycle

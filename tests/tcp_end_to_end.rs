@@ -4,19 +4,29 @@
 //! accounted, never silently swallowed.
 //!
 //! * An HBase severe-disk-hog scenario is captured once, then replayed
-//!   through an uninterrupted in-process lifecycle pool (the oracle) and
-//!   through a single agent → collector → identical pool over TCP. The
-//!   two event multisets must be equal.
+//!   through a single agent → collector → lifecycle pool over TCP and
+//!   through an identical in-process pool (the oracle). The pool must
+//!   receive the capture's rows in order, and the two event multisets
+//!   must be equal.
 //! * A collector is killed mid-stream and restarted (state carry-over,
 //!   same port); the agent reconnects and resumes. The outage must
 //!   surface as exactly one loss-accounted gap, no duplicates, and the
-//!   event multiset must equal an oracle fed the same surviving batches
-//!   with the same loss report.
+//!   event multiset must equal an oracle fed the same surviving rows with
+//!   the same loss report at the same position.
+//! * The same HBase capture through a model-started pool over TCP must
+//!   report exactly what an in-process pool fed fixed 48-row batches
+//!   does: such a pool decides nothing at batch boundaries, so where the
+//!   reads cut the stream must not show in its events.
 //! * A `FaultyProxy` between agent and collector injects corruption,
 //!   drops, a mid-stream disconnect, and a slow-loris trickle; proxy
 //!   counters and transport accounting must reconcile exactly.
+//!
+//! A lifecycle pool promotes, swaps and checkpoints at batch boundaries,
+//! and a collector sends one batch per ring drain, wherever the reads
+//! cut the stream. So the lifecycle oracles are fed the rows cut where
+//! the collector cut them, as a tap between collector and pool recorded.
 
-use crossbeam_channel::{unbounded, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use saad::core::detector::{AnomalyEvent, AnomalyKind};
 use saad::core::model::ModelConfig;
 use saad::core::pipeline::{
@@ -35,6 +45,7 @@ use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const BATCH: usize = 48;
@@ -78,6 +89,56 @@ fn wait_processed(pool: &PoolHandle, target: u64) {
             pool.processed()
         );
         std::thread::yield_now();
+    }
+}
+
+/// One batch as the tap saw it: its rows' uids and its gap reports.
+type Cut = (Vec<u64>, Vec<LossReport>);
+
+/// A thread between a collector and its pool that forwards every batch
+/// unchanged and records it as a [`Cut`].
+fn spawn_tap(from: Receiver<SynopsisBatch>, to: Sender<SynopsisBatch>) -> JoinHandle<Vec<Cut>> {
+    std::thread::spawn(move || {
+        let mut cuts = Vec::new();
+        for batch in from.iter() {
+            cuts.push((
+                batch.uids.iter().map(|u| u.0).collect(),
+                batch.losses.clone(),
+            ));
+            let _ = to.send(batch);
+        }
+        cuts
+    })
+}
+
+/// Feed an oracle pool `rows` cut as `cuts` were, each batch with its
+/// gap reports, after checking that the cuts hold exactly `rows`, in
+/// order.
+fn replay_cuts(
+    tx: &Sender<SynopsisBatch>,
+    pool: &PoolHandle,
+    rows: &[&TaskSynopsis],
+    cuts: &[Cut],
+) {
+    let arrived: Vec<u64> = cuts
+        .iter()
+        .flat_map(|(uids, _)| uids.iter().copied())
+        .collect();
+    let sent: Vec<u64> = rows.iter().map(|s| s.uid.0).collect();
+    assert_eq!(
+        arrived, sent,
+        "the pool must see exactly these rows, in order"
+    );
+    let (interner, mut at) = (pool.interner(), 0);
+    for (uids, losses) in cuts {
+        let cut: Vec<TaskSynopsis> = rows[at..at + uids.len()]
+            .iter()
+            .map(|&s| s.clone())
+            .collect();
+        at += uids.len();
+        let mut batch = soa(&cut, &interner);
+        batch.losses.clone_from(losses);
+        tx.send(batch).unwrap();
     }
 }
 
@@ -127,27 +188,13 @@ fn hbase_fault_scenario_over_tcp_matches_in_process_path() {
     let stream = hbase_severe_hog_stream();
     assert!(stream.len() > 2_000, "scenario too small: {}", stream.len());
 
-    // Oracle: the same lifecycle pool shape fed in-process.
-    let oracle_dir = TempDir::new("hbase-oracle");
-    let (oracle_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
-    let interner = oracle_pool.interner();
-    for chunk in stream.chunks(BATCH) {
-        oracle_tx.send(soa(chunk, &interner)).unwrap();
-    }
-    drop(oracle_tx);
-    let oracle_events = drain_events(oracle_pool);
-    assert!(
-        oracle_events
-            .iter()
-            .any(|e| matches!(e.kind, AnomalyKind::FlowNew(_))),
-        "oracle must detect the cascade: {oracle_events:?}"
-    );
-
-    // Wire path: one agent (order-preserving) → collector → same pool.
+    // Wire path: one agent (order-preserving) → collector → tap → pool.
     let tcp_dir = TempDir::new("hbase-tcp");
     let (batch_tx, pool) = spawn_pool(tcp_dir.path(), 3);
+    let (collector_tx, collector_rx) = unbounded::<SynopsisBatch>();
+    let tap = spawn_tap(collector_rx, batch_tx);
     let (interner, config) = (pool.interner(), ReactorCollectorConfig::default());
-    let collector = ReactorCollector::bind("127.0.0.1:0", batch_tx, interner, config).unwrap();
+    let collector = ReactorCollector::bind("127.0.0.1:0", collector_tx, interner, config).unwrap();
     let agent = Agent::connect(collector.local_addr(), HostId(900), AgentConfig::default());
     for chunk in stream.chunks(BATCH) {
         agent.send(chunk.to_vec());
@@ -168,12 +215,96 @@ fn hbase_fault_scenario_over_tcp_matches_in_process_path() {
         stream.iter().map(|s| s.start).max().unwrap()
     );
     collector.shutdown();
+    let cuts = tap.join().unwrap();
     let tcp_events = drain_events(pool);
+    assert!(cuts.iter().all(|(_, losses)| losses.is_empty()));
+
+    // Oracle: the same lifecycle pool shape fed in-process, the same rows
+    // cut where the collector cut them.
+    let oracle_dir = TempDir::new("hbase-oracle");
+    let (oracle_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
+    replay_cuts(
+        &oracle_tx,
+        &oracle_pool,
+        &stream.iter().collect::<Vec<_>>(),
+        &cuts,
+    );
+    drop(oracle_tx);
+    let oracle_events = drain_events(oracle_pool);
+    assert!(
+        oracle_events
+            .iter()
+            .any(|e| matches!(e.kind, AnomalyKind::FlowNew(_))),
+        "oracle must detect the cascade: {oracle_events:?}"
+    );
 
     assert_eq!(
         event_keys(&tcp_events),
         event_keys(&oracle_events),
         "wire-path detection diverged from the in-process path"
+    );
+}
+
+/// A model-started pool behind a socket: wherever the collector's drains
+/// cut the stream, its events equal an in-process pool's over fixed
+/// 48-row batches.
+#[test]
+fn hbase_fault_over_tcp_into_a_model_pool_matches_fixed_cuts() {
+    let stream = hbase_severe_hog_stream();
+    // Trained on the minutes before the hog starts.
+    let mut builder = ModelBuilder::new();
+    for s in stream.iter().filter(|s| s.start < SimTime::from_mins(3)) {
+        builder.observe(s);
+    }
+    let model = Arc::new(builder.build(ModelConfig::default()));
+    let spawn_model_pool = || {
+        let (batch_tx, batch_rx) = unbounded();
+        let start = PoolStart::Model {
+            model: model.clone(),
+            interner: Arc::new(SignatureInterner::new()),
+        };
+        let config = DetectorConfig::default();
+        let pool = spawn_analyzer_pool(start, config, supervisor(), 3, batch_rx)
+            .expect("no store to open");
+        (batch_tx, pool)
+    };
+
+    // Oracle: fixed 48-row batches, in process.
+    let (oracle_tx, oracle_pool) = spawn_model_pool();
+    let interner = oracle_pool.interner();
+    for chunk in stream.chunks(BATCH) {
+        oracle_tx.send(soa(chunk, &interner)).unwrap();
+    }
+    drop(oracle_tx);
+    let oracle_events = drain_events(oracle_pool);
+    assert!(
+        oracle_events
+            .iter()
+            .any(|e| matches!(e.kind, AnomalyKind::FlowNew(_))),
+        "oracle must detect the cascade: {oracle_events:?}"
+    );
+
+    // Wire path: one agent → collector → pool, one batch per drain.
+    let (batch_tx, pool) = spawn_model_pool();
+    let (interner, config) = (pool.interner(), ReactorCollectorConfig::default());
+    let collector = ReactorCollector::bind("127.0.0.1:0", batch_tx, interner, config).unwrap();
+    let agent = Agent::connect(collector.local_addr(), HostId(900), AgentConfig::default());
+    for chunk in stream.chunks(BATCH) {
+        agent.send(chunk.to_vec());
+    }
+    let agent_stats = agent.close();
+    assert_eq!(agent_stats.synopses_written, stream.len() as u64);
+    wait_processed(&pool, stream.len() as u64);
+    let collector_stats = collector.stats();
+    assert_eq!(collector_stats.synopses, stream.len() as u64);
+    assert_eq!(collector_stats.lost_synopses, 0);
+    collector.shutdown();
+    let tcp_events = drain_events(pool);
+
+    assert_eq!(
+        event_keys(&tcp_events),
+        event_keys(&oracle_events),
+        "a model pool behind a socket diverged from fixed 48-row batches"
     );
 }
 
@@ -232,17 +363,11 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
     // --- Wire run with a mid-stream collector kill + restart ----------
     let tcp_dir = TempDir::new("restart-tcp");
     let (batch_tx, pool) = spawn_pool(tcp_dir.path(), 3);
-    // The test keeps its own tap on the pool's input to count gap reports:
-    // both collectors feed it, and it forwards every batch unchanged.
+    // The test keeps its own tap on the pool's input, to read the gap
+    // reports and where the collectors cut the rows: both collectors feed
+    // it, and it forwards every batch unchanged.
     let (collector_tx, collector_rx) = unbounded::<SynopsisBatch>();
-    let tap = std::thread::spawn(move || {
-        let mut reports = Vec::new();
-        for batch in collector_rx.iter() {
-            reports.extend_from_slice(&batch.losses);
-            let _ = batch_tx.send(batch);
-        }
-        reports
-    });
+    let tap = spawn_tap(collector_rx, batch_tx);
 
     let collector_a = ReactorCollector::bind(
         "127.0.0.1:0",
@@ -364,33 +489,30 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
     wait_processed(&pool, delivered_target);
     collector_b.shutdown();
     drop(collector_tx);
-    let reports: Vec<LossReport> = tap.join().unwrap();
+    let cuts = tap.join().unwrap();
     let tcp_events = drain_events(pool);
 
-    assert_eq!(reports.len(), 1, "exactly one loss report: {reports:?}");
-    assert_eq!(reports[0].count, lost);
-    assert_eq!(reports[0].host, frame_host);
-
-    // --- Oracle: same surviving batches, same loss report, in-process --
     // The gap is the contiguous run batches[half .. half + k_lost]; the
-    // first surviving batch after it reveals the loss, stamped with its
-    // first synopsis start — exactly what the collector does on the wire.
+    // first surviving frame after it reveals the loss, stamped with its
+    // first synopsis start, and the report rides ahead of that frame's
+    // rows: on the batch they open.
+    let revealer = &batches[half + k_lost][0];
+    let owed = LossReport {
+        host: frame_host,
+        at: revealer.start,
+        count: lost,
+    };
+    let reported: Vec<&Cut> = cuts.iter().filter(|(_, l)| !l.is_empty()).collect();
+    assert_eq!(reported.len(), 1, "exactly one loss report: {reported:?}");
+    assert_eq!(reported[0].1, [owed]);
+    assert_eq!(reported[0].0.first(), Some(&revealer.uid.0));
+
+    // --- Oracle: same surviving rows, same cuts, same report, in-process
     let oracle_dir = TempDir::new("restart-oracle");
     let (oracle_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
-    let interner = oracle_pool.interner();
-    for batch in &batches[..half] {
-        oracle_tx.send(soa(batch, &interner)).unwrap();
-    }
-    let mut revealing = soa(&batches[half + k_lost], &interner);
-    revealing.losses.push(LossReport {
-        host: frame_host,
-        at: batches[half + k_lost][0].start,
-        count: lost,
-    });
-    oracle_tx.send(revealing).unwrap();
-    for batch in &batches[half + k_lost + 1..] {
-        oracle_tx.send(soa(batch, &interner)).unwrap();
-    }
+    let surviving = batches[..half].iter().chain(&batches[half + k_lost..]);
+    let rows: Vec<&TaskSynopsis> = surviving.flatten().collect();
+    replay_cuts(&oracle_tx, &oracle_pool, &rows, &cuts);
     drop(oracle_tx);
     let oracle_events = drain_events(oracle_pool);
 

@@ -5,8 +5,8 @@
 //! producer path, from
 //! `set_context` through the tracker, an `AgentSink`, the agent's queue
 //! and its worker thread to the socket `write`. So does the collector's
-//! hand-over: a frame decoded into a fresh batch, sent to another thread
-//! and dropped there.
+//! hand-over: the frames of one ring drain decoded into one batch, sent
+//! to another thread and dropped there.
 //!
 //! Sibling of `zero_alloc_hot_path.rs`, with its own counting global
 //! allocator (integration tests are separate binaries) so that neither
@@ -231,16 +231,20 @@ fn tracker_to_socket_allocates_nothing() {
     assert!(drained > stats.synopses_written * 10, "real bytes arrived");
 }
 
-/// The collector's hand-over, as its reactor loop makes it: each frame
-/// decoded into a fresh `SynopsisBatch::with_capacity(n)`, sent over a
-/// bounded channel, and dropped by the thread that receives it. A dropped
-/// batch's columns go back on the batch spare list, so once that list
-/// holds a set for every batch that can be in flight, no frame allocates;
-/// a clone of a warm 256-row batch draws from the same list.
+/// The collector's hand-over, as its reactor loop makes it: the frames
+/// of one ring drain decoded onto one staging batch, which is sent over a
+/// bounded channel, replaced by a `SynopsisBatch::with_capacity` of its
+/// length, and dropped by the thread that receives it. A dropped batch's
+/// columns go back on the batch spare list, so once that list holds a set
+/// for every batch that can be in flight, no drain allocates — whether it
+/// completes one frame or thirty; a clone of a warm 256-row batch draws
+/// from the same list.
 fn decoded_batches_cross_threads_without_allocating() {
     const FRAME: usize = 32;
     const QUEUE: usize = 4;
-    const FRAMES: u64 = 1_000;
+    const DRAINS: u64 = 1_000;
+    /// Frames one 16 KiB ring drain completes at this frame size.
+    const DRAIN: usize = 30;
     let frame: Vec<TaskSynopsis> = (0..FRAME as u64)
         .map(|i| TaskSynopsis {
             host: HostId(3),
@@ -261,42 +265,50 @@ fn decoded_batches_cross_threads_without_allocating() {
         let dropped = Arc::clone(&dropped);
         std::thread::spawn(move || {
             for batch in rx.iter() {
-                assert_eq!(batch.len(), FRAME);
+                assert_eq!(batch.len() % FRAME, 0);
                 drop(batch);
                 dropped.fetch_add(1, Ordering::SeqCst);
             }
         })
     };
-    let hand_over = |frames: u64| {
-        let sent = dropped.load(Ordering::SeqCst) + frames;
-        for _ in 0..frames {
-            let mut batch = SynopsisBatch::with_capacity(FRAME);
-            decode_batch_into(&payload, &mut batch, &interner).expect("own encoding decodes");
-            tx.send(batch).expect("consumer alive");
+    // `drains` drains of `frames` frames each.
+    let hand_over = |drains: u64, frames: usize| {
+        let sent = dropped.load(Ordering::SeqCst) + drains;
+        let mut staging = SynopsisBatch::with_capacity(frames * FRAME);
+        for _ in 0..drains {
+            for _ in 0..frames {
+                decode_batch_into(&payload, &mut staging, &interner).expect("own encoding decodes");
+            }
+            let next = SynopsisBatch::with_capacity(staging.len());
+            tx.send(std::mem::replace(&mut staging, next))
+                .expect("consumer alive");
         }
+        drop(staging);
         while dropped.load(Ordering::SeqCst) < sent {
             std::thread::yield_now();
         }
     };
 
-    // Warm-up: the interner learns the flows, the channel reaches its
-    // capacity, and the spare list gets a column set for every batch that
-    // can be alive at once (the queue's, one being decoded, one being
-    // dropped, with room to spare).
-    hand_over(64);
-    let in_flight: Vec<SynopsisBatch> = (0..QUEUE + 4)
-        .map(|_| SynopsisBatch::with_capacity(FRAME))
-        .collect();
-    drop(in_flight);
+    for frames in [1, DRAIN] {
+        // Warm-up: the interner learns the flows, the channel reaches its
+        // capacity, and the spare list gets a column set of this width for
+        // every batch that can be alive at once (the queue's, one being
+        // decoded, one being dropped, with room to spare).
+        hand_over(64, frames);
+        let in_flight: Vec<SynopsisBatch> = (0..QUEUE + 4)
+            .map(|_| SynopsisBatch::with_capacity(frames * FRAME))
+            .collect();
+        drop(in_flight);
 
-    let before = allocations();
-    hand_over(FRAMES);
-    let delta = allocations() - before;
-    assert_eq!(
-        delta, 0,
-        "a decoded frame handed to another thread and dropped there must not \
-         allocate at steady state ({delta} allocations over {FRAMES} frames)"
-    );
+        let before = allocations();
+        hand_over(DRAINS, frames);
+        let delta = allocations() - before;
+        assert_eq!(
+            delta, 0,
+            "a drain of {frames} decoded frames handed to another thread and dropped \
+             there must not allocate at steady state ({delta} allocations over {DRAINS} drains)"
+        );
+    }
     drop(tx);
     consumer.join().expect("consumer thread");
 
