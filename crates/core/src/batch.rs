@@ -70,7 +70,7 @@ pub struct SynopsisBatch {
 /// Widest batch, in rows of column capacity, whose columns are kept when
 /// it drops. Every steady-state batch is far narrower — a frame's rows, a
 /// `BatchSink`'s `batch_len`, a router arena's share of one input batch —
-/// while a supervisor's replay tail or a whole capture runs to megabytes
+/// while a replay tail's last batch or a whole capture runs to megabytes
 /// and would sit on the list where no `with_capacity` asks for it.
 const SPARE_MAX_ROWS: usize = 4_096;
 

@@ -10,7 +10,6 @@ use super::supervise::{
 };
 use crate::batch::SynopsisBatch;
 use crate::detector::{AnomalyDetector, AnomalyEvent, DetectorConfig};
-use crate::feature::InternedFeature;
 use crate::intern::SignatureInterner;
 use crate::model::{CompiledModel, OutlierModel};
 use crate::selfmon::{MetaMonitor, MetaStage};
@@ -31,9 +30,9 @@ pub(super) enum ShardMsg {
     /// carries. Each element is stamped (`watermarks[i]`) with the
     /// global-stream watermark in force when the router saw it, so the
     /// shard closes windows at exactly the moments a single-threaded
-    /// analyzer would. The shard drops the batch once observed, which
-    /// returns its columns to the batch spare list the router's next
-    /// arena comes from, so steady-state routing allocates nothing.
+    /// analyzer would. The shard keeps the batch in its replay tail until
+    /// its next restart snapshot drops it, which returns its columns to
+    /// the batch spare list the router's next arena comes from.
     Batch(SynopsisBatch),
     /// A transport gap report, broadcast to every shard of the host's
     /// tenant: loss is keyed by host and window, and any of them may own
@@ -74,8 +73,8 @@ pub(super) fn shard_for(host: HostId, stage: StageId, workers: usize) -> usize {
 /// The router's per-slot SoA arenas. Elements accumulate into a
 /// [`SynopsisBatch`] per shard slot and flush as ONE channel send per
 /// (slot, input batch); the arena swapped in is drawn from the batch spare
-/// list the shards' drops refill, so steady-state routing performs no
-/// allocation. A tenant's slots are the `workers` from `tenant × workers`.
+/// list the shards' snapshots refill when they drop their replay tails. A
+/// tenant's slots are the `workers` from `tenant × workers`.
 ///
 /// Control-plane rule: every control send (loss, swap, snapshot, final
 /// watermark) must be preceded by [`ShardFanout::flush`] — control
@@ -96,12 +95,12 @@ impl ShardFanout {
         }
     }
 
-    /// Append one element to its slot's arena in `tenant`'s slots,
-    /// stamped with the global watermark the router just computed.
+    /// Copy row `i` of a stamped batch to its slot's arena in `tenant`'s
+    /// slots.
     #[inline]
-    fn push(&mut self, feature: &InternedFeature, watermark: SimTime, tenant: usize) {
-        let shard = shard_for(feature.host, feature.stage, self.workers);
-        self.arenas[tenant * self.workers + shard].push_feature(feature, watermark);
+    fn push(&mut self, batch: &SynopsisBatch, i: usize, tenant: usize) {
+        let shard = shard_for(batch.hosts[i], batch.stages[i], self.workers);
+        self.arenas[tenant * self.workers + shard].push_from(batch, i);
     }
 
     /// Send every non-empty arena to its shard, swapping in a batch sized
@@ -540,11 +539,10 @@ pub(super) fn meta_tick<R>(
 
 /// The router thread's state: everything one routed element touches.
 struct Router {
+    /// Host liveness and the global stream watermark.
     liveness: LivenessTracker,
-    /// Reused buffer for the (rare) events of one liveness observation.
+    /// Reused buffer for the (rare) events of one batch's stamp pass.
     silent: Vec<AnomalyEvent>,
-    /// Global stream watermark: the running maximum of task start times.
-    watermark: SimTime,
     fanout: ShardFanout,
     lifecycle: Option<RouterLifecycle>,
     /// The legacy side channel of gap reports ([`spawn_batch_analyzer_pool`]).
@@ -557,32 +555,14 @@ struct Router {
 }
 
 impl Router {
-    /// Account one element of the ordered stream — host liveness, then
-    /// the global watermark — and return the watermark to stamp it with.
-    #[inline]
-    fn stamp(&mut self, host: HostId, start: SimTime) -> SimTime {
-        self.liveness.observe(host, start, &mut self.silent);
-        for event in self.silent.drain(..) {
-            let _ = self.event_tx.send(event);
-        }
-        self.watermark = self.watermark.max(start);
-        self.watermark
-    }
-
-    /// Route one element into its slot's arena.
-    #[inline]
-    fn route(&mut self, feature: &InternedFeature) {
-        let watermark = self.stamp(feature.host, feature.start);
-        let tenant = self.lifecycle.as_mut().map_or(0, |lc| lc.absorb(feature));
-        self.fanout.push(feature, watermark, tenant);
-    }
-
     /// Route one input batch — its gap reports first, then its rows — and
-    /// do the batch-boundary work. With a single shard and no lifecycle
-    /// duties (`forward_only`) the router degenerates to a forwarder:
-    /// re-stamp the watermark column in place with the global running max
-    /// and hand the whole batch through untouched — no per-element
-    /// repartition copy at all.
+    /// do the batch-boundary work. The rows are stamped in one pass: host
+    /// liveness, and the watermark column re-stamped in place with the
+    /// GLOBAL running max (the producer's per-batch watermark only saw its
+    /// own stream). With a single shard and no lifecycle duties
+    /// (`forward_only`) the router then hands the whole batch through —
+    /// no per-element repartition copy at all; otherwise it deals the
+    /// stamped rows to the arenas.
     #[inline]
     fn route_batch(&mut self, mut batch: SynopsisBatch, forward_only: bool) {
         // Ids some other interner issued mean nothing (or something else)
@@ -597,25 +577,26 @@ impl Router {
         for report in batch.losses.drain(..) {
             self.broadcast_loss(report);
         }
-        if forward_only {
-            for i in 0..batch.len() {
-                batch.watermarks[i] = self.stamp(batch.hosts[i], batch.starts[i]);
-            }
-        } else {
-            // Re-stamped with the GLOBAL watermark: the producer's
-            // per-batch watermark only saw its own stream.
-            for i in 0..batch.len() {
-                self.route(&batch.feature(i));
-            }
+        self.liveness.stamp(&mut batch, &mut self.silent);
+        for event in self.silent.drain(..) {
+            let _ = self.event_tx.send(event);
         }
         // Published before any of these rows reaches a shard, so a reader
         // that sees them counted in `processed` sees the watermark they
         // moved, however few batches carried them.
         self.obs
             .watermark_micros
-            .store(self.watermark.as_micros(), Ordering::Relaxed);
-        if forward_only && !batch.is_empty() {
-            let _ = self.shard_txs[0].send(ShardMsg::Batch(batch));
+            .store(self.liveness.watermark().as_micros(), Ordering::Relaxed);
+        if forward_only {
+            if !batch.is_empty() {
+                let _ = self.shard_txs[0].send(ShardMsg::Batch(batch));
+            }
+        } else {
+            for i in 0..batch.len() {
+                let lifecycle = self.lifecycle.as_mut();
+                let tenant = lifecycle.map_or(0, |lc| lc.absorb(&batch.feature(i)));
+                self.fanout.push(&batch, i, tenant);
+            }
         }
         self.batch_boundary();
     }
@@ -633,7 +614,7 @@ impl Router {
             .map_or(0, |lc| lc.tenant_of(report.host));
         let workers = self.fanout.workers;
         for tx in &self.shard_txs[tenant * workers..(tenant + 1) * workers] {
-            let _ = tx.send(ShardMsg::Loss(report, self.watermark));
+            let _ = tx.send(ShardMsg::Loss(report, self.liveness.watermark()));
         }
     }
 
@@ -650,7 +631,7 @@ impl Router {
     fn batch_boundary(&mut self) {
         self.fanout.flush(&self.shard_txs);
         if let Some(lc) = self.lifecycle.as_mut() {
-            lc.pump(self.watermark, &self.shard_txs);
+            lc.pump(self.liveness.watermark(), &self.shard_txs);
         }
         self.obs.batches_routed.fetch_add(1, Ordering::Release);
     }
@@ -711,11 +692,12 @@ pub(super) fn spawn_pool_inner(
                             shard_obs
                                 .processed
                                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                            let newest = batch.watermarks.last().copied();
                             meta_tick(&meta, MetaStage::Shard, || {
-                                for event in supervised.observe_batch(&batch)? {
+                                for event in supervised.observe_batch(batch)? {
                                     emit(event);
                                 }
-                                if let Some(&watermark) = batch.watermarks.last() {
+                                if let Some(watermark) = newest {
                                     shard_obs
                                         .watermark_micros
                                         .store(watermark.as_micros(), Ordering::Relaxed);
@@ -758,7 +740,6 @@ pub(super) fn spawn_pool_inner(
     let mut router = Router {
         liveness: LivenessTracker::new(window, supervisor.silent_after),
         silent: Vec::new(),
-        watermark: SimTime::ZERO,
         fanout: ShardFanout::new(slots, workers),
         lifecycle,
         side_losses,
@@ -786,10 +767,10 @@ pub(super) fn spawn_pool_inner(
             // and exits.
             router.fanout.flush(&router.shard_txs);
             if let Some(lc) = router.lifecycle.as_mut() {
-                lc.pump(router.watermark, &router.shard_txs);
+                lc.pump(router.liveness.watermark(), &router.shard_txs);
             }
             for tx in &router.shard_txs {
-                let _ = tx.send(ShardMsg::FinalWatermark(router.watermark));
+                let _ = tx.send(ShardMsg::FinalWatermark(router.liveness.watermark()));
             }
             if let Some(lc) = router.lifecycle.as_mut() {
                 if lc.detecting() {
@@ -816,6 +797,7 @@ mod tests {
     use super::super::LifecycleConfig;
     use super::*;
     use crate::detector::AnomalyKind;
+    use crate::feature::InternedFeature;
     use crate::model::VerdictMask;
     use crate::store::{Checkpoint, CheckpointStore};
     use crate::testkit::{

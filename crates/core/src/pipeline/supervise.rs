@@ -1,7 +1,7 @@
 //! Supervision of one detector: the panic boundary with snapshot/replay
 //! recovery and poison-pill skipping that every pool shard runs behind, and
-//! the per-host liveness table the pool's router keeps over the whole
-//! stream.
+//! the per-host liveness table and global watermark the pool's router
+//! keeps over the whole stream.
 
 use crate::batch::SynopsisBatch;
 use crate::detector::{AnomalyDetector, AnomalyEvent, AnomalyKind};
@@ -101,15 +101,16 @@ fn host_silent_event(host: HostId, last_seen: SimTime, windows: u64) -> AnomalyE
 }
 
 /// One host's slot in the [`LivenessTracker`] table.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct HostLiveness {
     last_seen: SimTime,
     known: bool,
     flagged: bool,
 }
 
-/// Per-host liveness bookkeeping for the pool's router. Kept outside the
-/// panic boundary so a detector crash cannot corrupt it.
+/// Per-host liveness and the global stream watermark, kept by the pool's
+/// router outside the panic boundary so a detector crash cannot corrupt
+/// them.
 #[derive(Debug)]
 pub(super) struct LivenessTracker {
     /// Detection window width, in stream microseconds (at least 1).
@@ -122,6 +123,7 @@ pub(super) struct LivenessTracker {
     /// Ids with a live slot, in first-seen order — what the silence sweep
     /// walks, so sparse ids cost it nothing.
     known: Vec<HostId>,
+    /// The global stream watermark: the running maximum of task starts.
     watermark: SimTime,
     /// Detection-window index of the last full silence scan. The
     /// all-hosts sweep is O(hosts), so it runs once per window boundary
@@ -129,6 +131,9 @@ pub(super) struct LivenessTracker {
     /// number of windows, and crossing it is only observable at window
     /// granularity anyway.
     scanned_window: u64,
+    /// First stream microsecond of the window after `scanned_window`: a
+    /// start at or past it is the one that triggers the next sweep.
+    next_window_us: u64,
 }
 
 impl LivenessTracker {
@@ -143,15 +148,80 @@ impl LivenessTracker {
             known: Vec::new(),
             watermark: SimTime::ZERO,
             scanned_window: 0,
+            next_window_us: window_us,
         }
     }
 
-    /// Note a synopsis from `host` at stream time `at`, appending to
-    /// `events` one event per host that crossed the silence threshold. The
-    /// all-hosts silence sweep runs only when the stream watermark crosses
-    /// into a new detection window.
-    #[inline]
-    pub(super) fn observe(&mut self, host: HostId, at: SimTime, events: &mut Vec<AnomalyEvent>) {
+    /// The global stream watermark: the highest start stamped so far.
+    pub(super) fn watermark(&self) -> SimTime {
+        self.watermark
+    }
+
+    /// Stamp `batch` in one pass over its `hosts` and `starts`: note each
+    /// row's host as seen at its start, write the running-maximum
+    /// watermark into `watermarks` in place, and at each row whose start
+    /// first enters a new detection window sweep every host, appending to
+    /// `events` one event per host that crossed the silence threshold.
+    pub(super) fn stamp(&mut self, batch: &mut SynopsisBatch, events: &mut Vec<AnomalyEvent>) {
+        let rows = batch.hosts.iter().zip(&batch.starts);
+        for ((&host, &at), stamp) in rows.zip(&mut batch.watermarks) {
+            let slot = usize::from(host.0);
+            if slot >= self.hosts.len() {
+                self.grow(slot);
+            }
+            let entry = &mut self.hosts[slot];
+            if !entry.known {
+                entry.known = true;
+                self.known.push(host);
+            }
+            entry.last_seen = at;
+            entry.flagged = false; // re-arm: the host is back
+            self.watermark = self.watermark.max(at);
+            if at.as_micros() >= self.next_window_us {
+                self.sweep(at, events);
+            }
+            *stamp = self.watermark;
+        }
+    }
+
+    /// Widen the host table to hold `slot`.
+    #[cold]
+    fn grow(&mut self, slot: usize) {
+        self.hosts.resize(slot + 1, HostLiveness::default());
+    }
+
+    /// The silence sweep at `at`, a start that entered a window past the
+    /// last one scanned.
+    #[cold]
+    fn sweep(&mut self, at: SimTime, events: &mut Vec<AnomalyEvent>) {
+        let index = at.as_micros() / self.window_us;
+        // The next boundary saturates at the end of time; past it no
+        // start enters a later window.
+        if index <= self.scanned_window {
+            return;
+        }
+        self.scanned_window = index;
+        self.next_window_us = (index + 1).saturating_mul(self.window_us);
+        for &h in &self.known {
+            let entry = &mut self.hosts[usize::from(h.0)];
+            if entry.flagged {
+                continue;
+            }
+            let seen = entry.last_seen;
+            let silent_for = at.as_micros().saturating_sub(seen.as_micros());
+            if silent_for > self.threshold_us {
+                entry.flagged = true;
+                events.push(host_silent_event(h, seen, silent_for / self.window_us));
+            }
+        }
+    }
+
+    /// The row-by-row reference [`LivenessTracker::stamp`] is held to:
+    /// note a synopsis from `host` at stream time `at`, appending to
+    /// `events` one event per host that crossed the silence threshold,
+    /// and return the watermark to stamp it with.
+    #[cfg(test)]
+    fn observe(&mut self, host: HostId, at: SimTime, events: &mut Vec<AnomalyEvent>) -> SimTime {
         let slot = usize::from(host.0);
         if slot >= self.hosts.len() {
             self.hosts.resize(slot + 1, HostLiveness::default());
@@ -162,7 +232,7 @@ impl LivenessTracker {
             self.known.push(host);
         }
         entry.last_seen = at;
-        entry.flagged = false; // re-arm: the host is back
+        entry.flagged = false;
         if at > self.watermark {
             self.watermark = at;
             let index = at.as_micros() / self.window_us;
@@ -182,6 +252,7 @@ impl LivenessTracker {
                 }
             }
         }
+        self.watermark
     }
 }
 
@@ -192,7 +263,8 @@ impl LivenessTracker {
 /// synopses per window the copying amortises to under 2 ns per synopsis,
 /// below a tenth of detection, and a restart's replay (64 × 25 ns per
 /// window) stays within ~16× of the restore copy it follows. The tail
-/// itself holds 40 bytes per synopsis, 2.5 KiB per open window.
+/// holds the kept batches' columns: 40 bytes per synopsis in a full
+/// batch, 2.5 KiB per open window.
 const REPLAY_PER_OPEN_WINDOW: u64 = 64;
 
 /// Floor on the synopses observed between two restart snapshots: the
@@ -232,13 +304,16 @@ pub(super) struct SupervisedDetector {
     detector: AnomalyDetector,
     /// The restart point: a clone of the detector.
     snapshot: AnomalyDetector,
-    // Everything successfully applied since `snapshot` — each feature
-    // with the global-stream watermark in force when it was observed —
-    // for replay after a restart. Events from replay are suppressed
-    // (they were already emitted before the crash). Kept in SoA form so
-    // the batch hot path records a whole batch as column memcpys and a
-    // restart replays it as one batch.
-    replay: SynopsisBatch,
+    // Everything successfully applied since `snapshot` — the batches
+    // observed, each row stamped with the global-stream watermark in
+    // force when it was observed, and the gap reports — for replay after
+    // a restart. Events from replay are suppressed (they were already
+    // emitted before the crash). The batches are the ones the shard was
+    // handed, kept whole: the hot path records a batch by moving it, not
+    // by copying its rows.
+    replay: Vec<SynopsisBatch>,
+    /// Rows across `replay`: what the snapshot rule counts.
+    replay_rows: u64,
     replay_losses: Vec<(LossReport, SimTime)>,
     verdicts: VerdictMask,
     restarts_used: u32,
@@ -255,7 +330,8 @@ impl SupervisedDetector {
         SupervisedDetector {
             detector,
             snapshot,
-            replay: SynopsisBatch::new(),
+            replay: Vec::new(),
+            replay_rows: 0,
             replay_losses: Vec::new(),
             verdicts: VerdictMask::new(),
             restarts_used: 0,
@@ -281,6 +357,7 @@ impl SupervisedDetector {
         let began = Instant::now();
         self.snapshot = self.detector.clone();
         self.replay.clear();
+        self.replay_rows = 0;
         self.replay_losses.clear();
         self.obs
             .snapshot_us
@@ -291,14 +368,13 @@ impl SupervisedDetector {
     /// Bookkeeping after a successful observation: snapshot once the
     /// replay tail has reached `max(SNAPSHOT_FLOOR, 64 × open windows)`.
     fn after_observe(&mut self) {
-        let tail = self.replay.len() as u64;
         let per_state = REPLAY_PER_OPEN_WINDOW.saturating_mul(self.detector.open_windows() as u64);
-        if tail >= SNAPSHOT_FLOOR.max(per_state) {
+        if self.replay_rows >= SNAPSHOT_FLOOR.max(per_state) {
             self.take_snapshot();
         }
         self.obs
             .replay_tail
-            .store(self.replay.len() as u64, Ordering::Relaxed);
+            .store(self.replay_rows, Ordering::Relaxed);
         self.obs
             .late
             .store(self.detector.late_seen(), Ordering::Relaxed);
@@ -325,35 +401,42 @@ impl SupervisedDetector {
         }))
     }
 
+    /// Keep an observed batch in the replay tail.
+    fn keep(&mut self, batch: SynopsisBatch) {
+        self.replay_rows += batch.len() as u64;
+        self.replay.push(batch);
+    }
+
     /// Rebuild the detector from the latest snapshot and replay the
-    /// since-snapshot tail as one batch, losses first. Replayed events
-    /// are suppressed — they were already emitted before the crash.
+    /// since-snapshot tail, losses first, then the kept batches in order.
+    /// Replayed events are suppressed — they were already emitted before
+    /// the crash.
     fn restore_from_snapshot(&mut self) {
         self.detector = self.snapshot.clone();
         for &(report, watermark) in &self.replay_losses {
             self.detector
                 .record_loss_at(report.host, report.at, report.count, watermark);
         }
-        let _ = self
-            .detector
-            .observe_batch(&self.replay, &mut self.verdicts);
+        for batch in &self.replay {
+            let _ = self.detector.observe_batch(batch, &mut self.verdicts);
+        }
     }
 
     /// Observe a whole SoA batch — the pool shard hot path — behind the
-    /// panic boundary. A panic leaves the detector partly mutated: it is
-    /// rolled back to the latest snapshot, uncounted, and the batch runs
-    /// again through the same boundary one row at a time, so the restart
-    /// and the skip are charged to the poison row alone. That row is
-    /// skipped, not retried: a deterministic poison pill would otherwise
-    /// crash-loop the analyzer. Only an exhausted restart budget is a
-    /// terminal error.
+    /// panic boundary, and keep it in the replay tail. A panic leaves the
+    /// detector partly mutated: it is rolled back to the latest snapshot,
+    /// uncounted, and the batch runs again through the same boundary one
+    /// row at a time, so the restart and the skip are charged to the
+    /// poison row alone. That row is skipped, not retried: a
+    /// deterministic poison pill would otherwise crash-loop the analyzer.
+    /// Only an exhausted restart budget is a terminal error.
     pub(super) fn observe_batch(
         &mut self,
-        batch: &SynopsisBatch,
+        batch: SynopsisBatch,
     ) -> Result<Vec<AnomalyEvent>, AnalyzerError> {
-        if let Ok(events) = self.try_batch(batch) {
+        if let Ok(events) = self.try_batch(&batch) {
             self.received += batch.len() as u64;
-            self.replay.extend_from(batch);
+            self.keep(batch);
             self.after_observe();
             return Ok(events);
         }
@@ -361,13 +444,21 @@ impl SupervisedDetector {
         let (mut events, mut row) = (Vec::new(), SynopsisBatch::new());
         for i in 0..batch.len() {
             row.clear();
-            row.push_from(batch, i);
+            row.push_from(&batch, i);
             let outcome = self.try_batch(&row);
             self.received += 1;
             match outcome {
                 Ok(row_events) => {
                     events.extend(row_events);
-                    self.replay.extend_from(&row);
+                    // Rows that pass join the tail's last batch, so a
+                    // restart later replays them as one run.
+                    match self.replay.last_mut() {
+                        Some(last) => {
+                            last.push_from(&row, 0);
+                            self.replay_rows += 1;
+                        }
+                        None => self.keep(row.clone()),
+                    }
                     self.after_observe();
                 }
                 Err(payload) => {
@@ -432,6 +523,7 @@ mod tests {
     use crate::intern::SignatureInterner;
     use crate::testkit::{multi_stage_model, synopsis_on};
     use bytes::BytesMut;
+    use proptest::prelude::TestRunner;
     use std::time::Duration;
 
     /// A stream over `hosts × 2` `(host, stage)` pairs, 40 000 synopses
@@ -481,7 +573,7 @@ mod tests {
         let mut first_snapshot = None;
         for from in (0..stream.len()).step_by(512) {
             let to = (from + 512).min(stream.len());
-            events.extend(supervised.observe_batch(&rows(stream, from..to)).unwrap());
+            events.extend(supervised.observe_batch(rows(stream, from..to)).unwrap());
             if first_snapshot.is_none() && obs.snapshots.load(Ordering::Relaxed) > 0 {
                 first_snapshot = Some((to as u64, supervised.detector.open_windows()));
             }
@@ -550,12 +642,22 @@ mod tests {
         }
     }
 
+    /// The tail's batches end to end, as one batch.
+    fn concatenated(tail: &[SynopsisBatch]) -> SynopsisBatch {
+        let mut whole = SynopsisBatch::new();
+        for batch in tail {
+            whole.extend_from(batch);
+        }
+        whole
+    }
+
     #[test]
-    fn restart_replays_the_tail_as_one_batch_whatever_is_open() {
+    fn restart_replays_the_tail_of_batches_whatever_is_open() {
         // Over 1 000 open windows and a tail the snapshot schedule has
-        // stretched to tens of thousands of synopses: a restart must cost
-        // what one `observe_batch` over the tail costs, not one
-        // open-window visit per replayed synopsis.
+        // stretched to tens of thousands of synopses in dozens of kept
+        // batches: a restart must cost what one `observe_batch` over the
+        // concatenated tail costs, not one open-window visit per replayed
+        // synopsis, nor one per kept batch.
         let model = multi_stage_model();
         let interner = Arc::new(SignatureInterner::new());
         let compiled = Arc::new(model.compile(&interner));
@@ -569,14 +671,17 @@ mod tests {
         let mut supervised = SupervisedDetector::new(detector, SupervisionObs::default());
         for from in (0..stream.len()).step_by(512) {
             let to = (from + 512).min(stream.len());
-            supervised.observe_batch(&rows(&stream, from..to)).unwrap();
+            supervised.observe_batch(rows(&stream, from..to)).unwrap();
         }
         assert!(supervised.detector.open_windows() >= 1_000);
+        let whole = concatenated(&supervised.replay);
+        assert!(whole.len() >= 20_000, "tail {}", whole.len());
         assert!(
-            supervised.replay.len() >= 20_000,
-            "tail {}",
+            supervised.replay.len() >= 40,
+            "{} kept batches",
             supervised.replay.len()
         );
+        assert_eq!(supervised.replay_rows, whole.len() as u64);
         let before = supervised.detector.clone();
         let fastest = |work: &mut dyn FnMut()| {
             (0..5)
@@ -592,7 +697,7 @@ mod tests {
         let mut verdicts = VerdictMask::new();
         let batch = fastest(&mut || {
             let mut d = supervised.snapshot.clone();
-            let _ = d.observe_batch(&supervised.replay, &mut verdicts);
+            let _ = d.observe_batch(&whole, &mut verdicts);
         });
         assert!(
             restart < batch * 4 + Duration::from_millis(2),
@@ -604,5 +709,194 @@ mod tests {
         let mut original = BytesMut::new();
         before.encode_into(&mut original);
         assert_eq!(&restored[..], &original[..]);
+    }
+
+    #[test]
+    fn a_poison_row_in_the_third_tail_batch_costs_only_itself() {
+        // Five batches of 100 on 40 hosts stay below the snapshot floor's
+        // worth of open windows, so all of them sit in the tail; a gap
+        // report rides between the first two. The fault hits row 37 of the
+        // third batch: the restart replays the two kept batches (losses
+        // first) and the third's rows before the poison, skips it, and
+        // goes on.
+        let model = multi_stage_model();
+        let interner = Arc::new(SignatureInterner::new());
+        let compiled = Arc::new(model.compile(&interner));
+        let fresh = || {
+            AnomalyDetector::with_shared(
+                model.clone(),
+                compiled.clone(),
+                interner.clone(),
+                DetectorConfig::default(),
+            )
+        };
+        let stream = wide_stream(40, 500, &interner);
+        let batches: Vec<_> = (0..5)
+            .map(|b| rows(&stream, b * 100..(b + 1) * 100))
+            .collect();
+        let report = LossReport {
+            host: HostId(3),
+            at: SimTime::from_millis(100),
+            count: 5,
+        };
+        let poison = 2 * 100 + 37; // 1-based ordinal of the row skipped
+
+        let obs = SupervisionObs::default();
+        let mut supervised = SupervisedDetector::new(fresh(), obs.clone());
+        supervised.panic_at = vec![poison as u64];
+        let mut events = Vec::new();
+        for (b, batch) in batches.iter().enumerate() {
+            if b == 1 {
+                supervised.record_loss(report, stream.watermarks[99]);
+            }
+            events.extend(supervised.observe_batch(batch.clone()).unwrap());
+            if b == 2 {
+                assert_eq!(obs.restarts.load(Ordering::Relaxed), 1);
+                assert_eq!(obs.snapshots.load(Ordering::Relaxed), 0);
+                // The third batch's rows that passed joined the second.
+                assert_eq!(supervised.replay.len(), 2);
+                assert_eq!(supervised.replay_rows, 299);
+            }
+        }
+        let (tail, detector) = supervised.finish();
+        events.extend(tail);
+        assert_eq!(obs.skipped.load(Ordering::Relaxed), 1);
+
+        // The per-row reference: every row but the poison, each advanced
+        // to its stamp and observed alone, the report at its position.
+        let mut reference = fresh();
+        let mut expected = Vec::new();
+        for (b, batch) in batches.iter().enumerate() {
+            if b == 1 {
+                let (host, at, count) = (report.host, report.at, report.count);
+                reference.record_loss_at(host, at, count, stream.watermarks[99]);
+            }
+            for i in 0..batch.len() {
+                if b * 100 + i + 1 == poison {
+                    continue;
+                }
+                expected.extend(reference.advance_watermark(batch.watermarks[i]));
+                expected.extend(reference.observe_interned(&batch.feature(i)));
+            }
+        }
+        expected.extend(reference.flush());
+        assert!(
+            !expected.is_empty(),
+            "the stream should close windows with events"
+        );
+        assert_eq!(events, expected);
+        let (mut got, mut want) = (BytesMut::new(), BytesMut::new());
+        detector.encode_into(&mut got);
+        reference.encode_into(&mut want);
+        assert_eq!(&got[..], &want[..]);
+        assert_eq!(detector.tasks_seen(), 499);
+        assert_eq!(detector.tasks_lost(), 5);
+    }
+
+    /// What the liveness cases reached, summed over them.
+    #[derive(Debug, Default)]
+    struct Reached {
+        /// Batches whose stamp pass crossed two or more window boundaries.
+        multi_window_batches: usize,
+        /// Hosts seen again after being flagged silent.
+        returns: usize,
+        /// `HostSilent` events for host `u16::MAX`.
+        top_id_silent: usize,
+        /// Rows starting exactly on a window boundary.
+        on_boundary: usize,
+    }
+
+    /// One seeded case of the liveness property: a stream on sparse host
+    /// ids (0 and `u16::MAX` among them), starts on a grid of
+    /// quarter-windows so many fall exactly on a boundary, the clock
+    /// mostly creeping and sometimes jumping up to three windows, one row
+    /// in eight a straggler; cut into batches of 0–47 rows; stamped by
+    /// one tracker a batch at a time and by the row-by-row oracle.
+    fn stamp_case(runner: &mut TestRunner, reached: &mut Reached) -> Result<(), String> {
+        let mut draw = |n: u64| runner.next_u64() % n;
+        let mut hosts = vec![0u16, u16::MAX];
+        hosts.extend((0..1 + draw(5)).map(|_| 1 + draw(u64::from(u16::MAX) - 1) as u16));
+        let quarter = 250 * (1 + draw(10));
+        let window = SimDuration::from_micros(4 * quarter);
+        let silent_after = 1 + draw(3);
+        let (mut pass, mut oracle) = (
+            LivenessTracker::new(window, silent_after),
+            LivenessTracker::new(window, silent_after),
+        );
+        let interner = SignatureInterner::new();
+        let (rows, mut clock, mut uid) = (1 + draw(400), 0u64, 0u64);
+        let mut flagged = std::collections::HashSet::new();
+        while uid < rows {
+            let mut batch = SynopsisBatch::new();
+            for _ in 0..draw(48).min(rows - uid) {
+                clock += quarter * if draw(8) == 0 { draw(13) } else { draw(3) };
+                let back = if draw(8) == 0 { quarter * draw(9) } else { 0 };
+                let at = SimTime::from_micros(clock.saturating_sub(back));
+                reached.on_boundary +=
+                    usize::from(at.as_micros().is_multiple_of(window.as_micros()));
+                // Host 0 keeps the clock; the rest come and go.
+                let host = if draw(3) == 0 {
+                    0
+                } else {
+                    hosts[draw(hosts.len() as u64) as usize]
+                };
+                let s = synopsis_on(host, &[1, 2], 1_000, at, uid);
+                batch.push_synopsis(&s, &interner);
+                uid += 1;
+            }
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let stamps: Vec<SimTime> = (0..batch.len())
+                .map(|i| {
+                    let host = batch.hosts[i];
+                    reached.returns += usize::from(flagged.remove(&host));
+                    let before = want.len();
+                    let stamp = oracle.observe(host, batch.starts[i], &mut want);
+                    flagged.extend(want[before..].iter().map(|e| e.host));
+                    stamp
+                })
+                .collect();
+            let scanned = pass.scanned_window;
+            pass.stamp(&mut batch, &mut got);
+            reached.multi_window_batches += usize::from(pass.scanned_window >= scanned + 2);
+            reached.top_id_silent += got.iter().filter(|e| e.host.0 == u16::MAX).count();
+            if batch.watermarks != stamps {
+                return Err(format!("stamps {:?}, oracle {stamps:?}", batch.watermarks));
+            }
+            if got != want {
+                return Err(format!("events {got:?}, oracle {want:?}"));
+            }
+        }
+        if (pass.hosts != oracle.hosts) || (pass.known != oracle.known) {
+            return Err(format!(
+                "host table {:?}, oracle {:?}",
+                pass.hosts, oracle.hosts
+            ));
+        }
+        if (pass.watermark, pass.scanned_window) != (oracle.watermark, oracle.scanned_window) {
+            return Err(format!(
+                "watermark {:?} window {}, oracle {:?} window {}",
+                pass.watermark, pass.scanned_window, oracle.watermark, oracle.scanned_window
+            ));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn one_stamp_pass_per_batch_equals_the_row_by_row_tracker() {
+        // 512 seeded cases: the same stamp on every row, the same
+        // `HostSilent` events out of every batch in the same order, and
+        // the same host table, watermark and scanned window at the end.
+        let mut reached = Reached::default();
+        for seed in 0..512 {
+            let mut runner = TestRunner::from_seed(seed);
+            if let Err(why) = stamp_case(&mut runner, &mut reached) {
+                panic!("seed {seed}: {why}");
+            }
+        }
+        // The inputs reached what the property is about.
+        assert!(reached.multi_window_batches >= 1_000, "{reached:?}");
+        assert!(reached.returns >= 1_000, "{reached:?}");
+        assert!(reached.top_id_silent >= 100, "{reached:?}");
+        assert!(reached.on_boundary >= 1_000, "{reached:?}");
     }
 }
