@@ -6,15 +6,15 @@
 //! * synopsis encode/decode,
 //! * the collector's edge one layer at a time — interning a known and a
 //!   new signature, decoding a 32-synopsis frame straight into a batch,
-//!   one channel hand-over with nobody parked (EXPERIMENTS.md "Collector
-//!   edge" quotes these),
+//!   one channel hand-over with nobody parked (EXPERIMENTS.md
+//!   "Microbenchmarks" quotes these),
 //! * a frame-sized batch built, sent to another thread and dropped there,
-//!   and a copy of a 256-row batch (EXPERIMENTS.md "Batch buffers"),
+//!   and a copy of a 256-row batch (EXPERIMENTS.md "Claimed gains", PR 32),
 //! * model construction throughput,
 //! * analyzer observe throughput (the paper sustains 1500 synopses/s): the
 //!   batch path over one stream in order and with every sixth element three
 //!   windows old, and the cost of closing a silent window (EXPERIMENTS.md
-//!   "Late data" quotes these three).
+//!   "Microbenchmarks" quotes these three).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use saad_bench::DrainingCollector;

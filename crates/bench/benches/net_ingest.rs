@@ -33,7 +33,7 @@
 
 use crossbeam_channel::unbounded;
 use saad_core::batch::SynopsisBatch;
-use saad_core::prelude::SignatureInterner;
+use saad_core::intern::SignatureInterner;
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::transport::FrameSender;
 use saad_core::{HostId, StageId, TaskUid};

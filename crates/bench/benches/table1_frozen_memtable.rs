@@ -9,10 +9,11 @@
 
 use saad_bench::{scaled_mins, train_cassandra, workload};
 use saad_cassandra::{Cluster, ClusterConfig};
+use saad_core::intern::SignatureInterner;
 use saad_core::model::TaskClass;
-use saad_core::prelude::*;
 use saad_core::report::AnomalyReport;
 use saad_core::tracker::VecSink;
+use saad_core::Signature;
 use saad_fault::{catalog, FaultSchedule, FaultSpec, FaultType, Intensity};
 use saad_sim::SimTime;
 use std::collections::HashMap;

@@ -36,7 +36,7 @@ use saad_core::detector::{AnomalyEvent, DetectorConfig};
 use saad_core::pipeline::{
     spawn_analyzer_pool, AdaptPolicy, LifecycleConfig, PoolStart, SupervisorConfig,
 };
-use saad_core::prelude::TaskSynopsis;
+use saad_core::synopsis::TaskSynopsis;
 use saad_core::{HostId, StageId, TaskUid, TenantId};
 use saad_logging::LogPointId;
 use saad_sim::{SimDuration, SimTime};

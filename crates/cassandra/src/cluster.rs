@@ -488,7 +488,9 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saad_core::prelude::*;
+    use saad_core::synopsis::TaskSynopsis;
+    use saad_core::tracker::VecSink;
+    use saad_core::StageId;
     use saad_fault::catalog;
     use saad_workload::{KeyChooser, OperationMix};
 

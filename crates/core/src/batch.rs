@@ -230,7 +230,7 @@ impl SynopsisBatch {
 
     /// Append every element of `src`, preserving watermark stamps —
     /// seven column memcpys, no per-element work.
-    pub fn extend_from(&mut self, src: &SynopsisBatch) {
+    pub(crate) fn extend_from(&mut self, src: &SynopsisBatch) {
         self.uids.extend_from_slice(&src.uids);
         self.hosts.extend_from_slice(&src.hosts);
         self.stages.extend_from_slice(&src.stages);

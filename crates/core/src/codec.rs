@@ -4,9 +4,11 @@
 //! whole point (Figure 8) is that this stream is 15–900× smaller than
 //! DEBUG-level log text. The codec uses LEB128 varints so a typical
 //! synopsis (5 log points) encodes in well under 48 bytes.
-//! One encoder, [`encode_parts_into`], and one parser behind every
-//! reader: [`decode_batch_into`] into batch columns, and
-//! [`CheckedPayload::parse`] for a leaf forwarding the bytes as they came.
+//! One encoder behind every writer ([`encode`], [`encode_batch`] and the
+//! transport's [`FramePayload`](crate::transport::FramePayload)), and one
+//! parser behind every reader: [`decode_batch_into`] into batch columns,
+//! and [`CheckedPayload::parse`] for a leaf forwarding the bytes as they
+//! came.
 
 use crate::batch::SynopsisBatch;
 use crate::intern::{SignatureInterner, INLINE_POINTS};
@@ -203,7 +205,11 @@ pub fn encode(s: &TaskSynopsis) -> Bytes {
 /// synopsis, against ~38 ns for a stack scratch with one
 /// `extend_from_slice` per field group and ~75 ns for one per varint
 /// (`put_varint`'s form, fine off the hot path).
-pub fn encode_parts_into(buf: &mut BytesMut, head: &SynopsisHead, points: &[(LogPointId, u32)]) {
+pub(crate) fn encode_parts_into(
+    buf: &mut BytesMut,
+    head: &SynopsisHead,
+    points: &[(LogPointId, u32)],
+) {
     let start = buf.len();
     buf.resize(start + (6 + 2 * points.len()) * MAX_VARINT_LEN, 0);
     let out = &mut buf[start..];

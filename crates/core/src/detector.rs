@@ -597,9 +597,10 @@ impl AnomalyDetector {
 
     /// Create a detector with **no model** (bootstrap/degraded mode): it
     /// counts tasks per window and emits [`AnomalyKind::ModelUnavailable`]
-    /// events with completeness accounting instead of classifying. Once
-    /// enough training data has accumulated, promote it with
-    /// [`AnomalyDetector::install_model`].
+    /// events with completeness accounting instead of classifying. A pool
+    /// started from a store
+    /// ([`PoolStart::Store`](crate::pipeline::PoolStart::Store)) promotes
+    /// it once enough training data has accumulated.
     ///
     /// # Errors
     ///
@@ -665,6 +666,7 @@ impl AnomalyDetector {
     }
 
     /// Whether the detector is in bootstrap (collect-only) mode.
+    #[cfg(test)]
     pub fn is_collect_only(&self) -> bool {
         self.collect_only
     }
@@ -687,7 +689,7 @@ impl AnomalyDetector {
     /// against this detector's own interner.
     ///
     /// [collecting]: AnomalyDetector::collecting
-    pub fn install_model(
+    pub(crate) fn install_model(
         &mut self,
         model: Arc<OutlierModel>,
         compiled: Arc<CompiledModel>,
@@ -779,7 +781,7 @@ impl AnomalyDetector {
     /// whole stream at the report's position, so every shard of a pool
     /// keeps or drops a report exactly as a single detector over the whole
     /// stream would, however far its own watermark lags.
-    pub fn record_loss_at(
+    pub(crate) fn record_loss_at(
         &mut self,
         host: HostId,
         at: SimTime,

@@ -257,7 +257,7 @@ impl SignatureInterner {
     /// The caller must uphold the signature invariant; out-of-order or
     /// duplicated points would intern a malformed signature. Use
     /// [`SignatureInterner::intern_points`] for arbitrary slices.
-    pub fn intern_sorted(&self, points: &[LogPointId]) -> SigId {
+    pub(crate) fn intern_sorted(&self, points: &[LogPointId]) -> SigId {
         debug_assert!(
             points.windows(2).all(|w| w[0] < w[1]),
             "intern_sorted requires strictly ascending points"
@@ -374,7 +374,7 @@ impl SignatureInterner {
     /// interner that issues **exactly the same** [`SigId`] for every
     /// signature, so ids embedded in detector snapshots stay valid
     /// across a checkpoint/restore cycle.
-    pub fn shard_contents(&self) -> Vec<Vec<Signature>> {
+    pub(crate) fn shard_contents(&self) -> Vec<Vec<Signature>> {
         self.shards.iter().map(|s| s.read().sigs.clone()).collect()
     }
 
@@ -390,7 +390,7 @@ impl SignatureInterner {
     /// silently accepting it would issue ids that resolve to the wrong
     /// signature. (Checkpoint decoding validates lengths and checksums
     /// before calling this.)
-    pub fn from_shard_contents(contents: Vec<Vec<Signature>>) -> SignatureInterner {
+    pub(crate) fn from_shard_contents(contents: Vec<Vec<Signature>>) -> SignatureInterner {
         assert_eq!(
             contents.len(),
             SHARDS,

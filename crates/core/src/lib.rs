@@ -50,20 +50,37 @@
 //!
 //! ## Entry points
 //!
+//! Every item has one path: its module, or the crate root for the ids
+//! ([`HostId`], [`StageId`], [`TaskUid`], [`TenantId`], [`LogPointId`]),
+//! [`Signature`] and [`StageRegistry`]. There is no prelude.
+//!
+//! * **Track**: [`tracker`] — one [`tracker::TaskExecutionTracker`] per
+//!   node behind the logger hands each finished task's
+//!   [`synopsis::TaskSynopsis`] to a [`tracker::SynopsisSink`];
+//!   [`simtask`] drives it in virtual time.
+//! * **Train**: [`model`] — a [`model::ModelBuilder`] builds an
+//!   [`model::OutlierModel`], compiled against a
+//!   [`intern::SignatureInterner`] into a [`model::CompiledModel`];
+//!   [`feature`] is the paper's per-task feature.
 //! * **Spawn** the analyzer: [`pipeline::spawn_analyzer_pool`], from a
-//!   trained model or from a checkpoint store ([`pipeline::PoolStart`]).
-//!   It is the one way to start a pool; read its events from
-//!   [`pipeline::PoolHandle::events`].
+//!   trained model or from a checkpoint store ([`pipeline::PoolStart`];
+//!   the checkpoints are [`store`]'s). It is the one way to start a pool;
+//!   read its events from [`pipeline::PoolHandle::events`].
 //! * **Feed** it [`batch::SynopsisBatch`]es interned on
 //!   [`pipeline::PoolHandle::interner`]: a [`pipeline::BatchSink`] behind
 //!   trackers in process, or, behind agents on the network,
-//!   `saad_net::ReactorCollector::bind` (in the `saad-net` crate).
+//!   `saad_net::ReactorCollector::bind` (in the `saad-net` crate), which
+//!   reads [`transport`] frames of [`codec`]-encoded synopses.
 //! * **Inline**, for deterministic simulations: a [`pipeline::DetectorSink`]
 //!   classifies and windows each synopsis as it is submitted, and a
 //!   [`pipeline::ModelSink`] trains a model from a run.
 //! * **By hand**: [`detector::AnomalyDetector::observe_batch`] is the one
 //!   way into a detector, and [`detector::AnomalyDetector::flush`] closes
 //!   what is still open at the end of a run.
+//! * **Report**: [`report::AnomalyReport`] renders
+//!   [`detector::AnomalyEvent`]s with stage and log-point names.
+//! * **Run the analyzer itself**: [`affinity`] pins shard threads, and
+//!   [`selfmon`] tracks the pipeline's own stages.
 //!
 //! The `testkit` cargo feature adds `saad_core::testkit`: the per-row
 //! reference paths (`reference_run`, the map classifier, the owned
@@ -73,7 +90,8 @@
 //! ## Quickstart
 //!
 //! ```
-//! use saad_core::prelude::*;
+//! use saad_core::tracker::{TaskExecutionTracker, VecSink};
+//! use saad_core::{HostId, StageRegistry};
 //! use saad_logging::{Level, Logger, LogPointRegistry};
 //! use saad_sim::{ManualClock, SimTime};
 //! use std::sync::Arc;
@@ -136,19 +154,3 @@ pub use ids::{HostId, StageId, TaskUid, TenantId};
 pub use saad_logging::LogPointId;
 pub use signature::Signature;
 pub use stage_registry::StageRegistry;
-
-/// Convenient glob import of the commonly used types.
-pub mod prelude {
-    pub use crate::batch::SynopsisBatch;
-    pub use crate::detector::{AnomalyDetector, AnomalyEvent, AnomalyKind, DetectorConfig};
-    pub use crate::feature::InternedFeature;
-    pub use crate::intern::{SigId, SignatureInterner};
-    pub use crate::model::{
-        CompiledModel, ConfigError, ModelBuilder, ModelConfig, OutlierModel, TaskClass, VerdictMask,
-    };
-    pub use crate::selfmon::{MetaMonitor, MetaStage};
-    pub use crate::store::{Checkpoint, CheckpointError, CheckpointStore, Recovery};
-    pub use crate::synopsis::TaskSynopsis;
-    pub use crate::tracker::{SynopsisSink, TaskExecutionTracker, TrackerMetrics, VecSink};
-    pub use crate::{HostId, Signature, StageId, StageRegistry, TaskUid, TenantId};
-}

@@ -192,7 +192,8 @@ impl StageModel {
 /// # Example
 ///
 /// ```
-/// use saad_core::prelude::*;
+/// use saad_core::model::{ModelBuilder, ModelConfig};
+/// use saad_core::synopsis::TaskSynopsis;
 ///
 /// # fn training_trace() -> Vec<TaskSynopsis> { Vec::new() }
 /// let mut builder = ModelBuilder::new();
@@ -390,6 +391,7 @@ impl OutlierModel {
 
     /// Training performance-outlier proportion for a (stage, signature)
     /// group; `None` when the group is not performance-eligible.
+    #[cfg(test)]
     pub fn perf_outlier_rate(&self, stage: StageId, signature: &Signature) -> Option<f64> {
         let sig = self.stages.get(&stage)?.signatures.get(signature)?;
         sig.duration_threshold_us
@@ -679,7 +681,8 @@ struct CompiledStage {
 ///
 /// ```
 /// use saad_core::intern::SignatureInterner;
-/// use saad_core::prelude::*;
+/// use saad_core::model::{ModelBuilder, ModelConfig, TaskClass};
+/// use saad_core::{Signature, StageId};
 ///
 /// let model = ModelBuilder::new().build(ModelConfig::default());
 /// let interner = SignatureInterner::new();

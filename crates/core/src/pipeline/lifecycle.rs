@@ -687,26 +687,6 @@ impl PoolHandle {
         self.lifecycle_count(|obs| &obs.checkpoints_written)
     }
 
-    /// Transient checkpoint write failures retried with backoff so far
-    /// (each failed attempt that was retried counts once).
-    pub fn checkpoint_retries(&self) -> u64 {
-        self.lifecycle_count(|obs| &obs.checkpoint_retries)
-    }
-
-    /// Generation of the most recent durable checkpoint, if any.
-    pub fn last_checkpoint_generation(&self) -> Option<u64> {
-        match self
-            .store
-            .as_ref()?
-            .obs
-            .last_generation
-            .load(Ordering::SeqCst)
-        {
-            NO_GENERATION => None,
-            generation => Some(generation),
-        }
-    }
-
     /// The most recent background checkpoint-write failure, if any.
     /// (Explicit [`PoolHandle::request_checkpoint`] calls surface their
     /// errors directly.)
@@ -1052,6 +1032,18 @@ mod tests {
         }
     }
 
+    /// The value of the unlabelled series `name` in a scrape of `pool`'s
+    /// metrics, `None` when the pool exports no such series.
+    fn scrape(pool: &PoolHandle, name: &str) -> Option<i64> {
+        let registry = Registry::new();
+        pool.register_metrics(&registry);
+        let text = registry.render();
+        let sample = text
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))?;
+        Some(sample.parse().unwrap())
+    }
+
     /// A router lifecycle as a bootstrapping one-tenant pool would start
     /// with, its channels leading nowhere.
     fn router_lifecycle(cfg: LifecycleConfig) -> RouterLifecycle {
@@ -1163,7 +1155,7 @@ mod tests {
         let retrain = pool.request_retrain(TenantId::DEFAULT).recv().unwrap();
         assert_eq!(retrain, Err(LifecycleError::NoStore));
         assert_eq!(pool.checkpoints_written(), 0);
-        assert_eq!(pool.last_checkpoint_generation(), None);
+        assert_eq!(scrape(&pool, "saad_checkpoint_last_generation"), None);
         assert_eq!(pool.recovered_generation(), None);
         assert!(pool.rejected_checkpoints().is_empty());
         drop(batch_tx);
@@ -1373,7 +1365,10 @@ mod tests {
         // Durable right now — not merely queued.
         let store = CheckpointStore::create(dir.path(), 3).unwrap();
         assert!(store.load(generation).is_ok());
-        assert_eq!(pool.last_checkpoint_generation(), Some(generation));
+        assert_eq!(
+            scrape(&pool, "saad_checkpoint_last_generation"),
+            Some(generation as i64)
+        );
         assert_eq!(pool.checkpoints_written(), 1);
         assert_eq!(pool.last_checkpoint_error(), None);
         drop(batch_tx);
@@ -1403,10 +1398,10 @@ mod tests {
             .expect("retries must absorb transient write failures");
         let store = CheckpointStore::create(dir.path(), 3).unwrap();
         assert!(store.load(generation).is_ok());
-        let retries = u64::from(CHECKPOINT_RETRIES);
+        let retries = i64::from(CHECKPOINT_RETRIES);
         assert_eq!(
-            pool.checkpoint_retries(),
-            retries,
+            scrape(&pool, "saad_checkpoint_retries_total"),
+            Some(retries),
             "each failed attempt counts"
         );
         assert_eq!(pool.checkpoints_written(), 1);
@@ -1441,10 +1436,10 @@ mod tests {
             matches!(err, LifecycleError::Checkpoint(CheckpointError::Io(_))),
             "unexpected error: {err:?}"
         );
-        let retries = u64::from(CHECKPOINT_RETRIES);
+        let retries = i64::from(CHECKPOINT_RETRIES);
         assert_eq!(
-            pool.checkpoint_retries(),
-            retries,
+            scrape(&pool, "saad_checkpoint_retries_total"),
+            Some(retries),
             "retries stop at the cap"
         );
         assert_eq!(pool.checkpoints_written(), 0);

@@ -426,7 +426,9 @@ pub enum PoolStart {
 ///
 /// ```
 /// use saad_core::pipeline::{spawn_analyzer_pool, BatchSink, PoolStart, SupervisorConfig};
-/// use saad_core::prelude::*;
+/// use saad_core::detector::DetectorConfig;
+/// use saad_core::intern::SignatureInterner;
+/// use saad_core::model::{ModelBuilder, ModelConfig};
 /// use std::sync::Arc;
 ///
 /// let model = Arc::new(ModelBuilder::new().build(ModelConfig::default()));

@@ -135,7 +135,7 @@ impl SinkStats {
     }
 
     /// Drop counts summed over every host, broken down by reason.
-    pub fn drop_totals(&self) -> DropCounts {
+    pub(crate) fn drop_totals(&self) -> DropCounts {
         self.by_host
             .read()
             .values()
@@ -449,6 +449,7 @@ impl DetectorSink {
     }
 
     /// Events detected so far (without flushing open windows).
+    #[cfg(test)]
     pub fn events_so_far(&self) -> Vec<AnomalyEvent> {
         self.events.lock().clone()
     }

@@ -25,7 +25,7 @@ impl<'a> AnomalyReport<'a> {
 
     /// The paper's `Stage (host id)` label, e.g. `DataXceiver(3)`. Liveness
     /// events carry no stage ([`StageId::NONE`]) and are labeled by host.
-    pub fn stage_label(&self, event: &AnomalyEvent) -> String {
+    pub(crate) fn stage_label(&self, event: &AnomalyEvent) -> String {
         if event.stage == StageId::NONE {
             return event.host.to_string();
         }
@@ -71,7 +71,7 @@ impl<'a> AnomalyReport<'a> {
     }
 
     /// Render the templates of a signature's log points, one per line.
-    pub fn render_signature(&self, sig: &Signature, indent: &str) -> String {
+    pub(crate) fn render_signature(&self, sig: &Signature, indent: &str) -> String {
         let mut out = String::new();
         for &p in sig.points() {
             match self.points.template(p) {

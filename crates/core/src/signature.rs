@@ -53,7 +53,7 @@ impl Signature {
     /// # Panics
     ///
     /// Debug builds assert the invariant; release builds trust it.
-    pub fn from_sorted_points(points: Vec<LogPointId>) -> Signature {
+    pub(crate) fn from_sorted_points(points: Vec<LogPointId>) -> Signature {
         debug_assert!(
             points.windows(2).all(|w| w[0] < w[1]),
             "from_sorted_points requires strictly ascending points"

@@ -22,8 +22,9 @@ use std::sync::Arc;
 /// # Example
 ///
 /// ```
-/// use saad_core::prelude::*;
 /// use saad_core::simtask::SimTask;
+/// use saad_core::tracker::{TaskExecutionTracker, VecSink};
+/// use saad_core::{HostId, StageRegistry};
 /// use saad_logging::{Level, Logger, LogPointRegistry};
 /// use saad_sim::{ManualClock, SimDuration, SimTime};
 /// use std::sync::Arc;

@@ -445,7 +445,7 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// [`CheckpointError::Io`] if the directory cannot be read.
-    pub fn latest_generation(&self) -> Result<Option<u64>, CheckpointError> {
+    pub(crate) fn latest_generation(&self) -> Result<Option<u64>, CheckpointError> {
         Ok(self.generations()?.last().map(|&(g, _)| g))
     }
 
@@ -483,7 +483,7 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// [`CheckpointError::Io`] if listing or deletion fails.
-    pub fn prune(&self) -> Result<(), CheckpointError> {
+    pub(crate) fn prune(&self) -> Result<(), CheckpointError> {
         let generations = self.generations()?;
         if generations.len() > self.keep {
             for (_, path) in &generations[..generations.len() - self.keep] {

@@ -60,7 +60,7 @@ pub struct SynopsisHead {
 impl SynopsisHead {
     /// The owned synopsis of this head and `points`, its `log_points`
     /// allocated at exactly `points.len()`.
-    pub fn with_points(self, points: &[(LogPointId, u32)]) -> TaskSynopsis {
+    pub(crate) fn with_points(self, points: &[(LogPointId, u32)]) -> TaskSynopsis {
         TaskSynopsis {
             host: self.host,
             stage: self.stage,
@@ -100,12 +100,14 @@ impl TaskSynopsis {
     }
 
     /// Total log point visits (sum of frequencies).
+    #[cfg(test)]
     pub fn total_visits(&self) -> u64 {
         self.log_points.iter().map(|&(_, c)| c as u64).sum()
     }
 
     /// Approximate in-memory/wire size in bytes (for the Figure 8 volume
     /// accounting; the paper reports ~48 bytes per synopsis on average).
+    #[cfg(test)]
     pub fn approx_bytes(&self) -> usize {
         // sid + uid + ts + duration + host ≈ 17 bytes fixed, 6 per point.
         17 + 6 * self.log_points.len()

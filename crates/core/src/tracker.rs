@@ -467,6 +467,7 @@ impl TaskExecutionTracker {
     }
 
     /// Uid of the task currently active on this thread, if any.
+    #[cfg(test)]
     pub fn current_task(&self) -> Option<TaskUid> {
         TASKS.with(|t| {
             t.borrow()

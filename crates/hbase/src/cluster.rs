@@ -346,7 +346,8 @@ impl HBaseCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saad_core::prelude::*;
+    use saad_core::tracker::VecSink;
+    use saad_core::StageId;
     use saad_workload::{KeyChooser, OperationMix, WorkloadGenerator};
 
     fn ops(seed: u64, mins: u64, rate: f64) -> Vec<Operation> {

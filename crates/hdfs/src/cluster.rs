@@ -461,7 +461,8 @@ impl HdfsCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saad_core::prelude::*;
+    use saad_core::tracker::VecSink;
+    use saad_core::StageId;
 
     fn cluster() -> (HdfsCluster, Arc<VecSink>) {
         let sink = Arc::new(VecSink::new());

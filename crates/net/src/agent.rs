@@ -39,6 +39,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Socket write timeout of an agent's link: a stalled collector fails the
+/// write and the frame is accounted wire-lost rather than blocking the
+/// worker forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Longest a connect, and then the wait for the handshake ack, may take.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Growth factor of the reconnect delay per consecutive failure.
 const BACKOFF_MULTIPLIER: f64 = 2.0;
 
@@ -90,12 +98,6 @@ pub struct AgentConfig {
     pub policy: OverloadPolicy,
     /// Reconnect backoff.
     pub backoff: BackoffConfig,
-    /// Socket write timeout; a stalled collector fails the write and the
-    /// frame is accounted wire-lost rather than blocking the worker
-    /// forever.
-    pub write_timeout: Duration,
-    /// Longest a connect, and then the wait for the handshake ack, may take.
-    pub read_timeout: Duration,
     /// Protocol version announced in the handshake (normally
     /// [`PROTOCOL_VERSION`]; overridable to exercise rejection paths).
     pub version: u16,
@@ -109,8 +111,6 @@ impl Default for AgentConfig {
                 timeout: Duration::from_secs(1),
             },
             backoff: BackoffConfig::default(),
-            write_timeout: Duration::from_secs(5),
-            read_timeout: Duration::from_secs(5),
             version: PROTOCOL_VERSION,
         }
     }
@@ -589,7 +589,7 @@ fn worker_loop(
             conn = match resolver.resolve(host) {
                 Some((addr, epoch)) => {
                     let hello = out.hello(config.version, epoch, PeerRole::Agent);
-                    let answer = dial(addr, &hello, config.write_timeout, config.read_timeout);
+                    let answer = dial(addr, &hello, WRITE_TIMEOUT, READ_TIMEOUT);
                     out.dialed(addr, answer, clock.elapsed())
                 }
                 None => {

@@ -34,8 +34,8 @@ impl std::error::Error for OversizedPrefix {}
 
 /// Reassembles length-prefixed messages from stream fragments.
 ///
-/// Feed bytes either by copy ([`FrameAssembler::extend`]) or by vectored
-/// reads straight into [`FrameAssembler::ring_mut`], then drain with
+/// Feed bytes by copy ([`FrameAssembler::extend`]; a [`Session`](crate::Session)
+/// lands vectored reads straight into the ring instead), then drain with
 /// [`FrameAssembler::next_message`] until it returns `Ok(None)`.
 #[derive(Debug)]
 pub struct FrameAssembler {
@@ -67,7 +67,7 @@ impl FrameAssembler {
     /// The underlying ring, for landing vectored reads without a copy.
     /// Only append (`write_slices` + `commit`); never consume — the
     /// assembler owns consumption.
-    pub fn ring_mut(&mut self) -> &mut RingBuf {
+    pub(crate) fn ring_mut(&mut self) -> &mut RingBuf {
         &mut self.ring
     }
 

@@ -96,7 +96,7 @@ pub struct CollectorStats {
 /// coordinates**, not just the payload — what a leaf collector's uplink
 /// implements so it can re-frame digests upstream at the exact positions
 /// the originating agents encoded them at (see `crate::leaf`).
-pub trait AdmittedSink: Send + Sync {
+pub(crate) trait AdmittedSink: Send + Sync {
     /// One fresh admitted frame for `host`: its payload as the parser
     /// checked it, the loss this frame newly revealed on the agent link,
     /// and the host's global stream position just past the frame's last

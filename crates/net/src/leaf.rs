@@ -49,6 +49,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Uplink socket write timeout: a stalled root fails the flush and the
+/// digest is accounted wire-lost, never blocking an agent-facing loop for
+/// long.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Longest an uplink connect, and then the wait for its ack, may take.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Tuning for a [`LeafCollector`].
 #[derive(Debug, Clone)]
 pub struct LeafConfig {
@@ -68,12 +76,6 @@ pub struct LeafConfig {
     /// [`epoch_handle`](ControlPlane::epoch_handle) into
     /// `collector.epoch` to enforce ring staleness at this leaf.
     pub collector: ReactorCollectorConfig,
-    /// Uplink socket write timeout (a stalled root fails the flush and
-    /// the digest is accounted wire-lost, never blocks an agent-facing
-    /// loop for long).
-    pub write_timeout: Duration,
-    /// Longest an uplink connect, and then the wait for its ack, may take.
-    pub read_timeout: Duration,
     /// Uplink reconnect pacing: at most one connect per flush, spaced by
     /// this schedule — never a blocking retry loop.
     pub backoff: BackoffConfig,
@@ -87,8 +89,6 @@ impl Default for LeafConfig {
             max_digest: 512,
             flush_interval: Duration::from_millis(50),
             collector: ReactorCollectorConfig::default(),
-            write_timeout: Duration::from_secs(5),
-            read_timeout: Duration::from_secs(5),
             backoff: BackoffConfig::default(),
         }
     }
@@ -160,10 +160,9 @@ impl Uplink {
     /// An uplink to the root at `root_addr`, not yet connected.
     fn new(root_addr: SocketAddr, config: LeafConfig) -> Uplink {
         let socket = Arc::new(Mutex::new(None));
-        let (handle, write_timeout, read_timeout) =
-            (socket.clone(), config.write_timeout, config.read_timeout);
+        let handle = socket.clone();
         let dial = move |hello: &Hello| {
-            let (stream, ack) = dial(root_addr, hello, write_timeout, read_timeout)?;
+            let (stream, ack) = dial(root_addr, hello, WRITE_TIMEOUT, READ_TIMEOUT)?;
             *handle.lock() = stream.try_clone().ok();
             Ok((Box::new(stream) as Conn, ack))
         };

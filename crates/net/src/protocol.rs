@@ -40,27 +40,27 @@ use std::time::Duration;
 pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Magic prefix of a peer `Hello`.
-pub const HELLO_MAGIC: [u8; 4] = *b"SAAD";
+pub(crate) const HELLO_MAGIC: [u8; 4] = *b"SAAD";
 
 /// Magic prefix of a collector `HelloAck`.
-pub const ACK_MAGIC: [u8; 4] = *b"SADA";
+pub(crate) const ACK_MAGIC: [u8; 4] = *b"SADA";
 
 /// Encoded size of a protocol-v1 [`Hello`] — also the prefix length of a
 /// v2 hello, which is what a collector reads before it knows the version.
-pub const HELLO_V1_LEN: usize = 36;
+pub(crate) const HELLO_V1_LEN: usize = 36;
 
 /// Encoded size of the v2 hello extension block: epoch (8) + role (1) +
 /// pad (1) + CRC-32 (4).
-pub const HELLO_EXT_LEN: usize = 14;
+pub(crate) const HELLO_EXT_LEN: usize = 14;
 
 /// Encoded size of a current-version [`Hello`] in bytes.
 pub const HELLO_LEN: usize = HELLO_V1_LEN + HELLO_EXT_LEN;
 
 /// Encoded size of a protocol-v1 [`HelloAck`].
-pub const HELLO_ACK_V1_LEN: usize = 28;
+pub(crate) const HELLO_ACK_V1_LEN: usize = 28;
 
 /// Encoded size of the v2 ack extension block: epoch (8) + CRC-32 (4).
-pub const HELLO_ACK_EXT_LEN: usize = 12;
+pub(crate) const HELLO_ACK_EXT_LEN: usize = 12;
 
 /// Encoded size of a current-version [`HelloAck`] in bytes.
 pub const HELLO_ACK_LEN: usize = HELLO_ACK_V1_LEN + HELLO_ACK_EXT_LEN;
@@ -237,7 +237,7 @@ pub fn encode_hello(hello: &Hello) -> Vec<u8> {
 ///
 /// Returns [`HandshakeError`] when the magic or prefix checksum is wrong.
 /// Version agreement is the caller's policy decision, not a decode error.
-pub fn decode_hello_prefix(buf: &[u8; HELLO_V1_LEN]) -> Result<Hello, HandshakeError> {
+pub(crate) fn decode_hello_prefix(buf: &[u8; HELLO_V1_LEN]) -> Result<Hello, HandshakeError> {
     if buf[0..4] != HELLO_MAGIC {
         return Err(HandshakeError::BadMagic(buf[0..4].try_into().expect("4")));
     }
@@ -259,7 +259,7 @@ pub fn decode_hello_prefix(buf: &[u8; HELLO_V1_LEN]) -> Result<Hello, HandshakeE
 
 /// Extension bytes that follow the 36-byte prefix for `version` (0 for
 /// v1, [`HELLO_EXT_LEN`] for v2 and later).
-pub fn hello_ext_len(version: u16) -> usize {
+pub(crate) fn hello_ext_len(version: u16) -> usize {
     if version >= 2 {
         HELLO_EXT_LEN
     } else {
@@ -276,7 +276,7 @@ pub fn hello_ext_len(version: u16) -> usize {
 ///
 /// Returns [`HandshakeError::ChecksumMismatch`] when the extension CRC
 /// disagrees.
-pub fn apply_hello_ext(
+pub(crate) fn apply_hello_ext(
     hello: &mut Hello,
     prefix: &[u8; HELLO_V1_LEN],
     ext: &[u8; HELLO_EXT_LEN],
@@ -390,7 +390,10 @@ pub fn decode_hello_ack(buf: &[u8]) -> Result<HelloAck, HandshakeError> {
 /// Propagates the I/O error; EOF before a complete ack is
 /// [`io::ErrorKind::UnexpectedEof`], an ack that fails its magic or
 /// checksum [`io::ErrorKind::InvalidData`].
-pub fn exchange_hello<S: Read + Write>(stream: &mut S, hello: &Hello) -> io::Result<HelloAck> {
+pub(crate) fn exchange_hello<S: Read + Write>(
+    stream: &mut S,
+    hello: &Hello,
+) -> io::Result<HelloAck> {
     stream.write_all(&encode_hello(hello))?;
     stream.flush()?;
     let mut buf = [0u8; HELLO_ACK_LEN];

@@ -126,7 +126,7 @@ impl ReactorCollector {
     /// # Errors
     ///
     /// Propagates bind, event-loop, or waker creation failure.
-    pub fn bind_forward<A: ToSocketAddrs>(
+    pub(crate) fn bind_forward<A: ToSocketAddrs>(
         addr: A,
         sink: Arc<dyn AdmittedSink>,
         config: ReactorCollectorConfig,

@@ -95,7 +95,7 @@ impl RingSnapshot {
     }
 
     /// Address of the leaf `host` is assigned to.
-    pub fn assign_addr(&self, host: HostId) -> Option<(LeafId, SocketAddr)> {
+    pub(crate) fn assign_addr(&self, host: HostId) -> Option<(LeafId, SocketAddr)> {
         let leaf = self.assign(host)?;
         Some((leaf, self.leaves[&leaf]))
     }

@@ -1,16 +1,5 @@
 //! The receiving end of one connection as a sans-IO state machine: bytes
 //! in, protocol steps out — no socket, no clock, no lock.
-//!
-//! A [`Session`] owns what the wire protocol says about one connection:
-//! the [`FrameAssembler`] and its ring, the `Prefix → Ext → Streaming`
-//! phases of the two-part hello, the ack bytes not yet written and
-//! whether the peer was refused. What a hello or a frame *means* is the
-//! [`Handler`]'s business; who moves the bytes is the driver's: the
-//! readiness loop lands vectored reads in [`Session::ring_mut`] and calls
-//! [`Session::drain`], tests call [`Session::feed`]. The steps taken
-//! depend on the byte stream alone, never on how it was cut — except
-//! where [`Handler::on_drained`] falls between them, which is at the end
-//! of each drain.
 
 use crate::framing::FrameAssembler;
 use crate::protocol::{
@@ -58,7 +47,18 @@ enum Phase {
     Rejected,
 }
 
-/// One connection's protocol state. See the [module docs](self).
+/// One connection's protocol state, as a sans-IO state machine: bytes in,
+/// protocol steps out — no socket, no clock, no lock.
+///
+/// A session owns what the wire protocol says about one connection: the
+/// [`FrameAssembler`] and its ring, the `Prefix → Ext → Streaming` phases
+/// of the two-part hello, the ack bytes not yet written and whether the
+/// peer was refused. What a hello or a frame *means* is the [`Handler`]'s
+/// business; who moves the bytes is the driver's: the readiness loop lands
+/// vectored reads in the session's ring and calls [`Session::drain`],
+/// tests call [`Session::feed`]. The steps taken depend on the byte stream
+/// alone, never on how it was cut — except where [`Handler::on_drained`]
+/// falls between them, which is at the end of each drain.
 pub struct Session {
     assembler: FrameAssembler,
     phase: Phase,
@@ -82,20 +82,20 @@ impl Session {
     /// The ring, for landing socket reads without a copy. Only append
     /// (`write_slices`/`io_slices` + `commit`), and call
     /// [`Session::drain`] before reading into a full ring.
-    pub fn ring_mut(&mut self) -> &mut RingBuf {
+    pub(crate) fn ring_mut(&mut self) -> &mut RingBuf {
         self.assembler.ring_mut()
     }
 
     /// Whether the last [`Session::drain`] stopped inside a frame (a
     /// decode stall).
     #[must_use]
-    pub fn mid_message(&self) -> bool {
+    pub(crate) fn mid_message(&self) -> bool {
         matches!(self.phase, Phase::Streaming) && self.assembler.buffered() > 0
     }
 
     /// The peer was refused: close once [`Session::ack`] is empty.
     #[must_use]
-    pub fn is_rejected(&self) -> bool {
+    pub(crate) fn is_rejected(&self) -> bool {
         matches!(self.phase, Phase::Rejected)
     }
 

@@ -301,7 +301,9 @@ impl RelayCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saad_core::prelude::*;
+    use saad_core::synopsis::TaskSynopsis;
+    use saad_core::tracker::VecSink;
+    use saad_core::{HostId, StageId};
     use saad_fault::{catalog, GrayFault, GrayFaultSpec, HostSet};
 
     fn workload(seed: u64) -> WorkloadGenerator {

@@ -8,10 +8,11 @@
 //! ```
 
 use saad::cassandra::{Cluster, ClusterConfig};
+use saad::core::detector::DetectorConfig;
 use saad::core::model::ModelConfig;
 use saad::core::pipeline::{DetectorSink, ModelSink};
-use saad::core::prelude::*;
 use saad::core::report::AnomalyReport;
+use saad::core::HostId;
 use saad::fault::{catalog, FaultSchedule, FaultSpec, FaultType, Intensity};
 use saad::sim::SimTime;
 use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};

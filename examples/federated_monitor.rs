@@ -29,8 +29,11 @@
 //! ```
 
 use crossbeam_channel::unbounded;
+use saad::core::batch::SynopsisBatch;
+use saad::core::detector::DetectorConfig;
 use saad::core::pipeline::{spawn_analyzer_pool, LifecycleConfig, PoolStart, SupervisorConfig};
-use saad::core::prelude::*;
+use saad::core::synopsis::TaskSynopsis;
+use saad::core::{HostId, StageId, TaskUid};
 use saad::net::{
     Agent, AgentConfig, BackoffConfig, ControlPlane, LeafCollector, LeafConfig, LeafId,
     RootCollector,

@@ -6,9 +6,9 @@
 //! cargo run --release --example hbase_disk_hog
 //! ```
 
+use saad::core::detector::DetectorConfig;
 use saad::core::model::ModelConfig;
 use saad::core::pipeline::{DetectorSink, ModelSink};
-use saad::core::prelude::*;
 use saad::fault::HogSchedule;
 use saad::hbase::{HBaseCluster, HBaseConfig};
 use saad::sim::{SimDuration, SimTime};

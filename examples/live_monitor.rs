@@ -30,10 +30,13 @@
 //! the phases execute.
 
 use crossbeam_channel::unbounded;
+use saad::core::batch::SynopsisBatch;
+use saad::core::detector::DetectorConfig;
 use saad::core::pipeline::{
     spawn_analyzer_pool, BatchSink, LifecycleConfig, PoolStart, SupervisorConfig,
 };
-use saad::core::prelude::*;
+use saad::core::tracker::{SynopsisSink, TaskExecutionTracker, TrackerMetrics};
+use saad::core::{HostId, TenantId};
 use saad::net::{Agent, AgentConfig, ReactorCollector, ReactorCollectorConfig};
 use saad::sim::{Clock, WallClock};
 use saad::stage::StagedServer;

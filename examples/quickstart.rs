@@ -9,8 +9,12 @@
 //! cargo run --example quickstart
 //! ```
 
-use saad::core::prelude::*;
+use saad::core::batch::SynopsisBatch;
+use saad::core::detector::{AnomalyDetector, DetectorConfig};
+use saad::core::model::{ModelBuilder, ModelConfig, VerdictMask};
 use saad::core::report::AnomalyReport;
+use saad::core::tracker::{TaskExecutionTracker, VecSink};
+use saad::core::{HostId, StageRegistry};
 use saad::logging::{Level, LogPointRegistry, Logger};
 use saad::sim::{Clock, ManualClock, SimDuration, SimTime};
 use std::error::Error;

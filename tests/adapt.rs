@@ -6,13 +6,15 @@
 //! stay byte-for-byte identical to a run where A never drifted.
 
 use crossbeam_channel::unbounded;
+use saad::core::batch::SynopsisBatch;
 use saad::core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
 use saad::core::pipeline::{
     spawn_analyzer_pool, AdaptPolicy, LifecycleConfig, PoolHandle, PoolStart, SupervisorConfig,
     TenantRouter,
 };
-use saad::core::prelude::*;
+use saad::core::synopsis::TaskSynopsis;
 use saad::core::testkit::{event_keys, soa, TempDir};
+use saad::core::{HostId, StageId, TaskUid, TenantId};
 use saad::logging::LogPointId;
 use saad::sim::{SimDuration, SimTime};
 

@@ -19,18 +19,22 @@
 
 use crossbeam_channel::{unbounded, Sender};
 use proptest::prelude::*;
+use saad::core::batch::SynopsisBatch;
 use saad::core::detector::{AnomalyDetector, AnomalyEvent, AnomalyKind, DetectorConfig};
-use saad::core::model::{ModelBuilder, ModelConfig, OutlierModel};
+use saad::core::feature::InternedFeature;
+use saad::core::intern::SignatureInterner;
+use saad::core::model::{ModelBuilder, ModelConfig, OutlierModel, VerdictMask};
 use saad::core::pipeline::{
     spawn_analyzer_pool, BatchSink, DetectorSink, LifecycleConfig, PoolHandle, PoolStart,
     SupervisorConfig,
 };
-use saad::core::prelude::*;
+use saad::core::store::{Checkpoint, CheckpointStore};
 use saad::core::synopsis::TaskSynopsis;
 use saad::core::testkit::{
     event_keys, feed_frame_soa, reference_run, soa, FeatureVector, FrameOutcome, TempDir,
 };
 use saad::core::tracker::SynopsisSink;
+use saad::core::{HostId, Signature, StageId, TaskUid};
 use saad::logging::LogPointId;
 use saad::sim::{SimDuration, SimTime};
 use std::path::Path;

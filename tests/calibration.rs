@@ -8,7 +8,11 @@
 //!
 //! Run: `cargo test --test calibration` (well under 5 s in a debug build).
 
-use saad::core::prelude::*;
+use saad::core::batch::SynopsisBatch;
+use saad::core::detector::{AnomalyDetector, AnomalyKind, DetectorConfig};
+use saad::core::model::{ModelBuilder, ModelConfig, OutlierModel, VerdictMask};
+use saad::core::synopsis::TaskSynopsis;
+use saad::core::{HostId, Signature, StageId, TaskUid};
 use saad::logging::LogPointId;
 use saad::sim::{SimDuration, SimTime};
 use saad::stats::hypothesis::{one_sided_proportion_test, Alternative, SAAD_ALPHA};

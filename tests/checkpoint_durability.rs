@@ -12,12 +12,15 @@
 //!   file.
 
 use crossbeam_channel::{unbounded, Sender};
-use saad::core::detector::AnomalyKind;
+use saad::core::batch::SynopsisBatch;
+use saad::core::detector::{AnomalyKind, DetectorConfig};
 use saad::core::pipeline::{
     spawn_analyzer_pool, LifecycleConfig, PoolHandle, PoolStart, SupervisorConfig,
 };
-use saad::core::prelude::*;
+use saad::core::store::CheckpointStore;
+use saad::core::synopsis::TaskSynopsis;
 use saad::core::testkit::{event_keys, soa, TempDir};
+use saad::core::{HostId, StageId, TaskUid, TenantId};
 use saad::fault::CheckpointTamperer;
 use saad::logging::LogPointId;
 use saad::sim::{SimDuration, SimTime};

@@ -2,9 +2,10 @@
 //! §5.4 faults, and check SAAD pinpoints the stages the paper reports.
 
 use saad::cassandra::{Cluster, ClusterConfig};
+use saad::core::detector::{AnomalyEvent, DetectorConfig};
 use saad::core::model::ModelConfig;
 use saad::core::pipeline::{DetectorSink, ModelSink};
-use saad::core::prelude::*;
+use saad::core::{HostId, StageRegistry};
 use saad::fault::{catalog, FaultSchedule, FaultSpec, FaultType, Intensity};
 use saad::sim::SimTime;
 use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};

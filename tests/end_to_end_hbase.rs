@@ -1,9 +1,9 @@
 //! End-to-end: the HBase/HDFS disk-hog experiment (paper §5.5), checking
 //! the recovery-bug cascade and the major-compaction false positive.
 
+use saad::core::detector::{AnomalyKind, DetectorConfig};
 use saad::core::model::ModelConfig;
 use saad::core::pipeline::{DetectorSink, ModelSink};
-use saad::core::prelude::*;
 use saad::fault::HogSchedule;
 use saad::hbase::{HBaseCluster, HBaseConfig};
 use saad::sim::{SimDuration, SimTime};

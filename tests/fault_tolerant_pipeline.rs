@@ -17,16 +17,17 @@
 //! * the anomaly injected during the lossy window is still detected, and
 //!   its event reports a completeness ratio below 1.0.
 
-use saad::core::detector::AnomalyDetector;
+use saad::core::detector::{AnomalyDetector, DetectorConfig};
+use saad::core::intern::SignatureInterner;
 use saad::core::model::{ModelBuilder, ModelConfig, OutlierModel};
 use saad::core::pipeline::{
     spawn_analyzer_pool, BatchSink, OverloadPolicy, PoolStart, SupervisorConfig,
 };
-use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
 use saad::core::testkit::FrameOutcome;
 use saad::core::tracker::SynopsisSink;
 use saad::core::transport::{FrameReceiver, FrameSender, LossReport};
+use saad::core::{HostId, StageId, TaskUid};
 use saad::fault::{catalog, LossyLink};
 use saad::logging::LogPointId;
 use saad::sim::{SimDuration, SimTime};

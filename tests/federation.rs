@@ -22,13 +22,16 @@
 //!   accounted as disconnected.
 
 use crossbeam_channel::{unbounded, Sender};
-use saad::core::detector::AnomalyEvent;
+use saad::core::batch::SynopsisBatch;
+use saad::core::detector::{AnomalyEvent, DetectorConfig};
 use saad::core::pipeline::{
     spawn_analyzer_pool, LifecycleConfig, PoolHandle, PoolStart, SupervisorConfig,
 };
-use saad::core::prelude::*;
+use saad::core::synopsis::TaskSynopsis;
 use saad::core::testkit::{event_keys, TempDir};
+use saad::core::tracker::VecSink;
 use saad::core::transport::LossReport;
+use saad::core::{HostId, StageId, TaskUid};
 use saad::fault::{DisconnectSchedule, FaultyProxy, HogSchedule, ProxySpec};
 use saad::hbase::{HBaseCluster, HBaseConfig};
 use saad::logging::LogPointId;

@@ -20,10 +20,10 @@
 //! every cut offset, by `saad-net`'s `session` unit tests.)
 
 use proptest::prelude::*;
-use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
 use saad::core::testkit::{parse_frame, FrameOutcome};
 use saad::core::transport::{FrameReceiver, FrameSender};
+use saad::core::{HostId, StageId, TaskUid};
 use saad::logging::LogPointId;
 use saad::net::protocol::{
     decode_hello_ack, encode_hello, write_message, MAX_MESSAGE_LEN, NO_SEQ, PINNED_EPOCH,

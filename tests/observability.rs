@@ -13,13 +13,19 @@
 //!   on the checkpoint stage — the detector catching its own subsystem.
 
 use crossbeam_channel::unbounded;
-use saad::core::detector::AnomalyKind;
+use saad::core::batch::SynopsisBatch;
+use saad::core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
+use saad::core::intern::SignatureInterner;
+use saad::core::model::{ModelBuilder, ModelConfig};
 use saad::core::pipeline::{
     spawn_analyzer_pool, BatchSink, LifecycleConfig, PoolHandle, PoolStart, SupervisorConfig,
 };
-use saad::core::prelude::*;
+use saad::core::selfmon::{MetaMonitor, MetaStage};
+use saad::core::synopsis::TaskSynopsis;
 use saad::core::testkit::{soa, TempDir};
+use saad::core::tracker::{SynopsisSink, TaskExecutionTracker, TrackerMetrics, VecSink};
 use saad::core::transport::FrameSender;
+use saad::core::{HostId, StageId, TaskUid, TenantId};
 use saad::logging::{Interceptor, Level, LogPointId};
 use saad::net::protocol::{encode_hello, write_message, HELLO_ACK_LEN, PINNED_EPOCH};
 use saad::net::{

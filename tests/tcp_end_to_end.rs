@@ -27,14 +27,18 @@
 //! the collector cut them, as a tap between collector and pool recorded.
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use saad::core::detector::{AnomalyEvent, AnomalyKind};
-use saad::core::model::ModelConfig;
+use saad::core::batch::SynopsisBatch;
+use saad::core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
+use saad::core::intern::SignatureInterner;
+use saad::core::model::{ModelBuilder, ModelConfig};
 use saad::core::pipeline::{
     spawn_analyzer_pool, LifecycleConfig, ModelSink, PoolHandle, PoolStart, SupervisorConfig,
 };
-use saad::core::prelude::*;
+use saad::core::synopsis::TaskSynopsis;
 use saad::core::testkit::{event_keys, soa, TempDir};
+use saad::core::tracker::{SynopsisSink, VecSink};
 use saad::core::transport::LossReport;
+use saad::core::{HostId, StageId, TaskUid};
 use saad::fault::{FaultyProxy, HogSchedule, ProxySpec};
 use saad::hbase::{HBaseCluster, HBaseConfig};
 use saad::logging::LogPointId;

@@ -24,11 +24,11 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saad::core::codec::encode_batch;
-use saad::core::prelude::*;
-use saad::core::synopsis::SynopsisHead;
+use saad::core::synopsis::{SynopsisHead, TaskSynopsis};
 use saad::core::testkit::decode_batch;
-use saad::core::tracker::{SuspendedTask, TaskGuard};
+use saad::core::tracker::{SuspendedTask, SynopsisSink, TaskExecutionTracker, TaskGuard, VecSink};
 use saad::core::transport::{FramePayload, FrameSender};
+use saad::core::{HostId, StageId, TaskUid};
 use saad::logging::{Interceptor, Level, LogPointId};
 use saad::net::protocol::write_message;
 use saad::net::{Agent, AgentConfig};

@@ -9,12 +9,13 @@
 
 use saad::cassandra::{Cluster, ClusterConfig};
 use saad::core::codec;
-use saad::core::detector::AnomalyDetector;
-use saad::core::model::ModelConfig;
+use saad::core::detector::{AnomalyDetector, AnomalyEvent, DetectorConfig};
+use saad::core::intern::SignatureInterner;
+use saad::core::model::{ModelBuilder, ModelConfig};
 use saad::core::pipeline::{spawn_analyzer_pool, BatchSink, PoolStart, SupervisorConfig};
-use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
 use saad::core::testkit::{self, event_keys, reference_run, soa};
+use saad::core::tracker::{SynopsisSink, VecSink};
 use saad::fault::{catalog, FaultSchedule, FaultSpec, FaultType, Intensity};
 use saad::sim::SimTime;
 use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};

@@ -14,9 +14,9 @@
 
 use bytes::BytesMut;
 use proptest::prelude::*;
-use saad::core::prelude::*;
 use saad::core::synopsis::TaskSynopsis;
 use saad::core::transport::{crc32, FramePayload, FrameSender};
+use saad::core::{HostId, StageId, TaskUid};
 use saad::logging::LogPointId;
 use saad::net::protocol::{write_message, MAX_MESSAGE_LEN};
 use saad::sim::{SimDuration, SimTime};

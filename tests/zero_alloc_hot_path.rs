@@ -18,11 +18,14 @@
 //! per thread: the harness runs each test on its own, and prints from
 //! another.
 
+use saad::core::batch::SynopsisBatch;
 use saad::core::codec::{decode_batch_into, encode_batch};
 use saad::core::detector::{AnomalyDetector, DetectorConfig};
-use saad::core::model::{ModelBuilder, ModelConfig, OutlierModel, TaskClass};
-use saad::core::prelude::*;
+use saad::core::feature::InternedFeature;
+use saad::core::intern::{SigId, SignatureInterner};
+use saad::core::model::{ModelBuilder, ModelConfig, OutlierModel, TaskClass, VerdictMask};
 use saad::core::synopsis::TaskSynopsis;
+use saad::core::{HostId, StageId, TaskUid};
 use saad::logging::LogPointId;
 use saad::sim::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};

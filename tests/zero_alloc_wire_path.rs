@@ -17,10 +17,13 @@
 mod common;
 
 use bytes::BytesMut;
+use saad::core::batch::SynopsisBatch;
 use saad::core::codec::{decode_batch_into, encode_batch};
-use saad::core::prelude::*;
+use saad::core::intern::SignatureInterner;
 use saad::core::synopsis::TaskSynopsis;
+use saad::core::tracker::TaskExecutionTracker;
 use saad::core::transport::{FramePayload, FrameSender};
+use saad::core::{HostId, StageId, TaskUid};
 use saad::logging::{Interceptor, Level, LogPointId};
 use saad::net::{Agent, AgentConfig};
 use saad::sim::{Clock, ManualClock, SimDuration, SimTime};
