@@ -13,8 +13,9 @@
 //! * model construction throughput,
 //! * analyzer observe throughput (the paper sustains 1500 synopses/s): the
 //!   batch path over one stream in order and with every sixth element three
-//!   windows old, and the cost of closing a silent window (EXPERIMENTS.md
-//!   "Microbenchmarks" quotes these three).
+//!   windows old, the cost of closing a silent window, and window turnover
+//!   over 2 000 (host, stage) pairs, a boundary crossed every batch
+//!   (EXPERIMENTS.md "Microbenchmarks" quotes these four).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use saad_bench::DrainingCollector;
@@ -330,6 +331,48 @@ fn bench_detector(c: &mut Criterion) {
             |mut d| {
                 let events = d.advance_watermark(SimTime::from_micros(3 * window_us));
                 assert!(events.is_empty() && d.open_windows() == 0);
+                d
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    // Window turnover at fleet width: 2 000 (host, stage) pairs at 8 tasks
+    // per window, one window per 16 000-row batch, stamped with the running
+    // maximum, so every batch's first row crosses a window boundary and
+    // closes the window two back. Ten windows per iteration from a copy
+    // that has two open; ns per synopsis.
+    const PAIRS: u64 = 2_000;
+    let per_window = PAIRS * 8;
+    let mut watermark = SimTime::ZERO;
+    let turnover: Vec<SynopsisBatch> = (0..12u64)
+        .map(|idx| {
+            let mut batch = SynopsisBatch::with_capacity(per_window as usize);
+            for i in 0..per_window {
+                let mut s = synopsis(0, &[1, 2, 4, 5], 9_000 + (i % 97) * 20, i);
+                s.host = HostId((i % PAIRS) as u16);
+                s.start = SimTime::from_micros(idx * window_us + i * (window_us / per_window));
+                watermark = watermark.max(s.start);
+                batch.push_feature(&InternedFeature::from_synopsis(&s, &interner), watermark);
+            }
+            batch
+        })
+        .collect();
+    let mut warm = fresh();
+    let mut verdicts = VerdictMask::new();
+    for batch in &turnover[..2] {
+        warm.observe_batch(batch, &mut verdicts);
+    }
+    assert_eq!(warm.open_windows(), 2 * PAIRS as usize);
+    g.throughput(Throughput::Elements(10 * per_window));
+    g.bench_function("window_turnover/2000", |b| {
+        b.iter_batched(
+            || warm.clone(),
+            |mut d| {
+                for batch in &turnover[2..] {
+                    black_box(d.observe_batch(batch, &mut verdicts));
+                }
+                assert_eq!(d.open_windows(), 2 * PAIRS as usize);
                 d
             },
             BatchSize::SmallInput,

@@ -13,7 +13,7 @@
 
 use crate::batch::SynopsisBatch;
 use crate::codec::{get_f64, get_u8, get_varint, id16, put_f64, put_varint, DecodeError};
-use crate::fasthash::FastMap;
+use crate::fasthash::{FastBuild, FastMap};
 use crate::intern::{SigId, SignatureInterner};
 use crate::model::{
     CompiledModel, ConfigError, ModelBuilder, ModelConfig, OutlierModel, TaskClass, VerdictMask,
@@ -174,9 +174,10 @@ struct WindowAccum {
     rare_flow_outliers: u64,
     new_signature_tasks: u64,
     new_signatures: Vec<SigId>,
-    // interned signature -> (perf outliers, group n); only perf-eligible
-    // signatures. Keyed on the dense id — no boxed-slice re-hashing.
-    perf: FastMap<SigId, (u64, u64)>,
+    // (interned signature, perf outliers, group n) for each perf-eligible
+    // signature, in arrival order. A window holds a handful, so a linear
+    // search over dense ids beats hashing, and clearing keeps the vector.
+    perf: Vec<(SigId, u64, u64)>,
 }
 
 impl WindowAccum {
@@ -195,11 +196,8 @@ impl WindowAccum {
             TaskClass::Normal | TaskClass::PerformanceOutlier => {
                 // Track the per-signature performance group when eligible.
                 if compiled.is_perf_eligible(stage, sig) {
-                    let g = self.perf.entry(sig).or_insert((0, 0));
-                    g.1 += 1;
-                    if class == TaskClass::PerformanceOutlier {
-                        g.0 += 1;
-                    }
+                    let outlier = u64::from(class == TaskClass::PerformanceOutlier);
+                    self.add_group(sig, outlier, 1);
                 }
             }
             TaskClass::FlowOutlier => self.rare_flow_outliers += 1,
@@ -210,6 +208,16 @@ impl WindowAccum {
         }
     }
 
+    /// Add `n` tasks, `outliers` of them over threshold, to `sig`'s
+    /// performance group.
+    #[inline]
+    fn add_group(&mut self, sig: SigId, outliers: u64, n: u64) {
+        match self.perf.iter_mut().find(|g| g.0 == sig) {
+            Some(g) => (g.1, g.2) = (g.1 + outliers, g.2 + n),
+            None => self.perf.push((sig, outliers, n)),
+        }
+    }
+
     /// List a new signature for the window's report, up to the cap.
     fn enumerate_new(&mut self, sig: SigId, max_new_signatures: usize) {
         if !self.new_signatures.contains(&sig) && self.new_signatures.len() < max_new_signatures {
@@ -217,7 +225,7 @@ impl WindowAccum {
         }
     }
 
-    /// Empty the accumulator, keeping what its vector and map allocated.
+    /// Empty the accumulator, keeping what its vectors allocated.
     fn clear(&mut self) {
         self.n = 0;
         self.rare_flow_outliers = 0;
@@ -230,60 +238,132 @@ impl WindowAccum {
 /// Identity of one detection window: `(host, stage, window index)`.
 type WindowKey = (HostId, StageId, u64);
 
+/// The windows of one window index, by `(host, stage)`.
+type Bucket = FastMap<(HostId, StageId), WindowAccum>;
+
 /// The open detection windows, indexed by window index first.
 ///
 /// Windows close in index order — everything below the watermark's grace
 /// bound at once — so the store keeps one bucket per window index and
-/// closing pops whole buckets off the front: the work is proportional to
-/// the windows closed, never to the windows open. Only the watermark's own
-/// index and the one before it are present (a straggler never enters the
-/// store, see `AnomalyDetector::account`), so finding an element's bucket
-/// is a search over two keys.
-#[derive(Debug, Default, Clone)]
+/// closing visits only the leading buckets it closes: the work is
+/// proportional to the windows closed, never to the windows open. Only the
+/// watermark's own index and the one before it are present (a straggler
+/// never enters the store, see `AnomalyDetector::account`), so finding an
+/// element's bucket is a search over two keys.
+///
+/// **A window is open while its accumulator has counted a row (`n > 0`).**
+/// `windows` counts exactly those, so [`AnomalyDetector::open_windows`] is
+/// O(1). Closing recycles rather than frees: the closed windows are tested
+/// by reference in key order, then the bucket keeps the accumulators that
+/// counted, cleared in place, drops the entries that counted nothing, and
+/// waits as `spare` for the next window index to open. A `(host, stage)`
+/// that reports window after window reuses its accumulator and the vectors
+/// it grew, so steady-state turnover allocates nothing. An entry with
+/// `n == 0` is such an accumulator that has not counted yet: not a window,
+/// not iterated, not written, not copied.
+///
+/// The one spare bucket and the key scratch are not state: they are not in
+/// the wire form, and a clone (the restart copy) carries neither.
+#[derive(Debug, Default)]
 struct OpenWindows {
-    by_index: BTreeMap<u64, FastMap<(HostId, StageId), WindowAccum>>,
+    by_index: BTreeMap<u64, Bucket>,
+    /// Windows open: entries of `by_index` with `n > 0`.
+    windows: usize,
+    /// The last bucket closed, its entries cleared, for the next index.
+    spare: Bucket,
+    /// The keys of the windows one close tests, reused across closes.
+    closing: Vec<WindowKey>,
+}
+
+impl Clone for OpenWindows {
+    /// The open windows only: no empty entry, no spare bucket, no scratch.
+    fn clone(&self) -> OpenWindows {
+        let by_index = self.by_index.iter().map(|(&idx, bucket)| {
+            let open = || bucket.iter().filter(|(_, acc)| acc.n > 0);
+            let mut copy = Bucket::with_capacity_and_hasher(open().count(), FastBuild);
+            copy.extend(open().map(|(&key, acc)| (key, acc.clone())));
+            (idx, copy)
+        });
+        OpenWindows {
+            by_index: by_index.collect(),
+            windows: self.windows,
+            ..OpenWindows::default()
+        }
+    }
 }
 
 impl OpenWindows {
     fn len(&self) -> usize {
-        self.by_index.values().map(FastMap::len).sum()
+        self.windows
     }
 
-    /// The accumulator of one window, opened empty on first use.
+    /// The accumulator of one window, opening it; the caller counts at
+    /// least one row into it. A new window index takes the spare bucket.
     #[inline]
     fn accum(&mut self, host: HostId, stage: StageId, idx: u64) -> &mut WindowAccum {
-        self.by_index
+        let spare = &mut self.spare;
+        let bucket = self
+            .by_index
             .entry(idx)
-            .or_default()
-            .entry((host, stage))
-            .or_default()
+            .or_insert_with(|| std::mem::take(spare));
+        let acc = bucket.entry((host, stage)).or_default();
+        self.windows += usize::from(acc.n == 0);
+        acc
+    }
+
+    /// The accumulator of an open window.
+    fn get(&self, (host, stage, idx): WindowKey) -> &WindowAccum {
+        &self.by_index[&idx][&(host, stage)]
     }
 
     fn iter(&self) -> impl Iterator<Item = (WindowKey, &WindowAccum)> {
         self.by_index.iter().flat_map(|(&idx, bucket)| {
             bucket
                 .iter()
+                .filter(|(_, acc)| acc.n > 0)
                 .map(move |(&(host, stage), acc)| ((host, stage, idx), acc))
         })
     }
 
-    /// Remove the windows of every leading index `stale` accepts, sorted
-    /// by key: emission order must not depend on hash-map layout.
-    fn take_while(&mut self, stale: impl Fn(u64) -> bool) -> Vec<(WindowKey, WindowAccum)> {
-        let mut taken = Vec::new();
+    /// The keys of the open windows of every leading index `stale`
+    /// accepts, sorted: emission order must not depend on hash-map layout.
+    /// The vector is the store's scratch; hand it back to
+    /// [`OpenWindows::recycle_while`].
+    fn stale_keys(&mut self, stale: impl Fn(u64) -> bool) -> Vec<WindowKey> {
+        let mut keys = std::mem::take(&mut self.closing);
+        let leading = || self.by_index.iter().take_while(|&(&idx, _)| stale(idx));
+        // One reservation, so a first close grows the scratch once.
+        keys.reserve(leading().map(|(_, bucket)| bucket.len()).sum());
+        for (&idx, bucket) in leading() {
+            let open = bucket.iter().filter(|(_, acc)| acc.n > 0);
+            keys.extend(open.map(|(&(host, stage), _)| (host, stage, idx)));
+        }
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Retire every leading index `stale` accepts, its windows tested:
+    /// each bucket keeps the accumulators that counted, cleared, and the
+    /// fullest becomes the spare. `keys` is the scratch
+    /// [`OpenWindows::stale_keys`] lent out.
+    fn recycle_while(&mut self, stale: impl Fn(u64) -> bool, mut keys: Vec<WindowKey>) {
+        keys.clear();
+        self.closing = keys;
         while let Some(entry) = self.by_index.first_entry() {
             if !stale(*entry.key()) {
                 break;
             }
-            let (idx, bucket) = entry.remove_entry();
-            taken.extend(
-                bucket
-                    .into_iter()
-                    .map(|((host, stage), acc)| ((host, stage, idx), acc)),
-            );
+            let mut bucket = entry.remove();
+            bucket.retain(|_, acc| {
+                let counted = acc.n > 0;
+                acc.clear();
+                counted
+            });
+            self.windows -= bucket.len();
+            if bucket.len() >= self.spare.len() {
+                self.spare = bucket;
+            }
         }
-        taken.sort_unstable_by_key(|&(key, _)| key);
-        taken
     }
 
     /// Whether a window below the grace bound is open. Closing leaves none
@@ -295,15 +375,21 @@ impl OpenWindows {
         first.is_some_and(|(&idx, _)| idx + 1 < closable_before)
     }
 
-    /// Remove every window whose index lies more than one window (the
-    /// grace period) below `closable_before`.
-    fn take_stale(&mut self, closable_before: u64) -> Vec<(WindowKey, WindowAccum)> {
-        self.take_while(|idx| idx + 1 < closable_before)
-    }
-
-    /// Remove every window.
-    fn take_all(&mut self) -> Vec<(WindowKey, WindowAccum)> {
-        self.take_while(|_| true)
+    /// Every open window, moved out and sorted by key: the cold path of
+    /// [`AnomalyDetector::merge`] and [`AnomalyDetector::partition`].
+    fn into_windows(self) -> Vec<(WindowKey, WindowAccum)> {
+        let mut taken: Vec<_> = self
+            .by_index
+            .into_iter()
+            .flat_map(|(idx, bucket)| {
+                bucket
+                    .into_iter()
+                    .filter(|(_, acc)| acc.n > 0)
+                    .map(move |((host, stage), acc)| ((host, stage, idx), acc))
+            })
+            .collect();
+        taken.sort_unstable_by_key(|&(key, _)| key);
+        taken
     }
 }
 
@@ -387,7 +473,7 @@ impl AnomalyDetector {
             for sig in &acc.new_signatures {
                 put_varint(buf, sig.0 as u64);
             }
-            let mut perf: Vec<_> = acc.perf.iter().map(|(&s, &(o, n))| (s, o, n)).collect();
+            let mut perf = acc.perf.clone();
             perf.sort_unstable_by_key(|g| g.0);
             put_varint(buf, perf.len() as u64);
             for (sig, outliers, n) in perf {
@@ -474,11 +560,16 @@ impl AnomalyDetector {
             }
             for _ in 0..group_count {
                 let sig = read_sig(buf)?;
-                let outliers = get_varint(buf)?;
-                let n = get_varint(buf)?;
-                acc.perf.insert(sig, (outliers, n));
+                // Written in ascending id order, each group once.
+                if acc.perf.last().is_some_and(|g| g.0 >= sig) {
+                    return Err(DecodeError::LengthOutOfRange(sig.0.into()));
+                }
+                acc.perf.push((sig, get_varint(buf)?, get_varint(buf)?));
             }
-            *open.accum(host, stage, idx) = acc;
+            // A window that counted nothing is not open (see `OpenWindows`).
+            if acc.n > 0 {
+                *open.accum(host, stage, idx) = acc;
+            }
         }
         let loss_count = get_varint(buf)?;
         if loss_count > MAX_SNAPSHOT_WINDOWS {
@@ -527,8 +618,8 @@ impl AnomalyDetector {
         let mut iter = parts.into_iter();
         let mut merged = iter.next()?;
         let m = &mut merged;
-        for mut part in iter {
-            for ((host, stage, idx), acc) in part.open.take_all() {
+        for part in iter {
+            for ((host, stage, idx), acc) in part.open.into_windows() {
                 // Adding into a freshly opened (empty) accumulator is the
                 // plain insert of the disjoint case.
                 let into = m.open.accum(host, stage, idx);
@@ -538,10 +629,8 @@ impl AnomalyDetector {
                 for sig in acc.new_signatures {
                     into.enumerate_new(sig, m.config.max_new_signatures);
                 }
-                for (sig, (o, n)) in acc.perf {
-                    let g = into.perf.entry(sig).or_insert((0, 0));
-                    g.0 += o;
-                    g.1 += n;
+                for (sig, outliers, n) in acc.perf {
+                    into.add_group(sig, outliers, n);
                 }
             }
             for (key, count) in part.lost {
@@ -572,12 +661,12 @@ impl AnomalyDetector {
         route: impl Fn(HostId, StageId) -> usize,
     ) -> Vec<AnomalyDetector> {
         assert!(n > 0, "cannot partition a detector into zero shards");
-        let mut open = std::mem::take(&mut self.open);
+        let open = std::mem::take(&mut self.open);
         let seen = std::mem::take(&mut self.tasks_seen);
         let late = std::mem::take(&mut self.late_seen);
         let mut parts = vec![self; n];
         (parts[0].tasks_seen, parts[0].late_seen) = (seen, late);
-        for ((host, stage, idx), acc) in open.take_all() {
+        for ((host, stage, idx), acc) in open.into_windows() {
             *parts[route(host, stage) % n].open.accum(host, stage, idx) = acc;
         }
         parts
@@ -753,9 +842,17 @@ impl AnomalyDetector {
         self.late_seen
     }
 
-    /// Detection windows currently open: what a clone copies.
+    /// Detection windows currently open: what a clone copies. O(1), a
+    /// count the store keeps.
     pub fn open_windows(&self) -> usize {
         self.open.len()
+    }
+
+    /// Entries the store's spare bucket can hold without growing; zero on
+    /// a clone.
+    #[cfg(test)]
+    pub(crate) fn spare_bucket_capacity(&self) -> usize {
+        self.open.spare.capacity()
     }
 
     /// Tell the detector that `count` synopses from `host` around virtual
@@ -986,10 +1083,19 @@ impl AnomalyDetector {
 
     fn close_stale(&mut self, events: &mut Vec<AnomalyEvent>) {
         let closable_before = self.window_index(self.watermark); // grace = 1 window
-        for (key, acc) in self.open.take_stale(closable_before) {
-            self.close_window(key, &acc, events);
-        }
+        self.close_while(|idx| idx + 1 < closable_before, events);
         self.drop_outdated_losses(closable_before);
+    }
+
+    /// Close the windows of every leading index `stale` accepts, in key
+    /// order and in place: each is tested by reference, then its bucket is
+    /// recycled for the next window index (see `OpenWindows`).
+    fn close_while(&mut self, stale: impl Fn(u64) -> bool, events: &mut Vec<AnomalyEvent>) {
+        let keys = self.open.stale_keys(&stale);
+        for &key in &keys {
+            self.close_window(key, self.open.get(key), events);
+        }
+        self.open.recycle_while(stale, keys);
     }
 
     /// Loss entries for windows below the grace bound can no longer affect
@@ -1006,9 +1112,7 @@ impl AnomalyDetector {
     /// Close every open window and return the resulting events.
     pub fn flush(&mut self) -> Vec<AnomalyEvent> {
         let mut events = Vec::new();
-        for (key, acc) in self.open.take_all() {
-            self.close_window(key, &acc, &mut events);
-        }
+        self.close_while(|_| true, &mut events);
         self.lost.clear();
         events
     }
@@ -1082,7 +1186,7 @@ impl AnomalyDetector {
         // Performance tests per signature group, on ids: a signature is
         // resolved (a lock and a clone) only for a group that rejects.
         let first = events.len();
-        for (&sig, &(outliers, n)) in &acc.perf {
+        for &(sig, outliers, n) in &acc.perf {
             if n < self.config.min_group_tasks {
                 continue;
             }
@@ -1830,6 +1934,44 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_decode_rejects_performance_groups_out_of_order() {
+        // The encoder writes a window's groups in ascending id order, each
+        // once; a repeated or descending id would split one signature's
+        // group in two.
+        let d = detector();
+        let ids =
+            [[1, 2], [3, 4]].map(|points| d.interner().intern_points(&points.map(LogPointId)));
+        let (lo, hi) = (ids[0].0.min(ids[1].0).into(), ids[0].0.max(ids[1].0).into());
+        let decode = |groups: [u64; 2]| {
+            let mut buf = BytesMut::new();
+            buf.put_u8(0);
+            put_varint(&mut buf, DetectorConfig::default().window.as_micros());
+            put_f64(&mut buf, 0.001);
+            // Both minimums, the cap, watermark, seen, lost; one window of
+            // one task with two groups; then no loss entry.
+            for v in [15, 6, 8, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2] {
+                put_varint(&mut buf, v);
+            }
+            for sig in groups {
+                for v in [sig, 0, 1] {
+                    put_varint(&mut buf, v);
+                }
+            }
+            put_varint(&mut buf, 0);
+            let (model, compiled) = (d.model.clone(), d.compiled.clone());
+            AnomalyDetector::decode_from(&mut buf.freeze(), model, compiled, d.interner.clone())
+        };
+        assert_eq!(decode([lo, hi]).expect("ascending").open_windows(), 1);
+        for (case, groups) in [("descending", [hi, lo]), ("repeated", [lo, lo])] {
+            let err = decode(groups).expect_err(case);
+            assert!(
+                matches!(err, DecodeError::LengthOutOfRange(_)),
+                "{case}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn partition_then_merge_round_trips() {
         let mut d = detector();
         d.record_loss(HostId(1), SimTime::from_secs(20), 10);
@@ -2009,6 +2151,345 @@ mod tests {
         assert!(events
             .iter()
             .all(|e| (e.outliers, e.window_tasks) == (10, 20)));
+    }
+
+    /// The order oracle's window width.
+    const ORACLE_WINDOW_US: u64 = 1_000_000;
+
+    /// One row of an order-oracle stream: `(host, stage, start_us,
+    /// never-trained)`.
+    type Row = (u16, u16, u64, bool);
+
+    /// What the oracle compares, per flow event: `(host, stage,
+    /// window_start_us, window_tasks, outliers)`.
+    type Report = (u16, u16, u64, u64, u64);
+
+    /// The order oracle's model of window turnover: every open window in
+    /// one ordered map, `(n, outliers)` by `(host, stage, idx)`, closed by
+    /// scanning the whole map. It shares no code with `OpenWindows` or the
+    /// detector's close path; it restates their rules.
+    #[derive(Debug, Default)]
+    struct NaiveWindows {
+        open: BTreeMap<(u16, u16, u64), (u64, u64)>,
+        watermark: u64,
+    }
+
+    /// What the oracle's inputs reached, summed over its cases.
+    #[derive(Debug, Default)]
+    struct OrderReached {
+        /// Closes that reported windows of two or more indices.
+        multi_index_closes: usize,
+        /// Stragglers tested alone.
+        alone: usize,
+        /// Closes, in a merged detector, of a window the merge brought in
+        /// below the grace bound.
+        merged_stale: usize,
+        /// Batches after which the store held an entry that counted
+        /// nothing (a recycled accumulator not yet reused).
+        empty_entries: usize,
+    }
+
+    impl NaiveWindows {
+        fn observe(
+            &mut self,
+            row: Row,
+            stamp: u64,
+            out: &mut Vec<Report>,
+            reached: &mut OrderReached,
+        ) {
+            let w = ORACLE_WINDOW_US;
+            if stamp > self.watermark {
+                let grew = stamp / w > self.watermark / w;
+                self.watermark = stamp;
+                if grew {
+                    self.close_stale(out, reached);
+                }
+            }
+            let (host, stage, start, new) = row;
+            let (idx, closable) = (start / w, self.watermark / w);
+            let late = idx + 1 < closable;
+            if late && !self.open.keys().any(|k| k.2 + 1 < closable) {
+                reached.alone += 1;
+                report(out, (host, stage, idx), (1, u64::from(new)));
+                return;
+            }
+            let window = self.open.entry((host, stage, idx)).or_insert((0, 0));
+            window.0 += 1;
+            window.1 += u64::from(new);
+            if late {
+                self.close_stale(out, reached);
+            }
+        }
+
+        fn close_stale(&mut self, out: &mut Vec<Report>, reached: &mut OrderReached) {
+            let closable = self.watermark / ORACLE_WINDOW_US;
+            self.close_where(|idx| idx + 1 < closable, out, reached);
+        }
+
+        fn close_where(
+            &mut self,
+            stale: impl Fn(u64) -> bool,
+            out: &mut Vec<Report>,
+            reached: &mut OrderReached,
+        ) {
+            let first = out.len();
+            let closing: Vec<_> = self.open.keys().copied().filter(|k| stale(k.2)).collect();
+            for key in closing {
+                let window = self.open.remove(&key).expect("listed");
+                report(out, key, window);
+            }
+            let reported = &out[first..];
+            reached.multi_index_closes +=
+                usize::from(reported.iter().any(|r| r.2 != reported[0].2));
+        }
+
+        /// Fold a shard's model into this one, as `merge` folds detectors.
+        fn absorb(&mut self, part: NaiveWindows) {
+            for (key, (n, outliers)) in part.open {
+                let window = self.open.entry(key).or_insert((0, 0));
+                window.0 += n;
+                window.1 += outliers;
+            }
+            self.watermark = self.watermark.max(part.watermark);
+        }
+    }
+
+    /// A closed window's flow report: one new-signature event when it
+    /// counted a never-trained task (the one such signature the streams
+    /// use), none otherwise.
+    fn report(out: &mut Vec<Report>, (host, stage, idx): (u16, u16, u64), (n, new): (u64, u64)) {
+        if new > 0 {
+            out.push((host, stage, idx * ORACLE_WINDOW_US, n, new));
+        }
+    }
+
+    /// The flow events of `events` as the oracle reports them.
+    fn flow_reports(events: &[AnomalyEvent]) -> Vec<Report> {
+        let flow = events.iter().filter(|e| e.kind.is_flow());
+        flow.map(|e| {
+            let start = e.window_start.as_micros();
+            (e.host.0, e.stage.0, start, e.window_tasks, e.outliers)
+        })
+        .collect()
+    }
+
+    /// Seeded streams for the order oracle.
+    struct OracleStreams<'a> {
+        runner: &'a mut TestRunner,
+        hosts: u64,
+        /// Mean clock step between rows.
+        step: u64,
+    }
+
+    impl OracleStreams<'_> {
+        fn draw(&mut self, n: u64) -> u64 {
+            self.runner.next_u64() % n
+        }
+
+        /// About `rows` rows from `*clock` on, cut into batches of 0–47:
+        /// the clock creeps and, once in sixteen rows, jumps 0–3 windows;
+        /// one row in eight is a straggler up to four windows back; one in
+        /// three is never-trained. Only hosts `route` accepts are kept.
+        fn batches(
+            &mut self,
+            clock: &mut u64,
+            rows: u64,
+            route: impl Fn(u16) -> bool,
+        ) -> Vec<Vec<Row>> {
+            let w = ORACLE_WINDOW_US;
+            let mut out = Vec::new();
+            let mut left = rows;
+            while left > 0 {
+                let len = self.draw(48).min(left);
+                left -= len;
+                let mut batch = Vec::new();
+                for _ in 0..len {
+                    *clock += if self.draw(16) == 0 {
+                        w * self.draw(4)
+                    } else {
+                        self.draw(2 * self.step)
+                    };
+                    let back = if self.draw(8) == 0 {
+                        self.draw(4 * w)
+                    } else {
+                        0
+                    };
+                    let host = self.draw(self.hosts) as u16;
+                    let row = (
+                        host,
+                        self.draw(2) as u16,
+                        clock.saturating_sub(back),
+                        self.draw(3) == 0,
+                    );
+                    if route(host) {
+                        batch.push(row);
+                    }
+                }
+                out.push(batch);
+            }
+            out
+        }
+    }
+
+    /// Feed `batches` to the detector and to its model, stamping each row
+    /// with the running max of `*stamp` and its start, and hold the
+    /// detector to the model after every batch.
+    fn feed_oracle(
+        d: &mut AnomalyDetector,
+        naive: &mut NaiveWindows,
+        stamp: &mut u64,
+        batches: &[Vec<Row>],
+        reached: &mut OrderReached,
+    ) -> Result<(), String> {
+        let mut verdicts = VerdictMask::new();
+        for rows in batches {
+            let mut batch = SynopsisBatch::new();
+            let mut want = Vec::new();
+            for (uid, &row) in rows.iter().enumerate() {
+                let (host, stage, start, new) = row;
+                let points: &[u16] = if new { &[9] } else { &[1, 2] };
+                let mut s = crate::testkit::synopsis_on(
+                    host,
+                    points,
+                    1_100,
+                    SimTime::from_micros(start),
+                    uid as u64,
+                );
+                s.stage = StageId(stage);
+                *stamp = (*stamp).max(start);
+                batch.push_feature(
+                    &InternedFeature::from_synopsis(&s, d.interner()),
+                    SimTime::from_micros(*stamp),
+                );
+                naive.observe(row, *stamp, &mut want, reached);
+            }
+            let got = flow_reports(&d.observe_batch(&batch, &mut verdicts));
+            if got != want {
+                return Err(format!("batch {rows:?}: events {got:?}, model {want:?}"));
+            }
+            check_store(d, naive, reached)?;
+        }
+        Ok(())
+    }
+
+    /// The detector's open-window count and wire form against the model:
+    /// as many windows written as the model holds open (none with
+    /// `n == 0`), and encode → decode → encode gives the same bytes.
+    fn check_store(
+        d: &AnomalyDetector,
+        naive: &NaiveWindows,
+        reached: &mut OrderReached,
+    ) -> Result<(), String> {
+        let open = naive.open.len();
+        if d.open_windows() != open {
+            return Err(format!("{} open windows, model {open}", d.open_windows()));
+        }
+        let entries: usize = d.open.by_index.values().map(FastMap::len).sum();
+        reached.empty_entries += usize::from(entries > open);
+        let mut first = BytesMut::new();
+        d.encode_into(&mut first);
+        let mut bytes = first.clone().freeze();
+        get_u8(&mut bytes).map_err(|e| e.to_string())?;
+        put_nothing(get_varint(&mut bytes))?;
+        get_f64(&mut bytes).map_err(|e| e.to_string())?;
+        for _ in 0..6 {
+            put_nothing(get_varint(&mut bytes))?;
+        }
+        let written = get_varint(&mut bytes).map_err(|e| e.to_string())?;
+        if written != open as u64 {
+            return Err(format!("{written} windows written, model {open}"));
+        }
+        let (model, compiled) = (d.model.clone(), d.compiled.clone());
+        let decoded = AnomalyDetector::decode_from(
+            &mut first.clone().freeze(),
+            model,
+            compiled,
+            d.interner.clone(),
+        )
+        .map_err(|e| e.to_string())?;
+        let mut second = BytesMut::new();
+        decoded.encode_into(&mut second);
+        if first != second || decoded.open_windows() != open {
+            return Err("encode → decode → encode moved the bytes".into());
+        }
+        Ok(())
+    }
+
+    fn put_nothing(field: Result<u64, DecodeError>) -> Result<(), String> {
+        field.map(drop).map_err(|e| e.to_string())
+    }
+
+    /// One seeded case of the order oracle: 1–300 hosts on two stages; a
+    /// fresh detector, or one merged from 2–3 shards whose watermarks
+    /// stand in different windows; up to 600 rows; then a flush.
+    fn order_case(runner: &mut TestRunner, reached: &mut OrderReached) -> Result<(), String> {
+        let model = crate::testkit::multi_stage_model();
+        let interner = Arc::new(SignatureInterner::new());
+        let compiled = Arc::new(model.compile(&interner));
+        let config = DetectorConfig {
+            window: SimDuration::from_micros(ORACLE_WINDOW_US),
+            ..DetectorConfig::default()
+        };
+        let fresh = || {
+            AnomalyDetector::with_shared(model.clone(), compiled.clone(), interner.clone(), config)
+        };
+        let hosts = 1 + runner.next_u64() % 300;
+        let step = 1 + runner.next_u64() % (ORACLE_WINDOW_US / 4);
+        let mut s = OracleStreams {
+            runner,
+            hosts,
+            step,
+        };
+        let (mut d, mut naive) = (fresh(), NaiveWindows::default());
+        if s.draw(2) == 0 {
+            let shards = 2 + s.draw(2);
+            let mut parts = Vec::new();
+            for shard in 0..shards {
+                let (mut part, mut part_naive, mut stamp) = (fresh(), NaiveWindows::default(), 0);
+                let mut clock = ORACLE_WINDOW_US * s.draw(6);
+                let rows = s.draw(200);
+                let batches = s.batches(&mut clock, rows, |h| u64::from(h) % shards == shard);
+                feed_oracle(&mut part, &mut part_naive, &mut stamp, &batches, reached)?;
+                parts.push(part);
+                naive.absorb(part_naive);
+            }
+            d = AnomalyDetector::merge(parts).expect("two or more shards");
+            check_store(&d, &naive, reached)?;
+            let closable = naive.watermark / ORACLE_WINDOW_US;
+            let stale = naive.open.keys().filter(|k| k.2 + 1 < closable).count();
+            reached.merged_stale += stale;
+        }
+        let (mut clock, mut stamp) = (naive.watermark, naive.watermark);
+        let rows = s.draw(600);
+        let batches = s.batches(&mut clock, rows, |_| true);
+        feed_oracle(&mut d, &mut naive, &mut stamp, &batches, reached)?;
+        let mut want = Vec::new();
+        naive.close_where(|_| true, &mut want, reached);
+        let got = flow_reports(&d.flush());
+        if got != want {
+            return Err(format!("flush: events {got:?}, model {want:?}"));
+        }
+        check_store(&d, &naive, reached)
+    }
+
+    #[test]
+    fn window_turnover_matches_a_naive_ordered_model() {
+        // 256 seeded cases: after every batch, the same flow events in the
+        // same order as a model that keeps every window in one ordered
+        // map, the same open-window count, and a wire form that writes
+        // exactly the open windows and round-trips byte for byte.
+        let mut reached = OrderReached::default();
+        for seed in 0..256 {
+            let mut runner = TestRunner::from_seed(seed);
+            if let Err(why) = order_case(&mut runner, &mut reached) {
+                panic!("seed {seed}: {why}");
+            }
+        }
+        // The inputs reached what the property is about.
+        assert!(reached.multi_index_closes >= 500, "{reached:?}");
+        assert!(reached.alone >= 2_000, "{reached:?}");
+        assert!(reached.merged_stale >= 300, "{reached:?}");
+        assert!(reached.empty_entries >= 1_500, "{reached:?}");
     }
 
     proptest! {

@@ -257,14 +257,16 @@ impl LivenessTracker {
 }
 
 /// Synopses of replay tail a restart may cost per open window the
-/// restore copies. A snapshot deep-copies every open window (measured
-/// ~100 ns each on `analyze_churn`'s ~2000 windows: a hash map and a
-/// vector) while `observe_batch` spends ~25 ns per synopsis; at 64
-/// synopses per window the copying amortises to under 2 ns per synopsis,
-/// below a tenth of detection, and a restart's replay (64 × 25 ns per
-/// window) stays within ~16× of the restore copy it follows. The tail
-/// holds the kept batches' columns: 40 bytes per synopsis in a full
-/// batch, 2.5 KiB per open window.
+/// restore copies. A snapshot deep-copies every open window: a map entry
+/// and its group vector, timed in the pool on `analyze_churn`'s ~2 000
+/// windows (42 snapshots a run, 2-vCPU VM) at 90–150 ns each (quartiles
+/// of two runs; medians 125–190 ns with the superseded copy's drop).
+/// `observe_batch` spends ~25 ns per synopsis there, so at 64 synopses
+/// per window the copying amortises to 1.5–3 ns per synopsis, about a
+/// tenth of detection, and a restart's replay (64 × 25 ns per window)
+/// costs 8–18× the restore copy it follows. The tail holds the kept
+/// batches' columns: 40 bytes per synopsis in a full batch, 2.5 KiB per
+/// open window.
 const REPLAY_PER_OPEN_WINDOW: u64 = 64;
 
 /// Floor on the synopses observed between two restart snapshots: the
@@ -709,6 +711,58 @@ mod tests {
         let mut original = BytesMut::new();
         before.encode_into(&mut original);
         assert_eq!(&restored[..], &original[..]);
+    }
+
+    #[test]
+    fn a_snapshot_after_turnover_copies_the_open_windows_and_no_spare_bucket() {
+        // 80 (host, stage) pairs report in minutes 0 and 1, half of them in
+        // minute 2: minute 2 runs in minute 0's recycled bucket, with 40
+        // entries that count nothing, and the advance past minute 1 leaves
+        // its bucket spare. The restart copy holds the open windows only,
+        // and resumes exactly where the detector stands. One task in seven
+        // is never-trained, so every window closes with an event.
+        let model = multi_stage_model();
+        let interner = Arc::new(SignatureInterner::new());
+        let compiled = Arc::new(model.compile(&interner));
+        let config = DetectorConfig::default();
+        let detector = AnomalyDetector::with_shared(model, compiled, interner.clone(), config);
+        let mut supervised = SupervisedDetector::new(detector, SupervisionObs::default());
+        let minute = |m: u64| {
+            let hosts = if m == 2 { 20 } else { 40 };
+            let mut batch = SynopsisBatch::new();
+            for i in 0..hosts * 10 {
+                let at = SimTime::from_mins(m) + SimDuration::from_millis(i);
+                let points: &[u16] = if i % 7 == 0 { &[9] } else { &[1, 2] };
+                let mut s = synopsis_on((i % hosts) as u16, points, 1_000, at, m * 1_000 + i);
+                s.stage = StageId((i / hosts % 2) as u16);
+                batch.push_synopsis(&s, &interner);
+            }
+            batch
+        };
+        for m in 0..3 {
+            supervised.observe_batch(minute(m)).unwrap();
+        }
+        supervised.advance(SimTime::from_mins(3));
+        let detector = &supervised.detector;
+        assert_eq!(detector.open_windows(), 40);
+        assert!(detector.spare_bucket_capacity() >= 80);
+
+        supervised.take_snapshot();
+        let (detector, snapshot) = (&supervised.detector, &supervised.snapshot);
+        assert_eq!(snapshot.open_windows(), detector.open_windows());
+        assert_eq!(snapshot.spare_bucket_capacity(), 0);
+        let (mut copied, mut original) = (BytesMut::new(), BytesMut::new());
+        snapshot.encode_into(&mut copied);
+        detector.encode_into(&mut original);
+        assert_eq!(&copied[..], &original[..]);
+        let (mut restored, mut verdicts) = (snapshot.clone(), VerdictMask::new());
+        let mut resumed = restored.observe_batch(&minute(4), &mut verdicts);
+        resumed.extend(restored.flush());
+        let mut expected = supervised.detector.observe_batch(&minute(4), &mut verdicts);
+        expected.extend(supervised.detector.flush());
+        assert!(!expected.is_empty());
+        assert_eq!(resumed, expected);
+        assert_eq!(restored.tasks_seen(), supervised.detector.tasks_seen());
     }
 
     #[test]

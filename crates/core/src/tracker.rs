@@ -155,6 +155,7 @@ impl PointCounts {
         }
     }
 
+    #[inline]
     fn visit(&mut self, point: LogPointId) {
         // Tasks visit few distinct points, so a search of the short sorted
         // list beats a HashMap here.
@@ -228,9 +229,15 @@ thread_local! {
     };
 }
 
+// The per-task methods here and `PointCounts::visit` are `#[inline]`:
+// their callers are `TASKS.with` closures, which the compiler may place in
+// another codegen unit of this crate, and without the hint an unrelated
+// edit elsewhere in the crate has stopped them being inlined (~15 ns a
+// task).
 impl ThreadTasks {
     /// A record for a task of `stage` beginning at `now`: a reused one
     /// if any is idle.
+    #[inline]
     fn begin(&mut self, stage: StageId, uid: TaskUid, now: SimTime) -> Box<ActiveTask> {
         match self.idle.pop() {
             Some(mut task) => {
@@ -253,6 +260,7 @@ impl ThreadTasks {
 
     /// Make `task` the active task of tracker `id`; returns the one it
     /// replaces.
+    #[inline]
     fn insert(&mut self, id: u64, task: Box<ActiveTask>) -> Option<Box<ActiveTask>> {
         match self.active.iter_mut().find(|(k, _)| *k == id) {
             Some(slot) => Some(std::mem::replace(&mut slot.1, task)),
@@ -265,6 +273,7 @@ impl ThreadTasks {
 
     /// Take out the active task of tracker `id` — only if it is `uid`,
     /// when one is given.
+    #[inline]
     fn remove(&mut self, id: u64, uid: Option<TaskUid>) -> Option<Box<ActiveTask>> {
         self.active
             .iter()
@@ -273,6 +282,7 @@ impl ThreadTasks {
     }
 
     /// Keep the record of a task that is over.
+    #[inline]
     fn retire(&mut self, task: Box<ActiveTask>) {
         if self.idle.len() < IDLE_RECORDS {
             self.idle.push(task);

@@ -8,8 +8,10 @@
 //! Late data is held to the same bar: a straggler is tested in the
 //! detector's scratch accumulator, and a window that stays silent resolves
 //! no signature, so a batch of nothing but silent stragglers allocates
-//! nothing and closing a bucket of silent windows allocates once, for the
-//! vector that carries them out of the store.
+//! nothing and a first close of a bucket of silent windows allocates once,
+//! for the key scratch. Closing recycles: the closed bucket, its
+//! accumulators cleared, becomes the next window index's, so window
+//! turnover at steady state allocates nothing.
 //!
 //! The tests install their own counting global allocator (integration
 //! tests are separate binaries, so this does not leak into other suites),
@@ -287,7 +289,62 @@ fn closing_silent_windows_allocates_once_per_call() {
     assert_eq!(detector.open_windows(), 0);
     assert!(
         delta <= 1,
-        "closing 48 silent windows allocated {delta} times: the vector that \
-         takes them out of the store is the only allocation allowed"
+        "closing 48 silent windows allocated {delta} times: the key scratch \
+         is the only allocation allowed"
     );
+}
+
+#[test]
+fn window_turnover_allocates_nothing_at_steady_state() {
+    let (mut detector, interner) = trained_detector();
+    let window_ms = DetectorConfig::default().window.as_micros() / 1_000;
+    // Each cycle opens 48 (host, stage) windows in each of two window
+    // indices, 8 healthy tasks apiece (the perf test runs, the flow test
+    // does not, nothing rejects). Crossing into the second index inside
+    // the batch closes the previous cycle's second index; an advance past
+    // the first closes the first. Every window closes, one way or the
+    // other, and every new index opens in the bucket the last close left.
+    const PAIRS: u64 = 48;
+    const CYCLES: u64 = 1 + 64;
+    let cycle = |c: u64| {
+        let mut batch = SynopsisBatch::with_capacity(2 * PAIRS as usize * 8);
+        let mut watermark = SimTime::ZERO;
+        for idx in [2 * c, 2 * c + 1] {
+            for i in 0..PAIRS * 8 {
+                let (host, stage) = ((i % 16) as u16, (i / 16 % 3) as u16);
+                let start_ms = idx * window_ms + 1 + i;
+                let s = synopsis(host, stage, &[1, 2], 1_000 + (i % 53) * 5, start_ms);
+                watermark = watermark.max(s.start);
+                batch.push_feature(&InternedFeature::from_synopsis(&s, &interner), watermark);
+            }
+        }
+        (batch, SimTime::from_millis((2 * c + 2) * window_ms))
+    };
+    let cycles: Vec<_> = (0..CYCLES).map(cycle).collect();
+    let mut verdicts = VerdictMask::new();
+    let mut run = |detector: &mut AnomalyDetector, (batch, advance): &(SynopsisBatch, SimTime)| {
+        let events = detector.observe_batch(batch, &mut verdicts);
+        assert!(events.is_empty(), "healthy windows are silent: {events:?}");
+        let events = detector.advance_watermark(*advance);
+        assert!(events.is_empty(), "healthy windows are silent: {events:?}");
+        assert_eq!(detector.open_windows(), PAIRS as usize);
+    };
+
+    // Warm-up: one open→close cycle grows the buckets, the accumulators'
+    // group vectors, the key scratch and the verdict words.
+    run(&mut detector, &cycles[0]);
+    let before = allocations();
+    for c in &cycles[1..] {
+        run(&mut detector, c);
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta,
+        0,
+        "window turnover must be allocation-free at steady state \
+         ({delta} allocations over {} cycles of {} windows)",
+        CYCLES - 1,
+        2 * PAIRS
+    );
+    assert_eq!(detector.tasks_seen(), CYCLES * 2 * PAIRS * 8);
 }
