@@ -13,9 +13,13 @@
 //! * model construction throughput,
 //! * analyzer observe throughput (the paper sustains 1500 synopses/s): the
 //!   batch path over one stream in order and with every sixth element three
-//!   windows old, the cost of closing a silent window, and window turnover
-//!   over 2 000 (host, stage) pairs, a boundary crossed every batch
-//!   (EXPERIMENTS.md "Microbenchmarks" quotes these four).
+//!   windows old, the cost of closing a silent window, window turnover
+//!   over 2 000 (host, stage) pairs, a boundary crossed every batch, and
+//!   the capture's 23 flows on five stages and 256 hosts (EXPERIMENTS.md
+//!   "Microbenchmarks" quotes these five),
+//! * a host sweep (ROADMAP 12(a)): one fixed stream on 16 to 4 096 hosts —
+//!   ns per synopsis, a restart copy per open window, checkpoint bytes per
+//!   open window (EXPERIMENTS.md "Host sweep").
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use saad_bench::DrainingCollector;
@@ -119,11 +123,15 @@ fn bench_codec(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_collector_edge(c: &mut Criterion) {
-    // As many flows as `saad-e2e`'s capture holds, one to six points each.
-    let flows: Vec<Vec<u16>> = (0..23u16)
+/// As many flows as `saad-e2e`'s capture holds, one to six points each.
+fn capture_flows() -> Vec<Vec<u16>> {
+    (0..23u16)
         .map(|k| (0..1 + k % 6).map(|j| 3 * k + 7 * j).collect())
-        .collect();
+        .collect()
+}
+
+fn bench_collector_edge(c: &mut Criterion) {
+    let flows = capture_flows();
     let slices: Vec<Vec<LogPointId>> = flows
         .iter()
         .map(|f| f.iter().map(|&p| LogPointId(p)).collect())
@@ -378,6 +386,130 @@ fn bench_detector(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    g.finish();
+    bench_mixed(c);
+}
+
+/// The capture's 23 flows on five stages (flow `k` on stage `k % 5`): per
+/// stage three or four performance groups and, on stages 0–2, one rare
+/// flow (a flow outlier); one row in 97 is a never-trained signature.
+fn mixed_model(flows: &[Vec<u16>]) -> Arc<saad_core::model::OutlierModel> {
+    let mut b = ModelBuilder::new();
+    for i in 0..92_000u64 {
+        let k = (i % 23) as usize;
+        if k >= 20 && (i / 23) % 200 != 0 {
+            continue;
+        }
+        b.observe(&synopsis(
+            (k % 5) as u16,
+            &flows[k],
+            9_000 + (i % 97) * 20,
+            i,
+        ));
+    }
+    Arc::new(b.build(ModelConfig::default()))
+}
+
+/// `rows` rows of the mixed stream over `hosts` hosts and `windows`
+/// one-minute windows, in batches of 256 stamped with the running maximum.
+fn mixed_stream(
+    flows: &[Vec<u16>],
+    interner: &SignatureInterner,
+    rows: u64,
+    hosts: u64,
+    windows: u64,
+) -> Vec<SynopsisBatch> {
+    let window_us = DetectorConfig::default().window.as_micros();
+    let mut out = Vec::new();
+    let mut batch = SynopsisBatch::with_capacity(256);
+    for i in 0..rows {
+        let mut k = ((i * 7 + i / 256) % 23) as usize;
+        if k >= 20 && !i.is_multiple_of(50) {
+            k -= 3;
+        }
+        let slow = i.is_multiple_of(13);
+        let dur = if slow { 120_000 } else { 9_000 + (i % 97) * 20 };
+        let never_trained = [500 + (i % 3) as u16];
+        let points: &[u16] = if i.is_multiple_of(97) {
+            &never_trained
+        } else {
+            &flows[k]
+        };
+        let mut s = synopsis((k % 5) as u16, points, dur, i);
+        s.host = HostId((i % hosts) as u16);
+        s.start = SimTime::from_micros(i * windows * window_us / rows);
+        batch.push_synopsis(&s, interner);
+        if batch.len() == 256 {
+            out.push(std::mem::replace(
+                &mut batch,
+                SynopsisBatch::with_capacity(256),
+            ));
+        }
+    }
+    out.push(batch);
+    out
+}
+
+/// `detector/observe_batch/mixed`: the mixed stream on 256 hosts, 1 280
+/// (host, stage) pairs, six windows of eight rows per pair. Then the host
+/// sweep (ROADMAP 12(a)): one fixed stream of 2^18 rows over eight windows
+/// on 16 to 4 096 hosts — ns per synopsis, a restart copy (clone and drop)
+/// per open window half-way through, and the checkpoint bytes per open
+/// window there (printed).
+fn bench_mixed(c: &mut Criterion) {
+    let flows = capture_flows();
+    let model = mixed_model(&flows);
+    let interner = Arc::new(SignatureInterner::new());
+    let compiled = Arc::new(model.compile(&interner));
+    let fresh = || {
+        let config = DetectorConfig::default();
+        AnomalyDetector::with_shared(model.clone(), compiled.clone(), interner.clone(), config)
+    };
+    let run = |batches: &[SynopsisBatch], verdicts: &mut VerdictMask| {
+        let mut d = fresh();
+        for batch in batches {
+            black_box(d.observe_batch(batch, verdicts));
+        }
+        d
+    };
+    let mut g = c.benchmark_group("detector");
+    let mut verdicts = VerdictMask::new();
+
+    const MIXED: u64 = 256 * 5 * 6 * 8;
+    let mixed = mixed_stream(&flows, &interner, MIXED, 256, 6);
+    g.throughput(Throughput::Elements(MIXED));
+    g.bench_function("observe_batch/mixed", |b| {
+        b.iter_batched(
+            || (),
+            |()| run(&mixed, &mut verdicts),
+            BatchSize::SmallInput,
+        )
+    });
+
+    const SWEEP: u64 = 1 << 18;
+    for hosts in [16u64, 256, 1_024, 4_096] {
+        let stream = mixed_stream(&flows, &interner, SWEEP, hosts, 8);
+        g.throughput(Throughput::Elements(SWEEP));
+        g.bench_function(&format!("hosts/{hosts}/observe_batch"), |b| {
+            b.iter_batched(
+                || (),
+                |()| run(&stream, &mut verdicts),
+                BatchSize::SmallInput,
+            )
+        });
+        let half = run(&stream[..stream.len() / 2], &mut verdicts);
+        let open = half.open_windows() as u64;
+        let mut checkpoint = bytes::BytesMut::new();
+        half.encode_into(&mut checkpoint);
+        println!(
+            "detector/hosts/{hosts}: {open} open windows half-way, {:.1} checkpoint bytes per open window",
+            checkpoint.len() as f64 / open as f64
+        );
+        g.throughput(Throughput::Elements(open));
+        g.bench_function(&format!("hosts/{hosts}/snapshot"), |b| {
+            b.iter(|| half.clone())
+        });
+    }
     g.finish();
 }
 

@@ -13,10 +13,10 @@
 
 use crate::batch::SynopsisBatch;
 use crate::codec::{get_f64, get_u8, get_varint, id16, put_f64, put_varint, DecodeError};
-use crate::fasthash::{FastBuild, FastMap};
 use crate::intern::{SigId, SignatureInterner};
 use crate::model::{
-    CompiledModel, ConfigError, ModelBuilder, ModelConfig, OutlierModel, TaskClass, VerdictMask,
+    CompiledModel, ConfigError, ModelBuilder, ModelConfig, OutlierModel, RowVerdict, TaskClass,
+    VerdictMask,
 };
 use crate::{HostId, Signature, StageId};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -174,47 +174,93 @@ struct WindowAccum {
     rare_flow_outliers: u64,
     new_signature_tasks: u64,
     new_signatures: Vec<SigId>,
-    // (interned signature, perf outliers, group n) for each perf-eligible
-    // signature, in arrival order. A window holds a handful, so a linear
-    // search over dense ids beats hashing, and clearing keeps the vector.
-    perf: Vec<(SigId, u64, u64)>,
+    // `(perf outliers, group n)` of each performance group of the
+    // window's stage, indexed by the slot the model in force gives its
+    // signature (`CompiledModel::slots`); `(0, 0)` for a group that has
+    // counted nothing. Sized when the window opens, zeroed when it closes.
+    perf: Vec<(u64, u64)>,
+    // `(interned signature, perf outliers, group n)` of each group whose
+    // signature has no slot under the model in force, ascending by id.
+    // Only a window left open across `install_model`, or decoded from a
+    // checkpoint, holds one; no row counts into it.
+    unslotted: Vec<(SigId, u64, u64)>,
 }
 
 impl WindowAccum {
-    /// Count one classified task of `stage`.
+    /// Ready an empty accumulator to count rows of a stage with `slots`
+    /// performance groups.
     #[inline]
-    fn count(
-        &mut self,
-        class: TaskClass,
-        stage: StageId,
-        sig: SigId,
-        compiled: &CompiledModel,
-        max_new_signatures: usize,
-    ) {
-        self.n += 1;
-        match class {
-            TaskClass::Normal | TaskClass::PerformanceOutlier => {
-                // Track the per-signature performance group when eligible.
-                if compiled.is_perf_eligible(stage, sig) {
-                    let outlier = u64::from(class == TaskClass::PerformanceOutlier);
-                    self.add_group(sig, outlier, 1);
-                }
-            }
-            TaskClass::FlowOutlier => self.rare_flow_outliers += 1,
-            TaskClass::NewSignature => {
-                self.new_signature_tasks += 1;
-                self.enumerate_new(sig, max_new_signatures);
-            }
+    fn open(&mut self, slots: usize) {
+        if self.perf.len() != slots {
+            self.perf.clear();
+            self.perf.resize(slots, (0, 0));
         }
     }
 
-    /// Add `n` tasks, `outliers` of them over threshold, to `sig`'s
-    /// performance group.
+    /// Count one classified task: indexed adds only. `sig` is read only
+    /// for a new signature.
     #[inline]
-    fn add_group(&mut self, sig: SigId, outliers: u64, n: u64) {
-        match self.perf.iter_mut().find(|g| g.0 == sig) {
-            Some(g) => (g.1, g.2) = (g.1 + outliers, g.2 + n),
-            None => self.perf.push((sig, outliers, n)),
+    fn count(&mut self, verdict: RowVerdict, sig: impl FnOnce() -> SigId, max_new: usize) {
+        self.n += 1;
+        if let Some(slot) = verdict.slot() {
+            let outlier = u64::from(verdict.class() == TaskClass::PerformanceOutlier);
+            let group = &mut self.perf[slot];
+            (group.0, group.1) = (group.0 + outlier, group.1 + 1);
+            return;
+        }
+        match verdict.class() {
+            TaskClass::FlowOutlier => self.rare_flow_outliers += 1,
+            TaskClass::NewSignature => {
+                self.new_signature_tasks += 1;
+                self.enumerate_new(sig(), max_new);
+            }
+            // A trained signature outside performance detection.
+            TaskClass::Normal | TaskClass::PerformanceOutlier => {}
+        }
+    }
+
+    /// Every group that has counted, `(signature, outliers, n)` ascending
+    /// by signature id; `slots` is the window's stage's under the model
+    /// in force.
+    fn groups(&self, slots: &[(SigId, f64)]) -> Vec<(SigId, u64, u64)> {
+        let slotted = slots.iter().zip(&self.perf);
+        let counted = slotted.filter(|(_, &(_, n))| n > 0);
+        let mut groups: Vec<_> = counted.map(|(&(sig, _), &(o, n))| (sig, o, n)).collect();
+        groups.extend_from_slice(&self.unslotted);
+        groups.sort_unstable_by_key(|g| g.0);
+        groups
+    }
+
+    /// Add `n` tasks, `outliers` of them over threshold, to `sig`'s group:
+    /// into `slot`, its slot under the model in force, or by id.
+    fn add_group(&mut self, (sig, outliers, n): (SigId, u64, u64), slot: Option<usize>) {
+        let (group_outliers, group_n) = match slot {
+            Some(slot) => {
+                let g = &mut self.perf[slot];
+                (&mut g.0, &mut g.1)
+            }
+            None => {
+                let found = self.unslotted.binary_search_by_key(&sig, |g| g.0);
+                let at = found.unwrap_or_else(|at| {
+                    self.unslotted.insert(at, (sig, 0, 0));
+                    at
+                });
+                let g = &mut self.unslotted[at];
+                (&mut g.1, &mut g.2)
+            }
+        };
+        (*group_outliers, *group_n) = (*group_outliers + outliers, *group_n + n);
+    }
+
+    /// Re-key an open window of `stage` from the slots of `from` to those
+    /// of `to`: a model swap with the window open.
+    fn reslot(&mut self, stage: StageId, from: &CompiledModel, to: &CompiledModel) {
+        let groups = self.groups(from.slots(stage));
+        self.unslotted.clear();
+        self.perf.clear();
+        self.open(to.slots(stage).len());
+        for group in groups {
+            self.add_group(group, to.perf_slot(stage, group.0));
         }
     }
 
@@ -231,61 +277,195 @@ impl WindowAccum {
         self.rare_flow_outliers = 0;
         self.new_signature_tasks = 0;
         self.new_signatures.clear();
-        self.perf.clear();
+        self.perf.fill((0, 0));
+        self.unslotted.clear();
     }
 }
 
 /// Identity of one detection window: `(host, stage, window index)`.
 type WindowKey = (HostId, StageId, u64);
 
-/// The windows of one window index, by `(host, stage)`.
-type Bucket = FastMap<(HostId, StageId), WindowAccum>;
+/// `(host, stage)` → the pair's row: an open-addressing table of
+/// `(host, stage, row)` words, linear probing from a Fibonacci hash of
+/// the pair, at most half full. Its size follows the pairs that have a
+/// window open, whatever ids they carry.
+#[derive(Debug, Default, Clone)]
+struct PairIndex {
+    /// `pair << 32 | row`, or `EMPTY`; a power-of-two count.
+    slots: Vec<u64>,
+    /// `64 − log2(slots.len())`: a hash's top bits pick the first slot.
+    shift: u32,
+    len: usize,
+}
 
-/// The open detection windows, indexed by window index first.
+/// A free slot: no row reaches `u32::MAX`.
+const EMPTY: u64 = u64::MAX;
+
+impl PairIndex {
+    #[inline]
+    fn pair(host: HostId, stage: StageId) -> u64 {
+        u64::from(host.0) << 16 | u64::from(stage.0)
+    }
+
+    /// The slot a pair's probe starts at.
+    #[inline]
+    fn home(&self, pair: u64) -> usize {
+        (pair.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    #[inline]
+    fn get(&self, host: HostId, stage: StageId) -> Option<u32> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let pair = Self::pair(host, stage);
+        let mut at = self.home(pair) & mask;
+        loop {
+            match self.slots[at] {
+                EMPTY => return None,
+                word if word >> 32 == pair => return Some(word as u32),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Add a pair that has no row.
+    fn insert(&mut self, host: HostId, stage: StageId, row: u32) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let pair = Self::pair(host, stage);
+        self.put(pair << 32 | u64::from(row));
+        self.len += 1;
+    }
+
+    fn put(&mut self, word: u64) {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(word >> 32);
+        while self.slots[at] != EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = word;
+    }
+
+    /// Double the table (16 slots at first), re-placing every pair.
+    #[cold]
+    fn grow(&mut self) {
+        let wider = (2 * self.slots.len()).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; wider]);
+        self.shift = 64 - wider.trailing_zeros();
+        for word in old.into_iter().filter(|&w| w != EMPTY) {
+            self.put(word);
+        }
+    }
+
+    /// Drop a pair that has a row, shifting back the entries its slot
+    /// let pass so no probe stops short.
+    fn remove(&mut self, host: HostId, stage: StageId) {
+        let (pair, mask) = (Self::pair(host, stage), self.slots.len() - 1);
+        let mut hole = self.home(pair);
+        loop {
+            let word = self.slots[hole];
+            assert_ne!(word, EMPTY, "only a pair with a row is removed");
+            if word >> 32 == pair {
+                break;
+            }
+            hole = (hole + 1) & mask;
+        }
+        let mut at = hole;
+        loop {
+            at = (at + 1) & mask;
+            let word = self.slots[at];
+            if word == EMPTY {
+                break;
+            }
+            // An entry may fill the hole unless its probe starts after the
+            // hole, cyclically, at or before where it sits.
+            let home = self.home(word >> 32);
+            if (at.wrapping_sub(home) & mask) >= (at.wrapping_sub(hole) & mask) {
+                self.slots[hole] = word;
+                hole = at;
+            }
+        }
+        self.slots[hole] = EMPTY;
+        self.len -= 1;
+    }
+}
+
+/// The windows of one window index: an accumulator per pair row.
+#[derive(Debug, Default)]
+struct Window {
+    idx: u64,
+    /// Indexed by pair row; an entry with `n == 0` is not a window.
+    accs: Vec<WindowAccum>,
+    /// The rows whose window here is open, in opening order.
+    opened: Vec<u32>,
+}
+
+/// The open detection windows.
 ///
-/// Windows close in index order — everything below the watermark's grace
-/// bound at once — so the store keeps one bucket per window index and
-/// closing visits only the leading buckets it closes: the work is
-/// proportional to the windows closed, never to the windows open. Only the
-/// watermark's own index and the one before it are present (a straggler
-/// never enters the store, see `AnomalyDetector::account`), so finding an
-/// element's bucket is a search over two keys.
+/// Every `(host, stage)` pair with a window open holds a **row**, found
+/// with one probe of a pair table; every live window index holds a
+/// [`Window`], an accumulator per row. Only the watermark's own index and
+/// the one before it are live (a straggler never enters the store, see
+/// `AnomalyDetector::account`), so a row's window is found by comparing
+/// its index with the last two and indexing that window's accumulators by
+/// the row. Any other index — a detector merged from shards whose
+/// watermarks stood in different windows, or a row stamped behind its own
+/// start — takes a search of the sorted live windows.
 ///
 /// **A window is open while its accumulator has counted a row (`n > 0`).**
 /// `windows` counts exactly those, so [`AnomalyDetector::open_windows`] is
-/// O(1). Closing recycles rather than frees: the closed windows are tested
-/// by reference in key order, then the bucket keeps the accumulators that
-/// counted, cleared in place, drops the entries that counted nothing, and
-/// waits as `spare` for the next window index to open. A `(host, stage)`
-/// that reports window after window reuses its accumulator and the vectors
-/// it grew, so steady-state turnover allocates nothing. An entry with
-/// `n == 0` is such an accumulator that has not counted yet: not a window,
-/// not iterated, not written, not copied.
+/// O(1), and each window lists its open rows, so closing visits only the
+/// windows it closes: it sorts their keys, tests each accumulator by
+/// reference, clears it in place, and hands the row back once the pair has
+/// no other window open. The closed [`Window`] waits as `spare` for the next
+/// index to open, its accumulators and the vectors they grew kept, so
+/// steady-state turnover allocates nothing; a row handed back goes on the
+/// free list, which can hold every row.
 ///
-/// The one spare bucket and the key scratch are not state: they are not in
-/// the wire form, and a clone (the restart copy) carries neither.
+/// The spare window and the key scratch are not state: they are not in
+/// the wire form, and a clone (the restart copy) carries neither, nor any
+/// accumulator that has counted nothing.
 #[derive(Debug, Default)]
 struct OpenWindows {
-    by_index: BTreeMap<u64, Bucket>,
-    /// Windows open: entries of `by_index` with `n > 0`.
+    /// `(host, stage)` → row, for every pair with a window open.
+    pairs: PairIndex,
+    /// The pair each row was last given to.
+    rows: Vec<(HostId, StageId)>,
+    /// Rows handed back; its capacity is `rows.len()` or more.
+    free: Vec<u32>,
+    /// The live window indices, ascending.
+    live: Vec<Window>,
+    /// Windows open: accumulators with `n > 0`.
     windows: usize,
-    /// The last bucket closed, its entries cleared, for the next index.
-    spare: Bucket,
-    /// The keys of the windows one close tests, reused across closes.
-    closing: Vec<WindowKey>,
+    /// The last window closed, its accumulators cleared, for the next index.
+    spare: Window,
+    /// The keys and rows of the windows one close tests, reused.
+    closing: Vec<(WindowKey, u32)>,
 }
 
 impl Clone for OpenWindows {
-    /// The open windows only: no empty entry, no spare bucket, no scratch.
+    /// The open windows only: no spare, no scratch, and an empty
+    /// accumulator wherever a row has counted nothing.
     fn clone(&self) -> OpenWindows {
-        let by_index = self.by_index.iter().map(|(&idx, bucket)| {
-            let open = || bucket.iter().filter(|(_, acc)| acc.n > 0);
-            let mut copy = Bucket::with_capacity_and_hasher(open().count(), FastBuild);
-            copy.extend(open().map(|(&key, acc)| (key, acc.clone())));
-            (idx, copy)
+        let live = self.live.iter().map(|w| Window {
+            idx: w.idx,
+            accs: w
+                .accs
+                .iter()
+                .map(|acc| match acc.n {
+                    0 => WindowAccum::default(),
+                    _ => acc.clone(),
+                })
+                .collect(),
+            opened: w.opened.clone(),
         });
+        let mut free = Vec::with_capacity(self.rows.len());
+        free.extend_from_slice(&self.free);
         OpenWindows {
-            by_index: by_index.collect(),
+            pairs: self.pairs.clone(),
+            rows: self.rows.clone(),
+            free,
+            live: live.collect(),
             windows: self.windows,
             ..OpenWindows::default()
         }
@@ -297,71 +477,162 @@ impl OpenWindows {
         self.windows
     }
 
-    /// The accumulator of one window, opening it; the caller counts at
-    /// least one row into it. A new window index takes the spare bucket.
-    #[inline]
-    fn accum(&mut self, host: HostId, stage: StageId, idx: u64) -> &mut WindowAccum {
-        let spare = &mut self.spare;
-        let bucket = self
-            .by_index
-            .entry(idx)
-            .or_insert_with(|| std::mem::take(spare));
-        let acc = bucket.entry((host, stage)).or_default();
-        self.windows += usize::from(acc.n == 0);
-        acc
+    /// The accumulator of one window, opening it under `compiled`; the
+    /// caller counts at least one row into it. A new window index takes
+    /// the spare window. Always inlined: it is most of a row's work, and
+    /// out of line it costs a call and its register spills per row.
+    #[inline(always)]
+    fn accum(
+        &mut self,
+        host: HostId,
+        stage: StageId,
+        idx: u64,
+        compiled: &CompiledModel,
+    ) -> &mut WindowAccum {
+        let row = match self.pairs.get(host, stage) {
+            Some(row) => row,
+            None => self.add_pair(host, stage),
+        } as usize;
+        let at = self.position(idx);
+        let accs = &self.live[at].accs;
+        if accs.get(row).is_none_or(|acc| acc.n == 0) {
+            self.open_window(at, row, compiled.slots(stage).len());
+        }
+        &mut self.live[at].accs[row]
     }
 
-    /// The accumulator of an open window.
-    fn get(&self, (host, stage, idx): WindowKey) -> &WindowAccum {
-        &self.by_index[&idx][&(host, stage)]
+    /// Open the window of `row` at `live[at]`, of a stage with `slots`
+    /// performance groups.
+    #[cold]
+    fn open_window(&mut self, at: usize, row: usize, slots: usize) {
+        let rows = self.rows.len();
+        let window = &mut self.live[at];
+        if row >= window.accs.len() {
+            window.accs.resize_with(rows, WindowAccum::default);
+        }
+        window.opened.push(row as u32);
+        window.accs[row].open(slots);
+        self.windows += 1;
+    }
+
+    /// Give a pair a row: a handed-back one, or a new one.
+    #[cold]
+    fn add_pair(&mut self, host: HostId, stage: StageId) -> u32 {
+        let row = match self.free.pop() {
+            Some(row) => {
+                self.rows[row as usize] = (host, stage);
+                row
+            }
+            None => {
+                self.rows.push((host, stage));
+                // Handing every row back never grows the free list.
+                self.free.reserve(self.rows.len() - self.free.len());
+                (self.rows.len() - 1) as u32
+            }
+        };
+        self.pairs.insert(host, stage, row);
+        row
+    }
+
+    /// The position in `live` of window index `idx`, opened if absent.
+    #[inline]
+    fn position(&mut self, idx: u64) -> usize {
+        let n = self.live.len();
+        if n > 0 && self.live[n - 1].idx == idx {
+            n - 1
+        } else if n > 1 && self.live[n - 2].idx == idx {
+            n - 2
+        } else {
+            self.position_cold(idx)
+        }
+    }
+
+    #[cold]
+    fn position_cold(&mut self, idx: u64) -> usize {
+        match self.live.binary_search_by_key(&idx, |w| w.idx) {
+            Ok(at) => at,
+            Err(at) => {
+                let window = Window {
+                    idx,
+                    ..std::mem::take(&mut self.spare)
+                };
+                self.live.insert(at, window);
+                at
+            }
+        }
+    }
+
+    /// The accumulator of an open window, by index and row.
+    fn get(&self, idx: u64, row: u32) -> &WindowAccum {
+        let window = self.live.iter().find(|w| w.idx == idx).expect("live index");
+        &window.accs[row as usize]
     }
 
     fn iter(&self) -> impl Iterator<Item = (WindowKey, &WindowAccum)> {
-        self.by_index.iter().flat_map(|(&idx, bucket)| {
-            bucket
-                .iter()
-                .filter(|(_, acc)| acc.n > 0)
-                .map(move |(&(host, stage), acc)| ((host, stage, idx), acc))
+        self.live.iter().flat_map(move |w| {
+            w.opened.iter().map(move |&row| {
+                let (host, stage) = self.rows[row as usize];
+                ((host, stage, w.idx), &w.accs[row as usize])
+            })
         })
     }
 
-    /// The keys of the open windows of every leading index `stale`
-    /// accepts, sorted: emission order must not depend on hash-map layout.
-    /// The vector is the store's scratch; hand it back to
-    /// [`OpenWindows::recycle_while`].
-    fn stale_keys(&mut self, stale: impl Fn(u64) -> bool) -> Vec<WindowKey> {
+    /// The keys and rows of the open windows of every leading index
+    /// `stale` accepts, sorted by key: emission order must not depend on
+    /// the order windows opened in. The vector is the store's scratch;
+    /// hand it back to [`OpenWindows::recycle_while`].
+    fn stale_keys(&mut self, stale: impl Fn(u64) -> bool) -> Vec<(WindowKey, u32)> {
         let mut keys = std::mem::take(&mut self.closing);
-        let leading = || self.by_index.iter().take_while(|&(&idx, _)| stale(idx));
+        let leading = || self.live.iter().take_while(|w| stale(w.idx));
         // One reservation, so a first close grows the scratch once.
-        keys.reserve(leading().map(|(_, bucket)| bucket.len()).sum());
-        for (&idx, bucket) in leading() {
-            let open = bucket.iter().filter(|(_, acc)| acc.n > 0);
-            keys.extend(open.map(|(&(host, stage), _)| (host, stage, idx)));
+        keys.reserve(leading().map(|w| w.opened.len()).sum());
+        for w in leading() {
+            keys.extend(w.opened.iter().map(|&row| {
+                let (host, stage) = self.rows[row as usize];
+                ((host, stage, w.idx), row)
+            }));
         }
-        keys.sort_unstable();
+        keys.sort_unstable_by_key(|&(key, _)| key);
         keys
     }
 
     /// Retire every leading index `stale` accepts, its windows tested:
-    /// each bucket keeps the accumulators that counted, cleared, and the
-    /// fullest becomes the spare. `keys` is the scratch
+    /// each accumulator that counted is cleared in place, its row handed
+    /// back unless the pair has a window open at another index, and the
+    /// fullest retired window becomes the spare. `keys` is the scratch
     /// [`OpenWindows::stale_keys`] lent out.
-    fn recycle_while(&mut self, stale: impl Fn(u64) -> bool, mut keys: Vec<WindowKey>) {
+    fn recycle_while(&mut self, stale: impl Fn(u64) -> bool, mut keys: Vec<(WindowKey, u32)>) {
         keys.clear();
         self.closing = keys;
-        while let Some(entry) = self.by_index.first_entry() {
-            if !stale(*entry.key()) {
-                break;
+        while self.live.first().is_some_and(|w| stale(w.idx)) {
+            let mut window = self.live.remove(0);
+            for &row in &window.opened {
+                window.accs[row as usize].clear();
+                let open_elsewhere = self.live.iter().any(|w| {
+                    let acc = w.accs.get(row as usize);
+                    acc.is_some_and(|acc| acc.n > 0)
+                });
+                if !open_elsewhere {
+                    let (host, stage) = self.rows[row as usize];
+                    self.pairs.remove(host, stage);
+                    self.free.push(row);
+                }
             }
-            let mut bucket = entry.remove();
-            bucket.retain(|_, acc| {
-                let counted = acc.n > 0;
-                acc.clear();
-                counted
-            });
-            self.windows -= bucket.len();
-            if bucket.len() >= self.spare.len() {
-                self.spare = bucket;
+            self.windows -= window.opened.len();
+            window.opened.clear();
+            if window.accs.len() >= self.spare.accs.len() {
+                self.spare = window;
+            }
+        }
+    }
+
+    /// Re-key every open window from the slots of `from` to those of
+    /// `to`. Empty accumulators are sized when they next open.
+    fn reslot(&mut self, from: &CompiledModel, to: &CompiledModel) {
+        for w in &mut self.live {
+            for &row in &w.opened {
+                let stage = self.rows[row as usize].1;
+                w.accs[row as usize].reslot(stage, from, to);
             }
         }
     }
@@ -371,23 +642,21 @@ impl OpenWindows {
     /// in different windows brings one in.
     #[inline]
     fn has_stale(&self, closable_before: u64) -> bool {
-        let first = self.by_index.first_key_value();
-        first.is_some_and(|(&idx, _)| idx + 1 < closable_before)
+        let first = self.live.first();
+        first.is_some_and(|w| w.idx + 1 < closable_before)
     }
 
     /// Every open window, moved out and sorted by key: the cold path of
     /// [`AnomalyDetector::merge`] and [`AnomalyDetector::partition`].
-    fn into_windows(self) -> Vec<(WindowKey, WindowAccum)> {
-        let mut taken: Vec<_> = self
-            .by_index
-            .into_iter()
-            .flat_map(|(idx, bucket)| {
-                bucket
-                    .into_iter()
-                    .filter(|(_, acc)| acc.n > 0)
-                    .map(move |((host, stage), acc)| ((host, stage, idx), acc))
-            })
-            .collect();
+    fn into_windows(mut self) -> Vec<(WindowKey, WindowAccum)> {
+        let mut taken = Vec::with_capacity(self.windows);
+        for w in &mut self.live {
+            for &row in &w.opened {
+                let (host, stage) = self.rows[row as usize];
+                let acc = std::mem::take(&mut w.accs[row as usize]);
+                taken.push(((host, stage, w.idx), acc));
+            }
+        }
         taken.sort_unstable_by_key(|&(key, _)| key);
         taken
     }
@@ -473,10 +742,9 @@ impl AnomalyDetector {
             for sig in &acc.new_signatures {
                 put_varint(buf, sig.0 as u64);
             }
-            let mut perf = acc.perf.clone();
-            perf.sort_unstable_by_key(|g| g.0);
-            put_varint(buf, perf.len() as u64);
-            for (sig, outliers, n) in perf {
+            let groups = acc.groups(d.compiled.slots(stage));
+            put_varint(buf, groups.len() as u64);
+            for (sig, outliers, n) in groups {
                 put_varint(buf, sig.0 as u64);
                 put_varint(buf, outliers);
                 put_varint(buf, n);
@@ -547,6 +815,7 @@ impl AnomalyDetector {
                 new_signature_tasks: get_varint(buf)?,
                 ..WindowAccum::default()
             };
+            acc.open(compiled.slots(stage).len());
             let new_count = get_varint(buf)?;
             if new_count > MAX_SNAPSHOT_SIGS {
                 return Err(DecodeError::LengthOutOfRange(new_count));
@@ -558,17 +827,24 @@ impl AnomalyDetector {
             if group_count > MAX_SNAPSHOT_SIGS {
                 return Err(DecodeError::LengthOutOfRange(group_count));
             }
+            let mut last = None;
             for _ in 0..group_count {
                 let sig = read_sig(buf)?;
                 // Written in ascending id order, each group once.
-                if acc.perf.last().is_some_and(|g| g.0 >= sig) {
+                if last.is_some_and(|last| last >= sig) {
                     return Err(DecodeError::LengthOutOfRange(sig.0.into()));
                 }
-                acc.perf.push((sig, get_varint(buf)?, get_varint(buf)?));
+                last = Some(sig);
+                let (outliers, n) = (get_varint(buf)?, get_varint(buf)?);
+                // A group is written only once it has counted a task.
+                if n == 0 {
+                    return Err(DecodeError::LengthOutOfRange(0));
+                }
+                acc.add_group((sig, outliers, n), compiled.perf_slot(stage, sig));
             }
             // A window that counted nothing is not open (see `OpenWindows`).
             if acc.n > 0 {
-                *open.accum(host, stage, idx) = acc;
+                *open.accum(host, stage, idx, &compiled) = acc;
             }
         }
         let loss_count = get_varint(buf)?;
@@ -621,16 +897,17 @@ impl AnomalyDetector {
         for part in iter {
             for ((host, stage, idx), acc) in part.open.into_windows() {
                 // Adding into a freshly opened (empty) accumulator is the
-                // plain insert of the disjoint case.
-                let into = m.open.accum(host, stage, idx);
+                // plain insert of the disjoint case. Groups move by
+                // signature: the part may count under another model.
+                let into = m.open.accum(host, stage, idx, &m.compiled);
                 into.n += acc.n;
                 into.rare_flow_outliers += acc.rare_flow_outliers;
                 into.new_signature_tasks += acc.new_signature_tasks;
-                for sig in acc.new_signatures {
+                for &sig in &acc.new_signatures {
                     into.enumerate_new(sig, m.config.max_new_signatures);
                 }
-                for (sig, outliers, n) in acc.perf {
-                    into.add_group(sig, outliers, n);
+                for group in acc.groups(part.compiled.slots(stage)) {
+                    into.add_group(group, m.compiled.perf_slot(stage, group.0));
                 }
             }
             for (key, count) in part.lost {
@@ -667,7 +944,8 @@ impl AnomalyDetector {
         let mut parts = vec![self; n];
         (parts[0].tasks_seen, parts[0].late_seen) = (seen, late);
         for ((host, stage, idx), acc) in open.into_windows() {
-            *parts[route(host, stage) % n].open.accum(host, stage, idx) = acc;
+            let part = &mut parts[route(host, stage) % n];
+            *part.open.accum(host, stage, idx, &part.compiled) = acc;
         }
         parts
     }
@@ -772,7 +1050,9 @@ impl AnomalyDetector {
     /// their accumulated counts reflect the outgoing model, and they
     /// close against the incoming model's rates — the documented swap
     /// semantics (no task is dropped or double-counted; windows
-    /// straddling the swap mix the two models' classifications).
+    /// straddling the swap mix the two models' classifications). Their
+    /// performance groups move to the incoming model's slots; a group
+    /// whose signature has none is kept by id and tested by neither.
     ///
     /// `compiled` must have been produced by `model.compile(&interner)`
     /// against this detector's own interner.
@@ -789,6 +1069,7 @@ impl AnomalyDetector {
             Vec::new()
         };
         self.collect_only = false;
+        self.open.reslot(&self.compiled, &compiled);
         self.model = model;
         self.compiled = compiled;
         events
@@ -848,11 +1129,11 @@ impl AnomalyDetector {
         self.open.len()
     }
 
-    /// Entries the store's spare bucket can hold without growing; zero on
+    /// Pair rows the store's spare window holds accumulators for; zero on
     /// a clone.
     #[cfg(test)]
-    pub(crate) fn spare_bucket_capacity(&self) -> usize {
-        self.open.spare.capacity()
+    pub(crate) fn spare_window_rows(&self) -> usize {
+        self.open.spare.accs.len()
     }
 
     /// Tell the detector that `count` synopses from `host` around virtual
@@ -924,12 +1205,14 @@ impl AnomalyDetector {
             // Bootstrap mode: no model to classify against. Count the
             // task so the window's ModelUnavailable event carries exact
             // unclassified-task accounting.
-            self.account(key, closable_before, &mut events, |acc, _| acc.n += 1)
+            self.account(key, closable_before, &mut events, |acc| acc.n += 1)
         } else {
+            // The per-stage table, not the flat one the batch pass reads.
             let class = self.compiled.classify(f.stage, f.sig, f.duration_us);
+            let verdict = RowVerdict::new(class, self.compiled.perf_slot(f.stage, f.sig));
             let max_new = self.config.max_new_signatures;
-            self.account(key, closable_before, &mut events, |acc, compiled| {
-                acc.count(class, f.stage, f.sig, compiled, max_new)
+            self.account(key, closable_before, &mut events, |acc| {
+                acc.count(verdict, || f.sig, max_new)
             })
         };
         if !late {
@@ -957,19 +1240,20 @@ impl AnomalyDetector {
         (host, stage, idx): WindowKey,
         closable_before: u64,
         events: &mut Vec<AnomalyEvent>,
-        count: impl FnOnce(&mut WindowAccum, &CompiledModel),
+        count: impl FnOnce(&mut WindowAccum),
     ) -> bool {
         if idx + 1 >= closable_before {
-            count(self.open.accum(host, stage, idx), &self.compiled);
+            count(self.open.accum(host, stage, idx, &self.compiled));
             return false;
         }
         self.late_seen += 1;
         if self.open.has_stale(closable_before) {
-            count(self.open.accum(host, stage, idx), &self.compiled);
+            count(self.open.accum(host, stage, idx, &self.compiled));
             self.close_stale(events);
         } else {
             self.scratch.clear();
-            count(&mut self.scratch, &self.compiled);
+            self.scratch.open(self.compiled.slots(stage).len());
+            count(&mut self.scratch);
             self.close_window((host, stage, idx), &self.scratch, events);
             self.drop_outdated_losses(closable_before);
         }
@@ -986,11 +1270,14 @@ impl AnomalyDetector {
     /// the running-max start [`SynopsisBatch::push_synopsis`] stamps) when
     /// that stamp passes the detector's own, closing the windows it
     /// outdates; then the row is counted into its window, a straggler
-    /// into a window of its own. Every row is classified up front with
-    /// [`CompiledModel::classify_batch`] into `verdicts` (caller-supplied
-    /// so its buffer is reused across batches), and closable windows are
-    /// looked for only when a stamp enters a new window or the row itself
-    /// is late.
+    /// into a window of its own. Every row is classified up front into
+    /// `verdicts` (caller-supplied so its buffers are reused across
+    /// batches), which afterwards holds what
+    /// [`CompiledModel::classify_batch`] would write and, beside it, each
+    /// row's performance-group slot: counting a row is indexed adds, with
+    /// no second model lookup and no search. Closable windows are looked
+    /// for only when a stamp enters a new window or the row itself is
+    /// late.
     ///
     /// A batch of one row is how a caller holding one task at a time
     /// comes in ([`DetectorSink`](crate::pipeline::DetectorSink) reuses
@@ -1003,26 +1290,25 @@ impl AnomalyDetector {
     ) -> Vec<AnomalyEvent> {
         if self.collect_only {
             // Bootstrap mode: count each task, classify none.
-            return self.observe_rows(batch, |acc, _, _| acc.n += 1);
+            return self.observe_rows(batch, |acc, _| acc.n += 1);
         }
         self.compiled
-            .classify_batch(&batch.stages, &batch.sigs, &batch.durations_us, verdicts);
-        let (verdicts, max_new) = (&*verdicts, self.config.max_new_signatures);
-        self.observe_rows(batch, |acc, compiled, i| {
-            let (stage, sig) = (batch.stages[i], batch.sigs[i]);
-            acc.count(verdicts.get(i), stage, sig, compiled, max_new)
+            .classify_rows(&batch.stages, &batch.sigs, &batch.durations_us, verdicts);
+        let (rows, max_new) = (verdicts.rows(), self.config.max_new_signatures);
+        self.observe_rows(batch, |acc, i| {
+            acc.count(rows[i], || batch.sigs[i], max_new)
         })
     }
 
     /// The one batch loop under [`AnomalyDetector::observe_batch`]: each
-    /// row advances the watermark, then `count(accumulator, compiled, row)`
-    /// counts it into its window. Generic, so each mode compiles to a loop
-    /// of its own.
+    /// row advances the watermark, then `count(accumulator, row)` counts it
+    /// into its window. Generic, so each mode compiles to a loop of its
+    /// own.
     #[inline]
     fn observe_rows(
         &mut self,
         batch: &SynopsisBatch,
-        count: impl Fn(&mut WindowAccum, &CompiledModel, usize),
+        count: impl Fn(&mut WindowAccum, usize),
     ) -> Vec<AnomalyEvent> {
         let mut events = Vec::new();
         let window_us = self.config.window.as_micros();
@@ -1032,20 +1318,26 @@ impl AnomalyDetector {
         let mut cached_lo = u64::MAX;
         let mut cached_idx = 0u64;
         // Windows become closable only when the watermark's window index
-        // grows; track it so in-window elements skip `close_stale`.
+        // grows, i.e. when a stamp reaches the next window's start; track
+        // that bound so in-window stamps skip the division and
+        // `close_stale`.
         let mut closable_before = self.window_index(self.watermark);
-        for i in 0..batch.len() {
-            self.tasks_seen += 1;
-            let wm = batch.watermarks[i];
+        let mut next_window_us = (closable_before + 1).saturating_mul(window_us);
+        let n = batch.len();
+        let (watermarks, starts) = (&batch.watermarks[..n], &batch.starts[..n]);
+        let (hosts, stages) = (&batch.hosts[..n], &batch.stages[..n]);
+        self.tasks_seen += n as u64;
+        for i in 0..n {
+            let wm = watermarks[i];
             if wm > self.watermark {
                 self.watermark = wm;
-                let wm_idx = self.window_index(wm);
-                if wm_idx > closable_before {
-                    closable_before = wm_idx;
+                if wm.as_micros() >= next_window_us {
+                    closable_before = self.window_index(wm);
+                    next_window_us = (closable_before + 1).saturating_mul(window_us);
                     self.close_stale(&mut events);
                 }
             }
-            let start_us = batch.starts[i].as_micros();
+            let start_us = starts[i].as_micros();
             let idx = if start_us >= cached_lo && start_us - cached_lo < window_us {
                 cached_idx
             } else {
@@ -1054,10 +1346,8 @@ impl AnomalyDetector {
                 cached_idx = idx;
                 idx
             };
-            let key = (batch.hosts[i], batch.stages[i], idx);
-            self.account(key, closable_before, &mut events, |acc, compiled| {
-                count(acc, compiled, i)
-            });
+            let key = (hosts[i], stages[i], idx);
+            self.account(key, closable_before, &mut events, |acc| count(acc, i));
         }
         events
     }
@@ -1088,12 +1378,12 @@ impl AnomalyDetector {
     }
 
     /// Close the windows of every leading index `stale` accepts, in key
-    /// order and in place: each is tested by reference, then its bucket is
-    /// recycled for the next window index (see `OpenWindows`).
+    /// order and in place: each is tested by reference, then its window
+    /// index is recycled for the next one (see `OpenWindows`).
     fn close_while(&mut self, stale: impl Fn(u64) -> bool, events: &mut Vec<AnomalyEvent>) {
         let keys = self.open.stale_keys(&stale);
-        for &key in &keys {
-            self.close_window(key, self.open.get(key), events);
+        for &(key, row) in &keys {
+            self.close_window(key, self.open.get(key.2, row), events);
         }
         self.open.recycle_while(stale, keys);
     }
@@ -1183,20 +1473,25 @@ impl AnomalyDetector {
                 });
             }
         }
-        // Performance tests per signature group, on ids: a signature is
-        // resolved (a lock and a clone) only for a group that rejects.
+        // Performance tests per slotted group, on ids: a signature is
+        // resolved (a lock and a clone) only for a group that rejects. A
+        // group kept by id has no p0 under the model in force and is not
+        // tested. Every slot carries a compiled p0, already floored at
+        // `1 - duration_percentile/100` so a training rate of 0 (every
+        // training task at or below the threshold due to ties) cannot make
+        // a single outlier fire with p = 0.
         let first = events.len();
-        for &(sig, outliers, n) in &acc.perf {
-            if n < self.config.min_group_tasks {
+        let slots = self.compiled.slots(stage);
+        debug_assert_eq!(
+            slots.len(),
+            acc.perf.len(),
+            "window sized under another model"
+        );
+        let min_group_tasks = self.config.min_group_tasks.max(1);
+        for (&(sig, p0), &(outliers, n)) in slots.iter().zip(&acc.perf) {
+            if n < min_group_tasks {
                 continue;
             }
-            // Eligible groups always carry a compiled p0, already floored
-            // at `1 - duration_percentile/100` so a training rate of 0
-            // (every training task at or below the threshold due to ties)
-            // cannot make a single outlier fire with p = 0.
-            let Some(p0) = self.compiled.perf_p0(stage, sig) else {
-                continue;
-            };
             let r = one_sided_proportion_test(outliers, n, p0, Alternative::Greater);
             if r.rejects(self.config.alpha) {
                 let signature = self.interner.resolve(sig).expect("sig interned by observe");
@@ -2384,7 +2679,7 @@ mod tests {
         if d.open_windows() != open {
             return Err(format!("{} open windows, model {open}", d.open_windows()));
         }
-        let entries: usize = d.open.by_index.values().map(FastMap::len).sum();
+        let entries: usize = d.open.live.iter().map(|w| w.accs.len()).sum();
         reached.empty_entries += usize::from(entries > open);
         let mut first = BytesMut::new();
         d.encode_into(&mut first);
@@ -2490,6 +2785,487 @@ mod tests {
         assert!(reached.alone >= 2_000, "{reached:?}");
         assert!(reached.merged_stale >= 300, "{reached:?}");
         assert!(reached.empty_entries >= 1_500, "{reached:?}");
+    }
+
+    #[test]
+    fn pair_index_matches_a_map_through_inserts_and_removals() {
+        // Few hosts and stages, so probes collide and wrap around the
+        // table's end, and removals shift entries back across the end.
+        let mut runner = TestRunner::from_seed(7);
+        let (mut index, mut model) = (PairIndex::default(), BTreeMap::new());
+        for step in 0..20_000u32 {
+            let host = HostId((runner.next_u64() % 40) as u16 * 1_000);
+            let stage = StageId((runner.next_u64() % 5) as u16 + 999 * (step % 2) as u16);
+            match model.remove(&(host, stage)) {
+                Some(_) if !runner.next_u64().is_multiple_of(3) => index.remove(host, stage),
+                Some(row) => drop(model.insert((host, stage), row)),
+                None => {
+                    index.insert(host, stage, step);
+                    model.insert((host, stage), step);
+                }
+            }
+            assert_eq!(index.len, model.len());
+            for (&(host, stage), &row) in &model {
+                assert_eq!(index.get(host, stage), Some(row), "step {step}");
+            }
+        }
+        assert_eq!(index.get(HostId(1), StageId(1)), None);
+    }
+
+    /// The group oracle's flows: point sets, by flow number. Flow 6 is
+    /// never trained.
+    const GROUP_FLOWS: [&[u16]; 7] = [&[1, 2], &[3, 4], &[5, 6], &[7, 8], &[9, 10], &[11], &[12]];
+
+    /// A model over stages 0 and 1: per stage, its common flows and its one
+    /// rare flow (a flow outlier).
+    fn group_model(stages: [(&[usize], usize); 2]) -> Arc<OutlierModel> {
+        let mut b = ModelBuilder::new();
+        for i in 0..8_000u64 {
+            for (stage, &(common, rare)) in stages.iter().enumerate() {
+                let k = if i.is_multiple_of(1000) {
+                    rare
+                } else {
+                    common[i as usize % common.len()]
+                };
+                let mut s = synopsis(
+                    stage as u16,
+                    GROUP_FLOWS[k],
+                    1_000 + (i % 53) * 5,
+                    SimTime::ZERO,
+                    i,
+                );
+                s.stage = StageId(stage as u16);
+                b.observe(&s);
+            }
+        }
+        Arc::new(b.build(ModelConfig::default()))
+    }
+
+    /// The two models the group oracle swaps between. From the first to
+    /// the second, on stage 0, flow 2 loses its group (it turns rare) and
+    /// flow 3 its training, while flow 4 (rare before) and flow 5 (never
+    /// trained before) gain one; stage 1 numbers its groups differently.
+    fn group_models() -> [Arc<OutlierModel>; 2] {
+        static MODELS: std::sync::OnceLock<[Arc<OutlierModel>; 2]> = std::sync::OnceLock::new();
+        MODELS
+            .get_or_init(|| {
+                [
+                    group_model([(&[0, 1, 2, 3], 4), (&[1, 3], 0)]),
+                    group_model([(&[0, 1, 4, 5], 2), (&[0, 2, 3], 1)]),
+                ]
+            })
+            .clone()
+    }
+
+    /// One row of a group-oracle stream: `(host, stage, start_us, flow,
+    /// slow)`.
+    type GroupRow = (u16, u16, u64, usize, bool);
+
+    /// One open window of the group oracle.
+    #[derive(Debug, Default, Clone)]
+    struct NaiveWindow {
+        n: u64,
+        rare: u64,
+        new_tasks: u64,
+        new_sigs: Vec<SigId>,
+    }
+
+    /// The group oracle: every open window in one ordered map and every
+    /// performance group in another, keyed `(host, stage, idx, SigId)`,
+    /// closed by scanning both. It classifies with the per-stage tables
+    /// (`CompiledModel::classify`, `perf_p0`), writes the wire form itself,
+    /// and shares no code with `OpenWindows`, `WindowAccum` or the slots.
+    struct NaiveGroups {
+        compiled: Arc<CompiledModel>,
+        interner: Arc<SignatureInterner>,
+        config: DetectorConfig,
+        windows: BTreeMap<(u16, u16, u64), NaiveWindow>,
+        groups: BTreeMap<(u16, u16, u64, SigId), (u64, u64)>,
+        watermark: u64,
+        seen: u64,
+    }
+
+    /// What the group oracle's inputs reached, summed over its cases.
+    #[derive(Debug, Default)]
+    struct GroupsReached {
+        perf_events: usize,
+        rare_events: usize,
+        /// Stragglers tested alone.
+        alone: usize,
+        /// Model swaps with windows open.
+        swaps_open: usize,
+        /// Open groups, at a round trip, whose signature has no group
+        /// under the model in force.
+        unslotted: usize,
+        /// Partition → merge round trips over two or three shards.
+        reshards: usize,
+    }
+
+    impl NaiveGroups {
+        fn observe(
+            &mut self,
+            row: GroupRow,
+            sig: SigId,
+            stamp: u64,
+            out: &mut Vec<AnomalyEvent>,
+        ) -> bool {
+            let w = ORACLE_WINDOW_US;
+            self.seen += 1;
+            if stamp > self.watermark {
+                let grew = stamp / w > self.watermark / w;
+                self.watermark = stamp;
+                if grew {
+                    self.close_stale(out);
+                }
+            }
+            let (host, stage, start, _, slow) = row;
+            let (idx, closable) = (start / w, self.watermark / w);
+            let late = idx + 1 < closable;
+            let alone = late && !self.windows.keys().any(|k| k.2 + 1 < closable);
+            let dur = if slow { 5_000.0 } else { 1_100.0 };
+            let class = self.compiled.classify(StageId(stage), sig, dur);
+            let eligible = self.compiled.perf_p0(StageId(stage), sig).is_some();
+            let mut window = match alone {
+                true => NaiveWindow::default(),
+                false => self.windows.remove(&(host, stage, idx)).unwrap_or_default(),
+            };
+            let mut group = (0, 0);
+            window.n += 1;
+            match class {
+                TaskClass::FlowOutlier => window.rare += 1,
+                TaskClass::NewSignature => {
+                    window.new_tasks += 1;
+                    let cap = self.config.max_new_signatures;
+                    if !window.new_sigs.contains(&sig) && window.new_sigs.len() < cap {
+                        window.new_sigs.push(sig);
+                    }
+                }
+                _ if eligible => {
+                    group = (u64::from(class == TaskClass::PerformanceOutlier), 1);
+                }
+                _ => {}
+            }
+            if alone {
+                let groups = BTreeMap::from([(sig, group)]);
+                self.emit(
+                    (host, stage, idx),
+                    &window,
+                    groups.into_iter().filter(|g| g.1 .1 > 0),
+                    out,
+                );
+                return true;
+            }
+            self.windows.insert((host, stage, idx), window);
+            if group.1 > 0 {
+                let g = self.groups.entry((host, stage, idx, sig)).or_insert((0, 0));
+                (g.0, g.1) = (g.0 + group.0, g.1 + 1);
+            }
+            if late {
+                self.close_stale(out);
+            }
+            false
+        }
+
+        fn close_stale(&mut self, out: &mut Vec<AnomalyEvent>) {
+            let closable = self.watermark / ORACLE_WINDOW_US;
+            self.close_where(|idx| idx + 1 < closable, out);
+        }
+
+        fn close_where(&mut self, stale: impl Fn(u64) -> bool, out: &mut Vec<AnomalyEvent>) {
+            let closing: Vec<_> = self
+                .windows
+                .keys()
+                .copied()
+                .filter(|k| stale(k.2))
+                .collect();
+            for key in closing {
+                let window = self.windows.remove(&key).expect("listed");
+                let (h, s, i) = key;
+                let range = (h, s, i, SigId(0))..=(h, s, i, SigId(u32::MAX));
+                let groups: Vec<_> = self.groups.range(range).map(|(k, &g)| (k.3, g)).collect();
+                self.groups.retain(|k, _| (k.0, k.1, k.2) != key);
+                self.emit(key, &window, groups.into_iter(), out);
+            }
+        }
+
+        /// A closed window's events, restated from the paper's tests.
+        fn emit(
+            &self,
+            (host, stage, idx): (u16, u16, u64),
+            window: &NaiveWindow,
+            groups: impl Iterator<Item = (SigId, (u64, u64))>,
+            out: &mut Vec<AnomalyEvent>,
+        ) {
+            let (c, n) = (&self.config, window.n);
+            let event = |kind, p_value, outliers, window_tasks| AnomalyEvent {
+                host: HostId(host),
+                stage: StageId(stage),
+                window_start: SimTime::from_micros(idx * ORACLE_WINDOW_US),
+                kind,
+                p_value,
+                outliers,
+                window_tasks,
+                completeness: 1.0,
+            };
+            for &sig in &window.new_sigs {
+                let kind = AnomalyKind::FlowNew(self.interner.resolve(sig).expect("interned"));
+                out.push(event(kind, None, window.new_tasks, n));
+            }
+            let outliers = window.rare + window.new_tasks;
+            let p0 = self.compiled.flow_outlier_rate(StageId(stage));
+            let r = one_sided_proportion_test(outliers, n, p0, Alternative::Greater);
+            if n >= c.min_window_tasks && r.rejects(c.alpha) && window.rare > 0 {
+                out.push(event(AnomalyKind::FlowRare, Some(r.p_value), outliers, n));
+            }
+            let mut perf = Vec::new();
+            for (sig, (outliers, n)) in groups {
+                let Some(p0) = self.compiled.perf_p0(StageId(stage), sig) else {
+                    continue;
+                };
+                let r = one_sided_proportion_test(outliers, n, p0, Alternative::Greater);
+                if n >= c.min_group_tasks && r.rejects(c.alpha) {
+                    let kind =
+                        AnomalyKind::Performance(self.interner.resolve(sig).expect("interned"));
+                    perf.push(event(kind, Some(r.p_value), outliers, n));
+                }
+            }
+            perf.sort_by(|a, b| match (&a.kind, &b.kind) {
+                (AnomalyKind::Performance(a), AnomalyKind::Performance(b)) => a.cmp(b),
+                _ => unreachable!(),
+            });
+            out.extend(perf);
+        }
+
+        /// The detector's wire form, written from the two maps.
+        fn encode(&self) -> BytesMut {
+            let (mut buf, c) = (BytesMut::new(), &self.config);
+            buf.put_u8(0);
+            put_varint(&mut buf, c.window.as_micros());
+            put_f64(&mut buf, c.alpha);
+            let fields = [
+                c.min_window_tasks,
+                c.min_group_tasks,
+                c.max_new_signatures as u64,
+            ];
+            for v in fields.into_iter().chain([self.watermark, self.seen, 0]) {
+                put_varint(&mut buf, v);
+            }
+            put_varint(&mut buf, self.windows.len() as u64);
+            for (&(h, s, i), window) in &self.windows {
+                for v in [
+                    h.into(),
+                    s.into(),
+                    i,
+                    window.n,
+                    window.rare,
+                    window.new_tasks,
+                ] {
+                    put_varint(&mut buf, v);
+                }
+                put_varint(&mut buf, window.new_sigs.len() as u64);
+                for sig in &window.new_sigs {
+                    put_varint(&mut buf, sig.0.into());
+                }
+                let range = (h, s, i, SigId(0))..=(h, s, i, SigId(u32::MAX));
+                let groups: Vec<_> = self.groups.range(range).collect();
+                put_varint(&mut buf, groups.len() as u64);
+                for (key, &(outliers, n)) in groups {
+                    for v in [key.3 .0.into(), outliers, n] {
+                        put_varint(&mut buf, v);
+                    }
+                }
+            }
+            put_varint(&mut buf, 0);
+            buf
+        }
+
+        /// Open groups whose signature has no group under the model in force.
+        fn unslotted(&self) -> usize {
+            let keys = self.groups.keys();
+            keys.filter(|k| self.compiled.perf_p0(StageId(k.1), k.3).is_none())
+                .count()
+        }
+    }
+
+    /// The detector against the group oracle: the same open-window count,
+    /// the same checkpoint bytes, and encode → decode → encode moving none.
+    fn check_groups(d: &AnomalyDetector, naive: &NaiveGroups) -> Result<(), String> {
+        if d.open_windows() != naive.windows.len() {
+            let open = naive.windows.len();
+            return Err(format!("{} open windows, oracle {open}", d.open_windows()));
+        }
+        let mut bytes = BytesMut::new();
+        d.encode_into(&mut bytes);
+        if bytes != naive.encode() {
+            return Err("checkpoint bytes differ from the oracle's".into());
+        }
+        let mut again = BytesMut::new();
+        restore(d)?.encode_into(&mut again);
+        if again != bytes {
+            return Err("encode → decode → encode moved the bytes".into());
+        }
+        Ok(())
+    }
+
+    /// `d` decoded from its own wire form, against its shared parts.
+    fn restore(d: &AnomalyDetector) -> Result<AnomalyDetector, String> {
+        let mut bytes = BytesMut::new();
+        d.encode_into(&mut bytes);
+        let (model, compiled, interner) = (d.model.clone(), d.compiled.clone(), d.interner.clone());
+        let mut bytes = bytes.freeze();
+        AnomalyDetector::decode_from(&mut bytes, model, compiled, interner)
+            .map_err(|e| e.to_string())
+    }
+
+    /// About `rows` group-oracle rows from `*clock` on, in batches of 0–47,
+    /// fed to the detector and the oracle, each row stamped with the
+    /// running max of `*stamp` and its start; checked after every batch.
+    fn feed_groups(
+        s: &mut OracleStreams<'_>,
+        d: &mut AnomalyDetector,
+        naive: &mut NaiveGroups,
+        (clock, stamp): (&mut u64, &mut u64),
+        rows: u64,
+        reached: &mut GroupsReached,
+    ) -> Result<(), String> {
+        let mut verdicts = VerdictMask::new();
+        let batches = s.batches(clock, rows, |_| true);
+        for rows in batches {
+            let mut batch = SynopsisBatch::new();
+            let mut want = Vec::new();
+            for (uid, &(host, stage, start, _)) in rows.iter().enumerate() {
+                let flow = match s.draw(16) {
+                    0 => 4 + s.draw(3) as usize,
+                    _ => s.draw(4) as usize,
+                };
+                let slow = s.draw(if host % 5 == 0 { 3 } else { 40 }) == 0;
+                let row = (host, stage, start, flow, slow);
+                let dur = if slow { 5_000 } else { 1_100 };
+                let at = SimTime::from_micros(start);
+                let mut syn =
+                    crate::testkit::synopsis_on(host, GROUP_FLOWS[flow], dur, at, uid as u64);
+                syn.stage = StageId(stage);
+                let feature = InternedFeature::from_synopsis(&syn, d.interner());
+                *stamp = (*stamp).max(start);
+                batch.push_feature(&feature, SimTime::from_micros(*stamp));
+                reached.alone += usize::from(naive.observe(row, feature.sig, *stamp, &mut want));
+            }
+            let got = d.observe_batch(&batch, &mut verdicts);
+            if got != want {
+                return Err(format!("batch {rows:?}: events {got:?}, oracle {want:?}"));
+            }
+            reached.perf_events += got.iter().filter(|e| e.kind.is_performance()).count();
+            reached.rare_events += got
+                .iter()
+                .filter(|e| e.kind == AnomalyKind::FlowRare)
+                .count();
+            check_groups(d, naive)?;
+        }
+        Ok(())
+    }
+
+    /// Split `d` over 1–3 shards, round-trip each through its wire form
+    /// when `decode` says so, and merge them back.
+    fn reshard(d: AnomalyDetector, shards: usize, decode: bool) -> Result<AnomalyDetector, String> {
+        let mut parts = d.partition(shards, |h, s| usize::from(h.0) * 2 + usize::from(s.0));
+        if decode {
+            parts = parts.iter().map(restore).collect::<Result<_, _>>()?;
+        }
+        Ok(AnomalyDetector::merge(parts).expect("one or more shards"))
+    }
+
+    /// One seeded case of the group oracle: 1–4 or 1–300 hosts on two
+    /// stages; up to 400 rows under the first model, a swap with windows
+    /// open, up to 400 under the second, resharded and restored on the way;
+    /// then a flush.
+    fn groups_case(runner: &mut TestRunner, reached: &mut GroupsReached) -> Result<(), String> {
+        let [first, second] = group_models();
+        let interner = Arc::new(SignatureInterner::new());
+        let compiled = [&first, &second].map(|m| Arc::new(m.compile(&interner)));
+        let config = DetectorConfig {
+            window: SimDuration::from_micros(ORACLE_WINDOW_US),
+            min_window_tasks: 8,
+            min_group_tasks: 3,
+            max_new_signatures: 2,
+            ..DetectorConfig::default()
+        };
+        let mut d =
+            AnomalyDetector::with_shared(first, compiled[0].clone(), interner.clone(), config);
+        let mut naive = NaiveGroups {
+            compiled: compiled[0].clone(),
+            interner,
+            config,
+            windows: BTreeMap::new(),
+            groups: BTreeMap::new(),
+            watermark: 0,
+            seen: 0,
+        };
+        let wide = runner.next_u64().is_multiple_of(2);
+        let hosts = 1 + runner.next_u64() % if wide { 300 } else { 4 };
+        let step = 1 + runner.next_u64() % (ORACLE_WINDOW_US / 64);
+        let mut s = OracleStreams {
+            runner,
+            hosts,
+            step,
+        };
+        let (mut clock, mut stamp) = (0, 0);
+        for phase in 0..2 {
+            let rows = s.draw(400);
+            feed_groups(
+                &mut s,
+                &mut d,
+                &mut naive,
+                (&mut clock, &mut stamp),
+                rows,
+                reached,
+            )?;
+            let shards = 1 + s.draw(3) as usize;
+            reached.reshards += usize::from(shards > 1);
+            d = reshard(d, shards, s.draw(2) == 0)?;
+            check_groups(&d, &naive)?;
+            if phase == 0 {
+                reached.swaps_open += usize::from(d.open_windows() > 0);
+                let events = d.install_model(second.clone(), compiled[1].clone());
+                assert!(events.is_empty(), "a detecting swap closes nothing");
+                naive.compiled = compiled[1].clone();
+                reached.unslotted += naive.unslotted();
+                check_groups(&d, &naive)?;
+                if s.draw(2) == 0 {
+                    d = restore(&d)?;
+                }
+            }
+        }
+        let mut want = Vec::new();
+        naive.close_where(|_| true, &mut want);
+        let got = d.flush();
+        if got != want {
+            return Err(format!("flush: events {got:?}, oracle {want:?}"));
+        }
+        check_groups(&d, &naive)
+    }
+
+    #[test]
+    fn group_slots_match_a_naive_keyed_model() {
+        // 192 seeded cases: after every batch, the same events in the same
+        // order as a model that keeps every performance group by
+        // `(host, stage, idx, SigId)`, the same open-window count and the
+        // same checkpoint bytes — across a model swap that moves groups
+        // in and out of the slots, resharding over 1–3 shards, and
+        // restores from the wire form.
+        let mut reached = GroupsReached::default();
+        for seed in 0..192 {
+            let mut runner = TestRunner::from_seed(1_000 + seed);
+            if let Err(why) = groups_case(&mut runner, &mut reached) {
+                panic!("seed {seed}: {why}");
+            }
+        }
+        // The inputs reached what the property is about.
+        assert!(reached.perf_events >= 250, "{reached:?}");
+        assert!(reached.rare_events >= 400, "{reached:?}");
+        assert!(reached.alone >= 2_500, "{reached:?}");
+        assert!(reached.swaps_open >= 150, "{reached:?}");
+        assert!(reached.unslotted >= 500, "{reached:?}");
+        assert!(reached.reshards >= 150, "{reached:?}");
     }
 
     proptest! {

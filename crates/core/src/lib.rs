@@ -129,7 +129,6 @@ pub mod affinity;
 pub mod batch;
 pub mod codec;
 pub mod detector;
-mod fasthash;
 pub mod feature;
 mod ids;
 pub mod intern;

@@ -426,6 +426,7 @@ impl OutlierModel {
                             CompiledSig::Perf {
                                 threshold_us,
                                 p0: s.training_perf_outlier_rate.max(p0_floor),
+                                slot: 0,
                             }
                         } else {
                             CompiledSig::Normal
@@ -449,8 +450,18 @@ impl OutlierModel {
             for (id, compiled) in sigs {
                 table[id.0 as usize] = compiled;
             }
+            // Every performance-eligible signature gets the next dense
+            // slot of its stage, in id order.
+            let mut slots = Vec::new();
+            for (id, entry) in table.iter_mut().enumerate() {
+                if let CompiledSig::Perf { p0, slot, .. } = entry {
+                    *slot = slots.len() as u32;
+                    slots.push((SigId(id as u32), *p0));
+                }
+            }
             stages[stage.0 as usize] = Some(CompiledStage {
                 sigs: table.into_boxed_slice(),
+                slots: slots.into_boxed_slice(),
                 flow_outlier_rate: self.flow_outlier_rate(stage),
             });
         }
@@ -459,61 +470,35 @@ impl OutlierModel {
         // `sig_cap + 1` entries per trained stage (the trailing entry
         // catches ids interned after compilation), plus a shared all-New
         // fallback row at offset 0 for untrained / out-of-range stages.
-        // Every entry is `(threshold, class-if-below, class-if-above)`;
-        // non-performance entries use an infinite threshold so the
+        // Every entry is `(threshold, class-if-below, class-if-above,
+        // slot)`; non-performance entries use an infinite threshold so the
         // compare always picks the below class (NaN durations compare
-        // false too, matching the oracle's `duration > threshold` test).
+        // false too, matching the oracle's `duration > threshold` test),
+        // and carry no slot.
         let row_len = sig_table_len + 1;
         let trained = stages.iter().filter(|s| s.is_some()).count();
-        let mut flat_thresholds = Vec::with_capacity(row_len * (trained + 1));
-        let mut flat_below = Vec::with_capacity(row_len * (trained + 1));
-        let mut flat_above = Vec::with_capacity(row_len * (trained + 1));
-        fn push_entry(
-            entry: CompiledSig,
-            thresholds: &mut Vec<f64>,
-            below: &mut Vec<u8>,
-            above: &mut Vec<u8>,
-        ) {
-            let (threshold, lo, hi) = match entry {
-                CompiledSig::New => (f64::INFINITY, CLASS_NEW, CLASS_NEW),
-                CompiledSig::Flow => (f64::INFINITY, CLASS_FLOW, CLASS_FLOW),
-                CompiledSig::Normal => (f64::INFINITY, CLASS_NORMAL, CLASS_NORMAL),
-                CompiledSig::Perf { threshold_us, .. } => (threshold_us, CLASS_NORMAL, CLASS_PERF),
-            };
-            thresholds.push(threshold);
-            below.push(lo);
-            above.push(hi);
-        }
+        let mut flat = FlatTables::with_capacity(row_len * (trained + 1));
         for _ in 0..row_len {
-            push_entry(
-                CompiledSig::New,
-                &mut flat_thresholds,
-                &mut flat_below,
-                &mut flat_above,
-            );
+            flat.push(CompiledSig::New);
         }
         let mut row_index = vec![0u32; stage_table_len + 1];
         for (stage, entry) in stages.iter().enumerate() {
             if let Some(cs) = entry {
-                row_index[stage] = flat_thresholds.len() as u32;
+                row_index[stage] = flat.thresholds.len() as u32;
                 for &sig in cs.sigs.iter() {
-                    push_entry(sig, &mut flat_thresholds, &mut flat_below, &mut flat_above);
+                    flat.push(sig);
                 }
-                push_entry(
-                    CompiledSig::New,
-                    &mut flat_thresholds,
-                    &mut flat_below,
-                    &mut flat_above,
-                );
+                flat.push(CompiledSig::New);
             }
         }
 
         CompiledModel {
             stages: stages.into_boxed_slice(),
             row_index: row_index.into_boxed_slice(),
-            flat_thresholds: flat_thresholds.into_boxed_slice(),
-            flat_below: flat_below.into_boxed_slice(),
-            flat_above: flat_above.into_boxed_slice(),
+            flat_thresholds: flat.thresholds.into_boxed_slice(),
+            flat_below: flat.below.into_boxed_slice(),
+            flat_above: flat.above.into_boxed_slice(),
+            flat_slot: flat.slot.into_boxed_slice(),
             sig_cap: sig_table_len as u32,
         }
     }
@@ -644,6 +629,41 @@ impl OutlierModel {
 /// decoder.
 const MAX_MODEL_SIGNATURES: u64 = 1 << 24;
 
+/// The flat tables [`OutlierModel::compile`] builds, column by column.
+struct FlatTables {
+    thresholds: Vec<f64>,
+    below: Vec<u8>,
+    above: Vec<u8>,
+    slot: Vec<u32>,
+}
+
+impl FlatTables {
+    fn with_capacity(n: usize) -> FlatTables {
+        FlatTables {
+            thresholds: Vec::with_capacity(n),
+            below: Vec::with_capacity(n),
+            above: Vec::with_capacity(n),
+            slot: Vec::with_capacity(n),
+        }
+    }
+
+    fn push(&mut self, entry: CompiledSig) {
+        let (threshold, lo, hi, slot) = match entry {
+            CompiledSig::New => (f64::INFINITY, CLASS_NEW, CLASS_NEW, None),
+            CompiledSig::Flow => (f64::INFINITY, CLASS_FLOW, CLASS_FLOW, None),
+            CompiledSig::Normal => (f64::INFINITY, CLASS_NORMAL, CLASS_NORMAL, None),
+            CompiledSig::Perf {
+                threshold_us, slot, ..
+            } => (threshold_us, CLASS_NORMAL, CLASS_PERF, Some(slot as usize)),
+        };
+        self.thresholds.push(threshold);
+        self.below.push(lo);
+        self.above.push(hi);
+        // The class bits stay zero: the classify pass ORs the class in.
+        self.slot.push(RowVerdict::new(TaskClass::Normal, slot).0);
+    }
+}
+
 /// Compiled per-(stage, signature) classification entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum CompiledSig {
@@ -660,6 +680,8 @@ enum CompiledSig {
         /// Training outlier proportion, pre-floored at
         /// `1 − duration_percentile/100` (the detector's null rate).
         p0: f64,
+        /// The signature's performance-group slot within its stage.
+        slot: u32,
     },
 }
 
@@ -668,6 +690,8 @@ enum CompiledSig {
 struct CompiledStage {
     /// Indexed by `SigId`; ids beyond the table are new signatures.
     sigs: Box<[CompiledSig]>,
+    /// `(signature, p0)` of each performance group, indexed by slot.
+    slots: Box<[(SigId, f64)]>,
     flow_outlier_rate: f64,
 }
 
@@ -708,6 +732,9 @@ pub struct CompiledModel {
     /// Class code when `duration > threshold`, parallel to
     /// `flat_thresholds`.
     flat_above: Box<[u8]>,
+    /// The entry's [`RowVerdict`] with class bits zero: its performance
+    /// slot, or none. Parallel to `flat_thresholds`.
+    flat_slot: Box<[u32]>,
     /// Interner capacity at compile time; sig ids at or beyond this
     /// clamp to each row's trailing all-New entry.
     sig_cap: u32,
@@ -721,7 +748,6 @@ const CLASS_PERF: u8 = 3;
 
 impl TaskClass {
     /// The 2-bit code used in [`VerdictMask`] words.
-    #[cfg(test)]
     const fn code(self) -> u8 {
         match self {
             TaskClass::Normal => CLASS_NORMAL,
@@ -741,14 +767,53 @@ impl TaskClass {
     }
 }
 
+/// One row's verdict as the detector counts it: the class code in the
+/// low two bits, and above them the row's performance-group slot plus one
+/// (zero: the row counts towards no group). A row has a slot exactly when
+/// its `(stage, signature)` is performance-eligible, so only `Normal` and
+/// `PerformanceOutlier` rows carry one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RowVerdict(u32);
+
+impl RowVerdict {
+    pub(crate) fn new(class: TaskClass, slot: Option<usize>) -> RowVerdict {
+        let slot = slot.map_or(0, |s| s + 1);
+        assert!(slot < 1 << 30, "a stage has fewer than 2^30 signatures");
+        RowVerdict((slot as u32) << 2 | u32::from(class.code()))
+    }
+
+    #[inline]
+    pub(crate) fn class(self) -> TaskClass {
+        TaskClass::from_code(self.0 as u8)
+    }
+
+    /// The row's performance-group slot in its stage.
+    #[inline]
+    pub(crate) fn slot(self) -> Option<usize> {
+        (self.0 >> 2).checked_sub(1).map(|s| s as usize)
+    }
+}
+
 /// Packed classification verdicts from [`CompiledModel::classify_batch`]:
 /// 2 bits per element, 32 elements per `u64` word. Reusable — `reset`
 /// keeps the word buffer's capacity, so a recycled mask classifies
 /// batch after batch without allocating.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// A detector's classify pass also writes each row's class and
+/// performance-group slot beside the words, so counting a row indexes
+/// neither the model nor the mask's packing again.
+#[derive(Debug, Clone, Default)]
 pub struct VerdictMask {
     words: Vec<u64>,
     len: usize,
+    rows: Vec<RowVerdict>,
+}
+
+impl PartialEq for VerdictMask {
+    /// The verdicts, not what a detector's pass left beside them.
+    fn eq(&self, other: &VerdictMask) -> bool {
+        (self.len, &self.words) == (other.len, &other.words)
+    }
 }
 
 impl VerdictMask {
@@ -792,6 +857,13 @@ impl VerdictMask {
     /// Iterate the verdicts in element order.
     pub fn iter(&self) -> impl Iterator<Item = TaskClass> + '_ {
         (0..self.len).map(move |i| self.get(i))
+    }
+
+    /// Each row's class and slot, as [`CompiledModel::classify_rows`]
+    /// wrote them.
+    #[inline]
+    pub(crate) fn rows(&self) -> &[RowVerdict] {
+        &self.rows
     }
 
     /// Set the verdict for element `i` (`classify_batch` writes whole
@@ -862,10 +934,39 @@ impl CompiledModel {
         durations_us: &[f64],
         out: &mut VerdictMask,
     ) {
+        self.classify_into::<false>(stages, sigs, durations_us, out);
+    }
+
+    /// [`CompiledModel::classify_batch`], and beside the words each row's
+    /// [`RowVerdict`]: its class and performance-group slot, read from
+    /// the same table entry. The detector's one classify pass.
+    pub(crate) fn classify_rows(
+        &self,
+        stages: &[StageId],
+        sigs: &[SigId],
+        durations_us: &[f64],
+        out: &mut VerdictMask,
+    ) {
+        self.classify_into::<true>(stages, sigs, durations_us, out);
+    }
+
+    #[inline]
+    fn classify_into<const ROWS: bool>(
+        &self,
+        stages: &[StageId],
+        sigs: &[SigId],
+        durations_us: &[f64],
+        out: &mut VerdictMask,
+    ) {
         let len = stages.len();
         assert_eq!(sigs.len(), len, "sig column length mismatch");
         assert_eq!(durations_us.len(), len, "duration column length mismatch");
         out.reset(len);
+        let rows = &mut out.rows;
+        if ROWS {
+            rows.clear();
+            rows.resize(len, RowVerdict::default());
+        }
         let stage_cap = self.row_index.len() - 1;
         let sig_cap = self.sig_cap as usize;
         for (word_idx, word) in out.words.iter_mut().enumerate() {
@@ -883,6 +984,9 @@ impl CompiledModel {
                     self.flat_below[entry]
                 };
                 packed |= (code as u64) << (j * 2);
+                if ROWS {
+                    rows[i] = RowVerdict(self.flat_slot[entry] | u32::from(code));
+                }
             }
             *word = packed;
         }
@@ -907,13 +1011,24 @@ impl CompiledModel {
         }
     }
 
-    /// Whether the (stage, signature) group participates in performance
-    /// detection — `perf_p0(..).is_some()` via the flat tables, cheap
-    /// enough for the batch accumulation loop.
-    #[inline]
-    pub(crate) fn is_perf_eligible(&self, stage: StageId, sig: SigId) -> bool {
-        let row = self.row_index[(stage.0 as usize).min(self.row_index.len() - 1)] as usize;
-        self.flat_above[row + (sig.0 as usize).min(self.sig_cap as usize)] == CLASS_PERF
+    /// The performance-group slot of a (stage, signature) group, `None`
+    /// exactly when [`CompiledModel::perf_p0`] is: what
+    /// [`CompiledModel::classify_rows`] writes for it, read from the
+    /// per-stage table instead of the flat one.
+    pub(crate) fn perf_slot(&self, stage: StageId, sig: SigId) -> Option<usize> {
+        match self.entry(stage, sig) {
+            CompiledSig::Perf { slot, .. } => Some(slot as usize),
+            _ => None,
+        }
+    }
+
+    /// `(signature, p0)` of each of `stage`'s performance groups, indexed
+    /// by slot (in ascending signature id); empty for an untrained stage.
+    pub(crate) fn slots(&self, stage: StageId) -> &[(SigId, f64)] {
+        match self.stages.get(stage.0 as usize) {
+            Some(Some(s)) => &s.slots,
+            _ => &[],
+        }
     }
 }
 
@@ -1132,6 +1247,21 @@ mod tests {
                 "element {i}"
             );
         }
+        // The detector's pass writes the same words, and beside them each
+        // row's slot as the per-stage table gives it.
+        let mut rows = VerdictMask::new();
+        compiled.classify_rows(&stages, &sigs, &durations, &mut rows);
+        assert_eq!(rows, mask);
+        for (i, row) in rows.rows().iter().enumerate() {
+            assert_eq!(row.class(), mask.get(i), "element {i}");
+            assert_eq!(
+                row.slot(),
+                compiled.perf_slot(stages[i], sigs[i]),
+                "element {i}"
+            );
+        }
+        assert_eq!(compiled.perf_slot(StageId(0), common), Some(0));
+        assert_eq!(compiled.slots(StageId(0))[0].0, common);
         // iter() agrees with get().
         let collected: Vec<TaskClass> = mask.iter().collect();
         assert_eq!(collected.len(), 67);

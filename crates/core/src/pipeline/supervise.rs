@@ -257,16 +257,16 @@ impl LivenessTracker {
 }
 
 /// Synopses of replay tail a restart may cost per open window the
-/// restore copies. A snapshot deep-copies every open window: a map entry
-/// and its group vector, timed in the pool on `analyze_churn`'s ~2 000
-/// windows (42 snapshots a run, 2-vCPU VM) at 90–150 ns each (quartiles
-/// of two runs; medians 125–190 ns with the superseded copy's drop).
-/// `observe_batch` spends ~25 ns per synopsis there, so at 64 synopses
-/// per window the copying amortises to 1.5–3 ns per synopsis, about a
-/// tenth of detection, and a restart's replay (64 × 25 ns per window)
-/// costs 8–18× the restore copy it follows. The tail holds the kept
-/// batches' columns: 40 bytes per synopsis in a full batch, 2.5 KiB per
-/// open window.
+/// restore copies. A snapshot deep-copies every open window: an
+/// accumulator and its slot-indexed group counters, timed (clone and
+/// drop) by `micro`'s `detector/hosts/256/snapshot` on 2 560 open windows,
+/// the nearest row to `analyze_churn`'s ~2 000, at 93–113 ns each (three
+/// runs, 2-vCPU VM). `observe_batch` spends ~18 ns per synopsis on
+/// `analyze_churn`, so at 64 synopses per window the copying amortises to
+/// 1.5–1.8 ns per synopsis, under a tenth of detection, and a restart's
+/// replay (64 × 18 ns per window) costs 10–12× the restore copy it follows.
+/// The tail holds the kept batches' columns: 40 bytes per synopsis in a
+/// full batch, 2.5 KiB per open window.
 const REPLAY_PER_OPEN_WINDOW: u64 = 64;
 
 /// Floor on the synopses observed between two restart snapshots: the
@@ -745,12 +745,12 @@ mod tests {
         supervised.advance(SimTime::from_mins(3));
         let detector = &supervised.detector;
         assert_eq!(detector.open_windows(), 40);
-        assert!(detector.spare_bucket_capacity() >= 80);
+        assert!(detector.spare_window_rows() >= 80);
 
         supervised.take_snapshot();
         let (detector, snapshot) = (&supervised.detector, &supervised.snapshot);
         assert_eq!(snapshot.open_windows(), detector.open_windows());
-        assert_eq!(snapshot.spare_bucket_capacity(), 0);
+        assert_eq!(snapshot.spare_window_rows(), 0);
         let (mut copied, mut original) = (BytesMut::new(), BytesMut::new());
         snapshot.encode_into(&mut copied);
         detector.encode_into(&mut original);
