@@ -67,5 +67,7 @@ core::prelude	. README.md	-	saad_core::prelude is named again: every public name
 iter_mut\(\)\.find\(	crates/core/src/detector.rs	-	a row's performance group is searched for again: a row counts into the slot its classify pass wrote
 is_perf_eligible	crates/core/src	-	accounting looks a row's (stage, signature) up in the model again: classify_rows writes the row's slot beside its class
 by_index: BTreeMap	crates/core/src/detector.rs	-	the window store keys windows by a BTreeMap entry per row again: a row's window is one of the live indices
+AdaptPolicy	crates src tests examples README.md	-	the drift policy is a settable type again: the drift window is the detection window, its evidence floor and cooldown are constants, and LifecycleConfig::adapt is a bool
+replay_cuts	tests	-	a lifecycle oracle replays the transport's cuts again: a store-started pool's steps fall on rows the stream fixes, so its oracles take fixed batches
 TABLE
 exit $status

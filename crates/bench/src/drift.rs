@@ -2,10 +2,10 @@
 //! lifecycle pool.
 //!
 //! Replays drift scenarios through two pools that start from an empty
-//! store and differ in one setting only — one runs an [`AdaptPolicy`]
-//! (*adaptive*), the other none (*frozen*, the ablation: it promotes once
-//! at bootstrap and never swaps again) — and reconciles their anomaly
-//! output minute by minute:
+//! store and differ in one setting only — one runs with
+//! [`LifecycleConfig::adapt`] on (*adaptive*), the other without it
+//! (*frozen*, the ablation: it promotes once at bootstrap and never swaps
+//! again) — and reconciles their anomaly output minute by minute:
 //!
 //! * **rollout** — a deployment replaces the dominant signature and
 //!   doubles durations (new code path, new timing);
@@ -14,10 +14,10 @@
 //!
 //! A pure load shift (every duration 5×, signatures unchanged) is not in
 //! the catalog. A step that large trips the duration test at the first
-//! batch boundary after it, exactly as a rollout's does, and the retrain
-//! then waits for the same refill of the ring, so its adaptive row was
-//! the rollout's to the digit. The rollout stays because its frozen run
-//! also misses the probe.
+//! window edge after a drifted window, exactly as a rollout's does, and
+//! the retrain then waits for the same refill of the ring, so its
+//! adaptive row was the rollout's to the digit. The rollout stays because
+//! its frozen run also misses the probe.
 //!
 //! After the drift settles, a genuine anomaly burst is injected on one
 //! host and must still be caught by the re-adapted model — adaptation
@@ -25,21 +25,23 @@
 //! are the per-minute false-positive curves (the time-to-readapt curve),
 //! the re-adapt latency, and the post-swap probe precision/recall.
 //!
-//! The stream goes in as batches of a quarter minute. After each one the
+//! The pool's lifecycle steps fall on rows the stream fixes — promotion
+//! right after its 300th synopsis, drift closes and swaps at window edges
+//! — so the outcome does not depend on how the stream is cut into
+//! batches; it goes in as batches of a quarter minute. After each one the
 //! harness waits — yielding, never sleeping — until the router has
-//! finished it, lifecycle work included, so the time to re-adapt is read
-//! in stream time, at batch resolution, and is the same on every run.
+//! finished it, lifecycle work included, and reads the time to re-adapt
+//! in stream time: the window edge of the first drift swap.
 
 use crossbeam_channel::unbounded;
 use saad_core::batch::SynopsisBatch;
 use saad_core::detector::{AnomalyEvent, DetectorConfig};
-use saad_core::pipeline::{
-    spawn_analyzer_pool, AdaptPolicy, LifecycleConfig, PoolStart, SupervisorConfig,
-};
+use saad_core::pipeline::{spawn_analyzer_pool, LifecycleConfig, PoolStart, SupervisorConfig};
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::{HostId, StageId, TaskUid, TenantId};
 use saad_logging::LogPointId;
 use saad_sim::{SimDuration, SimTime};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Minutes of healthy lead-in (training + quiet baseline windows).
 pub const HEALTHY_MINS: u64 = 6;
@@ -103,8 +105,8 @@ pub struct RunOutcome {
     pub events_per_min: Vec<usize>,
     /// Drift-triggered swaps at the end of the run.
     pub drift_swaps: u64,
-    /// Drift start → the batch boundary of the first drift swap, in
-    /// stream seconds.
+    /// Drift start → the window edge of the first drift swap, in stream
+    /// seconds.
     pub time_to_readapt_s: Option<f64>,
     /// Probe-minute performance events on the probe host (true
     /// positives).
@@ -146,7 +148,7 @@ pub struct DriftResult {
     pub name: &'static str,
     /// The run with a live drift trigger.
     pub adaptive: RunOutcome,
-    /// The ablation: the same pool without an [`AdaptPolicy`].
+    /// The ablation: the same pool without drift adaptation.
     pub frozen: RunOutcome,
 }
 
@@ -190,28 +192,32 @@ fn stream(kind: DriftKind) -> Vec<TaskSynopsis> {
 }
 
 /// Replay one scenario through a one-worker pool started from an empty
-/// store, with the drift policy (`adaptive`) or without one.
+/// store, with drift adaptation (`adaptive`) or without it.
 pub fn run_drift_once(kind: DriftKind, adaptive: bool) -> RunOutcome {
+    run_drift_cut(kind, adaptive, BATCH)
+}
+
+/// [`run_drift_once`] over the stream cut into batches of `batch_len`
+/// rows, each spanning at most one window edge.
+fn run_drift_cut(kind: DriftKind, adaptive: bool, batch_len: usize) -> RunOutcome {
+    // A store per run: tests replay one scenario side by side in a process.
+    static RUNS: AtomicU64 = AtomicU64::new(0);
     let mode = if adaptive { "adaptive" } else { "frozen" };
     let dir = std::env::temp_dir().join(format!(
-        "saad-drift-{}-{}-{mode}",
+        "saad-drift-{}-{}-{mode}-{}",
         std::process::id(),
-        kind.name()
+        kind.name(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let policy = AdaptPolicy {
-        window: SimDuration::from_mins(1),
-        min_window_samples: 50,
-        cooldown_windows: 1,
-    };
     let lifecycle = LifecycleConfig {
         checkpoint_every: 0,
         promote_after: 300,
         min_retrain_samples: 200,
-        // One to two adapt windows of traffic, so a post-drift retrain
-        // trains on the new regime, not a stale mixture.
+        // One to two windows of traffic, so a post-drift retrain trains
+        // on the new regime, not a stale mixture.
         retrain_window: 500,
-        adapt: adaptive.then_some(policy),
+        adapt: adaptive,
         ..LifecycleConfig::default()
     };
     let start = PoolStart::Store {
@@ -220,11 +226,12 @@ pub fn run_drift_once(kind: DriftKind, adaptive: bool) -> RunOutcome {
     };
     let (batch_tx, batch_rx) = unbounded();
     let (config, supervisor) = (DetectorConfig::default(), SupervisorConfig::default());
+    let window_us = config.window.as_micros();
     let pool = spawn_analyzer_pool(start, config, supervisor, 1, batch_rx).expect("empty store");
     let interner = pool.interner();
     let tenant = TenantId::DEFAULT;
     let mut readapt_at: Option<SimTime> = None;
-    for (sent, chunk) in stream(kind).chunks(BATCH).enumerate() {
+    for (sent, chunk) in stream(kind).chunks(batch_len).enumerate() {
         let mut batch = SynopsisBatch::with_capacity(chunk.len());
         for s in chunk {
             batch.push_synopsis(s, &interner);
@@ -234,7 +241,10 @@ pub fn run_drift_once(kind: DriftKind, adaptive: bool) -> RunOutcome {
             std::thread::yield_now();
         }
         if readapt_at.is_none() && pool.drift_swaps(tenant) > 0 {
-            readapt_at = chunk.iter().map(|s| s.start).max();
+            // The swap ran at this batch's one window edge: where its
+            // newest row's window starts.
+            let newest = chunk.iter().map(|s| s.start.as_micros()).max();
+            readapt_at = newest.map(|us| SimTime::from_micros(us / window_us * window_us));
         }
     }
     drop(batch_tx);
@@ -345,5 +355,13 @@ mod tests {
         );
         assert!(r.adaptive.probe_detected(), "post-swap anomaly missed");
         assert!(!r.frozen.probe_detected(), "stale signatures cannot see it");
+    }
+
+    #[test]
+    fn the_adaptive_rollout_does_not_depend_on_the_cuts() {
+        let quarters = run_drift_cut(DriftKind::Rollout, true, BATCH);
+        let sevens = run_drift_cut(DriftKind::Rollout, true, 7);
+        assert_eq!(quarters.drift_swaps, 1);
+        assert_eq!(format!("{sevens:?}"), format!("{quarters:?}"));
     }
 }

@@ -1,13 +1,11 @@
-//! Adaptation per tenant: which tenant each host belongs to, the drift
-//! policy every tenant of a lifecycle pool runs, and the router-side state
-//! that turns a tenant's window-level traffic summaries into "retrain
-//! now" decisions.
+//! Adaptation per tenant: which tenant each host belongs to, and the
+//! router-side drift state that turns a tenant's traffic summaries per
+//! detection window into "retrain now" decisions.
 
 use super::lifecycle::TenantObs;
 use crate::feature::InternedFeature;
 use crate::intern::SigId;
 use crate::{HostId, StageId, TenantId};
-use saad_sim::{SimDuration, SimTime};
 use saad_stats::{DecayedFrequency, PageHinkley, QuantileSketch};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -67,52 +65,13 @@ impl TenantRouter {
     }
 }
 
-/// Drift-triggered adaptation policy for a lifecycle pool.
-///
-/// The router accumulates each adapt window's traffic into a
-/// [`saad_stats::QuantileSketch`] (durations) and a signature-frequency
-/// table, then at every watermark-aligned window close feeds two scalars
-/// into per-dimension [`saad_stats::PageHinkley`] tests:
-///
-/// * the **flow statistic** — L1 divergence between the window's
-///   signature-share distribution and the baseline captured at the last
-///   swap (range `[0, 2]`);
-/// * the **duration statistic** — relative delta between the window
-///   sketch's `duration_percentile` quantile and the baseline sketch's.
-///
-/// When either test trips (sustained shift, not a one-window spike) the
-/// router drops the tenant's retrain ring — it still holds the regime the
-/// drift just invalidated — and marks a retrain pending. Once the ring has
-/// refilled with `min_retrain_samples` of purely post-drift traffic, the
-/// router invokes the *existing* retrain path at the current watermark
-/// boundary — the same k-fold-gated, zero-drop in-band swap that
-/// [`PoolHandle::request_retrain`](super::PoolHandle::request_retrain) uses;
-/// there is no second swap mechanism. After a swap the baseline is
-/// re-captured from the retrain ring, both tests reset, and for
-/// `cooldown_windows` windows the tests are fed but a trip is discarded:
-/// the quiet run-in re-establishes the null. Each tenant of a pool runs
-/// this policy over its own traffic.
-#[derive(Debug, Clone)]
-pub struct AdaptPolicy {
-    /// Width of one adapt window. Windows are aligned to the first
-    /// absorbed task's start time and closed by the routed watermark.
-    pub window: SimDuration,
-    /// Windows with fewer routed tasks than this contribute no drift
-    /// evidence (a sparse window says nothing about the distribution).
-    pub min_window_samples: u64,
-    /// Windows to wait after any swap before drift can trigger again.
-    pub cooldown_windows: u32,
-}
+/// Drift windows with fewer routed tasks than this contribute no drift
+/// evidence: a sparse window says nothing about the distribution.
+const MIN_WINDOW_SAMPLES: u64 = 50;
 
-impl Default for AdaptPolicy {
-    fn default() -> AdaptPolicy {
-        AdaptPolicy {
-            window: SimDuration::from_secs(60),
-            min_window_samples: 200,
-            cooldown_windows: 2,
-        }
-    }
-}
+/// Windows after any swap whose change tests are fed but whose trip is
+/// discarded: the quiet run-in that re-establishes the null.
+const COOLDOWN_WINDOWS: u64 = 1;
 
 /// Page-Hinkley tolerance: a per-window deviation from the running mean
 /// below it never accumulates evidence. Both statistics are relative (a
@@ -130,16 +89,36 @@ const PH_LAMBDA: f64 = 0.25;
 /// crate's default, far finer than the shifts [`PH_LAMBDA`] trips on.
 const SKETCH_ALPHA: f64 = saad_stats::sketch::DEFAULT_ALPHA;
 
-/// Router-side drift detection state for an [`AdaptPolicy`].
+/// One tenant's drift detector, kept by the router of a pool with
+/// [`LifecycleConfig::adapt`](super::LifecycleConfig::adapt) on.
+///
+/// The drift window is the detection window. The router accumulates each
+/// window's traffic into a [`saad_stats::QuantileSketch`] (durations) and
+/// a signature-frequency table, and at the window edge that closes it —
+/// the row whose stamp enters a new window — feeds two scalars into
+/// per-dimension [`saad_stats::PageHinkley`] tests:
+///
+/// * the **flow statistic** — L1 divergence between the window's
+///   signature-share distribution and the baseline captured at the last
+///   swap (range `[0, 2]`);
+/// * the **duration statistic** — relative delta between the window
+///   sketch's duration percentile and the baseline sketch's.
+///
+/// When either test trips (sustained shift, not a one-window spike) the
+/// router drops the tenant's retrain ring — it still holds the regime the
+/// drift just invalidated — and marks a retrain pending. At the first
+/// window edge where the ring has refilled with `min_retrain_samples` of
+/// purely post-drift traffic, the router runs the *existing* retrain path
+/// — the same k-fold-gated, zero-drop in-band swap that
+/// [`PoolHandle::request_retrain`](super::PoolHandle::request_retrain)
+/// uses; there is no second swap mechanism. After a swap the baseline is
+/// re-captured from the retrain ring, both tests reset, and for
+/// [`COOLDOWN_WINDOWS`] window the tests are fed but a trip is discarded.
 pub(super) struct AdaptState {
-    policy: AdaptPolicy,
     /// Percentile compared between window and baseline sketches (the
     /// model's own duration percentile, so drift is measured where the
     /// thresholds live).
     quantile: f64,
-    /// Start of the currently accumulating window; set by the first
-    /// absorbed feature and advanced in lockstep with the watermark.
-    window_start: Option<SimTime>,
     /// Current window's duration sketch.
     win_sketch: QuantileSketch,
     /// Current window's per-signature task counts.
@@ -152,7 +131,7 @@ pub(super) struct AdaptState {
     ph_duration: PageHinkley,
     ph_flow: PageHinkley,
     /// Windows remaining before drift may trigger a swap again.
-    cooldown: u32,
+    cooldown: u64,
     /// A drift trip is waiting for enough *fresh* post-drift traffic to
     /// retrain on. While pending, further trips are ignored and the ring
     /// (cleared at the trip) refills with new-regime tasks only, so the
@@ -164,8 +143,7 @@ pub(super) struct AdaptState {
 }
 
 impl AdaptState {
-    pub(super) fn new(policy: AdaptPolicy, quantile: f64, obs: Arc<TenantObs>) -> AdaptState {
-        assert!(policy.window > SimDuration::ZERO, "refused at spawn");
+    pub(super) fn new(quantile: f64, obs: Arc<TenantObs>) -> AdaptState {
         AdaptState {
             win_sketch: QuantileSketch::new(SKETCH_ALPHA),
             win_sigs: DecayedFrequency::new(),
@@ -175,18 +153,13 @@ impl AdaptState {
             ph_flow: PageHinkley::new(PH_DELTA, PH_LAMBDA),
             cooldown: 0,
             pending: false,
-            window_start: None,
             quantile,
             obs,
-            policy,
         }
     }
 
     /// Accumulate one routed task into the current window.
     pub(super) fn absorb(&mut self, feature: &InternedFeature) {
-        if self.window_start.is_none() {
-            self.window_start = Some(feature.start);
-        }
         self.win_sketch.record(feature.duration_us);
         self.win_sigs.record(u64::from(feature.sig.0), 1.0);
     }
@@ -205,28 +178,8 @@ impl AdaptState {
         }
         self.ph_duration.reset();
         self.ph_flow.reset();
-        self.cooldown = self.policy.cooldown_windows;
+        self.cooldown = COOLDOWN_WINDOWS;
         self.pending = false;
-    }
-
-    /// Close every window the watermark has passed. True when a trip has
-    /// just made a retrain pending: the caller then drops the retrain
-    /// ring. A trip while one is pending changes nothing. Evidence needs
-    /// a baseline, which only a swap sets, so a tenant in bootstrap never
-    /// trips.
-    pub(super) fn evaluate(&mut self, watermark: SimTime) -> bool {
-        let Some(mut start) = self.window_start else {
-            return false;
-        };
-        let mut tripped = false;
-        while start + self.policy.window <= watermark {
-            tripped |= self.close_window();
-            start += self.policy.window;
-        }
-        self.window_start = Some(start);
-        let newly = tripped && !self.pending;
-        self.pending |= tripped;
-        newly
     }
 
     /// Whether a pending trip may retrain now: not before a window has
@@ -238,7 +191,7 @@ impl AdaptState {
     /// Account the retrain a pending trip led to. A swap was already
     /// re-anchored by [`AdaptState::on_swap`]; after a refusal (unstable
     /// window) wait at least one window before retrying, so a refusal
-    /// can't retrain every batch.
+    /// can't retrain at every edge.
     pub(super) fn drift_retrain_done(&mut self, swapped: bool) {
         if swapped {
             self.obs.drift_swaps.fetch_add(1, Ordering::SeqCst);
@@ -247,11 +200,18 @@ impl AdaptState {
         }
     }
 
-    /// Close one window: feed the change tests when the window carries
-    /// enough samples and a baseline exists — in cooldown too, where a
-    /// trip is then discarded — and reset the accumulators.
-    fn close_window(&mut self) -> bool {
-        let enough = self.win_sketch.count() >= self.policy.min_window_samples;
+    /// Close the current window at an edge that enters the detection
+    /// window `windows` (at least 1) past it: feed the change tests when
+    /// the window carries enough samples and a baseline exists — in
+    /// cooldown too, where a trip is then discarded — and reset the
+    /// accumulators. The windows in between are empty and only count the
+    /// cooldown down, in one step however many there are. True when a trip
+    /// has just made a retrain pending: the caller then drops the retrain
+    /// ring. A trip while one is pending changes nothing. Evidence needs a
+    /// baseline, which only a swap sets, so a tenant in bootstrap never
+    /// trips.
+    pub(super) fn close(&mut self, windows: u64) -> bool {
+        let enough = self.win_sketch.count() >= MIN_WINDOW_SAMPLES;
         let mut tripped = false;
         if enough && !self.base_sketch.is_empty() {
             self.obs.adapt_windows.fetch_add(1, Ordering::SeqCst);
@@ -270,11 +230,11 @@ impl AdaptState {
             self.win_sketch = QuantileSketch::new(SKETCH_ALPHA);
             self.win_sigs = DecayedFrequency::new();
         }
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
-            return false;
-        }
-        tripped
+        tripped &= self.cooldown == 0;
+        self.cooldown = self.cooldown.saturating_sub(windows);
+        let newly = tripped && !self.pending;
+        self.pending |= tripped;
+        newly
     }
 }
 
@@ -282,6 +242,7 @@ impl AdaptState {
 mod tests {
     use super::*;
     use crate::TaskUid;
+    use saad_sim::{SimDuration, SimTime};
 
     #[test]
     fn router_defaults_and_assignments() {
@@ -301,16 +262,10 @@ mod tests {
             .is_empty());
     }
 
-    /// A drift state over one-minute windows that need ten tasks to count
-    /// as evidence, with `cooldown` windows of run-in after a swap.
-    fn state(cooldown: u32) -> (AdaptState, Arc<TenantObs>) {
-        let policy = AdaptPolicy {
-            window: SimDuration::from_mins(1),
-            min_window_samples: 10,
-            cooldown_windows: cooldown,
-        };
+    /// A drift state with no baseline yet, and where it counts.
+    fn state() -> (AdaptState, Arc<TenantObs>) {
         let obs = Arc::new(TenantObs::default());
-        (AdaptState::new(policy, 99.0, obs.clone()), obs)
+        (AdaptState::new(99.0, obs.clone()), obs)
     }
 
     /// What a swap trains on here: one signature at 1 ms.
@@ -318,9 +273,9 @@ mod tests {
         (0..100).map(|_| (StageId(0), SigId(0), 1_000.0)).collect()
     }
 
-    /// Minute `minute` of `tasks` tasks at `duration_us`, closed by the
-    /// watermark at the next minute; what `evaluate` then says.
-    fn window(state: &mut AdaptState, minute: u64, tasks: u64, duration_us: f64) -> bool {
+    /// A window of `tasks` tasks at `duration_us`, closed by the edge
+    /// into the next window; what `close` then says.
+    fn window(state: &mut AdaptState, tasks: u64, duration_us: f64) -> bool {
         for i in 0..tasks {
             state.absorb(&InternedFeature {
                 uid: TaskUid(i),
@@ -328,45 +283,50 @@ mod tests {
                 stage: StageId(0),
                 sig: SigId(0),
                 duration_us,
-                start: SimTime::from_mins(minute) + SimDuration::from_millis(i),
+                start: SimTime::from_millis(i),
             });
         }
-        state.evaluate(SimTime::from_mins(minute + 1))
+        state.close(1)
     }
+
+    /// Tasks in a window that counts as evidence.
+    const FULL: u64 = MIN_WINDOW_SAMPLES;
 
     /// The one drift rule, over scripted windows: a quiet window, then the
     /// durations quintuple for good.
     #[test]
     fn cooldown_feeds_the_test_and_a_refusal_waits_a_window() {
-        let (mut adapt, obs) = state(2);
+        assert_eq!(COOLDOWN_WINDOWS, 1);
+        let (mut adapt, obs) = state();
         // No baseline before the first swap: full windows carry no
         // evidence and cannot trip.
-        assert!(!window(&mut adapt, 0, 20, 1_000.0));
-        assert!(!window(&mut adapt, 1, 20, 50_000.0));
+        assert!(!window(&mut adapt, FULL, 1_000.0));
+        assert!(!window(&mut adapt, FULL, 50_000.0));
         assert_eq!(obs.adapt_windows.load(Ordering::SeqCst), 0);
 
         adapt.on_swap(&ring());
-        // Two cooldown windows: both feed Page-Hinkley, and the second's
-        // trip — five-fold durations after a quiet window — is discarded.
-        assert!(!window(&mut adapt, 2, 20, 1_000.0));
-        assert!(!window(&mut adapt, 3, 20, 5_000.0));
-        assert!(adapt.ph_duration.statistic() > PH_LAMBDA);
+        // The cooldown window feeds both tests: a quiet one.
+        assert!(!window(&mut adapt, FULL, 1_000.0));
+        assert_eq!(adapt.ph_duration.observations(), 1);
         assert!(!adapt.retrain_due());
-        // The first window past the cooldown trips on the evidence the
-        // cooldown fed: the ring is to be dropped, a retrain is pending.
-        assert!(window(&mut adapt, 4, 20, 5_000.0));
+        // The first window past it trips on the evidence the cooldown fed
+        // (a test's first observation never trips): the ring is to be
+        // dropped, a retrain is pending.
+        assert!(window(&mut adapt, FULL, 5_000.0));
         assert!(adapt.retrain_due());
         // A trip while pending does not drop the ring a second time.
-        assert!(!window(&mut adapt, 5, 20, 5_000.0));
+        assert!(!window(&mut adapt, FULL, 5_000.0));
         assert!(adapt.ph_duration.statistic() > PH_LAMBDA);
         assert!(adapt.retrain_due());
 
-        // Refused: no retry until a window has closed.
+        // Refused: the next window is a cooldown window. It feeds the
+        // tests, which stay tripped, and no retry is due until it has
+        // closed.
         adapt.drift_retrain_done(false);
         assert!(!adapt.retrain_due());
-        assert!(!adapt.evaluate(SimTime::from_mins(6) + SimDuration::from_secs(30)));
-        assert!(!adapt.retrain_due());
-        assert!(!window(&mut adapt, 6, 20, 5_000.0));
+        assert!(!window(&mut adapt, FULL, 5_000.0));
+        assert_eq!(adapt.ph_duration.observations(), 4);
+        assert!(adapt.ph_duration.statistic() > PH_LAMBDA);
         assert!(adapt.retrain_due());
         // Swapped: counted once, nothing pending.
         adapt.on_swap(&ring());
@@ -374,10 +334,31 @@ mod tests {
         assert!(!adapt.retrain_due());
         assert_eq!(obs.drift_swaps.load(Ordering::SeqCst), 1);
 
-        // Only windows with evidence count: a sparse one and two empty
-        // ones, closed by one jump of the watermark, do not.
-        assert!(!window(&mut adapt, 7, 5, 1_000.0));
-        assert!(!adapt.evaluate(SimTime::from_mins(10)));
-        assert_eq!(obs.adapt_windows.load(Ordering::SeqCst), 5);
+        // Only windows with evidence count: a sparse one, and the two
+        // empty ones one edge skips, do not.
+        assert!(!window(&mut adapt, FULL - 1, 1_000.0));
+        assert!(!adapt.close(3));
+        assert_eq!(obs.adapt_windows.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn an_edge_at_the_end_of_time_closes_in_one_step() {
+        // A refused retrain waits a window. An edge into the last one-minute
+        // window before `u64::MAX` µs, some 3·10^11 windows on, counts the
+        // cooldown down in one step, and the retry is due after it.
+        let (mut adapt, obs) = state();
+        adapt.on_swap(&ring());
+        assert!(!window(&mut adapt, FULL, 1_000.0));
+        assert!(window(&mut adapt, FULL, 5_000.0));
+        adapt.drift_retrain_done(false);
+        assert!(!adapt.retrain_due());
+        let last = u64::MAX / SimDuration::from_mins(1).as_micros();
+        assert!(!adapt.close(last - 3));
+        assert!(adapt.retrain_due());
+        assert_eq!(obs.adapt_windows.load(Ordering::SeqCst), 2);
+        // Skipped windows never wrap the cooldown below zero.
+        adapt.on_swap(&ring());
+        assert!(!adapt.close(last));
+        assert_eq!(adapt.cooldown, 0);
     }
 }

@@ -2,7 +2,7 @@
 //! state, crash recovery, bootstrap promotion and the in-band hot model
 //! swap.
 
-use super::adapt::{AdaptPolicy, AdaptState, TenantRouter};
+use super::adapt::{AdaptState, TenantRouter};
 use super::pool::{meta_tick, shard_for, PoolHandle, ShardMsg};
 use crate::detector::{AnomalyDetector, DetectorConfig};
 use crate::feature::InternedFeature;
@@ -13,7 +13,7 @@ use crate::store::{Checkpoint, CheckpointError, CheckpointStore, TenantCheckpoin
 use crate::{HostId, Signature, StageId, TenantId};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use saad_obs::{Histogram, Registry};
-use saad_sim::{SimDuration, SimTime};
+use saad_sim::SimTime;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
@@ -27,6 +27,10 @@ use std::time::{Duration, Instant};
 /// [`ModelConfig::default`] (the paper's parameters); three checkpoint
 /// generations are kept on disk; a transient write failure is retried
 /// three times, 10 ms apart and doubling.
+///
+/// Every automatic step falls on a row the stream fixes, never on a batch
+/// boundary: promotion and the periodic checkpoint right after the row
+/// that brings them due, a drift swap just before a window edge's row.
 #[derive(Debug, Clone)]
 pub struct LifecycleConfig {
     /// Automatically checkpoint after this many routed synopses
@@ -49,13 +53,13 @@ pub struct LifecycleConfig {
     /// iterations as tracked tasks (see [`MetaMonitor`]). `None` disables
     /// self-observation.
     pub meta: Option<Arc<MetaMonitor>>,
-    /// Continuous adaptation: when set, the router runs a Page-Hinkley
-    /// drift detector over each tenant's window-level traffic summaries
-    /// and triggers that tenant's in-band retrain/hot-swap itself when
-    /// drift is confirmed. `None` (the default) keeps the pool's episodic
-    /// behaviour — retrains happen only on explicit
+    /// Continuous adaptation: when true, the router runs a Page-Hinkley
+    /// drift detector over each tenant's traffic per detection window and
+    /// triggers that tenant's in-band retrain/hot-swap itself when drift is
+    /// confirmed (DESIGN.md §15). False (the default) keeps the pool's
+    /// episodic behaviour — retrains happen only on explicit
     /// [`PoolHandle::request_retrain`] and at bootstrap promotion.
-    pub adapt: Option<AdaptPolicy>,
+    pub adapt: bool,
     /// Which tenant each host belongs to. Every tenant gets `workers`
     /// shard slots and a model of its own: bootstrapped, promoted,
     /// retrained, drift-swapped and checkpointed apart from the others.
@@ -79,7 +83,7 @@ impl Default for LifecycleConfig {
             retrain_window: 16_384,
             min_retrain_samples: 1_000,
             meta: None,
-            adapt: None,
+            adapt: false,
             tenants: TenantRouter::new(),
             #[cfg(any(test, feature = "testkit"))]
             checkpoint_stall: None,
@@ -240,6 +244,9 @@ pub(super) struct TenantObs {
     pub(super) adapt_windows: AtomicU64,
     /// Synopses routed to the tenant, published at batch boundaries.
     observed: AtomicU64,
+    /// Every swap, with the tenant's synopses routed before it.
+    #[cfg(test)]
+    swaps: parking_lot::Mutex<Vec<(u64, SwapReport)>>,
 }
 
 /// One tenant's side of the router's lifecycle: its model, the ring of
@@ -260,8 +267,8 @@ struct TenantLifecycle {
     ring: VecDeque<(StageId, SigId, f64)>,
     seen: u64,
     next_attempt: u64,
-    /// Drift detection state, present when the configuration carries an
-    /// [`AdaptPolicy`].
+    /// Drift detection state, present when [`LifecycleConfig::adapt`] is
+    /// on.
     adapt: Option<AdaptState>,
     obs: Arc<TenantObs>,
 }
@@ -282,40 +289,6 @@ impl TenantLifecycle {
         if let Some(adapt) = self.adapt.as_mut() {
             adapt.absorb(feature);
         }
-    }
-
-    /// Batch-boundary work for this tenant: bootstrap promotion, then
-    /// drift. A confirmed trip does NOT retrain on the spot — the ring
-    /// still holds the regime the drift just invalidated. It drops the
-    /// ring instead, and the swap happens at a later boundary, once
-    /// enough purely post-drift traffic has refilled it (reusing the
-    /// existing retrain/hot-swap path).
-    fn pump(
-        &mut self,
-        cfg: &LifecycleConfig,
-        interner: &SignatureInterner,
-        watermark: SimTime,
-        slots: &[Sender<ShardMsg>],
-    ) {
-        if !self.detecting()
-            && self.seen >= self.next_attempt
-            && self.try_retrain(cfg, interner, watermark, slots).is_err()
-        {
-            // The gate refused; observe more traffic before retrying.
-            self.next_attempt = self.seen + cfg.promote_after.max(1);
-        }
-        if self.adapt.as_mut().is_some_and(|a| a.evaluate(watermark)) {
-            self.ring.clear();
-        }
-        if self.adapt.as_ref().is_some_and(AdaptState::retrain_due)
-            && self.ring.len() as u64 >= cfg.min_retrain_samples
-        {
-            let swapped = self.try_retrain(cfg, interner, watermark, slots).is_ok();
-            if let Some(adapt) = self.adapt.as_mut() {
-                adapt.drift_retrain_done(swapped);
-            }
-        }
-        self.obs.observed.store(self.seen, Ordering::Relaxed);
     }
 
     /// Train a candidate model from the retrain ring, gate it with k-fold
@@ -387,11 +360,14 @@ impl TenantLifecycle {
             // reference is always the live model's training window.
             adapt.on_swap(&self.ring);
         }
-        Ok(SwapReport {
+        let report = SwapReport {
             trained_from: have,
             promoted,
             stages: self.model.stage_count(),
-        })
+        };
+        #[cfg(test)]
+        self.obs.swaps.lock().push((self.seen, report));
+        Ok(report)
     }
 }
 
@@ -447,9 +423,8 @@ impl RouterLifecycle {
         self.tenants.iter().any(TenantLifecycle::detecting)
     }
 
-    /// Batch-boundary lifecycle work: drain control commands, pump every
-    /// tenant over its own slots, and take an automatic checkpoint when
-    /// due.
+    /// Batch-boundary work: apply the operator's commands, then publish
+    /// each tenant's routed synopses.
     pub(super) fn pump(&mut self, watermark: SimTime, shard_txs: &[Sender<ShardMsg>]) {
         let commands: Vec<PoolCommand> = self.control_rx.try_iter().collect();
         for command in commands {
@@ -466,15 +441,58 @@ impl RouterLifecycle {
                 }
             }
         }
-        let slots = shard_txs.chunks(self.workers);
-        for (tenant, slots) in self.tenants.iter_mut().zip(slots) {
-            tenant.pump(&self.cfg, &self.interner, watermark, slots);
+        for tenant in &self.tenants {
+            tenant.obs.observed.store(tenant.seen, Ordering::Relaxed);
         }
-        if self.detecting()
-            && self.cfg.checkpoint_every > 0
-            && self.since_checkpoint >= self.cfg.checkpoint_every
-        {
-            self.take_checkpoint(shard_txs, None);
+    }
+
+    /// Whether the element just absorbed for `tenant` brought a count
+    /// rule due: its promotion attempt, or the periodic checkpoint.
+    #[inline]
+    pub(super) fn count_due(&self, tenant: usize) -> bool {
+        let (t, every) = (&self.tenants[tenant], self.cfg.checkpoint_every);
+        let checkpoint = every > 0 && self.since_checkpoint >= every;
+        (!t.detecting() && t.seen >= t.next_attempt) || (checkpoint && self.detecting())
+    }
+
+    /// The count rules at `tenant`'s row stamped `stamp`, once it and every
+    /// row before it reached the shards: a due promotion attempt (a refusal
+    /// waits `promote_after` more synopses), then a due checkpoint.
+    pub(super) fn count_row(&mut self, tenant: usize, stamp: SimTime, txs: &[Sender<ShardMsg>]) {
+        let (cfg, interner) = (&self.cfg, &self.interner);
+        let slots = &txs[tenant * self.workers..(tenant + 1) * self.workers];
+        let t = &mut self.tenants[tenant];
+        let due = !t.detecting() && t.seen >= t.next_attempt;
+        if due && t.try_retrain(cfg, interner, stamp, slots).is_err() {
+            t.next_attempt = t.seen + cfg.promote_after.max(1);
+        }
+        // An attempt, made or refused, leaves only the checkpoint due.
+        if self.count_due(tenant) {
+            self.take_checkpoint(txs, None);
+        }
+    }
+
+    /// The drift work at a window edge — the row stamped `stamp`, `windows`
+    /// detection windows past the last — once every row before it reached
+    /// the shards: each tenant closes its drift window, then retrains when
+    /// drift is pending, so a swap applies from that row on. A trip drops
+    /// the ring (it holds the regime the drift invalidated) and the swap
+    /// waits for an edge where post-drift traffic has refilled it.
+    pub(super) fn window_edge(&mut self, stamp: SimTime, windows: u64, txs: &[Sender<ShardMsg>]) {
+        let (cfg, interner) = (&self.cfg, &self.interner);
+        for (tenant, slots) in self.tenants.iter_mut().zip(txs.chunks(self.workers)) {
+            let Some(adapt) = tenant.adapt.as_mut() else {
+                continue;
+            };
+            if adapt.close(windows) {
+                tenant.ring.clear();
+            }
+            if adapt.retrain_due() && tenant.ring.len() as u64 >= cfg.min_retrain_samples {
+                let swapped = tenant.try_retrain(cfg, interner, stamp, slots).is_ok();
+                if let Some(adapt) = tenant.adapt.as_mut() {
+                    adapt.drift_retrain_done(swapped);
+                }
+            }
         }
     }
 
@@ -624,7 +642,7 @@ impl Store {
             );
             counter(
                 "saad_tenant_adapt_windows_total",
-                "Adapt windows of this tenant that closed with enough samples for drift evidence",
+                "Detection windows of this tenant that closed with enough samples for drift evidence",
                 |obs| &obs.adapt_windows,
             );
             counter(
@@ -670,14 +688,14 @@ impl PoolHandle {
     }
 
     /// Hot swaps of `tenant`'s model triggered by the drift detector (0
-    /// without an [`AdaptPolicy`]; manual retrains and bootstrap
+    /// without [`LifecycleConfig::adapt`]; manual retrains and bootstrap
     /// promotion are not counted here).
     pub fn drift_swaps(&self, tenant: TenantId) -> u64 {
         self.tenant_count(tenant, |obs| &obs.drift_swaps)
     }
 
-    /// Adapt windows of `tenant` that closed with enough samples to
-    /// contribute drift evidence (0 without an [`AdaptPolicy`]).
+    /// Detection windows of `tenant` that closed with enough samples to
+    /// contribute drift evidence (0 without [`LifecycleConfig::adapt`]).
     pub fn adapt_windows(&self, tenant: TenantId) -> u64 {
         self.tenant_count(tenant, |obs| &obs.adapt_windows)
     }
@@ -853,13 +871,10 @@ pub(super) fn open_store(
     workers: usize,
 ) -> Result<(Vec<AnomalyDetector>, RouterLifecycle, Store), LifecycleError> {
     // Refuse a lifecycle no tenant could live under: a ring smaller than
-    // a retrain needs never trains, an adapt window of zero never closes.
+    // a retrain needs never trains.
     let (window, need) = (lifecycle.retrain_window, lifecycle.min_retrain_samples);
     if (window as u64) < need {
         return Err(ConfigError::RetrainWindowTooSmall { window, need }.into());
-    }
-    if matches!(&lifecycle.adapt, Some(p) if p.window == SimDuration::ZERO) {
-        return Err(ConfigError::ZeroWindow.into());
     }
     let store = CheckpointStore::create(dir, KEEP_CHECKPOINTS)?;
     let recovery = store.recover()?;
@@ -905,8 +920,7 @@ pub(super) fn open_store(
         let quantile = ModelConfig::default().duration_percentile;
         let adapt = lifecycle
             .adapt
-            .clone()
-            .map(|p| AdaptState::new(p, quantile, obs.clone()));
+            .then(|| AdaptState::new(quantile, obs.clone()));
         tenants.push(TenantLifecycle {
             id,
             model,
@@ -963,6 +977,8 @@ mod tests {
     use crate::detector::AnomalyKind;
     use crate::synopsis::TaskSynopsis;
     use crate::testkit::{event_keys, model, soa, synopsis_on, TempDir};
+    use proptest::prelude::TestRunner;
+    use saad_sim::SimDuration;
 
     fn quick_lifecycle() -> LifecycleConfig {
         LifecycleConfig {
@@ -1112,16 +1128,6 @@ mod tests {
         };
         let refused = ConfigError::RetrainWindowTooSmall { window, need };
         assert_eq!(start(never_trains), Some(LifecycleError::Config(refused)));
-        // An adapt window that never closes.
-        let never_closes = LifecycleConfig {
-            adapt: Some(AdaptPolicy {
-                window: SimDuration::ZERO,
-                ..AdaptPolicy::default()
-            }),
-            ..LifecycleConfig::default()
-        };
-        let refused = ConfigError::ZeroWindow;
-        assert_eq!(start(never_closes), Some(LifecycleError::Config(refused)));
 
         // A ring exactly as large as a retrain needs promotes.
         let (batch_tx, pool) = spawn(
@@ -1234,15 +1240,11 @@ mod tests {
             checkpoint_every: 0,
             promote_after: 300,
             min_retrain_samples: 200,
-            // Keep the ring close to one adapt window of traffic so a
+            // Keep the ring close to one window of traffic so a
             // post-drift retrain trains on the *new* regime, not a
             // mixture dominated by history.
             retrain_window: 500,
-            adapt: Some(AdaptPolicy {
-                window: SimDuration::from_secs(60),
-                min_window_samples: 50,
-                cooldown_windows: 1,
-            }),
+            adapt: true,
             ..LifecycleConfig::default()
         }
     }
@@ -1751,5 +1753,261 @@ mod tests {
         while pool.events().recv().is_ok() {}
         let detectors = pool.join().unwrap();
         assert_eq!(seen_per_tenant(&detectors, 3), [0, 720]);
+    }
+
+    #[test]
+    fn a_start_at_the_end_of_time_neither_stalls_nor_kills_an_adaptive_router() {
+        // A healthy minute, promoted halfway, then one task a microsecond
+        // short of the end of time: its edge skips some 3·10^11 windows.
+        let dir = TempDir::new("lifecycle");
+        let adaptive = LifecycleConfig {
+            adapt: true,
+            ..quick_lifecycle()
+        };
+        let (batch_tx, pool) = spawn(&dir, adaptive, 2);
+        let mut stream = healthy_stream(1, 600);
+        let end = SimTime::from_micros(u64::MAX - 1);
+        stream.push(synopsis_on(0, &[1, 2], 1_000, end, 600));
+        feed(&pool, &batch_tx, &stream);
+        drop(batch_tx);
+        // Joined on a thread of its own, so a router stuck at the edge
+        // fails the test in bounded time instead of hanging it.
+        let (done_tx, done_rx) = bounded(1);
+        std::thread::spawn(move || {
+            let events = pool.events().iter().count();
+            let generation = pool.generation(TenantId::DEFAULT);
+            let seen = pool
+                .join()
+                .map(|shards| shards.iter().map(|d| d.tasks_seen()).sum());
+            let _ = done_tx.send((events, generation, seen));
+        });
+        let finished = done_rx.recv_timeout(Duration::from_secs(120));
+        let (events, generation, seen) = finished.expect("the pool never finished");
+        assert_eq!(seen, Ok(601u64));
+        assert_eq!(generation, 1);
+        assert!(events > 0, "the bootstrap minute closes with an event");
+    }
+
+    /// What a store-started pool reports for one stream under one cut
+    /// schedule: the sorted events; per tenant its generation, drift
+    /// swaps, evidence windows and every swap with the tasks routed
+    /// before it; the answer to a retrain requested once every row was
+    /// routed; the checkpoints written, and every checkpoint file by
+    /// name with its bytes.
+    #[derive(Debug, PartialEq)]
+    struct CutOutcome {
+        events: Vec<String>,
+        tenants: Vec<TenantOutcome>,
+        retrain: Result<SwapReport, LifecycleError>,
+        written: u64,
+        files: Vec<(std::ffi::OsString, Vec<u8>)>,
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct TenantOutcome {
+        generation: u64,
+        drift_swaps: u64,
+        adapt_windows: u64,
+        swaps: Vec<(u64, SwapReport)>,
+    }
+
+    /// `stream` through a pool of `workers` shards per tenant, in batches
+    /// of the lengths `cuts` lists.
+    fn run_cut(
+        lifecycle: &LifecycleConfig,
+        workers: usize,
+        stream: &[TaskSynopsis],
+        cuts: &[usize],
+    ) -> CutOutcome {
+        let dir = TempDir::new("cuts");
+        let (batch_tx, pool) = spawn(&dir, lifecycle.clone(), workers);
+        // Every batch is interned before the first is sent, so each
+        // checkpoint's interner is the same under every schedule.
+        let interner = pool.interner();
+        let mut rest = stream;
+        let batches: Vec<SynopsisBatch> = (cuts.iter())
+            .map(|&len| {
+                let (batch, after) = rest.split_at(len);
+                rest = after;
+                soa(batch, &interner)
+            })
+            .collect();
+        assert!(rest.is_empty());
+        let sent = batches.len() as u64;
+        for batch in batches {
+            batch_tx.send(batch).unwrap();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while pool.batches_routed() < sent {
+            assert!(std::time::Instant::now() < deadline, "pool stalled");
+            std::thread::yield_now();
+        }
+        let retrain = pool.request_retrain(TenantId::DEFAULT);
+        batch_tx.send(SynopsisBatch::new()).unwrap();
+        let retrain = retrain.recv().unwrap();
+        drop(batch_tx);
+        let events = event_keys(&pool.events().iter().collect::<Vec<_>>());
+        let store = pool.store.as_ref().unwrap();
+        let tenants = (store.tenants.iter())
+            .map(|(id, obs)| TenantOutcome {
+                generation: pool.generation(*id),
+                drift_swaps: pool.drift_swaps(*id),
+                adapt_windows: pool.adapt_windows(*id),
+                swaps: obs.swaps.lock().clone(),
+            })
+            .collect();
+        let obs = store.obs.clone();
+        pool.join().unwrap();
+        let mut files: Vec<_> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                (
+                    path.file_name().unwrap().into(),
+                    std::fs::read(&path).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        let written = obs.checkpoints_written.load(Ordering::SeqCst);
+        CutOutcome {
+            events,
+            tenants,
+            retrain,
+            written,
+            files,
+        }
+    }
+
+    /// What the cut-independence cases reached, summed over them.
+    #[derive(Debug, Default)]
+    struct CutsReached {
+        two_workers: usize,
+        two_tenants: usize,
+        promotions: u64,
+        drift_swaps: u64,
+        periodic_checkpoints: u64,
+        silent_minutes: usize,
+    }
+
+    /// One seeded case of cut independence: 2–4 hosts on two stages, in
+    /// one or two tenants, 1 or 2 workers each; six to ten minutes of
+    /// 120–199 tasks, a minute now and then silent (so an edge skips a
+    /// window), a row now and then exactly on a window's start or up to
+    /// 90 s late; from minute 3–5 on, tenant 1's hosts (every host, with
+    /// one tenant) run 3–6× slower, a third of their tasks on a new
+    /// signature; drift on in three cases of four, a periodic checkpoint
+    /// at most twice. The stream goes through the pool in 1-row batches,
+    /// as one batch, and in two random schedules of 0–96 rows a batch.
+    fn cut_case(runner: &mut TestRunner, reached: &mut CutsReached) -> Result<(), String> {
+        let mut draw = |n: u64| runner.next_u64() % n;
+        let workers = 1 + draw(2) as usize;
+        let hosts = 2 + draw(3) as u16;
+        let two = draw(2) == 0;
+        let mut tenants = TenantRouter::new();
+        if two {
+            for host in (1..hosts).step_by(2) {
+                tenants.assign(HostId(host), TenantId(1));
+            }
+        }
+        let (minutes, per_min) = (6 + draw(5), 120 + draw(80));
+        let (drift_at, factor) = (3 + draw(3), 3 + draw(4));
+        let mut stream = Vec::new();
+        for minute in 0..minutes {
+            if minute > 0 && draw(8) == 0 {
+                reached.silent_minutes += 1;
+                continue;
+            }
+            let mut offsets: Vec<u64> = (0..per_min).map(|_| draw(60_000_000)).collect();
+            offsets.sort_unstable();
+            if draw(2) == 0 {
+                offsets[0] = 0;
+            }
+            for offset in offsets {
+                let host = draw(u64::from(hosts)) as u16;
+                let uid = stream.len() as u64;
+                let drifted = minute >= drift_at && (!two || host % 2 == 1);
+                let points: &[u16] = match (drifted, draw(60)) {
+                    (true, roll) if roll < 20 => &[1, 4],
+                    (_, 0) => &[1, 2, 3],
+                    _ => &[1, 2],
+                };
+                let slow = if drifted { factor } else { 1 };
+                let mut at = minute * 60_000_000 + offset;
+                if draw(40) == 0 {
+                    at = at.saturating_sub(draw(90_000_000));
+                }
+                let at = SimTime::from_micros(at);
+                let mut s = synopsis_on(host, points, (1_000 + uid % 53 * 5) * slow, at, uid);
+                s.stage = StageId(draw(2) as u16);
+                stream.push(s);
+            }
+        }
+        let rows = stream.len();
+        let lifecycle = LifecycleConfig {
+            checkpoint_every: rows as u64 / 3 + 1,
+            promote_after: 150,
+            min_retrain_samples: 100,
+            retrain_window: 300,
+            adapt: draw(4) != 0,
+            tenants,
+            ..LifecycleConfig::default()
+        };
+        let mut random_cuts = || {
+            let mut cuts = Vec::new();
+            let mut left = rows;
+            while left > 0 {
+                let len = (draw(97) as usize).min(left);
+                cuts.push(len);
+                left -= len;
+            }
+            cuts
+        };
+        let schedules = [vec![1; rows], vec![rows], random_cuts(), random_cuts()];
+        let reference = run_cut(&lifecycle, workers, &stream, &schedules[0]);
+        if reference.files.len() as u64 != reference.written {
+            return Err(format!(
+                "{} checkpoints, {} files",
+                reference.written,
+                reference.files.len()
+            ));
+        }
+        for cuts in &schedules[1..] {
+            let outcome = run_cut(&lifecycle, workers, &stream, cuts);
+            if outcome != reference {
+                return Err(format!(
+                    "cuts {cuts:?}:\n{outcome:#?}\nreference:\n{reference:#?}"
+                ));
+            }
+        }
+        reached.two_workers += usize::from(workers == 2);
+        reached.two_tenants += usize::from(two);
+        for tenant in &reference.tenants {
+            reached.promotions += u64::from(tenant.generation > 0);
+            reached.drift_swaps += tenant.drift_swaps;
+        }
+        reached.periodic_checkpoints += reference.written.saturating_sub(1);
+        Ok(())
+    }
+
+    #[test]
+    fn tenant_work_falls_on_the_same_rows_however_the_stream_is_cut() {
+        // 256 seeded streams, each under four cut schedules: the same
+        // events, the same swaps at the same rows, and the same bytes in
+        // every checkpoint generation.
+        let mut reached = CutsReached::default();
+        for seed in 0..256 {
+            let mut runner = TestRunner::from_seed(seed);
+            if let Err(why) = cut_case(&mut runner, &mut reached) {
+                panic!("seed {seed}: {why}");
+            }
+        }
+        // The inputs reached what the property is about.
+        assert!(reached.two_workers >= 96, "{reached:?}");
+        assert!(reached.two_tenants >= 96, "{reached:?}");
+        assert!(reached.promotions >= 320, "{reached:?}");
+        assert!(reached.drift_swaps >= 64, "{reached:?}");
+        assert!(reached.periodic_checkpoints >= 384, "{reached:?}");
+        assert!(reached.silent_minutes >= 128, "{reached:?}");
     }
 }

@@ -33,7 +33,7 @@
 //!   build its producers on [`PoolHandle::interner`] — a restored pool's
 //!   interner is the checkpoint's, not a fresh one.
 //! * `adapt` — which tenant a host is in ([`TenantRouter`]), and the drift
-//!   detector ([`AdaptPolicy`]) that triggers a tenant's swap by itself.
+//!   detector that swaps a tenant's model by itself.
 
 mod adapt;
 mod lifecycle;
@@ -41,7 +41,7 @@ mod pool;
 mod sink;
 mod supervise;
 
-pub use adapt::{AdaptPolicy, TenantRouter};
+pub use adapt::TenantRouter;
 pub use lifecycle::{LifecycleConfig, LifecycleError, SwapReport};
 pub use pool::{spawn_analyzer_pool, spawn_batch_analyzer_pool, PoolHandle, PoolStart};
 pub use sink::{

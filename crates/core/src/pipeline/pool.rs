@@ -44,8 +44,8 @@ pub(super) enum ShardMsg {
     /// channel FIFO ordering guarantees the shard installs the new model
     /// only after every synopsis the router saw before the swap decision,
     /// so no task is dropped or classified twice. The carried watermark is
-    /// the global-stream watermark at the decision — stale windows close
-    /// under the old model before the new one takes over.
+    /// the stamp where the swap was decided — stale windows close under the
+    /// old model before the new one takes over.
     Swap {
         model: Arc<OutlierModel>,
         compiled: Arc<CompiledModel>,
@@ -77,10 +77,10 @@ pub(super) fn shard_for(host: HostId, stage: StageId, workers: usize) -> usize {
 /// tenant's slots are the `workers` from `tenant × workers`.
 ///
 /// Control-plane rule: every control send (loss, swap, snapshot, final
-/// watermark) must be preceded by [`ShardFanout::flush`] — control
-/// messages are ordered in-band at batch boundaries, never between a
-/// batch's elements. The router flushes at the end of every input batch,
-/// before lifecycle pumping, so the rule holds by construction.
+/// watermark) must be preceded by [`ShardFanout::flush`] — a control
+/// message lands in-band exactly where the router decided it, after every
+/// row routed before. The router flushes before every lifecycle step and
+/// at the end of every input batch, so the rule holds by construction.
 struct ShardFanout {
     arenas: Vec<SynopsisBatch>,
     /// Slots per tenant.
@@ -214,9 +214,9 @@ impl PoolHandle {
         self.obs.total(|shard| &shard.supervision.skipped)
     }
 
-    /// Input batches the router has finished, batch-boundary lifecycle
-    /// work included: once this reads `n`, every per-tenant counter
-    /// reflects the first `n` batches.
+    /// Input batches the router has finished, the lifecycle steps on their
+    /// rows and at their boundaries included: once this reads `n`, every
+    /// per-tenant counter reflects the first `n` batches.
     pub fn batches_routed(&self) -> u64 {
         self.obs.batches_routed.load(Ordering::Acquire)
     }
@@ -390,11 +390,11 @@ pub enum PoolStart {
     /// ([`PoolHandle::rejected_checkpoints`]). A tenant it has no model
     /// for bootstraps: windows are counted without a model
     /// (`ModelUnavailable` events) until [`LifecycleConfig::promote_after`]
-    /// of its synopses train one the k-fold gate accepts. The router
-    /// snapshots the shards of every tenant with a model at batch
-    /// boundaries for a writer thread to persist, and
-    /// [`PoolHandle::request_retrain`] swaps a tenant's retrained model
-    /// in-band at a watermark: no synopsis is dropped or classified twice.
+    /// of its synopses train one the k-fold gate accepts. Promotion, drift
+    /// swaps and periodic checkpoints fall on rows the stream's content
+    /// fixes (see [`LifecycleConfig`]), however it was cut into batches;
+    /// operator requests run at batch boundaries. A swap applies in-band
+    /// from its row on: no synopsis is dropped or classified twice.
     Store {
         /// The store's directory, created if missing.
         dir: PathBuf,
@@ -408,7 +408,8 @@ pub enum PoolStart {
 /// [`PoolHandle::interner`] by a [`BatchSink`](super::BatchSink) or a
 /// collector (`saad_net::ReactorCollector::bind`). A transport
 /// gap rides in [`SynopsisBatch::losses`] on the batch that revealed it,
-/// so the pool's output is a function of the stream's content alone.
+/// and lifecycle steps fall on rows the stream fixes, so the pool's output
+/// is a function of the stream's content alone (operator requests aside).
 ///
 /// Per batch the router counts each gap report once and broadcasts it to
 /// every shard of its host's tenant, stamped with the global watermark at
@@ -448,8 +449,8 @@ pub enum PoolStart {
 /// A [`PoolStart::Store`] pool fails with [`LifecycleError::Checkpoint`] if
 /// the store directory is unusable or recovery I/O fails (individual bad
 /// checkpoint files are recovered around, not errors), or
-/// [`LifecycleError::Config`] for an invalid detector configuration, a
-/// `retrain_window` below `min_retrain_samples`, or a zero adapt window.
+/// [`LifecycleError::Config`] for an invalid detector configuration or a
+/// `retrain_window` below `min_retrain_samples`.
 ///
 /// # Panics
 ///
@@ -559,12 +560,13 @@ struct Router {
 impl Router {
     /// Route one input batch — its gap reports first, then its rows — and
     /// do the batch-boundary work. The rows are stamped in one pass: host
-    /// liveness, and the watermark column re-stamped in place with the
-    /// GLOBAL running max (the producer's per-batch watermark only saw its
-    /// own stream). With a single shard and no lifecycle duties
-    /// (`forward_only`) the router then hands the whole batch through —
-    /// no per-element repartition copy at all; otherwise it deals the
-    /// stamped rows to the arenas.
+    /// liveness, window edges, and the watermark column re-stamped in
+    /// place with the GLOBAL running max (the producer's per-batch
+    /// watermark only saw its own stream). With a single shard and no
+    /// lifecycle duties (`forward_only`) the router then hands the whole
+    /// batch through — no per-element repartition copy at all; otherwise
+    /// it deals the stamped rows to the arenas, flushed before each
+    /// lifecycle step (see [`LifecycleConfig`]).
     #[inline]
     fn route_batch(&mut self, mut batch: SynopsisBatch, forward_only: bool) {
         // Ids some other interner issued mean nothing (or something else)
@@ -593,11 +595,23 @@ impl Router {
             if !batch.is_empty() {
                 let _ = self.shard_txs[0].send(ShardMsg::Batch(batch));
             }
+        } else if let Some(lc) = self.lifecycle.as_mut() {
+            let mut edges = self.liveness.edges.iter().peekable();
+            for i in 0..batch.len() {
+                if let Some(&(_, windows)) = edges.next_if(|&&(row, _)| row == i) {
+                    self.fanout.flush(&self.shard_txs);
+                    lc.window_edge(batch.watermarks[i], windows, &self.shard_txs);
+                }
+                let tenant = lc.absorb(&batch.feature(i));
+                self.fanout.push(&batch, i, tenant);
+                if lc.count_due(tenant) {
+                    self.fanout.flush(&self.shard_txs);
+                    lc.count_row(tenant, batch.watermarks[i], &self.shard_txs);
+                }
+            }
         } else {
             for i in 0..batch.len() {
-                let lifecycle = self.lifecycle.as_mut();
-                let tenant = lifecycle.map_or(0, |lc| lc.absorb(&batch.feature(i)));
-                self.fanout.push(&batch, i, tenant);
+                self.fanout.push(&batch, i, 0);
             }
         }
         self.batch_boundary();
@@ -628,8 +642,8 @@ impl Router {
     }
 
     /// The work at the end of every input batch: one flush per shard,
-    /// then lifecycle pumping — arenas are empty whenever a control
-    /// message goes out.
+    /// then the lifecycle's batch-boundary work — arenas are empty
+    /// whenever a control message goes out.
     fn batch_boundary(&mut self) {
         self.fanout.flush(&self.shard_txs);
         if let Some(lc) = self.lifecycle.as_mut() {
@@ -642,8 +656,9 @@ impl Router {
 /// The pool core: one shard worker per initial detector (slot), plus the
 /// router thread that charges gaps, stamps watermarks, routes batches,
 /// tracks liveness, and — when a [`RouterLifecycle`] is given — drives
-/// each tenant's checkpoints, hot swaps, and bootstrap promotion at batch
-/// boundaries. The detectors come tenant by tenant, the same number each.
+/// each tenant's checkpoints, hot swaps, and bootstrap promotion on the
+/// rows they fall on. The detectors come tenant by tenant, the same number
+/// each.
 pub(super) fn spawn_pool_inner(
     detectors: Vec<AnomalyDetector>,
     supervisor: SupervisorConfig,

@@ -134,6 +134,9 @@ pub(super) struct LivenessTracker {
     /// First stream microsecond of the window after `scanned_window`: a
     /// start at or past it is the one that triggers the next sweep.
     next_window_us: u64,
+    /// The last batch's window edges: each row whose start entered a new
+    /// detection window, with the windows it moved the watermark on.
+    pub(super) edges: Vec<(usize, u64)>,
 }
 
 impl LivenessTracker {
@@ -149,6 +152,7 @@ impl LivenessTracker {
             watermark: SimTime::ZERO,
             scanned_window: 0,
             next_window_us: window_us,
+            edges: Vec::new(),
         }
     }
 
@@ -160,11 +164,13 @@ impl LivenessTracker {
     /// Stamp `batch` in one pass over its `hosts` and `starts`: note each
     /// row's host as seen at its start, write the running-maximum
     /// watermark into `watermarks` in place, and at each row whose start
-    /// first enters a new detection window sweep every host, appending to
-    /// `events` one event per host that crossed the silence threshold.
+    /// first enters a new detection window — a window edge, kept in
+    /// `edges` — sweep every host, appending to `events` one event per
+    /// host that crossed the silence threshold.
     pub(super) fn stamp(&mut self, batch: &mut SynopsisBatch, events: &mut Vec<AnomalyEvent>) {
+        self.edges.clear();
         let rows = batch.hosts.iter().zip(&batch.starts);
-        for ((&host, &at), stamp) in rows.zip(&mut batch.watermarks) {
+        for (row, ((&host, &at), stamp)) in rows.zip(&mut batch.watermarks).enumerate() {
             let slot = usize::from(host.0);
             if slot >= self.hosts.len() {
                 self.grow(slot);
@@ -178,7 +184,7 @@ impl LivenessTracker {
             entry.flagged = false; // re-arm: the host is back
             self.watermark = self.watermark.max(at);
             if at.as_micros() >= self.next_window_us {
-                self.sweep(at, events);
+                self.sweep(at, row, events);
             }
             *stamp = self.watermark;
         }
@@ -190,16 +196,17 @@ impl LivenessTracker {
         self.hosts.resize(slot + 1, HostLiveness::default());
     }
 
-    /// The silence sweep at `at`, a start that entered a window past the
-    /// last one scanned.
+    /// The silence sweep at `at`, the start of row `row`, which entered a
+    /// window past the last one scanned.
     #[cold]
-    fn sweep(&mut self, at: SimTime, events: &mut Vec<AnomalyEvent>) {
+    fn sweep(&mut self, at: SimTime, row: usize, events: &mut Vec<AnomalyEvent>) {
         let index = at.as_micros() / self.window_us;
         // The next boundary saturates at the end of time; past it no
         // start enters a later window.
         if index <= self.scanned_window {
             return;
         }
+        self.edges.push((row, index - self.scanned_window));
         self.scanned_window = index;
         self.next_window_us = (index + 1).saturating_mul(self.window_us);
         for &h in &self.known {
@@ -858,6 +865,8 @@ mod tests {
         top_id_silent: usize,
         /// Rows starting exactly on a window boundary.
         on_boundary: usize,
+        /// Rows whose stamp enters a new window.
+        edges: usize,
     }
 
     /// One seeded case of the liveness property: a stream on sparse host
@@ -879,6 +888,8 @@ mod tests {
         );
         let interner = SignatureInterner::new();
         let (rows, mut clock, mut uid) = (1 + draw(400), 0u64, 0u64);
+        // The window index of the oracle's watermark before the row.
+        let mut index = 0;
         let mut flagged = std::collections::HashSet::new();
         while uid < rows {
             let mut batch = SynopsisBatch::new();
@@ -899,6 +910,7 @@ mod tests {
                 uid += 1;
             }
             let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut want_edges = Vec::new();
             let stamps: Vec<SimTime> = (0..batch.len())
                 .map(|i| {
                     let host = batch.hosts[i];
@@ -906,11 +918,17 @@ mod tests {
                     let before = want.len();
                     let stamp = oracle.observe(host, batch.starts[i], &mut want);
                     flagged.extend(want[before..].iter().map(|e| e.host));
+                    let grown = stamp.as_micros() / window.as_micros();
+                    if grown > index {
+                        want_edges.push((i, grown - index));
+                        index = grown;
+                    }
                     stamp
                 })
                 .collect();
             let scanned = pass.scanned_window;
             pass.stamp(&mut batch, &mut got);
+            reached.edges += want_edges.len();
             reached.multi_window_batches += usize::from(pass.scanned_window >= scanned + 2);
             reached.top_id_silent += got.iter().filter(|e| e.host.0 == u16::MAX).count();
             if batch.watermarks != stamps {
@@ -918,6 +936,10 @@ mod tests {
             }
             if got != want {
                 return Err(format!("events {got:?}, oracle {want:?}"));
+            }
+            if pass.edges != want_edges {
+                let edges = &pass.edges;
+                return Err(format!("edges {edges:?}, oracle {want_edges:?}"));
             }
         }
         if (pass.hosts != oracle.hosts) || (pass.known != oracle.known) {
@@ -938,8 +960,10 @@ mod tests {
     #[test]
     fn one_stamp_pass_per_batch_equals_the_row_by_row_tracker() {
         // 512 seeded cases: the same stamp on every row, the same
-        // `HostSilent` events out of every batch in the same order, and
-        // the same host table, watermark and scanned window at the end.
+        // `HostSilent` events out of every batch in the same order, a
+        // window edge at each row where the oracle's watermark enters a
+        // new window, with the windows it moved on, and the same host
+        // table, watermark and scanned window at the end.
         let mut reached = Reached::default();
         for seed in 0..512 {
             let mut runner = TestRunner::from_seed(seed);
@@ -952,5 +976,6 @@ mod tests {
         assert!(reached.returns >= 1_000, "{reached:?}");
         assert!(reached.top_id_silent >= 100, "{reached:?}");
         assert!(reached.on_boundary >= 1_000, "{reached:?}");
+        assert!(reached.edges >= 1_000, "{reached:?}");
     }
 }

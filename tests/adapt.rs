@@ -9,8 +9,7 @@ use crossbeam_channel::unbounded;
 use saad::core::batch::SynopsisBatch;
 use saad::core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
 use saad::core::pipeline::{
-    spawn_analyzer_pool, AdaptPolicy, LifecycleConfig, PoolHandle, PoolStart, SupervisorConfig,
-    TenantRouter,
+    spawn_analyzer_pool, LifecycleConfig, PoolHandle, PoolStart, SupervisorConfig, TenantRouter,
 };
 use saad::core::synopsis::TaskSynopsis;
 use saad::core::testkit::{event_keys, soa, TempDir};
@@ -55,11 +54,7 @@ fn adaptive(tenants: TenantRouter) -> LifecycleConfig {
         promote_after: 300,
         min_retrain_samples: 200,
         retrain_window: 500,
-        adapt: Some(AdaptPolicy {
-            window: SimDuration::from_secs(60),
-            min_window_samples: 50,
-            cooldown_windows: 1,
-        }),
+        adapt: true,
         tenants,
         ..LifecycleConfig::default()
     }

@@ -21,10 +21,10 @@
 //!   drops, a mid-stream disconnect, and a slow-loris trickle; proxy
 //!   counters and transport accounting must reconcile exactly.
 //!
-//! A lifecycle pool promotes, swaps and checkpoints at batch boundaries,
-//! and a collector sends one batch per ring drain, wherever the reads
-//! cut the stream. So the lifecycle oracles are fed the rows cut where
-//! the collector cut them, as a tap between collector and pool recorded.
+//! A collector sends one batch per ring drain, wherever the reads cut the
+//! stream, while a lifecycle pool promotes, swaps and checkpoints at
+//! window edges, rows the stream's content fixes. So every oracle here is
+//! fed fixed 48-row batches, whatever cuts the wire path made.
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use saad::core::batch::SynopsisBatch;
@@ -96,12 +96,12 @@ fn wait_processed(pool: &PoolHandle, target: u64) {
     }
 }
 
-/// One batch as the tap saw it: its rows' uids and its gap reports.
-type Cut = (Vec<u64>, Vec<LossReport>);
-
 /// A thread between a collector and its pool that forwards every batch
-/// unchanged and records it as a [`Cut`].
-fn spawn_tap(from: Receiver<SynopsisBatch>, to: Sender<SynopsisBatch>) -> JoinHandle<Vec<Cut>> {
+/// unchanged and records its rows' uids and its gap reports.
+fn spawn_tap(
+    from: Receiver<SynopsisBatch>,
+    to: Sender<SynopsisBatch>,
+) -> JoinHandle<Vec<(Vec<u64>, Vec<LossReport>)>> {
     std::thread::spawn(move || {
         let mut cuts = Vec::new();
         for batch in from.iter() {
@@ -115,33 +115,17 @@ fn spawn_tap(from: Receiver<SynopsisBatch>, to: Sender<SynopsisBatch>) -> JoinHa
     })
 }
 
-/// Feed an oracle pool `rows` cut as `cuts` were, each batch with its
-/// gap reports, after checking that the cuts hold exactly `rows`, in
-/// order.
-fn replay_cuts(
+/// Feed an oracle pool `batches` in order, each with the gap reports
+/// paired with it.
+fn feed_fixed(
     tx: &Sender<SynopsisBatch>,
     pool: &PoolHandle,
-    rows: &[&TaskSynopsis],
-    cuts: &[Cut],
+    batches: &[(&[TaskSynopsis], &[LossReport])],
 ) {
-    let arrived: Vec<u64> = cuts
-        .iter()
-        .flat_map(|(uids, _)| uids.iter().copied())
-        .collect();
-    let sent: Vec<u64> = rows.iter().map(|s| s.uid.0).collect();
-    assert_eq!(
-        arrived, sent,
-        "the pool must see exactly these rows, in order"
-    );
-    let (interner, mut at) = (pool.interner(), 0);
-    for (uids, losses) in cuts {
-        let cut: Vec<TaskSynopsis> = rows[at..at + uids.len()]
-            .iter()
-            .map(|&s| s.clone())
-            .collect();
-        at += uids.len();
-        let mut batch = soa(&cut, &interner);
-        batch.losses.clone_from(losses);
+    let interner = pool.interner();
+    for &(rows, losses) in batches {
+        let mut batch = soa(rows, &interner);
+        batch.losses.extend_from_slice(losses);
         tx.send(batch).unwrap();
     }
 }
@@ -192,13 +176,11 @@ fn hbase_fault_scenario_over_tcp_matches_in_process_path() {
     let stream = hbase_severe_hog_stream();
     assert!(stream.len() > 2_000, "scenario too small: {}", stream.len());
 
-    // Wire path: one agent (order-preserving) → collector → tap → pool.
+    // Wire path: one agent (order-preserving) → collector → pool.
     let tcp_dir = TempDir::new("hbase-tcp");
     let (batch_tx, pool) = spawn_pool(tcp_dir.path(), 3);
-    let (collector_tx, collector_rx) = unbounded::<SynopsisBatch>();
-    let tap = spawn_tap(collector_rx, batch_tx);
     let (interner, config) = (pool.interner(), ReactorCollectorConfig::default());
-    let collector = ReactorCollector::bind("127.0.0.1:0", collector_tx, interner, config).unwrap();
+    let collector = ReactorCollector::bind("127.0.0.1:0", batch_tx, interner, config).unwrap();
     let agent = Agent::connect(collector.local_addr(), HostId(900), AgentConfig::default());
     for chunk in stream.chunks(BATCH) {
         agent.send(chunk.to_vec());
@@ -219,20 +201,14 @@ fn hbase_fault_scenario_over_tcp_matches_in_process_path() {
         stream.iter().map(|s| s.start).max().unwrap()
     );
     collector.shutdown();
-    let cuts = tap.join().unwrap();
     let tcp_events = drain_events(pool);
-    assert!(cuts.iter().all(|(_, losses)| losses.is_empty()));
 
-    // Oracle: the same lifecycle pool shape fed in-process, the same rows
-    // cut where the collector cut them.
+    // Oracle: the same lifecycle pool shape fed in-process, fixed 48-row
+    // batches.
     let oracle_dir = TempDir::new("hbase-oracle");
     let (oracle_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
-    replay_cuts(
-        &oracle_tx,
-        &oracle_pool,
-        &stream.iter().collect::<Vec<_>>(),
-        &cuts,
-    );
+    let fixed: Vec<_> = stream.chunks(BATCH).map(|rows| (rows, &[][..])).collect();
+    feed_fixed(&oracle_tx, &oracle_pool, &fixed);
     drop(oracle_tx);
     let oracle_events = drain_events(oracle_pool);
     assert!(
@@ -367,9 +343,9 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
     // --- Wire run with a mid-stream collector kill + restart ----------
     let tcp_dir = TempDir::new("restart-tcp");
     let (batch_tx, pool) = spawn_pool(tcp_dir.path(), 3);
-    // The test keeps its own tap on the pool's input, to read the gap
-    // reports and where the collectors cut the rows: both collectors feed
-    // it, and it forwards every batch unchanged.
+    // The test keeps its own tap on the pool's input, to read the rows
+    // and the gap reports as the pool got them: both collectors feed it,
+    // and it forwards every batch unchanged.
     let (collector_tx, collector_rx) = unbounded::<SynopsisBatch>();
     let tap = spawn_tap(collector_rx, batch_tx);
 
@@ -506,17 +482,33 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
         at: revealer.start,
         count: lost,
     };
-    let reported: Vec<&Cut> = cuts.iter().filter(|(_, l)| !l.is_empty()).collect();
+    let reported: Vec<_> = cuts.iter().filter(|(_, l)| !l.is_empty()).collect();
     assert_eq!(reported.len(), 1, "exactly one loss report: {reported:?}");
     assert_eq!(reported[0].1, [owed]);
     assert_eq!(reported[0].0.first(), Some(&revealer.uid.0));
+    let surviving: Vec<&Vec<TaskSynopsis>> = batches[..half]
+        .iter()
+        .chain(&batches[half + k_lost..])
+        .collect();
+    let arrived: Vec<u64> = cuts.iter().flat_map(|(uids, _)| uids.clone()).collect();
+    let sent: Vec<u64> = surviving
+        .iter()
+        .flat_map(|b| b.iter())
+        .map(|s| s.uid.0)
+        .collect();
+    assert_eq!(
+        arrived, sent,
+        "the pool must see exactly these rows, in order"
+    );
 
-    // --- Oracle: same surviving rows, same cuts, same report, in-process
+    // --- Oracle: the same surviving 48-row batches, the report on the
+    // revealer's, in-process.
     let oracle_dir = TempDir::new("restart-oracle");
     let (oracle_tx, oracle_pool) = spawn_pool(oracle_dir.path(), 3);
-    let surviving = batches[..half].iter().chain(&batches[half + k_lost..]);
-    let rows: Vec<&TaskSynopsis> = surviving.flatten().collect();
-    replay_cuts(&oracle_tx, &oracle_pool, &rows, &cuts);
+    let report = [owed];
+    let losses = |b: &[TaskSynopsis]| &report[..usize::from(b[0].uid == revealer.uid)];
+    let fixed: Vec<_> = surviving.iter().map(|b| (&b[..], losses(b))).collect();
+    feed_fixed(&oracle_tx, &oracle_pool, &fixed);
     drop(oracle_tx);
     let oracle_events = drain_events(oracle_pool);
 
