@@ -69,5 +69,7 @@ is_perf_eligible	crates/core/src	-	accounting looks a row's (stage, signature) u
 by_index: BTreeMap	crates/core/src/detector.rs	-	the window store keys windows by a BTreeMap entry per row again: a row's window is one of the live indices
 AdaptPolicy	crates src tests examples README.md	-	the drift policy is a settable type again: the drift window is the detection window, its evidence floor and cooldown are constants, and LifecycleConfig::adapt is a bool
 replay_cuts	tests	-	a lifecycle oracle replays the transport's cuts again: a store-started pool's steps fall on rows the stream fixes, so its oracles take fixed batches
+COOLDOWN_WINDOWS	crates/core/src	-	the drift rule has a cooldown again: a reset Page-Hinkley test's first observation cannot trip, so only a refused retrain waits, for one window edge (AdaptState::refused)
+backend:	crates/net/src/reactor_collector.rs	-	the collector's readiness backend is a setting again: no caller set it, Server::start builds EventLoop::new(), and the reactor crate's suites cover Backend::Poll through EventLoop::with_backend
 TABLE
 exit $status

@@ -6,9 +6,10 @@
 //! final assertions are the acceptance criteria: the adaptive pool
 //! re-converges (quiet tail, bounded time-to-readapt) while the frozen one
 //! keeps flagging the drifted regime, and the post-swap anomaly probe is
-//! still caught.
+//! still caught. Every run's events go to `ledger/drift`.
 
 use saad_bench::drift::{render_drift_json, run_drift_catalog, DriftKind, DRIFT_MIN, PROBE_MIN};
+use saad_bench::ledger;
 
 fn main() {
     println!("drift ablation: drift at minute {DRIFT_MIN}, anomaly probe at minute {PROBE_MIN}\n");
@@ -52,6 +53,15 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_drift.json");
     std::fs::write(path, json).expect("write BENCH_drift.json");
     println!("\nwrote {path}");
+    let panels: Vec<_> = results
+        .iter()
+        .flat_map(|r| [r.adaptive.ledger.clone(), r.frozen.ledger.clone()])
+        .collect();
+    ledger::write(
+        "drift",
+        "Drift ablation, adaptive and frozen. cargo bench -p saad-bench --bench drift",
+        &panels,
+    );
 
     for r in &results {
         assert!(

@@ -13,6 +13,7 @@
 //!   during high-intensity fault 1 and floods survivors with
 //!   region-takeover flows.
 
+use saad_bench::ledger::{self, AnomalyClass, Panel};
 use saad_bench::{minute_windows, Timeline};
 use saad_core::detector::DetectorConfig;
 use saad_core::model::ModelConfig;
@@ -186,5 +187,30 @@ fn main() {
     println!(
         "ops completed {}, dropped {}",
         out.ops_completed, out.ops_dropped
+    );
+
+    let about = |tier: &str| {
+        format!(
+            "{tier} under the Table 2 disk-hog schedule /{} over {} min",
+            s.div, s.total
+        )
+    };
+    let (rs, dn): (Vec<_>, Vec<_>) = events.into_iter().partition(|e| e.host.0 <= 100);
+    let mut rs_panel = Panel::new(
+        "a-regionservers",
+        AnomalyClass::Contextual,
+        &about("HBase Regionservers (hosts 1-4)"),
+    );
+    rs_panel.record(0, &rs, &stages);
+    let mut dn_panel = Panel::new(
+        "b-datanodes",
+        AnomalyClass::Contextual,
+        &about("HDFS Data Nodes (hosts 101-104)"),
+    );
+    dn_panel.record(0, &dn, &stages);
+    ledger::write(
+        "fig10",
+        "Figure 10: HBase/HDFS disk hog, fast scale. cargo bench -p saad-bench --bench fig10_hbase_hdfs",
+        &[rs_panel, dn_panel],
     );
 }

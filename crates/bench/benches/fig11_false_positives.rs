@@ -10,16 +10,22 @@
 //!
 //! `SAAD_RUNS` overrides the repetitions (default 3 fast / 10 full).
 
+use saad_bench::ledger::{self, AnomalyClass, Panel};
 use saad_bench::{events_between, run_cassandra_detected, scaled_mins, train_cassandra};
 use saad_cassandra::ClusterConfig;
 use saad_fault::{catalog, FaultSchedule};
 use saad_sim::SimTime;
 
 fn main() {
+    let fast_runs = 3;
     let runs: u64 = std::env::var("SAAD_RUNS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(if saad_bench::full_scale() { 10 } else { 3 });
+        .unwrap_or(if saad_bench::full_scale() {
+            10
+        } else {
+            fast_runs
+        });
     // Phase length: paper 30 min; fast 6 min. Warm-up is implicit in the
     // simulator (no JIT/caches), so we run observe + fault phases only.
     let phase = scaled_mins(30, 6);
@@ -41,8 +47,11 @@ fn main() {
     let mut total_flow_fp = 0usize;
     let mut total_perf_fp = 0usize;
     let mut total_runs = 0u64;
+    let mut panels = Vec::new();
     for (fi, spec) in catalog::table3_specs().into_iter().enumerate() {
         let (mut fb, mut fd, mut pb, mut pd) = (0usize, 0usize, 0usize, 0usize);
+        let about = format!("{spec} on host 4 from minute {phase} to {}", 2 * phase);
+        let mut panel = Panel::new(spec.name(), AnomalyClass::of_fault(spec.fault), &about);
         for r in 0..runs {
             let seed = 1000 + fi as u64 * 100 + r;
             let schedule = FaultSchedule::new(seed).with_window(
@@ -64,8 +73,10 @@ fn main() {
             fd += events_between(&out.events, phase, 2 * phase, true);
             pb += events_between(&out.events, 0, phase, false);
             pd += events_between(&out.events, phase, 2 * phase, false);
+            panel.record(r as u32, &out.events, &out.stages);
             total_runs += 1;
         }
+        panels.push(panel);
         total_flow_fp += fb;
         total_perf_fp += pb;
         let n = runs as f64;
@@ -91,4 +102,13 @@ fn main() {
         println!("no flow false positives observed over {observed_mins} fault-free minutes");
     }
     println!("paper reference: error faults raise flow anomalies 10-60x; delay-high/delay-low raise perf 3-8x; delay-wal-low ~flat");
+    if runs == fast_runs {
+        ledger::write(
+            "fig11",
+            "Figure 11 / Table 3: false positives, 3 runs x 7 faults, fast scale. cargo bench -p saad-bench --bench fig11_false_positives",
+            &panels,
+        );
+    } else {
+        println!("ledger/fig11 not written: it records {fast_runs} runs");
+    }
 }

@@ -18,6 +18,7 @@
 //! Marks: `F` flow anomaly, `P` performance anomaly, `B` both, `E` error
 //! log record; the throughput row is a 1–9 scale of op/sec per minute.
 
+use saad_bench::ledger::{self, AnomalyClass, Panel as LedgerPanel};
 use saad_bench::{run_cassandra_detected, scaled_mins, train_cassandra, Timeline};
 use saad_cassandra::ClusterConfig;
 use saad_fault::{catalog, FaultSchedule, FaultSpec, FaultType, Intensity};
@@ -25,6 +26,7 @@ use saad_sim::SimTime;
 
 struct Panel {
     name: &'static str,
+    ledger: &'static str,
     class: &'static str,
     fault: FaultType,
 }
@@ -63,26 +65,31 @@ fn main() {
     let panels = [
         Panel {
             name: "(a) Error on appending to WAL",
+            ledger: "a-wal-error",
             class: catalog::WAL,
             fault: FaultType::Error,
         },
         Panel {
             name: "(b) Error on flushing MemTable",
+            ledger: "b-memtable-error",
             class: catalog::MEMTABLE_FLUSH,
             fault: FaultType::Error,
         },
         Panel {
             name: "(c) Delay on appending to WAL",
+            ledger: "c-wal-delay",
             class: catalog::WAL,
             fault: FaultType::standard_delay(),
         },
         Panel {
             name: "(d) Delay on flushing MemTable",
+            ledger: "d-memtable-delay",
             class: catalog::MEMTABLE_FLUSH,
             fault: FaultType::standard_delay(),
         },
     ];
 
+    let mut ledger_panels = Vec::new();
     for (i, p) in panels.iter().enumerate() {
         let out = run_cassandra_detected(
             ClusterConfig {
@@ -110,5 +117,19 @@ fn main() {
             .filter(|e| e.kind.is_performance())
             .count();
         println!("totals: {flow} flow anomaly windows, {perf} performance anomaly windows\n");
+        let about = format!(
+            "{} on host 4: low {low}-{}, high {high}-{} of {total} min",
+            p.name,
+            low + dur,
+            high + dur
+        );
+        let mut panel = LedgerPanel::new(p.ledger, AnomalyClass::of_fault(p.fault), &about);
+        panel.record(0, &out.events, &out.stages);
+        ledger_panels.push(panel);
     }
+    ledger::write(
+        "fig9",
+        "Figure 9: Cassandra fault panels, fast scale. cargo bench -p saad-bench --bench fig9_cassandra",
+        &ledger_panels,
+    );
 }

@@ -8,10 +8,11 @@
 //! host set), and writes per-scenario detection latency, precision, and
 //! recall to `BENCH_gray_failure.json`. No scenario is skipped: the
 //! catalog length is asserted, and an undetected scenario shows up as a
-//! `null` latency in the JSON and fails the final assertion here.
+//! `null` latency in the JSON and fails the final assertion here. Every
+//! replay's events, and those of a healthy control, go to `ledger/gray`.
 
-use saad_bench::gray::{render_gray_json, run_gray_catalog};
-use saad_bench::scaled_mins;
+use saad_bench::gray::{render_gray_json, run_gray_catalog, run_healthy_control};
+use saad_bench::{ledger, scaled_mins};
 
 fn main() {
     let train_mins = scaled_mins(30, 6);
@@ -55,6 +56,14 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gray_failure.json");
     std::fs::write(path, json).expect("write BENCH_gray_failure.json");
     println!("\nwrote {path}");
+    let control = run_healthy_control(42, train_mins, replay_mins);
+    let mut panels: Vec<_> = results.iter().map(|r| r.ledger.clone()).collect();
+    panels.push(control.ledger);
+    ledger::write(
+        "gray",
+        "Gray-failure catalog and its healthy control, fast scale. cargo bench -p saad-bench --bench gray_failure",
+        &panels,
+    );
 
     for r in &results {
         assert!(

@@ -6,13 +6,19 @@
 //! MemTable-is-frozen message), because the injected WAL error leaves a
 //! mutation stuck holding the MemTable lock and concurrent tasks terminate
 //! prematurely.
+//!
+//! The ledger (`ledger/table1`) records what the detector says on the same
+//! run, the anomalous flow's events among them.
 
+use saad_bench::ledger::{self, AnomalyClass, Panel};
 use saad_bench::{scaled_mins, train_cassandra, workload};
 use saad_cassandra::{Cluster, ClusterConfig};
+use saad_core::detector::DetectorConfig;
 use saad_core::intern::SignatureInterner;
 use saad_core::model::TaskClass;
+use saad_core::pipeline::DetectorSink;
 use saad_core::report::AnomalyReport;
-use saad_core::tracker::VecSink;
+use saad_core::tracker::{SynopsisSink, VecSink};
 use saad_core::Signature;
 use saad_fault::{catalog, FaultSchedule, FaultSpec, FaultType, Intensity};
 use saad_sim::SimTime;
@@ -44,11 +50,12 @@ fn main() {
     let interner = SignatureInterner::new();
     let compiled = model.compile(&interner);
     let mut by_signature: HashMap<Signature, (u64, TaskClass)> = HashMap::new();
-    for s in sink.drain() {
+    let synopses = sink.drain();
+    for s in &synopses {
         if s.stage != table {
             continue;
         }
-        let sig = interner.intern_synopsis(&s);
+        let sig = interner.intern_synopsis(s);
         let class = compiled.classify(s.stage, sig, s.duration.as_micros() as f64);
         let e = by_signature.entry(s.signature()).or_insert((0, class));
         e.0 += 1;
@@ -88,5 +95,23 @@ fn main() {
         anomalous.points(),
         &[frozen],
         "the anomalous flow must be exactly the frozen premature termination"
+    );
+
+    // The detector over the run's synopses, in the order the cluster
+    // emitted them: what it would have said live.
+    let detector = DetectorSink::new(model, DetectorConfig::default());
+    for s in synopses {
+        detector.submit(s);
+    }
+    let mut panel = Panel::new(
+        "wal-error-high",
+        AnomalyClass::Collective,
+        "error on wal (high intensity) on host 4 from minute 1 to 8",
+    );
+    panel.record(0, &detector.finish(), &inst.stages_registry);
+    ledger::write(
+        "table1",
+        "Table 1: the frozen-MemTable run, fast scale. cargo bench -p saad-bench --bench table1_frozen_memtable",
+        &[panel],
     );
 }

@@ -31,14 +31,16 @@
 //! batches; it goes in as batches of a quarter minute. After each one the
 //! harness waits — yielding, never sleeping — until the router has
 //! finished it, lifecycle work included, and reads the time to re-adapt
-//! in stream time: the window edge of the first drift swap.
+//! in stream time: the window edge of the first drift swap. Each run's
+//! events go to its `ledger/drift` panel.
 
+use crate::ledger::{AnomalyClass, Panel};
 use crossbeam_channel::unbounded;
 use saad_core::batch::SynopsisBatch;
 use saad_core::detector::{AnomalyEvent, DetectorConfig};
 use saad_core::pipeline::{spawn_analyzer_pool, LifecycleConfig, PoolStart, SupervisorConfig};
 use saad_core::synopsis::TaskSynopsis;
-use saad_core::{HostId, StageId, TaskUid, TenantId};
+use saad_core::{HostId, StageId, StageRegistry, TaskUid, TenantId};
 use saad_logging::LogPointId;
 use saad_sim::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,6 +76,14 @@ impl DriftKind {
         match self {
             DriftKind::Rollout => "rollout",
             DriftKind::NewSignatureBurst => "new-signature-burst",
+        }
+    }
+
+    /// What the drift changes, for the ledger.
+    fn about(&self) -> &'static str {
+        match self {
+            DriftKind::Rollout => "the dominant signature replaced, durations doubled",
+            DriftKind::NewSignatureBurst => "30 % of tasks on a never-trained signature",
         }
     }
 
@@ -113,6 +123,8 @@ pub struct RunOutcome {
     pub probe_hits: usize,
     /// All other probe-minute events (false positives).
     pub probe_misattributed: usize,
+    /// Every event of the run, as its `ledger/drift` panel.
+    pub ledger: Panel,
 }
 
 impl RunOutcome {
@@ -270,6 +282,17 @@ fn run_drift_cut(kind: DriftKind, adaptive: bool, batch_len: usize) -> RunOutcom
         }
     }
 
+    let about = format!(
+        "{} from minute {DRIFT_MIN} on, {mode}; probe: 60 tasks 5x slower on host 0 in minute {PROBE_MIN}",
+        kind.about()
+    );
+    let mut ledger = Panel::new(
+        format!("{}-{mode}", kind.name()),
+        AnomalyClass::Collective,
+        &about,
+    );
+    ledger.record(0, &events, &StageRegistry::new());
+
     RunOutcome {
         events_per_min,
         drift_swaps,
@@ -277,6 +300,7 @@ fn run_drift_cut(kind: DriftKind, adaptive: bool, batch_len: usize) -> RunOutcom
             .map(|t| t.as_secs_f64() - SimTime::from_mins(DRIFT_MIN).as_secs_f64()),
         probe_hits,
         probe_misattributed,
+        ledger,
     }
 }
 

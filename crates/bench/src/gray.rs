@@ -7,8 +7,10 @@
 //! flagged on that stage equals the catalog's host set. On top of the
 //! verdict, each replay records detection latency (fault start → close of
 //! the first matching window) and precision/recall over the fault span —
-//! the numbers `BENCH_gray_failure.json` reports per scenario.
+//! the numbers `BENCH_gray_failure.json` reports per scenario. Its events
+//! go to the `ledger/gray` panel named after it.
 
+use crate::ledger::{AnomalyClass, Panel};
 use saad_core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
 use saad_core::model::{ModelConfig, OutlierModel};
 use saad_core::pipeline::{DetectorSink, ModelSink};
@@ -53,6 +55,8 @@ pub struct ScenarioResult {
     pub total_events: usize,
     /// Gray disturbances the schedule actually injected.
     pub injected: u64,
+    /// Every event of the replay, as its `ledger/gray` panel.
+    pub ledger: Panel,
 }
 
 impl ScenarioResult {
@@ -60,6 +64,22 @@ impl ScenarioResult {
     /// flagged on the oracle stage equals the oracle host set.
     pub fn exact_localization(&self) -> bool {
         self.detected_hosts == self.oracle_hosts
+    }
+}
+
+/// Name of the healthy control's panel: a replay with nothing injected.
+const HEALTHY_CONTROL: &str = "healthy-control";
+
+/// What a catalog scenario injects: a slower stage (contextual) or log
+/// points that form a signature training never saw (collective).
+fn class(scenario: &str) -> AnomalyClass {
+    match scenario {
+        "slow-upstream" | "correlated-hog" | "asymmetric-partition" | "slow-dns" => {
+            AnomalyClass::Contextual
+        }
+        "retry-storm" | "escaper-flap" => AnomalyClass::Collective,
+        HEALTHY_CONTROL => AnomalyClass::Control,
+        other => panic!("gray scenario {other} has no anomaly class"),
     }
 }
 
@@ -98,6 +118,19 @@ pub fn run_gray_scenario(
     drop(fleet); // release the fleet's sink handles
     let detector = Arc::try_unwrap(detector).expect("sole owner after run");
     let events = detector.finish();
+    let class = class(scenario.name);
+    let about = match class {
+        AnomalyClass::Control => format!("nothing injected in {mins} min"),
+        _ => format!(
+            "{} on hosts {:?} from minute {} to {} of {mins}",
+            scenario.stage,
+            scenario.hosts,
+            scenario.start.as_mins_f64(),
+            scenario.end.as_mins_f64()
+        ),
+    };
+    let mut ledger = Panel::new(scenario.name, class, &about);
+    ledger.record(0, &events, &stages);
 
     // A window matches the fault span when it closes after the fault
     // starts and opens no later than one window after it ends (effects of
@@ -179,6 +212,7 @@ pub fn run_gray_scenario(
         events_in_span,
         total_events: events.len(),
         injected: out.gray_injected,
+        ledger,
     }
 }
 
@@ -204,6 +238,24 @@ pub fn run_gray_catalog(seed: u64, train_mins: u64, replay_mins: u64) -> Vec<Sce
         "every catalog scenario must produce a result"
     );
     results
+}
+
+/// The catalog's healthy control: the same training and replay with
+/// nothing injected. Its replay is a slow-upstream scenario whose schedule
+/// never fires, so the result still names that scenario's stage and hosts
+/// as the ones that must stay quiet; what the scenarios detect is the
+/// fault, not the train/replay seed mismatch.
+pub fn run_healthy_control(seed: u64, train_mins: u64, replay_mins: u64) -> ScenarioResult {
+    let rate = 60.0;
+    let cfg = RelayConfig {
+        seed,
+        ..RelayConfig::default()
+    };
+    let model = train_relay(cfg, train_mins, rate);
+    let mut scenario = saad_fault::catalog::gray_slow_upstream(seed);
+    scenario.name = HEALTHY_CONTROL;
+    scenario.schedule = saad_fault::GraySchedule::new(1);
+    run_gray_scenario(cfg, model, scenario, replay_mins, rate)
 }
 
 /// Render scenario results as the `BENCH_gray_failure.json` document.

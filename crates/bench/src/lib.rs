@@ -3,8 +3,8 @@
 //! Every table and figure in the paper's evaluation section has a bench
 //! target under `benches/` that regenerates it; this library holds the
 //! pieces they share: run-scale control, synopsis byte accounting, corpus
-//! capture, timeline rendering, and train/run drivers for the simulated
-//! clusters.
+//! capture, timeline rendering, the event ledger, and train/run drivers
+//! for the simulated clusters.
 //!
 //! Run scale: the benches default to *fast* runs (minutes of virtual time
 //! scaled down ~3–6× from the paper, seconds of wall time). Set
@@ -15,6 +15,7 @@
 pub mod drift;
 pub mod federation;
 pub mod gray;
+pub mod ledger;
 
 use parking_lot::Mutex;
 use saad_cassandra::{Cluster, ClusterConfig, RunOutput};

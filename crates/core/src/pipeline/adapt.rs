@@ -69,10 +69,6 @@ impl TenantRouter {
 /// evidence: a sparse window says nothing about the distribution.
 const MIN_WINDOW_SAMPLES: u64 = 50;
 
-/// Windows after any swap whose change tests are fed but whose trip is
-/// discarded: the quiet run-in that re-establishes the null.
-const COOLDOWN_WINDOWS: u64 = 1;
-
 /// Page-Hinkley tolerance: a per-window deviation from the running mean
 /// below it never accumulates evidence. Both statistics are relative (a
 /// signature-share L1 distance in `[0, 2]`, a relative quantile delta),
@@ -112,8 +108,9 @@ const SKETCH_ALPHA: f64 = saad_stats::sketch::DEFAULT_ALPHA;
 /// — the same k-fold-gated, zero-drop in-band swap that
 /// [`PoolHandle::request_retrain`](super::PoolHandle::request_retrain)
 /// uses; there is no second swap mechanism. After a swap the baseline is
-/// re-captured from the retrain ring, both tests reset, and for
-/// [`COOLDOWN_WINDOWS`] window the tests are fed but a trip is discarded.
+/// re-captured from the retrain ring and both tests reset; a reset test's
+/// first observation cannot trip, so the window after a swap never does.
+/// A refused retrain waits for the next window edge before it is retried.
 pub(super) struct AdaptState {
     /// Percentile compared between window and baseline sketches (the
     /// model's own duration percentile, so drift is measured where the
@@ -130,8 +127,8 @@ pub(super) struct AdaptState {
     /// Change tests over the per-window statistics.
     ph_duration: PageHinkley,
     ph_flow: PageHinkley,
-    /// Windows remaining before drift may trigger a swap again.
-    cooldown: u64,
+    /// The last drift retrain was refused; the next window edge clears it.
+    refused: bool,
     /// A drift trip is waiting for enough *fresh* post-drift traffic to
     /// retrain on. While pending, further trips are ignored and the ring
     /// (cleared at the trip) refills with new-regime tasks only, so the
@@ -151,7 +148,7 @@ impl AdaptState {
             base_sigs: DecayedFrequency::new(),
             ph_duration: PageHinkley::new(PH_DELTA, PH_LAMBDA),
             ph_flow: PageHinkley::new(PH_DELTA, PH_LAMBDA),
-            cooldown: 0,
+            refused: false,
             pending: false,
             quantile,
             obs,
@@ -165,7 +162,7 @@ impl AdaptState {
     }
 
     /// Re-anchor the baseline to `ring` (what the freshly swapped model
-    /// was trained on), reset both change tests, and start the cooldown.
+    /// was trained on) and reset both change tests.
     /// Called after *every* successful swap — drift-triggered, manual,
     /// or bootstrap promotion — so "no drift" always means "like the
     /// live model's training window".
@@ -178,14 +175,13 @@ impl AdaptState {
         }
         self.ph_duration.reset();
         self.ph_flow.reset();
-        self.cooldown = COOLDOWN_WINDOWS;
         self.pending = false;
     }
 
     /// Whether a pending trip may retrain now: not before a window has
     /// closed since a refused attempt.
     pub(super) fn retrain_due(&self) -> bool {
-        self.pending && self.cooldown == 0
+        self.pending && !self.refused
     }
 
     /// Account the retrain a pending trip led to. A swap was already
@@ -196,21 +192,18 @@ impl AdaptState {
         if swapped {
             self.obs.drift_swaps.fetch_add(1, Ordering::SeqCst);
         } else {
-            self.cooldown = self.cooldown.max(1);
+            self.refused = true;
         }
     }
 
-    /// Close the current window at an edge that enters the detection
-    /// window `windows` (at least 1) past it: feed the change tests when
-    /// the window carries enough samples and a baseline exists — in
-    /// cooldown too, where a trip is then discarded — and reset the
-    /// accumulators. The windows in between are empty and only count the
-    /// cooldown down, in one step however many there are. True when a trip
-    /// has just made a retrain pending: the caller then drops the retrain
-    /// ring. A trip while one is pending changes nothing. Evidence needs a
-    /// baseline, which only a swap sets, so a tenant in bootstrap never
-    /// trips.
-    pub(super) fn close(&mut self, windows: u64) -> bool {
+    /// Close the current window at an edge, however many empty windows
+    /// it skips: feed the change tests when the window carries enough
+    /// samples and a baseline exists, reset the accumulators, and end a
+    /// refused retrain's wait. True when a trip has just made a retrain
+    /// pending: the caller then drops the retrain ring. A trip while one is
+    /// pending changes nothing. Evidence needs a baseline, which only a
+    /// swap sets, so a tenant in bootstrap never trips.
+    pub(super) fn close(&mut self) -> bool {
         let enough = self.win_sketch.count() >= MIN_WINDOW_SAMPLES;
         let mut tripped = false;
         if enough && !self.base_sketch.is_empty() {
@@ -230,8 +223,7 @@ impl AdaptState {
             self.win_sketch = QuantileSketch::new(SKETCH_ALPHA);
             self.win_sigs = DecayedFrequency::new();
         }
-        tripped &= self.cooldown == 0;
-        self.cooldown = self.cooldown.saturating_sub(windows);
+        self.refused = false;
         let newly = tripped && !self.pending;
         self.pending |= tripped;
         newly
@@ -242,7 +234,7 @@ impl AdaptState {
 mod tests {
     use super::*;
     use crate::TaskUid;
-    use saad_sim::{SimDuration, SimTime};
+    use saad_sim::SimTime;
 
     #[test]
     fn router_defaults_and_assignments() {
@@ -286,7 +278,7 @@ mod tests {
                 start: SimTime::from_millis(i),
             });
         }
-        state.close(1)
+        state.close()
     }
 
     /// Tasks in a window that counts as evidence.
@@ -296,7 +288,6 @@ mod tests {
     /// durations quintuple for good.
     #[test]
     fn cooldown_feeds_the_test_and_a_refusal_waits_a_window() {
-        assert_eq!(COOLDOWN_WINDOWS, 1);
         let (mut adapt, obs) = state();
         // No baseline before the first swap: full windows carry no
         // evidence and cannot trip.
@@ -305,13 +296,12 @@ mod tests {
         assert_eq!(obs.adapt_windows.load(Ordering::SeqCst), 0);
 
         adapt.on_swap(&ring());
-        // The cooldown window feeds both tests: a quiet one.
+        // The first window after a swap feeds both tests: a quiet one.
         assert!(!window(&mut adapt, FULL, 1_000.0));
         assert_eq!(adapt.ph_duration.observations(), 1);
         assert!(!adapt.retrain_due());
-        // The first window past it trips on the evidence the cooldown fed
-        // (a test's first observation never trips): the ring is to be
-        // dropped, a retrain is pending.
+        // The next window trips on the evidence the first fed: the ring is
+        // to be dropped, a retrain is pending.
         assert!(window(&mut adapt, FULL, 5_000.0));
         assert!(adapt.retrain_due());
         // A trip while pending does not drop the ring a second time.
@@ -319,9 +309,8 @@ mod tests {
         assert!(adapt.ph_duration.statistic() > PH_LAMBDA);
         assert!(adapt.retrain_due());
 
-        // Refused: the next window is a cooldown window. It feeds the
-        // tests, which stay tripped, and no retry is due until it has
-        // closed.
+        // Refused: no retry is due until the next window has closed. That
+        // window feeds the tests, which stay tripped.
         adapt.drift_retrain_done(false);
         assert!(!adapt.retrain_due());
         assert!(!window(&mut adapt, FULL, 5_000.0));
@@ -334,31 +323,40 @@ mod tests {
         assert!(!adapt.retrain_due());
         assert_eq!(obs.drift_swaps.load(Ordering::SeqCst), 1);
 
-        // Only windows with evidence count: a sparse one, and the two
-        // empty ones one edge skips, do not.
+        // Only windows with evidence count: a sparse one, and an edge that
+        // skips empty ones, do not.
         assert!(!window(&mut adapt, FULL - 1, 1_000.0));
-        assert!(!adapt.close(3));
+        assert!(!adapt.close());
         assert_eq!(obs.adapt_windows.load(Ordering::SeqCst), 4);
+
+        // The first window after a swap never trips, however far it
+        // drifts: a reset test's first observation carries no evidence.
+        // So a swap needs no cooldown of its own.
+        adapt.on_swap(&ring());
+        assert!(!window(&mut adapt, FULL, 50_000.0));
+        assert_eq!(adapt.ph_duration.statistic(), 0.0);
+        assert_eq!(adapt.ph_flow.statistic(), 0.0);
     }
 
     #[test]
     fn an_edge_at_the_end_of_time_closes_in_one_step() {
-        // A refused retrain waits a window. An edge into the last one-minute
-        // window before `u64::MAX` µs, some 3·10^11 windows on, counts the
-        // cooldown down in one step, and the retry is due after it.
+        // A refused retrain waits for one window edge. `close` takes no
+        // count of the windows an edge skips, so the edge into the last
+        // window before `u64::MAX` µs ends the wait in one step as the
+        // next one would, and the retry is due after it.
         let (mut adapt, obs) = state();
         adapt.on_swap(&ring());
         assert!(!window(&mut adapt, FULL, 1_000.0));
         assert!(window(&mut adapt, FULL, 5_000.0));
         adapt.drift_retrain_done(false);
         assert!(!adapt.retrain_due());
-        let last = u64::MAX / SimDuration::from_mins(1).as_micros();
-        assert!(!adapt.close(last - 3));
+        assert!(!adapt.close());
         assert!(adapt.retrain_due());
         assert_eq!(obs.adapt_windows.load(Ordering::SeqCst), 2);
-        // Skipped windows never wrap the cooldown below zero.
-        adapt.on_swap(&ring());
-        assert!(!adapt.close(last));
-        assert_eq!(adapt.cooldown, 0);
+        // An edge after a sparse window ends the wait too.
+        adapt.drift_retrain_done(false);
+        assert!(!window(&mut adapt, FULL - 1, 5_000.0));
+        assert!(adapt.retrain_due());
+        assert_eq!(obs.adapt_windows.load(Ordering::SeqCst), 2);
     }
 }

@@ -472,19 +472,20 @@ impl RouterLifecycle {
         }
     }
 
-    /// The drift work at a window edge — the row stamped `stamp`, `windows`
-    /// detection windows past the last — once every row before it reached
-    /// the shards: each tenant closes its drift window, then retrains when
-    /// drift is pending, so a swap applies from that row on. A trip drops
-    /// the ring (it holds the regime the drift invalidated) and the swap
-    /// waits for an edge where post-drift traffic has refilled it.
-    pub(super) fn window_edge(&mut self, stamp: SimTime, windows: u64, txs: &[Sender<ShardMsg>]) {
+    /// The drift work at a window edge — the row stamped `stamp`, however
+    /// many detection windows past the last — once every row before it
+    /// reached the shards: each tenant closes its drift window, then
+    /// retrains when drift is pending, so a swap applies from that row on.
+    /// A trip drops the ring (it holds the regime the drift invalidated)
+    /// and the swap waits for an edge where post-drift traffic has
+    /// refilled it.
+    pub(super) fn window_edge(&mut self, stamp: SimTime, txs: &[Sender<ShardMsg>]) {
         let (cfg, interner) = (&self.cfg, &self.interner);
         for (tenant, slots) in self.tenants.iter_mut().zip(txs.chunks(self.workers)) {
             let Some(adapt) = tenant.adapt.as_mut() else {
                 continue;
             };
-            if adapt.close(windows) {
+            if adapt.close() {
                 tenant.ring.clear();
             }
             if adapt.retrain_due() && tenant.ring.len() as u64 >= cfg.min_retrain_samples {

@@ -598,9 +598,9 @@ impl Router {
         } else if let Some(lc) = self.lifecycle.as_mut() {
             let mut edges = self.liveness.edges.iter().peekable();
             for i in 0..batch.len() {
-                if let Some(&(_, windows)) = edges.next_if(|&&(row, _)| row == i) {
+                if edges.next_if(|&&row| row == i).is_some() {
                     self.fanout.flush(&self.shard_txs);
-                    lc.window_edge(batch.watermarks[i], windows, &self.shard_txs);
+                    lc.window_edge(batch.watermarks[i], &self.shard_txs);
                 }
                 let tenant = lc.absorb(&batch.feature(i));
                 self.fanout.push(&batch, i, tenant);

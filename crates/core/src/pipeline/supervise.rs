@@ -135,8 +135,8 @@ pub(super) struct LivenessTracker {
     /// start at or past it is the one that triggers the next sweep.
     next_window_us: u64,
     /// The last batch's window edges: each row whose start entered a new
-    /// detection window, with the windows it moved the watermark on.
-    pub(super) edges: Vec<(usize, u64)>,
+    /// detection window.
+    pub(super) edges: Vec<usize>,
 }
 
 impl LivenessTracker {
@@ -206,7 +206,7 @@ impl LivenessTracker {
         if index <= self.scanned_window {
             return;
         }
-        self.edges.push((row, index - self.scanned_window));
+        self.edges.push(row);
         self.scanned_window = index;
         self.next_window_us = (index + 1).saturating_mul(self.window_us);
         for &h in &self.known {
@@ -920,7 +920,7 @@ mod tests {
                     flagged.extend(want[before..].iter().map(|e| e.host));
                     let grown = stamp.as_micros() / window.as_micros();
                     if grown > index {
-                        want_edges.push((i, grown - index));
+                        want_edges.push(i);
                         index = grown;
                     }
                     stamp
@@ -962,8 +962,8 @@ mod tests {
         // 512 seeded cases: the same stamp on every row, the same
         // `HostSilent` events out of every batch in the same order, a
         // window edge at each row where the oracle's watermark enters a
-        // new window, with the windows it moved on, and the same host
-        // table, watermark and scanned window at the end.
+        // new window, and the same host table, watermark and scanned
+        // window at the end.
         let mut reached = Reached::default();
         for seed in 0..512 {
             let mut runner = TestRunner::from_seed(seed);

@@ -21,7 +21,6 @@ use saad_core::batch::SynopsisBatch;
 use saad_core::intern::SignatureInterner;
 use saad_core::transport::{FrameReceiver, LinkStats, LossReport};
 use saad_core::HostId;
-use saad_reactor::Backend;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::AtomicU64;
@@ -41,9 +40,6 @@ pub struct ReactorCollectorConfig {
     /// [`PINNED_EPOCH`](crate::protocol::PINNED_EPOCH) hellos (including everything v1) are exempt.
     /// `None` disables the check entirely.
     pub epoch: Option<Arc<AtomicU64>>,
-    /// Readiness backend override (`None` = best available). Forcing
-    /// [`Backend::Poll`] exercises the fallback path on Linux.
-    pub backend: Option<Backend>,
     /// Kernel receive-buffer clamp applied to every accepted connection
     /// (`None` leaves the OS default and its autotuning). Bounds
     /// per-connection kernel memory at high fan-in and makes
@@ -57,7 +53,6 @@ impl Default for ReactorCollectorConfig {
         ReactorCollectorConfig {
             loops: 2,
             epoch: None,
-            backend: None,
             recv_buffer: None,
         }
     }

@@ -103,10 +103,7 @@ impl Server {
         let mut els = Vec::with_capacity(nloops);
         let mut wakers = Vec::with_capacity(nloops);
         for _ in 0..nloops {
-            let el = match config.backend {
-                Some(b) => EventLoop::with_backend(b)?,
-                None => EventLoop::new()?,
-            };
+            let el = EventLoop::new()?;
             wakers.push(el.waker()?);
             els.push(el);
         }

@@ -1,7 +1,7 @@
-//! Crate-level smoke tests over localhost TCP: one round trip (on both
-//! readiness backends) and one rejection. What the protocol does with the
-//! bytes is pinned without sockets by the `session` and `ingest` unit
-//! tests.
+//! Crate-level smoke tests over localhost TCP: one round trip and one
+//! rejection. What the protocol does with the bytes is pinned without
+//! sockets by the `session` and `ingest` unit tests; the event loop's
+//! `poll(2)` fallback, by the reactor crate's suites on both backends.
 
 use crossbeam_channel::{unbounded, Receiver};
 use saad_core::batch::SynopsisBatch;
@@ -105,27 +105,23 @@ fn assert_version_skew_is_refused(addr: SocketAddr) {
 }
 
 /// Twelve agents over three loops (so connections are handed across
-/// loops), on the best backend and on the forced `poll(2)` fallback.
+/// loops).
 #[test]
 fn reactor_round_trip() {
-    for backend in [None, Some(saad_reactor::Backend::Poll)] {
-        let config = ReactorCollectorConfig {
-            loops: 3,
-            backend,
-            ..ReactorCollectorConfig::default()
-        };
-        let (batch_tx, batch_rx) = unbounded();
-        let collector =
-            ReactorCollector::bind("127.0.0.1:0", batch_tx, interner(), config).unwrap();
-        stream_from(collector.local_addr(), 12);
-        receive(&batch_rx, 12 * PER_AGENT);
-        assert_clean(collector.stats(), 12);
-        let state = collector.shutdown();
-        assert_eq!(
-            state.receiver().stats(HostId(7)).delivered_synopses,
-            PER_AGENT
-        );
-    }
+    let config = ReactorCollectorConfig {
+        loops: 3,
+        ..ReactorCollectorConfig::default()
+    };
+    let (batch_tx, batch_rx) = unbounded();
+    let collector = ReactorCollector::bind("127.0.0.1:0", batch_tx, interner(), config).unwrap();
+    stream_from(collector.local_addr(), 12);
+    receive(&batch_rx, 12 * PER_AGENT);
+    assert_clean(collector.stats(), 12);
+    let state = collector.shutdown();
+    assert_eq!(
+        state.receiver().stats(HostId(7)).delivered_synopses,
+        PER_AGENT
+    );
 }
 
 #[test]

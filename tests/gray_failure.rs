@@ -1,14 +1,25 @@
 //! End-to-end gray-failure detection: every scenario of the catalog must
 //! be detected with the faulty stage and host set matching the oracle
-//! exactly, at a detection latency bounded by a few windows.
+//! exactly, at a detection latency bounded by a few windows. Both tests
+//! run the fast-scale replays `--bench gray_failure` runs, and each
+//! replay's events must equal its panel of the committed `ledger/gray`.
 
-use saad_bench::gray::{run_gray_catalog, run_gray_scenario, train_relay};
-use saad_fault::catalog;
-use saad_relay::RelayConfig;
+use saad_bench::gray::{run_gray_catalog, run_healthy_control};
+use saad_bench::ledger::{self, Panel};
+
+/// Fail with the lines that moved when `panels` differ from their blocks
+/// in `ledger/gray` (regenerate it with `cargo bench -p saad-bench --bench
+/// gray_failure` when the move is meant).
+fn assert_ledger(panels: &[Panel]) {
+    if let Err(diff) = ledger::check("gray", panels) {
+        panic!("{diff}");
+    }
+}
 
 #[test]
 fn all_gray_scenarios_are_detected_and_localized_exactly() {
     let results = run_gray_catalog(42, 6, 10);
+    assert_ledger(&results.iter().map(|r| r.ledger.clone()).collect::<Vec<_>>());
     assert_eq!(results.len(), 6, "no scenario may be skipped");
     assert_eq!(
         results.iter().map(|r| r.name).collect::<Vec<_>>(),
@@ -54,22 +65,12 @@ fn all_gray_scenarios_are_detected_and_localized_exactly() {
 
 #[test]
 fn healthy_replay_stays_quiet_on_the_gray_stages() {
-    // Precision sanity: replaying healthy traffic (different seed, no
-    // schedule attached) against the same model must not flag the stages
-    // the catalog targets — what the scenarios detect is the fault, not
-    // the train/replay seed mismatch.
-    let cfg = RelayConfig {
-        seed: 42,
-        ..RelayConfig::default()
-    };
-    let model = train_relay(cfg, 6, 60.0);
-    // An inert scenario: the window never overlaps the replay (starts at
-    // minute 3 of... a schedule targeting hosts that exist, but we reuse
-    // the harness by replaying a catalog scenario whose window is after
-    // the run ends).
-    let mut scenario = catalog::gray_slow_upstream(42);
-    scenario.schedule = saad_fault::GraySchedule::new(1);
-    let r = run_gray_scenario(cfg, model, scenario, 10, 60.0);
+    // Precision sanity: replaying healthy traffic (a slow-upstream replay
+    // whose schedule never fires) against the catalog's model must not
+    // flag the stages the catalog targets — what the scenarios detect is
+    // the fault, not the train/replay seed mismatch.
+    let r = run_healthy_control(42, 6, 10);
+    assert_ledger(std::slice::from_ref(&r.ledger));
     assert_eq!(r.injected, 0);
     assert!(
         r.detected_hosts.is_empty(),
