@@ -71,5 +71,8 @@ AdaptPolicy	crates src tests examples README.md	-	the drift policy is a settable
 replay_cuts	tests	-	a lifecycle oracle replays the transport's cuts again: a store-started pool's steps fall on rows the stream fixes, so its oracles take fixed batches
 COOLDOWN_WINDOWS	crates/core/src	-	the drift rule has a cooldown again: a reset Page-Hinkley test's first observation cannot trip, so only a refused retrain waits, for one window edge (AdaptState::refused)
 backend:	crates/net/src/reactor_collector.rs	-	the collector's readiness backend is a setting again: no caller set it, Server::start builds EventLoop::new(), and the reactor crate's suites cover Backend::Poll through EventLoop::with_backend
+fn heartbeat|fn sweep|heartbeat_timeout	crates/net/src	-	the control plane detects failures by heartbeat again: nothing swept it, so failover is one rule, ControlPlane::mark_dead, and the control plane reads no clock
+collector\.epoch|pub epoch:	crates/net/src/reactor_collector.rs examples crates/bench tests	-	a caller wires a control plane's epoch into a collector by hand again: a leaf spawned with a control plane enforces that plane's epoch itself
+thread::sleep	crates/net/src/leaf.rs	-	a leaf sleeps on the wall clock again: its interval flush is a deadline timer on its collector's loop 0, and it starts no thread of its own
 TABLE
 exit $status

@@ -75,7 +75,7 @@ fn poll_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
 /// `per_host` synopses for the steady measurement, then keep trickling
 /// while one leaf is killed for the re-homing measurement.
 pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> FederationResult {
-    let control = ControlPlane::new(seed, Duration::from_secs(3600));
+    let control = ControlPlane::new(seed);
     let (batch_tx, batch_rx) = crossbeam_channel::unbounded::<SynopsisBatch>();
     // The root interns at the edge, as it would for a pool behind it.
     let root = RootCollector::bind("127.0.0.1:0", batch_tx, Arc::default()).expect("bind root");
@@ -84,13 +84,12 @@ pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> 
 
     let mut fleet = Vec::new();
     for i in 0..leaves {
-        let mut cfg = LeafConfig {
+        let cfg = LeafConfig {
             id: LeafId(i as u16),
             flush_interval: Duration::from_millis(5),
             max_digest: 256,
             ..LeafConfig::default()
         };
-        cfg.collector.epoch = Some(control.epoch_handle());
         let leaf =
             LeafCollector::spawn("127.0.0.1:0", root.local_addr(), Some(control.clone()), cfg)
                 .expect("spawn leaf");

@@ -637,15 +637,6 @@ impl OpenWindows {
         }
     }
 
-    /// Whether a window below the grace bound is open. Closing leaves none
-    /// behind, so only a snapshot merged from shards whose watermarks stood
-    /// in different windows brings one in.
-    #[inline]
-    fn has_stale(&self, closable_before: u64) -> bool {
-        let first = self.live.first();
-        first.is_some_and(|w| w.idx + 1 < closable_before)
-    }
-
     /// Every open window, moved out and sorted by key: the cold path of
     /// [`AnomalyDetector::merge`] and [`AnomalyDetector::partition`].
     fn into_windows(mut self) -> Vec<(WindowKey, WindowAccum)> {
@@ -1228,12 +1219,11 @@ impl AnomalyDetector {
     /// is a window of its own, closed at once.** An element whose window
     /// lies below the grace bound `closable_before` (the watermark's window
     /// index) is counted into the scratch accumulator, tested and
-    /// forgotten — what inserting it into the store and closing every
-    /// stale window would do, since the store holds no other stale window:
-    /// closing never leaves one behind. A detector merged from shards
-    /// whose watermarks stood in different windows can bring one in, and
-    /// then the insert-and-close path runs, so the straggler joins or
-    /// closes together with what was restored.
+    /// forgotten. Whatever is stale closes first: closing never leaves a
+    /// stale window or loss entry behind, so only a detector merged from
+    /// shards whose watermarks stood in different windows has any, and it
+    /// closes them here as the shard that owned them did when the
+    /// watermark passed.
     #[inline]
     fn account(
         &mut self,
@@ -1247,16 +1237,11 @@ impl AnomalyDetector {
             return false;
         }
         self.late_seen += 1;
-        if self.open.has_stale(closable_before) {
-            count(self.open.accum(host, stage, idx, &self.compiled));
-            self.close_stale(events);
-        } else {
-            self.scratch.clear();
-            self.scratch.open(self.compiled.slots(stage).len());
-            count(&mut self.scratch);
-            self.close_window((host, stage, idx), &self.scratch, events);
-            self.drop_outdated_losses(closable_before);
-        }
+        self.close_stale(events);
+        self.scratch.clear();
+        self.scratch.open(self.compiled.slots(stage).len());
+        count(&mut self.scratch);
+        self.close_window((host, stage, idx), &self.scratch, events);
         true
     }
 
@@ -2296,11 +2281,10 @@ mod tests {
         InternedFeature::from_synopsis(&s, d.interner())
     }
 
-    /// Two shards whose watermarks stand in minutes 10 and 7, merged: the
-    /// second part's loss entry for (host 2, minute 7) is stale under the
-    /// merged watermark, and so is its open window on host 0 when
-    /// `stale_bucket` keeps it.
-    fn merged_across_watermarks(stale_bucket: bool) -> AnomalyDetector {
+    /// Two shards whose watermarks stand in minutes 10 and 7: the second
+    /// holds a loss entry for (host 2, minute 7) and, when `stale_bucket`
+    /// keeps it, an open window on host 0 in minute 7.
+    fn shards_across_watermarks(stale_bucket: bool) -> Vec<AnomalyDetector> {
         let model = trained_model();
         let interner = Arc::new(SignatureInterner::new());
         let compiled = Arc::new(model.compile(&interner));
@@ -2318,7 +2302,13 @@ mod tests {
             behind.flush();
         }
         behind.record_loss(HostId(2), SimTime::from_mins(7), 9);
-        AnomalyDetector::merge(vec![ahead, behind]).expect("two parts")
+        vec![ahead, behind]
+    }
+
+    /// The two shards merged: the loss entry, and the open window when
+    /// `stale_bucket` keeps it, are stale under the merged watermark.
+    fn merged_across_watermarks(stale_bucket: bool) -> AnomalyDetector {
+        AnomalyDetector::merge(shards_across_watermarks(stale_bucket)).expect("two parts")
     }
 
     /// `(host, window minute, window_tasks, completeness)` of each event,
@@ -2334,9 +2324,9 @@ mod tests {
     }
 
     #[test]
-    fn straggler_meeting_a_stale_bucket_takes_the_insert_and_close_path() {
-        // The straggler closes together with the restored stale window,
-        // in key order, on the scalar and on the batch path.
+    fn straggler_meeting_a_stale_bucket_closes_it_first() {
+        // The restored stale window closes, then the straggler is tested
+        // alone, on the scalar and on the batch path.
         let mut scalar = merged_across_watermarks(true);
         let late = untrained(&scalar, 1, 5);
         let events = scalar.observe_interned(&late);
@@ -2351,23 +2341,22 @@ mod tests {
         assert_eq!(new_signature_reports(&events), expected);
         assert_eq!((batched.late_seen(), batched.open_windows()), (1, 1));
 
-        // A straggler of the stale window itself joins it.
-        let mut joined = merged_across_watermarks(true);
-        let late = untrained(&joined, 0, 7);
-        let events = joined.observe_interned(&late);
-        assert_eq!(new_signature_reports(&events), [(0, 7, 2, 1.0)]);
+        // A straggler of the stale window itself does not join it.
+        let mut restored = merged_across_watermarks(true);
+        let late = untrained(&restored, 0, 7);
+        let events = restored.observe_interned(&late);
+        assert_eq!(
+            new_signature_reports(&events),
+            [(0, 7, 1, 1.0), (0, 7, 1, 1.0)]
+        );
     }
 
     #[test]
     fn straggler_alone_drops_the_loss_entries_it_outdates() {
-        // The merged loss entry is live for the window it names…
+        // The merged loss entry is outdated under the merged watermark:
+        // gone before any straggler is tested, as after any close.
         let mut d = merged_across_watermarks(false);
-        let late = untrained(&d, 2, 7);
-        let events = d.observe_interned(&late);
-        assert_eq!(new_signature_reports(&events), [(2, 7, 1, 0.1)]);
-        // …and gone once any straggler has closed, as after any close.
-        let mut d = merged_across_watermarks(false);
-        for (minute, path) in [(6, "scalar"), (7, "batch")] {
+        for (minute, path) in [(7, "scalar"), (6, "scalar"), (7, "batch")] {
             let late = untrained(&d, 2, minute);
             let events = if path == "scalar" {
                 d.observe_interned(&late)
@@ -2378,8 +2367,31 @@ mod tests {
             };
             assert_eq!(new_signature_reports(&events), [(2, minute, 1, 1.0)]);
         }
-        assert_eq!((d.late_seen(), d.open_windows()), (2, 1));
+        assert_eq!((d.late_seen(), d.open_windows()), (3, 1));
         assert_eq!(d.tasks_lost(), 9);
+    }
+
+    #[test]
+    fn a_restored_detector_treats_a_straggler_as_the_shard_that_owned_its_window() {
+        // A straggler stamped at the merged watermark (minute 10), fed to
+        // the shard whose watermark stands in minute 7 and to the detector
+        // restored from both shards: the same events, window for window.
+        // The owner closes what the stamp outdates, its open window and
+        // its loss entry, then tests the straggler alone.
+        let feed = |d: &mut AnomalyDetector, host: u16| {
+            let mut batch = SynopsisBatch::new();
+            batch.push_feature(&untrained(d, host, 7), SimTime::from_mins(10));
+            new_signature_reports(&d.observe_batch(&batch, &mut VerdictMask::new()))
+        };
+        for (stale_bucket, host, expected) in [
+            (true, 0, vec![(0, 7, 1, 1.0), (0, 7, 1, 1.0)]),
+            (false, 2, vec![(2, 7, 1, 1.0)]),
+        ] {
+            let owner = &mut shards_across_watermarks(stale_bucket)[1];
+            assert_eq!(feed(owner, host), expected, "the owning shard");
+            let mut restored = merged_across_watermarks(stale_bucket);
+            assert_eq!(feed(&mut restored, host), expected, "the restored detector");
+        }
     }
 
     #[test]
@@ -2502,8 +2514,9 @@ mod tests {
             }
             let (host, stage, start, new) = row;
             let (idx, closable) = (start / w, self.watermark / w);
-            let late = idx + 1 < closable;
-            if late && !self.open.keys().any(|k| k.2 + 1 < closable) {
+            if idx + 1 < closable {
+                // Whatever is stale closes first; the straggler is alone.
+                self.close_stale(out, reached);
                 reached.alone += 1;
                 report(out, (host, stage, idx), (1, u64::from(new)));
                 return;
@@ -2511,9 +2524,6 @@ mod tests {
             let window = self.open.entry((host, stage, idx)).or_insert((0, 0));
             window.0 += 1;
             window.1 += u64::from(new);
-            if late {
-                self.close_stale(out, reached);
-            }
         }
 
         fn close_stale(&mut self, out: &mut Vec<Report>, reached: &mut OrderReached) {
@@ -2920,8 +2930,11 @@ mod tests {
             }
             let (host, stage, start, _, slow) = row;
             let (idx, closable) = (start / w, self.watermark / w);
-            let late = idx + 1 < closable;
-            let alone = late && !self.windows.keys().any(|k| k.2 + 1 < closable);
+            let alone = idx + 1 < closable;
+            if alone {
+                // Whatever is stale closes first; the straggler is alone.
+                self.close_stale(out);
+            }
             let dur = if slow { 5_000.0 } else { 1_100.0 };
             let class = self.compiled.classify(StageId(stage), sig, dur);
             let eligible = self.compiled.perf_p0(StageId(stage), sig).is_some();
@@ -2959,9 +2972,6 @@ mod tests {
             if group.1 > 0 {
                 let g = self.groups.entry((host, stage, idx, sig)).or_insert((0, 0));
                 (g.0, g.1) = (g.0 + group.0, g.1 + 1);
-            }
-            if late {
-                self.close_stale(out);
             }
             false
         }

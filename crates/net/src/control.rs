@@ -1,18 +1,21 @@
-//! The federation control plane: leaf membership, heartbeats, and epoch
-//! publication.
+//! The federation control plane: leaf membership and epoch publication.
 //!
 //! Modeled on the role/roleGroup orchestration of the HBase operator the
 //! roadmap cites: the control plane holds the authoritative membership
-//! table, each leaf heartbeats into it, and every membership change —
-//! register, deregister, or a missed-heartbeat eviction — publishes a new
-//! immutable [`RingSnapshot`] under the next epoch. Readers (agents via
-//! [`LeafResolver`], collectors via the shared epoch handle) only ever
-//! see complete snapshots; there is no partially-applied membership.
+//! table, and every membership change — register, deregister, or a
+//! failover by [`ControlPlane::mark_dead`] — publishes a new immutable
+//! [`RingSnapshot`] under the next epoch. Readers (agents via
+//! [`LeafResolver`], leaves via the shared epoch) only ever see complete
+//! snapshots; there is no partially-applied membership.
 //!
-//! The control plane is deliberately *not* in the data path. It answers
+//! Failure is not detected here: whoever sees a leaf die (an operator, a
+//! supervisor, a fault harness) calls `mark_dead`, the one failover rule.
+//! The control plane reads no clock and runs no thread.
+//!
+//! It is deliberately *not* in the data path either. It answers
 //! `resolve()` from a cached `Arc` snapshot and shares the current epoch
-//! with root/leaf collectors through one `Arc<AtomicU64>`, so a thousand
-//! agents re-homing cost it nothing but atomic loads.
+//! with the leaves it registers through one `Arc<AtomicU64>`, so a
+//! thousand agents re-homing cost it nothing but atomic loads.
 
 use crate::ring::{LeafId, LeafResolver, RingSnapshot};
 use parking_lot::Mutex;
@@ -21,24 +24,21 @@ use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone)]
 struct LeafEntry {
     addr: SocketAddr,
-    last_beat: Instant,
     alive: bool,
 }
 
 struct Inner {
     leaves: Mutex<BTreeMap<LeafId, LeafEntry>>,
     /// Current published epoch, shared (via [`ControlPlane::epoch_handle`])
-    /// with every collector that enforces staleness.
+    /// with every leaf spawned with this control plane.
     epoch: Arc<AtomicU64>,
     snapshot: Mutex<Arc<RingSnapshot>>,
     seed: u64,
-    heartbeat_timeout: Duration,
-    /// Leaves evicted for missed heartbeats (not graceful deregisters).
+    /// Leaves declared dead (not graceful deregisters).
     failovers: AtomicU64,
     republishes: AtomicU64,
 }
@@ -65,8 +65,8 @@ impl Inner {
 
 /// Authoritative federation membership + epoch publisher.
 ///
-/// Clone-cheap handle (`Arc` inside); collectors, agent resolvers and
-/// whatever timer calls [`ControlPlane::sweep`] all share one instance.
+/// Clone-cheap handle (`Arc` inside); leaves, agent resolvers and
+/// whoever calls [`ControlPlane::mark_dead`] all share one instance.
 #[derive(Clone)]
 pub struct ControlPlane {
     inner: Arc<Inner>,
@@ -74,9 +74,8 @@ pub struct ControlPlane {
 
 impl ControlPlane {
     /// New control plane with no members. `seed` fixes ring assignment
-    /// for the federation's lifetime; a leaf that misses heartbeats for
-    /// `heartbeat_timeout` is declared dead by [`ControlPlane::sweep`].
-    pub fn new(seed: u64, heartbeat_timeout: Duration) -> ControlPlane {
+    /// for the federation's lifetime.
+    pub fn new(seed: u64) -> ControlPlane {
         let epoch = Arc::new(AtomicU64::new(0));
         ControlPlane {
             inner: Arc::new(Inner {
@@ -84,7 +83,6 @@ impl ControlPlane {
                 snapshot: Mutex::new(RingSnapshot::new(0, seed, [])),
                 epoch,
                 seed,
-                heartbeat_timeout,
                 failovers: AtomicU64::new(0),
                 republishes: AtomicU64::new(0),
             }),
@@ -93,14 +91,8 @@ impl ControlPlane {
 
     /// Add (or resurrect) a leaf and publish the grown ring.
     pub fn register_leaf(&self, id: LeafId, addr: SocketAddr) {
-        self.inner.leaves.lock().insert(
-            id,
-            LeafEntry {
-                addr,
-                last_beat: Instant::now(),
-                alive: true,
-            },
-        );
+        let entry = LeafEntry { addr, alive: true };
+        self.inner.leaves.lock().insert(id, entry);
         self.inner.republish();
     }
 
@@ -112,21 +104,10 @@ impl ControlPlane {
         }
     }
 
-    /// Record a heartbeat from `id`. Returns `false` for an unknown or
-    /// already-evicted leaf — the leaf's cue to re-register.
-    pub fn heartbeat(&self, id: LeafId) -> bool {
-        let mut leaves = self.inner.leaves.lock();
-        match leaves.get_mut(&id) {
-            Some(e) if e.alive => {
-                e.last_beat = Instant::now();
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Declare `id` dead immediately (e.g. the root observed its uplink
-    /// socket die) and publish the shrunk ring. Counts as a failover.
+    /// Declare `id` dead (e.g. the root observed its uplink socket die)
+    /// and publish the shrunk ring: the federation's one failover rule.
+    /// Counts as a failover; a dead leaf is live again once it
+    /// re-registers.
     pub fn mark_dead(&self, id: LeafId) {
         let mut leaves = self.inner.leaves.lock();
         match leaves.get_mut(&id) {
@@ -138,44 +119,19 @@ impl ControlPlane {
         self.inner.republish();
     }
 
-    /// Evict every live leaf whose last heartbeat is older than the
-    /// timeout; returns the evicted ids. Publishes at most one new epoch
-    /// regardless of how many died in the interval.
-    pub fn sweep(&self) -> Vec<LeafId> {
-        let now = Instant::now();
-        let mut dead = Vec::new();
-        {
-            let mut leaves = self.inner.leaves.lock();
-            for (&id, e) in leaves.iter_mut() {
-                if e.alive && now.duration_since(e.last_beat) > self.inner.heartbeat_timeout {
-                    e.alive = false;
-                    dead.push(id);
-                }
-            }
-        }
-        if !dead.is_empty() {
-            self.inner
-                .failovers
-                .fetch_add(dead.len() as u64, Ordering::Relaxed);
-            self.inner.republish();
-        }
-        dead
-    }
-
     /// The currently published ring.
     pub fn snapshot(&self) -> Arc<RingSnapshot> {
         self.inner.snapshot.lock().clone()
     }
 
-    /// Shared handle to the current epoch, for wiring into
-    /// `ReactorCollectorConfig::epoch` so collectors enforce staleness against
-    /// the live value without calling back into the control plane.
-    pub fn epoch_handle(&self) -> Arc<AtomicU64> {
+    /// Shared handle to the current epoch: a leaf spawned with this
+    /// control plane enforces staleness against the live value without
+    /// calling back into it.
+    pub(crate) fn epoch_handle(&self) -> Arc<AtomicU64> {
         self.inner.epoch.clone()
     }
 
-    /// Leaves evicted by failure detection (missed heartbeats or
-    /// [`ControlPlane::mark_dead`]) since start.
+    /// Leaves declared dead by [`ControlPlane::mark_dead`] since start.
     pub fn failovers(&self) -> u64 {
         self.inner.failovers.load(Ordering::Relaxed)
     }
@@ -206,7 +162,7 @@ impl ControlPlane {
         let inner = Arc::downgrade(&self.inner);
         registry.register_counter_fn(
             "saad_control_failovers_total",
-            "Leaves evicted by failure detection since start",
+            "Leaves declared dead since start",
             &[],
             move || {
                 inner
@@ -257,7 +213,7 @@ mod tests {
 
     #[test]
     fn membership_changes_bump_the_epoch_monotonically() {
-        let cp = ControlPlane::new(7, Duration::from_secs(1));
+        let cp = ControlPlane::new(7);
         assert_eq!(cp.snapshot().epoch, 0);
         cp.register_leaf(LeafId(0), addr(0));
         cp.register_leaf(LeafId(1), addr(1));
@@ -273,7 +229,7 @@ mod tests {
 
     #[test]
     fn resolve_follows_the_published_ring() {
-        let cp = ControlPlane::new(0x5AAD, Duration::from_secs(1));
+        let cp = ControlPlane::new(0x5AAD);
         cp.register_leaf(LeafId(0), addr(0));
         cp.register_leaf(LeafId(1), addr(1));
         let host = HostId(12);
@@ -289,27 +245,27 @@ mod tests {
     }
 
     #[test]
-    fn sweep_evicts_only_silent_leaves() {
-        let cp = ControlPlane::new(1, Duration::from_millis(40));
+    fn a_dead_leaf_leaves_the_ring_until_it_re_registers() {
+        let cp = ControlPlane::new(1);
         cp.register_leaf(LeafId(0), addr(0));
         cp.register_leaf(LeafId(1), addr(1));
-        std::thread::sleep(Duration::from_millis(70));
-        assert!(cp.heartbeat(LeafId(1)), "live leaf heartbeats fine");
-        let dead = cp.sweep();
-        assert_eq!(dead, vec![LeafId(0)]);
+        cp.mark_dead(LeafId(0));
         assert_eq!(cp.live_leaves(), 1);
-        assert!(!cp.heartbeat(LeafId(0)), "evicted leaf told to re-register");
-        // Dead leaf re-registers and is live again under a fresh epoch.
+        assert!(!cp.snapshot().leaves.contains_key(&LeafId(0)));
+        // Declaring it dead again is no second failover and no new epoch.
         let before = cp.snapshot().epoch;
+        cp.mark_dead(LeafId(0));
+        assert_eq!((cp.failovers(), cp.snapshot().epoch), (1, before));
+        // The dead leaf re-registers and is live again under a fresh epoch.
         cp.register_leaf(LeafId(0), addr(0));
         assert_eq!(cp.live_leaves(), 2);
         assert!(cp.snapshot().epoch > before);
-        assert!(cp.sweep().is_empty(), "fresh registration not re-evicted");
+        assert!(cp.snapshot().leaves.contains_key(&LeafId(0)));
     }
 
     #[test]
     fn empty_ring_resolves_to_nowhere() {
-        let cp = ControlPlane::new(1, Duration::from_secs(1));
+        let cp = ControlPlane::new(1);
         assert!(cp.resolve(HostId(0)).is_none());
         cp.register_leaf(LeafId(3), addr(3));
         cp.deregister_leaf(LeafId(3));

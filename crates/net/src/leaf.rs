@@ -19,9 +19,17 @@
 //!
 //! Digests are cut on three boundaries — stage-window edges in stream
 //! time (so per-(host,stage) windows aggregate cleanly at the root), a
-//! size cap, and a wall-clock timer that bounds forwarding latency —
-//! plus a final flush with per-host empty *goodbye* frames on graceful
-//! shutdown, which reveals any trailing gap to the root immediately.
+//! size cap, and a flush every `flush_interval` that bounds forwarding
+//! latency — plus a final flush with per-host empty *goodbye* frames on
+//! graceful shutdown, which reveals any trailing gap to the root
+//! immediately. The interval flush is a deadline timer on the
+//! agent-facing collector's loop 0: a leaf runs no thread of its own.
+//!
+//! A leaf spawned with a [`ControlPlane`] registers in it and enforces its
+//! ring epoch: an agent that routed by an older ring is refused with
+//! `StaleEpoch` and refetches. It never reports its own health there;
+//! failover is [`ControlPlane::mark_dead`], called by whoever saw the
+//! leaf die.
 //!
 //! The uplink is a driver of the shared sender state machine,
 //! `net::outbound`: when a connect is due, what a failed write costs and
@@ -46,7 +54,6 @@ use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Uplink socket write timeout: a stalled root fails the flush and the
@@ -69,12 +76,10 @@ pub struct LeafConfig {
     pub window: Duration,
     /// Most synopses one digest frame carries before a size-cap flush.
     pub max_digest: usize,
-    /// Wall-clock bound on how long an undersized digest may sit pending
-    /// (also the heartbeat cadence toward the control plane).
+    /// Wall-clock bound on how long an undersized digest may sit pending:
+    /// the period of the flush on the collector's loop 0.
     pub flush_interval: Duration,
-    /// Agent-facing server tuning. Wire a control plane's
-    /// [`epoch_handle`](ControlPlane::epoch_handle) into
-    /// `collector.epoch` to enforce ring staleness at this leaf.
+    /// Agent-facing server tuning.
     pub collector: ReactorCollectorConfig,
     /// Uplink reconnect pacing: at most one connect per flush, spaced by
     /// this schedule — never a blocking retry loop.
@@ -244,7 +249,8 @@ impl Uplink {
         stats.uplink_wire_lost += cut + out.outbox.abandon();
     }
 
-    /// Timer flush: push out every pending digest.
+    /// Interval flush (on the collector's loop 0): push out every pending
+    /// digest.
     fn tick(&self) {
         if self.killed.load(Ordering::SeqCst) {
             return;
@@ -349,23 +355,21 @@ impl AdmittedSink for Uplink {
 }
 
 /// A running leaf: an agent-facing [`ReactorCollector`] whose admitted
-/// frames feed an upstream digest uplink, plus a timer thread driving
-/// latency-bound flushes and control-plane heartbeats.
+/// frames feed an upstream digest uplink, flushed every flush interval on
+/// the collector's loop 0.
 pub struct LeafCollector {
     id: LeafId,
     collector: Option<ReactorCollector>,
     uplink: Arc<Uplink>,
     control: Option<ControlPlane>,
-    stop: Arc<AtomicBool>,
-    timer: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
 
 impl LeafCollector {
-    /// Bind the agent-facing side on `bind_addr`, forward digests to the
-    /// root at `root_addr`, and — when a control plane is given —
-    /// register this leaf (publishing a grown ring) and heartbeat every
-    /// flush interval.
+    /// Bind the agent-facing side on `bind_addr` and forward digests to
+    /// the root at `root_addr`, flushing what is pending every flush
+    /// interval. When a control plane is given, the leaf enforces its
+    /// ring epoch and registers in it, publishing a grown ring.
     ///
     /// # Errors
     ///
@@ -377,42 +381,24 @@ impl LeafCollector {
         config: LeafConfig,
     ) -> io::Result<LeafCollector> {
         let id = config.id;
-        let flush_interval = config.flush_interval;
         let uplink = Arc::new(Uplink::new(root_addr, config.clone()));
         let sink: Arc<dyn AdmittedSink> = uplink.clone();
-        let collector = ReactorCollector::bind_forward(bind_addr, sink, config.collector)?;
+        let flush = {
+            let uplink = uplink.clone();
+            (config.flush_interval, Box::new(move || uplink.tick()) as _)
+        };
+        let epoch = control.as_ref().map(ControlPlane::epoch_handle);
+        let collector =
+            ReactorCollector::bind_forward(bind_addr, sink, config.collector, epoch, flush)?;
         let local_addr = collector.local_addr();
         if let Some(cp) = &control {
             cp.register_leaf(id, local_addr);
         }
-        let stop = Arc::new(AtomicBool::new(false));
-        let timer = {
-            let uplink = uplink.clone();
-            let control = control.clone();
-            let stop = stop.clone();
-            std::thread::Builder::new()
-                .name(format!("saad-leaf-{}-timer", id.0))
-                .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(flush_interval);
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        uplink.tick();
-                        if let Some(cp) = &control {
-                            cp.heartbeat(id);
-                        }
-                    }
-                })
-                .expect("spawn leaf timer")
-        };
         Ok(LeafCollector {
             id,
             collector: Some(collector),
             uplink,
             control,
-            stop,
-            timer: Some(timer),
             local_addr,
         })
     }
@@ -499,12 +485,8 @@ impl LeafCollector {
     /// pending digest, and say goodbye per host so the root sees final
     /// positions. Returns the final forwarding counters.
     pub fn shutdown(mut self) -> LeafStats {
-        self.stop.store(true, Ordering::SeqCst);
         if let Some(cp) = self.control.take() {
             cp.deregister_leaf(self.id);
-        }
-        if let Some(t) = self.timer.take() {
-            let _ = t.join();
         }
         if let Some(c) = self.collector.take() {
             // Joins the loops; their in-flight on_fresh calls finish
@@ -517,18 +499,14 @@ impl LeafCollector {
     }
 
     /// Crash-stop for fault injection: sever the uplink and discard
-    /// pending digests **without** telling the control plane — failure
-    /// detection (missed heartbeats) must notice on its own, exactly as
-    /// with a real process death. Returns the final forwarding counters.
+    /// pending digests **without** telling the control plane, exactly as
+    /// a real process death would; whoever sees it calls
+    /// [`ControlPlane::mark_dead`]. Returns the final forwarding counters.
     pub fn kill(mut self) -> LeafStats {
-        self.stop.store(true, Ordering::SeqCst);
         self.control = None;
         // Kill the uplink before stopping the loops so any racing flush
         // fails fast instead of delivering a post-mortem digest.
         self.uplink.kill();
-        if let Some(t) = self.timer.take() {
-            let _ = t.join();
-        }
         if let Some(c) = self.collector.take() {
             let _ = c.shutdown();
         }

@@ -39,14 +39,16 @@
 //!   [`FrameAssembler`], the pending ack) and drives a [`Handler`]. It is
 //!   the one receive path; the collectors' readiness loop is its one
 //!   driver.
-//! * **Federate**: a [`ControlPlane`] registers leaves, takes heartbeats,
-//!   detects failures and republishes seeded rendezvous-hash host→leaf
-//!   assignments as immutable, epoch-versioned [`RingSnapshot`]s
-//!   (join/leave re-homes only ~1/N of hosts); it is the [`LeafResolver`]
-//!   agents consult before every connect ([`PinnedResolver`] names one
-//!   collector). A [`LeafCollector`] ([`LeafConfig`], [`LeafStats`])
-//!   terminates a regional agent fleet and forwards windowed digests
-//!   upstream **in the agents' global stream coordinates**, so any loss
+//! * **Federate**: a [`ControlPlane`] registers leaves, takes failovers
+//!   ([`ControlPlane::mark_dead`], its one failover rule; it reads no
+//!   clock) and republishes seeded rendezvous-hash host→leaf assignments
+//!   as immutable, epoch-versioned [`RingSnapshot`]s (join/leave re-homes
+//!   only ~1/N of hosts); it is the [`LeafResolver`] agents consult
+//!   before every connect ([`PinnedResolver`] names one collector). A
+//!   [`LeafCollector`] ([`LeafConfig`], [`LeafStats`]) terminates a
+//!   regional agent fleet, enforces its control plane's epoch, and
+//!   forwards windowed digests upstream **in the agents' global stream
+//!   coordinates**, flushed on its collector's loop 0, so any loss
 //!   anywhere surfaces at the root as a cumulative-count gap. The
 //!   [`RootCollector`] is the same driver (one loop) and handler core,
 //!   sequencing per uplink and keeping loss in one

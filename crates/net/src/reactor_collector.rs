@@ -15,7 +15,7 @@
 //! See DESIGN.md §16 for the architecture and buffer-ownership rules.
 
 use crate::ingest::{Admission, AdmittedSink, CollectorState, CollectorStats, Ingest, SynopsisOut};
-use crate::server::Server;
+use crate::server::{Periodic, Server};
 use crossbeam_channel::Sender;
 use saad_core::batch::SynopsisBatch;
 use saad_core::intern::SignatureInterner;
@@ -33,13 +33,6 @@ pub struct ReactorCollectorConfig {
     /// Event-loop threads. Connections are assigned round-robin at
     /// accept and never migrate.
     pub loops: usize,
-    /// Live control-plane epoch to enforce, typically
-    /// [`ControlPlane::epoch_handle`](crate::control::ControlPlane::epoch_handle).
-    /// A hello routed by an older ring epoch is rejected with
-    /// [`RejectReason::StaleEpoch`](crate::RejectReason::StaleEpoch) so the peer refetches the ring;
-    /// [`PINNED_EPOCH`](crate::protocol::PINNED_EPOCH) hellos (including everything v1) are exempt.
-    /// `None` disables the check entirely.
-    pub epoch: Option<Arc<AtomicU64>>,
     /// Kernel receive-buffer clamp applied to every accepted connection
     /// (`None` leaves the OS default and its autotuning). Bounds
     /// per-connection kernel memory at high fan-in and makes
@@ -52,7 +45,6 @@ impl Default for ReactorCollectorConfig {
     fn default() -> ReactorCollectorConfig {
         ReactorCollectorConfig {
             loops: 2,
-            epoch: None,
             recv_buffer: None,
         }
     }
@@ -107,7 +99,8 @@ impl ReactorCollector {
             interner,
             side_losses: Some(loss_tx),
         };
-        ReactorCollector::start(TcpListener::bind(addr)?, FrameReceiver::new(), out, config)
+        let listener = TcpListener::bind(addr)?;
+        ReactorCollector::start(listener, FrameReceiver::new(), out, config, None, None)
     }
 
     /// Bind a collector whose admitted frames feed an [`AdmittedSink`]
@@ -116,7 +109,14 @@ impl ReactorCollector {
     /// coordinates. Agent-link loss is not reported locally; it is passed
     /// to the sink, which shows it to the root as a stream-position gap.
     /// The sink runs on the loop threads, so a sink that blocks
-    /// back-pressures its loop's agents.
+    /// back-pressures its loop's agents; `flush` runs on loop 0.
+    ///
+    /// With `epoch` (a control plane's live ring epoch), a hello routed by
+    /// an older ring epoch is rejected with
+    /// [`RejectReason::StaleEpoch`](crate::RejectReason::StaleEpoch) so the
+    /// peer refetches the ring;
+    /// [`PINNED_EPOCH`](crate::protocol::PINNED_EPOCH) hellos (everything
+    /// v1 included) are exempt.
     ///
     /// # Errors
     ///
@@ -125,9 +125,12 @@ impl ReactorCollector {
         addr: A,
         sink: Arc<dyn AdmittedSink>,
         config: ReactorCollectorConfig,
+        epoch: Option<Arc<AtomicU64>>,
+        flush: Periodic,
     ) -> io::Result<ReactorCollector> {
         let (listener, out) = (TcpListener::bind(addr)?, SynopsisOut::Forward(sink));
-        ReactorCollector::start(listener, FrameReceiver::new(), out, config)
+        let receiver = FrameReceiver::new();
+        ReactorCollector::start(listener, receiver, out, config, epoch, Some(flush))
     }
 
     /// [`ReactorCollector::bind`] on an already-bound listener,
@@ -148,7 +151,7 @@ impl ReactorCollector {
         config: ReactorCollectorConfig,
     ) -> io::Result<ReactorCollector> {
         let out = SynopsisOut::batches(batch_tx, interner);
-        ReactorCollector::start(listener, state.receiver, out, config)
+        ReactorCollector::start(listener, state.receiver, out, config, None, None)
     }
 
     fn start(
@@ -156,11 +159,13 @@ impl ReactorCollector {
         receiver: FrameReceiver,
         out: SynopsisOut,
         config: ReactorCollectorConfig,
+        epoch: Option<Arc<AtomicU64>>,
+        periodic: Option<Periodic>,
     ) -> io::Result<ReactorCollector> {
-        let admission = Admission::Shared(receiver);
-        let ingest = Ingest::new(admission, out, config.epoch.clone());
+        let ingest = Ingest::new(Admission::Shared(receiver), out, epoch);
         let opener = ingest.clone();
-        let server = Server::start(listener, "saad-reactor", &config, move || opener.link())?;
+        let open = move || opener.link();
+        let server = Server::start(listener, "saad-reactor", &config, open, periodic)?;
         Ok(ReactorCollector { ingest, server })
     }
 

@@ -77,7 +77,7 @@ impl RootCollector {
             ..ReactorCollectorConfig::default()
         };
         let (listener, opener) = (TcpListener::bind(addr)?, ingest.clone());
-        let server = Server::start(listener, "saad-root", &driver, move || opener.link())?;
+        let server = Server::start(listener, "saad-root", &driver, move || opener.link(), None)?;
         Ok(RootCollector { ingest, server })
     }
 
@@ -406,7 +406,7 @@ mod tests {
         let collector = ReactorCollector::bind("127.0.0.1:0", tx.clone(), Arc::default(), config);
         let collector = collector.unwrap();
         let root = RootCollector::bind("127.0.0.1:0", tx, Arc::default()).unwrap();
-        let control = ControlPlane::new(7, std::time::Duration::from_secs(3600));
+        let control = ControlPlane::new(7);
         let leaves: Vec<LeafCollector> = (0..2)
             .map(|id| {
                 let config = LeafConfig {

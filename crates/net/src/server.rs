@@ -6,11 +6,12 @@
 //! `open` returns for it — the `ingest` core's, under the
 //! [`ReactorCollector`](crate::ReactorCollector), the leaf that binds one
 //! and the [`RootCollector`](crate::RootCollector) alike. This file owns
-//! the execution model: loop 0 accepts, each connection is assigned
-//! round-robin to one of `loops` threads and never migrates; vectored
-//! reads land directly in the session's ring when the kernel reports the
-//! socket ready, the session is drained, pending ack bytes are flushed,
-//! and per-loop readiness health is exported.
+//! the execution model: loop 0 accepts (and runs the owner's periodic
+//! work, if any, on a deadline timer: a leaf's digest flush), each
+//! connection is assigned round-robin to one of `loops` threads and never
+//! migrates; vectored reads land directly in the session's ring when the
+//! kernel reports the socket ready, the session is drained, pending ack
+//! bytes are flushed, and per-loop readiness health is exported.
 //!
 //! Backpressure is the handler's: a handler that blocks (the batch
 //! channel send when the analyzer falls behind, the leaf's uplink write)
@@ -31,14 +32,16 @@ use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Token of the accept listener (event loop 0 only).
 const LISTENER: Token = Token(0);
-/// Token of the per-loop heartbeat timer (shutdown safety net).
+/// Token of the per-loop tick timer (shutdown safety net).
 const TICK: Token = Token(1);
+/// Token of the periodic work's deadline timer (event loop 0 only).
+const PERIODIC: Token = Token(2);
 /// First token handed to a connection.
-const FIRST_CONN: u64 = 2;
+const FIRST_CONN: u64 = 3;
 /// Longest a loop sleeps without checking the shutdown flag (wakes make
 /// shutdown prompt; this is the safety net).
 const TICK_EVERY: Duration = Duration::from_millis(50);
@@ -70,6 +73,10 @@ struct Shared {
     conn_seq: AtomicU64,
 }
 
+/// Work loop 0 runs once every period, between readiness events: what a
+/// server's owner must do on time whether or not bytes arrive.
+pub(crate) type Periodic = (Duration, Box<dyn FnMut() + Send>);
+
 /// A running readiness-driven server. Dropping it without
 /// [`Server::shutdown`] leaves the loop threads running for the process
 /// lifetime.
@@ -82,13 +89,13 @@ pub(crate) struct Server {
 impl Server {
     /// Start `config.loops` event loops named after `name` and accept on
     /// `listener`; every connection gets the handler `open` returns, made
-    /// on the loop that owns it. Of `config`, `version` and `epoch` are the
-    /// handler's business and are not read here.
+    /// on the loop that owns it. Loop 0 also runs `periodic`, when given.
     pub(crate) fn start<H, F>(
         listener: TcpListener,
         name: &'static str,
         config: &ReactorCollectorConfig,
         open: F,
+        mut periodic: Option<Periodic>,
     ) -> io::Result<Server>
     where
         H: Handler + 'static,
@@ -122,6 +129,7 @@ impl Server {
             .map(|(idx, el)| {
                 let (shared, open) = (shared.clone(), open.clone());
                 let listener = if idx == 0 { listener.take() } else { None };
+                let periodic = if idx == 0 { periodic.take() } else { None };
                 std::thread::Builder::new()
                     .name(format!("{name}-{idx}"))
                     .spawn(move || {
@@ -133,7 +141,7 @@ impl Server {
                             conns: HashMap::new(),
                             next_token: FIRST_CONN,
                         };
-                        event_loop.run(listener);
+                        event_loop.run(listener, periodic);
                     })
                     .expect("spawn reactor loop")
             })
@@ -314,7 +322,7 @@ struct Loop<'a, H, F> {
 }
 
 impl<H: Handler, F: Fn() -> H> Loop<'_, H, F> {
-    fn run(mut self, listener: Option<TcpListener>) {
+    fn run(mut self, listener: Option<TcpListener>, mut periodic: Option<Periodic>) {
         let shared = self.shared;
         let metrics = &shared.loop_metrics[self.idx];
         if let Some(l) = &listener {
@@ -323,6 +331,14 @@ impl<H: Handler, F: Fn() -> H> Loop<'_, H, F> {
                 .expect("register listener");
         }
         self.el.set_timer_after(TICK_EVERY, TICK);
+        // The periodic work's deadlines fall a period apart from start, so
+        // the time a run takes does not stretch the period; deadlines a
+        // busy loop missed collapse into one run at once.
+        let mut due = Instant::now();
+        if let Some((every, _)) = &periodic {
+            due += *every;
+            self.el.set_timer(due, PERIODIC);
+        }
         let mut events = Vec::new();
         loop {
             let stats = self.el.stats();
@@ -352,6 +368,12 @@ impl<H: Handler, F: Fn() -> H> Loop<'_, H, F> {
                     }
                     TICK => {
                         self.el.set_timer_after(TICK_EVERY, TICK);
+                    }
+                    PERIODIC => {
+                        let (every, run) = periodic.as_mut().expect("armed only with work");
+                        run();
+                        due = (due + *every).max(Instant::now());
+                        self.el.set_timer(due, PERIODIC);
                     }
                     LISTENER => {
                         let l = listener.as_ref().expect("listener events only on loop 0");
@@ -458,7 +480,6 @@ mod tests {
     use saad_core::synopsis::TaskSynopsis;
     use saad_core::transport::FrameSender;
     use saad_core::HostId;
-    use std::time::Instant;
 
     /// A peer that out-writes the loop: every readiness event finds a
     /// whole slab waiting, then the socket would block.
@@ -601,7 +622,7 @@ mod tests {
     ) {
         let config = ReactorCollectorConfig::default();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let server = Server::start(listener, "test", &config, open).unwrap();
+        let server = Server::start(listener, "test", &config, open, None).unwrap();
         let registry = saad_obs::Registry::new();
         server.register_metrics(&registry, &[]);
         // A gauge summed over the loops, as scraped.

@@ -8,7 +8,7 @@
 //! ```text
 //!   agents (one per host) ──► leaf collectors ──► root collector ──► analyzer pool
 //!        ▲                        ▲
-//!        └── ring snapshots ──────┴── heartbeats / epochs ── control plane
+//!        └── ring snapshots ──────┴── epochs ────────────── control plane
 //! ```
 //!
 //! The run has three acts:
@@ -97,17 +97,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Control plane, root, and the leaf fleet. The root interns what it
     // admits against the pool's interner, and puts each gap it finds on
     // the batch that revealed it.
-    let control = ControlPlane::new(0x5AAD_DE30, Duration::from_secs(3600));
+    let control = ControlPlane::new(0x5AAD_DE30);
     let root = RootCollector::bind("127.0.0.1:0", batch_tx, pool.interner())?;
     let mut fleet = Vec::new();
     for i in 0..LEAVES {
-        let mut cfg = LeafConfig {
+        let cfg = LeafConfig {
             id: LeafId(i),
             flush_interval: Duration::from_millis(10),
             backoff: backoff(0x1EAF ^ u64::from(i)),
             ..LeafConfig::default()
         };
-        cfg.collector.epoch = Some(control.epoch_handle());
         fleet.push(LeafCollector::spawn(
             "127.0.0.1:0",
             root.local_addr(),

@@ -15,8 +15,10 @@
 //!   must reconcile with everything framed, with one loss report per
 //!   outage that actually swallowed data.
 //! * **Epoch skew.** An agent routed by a stale ring snapshot is
-//!   refused with `StaleEpoch`, refetches, and connects; nothing is
-//!   dropped.
+//!   refused with `StaleEpoch` by a leaf spawned with the control plane,
+//!   refetches, and connects; nothing is dropped.
+//! * **Interval flush.** A digest no window edge or size cap cuts leaves
+//!   a running leaf within a few flush intervals, with no shutdown.
 //! * **Version skew.** A v1 agent against a v2 fleet receives a
 //!   decodable reject and terminates cleanly with every queued synopsis
 //!   accounted as disconnected.
@@ -38,7 +40,7 @@ use saad::logging::LogPointId;
 use saad::net::protocol::{RejectReason, HELLO_ACK_LEN, HELLO_LEN};
 use saad::net::{
     Agent, AgentConfig, BackoffConfig, ControlPlane, LeafCollector, LeafConfig, LeafId,
-    LeafResolver, ReactorCollector, ReactorCollectorConfig, RootCollector,
+    LeafResolver, RootCollector,
 };
 use saad::sim::{SimDuration, SimTime};
 use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};
@@ -147,7 +149,7 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
     // oracle replays: every gap report rides on the batch that revealed
     // it, so the log needs no linearizing. What the root has emitted is
     // moved to the pool, and recorded, at each quiescence point.
-    let control = ControlPlane::new(0x05AA_DFED, Duration::from_secs(3600));
+    let control = ControlPlane::new(0x05AA_DFED);
     let tcp_dir = TempDir::new("kill-tcp");
     let (pool_tx, pool) = spawn_pool(tcp_dir.path(), 3);
     let wire_interner = pool.interner();
@@ -163,13 +165,12 @@ fn leaf_kill_degrades_detection_by_exactly_the_accounted_gap() {
 
     let mut fleet = Vec::new();
     for i in 0..3u16 {
-        let mut cfg = LeafConfig {
+        let cfg = LeafConfig {
             id: LeafId(i),
             flush_interval: Duration::from_millis(10),
             backoff: fast_backoff(0x1EAF ^ u64::from(i)),
             ..LeafConfig::default()
         };
-        cfg.collector.epoch = Some(control.epoch_handle());
         fleet.push(
             LeafCollector::spawn("127.0.0.1:0", root.local_addr(), Some(control.clone()), cfg)
                 .unwrap(),
@@ -496,48 +497,43 @@ fn leaf_flap_through_proxy_reconciles_exactly() {
 // 3. Epoch skew: stale ring → typed reject → refetch → connect.
 // ---------------------------------------------------------------------------
 
-/// Resolver that hands out a stale epoch for its first `stale_for`
-/// resolutions, then the live one — the refetch an agent performs after
-/// a `StaleEpoch` reject, made observable.
+/// Resolver that answers what the control plane answers, but one epoch
+/// behind for its first `stale_left` resolutions — the refetch an agent
+/// performs after a `StaleEpoch` reject, made observable.
 struct StaleThenLive {
-    addr: SocketAddr,
-    live: Arc<AtomicU64>,
+    control: ControlPlane,
     stale_left: AtomicU64,
 }
 
 impl LeafResolver for StaleThenLive {
-    fn resolve(&self, _host: HostId) -> Option<(SocketAddr, u64)> {
-        let live = self.live.load(Ordering::SeqCst);
-        if self
+    fn resolve(&self, host: HostId) -> Option<(SocketAddr, u64)> {
+        let (addr, live) = self.control.resolve(host)?;
+        let stale = self
             .stale_left
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-        {
-            Some((self.addr, live.saturating_sub(1)))
-        } else {
-            Some((self.addr, live))
-        }
+            .is_ok();
+        Some((addr, if stale { live - 1 } else { live }))
     }
 }
 
 #[test]
 fn stale_epoch_reject_triggers_refetch_and_clean_connect() {
-    let epoch = Arc::new(AtomicU64::new(5));
     let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
-    let collector = ReactorCollector::bind(
+    let root = RootCollector::bind("127.0.0.1:0", batch_tx, Arc::default()).unwrap();
+    // Spawned with the control plane, the leaf registers (epoch 1) and
+    // enforces that plane's epoch: nothing is wired by hand.
+    let control = ControlPlane::new(0x57A1E);
+    let leaf = LeafCollector::spawn(
         "127.0.0.1:0",
-        batch_tx,
-        Arc::default(),
-        ReactorCollectorConfig {
-            epoch: Some(epoch.clone()),
-            ..ReactorCollectorConfig::default()
-        },
+        root.local_addr(),
+        Some(control.clone()),
+        LeafConfig::default(),
     )
     .unwrap();
+    assert_eq!(control.snapshot().epoch, 1);
 
     let resolver = Arc::new(StaleThenLive {
-        addr: collector.local_addr(),
-        live: epoch,
+        control,
         stale_left: AtomicU64::new(2),
     });
     let host = HostId(3);
@@ -576,21 +572,91 @@ fn stale_epoch_reject_triggers_refetch_and_clean_connect() {
     assert_eq!(stats.drops.total(), 0, "stale rejects must not shed data");
     assert_eq!(stats.reject_reason, Some(RejectReason::StaleEpoch));
 
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while collector.stats().synopses < BATCH as u64 {
-        assert!(Instant::now() < deadline, "collector stalled");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let cstats = collector.stats();
+    wait_for(
+        "the leaf to admit the batch",
+        Duration::from_secs(30),
+        || leaf.collector_stats().synopses == BATCH as u64,
+    );
+    let cstats = leaf.collector_stats();
     assert_eq!(cstats.stale_epoch_rejects, 2);
     assert_eq!(cstats.handshakes_rejected, 2);
     assert_eq!(cstats.lost_synopses, 0);
-    collector.shutdown();
+    leaf.shutdown();
+    root.shutdown();
     drop(batch_rx);
 }
 
 // ---------------------------------------------------------------------------
-// 4. Version skew: v1 agent vs v2 fleet terminates cleanly.
+// 4. The interval flush: an idle agent's short digest is not held back.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_short_digest_reaches_the_root_on_the_leafs_flush_interval() {
+    let (batch_tx, batch_rx) = unbounded::<SynopsisBatch>();
+    let root = RootCollector::bind("127.0.0.1:0", batch_tx, Arc::default()).unwrap();
+    let flush_interval = Duration::from_millis(100);
+    let config = LeafConfig {
+        flush_interval,
+        ..LeafConfig::default()
+    };
+    let leaf = LeafCollector::spawn("127.0.0.1:0", root.local_addr(), None, config).unwrap();
+    // One window, fewer synopses than a digest holds: no window edge and
+    // no size cap cuts this digest, only the flush interval.
+    let host = HostId(5);
+    let n = 10u64;
+    assert!(n < LeafConfig::default().max_digest as u64);
+    let agent = Agent::connect(
+        leaf.local_addr(),
+        host,
+        AgentConfig {
+            backoff: fast_backoff(0xF1A5),
+            ..AgentConfig::default()
+        },
+    );
+    let batch: Vec<TaskSynopsis> = (0..n)
+        .map(|uid| TaskSynopsis {
+            host,
+            stage: StageId(0),
+            uid: TaskUid(uid),
+            start: SimTime::from_millis(uid),
+            duration: SimDuration::from_micros(500),
+            log_points: vec![(LogPointId(1), 1)],
+        })
+        .collect();
+    agent.send(batch);
+    wait_for(
+        "the leaf to admit the frame",
+        Duration::from_secs(30),
+        || leaf.collector_stats().synopses == n,
+    );
+    // The agent goes idle; the leaf keeps running.
+    let (admitted, mut delivered) = (Instant::now(), 0);
+    wait_for(
+        "the root to deliver the digest",
+        Duration::from_secs(30),
+        || {
+            delivered += batch_rx.try_iter().map(|b| b.len() as u64).sum::<u64>();
+            delivered == n
+        },
+    );
+    let waited = admitted.elapsed();
+    assert!(
+        waited < 5 * flush_interval,
+        "{waited:?} is more than a few flush intervals of {flush_interval:?}"
+    );
+    let leaf_stats = leaf.stats();
+    assert_eq!(
+        (leaf_stats.digests_sent, leaf_stats.digest_synopses),
+        (1, n)
+    );
+    assert_eq!(root.stats().synopses, n);
+    agent.close();
+    leaf.shutdown();
+    root.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// 5. Version skew: v1 agent vs v2 fleet terminates cleanly.
 // ---------------------------------------------------------------------------
 
 #[test]
