@@ -74,5 +74,6 @@ backend:	crates/net/src/reactor_collector.rs	-	the collector's readiness backend
 fn heartbeat|fn sweep|heartbeat_timeout	crates/net/src	-	the control plane detects failures by heartbeat again: nothing swept it, so failover is one rule, ControlPlane::mark_dead, and the control plane reads no clock
 collector\.epoch|pub epoch:	crates/net/src/reactor_collector.rs examples crates/bench tests	-	a caller wires a control plane's epoch into a collector by hand again: a leaf spawned with a control plane enforces that plane's epoch itself
 thread::sleep	crates/net/src/leaf.rs	-	a leaf sleeps on the wall clock again: its interval flush is a deadline timer on its collector's loop 0, and it starts no thread of its own
+DetectorSink|detect_batch	crates src tests examples README.md	-	a second, inline analyzer is back beside the pool: every harness, example and test detects through a BatchSink into spawn_analyzer_pool (saad_bench::detect), so the ledger holds the production path
 TABLE
 exit $status

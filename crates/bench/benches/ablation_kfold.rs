@@ -6,7 +6,7 @@
 //! a threshold — including ones whose held-out outlier rate is far above
 //! nominal — inflating performance false positives on a healthy run.
 
-use saad_bench::{detect_batch, scaled_mins, workload};
+use saad_bench::{detect, scaled_mins, workload};
 use saad_cassandra::{Cluster, ClusterConfig};
 use saad_core::detector::DetectorConfig;
 use saad_core::model::{ModelBuilder, ModelConfig};
@@ -96,7 +96,10 @@ fn main() {
                     .count()
             })
             .sum();
-        let fp = detect_batch(model, DetectorConfig::default(), &healthy);
+        let fp = detect(model, DetectorConfig::default(), |sink| {
+            healthy.iter().for_each(|s| sink.submit(s.clone()))
+        })
+        .0;
         println!(
             "{name:<26} {eligible:>18} {:>22}",
             fp.iter().filter(|e| e.kind.is_performance()).count()

@@ -9,7 +9,7 @@
 //! positives, while adding little detection power — supporting the paper's
 //! design choice.
 
-use saad_bench::{detect_batch, scaled_mins, workload};
+use saad_bench::{detect, scaled_mins, workload};
 use saad_cassandra::{Cluster, ClusterConfig};
 use saad_core::detector::{AnomalyKind, DetectorConfig};
 use saad_core::model::{ModelBuilder, ModelConfig};
@@ -68,8 +68,14 @@ fn evaluate(name: &str, train: &[TaskSynopsis], healthy: &[TaskSynopsis], faulty
     let model = Arc::new(b.build(ModelConfig::default()));
     let signatures: usize = model.stages().map(|(_, st)| st.signatures.len()).sum();
 
-    let fp = detect_batch(model.clone(), DetectorConfig::default(), healthy);
-    let tp = detect_batch(model, DetectorConfig::default(), faulty);
+    let fp = detect(model.clone(), DetectorConfig::default(), |sink| {
+        healthy.iter().for_each(|s| sink.submit(s.clone()))
+    })
+    .0;
+    let tp = detect(model, DetectorConfig::default(), |sink| {
+        faulty.iter().for_each(|s| sink.submit(s.clone()))
+    })
+    .0;
     let fp_new = fp
         .iter()
         .filter(|e| matches!(e.kind, AnomalyKind::FlowNew(_)))

@@ -5,7 +5,7 @@
 //! reports the trade-off on one healthy run (false alarms) and one
 //! faulted run (detections).
 
-use saad_bench::{detect_batch, scaled_mins, workload};
+use saad_bench::{detect, scaled_mins, workload};
 use saad_cassandra::{Cluster, ClusterConfig};
 use saad_core::detector::DetectorConfig;
 use saad_core::model::{ModelBuilder, ModelConfig};
@@ -65,8 +65,14 @@ fn main() {
                 alpha,
                 ..DetectorConfig::default()
             };
-            let fp = detect_batch(model.clone(), cfg, &healthy);
-            let tp = detect_batch(model.clone(), cfg, &faulty);
+            let fp = detect(model.clone(), cfg, |sink| {
+                healthy.iter().for_each(|s| sink.submit(s.clone()))
+            })
+            .0;
+            let tp = detect(model.clone(), cfg, |sink| {
+                faulty.iter().for_each(|s| sink.submit(s.clone()))
+            })
+            .0;
             println!(
                 "{percentile:>10} {alpha:>8} | {:>14} {:>14} | {:>14} {:>14}",
                 fp.iter().filter(|e| e.kind.is_flow()).count(),

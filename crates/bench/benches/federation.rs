@@ -3,10 +3,12 @@
 //!
 //! Each fleet size stands up a real loopback federation (control plane,
 //! root, leaves, agents routed by the rendezvous ring), measures steady
-//! synopsis throughput, then kills one leaf mid-stream and measures how
-//! long until every orphaned host delivers again through its new leaf.
-//! Results go to `BENCH_federation.json`; a failover that is not counted
-//! exactly once, or a fleet that never re-homes, fails the run.
+//! synopsis throughput over timed rounds once every host has delivered,
+//! then kills one leaf mid-stream and measures how long until every
+//! orphaned host delivers again through its new leaf. Results go to
+//! `BENCH_federation.json` (throughput as the rounds' median and
+//! quartiles); an agent that drops a synopsis, a failover that is not
+//! counted exactly once, or a fleet that never re-homes, fails the run.
 
 use saad_bench::federation::{render_federation_json, run_federation};
 use saad_bench::full_scale;
@@ -14,10 +16,10 @@ use saad_bench::full_scale;
 fn main() {
     let per_host = if full_scale() { 5_000 } else { 1_000 };
     let hosts = 32;
-    println!("federation fleets: {hosts} hosts, {per_host} synopses/host steady phase\n");
+    println!("federation fleets: {hosts} hosts, waves of {per_host} synopses/host\n");
     println!(
-        " {:>6} {:>6} {:>12} {:>14} {:>13} {:>10}",
-        "leaves", "hosts", "synopses", "throughput/s", "orphan_hosts", "rehome_ms"
+        " {:>6} {:>6} {:>12} {:>30} {:>13} {:>10}",
+        "leaves", "hosts", "synopses", "throughput/s (q1 median q3)", "orphan_hosts", "rehome_ms"
     );
 
     let results: Vec<_> = [2usize, 4, 8]
@@ -27,9 +29,10 @@ fn main() {
         .collect();
 
     for r in &results {
+        let [q1, median, q3] = r.throughput;
         println!(
-            " {:>6} {:>6} {:>12} {:>14.0} {:>13} {:>10.1}",
-            r.leaves, r.hosts, r.steady_synopses, r.throughput, r.orphan_hosts, r.rehome_ms
+            " {:>6} {:>6} {:>12} {q1:>10.0}{median:>10.0}{q3:>10.0} {:>13} {:>10.1}",
+            r.leaves, r.hosts, r.steady_synopses, r.orphan_hosts, r.rehome_ms
         );
     }
 

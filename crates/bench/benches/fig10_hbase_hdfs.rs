@@ -14,10 +14,10 @@
 //!   region-takeover flows.
 
 use saad_bench::ledger::{self, AnomalyClass, Panel};
-use saad_bench::{minute_windows, Timeline};
+use saad_bench::{detect, minute_windows, Timeline};
 use saad_core::detector::DetectorConfig;
 use saad_core::model::ModelConfig;
-use saad_core::pipeline::{DetectorSink, ModelSink};
+use saad_core::pipeline::ModelSink;
 use saad_fault::HogSchedule;
 use saad_hbase::{HBaseCluster, HBaseConfig};
 use saad_sim::{SimDuration, SimTime};
@@ -141,24 +141,21 @@ fn main() {
         max_recovery_retries: 8,
         ..HBaseConfig::default()
     };
-    let detector = Arc::new(DetectorSink::new(
-        model,
-        DetectorConfig {
-            window: minute_windows(),
-            ..DetectorConfig::default()
-        },
-    ));
-    let mut cluster = HBaseCluster::new(cfg, detector.clone());
-    let stream = ops(
-        42,
-        s.total,
-        rate,
-        Some(Batching::new(100_000, s.batch_interval)),
-    );
-    let out = cluster.run(&stream, SimTime::from_mins(s.total));
-    let stages = cluster.instrumentation().stages_registry.clone();
-    drop(cluster); // release the cluster's sink handles
-    let events = Arc::try_unwrap(detector).expect("sole owner").finish();
+    let config = DetectorConfig {
+        window: minute_windows(),
+        ..DetectorConfig::default()
+    };
+    let (events, (out, stages)) = detect(model, config, |sink| {
+        let mut cluster = HBaseCluster::new(cfg, sink);
+        let stream = ops(
+            42,
+            s.total,
+            rate,
+            Some(Batching::new(100_000, s.batch_interval)),
+        );
+        let out = cluster.run(&stream, SimTime::from_mins(s.total));
+        (out, cluster.instrumentation().stages_registry.clone())
+    });
 
     // Regionserver panel: hosts 1..=4.
     let mut rs_tl = Timeline::new(s.total as usize);

@@ -160,7 +160,6 @@ fn measure(conns: usize) -> Row {
     let config = ReactorCollectorConfig {
         loops: std::thread::available_parallelism().map_or(2, |p| p.get().min(4)),
         recv_buffer: Some(RECV_BUFFER),
-        ..ReactorCollectorConfig::default()
     };
     let collector = ReactorCollector::bind("127.0.0.1:0", batch_tx, interner, config)
         .expect("bind reactor collector");

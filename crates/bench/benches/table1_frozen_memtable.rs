@@ -11,14 +11,13 @@
 //! run, the anomalous flow's events among them.
 
 use saad_bench::ledger::{self, AnomalyClass, Panel};
-use saad_bench::{scaled_mins, train_cassandra, workload};
+use saad_bench::{detect, scaled_mins, train_cassandra, workload};
 use saad_cassandra::{Cluster, ClusterConfig};
 use saad_core::detector::DetectorConfig;
 use saad_core::intern::SignatureInterner;
 use saad_core::model::TaskClass;
-use saad_core::pipeline::DetectorSink;
 use saad_core::report::AnomalyReport;
-use saad_core::tracker::{SynopsisSink, VecSink};
+use saad_core::tracker::VecSink;
 use saad_core::Signature;
 use saad_fault::{catalog, FaultSchedule, FaultSpec, FaultType, Intensity};
 use saad_sim::SimTime;
@@ -99,16 +98,15 @@ fn main() {
 
     // The detector over the run's synopses, in the order the cluster
     // emitted them: what it would have said live.
-    let detector = DetectorSink::new(model, DetectorConfig::default());
-    for s in synopses {
-        detector.submit(s);
-    }
+    let (events, ()) = detect(model, DetectorConfig::default(), |sink| {
+        synopses.into_iter().for_each(|s| sink.submit(s))
+    });
     let mut panel = Panel::new(
         "wal-error-high",
         AnomalyClass::Collective,
         "error on wal (high intensity) on host 4 from minute 1 to 8",
     );
-    panel.record(0, &detector.finish(), &inst.stages_registry);
+    panel.record(0, &events, &inst.stages_registry);
     ledger::write(
         "table1",
         "Table 1: the frozen-MemTable run, fast scale. cargo bench -p saad-bench --bench table1_frozen_memtable",

@@ -7,7 +7,10 @@
 //! numbers `BENCH_federation.json` reports per fleet size:
 //!
 //! 1. **Steady throughput**: synopses/second from agent submit to root
-//!    admission while every leaf is healthy.
+//!    admission while every leaf is healthy, over [`ROUNDS`] timed rounds
+//!    of at least [`ROUND`] each, reported as median and quartiles. The
+//!    clock starts only once every host has delivered at the root, so no
+//!    agent's first connect falls inside a round.
 //! 2. **Re-homing latency**: one leaf is killed (uplink severed, no
 //!    goodbye) and declared dead at the control plane; the latency is
 //!    the wall time until *every* host the dead leaf owned is delivering
@@ -25,6 +28,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Timed steady rounds per fleet size.
+pub const ROUNDS: usize = 5;
+
+/// The least wall time a steady round sends for.
+pub const ROUND: Duration = Duration::from_secs(1);
+
 /// Measured outcome of one federation run at a given fleet size.
 #[derive(Debug, Clone)]
 pub struct FederationResult {
@@ -32,12 +41,10 @@ pub struct FederationResult {
     pub leaves: usize,
     /// Agent hosts routed over the ring.
     pub hosts: usize,
-    /// Synopses admitted at the root during the steady phase.
+    /// Synopses admitted at the root over the timed rounds.
     pub steady_synopses: u64,
-    /// Wall seconds the steady phase took end to end.
-    pub steady_secs: f64,
-    /// Steady synopses / steady seconds.
-    pub throughput: f64,
+    /// Quartiles of the rounds' synopses / second: `[q1, median, q3]`.
+    pub throughput: [f64; 3],
     /// Hosts the killed leaf owned (all of them re-homed).
     pub orphan_hosts: usize,
     /// Kill → every orphan host delivering again at the root, in
@@ -60,20 +67,19 @@ fn synopsis(host: HostId, uid: u64) -> TaskSynopsis {
     }
 }
 
-fn poll_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
+/// Poll `done` every 2 ms; panic naming `what` after a minute without it.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
     let start = Instant::now();
-    while start.elapsed() < deadline {
-        if done() {
-            return true;
-        }
+    while !done() {
+        assert!(start.elapsed() < Duration::from_secs(60), "{what} stalled");
         std::thread::sleep(Duration::from_millis(2));
     }
-    done()
 }
 
 /// Run one federation at `leaves` leaf collectors: `hosts` agents send
-/// `per_host` synopses for the steady measurement, then keep trickling
-/// while one leaf is killed for the re-homing measurement.
+/// waves of `per_host` synopses each (a multiple of 50) for the steady
+/// rounds, then keep trickling while one leaf is killed for the re-homing
+/// measurement.
 pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> FederationResult {
     let control = ControlPlane::new(seed);
     let (batch_tx, batch_rx) = crossbeam_channel::unbounded::<SynopsisBatch>();
@@ -111,27 +117,40 @@ pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> 
         })
         .collect();
 
-    // Steady phase: a fixed volume per host, timed from first submit to
-    // full admission at the root.
-    let steady_total = hosts as u64 * per_host;
-    let t0 = Instant::now();
-    for (h, agent) in agents.iter().enumerate() {
-        for chunk in 0..per_host / 50 {
-            let batch = (0..50)
-                .map(|i| synopsis(HostId(h as u16), chunk * 50 + i))
-                .collect();
-            agent.send(batch);
+    // A wave: `n` synopses from every host, in frames of 50, uids on from
+    // `first`.
+    let send_wave = |first: u64, n: u64| {
+        for (h, agent) in agents.iter().enumerate() {
+            let host = HostId(h as u16);
+            for uid in (first..first + n).step_by(50) {
+                agent.send((uid..uid + 50).map(|u| synopsis(host, u)).collect());
+            }
         }
+    };
+    let admitted = || root.stats().synopses;
+
+    // Untimed warm-up: every host connects and delivers at the root.
+    send_wave(0, 50);
+    let delivered = |h| root.link_stats(HostId(h)).delivered_synopses > 0;
+    wait_for("warm-up", || (0..hosts as u16).all(delivered));
+
+    // Timed rounds: waves for at least `ROUND` with at most two in flight,
+    // each round clocked until the root has admitted all of it.
+    let (wave, warm_up) = (hosts as u64 * per_host, admitted());
+    let (mut sent, mut rates) = (warm_up, Vec::with_capacity(ROUNDS));
+    for _ in 0..ROUNDS {
+        let (t0, from) = (Instant::now(), sent);
+        while t0.elapsed() < ROUND {
+            wait_for("a wave", || admitted() + wave >= sent);
+            send_wave(sent / hosts as u64, per_host);
+            sent += wave;
+        }
+        wait_for("a round", || admitted() >= sent);
+        rates.push((sent - from) as f64 / t0.elapsed().as_secs_f64());
     }
-    let ok = poll_until(Duration::from_secs(60), || {
-        root.stats().synopses >= steady_total
-    });
-    let steady_secs = t0.elapsed().as_secs_f64();
-    assert!(
-        ok,
-        "steady phase stalled: root admitted {} of {steady_total}",
-        root.stats().synopses
-    );
+    let drops: u64 = agents.iter().map(|a| a.stats().drops.total()).sum();
+    assert_eq!(drops, 0, "agents dropped synopses");
+    let quartile = |p| saad_stats::percentile(&rates, p).expect("rounds ran");
 
     // Failover phase: every host keeps trickling fresh synopses from its
     // own thread while the victim leaf dies mid-stream.
@@ -173,24 +192,22 @@ pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> 
     victim.kill();
     control.mark_dead(victim_id);
     let t1 = Instant::now();
-    let ok = poll_until(Duration::from_secs(60), || {
+    wait_for("re-homing", || {
         orphans
             .iter()
             .zip(&baseline)
             .all(|(&h, &base)| root.link_stats(h).delivered_synopses > base)
     });
     let rehome_ms = t1.elapsed().as_secs_f64() * 1e3;
-    assert!(ok, "re-homing stalled: an orphan host never resumed");
 
     stop.store(true, Ordering::Relaxed);
     for s in senders {
         s.join().expect("sender thread");
     }
     for agent in agents {
-        match Arc::try_unwrap(agent) {
-            Ok(agent) => drop(agent.close()),
-            Err(_) => unreachable!("sender threads joined"),
-        }
+        Arc::into_inner(agent)
+            .expect("sender threads joined")
+            .close();
     }
     for leaf in fleet {
         leaf.shutdown();
@@ -201,9 +218,8 @@ pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> 
     FederationResult {
         leaves,
         hosts,
-        steady_synopses: steady_total,
-        steady_secs,
-        throughput: steady_total as f64 / steady_secs,
+        steady_synopses: sent - warm_up,
+        throughput: [quartile(25.0), quartile(50.0), quartile(75.0)],
         orphan_hosts: orphans.len(),
         rehome_ms,
         failovers: control.failovers(),
@@ -217,14 +233,16 @@ pub fn render_federation_json(results: &[FederationResult]) -> String {
     for (i, r) in results.iter().enumerate() {
         let sep = if i + 1 == results.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{ \"leaves\": {}, \"hosts\": {}, \"steady_synopses\": {}, \
-             \"steady_secs\": {:.3}, \"throughput_per_sec\": {:.0}, \"orphan_hosts\": {}, \
-             \"rehome_ms\": {:.1}, \"failovers\": {}, \"ring_epoch\": {} }}{sep}\n",
+            "    {{ \"leaves\": {}, \"hosts\": {}, \"rounds\": {ROUNDS}, \"steady_synopses\": {}, \
+             \"throughput_q1_per_sec\": {:.0}, \"throughput_median_per_sec\": {:.0}, \
+             \"throughput_q3_per_sec\": {:.0}, \"orphan_hosts\": {}, \"rehome_ms\": {:.1}, \
+             \"failovers\": {}, \"ring_epoch\": {} }}{sep}\n",
             r.leaves,
             r.hosts,
             r.steady_synopses,
-            r.steady_secs,
-            r.throughput,
+            r.throughput[0],
+            r.throughput[1],
+            r.throughput[2],
             r.orphan_hosts,
             r.rehome_ms,
             r.failovers,

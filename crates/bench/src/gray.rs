@@ -13,7 +13,7 @@
 use crate::ledger::{AnomalyClass, Panel};
 use saad_core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
 use saad_core::model::{ModelConfig, OutlierModel};
-use saad_core::pipeline::{DetectorSink, ModelSink};
+use saad_core::pipeline::ModelSink;
 use saad_fault::catalog::{gray_catalog, GrayScenario};
 use saad_relay::{RelayCluster, RelayConfig};
 use saad_sim::SimTime;
@@ -103,21 +103,18 @@ pub fn run_gray_scenario(
 ) -> ScenarioResult {
     let detector_cfg = DetectorConfig::default();
     let window = detector_cfg.window;
-    let detector = Arc::new(DetectorSink::new(model, detector_cfg));
-    let mut fleet = RelayCluster::new(cfg, detector.clone());
-    let stages = fleet.instrumentation().stages_registry.clone();
+    let (events, (out, stages)) = crate::detect(model, detector_cfg, |sink| {
+        let mut fleet = RelayCluster::new(cfg, sink);
+        fleet.attach_gray(scenario.schedule);
+        let stages = fleet.instrumentation().stages_registry.clone();
+        let mut wl = crate::workload(cfg.seed, rate);
+        (fleet.run(&mut wl, SimTime::from_mins(mins)), stages)
+    });
     let oracle_stage = *stages
         .lookup_all(&[scenario.stage])
         .unwrap_or_else(|miss| panic!("catalog stage {miss} not in the relay registry"))
         .first()
         .expect("one name resolves to one id");
-
-    fleet.attach_gray(scenario.schedule);
-    let mut wl = crate::workload(cfg.seed, rate);
-    let out = fleet.run(&mut wl, SimTime::from_mins(mins));
-    drop(fleet); // release the fleet's sink handles
-    let detector = Arc::try_unwrap(detector).expect("sole owner after run");
-    let events = detector.finish();
     let class = class(scenario.name);
     let about = match class {
         AnomalyClass::Control => format!("nothing injected in {mins} min"),

@@ -19,11 +19,11 @@ pub mod ledger;
 
 use parking_lot::Mutex;
 use saad_cassandra::{Cluster, ClusterConfig, RunOutput};
-use saad_core::batch::SynopsisBatch;
 use saad_core::codec;
-use saad_core::detector::{AnomalyDetector, AnomalyEvent, AnomalyKind, DetectorConfig};
-use saad_core::model::{ModelConfig, OutlierModel, VerdictMask};
-use saad_core::pipeline::{DetectorSink, ModelSink};
+use saad_core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
+use saad_core::intern::SignatureInterner;
+use saad_core::model::{ModelConfig, OutlierModel};
+use saad_core::pipeline::{spawn_analyzer_pool, BatchSink, ModelSink, PoolStart, SupervisorConfig};
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::tracker::SynopsisSink;
 use saad_core::{HostId, StageRegistry};
@@ -122,7 +122,7 @@ impl DrainingCollector {
         let collector = saad_net::ReactorCollector::bind(
             "127.0.0.1:0",
             batch_tx,
-            Arc::new(saad_core::intern::SignatureInterner::new()),
+            Arc::new(SignatureInterner::new()),
             saad_net::ReactorCollectorConfig {
                 loops: 1,
                 ..saad_net::ReactorCollectorConfig::default()
@@ -221,38 +221,51 @@ pub fn run_cassandra_detected(
     mins: u64,
     rate: f64,
 ) -> DetectedRun {
-    let detector = Arc::new(DetectorSink::new(model, DetectorConfig::default()));
-    let mut cluster = Cluster::new(cfg, detector.clone());
-    if let Some(f) = fault {
-        cluster.attach_fault(3, f);
-    }
-    let stages = cluster.instrumentation().stages_registry.clone();
-    let mut wl = workload(cfg.seed, rate);
-    let run = cluster.run(&mut wl, SimTime::from_mins(mins));
-    drop(cluster); // release the cluster's sink handles
-    let detector = Arc::try_unwrap(detector).expect("sole owner after run");
+    let (events, (run, stages)) = detect(model, DetectorConfig::default(), |sink| {
+        let mut cluster = Cluster::new(cfg, sink);
+        if let Some(f) = fault {
+            cluster.attach_fault(3, f);
+        }
+        let stages = cluster.instrumentation().stages_registry.clone();
+        let mut wl = workload(cfg.seed, rate);
+        (cluster.run(&mut wl, SimTime::from_mins(mins)), stages)
+    });
     DetectedRun {
-        events: detector.finish(),
+        events,
         run,
         stages,
     }
 }
 
-/// Feed a synopsis batch through a fresh detector (offline replay): one
-/// batch, one `observe_batch`, then `flush`.
-pub fn detect_batch(
+/// Detect on what `feed` submits through the production path: a
+/// [`BatchSink`] into a model-started pool of two workers, with liveness
+/// off so a crashed or finished host raises no `HostSilent`. `feed` must
+/// drop every handle to the sink it is given before it
+/// returns; that closes the stream. Returns the pool's events, stably
+/// sorted by (window start, host, stage), and what `feed` returned. A
+/// (host, stage) pair lives on one shard, so the order does not depend on
+/// how the shards' outputs interleave.
+pub fn detect<R>(
     model: Arc<OutlierModel>,
     config: DetectorConfig,
-    synopses: &[TaskSynopsis],
-) -> Vec<AnomalyEvent> {
-    let mut detector = AnomalyDetector::new(model, config);
-    let mut batch = SynopsisBatch::with_capacity(synopses.len());
-    for s in synopses {
-        batch.push_synopsis(s, detector.interner());
-    }
-    let mut events = detector.observe_batch(&batch, &mut VerdictMask::new());
-    events.extend(detector.flush());
-    events
+    feed: impl FnOnce(Arc<dyn SynopsisSink>) -> R,
+) -> (Vec<AnomalyEvent>, R) {
+    let interner = Arc::new(SignatureInterner::new());
+    let (sink, rx) = BatchSink::new(1_024, interner.clone());
+    let start = PoolStart::Model { model, interner };
+    let supervisor = SupervisorConfig {
+        silent_after: u64::MAX,
+        ..SupervisorConfig::default()
+    };
+    let pool = spawn_analyzer_pool(start, config, supervisor, 2, rx)
+        .expect("a model start needs no store");
+    let sink = Arc::new(sink);
+    let fed = feed(sink.clone());
+    drop(Arc::into_inner(sink).expect("the feed released the sink"));
+    let mut events: Vec<AnomalyEvent> = pool.events().iter().collect();
+    pool.join().expect("pool ran to completion");
+    events.sort_by_key(|e| (e.window_start, e.host, e.stage));
+    (events, fed)
 }
 
 /// ASCII timeline in the style of the paper's Figures 9 and 10: one row

@@ -1265,9 +1265,8 @@ impl AnomalyDetector {
     /// late.
     ///
     /// A batch of one row is how a caller holding one task at a time
-    /// comes in ([`DetectorSink`](crate::pipeline::DetectorSink) reuses
-    /// one). Every signature in the batch must have been interned through
-    /// this detector's own interner.
+    /// comes in. Every signature in the batch must have been interned
+    /// through this detector's own interner.
     pub fn observe_batch(
         &mut self,
         batch: &SynopsisBatch,

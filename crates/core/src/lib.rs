@@ -71,9 +71,9 @@
 //!   trackers in process, or, behind agents on the network,
 //!   `saad_net::ReactorCollector::bind` (in the `saad-net` crate), which
 //!   reads [`transport`] frames of [`codec`]-encoded synopses.
-//! * **Inline**, for deterministic simulations: a [`pipeline::DetectorSink`]
-//!   classifies and windows each synopsis as it is submitted, and a
-//!   [`pipeline::ModelSink`] trains a model from a run.
+//! * **Train inline** from a simulated run: a [`pipeline::ModelSink`]
+//!   builds the model as synopses are submitted; the run then detects
+//!   through a pool like any other stream.
 //! * **By hand**: [`detector::AnomalyDetector::observe_batch`] is the one
 //!   way into a detector, and [`detector::AnomalyDetector::flush`] closes
 //!   what is still open at the end of a run.

@@ -7,10 +7,10 @@
 //! threaded analyzer — the sharded pool — and one file per job.
 //!
 //! * `sink` — the producer edge: [`BatchSink`] behind trackers, and the
-//!   inline [`ModelSink`]/[`DetectorSink`] of the deterministic
-//!   simulators. A `BatchSink` interns at the edge, against the consuming
-//!   pool's interner, and puts a transport gap on the batch that follows
-//!   it; a collector (`saad-net`) is the other producer of pool input.
+//!   [`ModelSink`] a simulated run trains through. A `BatchSink` interns
+//!   at the edge, against the consuming pool's interner, and puts a
+//!   transport gap on the batch that follows it; a collector
+//!   (`saad-net`) is the other producer of pool input.
 //!   [`BatchSink::bounded`] caps the queue to the analyzer; an
 //!   [`OverloadPolicy`] decides what happens when it fills — in [`offer`],
 //!   which the network agent's queue calls too — and every dropped
@@ -44,7 +44,5 @@ mod supervise;
 pub use adapt::TenantRouter;
 pub use lifecycle::{LifecycleConfig, LifecycleError, SwapReport};
 pub use pool::{spawn_analyzer_pool, spawn_batch_analyzer_pool, PoolHandle, PoolStart};
-pub use sink::{
-    offer, BatchSink, DetectorSink, DropCounters, DropCounts, ModelSink, OverloadPolicy, SinkStats,
-};
+pub use sink::{offer, BatchSink, DropCounters, DropCounts, ModelSink, OverloadPolicy, SinkStats};
 pub use supervise::{AnalyzerError, SupervisorConfig};

@@ -4,9 +4,8 @@
 //! interner.
 
 use crate::batch::SynopsisBatch;
-use crate::detector::{AnomalyDetector, AnomalyEvent, DetectorConfig};
 use crate::intern::SignatureInterner;
-use crate::model::{ModelBuilder, ModelConfig, OutlierModel, VerdictMask};
+use crate::model::{ModelBuilder, ModelConfig, OutlierModel};
 use crate::synopsis::TaskSynopsis;
 use crate::tracker::SynopsisSink;
 use crate::transport::LossReport;
@@ -408,82 +407,10 @@ impl SynopsisSink for ModelSink {
     }
 }
 
-/// A sink that classifies and windows synopses inline — the single-threaded
-/// analogue of the analyzer thread, used by the deterministic simulators.
-/// Each submission is one row through
-/// [`AnomalyDetector::observe_batch`].
-#[derive(Debug)]
-pub struct DetectorSink {
-    inline: parking_lot::Mutex<Inline>,
-    events: parking_lot::Mutex<Vec<AnomalyEvent>>,
-}
-
-/// What a [`DetectorSink`] submission takes its lock for: the detector,
-/// and the one-row batch and verdict it reuses for every synopsis.
-#[derive(Debug)]
-struct Inline {
-    detector: AnomalyDetector,
-    row: SynopsisBatch,
-    verdicts: VerdictMask,
-}
-
-impl DetectorSink {
-    /// Create a sink over a fresh detector.
-    pub fn new(model: Arc<OutlierModel>, config: DetectorConfig) -> DetectorSink {
-        let inline = Inline {
-            detector: AnomalyDetector::new(model, config),
-            row: SynopsisBatch::with_capacity(1),
-            verdicts: VerdictMask::new(),
-        };
-        DetectorSink {
-            inline: parking_lot::Mutex::new(inline),
-            events: parking_lot::Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Flush remaining windows and return every event detected.
-    pub fn finish(self) -> Vec<AnomalyEvent> {
-        let mut events = self.events.into_inner();
-        events.extend(self.inline.into_inner().detector.flush());
-        events
-    }
-
-    /// Events detected so far (without flushing open windows).
-    #[cfg(test)]
-    pub fn events_so_far(&self) -> Vec<AnomalyEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Synopses observed so far.
-    pub fn tasks_seen(&self) -> u64 {
-        self.inline.lock().detector.tasks_seen()
-    }
-}
-
-impl SynopsisSink for DetectorSink {
-    fn submit(&self, synopsis: TaskSynopsis) {
-        let new_events = {
-            let mut inline = self.inline.lock();
-            let Inline {
-                detector,
-                row,
-                verdicts,
-            } = &mut *inline;
-            row.clear();
-            row.push_synopsis(&synopsis, detector.interner());
-            detector.observe_batch(row, verdicts)
-        };
-        if !new_events.is_empty() {
-            self.events.lock().extend(new_events);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::AnomalyKind;
-    use crate::testkit::{model, synopsis, synopsis_on};
+    use crate::testkit::{synopsis, synopsis_on};
     use crate::TaskUid;
     use saad_sim::SimTime;
 
@@ -512,23 +439,6 @@ mod tests {
         assert_eq!(sink.observed(), 200);
         let model = sink.build(ModelConfig::default());
         assert_eq!(model.stage_count(), 1);
-    }
-
-    #[test]
-    fn detector_sink_detects_inline() {
-        let sink = DetectorSink::new(model(), DetectorConfig::default());
-        for i in 0..60u64 {
-            sink.submit(synopsis(&[3], 1_000, SimTime::from_millis(i * 10), i));
-        }
-        assert_eq!(sink.tasks_seen(), 60);
-        assert!(sink.events_so_far().is_empty(), "window still open");
-        let events = sink.finish();
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e.kind, AnomalyKind::FlowNew(_))),
-            "events: {events:?}"
-        );
     }
 
     #[test]

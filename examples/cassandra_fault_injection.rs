@@ -9,8 +9,11 @@
 
 use saad::cassandra::{Cluster, ClusterConfig};
 use saad::core::detector::DetectorConfig;
+use saad::core::intern::SignatureInterner;
 use saad::core::model::ModelConfig;
-use saad::core::pipeline::{DetectorSink, ModelSink};
+use saad::core::pipeline::{
+    spawn_analyzer_pool, BatchSink, ModelSink, PoolStart, SupervisorConfig,
+};
 use saad::core::report::AnomalyReport;
 use saad::core::HostId;
 use saad::fault::{catalog, FaultSchedule, FaultSpec, FaultType, Intensity};
@@ -43,14 +46,21 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // ── Fault run: error on 100% of WAL appends on host 4, minutes 3–9 ──
     println!("\ninjecting error-WAL-high on host 4, minutes 3-9 of a 12-minute run...");
-    let detector = Arc::new(DetectorSink::new(model, DetectorConfig::default()));
-    let mut cluster = Cluster::new(
-        ClusterConfig {
-            seed: 99,
-            ..ClusterConfig::default()
-        },
-        detector.clone(),
-    );
+    // Detect the way a live deployment does: trackers submit to a batch
+    // sink, a sharded analyzer pool classifies and windows the stream.
+    let interner = Arc::new(SignatureInterner::new());
+    let (sink, rx) = BatchSink::new(1_024, interner.clone());
+    let start = PoolStart::Model { model, interner };
+    let supervisor = SupervisorConfig {
+        silent_after: u64::MAX, // the paper's window tests only: no HostSilent events
+        ..SupervisorConfig::default()
+    };
+    let pool = spawn_analyzer_pool(start, DetectorConfig::default(), supervisor, 2, rx)?;
+    let cfg = ClusterConfig {
+        seed: 99,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::new(cfg, Arc::new(sink));
     cluster.attach_fault(
         3,
         FaultSchedule::new(9).with_window(
@@ -62,8 +72,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     let stages = cluster.instrumentation().stages_registry.clone();
     let points = cluster.instrumentation().points_registry.clone();
     let out = cluster.run(&mut workload(2), SimTime::from_mins(12));
-    drop(cluster); // release the cluster's sink handles
-    let events = Arc::try_unwrap(detector).expect("sole owner").finish();
+    drop(cluster); // drops the sink: the stream ends and the pool drains
+    let mut events: Vec<_> = pool.events().iter().collect();
+    pool.join()?;
+    // Shards report as their windows close; read them in time order.
+    events.sort_by_key(|e| (e.window_start, e.host, e.stage));
 
     // ── Report ──────────────────────────────────────────────────────────
     println!(

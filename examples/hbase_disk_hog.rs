@@ -7,8 +7,11 @@
 //! ```
 
 use saad::core::detector::DetectorConfig;
+use saad::core::intern::SignatureInterner;
 use saad::core::model::ModelConfig;
-use saad::core::pipeline::{DetectorSink, ModelSink};
+use saad::core::pipeline::{
+    spawn_analyzer_pool, BatchSink, ModelSink, PoolStart, SupervisorConfig,
+};
 use saad::fault::HogSchedule;
 use saad::hbase::{HBaseCluster, HBaseConfig};
 use saad::sim::{SimDuration, SimTime};
@@ -59,13 +62,23 @@ fn main() -> Result<(), Box<dyn Error>> {
         max_recovery_retries: 6,
         ..HBaseConfig::default()
     };
-    let detector = Arc::new(DetectorSink::new(model, DetectorConfig::default()));
-    let mut cluster = HBaseCluster::new(cfg, detector.clone());
+    // Detect the way a live deployment does: trackers submit to a batch
+    // sink, a sharded analyzer pool classifies and windows the stream.
+    let interner = Arc::new(SignatureInterner::new());
+    let (sink, rx) = BatchSink::new(1_024, interner.clone());
+    let start = PoolStart::Model { model, interner };
+    let supervisor = SupervisorConfig {
+        silent_after: u64::MAX, // the paper's window tests only: no HostSilent events
+        ..SupervisorConfig::default()
+    };
+    let pool = spawn_analyzer_pool(start, DetectorConfig::default(), supervisor, 2, rx)?;
+    let mut cluster = HBaseCluster::new(cfg, Arc::new(sink));
     let stream = ops(43, 15);
     let out = cluster.run(&stream, SimTime::from_mins(15));
     let stages = cluster.instrumentation().stages_registry.clone();
-    drop(cluster); // release the cluster's sink handles
-    let events = Arc::try_unwrap(detector).expect("sole owner").finish();
+    drop(cluster); // drops the sink: the stream ends and the pool drains
+    let events: Vec<_> = pool.events().iter().collect();
+    pool.join()?;
 
     // ── Summarize per stage(host), paper style ──────────────────────────
     let mut per_row: BTreeMap<String, (usize, usize)> = BTreeMap::new();

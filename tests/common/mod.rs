@@ -1,11 +1,14 @@
 //! What the wire tests share beyond `saad::core::testkit`: the collector's
-//! side of an agent connection (`mod common;` in each).
+//! side of an agent connection and the one poll loop (`mod common;` in
+//! each; a suite uses what it needs of them).
+#![allow(dead_code)]
 
 use saad::net::protocol::{
     decode_hello, encode_hello_ack, HelloAck, RejectReason, HELLO_LEN, NO_SEQ, PROTOCOL_VERSION,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 /// The collector's side of one agent connection, up to the first frame:
 /// accept, read the hello, acknowledge it as a collector with no history
@@ -28,4 +31,14 @@ pub fn accept_agent(listener: &TcpListener) -> TcpStream {
         .write_all(&encode_hello_ack(&ack, hello.version))
         .expect("ack");
     stream
+}
+
+/// Poll `done` every 2 ms until it holds, failing the test with `what` if
+/// `deadline` passes first.
+pub fn wait_for(what: &str, deadline: Duration, mut done: impl FnMut() -> bool) {
+    let start = Instant::now();
+    while !done() {
+        assert!(start.elapsed() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }

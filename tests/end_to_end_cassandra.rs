@@ -4,11 +4,12 @@
 use saad::cassandra::{Cluster, ClusterConfig};
 use saad::core::detector::{AnomalyEvent, DetectorConfig};
 use saad::core::model::ModelConfig;
-use saad::core::pipeline::{DetectorSink, ModelSink};
+use saad::core::pipeline::ModelSink;
 use saad::core::{HostId, StageRegistry};
 use saad::fault::{catalog, FaultSchedule, FaultSpec, FaultType, Intensity};
 use saad::sim::SimTime;
 use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};
+use saad_bench::detect;
 use std::sync::Arc;
 
 fn workload(seed: u64) -> WorkloadGenerator {
@@ -37,43 +38,39 @@ fn detect_with_fault(
     Arc<StageRegistry>,
     saad::cassandra::RunOutput,
 ) {
-    let detector = Arc::new(DetectorSink::new(model, DetectorConfig::default()));
-    let mut cluster = Cluster::new(
-        ClusterConfig {
-            seed,
-            ..ClusterConfig::default()
-        },
-        detector.clone(),
-    );
-    cluster.attach_fault(
-        3,
-        FaultSchedule::new(seed).with_window(
-            SimTime::from_mins(mins / 3),
-            SimTime::from_mins(mins),
-            fault,
-        ),
-    );
-    let stages = cluster.instrumentation().stages_registry.clone();
-    let out = cluster.run(&mut workload(seed + 1), SimTime::from_mins(mins));
-    drop(cluster);
-    let events = Arc::try_unwrap(detector).expect("sole owner").finish();
+    let (events, (stages, out)) = detect(model, DetectorConfig::default(), |sink| {
+        let mut cluster = Cluster::new(
+            ClusterConfig {
+                seed,
+                ..ClusterConfig::default()
+            },
+            sink,
+        );
+        cluster.attach_fault(
+            3,
+            FaultSchedule::new(seed).with_window(
+                SimTime::from_mins(mins / 3),
+                SimTime::from_mins(mins),
+                fault,
+            ),
+        );
+        let stages = cluster.instrumentation().stages_registry.clone();
+        let out = cluster.run(&mut workload(seed + 1), SimTime::from_mins(mins));
+        (stages, out)
+    });
     (events, stages, out)
 }
 
 #[test]
 fn healthy_run_stays_quiet() {
     let model = trained_model(6);
-    let detector = Arc::new(DetectorSink::new(model, DetectorConfig::default()));
-    let mut cluster = Cluster::new(
-        ClusterConfig {
+    let (events, out) = detect(model, DetectorConfig::default(), |sink| {
+        let cfg = ClusterConfig {
             seed: 77,
             ..ClusterConfig::default()
-        },
-        detector.clone(),
-    );
-    let out = cluster.run(&mut workload(78), SimTime::from_mins(6));
-    drop(cluster);
-    let events = Arc::try_unwrap(detector).expect("sole owner").finish();
+        };
+        Cluster::new(cfg, sink).run(&mut workload(78), SimTime::from_mins(6))
+    });
     // A handful of false positives is expected (the paper measures them);
     // a healthy run must not light up like a faulted one.
     assert!(

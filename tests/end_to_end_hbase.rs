@@ -3,11 +3,12 @@
 
 use saad::core::detector::{AnomalyKind, DetectorConfig};
 use saad::core::model::ModelConfig;
-use saad::core::pipeline::{DetectorSink, ModelSink};
+use saad::core::pipeline::ModelSink;
 use saad::fault::HogSchedule;
 use saad::hbase::{HBaseCluster, HBaseConfig};
 use saad::sim::{SimDuration, SimTime};
 use saad::workload::{KeyChooser, OperationMix, WorkloadGenerator};
+use saad_bench::detect;
 use std::sync::Arc;
 
 fn ops(seed: u64, mins: u64) -> Vec<saad::workload::Operation> {
@@ -45,13 +46,11 @@ fn severe_hog_crashes_a_regionserver_and_saad_sees_the_cascade() {
         max_recovery_retries: 5,
         ..HBaseConfig::default()
     };
-    let detector = Arc::new(DetectorSink::new(model, DetectorConfig::default()));
-    let mut cluster = HBaseCluster::new(cfg, detector.clone());
-    let stream = ops(62, 13);
-    let out = cluster.run(&stream, SimTime::from_mins(13));
-    let stages = cluster.instrumentation().stages_registry.clone();
-    drop(cluster);
-    let events = Arc::try_unwrap(detector).expect("sole owner").finish();
+    let (events, (out, stages)) = detect(model, DetectorConfig::default(), |sink| {
+        let mut cluster = HBaseCluster::new(cfg, sink);
+        let out = cluster.run(&ops(62, 13), SimTime::from_mins(13));
+        (out, cluster.instrumentation().stages_registry.clone())
+    });
 
     assert!(out.crashed.iter().any(|&c| c), "a regionserver must abort");
     // RecoverBlocks flow anomaly on the Data Node side (paper Fig 10b).
@@ -82,13 +81,11 @@ fn major_compaction_is_a_false_positive_when_unseen_in_training() {
         major_compaction_at: Some(SimTime::from_mins(3)),
         ..HBaseConfig::default()
     };
-    let detector = Arc::new(DetectorSink::new(model, DetectorConfig::default()));
-    let mut cluster = HBaseCluster::new(cfg, detector.clone());
-    let stream = ops(72, 6);
-    let out = cluster.run(&stream, SimTime::from_mins(6));
-    let stages = cluster.instrumentation().stages_registry.clone();
-    drop(cluster);
-    let events = Arc::try_unwrap(detector).expect("sole owner").finish();
+    let (events, (out, stages)) = detect(model, DetectorConfig::default(), |sink| {
+        let mut cluster = HBaseCluster::new(cfg, sink);
+        let out = cluster.run(&ops(72, 6), SimTime::from_mins(6));
+        (out, cluster.instrumentation().stages_registry.clone())
+    });
 
     assert!(out.rs_stats.iter().any(|r| r.major_compactions > 0));
     let cr = stages.lookup("CompactionRequest").expect("registered");
@@ -123,13 +120,11 @@ fn training_with_major_compaction_removes_the_false_positive() {
         major_compaction_at: Some(SimTime::from_mins(3)),
         ..HBaseConfig::default()
     };
-    let detector = Arc::new(DetectorSink::new(model, DetectorConfig::default()));
-    let mut cluster = HBaseCluster::new(cfg, detector.clone());
-    let stream = ops(72, 6);
-    cluster.run(&stream, SimTime::from_mins(6));
-    let stages = cluster.instrumentation().stages_registry.clone();
-    drop(cluster);
-    let events = Arc::try_unwrap(detector).expect("sole owner").finish();
+    let (events, stages) = detect(model, DetectorConfig::default(), |sink| {
+        let mut cluster = HBaseCluster::new(cfg, sink);
+        cluster.run(&ops(72, 6), SimTime::from_mins(6));
+        cluster.instrumentation().stages_registry.clone()
+    });
     let cr = stages.lookup("CompactionRequest").expect("registered");
     assert!(
         !events

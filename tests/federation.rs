@@ -23,6 +23,9 @@
 //!   decodable reject and terminates cleanly with every queued synopsis
 //!   accounted as disconnected.
 
+mod common;
+
+use common::wait_for;
 use crossbeam_channel::{unbounded, Sender};
 use saad::core::batch::SynopsisBatch;
 use saad::core::detector::{AnomalyEvent, DetectorConfig};
@@ -85,14 +88,6 @@ fn drain_events(pool: PoolHandle) -> Vec<AnomalyEvent> {
     }
     pool.join().unwrap();
     events
-}
-
-fn wait_for(what: &str, deadline: Duration, mut done: impl FnMut() -> bool) {
-    let start = Instant::now();
-    while !done() {
-        assert!(start.elapsed() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(2));
-    }
 }
 
 /// The §5.5 severe-hog HBase capture (same scenario as the TCP e2e).

@@ -12,6 +12,9 @@
 //!   200 ms checkpoint stall must then surface as a performance anomaly
 //!   on the checkpoint stage — the detector catching its own subsystem.
 
+mod common;
+
+use common::wait_for;
 use crossbeam_channel::unbounded;
 use saad::core::batch::SynopsisBatch;
 use saad::core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
@@ -172,20 +175,22 @@ fn scrape_endpoint_serves_live_metrics_from_pool_and_wire() {
     // the latency family before the written count, so a write finishing
     // mid-scrape shows in the count alone: read the histogram from the
     // next scrape.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let (_, body) = scrape(server.local_addr());
-        if sample_value(&body, "saad_checkpoints_written_total") >= 1.0 {
+    wait_for(
+        "a checkpoint to become visible",
+        Duration::from_secs(30),
+        || {
             let (_, body) = scrape(server.local_addr());
-            assert!(sample_value(&body, "saad_checkpoint_write_latency_us_count") >= 1.0);
-            assert!(sample_value(&body, "saad_pool_detecting") == 1.0);
-            break;
-        }
-        assert!(Instant::now() < deadline, "no checkpoint became visible");
-        // Checkpoints land at batch boundaries; nudge the idle router.
-        let _ = batch_tx.send(SynopsisBatch::new());
-        std::thread::sleep(Duration::from_millis(20));
-    }
+            let written = sample_value(&body, "saad_checkpoints_written_total") >= 1.0;
+            if !written {
+                // Checkpoints land at batch boundaries; nudge the idle router.
+                let _ = batch_tx.send(SynopsisBatch::new());
+            }
+            written
+        },
+    );
+    let (_, body) = scrape(server.local_addr());
+    assert!(sample_value(&body, "saad_checkpoint_write_latency_us_count") >= 1.0);
+    assert!(sample_value(&body, "saad_pool_detecting") == 1.0);
     assert!(server.scrapes_served() >= 2);
 
     // Frames that land together go to the pool together: a peer writing
@@ -306,15 +311,9 @@ fn run_meta_monitored_pool(
     // The router has exited, but the dedicated writer thread drains its
     // checkpoint queue asynchronously (each save is a real fsync, and
     // phase B stalls each one); wait for the durable count to land.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while pool.checkpoints_written() < 8 {
-        assert!(
-            Instant::now() < deadline,
-            "too few checkpoints: {}",
-            pool.checkpoints_written()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for("eight durable checkpoints", Duration::from_secs(60), || {
+        pool.checkpoints_written() >= 8
+    });
     pool.join().unwrap();
     meta_sink.drain()
 }

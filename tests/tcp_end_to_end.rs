@@ -26,6 +26,9 @@
 //! window edges, rows the stream's content fixes. So every oracle here is
 //! fed fixed 48-row batches, whatever cuts the wire path made.
 
+mod common;
+
+use common::wait_for;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use saad::core::batch::SynopsisBatch;
 use saad::core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
@@ -364,11 +367,11 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
     for batch in &batches[..half] {
         agent.send(batch.clone());
     }
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while collector_a.stats().synopses < first_half_len as u64 {
-        assert!(Instant::now() < deadline, "collector A stalled");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_for(
+        "collector A to take the first half",
+        Duration::from_secs(30),
+        || collector_a.stats().synopses >= first_half_len as u64,
+    );
 
     // Kill the collector mid-stream, keeping its link state.
     let state = collector_a.shutdown();
@@ -387,30 +390,23 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
     // must reveal.
     let doomed = &batches[half];
     agent.send(doomed.clone());
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let s = agent.stats();
-        // Accounted either way: written into a dead socket or failed.
-        if s.synopses_written + s.synopses_wire_lost >= (first_half_len + doomed.len()) as u64 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "doomed batch never accounted");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_for(
+        "the doomed batch to be accounted",
+        Duration::from_secs(30),
+        || {
+            let s = agent.stats();
+            // Accounted either way: written into a dead socket or failed.
+            s.synopses_written + s.synopses_wire_lost >= (first_half_len + doomed.len()) as u64
+        },
+    );
 
     // Restart on the same port, adopting the predecessor's link state.
-    let listener = {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match TcpListener::bind(("127.0.0.1", port)) {
-                Ok(l) => break l,
-                Err(e) => {
-                    assert!(Instant::now() < deadline, "rebind failed: {e}");
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        }
-    };
+    let mut listener = None;
+    wait_for("the port to rebind", Duration::from_secs(10), || {
+        listener = TcpListener::bind(("127.0.0.1", port)).ok();
+        listener.is_some()
+    });
+    let listener = listener.expect("rebound");
     let collector_b = ReactorCollector::serve_soa(
         listener,
         state,
@@ -432,14 +428,14 @@ fn collector_restart_resume_accounts_exactly_one_gap() {
         agent_stats.synopses_written + agent_stats.synopses_wire_lost,
         total
     );
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while collector_b.link_stats(frame_host).delivered_synopses
-        + collector_b.link_stats(frame_host).lost_synopses
-        < total
-    {
-        assert!(Instant::now() < deadline, "collector B stalled");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_for(
+        "collector B to account the rest",
+        Duration::from_secs(30),
+        || {
+            let link = collector_b.link_stats(frame_host);
+            link.delivered_synopses + link.lost_synopses >= total
+        },
+    );
 
     // --- Exactness: one contiguous gap, fully reconciled, no dups -----
     let link = collector_b.link_stats(frame_host);
@@ -574,40 +570,25 @@ fn run_through_proxy(
     }
     // Quiesce: every frame the agent managed to write has either been
     // admitted, rejected, or provably swallowed once counters agree.
-    let agent_stats = {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
+    let settled = || {
+        let link = collector.link_stats(frame_host);
+        proxy.counts().forwarded
+            == link.delivered_frames + link.duplicate_frames + collector.stats().corrupted_frames
+    };
+    wait_for(
+        "the proxy pipeline to settle",
+        Duration::from_secs(30),
+        || {
             let s = agent.stats();
             let done = s.synopses_written + s.synopses_wire_lost + s.drops.total()
                 >= (batches.len() * BATCH) as u64;
-            let proxied = proxy.counts();
-            let link = collector.link_stats(frame_host);
-            let settled = proxied.forwarded
-                == link.delivered_frames
-                    + link.duplicate_frames
-                    + collector.stats().corrupted_frames;
-            let forwarded = !forwards_all || proxied.forwarded == batches.len() as u64;
-            if done && settled && forwarded {
-                break;
-            }
-            assert!(Instant::now() < deadline, "proxy pipeline never settled");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        agent.close()
-    };
+            let forwarded = !forwards_all || proxy.counts().forwarded == batches.len() as u64;
+            done && settled() && forwarded
+        },
+    );
+    let agent_stats = agent.close();
     // Let any final in-flight frame drain.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let proxied = proxy.counts();
-        let link = collector.link_stats(frame_host);
-        if proxied.forwarded
-            == link.delivered_frames + link.duplicate_frames + collector.stats().corrupted_frames
-        {
-            break;
-        }
-        assert!(Instant::now() < deadline, "tail never drained");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_for("the tail to drain", Duration::from_secs(10), settled);
     let counts = proxy.shutdown();
     let link = collector.link_stats(frame_host);
     let corrupted = collector.stats().corrupted_frames;
