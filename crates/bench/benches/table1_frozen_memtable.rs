@@ -55,7 +55,7 @@ fn main() {
             continue;
         }
         let sig = interner.intern_synopsis(s);
-        let class = compiled.classify(s.stage, sig, s.duration.as_micros() as f64);
+        let class = compiled.classify(s.stage, sig, s.duration.as_micros());
         let e = by_signature.entry(s.signature()).or_insert((0, class));
         e.0 += 1;
     }

@@ -56,7 +56,7 @@ pub struct SynopsisBatch {
     /// Interned flow signatures.
     pub sigs: Vec<SigId>,
     /// Task durations in microseconds.
-    pub durations_us: Vec<f64>,
+    pub durations_us: Vec<u64>,
     /// Task start times.
     pub starts: Vec<SimTime>,
     /// Stream watermark after each element (running max of starts).
@@ -206,7 +206,7 @@ impl SynopsisBatch {
         self.hosts.push(synopsis.host);
         self.stages.push(synopsis.stage);
         self.sigs.push(sig);
-        self.durations_us.push(synopsis.duration.as_micros() as f64);
+        self.durations_us.push(synopsis.duration.as_micros());
         self.starts.push(synopsis.start);
         self.watermarks.push(watermark);
     }
@@ -380,7 +380,7 @@ mod tests {
         assert_eq!(f.stage, StageId(2));
         assert_eq!(f.uid, TaskUid(7));
         assert_eq!(f.start, SimTime::from_micros(120));
-        assert!((f.duration_us - 40.0).abs() < f64::EPSILON);
+        assert_eq!(f.duration_us, 40);
         assert_eq!(f.sig, interner.intern_synopsis(&s));
     }
 
@@ -414,7 +414,7 @@ mod tests {
             host: HostId(host),
             stage: StageId((uid % 7) as u16),
             sig: SigId(uid as u32),
-            duration_us: uid as f64 * 0.5,
+            duration_us: uid / 2,
             start: SimTime::from_micros(uid),
         }
     }

@@ -337,7 +337,7 @@ pub fn decode_batch_into(
         batch.hosts.push(head.host);
         batch.stages.push(head.stage);
         batch.sigs.push(sig);
-        batch.durations_us.push(head.duration.as_micros() as f64);
+        batch.durations_us.push(head.duration.as_micros());
         batch.starts.push(start);
         batch.watermarks.push(watermark);
     }

@@ -661,7 +661,7 @@ impl OpenWindows {
 /// windows.
 ///
 /// Internally the detector runs entirely on interned [`SigId`]s against a
-/// [`CompiledModel`]: classification is two array indexes and a float
+/// [`CompiledModel`]: classification is two array indexes and an integer
 /// compare, and window accumulators key on `u32` ids. Signatures are
 /// only materialized when an event is emitted at window close.
 ///
@@ -2934,7 +2934,7 @@ mod tests {
                 // Whatever is stale closes first; the straggler is alone.
                 self.close_stale(out);
             }
-            let dur = if slow { 5_000.0 } else { 1_100.0 };
+            let dur = if slow { 5_000 } else { 1_100 };
             let class = self.compiled.classify(StageId(stage), sig, dur);
             let eligible = self.compiled.perf_p0(StageId(stage), sig).is_some();
             let mut window = match alone {

@@ -15,7 +15,7 @@ use saad_sim::SimTime;
 ///
 /// * **signature** captures the task's logical behaviour (which code paths
 ///   ran);
-/// * **duration** (in microseconds, as a float for the statistics)
+/// * **duration** (in integer microseconds, as the synopsis carries it)
 ///   captures its performance behaviour.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InternedFeature {
@@ -28,7 +28,7 @@ pub struct InternedFeature {
     /// Interned signature id (relative to the interner used to build it).
     pub sig: SigId,
     /// Duration (start → last log point) in microseconds.
-    pub duration_us: f64,
+    pub duration_us: u64,
     /// Task start time, used for detection windowing.
     pub start: SimTime,
 }
@@ -43,7 +43,7 @@ impl InternedFeature {
             host: s.host,
             stage: s.stage,
             sig: interner.intern_synopsis(s),
-            duration_us: s.duration.as_micros() as f64,
+            duration_us: s.duration.as_micros(),
             start: s.start,
         }
     }

@@ -18,9 +18,10 @@ use crate::synopsis::TaskSynopsis;
 use crate::{Signature, StageId};
 use bytes::{BufMut, Bytes, BytesMut};
 use saad_stats::kfold::validate_percentile_threshold;
-use saad_stats::percentile_nan_below;
+use saad_stats::quantile::floor_percentile_of_sorted;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::RangeBounds;
 
 /// A configuration parameter outside its valid domain, reported by
 /// [`ModelConfig::validate`] and
@@ -160,9 +161,9 @@ pub struct SignatureModel {
     pub share: f64,
     /// Whether the signature is a flow outlier (share below rank cutoff).
     pub is_flow_outlier: bool,
-    /// Duration threshold in µs; `None` when the signature was excluded
-    /// from performance detection (too few samples or failed k-fold).
-    pub duration_threshold_us: Option<f64>,
+    /// Duration threshold in µs, floored; `None` when the signature was
+    /// excluded from performance detection (too few samples or failed k-fold).
+    pub duration_threshold_us: Option<u64>,
     /// Fraction of training tasks above the threshold (≈ 1 − percentile).
     pub training_perf_outlier_rate: f64,
 }
@@ -206,7 +207,7 @@ impl StageModel {
 #[derive(Debug, Default)]
 pub struct ModelBuilder {
     // durations in µs per (stage, signature)
-    groups: HashMap<StageId, HashMap<Signature, Vec<f64>>>,
+    groups: HashMap<StageId, HashMap<Signature, Vec<u64>>>,
     observed: u64,
 }
 
@@ -218,14 +219,14 @@ impl ModelBuilder {
 
     /// Add one training synopsis.
     pub fn observe(&mut self, synopsis: &TaskSynopsis) {
-        let duration_us = synopsis.duration.as_micros() as f64;
+        let duration_us = synopsis.duration.as_micros();
         self.observe_parts(synopsis.stage, &synopsis.signature(), duration_us);
     }
 
     /// Add one training observation from already-destructured parts, for
     /// retrain paths that keep `(stage, signature, duration)` triples
     /// instead of whole synopses.
-    pub fn observe_parts(&mut self, stage: StageId, signature: &Signature, duration_us: f64) {
+    pub fn observe_parts(&mut self, stage: StageId, signature: &Signature, duration_us: u64) {
         self.observed += 1;
         let sigs = self.groups.entry(stage).or_default();
         // `entry(sig.clone())` would clone the boxed signature on every
@@ -292,11 +293,10 @@ impl ModelBuilder {
                     .map(|o| !o.is_unstable(config.kfold_tolerance))
                     .unwrap_or(false);
                     if stable {
-                        // NaN-safe: a corrupt duration sorts below the
-                        // threshold instead of panicking a release-path
-                        // retrain (NaN→below, matching `classify_batch`).
-                        let threshold = percentile_nan_below(durations, config.duration_percentile)
-                            .expect("non-empty group");
+                        let mut sorted = durations.clone();
+                        sorted.sort_unstable();
+                        let threshold =
+                            floor_percentile_of_sorted(&sorted, config.duration_percentile);
                         let above = durations.iter().filter(|&&d| d > threshold).count() as f64;
                         duration_threshold_us = Some(threshold);
                         training_perf_outlier_rate = above / durations.len() as f64;
@@ -402,7 +402,7 @@ impl OutlierModel {
     ///
     /// Every training signature is interned into `interner`; the
     /// resulting [`CompiledModel`] classifies with two array indexes and
-    /// a float compare — no hashing, no locks — and is immutable, so it
+    /// an integer compare — no hashing, no locks — and is immutable, so it
     /// can be shared across analyzer shards behind an `Arc`. Signatures
     /// interned *after* compilation get ids beyond the compiled tables
     /// and classify as [`TaskClass::NewSignature`], exactly like a
@@ -471,10 +471,9 @@ impl OutlierModel {
         // catches ids interned after compilation), plus a shared all-New
         // fallback row at offset 0 for untrained / out-of-range stages.
         // Every entry is `(threshold, class-if-below, class-if-above,
-        // slot)`; non-performance entries use an infinite threshold so the
-        // compare always picks the below class (NaN durations compare
-        // false too, matching the oracle's `duration > threshold` test),
-        // and carry no slot.
+        // slot)`; non-performance entries use a `u64::MAX` threshold, which
+        // no duration is above, so the compare always picks the below
+        // class, and carry no slot.
         let row_len = sig_table_len + 1;
         let trained = stages.iter().filter(|s| s.is_some()).count();
         let mut flat = FlatTables::with_capacity(row_len * (trained + 1));
@@ -530,7 +529,7 @@ impl OutlierModel {
                 match m.duration_threshold_us {
                     Some(t) => {
                         buf.put_u8(1);
-                        put_f64(buf, t);
+                        put_f64(buf, t as f64);
                     }
                     None => buf.put_u8(0),
                 }
@@ -548,7 +547,8 @@ impl OutlierModel {
     /// checkpoint store's CRC framing catches corruption before this
     /// runs; these errors guard against logic-level format drift): a
     /// configuration [`ModelConfig::validate`] refuses, a proportion
-    /// outside `[0, 1]` or a stage id wider than 16 bits.
+    /// outside `[0, 1]`, a threshold outside `[0, 2^64]` (floored; 2^64 is
+    /// how `u64::MAX` encodes) or a stage id wider than 16 bits.
     pub fn decode_from(buf: &mut Bytes) -> Result<OutlierModel, DecodeError> {
         let config = ModelConfig {
             flow_rank_percentile: get_f64(buf)?,
@@ -567,14 +567,6 @@ impl OutlierModel {
                 _ => config.kfold as u64,
             })
         })?;
-        let get_proportion = |buf: &mut Bytes| {
-            let p = get_f64(buf)?;
-            if (0.0..=1.0).contains(&p) {
-                Ok(p)
-            } else {
-                Err(DecodeError::LengthOutOfRange(p.to_bits()))
-            }
-        };
         let stage_count = get_varint(buf)?;
         if stage_count > u16::MAX as u64 + 1 {
             return Err(DecodeError::LengthOutOfRange(stage_count));
@@ -583,7 +575,7 @@ impl OutlierModel {
         for _ in 0..stage_count {
             let stage = StageId(id16(get_varint(buf)?)?);
             let task_count = get_varint(buf)?;
-            let flow_outlier_rate = get_proportion(buf)?;
+            let flow_outlier_rate = get_f64_in(buf, 0.0..=1.0)?;
             let sig_count = get_varint(buf)?;
             if sig_count > MAX_MODEL_SIGNATURES {
                 return Err(DecodeError::LengthOutOfRange(sig_count));
@@ -593,14 +585,14 @@ impl OutlierModel {
                 let points = crate::codec::get_points(buf)?;
                 let sig = Signature::from_points(points);
                 let count = get_varint(buf)?;
-                let share = get_proportion(buf)?;
+                let share = get_f64_in(buf, 0.0..=1.0)?;
                 let is_flow_outlier = get_u8(buf)? != 0;
                 let duration_threshold_us = if get_u8(buf)? != 0 {
-                    Some(get_f64(buf)?)
+                    Some(get_f64_in(buf, 0.0..=u64::MAX as f64)?.floor() as u64)
                 } else {
                     None
                 };
-                let training_perf_outlier_rate = get_proportion(buf)?;
+                let training_perf_outlier_rate = get_f64_in(buf, 0.0..=1.0)?;
                 signatures.insert(
                     sig,
                     SignatureModel {
@@ -629,9 +621,18 @@ impl OutlierModel {
 /// decoder.
 const MAX_MODEL_SIGNATURES: u64 = 1 << 24;
 
+/// An `f64` of a model's bytes, refused outside `range` (as NaN is).
+fn get_f64_in(buf: &mut Bytes, range: impl RangeBounds<f64>) -> Result<f64, DecodeError> {
+    let v = get_f64(buf)?;
+    if range.contains(&v) {
+        return Ok(v);
+    }
+    Err(DecodeError::LengthOutOfRange(v.to_bits()))
+}
+
 /// The flat tables [`OutlierModel::compile`] builds, column by column.
 struct FlatTables {
-    thresholds: Vec<f64>,
+    thresholds: Vec<u64>,
     below: Vec<u8>,
     above: Vec<u8>,
     slot: Vec<u32>,
@@ -649,9 +650,9 @@ impl FlatTables {
 
     fn push(&mut self, entry: CompiledSig) {
         let (threshold, lo, hi, slot) = match entry {
-            CompiledSig::New => (f64::INFINITY, CLASS_NEW, CLASS_NEW, None),
-            CompiledSig::Flow => (f64::INFINITY, CLASS_FLOW, CLASS_FLOW, None),
-            CompiledSig::Normal => (f64::INFINITY, CLASS_NORMAL, CLASS_NORMAL, None),
+            CompiledSig::New => (u64::MAX, CLASS_NEW, CLASS_NEW, None),
+            CompiledSig::Flow => (u64::MAX, CLASS_FLOW, CLASS_FLOW, None),
+            CompiledSig::Normal => (u64::MAX, CLASS_NORMAL, CLASS_NORMAL, None),
             CompiledSig::Perf {
                 threshold_us, slot, ..
             } => (threshold_us, CLASS_NORMAL, CLASS_PERF, Some(slot as usize)),
@@ -676,7 +677,7 @@ enum CompiledSig {
     /// Trained common signature with a stable duration threshold.
     Perf {
         /// Duration threshold in µs.
-        threshold_us: f64,
+        threshold_us: u64,
         /// Training outlier proportion, pre-floored at
         /// `1 − duration_percentile/100` (the detector's null rate).
         p0: f64,
@@ -698,8 +699,8 @@ struct CompiledStage {
 /// A dense, read-only compilation of an [`OutlierModel`].
 ///
 /// Produced by [`OutlierModel::compile`]; classification is two array
-/// indexes and a float compare. Immutable and `Sync` — share it across
-/// analyzer shards with `Arc`.
+/// indexes and a compare of integer µs. Immutable and `Sync` — share it
+/// across analyzer shards with `Arc`.
 ///
 /// # Example
 ///
@@ -713,7 +714,7 @@ struct CompiledStage {
 /// let compiled = model.compile(&interner);
 /// let sig = interner.intern(&Signature::empty());
 /// assert_eq!(
-///     compiled.classify(StageId(0), sig, 10.0),
+///     compiled.classify(StageId(0), sig, 10),
 ///     TaskClass::NewSignature,
 /// );
 /// ```
@@ -724,8 +725,8 @@ pub struct CompiledModel {
     /// every untrained stage) points at the shared all-New row 0.
     row_index: Box<[u32]>,
     /// Concatenated per-stage rows of `sig_cap + 1` duration thresholds
-    /// (infinite for entries without a performance threshold).
-    flat_thresholds: Box<[f64]>,
+    /// in µs (`u64::MAX` for entries without a performance threshold).
+    flat_thresholds: Box<[u64]>,
     /// Class code when `duration <= threshold`, parallel to
     /// `flat_thresholds`.
     flat_below: Box<[u8]>,
@@ -898,7 +899,7 @@ impl CompiledModel {
     /// (`OutlierModel::classify`, `testkit` feature) on the model this was
     /// compiled from, ids resolved through the same interner — the oracle
     /// of [`CompiledModel::classify_batch`].
-    pub fn classify(&self, stage: StageId, sig: SigId, duration_us: f64) -> TaskClass {
+    pub fn classify(&self, stage: StageId, sig: SigId, duration_us: u64) -> TaskClass {
         match self.entry(stage, sig) {
             CompiledSig::New => TaskClass::NewSignature,
             CompiledSig::Flow => TaskClass::FlowOutlier,
@@ -917,12 +918,10 @@ impl CompiledModel {
     /// pass, writing packed verdicts into `out` (which is reset to the
     /// batch length, reusing its buffer).
     ///
-    /// Per element the loop does two clamped table indexes and one float
+    /// Per element the loop does two clamped table indexes and one integer
     /// compare — no hashing, no enum matching, no data-dependent
     /// branches — and agrees exactly with [`CompiledModel::classify`] on
-    /// every input, including NaN and zero durations (NaN compares
-    /// not-above, so it classifies like an in-threshold duration, same
-    /// as the oracle).
+    /// every input.
     ///
     /// # Panics
     ///
@@ -931,7 +930,7 @@ impl CompiledModel {
         &self,
         stages: &[StageId],
         sigs: &[SigId],
-        durations_us: &[f64],
+        durations_us: &[u64],
         out: &mut VerdictMask,
     ) {
         self.classify_into::<false>(stages, sigs, durations_us, out);
@@ -944,7 +943,7 @@ impl CompiledModel {
         &self,
         stages: &[StageId],
         sigs: &[SigId],
-        durations_us: &[f64],
+        durations_us: &[u64],
         out: &mut VerdictMask,
     ) {
         self.classify_into::<true>(stages, sigs, durations_us, out);
@@ -955,7 +954,7 @@ impl CompiledModel {
         &self,
         stages: &[StageId],
         sigs: &[SigId],
-        durations_us: &[f64],
+        durations_us: &[u64],
         out: &mut VerdictMask,
     ) {
         let len = stages.len();
@@ -1217,19 +1216,23 @@ mod tests {
         let mut stages = Vec::new();
         let mut sigs = Vec::new();
         let mut durations = Vec::new();
+        let sig = Signature::from_points([1, 2, 4, 5].map(LogPointId));
+        let t = model.stage(StageId(0)).unwrap().signatures[&sig]
+            .duration_threshold_us
+            .unwrap();
         // 67 elements (spans word boundaries) over every class and edge
-        // duration: zero, NaN, infinity, exactly-at-threshold.
-        let cases: Vec<(u16, SigId, f64)> = vec![
-            (0, common, 10_000.0),
-            (0, common, 80_000.0),
-            (0, rare, 10_000.0),
-            (0, late, 5.0),
-            (42, common, 10.0),
-            (0, common, 0.0),
-            (0, common, f64::NAN),
-            (0, common, f64::INFINITY),
-            (0, rare, f64::NAN),
-            (42, late, f64::NAN),
+        // duration: zero, the largest, exactly at and just above threshold.
+        let cases: Vec<(u16, SigId, u64)> = vec![
+            (0, common, 10_000),
+            (0, common, 80_000),
+            (0, rare, 10_000),
+            (0, late, 5),
+            (42, common, 10),
+            (0, common, 0),
+            (0, common, t),
+            (0, common, t + 1),
+            (0, common, u64::MAX),
+            (42, late, u64::MAX),
         ];
         for i in 0..67 {
             let (stage, sig, dur) = cases[i % cases.len()];
@@ -1266,6 +1269,12 @@ mod tests {
         let collected: Vec<TaskClass> = mask.iter().collect();
         assert_eq!(collected.len(), 67);
         assert_eq!(collected[1], TaskClass::PerformanceOutlier);
+        let (normal, perf) = (TaskClass::Normal, TaskClass::PerformanceOutlier);
+        assert_eq!(
+            collected[6..9],
+            [normal, perf, perf],
+            "at, above t; u64::MAX"
+        );
         // A reused mask resets cleanly between batches.
         compiled.classify_batch(&stages[..3], &sigs[..3], &durations[..3], &mut mask);
         assert_eq!(mask.len(), 3);
@@ -1295,7 +1304,7 @@ mod tests {
         // Interned only at runtime — id beyond every compiled table.
         let late = interner.intern(&Signature::from_points([LogPointId(77)]));
         assert_eq!(
-            compiled.classify(StageId(0), late, 1.0),
+            compiled.classify(StageId(0), late, 1),
             TaskClass::NewSignature
         );
         assert_eq!(compiled.perf_p0(StageId(0), late), None);
@@ -1368,7 +1377,11 @@ mod tests {
         // Hand-written bytes of a model with one stage and one signature.
         // No encoder writes these values; decoded, each would restore
         // cleanly and then panic every shard at its first window close.
-        let model = |duration_percentile: f64, flow_rate: f64, share: f64, perf_rate: f64| {
+        let model = |duration_percentile: f64,
+                     flow_rate: f64,
+                     share: f64,
+                     threshold: f64,
+                     perf_rate: f64| {
             let mut buf = BytesMut::new();
             put_f64(&mut buf, 99.0);
             put_f64(&mut buf, duration_percentile);
@@ -1385,19 +1398,58 @@ mod tests {
             put_f64(&mut buf, share);
             buf.put_u8(0);
             buf.put_u8(1);
-            put_f64(&mut buf, 250.0);
+            put_f64(&mut buf, threshold);
             put_f64(&mut buf, perf_rate);
             OutlierModel::decode_from(&mut buf.freeze())
         };
-        let decoded = model(99.0, 0.005, 0.995, 0.01).expect("the valid original");
+        let decoded = model(99.0, 0.005, 0.995, 250.0, 0.01).expect("the valid original");
         assert_eq!(decoded.flow_outlier_rate(StageId(0)), 0.005);
+        // A fractional threshold, as builds before integer thresholds
+        // wrote them, is floored and gives every duration its old verdict.
+        let decoded = model(99.0, 0.005, 0.995, 250.7, 0.01).expect("a fractional threshold");
+        let sig = Signature::from_points([LogPointId(1), LogPointId(2)]);
+        let group = &decoded.stage(StageId(0)).unwrap().signatures[&sig];
+        assert_eq!(group.duration_threshold_us, Some(250));
+        let interner = SignatureInterner::new();
+        let compiled = decoded.compile(&interner);
+        let id = interner.intern(&sig);
+        assert_eq!(compiled.classify(StageId(0), id, 250), TaskClass::Normal);
+        assert_eq!(
+            compiled.classify(StageId(0), id, 251),
+            TaskClass::PerformanceOutlier
+        );
+        // 2^64 is what `u64::MAX` encodes as, and what a threshold trained
+        // next to it is: both restore.
+        let decoded = model(99.0, 0.005, 0.995, 18_446_744_073_709_551_616.0, 0.01).expect("2^64");
+        let group = &decoded.stage(StageId(0)).unwrap().signatures[&sig];
+        assert_eq!(group.duration_threshold_us, Some(u64::MAX));
+        let mut b = ModelBuilder::new();
+        (0..100).for_each(|d| b.observe_parts(StageId(0), &sig, u64::MAX - d));
+        let trained = b.build(ModelConfig::default());
+        let group = &trained.stage(StageId(0)).unwrap().signatures[&sig];
+        assert_eq!(group.duration_threshold_us, Some(u64::MAX));
+        let mut buf = BytesMut::new();
+        trained.encode_into(&mut buf);
+        assert_eq!(OutlierModel::decode_from(&mut buf.freeze()), Ok(trained));
         for (case, result) in [
-            ("NaN flow rate", model(99.0, f64::NAN, 0.995, 0.01)),
-            ("perf rate 1.5", model(99.0, 0.005, 0.995, 1.5)),
-            ("share -0.1", model(99.0, 0.005, -0.1, 0.01)),
+            ("NaN flow rate", model(99.0, f64::NAN, 0.995, 250.0, 0.01)),
+            ("perf rate 1.5", model(99.0, 0.005, 0.995, 250.0, 1.5)),
+            ("share -0.1", model(99.0, 0.005, -0.1, 250.0, 0.01)),
             (
                 "duration percentile -100",
-                model(-100.0, 0.005, 0.995, 0.01),
+                model(-100.0, 0.005, 0.995, 250.0, 0.01),
+            ),
+            // Each would restore a group that classifies every duration
+            // Normal (NaN, +∞) or every one, 0 µs included, an outlier.
+            ("NaN threshold", model(99.0, 0.005, 0.995, f64::NAN, 0.01)),
+            ("threshold -5", model(99.0, 0.005, 0.995, -5.0, 0.01)),
+            (
+                "infinite threshold",
+                model(99.0, 0.005, 0.995, f64::INFINITY, 0.01),
+            ),
+            (
+                "threshold 2^65",
+                model(99.0, 0.005, 0.995, 36_893_488_147_419_103_232.0, 0.01),
             ),
         ] {
             let err = result.expect_err(case);
@@ -1406,6 +1458,28 @@ mod tests {
                 "{case}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_trained_threshold_is_the_floored_percentile() {
+        let mut b = ModelBuilder::new();
+        for d in 1..=100 {
+            b.observe(&synopsis(0, &[1], d, d));
+        }
+        let model = b.build(ModelConfig::default());
+        let sig = Signature::from_points([LogPointId(1)]);
+        // The type-7 p99 of 1..=100 is 99.01.
+        let group = &model.stage(StageId(0)).unwrap().signatures[&sig];
+        assert_eq!(group.duration_threshold_us, Some(99));
+        assert_eq!(model.perf_outlier_rate(StageId(0), &sig), Some(0.01));
+        let interner = SignatureInterner::new();
+        let compiled = model.compile(&interner);
+        let id = interner.intern(&sig);
+        assert_eq!(compiled.classify(StageId(0), id, 99), TaskClass::Normal);
+        assert_eq!(
+            compiled.classify(StageId(0), id, 100),
+            TaskClass::PerformanceOutlier
+        );
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl AdaptState {
     /// Called after *every* successful swap — drift-triggered, manual,
     /// or bootstrap promotion — so "no drift" always means "like the
     /// live model's training window".
-    pub(super) fn on_swap(&mut self, ring: &VecDeque<(StageId, SigId, f64)>) {
+    pub(super) fn on_swap(&mut self, ring: &VecDeque<(StageId, SigId, u64)>) {
         self.base_sketch = QuantileSketch::new(SKETCH_ALPHA);
         self.base_sigs = DecayedFrequency::new();
         for &(_, sig, duration_us) in ring {
@@ -261,13 +261,13 @@ mod tests {
     }
 
     /// What a swap trains on here: one signature at 1 ms.
-    fn ring() -> VecDeque<(StageId, SigId, f64)> {
-        (0..100).map(|_| (StageId(0), SigId(0), 1_000.0)).collect()
+    fn ring() -> VecDeque<(StageId, SigId, u64)> {
+        (0..100).map(|_| (StageId(0), SigId(0), 1_000)).collect()
     }
 
     /// A window of `tasks` tasks at `duration_us`, closed by the edge
     /// into the next window; what `close` then says.
-    fn window(state: &mut AdaptState, tasks: u64, duration_us: f64) -> bool {
+    fn window(state: &mut AdaptState, tasks: u64, duration_us: u64) -> bool {
         for i in 0..tasks {
             state.absorb(&InternedFeature {
                 uid: TaskUid(i),
@@ -291,21 +291,21 @@ mod tests {
         let (mut adapt, obs) = state();
         // No baseline before the first swap: full windows carry no
         // evidence and cannot trip.
-        assert!(!window(&mut adapt, FULL, 1_000.0));
-        assert!(!window(&mut adapt, FULL, 50_000.0));
+        assert!(!window(&mut adapt, FULL, 1_000));
+        assert!(!window(&mut adapt, FULL, 50_000));
         assert_eq!(obs.adapt_windows.load(Ordering::SeqCst), 0);
 
         adapt.on_swap(&ring());
         // The first window after a swap feeds both tests: a quiet one.
-        assert!(!window(&mut adapt, FULL, 1_000.0));
+        assert!(!window(&mut adapt, FULL, 1_000));
         assert_eq!(adapt.ph_duration.observations(), 1);
         assert!(!adapt.retrain_due());
         // The next window trips on the evidence the first fed: the ring is
         // to be dropped, a retrain is pending.
-        assert!(window(&mut adapt, FULL, 5_000.0));
+        assert!(window(&mut adapt, FULL, 5_000));
         assert!(adapt.retrain_due());
         // A trip while pending does not drop the ring a second time.
-        assert!(!window(&mut adapt, FULL, 5_000.0));
+        assert!(!window(&mut adapt, FULL, 5_000));
         assert!(adapt.ph_duration.statistic() > PH_LAMBDA);
         assert!(adapt.retrain_due());
 
@@ -313,7 +313,7 @@ mod tests {
         // window feeds the tests, which stay tripped.
         adapt.drift_retrain_done(false);
         assert!(!adapt.retrain_due());
-        assert!(!window(&mut adapt, FULL, 5_000.0));
+        assert!(!window(&mut adapt, FULL, 5_000));
         assert_eq!(adapt.ph_duration.observations(), 4);
         assert!(adapt.ph_duration.statistic() > PH_LAMBDA);
         assert!(adapt.retrain_due());
@@ -325,7 +325,7 @@ mod tests {
 
         // Only windows with evidence count: a sparse one, and an edge that
         // skips empty ones, do not.
-        assert!(!window(&mut adapt, FULL - 1, 1_000.0));
+        assert!(!window(&mut adapt, FULL - 1, 1_000));
         assert!(!adapt.close());
         assert_eq!(obs.adapt_windows.load(Ordering::SeqCst), 4);
 
@@ -333,7 +333,7 @@ mod tests {
         // drifts: a reset test's first observation carries no evidence.
         // So a swap needs no cooldown of its own.
         adapt.on_swap(&ring());
-        assert!(!window(&mut adapt, FULL, 50_000.0));
+        assert!(!window(&mut adapt, FULL, 50_000));
         assert_eq!(adapt.ph_duration.statistic(), 0.0);
         assert_eq!(adapt.ph_flow.statistic(), 0.0);
     }
@@ -346,8 +346,8 @@ mod tests {
         // next one would, and the retry is due after it.
         let (mut adapt, obs) = state();
         adapt.on_swap(&ring());
-        assert!(!window(&mut adapt, FULL, 1_000.0));
-        assert!(window(&mut adapt, FULL, 5_000.0));
+        assert!(!window(&mut adapt, FULL, 1_000));
+        assert!(window(&mut adapt, FULL, 5_000));
         adapt.drift_retrain_done(false);
         assert!(!adapt.retrain_due());
         assert!(!adapt.close());
@@ -355,7 +355,7 @@ mod tests {
         assert_eq!(obs.adapt_windows.load(Ordering::SeqCst), 2);
         // An edge after a sparse window ends the wait too.
         adapt.drift_retrain_done(false);
-        assert!(!window(&mut adapt, FULL - 1, 5_000.0));
+        assert!(!window(&mut adapt, FULL - 1, 5_000));
         assert!(adapt.retrain_due());
         assert_eq!(obs.adapt_windows.load(Ordering::SeqCst), 2);
     }

@@ -264,7 +264,7 @@ struct TenantLifecycle {
     /// duration) instead of whole cloned synopses: no per-element heap
     /// allocation. Signatures are resolved back through the shared
     /// interner only on the (cold) retrain path.
-    ring: VecDeque<(StageId, SigId, f64)>,
+    ring: VecDeque<(StageId, SigId, u64)>,
     seen: u64,
     next_attempt: u64,
     /// Drift detection state, present when [`LifecycleConfig::adapt`] is
@@ -310,7 +310,7 @@ impl TenantLifecycle {
         // Whole-window stability gate: if even the pooled duration
         // distribution cannot support a stable percentile threshold, the
         // traffic window is too heterogeneous to train from.
-        let durations: Vec<f64> = self.ring.iter().map(|&(_, _, d)| d).collect();
+        let durations: Vec<u64> = self.ring.iter().map(|&(_, _, d)| d).collect();
         let outcome = saad_stats::kfold::validate_percentile_threshold(
             &durations,
             mc.kfold,

@@ -68,7 +68,7 @@ pub fn reference_run(
 ///
 /// * **signature** captures the task's logical behaviour (which code paths
 ///   ran);
-/// * **duration** (in microseconds, as a float for the statistics)
+/// * **duration** (in integer microseconds, as the synopsis carries it)
 ///   captures its performance behaviour.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeatureVector {
@@ -81,7 +81,7 @@ pub struct FeatureVector {
     /// Set of distinct log points visited.
     pub signature: Signature,
     /// Duration (start → last log point) in microseconds.
-    pub duration_us: f64,
+    pub duration_us: u64,
     /// Task start time, used for detection windowing.
     pub start: SimTime,
 }
@@ -108,7 +108,7 @@ impl From<&TaskSynopsis> for FeatureVector {
             host: s.host,
             stage: s.stage,
             signature: s.signature(),
-            duration_us: s.duration.as_micros() as f64,
+            duration_us: s.duration.as_micros(),
             start: s.start,
         }
     }
@@ -434,7 +434,7 @@ mod tests {
         let f = FeatureVector::from(&s);
         assert_eq!(f.uid, TaskUid(77));
         assert_eq!(f.stage, StageId(9));
-        assert_eq!(f.duration_us, 12_345.0);
+        assert_eq!(f.duration_us, 12_345);
         assert_eq!(
             f.signature,
             Signature::from_points([LogPointId(1), LogPointId(5)])
@@ -451,7 +451,7 @@ mod tests {
         let via_vector = FeatureVector::from(&s).intern(&interner);
         assert_eq!(direct, via_vector);
         assert_eq!(interner.resolve(direct.sig), Some(s.signature()));
-        assert_eq!(direct.duration_us, 12_345.0);
+        assert_eq!(direct.duration_us, 12_345);
         assert_eq!(direct.start, SimTime::from_millis(100));
     }
 

@@ -7,7 +7,7 @@
 //! out fold, and discard the signature when the average held-out outlier
 //! rate is significantly higher than the nominal rate.
 
-use crate::quantile::percentile_of_sorted;
+use crate::quantile::floor_percentile_of_sorted;
 
 /// Deterministically split `n` items into `k` contiguous folds of
 /// near-equal size. Returns `(start, end)` index pairs.
@@ -60,12 +60,12 @@ impl KFoldOutcome {
     }
 }
 
-/// Run k-fold validation of a `p`-th percentile threshold over `durations`.
+/// Run k-fold validation of a `p`-th percentile threshold over µs `durations`.
 ///
-/// For each fold: the threshold is the `p`-th percentile of the remaining
-/// folds; the held-out outlier rate is the fraction of the fold strictly
-/// above that threshold. Returns `None` when there are not enough samples
-/// to form at least two non-empty folds.
+/// For each fold: the threshold is the floored `p`-th percentile of the
+/// other folds, as the model's is; the held-out outlier rate is the share
+/// of the fold strictly above it. Returns `None` when there are not enough
+/// samples to form at least two non-empty folds.
 ///
 /// Durations are shuffled deterministically by a simple multiplicative hash
 /// of their index so that time-correlated streams don't bias the folds; the
@@ -74,7 +74,7 @@ impl KFoldOutcome {
 /// # Panics
 ///
 /// Panics if `k == 0` or `p` is outside `[0, 100]`.
-pub fn validate_percentile_threshold(durations: &[f64], k: usize, p: f64) -> Option<KFoldOutcome> {
+pub fn validate_percentile_threshold(durations: &[u64], k: usize, p: f64) -> Option<KFoldOutcome> {
     assert!(k > 0);
     assert!((0.0..=100.0).contains(&p));
     if durations.len() < k.max(2) {
@@ -83,7 +83,7 @@ pub fn validate_percentile_threshold(durations: &[f64], k: usize, p: f64) -> Opt
     // Deterministic interleave to decorrelate folds from arrival order.
     let mut idx: Vec<usize> = (0..durations.len()).collect();
     idx.sort_by_key(|&i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ (i >> 3));
-    let shuffled: Vec<f64> = idx.iter().map(|&i| durations[i]).collect();
+    let shuffled: Vec<u64> = idx.iter().map(|&i| durations[i]).collect();
 
     let bounds = fold_bounds(shuffled.len(), k);
     let mut rates = Vec::with_capacity(bounds.len());
@@ -91,14 +91,14 @@ pub fn validate_percentile_threshold(durations: &[f64], k: usize, p: f64) -> Opt
         if e == s {
             continue;
         }
-        let mut train: Vec<f64> = Vec::with_capacity(shuffled.len() - (e - s));
+        let mut train: Vec<u64> = Vec::with_capacity(shuffled.len() - (e - s));
         train.extend_from_slice(&shuffled[..s]);
         train.extend_from_slice(&shuffled[e..]);
         if train.is_empty() {
             continue;
         }
-        train.sort_by(|a, b| a.partial_cmp(b).expect("NaN duration"));
-        let threshold = percentile_of_sorted(&train, p);
+        train.sort_unstable();
+        let threshold = floor_percentile_of_sorted(&train, p);
         let outliers = shuffled[s..e].iter().filter(|&&d| d > threshold).count();
         rates.push(outliers as f64 / (e - s) as f64);
     }
@@ -155,7 +155,7 @@ mod tests {
     fn tight_distribution_is_stable() {
         // Concentrated durations: p99 threshold generalizes, held-out rate
         // stays near the nominal 1%.
-        let durations: Vec<f64> = (0..5000).map(|i| 10.0 + (i % 100) as f64 * 0.01).collect();
+        let durations: Vec<u64> = (0..5000).map(|i| 1_000 + i % 100).collect();
         let out = validate_percentile_threshold(&durations, 10, 99.0).unwrap();
         assert!(!out.is_unstable(3.0), "rate={}", out.mean_heldout_rate);
     }
@@ -166,11 +166,11 @@ mod tests {
         // lands inside the tail and the held-out rate stays near nominal.
         let mut durations = Vec::new();
         for i in 0..1000u64 {
-            let x = ((i * 2654435761) % 1000) as f64 / 1000.0;
-            durations.push(if x > 0.9 {
-                1e4 * (1.0 + x * 1e3)
+            let x = (i * 2654435761) % 1000;
+            durations.push(if x > 900 {
+                10_000_000 * (1 + x)
             } else {
-                10.0 + x
+                10_000 + x
             });
         }
         let out = validate_percentile_threshold(&durations, 5, 99.0).unwrap();
@@ -182,8 +182,8 @@ mod tests {
         // With few, widely spread samples, a p99 threshold is essentially
         // the training max and held-out extremes routinely exceed it: the
         // signature cannot support percentile thresholding (paper §3.3.2).
-        let durations: Vec<f64> = (0..25u64)
-            .map(|i| ((i * 7919) % 10007) as f64 + ((i * 104729) % 97) as f64 / 100.0)
+        let durations: Vec<u64> = (0..25u64)
+            .map(|i| (i * 7919) % 10007 * 100 + (i * 104729) % 97)
             .collect();
         let out = validate_percentile_threshold(&durations, 5, 99.0).unwrap();
         assert!(out.is_unstable(3.0), "rate={}", out.mean_heldout_rate);
@@ -191,14 +191,14 @@ mod tests {
 
     #[test]
     fn too_few_samples_is_none() {
-        assert!(validate_percentile_threshold(&[1.0], 5, 99.0).is_none());
+        assert!(validate_percentile_threshold(&[1], 5, 99.0).is_none());
         assert!(validate_percentile_threshold(&[], 5, 99.0).is_none());
     }
 
     proptest! {
         #[test]
         fn heldout_rate_is_a_probability(
-            xs in proptest::collection::vec(0.0f64..1e6, 10..500),
+            xs in proptest::collection::vec(0u64..1_000_000, 10..500),
             k in 2usize..10,
         ) {
             if let Some(out) = validate_percentile_threshold(&xs, k, 99.0) {

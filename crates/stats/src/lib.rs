@@ -17,6 +17,10 @@
 //!   relative-error quantile sketch ([`sketch`]), signature-frequency
 //!   counting ([`decay`]), and Page-Hinkley change detection ([`drift`]).
 //!
+//! Durations are integer µs (`u64`), as the synopsis carries them: k-fold
+//! validation and the sketch take them so, and a performance threshold is
+//! their [`quantile::floor_percentile_of_sorted`]. No duration is NaN.
+//!
 //! # Example
 //!
 //! ```
@@ -44,5 +48,5 @@ pub use decay::DecayedFrequency;
 pub use descriptive::{OnlineStats, Summary};
 pub use drift::PageHinkley;
 pub use hypothesis::{one_sided_proportion_test, Alternative, TestResult};
-pub use quantile::{percentile, percentile_nan_below};
+pub use quantile::percentile;
 pub use sketch::QuantileSketch;

@@ -3,7 +3,8 @@
 //! SAAD's outlier model is built almost entirely out of percentiles: the
 //! flow-outlier cutoff is a percentile *rank* over signature frequencies and
 //! the performance-outlier threshold is the 99th percentile of per-signature
-//! durations (paper §3.3.2).
+//! durations (paper §3.3.2). Durations are integer µs, so that threshold is
+//! [`floor_percentile_of_sorted`]: an integer, and no sample is NaN.
 
 /// Empirical percentile with linear interpolation between order statistics
 /// (the "linear" / type-7 method used by R's default `quantile`).
@@ -36,44 +37,6 @@ pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
     Some(percentile_of_sorted(&sorted, p))
 }
 
-/// Non-panicking variant of [`percentile`]: NaN values sort *below*
-/// everything else instead of panicking, matching the detector's
-/// `classify_batch` semantics (a NaN duration can never exceed a
-/// threshold, so it counts as "below"). Model building routes through
-/// this so a single corrupt duration cannot take down a release-path
-/// retrain.
-///
-/// # Panics
-///
-/// Still panics if `p` is outside `[0, 100]` — that is a caller bug, not
-/// a data-quality issue.
-///
-/// # Example
-///
-/// ```
-/// let xs = [f64::NAN, 10.0, 20.0];
-/// // NaN sorts first, so the max is still 20.
-/// assert_eq!(saad_stats::quantile::percentile_nan_below(&xs, 100.0), Some(20.0));
-/// assert!(saad_stats::quantile::percentile_nan_below(&xs, 0.0).unwrap().is_nan());
-/// ```
-pub fn percentile_nan_below(xs: &[f64], p: f64) -> Option<f64> {
-    assert!(
-        (0.0..=100.0).contains(&p),
-        "percentile requires p in [0,100], got {p}"
-    );
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| match (a.is_nan(), b.is_nan()) {
-        (true, true) => std::cmp::Ordering::Equal,
-        (true, false) => std::cmp::Ordering::Less,
-        (false, true) => std::cmp::Ordering::Greater,
-        (false, false) => a.partial_cmp(b).expect("both non-NaN"),
-    });
-    Some(percentile_of_sorted(&sorted, p))
-}
-
 /// Same as [`percentile`] but assumes `sorted` is already ascending, avoiding
 /// the copy. Useful when many quantiles are read from the same data.
 ///
@@ -81,19 +44,36 @@ pub fn percentile_nan_below(xs: &[f64], p: f64) -> Option<f64> {
 ///
 /// Panics on an empty slice or `p` outside `[0, 100]`.
 pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile_of_sorted requires data");
+    interpolate(sorted.len(), p, |i| sorted[i])
+}
+
+/// [`percentile_of_sorted`] of ascending integer samples (durations in
+/// µs) read as `f64`, floored. For an integer `d`, `d > t` holds exactly
+/// when `d > ⌊t⌋`, so the floor keeps every strict compare of a sample.
+///
+/// # Panics
+///
+/// Panics on an empty slice or `p` outside `[0, 100]`.
+pub fn floor_percentile_of_sorted(sorted: &[u64], p: f64) -> u64 {
+    interpolate(sorted.len(), p, |i| sorted[i] as f64).floor() as u64
+}
+
+/// Type-7 interpolation between the order statistics `at(lo)` and
+/// `at(hi)` of `len` ascending samples.
+fn interpolate(len: usize, p: f64, at: impl Fn(usize) -> f64) -> f64 {
+    assert!(len > 0, "percentile_of_sorted requires data");
     assert!((0.0..=100.0).contains(&p));
-    if sorted.len() == 1 {
-        return sorted[0];
+    if len == 1 {
+        return at(0);
     }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let rank = p / 100.0 * (len - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let w = rank - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
+        at(lo) * (1.0 - w) + at(hi) * w
     }
 }
 
@@ -179,6 +159,14 @@ mod tests {
     }
 
     #[test]
+    fn floor_percentile_floors_the_type7_value() {
+        let us: Vec<u64> = (1..=10).collect();
+        assert_eq!(floor_percentile_of_sorted(&us, 99.0), 9); // 9.91
+        assert_eq!(floor_percentile_of_sorted(&us, 100.0), 10);
+        assert_eq!(floor_percentile_of_sorted(&[7], 50.0), 7);
+    }
+
+    #[test]
     fn percentile_single_value() {
         assert_eq!(percentile(&[42.0], 73.0), Some(42.0));
     }
@@ -187,28 +175,6 @@ mod tests {
     #[should_panic]
     fn percentile_rejects_out_of_range() {
         percentile(&[1.0], 101.0);
-    }
-
-    #[test]
-    fn nan_below_matches_percentile_on_clean_data() {
-        let xs = [15.0, 20.0, 35.0, 40.0, 50.0];
-        for p in [0.0, 25.0, 50.0, 99.0, 100.0] {
-            assert_eq!(percentile(&xs, p), percentile_nan_below(&xs, p));
-        }
-    }
-
-    #[test]
-    fn nan_below_does_not_panic_and_keeps_upper_tail() {
-        let xs = [f64::NAN, 5.0, f64::NAN, 1.0, 9.0];
-        // NaNs occupy the two lowest ranks; the top of the range is intact.
-        assert_eq!(percentile_nan_below(&xs, 100.0), Some(9.0));
-        assert_eq!(percentile_nan_below(&xs, 50.0), Some(1.0));
-        assert!(percentile_nan_below(&xs, 0.0).unwrap().is_nan());
-    }
-
-    #[test]
-    fn nan_below_empty_is_none() {
-        assert_eq!(percentile_nan_below(&[], 50.0), None);
     }
 
     #[test]

@@ -10,30 +10,26 @@
 //!
 //! # Error bound
 //!
-//! With accuracy parameter `alpha` (`0 < alpha < 1`), bucket boundaries
-//! grow by `gamma = (1 + alpha) / (1 - alpha)` and each bucket's
-//! representative value is the geometric mid-point, so every recorded
-//! value `v >= MIN_VALUE` is reported within relative error `alpha`:
-//! `|estimate - v| <= alpha * v`. Consequently, for a percentile query the
-//! estimate lies within relative error `alpha` of the interval spanned by
-//! the two order statistics that the exact [`crate::percentile`]
-//! interpolates between — the property the proptests below pin down.
-//! Values in `[0, MIN_VALUE)` (and NaN, which sorts *below* everything,
-//! matching the detector's `classify_batch` semantics) collapse into a
-//! dedicated zero bucket reported as `0.0`.
+//! Samples are integer durations in µs. With accuracy parameter `alpha`
+//! (`0 < alpha < 1`), bucket boundaries grow by
+//! `gamma = (1 + alpha) / (1 - alpha)` and each bucket's representative
+//! value is the geometric mid-point, so every recorded sample `v >= 1` is
+//! reported within relative error `alpha`: `|estimate - v| <= alpha * v`.
+//! Consequently, for a percentile query the estimate lies within relative
+//! error `alpha` of the interval spanned by the two order statistics that
+//! the exact [`crate::percentile`] interpolates between — the property the
+//! proptests below pin down. Zero samples go to a dedicated zero bucket
+//! reported as `0.0`.
 
 use std::collections::BTreeMap;
-
-/// Values below this threshold (and NaN) collapse into the zero bucket.
-pub const MIN_VALUE: f64 = 1e-9;
 
 /// Default accuracy parameter: 1% relative error.
 pub const DEFAULT_ALPHA: f64 = 0.01;
 
 /// A log-linear quantile sketch (DDSketch-style).
 ///
-/// Records non-negative samples (durations in µs, sizes in bytes, …) and
-/// answers percentile queries with relative error at most `alpha`. Bounded
+/// Records integer samples (durations in µs) and answers percentile
+/// queries with relative error at most `alpha`. Bounded
 /// memory: one `(i32, u64)` entry per occupied geometric bucket.
 ///
 /// # Example
@@ -43,7 +39,7 @@ pub const DEFAULT_ALPHA: f64 = 0.01;
 ///
 /// let mut sk = QuantileSketch::new(0.01);
 /// for v in 1..=1000 {
-///     sk.record(v as f64);
+///     sk.record(v);
 /// }
 /// let p99 = sk.percentile(99.0).unwrap();
 /// assert!((p99 - 990.0).abs() <= 0.01 * 990.0 + 1.0);
@@ -56,13 +52,13 @@ pub struct QuantileSketch {
     /// Occupied buckets: index → sample count. A `BTreeMap` keeps keys
     /// ordered so quantile walks and serialization are deterministic.
     buckets: BTreeMap<i32, u64>,
-    /// Samples in `[0, MIN_VALUE)` plus NaN (reported as `0.0`).
+    /// Zero samples (reported as `0.0`).
     zero_count: u64,
     /// Total recorded samples, including the zero bucket.
     count: u64,
     /// Exact extrema, used to clamp estimates to the observed range.
-    min: f64,
-    max: f64,
+    min: u64,
+    max: u64,
 }
 
 impl QuantileSketch {
@@ -83,8 +79,8 @@ impl QuantileSketch {
             buckets: BTreeMap::new(),
             zero_count: 0,
             count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
+            min: u64::MAX,
+            max: 0,
         }
     }
 
@@ -108,7 +104,7 @@ impl QuantileSketch {
         self.buckets.len()
     }
 
-    /// Bucket index for a value `>= MIN_VALUE`.
+    /// Bucket index for a value `>= 1`.
     fn key(&self, v: f64) -> i32 {
         (v.ln() / self.ln_gamma).ceil() as i32
     }
@@ -121,28 +117,16 @@ impl QuantileSketch {
         2.0 * (self.ln_gamma * key as f64).exp() / (gamma + 1.0)
     }
 
-    /// Record one sample. NaN and values below [`MIN_VALUE`] go to the
-    /// zero bucket (reported as `0.0`) — they never panic.
-    pub fn record(&mut self, v: f64) {
-        self.record_n(v, 1);
-    }
-
-    /// Record `n` identical samples in one update.
-    pub fn record_n(&mut self, v: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.count += n;
-        if v.is_nan() || v < MIN_VALUE {
-            self.zero_count += n;
-            let clamped = if v.is_nan() { 0.0 } else { v.max(0.0) };
-            self.min = self.min.min(clamped);
-            self.max = self.max.max(clamped);
-            return;
-        }
+    /// Record one sample; a zero goes to the zero bucket.
+    pub fn record(&mut self, v: u64) {
+        self.count += 1;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        *self.buckets.entry(self.key(v)).or_insert(0) += n;
+        if v == 0 {
+            self.zero_count += 1;
+        } else {
+            *self.buckets.entry(self.key(v as f64)).or_insert(0) += 1;
+        }
     }
 
     /// Estimate the `p`-th percentile (`p` in `[0, 100]`, matching
@@ -175,20 +159,19 @@ impl QuantileSketch {
                 // Clamp to the observed range: the geometric mid-point of
                 // the first/last bucket can stick out past the true
                 // extrema while staying within the alpha bound.
-                return Some(self.value(key).clamp(self.min, self.max));
+                return Some(self.value(key).clamp(self.min as f64, self.max as f64));
             }
         }
-        Some(self.max)
+        Some(self.max as f64)
     }
 
-    /// Smallest recorded sample (`0.0` floor for sub-threshold values).
-    /// `None` when empty.
-    pub fn min(&self) -> Option<f64> {
+    /// Smallest recorded sample. `None` when empty.
+    pub fn min(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Largest recorded sample. `None` when empty.
-    pub fn max(&self) -> Option<f64> {
+    pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
     }
 }
@@ -209,17 +192,17 @@ mod tests {
     /// estimate must lie within relative error `alpha` of the interval
     /// spanned by the two order statistics the exact method interpolates
     /// between.
-    fn assert_within_bound(xs: &[f64], p: f64, alpha: f64) {
+    fn assert_within_bound(xs: &[u64], p: f64, alpha: f64) {
         let mut sk = QuantileSketch::new(alpha);
         for &v in xs {
             sk.record(v);
         }
         let est = sk.percentile(p).unwrap();
         let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        sorted.sort_unstable();
         let rank = p / 100.0 * (sorted.len() - 1) as f64;
-        let lo = sorted[rank.floor() as usize];
-        let hi = sorted[rank.ceil() as usize];
+        let lo = sorted[rank.floor() as usize] as f64;
+        let hi = sorted[rank.ceil() as usize] as f64;
         let eps = 1e-9;
         assert!(
             est >= lo * (1.0 - alpha) - eps && est <= hi * (1.0 + alpha) + eps,
@@ -240,18 +223,18 @@ mod tests {
     #[test]
     fn single_value_round_trips_within_alpha() {
         let mut sk = QuantileSketch::new(0.01);
-        sk.record(1234.5);
+        sk.record(1234);
         let est = sk.percentile(50.0).unwrap();
-        assert!((est - 1234.5).abs() <= 0.01 * 1234.5);
+        assert!((est - 1234.0).abs() <= 0.01 * 1234.0);
     }
 
     #[test]
-    fn nan_and_negatives_go_below_everything() {
+    fn zeros_go_below_everything() {
         let mut sk = QuantileSketch::new(0.01);
-        sk.record(f64::NAN);
-        sk.record(-3.0);
-        sk.record(100.0);
-        sk.record(200.0);
+        sk.record(0);
+        sk.record(0);
+        sk.record(100);
+        sk.record(200);
         // Two of four samples sit in the zero bucket, so p0/p25 are 0.
         assert_eq!(sk.percentile(0.0), Some(0.0));
         assert_eq!(sk.percentile(25.0), Some(0.0));
@@ -263,7 +246,7 @@ mod tests {
         let mut sk = QuantileSketch::new(0.01);
         for i in 0..1_000_000u64 {
             // one decade of dynamic range, many samples
-            sk.record(100.0 + (i % 1000) as f64);
+            sk.record(100 + i % 1000);
         }
         // gamma ≈ 1.0202 ⇒ one decade spans ~ln(10)/ln(1.0202) ≈ 115 buckets.
         assert!(sk.bucket_len() < 200, "got {} buckets", sk.bucket_len());
@@ -274,7 +257,7 @@ mod tests {
         /// Random inputs stay within the documented error bound.
         #[test]
         fn quantiles_within_bound_random(
-            xs in proptest::collection::vec(1e-3f64..1e9, 1..300),
+            xs in proptest::collection::vec(0u64..1_000_000_000, 1..300),
             p in 0.0f64..100.0,
         ) {
             assert_within_bound(&xs, p, 0.01);
@@ -283,11 +266,11 @@ mod tests {
         /// Sorted inputs (ascending) — insertion order must not matter.
         #[test]
         fn quantiles_within_bound_sorted(
-            xs in proptest::collection::vec(1e-3f64..1e9, 1..300),
+            xs in proptest::collection::vec(0u64..1_000_000_000, 1..300),
             p in 0.0f64..100.0,
         ) {
             let mut xs = xs;
-            xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            xs.sort_unstable();
             assert_within_bound(&xs, p, 0.01);
         }
 
@@ -295,7 +278,7 @@ mod tests {
         /// skew — the regime where naive rank estimates collapse.
         #[test]
         fn quantiles_within_bound_adversarial_duplicates(
-            distinct in proptest::collection::vec(1e-3f64..1e9, 1..5),
+            distinct in proptest::collection::vec(0u64..1_000_000_000, 1..5),
             reps in proptest::collection::vec(1usize..200, 1..5),
             p in 0.0f64..100.0,
         ) {
@@ -310,7 +293,7 @@ mod tests {
         /// Percentile is monotone in p, like the exact implementation.
         #[test]
         fn sketch_percentile_is_monotone(
-            xs in proptest::collection::vec(1e-3f64..1e9, 1..200),
+            xs in proptest::collection::vec(0u64..1_000_000_000, 1..200),
             p1 in 0.0f64..100.0,
             p2 in 0.0f64..100.0,
         ) {
@@ -325,26 +308,27 @@ mod tests {
         /// Estimates never leave the observed data range.
         #[test]
         fn sketch_estimate_within_range(
-            xs in proptest::collection::vec(1e-3f64..1e9, 1..200),
+            xs in proptest::collection::vec(0u64..1_000_000_000, 1..200),
             p in 0.0f64..100.0,
         ) {
             let mut sk = QuantileSketch::new(0.01);
             for &v in &xs { sk.record(v); }
             let est = sk.percentile(p).unwrap();
-            prop_assert!(est >= sk.min().unwrap() - 1e-9);
-            prop_assert!(est <= sk.max().unwrap() + 1e-9);
+            prop_assert!(est >= sk.min().unwrap() as f64 - 1e-9);
+            prop_assert!(est <= sk.max().unwrap() as f64 + 1e-9);
         }
     }
 
     #[test]
     fn exact_percentile_agreement_on_large_uniform() {
-        let xs: Vec<f64> = (1..=10_000).map(|i| i as f64).collect();
+        let xs: Vec<u64> = (1..=10_000).collect();
         let mut sk = QuantileSketch::new(0.01);
         for &v in &xs {
             sk.record(v);
         }
+        let exact_xs: Vec<f64> = xs.iter().map(|&v| v as f64).collect();
         for p in [50.0, 90.0, 99.0, 99.9] {
-            let exact = percentile(&xs, p).unwrap();
+            let exact = percentile(&exact_xs, p).unwrap();
             let est = sk.percentile(p).unwrap();
             assert!(
                 (est - exact).abs() <= 0.011 * exact + 1.0,

@@ -310,22 +310,19 @@ fn run_lifecycle_pools(
 }
 
 /// Durations for the batch-classify property: ordinary in-range values
-/// mixed with every adversarial edge the branch-free compare must get
-/// right — NaN, exact zero, negatives, and both infinities. (Hand-rolled
-/// `Strategy`: the vendored proptest shim has no `prop_oneof`.)
+/// mixed with both ends of the µs range the branch-free compare must get
+/// right — zero and `u64::MAX`. (Hand-rolled `Strategy`: the vendored
+/// proptest shim has no `prop_oneof`.)
 struct EdgeDuration;
 
 impl Strategy for EdgeDuration {
-    type Value = f64;
+    type Value = u64;
 
-    fn generate(&self, runner: &mut TestRunner) -> f64 {
+    fn generate(&self, runner: &mut TestRunner) -> u64 {
         match runner.next_u64() % 10 {
-            0 => 0.0,
-            1 => f64::NAN,
-            2 => f64::INFINITY,
-            3 => f64::NEG_INFINITY,
-            4 => -1.0,
-            _ => 1.0 + runner.next_f64() * 3_000_000.0,
+            0 => 0,
+            1 => u64::MAX,
+            _ => 1 + runner.next_u64() % 3_000_000,
         }
     }
 }
@@ -480,19 +477,13 @@ fn training_duration(j: u64, levels: u64, tail_every: u64) -> u64 {
     }
 }
 
-/// The next representable duration above (`step` 1) or below (`step` −1)
-/// a positive `t`.
-fn ulp_step(t: f64, step: i64) -> f64 {
-    f64::from_bits(t.to_bits().wrapping_add_signed(step))
-}
-
 /// Map classify equals compiled classify on every trained model: seeded
 /// training sets of 1–4 stages and up to 12 signatures each (skewed
 /// counts, durations tied at the percentile, three percentiles, two
 /// sample floors), and, against each, runtime tasks of every trained,
 /// rare and never-trained signature — one interned before `compile`, one
 /// after — in every trained stage and one untrained stage, at each
-/// stage's thresholds, one ulp above and below them, at zero and far
+/// stage's thresholds, 1 µs above and below them, at zero and far
 /// above. The compiled `perf_p0` is the training rate floored at
 /// `1 − percentile/100`, and both forms report the same flow rate.
 #[test]
@@ -514,7 +505,7 @@ fn map_classify_equals_compiled_classify_on_every_trained_model() {
             for (points, exp, levels, tail_every) in sigs {
                 let signature = Signature::from_points(points.iter().map(|&p| LogPointId(p)));
                 for j in 0..1u64 << exp {
-                    let dur = training_duration(j, *levels, *tail_every) as f64;
+                    let dur = training_duration(j, *levels, *tail_every);
                     builder.observe_parts(StageId(stage as u16), &signature, dur);
                 }
             }
@@ -558,14 +549,14 @@ fn map_classify_equals_compiled_classify_on_every_trained_model() {
         assert_eq!(model.flow_outlier_rate(untrained), 0.0);
 
         for stage in (0..=stages.len()).map(|s| StageId(s as u16)) {
-            let mut durations = vec![0.0, 1.0e12];
+            let mut durations = vec![0, 1_000_000_000_000];
             for m in model
                 .stage(stage)
                 .into_iter()
                 .flat_map(|sm| sm.signatures.values())
             {
                 if let Some(t) = m.duration_threshold_us {
-                    durations.extend([t, ulp_step(t, 1), ulp_step(t, -1)]);
+                    durations.extend([t - 1, t, t + 1]);
                 }
             }
             for signature in &signatures {
