@@ -101,7 +101,6 @@ fn main() {
     } else {
         println!("no flow false positives observed over {observed_mins} fault-free minutes");
     }
-    println!("paper reference: error faults raise flow anomalies 10-60x; delay-high/delay-low raise perf 3-8x; delay-wal-low ~flat");
     if runs == fast_runs {
         ledger::write(
             "fig11",

@@ -6,8 +6,10 @@
 //!
 //! For each system, a fault-free run is summarized into per-signature task
 //! counts; the bench prints the descending frequency distribution (the
-//! log-scale series of Fig 6a–c) and the 95%-coverage statistic.
+//! log-scale series of Fig 6a–c) and writes the 95%-coverage statistic to
+//! `ledger/fig6`.
 
+use saad_bench::ledger::{self, Panel};
 use saad_bench::{scaled_mins, workload};
 use saad_cassandra::{Cluster, ClusterConfig};
 use saad_core::model::{ModelBuilder, ModelConfig, OutlierModel};
@@ -29,15 +31,20 @@ fn pooled_counts(model: &OutlierModel) -> Vec<u64> {
     counts
 }
 
-fn report(system: &str, counts: &[u64]) {
+/// Print `system`'s distribution and claim its head and total
+/// signatures beside the paper's `[head, total]`.
+fn report(claims: &mut Panel, panel: &str, system: &str, counts: &[u64], paper: [u32; 2]) {
     let total: u64 = counts.iter().sum();
-    let covering = items_covering(counts, 0.95);
-    println!("\n=== Figure 6: {system} ===");
-    println!("tasks: {total}, distinct signatures: {}", counts.len());
-    println!(
-        "{covering} out of {} signatures account for 95% of all tasks",
-        counts.len()
+    println!("\n=== Figure 6: {system} ({panel}) ===");
+    println!("tasks: {total}");
+    let head = items_covering(counts, 0.95);
+    claims.claim(
+        system,
+        "signatures covering 95% of tasks",
+        head,
+        &paper[0].to_string(),
     );
+    claims.claim(system, "signatures", counts.len(), &paper[1].to_string());
     println!(
         "{:>4}  {:>12}  {:>10}  {:>10}",
         "rank", "tasks", "share", "cum"
@@ -121,11 +128,19 @@ fn cassandra_model(mins: u64) -> OutlierModel {
 fn main() {
     let mins = scaled_mins(120, 8);
     println!("Figure 6 — signature distributions ({mins} virtual minutes per system)");
-    report("HDFS Data Node (6a)", &pooled_counts(&hdfs_model(mins)));
-    report(
-        "HBase Regionserver (6b)",
-        &pooled_counts(&hbase_model(mins)),
+    let mut claims = Panel::claims(
+        "fig6",
+        &format!("signatures of a fault-free run, {mins} virtual minutes per system"),
     );
-    report("Cassandra (6c)", &pooled_counts(&cassandra_model(mins)));
-    println!("\npaper reference: HDFS 6/29, HBase 12/72, Cassandra 10/68 cover 95%");
+    let hdfs = pooled_counts(&hdfs_model(mins));
+    report(&mut claims, "6a", "HDFS Data Node", &hdfs, [6, 29]);
+    let hbase = pooled_counts(&hbase_model(mins));
+    report(&mut claims, "6b", "HBase Regionserver", &hbase, [12, 72]);
+    let cassandra = pooled_counts(&cassandra_model(mins));
+    report(&mut claims, "6c", "Cassandra", &cassandra, [10, 68]);
+    ledger::write(
+        "fig6",
+        "Figure 6: distribution of signatures, fast scale. cargo bench -p saad-bench --bench fig6_signatures",
+        &[claims],
+    );
 }

@@ -14,8 +14,12 @@
 //! tracker streaming its synopses off the host as the paper describes —
 //! `AgentSink` → `Agent` → loopback TCP → a draining reactor collector,
 //! whose threads run on this same box and so count against the server.
+//! Each SAAD configuration's normalized throughput is printed as a claim
+//! line beside the paper's floor, "not met" when its median is below it,
+//! and written with its quartiles to `BENCH_fig7_overhead.json`.
 
-use saad_bench::DrainingCollector;
+use saad_bench::ledger::Panel;
+use saad_bench::{quartile_json, quartile_text, quartiles, DrainingCollector, ROUNDS};
 use saad_core::tracker::{NullSink, SynopsisSink, TaskExecutionTracker};
 use saad_core::HostId;
 use saad_logging::{Level, LogPointRegistry};
@@ -176,6 +180,19 @@ fn run_pipeline(spec: &PipelineSpec, ops: u64, saad: Saad) -> f64 {
     ops as f64 / elapsed
 }
 
+/// The lowest normalized throughput the paper's Figure 7 shows with SAAD
+/// attached: its "insignificant overhead".
+const PAPER_FLOOR: f64 = 0.98;
+
+/// One pipeline's rounds: quartiles of the original server's op/s, and of
+/// each SAAD configuration's per-round ratio to it.
+struct Overhead {
+    system: &'static str,
+    original: [f64; 3],
+    tracked: [f64; 3],
+    streamed: [f64; 3],
+}
+
 fn main() {
     let ops: u64 = if saad_bench::full_scale() {
         120_000
@@ -194,38 +211,68 @@ fn main() {
             log_points_per_task: 5,
         },
     ];
-    println!("Figure 7 — SAAD overhead ({ops} ops per configuration, real threads)\n");
     println!(
-        "{:<10} {:>12} {:>12} {:>11} {:>14} {:>11}",
-        "system", "orig op/s", "saad op/s", "normalized", "streamed op/s", "normalized"
+        "Figure 7 — SAAD overhead ({ops} ops per configuration, real threads; \
+         median [q1, q3] of {ROUNDS} rounds)\n\
+         tracked: tracker attached, synopses dropped; streamed: tracker -> AgentSink -> Agent -> \
+         loopback TCP -> reactor collector on this box\n"
     );
+    let mut claims = Panel::claims("fig7", "");
+    let mut results = Vec::new();
     for spec in &specs {
-        // Warm-up pass, then five rounds in which the configurations take
+        // Warm-up pass, then rounds in which the configurations take
         // turns, so that a slow stretch of the machine falls on all three.
-        // Throughput is the median of a configuration's runs; normalized
-        // throughput the median of its per-round ratios to the original.
+        // Normalized throughput is a round's ratio to the original.
         run_pipeline(spec, ops / 10, Saad::Off);
-        let rounds: Vec<[f64; 3]> = (0..5)
+        let rounds: Vec<[f64; 3]> = (0..ROUNDS)
             .map(|_| [Saad::Off, Saad::Tracked, Saad::Streamed].map(|s| run_pipeline(spec, ops, s)))
             .collect();
-        let median = |of: fn(&[f64; 3]) -> f64| {
-            let mut v: Vec<f64> = rounds.iter().map(of).collect();
-            v.sort_by(f64::total_cmp);
-            v[v.len() / 2]
+        let of = |f: fn(&[f64; 3]) -> f64| quartiles(&rounds.iter().map(f).collect::<Vec<_>>());
+        let r = Overhead {
+            system: spec.name,
+            original: of(|r| r[0]),
+            tracked: of(|r| r[1] / r[0]),
+            streamed: of(|r| r[2] / r[0]),
         };
         println!(
-            "{:<10} {:>12.0} {:>12.0} {:>11.3} {:>14.0} {:>11.3}",
-            spec.name,
-            median(|r| r[0]),
-            median(|r| r[1]),
-            median(|r| r[1] / r[0]),
-            median(|r| r[2]),
-            median(|r| r[2] / r[0]),
+            "{}: original {:.0} op/s [{:.0}, {:.0}]",
+            r.system, r.original[1], r.original[0], r.original[2]
         );
+        for (quantity, q) in [
+            ("tracked, normalized throughput", r.tracked),
+            ("streamed, normalized throughput", r.streamed),
+        ] {
+            let met = if q[1] >= PAPER_FLOOR { "" } else { " not met" };
+            let measured = format!("{}{met}", quartile_text(q, 3));
+            claims.claim(r.system, quantity, measured, &format!(">= {PAPER_FLOOR}"));
+        }
+        results.push(r);
     }
-    println!(
-        "\nsaad: tracker attached, synopses dropped; streamed: tracker -> AgentSink -> Agent -> \
-         loopback TCP -> reactor collector on this box\n\
-         paper reference: normalized throughput with SAAD ~1.0 (insignificant overhead)"
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_fig7_overhead.json"
     );
+    std::fs::write(path, render_json(ops, &results)).expect("write BENCH_fig7_overhead.json");
+    println!("wrote BENCH_fig7_overhead.json");
+}
+
+fn render_json(ops: u64, results: &[Overhead]) -> String {
+    let mut out = format!(
+        "{{\n  \"bench\": \"fig7_overhead\",\n  \"ops_per_run\": {ops},\n  \
+         \"rounds\": {ROUNDS},\n  \"paper_floor\": {PAPER_FLOOR},\n  \"systems\": [\n"
+    );
+    for (i, r) in results.iter().enumerate() {
+        let sep = if i + 1 == results.len() { "" } else { "," };
+        out.push_str(&format!(
+            "    {{ \"system\": \"{}\", {}, {}, \"tracked_met\": {}, {}, \"streamed_met\": {} }}{sep}\n",
+            r.system,
+            quartile_json("original_ops_per_sec", r.original, 0),
+            quartile_json("tracked_normalized", r.tracked, 3),
+            r.tracked[1] >= PAPER_FLOOR,
+            quartile_json("streamed_normalized", r.streamed, 3),
+            r.streamed[1] >= PAPER_FLOOR,
+        ));
+    }
+    out.push_str("  ]\n}\n");
+    out
 }

@@ -6,8 +6,9 @@
 //!
 //! We run each simulator once with (a) a DEBUG-level counting appender
 //! measuring rendered log bytes and (b) a synopsis-encoding byte counter,
-//! and report both.
+//! and write both to `ledger/fig8`.
 
+use saad_bench::ledger::{self, Panel};
 use saad_bench::{scaled_mins, workload, ByteCountingSink};
 use saad_cassandra::{Cluster, ClusterConfig};
 use saad_hbase::{HBaseCluster, HBaseConfig};
@@ -24,16 +25,16 @@ struct Volumes {
     synopses: u64,
 }
 
-fn report(system: &str, v: &Volumes) {
+/// Claim `system`'s volumes beside the paper's `[log MB, synopsis MB,
+/// ratio]` (it gives no record or synopsis counts).
+fn report(claims: &mut Panel, system: &str, v: &Volumes, paper: [&str; 3]) {
     let ratio = v.log_bytes as f64 / v.synopsis_bytes.max(1) as f64;
-    println!(
-        "{system:<10} {:>10.2} MB debug logs ({:>9} records)   {:>8.3} MB synopses ({:>8})   ratio {:>5.0}x",
-        v.log_bytes as f64 / 1e6,
-        v.log_records,
-        v.synopsis_bytes as f64 / 1e6,
-        v.synopses,
-        ratio
-    );
+    let mb = |bytes: u64, digits: usize| format!("{:.digits$}", bytes as f64 / 1e6);
+    claims.claim(system, "log MB", mb(v.log_bytes, 2), paper[0]);
+    claims.claim(system, "log records", v.log_records, "-");
+    claims.claim(system, "synopsis MB", mb(v.synopsis_bytes, 3), paper[1]);
+    claims.claim(system, "synopses", v.synopses, "-");
+    claims.claim(system, "ratio", format!("{ratio:.0}x"), paper[2]);
 }
 
 fn cassandra(mins: u64) -> Volumes {
@@ -117,8 +118,23 @@ fn hdfs(mins: u64) -> Volumes {
 fn main() {
     let mins = scaled_mins(60, 6);
     println!("Figure 8 — monitoring-data volume over {mins} virtual minutes\n");
-    report("HDFS", &hdfs(mins));
-    report("HBase", &hbase(mins));
-    report("Cassandra", &cassandra(mins));
-    println!("\npaper reference: 1457/1.8, 928/1.0, 1431/136.7 MB (15x-900x reduction)");
+    let mut claims = Panel::claims(
+        "fig8",
+        &format!(
+            "DEBUG log text vs encoded task synopses of one run, {mins} virtual minutes per system"
+        ),
+    );
+    report(&mut claims, "HDFS", &hdfs(mins), ["1457", "1.8", "809x"]);
+    report(&mut claims, "HBase", &hbase(mins), ["928", "1.0", "928x"]);
+    report(
+        &mut claims,
+        "Cassandra",
+        &cassandra(mins),
+        ["1431", "136.7", "10.5x"],
+    );
+    ledger::write(
+        "fig8",
+        "Figure 8: monitoring-data volume, fast scale. cargo bench -p saad-bench --bench fig8_volume",
+        &[claims],
+    );
 }

@@ -89,7 +89,6 @@ fn main() {
         "normal flow tasks: {}, anomalous flow tasks: {}",
         by_signature[&normal].0, by_signature[&anomalous].0
     );
-    println!("\npaper reference: anomalous flow hits only \"MemTable is already frozen\"");
     assert_eq!(
         anomalous.points(),
         &[frozen],

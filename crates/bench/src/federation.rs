@@ -8,7 +8,7 @@
 //!
 //! 1. **Steady throughput**: synopses/second from agent submit to root
 //!    admission while every leaf is healthy, over [`ROUNDS`] timed rounds
-//!    of at least [`ROUND`] each, reported as median and quartiles. The
+//!    of at least [`ROUND`] each, reported as [`quartiles`]. The
 //!    clock starts only once every host has delivered at the root, so no
 //!    agent's first connect falls inside a round.
 //! 2. **Re-homing latency**: one leaf is killed (uplink severed, no
@@ -16,6 +16,7 @@
 //!    the wall time until *every* host the dead leaf owned is delivering
 //!    fresh synopses at the root through its new leaf.
 
+use crate::{quartiles, ROUND, ROUNDS};
 use saad_core::batch::SynopsisBatch;
 use saad_core::synopsis::TaskSynopsis;
 use saad_core::{HostId, StageId, TaskUid};
@@ -27,12 +28,6 @@ use saad_sim::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Timed steady rounds per fleet size.
-pub const ROUNDS: usize = 5;
-
-/// The least wall time a steady round sends for.
-pub const ROUND: Duration = Duration::from_secs(1);
 
 /// Measured outcome of one federation run at a given fleet size.
 #[derive(Debug, Clone)]
@@ -150,7 +145,6 @@ pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> 
     }
     let drops: u64 = agents.iter().map(|a| a.stats().drops.total()).sum();
     assert_eq!(drops, 0, "agents dropped synopses");
-    let quartile = |p| saad_stats::percentile(&rates, p).expect("rounds ran");
 
     // Failover phase: every host keeps trickling fresh synopses from its
     // own thread while the victim leaf dies mid-stream.
@@ -219,7 +213,7 @@ pub fn run_federation(leaves: usize, hosts: usize, per_host: u64, seed: u64) -> 
         leaves,
         hosts,
         steady_synopses: sent - warm_up,
-        throughput: [quartile(25.0), quartile(50.0), quartile(75.0)],
+        throughput: quartiles(&rates),
         orphan_hosts: orphans.len(),
         rehome_ms,
         failovers: control.failovers(),

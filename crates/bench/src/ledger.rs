@@ -1,12 +1,13 @@
-//! The event ledger: what the detector says on the paper's workloads, one
-//! line per [`AnomalyEvent`], committed under `ledger/` at the repository
-//! root.
+//! The ledger: what the detector says on the paper's workloads, one line
+//! per [`AnomalyEvent`], and the paper's other virtual-time numbers, one
+//! line per claim, committed under `ledger/` at the repository root.
 //!
-//! Each evidence harness (Table 1, Figures 9, 10 and 11, the gray catalog
-//! and the drift ablation) ends its fast-scale run by writing one file
-//! there. The file is the record: a change to detection shows up as a
-//! `git diff ledger/`, and CI regenerates the files and fails on any
-//! difference the change did not commit. A line reads
+//! Each evidence harness (Table 1, Figures 6, 8, 9, 10 and 11, §5.3.3,
+//! the gray catalog and the drift ablation) ends its fast-scale run by
+//! writing one file there. The file is the record: a change to detection
+//! or to a claim shows up as a `git diff ledger/`, and CI regenerates the
+//! files and fails on any difference the change did not commit. An event
+//! line reads
 //!
 //! ```text
 //! a-wal-error | Table | flow-new | run 0 | t 720s | host 4 | [L17] | 27/27 | p -
@@ -22,6 +23,19 @@
 //!
 //! Each panel opens with a header naming its class in Wittkopp et al.'s
 //! taxonomy of log anomalies (PAPERS.md).
+//!
+//! The paper's other numbers are claim panels ([`Panel::claims`]): one
+//! line per quantity a harness measured, beside what the paper reports,
+//!
+//! ```text
+//! fig8 | HDFS | log MB | 27.99 | 1457
+//! ```
+//!
+//! figure, system, quantity, measured, paper (`-` where the paper gives
+//! no figure). Fig 6, Fig 8 and §5.3.3's corpus run on virtual time and
+//! are written here through the same [`write()`] and [`check`]; a
+//! wall-clock figure prints the same lines and keeps its rounds in a
+//! `BENCH_*.json` instead, since no run repeats it byte for byte.
 
 use crate::full_scale;
 use saad_core::detector::{AnomalyEvent, AnomalyKind};
@@ -87,6 +101,35 @@ impl Panel {
             name,
             lines: Vec::new(),
         }
+    }
+
+    /// An empty claim panel `figure` (one word, it starts each of its
+    /// lines), described by `about`. Its lines keep the order they are
+    /// added in.
+    pub fn claims(figure: impl Into<String>, about: &str) -> Panel {
+        let name = figure.into();
+        Panel {
+            header: format!("## {name} {about}"),
+            name,
+            lines: Vec::new(),
+        }
+    }
+
+    /// Add and print one claim line: `system`'s `quantity`, `measured`
+    /// by this run, beside what the `paper` reports.
+    pub fn claim(
+        &mut self,
+        system: &str,
+        quantity: &str,
+        measured: impl fmt::Display,
+        paper: &str,
+    ) {
+        let line = format!(
+            "{} | {system} | {quantity} | {measured} | {paper}",
+            self.name
+        );
+        println!("{line}");
+        self.lines.push((Key::default(), line));
     }
 
     /// Add run `run`'s events, naming stages through `stages`.
@@ -202,5 +245,23 @@ pub fn check(file: &str, panels: &[Panel]) -> Result<(), String> {
         Err(format!(
             "ledger/{file} differs from this run (- committed, + now):\n{diff}"
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn claim_lines_keep_their_order_under_their_header() {
+        let mut claims = Panel::claims("fig8", "volumes");
+        claims.claim("HDFS", "log MB", "27.99", "1457");
+        claims.claim("Cassandra", "ratio", format!("{}x", 7), "10.5x");
+        assert_eq!(
+            render("Figure 8", &[claims]),
+            "# Figure 8\n\n## fig8 volumes\n\
+             fig8 | HDFS | log MB | 27.99 | 1457\n\
+             fig8 | Cassandra | ratio | 7x | 10.5x\n"
+        );
     }
 }

@@ -34,6 +34,7 @@ use saad_workload::{KeyChooser, OperationMix, WorkloadGenerator};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Whether `SAAD_SCALE=full` requests paper-length runs.
 pub fn full_scale() -> bool {
@@ -49,6 +50,56 @@ pub fn scaled_mins(paper_mins: u64, fast_mins: u64) -> u64 {
     } else {
         fast_mins
     }
+}
+
+/// Timed rounds per wall-clock figure.
+pub const ROUNDS: usize = 5;
+
+/// The least time a timed round lasts.
+pub const ROUND: Duration = Duration::from_secs(1);
+
+/// `[q1, median, q3]` of the rounds' values.
+///
+/// # Panics
+///
+/// Panics on no rounds.
+pub fn quartiles(rounds: &[f64]) -> [f64; 3] {
+    [25.0, 50.0, 75.0].map(|p| saad_stats::percentile(rounds, p).expect("rounds ran"))
+}
+
+/// Quartiles `q` as a claim's measured value: the median, then `[q1,
+/// q3]`, each to `digits` decimals.
+pub fn quartile_text(q: [f64; 3], digits: usize) -> String {
+    format!("{:.digits$} [{:.digits$}, {:.digits$}]", q[1], q[0], q[2])
+}
+
+/// Quartiles `q` as the JSON members `"<name>_q1"`, `"<name>_median"` and
+/// `"<name>_q3"`, each to `digits` decimals.
+pub fn quartile_json(name: &str, q: [f64; 3], digits: usize) -> String {
+    format!(
+        "\"{name}_q1\": {:.digits$}, \"{name}_median\": {:.digits$}, \"{name}_q3\": {:.digits$}",
+        q[0], q[1], q[2]
+    )
+}
+
+/// The quartiles of a wall-clock rate over [`ROUNDS`] rounds. `run` does
+/// one unit of work and returns (items done, seconds taken); after one
+/// warm-up run, a round repeats it until its seconds reach [`ROUND`], and
+/// its rate is its items over its seconds.
+pub fn timed_rate(mut run: impl FnMut() -> (f64, f64)) -> [f64; 3] {
+    run();
+    let rates: Vec<f64> = (0..ROUNDS)
+        .map(|_| {
+            let (mut items, mut secs) = (0.0, 0.0);
+            while secs < ROUND.as_secs_f64() {
+                let (i, s) = run();
+                items += i;
+                secs += s;
+            }
+            items / secs
+        })
+        .collect();
+    quartiles(&rates)
 }
 
 /// A sink that counts synopses and their encoded byte volume, optionally
@@ -516,6 +567,23 @@ mod tests {
         assert_eq!(events_between(&events, 0, 4, true), 1);
         assert_eq!(events_between(&events, 4, 10, true), 1);
         assert_eq!(events_between(&events, 4, 10, false), 2);
+    }
+
+    #[test]
+    fn timed_rate_repeats_a_run_until_each_round_lasts_a_round() {
+        // Runs report a quarter of a round each: one warm-up, then four
+        // per round.
+        let mut runs = 0;
+        let quarter = ROUND.as_secs_f64() / 4.0;
+        let rate = timed_rate(|| {
+            runs += 1;
+            (runs as f64, quarter)
+        });
+        assert_eq!(runs, 1 + 4 * ROUNDS);
+        // Round r (from 0) sums runs 4r+2 ..= 4r+5.
+        let round = |r: f64| (16.0 * r + 14.0) / ROUND.as_secs_f64();
+        let mid = (ROUNDS / 2) as f64;
+        assert_eq!(rate, [round(mid - 1.0), round(mid), round(mid + 1.0)]);
     }
 
     #[test]

@@ -18,7 +18,6 @@ use crate::synopsis::TaskSynopsis;
 use crate::{Signature, StageId};
 use bytes::{BufMut, Bytes, BytesMut};
 use saad_stats::kfold::validate_percentile_threshold;
-use saad_stats::quantile::floor_percentile_of_sorted;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::RangeBounds;
@@ -281,7 +280,8 @@ impl ModelBuilder {
                     flow_outlier_tasks += count;
                 }
                 // Performance thresholding only for signatures with enough
-                // samples and a k-fold-stable distribution.
+                // samples and a k-fold-stable distribution; the validation's
+                // one sort also yields the group's threshold.
                 let mut duration_threshold_us = None;
                 let mut training_perf_outlier_rate = 0.0;
                 if !is_flow_outlier && durations.len() >= config.min_signature_samples {
@@ -290,16 +290,10 @@ impl ModelBuilder {
                         config.kfold,
                         config.duration_percentile,
                     )
-                    .map(|o| !o.is_unstable(config.kfold_tolerance))
-                    .unwrap_or(false);
-                    if stable {
-                        let mut sorted = durations.clone();
-                        sorted.sort_unstable();
-                        let threshold =
-                            floor_percentile_of_sorted(&sorted, config.duration_percentile);
-                        let above = durations.iter().filter(|&&d| d > threshold).count() as f64;
-                        duration_threshold_us = Some(threshold);
-                        training_perf_outlier_rate = above / durations.len() as f64;
+                    .filter(|o| !o.is_unstable(config.kfold_tolerance));
+                    if let Some(o) = stable {
+                        duration_threshold_us = Some(o.threshold_us);
+                        training_perf_outlier_rate = o.outlier_rate;
                     }
                 }
                 signatures.insert(

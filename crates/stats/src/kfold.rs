@@ -7,7 +7,7 @@
 //! out fold, and discard the signature when the average held-out outlier
 //! rate is significantly higher than the nominal rate.
 
-use crate::quantile::floor_percentile_of_sorted;
+use crate::quantile::floor_percentile_by;
 
 /// Deterministically split `n` items into `k` contiguous folds of
 /// near-equal size. Returns `(start, end)` index pairs.
@@ -49,6 +49,11 @@ pub struct KFoldOutcome {
     pub nominal_rate: f64,
     /// Number of folds actually evaluated.
     pub folds: usize,
+    /// The whole sample's floored `p`-th percentile: the threshold a
+    /// model trained on it keeps.
+    pub threshold_us: u64,
+    /// Share of the whole sample strictly above `threshold_us`.
+    pub outlier_rate: f64,
 }
 
 impl KFoldOutcome {
@@ -64,12 +69,15 @@ impl KFoldOutcome {
 ///
 /// For each fold: the threshold is the floored `p`-th percentile of the
 /// other folds, as the model's is; the held-out outlier rate is the share
-/// of the fold strictly above it. Returns `None` when there are not enough
-/// samples to form at least two non-empty folds.
+/// of the fold strictly above it. The outcome also carries the whole
+/// sample's threshold and outlier rate. Returns `None` when there are not
+/// enough samples to form at least two non-empty folds.
 ///
 /// Durations are shuffled deterministically by a simple multiplicative hash
 /// of their index so that time-correlated streams don't bias the folds; the
-/// caller may pre-shuffle instead if it has a seeded RNG.
+/// caller may pre-shuffle instead if it has a seeded RNG. The samples are
+/// sorted once, each tagged with its fold: a fold's training order
+/// statistics are that array without the fold.
 ///
 /// # Panics
 ///
@@ -77,38 +85,53 @@ impl KFoldOutcome {
 pub fn validate_percentile_threshold(durations: &[u64], k: usize, p: f64) -> Option<KFoldOutcome> {
     assert!(k > 0);
     assert!((0.0..=100.0).contains(&p));
-    if durations.len() < k.max(2) {
+    let n = durations.len();
+    if n < k.max(2) {
         return None;
     }
-    // Deterministic interleave to decorrelate folds from arrival order.
-    let mut idx: Vec<usize> = (0..durations.len()).collect();
+    // Deterministic interleave to decorrelate folds from arrival order:
+    // the sample at position `j` of it falls in the fold whose bounds hold `j`.
+    let mut idx: Vec<usize> = (0..n).collect();
     idx.sort_by_key(|&i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ (i >> 3));
-    let shuffled: Vec<u64> = idx.iter().map(|&i| durations[i]).collect();
+    let bounds = fold_bounds(n, k);
+    let mut tagged: Vec<(u64, u32)> = Vec::with_capacity(n);
+    for (fold, &(s, e)) in bounds.iter().enumerate() {
+        tagged.extend(idx[s..e].iter().map(|&i| (durations[i], fold as u32)));
+    }
+    tagged.sort_unstable();
+    let above = |t: u64| tagged.iter().rev().take_while(move |&&(d, _)| d > t);
 
-    let bounds = fold_bounds(shuffled.len(), k);
     let mut rates = Vec::with_capacity(bounds.len());
-    for &(s, e) in &bounds {
-        if e == s {
+    for (fold, &(s, e)) in bounds.iter().enumerate() {
+        let fold = fold as u32;
+        let train = n - (e - s);
+        if train == 0 {
             continue;
         }
-        let mut train: Vec<u64> = Vec::with_capacity(shuffled.len() - (e - s));
-        train.extend_from_slice(&shuffled[..s]);
-        train.extend_from_slice(&shuffled[e..]);
-        if train.is_empty() {
-            continue;
-        }
-        train.sort_unstable();
-        let threshold = floor_percentile_of_sorted(&train, p);
-        let outliers = shuffled[s..e].iter().filter(|&&d| d > threshold).count();
+        // The `i`-th smallest training sample, walked to from the nearer end.
+        let at = |i: usize| {
+            let mut rest = tagged.iter().filter(|&&(_, f)| f != fold);
+            let found = if i < train / 2 {
+                rest.nth(i)
+            } else {
+                rest.nth_back(train - 1 - i)
+            };
+            found.expect("rank within the training sample").0
+        };
+        let threshold = floor_percentile_by(train, p, at);
+        let outliers = above(threshold).filter(|&&(_, f)| f == fold).count();
         rates.push(outliers as f64 / (e - s) as f64);
     }
     if rates.len() < 2 {
         return None;
     }
+    let threshold_us = floor_percentile_by(n, p, |i| tagged[i].0);
     Some(KFoldOutcome {
         mean_heldout_rate: rates.iter().sum::<f64>() / rates.len() as f64,
         nominal_rate: 1.0 - p / 100.0,
         folds: rates.len(),
+        threshold_us,
+        outlier_rate: above(threshold_us).count() as f64 / n as f64,
     })
 }
 
@@ -195,7 +218,94 @@ mod tests {
         assert!(validate_percentile_threshold(&[], 5, 99.0).is_none());
     }
 
+    /// The oracle: each fold's training sample copied and sorted on its
+    /// own, and the whole sample sorted once more for its threshold.
+    fn per_fold_sorts(durations: &[u64], k: usize, p: f64) -> Option<KFoldOutcome> {
+        if durations.len() < k.max(2) {
+            return None;
+        }
+        let mut idx: Vec<usize> = (0..durations.len()).collect();
+        idx.sort_by_key(|&i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ (i >> 3));
+        let shuffled: Vec<u64> = idx.iter().map(|&i| durations[i]).collect();
+        let mut rates = Vec::new();
+        for (s, e) in fold_bounds(shuffled.len(), k) {
+            let mut train = [&shuffled[..s], &shuffled[e..]].concat();
+            if train.is_empty() {
+                continue;
+            }
+            train.sort_unstable();
+            let threshold = floor_percentile_by(train.len(), p, |i| train[i]);
+            let outliers = shuffled[s..e].iter().filter(|&&d| d > threshold).count();
+            rates.push(outliers as f64 / (e - s) as f64);
+        }
+        if rates.len() < 2 {
+            return None;
+        }
+        let mut sorted = durations.to_vec();
+        sorted.sort_unstable();
+        let threshold_us = floor_percentile_by(sorted.len(), p, |i| sorted[i]);
+        let above = durations.iter().filter(|&&d| d > threshold_us).count();
+        Some(KFoldOutcome {
+            mean_heldout_rate: rates.iter().sum::<f64>() / rates.len() as f64,
+            nominal_rate: 1.0 - p / 100.0,
+            folds: rates.len(),
+            threshold_us,
+            outlier_rate: above as f64 / durations.len() as f64,
+        })
+    }
+
+    #[test]
+    fn one_sort_matches_per_fold_sorts_at_the_edges() {
+        let max = u64::MAX;
+        let cases: [&[u64]; 6] = [
+            &[5, 5],
+            &[1, max, 3],
+            &[max, max, max],
+            &[0, max, max - 1, max, 0, 7, 7, 7],
+            &[9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 1],
+            &[3, 1, 2],
+        ];
+        for xs in cases {
+            for k in 1..=xs.len() + 2 {
+                for p in [0.0, 50.0, 99.0, 100.0] {
+                    assert_eq!(
+                        validate_percentile_threshold(xs, k, p),
+                        per_fold_sorts(xs, k, p),
+                        "{xs:?} k {k} p {p}"
+                    );
+                }
+            }
+        }
+        let out = validate_percentile_threshold(&[1, max, max], 2, 99.0).unwrap();
+        assert_eq!(out.threshold_us, max);
+        assert_eq!(out.outlier_rate, 0.0);
+    }
+
     proptest! {
+        #[test]
+        fn one_sort_matches_per_fold_sorts(
+            picks in proptest::collection::vec((0u8..4, 0u64..1_000_000), 2..60),
+            k in 1usize..12,
+            p in 0.0f64..100.0,
+        ) {
+            // Few distinct values (ties), values at and next to u64::MAX,
+            // and spread ones; `k` above the sample size now and then.
+            let xs: Vec<u64> = picks
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => x % 4,
+                    1 => u64::MAX - x % 3,
+                    _ => x,
+                })
+                .collect();
+            for p in [p, 99.0] {
+                prop_assert_eq!(
+                    validate_percentile_threshold(&xs, k, p),
+                    per_fold_sorts(&xs, k, p)
+                );
+            }
+        }
+
         #[test]
         fn heldout_rate_is_a_probability(
             xs in proptest::collection::vec(0u64..1_000_000, 10..500),

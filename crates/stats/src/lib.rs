@@ -19,7 +19,7 @@
 //!
 //! Durations are integer µs (`u64`), as the synopsis carries them: k-fold
 //! validation and the sketch take them so, and a performance threshold is
-//! their [`quantile::floor_percentile_of_sorted`]. No duration is NaN.
+//! their [`quantile::floor_percentile_by`]. No duration is NaN.
 //!
 //! # Example
 //!

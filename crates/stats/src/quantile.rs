@@ -4,7 +4,7 @@
 //! flow-outlier cutoff is a percentile *rank* over signature frequencies and
 //! the performance-outlier threshold is the 99th percentile of per-signature
 //! durations (paper §3.3.2). Durations are integer µs, so that threshold is
-//! [`floor_percentile_of_sorted`]: an integer, and no sample is NaN.
+//! [`floor_percentile_by`]: an integer, and no sample is NaN.
 
 /// Empirical percentile with linear interpolation between order statistics
 /// (the "linear" / type-7 method used by R's default `quantile`).
@@ -47,15 +47,25 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     interpolate(sorted.len(), p, |i| sorted[i])
 }
 
-/// [`percentile_of_sorted`] of ascending integer samples (durations in
-/// µs) read as `f64`, floored. For an integer `d`, `d > t` holds exactly
-/// when `d > ⌊t⌋`, so the floor keeps every strict compare of a sample.
+/// [`percentile_of_sorted`] of `len` ascending integer samples (durations
+/// in µs), read as `f64`, floored. `at(i)` is the `i`-th smallest; it is
+/// asked for at most two ranks, so the samples need not be one slice. For
+/// an integer `d`, `d > t` holds exactly when `d > ⌊t⌋`, so the floor
+/// keeps every strict compare of a sample.
 ///
 /// # Panics
 ///
-/// Panics on an empty slice or `p` outside `[0, 100]`.
-pub fn floor_percentile_of_sorted(sorted: &[u64], p: f64) -> u64 {
-    interpolate(sorted.len(), p, |i| sorted[i] as f64).floor() as u64
+/// Panics when `len` is 0 or `p` is outside `[0, 100]`.
+///
+/// # Example
+///
+/// ```
+/// let us = [1u64, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+/// // R's type 7 gives 9.91.
+/// assert_eq!(saad_stats::quantile::floor_percentile_by(10, 99.0, |i| us[i]), 9);
+/// ```
+pub fn floor_percentile_by(len: usize, p: f64, at: impl Fn(usize) -> u64) -> u64 {
+    interpolate(len, p, |i| at(i) as f64).floor() as u64
 }
 
 /// Type-7 interpolation between the order statistics `at(lo)` and
@@ -161,9 +171,9 @@ mod tests {
     #[test]
     fn floor_percentile_floors_the_type7_value() {
         let us: Vec<u64> = (1..=10).collect();
-        assert_eq!(floor_percentile_of_sorted(&us, 99.0), 9); // 9.91
-        assert_eq!(floor_percentile_of_sorted(&us, 100.0), 10);
-        assert_eq!(floor_percentile_of_sorted(&[7], 50.0), 7);
+        assert_eq!(floor_percentile_by(10, 99.0, |i| us[i]), 9); // 9.91
+        assert_eq!(floor_percentile_by(10, 100.0, |i| us[i]), 10);
+        assert_eq!(floor_percentile_by(1, 50.0, |_| 7), 7);
     }
 
     #[test]

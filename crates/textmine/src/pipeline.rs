@@ -18,6 +18,11 @@ pub struct ParseOutcome {
     pub bytes: u64,
     /// Wall-clock seconds the parse took.
     pub elapsed_secs: f64,
+    /// CPU seconds the parse took, its workers' together: the process's
+    /// CPU time over the parse (any other thread of the process running
+    /// meanwhile counts too), so at most `elapsed_secs` times the cores it
+    /// ran on, however many workers there were.
+    pub core_seconds: f64,
     /// Worker threads used.
     pub workers: usize,
 }
@@ -30,11 +35,6 @@ impl ParseOutcome {
         } else {
             self.lines as f64 / self.elapsed_secs
         }
-    }
-
-    /// Approximate core-seconds consumed (`elapsed × workers`).
-    pub fn core_seconds(&self) -> f64 {
-        self.elapsed_secs * self.workers as f64
     }
 
     fn merge(&mut self, other: ParseOutcome) {
@@ -64,18 +64,59 @@ fn parse_chunk(matcher: &TemplateMatcher, lines: &[&str]) -> ParseOutcome {
         lines: lines.len() as u64,
         bytes,
         elapsed_secs: 0.0,
+        core_seconds: 0.0,
         workers: 1,
     }
 }
 
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
+}
+
+/// `CLOCK_PROCESS_CPUTIME_ID` on Linux.
+const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+
+/// CPU seconds every thread of this process has used so far, exited
+/// threads included. Zero if the clock is missing.
+fn process_cpu_secs() -> f64 {
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable `timespec` (two 64-bit fields on
+    // every 64-bit Linux target) that outlives the call; `clock_gettime`
+    // writes nothing else.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    if rc != 0 {
+        return 0.0;
+    }
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
+/// Run `parse` and stamp its outcome with the wall and CPU time it took
+/// and its worker count. The CPU reads fall inside the wall interval.
+fn timed(workers: usize, parse: impl FnOnce() -> ParseOutcome) -> ParseOutcome {
+    let start = Instant::now();
+    let cpu = process_cpu_secs();
+    let mut out = parse();
+    out.core_seconds = process_cpu_secs() - cpu;
+    out.elapsed_secs = start.elapsed().as_secs_f64();
+    out.workers = workers;
+    out
+}
+
 /// Parse a corpus single-threaded (the "map" of one worker).
 pub fn parse_corpus(matcher: &TemplateMatcher, corpus: &str) -> ParseOutcome {
-    let start = Instant::now();
-    let lines: Vec<&str> = corpus.lines().collect();
-    let mut out = parse_chunk(matcher, &lines);
-    out.elapsed_secs = start.elapsed().as_secs_f64();
-    out.workers = 1;
-    out
+    timed(1, || {
+        let lines: Vec<&str> = corpus.lines().collect();
+        parse_chunk(matcher, &lines)
+    })
 }
 
 /// Parse a corpus with `workers` threads: the corpus is chunked (map),
@@ -92,30 +133,21 @@ pub fn parse_corpus_parallel(
     workers: usize,
 ) -> ParseOutcome {
     assert!(workers > 0, "need at least one worker");
-    let start = Instant::now();
-    let lines: Vec<&str> = corpus.lines().collect();
-    let chunk = lines.len().div_ceil(workers).max(1);
-    let mut merged = std::thread::scope(|scope| {
-        let handles: Vec<_> = lines
-            .chunks(chunk)
-            .map(|c| scope.spawn(move || parse_chunk(matcher, c)))
-            .collect();
-        let mut merged = ParseOutcome {
-            counts: HashMap::new(),
-            unmatched: 0,
-            lines: 0,
-            bytes: 0,
-            elapsed_secs: 0.0,
-            workers,
-        };
-        for h in handles {
-            merged.merge(h.join().expect("parser worker panicked"));
-        }
-        merged
-    });
-    merged.elapsed_secs = start.elapsed().as_secs_f64();
-    merged.workers = workers;
-    merged
+    timed(workers, || {
+        let lines: Vec<&str> = corpus.lines().collect();
+        let chunk = lines.len().div_ceil(workers).max(1);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = lines
+                .chunks(chunk)
+                .map(|c| scope.spawn(move || parse_chunk(matcher, c)))
+                .collect();
+            let mut merged = parse_chunk(matcher, &[]);
+            for h in handles {
+                merged.merge(h.join().expect("parser worker panicked"));
+            }
+            merged
+        })
+    })
 }
 
 #[cfg(test)]
@@ -179,10 +211,23 @@ mod tests {
     }
 
     #[test]
-    fn core_seconds_scales_with_workers() {
+    fn core_seconds_count_cpu_not_workers() {
+        // More workers than cores cannot spend more than the cores'
+        // time: CPU over the wall interval is at most `cores` per second,
+        // whatever else this process runs meanwhile.
         let (m, _, corpus) = setup();
-        let out = parse_corpus_parallel(&m, &corpus, 8);
-        assert!(out.core_seconds() >= out.elapsed_secs * 7.99);
+        let corpus = corpus.repeat(20);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = 8 * cores;
+        let out = parse_corpus_parallel(&m, &corpus, workers);
+        assert!(out.core_seconds > 0.0);
+        assert!(
+            out.core_seconds <= out.elapsed_secs * cores as f64 * 1.01 + 1e-3,
+            "{} core-seconds in {} s on {cores} cores",
+            out.core_seconds,
+            out.elapsed_secs
+        );
+        assert!(parse_corpus(&m, &corpus).core_seconds > 0.0);
     }
 
     #[test]
