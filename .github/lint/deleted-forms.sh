@@ -77,5 +77,6 @@ thread::sleep	crates/net/src/leaf.rs	-	a leaf sleeps on the wall clock again: it
 DetectorSink|detect_batch	crates src tests examples README.md	-	a second, inline analyzer is back beside the pool: every harness, example and test detects through a BatchSink into spawn_analyzer_pool (saad_bench::detect), so the ledger holds the production path
 percentile_nan_below|durations_us: Vec<f64>|duration_us: f64|ulp_step	crates src tests examples	-	a duration or threshold is a float again: durations are u64 µs from the tracker to the test and a trained threshold is the floored percentile, so no duration path holds NaN, an infinite threshold or a ulp step
 paper reference	crates/bench/benches	-	a bench prints its paper reference again: the paper's value lives once, in the bench's claim line (ledger::Panel::claim), beside what the run measured
+stale_keys|recycle_while|closing:	crates/core/src/detector.rs@prod	-	a window close collects and sorts keys again: a close walks each retiring index's open rows once, in opening order, counts each row's open windows down, and stable-sorts only the events it pushed (DESIGN.md section 8)
 TABLE
 exit $status

@@ -17,9 +17,9 @@
 //!   over 2 000 (host, stage) pairs, a boundary crossed every batch, and
 //!   the capture's 23 flows on five stages and 256 hosts (EXPERIMENTS.md
 //!   "Microbenchmarks" quotes these five),
-//! * a host sweep (ROADMAP 12(a)): one fixed stream on 16 to 4 096 hosts —
-//!   ns per synopsis, a restart copy per open window, checkpoint bytes per
-//!   open window (EXPERIMENTS.md "Host sweep").
+//! * a host sweep (ROADMAP 13): one fixed stream on 16 to 4 096 hosts —
+//!   ns per synopsis, a restart copy and a close per open window,
+//!   checkpoint bytes per open window (EXPERIMENTS.md "Host sweep").
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use saad_bench::DrainingCollector;
@@ -452,10 +452,10 @@ fn mixed_stream(
 
 /// `detector/observe_batch/mixed`: the mixed stream on 256 hosts, 1 280
 /// (host, stage) pairs, six windows of eight rows per pair. Then the host
-/// sweep (ROADMAP 12(a)): one fixed stream of 2^18 rows over eight windows
-/// on 16 to 4 096 hosts — ns per synopsis, a restart copy (clone and drop)
-/// per open window half-way through, and the checkpoint bytes per open
-/// window there (printed).
+/// sweep (ROADMAP 13): one fixed stream of 2^18 rows over eight windows on
+/// 16 to 4 096 hosts — ns per synopsis; per open window half-way through,
+/// a restart copy (clone and drop) and a close; and the checkpoint bytes
+/// per open window there (printed).
 fn bench_mixed(c: &mut Criterion) {
     let flows = capture_flows();
     let model = mixed_model(&flows);
@@ -508,6 +508,23 @@ fn bench_mixed(c: &mut Criterion) {
         g.throughput(Throughput::Elements(open));
         g.bench_function(&format!("hosts/{hosts}/snapshot"), |b| {
             b.iter(|| half.clone())
+        });
+        // One advance past every window, from a copy of `half` (its drop
+        // timed too): the open windows' tests, events and turnover. Rows
+        // deal hosts round-robin, so windows open out of key order;
+        // `window_turnover/2000` opens its windows in key order and cannot
+        // see what putting a close's output in key order costs.
+        let past = SimTime::from_micros(10 * DetectorConfig::default().window.as_micros());
+        g.bench_function(&format!("hosts/{hosts}/close"), |b| {
+            b.iter_batched(
+                || half.clone(),
+                |mut d| {
+                    black_box(d.advance_watermark(past));
+                    assert_eq!(d.open_windows(), 0);
+                    d
+                },
+                BatchSize::SmallInput,
+            )
         });
     }
     g.finish();

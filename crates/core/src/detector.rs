@@ -174,37 +174,36 @@ struct WindowAccum {
     rare_flow_outliers: u64,
     new_signature_tasks: u64,
     new_signatures: Vec<SigId>,
-    // `(perf outliers, group n)` of each performance group of the
+    // Where the window's `(perf outliers, group n)` counters start in its
+    // index's slab (`Window::slab`): one per performance group of the
     // window's stage, indexed by the slot the model in force gives its
     // signature (`CompiledModel::slots`); `(0, 0)` for a group that has
-    // counted nothing. Sized when the window opens, zeroed when it closes.
-    perf: Vec<(u64, u64)>,
+    // counted nothing. A function handed the window's `perf` gets the slab
+    // from this offset on and reads as many counters as the stage has slots.
+    perf: usize,
     // `(interned signature, perf outliers, group n)` of each group whose
     // signature has no slot under the model in force, ascending by id.
     // Only a window left open across `install_model`, or decoded from a
-    // checkpoint, holds one; no row counts into it.
+    // checkpoint, holds one; no row counts into it. An accumulator outside
+    // the store (`OpenWindows::into_windows`) keeps every group here.
     unslotted: Vec<(SigId, u64, u64)>,
 }
 
 impl WindowAccum {
-    /// Ready an empty accumulator to count rows of a stage with `slots`
-    /// performance groups.
+    /// Count one classified task into the window and its group counters
+    /// `perf`: indexed adds only. `sig` is read only for a new signature.
     #[inline]
-    fn open(&mut self, slots: usize) {
-        if self.perf.len() != slots {
-            self.perf.clear();
-            self.perf.resize(slots, (0, 0));
-        }
-    }
-
-    /// Count one classified task: indexed adds only. `sig` is read only
-    /// for a new signature.
-    #[inline]
-    fn count(&mut self, verdict: RowVerdict, sig: impl FnOnce() -> SigId, max_new: usize) {
+    fn count(
+        &mut self,
+        perf: &mut [(u64, u64)],
+        verdict: RowVerdict,
+        sig: impl FnOnce() -> SigId,
+        max_new: usize,
+    ) {
         self.n += 1;
         if let Some(slot) = verdict.slot() {
             let outlier = u64::from(verdict.class() == TaskClass::PerformanceOutlier);
-            let group = &mut self.perf[slot];
+            let group = &mut perf[slot];
             (group.0, group.1) = (group.0 + outlier, group.1 + 1);
             return;
         }
@@ -221,9 +220,9 @@ impl WindowAccum {
 
     /// Every group that has counted, `(signature, outliers, n)` ascending
     /// by signature id; `slots` is the window's stage's under the model
-    /// in force.
-    fn groups(&self, slots: &[(SigId, f64)]) -> Vec<(SigId, u64, u64)> {
-        let slotted = slots.iter().zip(&self.perf);
+    /// in force, `perf` its counters.
+    fn groups(&self, slots: &[(SigId, f64)], perf: &[(u64, u64)]) -> Vec<(SigId, u64, u64)> {
+        let slotted = slots.iter().zip(perf);
         let counted = slotted.filter(|(_, &(_, n))| n > 0);
         let mut groups: Vec<_> = counted.map(|(&(sig, _), &(o, n))| (sig, o, n)).collect();
         groups.extend_from_slice(&self.unslotted);
@@ -232,11 +231,16 @@ impl WindowAccum {
     }
 
     /// Add `n` tasks, `outliers` of them over threshold, to `sig`'s group:
-    /// into `slot`, its slot under the model in force, or by id.
-    fn add_group(&mut self, (sig, outliers, n): (SigId, u64, u64), slot: Option<usize>) {
+    /// into `slot` of `perf`, its slot under the model in force, or by id.
+    fn add_group(
+        &mut self,
+        perf: &mut [(u64, u64)],
+        (sig, outliers, n): (SigId, u64, u64),
+        slot: Option<usize>,
+    ) {
         let (group_outliers, group_n) = match slot {
             Some(slot) => {
-                let g = &mut self.perf[slot];
+                let g = &mut perf[slot];
                 (&mut g.0, &mut g.1)
             }
             None => {
@@ -252,18 +256,6 @@ impl WindowAccum {
         (*group_outliers, *group_n) = (*group_outliers + outliers, *group_n + n);
     }
 
-    /// Re-key an open window of `stage` from the slots of `from` to those
-    /// of `to`: a model swap with the window open.
-    fn reslot(&mut self, stage: StageId, from: &CompiledModel, to: &CompiledModel) {
-        let groups = self.groups(from.slots(stage));
-        self.unslotted.clear();
-        self.perf.clear();
-        self.open(to.slots(stage).len());
-        for group in groups {
-            self.add_group(group, to.perf_slot(stage, group.0));
-        }
-    }
-
     /// List a new signature for the window's report, up to the cap.
     fn enumerate_new(&mut self, sig: SigId, max_new_signatures: usize) {
         if !self.new_signatures.contains(&sig) && self.new_signatures.len() < max_new_signatures {
@@ -271,13 +263,13 @@ impl WindowAccum {
         }
     }
 
-    /// Empty the accumulator, keeping what its vectors allocated.
+    /// Empty the accumulator, keeping what its vectors allocated; its
+    /// group counters go with its index's slab.
     fn clear(&mut self) {
         self.n = 0;
         self.rare_flow_outliers = 0;
         self.new_signature_tasks = 0;
         self.new_signatures.clear();
-        self.perf.fill((0, 0));
         self.unslotted.clear();
     }
 }
@@ -390,7 +382,8 @@ impl PairIndex {
     }
 }
 
-/// The windows of one window index: an accumulator per pair row.
+/// The windows of one window index: an accumulator per pair row, and one
+/// slab of group counters for all of them.
 #[derive(Debug, Default)]
 struct Window {
     idx: u64,
@@ -398,6 +391,19 @@ struct Window {
     accs: Vec<WindowAccum>,
     /// The rows whose window here is open, in opening order.
     opened: Vec<u32>,
+    /// The open windows' group counters, a run per window at its
+    /// accumulator's `perf` offset, in opening order: opening appends,
+    /// retiring the index truncates.
+    slab: Vec<(u64, u64)>,
+}
+
+/// A pair row: the pair it was last given to, and how many of the pair's
+/// windows are open.
+#[derive(Debug, Clone, Copy)]
+struct PairRow {
+    host: HostId,
+    stage: StageId,
+    open: u32,
 }
 
 /// The open detection windows.
@@ -415,22 +421,23 @@ struct Window {
 /// **A window is open while its accumulator has counted a row (`n > 0`).**
 /// `windows` counts exactly those, so [`AnomalyDetector::open_windows`] is
 /// O(1), and each window lists its open rows, so closing visits only the
-/// windows it closes: it sorts their keys, tests each accumulator by
-/// reference, clears it in place, and hands the row back once the pair has
-/// no other window open. The closed [`Window`] waits as `spare` for the next
-/// index to open, its accumulators and the vectors they grew kept, so
-/// steady-state turnover allocates nothing; a row handed back goes on the
-/// free list, which can hold every row.
+/// windows it closes, once each, in opening order: it tests each
+/// accumulator by reference, clears it in place and counts the row's open
+/// windows down, handing the row back when none is left. The closed
+/// [`Window`] waits as `spare` for the next index to open, its
+/// accumulators, its slab and the vectors they grew kept, so steady-state
+/// turnover allocates nothing; a row handed back goes on the free list,
+/// which can hold every row.
 ///
-/// The spare window and the key scratch are not state: they are not in
-/// the wire form, and a clone (the restart copy) carries neither, nor any
-/// accumulator that has counted nothing.
+/// The spare window is not state: it is not in the wire form, and a clone
+/// (the restart copy) carries neither it nor any accumulator that has
+/// counted nothing.
 #[derive(Debug, Default)]
 struct OpenWindows {
     /// `(host, stage)` → row, for every pair with a window open.
     pairs: PairIndex,
-    /// The pair each row was last given to.
-    rows: Vec<(HostId, StageId)>,
+    /// Each row's pair and open-window count.
+    rows: Vec<PairRow>,
     /// Rows handed back; its capacity is `rows.len()` or more.
     free: Vec<u32>,
     /// The live window indices, ascending.
@@ -439,13 +446,12 @@ struct OpenWindows {
     windows: usize,
     /// The last window closed, its accumulators cleared, for the next index.
     spare: Window,
-    /// The keys and rows of the windows one close tests, reused.
-    closing: Vec<(WindowKey, u32)>,
 }
 
 impl Clone for OpenWindows {
-    /// The open windows only: no spare, no scratch, and an empty
-    /// accumulator wherever a row has counted nothing.
+    /// The open windows only: no spare, and an empty accumulator wherever
+    /// a row has counted nothing. Each index's group counters are one
+    /// flat copy.
     fn clone(&self) -> OpenWindows {
         let live = self.live.iter().map(|w| Window {
             idx: w.idx,
@@ -458,6 +464,7 @@ impl Clone for OpenWindows {
                 })
                 .collect(),
             opened: w.opened.clone(),
+            slab: w.slab.clone(),
         });
         let mut free = Vec::with_capacity(self.rows.len());
         free.extend_from_slice(&self.free);
@@ -477,10 +484,11 @@ impl OpenWindows {
         self.windows
     }
 
-    /// The accumulator of one window, opening it under `compiled`; the
-    /// caller counts at least one row into it. A new window index takes
-    /// the spare window. Always inlined: it is most of a row's work, and
-    /// out of line it costs a call and its register spills per row.
+    /// The accumulator of one window and its group counters, opening it
+    /// under `compiled`; the caller counts at least one row into it. A new
+    /// window index takes the spare window. Always inlined: it is most of
+    /// a row's work, and out of line it costs a call and its register
+    /// spills per row.
     #[inline(always)]
     fn accum(
         &mut self,
@@ -488,7 +496,7 @@ impl OpenWindows {
         stage: StageId,
         idx: u64,
         compiled: &CompiledModel,
-    ) -> &mut WindowAccum {
+    ) -> (&mut WindowAccum, &mut [(u64, u64)]) {
         let row = match self.pairs.get(host, stage) {
             Some(row) => row,
             None => self.add_pair(host, stage),
@@ -498,7 +506,10 @@ impl OpenWindows {
         if accs.get(row).is_none_or(|acc| acc.n == 0) {
             self.open_window(at, row, compiled.slots(stage).len());
         }
-        &mut self.live[at].accs[row]
+        let window = &mut self.live[at];
+        let acc = &mut window.accs[row];
+        let perf = &mut window.slab[acc.perf..];
+        (acc, perf)
     }
 
     /// Open the window of `row` at `live[at]`, of a stage with `slots`
@@ -511,20 +522,27 @@ impl OpenWindows {
             window.accs.resize_with(rows, WindowAccum::default);
         }
         window.opened.push(row as u32);
-        window.accs[row].open(slots);
+        window.accs[row].perf = window.slab.len();
+        window.slab.resize(window.slab.len() + slots, (0, 0));
+        self.rows[row].open += 1;
         self.windows += 1;
     }
 
     /// Give a pair a row: a handed-back one, or a new one.
     #[cold]
     fn add_pair(&mut self, host: HostId, stage: StageId) -> u32 {
+        let pair = PairRow {
+            host,
+            stage,
+            open: 0,
+        };
         let row = match self.free.pop() {
             Some(row) => {
-                self.rows[row as usize] = (host, stage);
+                self.rows[row as usize] = pair;
                 row
             }
             None => {
-                self.rows.push((host, stage));
+                self.rows.push(pair);
                 // Handing every row back never grows the free list.
                 self.free.reserve(self.rows.len() - self.free.len());
                 (self.rows.len() - 1) as u32
@@ -532,6 +550,17 @@ impl OpenWindows {
         };
         self.pairs.insert(host, stage, row);
         row
+    }
+
+    /// Count down the open windows of `row`, whose window just closed,
+    /// handing the row back once the pair has none open.
+    fn release(&mut self, row: u32) {
+        let pair = &mut self.rows[row as usize];
+        pair.open -= 1;
+        if pair.open == 0 {
+            self.pairs.remove(pair.host, pair.stage);
+            self.free.push(row);
+        }
     }
 
     /// The position in `live` of window index `idx`, opened if absent.
@@ -562,89 +591,64 @@ impl OpenWindows {
         }
     }
 
-    /// The accumulator of an open window, by index and row.
-    fn get(&self, idx: u64, row: u32) -> &WindowAccum {
-        let window = self.live.iter().find(|w| w.idx == idx).expect("live index");
-        &window.accs[row as usize]
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (WindowKey, &WindowAccum)> {
+    /// Every open window, its key, accumulator and group counters.
+    fn iter(&self) -> impl Iterator<Item = (WindowKey, &WindowAccum, &[(u64, u64)])> {
         self.live.iter().flat_map(move |w| {
             w.opened.iter().map(move |&row| {
-                let (host, stage) = self.rows[row as usize];
-                ((host, stage, w.idx), &w.accs[row as usize])
+                let PairRow { host, stage, .. } = self.rows[row as usize];
+                let acc = &w.accs[row as usize];
+                ((host, stage, w.idx), acc, &w.slab[acc.perf..])
             })
         })
     }
 
-    /// The keys and rows of the open windows of every leading index
-    /// `stale` accepts, sorted by key: emission order must not depend on
-    /// the order windows opened in. The vector is the store's scratch;
-    /// hand it back to [`OpenWindows::recycle_while`].
-    fn stale_keys(&mut self, stale: impl Fn(u64) -> bool) -> Vec<(WindowKey, u32)> {
-        let mut keys = std::mem::take(&mut self.closing);
-        let leading = || self.live.iter().take_while(|w| stale(w.idx));
-        // One reservation, so a first close grows the scratch once.
-        keys.reserve(leading().map(|w| w.opened.len()).sum());
-        for w in leading() {
-            keys.extend(w.opened.iter().map(|&row| {
-                let (host, stage) = self.rows[row as usize];
-                ((host, stage, w.idx), row)
-            }));
-        }
-        keys.sort_unstable_by_key(|&(key, _)| key);
-        keys
-    }
-
-    /// Retire every leading index `stale` accepts, its windows tested:
-    /// each accumulator that counted is cleared in place, its row handed
-    /// back unless the pair has a window open at another index, and the
-    /// fullest retired window becomes the spare. `keys` is the scratch
-    /// [`OpenWindows::stale_keys`] lent out.
-    fn recycle_while(&mut self, stale: impl Fn(u64) -> bool, mut keys: Vec<(WindowKey, u32)>) {
-        keys.clear();
-        self.closing = keys;
-        while self.live.first().is_some_and(|w| stale(w.idx)) {
-            let mut window = self.live.remove(0);
-            for &row in &window.opened {
-                window.accs[row as usize].clear();
-                let open_elsewhere = self.live.iter().any(|w| {
-                    let acc = w.accs.get(row as usize);
-                    acc.is_some_and(|acc| acc.n > 0)
-                });
-                if !open_elsewhere {
-                    let (host, stage) = self.rows[row as usize];
-                    self.pairs.remove(host, stage);
-                    self.free.push(row);
-                }
-            }
-            self.windows -= window.opened.len();
-            window.opened.clear();
-            if window.accs.len() >= self.spare.accs.len() {
-                self.spare = window;
-            }
+    /// Retire a window index taken out of `live`, its windows tested,
+    /// cleared and released: the slab is truncated, and the fuller of it
+    /// and the spare kept as the spare.
+    fn retire(&mut self, mut window: Window) {
+        self.windows -= window.opened.len();
+        window.opened.clear();
+        window.slab.clear();
+        if window.accs.len() >= self.spare.accs.len() {
+            self.spare = window;
         }
     }
 
-    /// Re-key every open window from the slots of `from` to those of
-    /// `to`. Empty accumulators are sized when they next open.
-    fn reslot(&mut self, from: &CompiledModel, to: &CompiledModel) {
-        for w in &mut self.live {
-            for &row in &w.opened {
-                let stage = self.rows[row as usize].1;
-                w.accs[row as usize].reslot(stage, from, to);
-            }
+    /// Add a window's counts, every group kept by id, into its window
+    /// here, opened under `compiled` if it is not: the cold path of
+    /// [`AnomalyDetector::decode_from`], [`AnomalyDetector::merge`],
+    /// [`AnomalyDetector::partition`] and a model swap. Adding into a
+    /// freshly opened accumulator is a plain insert.
+    fn add(
+        &mut self,
+        (host, stage, idx): WindowKey,
+        from: WindowAccum,
+        compiled: &CompiledModel,
+        max_new: usize,
+    ) {
+        let (into, perf) = self.accum(host, stage, idx, compiled);
+        into.n += from.n;
+        into.rare_flow_outliers += from.rare_flow_outliers;
+        into.new_signature_tasks += from.new_signature_tasks;
+        for sig in from.new_signatures {
+            into.enumerate_new(sig, max_new);
+        }
+        for group in from.unslotted {
+            into.add_group(perf, group, compiled.perf_slot(stage, group.0));
         }
     }
 
-    /// Every open window, moved out and sorted by key: the cold path of
-    /// [`AnomalyDetector::merge`] and [`AnomalyDetector::partition`].
-    fn into_windows(mut self) -> Vec<(WindowKey, WindowAccum)> {
+    /// Every open window, moved out and sorted by key, each accumulator
+    /// keeping every group by id (`slots` under `compiled`): the cold path
+    /// of [`AnomalyDetector::merge`], [`AnomalyDetector::partition`] and a
+    /// model swap.
+    fn into_windows(mut self, compiled: &CompiledModel) -> Vec<(WindowKey, WindowAccum)> {
         let mut taken = Vec::with_capacity(self.windows);
         for w in &mut self.live {
             for &row in &w.opened {
-                let (host, stage) = self.rows[row as usize];
-                let acc = std::mem::take(&mut w.accs[row as usize]);
+                let PairRow { host, stage, .. } = self.rows[row as usize];
+                let mut acc = std::mem::take(&mut w.accs[row as usize]);
+                acc.unslotted = acc.groups(compiled.slots(stage), &w.slab[acc.perf..]);
                 taken.push(((host, stage, w.idx), acc));
             }
         }
@@ -688,10 +692,12 @@ pub struct AnomalyDetector {
     // Bootstrap/degraded mode: no trained model yet; count windows and
     // emit ModelUnavailable instead of classifying.
     collect_only: bool,
-    // The one-task window of a straggler (see `account`), reused so that
-    // closing it touches neither the store nor the heap. Not state:
-    // cleared before every use, and not in the wire form.
+    // The one-task window of a straggler (see `account`) and its group
+    // counters, reused so that closing it touches neither the store nor
+    // the heap. Not state: cleared before every use, and not in the wire
+    // form.
     scratch: WindowAccum,
+    scratch_perf: Vec<(u64, u64)>,
 }
 
 /// Sanity bounds for decoding a detector's wire form. The checkpoint
@@ -720,9 +726,9 @@ impl AnomalyDetector {
         put_varint(buf, d.tasks_seen);
         put_varint(buf, d.tasks_lost);
         let mut windows: Vec<_> = d.open.iter().collect();
-        windows.sort_unstable_by_key(|&(key, _)| key);
+        windows.sort_unstable_by_key(|&(key, ..)| key);
         put_varint(buf, windows.len() as u64);
-        for ((host, stage, idx), acc) in windows {
+        for ((host, stage, idx), acc, perf) in windows {
             put_varint(buf, host.0 as u64);
             put_varint(buf, stage.0 as u64);
             put_varint(buf, idx);
@@ -733,7 +739,7 @@ impl AnomalyDetector {
             for sig in &acc.new_signatures {
                 put_varint(buf, sig.0 as u64);
             }
-            let groups = acc.groups(d.compiled.slots(stage));
+            let groups = acc.groups(d.compiled.slots(stage), perf);
             put_varint(buf, groups.len() as u64);
             for (sig, outliers, n) in groups {
                 put_varint(buf, sig.0 as u64);
@@ -806,7 +812,6 @@ impl AnomalyDetector {
                 new_signature_tasks: get_varint(buf)?,
                 ..WindowAccum::default()
             };
-            acc.open(compiled.slots(stage).len());
             let new_count = get_varint(buf)?;
             if new_count > MAX_SNAPSHOT_SIGS {
                 return Err(DecodeError::LengthOutOfRange(new_count));
@@ -831,11 +836,16 @@ impl AnomalyDetector {
                 if n == 0 {
                     return Err(DecodeError::LengthOutOfRange(0));
                 }
-                acc.add_group((sig, outliers, n), compiled.perf_slot(stage, sig));
+                acc.unslotted.push((sig, outliers, n));
             }
             // A window that counted nothing is not open (see `OpenWindows`).
             if acc.n > 0 {
-                *open.accum(host, stage, idx, &compiled) = acc;
+                open.add(
+                    (host, stage, idx),
+                    acc,
+                    &compiled,
+                    config.max_new_signatures,
+                );
             }
         }
         let loss_count = get_varint(buf)?;
@@ -886,20 +896,11 @@ impl AnomalyDetector {
         let mut merged = iter.next()?;
         let m = &mut merged;
         for part in iter {
-            for ((host, stage, idx), acc) in part.open.into_windows() {
-                // Adding into a freshly opened (empty) accumulator is the
-                // plain insert of the disjoint case. Groups move by
-                // signature: the part may count under another model.
-                let into = m.open.accum(host, stage, idx, &m.compiled);
-                into.n += acc.n;
-                into.rare_flow_outliers += acc.rare_flow_outliers;
-                into.new_signature_tasks += acc.new_signature_tasks;
-                for &sig in &acc.new_signatures {
-                    into.enumerate_new(sig, m.config.max_new_signatures);
-                }
-                for group in acc.groups(part.compiled.slots(stage)) {
-                    into.add_group(group, m.compiled.perf_slot(stage, group.0));
-                }
+            // Groups move by signature: the part may count under another
+            // model.
+            for (key, acc) in part.open.into_windows(&part.compiled) {
+                m.open
+                    .add(key, acc, &m.compiled, m.config.max_new_signatures);
             }
             for (key, count) in part.lost {
                 let slot = m.lost.entry(key).or_insert(0);
@@ -929,14 +930,15 @@ impl AnomalyDetector {
         route: impl Fn(HostId, StageId) -> usize,
     ) -> Vec<AnomalyDetector> {
         assert!(n > 0, "cannot partition a detector into zero shards");
-        let open = std::mem::take(&mut self.open);
+        let windows = std::mem::take(&mut self.open).into_windows(&self.compiled);
         let seen = std::mem::take(&mut self.tasks_seen);
         let late = std::mem::take(&mut self.late_seen);
         let mut parts = vec![self; n];
         (parts[0].tasks_seen, parts[0].late_seen) = (seen, late);
-        for ((host, stage, idx), acc) in open.into_windows() {
-            let part = &mut parts[route(host, stage) % n];
-            *part.open.accum(host, stage, idx, &part.compiled) = acc;
+        for (key, acc) in windows {
+            let part = &mut parts[route(key.0, key.1) % n];
+            let max_new = part.config.max_new_signatures;
+            part.open.add(key, acc, &part.compiled, max_new);
         }
         parts
     }
@@ -1020,6 +1022,7 @@ impl AnomalyDetector {
             late_seen: 0,
             collect_only: false,
             scratch: WindowAccum::default(),
+            scratch_perf: Vec::new(),
         })
     }
 
@@ -1060,7 +1063,13 @@ impl AnomalyDetector {
             Vec::new()
         };
         self.collect_only = false;
-        self.open.reslot(&self.compiled, &compiled);
+        // The open windows' groups move to the incoming slots: the store
+        // is rebuilt, every window re-added by key.
+        let windows = std::mem::take(&mut self.open).into_windows(&self.compiled);
+        for (key, acc) in windows {
+            let max_new = self.config.max_new_signatures;
+            self.open.add(key, acc, &compiled, max_new);
+        }
         self.model = model;
         self.compiled = compiled;
         events
@@ -1196,26 +1205,26 @@ impl AnomalyDetector {
             // Bootstrap mode: no model to classify against. Count the
             // task so the window's ModelUnavailable event carries exact
             // unclassified-task accounting.
-            self.account(key, closable_before, &mut events, |acc| acc.n += 1)
+            self.account(key, closable_before, &mut events, |acc, _| acc.n += 1)
         } else {
             // The per-stage table, not the flat one the batch pass reads.
             let class = self.compiled.classify(f.stage, f.sig, f.duration_us);
             let verdict = RowVerdict::new(class, self.compiled.perf_slot(f.stage, f.sig));
             let max_new = self.config.max_new_signatures;
-            self.account(key, closable_before, &mut events, |acc| {
-                acc.count(verdict, || f.sig, max_new)
+            self.account(key, closable_before, &mut events, |acc, perf| {
+                acc.count(perf, verdict, || f.sig, max_new)
             })
         };
         if !late {
             // Advance the watermark and close stale windows.
             self.watermark = self.watermark.max(f.start);
-            self.close_stale(&mut events);
+            self.close_stale(self.window_index(self.watermark), &mut events);
         }
         events
     }
 
-    /// Count one task into its window, through `count`; returns whether it
-    /// was late. This is the one place the late rule lives: **a straggler
+    /// Count one task into its window and its group counters, through
+    /// `count`; returns whether it was late. This is the one place the late rule lives: **a straggler
     /// is a window of its own, closed at once.** An element whose window
     /// lies below the grace bound `closable_before` (the watermark's window
     /// index) is counted into the scratch accumulator, tested and
@@ -1230,18 +1239,26 @@ impl AnomalyDetector {
         (host, stage, idx): WindowKey,
         closable_before: u64,
         events: &mut Vec<AnomalyEvent>,
-        count: impl FnOnce(&mut WindowAccum),
+        count: impl FnOnce(&mut WindowAccum, &mut [(u64, u64)]),
     ) -> bool {
         if idx + 1 >= closable_before {
-            count(self.open.accum(host, stage, idx, &self.compiled));
+            let (acc, perf) = self.open.accum(host, stage, idx, &self.compiled);
+            count(acc, perf);
             return false;
         }
         self.late_seen += 1;
-        self.close_stale(events);
+        self.close_stale(closable_before, events);
         self.scratch.clear();
-        self.scratch.open(self.compiled.slots(stage).len());
-        count(&mut self.scratch);
-        self.close_window((host, stage, idx), &self.scratch, events);
+        self.scratch_perf.clear();
+        let slots = self.compiled.slots(stage).len();
+        self.scratch_perf.resize(slots, (0, 0));
+        count(&mut self.scratch, &mut self.scratch_perf);
+        self.close_window(
+            (host, stage, idx),
+            &self.scratch,
+            &self.scratch_perf,
+            events,
+        );
         true
     }
 
@@ -1274,25 +1291,25 @@ impl AnomalyDetector {
     ) -> Vec<AnomalyEvent> {
         if self.collect_only {
             // Bootstrap mode: count each task, classify none.
-            return self.observe_rows(batch, |acc, _| acc.n += 1);
+            return self.observe_rows(batch, |acc, _, _| acc.n += 1);
         }
         self.compiled
             .classify_rows(&batch.stages, &batch.sigs, &batch.durations_us, verdicts);
         let (rows, max_new) = (verdicts.rows(), self.config.max_new_signatures);
-        self.observe_rows(batch, |acc, i| {
-            acc.count(rows[i], || batch.sigs[i], max_new)
+        self.observe_rows(batch, |acc, perf, i| {
+            acc.count(perf, rows[i], || batch.sigs[i], max_new)
         })
     }
 
     /// The one batch loop under [`AnomalyDetector::observe_batch`]: each
-    /// row advances the watermark, then `count(accumulator, row)` counts it
-    /// into its window. Generic, so each mode compiles to a loop of its
+    /// row advances the watermark, then `count(accumulator, its group
+    /// counters, row)` counts it into its window. Generic, so each mode compiles to a loop of its
     /// own.
     #[inline]
     fn observe_rows(
         &mut self,
         batch: &SynopsisBatch,
-        count: impl Fn(&mut WindowAccum, usize),
+        count: impl Fn(&mut WindowAccum, &mut [(u64, u64)], usize),
     ) -> Vec<AnomalyEvent> {
         let mut events = Vec::new();
         let window_us = self.config.window.as_micros();
@@ -1318,7 +1335,7 @@ impl AnomalyDetector {
                 if wm.as_micros() >= next_window_us {
                     closable_before = self.window_index(wm);
                     next_window_us = (closable_before + 1).saturating_mul(window_us);
-                    self.close_stale(&mut events);
+                    self.close_stale(closable_before, &mut events);
                 }
             }
             let start_us = starts[i].as_micros();
@@ -1331,7 +1348,9 @@ impl AnomalyDetector {
                 idx
             };
             let key = (hosts[i], stages[i], idx);
-            self.account(key, closable_before, &mut events, |acc| count(acc, i));
+            self.account(key, closable_before, &mut events, |acc, perf| {
+                count(acc, perf, i)
+            });
         }
         events
     }
@@ -1351,25 +1370,49 @@ impl AnomalyDetector {
     pub fn advance_watermark(&mut self, to: SimTime) -> Vec<AnomalyEvent> {
         self.watermark = self.watermark.max(to);
         let mut events = Vec::new();
-        self.close_stale(&mut events);
+        self.close_stale(self.window_index(self.watermark), &mut events);
         events
     }
 
-    fn close_stale(&mut self, events: &mut Vec<AnomalyEvent>) {
-        let closable_before = self.window_index(self.watermark); // grace = 1 window
-        self.close_while(|idx| idx + 1 < closable_before, events);
+    /// Close what lies below the grace bound `closable_before` (the
+    /// watermark's window index; grace = 1 window): windows and loss
+    /// entries. When no window is stale, as for nearly every straggler,
+    /// the windows cost one compare.
+    #[inline]
+    fn close_stale(&mut self, closable_before: u64, events: &mut Vec<AnomalyEvent>) {
+        let stale = |idx: u64| idx + 1 < closable_before;
+        if self.open.live.first().is_some_and(|w| stale(w.idx)) {
+            self.close_while(stale, events);
+        }
         self.drop_outdated_losses(closable_before);
     }
 
-    /// Close the windows of every leading index `stale` accepts, in key
-    /// order and in place: each is tested by reference, then its window
-    /// index is recycled for the next one (see `OpenWindows`).
+    /// Close the windows of every leading index `stale` accepts, in place:
+    /// each index's open rows once, in opening order — the accumulator
+    /// tested by reference, cleared, and its row counted down — then the
+    /// index retires (see `OpenWindows`). The events this close pushed are
+    /// then put in key order, `(host, stage, window start)`, by a stable
+    /// sort: a window's events are contiguous and keys are unique within
+    /// a close, so this is exactly the order of testing the windows by key.
     fn close_while(&mut self, stale: impl Fn(u64) -> bool, events: &mut Vec<AnomalyEvent>) {
-        let keys = self.open.stale_keys(&stale);
-        for &(key, row) in &keys {
-            self.close_window(key, self.open.get(key.2, row), events);
+        let first = events.len();
+        while self.open.live.first().is_some_and(|w| stale(w.idx)) {
+            let mut window = self.open.live.remove(0);
+            for &row in &window.opened {
+                let PairRow { host, stage, .. } = self.open.rows[row as usize];
+                let acc = &mut window.accs[row as usize];
+                let perf = &window.slab[acc.perf..];
+                self.close_window((host, stage, window.idx), acc, perf, events);
+                acc.clear();
+                self.open.release(row);
+            }
+            self.open.retire(window);
         }
-        self.open.recycle_while(stale, keys);
+        let key = |e: &AnomalyEvent| (e.host, e.stage, e.window_start);
+        let closed = &mut events[first..];
+        if !closed.is_sorted_by_key(key) {
+            closed.sort_by_key(key);
+        }
     }
 
     /// Loss entries for windows below the grace bound can no longer affect
@@ -1391,10 +1434,13 @@ impl AnomalyDetector {
         events
     }
 
+    /// Test one window, `acc` with its group counters `perf`, and push
+    /// its events.
     fn close_window(
         &self,
         (host, stage, idx): WindowKey,
         acc: &WindowAccum,
+        perf: &[(u64, u64)],
         events: &mut Vec<AnomalyEvent>,
     ) {
         let window_start = SimTime::from_micros(idx * self.config.window.as_micros());
@@ -1466,13 +1512,8 @@ impl AnomalyDetector {
         // a single outlier fire with p = 0.
         let first = events.len();
         let slots = self.compiled.slots(stage);
-        debug_assert_eq!(
-            slots.len(),
-            acc.perf.len(),
-            "window sized under another model"
-        );
         let min_group_tasks = self.config.min_group_tasks.max(1);
-        for (&(sig, p0), &(outliers, n)) in slots.iter().zip(&acc.perf) {
+        for (&(sig, p0), &(outliers, n)) in slots.iter().zip(perf) {
             if n < min_group_tasks {
                 continue;
             }
@@ -2797,6 +2838,76 @@ mod tests {
     }
 
     #[test]
+    fn a_merged_detector_closes_three_indices_in_one_advance_in_key_order() {
+        // The shard ahead holds windows at indices 9 and 10, each index's
+        // opened in reverse key order; the shard behind holds index 7,
+        // stale under the merged watermark. One advance past all three
+        // closes them together, and the events are exactly the order
+        // oracle's: key order, whatever order the windows opened in.
+        let model = crate::testkit::multi_stage_model();
+        let interner = Arc::new(SignatureInterner::new());
+        let compiled = Arc::new(model.compile(&interner));
+        let config = DetectorConfig {
+            window: SimDuration::from_micros(ORACLE_WINDOW_US),
+            ..DetectorConfig::default()
+        };
+        let fresh = || {
+            AnomalyDetector::with_shared(model.clone(), compiled.clone(), interner.clone(), config)
+        };
+        // One batch per index: hosts 4 down to 0, each on stage 1 then 0,
+        // one to three never-trained rows per window.
+        let index = |idx: u64| {
+            let mut rows: Vec<Row> = Vec::new();
+            for host in (0..5u16).rev() {
+                for stage in [1u16, 0] {
+                    for k in 0..1 + u64::from(host + stage) % 3 {
+                        rows.push((host, stage, idx * ORACLE_WINDOW_US + k, true));
+                    }
+                }
+            }
+            rows
+        };
+        let (mut reached, mut naive, mut parts) =
+            (OrderReached::default(), NaiveWindows::default(), Vec::new());
+        for indices in [&[9u64, 10][..], &[7]] {
+            let (mut part, mut part_naive, mut stamp) = (fresh(), NaiveWindows::default(), 0);
+            let batches: Vec<_> = indices.iter().map(|&idx| index(idx)).collect();
+            feed_oracle(
+                &mut part,
+                &mut part_naive,
+                &mut stamp,
+                &batches,
+                &mut reached,
+            )
+            .unwrap();
+            parts.push(part);
+            naive.absorb(part_naive);
+        }
+        let mut d = AnomalyDetector::merge(parts).expect("two shards");
+        let live: Vec<u64> = d.open.live.iter().map(|w| w.idx).collect();
+        assert_eq!(live, [7, 9, 10]);
+        for w in &d.open.live[1..] {
+            let keys: Vec<_> = w
+                .opened
+                .iter()
+                .map(|&row| {
+                    let PairRow { host, stage, .. } = d.open.rows[row as usize];
+                    (host, stage)
+                })
+                .collect();
+            assert!(keys.windows(2).all(|p| p[0] > p[1]), "{keys:?}");
+        }
+        let to = 12 * ORACLE_WINDOW_US;
+        naive.watermark = naive.watermark.max(to);
+        let mut want = Vec::new();
+        naive.close_stale(&mut want, &mut reached);
+        assert_eq!(want.len(), 30);
+        let got = flow_reports(&d.advance_watermark(SimTime::from_micros(to)));
+        assert_eq!(got, want);
+        assert_eq!(d.open_windows(), 0);
+    }
+
+    #[test]
     fn pair_index_matches_a_map_through_inserts_and_removals() {
         // Few hosts and stages, so probes collide and wrap around the
         // table's end, and removals shift entries back across the end.
@@ -2884,6 +2995,7 @@ mod tests {
     /// closed by scanning both. It classifies with the per-stage tables
     /// (`CompiledModel::classify`, `perf_p0`), writes the wire form itself,
     /// and shares no code with `OpenWindows`, `WindowAccum` or the slots.
+    #[derive(Clone)]
     struct NaiveGroups {
         compiled: Arc<CompiledModel>,
         interner: Arc<SignatureInterner>,
@@ -3127,8 +3239,7 @@ mod tests {
     }
 
     /// About `rows` group-oracle rows from `*clock` on, in batches of 0–47,
-    /// fed to the detector and the oracle, each row stamped with the
-    /// running max of `*stamp` and its start; checked after every batch.
+    /// fed to the detector and the oracle by [`feed_group_batch`].
     fn feed_groups(
         s: &mut OracleStreams<'_>,
         d: &mut AnomalyDetector,
@@ -3137,40 +3248,57 @@ mod tests {
         rows: u64,
         reached: &mut GroupsReached,
     ) -> Result<(), String> {
-        let mut verdicts = VerdictMask::new();
         let batches = s.batches(clock, rows, |_| true);
         for rows in batches {
-            let mut batch = SynopsisBatch::new();
-            let mut want = Vec::new();
-            for (uid, &(host, stage, start, _)) in rows.iter().enumerate() {
+            let mut batch = Vec::new();
+            for &(host, stage, start, _) in &rows {
                 let flow = match s.draw(16) {
                     0 => 4 + s.draw(3) as usize,
                     _ => s.draw(4) as usize,
                 };
                 let slow = s.draw(if host % 5 == 0 { 3 } else { 40 }) == 0;
-                let row = (host, stage, start, flow, slow);
-                let dur = if slow { 5_000 } else { 1_100 };
-                let at = SimTime::from_micros(start);
-                let mut syn =
-                    crate::testkit::synopsis_on(host, GROUP_FLOWS[flow], dur, at, uid as u64);
-                syn.stage = StageId(stage);
-                let feature = InternedFeature::from_synopsis(&syn, d.interner());
-                *stamp = (*stamp).max(start);
-                batch.push_feature(&feature, SimTime::from_micros(*stamp));
-                reached.alone += usize::from(naive.observe(row, feature.sig, *stamp, &mut want));
+                batch.push((host, stage, start, flow, slow));
             }
-            let got = d.observe_batch(&batch, &mut verdicts);
-            if got != want {
-                return Err(format!("batch {rows:?}: events {got:?}, oracle {want:?}"));
-            }
+            let got = feed_group_batch(d, naive, stamp, &batch, &mut reached.alone)?;
             reached.perf_events += got.iter().filter(|e| e.kind.is_performance()).count();
             reached.rare_events += got
                 .iter()
                 .filter(|e| e.kind == AnomalyKind::FlowRare)
                 .count();
-            check_groups(d, naive)?;
         }
         Ok(())
+    }
+
+    /// One batch of group-oracle rows fed to the detector and the oracle,
+    /// each row stamped with the running max of `*stamp` and its start: the
+    /// same events, then [`check_groups`]. Returns the events; stragglers
+    /// tested alone add to `alone`.
+    fn feed_group_batch(
+        d: &mut AnomalyDetector,
+        naive: &mut NaiveGroups,
+        stamp: &mut u64,
+        rows: &[GroupRow],
+        alone: &mut usize,
+    ) -> Result<Vec<AnomalyEvent>, String> {
+        let mut batch = SynopsisBatch::new();
+        let mut want = Vec::new();
+        for (uid, &row) in rows.iter().enumerate() {
+            let (host, stage, start, flow, slow) = row;
+            let dur = if slow { 5_000 } else { 1_100 };
+            let at = SimTime::from_micros(start);
+            let mut syn = crate::testkit::synopsis_on(host, GROUP_FLOWS[flow], dur, at, uid as u64);
+            syn.stage = StageId(stage);
+            let feature = InternedFeature::from_synopsis(&syn, d.interner());
+            *stamp = (*stamp).max(start);
+            batch.push_feature(&feature, SimTime::from_micros(*stamp));
+            *alone += usize::from(naive.observe(row, feature.sig, *stamp, &mut want));
+        }
+        let got = d.observe_batch(&batch, &mut VerdictMask::new());
+        if got != want {
+            return Err(format!("batch {rows:?}: events {got:?}, oracle {want:?}"));
+        }
+        check_groups(d, naive)?;
+        Ok(got)
     }
 
     /// Split `d` over 1–3 shards, round-trip each through its wire form
@@ -3183,6 +3311,33 @@ mod tests {
         Ok(AnomalyDetector::merge(parts).expect("one or more shards"))
     }
 
+    /// A detector on `model` and the group oracle on the same tables, with
+    /// minimums small enough for a few rows to be tested.
+    fn group_detector(
+        model: Arc<OutlierModel>,
+        compiled: Arc<CompiledModel>,
+        interner: Arc<SignatureInterner>,
+    ) -> (AnomalyDetector, NaiveGroups) {
+        let config = DetectorConfig {
+            window: SimDuration::from_micros(ORACLE_WINDOW_US),
+            min_window_tasks: 8,
+            min_group_tasks: 3,
+            max_new_signatures: 2,
+            ..DetectorConfig::default()
+        };
+        let d = AnomalyDetector::with_shared(model, compiled.clone(), interner.clone(), config);
+        let naive = NaiveGroups {
+            compiled,
+            interner,
+            config,
+            windows: BTreeMap::new(),
+            groups: BTreeMap::new(),
+            watermark: 0,
+            seen: 0,
+        };
+        (d, naive)
+    }
+
     /// One seeded case of the group oracle: 1–4 or 1–300 hosts on two
     /// stages; up to 400 rows under the first model, a swap with windows
     /// open, up to 400 under the second, resharded and restored on the way;
@@ -3191,24 +3346,7 @@ mod tests {
         let [first, second] = group_models();
         let interner = Arc::new(SignatureInterner::new());
         let compiled = [&first, &second].map(|m| Arc::new(m.compile(&interner)));
-        let config = DetectorConfig {
-            window: SimDuration::from_micros(ORACLE_WINDOW_US),
-            min_window_tasks: 8,
-            min_group_tasks: 3,
-            max_new_signatures: 2,
-            ..DetectorConfig::default()
-        };
-        let mut d =
-            AnomalyDetector::with_shared(first, compiled[0].clone(), interner.clone(), config);
-        let mut naive = NaiveGroups {
-            compiled: compiled[0].clone(),
-            interner,
-            config,
-            windows: BTreeMap::new(),
-            groups: BTreeMap::new(),
-            watermark: 0,
-            seen: 0,
-        };
+        let (mut d, mut naive) = group_detector(first, compiled[0].clone(), interner);
         let wide = runner.next_u64().is_multiple_of(2);
         let hosts = 1 + runner.next_u64() % if wide { 300 } else { 4 };
         let step = 1 + runner.next_u64() % (ORACLE_WINDOW_US / 64);
@@ -3275,6 +3413,107 @@ mod tests {
         assert!(reached.swaps_open >= 150, "{reached:?}");
         assert!(reached.unslotted >= 500, "{reached:?}");
         assert!(reached.reshards >= 150, "{reached:?}");
+    }
+
+    /// One batch of group-oracle rows in window `idx`: hosts 3 down to 0,
+    /// each on stage 1 then stage 0, one row per entry of `flows` — so
+    /// windows open in reverse key order — all slow on hosts 0 and 2.
+    fn reversed_rows(idx: u64, flows: &[usize]) -> Vec<GroupRow> {
+        let mut rows = Vec::new();
+        for host in (0..4u16).rev() {
+            for stage in [1u16, 0] {
+                for (k, &flow) in flows.iter().enumerate() {
+                    let start = idx * ORACLE_WINDOW_US + 10 * k as u64;
+                    rows.push((host, stage, start, flow, host % 2 == 0));
+                }
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn a_model_swap_with_two_indices_open_rebuilds_their_slabs() {
+        // Windows are open at indices 0 and 1 on both stages when the
+        // second model comes in. Stage 1 has two performance groups under
+        // the first model and three under the second, so both indices'
+        // counter slabs are rebuilt at other offsets; rows then count into
+        // both under the new slots. Every close equals the group oracle's.
+        let [first, second] = group_models();
+        let interner = Arc::new(SignatureInterner::new());
+        let compiled = [&first, &second].map(|m| Arc::new(m.compile(&interner)));
+        let slots = compiled.each_ref().map(|c| c.slots(StageId(1)).len());
+        assert_eq!(slots, [2, 3]);
+        let (mut d, mut naive) = group_detector(first, compiled[0].clone(), interner);
+        let (mut stamp, mut alone, mut events) = (0, 0, Vec::new());
+        let (before, after) = ([3, 3, 3, 1, 0, 2], [3, 0, 0, 0, 2, 1]);
+        for idx in [0, 1] {
+            let rows = reversed_rows(idx, &before);
+            let got = feed_group_batch(&mut d, &mut naive, &mut stamp, &rows, &mut alone);
+            assert!(got.unwrap().is_empty(), "nothing closes yet");
+        }
+        let live: Vec<u64> = d.open.live.iter().map(|w| w.idx).collect();
+        assert_eq!(live, [0, 1]);
+        assert!(d.install_model(second, compiled[1].clone()).is_empty());
+        naive.compiled = compiled[1].clone();
+        check_groups(&d, &naive).unwrap();
+        for idx in [0, 1, 2] {
+            let rows = reversed_rows(idx, &after);
+            let got = feed_group_batch(&mut d, &mut naive, &mut stamp, &rows, &mut alone);
+            events.extend(got.unwrap());
+        }
+        let mut want = Vec::new();
+        naive.close_where(|_| true, &mut want);
+        let flushed = d.flush();
+        assert_eq!(flushed, want);
+        events.extend(flushed);
+        assert_eq!(alone, 0);
+        // Stage 1's performance groups were tested under the new slots, in
+        // both indices the swap found open.
+        let perf = |idx: u64| {
+            let at = SimTime::from_micros(idx * ORACLE_WINDOW_US);
+            let on = |e: &&AnomalyEvent| e.stage == StageId(1) && e.window_start == at;
+            events
+                .iter()
+                .filter(on)
+                .filter(|e| e.kind.is_performance())
+                .count()
+        };
+        assert!(perf(0) > 0 && perf(1) > 0, "{events:?}");
+    }
+
+    #[test]
+    fn a_clone_taken_right_after_a_close_writes_the_same_bytes() {
+        // Each batch opens an index whose first row closes the index two
+        // back, so every clone below is taken right after a close, with
+        // windows open at two indices, out of key order. The clone writes
+        // the original's checkpoint bytes, and both then run on as the
+        // group oracle does.
+        let [first, _] = group_models();
+        let interner = Arc::new(SignatureInterner::new());
+        let compiled = Arc::new(first.compile(&interner));
+        let (mut d, mut naive) = group_detector(first, compiled, interner);
+        let (mut stamp, mut alone) = (0, 0);
+        let flows = [3, 0, 1, 1, 2, 4];
+        for idx in 0..2 {
+            let rows = reversed_rows(idx, &flows);
+            feed_group_batch(&mut d, &mut naive, &mut stamp, &rows, &mut alone).unwrap();
+        }
+        for idx in 2..5 {
+            let rows = reversed_rows(idx, &flows);
+            let closed = feed_group_batch(&mut d, &mut naive, &mut stamp, &rows, &mut alone);
+            assert!(!closed.unwrap().is_empty(), "index {} closed", idx - 2);
+            let (mut copy, mut copy_naive) = (d.clone(), naive.clone());
+            let [mut original, mut cloned] = [BytesMut::new(), BytesMut::new()];
+            d.encode_into(&mut original);
+            copy.encode_into(&mut cloned);
+            assert_eq!(original, cloned, "a clone after closing index {}", idx - 2);
+            let rows = reversed_rows(idx + 1, &flows);
+            let (mut stamp, mut alone) = (stamp, alone);
+            feed_group_batch(&mut copy, &mut copy_naive, &mut stamp, &rows, &mut alone).unwrap();
+            let mut want = Vec::new();
+            copy_naive.close_where(|_| true, &mut want);
+            assert_eq!(copy.flush(), want);
+        }
     }
 
     proptest! {

@@ -265,13 +265,14 @@ impl LivenessTracker {
 
 /// Synopses of replay tail a restart may cost per open window the
 /// restore copies. A snapshot deep-copies every open window: an
-/// accumulator and its slot-indexed group counters, timed (clone and
-/// drop) by `micro`'s `detector/hosts/256/snapshot` on 2 560 open windows,
-/// the nearest row to `analyze_churn`'s ~2 000, at 93–113 ns each (three
-/// runs, 2-vCPU VM). `observe_batch` spends ~18 ns per synopsis on
-/// `analyze_churn`, so at 64 synopses per window the copying amortises to
-/// 1.5–1.8 ns per synopsis, under a tenth of detection, and a restart's
-/// replay (64 × 18 ns per window) costs 10–12× the restore copy it follows.
+/// accumulator, and its slot-indexed group counters as part of one flat
+/// copy of its index's slab, timed (clone and drop) by `micro`'s
+/// `detector/hosts/256/snapshot` on 2 560 open windows, the nearest row to
+/// `analyze_churn`'s ~2 000, at 17–28 ns each (three runs, 2-vCPU VM).
+/// `observe_batch` spends ~18 ns per synopsis on `analyze_churn`, so at 64
+/// synopses per window the copying amortises to 0.27–0.44 ns per synopsis,
+/// under a fortieth of detection, and a restart's replay (64 × 18 ns per
+/// window) costs 40–70× the restore copy it follows.
 /// The tail holds the kept batches' columns: 40 bytes per synopsis in a
 /// full batch, 2.5 KiB per open window.
 const REPLAY_PER_OPEN_WINDOW: u64 = 64;
