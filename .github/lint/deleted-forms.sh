@@ -78,5 +78,6 @@ DetectorSink|detect_batch	crates src tests examples README.md	-	a second, inline
 percentile_nan_below|durations_us: Vec<f64>|duration_us: f64|ulp_step	crates src tests examples	-	a duration or threshold is a float again: durations are u64 µs from the tracker to the test and a trained threshold is the floored percentile, so no duration path holds NaN, an infinite threshold or a ulp step
 paper reference	crates/bench/benches	-	a bench prints its paper reference again: the paper's value lives once, in the bench's claim line (ledger::Panel::claim), beside what the run measured
 stale_keys|recycle_while|closing:	crates/core/src/detector.rs@prod	-	a window close collects and sorts keys again: a close walks each retiring index's open rows once, in opening order, counts each row's open windows down, and stable-sorts only the events it pushed (DESIGN.md section 8)
+PROTOCOL_VERSION: u16 = [0-2];|parse_at\(|encode_parts_into|fn (parse|decode)_v[0-9]	crates src tests examples	-	an older wire version or a second synopsis parser or encoder is back: one version is spoken (3), one parser (codec::Rows) reads every payload and one encoder (codec::Definitions) writes it
 TABLE
 exit $status

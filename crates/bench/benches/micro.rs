@@ -5,7 +5,8 @@
 //!   sink and into an `AgentSink` streaming to a collector,
 //! * synopsis encode/decode,
 //! * the collector's edge one layer at a time — interning a known and a
-//!   new signature, decoding a 32-synopsis frame straight into a batch,
+//!   new signature, decoding a 32-synopsis frame straight into a batch
+//!   (every row a new definition, and 7 definitions over 32 rows),
 //!   one channel hand-over with nobody parked (EXPERIMENTS.md
 //!   "Microbenchmarks" quotes these),
 //! * a frame-sized batch built, sent to another thread and dropped there,
@@ -169,16 +170,27 @@ fn bench_collector_edge(c: &mut Criterion) {
             )
         })
         .collect();
-    let payload = codec::encode_batch(&frame);
+    // Every row of `frame` is its own definition, the payload format's
+    // worst case; `shaped` repeats 7 of them over its 32 rows, about what
+    // a frame of the capture holds.
+    let shaped: Vec<TaskSynopsis> = (0..32u64)
+        .map(|i| {
+            let d = (i * 3 + i / 5) % 7;
+            synopsis((d % 5) as u16, &flows[d as usize], 9_000 + i, i)
+        })
+        .collect();
     let mut batch = SynopsisBatch::with_capacity(frame.len());
     let mut g = c.benchmark_group("decode_batch_into");
     g.throughput(Throughput::Elements(frame.len() as u64));
-    g.bench_function("32", |b| {
-        b.iter(|| {
-            batch.clear();
-            codec::decode_batch_into(&payload, &mut batch, &warm).expect("decodes")
-        })
-    });
+    for (name, rows) in [("32", &frame), ("32_seven_defs", &shaped)] {
+        let payload = codec::encode_batch(rows);
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                batch.clear();
+                codec::decode_batch_into(&payload, &mut batch, &warm).expect("decodes")
+            })
+        });
+    }
     g.finish();
 
     let (tx, rx) = crossbeam_channel::bounded::<u64>(64);

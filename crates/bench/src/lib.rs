@@ -19,19 +19,20 @@ pub mod ledger;
 
 use parking_lot::Mutex;
 use saad_cassandra::{Cluster, ClusterConfig, RunOutput};
-use saad_core::codec;
 use saad_core::detector::{AnomalyEvent, AnomalyKind, DetectorConfig};
 use saad_core::intern::SignatureInterner;
 use saad_core::model::{ModelConfig, OutlierModel};
 use saad_core::pipeline::{spawn_analyzer_pool, BatchSink, ModelSink, PoolStart, SupervisorConfig};
-use saad_core::synopsis::TaskSynopsis;
+use saad_core::synopsis::{SynopsisHead, TaskSynopsis};
 use saad_core::tracker::SynopsisSink;
+use saad_core::transport::{FramePayload, FRAME_HEADER_LEN};
 use saad_core::{HostId, StageRegistry};
 use saad_fault::FaultSchedule;
 use saad_logging::appender::{Appender, Record};
+use saad_logging::LogPointId;
 use saad_sim::{SimDuration, SimTime};
 use saad_workload::{KeyChooser, OperationMix, WorkloadGenerator};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -102,37 +103,28 @@ pub fn timed_rate(mut run: impl FnMut() -> (f64, f64)) -> [f64; 3] {
     quartiles(&rates)
 }
 
-/// A sink that counts synopses and their encoded byte volume, optionally
-/// forwarding to another sink.
-#[derive(Default)]
+/// Synopses per frame the agents of the paper's harnesses ship
+/// (`Agent::sink(AGENT_BATCH)`).
+pub const AGENT_BATCH: usize = 48;
+
+/// Bytes the wire adds to a frame's payload: its header, and the `u32`
+/// length prefix `saad_net::protocol::write_message` puts before it.
+const FRAMING: usize = FRAME_HEADER_LEN + 4;
+
+/// A sink that counts synopses and the bytes an agent ships for them:
+/// each host's synopses framed in payloads of [`AGENT_BATCH`], as its
+/// agent frames them, every frame with its header and length prefix.
+#[derive(Debug, Default)]
 pub struct ByteCountingSink {
     count: AtomicU64,
-    bytes: AtomicU64,
-    forward: Option<Arc<dyn SynopsisSink>>,
-}
-
-impl std::fmt::Debug for ByteCountingSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ByteCountingSink")
-            .field("count", &self.count())
-            .field("bytes", &self.bytes())
-            .finish()
-    }
+    shipped: AtomicU64,
+    pending: Mutex<HashMap<HostId, FramePayload>>,
 }
 
 impl ByteCountingSink {
-    /// Count-only sink.
+    /// An empty sink.
     pub fn new() -> ByteCountingSink {
         ByteCountingSink::default()
-    }
-
-    /// Counting sink that forwards every synopsis to `inner`.
-    pub fn forwarding(inner: Arc<dyn SynopsisSink>) -> ByteCountingSink {
-        ByteCountingSink {
-            count: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            forward: Some(inner),
-        }
     }
 
     /// Synopses seen.
@@ -140,19 +132,39 @@ impl ByteCountingSink {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Total encoded bytes.
+    /// Bytes on the wire: every full frame shipped, and each host's last,
+    /// partial one.
     pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        let pending = self.pending.lock();
+        let tails = pending.values().filter(|p| !p.is_empty());
+        let tail_bytes: usize = tails.map(|p| FRAMING + p.bytes().len()).sum();
+        self.shipped.load(Ordering::Relaxed) + tail_bytes as u64
+    }
+
+    /// Count `payload` as one frame on the wire, and empty it.
+    fn ship(&self, payload: &mut FramePayload) {
+        let bytes = (FRAMING + payload.bytes().len()) as u64;
+        self.shipped.fetch_add(bytes, Ordering::Relaxed);
+        payload.clear();
     }
 }
 
 impl SynopsisSink for ByteCountingSink {
     fn submit(&self, synopsis: TaskSynopsis) {
+        self.submit_parts(synopsis.head(), &synopsis.log_points);
+    }
+
+    fn submit_parts(&self, head: SynopsisHead, points: &[(LogPointId, u32)]) {
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.bytes
-            .fetch_add(codec::encode(&synopsis).len() as u64, Ordering::Relaxed);
-        if let Some(f) = &self.forward {
-            f.submit(synopsis);
+        let mut pending = self.pending.lock();
+        let payload = pending.entry(head.host).or_default();
+        if !payload.push_parts(&head, points) {
+            self.ship(payload);
+            let pushed = payload.push_parts(&head, points);
+            debug_assert!(pushed, "an empty payload takes any synopsis");
+        }
+        if payload.synopses() == AGENT_BATCH as u64 {
+            self.ship(payload);
         }
     }
 }
@@ -481,20 +493,33 @@ mod tests {
     use saad_core::StageId;
 
     #[test]
-    fn byte_counting_sink_counts_and_forwards() {
-        let inner = Arc::new(saad_core::tracker::VecSink::new());
-        let sink = ByteCountingSink::forwarding(inner.clone());
-        sink.submit(TaskSynopsis {
-            host: HostId(1),
+    fn byte_counting_sink_counts_the_frames_an_agent_ships() {
+        let task = |host: u16, uid: u64| TaskSynopsis {
+            host: HostId(host),
             stage: StageId(0),
-            uid: saad_core::TaskUid(1),
+            uid: saad_core::TaskUid(uid),
             start: SimTime::ZERO,
             duration: SimDuration::from_micros(10),
-            log_points: vec![],
-        });
-        assert_eq!(sink.count(), 1);
-        assert!(sink.bytes() > 0);
-        assert_eq!(inner.len(), 1);
+            log_points: vec![(LogPointId(4), 2)],
+        };
+        let sink = ByteCountingSink::new();
+        assert_eq!(sink.bytes(), 0);
+        // Host 1 fills one frame and starts another; host 2 has one task.
+        let one: Vec<TaskSynopsis> = (0..AGENT_BATCH as u64 + 3).map(|u| task(1, u)).collect();
+        one.iter().cloned().for_each(|s| sink.submit(s));
+        sink.submit(task(2, 0));
+        let frames = [&one[..AGENT_BATCH], &one[AGENT_BATCH..], &[task(2, 0)]];
+        let want: usize = frames
+            .iter()
+            .map(|f| {
+                let frame = saad_core::transport::FrameSender::new(f[0].host).encode_frame(f);
+                let mut message = Vec::new();
+                saad_net::protocol::write_message(&mut message, &frame).unwrap();
+                message.len()
+            })
+            .sum();
+        assert_eq!(sink.count(), AGENT_BATCH as u64 + 4);
+        assert_eq!(sink.bytes(), want as u64);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   [`gap`] and [`event_keys`].
 
 use crate::batch::SynopsisBatch;
-use crate::codec::{parse_at, CheckedPayload, DecodeError};
+use crate::codec::{CheckedPayload, DecodeError};
 use crate::detector::{AnomalyDetector, AnomalyEvent};
 use crate::feature::InternedFeature;
 use crate::intern::SignatureInterner;
@@ -120,33 +120,27 @@ impl From<TaskSynopsis> for FeatureVector {
     }
 }
 
-/// The synopsis at `buf[*pos..]`, owned.
-fn owned_at(buf: &[u8], pos: &mut usize) -> Result<TaskSynopsis, DecodeError> {
-    let mut points = Vec::new();
-    let (head, _) = parse_at(buf, pos, |_, _, id, visits| points.push((id, visits)))?;
-    Ok(head.with_points(&points))
-}
-
-/// Every synopsis of `payload`, owned.
+/// Every synopsis of `payload`, owned: the payload checked as a leaf
+/// checks it, then each row read back.
 fn owned(payload: &[u8]) -> Result<Vec<TaskSynopsis>, DecodeError> {
-    let (mut out, mut pos) = (Vec::new(), 0);
-    while pos < payload.len() {
-        out.push(owned_at(payload, &mut pos)?);
-    }
-    Ok(out)
+    let mut marks = Vec::new();
+    CheckedPayload::parse(payload, &mut marks).map(|checked| decode_checked(&checked))
 }
 
-/// Decode one synopsis from the front of `buf`, consuming its bytes.
+/// Decode a one-synopsis payload (what [`crate::codec::encode`] makes),
+/// consuming it.
 ///
 /// # Errors
 ///
-/// The parser's [`DecodeError`] on truncated or malformed input.
+/// The parser's [`DecodeError`] on truncated or malformed input, or
+/// [`DecodeError::UnexpectedEof`] on an empty one.
 pub fn decode(buf: &mut Bytes) -> Result<TaskSynopsis, DecodeError> {
-    let mut pos = 0;
-    owned_at(buf, &mut pos).inspect(|_| buf.advance(pos))
+    let first = owned(buf)?.into_iter().next();
+    buf.advance(buf.len());
+    first.ok_or(DecodeError::UnexpectedEof)
 }
 
-/// Decode every synopsis of a batch buffer, consuming it.
+/// Decode every synopsis of a payload, consuming it.
 ///
 /// # Errors
 ///
@@ -155,10 +149,14 @@ pub fn decode_batch(buf: &mut Bytes) -> Result<Vec<TaskSynopsis>, DecodeError> {
     owned(buf).inspect(|_| buf.advance(buf.len()))
 }
 
-/// The synopses a checked payload holds, owned.
+/// The synopses a checked payload holds, owned, every visit count
+/// included.
 pub fn decode_checked(checked: &CheckedPayload<'_>) -> Vec<TaskSynopsis> {
-    let each = (0..checked.starts().len()).map(|i| owned_at(checked.synopsis(i), &mut 0));
-    let each = each.map(|s| s.expect("a checked synopsis parses"));
+    let mut points = Vec::new();
+    let each = (0..checked.starts().len()).map(|i| {
+        checked.points(i, &mut points);
+        checked.head(i).0.with_points(&points)
+    });
     each.collect()
 }
 

@@ -9,8 +9,11 @@
 //!
 //! # Wire format
 //!
-//! Every frame is a header followed by a [`crate::codec::encode_batch`]
-//! payload. All header fields are big-endian (network order):
+//! Every frame is a header followed by one payload in the format of
+//! [`crate::codec`] (protocol version 3): rows that name definitions of
+//! (host, stage, points, counts) made earlier in the same payload, so a
+//! frame decodes on its own and nothing below cares what its rows say.
+//! All header fields are big-endian (network order):
 //!
 //! ```text
 //! offset  size  field
@@ -42,7 +45,7 @@
 //! [`LossLedger`] keeps the same accounts for frames whose duplicates are
 //! weeded out elsewhere: a root's, one window per uplink.
 
-use crate::codec::{self, CheckedPayload, DecodeError};
+use crate::codec::{self, CheckedPayload, DecodeError, Definitions};
 use crate::synopsis::{SynopsisHead, TaskSynopsis};
 use crate::HostId;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -345,6 +348,9 @@ pub struct FrameSender {
     host: HostId,
     next_seq: u64,
     synopses_sent: u64,
+    /// The definitions of the frame [`FrameSender::encode_frame`] is
+    /// writing, kept from frame to frame for their capacity.
+    defs: Definitions,
 }
 
 impl FrameSender {
@@ -354,6 +360,7 @@ impl FrameSender {
             host,
             next_seq: 0,
             synopses_sent: 0,
+            defs: Definitions::default(),
         }
     }
 
@@ -394,16 +401,15 @@ impl FrameSender {
     ///
     /// # Panics
     ///
-    /// Panics if `batch` encodes to more than [`MAX_FRAME_PAYLOAD`] bytes —
-    /// no receiver would accept that frame. A sender that may hold such a
-    /// batch fills [`FramePayload`]s, which cut it.
+    /// Panics if `batch` encodes to more than [`MAX_FRAME_PAYLOAD`] bytes,
+    /// or needs more definitions than one payload holds — no receiver
+    /// would accept that frame. A sender that may hold such a batch fills
+    /// [`FramePayload`]s, which cut it.
     pub fn encode_frame(&mut self, batch: &[TaskSynopsis]) -> Bytes {
         let mut buf =
             BytesMut::with_capacity(FRAME_HEADER_LEN + codec::TYPICAL_SYNOPSIS_LEN * batch.len());
         let frame = self.begin_frame(&mut buf);
-        for s in batch {
-            codec::encode_parts_into(&mut buf, &s.head(), &s.log_points);
-        }
+        codec::encode_batch_into(&mut buf, &mut self.defs, batch.iter());
         assert!(
             buf.len() - FRAME_HEADER_LEN <= MAX_FRAME_PAYLOAD,
             "batch encodes past MAX_FRAME_PAYLOAD; cut it into FramePayloads"
@@ -451,24 +457,32 @@ impl FrameSender {
 }
 
 /// One frame's payload assembled ahead of its header: synopses encoded
-/// back to back, and how many. A producer fills one where the synopses
-/// are made ([`FramePayload::push_parts`]) or copies them from a payload
-/// the parser checked ([`FramePayload::push_checked`], a leaf forwarding
-/// its agents' bytes); the owner of the [`FrameSender`] turns it into a
-/// frame with [`FrameSender::frame_payload_into`], a copy of bytes,
-/// without seeing a [`TaskSynopsis`].
+/// back to back, how many, and the definitions the rows name. A producer
+/// fills one where the synopses are made ([`FramePayload::push_parts`])
+/// or re-encodes rows from a payload the parser checked
+/// ([`FramePayload::push_checked`], a leaf forwarding its agents' rows);
+/// the owner of the [`FrameSender`] turns it into a frame with
+/// [`FrameSender::frame_payload_into`], a copy of bytes, without seeing a
+/// [`TaskSynopsis`].
 ///
 /// The fields are private because the frame format rests on them: the
-/// count is the number of synopses in the bytes, and the bytes stay
-/// within [`MAX_FRAME_PAYLOAD`] (a single synopsis always does).
+/// count is the number of rows in the bytes, the definitions are the ones
+/// those rows made, and the bytes stay within [`MAX_FRAME_PAYLOAD`] (a
+/// single synopsis always does).
 #[derive(Debug, Default)]
 pub struct FramePayload {
     bytes: BytesMut,
     synopses: u64,
+    defs: Definitions,
+    /// A checked row's points, read back for [`FramePayload::push_checked`].
+    scratch: Vec<(LogPointId, u32)>,
+    /// For the checked payload numbered `remap.0`, each of its
+    /// definitions already pushed: 1 + its index here, or 0.
+    remap: (u64, Vec<u16>),
 }
 
 impl FramePayload {
-    /// An empty payload; its buffer grows on first use.
+    /// An empty payload; its buffers grow on first use.
     pub fn new() -> FramePayload {
         FramePayload::default()
     }
@@ -488,43 +502,78 @@ impl FramePayload {
         self.synopses == 0
     }
 
-    /// Forget the contents, keeping the buffer for the next frame.
+    /// Forget the contents, keeping the buffers for the next frame.
     pub fn clear(&mut self) {
         self.bytes.clear();
         self.synopses = 0;
+        self.defs.clear();
+        self.remap.1.clear();
+    }
+
+    /// The most bytes the next synopsis may take this payload to: a
+    /// payload already holding one stops at [`MAX_FRAME_PAYLOAD`].
+    fn limit(&self) -> usize {
+        if self.synopses == 0 {
+            usize::MAX
+        } else {
+            MAX_FRAME_PAYLOAD
+        }
     }
 
     /// Append the synopsis made of `head` and `points`. Returns `false`,
     /// leaving the payload as it was, when that would take a payload
-    /// already holding a synopsis past [`MAX_FRAME_PAYLOAD`]: the caller
-    /// hands this payload over and pushes the synopsis onto the next,
-    /// which, being empty, takes it.
+    /// already holding a synopsis past [`MAX_FRAME_PAYLOAD`], or past the
+    /// 4 096 definitions one payload holds: the caller hands this payload
+    /// over and pushes the synopsis onto the next, which, being empty,
+    /// takes it.
     #[must_use = "a refused synopsis belongs in the next payload"]
     pub fn push_parts(&mut self, head: &SynopsisHead, points: &[(LogPointId, u32)]) -> bool {
-        let before = self.bytes.len();
-        codec::encode_parts_into(&mut self.bytes, head, points);
-        self.keep_within_bound(before)
+        let limit = self.limit();
+        let pushed = self
+            .defs
+            .push(&mut self.bytes, limit, head, points)
+            .is_some();
+        self.synopses += u64::from(pushed);
+        pushed
     }
 
-    /// Append synopsis `i` of `checked` as its bytes stand, under the
-    /// rule of [`FramePayload::push_parts`]. A synopsis our encoder wrote
-    /// is copied to the bytes `push_parts` would write for it.
+    /// Append row `i` of `checked` under the rule of
+    /// [`FramePayload::push_parts`]. Definitions are local to a payload,
+    /// so the row is re-encoded against this payload's: the first row of
+    /// `checked` to name a definition has its points read back and pushed
+    /// as `push_parts` pushes them, and the definition it lands on here is
+    /// remembered, so every later row naming the same one is written as
+    /// its tag and fields alone.
     #[must_use = "a refused synopsis belongs in the next payload"]
     pub fn push_checked(&mut self, checked: &CheckedPayload<'_>, i: usize) -> bool {
-        let before = self.bytes.len();
-        self.bytes.extend_from_slice(checked.synopsis(i));
-        self.keep_within_bound(before)
-    }
-
-    /// Count the synopsis just appended after `before` bytes, or take it
-    /// back if it carried a payload that held one past the bound.
-    fn keep_within_bound(&mut self, before: usize) -> bool {
-        if self.bytes.len() > MAX_FRAME_PAYLOAD && self.synopses > 0 {
-            self.bytes.truncate(before);
-            return false;
+        let limit = self.limit();
+        let (head, from) = checked.head(i);
+        let (parse, remap) = &mut self.remap;
+        if *parse != checked.parse_number() {
+            *parse = checked.parse_number();
+            remap.clear();
         }
-        self.synopses += 1;
-        true
+        if from >= remap.len() {
+            remap.resize(from + 1, 0);
+        }
+        let pushed = match remap[from] {
+            0 => {
+                let mut points = std::mem::take(&mut self.scratch);
+                checked.points(i, &mut points);
+                let pushed = self.defs.push(&mut self.bytes, limit, head, &points);
+                self.scratch = points;
+                if let Some(id) = pushed {
+                    remap[from] = id as u16 + 1;
+                }
+                pushed.is_some()
+            }
+            to => {
+                let id = usize::from(to) - 1;
+                self.defs.push_named(&mut self.bytes, limit, id, head)
+            }
+        };
+        self.synopses += u64::from(pushed);
+        pushed
     }
 }
 
@@ -910,6 +959,7 @@ impl LossLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern::{SignatureInterner, INLINE_POINTS};
     use crate::testkit::{parse_frame, FrameOutcome};
     use crate::{StageId, TaskUid};
     use saad_logging::LogPointId;
@@ -958,29 +1008,91 @@ mod tests {
         assert_eq!(rx.corrupted_frames(), 0);
     }
 
+    /// Synopses that reach every corner of the row format: definitions
+    /// named again and again, no points, more points than the decoder's
+    /// inline scratch, uids and starts at both ends of `u64` (deltas that
+    /// wrap), and counts of `u32::MAX`.
+    fn corner_synopses() -> Vec<TaskSynopsis> {
+        let long: Vec<(LogPointId, u32)> = (0..INLINE_POINTS as u16 + 3)
+            .map(|p| (LogPointId(5 * p), 1 + p as u32))
+            .collect();
+        (0..61u64)
+            .map(|i| {
+                let extreme = [0, u64::MAX, 1 << 63, u64::MAX - 1][i as usize % 4];
+                let (uid, start) = match i % 7 {
+                    0 => (extreme, extreme),
+                    1 => (u64::MAX - i, i),
+                    _ => (1_000 + i, 5_000_000 + 900 * i),
+                };
+                let log_points = match i % 5 {
+                    0 => vec![],
+                    1 => long.clone(),
+                    2 => vec![(LogPointId(3), u32::MAX), (LogPointId(9), 1)],
+                    _ => vec![(LogPointId(1), 1), (LogPointId(2), 2)],
+                };
+                TaskSynopsis {
+                    host: HostId(3),
+                    stage: StageId((i % 3) as u16),
+                    uid: TaskUid(uid),
+                    start: SimTime::from_micros(start),
+                    duration: SimDuration::from_micros(if i % 6 == 0 { u64::MAX } else { i }),
+                    log_points,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checked_rows_of_two_payloads_interleave() {
+        // A view's definition indices are its own: rows taken from two
+        // checked payloads in turn land on this payload's definitions as
+        // the same synopses pushed in that order would.
+        let all = corner_synopses();
+        let (left, right) = all.split_at(30);
+        let (l, r) = (codec::encode_batch(left), codec::encode_batch(right));
+        let (mut lm, mut rm) = (Vec::new(), Vec::new());
+        let lv = CheckedPayload::parse(&l, &mut lm).unwrap();
+        let rv = CheckedPayload::parse(&r, &mut rm).unwrap();
+        let mut payload = FramePayload::new();
+        let mut want = Vec::new();
+        for i in 0..right.len() {
+            for (view, half) in [(&lv, left), (&rv, right)] {
+                if let Some(s) = half.get(i) {
+                    assert!(payload.push_checked(view, i));
+                    want.push(s.clone());
+                }
+            }
+        }
+        assert_eq!(payload.bytes(), &codec::encode_batch(&want)[..]);
+    }
+
     #[test]
     fn payload_frames_are_the_frames_of_the_same_batches() {
         // Same sender state, same synopses: framing a payload, filled from
-        // the synopses or copied from a checked view of their bytes, and
-        // encoding the batch in place give the same bytes, an empty one
-        // included.
+        // the synopses or re-encoded from a checked view of their bytes,
+        // and encoding the batch in place give the same bytes, an empty
+        // one included.
+        let all = corner_synopses();
         let mut in_place = FrameSender::new(HostId(3));
         let mut via_payload = FrameSender::new(HostId(3));
         let mut via_view = FrameSender::new(HostId(3));
         let (mut payload, mut copied) = (FramePayload::new(), FramePayload::new());
         let mut marks = Vec::new();
         let (mut a, mut b, mut c) = (BytesMut::new(), BytesMut::new(), BytesMut::new());
-        for uids in [0..4u64, 4..4, 4..52, 52..53] {
-            let batch = batch(3, uids);
+        let mut frames = Vec::new();
+        for rows in [0..4, 4..4, 4..52, 52..53, 53..61] {
+            let batch = &all[rows];
             payload.clear();
-            for s in &batch {
+            for s in batch {
                 assert!(payload.push_parts(&s.head(), &s.log_points));
             }
             assert_eq!(payload.synopses(), batch.len() as u64);
             assert_eq!(payload.is_empty(), batch.is_empty());
-            let encoded = codec::encode_batch(&batch);
+            let encoded = codec::encode_batch(batch);
             assert_eq!(payload.bytes(), &encoded[..]);
             let view = CheckedPayload::parse(&encoded, &mut marks).unwrap();
+            // The owned reading of a checked view keeps every count.
+            assert_eq!(crate::testkit::decode_checked(&view), batch);
             copied.clear();
             for i in 0..view.starts().len() {
                 assert!(copied.push_checked(&view, i));
@@ -989,36 +1101,96 @@ mod tests {
                 (copied.bytes(), copied.synopses()),
                 (payload.bytes(), payload.synopses())
             );
-            a.extend_from_slice(&in_place.encode_frame(&batch));
+            let frame = in_place.encode_frame(batch);
+            a.extend_from_slice(&frame);
+            frames.push(frame);
             via_payload.frame_payload_into(&mut b, &payload);
             via_view.frame_payload_into(&mut c, &copied);
         }
         assert_eq!(a, b);
         assert_eq!(a, c);
-        assert_eq!(via_payload.frames_sent(), 4);
-        assert_eq!(via_payload.synopses_sent(), 53);
+        assert_eq!(via_payload.frames_sent(), 5);
+        assert_eq!(via_payload.synopses_sent(), 61);
+
+        // Re-framed the way a leaf forwards: every row of the agent's
+        // frames, in order, into payloads cut at other rows. Decoded, the
+        // new frames are the columns the synopses push to, and every
+        // count survives.
+        let interner = SignatureInterner::new();
+        let mut want = crate::batch::SynopsisBatch::new();
+        for s in &all {
+            want.push_synopsis(s, &interner);
+        }
+        for cut_every in [1, 2, 5, 7, 13, 61] {
+            let mut leaf = FrameSender::new(HostId(3));
+            let mut pending = FramePayload::new();
+            let mut reframed = Vec::new();
+            let mut taken = 0;
+            for frame in &frames {
+                let (_, body) = check_frame(frame).unwrap();
+                let view = CheckedPayload::parse(body, &mut marks).unwrap();
+                for i in 0..view.starts().len() {
+                    assert!(pending.push_checked(&view, i));
+                    taken += 1;
+                    if taken % cut_every == 0 {
+                        let mut out = BytesMut::new();
+                        leaf.frame_payload_into(&mut out, &pending);
+                        reframed.push(out);
+                        pending.clear();
+                    }
+                }
+            }
+            let mut out = BytesMut::new();
+            leaf.frame_payload_into(&mut out, &pending);
+            reframed.push(out);
+            let mut got = crate::batch::SynopsisBatch::new();
+            let mut owned = Vec::new();
+            for frame in &reframed {
+                let (_, body) = check_frame(frame).unwrap();
+                codec::decode_batch_into(body, &mut got, &interner).unwrap();
+                owned.extend(
+                    crate::testkit::decode_batch(&mut Bytes::copy_from_slice(body)).unwrap(),
+                );
+            }
+            assert_eq!(owned, all, "cut every {cut_every}");
+            assert_eq!(got.uids, want.uids);
+            assert_eq!(got.hosts, want.hosts);
+            assert_eq!(got.stages, want.stages);
+            assert_eq!(got.sigs, want.sigs);
+            assert_eq!(got.durations_us, want.durations_us);
+            assert_eq!(got.starts, want.starts);
+            assert_eq!(got.watermarks, want.watermarks);
+        }
     }
 
     #[test]
     fn payload_refuses_the_synopsis_that_would_cross_the_bound() {
-        // ~60 KB a synopsis; the cut falls after the longest run of
-        // whole synopses within the bound, from either kind of push.
+        // ~60 KB a synopsis, each its own definition; the cut falls after
+        // the longest run of whole rows within the bound, from either kind
+        // of push.
         let heavy: Vec<TaskSynopsis> = (0..MAX_FRAME_PAYLOAD as u64 / 60_000 + 2)
             .map(|uid| TaskSynopsis {
                 log_points: (0..10_000u16)
-                    .map(|p| (LogPointId(p), u32::MAX - p as u32))
+                    .map(|p| (LogPointId(p), u32::MAX - p as u32 - uid as u32))
                     .collect(),
                 ..synopsis(2, uid)
             })
             .collect();
-        let ends = heavy.iter().scan(0, |end, s| {
-            *end += codec::encode(s).len();
-            Some(*end)
-        });
-        let framed = ends.take_while(|&end| end <= MAX_FRAME_PAYLOAD).count();
+        let mut ends = Vec::new();
+        let (mut defs, mut unbounded) = (Definitions::default(), BytesMut::new());
+        for s in &heavy {
+            let pushed = defs.push(&mut unbounded, usize::MAX, &s.head(), &s.log_points);
+            assert!(pushed.is_some());
+            ends.push(unbounded.len());
+        }
+        let framed = ends
+            .iter()
+            .take_while(|&&end| end <= MAX_FRAME_PAYLOAD)
+            .count();
         assert!(0 < framed && framed < heavy.len());
         let wire = codec::encode_batch(&heavy[..framed]);
         let all = codec::encode_batch(&heavy);
+        assert_eq!(&all[..], &unbounded[..]);
         let mut marks = Vec::new();
         let view = CheckedPayload::parse(&all, &mut marks).unwrap();
 
@@ -1042,6 +1214,27 @@ mod tests {
             payload.clear();
             assert!(push(&mut payload, framed));
         }
+    }
+
+    #[test]
+    fn payload_refuses_a_definition_past_its_table() {
+        // One definition per host: a full table refuses the next new one
+        // as the byte bound refuses a row, and still takes a known one.
+        let on = |host: usize| synopsis(host as u16, host as u64);
+        let mut payload = FramePayload::new();
+        for host in 0..codec::MAX_DEFS {
+            let s = on(host);
+            assert!(payload.push_parts(&s.head(), &s.log_points));
+        }
+        let full = payload.bytes().to_vec();
+        let next = on(codec::MAX_DEFS);
+        assert!(!payload.push_parts(&next.head(), &next.log_points));
+        assert_eq!(payload.bytes(), &full[..]);
+        assert_eq!(payload.synopses(), codec::MAX_DEFS as u64);
+        let known = on(17);
+        assert!(payload.push_parts(&known.head(), &known.log_points));
+        payload.clear();
+        assert!(payload.push_parts(&next.head(), &next.log_points));
     }
 
     #[test]
@@ -1294,11 +1487,12 @@ mod tests {
 
     #[test]
     fn multi_megabyte_frame_round_trips() {
-        // A realistically huge batch (~100k synopses, a few MB encoded)
+        // A realistically huge batch (200k synopses of one definition,
+        // over a megabyte encoded)
         // survives the encode → CRC → decode round trip intact.
         let mut tx = FrameSender::new(HostId(8));
         let mut rx = FrameReceiver::new();
-        let big = batch(8, 0..100_000);
+        let big = batch(8, 0..200_000);
         let frame = tx.encode_frame(&big);
         assert!(
             frame.len() > 1024 * 1024,
@@ -1310,7 +1504,7 @@ mod tests {
             FrameOutcome::Fresh { synopses, .. } => assert_eq!(synopses, big),
             other => panic!("unexpected: {other:?}"),
         }
-        assert_eq!(rx.stats(HostId(8)).delivered_synopses, 100_000);
+        assert_eq!(rx.stats(HostId(8)).delivered_synopses, 200_000);
     }
 
     #[test]

@@ -667,11 +667,12 @@ mod tests {
 
     #[test]
     fn batch_over_the_payload_bound_splits_on_a_synopsis_boundary() {
-        // ~60 KB per synopsis: a few hundred of them straddle the 16 MiB bound.
+        // ~60 KB per synopsis, each its own definition: a few hundred of
+        // them straddle the 16 MiB bound.
         let heavy = |uid: u64| TaskSynopsis {
             uid: TaskUid(uid),
             log_points: (0..10_000u16)
-                .map(|p| (LogPointId(p), u32::MAX - p as u32))
+                .map(|p| (LogPointId(p), u32::MAX - p as u32 - uid as u32))
                 .collect(),
             ..task(2, uid, 0)
         };

@@ -35,11 +35,13 @@ use parking_lot::Mutex;
 use saad_core::batch::SynopsisBatch;
 use saad_core::codec::{decode_batch_into, CheckedPayload};
 use saad_core::intern::SignatureInterner;
+use saad_core::synopsis::SynopsisHead;
 use saad_core::transport::{
     check_frame, AdmitDecision, FrameReceiver, LinkStats, LossLedger, LossReport,
 };
 use saad_core::HostId;
 use saad_sim::SimTime;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -447,9 +449,9 @@ pub(crate) struct IngestLink {
     staging: SynopsisBatch,
     /// Fresh frames staged since the last send, counted when it goes.
     staged_frames: u64,
-    /// Where a forwarded frame's synopses start and end, reused from
-    /// frame to frame ([`CheckedPayload::parse`]).
-    marks: Vec<(SimTime, usize)>,
+    /// A forwarded frame's rows, each its head, its definition's index
+    /// and its definition's bytes, reused from frame to frame ([`CheckedPayload::parse`]).
+    marks: Vec<(SynopsisHead, usize, Range<usize>)>,
     /// This connection's own sequence windows, for an
     /// [`Admission::PerUplink`] core; empty under a shared receiver.
     window: FrameReceiver,
@@ -1121,9 +1123,9 @@ mod tests {
         let mut wide_frames = frames.clone();
         wide_frames[2][1].log_points[1].1 = u32::MAX;
         let mut wide_body = frame_bodies(&[10], &wide_frames, 0, 0)[2].clone();
-        let tail = wide_body.len() - 5;
-        assert_eq!(wide_body[tail..], [0xff, 0xff, 0xff, 0xff, 0x0f]);
-        wide_body[tail..].copy_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]);
+        let max = [0xff, 0xff, 0xff, 0xff, 0x0f];
+        let at = (wide_body.windows(5).position(|w| w == max)).expect("the count's bytes");
+        wide_body[at..at + 5].copy_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]);
         let crc = crc32(&[
             &wide_body[..FRAME_HEADER_LEN - 4],
             &wide_body[FRAME_HEADER_LEN..],
@@ -1206,10 +1208,12 @@ mod tests {
 
     /// Frames whose checksum is right and whose synopsis has a field
     /// widened past its type: host 85 536 (truncated to 16 bits, host
-    /// 20 000), a uid whose tenth varint byte sets bits past 63 (read as
-    /// `u64::MAX`), a visit count of 2^32 (truncated to 32 bits, 0). Each
-    /// would pass for a real frame. It is counted corrupted on both
-    /// outputs, nothing of it is forwarded, and the stream stays readable.
+    /// 20 000), a uid delta whose tenth varint byte sets bits past 63
+    /// (read as the delta of `u64::MAX`), a visit count of 2^32 (truncated
+    /// to 32 bits, 0). Each would pass for a real frame. It is counted
+    /// corrupted on both outputs, nothing of it is forwarded, and the
+    /// stream stays readable. The payload is one row: tag, host (three
+    /// bytes), stage, n, two (point, count) pairs, then the uid delta.
     #[test]
     fn a_crc_valid_frame_with_a_wide_id_is_counted_corrupted() {
         use saad_core::transport::crc32;
@@ -1217,25 +1221,24 @@ mod tests {
         let host = 20_000; // three varint bytes, the last one `1`
         let good = testkit::synopsis(host, 1, 100, &[1, 2]);
         let max_uid = TaskSynopsis {
-            uid: TaskUid(u64::MAX), // nine 0xff bytes, then 0x01
-            ..good.clone()
+            uid: TaskUid(1 << 63), // a delta that zigzags to u64::MAX:
+            ..good.clone()         // nine 0xff bytes, then 0x01
         };
         let mut max_count = good.clone();
-        max_count.log_points[1].1 = u32::MAX; // the payload's last five bytes
+        max_count.log_points[1].1 = u32::MAX; // the second pair's count
         type Widen = fn(&mut [u8]);
         let widened: [(TaskSynopsis, Widen); 3] = [
             (good.clone(), |p| {
-                assert_eq!(p[2], 1);
-                p[2] = 5; // host 20 000 + (4 << 14) = 85 536
+                assert_eq!(p[3], 1);
+                p[3] = 5; // host 20 000 + (4 << 14) = 85 536
             }),
             (max_uid, |p| {
-                assert_eq!(p[4..14], [[0xff; 9].as_slice(), &[1]].concat());
-                p[13] = 0x7f;
+                assert_eq!(p[10..20], [[0xff; 9].as_slice(), &[1]].concat());
+                p[19] = 0x7f;
             }),
             (max_count, |p| {
-                let last = p.len() - 5;
-                assert_eq!(p[last..], [0xff, 0xff, 0xff, 0xff, 0x0f]);
-                p[last..].copy_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]);
+                assert_eq!(p[9..14], [0xff, 0xff, 0xff, 0xff, 0x0f]);
+                p[9..14].copy_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]);
             }),
         ];
         for (wide, widen) in widened {

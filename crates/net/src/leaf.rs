@@ -935,20 +935,21 @@ mod tests {
     /// makes of the greedy pieces of each capped digest.
     #[test]
     fn a_digest_past_the_payload_bound_is_cut_into_frames_within_it() {
-        // ~60 KB a synopsis: about 280 fit under the bound.
+        // ~60 KB a synopsis, each its own definition: about 280 fit under
+        // the bound.
         let heavy: Vec<TaskSynopsis> = (0..300u64)
             .map(|uid| TaskSynopsis {
                 log_points: (0..10_000u16)
-                    .map(|p| (LogPointId(p), u32::MAX - p as u32))
+                    .map(|p| (LogPointId(p), u32::MAX - p as u32 - uid as u32))
                     .collect(),
                 ..task(7, uid, 0)
             })
             .collect();
-        let ends = heavy.iter().scan(0, |end, s| {
-            *end += saad_core::codec::encode(s).len();
-            Some(*end)
-        });
-        let fit = ends.take_while(|&end| end <= MAX_FRAME_PAYLOAD).count();
+        let mut probe = FramePayload::new();
+        let fit = (heavy.iter())
+            .take_while(|s| probe.push_parts(&s.head(), &s.log_points))
+            .count();
+        assert!(probe.bytes().len() <= MAX_FRAME_PAYLOAD);
         let cap = fit + 10;
         assert!(cap < heavy.len());
         let config = LeafConfig {

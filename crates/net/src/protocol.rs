@@ -24,6 +24,15 @@
 //! v1 reject it can decode, and terminates cleanly on version skew
 //! instead of deadlocking on bytes that never come.
 //!
+//! # Version 3: payloads that define each signature once
+//!
+//! Version 3 changes no handshake byte: its hello and ack are v2's, the
+//! extension included. It changes the frame payload, whose rows now name
+//! per-payload definitions ([`saad_core::codec`]). One version is spoken
+//! at a time, so there is no v2 payload parser: a v2 peer announces 2,
+//! its hello decodes as v2's did, and it gets a `VersionMismatch` reject
+//! in the v2 form it can read, as a v1 peer gets one in the v1 form.
+//!
 //! Everything is checksummed with the same CRC-32 the frame format uses,
 //! so a flipped bit anywhere — handshake or payload — is detected, never
 //! silently admitted.
@@ -37,7 +46,7 @@ use std::time::Duration;
 
 /// Current wire protocol version. A collector rejects peers announcing a
 /// different version rather than guessing at frame semantics.
-pub const PROTOCOL_VERSION: u16 = 2;
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Magic prefix of a peer `Hello`.
 pub(crate) const HELLO_MAGIC: [u8; 4] = *b"SAAD";

@@ -125,7 +125,7 @@ mod tests {
         assert_batch_shape, assert_gap_is_charged, batches, feed_in_cuts, frame_bodies,
         goodbye_after_a_lost_frame, hello_bytes, row_stream, wire_of, RowStream,
     };
-    use crate::protocol::{write_message, PINNED_EPOCH};
+    use crate::protocol::{write_message, PINNED_EPOCH, PROTOCOL_VERSION};
     use crate::session::{Handler, Session};
     use crossbeam_channel::{unbounded, Receiver};
     use proptest::prelude::*;
@@ -227,7 +227,11 @@ mod tests {
         let starts: Vec<u64> = (0..16).map(|i| 5 * 60_000 + i * 70).collect();
         let digests = batches(&HOSTS, &sizes, &starts);
         let bodies = frame_bodies(&HOSTS, &digests, 0b000100, 0b001000);
-        let wire = [hello_bytes(2, 3, PINNED_EPOCH), wire_of(&bodies)].concat();
+        let wire = [
+            hello_bytes(PROTOCOL_VERSION, 3, PINNED_EPOCH),
+            wire_of(&bodies),
+        ]
+        .concat();
 
         let whole = run(&wire, []);
         assert!(whole.alive);
@@ -326,7 +330,7 @@ mod tests {
             let root = rig();
             let mut order = Vec::new();
             let mut feeds: Vec<_> = (0..2).map(|uplink| {
-                let mut wire = hello_bytes(2, 100 + uplink as u16, PINNED_EPOCH);
+                let mut wire = hello_bytes(PROTOCOL_VERSION, 100 + uplink as u16, PINNED_EPOCH);
                 let mut ends = Vec::new();
                 for body in &bodies[uplink] {
                     write_message(&mut wire, body).expect("bodies are in bounds");

@@ -476,7 +476,7 @@ impl<H: Handler, F: Fn() -> H> Loop<'_, H, F> {
 mod tests {
     use super::*;
     use crate::ingest::testkit::{hello_bytes, rig, synopsis};
-    use crate::protocol::{write_message, PINNED_EPOCH};
+    use crate::protocol::{write_message, PINNED_EPOCH, PROTOCOL_VERSION};
     use saad_core::synopsis::TaskSynopsis;
     use saad_core::transport::FrameSender;
     use saad_core::HostId;
@@ -506,7 +506,7 @@ mod tests {
     fn a_full_ring_is_drained_not_grown() {
         const SLAB: usize = 256 * 1024;
         let mut sender = FrameSender::new(HostId(7));
-        let mut wire = hello_bytes(2, 7, PINNED_EPOCH);
+        let mut wire = hello_bytes(PROTOCOL_VERSION, 7, PINNED_EPOCH);
         let (mut sent, mut largest) = (0u64, 0usize);
         while wire.len() < 8 * 1024 * 1024 {
             let batch: Vec<TaskSynopsis> = (0..32)
@@ -551,7 +551,7 @@ mod tests {
     fn bytes_read_ahead_of_an_unframeable_prefix_are_counted() {
         use crate::protocol::MAX_MESSAGE_LEN;
         let mut sender = FrameSender::new(HostId(7));
-        let mut wire = hello_bytes(2, 7, PINNED_EPOCH);
+        let mut wire = hello_bytes(PROTOCOL_VERSION, 7, PINNED_EPOCH);
         let batch: Vec<TaskSynopsis> = (0..32).map(|i| synopsis(7, i, i, &[1, 2])).collect();
         for _ in 0..4 {
             write_message(&mut wire, &sender.encode_frame(&batch)).unwrap();
@@ -584,7 +584,7 @@ mod tests {
     #[test]
     fn one_readiness_event_lands_a_bounded_share_of_an_endless_stream() {
         let mut sender = FrameSender::new(HostId(7));
-        let mut wire = hello_bytes(2, 7, PINNED_EPOCH);
+        let mut wire = hello_bytes(PROTOCOL_VERSION, 7, PINNED_EPOCH);
         while wire.len() < 4 * READ_BUDGET {
             let batch: Vec<TaskSynopsis> = (0..32).map(|i| synopsis(7, i, i, &[1, 2])).collect();
             write_message(&mut wire, &sender.encode_frame(&batch)).unwrap();

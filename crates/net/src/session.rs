@@ -214,6 +214,7 @@ mod tests {
     use crate::ingest::CollectorStats;
     use crate::protocol::{
         decode_hello_ack, HELLO_ACK_LEN, HELLO_ACK_V1_LEN, MAX_MESSAGE_LEN, NO_SEQ, PINNED_EPOCH,
+        PROTOCOL_VERSION,
     };
     use proptest::prelude::*;
     use saad_core::batch::SynopsisBatch;
@@ -466,13 +467,13 @@ mod tests {
             decode_hello_ack(session.ack()).expect("a decodable ack")
         };
         // A known host reconnecting: the ack says what arrived.
-        connect(&[hello_bytes(2, 7, PINNED_EPOCH), frames].concat());
-        let ack = connect(&hello_bytes(2, 7, PINNED_EPOCH));
+        connect(&[hello_bytes(PROTOCOL_VERSION, 7, PINNED_EPOCH), frames].concat());
+        let ack = connect(&hello_bytes(PROTOCOL_VERSION, 7, PINNED_EPOCH));
         assert_eq!((ack.accept, ack.last_seq, ack.delivered_cum), (true, 1, 3));
         // An unknown host with history: the collector adopts its resume
         // point, the loss the peer already knows of included.
         let hello = crate::protocol::encode_hello(&Hello {
-            version: 2,
+            version: PROTOCOL_VERSION,
             host: HostId(8),
             next_seq: 5,
             sent_cum: 40,

@@ -651,53 +651,62 @@ fn a_short_digest_reaches_the_root_on_the_leafs_flush_interval() {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Version skew: v1 agent vs v2 fleet terminates cleanly.
+// 5. Version skew: a v1 or a v2 agent against the current fleet terminates
+//    cleanly (the name is the one this test has had since v2).
 // ---------------------------------------------------------------------------
 
 #[test]
 fn v1_agent_against_v2_leaf_terminates_cleanly() {
-    let (batch_tx, _batch_rx) = unbounded::<SynopsisBatch>();
-    let root = RootCollector::bind("127.0.0.1:0", batch_tx, Arc::default()).unwrap();
-    let leaf = LeafCollector::spawn(
-        "127.0.0.1:0",
-        root.local_addr(),
-        None,
-        LeafConfig::default(),
-    )
-    .unwrap();
+    for version in [1, 2] {
+        let (batch_tx, _batch_rx) = unbounded::<SynopsisBatch>();
+        let root = RootCollector::bind("127.0.0.1:0", batch_tx, Arc::default()).unwrap();
+        let leaf = LeafCollector::spawn(
+            "127.0.0.1:0",
+            root.local_addr(),
+            None,
+            LeafConfig::default(),
+        )
+        .unwrap();
 
-    let host = HostId(9);
-    let agent = Agent::connect(
-        leaf.local_addr(),
-        host,
-        AgentConfig {
-            version: 1,
-            backoff: fast_backoff(0x01D),
-            ..AgentConfig::default()
-        },
-    );
-    let batch: Vec<TaskSynopsis> = (0..10u64)
-        .map(|uid| TaskSynopsis {
+        let host = HostId(9);
+        let agent = Agent::connect(
+            leaf.local_addr(),
             host,
-            stage: StageId(0),
-            uid: TaskUid(uid),
-            start: SimTime::from_millis(uid),
-            duration: SimDuration::from_micros(500),
-            log_points: vec![],
-        })
-        .collect();
-    agent.send(batch);
-    let stats = agent.close(); // must return, not hang
+            AgentConfig {
+                version,
+                backoff: fast_backoff(0x01D),
+                ..AgentConfig::default()
+            },
+        );
+        let batch: Vec<TaskSynopsis> = (0..10u64)
+            .map(|uid| TaskSynopsis {
+                host,
+                stage: StageId(0),
+                uid: TaskUid(uid),
+                start: SimTime::from_millis(uid),
+                duration: SimDuration::from_micros(500),
+                log_points: vec![],
+            })
+            .collect();
+        agent.send(batch);
+        let stats = agent.close(); // must return, not hang
 
-    assert_eq!(stats.connects, 0, "a v1 hello may never be admitted");
-    assert_eq!(stats.handshake_rejects, 1, "rejected once, terminally");
-    assert_eq!(stats.reject_reason, Some(RejectReason::VersionMismatch));
-    assert_eq!(stats.synopses_written, 0);
-    assert_eq!(
-        stats.drops.disconnected, 10,
-        "queued synopses surface as disconnected drops, not silence"
-    );
-    assert_eq!(leaf.collector_stats().handshakes_rejected, 1);
-    leaf.shutdown();
-    root.shutdown();
+        assert_eq!(
+            stats.connects, 0,
+            "a v{version} hello may never be admitted"
+        );
+        assert_eq!(
+            stats.handshake_rejects, 1,
+            "v{version}: rejected once, terminally"
+        );
+        assert_eq!(stats.reject_reason, Some(RejectReason::VersionMismatch));
+        assert_eq!(stats.synopses_written, 0);
+        assert_eq!(
+            stats.drops.disconnected, 10,
+            "v{version}: queued synopses surface as disconnected drops, not silence"
+        );
+        assert_eq!(leaf.collector_stats().handshakes_rejected, 1);
+        leaf.shutdown();
+        root.shutdown();
+    }
 }

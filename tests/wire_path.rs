@@ -6,7 +6,8 @@
 //! more and slice-by-8 tables for the rest, one pass into a reused buffer,
 //! one write per message — and each is held here to the plain version: a
 //! bit-serial CRC, `header ‖ crc ‖ payload` composed byte by byte with a
-//! one-byte-at-a-time varint writer, and a writer that counts its calls.
+//! one-byte-at-a-time varint writer and a list search for each row's
+//! definition, and a writer that counts its calls.
 //! A committed golden frame pins the format itself, so "byte-identical"
 //! does not only mean "identical to whatever this build does". (The
 //! agent's coalescing write loop is tested against a failing writer in
@@ -48,23 +49,48 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// A signed delta folded onto the unsigned varints.
+fn zigzag(delta: u64) -> u64 {
+    let d = delta as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
 /// One frame composed the way the format is specified, sharing no code
-/// with the encoder under test.
+/// with the encoder under test: each row's tag, its definition written
+/// out in full where the row is the first of the payload with its (host,
+/// stage, points, counts), then its uid and start as deltas from the row
+/// before and its duration.
 fn reference_frame(host: HostId, seq: u64, cumulative: u64, batch: &[TaskSynopsis]) -> Vec<u8> {
     let mut payload = Vec::new();
+    let mut defined: Vec<&TaskSynopsis> = Vec::new();
+    let (mut uid, mut start) = (0u64, 0u64);
     for s in batch {
-        put_varint(&mut payload, s.host.0 as u64);
-        put_varint(&mut payload, s.stage.0 as u64);
-        put_varint(&mut payload, s.uid.0);
-        put_varint(&mut payload, s.start.as_micros());
-        put_varint(&mut payload, s.duration.as_micros());
-        put_varint(&mut payload, s.log_points.len() as u64);
-        let mut prev = 0u64;
-        for &(p, c) in &s.log_points {
-            put_varint(&mut payload, (p.0 as u64).wrapping_sub(prev));
-            put_varint(&mut payload, c as u64);
-            prev = p.0 as u64;
+        let def = |d: &&TaskSynopsis| {
+            (d.host, d.stage, &d.log_points) == (s.host, s.stage, &s.log_points)
+        };
+        match defined.iter().position(def) {
+            Some(id) => put_varint(&mut payload, (id as u64) << 1),
+            None => {
+                put_varint(&mut payload, (defined.len() as u64) << 1);
+                put_varint(&mut payload, s.host.0 as u64);
+                put_varint(&mut payload, s.stage.0 as u64);
+                put_varint(&mut payload, s.log_points.len() as u64);
+                let mut prev = 0u64;
+                for &(p, c) in &s.log_points {
+                    put_varint(&mut payload, (p.0 as u64).wrapping_sub(prev));
+                    put_varint(&mut payload, c as u64);
+                    prev = p.0 as u64;
+                }
+                defined.push(s);
+            }
         }
+        put_varint(&mut payload, zigzag(s.uid.0.wrapping_sub(uid)));
+        put_varint(
+            &mut payload,
+            zigzag(s.start.as_micros().wrapping_sub(start)),
+        );
+        put_varint(&mut payload, s.duration.as_micros());
+        (uid, start) = (s.uid.0, s.start.as_micros());
     }
     let mut frame = Vec::new();
     frame.extend_from_slice(&host.0.to_be_bytes());
@@ -78,8 +104,10 @@ fn reference_frame(host: HostId, seq: u64, cumulative: u64, batch: &[TaskSynopsi
     frame
 }
 
-/// One generated task: stage, points with counts, uid, duration, start.
-type RawTask = (u16, Vec<(u16, u32)>, u64, u64, u64);
+/// One generated task: stage, points with counts, uid, duration, start,
+/// and which earlier task of its batch, if any, it takes its stage and
+/// points from.
+type RawTask = (u16, Vec<(u16, u32)>, u64, u64, u64, u16);
 
 fn raw_task() -> impl Strategy<Value = RawTask> {
     (
@@ -89,21 +117,33 @@ fn raw_task() -> impl Strategy<Value = RawTask> {
         0u64..u64::MAX,
         0u64..40_000_000,
         0u64..4_000_000_000_000,
+        0u16..64,
     )
 }
 
-fn synopsis_of(host: HostId, (stage, points, uid, dur_us, start_us): RawTask) -> TaskSynopsis {
-    TaskSynopsis {
-        host,
-        stage: StageId(stage),
-        uid: TaskUid(uid),
-        start: SimTime::from_micros(start_us),
-        duration: SimDuration::from_micros(dur_us),
-        log_points: points
-            .into_iter()
-            .map(|(p, c)| (LogPointId(p), c))
-            .collect(),
+/// The synopses of one batch of generated tasks. About half the tasks
+/// repeat an earlier task's stage and points, so rows name definitions.
+fn batch_of(host: HostId, raw: Vec<RawTask>) -> Vec<TaskSynopsis> {
+    let mut batch: Vec<TaskSynopsis> = Vec::new();
+    for (stage, points, uid, dur_us, start_us, reuse) in raw {
+        let mut s = TaskSynopsis {
+            host,
+            stage: StageId(stage),
+            uid: TaskUid(uid),
+            start: SimTime::from_micros(start_us),
+            duration: SimDuration::from_micros(dur_us),
+            log_points: points
+                .into_iter()
+                .map(|(p, c)| (LogPointId(p), c))
+                .collect(),
+        };
+        if reuse % 2 == 0 && !batch.is_empty() {
+            let earlier = &batch[reuse as usize / 2 % batch.len()];
+            (s.stage, s.log_points) = (earlier.stage, earlier.log_points.clone());
+        }
+        batch.push(s);
     }
+    batch
 }
 
 fn task(host: u16, uid: u64, points: usize) -> TaskSynopsis {
@@ -178,8 +218,7 @@ proptest! {
         let mut payload = FramePayload::new();
         let mut cumulative = 0u64;
         for (seq, raw) in batches.into_iter().enumerate() {
-            let batch: Vec<TaskSynopsis> =
-                raw.into_iter().map(|t| synopsis_of(host, t)).collect();
+            let batch = batch_of(host, raw);
             let want = reference_frame(host, seq as u64, cumulative, &batch);
             // Same buffer every round: stale frame bytes sit in its spare
             // capacity, and `junk` sits in front of the new frame.
@@ -203,11 +242,14 @@ proptest! {
 
 #[test]
 fn golden_frame_pins_the_wire_format() {
-    // Captured from the encoder as it stood before the single-pass
-    // rewrite (`header ‖ crc ‖ encode_batch`, bit-serial CRC): second
-    // frame of host 7, three synopses already sent.
-    const GOLDEN: &str = "00070000000000000001000000000000000300000029b67d835907ac02959aef3a\
-                          d0b39a1d8a5004010101288001018626f0a2040704ffffffffffffffffff01000000";
+    // Captured from the protocol-3 encoder and checked against the format
+    // by hand: second frame of host 7, three synopses already sent. Row 0
+    // defines id 0 (tag 00), row 1 defines id 1 (tag 02), rows 2 and 3
+    // name ids 0 and 1 (tags 00, 02); uids and starts are deltas that
+    // wrap through u64::MAX.
+    const GOLDEN: &str = "0007000000000000000100000000000000030000003d2397621a0007ac0204010101\
+                          288001018626f0a204aab4de75a0e7b43a8a5002070400abb4de759fe7b43a0000ae\
+                          b4de75f0f6b43a8a5002adb4de75eff6b43a00";
     let full = TaskSynopsis {
         host: HostId(7),
         stage: StageId(300),
@@ -229,15 +271,18 @@ fn golden_frame_pins_the_wire_format() {
         duration: SimDuration::from_micros(0),
         log_points: vec![],
     };
+    let again = TaskSynopsis {
+        uid: TaskUid(123_456_790),
+        start: SimTime::from_millis(61_251),
+        ..full.clone()
+    };
+    let rows = [full, bare.clone(), again, bare.clone()];
     let mut tx = FrameSender::new(HostId(7));
-    tx.encode_frame(&[bare.clone(), bare.clone(), bare.clone()]);
-    let frame = tx.encode_frame(&[full.clone(), bare.clone()]);
+    tx.encode_frame(&[bare.clone(), bare.clone(), bare]);
+    let frame = tx.encode_frame(&rows);
     let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(hex, GOLDEN);
-    assert_eq!(
-        frame[..],
-        reference_frame(HostId(7), 1, 3, &[full, bare])[..]
-    );
+    assert_eq!(frame[..], reference_frame(HostId(7), 1, 3, &rows)[..]);
 }
 
 /// Accepts `accept` bytes in all, at most `per_call` per write, then

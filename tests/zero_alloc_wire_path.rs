@@ -21,7 +21,7 @@ use saad::core::batch::SynopsisBatch;
 use saad::core::codec::{decode_batch_into, encode_batch};
 use saad::core::intern::SignatureInterner;
 use saad::core::synopsis::TaskSynopsis;
-use saad::core::tracker::TaskExecutionTracker;
+use saad::core::tracker::{SynopsisSink, TaskExecutionTracker, VecSink};
 use saad::core::transport::{FramePayload, FrameSender};
 use saad::core::{HostId, StageId, TaskUid};
 use saad::logging::{Interceptor, Level, LogPointId};
@@ -90,6 +90,9 @@ fn frame_encoding_allocates_nothing() {
                 .collect()
         })
         .collect();
+    // What one round frames: the frames a plain sender makes of them.
+    let mut plain = FrameSender::new(HostId(7));
+    let round_bytes: usize = batches.iter().map(|b| plain.encode_frame(b).len()).sum();
     let mut sender = FrameSender::new(HostId(7));
     let mut wire = BytesMut::new();
     let mut payload = FramePayload::new();
@@ -121,10 +124,7 @@ fn frame_encoding_allocates_nothing() {
         "steady-state frame encoding must be allocation-free \
          ({delta} allocations over {ROUNDS} rounds)"
     );
-    assert!(
-        wire_bytes > batches.len() * 48 * 10,
-        "the rounds framed real bytes"
-    );
+    assert_eq!(wire_bytes, round_bytes, "the rounds framed every synopsis");
     assert_eq!(sender.frames_sent(), (1 + ROUNDS) * batches.len() as u64);
 }
 
@@ -148,8 +148,10 @@ fn draining_listener() -> (std::net::SocketAddr, std::thread::JoinHandle<u64>) {
     (addr, drain)
 }
 
+/// Tasks an agent frames at a time.
+const BATCH: u64 = 48;
+
 fn tracker_to_socket_allocates_nothing() {
-    const BATCH: u64 = 48;
     let (addr, drain) = draining_listener();
     let agent = Agent::connect(
         addr,
@@ -166,22 +168,8 @@ fn tracker_to_socket_allocates_nothing() {
         clock.clone() as Arc<dyn Clock>,
         Arc::new(agent.sink(BATCH as usize)),
     );
-    // One round is one frame's worth of tasks, as instrumented server
-    // code runs them: stage delimiter, log calls, task end.
     let mut uid = 0u64;
-    let mut round = || {
-        for _ in 0..BATCH {
-            clock.set(SimTime::from_micros(1_000 * uid));
-            tracker.set_context(StageId((uid % 3) as u16));
-            for p in 0..1 + uid % 5 {
-                clock.set(SimTime::from_micros(1_000 * uid + 100 * p));
-                tracker.on_log_point(LogPointId(3 + 200 * p as u16), Level::Debug);
-                tracker.on_log_point(LogPointId(3), Level::Info);
-            }
-            tracker.end_task();
-            uid += 1;
-        }
-    };
+    let mut round = || run_round(&tracker, &clock, &mut uid);
     let wait_for_frames = |frames: u64| {
         while agent.stats().frames_written < frames {
             std::thread::yield_now();
@@ -231,7 +219,41 @@ fn tracker_to_socket_allocates_nothing() {
     assert_eq!(stats.synopses_written, frames * BATCH);
     assert_eq!(stats.drops.total() + stats.synopses_wire_lost, 0);
     let drained = drain.join().expect("listener thread");
-    assert!(drained > stats.synopses_written * 10, "real bytes arrived");
+
+    // What arrived is what a plain sender frames of the same tasks, one
+    // frame of `BATCH` to a round, each behind its 4-byte length prefix.
+    let clock = Arc::new(ManualClock::new());
+    let tasks = Arc::new(VecSink::new());
+    let tracker = TaskExecutionTracker::new(
+        HostId(7),
+        clock.clone() as Arc<dyn Clock>,
+        tasks.clone() as Arc<dyn SynopsisSink>,
+    );
+    let mut uid = 0u64;
+    (0..frames).for_each(|_| run_round(&tracker, &clock, &mut uid));
+    let mut plain = FrameSender::new(HostId(7));
+    let framed: u64 = (tasks.drain().chunks(BATCH as usize))
+        .map(|batch| 4 + plain.encode_frame(batch).len() as u64)
+        .sum();
+    assert_eq!(drained, framed, "the agent's frames arrived, byte for byte");
+}
+
+/// One round: a frame's worth of tasks, as instrumented server code runs
+/// them (stage delimiter, log calls, task end), the same tasks for the
+/// same `uid` on every tracker.
+fn run_round(tracker: &TaskExecutionTracker, clock: &ManualClock, uid: &mut u64) {
+    for _ in 0..BATCH {
+        let u = *uid;
+        clock.set(SimTime::from_micros(1_000 * u));
+        tracker.set_context(StageId((u % 3) as u16));
+        for p in 0..1 + u % 5 {
+            clock.set(SimTime::from_micros(1_000 * u + 100 * p));
+            tracker.on_log_point(LogPointId(3 + 200 * p as u16), Level::Debug);
+            tracker.on_log_point(LogPointId(3), Level::Info);
+        }
+        tracker.end_task();
+        *uid += 1;
+    }
 }
 
 /// The collector's hand-over, as its reactor loop makes it: the frames
