@@ -79,5 +79,7 @@ percentile_nan_below|durations_us: Vec<f64>|duration_us: f64|ulp_step	crates src
 paper reference	crates/bench/benches	-	a bench prints its paper reference again: the paper's value lives once, in the bench's claim line (ledger::Panel::claim), beside what the run measured
 stale_keys|recycle_while|closing:	crates/core/src/detector.rs@prod	-	a window close collects and sorts keys again: a close walks each retiring index's open rows once, in opening order, counts each row's open windows down, and stable-sorts only the events it pushed (DESIGN.md section 8)
 PROTOCOL_VERSION: u16 = [0-2];|parse_at\(|encode_parts_into|fn (parse|decode)_v[0-9]	crates src tests examples	-	an older wire version or a second synopsis parser or encoder is back: one version is spoken (3), one parser (codec::Rows) reads every payload and one encoder (codec::Definitions) writes it
+into_iter\(\)\.flatten\(\)	crates/net/src/agent.rs	-	the agent sink runs every synopsis's payloads through an array of options again: AgentSink::submit_parts returns right after its push, and only a cut or full payload is swapped out and queued
+resize\(row \+|buf\.resize\(	crates/core/src/codec.rs	-	the encoder zero-fills a row to its worst case in the payload again: Definitions writes a row on the stack and appends it at its exact length
 TABLE
 exit $status

@@ -9,9 +9,11 @@
 //! 60–78 % of rows name a definition, and a synopsis takes 8–10 bytes on
 //! the wire, frame header included; a lone synopsis (5 log points)
 //! encodes in well under 48 bytes. Into a reused 48-row payload the
-//! encoder costs some 20 ns for a row whose definition is known and 35 ns
-//! for one it defines; decoding a capture-shaped frame costs some 16 ns a
-//! row (2-vCPU VM; EXPERIMENTS.md "Claimed gains", PR 49).
+//! encoder costs some 20 ns for a row whose definition is known and 40
+//! ns for one it defines, each row written on the stack and appended at
+//! its exact length; decoding a capture-shaped frame costs some 16 ns a
+//! row (2-vCPU VM; EXPERIMENTS.md "Claimed gains" and "Producer
+//! hand-over").
 //!
 //! # Payload format (protocol version 3)
 //!
@@ -95,10 +97,28 @@ const INLINE_DEFS: usize = 64;
 
 /// Buffer-sizing guess: a typical row encodes in fewer bytes than this;
 /// a longer one just grows the buffer.
-pub(crate) const TYPICAL_SYNOPSIS_LEN: usize = 16;
+const TYPICAL_SYNOPSIS_LEN: usize = 16;
 
 /// Most bytes one LEB128 `u64` occupies.
 const MAX_VARINT_LEN: usize = 10;
+
+/// Room of a defining row on the stack: a tag, the host, stage, length
+/// and fields at their widest, and a few dozen short (point, count)
+/// pairs. Few enough bytes to be zeroed by a handful of stores, not a
+/// call to `memset`; a row that outgrows it goes out a stack row at a
+/// time.
+const ROW_LEN: usize = 128;
+
+/// Room of a row that names its definition: a tag and the fields. A row
+/// of at most this many bytes is appended as this many ([`append`]).
+const NAMED_ROW_LEN: usize = MAX_TAG_LEN + 3 * MAX_VARINT_LEN;
+
+/// Capacity for a payload of about `rows` rows: the typical rows, and the
+/// bytes the last row's fixed-length copy ([`append`]) writes past its
+/// end, so a buffer sized for its rows does not grow on its last row.
+pub(crate) fn payload_capacity(rows: usize) -> usize {
+    TYPICAL_SYNOPSIS_LEN * rows + NAMED_ROW_LEN
+}
 
 /// Write `v` as a varint at `out[pos..]` and return the position just
 /// past it. `out` must have [`MAX_VARINT_LEN`] bytes of room at `pos`.
@@ -226,30 +246,6 @@ fn unzigzag(z: u64) -> u64 {
     (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
-/// Write a definition body at `out[pos..]` (host, stage, n, then each
-/// point as a delta from the previous one with its count) and return the
-/// position just past it. `out` needs `(3 + 2 n)` varints of room.
-#[inline]
-fn put_body_at(
-    out: &mut [u8],
-    pos: usize,
-    host: HostId,
-    stage: StageId,
-    points: &[(LogPointId, u32)],
-) -> usize {
-    let mut pos = put_varint_at(out, pos, host.0 as u64);
-    pos = put_varint_at(out, pos, stage.0 as u64);
-    pos = put_varint_at(out, pos, points.len() as u64);
-    let mut prev = 0u64;
-    for &(p, c) in points {
-        let id = p.0 as u64;
-        pos = put_varint_at(out, pos, id.wrapping_sub(prev));
-        pos = put_varint_at(out, pos, c as u64);
-        prev = id;
-    }
-    pos
-}
-
 /// Write the fields every row ends with at `out[pos..]`: uid and start
 /// as zigzag deltas from the previous row's `(uid, start)`, then the
 /// duration. `out` needs three varints of room.
@@ -333,9 +329,9 @@ impl Definitions {
     ///
     /// Returns `None`, leaving `buf` and the table as they were, when the
     /// row would take `buf` past `limit` bytes, or needs a new definition
-    /// and the table holds [`MAX_DEFS`]. The row is sized for its worst
-    /// case once and written by index, so a reused `buf` at capacity makes
-    /// this allocation-free.
+    /// and the table holds [`MAX_DEFS`]. The row is written on the stack
+    /// and appended at its exact length (a long point list in pieces), so
+    /// a reused `buf` at capacity makes this allocation-free.
     #[inline(always)]
     pub(crate) fn push(
         &mut self,
@@ -352,15 +348,32 @@ impl Definitions {
         if id == MAX_DEFS {
             return None;
         }
-        let row = buf.len();
-        let body_room = (3 + 2 * points.len()) * MAX_VARINT_LEN;
-        buf.resize(row + MAX_TAG_LEN + body_room + 3 * MAX_VARINT_LEN, 0);
-        let out = &mut buf[row..];
-        let pos = put_varint_at(out, 0, (id as u64) << 1);
-        let pos = put_body_at(out, pos, head.host, head.stage, points);
-        if !self.finish_row(buf, row, pos, limit, head) {
-            return None;
+        // The definition: host, stage, n, then each point as a delta from
+        // the previous one with its count. Rows are written on the stack,
+        // not into a buffer the table keeps: with every row written
+        // behind a pointer, `fleet_e2e` read ~6 % lower (EXPERIMENTS.md
+        // "Producer hand-over").
+        let start = buf.len();
+        let mut row = [0u8; ROW_LEN];
+        let mut pos = put_varint_at(&mut row, 0, (id as u64) << 1);
+        pos = put_varint_at(&mut row, pos, head.host.0 as u64);
+        pos = put_varint_at(&mut row, pos, head.stage.0 as u64);
+        pos = put_varint_at(&mut row, pos, points.len() as u64);
+        let mut prev = 0u64;
+        for &(p, c) in points {
+            if ROW_LEN - pos < 5 * MAX_VARINT_LEN {
+                // No room left for a pair and the fields: what the row
+                // holds goes out, and it starts again.
+                buf.extend_from_slice(&row[..pos]);
+                pos = 0;
+            }
+            let id = p.0 as u64;
+            pos = put_varint_at(&mut row, pos, id.wrapping_sub(prev));
+            pos = put_varint_at(&mut row, pos, c as u64);
+            prev = id;
         }
+        let end = self.finish_row(buf, start, &mut row, pos, limit, head)?;
+        append(buf, &row, end);
         self.insert(Def {
             hash,
             host: head.host,
@@ -384,32 +397,37 @@ impl Definitions {
         head: &SynopsisHead,
     ) -> bool {
         debug_assert!(id < self.defs.len(), "a row names a definition made");
-        let row = buf.len();
-        buf.resize(row + MAX_TAG_LEN + 3 * MAX_VARINT_LEN, 0);
-        let pos = put_varint_at(&mut buf[row..], 0, (id as u64) << 1);
-        self.finish_row(buf, row, pos, limit, head)
+        let start = buf.len();
+        let mut row = [0u8; NAMED_ROW_LEN];
+        let pos = put_varint_at(&mut row, 0, (id as u64) << 1);
+        let Some(end) = self.finish_row(buf, start, &mut row, pos, limit, head) else {
+            return false;
+        };
+        append(buf, &row, end);
+        true
     }
 
-    /// Write the fields of the row begun at `buf[row..]`, its tag (and
-    /// definition) ending at `pos` bytes into it, and trim `buf` to the
-    /// row's end; or, if that end lies past `limit`, take the row back.
+    /// Write the fields of a row into `row`, after the `pos` bytes of it
+    /// written so far, and return the row's length; or, if appending it
+    /// would take `buf` past `limit`, take back what `buf` holds of the
+    /// row from `start` on and return `None`.
     #[inline(always)]
     fn finish_row(
         &mut self,
         buf: &mut BytesMut,
-        row: usize,
+        start: usize,
+        row: &mut [u8],
         pos: usize,
         limit: usize,
         head: &SynopsisHead,
-    ) -> bool {
-        let end = row + put_fields_at(&mut buf[row..], pos, head, self.prev);
-        if end > limit {
-            buf.truncate(row);
-            return false;
+    ) -> Option<usize> {
+        let end = put_fields_at(row, pos, head, self.prev);
+        if buf.len() + end > limit {
+            buf.truncate(start);
+            return None;
         }
-        buf.truncate(end);
         self.prev = (head.uid.0, head.start.as_micros());
-        true
+        Some(end)
     }
 
     /// The definition made of `head`'s host and stage and `points`.
@@ -444,6 +462,22 @@ impl Definitions {
         }
         place(&mut self.slots, def.hash, self.defs.len());
         self.defs.push(def);
+    }
+}
+
+/// Append `row[..end]` to `buf`. A row of at most [`NAMED_ROW_LEN`] bytes
+/// (every row naming a definition, most defining ones) goes as that many
+/// and is trimmed after: a copy of a fixed length is two moves, where one
+/// of `end` bytes is a call to `memcpy`. Copying `end` bytes always read
+/// ~6 % lower on `fleet_e2e` (EXPERIMENTS.md "Producer hand-over").
+#[inline(always)]
+fn append(buf: &mut BytesMut, row: &[u8], end: usize) {
+    if end <= NAMED_ROW_LEN {
+        let start = buf.len();
+        buf.extend_from_slice(&row[..NAMED_ROW_LEN]);
+        buf.truncate(start + end);
+    } else {
+        buf.extend_from_slice(&row[..end]);
     }
 }
 
@@ -522,7 +556,7 @@ pub(crate) fn encode_batch_into<'a>(
 pub fn encode_batch<'a, I: IntoIterator<Item = &'a TaskSynopsis>>(synopses: I) -> Bytes {
     let synopses = synopses.into_iter();
     let rows = synopses.size_hint().0;
-    let mut out = BytesMut::with_capacity(TYPICAL_SYNOPSIS_LEN * rows);
+    let mut out = BytesMut::with_capacity(payload_capacity(rows));
     encode_batch_into(&mut out, &mut Definitions::with_rows(rows), synopses);
     out.freeze()
 }
@@ -1024,13 +1058,31 @@ mod tests {
             start: SimTime::from_micros(start),
             ..sample(&[(9, u32::MAX)])
         };
-        let batch = [
+        // Definitions with every varint at its widest: ids falling by one
+        // (each delta wraps), the largest counts, and fields 2^63 away
+        // from the previous row's. Behind 0 to 14 two-byte pairs, a wide
+        // pair and the fields land at every offset of a stack row, and
+        // the longer lists go out in pieces.
+        let widest = |lead: u16, n: u16| TaskSynopsis {
+            duration: SimDuration::from_micros(u64::MAX),
+            log_points: (1..=lead)
+                .map(|i| (LogPointId(i), 1))
+                .chain((0..n).map(|i| (LogPointId(u16::MAX - i), u32::MAX)))
+                .collect(),
+            ..at(1 << 63, 1 << 63)
+        };
+        let mut batch = vec![
             at(u64::MAX, u64::MAX),
             at(0, 0),
             at(u64::MAX, 1),
             at(1 << 63, u64::MAX - 1),
             at(0, 0),
         ];
+        for lead in 0..15 {
+            for n in 1..=12 {
+                batch.extend([widest(lead, n), at(0, 0)]);
+            }
+        }
         let mut wire = encode_batch(&batch);
         assert_eq!(decode_batch(&mut wire).unwrap(), batch);
     }

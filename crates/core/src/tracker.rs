@@ -1002,4 +1002,29 @@ mod tests {
         sink.submit_parts(head, &[(LogPointId(3), 1)]);
         assert_eq!(sink.count(), 2);
     }
+
+    proptest::proptest! {
+        /// After every visit, a task's counts equal a `BTreeMap` count of
+        /// the visits so far: any order, repeats, up to 40 distinct points
+        /// (past the inline array too); and a cleared map, which keeps its
+        /// spill buffer, counts the next task afresh.
+        #[test]
+        fn point_counts_hold_what_a_map_holds(
+            pool in proptest::collection::vec(0u16..u16::MAX, 1..41),
+            tasks in proptest::collection::vec(proptest::collection::vec(0usize..40, 0..120), 1..4),
+        ) {
+            let mut counts = PointCounts::new();
+            for picks in &tasks {
+                counts.clear();
+                let mut map = std::collections::BTreeMap::new();
+                for &pick in picks {
+                    let point = LogPointId(pool[pick % pool.len()]);
+                    counts.visit(point);
+                    *map.entry(point).or_insert(0u32) += 1;
+                    let expected: Vec<(LogPointId, u32)> = map.clone().into_iter().collect();
+                    proptest::prop_assert_eq!(counts.as_slice(), &expected[..]);
+                }
+            }
+        }
+    }
 }

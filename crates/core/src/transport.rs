@@ -407,7 +407,7 @@ impl FrameSender {
     /// [`FramePayload`]s, which cut it.
     pub fn encode_frame(&mut self, batch: &[TaskSynopsis]) -> Bytes {
         let mut buf =
-            BytesMut::with_capacity(FRAME_HEADER_LEN + codec::TYPICAL_SYNOPSIS_LEN * batch.len());
+            BytesMut::with_capacity(FRAME_HEADER_LEN + codec::payload_capacity(batch.len()));
         let frame = self.begin_frame(&mut buf);
         codec::encode_batch_into(&mut buf, &mut self.defs, batch.iter());
         assert!(

@@ -256,6 +256,9 @@ impl QueueFront {
     /// it would cross the frame payload bound — a spare takes its place
     /// and the synopsis, and the payload cut short is returned for the
     /// queue.
+    // Always inlined: for the sink, a push that fits is the whole of a
+    // synopsis's work under its lock.
+    #[inline(always)]
     fn push(
         &self,
         payload: &mut FramePayload,
@@ -467,6 +470,12 @@ impl Drop for Agent {
 /// the payload of the frame it will travel in. The one shared payload —
 /// rather than one per producer thread — is what lets [`AgentSink::flush`]
 /// and `Drop` push out everything submitted so far from any thread.
+///
+/// A synopsis that leaves the payload short of `batch_size` costs the lock
+/// and its row's bytes: the sink returns right after the push. Only a
+/// payload that fills, or that refuses a synopsis past the frame payload
+/// bound and is cut, is swapped for a spare under the lock and queued
+/// outside it.
 pub struct AgentSink {
     front: QueueFront,
     buf: parking_lot::Mutex<FramePayload>,
@@ -493,18 +502,22 @@ impl SynopsisSink for AgentSink {
     }
 
     fn submit_parts(&self, head: SynopsisHead, points: &[(LogPointId, u32)]) {
+        let mut buf = self.buf.lock();
+        // A cut payload goes out short of `batch_size`, ending on the
+        // last synopsis inside the frame payload bound.
+        let cut = self.front.push(&mut buf, &head, points);
+        if cut.is_none() && buf.synopses() < self.batch_size {
+            return;
+        }
+        let full = (buf.synopses() >= self.batch_size)
+            .then(|| std::mem::replace(&mut *buf, self.front.spare.take()));
         // Hand-overs happen outside the lock: `enqueue` may block.
-        let (cut, full) = {
-            let mut buf = self.buf.lock();
-            // A cut payload goes out short of `batch_size`, ending on the
-            // last synopsis inside the frame payload bound.
-            let cut = self.front.push(&mut buf, &head, points);
-            let full = (buf.synopses() >= self.batch_size)
-                .then(|| std::mem::replace(&mut *buf, self.front.spare.take()));
-            (cut, full)
-        };
-        for payload in [cut, full].into_iter().flatten() {
-            self.front.enqueue(payload);
+        drop(buf);
+        if let Some(cut) = cut {
+            self.front.enqueue(cut);
+        }
+        if let Some(full) = full {
+            self.front.enqueue(full);
         }
     }
 }
@@ -662,6 +675,80 @@ mod tests {
             front: front.clone(),
             buf: parking_lot::Mutex::new(FramePayload::new()),
             batch_size,
+        }
+    }
+
+    /// `n` synopses of host 3 from `seed`: each reuses the (stage, points,
+    /// counts) of an earlier one, or, three times in ten, brings a new one
+    /// of up to 20 points.
+    fn stream(seed: u64, n: u64) -> Vec<TaskSynopsis> {
+        use rand::SeedableRng;
+        use saad_core::StageId;
+        use saad_sim::{SimDuration, SimTime};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut made: Vec<(StageId, Vec<(LogPointId, u32)>)> = Vec::new();
+        let mut start = 0u64;
+        (0..n)
+            .map(|uid| {
+                if made.is_empty() || rng.gen_bool(0.3) {
+                    let points = (0..rng.gen_range(0..21))
+                        .map(|_| (LogPointId(rng.gen_range(0..64)), rng.gen_range(1..5)))
+                        .collect();
+                    made.push((StageId(rng.gen_range(0..4)), points));
+                }
+                let (stage, log_points) = made[rng.gen_range(0..made.len())].clone();
+                start += rng.gen_range(0..2_000u64);
+                TaskSynopsis {
+                    host: HostId(3),
+                    stage,
+                    uid: TaskUid(uid),
+                    start: SimTime::from_micros(start),
+                    duration: SimDuration::from_micros(rng.gen_range(0..100_000)),
+                    log_points,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_sink_queues_what_send_queues_in_chunks_of_its_batch_size() {
+        let queued = |rx: &Receiver<FramePayload>| -> Vec<(Vec<u8>, u64)> {
+            rx.try_iter()
+                .map(|p| (p.bytes().to_vec(), p.synopses()))
+                .collect()
+        };
+        for (seed, batch_size) in [1usize, 2, 47, 48, 49].into_iter().enumerate() {
+            let synopses = stream(seed as u64, 200);
+            let (front, stats, rx) = queue(1024, OverloadPolicy::DropNewest);
+            for chunk in synopses.chunks(batch_size) {
+                front.send(chunk);
+            }
+            let via_send = queued(&rx);
+            let streaming = sink(&front, batch_size as u64);
+            for s in &synopses {
+                streaming.submit_parts(s.head(), &s.log_points);
+            }
+            streaming.flush();
+            assert_eq!(queued(&rx), via_send, "batch size {batch_size}");
+
+            // Whatever the prefix submitted, `flush` queues exactly the
+            // synopses the full payloads before it left over.
+            for prefix in 0..=synopses.len() {
+                let streaming = sink(&front, batch_size as u64);
+                for s in &synopses[..prefix] {
+                    streaming.submit_parts(s.head(), &s.log_points);
+                }
+                let full = queued(&rx);
+                streaming.flush();
+                let rest = queued(&rx);
+                for chunk in synopses[..prefix].chunks(batch_size) {
+                    front.send(chunk);
+                }
+                let mut expected = queued(&rx);
+                let expected_rest = expected.split_off(prefix / batch_size);
+                assert_eq!((full, rest), (expected, expected_rest), "prefix {prefix}");
+            }
+            assert_eq!(stats.snapshot().drops.total(), 0);
         }
     }
 
