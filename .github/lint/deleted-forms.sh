@@ -81,5 +81,6 @@ stale_keys|recycle_while|closing:	crates/core/src/detector.rs@prod	-	a window cl
 PROTOCOL_VERSION: u16 = [0-2];|parse_at\(|encode_parts_into|fn (parse|decode)_v[0-9]	crates src tests examples	-	an older wire version or a second synopsis parser or encoder is back: one version is spoken (3), one parser (codec::Rows) reads every payload and one encoder (codec::Definitions) writes it
 into_iter\(\)\.flatten\(\)	crates/net/src/agent.rs	-	the agent sink runs every synopsis's payloads through an array of options again: AgentSink::submit_parts returns right after its push, and only a cut or full payload is swapped out and queued
 resize\(row \+|buf\.resize\(	crates/core/src/codec.rs	-	the encoder zero-fills a row to its worst case in the payload again: Definitions writes a row on the stack and appends it at its exact length
+criterion::|criterion_(group|main)!|SAAD_BENCH_MS|^criterion *=	crates Cargo.toml crates/bench/Cargo.toml .github/workflows/ci.yml .claude/skills/verify/SKILL.md	-	the vendored criterion stand-in or its SAAD_BENCH_MS budget is back: every micro and robustness row is the quartiles of saad_bench::timed_ns rounds
 TABLE
 exit $status

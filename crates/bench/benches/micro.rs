@@ -1,4 +1,5 @@
-//! Criterion microbenchmarks for SAAD's hot paths:
+//! Microbenchmarks for SAAD's hot paths, each row the quartiles of
+//! `saad_bench::timed_ns` rounds in ns per item:
 //!
 //! * per-log-point tracker cost (the paper's "practically zero overhead"
 //!   claim reduced to its inner loop), and per-task cost into a discarding
@@ -22,8 +23,7 @@
 //!   ns per synopsis, a restart copy and a close per open window,
 //!   checkpoint bytes per open window (EXPERIMENTS.md "Host sweep").
 
-use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use saad_bench::DrainingCollector;
+use saad_bench::{ns_row, DrainingCollector};
 use saad_core::batch::SynopsisBatch;
 use saad_core::detector::{AnomalyDetector, DetectorConfig};
 use saad_core::feature::InternedFeature;
@@ -36,6 +36,7 @@ use saad_core::{codec, HostId, StageId, TaskUid};
 use saad_logging::{LogPointId, Logger};
 use saad_net::{Agent, AgentConfig};
 use saad_sim::{Clock, ManualClock, SimDuration, SimTime};
+use std::hint::black_box;
 use std::sync::Arc;
 
 fn synopsis(stage: u16, points: &[u16], dur_us: u64, uid: u64) -> TaskSynopsis {
@@ -49,7 +50,7 @@ fn synopsis(stage: u16, points: &[u16], dur_us: u64, uid: u64) -> TaskSynopsis {
     }
 }
 
-fn bench_tracker(c: &mut Criterion) {
+fn bench_tracker() {
     let clock = Arc::new(ManualClock::new());
     let sink = Arc::new(NullSink::new());
     let tracker = Arc::new(TaskExecutionTracker::new(
@@ -58,21 +59,25 @@ fn bench_tracker(c: &mut Criterion) {
         sink as Arc<dyn SynopsisSink>,
     ));
     let logger = Logger::builder("S").interceptor(tracker.clone()).build();
-    let mut g = c.benchmark_group("tracker");
-    g.throughput(Throughput::Elements(1));
     tracker.set_context(StageId(1));
-    g.bench_function("log_point_visit", |b| {
-        b.iter(|| logger.debug(LogPointId(3), format_args!("Receiving one packet")))
-    });
-    g.bench_function("task_lifecycle_5_points", |b| {
-        b.iter(|| {
+    ns_row(
+        "tracker/log_point_visit",
+        1,
+        || (),
+        |()| logger.debug(LogPointId(3), format_args!("Receiving one packet")),
+    );
+    ns_row(
+        "tracker/task_lifecycle_5_points",
+        1,
+        || (),
+        |()| {
             tracker.set_context(StageId(1));
             for p in 0..5u16 {
                 logger.debug(LogPointId(p), format_args!("point"));
             }
             tracker.end_task();
-        })
-    });
+        },
+    );
     // The same task handed to an `AgentSink`: encoded into the frame
     // payload on this thread, one queue hand-over per 48 tasks, the agent's
     // worker and a reactor collector running alongside. This loop outruns
@@ -91,16 +96,18 @@ fn bench_tracker(c: &mut Criterion) {
         Arc::new(agent.sink(48)) as Arc<dyn SynopsisSink>,
     ));
     let logger = Logger::builder("S").interceptor(streaming.clone()).build();
-    g.bench_function("task_to_payload", |b| {
-        b.iter(|| {
+    ns_row(
+        "tracker/task_to_payload",
+        1,
+        || (),
+        |()| {
             streaming.set_context(StageId(1));
             for p in 0..5u16 {
                 logger.debug(LogPointId(p), format_args!("point"));
             }
             streaming.end_task();
-        })
-    });
-    g.finish();
+        },
+    );
     let tasks = streaming.completed();
     drop((logger, streaming)); // the sink goes with them, flushing its tail
     let stats = agent.close();
@@ -108,20 +115,16 @@ fn bench_tracker(c: &mut Criterion) {
     assert_eq!(collector.finish(), stats.synopses_written);
 }
 
-fn bench_codec(c: &mut Criterion) {
+fn bench_codec() {
     let s = synopsis(4, &[1, 2, 4, 5, 9], 10_000, 7);
     let wire = codec::encode(&s);
-    let mut g = c.benchmark_group("codec");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("encode", |b| b.iter(|| codec::encode(&s)));
-    g.bench_function("decode", |b| {
-        b.iter_batched(
-            || wire.clone(),
-            |mut w| saad_core::testkit::decode(&mut w).expect("decodes"),
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
+    ns_row("codec/encode", 1, || (), |()| codec::encode(&s));
+    ns_row(
+        "codec/decode",
+        1,
+        || wire.clone(),
+        |mut w| saad_core::testkit::decode(&mut w).expect("decodes"),
+    );
 }
 
 /// As many flows as `saad-e2e`'s capture holds, one to six points each.
@@ -131,7 +134,7 @@ fn capture_flows() -> Vec<Vec<u16>> {
         .collect()
 }
 
-fn bench_collector_edge(c: &mut Criterion) {
+fn bench_collector_edge() {
     let flows = capture_flows();
     let slices: Vec<Vec<LogPointId>> = flows
         .iter()
@@ -143,22 +146,14 @@ fn bench_collector_edge(c: &mut Criterion) {
         }
     };
 
-    let mut g = c.benchmark_group("intern");
-    g.throughput(Throughput::Elements(slices.len() as u64));
+    let signatures = slices.len() as u64;
     let warm = SignatureInterner::new();
     intern_all(&warm);
-    g.bench_function("hit", |b| b.iter(|| intern_all(&warm)));
-    g.bench_function("miss", |b| {
-        b.iter_batched(
-            SignatureInterner::new,
-            |fresh| {
-                intern_all(&fresh);
-                fresh
-            },
-            BatchSize::SmallInput,
-        )
+    ns_row("intern/hit", signatures, || (), |()| intern_all(&warm));
+    ns_row("intern/miss", signatures, SignatureInterner::new, |fresh| {
+        intern_all(&fresh);
+        fresh
     });
-    g.finish();
 
     let frame: Vec<TaskSynopsis> = (0..32u64)
         .map(|i| {
@@ -180,32 +175,35 @@ fn bench_collector_edge(c: &mut Criterion) {
         })
         .collect();
     let mut batch = SynopsisBatch::with_capacity(frame.len());
-    let mut g = c.benchmark_group("decode_batch_into");
-    g.throughput(Throughput::Elements(frame.len() as u64));
-    for (name, rows) in [("32", &frame), ("32_seven_defs", &shaped)] {
+    for (name, rows) in [
+        ("decode_batch_into/32", &frame),
+        ("decode_batch_into/32_seven_defs", &shaped),
+    ] {
         let payload = codec::encode_batch(rows);
-        g.bench_function(name, |b| {
-            b.iter(|| {
+        ns_row(
+            name,
+            rows.len() as u64,
+            || (),
+            |()| {
                 batch.clear();
                 codec::decode_batch_into(&payload, &mut batch, &warm).expect("decodes")
-            })
-        });
+            },
+        );
     }
-    g.finish();
 
     let (tx, rx) = crossbeam_channel::bounded::<u64>(64);
-    let mut g = c.benchmark_group("channel");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("send_recv_nobody_parked", |b| {
-        b.iter(|| {
+    ns_row(
+        "channel/send_recv_nobody_parked",
+        1,
+        || (),
+        |()| {
             tx.send(7).expect("receiver alive");
             rx.recv().expect("just sent")
-        })
-    });
-    g.finish();
+        },
+    );
 }
 
-fn bench_batch(c: &mut Criterion) {
+fn bench_batch() {
     let interner = SignatureInterner::new();
     let features: Vec<InternedFeature> = (0..256u64)
         .map(|i| {
@@ -213,28 +211,28 @@ fn bench_batch(c: &mut Criterion) {
             InternedFeature::from_synopsis(&s, &interner)
         })
         .collect();
-    let mut g = c.benchmark_group("batch");
-    g.throughput(Throughput::Elements(1));
     // The collector's per-frame hand-over: a batch of 32 built here and
     // dropped on the receiving thread, so its columns are freed, or
     // recycled, by a thread other than the one that asked for them.
     let (tx, rx) = crossbeam_channel::bounded::<SynopsisBatch>(64);
     let consumer = std::thread::spawn(move || rx.iter().count());
-    g.bench_function("handover_32", |b| {
-        b.iter(|| {
+    ns_row(
+        "batch/handover_32",
+        1,
+        || (),
+        |()| {
             let mut batch = SynopsisBatch::with_capacity(32);
             for f in &features[..32] {
                 batch.push_feature(f, f.start);
             }
             tx.send(batch).expect("consumer alive");
-        })
-    });
+        },
+    );
     let mut warm = SynopsisBatch::with_capacity(features.len());
     for f in &features {
         warm.push_feature(f, f.start);
     }
-    g.bench_function("clone_256", |b| b.iter(|| warm.clone()));
-    g.finish();
+    ns_row("batch/clone_256", 1, || (), |()| warm.clone());
     drop(tx);
     consumer.join().expect("consumer thread");
 }
@@ -252,25 +250,25 @@ fn trained_model() -> Arc<saad_core::model::OutlierModel> {
     Arc::new(b.build(ModelConfig::default()))
 }
 
-fn bench_model_build(c: &mut Criterion) {
+fn bench_model_build() {
     let synopses: Vec<TaskSynopsis> = (0..20_000u64)
         .map(|i| synopsis((i % 8) as u16, &[1, 2, 4, 5], 9_000 + (i % 97) * 20, i))
         .collect();
-    let mut g = c.benchmark_group("model");
-    g.throughput(Throughput::Elements(synopses.len() as u64));
-    g.bench_function("build_20k", |b| {
-        b.iter(|| {
+    ns_row(
+        "model/build_20k",
+        synopses.len() as u64,
+        || (),
+        |()| {
             let mut mb = ModelBuilder::new();
             for s in &synopses {
                 mb.observe(s);
             }
             mb.build(ModelConfig::default())
-        })
-    });
-    g.finish();
+        },
+    );
 }
 
-fn bench_detector(c: &mut Criterion) {
+fn bench_detector() {
     let model = trained_model();
     let interner = Arc::new(SignatureInterner::new());
     let compiled = Arc::new(model.compile(&interner));
@@ -278,7 +276,6 @@ fn bench_detector(c: &mut Criterion) {
         let config = DetectorConfig::default();
         AnomalyDetector::with_shared(model.clone(), compiled.clone(), interner.clone(), config)
     };
-    let mut g = c.benchmark_group("detector");
 
     // The batch path over six one-minute windows of four hosts, in batches
     // of 256 stamped with the running-maximum watermark: once in order,
@@ -312,25 +309,21 @@ fn bench_detector(c: &mut Criterion) {
         }
         (out, late)
     };
-    g.throughput(Throughput::Elements(STREAM));
-    for (name, late_every) in [("observe_batch/in_order", 0), ("observe_batch/late_16", 6)] {
+    for (name, late_every) in [
+        ("detector/observe_batch/in_order", 0),
+        ("detector/observe_batch/late_16", 6),
+    ] {
         let (batches, late) = batches(late_every);
         // Every `late_every`-th element but the first, which nothing precedes.
         let stragglers = STREAM.checked_div(late_every).map_or(0, |n| n - 1);
         assert_eq!(late, stragglers);
         let mut verdicts = VerdictMask::new();
-        g.bench_function(name, |b| {
-            b.iter_batched(
-                fresh,
-                |mut d| {
-                    for batch in &batches {
-                        black_box(d.observe_batch(batch, &mut verdicts));
-                    }
-                    assert_eq!(d.late_seen(), late);
-                    d
-                },
-                BatchSize::SmallInput,
-            )
+        ns_row(name, STREAM, fresh, |mut d| {
+            for batch in &batches {
+                black_box(d.observe_batch(batch, &mut verdicts));
+            }
+            assert_eq!(d.late_seen(), late);
+            d
         });
     }
 
@@ -344,18 +337,16 @@ fn bench_detector(c: &mut Criterion) {
         tasks.push_synopsis(&s, &interner);
     }
     filled.observe_batch(&tasks, &mut VerdictMask::new());
-    g.throughput(Throughput::Elements(1000));
-    g.bench_function("close_silent_windows/1000", |b| {
-        b.iter_batched(
-            || filled.clone(),
-            |mut d| {
-                let events = d.advance_watermark(SimTime::from_micros(3 * window_us));
-                assert!(events.is_empty() && d.open_windows() == 0);
-                d
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    ns_row(
+        "detector/close_silent_windows/1000",
+        1000,
+        || filled.clone(),
+        |mut d| {
+            let events = d.advance_watermark(SimTime::from_micros(3 * window_us));
+            assert!(events.is_empty() && d.open_windows() == 0);
+            d
+        },
+    );
 
     // Window turnover at fleet width: 2 000 (host, stage) pairs at 8 tasks
     // per window, one window per 16 000-row batch, stamped with the running
@@ -384,22 +375,18 @@ fn bench_detector(c: &mut Criterion) {
         warm.observe_batch(batch, &mut verdicts);
     }
     assert_eq!(warm.open_windows(), 2 * PAIRS as usize);
-    g.throughput(Throughput::Elements(10 * per_window));
-    g.bench_function("window_turnover/2000", |b| {
-        b.iter_batched(
-            || warm.clone(),
-            |mut d| {
-                for batch in &turnover[2..] {
-                    black_box(d.observe_batch(batch, &mut verdicts));
-                }
-                assert_eq!(d.open_windows(), 2 * PAIRS as usize);
-                d
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-    bench_mixed(c);
+    ns_row(
+        "detector/window_turnover/2000",
+        10 * per_window,
+        || warm.clone(),
+        |mut d| {
+            for batch in &turnover[2..] {
+                black_box(d.observe_batch(batch, &mut verdicts));
+            }
+            assert_eq!(d.open_windows(), 2 * PAIRS as usize);
+            d
+        },
+    );
 }
 
 /// The capture's 23 flows on five stages (flow `k` on stage `k % 5`): per
@@ -468,7 +455,7 @@ fn mixed_stream(
 /// 16 to 4 096 hosts — ns per synopsis; per open window half-way through,
 /// a restart copy (clone and drop) and a close; and the checkpoint bytes
 /// per open window there (printed).
-fn bench_mixed(c: &mut Criterion) {
+fn bench_mixed() {
     let flows = capture_flows();
     let model = mixed_model(&flows);
     let interner = Arc::new(SignatureInterner::new());
@@ -484,31 +471,27 @@ fn bench_mixed(c: &mut Criterion) {
         }
         d
     };
-    let mut g = c.benchmark_group("detector");
     let mut verdicts = VerdictMask::new();
 
     const MIXED: u64 = 256 * 5 * 6 * 8;
     let mixed = mixed_stream(&flows, &interner, MIXED, 256, 6);
-    g.throughput(Throughput::Elements(MIXED));
-    g.bench_function("observe_batch/mixed", |b| {
-        b.iter_batched(
-            || (),
-            |()| run(&mixed, &mut verdicts),
-            BatchSize::SmallInput,
-        )
-    });
+    ns_row(
+        "detector/observe_batch/mixed",
+        MIXED,
+        || (),
+        |()| run(&mixed, &mut verdicts),
+    );
 
     const SWEEP: u64 = 1 << 18;
     for hosts in [16u64, 256, 1_024, 4_096] {
         let stream = mixed_stream(&flows, &interner, SWEEP, hosts, 8);
-        g.throughput(Throughput::Elements(SWEEP));
-        g.bench_function(&format!("hosts/{hosts}/observe_batch"), |b| {
-            b.iter_batched(
-                || (),
-                |()| run(&stream, &mut verdicts),
-                BatchSize::SmallInput,
-            )
-        });
+        let row = |what: &str| format!("detector/hosts/{hosts}/{what}");
+        ns_row(
+            &row("observe_batch"),
+            SWEEP,
+            || (),
+            |()| run(&stream, &mut verdicts),
+        );
         let half = run(&stream[..stream.len() / 2], &mut verdicts);
         let open = half.open_windows() as u64;
         let mut checkpoint = bytes::BytesMut::new();
@@ -517,38 +500,32 @@ fn bench_mixed(c: &mut Criterion) {
             "detector/hosts/{hosts}: {open} open windows half-way, {:.1} checkpoint bytes per open window",
             checkpoint.len() as f64 / open as f64
         );
-        g.throughput(Throughput::Elements(open));
-        g.bench_function(&format!("hosts/{hosts}/snapshot"), |b| {
-            b.iter(|| half.clone())
-        });
+        ns_row(&row("snapshot"), open, || (), |()| half.clone());
         // One advance past every window, from a copy of `half` (its drop
         // timed too): the open windows' tests, events and turnover. Rows
         // deal hosts round-robin, so windows open out of key order;
         // `window_turnover/2000` opens its windows in key order and cannot
         // see what putting a close's output in key order costs.
         let past = SimTime::from_micros(10 * DetectorConfig::default().window.as_micros());
-        g.bench_function(&format!("hosts/{hosts}/close"), |b| {
-            b.iter_batched(
-                || half.clone(),
-                |mut d| {
-                    black_box(d.advance_watermark(past));
-                    assert_eq!(d.open_windows(), 0);
-                    d
-                },
-                BatchSize::SmallInput,
-            )
-        });
+        ns_row(
+            &row("close"),
+            open,
+            || half.clone(),
+            |mut d| {
+                black_box(d.advance_watermark(past));
+                assert_eq!(d.open_windows(), 0);
+                d
+            },
+        );
     }
-    g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_tracker,
-    bench_codec,
-    bench_collector_edge,
-    bench_batch,
-    bench_model_build,
-    bench_detector
-);
-criterion_main!(benches);
+fn main() {
+    bench_tracker();
+    bench_codec();
+    bench_collector_edge();
+    bench_batch();
+    bench_model_build();
+    bench_detector();
+    bench_mixed();
+}

@@ -7,12 +7,14 @@
 //! `BENCH_obs_overhead.json`:
 //!
 //! * raw primitive cost — ns/op for `Counter::inc` and
-//!   `Histogram::record` in a tight loop;
+//!   `Histogram::record`, the median [q1, q3] of `saad_bench::timed_ns`
+//!   rounds;
 //! * end-to-end tracker cost — identical task streams driven through a
 //!   `TaskExecutionTracker` with and without `TrackerMetrics` attached,
 //!   each task doing realistic CPU work, reported as normalized
 //!   throughput (instrumented / plain). The gate is <1% overhead.
 
+use saad_bench::{quartile_text, timed_ns};
 use saad_core::tracker::{NullSink, SynopsisSink, TaskExecutionTracker, TrackerMetrics};
 use saad_core::{HostId, StageId};
 use saad_logging::{Interceptor, Level, LogPointId};
@@ -33,22 +35,6 @@ fn busy_work(iters: u64) -> u64 {
 }
 
 const WORK_ITERS: u64 = 40_000;
-
-fn primitive_ns(ops: u64, mut op: impl FnMut(u64)) -> f64 {
-    // Warm-up, then best of three to damp scheduler noise.
-    for i in 0..ops / 10 {
-        op(i);
-    }
-    (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            for i in 0..ops {
-                op(i);
-            }
-            start.elapsed().as_nanos() as f64 / ops as f64
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 /// Drives `tasks` tracked tasks through the tracker hot path: context
 /// setup, two log-point visits, the busy-work payload, synopsis emission.
@@ -101,17 +87,24 @@ fn main() {
     } else {
         50_000
     };
-    let prim_ops: u64 = 20_000_000;
-
     println!("observability overhead ({tasks} tasks per configuration, real threads)\n");
 
     let counter = Counter::new();
-    let counter_ns = primitive_ns(prim_ops, |_| counter.inc());
+    let counter_q = timed_ns(1, || (), |()| counter.inc());
     let histogram = Histogram::new();
-    let histogram_ns = primitive_ns(prim_ops, |i| histogram.record(i % 100_000));
-    println!("primitive cost ({prim_ops} ops, best of 3):");
-    println!("  Counter::inc       {counter_ns:>7.2} ns/op");
-    println!("  Histogram::record  {histogram_ns:>7.2} ns/op");
+    let mut i = 0u64;
+    let histogram_q = timed_ns(
+        1,
+        || (),
+        |()| {
+            i += 1;
+            histogram.record(i % 100_000)
+        },
+    );
+    println!("primitive cost (ns/op, median [q1, q3] of timed rounds):");
+    println!("  Counter::inc       {}", quartile_text(counter_q, 2));
+    println!("  Histogram::record  {}", quartile_text(histogram_q, 2));
+    let (counter_ns, histogram_ns) = (counter_q[1], histogram_q[1]);
 
     let (plain, instrumented) = tracker_throughput(tasks);
     let normalized = instrumented / plain;
@@ -137,7 +130,7 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_obs_overhead.json");
     println!("\nwrote {path}");
 
-    // The primitives must stay in atomic-RMW territory, and the end-to-end
+    // The primitives' medians must stay in atomic-RMW territory, and the end-to-end
     // instrumented hot path must cost less than 1% of throughput.
     assert!(
         counter_ns < 50.0,

@@ -1,4 +1,5 @@
-//! Criterion benchmarks for the fault-tolerant transport layer:
+//! Microbenchmarks for the fault-tolerant transport layer, each row the
+//! quartiles of `saad_bench::timed_ns` rounds in ns per call:
 //!
 //! * frame encode/decode (CRC-32 framing on top of the synopsis codec),
 //! * the CRC-32 alone at the sizes the wire checksums,
@@ -7,7 +8,7 @@
 //! * bounded-sink submit under each overload policy, queue saturated —
 //!   the backpressure fast path a producer pays when the analyzer lags.
 
-use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use saad_bench::ns_row;
 use saad_core::batch::SynopsisBatch;
 use saad_core::codec::decode_batch_into;
 use saad_core::intern::SignatureInterner;
@@ -20,6 +21,7 @@ use saad_core::transport::{
 use saad_core::{HostId, StageId, TaskUid};
 use saad_logging::LogPointId;
 use saad_sim::{SimDuration, SimTime};
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,52 +57,54 @@ fn admit(
     rx.admit_meta(header.host, header.seq, header.cumulative, n as u64)
 }
 
-fn bench_framing(c: &mut Criterion) {
+fn bench_framing() {
     let synopses = batch(5);
     let frame = FrameSender::new(HostId(0)).encode_frame(&synopses);
-    let mut g = c.benchmark_group("transport");
-    g.throughput(Throughput::Bytes(frame.len() as u64));
-    g.bench_function("encode_frame_5", |b| {
-        let mut sender = FrameSender::new(HostId(0));
-        b.iter(|| sender.encode_frame(&synopses))
-    });
+    let mut sender = FrameSender::new(HostId(0));
+    ns_row(
+        "transport/encode_frame_5",
+        1,
+        || (),
+        |()| sender.encode_frame(&synopses),
+    );
     // The agent's shape: a 48-synopsis payload filled in place and framed
     // into a reused buffer — no allocation.
     let agent_batch = batch(48);
     let mut wire = bytes::BytesMut::new();
     let mut payload = FramePayload::new();
     let mut sender = FrameSender::new(HostId(0));
-    let mut frame_48 = |wire: &mut bytes::BytesMut| {
-        payload.clear();
-        for s in &agent_batch {
-            assert!(payload.push_parts(&s.head(), &s.log_points));
-        }
-        wire.clear();
-        sender.frame_payload_into(wire, &payload);
-    };
-    frame_48(&mut wire);
-    g.throughput(Throughput::Bytes(wire.len() as u64));
-    g.bench_function("frame_payload_into_48", |b| b.iter(|| frame_48(&mut wire)));
+    ns_row(
+        "transport/frame_payload_into_48",
+        1,
+        || (),
+        |()| {
+            payload.clear();
+            for s in &agent_batch {
+                assert!(payload.push_parts(&s.head(), &s.log_points));
+            }
+            wire.clear();
+            sender.frame_payload_into(&mut wire, &payload);
+        },
+    );
     let kib = vec![0xA5u8; 1024];
-    g.throughput(Throughput::Bytes(kib.len() as u64));
-    g.bench_function("crc32_1k", |b| b.iter(|| crc32(&[&kib])));
-    g.throughput(Throughput::Bytes(frame.len() as u64));
+    ns_row("transport/crc32_1k", 1, || (), |()| crc32(&[&kib]));
     let interner = SignatureInterner::new();
     let mut rows = SynopsisBatch::new();
-    g.bench_function("admit_frame_5", |b| {
-        // A fresh receiver per batch keeps every frame a fresh sequence.
-        b.iter_batched(
-            || (FrameReceiver::new(), FrameSender::new(HostId(0))),
-            |(mut rx, mut tx)| admit(&mut rx, &tx.encode_frame(&synopses), &mut rows, &interner),
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("admit_duplicate_frame", |b| {
-        let mut rx = FrameReceiver::new();
-        admit(&mut rx, &frame, &mut rows, &interner);
-        b.iter(|| admit(&mut rx, &frame, &mut rows, &interner))
-    });
-    g.finish();
+    // A fresh receiver per call keeps every frame a fresh sequence.
+    ns_row(
+        "transport/admit_frame_5",
+        1,
+        || (FrameReceiver::new(), FrameSender::new(HostId(0))),
+        |(mut rx, mut tx)| admit(&mut rx, &tx.encode_frame(&synopses), &mut rows, &interner),
+    );
+    let mut rx = FrameReceiver::new();
+    admit(&mut rx, &frame, &mut rows, &interner);
+    ns_row(
+        "transport/admit_duplicate_frame",
+        1,
+        || (),
+        |()| admit(&mut rx, &frame, &mut rows, &interner),
+    );
     // Sanity: the header should stay a small fixed fraction of the frame.
     assert!(FRAME_HEADER_LEN < frame.len());
 }
@@ -108,49 +112,42 @@ fn bench_framing(c: &mut Criterion) {
 /// The CRC at the shapes the wire computes it, chunked as the callers
 /// chunk them: an empty frame's header, a hello, and a header beside an
 /// agent frame's payload of 32 synopses (~17.5 and ~25.5 bytes each).
-fn bench_crc32(c: &mut Criterion) {
+fn bench_crc32() {
     let bytes: Vec<u8> = (0..22 + 816u32).map(|i| (i * 151 + 17) as u8).collect();
     let rows: [(&str, &[&[u8]]); 4] = [
-        ("header_22", &[&bytes[..22], &[]]),
-        ("hello_32", &[&bytes[..32]]),
-        ("frame_22+560", &[&bytes[..22], &bytes[22..22 + 560]]),
-        ("frame_22+816", &[&bytes[..22], &bytes[22..22 + 816]]),
+        ("crc32/header_22", &[&bytes[..22], &[]]),
+        ("crc32/hello_32", &[&bytes[..32]]),
+        ("crc32/frame_22+560", &[&bytes[..22], &bytes[22..22 + 560]]),
+        ("crc32/frame_22+816", &[&bytes[..22], &bytes[22..22 + 816]]),
     ];
-    let mut g = c.benchmark_group("crc32");
     for (name, chunks) in rows {
-        g.throughput(Throughput::Bytes(
-            chunks.iter().map(|s| s.len() as u64).sum(),
-        ));
-        g.bench_function(name, |b| b.iter(|| crc32(black_box(chunks))));
+        ns_row(name, 1, || (), |()| crc32(black_box(chunks)));
     }
-    g.finish();
 }
 
-fn bench_sink_policies(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sink_saturated");
-    g.throughput(Throughput::Elements(1));
+fn bench_sink_policies() {
     for (name, policy) in [
-        ("drop_newest", OverloadPolicy::DropNewest),
-        ("drop_oldest", OverloadPolicy::DropOldest),
+        ("sink_saturated/drop_newest", OverloadPolicy::DropNewest),
+        ("sink_saturated/drop_oldest", OverloadPolicy::DropOldest),
         (
-            "block_1us",
+            "sink_saturated/block_1us",
             OverloadPolicy::Block {
                 timeout: Duration::from_micros(1),
             },
         ),
     ] {
-        g.bench_function(name, |b| {
-            // One synopsis per batch: the per-submit cost of a full queue.
-            let interner = Arc::new(SignatureInterner::new());
-            let (sink, _rx) = BatchSink::bounded(64, 1, policy, interner);
-            for s in batch(64) {
-                sink.submit(s);
-            }
-            b.iter(|| sink.submit(synopsis(0)))
-        });
+        // One synopsis per batch: the per-submit cost of a full queue.
+        let interner = Arc::new(SignatureInterner::new());
+        let (sink, _rx) = BatchSink::bounded(64, 1, policy, interner);
+        for s in batch(64) {
+            sink.submit(s);
+        }
+        ns_row(name, 1, || (), |()| sink.submit(synopsis(0)));
     }
-    g.finish();
 }
 
-criterion_group!(benches, bench_framing, bench_crc32, bench_sink_policies);
-criterion_main!(benches);
+fn main() {
+    bench_framing();
+    bench_crc32();
+    bench_sink_policies();
+}

@@ -2,7 +2,8 @@
 //!
 //! Every table and figure in the paper's evaluation section has a bench
 //! target under `benches/` that regenerates it; this library holds the
-//! pieces they share: run-scale control, synopsis byte accounting, corpus
+//! pieces they share: run-scale control, the timed rounds every
+//! wall-clock figure is read from, synopsis byte accounting, corpus
 //! capture, timeline rendering, the event ledger, and train/run drivers
 //! for the simulated clusters.
 //!
@@ -33,9 +34,10 @@ use saad_logging::LogPointId;
 use saad_sim::{SimDuration, SimTime};
 use saad_workload::{KeyChooser, OperationMix, WorkloadGenerator};
 use std::collections::{BTreeMap, HashMap};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Whether `SAAD_SCALE=full` requests paper-length runs.
 pub fn full_scale() -> bool {
@@ -101,6 +103,52 @@ pub fn timed_rate(mut run: impl FnMut() -> (f64, f64)) -> [f64; 3] {
         })
         .collect();
     quartiles(&rates)
+}
+
+/// The quartiles, in ns per item, of `routine` over inputs from `setup`,
+/// one call doing `items` items. A span builds k inputs, then starts the
+/// clock and runs `routine` on each, dropping each output before the clock
+/// stops; k doubles from 1 until a span lasts `ROUND / 100`, and
+/// [`timed_rate`] times spans of that k.
+pub fn timed_ns<I, O>(
+    items: u64,
+    setup: impl FnMut() -> I,
+    routine: impl FnMut(I) -> O,
+) -> [f64; 3] {
+    let epoch = Instant::now();
+    spans_ns(items, setup, routine, || epoch.elapsed().as_secs_f64())
+}
+
+/// [`timed_ns`] of `routine`, printed as `name: median [q1, q3] ns`.
+pub fn ns_row<I, O>(name: &str, items: u64, setup: impl FnMut() -> I, routine: impl FnMut(I) -> O) {
+    let q = timed_ns(items, setup, routine);
+    println!("{name}: {} ns", quartile_text(q, 1));
+}
+
+/// [`timed_ns`] on the clock `now`, in seconds.
+fn spans_ns<I, O>(
+    items: u64,
+    mut setup: impl FnMut() -> I,
+    mut routine: impl FnMut(I) -> O,
+    mut now: impl FnMut() -> f64,
+) -> [f64; 3] {
+    let mut inputs = Vec::new();
+    let mut span = |k: usize| {
+        inputs.extend((0..k).map(|_| setup()));
+        let start = now();
+        for input in inputs.drain(..) {
+            drop(black_box(routine(input)));
+        }
+        now() - start
+    };
+    let mut k = 1;
+    while span(k) < ROUND.as_secs_f64() / 100.0 {
+        k *= 2;
+    }
+    // Each of the rates' quartiles is one round's rate (five rounds), so
+    // their inverses are the quartiles of the rounds' ns per item.
+    let [q1, median, q3] = timed_rate(|| ((k as u64 * items) as f64, span(k)));
+    [1e9 / q3, 1e9 / median, 1e9 / q1]
 }
 
 /// Synopses per frame the agents of the paper's harnesses ship
@@ -491,6 +539,7 @@ mod tests {
     use super::*;
     use saad_core::Signature;
     use saad_core::StageId;
+    use std::cell::{Cell, RefCell};
 
     #[test]
     fn byte_counting_sink_counts_the_frames_an_agent_ships() {
@@ -609,6 +658,62 @@ mod tests {
         let round = |r: f64| (16.0 * r + 14.0) / ROUND.as_secs_f64();
         let mid = (ROUNDS / 2) as f64;
         assert_eq!(rate, [round(mid - 1.0), round(mid), round(mid + 1.0)]);
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Step {
+        Setup,
+        Clock,
+        Routine,
+        Drop,
+    }
+
+    struct Output<'a>(&'a RefCell<Vec<Step>>);
+
+    impl Drop for Output<'_> {
+        fn drop(&mut self) {
+            self.0.borrow_mut().push(Step::Drop);
+        }
+    }
+
+    #[test]
+    fn timed_ns_builds_a_span_before_its_clock_and_drops_within_it() {
+        // A fake clock on which each routine call takes 1 ms: spans of 1,
+        // 2, 4, 8 and 16 calls calibrate, then every span is 16 calls.
+        let log = RefCell::new(Vec::new());
+        let calls = Cell::new(0u32);
+        let ns = spans_ns(
+            4,
+            || log.borrow_mut().push(Step::Setup),
+            |()| {
+                calls.set(calls.get() + 1);
+                log.borrow_mut().push(Step::Routine);
+                Output(&log)
+            },
+            || {
+                log.borrow_mut().push(Step::Clock);
+                f64::from(calls.get()) / 1e3
+            },
+        );
+        let log = log.into_inner();
+        // Cut at the clock reads: setups, a span, setups, a span, ..., and
+        // nothing after the last span.
+        let parts: Vec<&[Step]> = log.split(|&s| s == Step::Clock).collect();
+        let (last, pairs) = parts.split_last().expect("spans ran");
+        assert!(last.is_empty());
+        let mut sizes = Vec::new();
+        for pair in pairs.chunks(2) {
+            let (setups, span) = (pair[0], pair[1]);
+            assert!(setups.iter().all(|&s| s == Step::Setup));
+            assert_eq!(span, [Step::Routine, Step::Drop].repeat(setups.len()));
+            sizes.push(setups.len());
+        }
+        assert_eq!(sizes[..5], [1, 2, 4, 8, 16]);
+        assert!(sizes[5..].iter().all(|&k| k == 16));
+        // 1 ms a call over 4 items a call.
+        for q in ns {
+            assert!((q - 250_000.0).abs() < 1e-6, "{ns:?}");
+        }
     }
 
     #[test]
